@@ -2,7 +2,7 @@
 //! live loopback TCP socket by `memex_net::NetServer`, driven by N
 //! concurrent `MemexClient` threads through a mixed mining workload.
 //!
-//! Three scenarios:
+//! Scenarios:
 //!
 //! 1. **throughput** — default admission limits; reports sustained
 //!    requests/second and p50/p95/p99 request latency read from the
@@ -18,12 +18,6 @@
 //!    readers share the `RwLock` instead of serialising on a global
 //!    mutex. The ≥2x @ 4-workers check only asserts when the host
 //!    actually has ≥4 cores.
-//! 4. **write-scale/N** — a pure-write workload (four clients, four
-//!    workers, each client a different user) against 1/2/4 *shards*
-//!    (`NetServer::start_sharded`): aggregate write throughput must grow
-//!    with shards because each user's writes take only their own shard's
-//!    exclusive lock, and replica catch-up batches its demon sweeps. The
-//!    ≥1.5x @ 4-shards check only asserts when the host has ≥4 cores.
 
 use std::time::Instant;
 
@@ -271,71 +265,6 @@ fn scenario(
     (memex, shed, reqs_per_sec)
 }
 
-/// Like [`scenario`], but serving `replicas` as shards via
-/// [`NetServer::start_sharded`]. Replicas are built fresh per step (and
-/// dropped after), so each shard count runs an identical workload from an
-/// identical starting state.
-fn scenario_sharded(
-    table: &mut Table,
-    stats: &mut Vec<ScenarioStats>,
-    name: &str,
-    replicas: Vec<Memex>,
-    config: NetServerConfig,
-    workloads: Vec<Vec<Request>>,
-) -> f64 {
-    let clients = workloads.len();
-    let server =
-        NetServer::start_sharded(replicas, "127.0.0.1:0", config).expect("bind sharded loopback");
-    let addr = server.local_addr();
-    let result = drive(addr, workloads);
-    let latency = remote_latency(addr);
-    let replicas = server.shutdown_all();
-    let snap = replicas[0].registry().snapshot();
-    let shed = snap.counter("net.shed");
-    let sent = result.ok + result.shed + result.errors;
-    let latency_us = latency.as_ref().map(|h| {
-        (
-            percentile_us(h, 0.50),
-            percentile_us(h, 0.95),
-            percentile_us(h, 0.99),
-        )
-    });
-    let (p50, p95, p99) = match latency_us {
-        Some((p50, p95, p99)) => (
-            format!("{p50:.0}"),
-            format!("{p95:.0}"),
-            format!("{p99:.0}"),
-        ),
-        None => ("-".into(), "-".into(), "-".into()),
-    };
-    let reqs_per_sec = result.ok as f64 / (result.wall_ms / 1e3);
-    table.row(vec![
-        name.to_string(),
-        clients.to_string(),
-        sent.to_string(),
-        result.ok.to_string(),
-        shed.to_string(),
-        result.errors.to_string(),
-        format!("{:.0}", result.wall_ms),
-        format!("{reqs_per_sec:.0}"),
-        p50,
-        p95,
-        p99,
-    ]);
-    stats.push(ScenarioStats {
-        name: name.to_string(),
-        clients,
-        sent,
-        ok: result.ok,
-        shed,
-        errors: result.errors,
-        wall_ms: result.wall_ms,
-        reqs_per_sec,
-        latency_us,
-    });
-    reqs_per_sec
-}
-
 /// One `ingest-while-scan/{engine}` row: sustained write throughput with
 /// a concurrent long snapshot scan, per storage engine. Shared with the
 /// N2 bench, which reruns the scenario at 10x the ingest volume.
@@ -526,8 +455,6 @@ struct ArtifactSummary<'a> {
     quick: bool,
     read_rates: [f64; 3],
     read_ratio: f64,
-    write_rates: [f64; 3],
-    write_ratio: f64,
     cores: usize,
     lock_wait: Option<&'a HistogramSnapshot>,
     trace_off_rate: f64,
@@ -535,16 +462,14 @@ struct ArtifactSummary<'a> {
 }
 
 /// Serialise the run into the committed `BENCH_PR7.json` artifact:
-/// per-scenario throughput and latency percentiles, the read- and
-/// write-scaling ratios, a `net.lock.wait` summary, and the tracing-off/on
-/// throughput ratio. Hand-rolled JSON — the workspace has no serde.
+/// per-scenario throughput and latency percentiles, the read-scaling
+/// ratio, a `net.lock.wait` summary, and the tracing-off/on throughput
+/// ratio. Hand-rolled JSON — the workspace has no serde.
 fn write_artifact(path: &str, stats: &[ScenarioStats], summary: &ArtifactSummary<'_>) {
     let &ArtifactSummary {
         quick,
         read_rates,
         read_ratio,
-        write_rates,
-        write_ratio,
         cores,
         lock_wait,
         trace_off_rate,
@@ -586,11 +511,6 @@ fn write_artifact(path: &str, stats: &[ScenarioStats], summary: &ArtifactSummary
         "  \"read_scale\": {{\"workers\": [1, 2, 4], \"reqs_per_sec\": [{:.1}, {:.1}, {:.1}], \
          \"ratio_4w_over_1w\": {:.2}, \"cores\": {}}},\n",
         read_rates[0], read_rates[1], read_rates[2], read_ratio, cores,
-    ));
-    out.push_str(&format!(
-        "  \"write_scale\": {{\"shards\": [1, 2, 4], \"reqs_per_sec\": [{:.1}, {:.1}, {:.1}], \
-         \"ratio_4s_over_1s\": {:.2}, \"cores\": {}}},\n",
-        write_rates[0], write_rates[1], write_rates[2], write_ratio, cores,
     ));
     match lock_wait {
         Some(h) => out.push_str(&format!(
@@ -700,45 +620,7 @@ pub fn run(quick: bool) -> Table {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // Scenario 4: write scaling across shards. Four clients, each a
-    // different user, pure-write workloads identical at every shard count;
-    // replicas are rebuilt from the same community replay each step, so
-    // the only variable is how many exclusive locks (and batched demon
-    // sweeps) the shard router spreads the writes over.
-    let write_rounds = if quick { 60 } else { 200 };
-    let write_clients = 4usize;
-    let mut write_rate_at = [0f64; 3];
-    for (step, &shards) in [1usize, 2, 4].iter().enumerate() {
-        let replicas: Vec<Memex> = (0..shards)
-            .map(|_| crate::worlds::populated_memex(_corpus.clone(), &community))
-            .collect();
-        let config = NetServerConfig {
-            workers: write_clients,
-            shards,
-            ..NetServerConfig::default()
-        };
-        let writes = (0..write_clients)
-            .map(|i| {
-                write_workload(
-                    &_corpus,
-                    users[i % users.len()],
-                    write_rounds,
-                    (step * write_clients + i) as u64,
-                )
-            })
-            .collect();
-        write_rate_at[step] = scenario_sharded(
-            &mut table,
-            &mut stats,
-            &format!("write-scale/{shards}"),
-            replicas,
-            config,
-            writes,
-        );
-    }
-    let write_ratio = write_rate_at[2] / write_rate_at[0].max(f64::MIN_POSITIVE);
-
-    // Scenario 5: tracing cost. The same mixed workload with the flight
+    // Scenario 4: tracing cost. The same mixed workload with the flight
     // recorder disabled and then enabled — the off/on throughput ratio is
     // the number PR 6's "tracing off stays cheap" claim rests on.
     let mut trace_rates = [0f64; 2];
@@ -763,7 +645,7 @@ pub fn run(quick: bool) -> Table {
         trace_rates[step] = rate;
     }
 
-    // Scenario 6: ingest-while-scan, once per storage engine. Fresh
+    // Scenario 5: ingest-while-scan, once per storage engine. Fresh
     // replicas per engine so the only variable is the engine behind the
     // index's keyed store.
     let iws_write_rounds = if quick { 120 } else { 400 };
@@ -799,8 +681,6 @@ pub fn run(quick: bool) -> Table {
             quick,
             read_rates: rate_at,
             read_ratio: ratio,
-            write_rates: write_rate_at,
-            write_ratio,
             cores,
             lock_wait: lock_wait.as_ref(),
             trace_off_rate: trace_rates[0],
@@ -825,24 +705,15 @@ pub fn run(quick: bool) -> Table {
     table.note(&format!(
         "read-scale: cache disabled, all-distinct requests; 4-worker/1-worker throughput ratio {ratio:.2}x on {cores} core(s)"
     ));
-    table.note(&format!(
-        "write-scale: pure writes, 4 clients on distinct users, identical replicas per step; 4-shard/1-shard throughput ratio {write_ratio:.2}x on {cores} core(s)"
-    ));
     if cores >= 4 {
         assert!(
             ratio >= 2.0,
             "read throughput must at least double at 4 workers vs 1 \
              (got {ratio:.2}x on {cores} cores) — readers are serialising"
         );
-        assert!(
-            write_ratio >= 1.5,
-            "write throughput must reach >=1.5x at 4 shards vs 1 \
-             (got {write_ratio:.2}x on {cores} cores) — writers are serialising \
-             on a global lock"
-        );
     } else {
         table.note(&format!(
-            "read-scale >=2x / write-scale >=1.5x assertions skipped: host has {cores} core(s), shards cannot run in parallel"
+            "read-scale >=2x assertion skipped: host has {cores} core(s), readers cannot run in parallel"
         ));
     }
     table

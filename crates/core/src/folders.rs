@@ -66,7 +66,8 @@ impl FolderSpace {
     /// All assignments (page, assignment), guesses included, in ascending
     /// page order. Deterministic order matters: callers feed this into
     /// classifier training (float-sum order) and user-visible exports, and
-    /// replicated archives must answer identically to their peers.
+    /// two archives fed the same writes (a benchmark's oracle and the
+    /// served process it checks) must answer bit-identically.
     pub fn assignments(&self) -> impl Iterator<Item = (u32, PageAssignment)> + '_ {
         let mut all: Vec<(u32, PageAssignment)> =
             self.assignments.iter().map(|(&p, &a)| (p, a)).collect();

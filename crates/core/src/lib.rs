@@ -21,19 +21,14 @@
 //!   bookmarks from Netscape or Explorer can be imported … conversely
 //!   Memex can export back");
 //! * [`servlet`] — the request/response dispatch surface (the paper's
-//!   HTTP-tunnelled servlet interface, sans the wire);
-//! * [`sharded`] — [`ShardedMemex`]: N replicas behind `user % N` routing
-//!   with an ordered replication log, the core of the sharded serving
-//!   layer in `memex-net`.
+//!   HTTP-tunnelled servlet interface, sans the wire).
 
 pub mod bookmarks_io;
 pub mod folders;
 pub mod memex;
 pub mod recommend;
 pub mod servlet;
-pub mod sharded;
 
 pub use folders::{FolderSpace, PageAssignment};
 pub use memex::{Memex, MemexOptions};
 pub use servlet::{Request, Response};
-pub use sharded::ShardedMemex;

@@ -13,7 +13,7 @@
 //! | "major topics of my workplace, where do I fit?" | [`Memex::community_themes`], [`Memex::my_place`] |
 //! | "who shares my interest most closely?" | [`Memex::similar_surfers`] |
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
@@ -489,7 +489,9 @@ impl Memex {
         // by then. Everything index-derived comes from this snapshot.
         let index_snap = self.server.index.read_snapshot().ok();
         let on_topic = self.pages_on_topic(user, folder);
-        // Community's recent on-topic pages...
+        // Community's recent on-topic pages, deduplicated in page order so
+        // the graph expansion and authority scores below sum in one fixed
+        // order.
         let recent: Vec<u32> = self
             .server
             .trails
@@ -497,7 +499,7 @@ impl Memex {
             .iter()
             .filter(|v| v.public && v.time >= since && on_topic.contains(&v.page))
             .map(|v| v.page)
-            .collect::<HashSet<u32>>()
+            .collect::<BTreeSet<u32>>()
             .into_iter()
             .collect();
         // ...expanded one hop through the fetched web graph ("in or near").

@@ -8,7 +8,7 @@
 //! The URL-overlap (Jaccard) baseline lives here too — experiment T5
 //! measures exactly that "far superior" claim.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use memex_cluster::themes::profile_similarity;
 use memex_learn::taxonomy::TopicId;
@@ -18,8 +18,9 @@ use crate::memex::Memex;
 /// Build a user's theme profile: for every page they visited, find its
 /// theme (bookmarked pages carry their discovered theme; other pages are
 /// routed to the nearest leaf theme by centroid similarity) and accumulate
-/// weight up the theme taxonomy.
-pub fn theme_profile(memex: &Memex, user: u32) -> HashMap<TopicId, f64> {
+/// weight up the theme taxonomy. Ordered by node for
+/// [`profile_similarity`]'s fixed summation order.
+pub fn theme_profile(memex: &Memex, user: u32) -> BTreeMap<TopicId, f64> {
     let pages = memex.server.trails.user_pages(user, 0);
     // Snapshot what we need from the cache to keep borrows simple.
     let (doc_theme, doc_pages, taxonomy) = {
@@ -32,7 +33,7 @@ pub fn theme_profile(memex: &Memex, user: u32) -> HashMap<TopicId, f64> {
     };
     let doc_of_page: HashMap<u32, usize> =
         doc_pages.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    let mut profile: HashMap<TopicId, f64> = HashMap::new();
+    let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
     let total = pages.len().max(1) as f64;
     for page in pages {
         let theme = match doc_of_page.get(&page) {
@@ -55,7 +56,7 @@ pub fn theme_profile(memex: &Memex, user: u32) -> HashMap<TopicId, f64> {
 }
 
 /// Theme profiles for every registered user.
-pub fn all_profiles(memex: &Memex) -> HashMap<u32, HashMap<TopicId, f64>> {
+pub fn all_profiles(memex: &Memex) -> HashMap<u32, BTreeMap<TopicId, f64>> {
     memex
         .users()
         .into_iter()

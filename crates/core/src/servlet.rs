@@ -120,11 +120,8 @@ impl Request {
         }
     }
 
-    /// The user id this request is scoped to, or `None` for
-    /// community-scoped requests (`Stats`, `Traces`) that aggregate over
-    /// the whole deployment. A sharded serving layer routes `Some(user)`
-    /// requests to shard `user % N` and answers `None` requests from an
-    /// aggregation tier spanning every shard.
+    /// The user this request is scoped to, or `None` for the
+    /// community-scoped requests (`Stats`, `Traces`).
     pub fn shard_key(&self) -> Option<u32> {
         match self {
             Request::Event(e) => Some(e.user()),
@@ -166,11 +163,6 @@ impl ReadRequest {
     pub fn into_request(self) -> Request {
         self.0
     }
-
-    /// See [`Request::shard_key`]. `None` for `Stats`/`Traces`.
-    pub fn shard_key(&self) -> Option<u32> {
-        self.0.shard_key()
-    }
 }
 
 impl WriteRequest {
@@ -181,16 +173,6 @@ impl WriteRequest {
 
     pub fn into_request(self) -> Request {
         self.0
-    }
-
-    /// The user id this write is scoped to. Every write variant (`Event`,
-    /// `ImportBookmarks`) carries one, so unlike [`Request::shard_key`]
-    /// this is total.
-    pub fn shard_key(&self) -> u32 {
-        // Both write variants are user-scoped; `unwrap_or` keeps the
-        // serving layer panic-free if a community-scoped write ever
-        // appears (it would route to shard 0).
-        self.0.shard_key().unwrap_or(0)
     }
 }
 
@@ -339,18 +321,10 @@ pub fn dispatch_write(memex: &mut Memex, request: WriteRequest) -> Response {
 }
 
 /// Apply a write's state mutation *without* running the demons (and so
-/// without updating query-visible caches). The verdict response (`Ack` /
-/// `Imported`) is computed here, at ingest time, exactly as
-/// [`dispatch_write`] would.
-///
-/// This is the replication half of sharded serving: a shard catching up on
-/// writes that originated elsewhere applies each pending write with
-/// `apply_write`, then runs the demons **once** for the whole batch —
-/// demon order within a batch only affects unconfirmed folder-classifier
-/// guesses, which no query answer depends on (confirmed assignments are
-/// authoritative everywhere; `bill`/`topic_filter` reclassify on the fly).
-/// The owner shard, which must answer reads immediately, keeps using
-/// [`dispatch_write`].
+/// without updating query-visible caches): the ingest half of
+/// [`dispatch_write`], which computes the verdict response (`Ack` /
+/// `Imported`). Public so a harness can time ingest and the demon sweep
+/// separately.
 pub fn apply_write(memex: &mut Memex, request: &WriteRequest) -> Response {
     match request.as_request() {
         Request::Event(e) => Response::Ack {

@@ -4,7 +4,8 @@
 //! Two identically-built worlds run the same random sequence — one through
 //! the shim, one through explicit classify-then-route — and every response
 //! pair must match. Reads are additionally checked for idempotence (asking
-//! twice changes nothing).
+//! twice changes nothing). A second property pins replica determinism: two
+//! archives fed the same writes answer bit-identically.
 
 use std::sync::Arc;
 
@@ -169,63 +170,109 @@ proptest! {
             prop_assert_eq!(a, b, "request #{} diverged between shim and split", i);
         }
     }
+
+    /// Two independently built archives fed the same op sequence answer
+    /// identically, scores compared bit for bit. Each build hashes with its
+    /// own `RandomState`, so any answer that leaks `HashMap` iteration order
+    /// (a float summed in hash order, ids numbered in hash order) diverges
+    /// here. The benchmark relies on exactly this: its oracle answers in
+    /// the parent process, the served trial in a fresh one. Sequences are
+    /// long enough for users to hold weight on several themes; shorter ones
+    /// leave every sum with too few terms for their order to show.
+    #[test]
+    fn two_archives_fed_the_same_writes_answer_bit_identically(
+        ops in proptest::collection::vec(op_strategy(), 60..120),
+    ) {
+        let corpus = corpus();
+        let mut left = fresh_memex(&corpus);
+        let mut right = fresh_memex(&corpus);
+        for (i, op) in ops.iter().enumerate() {
+            let request = materialise(op, &corpus, 1 + i as u64);
+            let a = dispatch(&mut left, request.clone());
+            let b = dispatch(&mut right, request);
+            prop_assert_eq!(score_bits(&a), score_bits(&b), "request #{} scores differ in bits", i);
+            prop_assert_eq!(a, b, "request #{} diverged between the two archives", i);
+        }
+    }
+}
+
+/// The float scores of an answer as raw bits (`==` on `f64` would let
+/// `0.0`/`-0.0` through).
+fn score_bits(resp: &Response) -> Vec<u64> {
+    match resp {
+        Response::Recall(hits) => hits.iter().map(|h| u64::from(h.score.to_bits())).collect(),
+        Response::WhatsNew(scored)
+        | Response::SimilarSurfers(scored)
+        | Response::Recommend(scored) => scored.iter().map(|(_, s)| s.to_bits()).collect(),
+        Response::Bill(lines) => lines.iter().map(|l| l.fraction.to_bits()).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// The classification table is the contract the serving layer leans on:
-/// exactly `Event` and `ImportBookmarks` are writes, everything else reads.
+/// exactly `Event` and `ImportBookmarks` are writes, everything else reads;
+/// and every variant but `Stats`/`Traces` names the user it is scoped to.
 #[test]
 fn classification_matches_the_mutation_surface() {
     let corpus = corpus();
-    let reads = [
+    let user_reads = [
         Request::Recall {
-            user: 0,
+            user: 7,
             query: "q".into(),
             since: 0,
             until: 1,
             k: 1,
         },
         Request::TrailReplay {
-            user: 0,
+            user: 7,
             folder: 0,
             since: 0,
             max_pages: 1,
         },
         Request::WhatsNew {
-            user: 0,
+            user: 7,
             folder: 0,
             since: 0,
             k: 1,
         },
         Request::Bill {
-            user: 0,
+            user: 7,
             since: 0,
             until: 1,
         },
-        Request::SimilarSurfers { user: 0, k: 1 },
-        Request::Recommend { user: 0, k: 1 },
-        Request::ExportBookmarks { user: 0 },
-        Request::ProposeFolders { user: 0, k: 1 },
+        Request::SimilarSurfers { user: 7, k: 1 },
+        Request::Recommend { user: 7, k: 1 },
+        Request::ExportBookmarks { user: 7 },
+        Request::ProposeFolders { user: 7, k: 1 },
+    ];
+    let community = [
         Request::Stats,
         Request::Traces {
             slow_only: false,
             limit: 1,
         },
     ];
-    for r in reads {
-        assert!(r.is_read(), "{} must classify as a read", r.name());
-        assert!(matches!(r.classify(), Classified::Read(_)));
-    }
     let writes = [
-        visit(&corpus, 0, 0, 1),
+        visit(&corpus, 7, 0, 1),
         Request::ImportBookmarks {
-            user: 0,
+            user: 7,
             html: String::new(),
             time: 1,
         },
     ];
-    for w in writes {
+    for r in user_reads.iter().chain(&community) {
+        assert!(r.is_read(), "{} must classify as a read", r.name());
+        assert!(matches!(r.clone().classify(), Classified::Read(_)));
+    }
+    for w in &writes {
         assert!(!w.is_read(), "{} must classify as a write", w.name());
-        assert!(matches!(w.classify(), Classified::Write(_)));
+        assert!(matches!(w.clone().classify(), Classified::Write(_)));
+    }
+    for r in user_reads.iter().chain(&writes) {
+        assert_eq!(r.shard_key(), Some(7), "{} is scoped to its user", r.name());
+    }
+    for r in &community {
+        assert_eq!(r.shard_key(), None, "{} is community-scoped", r.name());
     }
 }
 

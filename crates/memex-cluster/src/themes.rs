@@ -20,7 +20,7 @@
 //! The result is a [`Taxonomy`] of themes plus doc/folder→theme maps; user
 //! profiles over these nodes feed collaborative recommendation (T5).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use memex_learn::taxonomy::{Taxonomy, TopicId};
 use memex_text::vector::SparseVec;
@@ -120,8 +120,9 @@ impl Themes {
 
     /// A user's profile: weight per theme node = fraction of their docs
     /// assigned under that node (ancestors accumulate descendants).
-    pub fn user_profile(&self, user_docs: &[usize]) -> HashMap<TopicId, f64> {
-        let mut profile: HashMap<TopicId, f64> = HashMap::new();
+    /// Ordered by node, so sums over it add up in one fixed order.
+    pub fn user_profile(&self, user_docs: &[usize]) -> BTreeMap<TopicId, f64> {
+        let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
         let total = user_docs.len().max(1) as f64;
         for &d in user_docs {
             if let Some(Some(topic)) = self.doc_theme.get(d) {
@@ -138,7 +139,9 @@ impl Themes {
 }
 
 /// Cosine similarity between two theme profiles (sparse maps over nodes).
-pub fn profile_similarity(a: &HashMap<TopicId, f64>, b: &HashMap<TopicId, f64>) -> f64 {
+/// The maps are ordered so the float sums are taken in node order: two
+/// archives fed the same writes score bit-identically.
+pub fn profile_similarity(a: &BTreeMap<TopicId, f64>, b: &BTreeMap<TopicId, f64>) -> f64 {
     let dot: f64 = a
         .iter()
         .filter_map(|(k, va)| b.get(k).map(|vb| va * vb))
@@ -592,7 +595,7 @@ mod tests {
         assert!(s13 < 0.5, "disjoint users dissimilar, got {s13}");
         // URL overlap would have said u1 and u2 are *unrelated* (no shared
         // docs) — the theme profile fixes exactly that.
-        assert!(profile_similarity(&u1, &HashMap::new()) == 0.0);
+        assert!(profile_similarity(&u1, &BTreeMap::new()) == 0.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! in the guarded region may block: no file sync/flush, no socket
 //! connect/accept/read, no `thread::sleep`, no channel `recv`, no thread
 //! `join`. A blocked critical section stalls every other thread queued
-//! on that lock — for the serving shards that means writes stall reads,
+//! on that lock — for the served Memex that means writes stall reads,
 //! which is exactly the hazard PR 5 split the dispatch path to avoid.
 //!
 //! The check is interprocedural: a call inside the guarded region whose

@@ -13,18 +13,17 @@
 //! not idempotent, so the client never guesses). Timeouts are *not*
 //! retried for anything: the request may have dispatched.
 //!
-//! **Trace propagation:** a client speaking wire v3+ (the default is v4)
-//! stamps every request frame with a fresh 64-bit trace id from a
-//! seedable SplitMix64 sequence ([`ClientConfig::trace_seed`]); the
-//! server adopts it as the root span's trace id and echoes it on the
-//! response, so a slow answer can be correlated with its server-side span
-//! tree ([`MemexClient::last_trace_id`]). Every *attempt* gets its own
-//! id — a retried read re-sent on a fresh connection must not alias the
-//! dead attempt's span tree — and v4 frames carry the previous attempt's
-//! id (`retry_of`), which the server records as a root-span annotation so
-//! the attempts of one logical request can be stitched together. Setting
-//! [`ClientConfig::wire_version`] to 2 reproduces a pre-trace client
-//! byte-for-byte — the compatibility mode the loopback suite exercises.
+//! **Trace propagation:** the client stamps every request frame with a
+//! fresh 64-bit trace id from a seedable SplitMix64 sequence
+//! ([`ClientConfig::trace_seed`]); the server adopts it as the root
+//! span's trace id and echoes it on the response, so a slow answer can be
+//! correlated with its server-side span tree
+//! ([`MemexClient::last_trace_id`]). Every *attempt* gets its own id — a
+//! retried read re-sent on a fresh connection must not alias the dead
+//! attempt's span tree — and a retry's frame carries the previous
+//! attempt's id (`retry_of`), which the server records as a root-span
+//! annotation so the attempts of one logical request can be stitched
+//! together.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -45,10 +44,6 @@ pub struct ClientConfig {
     /// How many times a request may be re-sent on a fresh connection after
     /// the old one proves broken.
     pub reconnect_attempts: u32,
-    /// Wire version to speak: [`wire::WIRE_VERSION`] (default) stamps a
-    /// trace context on every request; [`wire::MIN_WIRE_VERSION`] (2)
-    /// emits pre-trace frames for compatibility testing.
-    pub wire_version: u8,
     /// Seed for the client's trace-id sequence (deterministic tests pick
     /// a fixed seed and know every id in advance).
     pub trace_seed: u64,
@@ -60,7 +55,6 @@ impl Default for ClientConfig {
             connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(10),
             reconnect_attempts: 1,
-            wire_version: wire::WIRE_VERSION,
             trace_seed: 0x4d58_434c_4945_4e54, // "MXCLIENT"
         }
     }
@@ -162,9 +156,6 @@ impl MemexClient {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(ErrorKind::NotFound, "address resolved to nothing")
         })?;
-        if !(wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION).contains(&config.wire_version) {
-            return Err(NetError::Protocol("unsupported wire version configured"));
-        }
         let mut client = MemexClient {
             addr,
             config,
@@ -194,21 +185,17 @@ impl MemexClient {
         let mut attempts_left = self.config.reconnect_attempts;
         // Each *attempt* gets a fresh trace id, so two attempts of one
         // logical request never alias span trees in the flight recorder;
-        // v4 frames link an attempt to its predecessor via `retry_of`
-        // (the server annotates the root span with it).
+        // `retry_of` links an attempt to its predecessor (the server
+        // annotates the root span with it).
         let mut prev_attempt: Option<u64> = None;
         loop {
-            let trace_ctx = (self.config.wire_version >= 3).then(|| TraceContext {
+            let trace_ctx = TraceContext {
                 trace_id: self.trace_ids.next(),
-                retry_of: if self.config.wire_version >= 4 {
-                    prev_attempt
-                } else {
-                    None
-                },
-            });
+                retry_of: prev_attempt,
+            };
             // Reflect the attempt actually on the wire, so after a retry
             // this is the id of the attempt that answered (or failed last).
-            self.last_trace_id = trace_ctx.map(|t| t.trace_id);
+            self.last_trace_id = Some(trace_ctx.trace_id);
             if self.stream.is_none() {
                 self.stream = Some(self.dial()?);
             }
@@ -218,7 +205,7 @@ impl MemexClient {
                 // error rather than a panic on the request path.
                 None => return Err(NetError::Protocol("connection slot empty after dial")),
             };
-            match Self::exchange(stream, self.config.wire_version, trace_ctx, &payload) {
+            match Self::exchange(stream, trace_ctx, &payload) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => {
                     // Whatever happened, this connection is suspect.
@@ -235,7 +222,7 @@ impl MemexClient {
                         }
                         if attempts_left > 0 {
                             attempts_left -= 1;
-                            prev_attempt = trace_ctx.map(|t| t.trace_id);
+                            prev_attempt = Some(trace_ctx.trace_id);
                             continue;
                         }
                     }
@@ -245,25 +232,24 @@ impl MemexClient {
         }
     }
 
-    /// The trace id stamped on the most recent request, if the configured
-    /// wire version carries one. Pass it to an operator (or correlate it
-    /// against `Request::Traces` output) to find the server-side tree.
+    /// The trace id stamped on the most recent request (`None` before the
+    /// first). Pass it to an operator (or correlate it against
+    /// `Request::Traces` output) to find the server-side tree.
     pub fn last_trace_id(&self) -> Option<u64> {
         self.last_trace_id
     }
 
     fn exchange(
         stream: &mut TcpStream,
-        version: u8,
-        trace_ctx: Option<TraceContext>,
+        trace_ctx: TraceContext,
         request_payload: &[u8],
     ) -> Result<Response, NetError> {
         wire::write_frame_versioned(
             stream,
-            version,
+            wire::WIRE_VERSION,
             FrameKind::Request,
             request_payload,
-            trace_ctx,
+            Some(trace_ctx),
         )?;
         let meta = wire::read_frame_meta(stream)?;
         if meta.kind != FrameKind::Response {

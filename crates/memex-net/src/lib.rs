@@ -20,13 +20,11 @@
 //! `net.decode.errors`) flow through the Memex's `memex-obs` registry, so
 //! `Request::Stats` over the wire reports on the wire itself.
 //!
-//! Wire v3 adds end-to-end request tracing: the client stamps a 64-bit
-//! trace id into the frame envelope ([`TraceContext`]), the server builds
-//! a span tree per request (decode → lock wait → dispatch → encode, with
-//! index/store children) into its flight recorder, and
-//! `Request::Traces` pulls the trees back over the wire. v2 peers keep
-//! working: decoders accept both versions and the server answers in the
-//! version the client spoke.
+//! End-to-end request tracing rides the frame envelope: the client stamps
+//! a 64-bit trace id ([`TraceContext`]), the server builds a span tree per
+//! request (decode → lock wait → dispatch → encode, with index/store
+//! children) into its flight recorder, and `Request::Traces` pulls the
+//! trees back over the wire.
 
 pub mod client;
 pub mod server;

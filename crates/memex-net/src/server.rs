@@ -2,8 +2,8 @@
 //!
 //! One accept thread feeds connections into a *bounded* queue drained by a
 //! fixed pool of worker threads; each worker speaks the frame protocol of
-//! [`crate::wire`] and dispatches decoded requests against the served
-//! [`Memex`] state — one replica per shard.
+//! [`crate::wire`] and dispatches decoded requests against the one served
+//! [`Memex`].
 //!
 //! **Read/write split:** requests are classified by
 //! [`memex_core::servlet::Request::is_read`]. Reads dispatch through
@@ -12,24 +12,6 @@
 //! apply the mutation plus demons/refresh through [`dispatch_write`], and
 //! bump the write epoch. The paper's §3 single-producer/multi-consumer
 //! serving shape, on one process.
-//!
-//! **Sharding (the shard router):** [`NetServer::start_sharded`] serves N
-//! [`Memex`] replicas, each behind its *own* `RwLock`, epoch counter, and
-//! read cache. [`memex_core::servlet::Request::shard_key`] routes every
-//! user-scoped request to shard `user % N`, so a write by user A never
-//! blocks a read by user B on another shard. A write applies eagerly on
-//! its owner shard (demons included, exactly like a single Memex), then
-//! fans out to every other shard's *inbound queue*; a shard absorbs its
-//! queue — state-only applies plus **one** demon sweep for the whole batch
-//! — before its next answer. Batch boundaries only influence unconfirmed
-//! folder-classifier guesses, which no query answer depends on, so a
-//! sharded server is answer-equivalent to a single Memex (pinned by
-//! `memex-core/tests/sharded_equivalence.rs` and `tests/shard_loopback.rs`).
-//! Community-scoped requests (`Stats`, `Traces` — shard key `None`) are
-//! answered from an aggregation tier that merges every shard's metrics
-//! registry (and reads the serving tracer) without taking any shard lock.
-//! Per-shard serving is visible as `net.shard.<i>.*` metrics and a
-//! `shard=<i>` root-span annotation.
 //!
 //! **Epoch-keyed read cache:** identical read requests between two writes
 //! hit a bounded FIFO cache keyed by the request itself. Every entry is
@@ -57,30 +39,27 @@
 //! accounting for it). The server never makes a client wait silently for
 //! capacity.
 //!
-//! **Shutdown:** [`NetServer::shutdown`] / [`NetServer::shutdown_all`]
-//! flip the shutdown flag, wake the accept thread with a self-connection,
-//! and join every thread. Workers drain the accept queue before exiting
-//! (the channel hands out buffered connections even after the sender is
-//! dropped), and any in-progress request completes and is answered —
-//! nothing is dropped silently. Each handed-back replica absorbs its
-//! remaining inbound queue first, so it reflects every acknowledged write.
+//! **Shutdown:** [`NetServer::shutdown`] flips the shutdown flag, wakes
+//! the accept thread with a self-connection, and joins every thread.
+//! Workers drain the accept queue before exiting (the channel hands out
+//! buffered connections even after the sender is dropped), and any
+//! in-progress request completes and is answered — nothing is dropped
+//! silently.
 //!
 //! **Tracing:** when [`NetServerConfig::trace`] enables it, every
 //! exchanged request gets a root span (`net.req`) covering
 //! decode → lock-acquire → dispatch → encode, annotated with
-//! `lock_wait_ns`/`lock_kind` at RwLock acquisition, `shard=<i>` after
-//! routing (and `cache_hit=true` on cache-served reads, `shed=true` on
-//! overload verdicts, `retry_of=<id>` when a v4 client marked the request
-//! as a retry of an earlier attempt). The trace id comes from the v3+
-//! frame envelope when the client stamped one, else from the server's
-//! seeded generator; responses echo it. Completed span trees land in the
-//! serving (shard 0) Memex's [`memex_obs::Tracer`] flight recorder (and
-//! slow log) and are served over the wire by `Request::Traces`. Responses
-//! are always framed in the wire version the client spoke, so v2/v3
-//! clients keep working unchanged.
+//! `lock_wait_ns`/`lock_kind` at RwLock acquisition (and `cache_hit=true`
+//! on cache-served reads, `shed=true` on overload verdicts,
+//! `retry_of=<id>` when the client marked the request as a retry of an
+//! earlier attempt). The trace id comes from the frame envelope when the
+//! client stamped one, else from the server's seeded generator; responses
+//! echo it. Completed span trees land in the served Memex's
+//! [`memex_obs::Tracer`] flight recorder (and slow log) and are served
+//! over the wire by `Request::Traces`.
 //!
-//! All serving stats flow through the serving Memex's metrics registry
-//! (`net.conn.*`, `net.req.*`, `net.read.*`, `net.shed`, `net.shard.<i>.*`,
+//! All serving stats flow through the served Memex's metrics registry
+//! (`net.conn.*`, `net.req.*`, `net.read.*`, `net.shed`,
 //! `net.decode.errors`), so `Request::Stats` — itself servable over the
 //! wire — reports them.
 
@@ -95,7 +74,7 @@ use std::time::{Duration, Instant};
 
 use memex_core::memex::Memex;
 use memex_core::servlet::{
-    self, dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, WriteRequest,
+    dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, WriteRequest,
 };
 use memex_obs::{trace, MetricsRegistry, TraceConfig, Tracer};
 
@@ -117,15 +96,10 @@ pub struct NetServerConfig {
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
-    /// Capacity (entries) of each shard's epoch-keyed read-result cache;
-    /// `0` disables caching entirely.
+    /// Capacity (entries) of the epoch-keyed read-result cache; `0`
+    /// disables caching entirely.
     pub read_cache: usize,
-    /// Declared shard count. [`NetServer::start_sharded`] requires this to
-    /// equal the number of `Memex` replicas passed (so a topology typo is
-    /// an error, not a silent reroute); [`NetServer::start`] serves one
-    /// shard and requires the default `1`.
-    pub shards: usize,
-    /// Request-tracing knobs (applied to the serving Memex's tracer at
+    /// Request-tracing knobs (applied to the served Memex's tracer at
     /// start). Disabled by default: tracing is opt-in per server.
     pub trace: TraceConfig,
 }
@@ -139,7 +113,6 @@ impl Default for NetServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             read_cache: 256,
-            shards: 1,
             trace: TraceConfig::default(),
         }
     }
@@ -235,149 +208,56 @@ impl ReadCache {
     }
 }
 
-/// One shard: a full Memex replica behind its own lock, epoch, read cache,
-/// and replication queue. Metric names are pre-rendered at startup so the
-/// hot path never allocates a `format!` string.
-struct ShardSlot {
+struct Shared {
     memex: RwLock<Memex>,
-    /// Bumped (under the write lock, before the mutation) on every write
-    /// or replication batch applied here; versions this shard's cache.
+    /// Bumped (under the write lock, before the mutation) on every write;
+    /// versions the read cache.
     epoch: AtomicU64,
     cache: Mutex<ReadCache>,
-    /// Writes owned by *other* shards, awaiting batched application here.
-    inbound: Mutex<VecDeque<WriteRequest>>,
-    /// `inbound.len()`, readable without the lock on the read hot path.
-    pending: AtomicUsize,
-    m_read_ok: String,
-    m_write_ok: String,
-    m_replicated: String,
-    m_lag: String,
-    m_lock_wait: String,
+    /// The served Memex's registry; all `net.*` serving-layer metrics
+    /// land here.
+    registry: MetricsRegistry,
+    shutdown: AtomicBool,
+    in_flight: AtomicUsize,
+    config: NetServerConfig,
+    /// The served Memex's tracer; root spans start here.
+    tracer: Tracer,
 }
 
-impl ShardSlot {
-    fn new(index: usize, memex: Memex, cache_capacity: usize) -> ShardSlot {
-        ShardSlot {
-            memex: RwLock::new(memex),
-            epoch: AtomicU64::new(0),
-            cache: Mutex::new(ReadCache::new(cache_capacity)),
-            inbound: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            m_read_ok: format!("net.shard.{index}.read.ok"),
-            m_write_ok: format!("net.shard.{index}.write.ok"),
-            m_replicated: format!("net.shard.{index}.replicated"),
-            m_lag: format!("net.shard.{index}.lag"),
-            m_lock_wait: format!("net.shard.{index}.lock.wait"),
-        }
-    }
-
-    fn cache_get(&self, reg: &MetricsRegistry, key: &Request, epoch: u64) -> Option<Response> {
+impl Shared {
+    fn cache_get(&self, key: &Request, epoch: u64) -> Option<Response> {
         let (hit, purged) = self
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(key, epoch);
         if purged > 0 {
-            reg.counter("net.read.cache.stale_purged").add(purged);
+            self.registry
+                .counter("net.read.cache.stale_purged")
+                .add(purged);
         }
         hit
     }
 
-    fn cache_put(&self, reg: &MetricsRegistry, key: Request, epoch: u64, resp: Response) {
+    fn cache_put(&self, key: Request, epoch: u64, resp: Response) {
         let (evicted, purged) = self
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .put(key, epoch, resp);
         if evicted > 0 {
-            reg.counter("net.read.cache.evict").add(evicted);
+            self.registry.counter("net.read.cache.evict").add(evicted);
         }
         if purged > 0 {
-            reg.counter("net.read.cache.stale_purged").add(purged);
+            self.registry
+                .counter("net.read.cache.stale_purged")
+                .add(purged);
         }
-    }
-
-    /// Recover the replica, absorbing any replication still queued so the
-    /// handed-back Memex reflects every acknowledged write.
-    fn into_memex(self) -> Memex {
-        let mut memex = match self.memex.into_inner() {
-            Ok(m) => m,
-            // A panicking write dispatch poisons the lock; the state
-            // behind it is still the state — recover it rather than
-            // propagate the poison.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let queued = match self.inbound.into_inner() {
-            Ok(q) => q,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if !queued.is_empty() {
-            for w in &queued {
-                let _ = servlet::apply_write(&mut memex, w);
-            }
-            let _ = memex.run_demons();
-        }
-        memex
-    }
-}
-
-struct Shared {
-    /// Shard 0 plus the rest, kept separate so the topology is
-    /// structurally non-empty and single-shard accessors stay total
-    /// without a panicking unwrap.
-    shard0: ShardSlot,
-    shards_rest: Vec<ShardSlot>,
-    /// The serving registry — shard 0's Memex registry; all `net.*`
-    /// serving-layer metrics land here.
-    registry: MetricsRegistry,
-    /// Replica registries (shards 1..N), merged into `Stats` answers.
-    rest_registries: Vec<MetricsRegistry>,
-    shutdown: AtomicBool,
-    in_flight: AtomicUsize,
-    config: NetServerConfig,
-    /// The serving tracer — shard 0's. Root spans start here, so every
-    /// completed tree lands here regardless of which shard dispatched.
-    tracer: Tracer,
-}
-
-impl Shared {
-    fn num_shards(&self) -> usize {
-        1 + self.shards_rest.len()
-    }
-
-    fn slots(&self) -> impl Iterator<Item = &ShardSlot> {
-        std::iter::once(&self.shard0).chain(self.shards_rest.iter())
-    }
-
-    /// The shard that owns `user`. Total: the fallback arm cannot be hit
-    /// (`idx < num_shards`) but degrades to shard 0 rather than panicking.
-    fn route(&self, user: u32) -> (usize, &ShardSlot) {
-        let idx = (user as usize) % self.num_shards();
-        if idx == 0 {
-            (0, &self.shard0)
-        } else {
-            match self.shards_rest.get(idx - 1) {
-                Some(slot) => (idx, slot),
-                None => (0, &self.shard0),
-            }
-        }
-    }
-
-    /// Unwrap every replica (shard 0 first), draining queued replication.
-    fn into_memexes(self) -> (Memex, Vec<Memex>) {
-        let first = self.shard0.into_memex();
-        let rest = self
-            .shards_rest
-            .into_iter()
-            .map(ShardSlot::into_memex)
-            .collect();
-        (first, rest)
     }
 }
 
 /// A running Memex network server. Dropping without calling
-/// [`NetServer::shutdown`] / [`NetServer::shutdown_all`] detaches the
-/// threads; call one of them for a clean join.
+/// [`NetServer::shutdown`] detaches the threads; call it for a clean join.
 pub struct NetServer {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
@@ -387,65 +267,23 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving `memex` as a single shard. The server takes ownership;
-    /// [`NetServer::shutdown`] hands it back. Requires
-    /// [`NetServerConfig::shards`] `== 1` (the default).
+    /// serving `memex`. The server takes ownership;
+    /// [`NetServer::shutdown`] hands it back.
     pub fn start(
         memex: Memex,
         addr: impl ToSocketAddrs,
         config: NetServerConfig,
     ) -> std::io::Result<NetServer> {
-        NetServer::start_sharded(vec![memex], addr, config)
-    }
-
-    /// Bind `addr` and serve N identical `Memex` replicas as shards keyed
-    /// by `user % N` (see the module docs). The replicas must be built
-    /// over the same corpus with the same options and registered users.
-    /// [`NetServerConfig::shards`] must equal `shards.len()`;
-    /// [`NetServer::shutdown_all`] hands the replicas back.
-    pub fn start_sharded(
-        shards: Vec<Memex>,
-        addr: impl ToSocketAddrs,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        if config.shards != shards.len() {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                format!(
-                    "NetServerConfig::shards is {} but {} Memex replica(s) were passed",
-                    config.shards,
-                    shards.len()
-                ),
-            ));
-        }
-        let mut replicas = shards.into_iter();
-        let first = match replicas.next() {
-            Some(m) => m,
-            None => {
-                return Err(std::io::Error::new(
-                    ErrorKind::InvalidInput,
-                    "a server needs at least one shard",
-                ))
-            }
-        };
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let registry = first.registry().clone();
-        first.tracer().configure(config.trace);
-        let tracer = first.tracer().clone();
-        let rest: Vec<Memex> = replicas.collect();
-        let rest_registries = rest.iter().map(|m| m.registry().clone()).collect();
-        let shard0 = ShardSlot::new(0, first, config.read_cache);
-        let shards_rest = rest
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| ShardSlot::new(i + 1, m, config.read_cache))
-            .collect();
+        let registry = memex.registry().clone();
+        memex.tracer().configure(config.trace);
+        let tracer = memex.tracer().clone();
         let shared = Arc::new(Shared {
-            shard0,
-            shards_rest,
+            memex: RwLock::new(memex),
+            epoch: AtomicU64::new(0),
+            cache: Mutex::new(ReadCache::new(config.read_cache)),
             registry,
-            rest_registries,
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             config,
@@ -480,9 +318,10 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Stop accepting, drain the queue, and join every thread. In-progress
-    /// requests are answered before their connections close.
-    fn teardown(mut self) -> Shared {
+    /// Stop accepting, drain the queue, join every thread, and hand the
+    /// `Memex` back. In-progress requests are answered before their
+    /// connections close.
+    pub fn shutdown(mut self) -> Memex {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the accept thread: it may be parked in `accept()`.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
@@ -498,7 +337,7 @@ impl NetServer {
         // on the (unreachable) contended case instead of panicking —
         // shutdown must never kill the thread that owns the data.
         let mut shared = self.shared;
-        loop {
+        let shared = loop {
             match Arc::try_unwrap(shared) {
                 Ok(s) => break s,
                 Err(still_shared) => {
@@ -506,29 +345,16 @@ impl NetServer {
                     std::thread::yield_now();
                 }
             }
-        }
+        };
+        // A panicking write dispatch poisons the lock; the state behind it
+        // is still the state — recover it rather than propagate the poison.
+        shared
+            .memex
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Shut down a single-shard server and hand its `Memex` back. On a
-    /// sharded server this returns shard 0's replica and drops the rest —
-    /// use [`NetServer::shutdown_all`] there.
-    pub fn shutdown(self) -> Memex {
-        let (first, _rest) = self.teardown().into_memexes();
-        first
-    }
-
-    /// Shut down and hand every shard's replica back (shard 0 first).
-    /// Each replica absorbs its remaining inbound replication before being
-    /// returned, so all of them reflect every acknowledged write.
-    pub fn shutdown_all(self) -> Vec<Memex> {
-        let (first, rest) = self.teardown().into_memexes();
-        let mut all = Vec::with_capacity(1 + rest.len());
-        all.push(first);
-        all.extend(rest);
-        all
-    }
-
-    /// Test instrumentation: poison shard 0's `Memex` lock by unwinding
+    /// Test instrumentation: poison the `Memex` lock by unwinding
     /// a throwaway thread while it holds the *write* guard (only writers
     /// poison an `RwLock`). The loopback suite uses this to prove a
     /// poisoned lock degrades to a typed [`Response::Error`] on every
@@ -539,8 +365,7 @@ impl NetServer {
         let _ = std::thread::Builder::new()
             .name("memex-net-poisoner".into())
             .spawn(move || {
-                let slot = &shared.shard0;
-                let _guard = slot.memex.write();
+                let _guard = shared.memex.write();
                 // Unwind without tripping the panic hook: quiet in test
                 // output, still poisons the held lock.
                 std::panic::resume_unwind(Box::new("poisoning memex lock for test"));
@@ -572,18 +397,13 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                         shed.inc();
                         rejected.inc();
                         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                        // The client's wire version is unknown before its
-                        // first frame: answer in v2, which every client
-                        // this server supports can decode.
-                        let _ = wire::write_frame_versioned(
+                        let _ = respond(
                             &mut stream,
-                            wire::MIN_WIRE_VERSION,
-                            FrameKind::Response,
-                            &wire::encode_response(&Response::Overloaded {
+                            None,
+                            &Response::Overloaded {
                                 in_flight: shared.config.accept_queue as u32,
                                 limit: shared.config.accept_queue as u32,
-                            }),
-                            None,
+                            },
                         );
                     }
                     Err(TrySendError::Disconnected(_)) => break,
@@ -637,72 +457,25 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Record how long an RwLock acquisition stalled this request: into the
-/// global `net.lock.wait` histogram and the shard's own lock-wait
-/// histogram always, and onto the active trace's root span
+/// `net.lock.wait` histogram always, and onto the active trace's root span
 /// (`lock_wait_ns`, `lock_kind`) when tracing is on.
-fn note_lock_acquired(reg: &MetricsRegistry, slot: &ShardSlot, kind: &str, waited_since: Instant) {
+fn note_lock_acquired(reg: &MetricsRegistry, kind: &str, waited_since: Instant) {
     let wait_ns = waited_since.elapsed().as_nanos() as u64;
     reg.histogram("net.lock.wait").record(wait_ns);
-    reg.histogram(&slot.m_lock_wait).record(wait_ns);
     trace::annotate("lock_wait_ns", wait_ns);
     trace::annotate("lock_kind", kind);
 }
 
-/// Absorb every write queued for replication into this shard: state-only
-/// applies plus **one** demon sweep for the whole batch (the write-scaling
-/// amortization — see the module docs). Called with no lock held.
-fn absorb_replicated(reg: &MetricsRegistry, slot: &ShardSlot) {
-    let lock_started = Instant::now();
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if let Ok(mut memex) = slot.memex.write() {
-            note_lock_acquired(reg, slot, "write", lock_started);
-            let drained: Vec<WriteRequest> = {
-                let mut q = slot.inbound.lock().unwrap_or_else(PoisonError::into_inner);
-                slot.pending.store(0, Ordering::SeqCst);
-                q.drain(..).collect()
-            };
-            if drained.is_empty() {
-                return;
-            }
-            // Bump before mutating, same discipline as `answer_write`.
-            slot.epoch.fetch_add(1, Ordering::SeqCst);
-            for w in &drained {
-                let _ = servlet::apply_write(&mut memex, w);
-            }
-            // A demon failure here leaves the events on the bus; the next
-            // sweep (any write or catch-up on this shard) retries them.
-            let _ = memex.run_demons();
-            reg.counter(&slot.m_replicated).add(drained.len() as u64);
-        }
-    }));
-    reg.gauge(&slot.m_lag)
-        .set(slot.pending.load(Ordering::SeqCst) as i64);
-}
-
-/// Serve one read request on its shard: absorb pending replication, probe
-/// the epoch-keyed cache, else dispatch under the shared read guard and
-/// (when cacheable) remember the answer. Community-scoped reads (shard key
-/// `None`) go to the aggregation tier instead when more than one shard is
-/// served.
+/// Serve one read request: probe the epoch-keyed cache, else dispatch
+/// under the shared read guard and (when cacheable) remember the answer.
 fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
     let reg = &shared.registry;
-    let (idx, slot) = match request.shard_key() {
-        Some(user) => shared.route(user),
-        // Single-shard servers answer community requests exactly like any
-        // other read (shard 0 sees all state); sharded ones aggregate.
-        None if shared.num_shards() == 1 => (0, &shared.shard0),
-        None => return answer_community(shared, request),
-    };
-    trace::annotate("shard", idx);
-    if slot.pending.load(Ordering::SeqCst) > 0 {
-        absorb_replicated(reg, slot);
-    }
     let started = Instant::now();
     // The epoch MUST be loaded before the read lock is acquired: a write
     // that slips in between can only make this dispatch's tag *older* than
     // the state it actually saw, so the entry dies early instead of
     // serving stale.
-    let epoch = slot.epoch.load(Ordering::SeqCst);
+    let epoch = shared.epoch.load(Ordering::SeqCst);
     // `Stats` and `Traces` bypass the cache: their answers change without
     // any write (new samples, newly completed traces).
     let cacheable = shared.config.read_cache > 0
@@ -716,10 +489,9 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
         None
     };
     if let Some(key) = &cache_key {
-        if let Some(resp) = slot.cache_get(reg, key, epoch) {
+        if let Some(resp) = shared.cache_get(key, epoch) {
             reg.counter("net.req.ok").inc();
             reg.counter("net.read.ok").inc();
-            reg.counter(&slot.m_read_ok).inc();
             reg.counter("net.read.cache.hit").inc();
             // A cache hit is a served request: record it in the same
             // per-servlet histogram as a dispatched one, otherwise the
@@ -737,9 +509,9 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
     // observation here means an earlier *write* panicked.)
     let lock_started = Instant::now();
     let dispatched =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match slot.memex.read() {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shared.memex.read() {
             Ok(memex) => {
-                note_lock_acquired(reg, slot, "read", lock_started);
+                note_lock_acquired(reg, "read", lock_started);
                 Some(dispatch_read(&memex, request))
             }
             Err(_poisoned) => None,
@@ -748,9 +520,8 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
         Ok(Some(resp)) => {
             reg.counter("net.req.ok").inc();
             reg.counter("net.read.ok").inc();
-            reg.counter(&slot.m_read_ok).inc();
             if let Some(key) = cache_key {
-                slot.cache_put(reg, key, epoch, resp.clone());
+                shared.cache_put(key, epoch, resp.clone());
             }
             resp
         }
@@ -765,75 +536,20 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
     }
 }
 
-/// The aggregation tier: answer a community-scoped request by merging
-/// every shard's view, taking **no** shard lock — community queries can
-/// never convoy behind a shard's writer.
-fn answer_community(shared: &Shared, request: ReadRequest) -> Response {
-    let reg = &shared.registry;
-    trace::annotate("shard", "all");
-    let request = request.into_request();
-    let _lat = reg.histogram(request.latency_metric()).start_span();
-    let _span = trace::span(request.name());
-    let resp = match &request {
-        Request::Stats => {
-            // Serving registry (shard 0, carries all net.* counters) +
-            // every replica's registry (their servlet.* samples) + the
-            // process-global registry.
-            let mut snap = reg.snapshot();
-            for r in &shared.rest_registries {
-                snap.absorb(r.snapshot());
-            }
-            snap.absorb(memex_obs::global().snapshot());
-            Response::Stats(snap)
-        }
-        // Every root span starts on the serving tracer, so all completed
-        // trees live there regardless of which shard dispatched.
-        Request::Traces { slow_only, limit } => {
-            Response::Traces(shared.tracer.collect(*slow_only, *limit))
-        }
-        // `shard_key() == None` holds only for Stats/Traces today; a new
-        // community variant added without aggregation support degrades to
-        // a typed error, never a panic.
-        _ => Response::Error("internal: community read without aggregation support".into()),
-    };
-    reg.counter("net.req.ok").inc();
-    reg.counter("net.read.ok").inc();
-    resp
-}
-
-/// Serve one write request on its owner shard under the exclusive guard:
-/// bump the write epoch (which invalidates that shard's cached reads),
-/// absorb any queued replication (one batch, one demon sweep), apply this
-/// write eagerly, then fan it out to every other shard's inbound queue.
+/// Serve one write request under the exclusive guard: bump the write epoch
+/// (which invalidates the cached reads), then apply it, demons included.
 fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     let reg = &shared.registry;
-    let (idx, slot) = shared.route(request.shard_key());
-    trace::annotate("shard", idx);
     let lock_started = Instant::now();
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match slot.memex.write() {
+        match shared.memex.write() {
             Ok(mut memex) => {
-                note_lock_acquired(reg, slot, "write", lock_started);
+                note_lock_acquired(reg, "write", lock_started);
                 // Bump before mutating: a reader that loaded the old epoch
                 // concurrently will tag its entry with it and the entry
                 // dies the moment this store lands.
-                slot.epoch.fetch_add(1, Ordering::SeqCst);
-                // Older writes replicated from other shards apply first,
-                // so every shard applies the global write sequence in
-                // arrival order; the demon sweep inside `dispatch_write`
-                // below covers the whole batch.
-                let drained: Vec<WriteRequest> = {
-                    let mut q = slot.inbound.lock().unwrap_or_else(PoisonError::into_inner);
-                    slot.pending.store(0, Ordering::SeqCst);
-                    q.drain(..).collect()
-                };
-                for w in &drained {
-                    let _ = servlet::apply_write(&mut memex, w);
-                }
-                if !drained.is_empty() {
-                    reg.counter(&slot.m_replicated).add(drained.len() as u64);
-                }
-                Some(dispatch_write(&mut memex, request.clone()))
+                shared.epoch.fetch_add(1, Ordering::SeqCst);
+                Some(dispatch_write(&mut memex, request))
             }
             Err(_poisoned) => None,
         }
@@ -841,11 +557,6 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     match dispatched {
         Ok(Some(resp)) => {
             reg.counter("net.req.ok").inc();
-            reg.counter(&slot.m_write_ok).inc();
-            // Fan out only after the owner applied it (and with no lock
-            // held): a poisoned or panicked owner does not replicate a
-            // write it may not have durably applied itself.
-            replicate_to_peers(shared, idx, &request);
             resp
         }
         Ok(None) => {
@@ -861,47 +572,15 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     }
 }
 
-/// Queue `request` on every shard except `origin` (which applied it
-/// eagerly). Queues drain at each shard's next answer.
-fn replicate_to_peers(shared: &Shared, origin: usize, request: &WriteRequest) {
-    if shared.num_shards() == 1 {
-        return;
-    }
-    for (i, peer) in shared.slots().enumerate() {
-        if i == origin {
-            continue;
-        }
-        let depth = {
-            let mut q = peer.inbound.lock().unwrap_or_else(PoisonError::into_inner);
-            q.push_back(request.clone());
-            let depth = q.len();
-            peer.pending.store(depth, Ordering::SeqCst);
-            depth
-        };
-        shared.registry.gauge(&peer.m_lag).set(depth as i64);
-    }
-}
-
-/// Answer in the wire version the client spoke, echoing its trace context
-/// (v3+ frames only; the v4-only `retry_of` field is stripped for v3
-/// peers): a v2 client never sees a frame it cannot decode.
+/// Frame and write one response, echoing the request's trace context.
 fn respond(
     stream: &mut TcpStream,
-    version: u8,
     trace_ctx: Option<TraceContext>,
     resp: &Response,
 ) -> Result<(), WireError> {
-    let trace_ctx = match version {
-        0..=2 => None,
-        3 => trace_ctx.map(|t| TraceContext {
-            retry_of: None,
-            ..t
-        }),
-        _ => trace_ctx,
-    };
     wire::write_frame_versioned(
         stream,
-        version,
+        wire::WIRE_VERSION,
         FrameKind::Response,
         &wire::encode_response(resp),
         trace_ctx,
@@ -922,16 +601,11 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             return Exchange::Closed;
         }
         Err(e) => {
-            // Corrupted or unversioned frame: report and close (the stream
-            // position is no longer trustworthy). The peer's version is
-            // unknown, so answer in v2 — decodable by every client.
+            // Corrupted frame or a wire version this server does not
+            // speak: report and close (the stream position is no longer
+            // trustworthy).
             reg.counter("net.decode.errors").inc();
-            let _ = respond(
-                stream,
-                wire::MIN_WIRE_VERSION,
-                None,
-                &Response::Error(format!("decode: {e}")),
-            );
+            let _ = respond(stream, None, &Response::Error(format!("decode: {e}")));
             return Exchange::Closed;
         }
     };
@@ -941,7 +615,6 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
         reg.counter("net.decode.errors").inc();
         let _ = respond(
             stream,
-            frame.version,
             None,
             &Response::Error("protocol: response frame sent to server".into()),
         );
@@ -949,14 +622,14 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     }
     // Root span for the whole exchange, opened before payload decode so
     // the tree covers decode → lock-acquire → dispatch → encode. The id
-    // is the client's (v3+ trace context) or minted from the server's
+    // is the client's (frame trace context) or minted from the server's
     // seeded generator; the guard publishes the completed tree to the
     // flight recorder when it drops at the end of this function.
     let trace_guard = shared
         .tracer
         .start_trace("net.req", frame.trace.map(|t| t.trace_id));
     if let Some(prev) = frame.trace.and_then(|t| t.retry_of) {
-        // A v4 client marked this as the retry of a dead attempt: link
+        // The client marked this as the retry of a dead attempt: link
         // the trees so operators can stitch the logical request together.
         trace::annotate("retry_of", prev);
     }
@@ -968,7 +641,6 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             reg.counter("net.decode.errors").inc();
             let _ = respond(
                 stream,
-                frame.version,
                 frame.trace,
                 &Response::Error(format!("decode: {e}")),
             );
@@ -995,7 +667,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             in_flight: prev.min(u32::MAX as usize) as u32,
             limit: limit.min(u32::MAX as usize) as u32,
         };
-        let wrote = respond(stream, frame.version, frame.trace, &overload);
+        let wrote = respond(stream, frame.trace, &overload);
         // Complete the (short) trace before returning: decode → shed.
         drop(trace_guard);
         return match wrote {
@@ -1012,7 +684,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     let encode_started = Instant::now();
-    let wrote = respond(stream, frame.version, frame.trace, &response);
+    let wrote = respond(stream, frame.trace, &response);
     trace::record_span("net.encode", encode_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);

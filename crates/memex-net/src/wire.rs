@@ -5,27 +5,21 @@
 //! ## Frame layout
 //!
 //! ```text
-//! +----+----+---------+------+-------------+-------+------------------+----------+
-//! | 'M'| 'X'| version | kind | len u32 LE  | ext?  | payload (len B)  | crc u32  |
-//! +----+----+---------+------+-------------+-------+------------------+----------+
-//!   magic      1 B      1 B      4 B         v3 only    ≤ 16 MiB         FNV-1a
+//! +----+----+---------+------+-------------+-----------+------------------+----------+
+//! | 'M'| 'X'| version | kind | len u32 LE  | ext       | payload (len B)  | crc u32  |
+//! +----+----+---------+------+-------------+-----------+------------------+----------+
+//!   magic      1 B      1 B      4 B        1/9/17 B       ≤ 16 MiB         FNV-1a
 //! ```
 //!
-//! Version 3+ frames carry an **extension block** between the header and
-//! the payload: one `flags` byte, followed by a `u64 LE` trace id when
-//! bit 0 ([`EXT_FLAG_TRACE`]) is set. Version 4 adds bit 1
-//! ([`EXT_FLAG_RETRY`]): a second `u64 LE` — the trace id of the
-//! *previous attempt* of the same logical request — follows the trace id,
-//! so a server can annotate a retried read's root span with `retry_of`
-//! and operators can stitch the attempts together. Flag bits a version
-//! does not define are rejected (`EXT_FLAG_RETRY` in a v3 frame is an
-//! error, as is `EXT_FLAG_RETRY` without `EXT_FLAG_TRACE`) — an extension
-//! a decoder cannot parse would desynchronize the stream, so there is
-//! nothing safe to skip. Version 2 frames have no extension block and
-//! remain byte-identical to what PR 5 shipped; decoders accept everything
-//! from [`MIN_WIRE_VERSION`] up, which is how a v2 or v3 client keeps
-//! working against a v4 server (the server mirrors the client's version
-//! in its responses).
+//! Every frame carries an **extension block** between the header and the
+//! payload: one `flags` byte, followed by a `u64 LE` trace id when bit 0
+//! ([`EXT_FLAG_TRACE`]) is set, followed by a second `u64 LE` — the trace
+//! id of the *previous attempt* of the same logical request — when bit 1
+//! ([`EXT_FLAG_RETRY`]) is set too, so a server can annotate a retried
+//! read's root span with `retry_of` and operators can stitch the attempts
+//! together. Undefined flag bits are rejected, as is `EXT_FLAG_RETRY`
+//! without `EXT_FLAG_TRACE` — an extension a decoder cannot parse would
+//! desynchronize the stream, so there is nothing safe to skip.
 //!
 //! The CRC is FNV-1a over `version ‖ kind ‖ ext ‖ payload`, so a single
 //! flipped bit anywhere after the magic is detected. `len` counts the
@@ -36,11 +30,11 @@
 //! ## Versioning rule
 //!
 //! [`WIRE_VERSION`] bumps whenever an existing variant's encoding changes
-//! shape or the frame envelope changes (the v3 extension block);
-//! *appending* new variants (new tags) is backwards-compatible and
-//! does not bump the version. A decoder rejects frames whose version it
-//! does not know with [`WireError::UnsupportedVersion`] and unknown tags
-//! with [`WireError::BadTag`] — it never guesses.
+//! shape or the frame envelope changes; *appending* new variants (new
+//! tags) is backwards-compatible and does not bump the version. Exactly
+//! one version is spoken: no older peer is deployed, so a decoder rejects
+//! every other version byte with [`WireError::UnsupportedVersion`] (and
+//! unknown tags with [`WireError::BadTag`]) — it never guesses.
 //!
 //! Every decode path returns a typed [`WireError`]; nothing in this module
 //! panics on untrusted bytes (see `tests/corruption.rs` for the sweep that
@@ -55,20 +49,17 @@ use memex_obs::trace::{SpanData, TraceData};
 use memex_obs::{Event, HistogramSnapshot, Snapshot, NUM_BUCKETS};
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 
-/// Current wire version (see the module docs for the bump rule).
-/// v3 added the optional trace-context extension block; v4 added the
-/// optional retry-of id within it.
+/// The wire version (see the module docs for the bump rule).
 pub const WIRE_VERSION: u8 = 4;
 
-/// Oldest wire version this decoder still accepts. v2 frames (no
-/// extension block) decode exactly as they did before the v3 bump.
-pub const MIN_WIRE_VERSION: u8 = 2;
+/// Oldest wire version this decoder accepts: the current one.
+pub const MIN_WIRE_VERSION: u8 = WIRE_VERSION;
 
 /// Extension flag bit: an 8-byte trace id follows the flags byte.
 pub const EXT_FLAG_TRACE: u8 = 0b0000_0001;
 
-/// Extension flag bit (v4+): an 8-byte "previous attempt" trace id
-/// follows the trace id. Only valid together with [`EXT_FLAG_TRACE`].
+/// Extension flag bit: an 8-byte "previous attempt" trace id follows the
+/// trace id. Only valid together with [`EXT_FLAG_TRACE`].
 pub const EXT_FLAG_RETRY: u8 = 0b0000_0010;
 
 /// Hard cap on a frame's payload. Anything larger is rejected before
@@ -193,25 +184,22 @@ fn fnv1a(parts: &[&[u8]]) -> u32 {
 // Frame IO
 // ---------------------------------------------------------------------------
 
-/// Trace context carried in a v3+ frame's extension block: the 64-bit id
-/// the client stamped on the request, echoed back on the response, plus
-/// (v4, retried reads only) the id of the previous attempt so the
-/// server-side span trees of one logical request can be stitched
-/// together.
+/// Trace context carried in a frame's extension block: the 64-bit id the
+/// client stamped on the request, echoed back on the response, plus
+/// (retried reads only) the id of the previous attempt so the server-side
+/// span trees of one logical request can be stitched together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     pub trace_id: u64,
     /// Trace id of the previous attempt of this logical request, when
-    /// this frame is a client retry (v4 frames only; v3 encoders must
-    /// pass `None`).
+    /// this frame is a client retry.
     pub retry_of: Option<u64>,
 }
 
-/// A fully decoded frame envelope: which version the peer spoke, what the
-/// frame carries, and the trace context (v3 frames only, when stamped).
+/// A fully decoded frame envelope: what the frame carries and the trace
+/// context (when stamped).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameMeta {
-    pub version: u8,
     pub kind: FrameKind,
     pub trace: Option<TraceContext>,
     pub payload: Vec<u8>,
@@ -220,7 +208,6 @@ pub struct FrameMeta {
 /// Borrowed twin of [`FrameMeta`] for frames held entirely in a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameView<'a> {
-    pub version: u8,
     pub kind: FrameKind,
     pub trace: Option<TraceContext>,
     pub payload: &'a [u8],
@@ -232,9 +219,8 @@ pub fn frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     frame_bytes_versioned(WIRE_VERSION, kind, payload, None)
 }
 
-/// Assemble a frame at an explicit wire version. A server answers in the
-/// version the client spoke; v2 frames cannot carry a trace context
-/// (callers must pass `None`).
+/// Assemble a frame with an explicit version byte and trace context.
+/// `version` must be [`WIRE_VERSION`]: there is no other layout to encode.
 pub fn frame_bytes_versioned(
     version: u8,
     kind: FrameKind,
@@ -242,40 +228,27 @@ pub fn frame_bytes_versioned(
     trace: Option<TraceContext>,
 ) -> Vec<u8> {
     assert!(
-        (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version),
+        version == WIRE_VERSION,
         "cannot encode wire version {version}"
     );
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "encoder produced oversized payload"
     );
-    debug_assert!(
-        version >= 3 || trace.is_none(),
-        "v2 frames cannot carry a trace context"
-    );
-    debug_assert!(
-        version >= 4 || trace.is_none_or(|t| t.retry_of.is_none()),
-        "v3 frames cannot carry a retry-of id"
-    );
     let mut ext: Vec<u8> = Vec::with_capacity(17);
-    if version >= 3 {
-        match trace {
-            Some(t) => {
-                // A v3 encoder has no bit for retry_of; drop it rather
-                // than emit a frame the peer must reject.
-                let retry = if version >= 4 { t.retry_of } else { None };
-                let mut flags = EXT_FLAG_TRACE;
-                if retry.is_some() {
-                    flags |= EXT_FLAG_RETRY;
-                }
-                ext.push(flags);
-                ext.extend_from_slice(&t.trace_id.to_le_bytes());
-                if let Some(prev) = retry {
-                    ext.extend_from_slice(&prev.to_le_bytes());
-                }
+    match trace {
+        Some(t) => {
+            let mut flags = EXT_FLAG_TRACE;
+            if t.retry_of.is_some() {
+                flags |= EXT_FLAG_RETRY;
             }
-            None => ext.push(0),
+            ext.push(flags);
+            ext.extend_from_slice(&t.trace_id.to_le_bytes());
+            if let Some(prev) = t.retry_of {
+                ext.extend_from_slice(&prev.to_le_bytes());
+            }
         }
+        None => ext.push(0),
     }
     let mut out = Vec::with_capacity(HEADER_LEN + ext.len() + payload.len() + TRAILER_LEN);
     out.extend_from_slice(&MAGIC);
@@ -297,7 +270,8 @@ pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Resul
     Ok(())
 }
 
-/// Write one frame at an explicit version/trace context.
+/// Write one frame with an explicit version byte (see
+/// [`frame_bytes_versioned`]) and trace context.
 pub fn write_frame_versioned(
     w: &mut impl Write,
     version: u8,
@@ -310,16 +284,11 @@ pub fn write_frame_versioned(
     Ok(())
 }
 
-/// Reject extension-flag bits the *sender's* version does not define. An
-/// unknown extension changes the framing, so skipping is never safe; a
-/// v3 frame claiming the v4-only retry bit is equally malformed, as is a
-/// retry-of id with no trace id for it to qualify.
-fn validate_ext_flags(flags: u8, version: u8) -> Result<(), WireError> {
-    let known = if version >= 4 {
-        EXT_FLAG_TRACE | EXT_FLAG_RETRY
-    } else {
-        EXT_FLAG_TRACE
-    };
+/// Reject undefined extension-flag bits. An unknown extension changes the
+/// framing, so skipping is never safe; a retry-of id with no trace id for
+/// it to qualify is equally malformed.
+fn validate_ext_flags(flags: u8) -> Result<(), WireError> {
+    let known = EXT_FLAG_TRACE | EXT_FLAG_RETRY;
     let orphan_retry = flags & EXT_FLAG_RETRY != 0 && flags & EXT_FLAG_TRACE == 0;
     if flags & !known != 0 || orphan_retry {
         return Err(WireError::BadTag {
@@ -360,36 +329,34 @@ pub fn read_frame(r: &mut impl Read) -> Result<(FrameKind, Vec<u8>), WireError> 
     Ok((meta.kind, meta.payload))
 }
 
-/// [`read_frame`] exposing the full envelope: wire version and trace
-/// context alongside kind and payload.
+/// [`read_frame`] exposing the full envelope: trace context alongside
+/// kind and payload.
 pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (version, kind, len) = parse_header(&header)?;
+    let (kind, len) = parse_header(&header)?;
     let mut ext: Vec<u8> = Vec::with_capacity(17);
     let mut trace = None;
-    if version >= 3 {
-        let mut flags = [0u8; 1];
-        r.read_exact(&mut flags)?;
-        let [flag_byte] = flags;
-        validate_ext_flags(flag_byte, version)?;
-        ext.push(flag_byte);
-        if flag_byte & EXT_FLAG_TRACE != 0 {
-            let mut id = [0u8; 8];
-            r.read_exact(&mut id)?;
-            ext.extend_from_slice(&id);
-            let mut retry_of = None;
-            if flag_byte & EXT_FLAG_RETRY != 0 {
-                let mut prev = [0u8; 8];
-                r.read_exact(&mut prev)?;
-                retry_of = Some(u64::from_le_bytes(prev));
-                ext.extend_from_slice(&prev);
-            }
-            trace = Some(TraceContext {
-                trace_id: u64::from_le_bytes(id),
-                retry_of,
-            });
+    let mut flags = [0u8; 1];
+    r.read_exact(&mut flags)?;
+    let [flag_byte] = flags;
+    validate_ext_flags(flag_byte)?;
+    ext.push(flag_byte);
+    if flag_byte & EXT_FLAG_TRACE != 0 {
+        let mut id = [0u8; 8];
+        r.read_exact(&mut id)?;
+        ext.extend_from_slice(&id);
+        let mut retry_of = None;
+        if flag_byte & EXT_FLAG_RETRY != 0 {
+            let mut prev = [0u8; 8];
+            r.read_exact(&mut prev)?;
+            retry_of = Some(u64::from_le_bytes(prev));
+            ext.extend_from_slice(&prev);
         }
+        trace = Some(TraceContext {
+            trace_id: u64::from_le_bytes(id),
+            retry_of,
+        });
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -397,7 +364,6 @@ pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
     r.read_exact(&mut trailer)?;
     check_crc(&header, &ext, &payload, trailer)?;
     Ok(FrameMeta {
-        version,
         kind,
         trace,
         payload,
@@ -415,30 +381,27 @@ pub fn decode_frame(buf: &[u8]) -> Result<(FrameKind, &[u8]), WireError> {
 /// [`decode_frame`] exposing the full envelope.
 pub fn decode_frame_meta(buf: &[u8]) -> Result<FrameView<'_>, WireError> {
     let header = arr8(buf)?;
-    let (version, kind, len) = parse_header(&header)?;
-    let mut ext_len = 0usize;
+    let (kind, len) = parse_header(&header)?;
     let mut trace = None;
-    if version >= 3 {
-        let flags = *buf.get(HEADER_LEN).ok_or(WireError::Truncated {
-            needed: HEADER_LEN + 1,
-            available: buf.len(),
-        })?;
-        validate_ext_flags(flags, version)?;
-        ext_len = 1;
-        if flags & EXT_FLAG_TRACE != 0 {
-            let id = arr8(buf.get(HEADER_LEN + 1..).unwrap_or(&[]))?;
-            ext_len = 9;
-            let mut retry_of = None;
-            if flags & EXT_FLAG_RETRY != 0 {
-                let prev = arr8(buf.get(HEADER_LEN + 9..).unwrap_or(&[]))?;
-                retry_of = Some(u64::from_le_bytes(prev));
-                ext_len = 17;
-            }
-            trace = Some(TraceContext {
-                trace_id: u64::from_le_bytes(id),
-                retry_of,
-            });
+    let flags = *buf.get(HEADER_LEN).ok_or(WireError::Truncated {
+        needed: HEADER_LEN + 1,
+        available: buf.len(),
+    })?;
+    validate_ext_flags(flags)?;
+    let mut ext_len = 1usize;
+    if flags & EXT_FLAG_TRACE != 0 {
+        let id = arr8(buf.get(HEADER_LEN + 1..).unwrap_or(&[]))?;
+        ext_len = 9;
+        let mut retry_of = None;
+        if flags & EXT_FLAG_RETRY != 0 {
+            let prev = arr8(buf.get(HEADER_LEN + 9..).unwrap_or(&[]))?;
+            retry_of = Some(u64::from_le_bytes(prev));
+            ext_len = 17;
         }
+        trace = Some(TraceContext {
+            trace_id: u64::from_le_bytes(id),
+            retry_of,
+        });
     }
     let total = HEADER_LEN + ext_len + len + TRAILER_LEN;
     if buf.len() < total {
@@ -464,19 +427,18 @@ pub fn decode_frame_meta(buf: &[u8]) -> Result<FrameView<'_>, WireError> {
     let trailer = arr4(buf.get(HEADER_LEN + ext_len + len..).unwrap_or(&[]))?;
     check_crc(&header, ext, payload, trailer)?;
     Ok(FrameView {
-        version,
         kind,
         trace,
         payload,
     })
 }
 
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, FrameKind, usize), WireError> {
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, usize), WireError> {
     let [m0, m1, version, kind, l0, l1, l2, l3] = *header;
     if [m0, m1] != MAGIC {
         return Err(WireError::BadMagic([m0, m1]));
     }
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
     let kind = FrameKind::from_byte(kind)?;
@@ -487,7 +449,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, FrameKind, usize), Wir
             cap: MAX_PAYLOAD as u64,
         });
     }
-    Ok((version, kind, len))
+    Ok((kind, len))
 }
 
 fn check_crc(
@@ -1308,65 +1270,31 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_roundtrips_in_v3_frames() {
+    fn trace_context_roundtrips_with_and_without_retry_of() {
         let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            retry_of: None,
-        };
-        let frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        let view = decode_frame_meta(&frame).expect("decode");
-        assert_eq!(view.version, 3);
-        assert_eq!(view.trace, Some(ctx));
-        assert_eq!(view.payload, &payload[..]);
-        // Stream path agrees.
-        let mut cursor = std::io::Cursor::new(frame);
-        let meta = read_frame_meta(&mut cursor).expect("read");
-        assert_eq!(meta.trace, Some(ctx));
-        assert_eq!(meta.payload, payload);
+        for retry_of in [None, Some(0x0123_4567_89AB_CDEF)] {
+            let ctx = TraceContext {
+                trace_id: 0xDEAD_BEEF_CAFE_F00D,
+                retry_of,
+            };
+            let frame =
+                frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, Some(ctx));
+            let view = decode_frame_meta(&frame).expect("decode");
+            assert_eq!(view.trace, Some(ctx));
+            assert_eq!(view.payload, &payload[..]);
+            // Stream path agrees.
+            let mut cursor = std::io::Cursor::new(frame);
+            let meta = read_frame_meta(&mut cursor).expect("read");
+            assert_eq!(meta.trace, Some(ctx));
+            assert_eq!(meta.payload, payload);
+        }
     }
 
     #[test]
-    fn retry_of_roundtrips_in_v4_frames() {
+    fn retry_flag_rejected_without_trace() {
         let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            retry_of: Some(0x0123_4567_89AB_CDEF),
-        };
-        let frame = frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, Some(ctx));
-        let view = decode_frame_meta(&frame).expect("decode");
-        assert_eq!(view.version, WIRE_VERSION);
-        assert_eq!(view.trace, Some(ctx));
-        assert_eq!(view.payload, &payload[..]);
-        let mut cursor = std::io::Cursor::new(frame);
-        let meta = read_frame_meta(&mut cursor).expect("read");
-        assert_eq!(meta.trace, Some(ctx));
-        assert_eq!(meta.payload, payload);
-    }
-
-    #[test]
-    fn retry_flag_rejected_in_v3_frames_and_without_trace() {
-        let payload = encode_request(&Request::Stats);
-        // A v3 frame claiming the v4-only retry bit is malformed (the CRC
+        // A retry-of id with no trace id to qualify is malformed (the CRC
         // must be recomputed so the flag byte, not the checksum, trips).
-        let ctx = TraceContext {
-            trace_id: 7,
-            retry_of: None,
-        };
-        let mut frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        frame[HEADER_LEN] |= EXT_FLAG_RETRY;
-        let crc_start = frame.len() - TRAILER_LEN;
-        let crc = fnv1a(&[&frame[2..crc_start]]).to_le_bytes();
-        frame[crc_start..].copy_from_slice(&crc);
-        assert!(matches!(
-            decode_frame_meta(&frame),
-            Err(WireError::BadTag {
-                what: "frame extension flags",
-                ..
-            })
-        ));
-        // And a retry-of id with no trace id to qualify is malformed in
-        // any version.
         let mut frame = frame_bytes_versioned(WIRE_VERSION, FrameKind::Request, &payload, None);
         frame[HEADER_LEN] = EXT_FLAG_RETRY;
         let crc_start = frame.len() - TRAILER_LEN;
@@ -1379,37 +1307,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn v3_ext_block_layout_is_unchanged_by_the_v4_bump() {
-        let payload = encode_request(&Request::Stats);
-        let ctx = TraceContext {
-            trace_id: 11,
-            retry_of: None,
-        };
-        let frame = frame_bytes_versioned(3, FrameKind::Request, &payload, Some(ctx));
-        // v3 ext block: flags byte + 8-byte trace id, nothing more.
-        assert_eq!(
-            frame.len(),
-            HEADER_LEN + 9 + payload.len() + TRAILER_LEN,
-            "v3 frame must not grow a retry-of field"
-        );
-    }
-
-    #[test]
-    fn v2_frames_still_decode_and_carry_no_trace() {
-        let payload = encode_request(&Request::Stats);
-        let frame = frame_bytes_versioned(2, FrameKind::Request, &payload, None);
-        // Byte-identical to the pre-v3 layout: header, payload, crc.
-        assert_eq!(frame.len(), HEADER_LEN + payload.len() + TRAILER_LEN);
-        let view = decode_frame_meta(&frame).expect("decode v2");
-        assert_eq!(view.version, 2);
-        assert_eq!(view.trace, None);
-        assert_eq!(view.payload, &payload[..]);
-        let (kind, decoded) = decode_frame(&frame).expect("plain decode");
-        assert_eq!(kind, FrameKind::Request);
-        assert_eq!(decoded, &payload[..]);
     }
 
     #[test]
@@ -1426,14 +1323,20 @@ mod tests {
         ));
     }
 
+    /// Every version byte but the current one is refused — the retired
+    /// v2 and v3 included — on the buffer and the stream path alike.
     #[test]
-    fn unknown_versions_rejected() {
+    fn every_other_version_rejected() {
         let payload = encode_request(&Request::Stats);
         let mut frame = frame_bytes(FrameKind::Request, &payload);
-        for bad in [0u8, 1, WIRE_VERSION + 1, 255] {
+        for bad in [0u8, 1, 2, 3, WIRE_VERSION + 1, 255] {
             frame[2] = bad;
             assert!(matches!(
                 decode_frame_meta(&frame),
+                Err(WireError::UnsupportedVersion(v)) if v == bad
+            ));
+            assert!(matches!(
+                read_frame_meta(&mut std::io::Cursor::new(&frame)),
                 Err(WireError::UnsupportedVersion(v)) if v == bad
             ));
         }

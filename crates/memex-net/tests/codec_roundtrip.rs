@@ -375,32 +375,27 @@ proptest! {
 
     #[test]
     fn traced_frame_roundtrips(req in arb_request(), trace_id in any::<u64>(), retry_of in prop_oneof![Just(None), any::<u64>().prop_map(Some)]) {
-        // A current-version frame carrying a trace context (optionally a
-        // retry-of id) decodes back to the same payload and the same
-        // context; a v2 frame of the same payload decodes with no trace
-        // attached.
+        // A frame carrying a trace context (optionally a retry-of id)
+        // decodes back to the same payload and the same context; the same
+        // frame wearing a retired version byte (v2, v3) is rejected.
         let payload = wire::encode_request(&req);
         let ctx = wire::TraceContext { trace_id, retry_of };
-        let v3 = wire::frame_bytes_versioned(
+        let mut frame = wire::frame_bytes_versioned(
             wire::WIRE_VERSION,
             wire::FrameKind::Request,
             &payload,
             Some(ctx),
         );
-        let meta = wire::decode_frame_meta(&v3).expect("decode v3 frame");
-        prop_assert_eq!(meta.version, wire::WIRE_VERSION);
+        let meta = wire::decode_frame_meta(&frame).expect("decode traced frame");
         prop_assert_eq!(meta.trace, Some(ctx));
         prop_assert_eq!(&meta.payload, &payload);
-        let v2 = wire::frame_bytes_versioned(
-            wire::MIN_WIRE_VERSION,
-            wire::FrameKind::Request,
-            &payload,
-            None,
-        );
-        let meta = wire::decode_frame_meta(&v2).expect("decode v2 frame");
-        prop_assert_eq!(meta.version, wire::MIN_WIRE_VERSION);
-        prop_assert_eq!(meta.trace, None);
-        prop_assert_eq!(&meta.payload, &payload);
+        for retired in [2u8, 3] {
+            frame[2] = retired;
+            prop_assert!(matches!(
+                wire::decode_frame_meta(&frame),
+                Err(wire::WireError::UnsupportedVersion(v)) if v == retired
+            ));
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
+use proptest::test_runner::TestRng;
+
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{dispatch, Request, Response};
 use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
@@ -324,6 +326,68 @@ fn poisoned_memex_mutex_answers_typed_error_not_hung_connection() {
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("net.req.poisoned"), 3);
     assert_eq!(snap.counter("net.req.ok"), 1);
+}
+
+/// Unknown users are harmless: every user-scoped request variant, reads
+/// and writes, carrying an id the archive never registered comes back as
+/// a typed response. Nothing panics, the lock is not poisoned, and the
+/// server keeps answering known users afterwards.
+#[test]
+fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
+    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
+        .expect("bind");
+    let addr = server.local_addr();
+    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+
+    // Driven by the deterministic per-test RNG (the vendored proptest
+    // runner cannot share one live server across generated cases).
+    let mut rng = TestRng::for_test("unknown_users_get_typed_answers_never_a_poisoned_lock");
+    for _case in 0..16 {
+        let user = 5 + rng.below(u64::from(u32::MAX - 5)) as u32;
+        let mut surface = user_requests(user);
+        surface.push(Request::ProposeFolders { user, k: 3 });
+        surface.push(Request::Event(ClientEvent::Bookmark {
+            user,
+            page: 0,
+            url: "https://nowhere.invalid/".into(),
+            folder: "/fuzz".into(),
+            time: 1_000_000,
+        }));
+        surface.push(Request::ImportBookmarks {
+            user,
+            html: "<DL><DT><A HREF=\"https://nowhere.invalid/\">x</A></DL>".into(),
+            time: 1_000_000,
+        });
+        for req in surface {
+            let resp = client
+                .request(&req)
+                .unwrap_or_else(|e| panic!("user {user} {req:?} transport error: {e}"));
+            if let Response::Error(msg) = &resp {
+                assert!(
+                    !msg.contains("panicked") && !msg.contains("poisoned"),
+                    "user {user} {req:?} crashed the dispatch: {msg}"
+                );
+            }
+        }
+    }
+
+    for &user in &USERS {
+        let bill = Request::Bill {
+            user,
+            since: 0,
+            until: u64::MAX,
+        };
+        assert!(
+            !matches!(
+                client.request(&bill).expect("post-fuzz bill"),
+                Response::Error(_)
+            ),
+            "user {user} stopped being answered after the fuzz"
+        );
+    }
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.req.panics"), 0, "a dispatch panicked");
+    assert_eq!(snap.counter("net.req.poisoned"), 0, "the lock was poisoned");
 }
 
 #[test]

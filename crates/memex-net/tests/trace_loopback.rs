@@ -1,10 +1,11 @@
 //! End-to-end tracing over a live loopback server: every request — cache
 //! hits included — must leave exactly one complete span tree in the
 //! flight recorder, slow requests must land in the slow log with their
-//! lock-wait accounting and per-layer children, and wire-v2 peers must
-//! keep working against the v3 server (and vice versa).
+//! lock-wait accounting and per-layer children, and frames in a retired
+//! wire version (v2, v3) must be refused with a typed error.
 
 use std::collections::HashSet;
+use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,7 +108,7 @@ fn every_request_records_exactly_one_complete_trace() {
         ids.push(
             client
                 .last_trace_id()
-                .expect("v3 client stamps every request"),
+                .expect("the client stamps every request"),
         );
     }
 
@@ -254,49 +255,45 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
 }
 
 #[test]
-fn wire_v2_peers_are_served_and_v3_echoes_the_trace_context() {
+fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_context() {
     let (_corpus, memex) = small_world();
     let server = NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind");
     let addr = server.local_addr();
-
-    // A v2-configured client: no trace stamping, answers still arrive.
-    let mut v2 = MemexClient::connect(
-        addr,
-        ClientConfig {
-            wire_version: 2,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect v2");
-    assert!(matches!(
-        v2.request(&Request::Stats).expect("v2 stats"),
-        Response::Stats(_)
-    ));
-    assert_eq!(v2.last_trace_id(), None, "v2 clients never stamp ids");
-
-    // Raw v2 exchange: the response frame mirrors version 2 and carries no
-    // trace extension — byte-compatible with the pre-tracing protocol.
     let payload = wire::encode_request(&Request::Stats);
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    wire::write_frame_versioned(
-        &mut raw,
-        wire::MIN_WIRE_VERSION,
-        FrameKind::Request,
-        &payload,
-        None,
-    )
-    .expect("write v2 frame");
-    let meta = wire::read_frame_meta(&mut raw).expect("v2 response");
-    assert_eq!(meta.version, wire::MIN_WIRE_VERSION);
-    assert_eq!(meta.trace, None, "v2 response must not grow an extension");
-    assert!(matches!(
-        wire::decode_response(&meta.payload).expect("decode"),
-        Response::Stats(_)
-    ));
 
-    // Raw v3 exchange: the server echoes the client's trace id back in the
-    // response envelope and records the trace under that id.
+    // A v2 or v3 frame: a typed error frame comes back (in the current
+    // version — the only one the server speaks), then the connection
+    // closes. Nothing was dispatched.
+    for retired in [2u8, 3] {
+        let mut frame = wire::frame_bytes(FrameKind::Request, &payload);
+        frame[2] = retired;
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        raw.write_all(&frame).expect("write retired-version frame");
+        let meta = wire::read_frame_meta(&mut raw).expect("error frame back");
+        assert_eq!(meta.kind, FrameKind::Response);
+        match wire::decode_response(&meta.payload).expect("decode error frame") {
+            Response::Error(msg) => assert!(
+                msg.contains(&format!("unsupported wire version {retired}")),
+                "unexpected message: {msg}"
+            ),
+            other => panic!("v{retired} frame answered with {other:?}"),
+        }
+        let mut rest = Vec::new();
+        match raw.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "frames after a v{retired} rejection"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                ),
+                "unexpected error after v{retired} rejection: {e}"
+            ),
+        }
+    }
+
+    // Raw current-version exchange: the server echoes the client's trace
+    // id back in the response envelope and records the trace under that id.
     let ctx = TraceContext {
         trace_id: 0xDEAD_BEEF_CAFE_F00D,
         retry_of: None,
@@ -310,26 +307,34 @@ fn wire_v2_peers_are_served_and_v3_echoes_the_trace_context() {
         &payload,
         Some(ctx),
     )
-    .expect("write v3 frame");
-    let meta = wire::read_frame_meta(&mut raw).expect("v3 response");
-    assert_eq!(meta.version, wire::WIRE_VERSION);
-    assert_eq!(meta.trace, Some(ctx), "v3 response must echo the trace id");
+    .expect("write frame");
+    let meta = wire::read_frame_meta(&mut raw).expect("response");
+    assert_eq!(meta.trace, Some(ctx), "response must echo the trace id");
 
     let memex = server.shutdown();
+    let snap = memex.registry().snapshot();
+    assert_eq!(
+        snap.counter("net.decode.errors"),
+        2,
+        "one per retired frame"
+    );
+    assert_eq!(
+        snap.counter("net.req.ok"),
+        1,
+        "rejected frames never dispatch"
+    );
     let traces = memex.tracer().collect(false, 100);
     assert!(
         traces.iter().any(|t| t.trace_id == ctx.trace_id),
         "propagated id absent from the flight recorder"
     );
-    // The v2 requests were traced too — under server-generated ids.
-    assert!(traces.len() >= 3, "v2 requests must still be traced");
     assert!(traces.iter().all(|t| t.is_complete()));
 }
 
 /// A retried read must be a *new* trace, linked to the dead attempt — not
 /// an alias of it. The client mints a fresh id per attempt and stamps the
-/// dead attempt's id as `retry_of` (wire v4); the server annotates the
-/// answering root span with it.
+/// dead attempt's id as `retry_of`; the server annotates the answering
+/// root span with it.
 #[test]
 fn retried_read_gets_fresh_trace_id_linked_to_dead_attempt() {
     let (_corpus, memex) = small_world();

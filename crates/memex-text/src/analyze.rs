@@ -81,9 +81,10 @@ impl Analyzer {
     pub fn intern_counts(&self, vocab: &mut Vocabulary, counts: &TermCounts) -> Vec<(TermId, u32)> {
         // Intern in lexicographic term order, not `HashMap` iteration
         // order: id assignment must be a pure function of the documents
-        // fed in, so two archives ingesting the same stream (e.g. shard
-        // replicas) number their vocabularies identically and stay
-        // float-for-float comparable.
+        // fed in, so two archives ingesting the same stream (e.g. a
+        // benchmark's oracle and the served process it checks) number
+        // their vocabularies identically and stay float-for-float
+        // comparable.
         let mut items: Vec<(&str, u32)> = counts.iter().map(|(t, &c)| (t.as_str(), c)).collect();
         items.sort_unstable_by_key(|&(t, _)| t);
         let mut pairs: Vec<(TermId, u32)> = items
