@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use memex_store::kv::KvStore;
+use memex_store::lsm::LsmStore;
 use memex_store::rel::{ColType, Column, Database, Predicate, Schema, Value};
 
 fn bench(c: &mut Criterion) {
@@ -15,12 +15,12 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(u64::from(n)));
     group.bench_function("kv_put_2k_term_stats", |b| {
         b.iter(|| {
-            let mut kv = KvStore::open_memory().expect("kv");
+            let mut kv = LsmStore::open_memory().expect("kv");
             for i in 0..n {
                 kv.put(format!("tf:{i:08}").as_bytes(), &i.to_le_bytes())
                     .expect("put");
             }
-            kv.len()
+            kv.stats().puts
         })
     });
     group.bench_function("rdbms_insert_2k_term_stats", |b| {
@@ -50,7 +50,7 @@ fn bench(c: &mut Criterion) {
     });
     group.throughput(Throughput::Elements(1));
     // Point-lookup comparison on prepared stores.
-    let mut kv = KvStore::open_memory().expect("kv");
+    let mut kv = LsmStore::open_memory().expect("kv");
     for i in 0..n {
         kv.put(format!("tf:{i:08}").as_bytes(), &i.to_le_bytes())
             .expect("put");

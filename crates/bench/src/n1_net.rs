@@ -265,11 +265,10 @@ fn scenario(
     (memex, shed, reqs_per_sec)
 }
 
-/// One `ingest-while-scan/{engine}` row: sustained write throughput with
-/// a concurrent long snapshot scan, per storage engine. Shared with the
-/// N2 bench, which reruns the scenario at 10x the ingest volume.
+/// The `ingest-while-scan` row: sustained write throughput with a
+/// concurrent long snapshot scan. Shared with the N2 bench, which reruns
+/// the scenario at 10x the ingest volume.
 pub(crate) struct IngestScanStats {
-    pub(crate) engine: &'static str,
     pub(crate) write_clients: usize,
     pub(crate) writes_ok: u64,
     pub(crate) write_reqs_per_sec: f64,
@@ -281,30 +280,20 @@ pub(crate) struct IngestScanStats {
 }
 
 /// PR 8 scenario: writers ingest fresh visits while one reader loops
-/// long `Recall` scans against the same server, once per storage engine
-/// (`MemexOptions.server.index.engine`). Reports sustained write
+/// long `Recall` scans against the same server. Reports sustained write
 /// throughput and the scan latency tail from the server's own
-/// `servlet.recall.latency` histogram — the number the LSM engine's
-/// snapshot claim rests on: scans must not stall while the memtable
-/// seals and the compactor churns underneath them.
-#[allow(clippy::too_many_arguments)]
+/// `servlet.recall.latency` histogram — the number the store's snapshot
+/// claim rests on: scans must not stall while the memtable seals and the
+/// compactor churns underneath them.
 pub(crate) fn ingest_while_scan(
     table: &mut Table,
-    rows: &mut Vec<IngestScanStats>,
-    engine: memex_store::EngineKind,
     corpus: &std::sync::Arc<memex_web::corpus::Corpus>,
     community: &memex_web::surfer::Community,
     users: &[u32],
     write_rounds: usize,
     scan_rounds: usize,
-) {
-    // A small seal budget so the LSM actually churns (seals + background
-    // compactions) under the bench's corpus-sized ingest.
-    std::env::set_var("MEMEX_LSM_MEMTABLE_BYTES", "4096");
-    let mut opts = memex_core::memex::MemexOptions::default();
-    opts.server.index.engine = engine;
-    let memex = crate::worlds::populated_memex_opts(corpus.clone(), community, opts);
-    std::env::remove_var("MEMEX_LSM_MEMTABLE_BYTES");
+) -> IngestScanStats {
+    let memex = crate::worlds::populated_memex(corpus.clone(), community);
     let write_clients = 2usize;
     let config = NetServerConfig {
         workers: write_clients + 1,
@@ -371,7 +360,6 @@ pub(crate) fn ingest_while_scan(
         )
     });
     let write_reqs_per_sec = writes_ok as f64 / (wall_ms / 1e3).max(f64::MIN_POSITIVE);
-    let name = format!("ingest-while-scan/{}", engine.name());
     let (p50, p95, p99) = match scan_latency_us {
         Some((p50, p95, p99)) => (
             format!("{p50:.0}"),
@@ -381,7 +369,7 @@ pub(crate) fn ingest_while_scan(
         None => ("-".into(), "-".into(), "-".into()),
     };
     table.row(vec![
-        name,
+        "ingest-while-scan".to_string(),
         (write_clients + 1).to_string(),
         (write_clients * write_rounds + scan_rounds).to_string(),
         (writes_ok + scans_ok).to_string(),
@@ -394,8 +382,7 @@ pub(crate) fn ingest_while_scan(
         p95,
         p99,
     ]);
-    rows.push(IngestScanStats {
-        engine: engine.name(),
+    IngestScanStats {
         write_clients,
         writes_ok,
         write_reqs_per_sec,
@@ -404,13 +391,37 @@ pub(crate) fn ingest_while_scan(
         wall_ms,
         lsm_seals: snap.counter("store.lsm.seals"),
         lsm_compactions: snap.counter("store.lsm.compactions"),
-    });
+    }
 }
 
-/// Serialise the ingest-while-scan rows into the committed
-/// `BENCH_PR8.json` artifact (hand-rolled JSON; no serde in the
-/// workspace).
-fn write_pr8_artifact(path: &str, quick: bool, rows: &[IngestScanStats]) {
+/// One ingest-while-scan row as a JSON object (hand-rolled; no serde in
+/// the workspace). Shared by the PR 8 and PR 10 artifacts.
+pub(crate) fn ingest_scan_json(r: &IngestScanStats) -> String {
+    let (p50, p95, p99) = match r.scan_latency_us {
+        Some((p50, p95, p99)) => (
+            format!("{p50:.1}"),
+            format!("{p95:.1}"),
+            format!("{p99:.1}"),
+        ),
+        None => ("null".into(), "null".into(), "null".into()),
+    };
+    format!(
+        "{{\"write_clients\": {}, \"writes_ok\": {}, \"write_reqs_per_sec\": {:.1}, \
+         \"scans_ok\": {}, \"scan_p50_us\": {p50}, \"scan_p95_us\": {p95}, \
+         \"scan_p99_us\": {p99}, \"wall_ms\": {:.1}, \"lsm_seals\": {}, \
+         \"lsm_compactions\": {}}}",
+        r.write_clients,
+        r.writes_ok,
+        r.write_reqs_per_sec,
+        r.scans_ok,
+        r.wall_ms,
+        r.lsm_seals,
+        r.lsm_compactions,
+    )
+}
+
+/// Serialise the ingest-while-scan row into the `BENCH_PR8.json` artifact.
+fn write_pr8_artifact(path: &str, quick: bool, row: &IngestScanStats) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"N1\",\n");
     out.push_str(&format!(
@@ -418,31 +429,7 @@ fn write_pr8_artifact(path: &str, quick: bool, rows: &[IngestScanStats]) {
         if quick { "quick" } else { "full" }
     ));
     out.push_str("  \"ingest_while_scan\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let (p50, p95, p99) = match r.scan_latency_us {
-            Some((p50, p95, p99)) => (
-                format!("{p50:.1}"),
-                format!("{p95:.1}"),
-                format!("{p99:.1}"),
-            ),
-            None => ("null".into(), "null".into(), "null".into()),
-        };
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"write_clients\": {}, \"writes_ok\": {}, \
-             \"write_reqs_per_sec\": {:.1}, \"scans_ok\": {}, \"scan_p50_us\": {p50}, \
-             \"scan_p95_us\": {p95}, \"scan_p99_us\": {p99}, \"wall_ms\": {:.1}, \
-             \"lsm_seals\": {}, \"lsm_compactions\": {}}}{}\n",
-            r.engine,
-            r.write_clients,
-            r.writes_ok,
-            r.write_reqs_per_sec,
-            r.scans_ok,
-            r.wall_ms,
-            r.lsm_seals,
-            r.lsm_compactions,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
+    out.push_str(&format!("    {}\n", ingest_scan_json(row)));
     out.push_str("  ]\n}\n");
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("warning: could not write {path}: {e}");
@@ -645,27 +632,20 @@ pub fn run(quick: bool) -> Table {
         trace_rates[step] = rate;
     }
 
-    // Scenario 5: ingest-while-scan, once per storage engine. Fresh
-    // replicas per engine so the only variable is the engine behind the
-    // index's keyed store.
+    // Scenario 5: ingest-while-scan on a fresh archive.
     let iws_write_rounds = if quick { 120 } else { 400 };
     let iws_scan_rounds = if quick { 40 } else { 150 };
-    let mut iws_rows: Vec<IngestScanStats> = Vec::new();
-    for engine in [memex_store::EngineKind::BTree, memex_store::EngineKind::Lsm] {
-        ingest_while_scan(
-            &mut table,
-            &mut iws_rows,
-            engine,
-            &_corpus,
-            &community,
-            &users,
-            iws_write_rounds,
-            iws_scan_rounds,
-        );
-    }
+    let iws_row = ingest_while_scan(
+        &mut table,
+        &_corpus,
+        &community,
+        &users,
+        iws_write_rounds,
+        iws_scan_rounds,
+    );
     let pr8_path =
         std::env::var("MEMEX_BENCH_PR8_PATH").unwrap_or_else(|_| "BENCH_PR8.json".to_string());
-    write_pr8_artifact(&pr8_path, quick, &iws_rows);
+    write_pr8_artifact(&pr8_path, quick, &iws_row);
 
     let lock_wait = memex
         .registry()

@@ -24,9 +24,9 @@
 use std::time::Instant;
 
 use memex_obs::MetricsRegistry;
-use memex_store::{EngineKind, LsmOptions, LsmStore};
+use memex_store::{LsmOptions, LsmStore};
 
-use crate::n1_net::{ingest_while_scan, IngestScanStats};
+use crate::n1_net::{ingest_scan_json, ingest_while_scan, IngestScanStats};
 use crate::table::Table;
 use crate::worlds::standard_world;
 
@@ -239,7 +239,7 @@ fn write_pr10_artifact(
     path: &str,
     quick: bool,
     reads: &PointReadResults,
-    iws_rows: &[IngestScanStats],
+    iws_row: &IngestScanStats,
     pr8_rate: Option<f64>,
 ) {
     let sweep_json = |s: &ReadSweep, bloom: &BloomDelta| {
@@ -286,35 +286,11 @@ fn write_pr10_artifact(
     ));
     out.push_str("  },\n");
     out.push_str("  \"ingest_while_scan_10x\": [\n");
-    for (i, r) in iws_rows.iter().enumerate() {
-        let (p50, p95, p99) = r.scan_latency_us.unwrap_or((0.0, 0.0, 0.0));
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"write_clients\": {}, \"writes_ok\": {}, \
-             \"write_reqs_per_sec\": {:.1}, \"scans_ok\": {}, \"scan_p50_us\": {:.1}, \
-             \"scan_p95_us\": {:.1}, \"scan_p99_us\": {:.1}, \"wall_ms\": {:.1}, \
-             \"lsm_seals\": {}, \"lsm_compactions\": {}}}{}\n",
-            r.engine,
-            r.write_clients,
-            r.writes_ok,
-            r.write_reqs_per_sec,
-            r.scans_ok,
-            p50,
-            p95,
-            p99,
-            r.wall_ms,
-            r.lsm_seals,
-            r.lsm_compactions,
-            if i + 1 < iws_rows.len() { "," } else { "" },
-        ));
-    }
+    out.push_str(&format!("    {}\n", ingest_scan_json(iws_row)));
     out.push_str("  ],\n");
-    let lsm_rate = iws_rows
-        .iter()
-        .find(|r| r.engine == "lsm")
-        .map(|r| r.write_reqs_per_sec);
-    match (pr8_rate, lsm_rate) {
-        (Some(reference), Some(now)) => {
-            let ratio = now / reference.max(f64::MIN_POSITIVE);
+    match pr8_rate {
+        Some(reference) => {
+            let ratio = iws_row.write_reqs_per_sec / reference.max(f64::MIN_POSITIVE);
             out.push_str(&format!(
                 "  \"pr8_reference\": {{\"lsm_write_reqs_per_sec\": {:.1}, \
                  \"ratio_at_10x\": {:.3}, \"within_10pct\": {}}}\n",
@@ -323,7 +299,7 @@ fn write_pr10_artifact(
                 ratio >= 0.9
             ));
         }
-        _ => out.push_str("  \"pr8_reference\": null\n"),
+        None => out.push_str("  \"pr8_reference\": null\n"),
     }
     out.push_str("}\n");
     if let Err(e) = std::fs::write(path, out) {
@@ -358,26 +334,21 @@ pub fn run(quick: bool) -> Table {
     let users: Vec<u32> = community.users.iter().map(|u| u.user).collect();
     let iws_write_rounds = if quick { 1200 } else { 4000 };
     let iws_scan_rounds = if quick { 40 } else { 150 };
-    let mut iws_rows: Vec<IngestScanStats> = Vec::new();
-    for engine in [EngineKind::BTree, EngineKind::Lsm] {
-        ingest_while_scan(
-            &mut table,
-            &mut iws_rows,
-            engine,
-            &corpus,
-            &community,
-            &users,
-            iws_write_rounds,
-            iws_scan_rounds,
-        );
-    }
+    let iws_row = ingest_while_scan(
+        &mut table,
+        &corpus,
+        &community,
+        &users,
+        iws_write_rounds,
+        iws_scan_rounds,
+    );
 
     let pr8_path =
         std::env::var("MEMEX_BENCH_PR8_PATH").unwrap_or_else(|_| "BENCH_PR8.json".to_string());
     let pr8_rate = pr8_lsm_write_rate(&pr8_path);
     let pr10_path =
         std::env::var("MEMEX_BENCH_PR10_PATH").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
-    write_pr10_artifact(&pr10_path, quick, &reads, &iws_rows, pr8_rate);
+    write_pr10_artifact(&pr10_path, quick, &reads, &iws_row, pr8_rate);
 
     table.note(&format!(
         "get rows: per-op latency percentiles in microseconds; p99 ratio multi/single = {:.3} \
@@ -386,13 +357,13 @@ pub fn run(quick: bool) -> Table {
         reads.runs_before,
         100.0 * reads.multi_bloom.skip_rate(),
     ));
-    if let (Some(reference), Some(row)) = (pr8_rate, iws_rows.iter().find(|r| r.engine == "lsm")) {
+    if let Some(reference) = pr8_rate {
         table.note(&format!(
-            "ingest-while-scan at 10x volume: lsm write throughput {:.1} req/s vs PR8 reference \
+            "ingest-while-scan at 10x volume: write throughput {:.1} req/s vs PR8 lsm reference \
              {:.1} ({:.3}x)",
-            row.write_reqs_per_sec,
+            iws_row.write_reqs_per_sec,
             reference,
-            row.write_reqs_per_sec / reference.max(f64::MIN_POSITIVE),
+            iws_row.write_reqs_per_sec / reference.max(f64::MIN_POSITIVE),
         ));
     }
     table.note(&format!("machine-readable artifact written to {pr10_path}"));

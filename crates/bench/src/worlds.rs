@@ -34,17 +34,7 @@ pub fn standard_community(corpus: &Corpus, quick: bool, seed: u64) -> Community 
 /// A fully populated Memex: all events ingested in time order (bookmarks
 /// interleaved), demons drained.
 pub fn populated_memex(corpus: Arc<Corpus>, community: &Community) -> Memex {
-    populated_memex_opts(corpus, community, MemexOptions::default())
-}
-
-/// [`populated_memex`] with explicit options (e.g. a different storage
-/// engine behind the index).
-pub fn populated_memex_opts(
-    corpus: Arc<Corpus>,
-    community: &Community,
-    opts: MemexOptions,
-) -> Memex {
-    let mut memex = Memex::new(corpus.clone(), opts).expect("in-memory memex");
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("in-memory memex");
     for truth in &community.users {
         memex
             .register_user(truth.user, &format!("user{}", truth.user))

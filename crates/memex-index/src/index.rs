@@ -1,12 +1,12 @@
 //! The segmented inverted index.
 //!
 //! Documents accumulate in an in-memory buffer; `commit()` seals the buffer
-//! into a numbered segment inside the KV store (one key per term per
+//! into a numbered segment inside the keyed store (one key per term per
 //! segment). Queries read all segments of a term and merge. `merge_segments`
 //! compacts everything into segment 0 — the background-demon maintenance
 //! cycle of the paper's Fig. 3.
 //!
-//! Key layout in the KV store:
+//! Key layout in the keyed store:
 //! ```text
 //! P<term BE32><seg BE32> -> compressed posting list
 //! L<doc BE32>            -> varint doc length (token count)
@@ -18,8 +18,8 @@ use std::path::Path;
 
 use memex_obs::{Counter, Histogram, MetricsRegistry};
 use memex_store::codec::{get_uvarint, put_uvarint};
-use memex_store::engine::{self, Engine, EngineKind, SnapshotView};
 use memex_store::error::StoreResult;
+use memex_store::lsm::{LsmOptions, LsmSnapshot, LsmStore};
 use memex_text::vocab::TermId;
 
 use crate::postings::{PositionalList, PostingList};
@@ -29,17 +29,12 @@ use crate::postings::{PositionalList, PostingList};
 pub struct IndexOptions {
     /// Auto-commit the buffer after this many documents.
     pub auto_commit_docs: usize,
-    /// Which storage engine backs the postings store. The default honours
-    /// `MEMEX_ENGINE=btree|lsm`, so a whole deployment flips engines from
-    /// the environment without touching per-layer config.
-    pub engine: EngineKind,
 }
 
 impl Default for IndexOptions {
     fn default() -> Self {
         IndexOptions {
             auto_commit_docs: 512,
-            engine: EngineKind::from_env().unwrap_or_default(),
         }
     }
 }
@@ -71,17 +66,15 @@ pub(crate) struct IndexMetrics {
 /// A segmented inverted index over term ids.
 ///
 /// Queries ([`InvertedIndex::postings`], [`InvertedIndex::positions`],
-/// [`InvertedIndex::df`]) take `&self` and reach the storage engine
-/// through the [`Engine`] trait's own `&self` reads — no index-level
-/// lock. (The B+Tree engine still serializes its page reads internally;
-/// the LSM engine serves them from shared state.)
+/// [`InvertedIndex::df`]) take `&self` and reach the store through
+/// [`LsmStore`]'s own `&self` reads — no index-level lock.
 ///
 /// For reads that must not contend with ingest at all, take a
-/// [`read_snapshot`](InvertedIndex::read_snapshot): it pins the engine's
-/// point-in-time view (cheap epoch pin on the LSM engine) plus the
-/// in-memory buffer, and every query on it reads the pinned state only.
+/// [`read_snapshot`](InvertedIndex::read_snapshot): it pins the store's
+/// point-in-time view (a cheap run-set epoch pin) plus the in-memory
+/// buffer, and every query on it reads the pinned state only.
 pub struct InvertedIndex {
-    kv: Box<dyn Engine>,
+    kv: LsmStore,
     opts: IndexOptions,
     /// term -> buffered postings (sorted by insertion; docs increase).
     buffer: HashMap<TermId, Vec<(u32, u32)>>,
@@ -100,16 +93,16 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// In-memory index (still runs the full segment machinery).
     pub fn open_memory(opts: IndexOptions) -> StoreResult<InvertedIndex> {
-        Self::build(engine::open_memory(opts.engine)?, opts)
+        Self::build(LsmStore::open_memory()?, opts)
     }
 
-    /// Durable index under `dir` (`index.db` + WAL for the B+Tree engine,
-    /// an `index/` run directory for the LSM engine).
+    /// Durable index under `dir/index/` (WAL, manifest, runs).
     pub fn open_dir<P: AsRef<Path>>(dir: P, opts: IndexOptions) -> StoreResult<InvertedIndex> {
-        Self::build(engine::open_dir(opts.engine, dir.as_ref(), "index")?, opts)
+        let store = LsmStore::open_dir(dir.as_ref().join("index"), LsmOptions::default())?;
+        Self::build(store, opts)
     }
 
-    fn build(kv: Box<dyn Engine>, opts: IndexOptions) -> StoreResult<InvertedIndex> {
+    fn build(kv: LsmStore, opts: IndexOptions) -> StoreResult<InvertedIndex> {
         // Restore doc lengths and segment counter.
         let mut doc_len = HashMap::new();
         let mut total_tokens = 0u64;
@@ -146,21 +139,6 @@ impl InvertedIndex {
         })
     }
 
-    /// Shared read access to the storage engine.
-    fn kv(&self) -> &dyn Engine {
-        self.kv.as_ref()
-    }
-
-    /// Exclusive access for the write path.
-    fn kv_mut(&mut self) -> &mut dyn Engine {
-        self.kv.as_mut()
-    }
-
-    /// Which engine backs this index.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.opts.engine
-    }
-
     /// The engine epoch a snapshot taken right now would pin. Comparing
     /// this against a held [`IndexSnapshot::epoch`] measures how stale
     /// that snapshot has become (state transitions, not wall time).
@@ -169,9 +147,9 @@ impl InvertedIndex {
     }
 
     /// Register this index and its backing store with `registry`
-    /// (`index.*` plus the `store.*` families of the underlying KvStore).
+    /// (`index.*` plus the `store.*` families of the underlying store).
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
-        self.kv_mut().attach_registry(registry);
+        self.kv.attach_registry(registry);
         self.metrics = IndexMetrics {
             docs: registry.counter("index.docs"),
             tokens: registry.counter("index.tokens"),
@@ -197,7 +175,7 @@ impl InvertedIndex {
         }
         let mut lv = Vec::with_capacity(4);
         put_uvarint(&mut lv, u64::from(len));
-        self.kv_mut().put(&Self::len_key(doc), &lv)?;
+        self.kv.put(&Self::len_key(doc), &lv)?;
         if self.doc_len.insert(doc, len).is_none() {
             self.stats.num_docs += 1;
         }
@@ -238,7 +216,7 @@ impl InvertedIndex {
     pub fn positions(&self, term: TermId) -> StoreResult<PositionalList> {
         let mut merged = PositionalList::new();
         let prefix = Self::pos_prefix(term);
-        let rows = self.kv().scan_prefix(&prefix)?;
+        let rows = self.kv.scan_prefix(&prefix)?;
         for (_k, v) in rows {
             merged = merged.merge(&PositionalList::decode(&v)?);
         }
@@ -265,15 +243,14 @@ impl InvertedIndex {
         let seg = self.next_seg;
         self.next_seg += 1;
         let next_seg = self.next_seg;
-        self.kv_mut().put(b"Mseg", &next_seg.to_be_bytes())?;
+        self.kv.put(b"Mseg", &next_seg.to_be_bytes())?;
         let mut terms: Vec<(TermId, Vec<(u32, u32)>)> = self.buffer.drain().collect();
         terms.sort_unstable_by_key(|&(t, _)| t);
         for (term, pairs) in terms {
             self.metrics.postings_flushed.add(pairs.len() as u64);
             let list = PostingList::from_pairs(pairs);
             let encoded = list.encode()?;
-            self.kv_mut()
-                .put(&Self::postings_key(term, seg), &encoded)?;
+            self.kv.put(&Self::postings_key(term, seg), &encoded)?;
         }
         type PosTerm = (TermId, Vec<(u32, Vec<u32>)>);
         let mut pos_terms: Vec<PosTerm> = self.pos_buffer.drain().collect();
@@ -294,7 +271,7 @@ impl InvertedIndex {
     pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
         let mut merged = PostingList::new();
         let prefix = Self::term_prefix(term);
-        let rows = self.kv().scan_prefix(&prefix)?;
+        let rows = self.kv.scan_prefix(&prefix)?;
         for (_k, v) in rows {
             merged = merged.merge(&PostingList::decode(&v)?);
         }
@@ -314,7 +291,7 @@ impl InvertedIndex {
         self.commit()?;
         // Positional namespace first (same per-term merge policy).
         {
-            let all = self.kv_mut().scan_prefix(b"Q")?;
+            let all = self.kv.scan_prefix(b"Q")?;
             let mut per_term: HashMap<TermId, PositionalList> = HashMap::new();
             let mut old_keys = Vec::with_capacity(all.len());
             for (k, v) in all {
@@ -330,7 +307,7 @@ impl InvertedIndex {
                 old_keys.push(k);
             }
             for k in old_keys {
-                self.kv_mut().delete(&k)?;
+                self.kv.delete(&k)?;
             }
             let mut terms: Vec<(TermId, PositionalList)> = per_term.into_iter().collect();
             terms.sort_unstable_by_key(|&(t, _)| t);
@@ -340,7 +317,7 @@ impl InvertedIndex {
             }
         }
         // Gather per-term merged lists.
-        let all = self.kv_mut().scan_prefix(b"P")?;
+        let all = self.kv.scan_prefix(b"P")?;
         let mut per_term: HashMap<TermId, PostingList> = HashMap::new();
         let mut old_keys = Vec::with_capacity(all.len());
         for (k, v) in all {
@@ -356,16 +333,16 @@ impl InvertedIndex {
             old_keys.push(k);
         }
         for k in old_keys {
-            self.kv_mut().delete(&k)?;
+            self.kv.delete(&k)?;
         }
         let mut terms: Vec<(TermId, PostingList)> = per_term.into_iter().collect();
         terms.sort_unstable_by_key(|&(t, _)| t);
         for (term, list) in terms {
             let encoded = list.encode()?;
-            self.kv_mut().put(&Self::postings_key(term, 0), &encoded)?;
+            self.kv.put(&Self::postings_key(term, 0), &encoded)?;
         }
         self.next_seg = 1;
-        self.kv_mut().put(b"Mseg", &1u32.to_be_bytes())?;
+        self.kv.put(b"Mseg", &1u32.to_be_bytes())?;
         self.metrics.merges.inc();
         self.stats.merges += 1;
         self.stats.segments = 1;
@@ -375,19 +352,17 @@ impl InvertedIndex {
     /// Flush everything durable.
     pub fn checkpoint(&mut self) -> StoreResult<()> {
         self.commit()?;
-        self.kv_mut().checkpoint()
+        self.kv.seal()
     }
 
-    /// Pin a point-in-time read view: an engine snapshot (a cheap run-set
-    /// epoch pin on the LSM engine, a materialized copy on the B+Tree
-    /// engine) plus the in-memory buffers as of now. Queries on the
+    /// Pin a point-in-time read view: a store snapshot (a cheap run-set
+    /// epoch pin) plus the in-memory buffers as of now. Queries on the
     /// returned [`IndexSnapshot`] never touch the store lock again, so
-    /// mining demons read a stable view while ingest — and LSM
-    /// compaction — continue underneath.
+    /// mining demons read a stable view while ingest — and compaction —
+    /// continue underneath.
     pub fn read_snapshot(&self) -> StoreResult<IndexSnapshot> {
-        let view = self.kv().snapshot()?;
         Ok(IndexSnapshot {
-            view,
+            view: self.kv.snapshot(),
             buffer: self.buffer.clone(),
             pos_buffer: self.pos_buffer.clone(),
             doc_len: self.doc_len.clone(),
@@ -470,7 +445,7 @@ impl InvertedIndex {
             let entry_cost = 8 + p.len() * 3;
             if approx > 0 && approx + entry_cost > CHUNK_BUDGET {
                 let encoded = list.encode()?;
-                self.kv_mut()
+                self.kv
                     .put(&Self::pos_key(term, seg, chunk_idx), &encoded)?;
                 chunk_idx += 1;
                 list = PositionalList::new();
@@ -481,7 +456,7 @@ impl InvertedIndex {
         }
         if !list.is_empty() {
             let encoded = list.encode()?;
-            self.kv_mut()
+            self.kv
                 .put(&Self::pos_key(term, seg, chunk_idx), &encoded)?;
         }
         Ok(())
@@ -495,12 +470,12 @@ impl InvertedIndex {
     }
 }
 
-/// A pinned point-in-time view of the index: segments come from an engine
-/// [`SnapshotView`], buffered (uncommitted) postings from a clone taken at
+/// A pinned point-in-time view of the index: segments come from an
+/// [`LsmSnapshot`], buffered (uncommitted) postings from a clone taken at
 /// snapshot time. Every query here is lock-free — ingest proceeding on the
 /// live [`InvertedIndex`] is invisible to this view.
 pub struct IndexSnapshot {
-    view: Box<dyn SnapshotView>,
+    view: LsmSnapshot,
     buffer: HashMap<TermId, Vec<(u32, u32)>>,
     pos_buffer: HashMap<TermId, Vec<(u32, Vec<u32>)>>,
     doc_len: HashMap<u32, u32>,
@@ -574,7 +549,6 @@ mod tests {
     fn idx() -> InvertedIndex {
         InvertedIndex::open_memory(IndexOptions {
             auto_commit_docs: 4,
-            ..Default::default()
         })
         .unwrap()
     }
@@ -659,7 +633,6 @@ mod tests {
         // chunked across keys and reassembled on read.
         let mut ix = InvertedIndex::open_memory(IndexOptions {
             auto_commit_docs: 4096,
-            ..Default::default()
         })
         .unwrap();
         let common = 7u32;
@@ -682,30 +655,26 @@ mod tests {
 
     #[test]
     fn snapshot_pins_postings_while_ingest_continues() {
-        for engine in [EngineKind::BTree, EngineKind::Lsm] {
-            let mut ix = InvertedIndex::open_memory(IndexOptions {
-                auto_commit_docs: 2,
-                engine,
-            })
-            .unwrap();
-            assert_eq!(ix.engine_kind(), engine);
-            for d in 0..5u32 {
-                ix.add_document(d, &[(7, 1)]).unwrap();
-            }
-            let snap = ix.read_snapshot().unwrap();
-            for d in 5..40u32 {
-                ix.add_document(d, &[(7, 2)]).unwrap();
-            }
-            ix.merge_segments().unwrap();
-            // The live index sees everything; the snapshot sees exactly
-            // the pre-burst state — committed segments and the buffer.
-            assert_eq!(ix.postings(7).unwrap().len(), 40, "{engine:?}");
-            assert_eq!(snap.postings(7).unwrap().len(), 5, "{engine:?}");
-            assert_eq!(snap.num_docs(), 5);
-            assert_eq!(snap.doc_len(3), 1);
-            assert_eq!(snap.df(7).unwrap(), 5);
-            assert_eq!(snap.df(999).unwrap(), 0);
+        let mut ix = InvertedIndex::open_memory(IndexOptions {
+            auto_commit_docs: 2,
+        })
+        .unwrap();
+        for d in 0..5u32 {
+            ix.add_document(d, &[(7, 1)]).unwrap();
         }
+        let snap = ix.read_snapshot().unwrap();
+        for d in 5..40u32 {
+            ix.add_document(d, &[(7, 2)]).unwrap();
+        }
+        ix.merge_segments().unwrap();
+        // The live index sees everything; the snapshot sees exactly
+        // the pre-burst state — committed segments and the buffer.
+        assert_eq!(ix.postings(7).unwrap().len(), 40);
+        assert_eq!(snap.postings(7).unwrap().len(), 5);
+        assert_eq!(snap.num_docs(), 5);
+        assert_eq!(snap.doc_len(3), 1);
+        assert_eq!(snap.df(7).unwrap(), 5);
+        assert_eq!(snap.df(999).unwrap(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! # memex-index — full-text indexing over the lightweight store
 //!
 //! "Apart from a standard full-text search over all pages visited…" (§2) —
-//! this crate is that search. Term-level postings live in the
-//! Berkeley-DB-style [`memex_store::KvStore`] (the paper's architectural
-//! point: term-granularity data would overwhelm the RDBMS), written in
+//! this crate is that search. Term-level postings live in their own
+//! lightweight keyed store, a [`memex_store::LsmStore`] (the paper's
+//! architectural point: term-granularity data would overwhelm the
+//! RDBMS, so it gets the Berkeley-DB-style tier), written in
 //! segments by the background indexer demon and merged lazily:
 //!
 //! * [`postings`] — delta+varint compressed posting lists;

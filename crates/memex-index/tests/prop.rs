@@ -9,7 +9,6 @@ use proptest::prelude::*;
 use memex_index::index::{IndexOptions, InvertedIndex};
 use memex_index::query::Query;
 use memex_index::search::{boolean_search, phrase_search, BoolExpr};
-use memex_store::engine::EngineKind;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -31,51 +30,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The index's postings match a reference model regardless of when
-    /// commits and merges happen — on both storage engines.
+    /// commits and merges happen.
     #[test]
     fn index_matches_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        for engine in [EngineKind::BTree, EngineKind::Lsm] {
-            let mut index = InvertedIndex::open_memory(IndexOptions {
-                auto_commit_docs: 7,
-                engine,
-            })
-            .unwrap();
-            // term -> doc -> max tf (re-adds keep the max, see add_document docs).
-            let mut model: BTreeMap<u32, BTreeMap<u32, u32>> = BTreeMap::new();
-            let mut seen_docs: BTreeSet<u32> = BTreeSet::new();
-            for op in ops.clone() {
-                match op {
-                    Op::Add { doc, terms } => {
-                        // The model mirrors the documented semantics: a re-added
-                        // doc id supersedes postings only per-term-max until a
-                        // merge; to keep the model simple we skip duplicate ids.
-                        if !seen_docs.insert(doc) {
-                            continue;
-                        }
-                        let mut merged: BTreeMap<u32, u32> = BTreeMap::new();
-                        for (t, c) in terms {
-                            *merged.entry(t).or_insert(0) += c;
-                        }
-                        let tf: Vec<(u32, u32)> = merged.iter().map(|(&t, &c)| (t, c)).collect();
-                        index.add_document(doc, &tf).unwrap();
-                        for (t, c) in merged {
-                            model.entry(t).or_default().insert(doc, c);
-                        }
+        let mut index = InvertedIndex::open_memory(IndexOptions {
+            auto_commit_docs: 7,
+        })
+        .unwrap();
+        // term -> doc -> max tf (re-adds keep the max, see add_document docs).
+        let mut model: BTreeMap<u32, BTreeMap<u32, u32>> = BTreeMap::new();
+        let mut seen_docs: BTreeSet<u32> = BTreeSet::new();
+        for op in ops {
+            match op {
+                Op::Add { doc, terms } => {
+                    // The model mirrors the documented semantics: a re-added
+                    // doc id supersedes postings only per-term-max until a
+                    // merge; to keep the model simple we skip duplicate ids.
+                    if !seen_docs.insert(doc) {
+                        continue;
                     }
-                    Op::Commit => index.commit().unwrap(),
-                    Op::Merge => index.merge_segments().unwrap(),
+                    let mut merged: BTreeMap<u32, u32> = BTreeMap::new();
+                    for (t, c) in terms {
+                        *merged.entry(t).or_insert(0) += c;
+                    }
+                    let tf: Vec<(u32, u32)> = merged.iter().map(|(&t, &c)| (t, c)).collect();
+                    index.add_document(doc, &tf).unwrap();
+                    for (t, c) in merged {
+                        model.entry(t).or_default().insert(doc, c);
+                    }
                 }
+                Op::Commit => index.commit().unwrap(),
+                Op::Merge => index.merge_segments().unwrap(),
             }
-            for term in 0u32..12 {
-                let got = index.postings(term).unwrap();
-                let expected: Vec<(u32, u32)> = model
-                    .get(&term)
-                    .map(|m| m.iter().map(|(&d, &c)| (d, c)).collect())
-                    .unwrap_or_default();
-                prop_assert_eq!(got.entries(), expected.as_slice(), "term {} ({:?})", term, engine);
-            }
-            prop_assert_eq!(index.num_docs(), seen_docs.len() as u64);
         }
+        for term in 0u32..12 {
+            let got = index.postings(term).unwrap();
+            let expected: Vec<(u32, u32)> = model
+                .get(&term)
+                .map(|m| m.iter().map(|(&d, &c)| (d, c)).collect())
+                .unwrap_or_default();
+            prop_assert_eq!(got.entries(), expected.as_slice(), "term {}", term);
+        }
+        prop_assert_eq!(index.num_docs(), seen_docs.len() as u64);
     }
 
     /// Boolean algebra laws over random indexes: De Morgan, idempotence,

@@ -451,7 +451,7 @@ function = "worker_loop"
 reason = "mutex-wrapped channel receiver: recv under the lock is the design"
 
 [durability]
-functions = ["LsmStore::seal", "KvStore::checkpoint"]
+functions = ["LsmStore::seal", "LsmStore::compact_now"]
 sync_methods = ["sync", "sync_all"]
 truncate_methods = ["truncate", "set_len"]
 wal_paths = ["wal"]
@@ -472,7 +472,7 @@ roots = ["accept_loop", "worker_loop"]
         assert!(!cfg.blocking_allowed("net.memex", "worker_loop", "worker_loop"));
         assert_eq!(
             cfg.durability_functions,
-            vec!["LsmStore::seal", "KvStore::checkpoint"]
+            vec!["LsmStore::seal", "LsmStore::compact_now"]
         );
         assert_eq!(cfg.durability_wal_paths, vec!["wal"]);
         assert_eq!(cfg.reach_roots, vec!["accept_loop", "worker_loop"]);

@@ -3,8 +3,9 @@
 //!
 //! The bug class: a checkpoint that truncates the WAL before the state
 //! it covers is durable loses committed writes on crash. PR 2 found it
-//! in `KvStore::checkpoint`, PR 4 re-found it under review, PR 8 had to
-//! get it right again in `LsmStore::seal`. This rule encodes the
+//! in the checkpoint of the B+Tree store this workspace then had, PR 4
+//! re-found it under review, PR 8 had to get it right again in
+//! `LsmStore::seal`. This rule encodes the
 //! invariant: within each function chain rooted at a `[durability]
 //! functions` entry, every `truncate`/`set_len` on a WAL-tagged receiver
 //! (`[durability] wal_paths`) must be preceded — in flattened call

@@ -392,19 +392,16 @@ fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
 
 #[test]
 fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
-    // The whole stack — Memex, servlets, wire — on the LSM engine. The
-    // engine choice flows through the options chain (MemexOptions →
-    // ServerOptions → IndexOptions), queries must answer exactly as they
-    // do in-process, and the wire Stats snapshot must surface the
-    // `store.lsm.*` family the engine registers.
+    // The whole stack — Memex, servlets, wire — on the one storage
+    // engine a default `Memex` has: queries must answer exactly as they
+    // do in-process, and the wire Stats snapshot must surface both the
+    // job-named `store.kv.*` counters and the `store.lsm.*` family.
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 2,
         pages_per_topic: 15,
         ..CorpusConfig::default()
     }));
-    let mut opts = MemexOptions::default();
-    opts.server.index.engine = memex_store::EngineKind::Lsm;
-    let mut memex = Memex::new(corpus.clone(), opts).expect("build LSM memex");
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
     memex.register_user(1, "user1").expect("register");
     for (time, &page) in (1u64..).zip(corpus.pages_of_topic(0).iter().take(8)) {
         memex.submit(ClientEvent::Visit(VisitEvent {
@@ -433,18 +430,18 @@ fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
     assert_eq!(
         client.request(&recall).expect("recall over wire"),
         expected,
-        "LSM-backed recall diverged over the wire"
+        "recall diverged over the wire"
     );
     let Response::Stats(snap) = client.request(&Request::Stats).expect("stats") else {
         panic!("Stats request answered with a non-Stats response");
     };
     assert!(
-        snap.counter("store.lsm.puts") > 0,
-        "LSM engine served the index but registered no store.lsm.puts"
+        snap.counter("store.kv.puts") > 0,
+        "the store served the index but registered no store.kv.puts"
     );
     assert!(
         snap.gauge("store.lsm.memtable.bytes") > 0,
-        "indexed postings should be buffered in the LSM memtable"
+        "indexed postings and metadata rows should be buffered in the memtables"
     );
     server.shutdown();
 }

@@ -3,7 +3,7 @@
 //! encoding of sorted id sequences, length-prefixed byte strings, and a
 //! table-driven CRC-32 (IEEE) used by the WAL to detect torn writes.
 //!
-//! Keeping the codec in one place means the B+Tree, the WAL, the relational
+//! Keeping the codec in one place means the runs, the WAL, the relational
 //! tuple format and the inverted-index postings (in `memex-index`) all share
 //! the same, well-tested primitives.
 

@@ -8,12 +8,12 @@ pub type StoreResult<T> = Result<T, StoreError>;
 /// Unified error type for the storage substrate.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Underlying I/O failure (file-backed pagers and WALs only).
+    /// Underlying I/O failure (file-backed stores only).
     Io(std::io::Error),
-    /// A page, record or file failed its integrity check (bad magic,
-    /// CRC mismatch, truncated frame).
+    /// A record or file failed its integrity check (bad magic, CRC
+    /// mismatch, truncated frame, unsupported format version).
     Corrupt(String),
-    /// A key or value exceeds the size a single B+Tree page can hold.
+    /// A count or length exceeds what its on-disk field can hold.
     TooLarge {
         what: &'static str,
         len: usize,

@@ -1,15 +1,19 @@
 //! # memex-store — storage substrate for Memex
 //!
-//! The Memex paper (§3) manages server state with *two* storage mechanisms:
+//! The Memex paper (§3) manages server state in two *tiers*: a relational
+//! database (Oracle/DB2 in the paper) for **metadata** about pages, links,
+//! users and topics, and a lightweight Berkeley DB storage manager for
+//! **fine-grained term-level data**. Both tiers are reproduced here over
+//! one keyed store:
 //!
-//! 1. a relational database (Oracle/DB2 in the paper) for **metadata** about
-//!    pages, links, users and topics — reproduced here by [`rel`], a compact
-//!    typed relational engine with heap tables, B+Tree primary and secondary
-//!    indexes and predicate scans;
-//! 2. a lightweight Berkeley DB storage manager for **fine-grained
-//!    term-level data** — reproduced here by [`kv`], a buffer-pooled,
-//!    page-based, WAL-protected B+Tree keyed store with range scans and
-//!    crash recovery.
+//! * [`lsm`] — the keyed store: a WAL-backed memtable sealed into
+//!   immutable, checksummed, bloom-filtered sorted runs, tiered
+//!   compaction, crash recovery and MVCC snapshots. The inverted index
+//!   (`memex-index`) keeps its term-level data directly in one
+//!   [`LsmStore`].
+//! * [`rel`] — the metadata tier: a compact typed relational engine
+//!   (schemas, primary and secondary indexes, predicate scans) laid out
+//!   as key prefixes inside its own [`LsmStore`].
 //!
 //! The paper further describes "a loosely-consistent versioning system on
 //! top of the RDBMS, with a single producer (crawler) and several consumers
@@ -17,27 +21,20 @@
 //!
 //! All byte-level encoding used across the store lives in [`codec`].
 //!
-//! Every byte either mechanism persists flows through the [`vfs`] layer —
-//! a small `Storage` trait whose `FaultyStorage` decorator and
-//! crash-modelling `MemStorage` make I/O failure a deterministic, seeded,
-//! first-class test input (see `tests/fault.rs`).
+//! Every byte the store persists flows through the [`vfs`] layer — a small
+//! `Storage` trait whose `FaultyStorage` decorator and crash-modelling
+//! `MemStorage` make I/O failure a deterministic, seeded, first-class test
+//! input (see `tests/fault.rs`).
 
-pub mod btree;
 pub mod codec;
-pub mod engine;
 pub mod error;
-pub mod kv;
 pub mod lsm;
-pub mod page;
-pub mod pager;
 pub mod rel;
 pub mod version;
 pub mod vfs;
 pub mod wal;
 
-pub use engine::{BTreeEngine, Engine, EngineKind, SnapshotView};
 pub use error::{StoreError, StoreResult};
-pub use kv::{KvStore, KvStoreOptions};
 pub use lsm::{LsmOptions, LsmSnapshot, LsmStore};
 pub use version::{Consumer, Epoch, VersionedLog};
 pub use vfs::{

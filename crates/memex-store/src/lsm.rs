@@ -1,14 +1,12 @@
-//! # memex-store::lsm — log-structured MVCC engine
+//! # memex-store::lsm — the keyed store: log-structured, MVCC
 //!
-//! The B+Tree engine ([`KvStore`](crate::kv::KvStore)) mutates pages in
-//! place, so every reader shares a lock with the writer and a long scan
-//! fights ingest. The archive workload the paper describes is the
-//! opposite shape: browsers stream events in *continuously* while mining
-//! demons read long-lived views. This module is the engine built for
-//! that shape:
+//! The archive workload the paper describes has one shape: browsers
+//! stream events in *continuously* while mining demons read long-lived
+//! views. A store that mutates pages in place makes every reader share a
+//! lock with the writer; this one never modifies anything it has written:
 //!
 //! * **Writes** land in a sorted in-memory memtable, logged through the
-//!   same [`Wal`] the B+Tree uses (crash recovery replays it back).
+//!   [`Wal`] (crash recovery replays it back).
 //! * **Seal**: when the memtable outgrows its budget (or on an explicit
 //!   checkpoint) it is written as one immutable sorted [`Run`] file on a
 //!   [`StorageDir`], the [`Manifest`] records the new run set, and the
@@ -23,10 +21,10 @@
 //!   anywhere else a dropped tombstone would resurrect a deleted key
 //!   still shadowed in an older run.
 //! * **Bloom + sparse index**: every run carries a bloom filter and a
-//!   sparse block index (run format v2), so a point lookup consults only
-//!   runs whose bloom admits the key and decodes one small block there —
-//!   `get()` stays flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}`
-//!   classify every probe.
+//!   sparse block index, so a point lookup consults only runs whose bloom
+//!   admits the key and decodes one small block there — `get()` stays
+//!   flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}` classify
+//!   every probe.
 //! * **MVCC snapshots**: [`LsmSnapshot`] clones the (bounded) memtable
 //!   and grabs `Arc`s on the immutable runs under one brief read lock;
 //!   every read after that touches no lock at all, so a mining demon can
@@ -71,8 +69,7 @@ use std::time::Instant;
 
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::engine::{Engine, EngineKind, SnapshotView};
-use crate::error::StoreResult;
+use crate::error::{StoreError, StoreResult};
 use crate::vfs::{FileDir, MemDir, StorageDir};
 use crate::wal::{Wal, WalRecord};
 
@@ -96,18 +93,17 @@ pub struct LsmOptions {
     pub sync_every_append: bool,
 }
 
+/// The seal budget, measured rather than guessed: unsealed data lives
+/// twice (memtable + WAL), so the budget is resident memory per store. On
+/// the serving benchmark 1 MiB cost 6 % peak RSS on `ingest` (over the
+/// 5 % bound) for no throughput or latency over 256 KiB, which matched or
+/// beat the deleted B+Tree on every metric (DESIGN.md §14 has the table).
+const MEMTABLE_BYTES: u64 = 256 << 10;
+
 impl Default for LsmOptions {
     fn default() -> Self {
-        // `MEMEX_LSM_MEMTABLE_BYTES` tunes the seal budget without an API
-        // change, mirroring how `MEMEX_ENGINE` picks the engine — stores
-        // opened through the engine-neutral path get it for free.
-        let memtable_bytes = std::env::var("MEMEX_LSM_MEMTABLE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(1 << 20);
         LsmOptions {
-            memtable_bytes,
+            memtable_bytes: MEMTABLE_BYTES,
             compact_min_runs: 4,
             background_compaction: true,
             sync_every_append: false,
@@ -115,7 +111,7 @@ impl Default for LsmOptions {
     }
 }
 
-/// Diagnostic counters (mirrors [`KvStats`](crate::kv::KvStats)).
+/// Diagnostic counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LsmStats {
     pub puts: u64,
@@ -172,9 +168,9 @@ struct LsmMetrics {
 impl LsmMetrics {
     fn new(registry: &MetricsRegistry) -> LsmMetrics {
         LsmMetrics {
-            puts: registry.counter("store.lsm.puts"),
-            gets: registry.counter("store.lsm.gets"),
-            deletes: registry.counter("store.lsm.deletes"),
+            puts: registry.counter("store.kv.puts"),
+            gets: registry.counter("store.kv.gets"),
+            deletes: registry.counter("store.kv.deletes"),
             memtable_bytes: registry.gauge("store.lsm.memtable.bytes"),
             seals: registry.counter("store.lsm.seals"),
             seal_errors: registry.counter("store.lsm.seal.errors"),
@@ -228,13 +224,18 @@ fn entry_cost(key_len: usize, value_len: usize) -> u64 {
 }
 
 impl LsmState {
-    fn memtable_insert(&mut self, key: &[u8], value: Option<Vec<u8>>) {
+    /// Insert and return the change in tracked bytes (negative when a
+    /// larger value was overwritten) — what the shared
+    /// `store.lsm.memtable.bytes` gauge moves by.
+    fn memtable_insert(&mut self, key: &[u8], value: Option<Vec<u8>>) -> i64 {
+        let before = self.memtable_bytes;
         let add = entry_cost(key.len(), value.as_ref().map_or(0, |v| v.len()));
         if let Some(old) = self.memtable.insert(key.to_vec(), value) {
             let sub = entry_cost(key.len(), old.as_ref().map_or(0, |v| v.len()));
             self.memtable_bytes = self.memtable_bytes.saturating_sub(sub);
         }
         self.memtable_bytes += add;
+        self.memtable_bytes as i64 - before as i64
     }
 }
 
@@ -244,6 +245,19 @@ fn level_count(runs: &[LeveledRun]) -> usize {
         .map(|r| r.level)
         .collect::<BTreeSet<u32>>()
         .len()
+}
+
+/// Add (`sign = 1`) or retract (`sign = -1`) one store's whole contribution
+/// to the gauges several stores share on one registry: `runs` and
+/// `memtable.bytes` are sums, so every later change moves them by its
+/// delta; `levels` is the deepest stack any store has reached, a
+/// high-water mark that is never retracted.
+fn publish_gauges(m: &LsmMetrics, state: &LsmState, sign: i64) {
+    m.runs.add(sign * state.runs.len() as i64);
+    m.memtable_bytes.add(sign * state.memtable_bytes as i64);
+    if sign > 0 {
+        m.levels.set_max(level_count(&state.runs) as i64);
+    }
 }
 
 /// True when some tier (contiguous same-level span) holds at least
@@ -277,10 +291,9 @@ struct LsmShared {
     dir: Arc<dyn StorageDir>,
 }
 
-/// The log-structured engine. Writes are writer-owned (`&mut` API like
-/// [`KvStore`](crate::kv::KvStore)); reads take `&self` and concurrency
-/// happens through [`LsmStore::snapshot`] handles and the background
-/// compactor.
+/// The keyed store. Writes are writer-owned (`&mut`); reads take `&self`
+/// and concurrency happens through [`LsmStore::snapshot`] handles and the
+/// background compactor.
 pub struct LsmStore {
     shared: Arc<LsmShared>,
     wal: Wal,
@@ -311,16 +324,12 @@ impl LsmStore {
     /// [`FaultyDir`](crate::vfs::FaultyDir) to script I/O failures and
     /// crashes against every file the engine touches.
     pub fn open_with_dir(dir: Arc<dyn StorageDir>, opts: LsmOptions) -> StoreResult<LsmStore> {
-        // 1. Manifest: adopt the last intact run-set record. Legacy
-        //    (pre-tiering) records come back with every run at level 0;
-        //    the next compaction re-tiers them.
+        // 1. Manifest: adopt the last intact run-set record.
         let manifest = Manifest::open(dir.open(MANIFEST_FILE)?)?;
 
         // 2. Load every referenced run. These were synced before the
         //    manifest record naming them, so failures here are real
-        //    corruption, not crash debris. v1 run files load fine (their
-        //    bloom + sparse index are rebuilt in memory) and get rewritten
-        //    as v2 by the next compaction that consumes them.
+        //    corruption, not crash debris.
         let mut runs = Vec::with_capacity(manifest.runs.len());
         for (id, level) in &manifest.runs {
             let mut storage = dir.open(&Run::file_name(*id))?;
@@ -363,7 +372,9 @@ impl LsmStore {
                 WalRecord::Put { key, value } => {
                     state.memtable_insert(key, Some(value.clone()));
                 }
-                WalRecord::Delete { key } => state.memtable_insert(key, None),
+                WalRecord::Delete { key } => {
+                    state.memtable_insert(key, None);
+                }
                 WalRecord::Checkpoint => {}
             }
         }
@@ -407,28 +418,26 @@ impl LsmStore {
         })
     }
 
-    /// Register this store with `registry` (`store.lsm.*`, `store.wal.*`,
-    /// recovery counters under `store.recovery.*`).
+    /// Register this store with `registry` (`store.kv.*`, `store.lsm.*`,
+    /// `store.wal.*`, recovery counters under `store.recovery.*`). Several
+    /// stores may share one registry: counters add up by construction, and
+    /// the `runs` / `memtable.bytes` gauges move by delta so they read the
+    /// sum over attached stores (see [`publish_gauges`]).
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
         self.wal.attach_registry(registry);
-        let (runs, levels, memtable_bytes) = {
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            (
-                state.runs.len() as i64,
-                level_count(&state.runs) as i64,
-                state.memtable_bytes as i64,
-            )
-        };
         {
+            // The state lock is held across the swap so the compactor
+            // (which moves `runs` under the state write lock) cannot land
+            // a delta between "read the run count" and "publish it".
+            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
             let mut m = self
                 .shared
                 .metrics
                 .write()
                 .unwrap_or_else(|e| e.into_inner());
+            publish_gauges(&m, &state, -1);
             *m = LsmMetrics::new(registry);
-            m.runs.set(runs);
-            m.levels.set(levels);
-            m.memtable_bytes.set(memtable_bytes);
+            publish_gauges(&m, &state, 1);
         }
         registry
             .counter("store.recovery.replayed_records")
@@ -457,14 +466,15 @@ impl LsmStore {
     /// ack, so its error is deferred — counted in `store.lsm.seal.errors`
     /// and retried on the next trigger or explicit [`LsmStore::seal`].
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> StoreResult<()> {
+        let _trace = memex_obs::trace::span("store.kv.put");
         self.append_wal(&WalRecord::Put {
             key: key.to_vec(),
             value: value.to_vec(),
         })?;
-        let bytes = {
+        let (delta, bytes) = {
             let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-            state.memtable_insert(key, Some(value.to_vec()));
-            state.memtable_bytes
+            let delta = state.memtable_insert(key, Some(value.to_vec()));
+            (delta, state.memtable_bytes)
         };
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
         {
@@ -474,7 +484,7 @@ impl LsmStore {
                 .read()
                 .unwrap_or_else(|e| e.into_inner());
             m.puts.inc();
-            m.memtable_bytes.set(bytes as i64);
+            m.memtable_bytes.add(delta);
         }
         if bytes > self.opts.memtable_bytes {
             self.seal_deferred();
@@ -486,10 +496,10 @@ impl LsmStore {
     /// deferral works exactly as in [`LsmStore::put`].
     pub fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
         self.append_wal(&WalRecord::Delete { key: key.to_vec() })?;
-        let bytes = {
+        let (delta, bytes) = {
             let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-            state.memtable_insert(key, None);
-            state.memtable_bytes
+            let delta = state.memtable_insert(key, None);
+            (delta, state.memtable_bytes)
         };
         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         {
@@ -499,7 +509,7 @@ impl LsmStore {
                 .read()
                 .unwrap_or_else(|e| e.into_inner());
             m.deletes.inc();
-            m.memtable_bytes.set(bytes as i64);
+            m.memtable_bytes.add(delta);
         }
         if bytes > self.opts.memtable_bytes {
             self.seal_deferred();
@@ -528,7 +538,7 @@ impl LsmStore {
     /// block. The consulted count is the read amplification recorded in
     /// `store.lsm.read.amplification`.
     pub fn get(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
-        let _trace = memex_obs::trace::span("store.lsm.get");
+        let _trace = memex_obs::trace::span("store.kv.get");
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let out = {
             let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
@@ -564,15 +574,8 @@ impl LsmStore {
 
     /// Collect every `(key, value)` whose key starts with `prefix`.
     pub fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut out = Vec::new();
-        self.for_each_range(Bound::Included(prefix), Bound::Unbounded, &mut |k, v| {
-            if !k.starts_with(prefix) {
-                return false;
-            }
-            out.push((k.to_vec(), v.to_vec()));
-            true
-        })?;
-        Ok(out)
+        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
+        Ok(merged_prefix(&state.memtable, &state.runs, prefix))
     }
 
     /// Collect a bounded range.
@@ -637,14 +640,6 @@ impl LsmStore {
         state.runs.iter().map(|r| (r.run.id, r.level)).collect()
     }
 
-    /// On-disk format version of each live run, newest first (tests the
-    /// v1→v2 upgrade path).
-    #[doc(hidden)]
-    pub fn run_formats(&self) -> Vec<u32> {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        state.runs.iter().map(|r| r.run.format()).collect()
-    }
-
     /// Seal the memtable into an immutable run and truncate the WAL. See
     /// the module docs for why each step orders before the next. An empty
     /// memtable still checkpoints the WAL (everything acked is already in
@@ -667,7 +662,7 @@ impl LsmStore {
         if entries.is_empty() {
             return self.checkpoint_wal();
         }
-        let (run_count, levels, ready) = {
+        let (sealed_bytes, levels, ready) = {
             // The manifest mutex serializes run-set transitions against
             // the compactor; the run list cannot change until released.
             let mut manifest = self
@@ -714,10 +709,10 @@ impl LsmStore {
                 },
             );
             state.memtable.clear();
-            state.memtable_bytes = 0;
+            let sealed_bytes = std::mem::take(&mut state.memtable_bytes);
             state.epoch = epoch;
             (
-                state.runs.len(),
+                sealed_bytes,
                 level_count(&state.runs),
                 tier_ready(&state.runs, self.opts.compact_min_runs),
             )
@@ -730,9 +725,9 @@ impl LsmStore {
                 .read()
                 .unwrap_or_else(|e| e.into_inner());
             m.seals.inc();
-            m.memtable_bytes.set(0);
-            m.runs.set(run_count as i64);
-            m.levels.set(levels as i64);
+            m.memtable_bytes.add(-(sealed_bytes as i64));
+            m.runs.add(1);
+            m.levels.set_max(levels as i64);
             m.seal_latency.record(elapsed_ns(started));
         }
         if ready {
@@ -771,56 +766,6 @@ impl LsmStore {
         compact_once(&self.shared, 2, false)
     }
 
-    /// Seal `entries` directly as a **v1-format** level-0 run, bypassing
-    /// the memtable. Test-only: seeds stores with legacy run files so the
-    /// crash harness can prove the v1→v2 upgrade path.
-    #[doc(hidden)]
-    pub fn install_v1_run(&mut self, entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> StoreResult<u64> {
-        let id = {
-            let mut manifest = self
-                .shared
-                .manifest
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let id = manifest.next_run_id;
-            manifest.next_run_id = id + 1;
-            id
-        };
-        let name = Run::file_name(id);
-        {
-            let mut storage = self.shared.dir.open(&name)?;
-            Run::write_v1(id, entries, storage.as_mut())?;
-        }
-        let run = {
-            let mut storage = self.shared.dir.open(&name)?;
-            Run::load(id, storage.as_mut())?
-        };
-        let mut manifest = self
-            .shared
-            .manifest
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let (epoch, list) = {
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            let list: Vec<(u64, u32)> = std::iter::once((id, 0))
-                .chain(state.runs.iter().map(|r| (r.run.id, r.level)))
-                .collect();
-            (state.epoch + 1, list)
-        };
-        let next_id = manifest.next_run_id.max(id + 1);
-        manifest.append(epoch, next_id, &list)?;
-        let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-        state.runs.insert(
-            0,
-            LeveledRun {
-                run: Arc::new(run),
-                level: 0,
-            },
-        );
-        state.epoch = epoch;
-        Ok(id)
-    }
-
     fn wake_compactor(&self) {
         if self.compactor.is_none() {
             return;
@@ -835,6 +780,48 @@ impl LsmStore {
             flag.work = true;
         }
         self.shared.wake.cond.notify_all();
+    }
+
+    /// Verify the tier-shape invariants (tests / debugging). Run files
+    /// verify their checksum and ordering at load; what can go wrong live
+    /// is the stack: levels non-decreasing newest-to-oldest, run ids
+    /// globally unique, and ids strictly descending within each level
+    /// (newer runs allocate higher ids).
+    pub fn check(&self) -> StoreResult<()> {
+        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
+        let mut seen: BTreeSet<u64> = BTreeSet::new();
+        let mut prev_level: Option<u32> = None;
+        let mut prev_id_in_level: Option<u64> = None;
+        for entry in &state.runs {
+            if let Some(level) = prev_level {
+                if entry.level < level {
+                    return Err(StoreError::Corrupt(format!(
+                        "level order violated: level {} after level {}",
+                        entry.level, level
+                    )));
+                }
+                if entry.level > level {
+                    prev_id_in_level = None;
+                }
+            }
+            if !seen.insert(entry.run.id) {
+                return Err(StoreError::Corrupt(format!(
+                    "duplicate run id {}",
+                    entry.run.id
+                )));
+            }
+            if let Some(p) = prev_id_in_level {
+                if entry.run.id >= p {
+                    return Err(StoreError::Corrupt(format!(
+                        "run order violated: {} after {} in level {}",
+                        entry.run.id, p, entry.level
+                    )));
+                }
+            }
+            prev_level = Some(entry.level);
+            prev_id_in_level = Some(entry.run.id);
+        }
+        Ok(())
     }
 
     /// Diagnostic counters.
@@ -872,6 +859,14 @@ impl Drop for LsmStore {
             self.shared.wake.cond.notify_all();
             let _ = handle.join();
         }
+        // A closed store no longer counts toward the shared gauges.
+        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
+        let m = self
+            .shared
+            .metrics
+            .read()
+            .unwrap_or_else(|e| e.into_inner());
+        publish_gauges(&m, &state, -1);
     }
 }
 
@@ -1077,12 +1072,17 @@ fn compact_once(shared: &Arc<LsmShared>, min_runs: usize, full: bool) -> StoreRe
     let next_id = manifest.next_run_id.max(plan.id + 1);
     let record: Vec<(u64, u32)> = new_runs.iter().map(|r| (r.run.id, r.level)).collect();
     manifest.append(epoch, next_id, &record)?;
-    let (run_count, levels) = {
+    {
         let mut state = shared.state.write().unwrap_or_else(|e| e.into_inner());
         state.runs = new_runs;
         state.epoch = epoch;
-        (state.runs.len(), level_count(&state.runs))
-    };
+        // The shared gauges move under the state lock: `attach_registry`
+        // swaps the handles under the same lock, so this delta lands on
+        // exactly one side of the swap.
+        let m = shared.metrics.read().unwrap_or_else(|e| e.into_inner());
+        m.runs.add(1 - plan.victims.len() as i64);
+        m.levels.set_max(level_count(&state.runs) as i64);
+    }
     drop(manifest);
     for victim in &plan.victims {
         let _ = shared.dir.remove(&Run::file_name(victim.run.id));
@@ -1093,8 +1093,6 @@ fn compact_once(shared: &Arc<LsmShared>, min_runs: usize, full: bool) -> StoreRe
         m.compactions.inc();
         m.compact_bytes.add(input_bytes);
         m.compact_latency.record(elapsed_ns(started));
-        m.runs.set(run_count as i64);
-        m.levels.set(levels as i64);
     }
     Ok(true)
 }
@@ -1255,6 +1253,24 @@ fn merged_for_each(
     }
 }
 
+/// Every merged `(key, value)` whose key starts with `prefix`.
+fn merged_prefix(
+    memtable: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    runs: &[LeveledRun],
+    prefix: &[u8],
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    let start = Bound::Included(prefix);
+    merged_for_each(memtable, runs, start, Bound::Unbounded, &mut |k, v| {
+        if !k.starts_with(prefix) {
+            return false;
+        }
+        out.push((k.to_vec(), v.to_vec()));
+        true
+    });
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Snapshots
 // ---------------------------------------------------------------------------
@@ -1284,124 +1300,10 @@ impl LsmSnapshot {
     ) {
         merged_for_each(&self.memtable, &self.runs, start, end, f);
     }
-}
 
-impl SnapshotView for LsmSnapshot {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        LsmSnapshot::get(self, key)
-    }
-
-    fn for_each_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) {
-        LsmSnapshot::for_each_range(self, start, end, f);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine impl
-// ---------------------------------------------------------------------------
-
-impl Engine for LsmStore {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lsm
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> StoreResult<()> {
-        LsmStore::put(self, key, value)
-    }
-
-    fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
-        LsmStore::delete(self, key)
-    }
-
-    fn get(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
-        LsmStore::get(self, key)
-    }
-
-    fn scan(&self, start: Bound<&[u8]>, end: Bound<&[u8]>) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        LsmStore::scan(self, start, end)
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        LsmStore::scan_prefix(self, prefix)
-    }
-
-    fn for_each_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) -> StoreResult<()> {
-        LsmStore::for_each_range(self, start, end, f)
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        LsmStore::sync(self)
-    }
-
-    fn checkpoint(&mut self) -> StoreResult<()> {
-        self.seal()
-    }
-
-    fn snapshot(&self) -> StoreResult<Box<dyn SnapshotView>> {
-        Ok(Box::new(LsmStore::snapshot(self)))
-    }
-
-    fn epoch(&self) -> u64 {
-        LsmStore::epoch(self)
-    }
-
-    fn attach_registry(&mut self, registry: &MetricsRegistry) {
-        LsmStore::attach_registry(self, registry);
-    }
-
-    fn check(&mut self) -> StoreResult<()> {
-        // Run files verify their checksum and ordering at load; the live
-        // invariants to check are the tier shape: levels non-decreasing
-        // newest-to-oldest, run ids globally unique, and ids strictly
-        // descending within each level (newer runs allocate higher ids).
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut prev_level: Option<u32> = None;
-        let mut prev_id_in_level: Option<u64> = None;
-        for entry in &state.runs {
-            if let Some(level) = prev_level {
-                if entry.level < level {
-                    return Err(crate::error::StoreError::Corrupt(format!(
-                        "level order violated: level {} after level {}",
-                        entry.level, level
-                    )));
-                }
-                if entry.level > level {
-                    prev_id_in_level = None;
-                }
-            }
-            if !seen.insert(entry.run.id) {
-                return Err(crate::error::StoreError::Corrupt(format!(
-                    "duplicate run id {}",
-                    entry.run.id
-                )));
-            }
-            if let Some(p) = prev_id_in_level {
-                if entry.run.id >= p {
-                    return Err(crate::error::StoreError::Corrupt(format!(
-                        "run order violated: {} after {} in level {}",
-                        entry.run.id, p, entry.level
-                    )));
-                }
-            }
-            prev_level = Some(entry.level);
-            prev_id_in_level = Some(entry.run.id);
-        }
-        Ok(())
+    /// Collect every `(key, value)` whose key starts with `prefix`.
+    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        merged_prefix(&self.memtable, &self.runs, prefix)
     }
 }
 
@@ -1506,7 +1408,7 @@ mod tests {
             None,
             "tier merge must not resurrect a deleted key"
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         // The final bottom merge may (and does) drop the tombstone.
         assert!(s.compact_now().unwrap());
         assert_eq!(s.run_count(), 1);
@@ -1540,14 +1442,14 @@ mod tests {
             s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
             vec![1, 1]
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         // Now the level-1 tier qualifies; merging it reaches the bottom.
         assert!(s.compact_tier_now().unwrap());
         assert_eq!(
             s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
             vec![2]
         );
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
         for round in 0..6u32 {
             let k = format!("key-{round}");
             assert_eq!(s.get(k.as_bytes()).unwrap(), Some(b"v".to_vec()));
@@ -1597,7 +1499,7 @@ mod tests {
         s.put(b"k1", b"v1").unwrap();
         s.put(b"k2", b"v2").unwrap();
         let snap = s.snapshot();
-        let epoch = SnapshotView::epoch(&snap);
+        let epoch = snap.epoch();
         // Burst: overwrite, delete, seal twice, compact.
         s.put(b"k1", b"changed").unwrap();
         s.delete(b"k2").unwrap();
@@ -1645,29 +1547,122 @@ mod tests {
     }
 
     #[test]
-    fn reopen_preserves_levels_and_v1_runs_upgrade_on_compaction() {
+    fn reopen_preserves_levels() {
         let dir: Arc<MemDir> = Arc::new(MemDir::new());
         {
             let mut s = LsmStore::open_with_dir(dir.clone(), tiny_opts()).unwrap();
-            s.install_v1_run(&[(b"legacy".to_vec(), Some(b"1".to_vec()))])
-                .unwrap();
-            s.put(b"fresh", b"2").unwrap();
+            for key in [b"a", b"b"] {
+                s.put(key, b"1").unwrap();
+                s.seal().unwrap();
+            }
+            assert!(s.compact_tier_now().unwrap());
+            s.put(b"c", b"2").unwrap();
             s.seal().unwrap();
-            assert_eq!(s.run_formats(), vec![2, 1]);
         }
-        let mut s = LsmStore::open_with_dir(dir.clone(), tiny_opts()).unwrap();
-        assert_eq!(s.run_formats(), vec![2, 1], "v1 run survives reopen");
-        assert_eq!(s.get(b"legacy").unwrap(), Some(b"1".to_vec()));
-        let levels = s.run_levels();
-        assert_eq!(
-            levels.iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![0, 0]
-        );
-        // The compaction that consumes the v1 run rewrites it as v2.
-        assert!(s.compact_now().unwrap());
-        assert_eq!(s.run_formats(), vec![2]);
-        assert_eq!(s.get(b"legacy").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(s.get(b"fresh").unwrap(), Some(b"2".to_vec()));
+        let s = LsmStore::open_with_dir(dir, tiny_opts()).unwrap();
+        let levels: Vec<u32> = s.run_levels().iter().map(|(_, l)| *l).collect();
+        assert_eq!(levels, vec![0, 1]);
+        s.check().unwrap();
+        assert_eq!(s.get(b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(s.get(b"c").unwrap(), Some(b"2".to_vec()));
+    }
+
+    #[test]
+    fn a_version_1_run_file_fails_the_open_with_a_typed_error() {
+        // Run-format v1 had no deployed writer and its loader is gone: a
+        // live run whose header says version 1 must surface as `Corrupt`
+        // (never a panic, never a silently dropped run), every time the
+        // store is opened.
+        let dir: Arc<MemDir> = Arc::new(MemDir::new());
+        let id = {
+            let mut s = LsmStore::open_with_dir(dir.clone(), tiny_opts()).unwrap();
+            s.put(b"k", b"v").unwrap();
+            s.seal().unwrap();
+            s.run_levels().first().unwrap().0
+        };
+        {
+            // Rewrite the header's version field and re-seal the checksum,
+            // so the version check is what rejects the file.
+            let mut file = dir.open(&Run::file_name(id)).unwrap();
+            let len = usize::try_from(file.len().unwrap()).unwrap();
+            let mut bytes = vec![0u8; len];
+            file.read_exact_at(0, &mut bytes).unwrap();
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+            let crc = crate::codec::crc32(&bytes[..len - 4]);
+            bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+            file.write_all_at(0, &bytes).unwrap();
+            file.sync().unwrap();
+        }
+        for _ in 0..2 {
+            match LsmStore::open_with_dir(dir.clone(), tiny_opts()) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains("unsupported version 1"), "{msg}");
+                }
+                Err(other) => panic!("expected Corrupt, got {other}"),
+                Ok(_) => panic!("a v1 run file must not load"),
+            }
+            assert!(
+                dir.exists(&Run::file_name(id)).unwrap(),
+                "a failed open must not reap the file"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_gauges_sum_over_stores_on_one_registry() {
+        // `rel` and the index each own a store and share the server's
+        // registry: with `set()` the last writer won and Stats lied.
+        let registry = MetricsRegistry::new();
+        let gauge = |name: &str| registry.snapshot().gauge(name);
+        let mut a = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        let mut b = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        // `a` already holds state when it attaches: it is published whole.
+        a.put(b"a1", b"x").unwrap();
+        a.seal().unwrap();
+        a.put(b"a2", b"xx").unwrap();
+        a.attach_registry(&registry);
+        b.attach_registry(&registry);
+        let a_bytes = entry_cost(2, 2) as i64;
+        assert_eq!(gauge("store.lsm.runs"), 1);
+        assert_eq!(gauge("store.lsm.memtable.bytes"), a_bytes);
+
+        b.put(b"b1", b"yyy").unwrap();
+        let b_bytes = entry_cost(2, 3) as i64;
+        assert_eq!(gauge("store.lsm.memtable.bytes"), a_bytes + b_bytes);
+        // Overwriting with a shorter value moves the sum down, not to it.
+        b.put(b"b1", b"y").unwrap();
+        let b_bytes = entry_cost(2, 1) as i64;
+        assert_eq!(gauge("store.lsm.memtable.bytes"), a_bytes + b_bytes);
+
+        b.seal().unwrap();
+        assert_eq!(gauge("store.lsm.runs"), 2);
+        assert_eq!(gauge("store.lsm.memtable.bytes"), a_bytes);
+        a.seal().unwrap();
+        assert_eq!(gauge("store.lsm.runs"), 3);
+        assert_eq!(gauge("store.lsm.memtable.bytes"), 0);
+        assert_eq!(gauge("store.lsm.levels"), 1);
+
+        // A compaction in one store subtracts only what it merged away.
+        assert!(a.compact_now().unwrap());
+        assert_eq!(a.run_count(), 1);
+        assert_eq!(gauge("store.lsm.runs"), 2);
+        // Levels is the deepest stack any store reached: `a` now holds a
+        // level-1 run over nothing else, `b` one level-0 run.
+        a.put(b"a3", b"x").unwrap();
+        a.seal().unwrap();
+        assert_eq!(gauge("store.lsm.levels"), 2);
+        assert_eq!(gauge("store.lsm.runs"), 3);
+
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("store.kv.puts"), 3, "b1 twice, a3");
+        assert_eq!(snap.counter("store.lsm.seals"), 3, "b, a, a (post-attach)");
+
+        // A closed store stops counting.
+        drop(a);
+        assert_eq!(gauge("store.lsm.runs"), 1);
+        drop(b);
+        assert_eq!(gauge("store.lsm.runs"), 0);
+        assert_eq!(gauge("store.lsm.memtable.bytes"), 0);
     }
 
     #[test]
@@ -1729,7 +1724,7 @@ mod tests {
             let k = format!("key-{i:04}");
             assert_eq!(s.get(k.as_bytes()).unwrap(), Some(vec![0u8; 40]));
         }
-        Engine::check(&mut s).unwrap();
+        s.check().unwrap();
     }
 
     #[test]

@@ -9,20 +9,18 @@
 //! the run the torn record would have referenced becomes an orphan for
 //! the recovery scan to delete.
 //!
-//! Frame format: `[len u32][crc32 u32][payload]`, crc over the payload.
-//! Since tiered compaction each live run carries a **level tag**, so two
-//! payload layouts exist:
+//! Frame format: `[len u32][crc32 u32][payload]`, crc over the payload;
+//! each live run carries its tier **level**:
 //!
 //! ```text
-//! v1: [epoch u64][next_run_id u64][count u32][run id u64]*
-//! v2: [epoch u64][next_run_id u64][count u32]([run id u64][level u32])*
+//! [epoch u64][next_run_id u64][count u32]([run id u64][level u32])*
 //! ```
 //!
-//! A v2 frame sets the high bit of `len` ([`FLAG_LEVELED`]) — payload
-//! lengths never approach 2 GiB, so the bit is free. The flag (not
-//! payload-length arithmetic) disambiguates the layouts: `20 + 8n` and
-//! `20 + 12m` collide for plenty of `(n, m)` pairs. Old v1 records parse
-//! with every run at level 0; the first append rewrites state as v2.
+//! Every frame sets the high bit of `len` ([`FLAG_LEVELED`]) — payload
+//! lengths never approach 2 GiB, so the bit is free. It marks the one
+//! record layout there is; an intact frame without it is the level-less
+//! layout no deployed build wrote, and fails the open as
+//! [`StoreError::Corrupt`] rather than being guessed at or trimmed away.
 //!
 //! The durability contract mirrors the WAL's: a record is only trusted
 //! after [`Manifest::append`] returns, which syncs. Callers must sync the
@@ -32,8 +30,8 @@ use crate::codec::{crc32, get_u32, get_u64, put_u32, put_u64};
 use crate::error::{StoreError, StoreResult};
 use crate::vfs::Storage;
 
-/// High bit of the frame `len` field: set on records whose runs carry
-/// level tags (payload v2).
+/// High bit of the frame `len` field: set on every record (its runs carry
+/// level tags).
 const FLAG_LEVELED: u32 = 0x8000_0000;
 
 /// Live manifest state plus the append cursor.
@@ -84,6 +82,13 @@ impl Manifest {
             if crc32(&payload) != stored_crc {
                 break; // torn mid-payload
             }
+            if !leveled {
+                // Not tail damage (the checksum holds): trimming it would
+                // orphan, and so delete, every run it names.
+                return Err(StoreError::Corrupt(
+                    "manifest: unsupported record version (no level tags)".into(),
+                ));
+            }
             let mut p = 0usize;
             let Ok(rec_epoch) = get_u64(&payload, &mut p) else {
                 break;
@@ -101,16 +106,9 @@ impl Manifest {
                     malformed = true;
                     break;
                 };
-                let level = if leveled {
-                    match get_u32(&payload, &mut p) {
-                        Ok(l) => l,
-                        Err(_) => {
-                            malformed = true;
-                            break;
-                        }
-                    }
-                } else {
-                    0
+                let Ok(level) = get_u32(&payload, &mut p) else {
+                    malformed = true;
+                    break;
                 };
                 rec_runs.push((id, level));
             }
@@ -176,31 +174,6 @@ impl Manifest {
         self.runs = runs.to_vec();
         Ok(())
     }
-
-    /// Append a legacy v1 record (no level tags). Test-only: lets the
-    /// crash harness seed stores whose manifests predate tiering.
-    #[doc(hidden)]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn append_v1(&mut self, epoch: u64, next_run_id: u64, runs: &[u64]) -> StoreResult<()> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, epoch);
-        put_u64(&mut payload, next_run_id);
-        put_u32(&mut payload, runs.len() as u32);
-        for id in runs {
-            put_u64(&mut payload, *id);
-        }
-        let mut frame = Vec::new();
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        self.storage.write_all_at(self.end, &frame)?;
-        self.storage.sync()?;
-        self.end += frame.len() as u64;
-        self.epoch = epoch;
-        self.next_run_id = next_run_id;
-        self.runs = runs.iter().map(|id| (*id, 0)).collect();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -224,30 +197,25 @@ mod tests {
     }
 
     #[test]
-    fn v1_records_parse_at_level_zero() {
-        let s = MemStorage::new();
+    fn a_level_less_record_is_corrupt_not_trimmed() {
+        // The retired record layout: intact frame, no FLAG_LEVELED.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        put_u64(&mut payload, 3);
+        put_u32(&mut payload, 2);
+        put_u64(&mut payload, 2);
+        put_u64(&mut payload, 1);
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32(&payload));
+        frame.extend_from_slice(&payload);
+        let s = MemStorage::from_bytes(frame.clone());
         let h = s.handle();
-        let mut m = Manifest::open(Box::new(s)).unwrap();
-        m.append_v1(1, 3, &[2, 1]).unwrap();
-        let reopened = Manifest::open(Box::new(MemStorage::from_bytes(h.current_bytes()))).unwrap();
-        assert_eq!(reopened.epoch, 1);
-        assert_eq!(reopened.runs, vec![(2, 0), (1, 0)]);
-    }
-
-    #[test]
-    fn v1_then_v2_records_interleave() {
-        // The upgrade path in miniature: legacy records followed by
-        // leveled ones in the same file, last record wins.
-        let s = MemStorage::new();
-        let h = s.handle();
-        let mut m = Manifest::open(Box::new(s)).unwrap();
-        m.append_v1(1, 2, &[1]).unwrap();
-        m.append(2, 4, &[(3, 0), (1, 0)]).unwrap();
-        m.append(3, 5, &[(4, 1)]).unwrap();
-        let reopened = Manifest::open(Box::new(MemStorage::from_bytes(h.current_bytes()))).unwrap();
-        assert_eq!(reopened.epoch, 3);
-        assert_eq!(reopened.next_run_id, 5);
-        assert_eq!(reopened.runs, vec![(4, 1)]);
+        assert!(matches!(
+            Manifest::open(Box::new(s)),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert_eq!(h.current_bytes(), frame, "nothing was trimmed");
     }
 
     #[test]

@@ -6,36 +6,30 @@
 //! snapshot pins a run *set* by holding `Arc<Run>`s, and compaction can
 //! replace the set without touching the bytes a reader is using.
 //!
-//! Format v2 adds the two read-amplification guards tiered compaction
+//! Each run carries the two read-amplification guards tiered compaction
 //! needs: a **bloom filter** over the keys (seeded FNV-1a base hash with
 //! a SplitMix64-derived second hash, double hashing) so a point lookup
 //! skips runs that cannot contain the key, and a **sparse index** of
 //! every block's first key, so a lookup that does consult the run decodes
 //! one small block instead of binary-searching materialized entries. The
-//! entries themselves stay encoded in one contiguous buffer — the run no
-//! longer holds a `Vec` of per-entry allocations resident.
+//! entries themselves stay encoded in one contiguous buffer — no `Vec` of
+//! per-entry allocations is resident.
 //!
 //! File format (all little-endian via [`codec`](crate::codec)):
 //!
 //! ```text
-//! v1: [magic u32][version=1 u32][count u32]
-//!     count * entry
-//!     [crc32 u32 over everything before it]
-//!
-//! v2: [magic u32][version=2 u32][count u32][data_len u32]
-//!     data:  count * entry                      (blocked every BLOCK_ENTRIES)
-//!     index: [n_blocks u32] n_blocks * ( [offset u32][count u32][first_key bytes] )
-//!     bloom: [seed u64][k u32][nbits u64][n_words u32] n_words * [word u64]
-//!     [crc32 u32 over everything before it]
+//! [magic u32][version=2 u32][count u32][data_len u32]
+//! data:  count * entry                      (blocked every BLOCK_ENTRIES)
+//! index: [n_blocks u32] n_blocks * ( [offset u32][count u32][first_key bytes] )
+//! bloom: [seed u64][k u32][nbits u64][n_words u32] n_words * [word u64]
+//! [crc32 u32 over everything before it]
 //!
 //! entry: [flag uvarint: 0=tombstone 1=value] [key bytes] [value bytes]?
 //! ```
 //!
-//! v1 runs still load: the entry region is identical, so the loader
-//! re-blocks it in memory and rebuilds the bloom + index on the fly. The
-//! run remembers its on-disk [`Run::format`]; the next compaction that
-//! consumes it writes v2, upgrading the file population without a
-//! migration pass.
+//! This is the only format. Version 1 (no index, no bloom) was never
+//! written by a deployed build; a file carrying any other version number
+//! is [`StoreError::Corrupt`] like every other header mismatch.
 //!
 //! A run referenced by the manifest was synced before the manifest record
 //! that names it, so a decode failure there is [`StoreError::Corrupt`] —
@@ -49,8 +43,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::vfs::Storage;
 
 const MAGIC: u32 = 0x4D58_524E; // "MXRN"
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Entries per sparse-index block: small enough that the linear decode
 /// inside one block is a handful of key compares, large enough that the
@@ -229,10 +222,6 @@ pub struct Run {
     max_key: Vec<u8>,
     count: u32,
     pub bytes: u64,
-    /// On-disk format version this run was loaded from (or written as).
-    /// A v1 run is fully usable in memory; the next compaction that
-    /// consumes it writes its output as v2.
-    format: u32,
 }
 
 impl Run {
@@ -250,11 +239,6 @@ impl Run {
     /// Number of entries (tombstones included).
     pub fn entry_count(&self) -> usize {
         self.count as usize
-    }
-
-    /// The on-disk format version (1 or 2).
-    pub fn format(&self) -> u32 {
-        self.format
     }
 
     /// Decode the entry at `pos` (which must sit on an entry boundary
@@ -349,7 +333,7 @@ impl Run {
     }
 
     /// Encode `entries` into the blocked data region plus its sparse
-    /// index and bloom filter. Shared by the writer and the v1 loader.
+    /// index and bloom filter.
     fn build(id: u64, entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> (Vec<u8>, Vec<BlockMeta>, Bloom) {
         let mut data = Vec::new();
         let mut index: Vec<BlockMeta> = Vec::new();
@@ -381,7 +365,7 @@ impl Run {
         (data, index, bloom)
     }
 
-    /// Encode as format v2, write at offset 0, and sync `storage`.
+    /// Encode, write at offset 0, and sync `storage`.
     /// Entries must be sorted by strictly ascending key. The entry vector
     /// is transient: the returned run keeps only the encoded region.
     pub fn write(
@@ -404,7 +388,7 @@ impl Run {
         })?;
         let mut out = Vec::with_capacity(data.len() + 64);
         put_u32(&mut out, MAGIC);
-        put_u32(&mut out, VERSION_V2);
+        put_u32(&mut out, VERSION);
         put_u32(&mut out, count);
         put_u32(&mut out, data_len);
         out.extend_from_slice(&data);
@@ -428,52 +412,12 @@ impl Run {
             max_key,
             count,
             bytes: out.len() as u64,
-            format: VERSION_V2,
         })
     }
 
-    /// Write the legacy v1 format. Test-only: exists so the crash harness
-    /// can seed stores with v1 files and prove the upgrade path.
-    #[doc(hidden)]
-    pub fn write_v1(
-        _id: u64,
-        entries: &[(Vec<u8>, Option<Vec<u8>>)],
-        storage: &mut dyn Storage,
-    ) -> StoreResult<()> {
-        let mut out = Vec::new();
-        put_u32(&mut out, MAGIC);
-        put_u32(&mut out, VERSION_V1);
-        let count = u32::try_from(entries.len()).map_err(|_| StoreError::TooLarge {
-            what: "run entry count",
-            len: entries.len(),
-            max: u32::MAX as usize,
-        })?;
-        put_u32(&mut out, count);
-        for (key, value) in entries {
-            match value {
-                Some(v) => {
-                    put_uvarint(&mut out, 1);
-                    put_bytes(&mut out, key);
-                    put_bytes(&mut out, v);
-                }
-                None => {
-                    put_uvarint(&mut out, 0);
-                    put_bytes(&mut out, key);
-                }
-            }
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        storage.set_len(0)?;
-        storage.write_all_at(0, &out)?;
-        storage.sync()?;
-        Ok(())
-    }
-
-    /// Load and verify a run from `storage` (either format version). Any
-    /// framing, checksum, or ordering problem is `Corrupt` — callers
-    /// decide whether that means a fatal manifest inconsistency or a
-    /// deletable orphan.
+    /// Load and verify a run from `storage`. Any framing, checksum,
+    /// version or ordering problem is `Corrupt` — callers decide whether
+    /// that means a fatal manifest inconsistency or a deletable orphan.
     pub fn load(id: u64, storage: &mut dyn Storage) -> StoreResult<Run> {
         let len = storage.len()?;
         let len_usize = usize::try_from(len)
@@ -500,93 +444,60 @@ impl Run {
             return Err(StoreError::Corrupt(format!("run {id}: bad magic")));
         }
         let version = get_u32(body, &mut pos)?;
-        let count = get_u32(body, &mut pos)?;
-        let run = match version {
-            VERSION_V1 => {
-                // The v1 body after the header *is* the data region of a
-                // v2 run: re-block it in memory and rebuild bloom + index.
-                let data = body
-                    .get(pos..)
-                    .ok_or_else(|| StoreError::Corrupt(format!("run {id}: truncated body")))?
-                    .to_vec();
-                let (index, bloom, max_key) = Run::validate_data(id, &data, count, None)?;
-                Run {
-                    id,
-                    data,
-                    index,
-                    bloom,
-                    max_key,
-                    count,
-                    bytes: len,
-                    format: VERSION_V1,
-                }
-            }
-            VERSION_V2 => {
-                let data_len = get_u32(body, &mut pos)? as usize;
-                let data = body
-                    .get(pos..pos + data_len)
-                    .ok_or_else(|| StoreError::Corrupt(format!("run {id}: truncated data region")))?
-                    .to_vec();
-                pos += data_len;
-                let n_blocks = get_u32(body, &mut pos)? as usize;
-                let mut index = Vec::with_capacity(n_blocks);
-                for _ in 0..n_blocks {
-                    let offset = get_u32(body, &mut pos)?;
-                    let bcount = get_u32(body, &mut pos)?;
-                    let first_key = get_bytes(body, &mut pos)?.to_vec();
-                    index.push(BlockMeta {
-                        offset,
-                        count: bcount,
-                        first_key,
-                    });
-                }
-                let bloom = Bloom::decode(id, body, &mut pos)?;
-                if pos != body_len {
-                    return Err(StoreError::Corrupt(format!(
-                        "run {id}: {} trailing bytes",
-                        body_len - pos
-                    )));
-                }
-                // The stored index must agree with the data region (the
-                // same walk v1 loads pay anyway — ordering is verified
-                // either way).
-                let (expected, _, max_key) = Run::validate_data(id, &data, count, Some(&index))?;
-                Run {
-                    id,
-                    data,
-                    index: expected,
-                    bloom,
-                    max_key,
-                    count,
-                    bytes: len,
-                    format: VERSION_V2,
-                }
-            }
-            other => {
-                return Err(StoreError::Corrupt(format!(
-                    "run {id}: unsupported version {other}"
-                )))
-            }
-        };
-        if version == VERSION_V1 && pos == 0 {
-            // unreachable; keeps pos used under both branches
+        if version != VERSION {
+            return Err(StoreError::Corrupt(format!(
+                "run {id}: unsupported version {version}"
+            )));
         }
-        Ok(run)
+        let count = get_u32(body, &mut pos)?;
+        let data_len = get_u32(body, &mut pos)? as usize;
+        let data = body
+            .get(pos..pos + data_len)
+            .ok_or_else(|| StoreError::Corrupt(format!("run {id}: truncated data region")))?
+            .to_vec();
+        pos += data_len;
+        let n_blocks = get_u32(body, &mut pos)? as usize;
+        let mut index = Vec::with_capacity(n_blocks);
+        for _ in 0..n_blocks {
+            let offset = get_u32(body, &mut pos)?;
+            let bcount = get_u32(body, &mut pos)?;
+            let first_key = get_bytes(body, &mut pos)?.to_vec();
+            index.push(BlockMeta {
+                offset,
+                count: bcount,
+                first_key,
+            });
+        }
+        let bloom = Bloom::decode(id, body, &mut pos)?;
+        if pos != body_len {
+            return Err(StoreError::Corrupt(format!(
+                "run {id}: {} trailing bytes",
+                body_len - pos
+            )));
+        }
+        let max_key = Run::validate_data(id, &data, count, &index)?;
+        Ok(Run {
+            id,
+            data,
+            index,
+            bloom,
+            max_key,
+            count,
+            bytes: len,
+        })
     }
 
     /// Walk the data region: verify entry framing, strict key ordering
-    /// and the entry count; rebuild the sparse index, bloom, and max
-    /// key. When a stored index is given (v2 loads), it must match the
-    /// recomputed one.
+    /// and the entry count, and recompute the sparse index, which must
+    /// match the stored one. Returns the largest key.
     fn validate_data(
         id: u64,
         data: &[u8],
         count: u32,
-        stored_index: Option<&[BlockMeta]>,
-    ) -> StoreResult<(Vec<BlockMeta>, Bloom, Vec<u8>)> {
+        stored_index: &[BlockMeta],
+    ) -> StoreResult<Vec<u8>> {
         let mut pos = 0usize;
         let mut index: Vec<BlockMeta> = Vec::new();
-        let mut bloom = Bloom::with_capacity(id, count as usize);
         let mut prev_key: Option<Vec<u8>> = None;
         for i in 0..count {
             let entry_off = pos;
@@ -618,7 +529,6 @@ impl Run {
             if let Some(last) = index.last_mut() {
                 last.count += 1;
             }
-            bloom.insert(key_hash(key));
             prev_key = Some(key.to_vec());
         }
         if pos != data.len() {
@@ -627,18 +537,16 @@ impl Run {
                 data.len() - pos
             )));
         }
-        if let Some(stored) = stored_index {
-            let matches = stored.len() == index.len()
-                && stored.iter().zip(index.iter()).all(|(a, b)| {
-                    a.offset == b.offset && a.count == b.count && a.first_key == b.first_key
-                });
-            if !matches {
-                return Err(StoreError::Corrupt(format!(
-                    "run {id}: sparse index disagrees with data region"
-                )));
-            }
+        let matches = stored_index.len() == index.len()
+            && stored_index.iter().zip(index.iter()).all(|(a, b)| {
+                a.offset == b.offset && a.count == b.count && a.first_key == b.first_key
+            });
+        if !matches {
+            return Err(StoreError::Corrupt(format!(
+                "run {id}: sparse index disagrees with data region"
+            )));
         }
-        Ok((index, bloom, prev_key.unwrap_or_default()))
+        Ok(prev_key.unwrap_or_default())
     }
 }
 
@@ -703,21 +611,33 @@ mod tests {
         let loaded = Run::load(7, &mut s).unwrap();
         assert_eq!(collect(&loaded), sample());
         assert_eq!(loaded.bytes, written.bytes);
-        assert_eq!(loaded.format(), 2);
         assert_eq!(probe_value(&loaded, b"alpha"), Some(Some(b"1".to_vec())));
         assert_eq!(probe_value(&loaded, b"beta"), Some(None), "tombstone hit");
         assert_eq!(probe_value(&loaded, b"delta"), None);
     }
 
     #[test]
-    fn v1_files_load_and_reblock() {
-        let mut s = MemStorage::new();
-        Run::write_v1(3, &sample(), &mut s).unwrap();
-        let loaded = Run::load(3, &mut s).unwrap();
-        assert_eq!(loaded.format(), 1, "remembers the on-disk version");
-        assert_eq!(collect(&loaded), sample());
-        assert_eq!(probe_value(&loaded, b"gamma"), Some(Some(b"33".to_vec())));
-        assert_eq!(probe_value(&loaded, b"zzz"), None);
+    fn a_version_1_file_is_corrupt_not_loaded() {
+        // The retired v1 layout, byte for byte: header, entries, crc — no
+        // data_len, index or bloom. Intact checksum, so the version field
+        // is what rejects it.
+        let mut out = Vec::new();
+        put_u32(&mut out, MAGIC);
+        put_u32(&mut out, 1);
+        put_u32(&mut out, 1);
+        put_uvarint(&mut out, 1);
+        put_bytes(&mut out, b"alpha");
+        put_bytes(&mut out, b"1");
+        let crc = crc32(&out);
+        put_u32(&mut out, crc);
+        let mut s = MemStorage::from_bytes(out);
+        match Run::load(3, &mut s) {
+            Err(StoreError::Corrupt(msg)) => {
+                assert!(msg.contains("unsupported version 1"), "{msg}")
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a v1 file must not load"),
+        }
     }
 
     #[test]
@@ -794,13 +714,6 @@ mod tests {
         ];
         Run::write(1, entries, &mut s).unwrap();
         assert!(matches!(Run::load(1, &mut s), Err(StoreError::Corrupt(_))));
-        let mut s1 = MemStorage::new();
-        let entries = vec![
-            (b"b".to_vec(), Some(b"1".to_vec())),
-            (b"a".to_vec(), Some(b"2".to_vec())),
-        ];
-        Run::write_v1(1, &entries, &mut s1).unwrap();
-        assert!(matches!(Run::load(1, &mut s1), Err(StoreError::Corrupt(_))));
     }
 
     #[test]

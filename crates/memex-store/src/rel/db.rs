@@ -1,7 +1,7 @@
 //! The metadata database: tables, secondary indexes, predicate scans.
 //!
-//! Physical layout — everything lives in one [`KvStore`], namespaced by key
-//! prefixes (big-endian ids keep scans clustered per table):
+//! Physical layout — everything lives in one [`LsmStore`], namespaced by
+//! key prefixes (big-endian ids keep scans clustered per table):
 //!
 //! ```text
 //! c:<table-name>                      -> table id (u32 BE) + schema bytes
@@ -17,7 +17,7 @@ use std::ops::Bound;
 use std::path::Path;
 
 use crate::error::{StoreError, StoreResult};
-use crate::kv::{KvStore, KvStoreOptions};
+use crate::lsm::{LsmOptions, LsmStore};
 use crate::rel::predicate::Predicate;
 use crate::rel::schema::Schema;
 use crate::rel::value::{decode_row, encode_row, Value};
@@ -35,7 +35,7 @@ pub struct TableHandle {
 
 /// The relational metadata engine.
 pub struct Database {
-    kv: KvStore,
+    kv: LsmStore,
     /// table id -> set of indexed column positions.
     indexes: HashMap<u32, BTreeSet<u16>>,
 }
@@ -43,15 +43,18 @@ pub struct Database {
 impl Database {
     /// In-memory database.
     pub fn open_memory() -> StoreResult<Database> {
-        Self::build(KvStore::open_memory()?)
+        Self::build(LsmStore::open_memory()?)
     }
 
-    /// Durable database stored in `dir` as `meta.db` / `meta.wal`.
+    /// Durable database stored under `dir/meta/` (WAL, manifest, runs).
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> StoreResult<Database> {
-        Self::build(KvStore::open_dir(dir, "meta", KvStoreOptions::default())?)
+        Self::build(LsmStore::open_dir(
+            dir.as_ref().join("meta"),
+            LsmOptions::default(),
+        )?)
     }
 
-    fn build(mut kv: KvStore) -> StoreResult<Database> {
+    fn build(kv: LsmStore) -> StoreResult<Database> {
         // Load index markers.
         let mut indexes: HashMap<u32, BTreeSet<u16>> = HashMap::new();
         for (k, _) in kv.scan_prefix(b"xc:")? {
@@ -64,8 +67,8 @@ impl Database {
         Ok(Database { kv, indexes })
     }
 
-    /// Register the backing KvStore (and its WAL / pager / B+Tree) with
-    /// `registry`. The relational layer itself adds no metrics of its own.
+    /// Register the backing store (and its WAL) with `registry`. The
+    /// relational layer itself adds no metrics of its own.
     pub fn attach_registry(&mut self, registry: &memex_obs::MetricsRegistry) {
         self.kv.attach_registry(registry);
     }
@@ -221,7 +224,7 @@ impl Database {
         self.kv.for_each_range(
             Bound::Included(prefix.as_slice()),
             Bound::Unbounded,
-            |k, v| {
+            &mut |k, v| {
                 if !k.starts_with(&prefix) {
                     return false;
                 }
@@ -253,7 +256,7 @@ impl Database {
         self.kv.for_each_range(
             Bound::Included(prefix.as_slice()),
             Bound::Unbounded,
-            |k, _| {
+            &mut |k, _| {
                 if !k.starts_with(&prefix) {
                     return false;
                 }
@@ -277,7 +280,7 @@ impl Database {
 
     /// Flush everything to stable storage.
     pub fn checkpoint(&mut self) -> StoreResult<()> {
-        self.kv.checkpoint()
+        self.kv.seal()
     }
 
     // -- key builders -------------------------------------------------------

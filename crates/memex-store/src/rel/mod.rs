@@ -5,7 +5,8 @@
 //! slice of that: typed schemas, auto-assigned row ids, secondary indexes
 //! with order-preserving key encodings, predicate scans with index
 //! selection, and persistence — all layered on the same WAL-protected
-//! B+Tree substrate as the term store, namespaced by key prefixes.
+//! keyed store ([`LsmStore`](crate::lsm::LsmStore)) as the term store,
+//! namespaced by key prefixes.
 
 pub mod db;
 pub mod predicate;

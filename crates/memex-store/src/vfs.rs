@@ -1,4 +1,4 @@
-//! The storage VFS: raw-byte backing for the WAL and the pager, plus the
+//! The storage VFS: raw-byte backing for the WAL and the run files, plus the
 //! deterministic fault-injection layer behind experiment F3's recovery
 //! claims.
 //!

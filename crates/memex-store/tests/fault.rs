@@ -6,17 +6,16 @@
 //! injects I/O errors from a seeded schedule or a scripted `FaultControl`.
 //!
 //! The central property is **prefix consistency**: after running an
-//! arbitrary operation sequence against a storage engine, crashing at an
+//! arbitrary operation sequence against the store, crashing at an
 //! arbitrary point, and reopening, the recovered state must equal the
 //! model state after some prefix `p` of the acknowledged operations with
 //! `synced ≤ p ≤ acked` — every operation covered by a sync survives, and
 //! nothing that was never acknowledged is ever resurrected.
 //!
-//! The harness is **engine-parametric**: one test body runs against both
-//! the B+Tree `KvStore` and the LSM engine through the shared [`Engine`]
-//! trait (the [`Rig`] below knows how to crash and reopen each). Engine
-//! internals — checkpoint windows for the B+Tree, seal/compaction
-//! barriers for the LSM — get their own scripted schedules on top.
+//! The [`Rig`] below drives an [`LsmStore`] over a crash-modelling
+//! [`MemDir`] and knows how to cut power and reopen; the store's internal
+//! barriers (seal, tier compaction) get their own scripted schedules on
+//! top.
 //!
 //! Run a specific schedule with `PROPTEST_SEED=<n> cargo test -p
 //! memex-store --test fault` (this is what CI's fault-matrix job does).
@@ -28,13 +27,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use memex_obs::MetricsRegistry;
-use memex_store::engine::{BTreeEngine, Engine, EngineKind};
-use memex_store::kv::{KvStore, KvStoreOptions};
 use memex_store::lsm::{LsmOptions, LsmStore};
-use memex_store::vfs::{
-    FaultConfig, FaultControl, FaultyDir, FaultyStorage, MemDir, MemDirHandle, MemHandle,
-    MemStorage, Storage,
-};
+use memex_store::vfs::{FaultConfig, FaultControl, FaultyDir, MemDir, MemStorage, StorageDir};
 use memex_store::wal::{Wal, WalRecord};
 
 // ---------------------------------------------------------------------------
@@ -47,7 +41,7 @@ enum Op {
     Delete(Vec<u8>),
     /// `Wal::sync` — establishes a durability watermark.
     Sync,
-    /// Full checkpoint — flushes the tree and truncates the log.
+    /// Full checkpoint — seals the memtable and truncates the log.
     Checkpoint,
 }
 
@@ -86,34 +80,6 @@ fn model_at(ops: &[Op], p: usize) -> BTreeMap<Vec<u8>, Vec<u8>> {
     m
 }
 
-fn small_opts() -> KvStoreOptions {
-    KvStoreOptions {
-        // Small pool so the no-steal buffer pool overflows and exercises
-        // the sync-log-then-flush path mid-run.
-        pool_capacity: 8,
-        // The harness drives checkpoints explicitly.
-        checkpoint_bytes: u64::MAX,
-        sync_every_append: false,
-    }
-}
-
-fn reopen(wal: &MemHandle, db: &MemHandle, opts: KvStoreOptions) -> KvStore {
-    KvStore::open_with_storage(
-        Box::new(MemStorage::from_bytes(wal.current_bytes())),
-        Box::new(MemStorage::from_bytes(db.current_bytes())),
-        opts,
-    )
-    .expect("reopen after crash must succeed")
-}
-
-fn contents(kv: &mut KvStore) -> Vec<(Vec<u8>, Vec<u8>)> {
-    kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap()
-}
-
-// ---------------------------------------------------------------------------
-// Engine-parametric rig
-// ---------------------------------------------------------------------------
-
 fn small_lsm_opts() -> LsmOptions {
     LsmOptions {
         // Tiny budget so random schedules seal mid-stream (the
@@ -126,120 +92,41 @@ fn small_lsm_opts() -> LsmOptions {
     }
 }
 
-/// Where a crash lands for each engine: handles on the raw in-memory
-/// devices, so the harness can cut power (`crash`) and reopen over the
-/// surviving bytes.
-enum CrashSite {
-    BTree { wal: MemHandle, db: MemHandle },
-    Lsm { dir: MemDir, handle: MemDirHandle },
-}
-
-impl CrashSite {
-    /// Power cut: each device keeps its durable bytes plus a
-    /// seeded-random prefix of the unsynced writes (final write possibly
-    /// torn).
-    fn crash(&self, seed: u64) {
-        match self {
-            CrashSite::BTree { wal, db } => {
-                wal.crash(seed);
-                db.crash(seed ^ 0x9E37_79B9_7F4A_7C15);
-            }
-            CrashSite::Lsm { handle, .. } => handle.crash(seed),
-        }
-    }
-
-    /// Reopen the engine over whatever the crash left behind.
-    fn reopen(&self) -> Box<dyn Engine> {
-        match self {
-            CrashSite::BTree { wal, db } => {
-                Box::new(BTreeEngine::new(reopen(wal, db, small_opts())))
-            }
-            CrashSite::Lsm { dir, .. } => Box::new(
-                LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
-                    .expect("reopen after crash must succeed"),
-            ),
-        }
-    }
-}
-
-/// One engine under test plus the crash controls for its storage.
+/// The store under test plus the raw in-memory directory under it, so the
+/// harness can cut power (`crash`) and reopen over the surviving bytes.
 struct Rig {
-    engine: Box<dyn Engine>,
-    site: CrashSite,
+    store: LsmStore,
+    dir: MemDir,
 }
 
-fn open_rig(kind: EngineKind) -> Rig {
-    match kind {
-        EngineKind::BTree => {
-            let wal_storage = MemStorage::new();
-            let wal = wal_storage.handle();
-            let db_storage = MemStorage::new();
-            let db = db_storage.handle();
-            let kv = KvStore::open_with_storage(
-                Box::new(wal_storage),
-                Box::new(db_storage),
-                small_opts(),
-            )
-            .unwrap();
-            Rig {
-                engine: Box::new(BTreeEngine::new(kv)),
-                site: CrashSite::BTree { wal, db },
-            }
-        }
-        EngineKind::Lsm => {
-            let dir = MemDir::new();
-            let handle = dir.handle();
-            let store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
-            Rig {
-                engine: Box::new(store),
-                site: CrashSite::Lsm { dir, handle },
-            }
-        }
+impl Rig {
+    /// Power cut: drop the store, then each file keeps its durable bytes
+    /// plus a seeded-random prefix of the unsynced writes (final write
+    /// possibly torn). Returns the store reopened over what is left —
+    /// always through the unfaulted directory.
+    fn crash_and_reopen(self, seed: u64) -> LsmStore {
+        let Rig { store, dir } = self;
+        drop(store);
+        dir.handle().crash(seed);
+        LsmStore::open_with_dir(Arc::new(dir), small_lsm_opts())
+            .expect("reopen after crash must succeed")
     }
 }
 
-/// Like [`open_rig`], but the engine's storage sits behind a
-/// [`FaultControl`] script (the B+Tree faults its WAL device; the LSM
-/// faults the whole directory — WAL, runs and manifest alike). Reopening
-/// via [`CrashSite::reopen`] always goes through the unfaulted devices.
-fn open_faulty_rig(kind: EngineKind, cfg: FaultConfig) -> (Rig, FaultControl) {
-    match kind {
-        EngineKind::BTree => {
-            let wal_inner = MemStorage::new();
-            let wal = wal_inner.handle();
-            let wal_storage = FaultyStorage::new(wal_inner, cfg);
-            let ctl = wal_storage.control();
-            let db_storage = MemStorage::new();
-            let db = db_storage.handle();
-            let kv = KvStore::open_with_storage(
-                Box::new(wal_storage),
-                Box::new(db_storage),
-                small_opts(),
-            )
-            .unwrap();
-            (
-                Rig {
-                    engine: Box::new(BTreeEngine::new(kv)),
-                    site: CrashSite::BTree { wal, db },
-                },
-                ctl,
-            )
-        }
-        EngineKind::Lsm => {
-            let dir = MemDir::new();
-            let handle = dir.handle();
-            let faulty = FaultyDir::new(dir.clone(), cfg);
-            let ctl = faulty.control();
-            let store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
-            (
-                Rig {
-                    engine: Box::new(store),
-                    site: CrashSite::Lsm { dir, handle },
-                },
-                ctl,
-            )
-        }
-    }
+fn open_rig() -> Rig {
+    let dir = MemDir::new();
+    let store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
+    Rig { store, dir }
+}
+
+/// Like [`open_rig`], but the whole directory — WAL, runs and manifest
+/// alike — sits behind a [`FaultControl`] script.
+fn open_faulty_rig(cfg: FaultConfig) -> (Rig, FaultControl) {
+    let dir = MemDir::new();
+    let faulty = FaultyDir::new(dir.clone(), cfg);
+    let ctl = faulty.control();
+    let store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
+    (Rig { store, dir }, ctl)
 }
 
 /// Does `recovered` equal `model_at(ops, p)` for some `synced <= p <=
@@ -264,58 +151,52 @@ proptest! {
     /// Run a random op sequence, crash at an arbitrary (seeded) point in
     /// the unsynced write stream, reopen, and check prefix consistency:
     /// the recovered state is `model(p)` for some `synced <= p <= acked`.
-    /// One body, both engines — the LSM's tiny memtable budget forces
-    /// mid-stream auto-seals, so crashes land between WAL, run files and
-    /// manifest records, not just inside the log.
+    /// The tiny memtable budget forces mid-stream auto-seals, so crashes
+    /// land between WAL, run files and manifest records, not just inside
+    /// the log.
     #[test]
     fn crash_recovery_is_prefix_consistent(
         ops in proptest::collection::vec(op_strategy(), 1..80),
         crash_seed in any::<u64>(),
     ) {
-        for kind in [EngineKind::BTree, EngineKind::Lsm] {
-            let Rig { mut engine, site } = open_rig(kind);
+        let mut rig = open_rig();
 
-            let mut synced = 0usize;
-            for (i, op) in ops.iter().enumerate() {
-                match op {
-                    Op::Put(k, v) => {
-                        engine.put(k, v).unwrap();
-                    }
-                    Op::Delete(k) => {
-                        engine.delete(k).unwrap();
-                    }
-                    Op::Sync => {
-                        engine.sync().unwrap();
-                        synced = i + 1;
-                    }
-                    Op::Checkpoint => {
-                        engine.checkpoint().unwrap();
-                        synced = i + 1;
-                    }
+        let mut synced = 0usize;
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                Op::Put(k, v) => {
+                    rig.store.put(k, v).unwrap();
+                }
+                Op::Delete(k) => {
+                    rig.store.delete(k).unwrap();
+                }
+                Op::Sync => {
+                    rig.store.sync().unwrap();
+                    synced = i + 1;
+                }
+                Op::Checkpoint => {
+                    rig.store.seal().unwrap();
+                    synced = i + 1;
                 }
             }
-            let acked = ops.len();
-            drop(engine);
-
-            site.crash(crash_seed);
-
-            let mut engine = site.reopen();
-            engine.check().unwrap();
-            let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
-
-            prop_assert!(
-                matching_prefix(&recovered, &ops, synced).is_some(),
-                "{}: recovered state is not a prefix of acked ops \
-                 (synced={synced}, acked={acked}, crash_seed={crash_seed}, \
-                  recovered {} entries)",
-                kind.name(),
-                recovered.len(),
-            );
-
-            // And the reopened store keeps working.
-            engine.put(b"post-crash", b"ok").unwrap();
-            prop_assert_eq!(engine.get(b"post-crash").unwrap().unwrap(), b"ok".to_vec());
         }
+        let acked = ops.len();
+
+        let mut store = rig.crash_and_reopen(crash_seed);
+        store.check().unwrap();
+        let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+
+        prop_assert!(
+            matching_prefix(&recovered, &ops, synced).is_some(),
+            "recovered state is not a prefix of acked ops \
+             (synced={synced}, acked={acked}, crash_seed={crash_seed}, \
+              recovered {} entries)",
+            recovered.len(),
+        );
+
+        // And the reopened store keeps working.
+        store.put(b"post-crash", b"ok").unwrap();
+        prop_assert_eq!(store.get(b"post-crash").unwrap().unwrap(), b"ok".to_vec());
     }
 
     /// Cut the WAL at *every* byte offset: replay must never fail, must
@@ -396,227 +277,54 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Scripted checkpoint-window faults
+// Scripted write-path and seal-window faults
 // ---------------------------------------------------------------------------
-
-/// `KvStore::checkpoint` step 1 is `Pager::flush`, which must *fsync* the
-/// data file before the WAL is truncated. Fail that fsync: the checkpoint
-/// must abort with the log intact, so a crash in the window loses nothing.
-#[test]
-fn failed_data_fsync_aborts_checkpoint_with_wal_intact() {
-    let wal_storage = MemStorage::new();
-    let wal_handle = wal_storage.handle();
-    let db_inner = MemStorage::new();
-    let db_handle = db_inner.handle();
-    let db_storage = FaultyStorage::new(db_inner, FaultConfig::default());
-    let ctl = db_storage.control();
-
-    let mut kv =
-        KvStore::open_with_storage(Box::new(wal_storage), Box::new(db_storage), small_opts())
-            .unwrap();
-    for i in 0..5u8 {
-        kv.put(&[b'k', i], &[i]).unwrap();
-    }
-    kv.wal_mut().sync().unwrap();
-
-    ctl.fail_next_syncs(1);
-    assert!(
-        kv.checkpoint().is_err(),
-        "checkpoint must surface the fsync failure"
-    );
-    assert_eq!(ctl.injected(), (0, 0, 0, 1));
-
-    // Worst-case crash in the window: only durable bytes survive. The WAL
-    // was synced and never truncated, so everything is recoverable.
-    let mut kv2 = KvStore::open_with_storage(
-        Box::new(MemStorage::from_bytes(wal_handle.durable_bytes())),
-        Box::new(MemStorage::from_bytes(db_handle.durable_bytes())),
-        small_opts(),
-    )
-    .unwrap();
-    kv2.check().unwrap();
-    for i in 0..5u8 {
-        assert_eq!(kv2.get(&[b'k', i]).unwrap().unwrap(), vec![i]);
-    }
-
-    // The running store stays usable: the retry succeeds and nothing is lost.
-    kv.checkpoint().unwrap();
-    for i in 0..5u8 {
-        assert_eq!(kv.get(&[b'k', i]).unwrap().unwrap(), vec![i]);
-    }
-}
-
-/// Fail the *log-side* sync inside the checkpoint (after the data flush
-/// already fsynced the tree). Every crash outcome in that window is safe:
-/// the old log replays idempotently over the flushed tree, or the
-/// truncation landed and the tree alone carries the state.
-#[test]
-fn failed_log_sync_during_checkpoint_is_crash_safe() {
-    let wal_inner = MemStorage::new();
-    let wal_handle = wal_inner.handle();
-    let wal_storage = FaultyStorage::new(wal_inner, FaultConfig::default());
-    let ctl = wal_storage.control();
-    let db_storage = MemStorage::new();
-    let db_handle = db_storage.handle();
-
-    let mut kv =
-        KvStore::open_with_storage(Box::new(wal_storage), Box::new(db_storage), small_opts())
-            .unwrap();
-    for i in 0..5u8 {
-        kv.put(&[b'k', i], &[i]).unwrap();
-    }
-    kv.wal_mut().sync().unwrap();
-
-    // The data flush fsyncs the db side (not scripted); the next *wal*
-    // sync — inside Wal::truncate — fails.
-    ctl.fail_next_syncs(1);
-    assert!(kv.checkpoint().is_err());
-
-    // Crash with every possible surviving prefix of the pending log
-    // writes: recovery must always land on exactly the acked state.
-    for seed in 0..16u64 {
-        let wal_bytes = MemStorage::from_bytes(wal_handle.durable_bytes());
-        let wal_probe = wal_bytes.handle();
-        // Re-stage the pending ops on a copy and crash it.
-        {
-            let mut staged: Box<dyn Storage> = Box::new(wal_bytes);
-            let _ = staged.set_len(0); // the un-synced truncation
-        }
-        wal_probe.crash(seed);
-        let mut kv2 = KvStore::open_with_storage(
-            Box::new(MemStorage::from_bytes(wal_probe.current_bytes())),
-            Box::new(MemStorage::from_bytes(db_handle.current_bytes())),
-            small_opts(),
-        )
-        .unwrap();
-        kv2.check().unwrap();
-        for i in 0..5u8 {
-            assert_eq!(
-                kv2.get(&[b'k', i]).unwrap().unwrap(),
-                vec![i],
-                "seed {seed}: acked key lost in checkpoint window"
-            );
-        }
-    }
-
-    // The running store recovers too: retry and carry on.
-    kv.checkpoint().unwrap();
-    kv.put(b"after", b"ok").unwrap();
-    assert_eq!(kv.get(b"after").unwrap().unwrap(), b"ok");
-}
-
-/// The review-repro schedule, folded into the harness: a checkpoint runs
-/// with *unsynced* WAL records pending, `Pager::flush` lands the new tree
-/// durably, and the crash hits before `Wal::truncate` completes. The
-/// write-ahead order inside `KvStore::checkpoint` (log sync before data
-/// flush) must have made those records durable, otherwise recovery
-/// replays a stale log prefix over the newer tree and rolls acked writes
-/// backward — the exact bug this schedule originally caught.
-#[test]
-fn checkpoint_window_crash_with_unsynced_wal_records() {
-    let wal_inner = MemStorage::new();
-    let wal_handle = wal_inner.handle();
-    let wal_storage = FaultyStorage::new(wal_inner, FaultConfig::default());
-    let ctl = wal_storage.control();
-    let db_storage = MemStorage::new();
-    let db_handle = db_storage.handle();
-
-    let mut kv =
-        KvStore::open_with_storage(Box::new(wal_storage), Box::new(db_storage), small_opts())
-            .unwrap();
-    kv.put(b"a", b"1").unwrap();
-    kv.wal_mut().sync().unwrap(); // op1 durable in the log
-    kv.put(b"a", b"2").unwrap(); // op2: acked, log record NOT synced
-    kv.put(b"c", b"3").unwrap(); // op3: acked, log record NOT synced
-
-    // Fail the truncation: models a crash after the data flush, inside
-    // the checkpoint window.
-    ctl.fail_next_set_lens(1);
-    assert!(kv.checkpoint().is_err());
-    drop(kv);
-
-    // Power cut: only durable bytes survive on each device.
-    let mut kv2 = KvStore::open_with_storage(
-        Box::new(MemStorage::from_bytes(wal_handle.durable_bytes())),
-        Box::new(MemStorage::from_bytes(db_handle.durable_bytes())),
-        small_opts(),
-    )
-    .unwrap();
-    kv2.check().unwrap();
-    let a = kv2.get(b"a").unwrap().map(|v| v.to_vec());
-    let c = kv2.get(b"c").unwrap().map(|v| v.to_vec());
-    let is_prefix = matches!(
-        (a.as_deref(), c.as_deref()),
-        (Some(b"1"), None) | (Some(b"2"), None) | (Some(b"2"), Some(b"3"))
-    );
-    assert!(
-        is_prefix,
-        "recovered state a={a:?} c={c:?} matches no prefix of the acked ops"
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Generalised checkpoint-window schedule for the seed matrix: random
-    /// ops with random sync points, then a checkpoint whose truncation
-    /// fails, then a crash. The checkpoint's leading log sync succeeded,
-    /// so *every* acked op must survive — recovery lands on exactly the
-    /// acked state, regardless of which unsynced device writes the crash
-    /// kept.
+    /// Random ops with random sync points, then a seal that fails *after*
+    /// its leading log sync (the run file's `set_len` is refused), then a
+    /// crash. The log sync succeeded, so *every* acked op must survive —
+    /// recovery lands on exactly the acked state, regardless of which
+    /// unsynced writes the crash kept.
     #[test]
-    fn failed_truncate_checkpoint_recovers_every_acked_op(
+    fn failed_seal_after_its_log_sync_recovers_every_acked_op(
         ops in proptest::collection::vec(op_strategy(), 1..40),
         crash_seed in any::<u64>(),
     ) {
-        let wal_inner = MemStorage::new();
-        let wal_handle = wal_inner.handle();
-        let wal_storage = FaultyStorage::new(wal_inner, FaultConfig::default());
-        let ctl = wal_storage.control();
-        let db_storage = MemStorage::new();
-        let db_handle = db_storage.handle();
-
-        let mut kv = KvStore::open_with_storage(
-            Box::new(wal_storage),
-            Box::new(db_storage),
-            small_opts(),
-        )
-        .unwrap();
+        let (mut rig, ctl) = open_faulty_rig(FaultConfig::default());
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
-                    kv.put(k, v).unwrap();
+                    rig.store.put(k, v).unwrap();
                 }
                 Op::Delete(k) => {
-                    kv.delete(k).unwrap();
+                    rig.store.delete(k).unwrap();
                 }
                 // Only a *durability* op here — the harness drives the one
-                // interesting checkpoint itself, below.
+                // interesting seal itself, below.
                 Op::Sync | Op::Checkpoint => {
-                    kv.wal_mut().sync().unwrap();
+                    rig.store.sync().unwrap();
                 }
             }
         }
+        // An explicit seal of an empty memtable writes no run (nothing to
+        // refuse); one more put guarantees there is something to seal.
+        rig.store.put(b"last", b"op").unwrap();
+        let mut m = model_at(&ops, ops.len());
+        m.insert(b"last".to_vec(), b"op".to_vec());
 
         ctl.fail_next_set_lens(1);
-        prop_assert!(kv.checkpoint().is_err(), "truncate failure must surface");
-        drop(kv);
+        prop_assert!(rig.store.seal().is_err(), "set_len failure must surface");
 
-        // Crash: durable bytes survive; unsynced writes partially survive
-        // per the seed. The failed set_len never reached the device, and
-        // the checkpoint already synced the log and flushed the tree, so
-        // the crash has nothing left to lose.
-        wal_handle.crash(crash_seed);
-        db_handle.crash(crash_seed ^ 0x9E37_79B9_7F4A_7C15);
-
-        let mut kv2 = reopen(&wal_handle, &db_handle, small_opts());
-        kv2.check().unwrap();
-        let recovered = contents(&mut kv2);
-        let m = model_at(&ops, ops.len());
+        let store = rig.crash_and_reopen(crash_seed);
+        store.check().unwrap();
+        let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         prop_assert_eq!(
             recovered.len(),
             m.len(),
-            "checkpoint made every acked op durable; none may vanish"
+            "the seal's log sync made every acked op durable; none may vanish"
         );
         for (k, v) in &recovered {
             prop_assert_eq!(m.get(k), Some(v));
@@ -628,96 +336,80 @@ proptest! {
 /// operation, corrupt the store, or poison later operations.
 #[test]
 fn failed_append_is_not_acked_and_store_survives() {
-    let wal_inner = MemStorage::new();
-    let wal_storage = FaultyStorage::new(wal_inner, FaultConfig::default());
-    let ctl = wal_storage.control();
-    let mut kv = KvStore::open_with_storage(
-        Box::new(wal_storage),
-        Box::new(MemStorage::new()),
-        small_opts(),
-    )
-    .unwrap();
+    let (Rig { mut store, .. }, ctl) = open_faulty_rig(FaultConfig::default());
 
-    kv.put(b"ok1", b"1").unwrap();
+    store.put(b"ok1", b"1").unwrap();
     ctl.fail_next_writes(1);
-    assert!(kv.put(b"denied", b"x").is_err());
+    assert!(store.put(b"denied", b"x").is_err());
     assert!(
-        kv.get(b"denied").unwrap().is_none(),
+        store.get(b"denied").unwrap().is_none(),
         "failed put must not be visible"
     );
     ctl.tear_next_write(3);
-    assert!(kv.put(b"torn", b"x").is_err());
-    assert!(kv.get(b"torn").unwrap().is_none());
-    kv.put(b"ok2", b"2").unwrap();
-    kv.check().unwrap();
-    assert_eq!(kv.len(), 2);
+    assert!(store.put(b"torn", b"x").is_err());
+    assert!(store.get(b"torn").unwrap().is_none());
+    store.put(b"ok2", b"2").unwrap();
+    store.check().unwrap();
+    let all = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+    assert_eq!(all.len(), 2);
     assert!(ctl.injected_total() >= 2);
 }
 
 // ---------------------------------------------------------------------------
-// Scripted engine-internal barriers (seal, compaction)
+// Scripted store-internal barriers (seal, compaction)
 // ---------------------------------------------------------------------------
 
 /// March a single injected sync failure across every durability barrier
-/// of each engine's checkpoint (B+Tree: leading log sync, truncation
-/// sync; LSM: leading WAL sync, run-file sync, manifest sync, WAL
+/// of a seal (leading WAL sync, run-file sync, manifest sync, WAL
 /// truncation sync — i.e. a crash mid-seal at each step), then cut power
 /// and reopen. Whichever barrier failed, the recovered state must be a
 /// model prefix no older than the last explicit sync.
 #[test]
 fn scripted_sync_barrier_faults_stay_prefix_consistent() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
-        let mut checkpoint_errors = 0u32;
-        for barrier in 0..5u32 {
-            for crash_seed in [3u64, 0xB44D_F00D] {
-                let (mut rig, ctl) = open_faulty_rig(kind, FaultConfig::default());
+    let mut seal_errors = 0u32;
+    for barrier in 0..5u32 {
+        for crash_seed in [3u64, 0xB44D_F00D] {
+            let (mut rig, ctl) = open_faulty_rig(FaultConfig::default());
 
-                let mut acked: Vec<Op> = Vec::new();
-                for i in 0..30u32 {
-                    let k = format!("k{:02}", i % 6).into_bytes();
-                    let v = format!("v{i}").into_bytes();
-                    rig.engine.put(&k, &v).unwrap();
-                    acked.push(Op::Put(k, v));
-                }
-                rig.engine.sync().unwrap();
-                let mut synced = acked.len();
-                for i in 0..4u32 {
-                    let k = format!("x{i}").into_bytes();
-                    rig.engine.put(&k, b"u").unwrap();
-                    acked.push(Op::Put(k, b"u".to_vec()));
-                }
-
-                // Fail the (barrier+1)-th sync the checkpoint issues;
-                // barriers past the checkpoint's sync count simply pass.
-                ctl.fail_syncs_after(barrier, 1);
-                if rig.engine.checkpoint().is_ok() {
-                    synced = acked.len();
-                } else {
-                    checkpoint_errors += 1;
-                }
-
-                let Rig { engine, site } = rig;
-                drop(engine);
-                site.crash(crash_seed);
-
-                let mut engine = site.reopen();
-                engine.check().unwrap();
-                let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
-                assert!(
-                    matching_prefix(&recovered, &acked, synced).is_some(),
-                    "{} barrier {barrier} seed {crash_seed}: \
-                     recovery lost acked state (synced={synced})",
-                    kind.name(),
-                );
-                engine.put(b"post-crash", b"ok").unwrap();
+            let mut acked: Vec<Op> = Vec::new();
+            for i in 0..30u32 {
+                let k = format!("k{:02}", i % 6).into_bytes();
+                let v = format!("v{i}").into_bytes();
+                rig.store.put(&k, &v).unwrap();
+                acked.push(Op::Put(k, v));
             }
+            rig.store.sync().unwrap();
+            let mut synced = acked.len();
+            for i in 0..4u32 {
+                let k = format!("x{i}").into_bytes();
+                rig.store.put(&k, b"u").unwrap();
+                acked.push(Op::Put(k, b"u".to_vec()));
+            }
+
+            // Fail the (barrier+1)-th sync the seal issues; barriers past
+            // the seal's sync count simply pass.
+            ctl.fail_syncs_after(barrier, 1);
+            if rig.store.seal().is_ok() {
+                synced = acked.len();
+            } else {
+                seal_errors += 1;
+            }
+
+            let mut store = rig.crash_and_reopen(crash_seed);
+            store.check().unwrap();
+            let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+            assert!(
+                matching_prefix(&recovered, &acked, synced).is_some(),
+                "barrier {barrier} seed {crash_seed}: \
+                 recovery lost acked state (synced={synced})",
+            );
+            store.put(b"post-crash", b"ok").unwrap();
         }
-        assert!(
-            checkpoint_errors > 0,
-            "{}: no barrier ever failed — the sweep is vacuous",
-            kind.name(),
-        );
     }
+    assert!(
+        seal_errors > 0,
+        "no barrier ever failed — the sweep is vacuous"
+    );
 }
 
 /// Crash mid-seal between the (fully synced) run file and the manifest
@@ -852,7 +544,7 @@ fn crash_mid_compaction_preserves_sealed_state() {
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-compaction crash");
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected,
@@ -923,7 +615,7 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-tier-compaction crash");
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected,
@@ -936,7 +628,7 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
             );
             // Retried tier merges converge without changing the state.
             while store.compact_tier_now().unwrap() {}
-            Engine::check(&mut store).unwrap();
+            store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected
@@ -950,63 +642,6 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
                 expected
             );
         }
-    }
-}
-
-/// A store seeded with a legacy v1-format run must upgrade to v2 through
-/// compaction even when a crash interrupts the upgrade: whichever side of
-/// the crash the manifest record lands on, the v1 data stays readable,
-/// and a clean retry leaves every live run in v2 format.
-#[test]
-fn v1_runs_upgrade_to_v2_across_a_crash() {
-    for crash_seed in [0u64, 11, 0xBEEF] {
-        let dir = MemDir::new();
-        let handle = dir.handle();
-        let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
-        let ctl = faulty.control();
-        let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
-
-        store
-            .install_v1_run(&[
-                (b"legacy-a".to_vec(), Some(b"1".to_vec())),
-                (b"legacy-b".to_vec(), Some(b"2".to_vec())),
-            ])
-            .unwrap();
-        store.put(b"fresh", b"3").unwrap();
-        store.seal().unwrap();
-        assert!(
-            store.run_formats().contains(&1),
-            "setup must leave a live v1 run"
-        );
-        let expected = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
-
-        // Fail the compaction's manifest sync (#2): the merged v2 run is
-        // durable, the record committing it is staged but not.
-        ctl.fail_syncs_after(1, 1);
-        assert!(store.compact_now().is_err());
-        drop(store);
-
-        handle.crash(crash_seed);
-
-        let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
-            .expect("recovery must load v1 and v2 runs alike");
-        Engine::check(&mut store).unwrap();
-        assert_eq!(
-            store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-            expected,
-            "seed {crash_seed}: upgrade crash changed the logical state"
-        );
-        assert_eq!(store.get(b"legacy-a").unwrap().unwrap(), b"1");
-        // A clean compaction finishes the upgrade: v2 everywhere.
-        let _ = store.compact_now().unwrap();
-        assert!(
-            store.run_formats().iter().all(|&f| f == 2),
-            "seed {crash_seed}: v1 run survived the upgrade compaction"
-        );
-        assert_eq!(
-            store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-            expected
-        );
     }
 }
 
@@ -1046,11 +681,9 @@ proptest! {
     /// Any interleaving of writes, seals, per-tier merges, full merges
     /// and (synced) crashes leaves the tiered store read-equivalent to
     /// the flat `BTreeMap` model — point reads, bloom filters and sparse
-    /// indexes included — both with and without a legacy v1-format run
-    /// at the bottom of the stack.
+    /// indexes included.
     #[test]
     fn tiered_compaction_is_read_equivalent_to_flat_model(
-        seed_v1 in any::<bool>(),
         ops in proptest::collection::vec(tier_op_strategy(), 1..48),
     ) {
         let dir = MemDir::new();
@@ -1058,17 +691,6 @@ proptest! {
         let mut store =
             LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        if seed_v1 {
-            let legacy = [
-                (b"a".to_vec(), Some(b"v1".to_vec())),
-                (b"b".to_vec(), Some(b"v1".to_vec())),
-            ];
-            store.install_v1_run(&legacy).unwrap();
-            for (k, v) in &legacy {
-                model.insert(k.clone(), v.clone().unwrap());
-            }
-            prop_assert!(store.run_formats().contains(&1));
-        }
         for op in &ops {
             match op {
                 TierOp::Put(k, v) => {
@@ -1107,7 +729,7 @@ proptest! {
                 );
             }
         }
-        Engine::check(&mut store).unwrap();
+        store.check().unwrap();
     }
 }
 
@@ -1119,73 +741,64 @@ proptest! {
 /// (write errors, torn writes, sync failures), then crash and reopen.
 /// Failed operations are simply not acked; the recovered state must be a
 /// model prefix of the *acked* sequence — injected faults never corrupt,
-/// they only shorten. Both engines, one body: the B+Tree faults its WAL
-/// device, the LSM faults the whole directory, so the schedule also
-/// lands inside budget-triggered auto-seals (whose failures are
+/// they only shorten. The whole directory is faulted, so the schedule
+/// also lands inside budget-triggered auto-seals (whose failures are
 /// deferred, never retracting an acked op).
 #[test]
 fn seeded_fault_schedule_preserves_prefix_consistency() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
-        for seed in [1u64, 7, 42, 0x2000_0101] {
-            let cfg = FaultConfig {
-                seed,
-                read_err_per_10k: 0, // reads must stay reliable for replay
-                write_err_per_10k: 800,
-                short_write_per_10k: 600,
-                sync_err_per_10k: 500,
-            };
-            let (mut rig, ctl) = open_faulty_rig(kind, cfg);
-            let registry = MetricsRegistry::new();
-            ctl.attach_registry(&registry);
+    for seed in [1u64, 7, 42, 0x2000_0101] {
+        let cfg = FaultConfig {
+            seed,
+            read_err_per_10k: 0, // reads must stay reliable for replay
+            write_err_per_10k: 800,
+            short_write_per_10k: 600,
+            sync_err_per_10k: 500,
+        };
+        let (mut rig, ctl) = open_faulty_rig(cfg);
+        let registry = MetricsRegistry::new();
+        ctl.attach_registry(&registry);
 
-            // Acked operations in order; failures are dropped (not acked).
-            let mut acked: Vec<Op> = Vec::new();
-            for i in 0..240u32 {
-                let k = format!("k{:02}", i % 24).into_bytes();
-                if i % 5 == 4 {
-                    let _ = rig.engine.sync(); // may fail: no watermark credit
-                } else if i % 7 == 6 {
-                    if rig.engine.delete(&k).is_ok() {
-                        acked.push(Op::Delete(k));
-                    }
-                } else {
-                    let v = format!("v{i}").into_bytes();
-                    if rig.engine.put(&k, &v).is_ok() {
-                        acked.push(Op::Put(k, v));
-                    }
+        // Acked operations in order; failures are dropped (not acked).
+        let mut acked: Vec<Op> = Vec::new();
+        for i in 0..240u32 {
+            let k = format!("k{:02}", i % 24).into_bytes();
+            if i % 5 == 4 {
+                let _ = rig.store.sync(); // may fail: no watermark credit
+            } else if i % 7 == 6 {
+                if rig.store.delete(&k).is_ok() {
+                    acked.push(Op::Delete(k));
+                }
+            } else {
+                let v = format!("v{i}").into_bytes();
+                if rig.store.put(&k, &v).is_ok() {
+                    acked.push(Op::Put(k, v));
                 }
             }
-            assert!(
-                ctl.injected_total() > 0,
-                "{} seed {seed}: schedule never fired — test is vacuous",
-                kind.name(),
-            );
-            let snap = registry.snapshot();
-            assert_eq!(
-                snap.counter("fault.injected.write_errors")
-                    + snap.counter("fault.injected.short_writes")
-                    + snap.counter("fault.injected.sync_errors"),
-                ctl.injected_total(),
-                "obs mirror must agree with the control handle"
-            );
-
-            let Rig { engine, site } = rig;
-            drop(engine);
-            site.crash(seed.wrapping_mul(0x5851_F42D_4C95_7F2D));
-
-            let mut engine = site.reopen();
-            engine.check().unwrap();
-            let recovered = engine.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
-            assert!(
-                matching_prefix(&recovered, &acked, 0).is_some(),
-                "{} seed {seed}: recovered state is not a prefix of the acked ops",
-                kind.name(),
-            );
         }
+        assert!(
+            ctl.injected_total() > 0,
+            "seed {seed}: schedule never fired — test is vacuous",
+        );
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("fault.injected.write_errors")
+                + snap.counter("fault.injected.short_writes")
+                + snap.counter("fault.injected.sync_errors"),
+            ctl.injected_total(),
+            "obs mirror must agree with the control handle"
+        );
+
+        let store = rig.crash_and_reopen(seed.wrapping_mul(0x5851_F42D_4C95_7F2D));
+        store.check().unwrap();
+        let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(
+            matching_prefix(&recovered, &acked, 0).is_some(),
+            "seed {seed}: recovered state is not a prefix of the acked ops",
+        );
     }
 }
 
-/// LSM compaction chaos: seal/compact cycles under a seeded fault
+/// Compaction chaos: seal/compact cycles under a seeded fault
 /// schedule. Reorganization failures only defer the merge — the live
 /// view always equals the acked model, a crash recovers a prefix, and a
 /// clean retry converges to a single run with nothing lost.
@@ -1235,7 +848,7 @@ fn seeded_compaction_chaos_never_corrupts() {
 
         let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
             .expect("recovery after compaction chaos");
-        Engine::check(&mut store).unwrap();
+        store.check().unwrap();
         let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert!(
             matching_prefix(&recovered, &acked, 0).is_some(),
@@ -1257,36 +870,29 @@ fn seeded_compaction_chaos_never_corrupts() {
 /// attached — the observability contract the F3 experiment reads.
 #[test]
 fn recovery_metrics_report_replay_and_repair() {
-    let wal_storage = MemStorage::new();
-    let wal_handle = wal_storage.handle();
-    let mut kv = KvStore::open_with_storage(
-        Box::new(wal_storage),
-        Box::new(MemStorage::new()),
-        small_opts(),
-    )
-    .unwrap();
-    kv.put(b"a", b"1").unwrap();
-    kv.put(b"b", b"2").unwrap();
-    kv.wal_mut().sync().unwrap();
-    drop(kv);
+    let dir = MemDir::new();
+    {
+        let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
+        store.put(b"a", b"1").unwrap();
+        store.put(b"b", b"2").unwrap();
+        store.sync().unwrap();
+    }
 
     // Tear mid-frame: strip the last 3 bytes of the log.
-    let bytes = wal_handle.current_bytes();
-    let torn = bytes[..bytes.len() - 3].to_vec();
-    let mut kv = KvStore::open_with_storage(
-        Box::new(MemStorage::from_bytes(torn)),
-        Box::new(MemStorage::new()),
-        small_opts(),
-    )
-    .unwrap();
+    {
+        let mut wal = dir.open("wal").unwrap();
+        let len = wal.len().unwrap();
+        wal.set_len(len - 3).unwrap();
+    }
+    let mut store = LsmStore::open_with_dir(Arc::new(dir), small_lsm_opts()).unwrap();
     let registry = MetricsRegistry::new();
-    kv.attach_registry(&registry);
+    store.attach_registry(&registry);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("store.recovery.replayed_records"), 1);
     assert_eq!(snap.counter("store.recovery.torn_tails"), 1);
     assert!(snap.counter("store.recovery.repaired_bytes") > 0);
-    assert_eq!(kv.stats().recovered_records, 1);
-    assert!(kv.stats().recovered_torn_tail);
-    assert_eq!(kv.get(b"a").unwrap().unwrap(), b"1");
-    assert!(kv.get(b"b").unwrap().is_none(), "torn record dropped");
+    assert_eq!(store.stats().recovered_records, 1);
+    assert!(store.stats().recovered_torn_tail);
+    assert_eq!(store.get(b"a").unwrap().unwrap(), b"1");
+    assert!(store.get(b"b").unwrap().is_none(), "torn record dropped");
 }

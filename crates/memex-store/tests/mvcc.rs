@@ -1,4 +1,4 @@
-//! MVCC acceptance for the LSM engine: a snapshot opened before an
+//! MVCC acceptance for the keyed store: a snapshot opened before an
 //! ingest burst reads the *exact* pre-burst state with zero blocking —
 //! its reads take no lock — while the writer ingests, the tiny memtable
 //! budget forces seals, and the background compaction demon merges runs
@@ -14,7 +14,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use memex_obs::MetricsRegistry;
-use memex_store::engine::EngineKind;
 use memex_store::lsm::{LsmOptions, LsmStore};
 
 fn burst_opts() -> LsmOptions {
@@ -117,28 +116,29 @@ fn snapshot_scans_pre_burst_state_while_ingest_and_compaction_run() {
     }
 }
 
-/// The same pinning contract through the engine-neutral trait: both
-/// engines hand out `SnapshotView`s that ignore later writes.
+/// The same pinning contract with nothing running underneath: a snapshot
+/// ignores later overwrites and the seal that moves them into a run.
 #[test]
-fn engine_snapshots_pin_their_view_for_both_engines() {
-    for kind in [EngineKind::BTree, EngineKind::Lsm] {
-        let mut engine = memex_store::engine::open_memory(kind).unwrap();
-        for i in 0..10u8 {
-            engine.put(&[b'k', i], &[i]).unwrap();
-        }
-        let view = engine.snapshot().unwrap();
-        for i in 0..10u8 {
-            engine.put(&[b'k', i], &[i + 100]).unwrap();
-        }
-        engine.checkpoint().unwrap();
-        for i in 0..10u8 {
-            assert_eq!(
-                view.get(&[b'k', i]),
-                Some(vec![i]),
-                "{}: snapshot leaked a later write",
-                kind.name()
-            );
-            assert_eq!(engine.get(&[b'k', i]).unwrap(), Some(vec![i + 100]));
-        }
+fn snapshots_pin_their_view_across_overwrites_and_a_seal() {
+    let mut store = LsmStore::open_memory().unwrap();
+    for i in 0..10u8 {
+        store.put(&[b'k', i], &[i]).unwrap();
     }
+    let view = store.snapshot();
+    for i in 0..10u8 {
+        store.put(&[b'k', i], &[i + 100]).unwrap();
+    }
+    store.seal().unwrap();
+    for i in 0..10u8 {
+        assert_eq!(
+            view.get(&[b'k', i]),
+            Some(vec![i]),
+            "snapshot leaked a later write"
+        );
+        assert_eq!(store.get(&[b'k', i]).unwrap(), Some(vec![i + 100]));
+    }
+    assert!(
+        store.epoch() > view.epoch(),
+        "the seal moved the live epoch on"
+    );
 }

@@ -1,4 +1,4 @@
-//! Property-based tests for the storage substrate: the KV store is checked
+//! Property-based tests for the storage substrate: the keyed store is checked
 //! against a `BTreeMap` reference model, the WAL against replay semantics,
 //! and the codecs against round-trip + order-preservation laws.
 
@@ -8,7 +8,7 @@ use std::ops::Bound;
 use proptest::prelude::*;
 
 use memex_store::codec;
-use memex_store::kv::KvStore;
+use memex_store::lsm::{LsmOptions, LsmStore};
 use memex_store::rel::Value;
 use memex_store::wal::{Wal, WalRecord};
 
@@ -42,27 +42,36 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The KV store behaves exactly like an in-memory ordered map.
+    /// The keyed store behaves exactly like an in-memory ordered map —
+    /// with a budget small enough that the stream seals on its own, and a
+    /// tier merge after every explicit checkpoint.
     #[test]
     fn kv_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let mut kv = KvStore::open_memory().unwrap();
+        let mut kv = LsmStore::open_memory_opts(LsmOptions {
+            memtable_bytes: 256,
+            background_compaction: false,
+            ..LsmOptions::default()
+        })
+        .unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
-                    let old = kv.put(k, v).unwrap();
-                    let model_old = model.insert(k.clone(), v.clone());
-                    prop_assert_eq!(old, model_old);
+                    prop_assert_eq!(kv.get(k).unwrap(), model.get(k).cloned());
+                    kv.put(k, v).unwrap();
+                    model.insert(k.clone(), v.clone());
                 }
                 Op::Delete(k) => {
-                    let old = kv.delete(k).unwrap();
-                    let model_old = model.remove(k);
-                    prop_assert_eq!(old, model_old);
+                    prop_assert_eq!(kv.get(k).unwrap(), model.get(k).cloned());
+                    kv.delete(k).unwrap();
+                    model.remove(k);
                 }
-                Op::Checkpoint => kv.checkpoint().unwrap(),
+                Op::Checkpoint => {
+                    kv.seal().unwrap();
+                    kv.compact_tier_now().unwrap();
+                }
             }
         }
-        prop_assert_eq!(kv.len(), model.len() as u64);
         kv.check().unwrap();
         let scanned = kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         let expected: Vec<(Vec<u8>, Vec<u8>)> =

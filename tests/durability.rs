@@ -6,7 +6,7 @@ use std::ops::Bound;
 
 use memex::index::index::{IndexOptions, InvertedIndex};
 use memex::index::search::{bm25_search, Bm25Params};
-use memex::store::kv::{KvStore, KvStoreOptions};
+use memex::store::lsm::{LsmOptions, LsmStore};
 use memex::store::rel::{ColType, Column, Database, Predicate, Schema, Value};
 use memex::text::analyze::Analyzer;
 use memex::text::vocab::Vocabulary;
@@ -50,7 +50,7 @@ fn indexed_corpus_survives_restart_and_answers_queries() {
 fn metadata_db_and_term_store_recover_from_torn_wal() {
     let dir = tmpdir("torn");
     {
-        let mut kv = KvStore::open_dir(&dir, "terms", KvStoreOptions::default()).unwrap();
+        let mut kv = LsmStore::open_dir(dir.join("terms"), LsmOptions::default()).unwrap();
         for i in 0..200u32 {
             kv.put(format!("df:{i:06}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
@@ -60,11 +60,11 @@ fn metadata_db_and_term_store_recover_from_torn_wal() {
         kv.wal_mut().tear_tail(5).unwrap();
     }
     {
-        let mut kv = KvStore::open_dir(&dir, "terms", KvStoreOptions::default()).unwrap();
+        let kv = LsmStore::open_dir(dir.join("terms"), LsmOptions::default()).unwrap();
         assert!(kv.stats().recovered_torn_tail);
         // At most one record lost; everything else ordered and intact.
-        assert!(kv.len() >= 199);
         let all = kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(all.len() >= 199);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
         kv.check().unwrap();
     }

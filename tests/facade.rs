@@ -178,7 +178,7 @@ fn phrase_recall_finds_exact_word_runs() {
 fn umbrella_reexports_are_usable() {
     // The facade must expose every substrate for downstream use.
     let _ = memex::text::stem::stem("browsing");
-    let _ = memex::store::kv::KvStore::open_memory().unwrap();
+    let _ = memex::store::lsm::LsmStore::open_memory().unwrap();
     let mut g = memex::graph::graph::WebGraph::new();
     g.add_edge(0, 1);
     let _ = memex::cluster::hac::hac_cut(&[], 1);
