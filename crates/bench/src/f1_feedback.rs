@@ -19,7 +19,7 @@ use crate::table::{pct, Table};
 use crate::worlds::standard_corpus;
 
 /// Accuracy of the demon's guesses over one user's history per feedback
-/// round (exposed for the criterion bench).
+/// round.
 pub fn feedback_curve(quick: bool, seed: u64, rounds: usize, fixes_per_round: usize) -> Vec<f64> {
     let corpus = standard_corpus(quick, seed);
     let analyzed = corpus.analyze();

@@ -19,8 +19,7 @@ pub struct TrailOutcome {
     pub latency_ms: f64,
 }
 
-/// Run replay for every (user, primary interest) pair and average
-/// (exposed for the criterion bench).
+/// Run replay for every (user, primary interest) pair and average.
 pub fn run_once(quick: bool, sessions_per_user: usize, seed: u64) -> TrailOutcome {
     let corpus = standard_corpus(quick, seed);
     let mut community = standard_community(&corpus, quick, seed ^ 0x77);

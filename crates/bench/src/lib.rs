@@ -1,27 +1,25 @@
 //! # memex-bench — experiment harness
 //!
 //! One module per table/figure of EXPERIMENTS.md. Every module exposes
-//! `run(quick) -> Table`; the `experiments` binary prints them all, and the
-//! criterion benches in `benches/` time the hot operation of each.
+//! `run(quick) -> Table`; the `experiments` binary prints them all.
 //!
-//! `quick = true` shrinks workloads for CI/criterion; the committed
-//! EXPERIMENTS.md numbers come from `quick = false`.
+//! `quick = true` shrinks workloads for CI; the committed EXPERIMENTS.md
+//! numbers come from `quick = false`. Speed claims are not made here:
+//! `BENCHMARK.json` + `benchmark/` judge those.
 
-pub mod ablations;
-pub mod f1_feedback;
-pub mod f2_trail;
-pub mod f3_pipeline;
-pub mod f4_themes;
-pub mod n1_net;
-pub mod n2_lsm;
-pub mod t1_classify;
-pub mod t2_search;
-pub mod t3_cluster;
-pub mod t4_crawl;
-pub mod t5_recommend;
-pub mod t6_recall;
+mod ablations;
+mod f1_feedback;
+mod f2_trail;
+mod f3_pipeline;
+mod f4_themes;
+mod t1_classify;
+mod t2_search;
+mod t3_cluster;
+mod t4_crawl;
+mod t5_recommend;
+mod t6_recall;
 pub mod table;
-pub mod worlds;
+mod worlds;
 
 pub use table::Table;
 
@@ -99,14 +97,9 @@ pub fn all_experiments() -> Vec<Experiment> {
             ablations::run_em,
         ),
         (
-            "N1",
-            "memex-net: concurrent TCP serving with admission control",
-            n1_net::run,
-        ),
-        (
-            "N2",
-            "LSM tiered compaction: read flatness + write amplification",
-            n2_lsm::run,
+            "A6",
+            "Ablation: RDBMS vs lightweight store for term statistics (§3)",
+            ablations::run_store,
         ),
     ]
 }

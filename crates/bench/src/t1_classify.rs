@@ -26,14 +26,10 @@ pub struct ClassifyOutcome {
     pub targets: usize,
 }
 
-/// Run one configuration (exposed for the criterion bench).
-pub fn run_once(front_topic_bias: f64, quick: bool, seed: u64) -> ClassifyOutcome {
-    run_once_with_locality(front_topic_bias, 0.75, quick, seed)
-}
-
-/// Like [`run_once`] with explicit hyperlink topic-locality (the ablation
-/// axis: noisier links weaken the strongest evidence channel).
-pub fn run_once_with_locality(
+/// Run one configuration: front-page text bias plus hyperlink
+/// topic-locality (the ablation axis: noisier links weaken the strongest
+/// evidence channel).
+pub fn run_once(
     front_topic_bias: f64,
     link_locality: f64,
     quick: bool,
@@ -151,7 +147,7 @@ pub fn run(quick: bool) -> Table {
         let mut enh = 0.0;
         let mut targets = 0usize;
         for &s in seeds {
-            let o = run_once_with_locality(bias, locality, quick, s);
+            let o = run_once(bias, locality, quick, s);
             text += o.text_only_acc;
             enh += o.enhanced_acc;
             targets = o.targets;

@@ -20,8 +20,7 @@ pub struct SearchOutcome {
     pub precision_at_10: f64,
 }
 
-/// Build an index over a corpus of `pages_per_topic` and measure (exposed
-/// for the criterion bench).
+/// Build an index over a corpus of `pages_per_topic` and measure.
 pub fn run_once(pages_per_topic: usize, seed: u64) -> SearchOutcome {
     let corpus = Corpus::generate(CorpusConfig {
         num_topics: 8,

@@ -10,7 +10,7 @@ use memex_web::crawler::{focused_crawl, unfocused_crawl, CrawlTrace};
 
 use crate::table::{pct, Table};
 
-/// Run both crawlers on the T4 web (exposed for the criterion bench).
+/// Run both crawlers on the T4 web.
 pub fn run_once(quick: bool, seed: u64) -> (CrawlTrace, CrawlTrace, usize) {
     let corpus = Corpus::generate(CorpusConfig {
         num_topics: 6,

@@ -141,7 +141,6 @@ impl Memex {
         self.url_to_page.get(url).copied()
     }
 
-    /// Ingest one client event (guaranteed-immediate path).
     /// The metrics registry shared by every subsystem this Memex owns.
     pub fn registry(&self) -> &memex_obs::MetricsRegistry {
         self.server.registry()
@@ -153,6 +152,7 @@ impl Memex {
         &self.tracer
     }
 
+    /// Ingest one client event (guaranteed-immediate path).
     pub fn submit(&mut self, event: ClientEvent) -> bool {
         self.server.submit(event)
     }
@@ -270,10 +270,14 @@ impl Memex {
         k: usize,
     ) -> StoreResult<Vec<RecallHit>> {
         let q = self.analyzer.counts(query);
-        let query_terms: Vec<(u32, u32)> = q
+        let mut query_terms: Vec<(u32, u32)> = q
             .iter()
             .filter_map(|(t, &c)| self.server.vocab.id(t).map(|id| (id, c)))
             .collect();
+        // `q` is a HashMap: without a fixed term order the per-term f32
+        // shares of a >= 3-term query would be summed in hash order and the
+        // same recall would score differently in its last bits call to call.
+        query_terms.sort_unstable();
         let hits = bm25_search(
             &self.server.index,
             &query_terms,
@@ -591,7 +595,8 @@ impl Memex {
                 },
             })
             .collect();
-        lines.sort_by_key(|l| std::cmp::Reverse(l.bytes));
+        // Largest first; equal-byte folders by name, not in HashMap order.
+        lines.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.folder.cmp(&b.folder)));
         lines
     }
 

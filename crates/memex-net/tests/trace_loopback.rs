@@ -404,7 +404,7 @@ fn retried_read_gets_fresh_trace_id_linked_to_dead_attempt() {
 
 /// Tracing disabled must stay cheap. A hard <5% bound is too flaky for
 /// shared CI hardware, so this asserts a lenient envelope — the precise
-/// off/on ratio is measured and reported by the N1 bench (`BENCH_PR6.json`).
+/// off/on ratio is the benchmark's `bench.trace_overhead_pct` (`benchmark/`).
 #[test]
 fn disabled_tracing_keeps_request_throughput() {
     fn best_elapsed(enabled: bool) -> Duration {

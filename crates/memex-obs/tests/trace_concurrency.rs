@@ -6,7 +6,7 @@
 //! never yields a torn or duplicated entry.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memex_obs::trace::{annotate, span};
@@ -95,46 +95,88 @@ fn concurrent_completion_and_collection_yield_only_complete_trees() {
     assert!(retained.iter().all(|t| t.is_complete()));
 }
 
+/// Traces one writer has finished, split by whether the tracer was enabled
+/// when the trace started.
+#[derive(Default)]
+struct Progress {
+    traced: AtomicUsize,
+    untraced: AtomicUsize,
+}
+
 #[test]
 fn reconfiguration_races_with_writers_without_losing_structure() {
     let t = tracer(16);
     let stop = Arc::new(AtomicBool::new(false));
+    let progress: Vec<Arc<Progress>> = (0..4).map(|_| Arc::default()).collect();
 
-    let writers: Vec<_> = (0..4)
-        .map(|_| {
+    let writers: Vec<_> = progress
+        .iter()
+        .map(|progress| {
             let t = t.clone();
             let stop = stop.clone();
+            let progress = progress.clone();
             std::thread::spawn(move || {
-                let mut produced = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     let guard = t.start_trace("net.req", None);
+                    let traced = guard.is_active();
                     let _child = span("servlet");
                     drop(_child);
                     guard.finish();
-                    produced += 1;
+                    let done = if traced {
+                        &progress.traced
+                    } else {
+                        &progress.untraced
+                    };
+                    done.fetch_add(1, Ordering::Relaxed);
                 }
-                produced
             })
         })
         .collect();
+    let alive = || assert!(!writers.iter().any(|w| w.is_finished()), "a writer died");
 
-    // Flip capacity and enablement under live traffic.
-    for i in 0..50 {
+    // On a 1-2 vCPU host this thread could run all its flips before any
+    // writer is scheduled, so the race is made real, not assumed: no flip
+    // until every writer is mid-stream...
+    while progress
+        .iter()
+        .any(|p| p.traced.load(Ordering::Relaxed) == 0)
+    {
+        alive();
+        std::thread::yield_now();
+    }
+    let traced_before: Vec<usize> = progress
+        .iter()
+        .map(|p| p.traced.load(Ordering::Relaxed))
+        .collect();
+    let raced_both_states = || {
+        progress.iter().zip(&traced_before).all(|(p, &before)| {
+            p.traced.load(Ordering::Relaxed) > before && p.untraced.load(Ordering::Relaxed) > 0
+        })
+    };
+
+    // ...and capacity and enablement keep flipping under that traffic until
+    // every writer has finished traces under both enablement states.
+    let mut i = 0u64;
+    while i < 50 || !raced_both_states() {
+        alive();
         t.configure(TraceConfig {
             enabled: true,
-            recorder_capacity: if i % 2 == 0 { 4 } else { 32 },
+            recorder_capacity: if i.is_multiple_of(2) { 4 } else { 32 },
             slow_threshold_ns: u64::MAX,
             slow_capacity: 8,
             seed: i,
         });
-        t.set_enabled(i % 3 != 0);
+        t.set_enabled(!i.is_multiple_of(3));
         for trace in t.collect(false, 32) {
             assert!(trace.is_complete(), "resize tore a trace: {trace:?}");
         }
+        i += 1;
+        std::thread::yield_now();
     }
     t.set_enabled(true);
     stop.store(true, Ordering::Relaxed);
-    let produced: usize = writers.into_iter().map(|w| w.join().expect("writer")).sum();
-    assert!(produced > 0);
+    for w in writers {
+        w.join().expect("writer");
+    }
     assert!(t.collect(false, 32).iter().all(|t| t.is_complete()));
 }
