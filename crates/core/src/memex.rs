@@ -14,7 +14,7 @@
 //! | "who shares my interest most closely?" | [`Memex::similar_surfers`] |
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_graph::hits::top_authorities;
@@ -28,6 +28,7 @@ use memex_server::pipeline::{MemexServer, ServerOptions};
 use memex_store::error::StoreResult;
 use memex_text::analyze::Analyzer;
 use memex_text::vector::SparseVec;
+use memex_text::vocab::IdfTable;
 use memex_web::corpus::Corpus;
 
 use crate::folders::FolderSpace;
@@ -79,12 +80,58 @@ impl TopicFilter {
     }
 }
 
+/// What [`Memex::community_themes`] answers from, built once per cell.
+pub(crate) struct CommunityThemes {
+    /// The themes and the page id behind each theme document index.
+    pub(crate) view: (Themes, Vec<u32>),
+    /// Inverse of `view.1`: theme document index of a bookmarked page.
+    pub(crate) doc_of_page: HashMap<u32, usize>,
+}
+
+/// Community themes as a memoised pure function of the acknowledged
+/// writes. A bookmark only *captures* what pins the answer; the first
+/// theme read after it runs theme discovery (see [`Memex::refresh`]).
+/// The default cell pins the empty archive.
+#[derive(Default)]
+struct ThemesCell {
+    /// The themes are over `server.bookmarks[..bookmarks]`.
+    bookmarks: usize,
+    /// The vocabulary's idf weighting as it stood when bookmark number
+    /// `bookmarks` was recorded; the theme documents are weighted with it.
+    idf: IdfTable,
+    built: OnceLock<CommunityThemes>,
+}
+
+/// Registry handles of the demons [`Memex`] itself runs.
+struct DemonMetrics {
+    themes_builds: memex_obs::Counter,
+    themes_build_latency: memex_obs::Histogram,
+    themes_behind: memex_obs::Gauge,
+    classify_visits: memex_obs::Counter,
+    classify_rewalks: memex_obs::Counter,
+}
+
+impl DemonMetrics {
+    fn new(registry: &memex_obs::MetricsRegistry) -> DemonMetrics {
+        DemonMetrics {
+            themes_builds: registry.counter("demon.themes.builds"),
+            themes_build_latency: registry.histogram("demon.themes.build.latency"),
+            themes_behind: registry.gauge("demon.themes.behind"),
+            classify_visits: registry.counter("demon.classify.visits"),
+            classify_rewalks: registry.counter("demon.classify.rewalks"),
+        }
+    }
+}
+
 /// The assembled Memex system over a (simulated) web.
 ///
 /// Every query method takes `&self` so the serving layer can answer many
 /// queries in parallel behind an `RwLock`; all state maintenance (index
-/// commits, theme cache rebuilds, bookmark filing) happens in
-/// [`Memex::refresh`], which mutation paths run under the write lock.
+/// commits, bookmark filing, classification) happens in
+/// [`Memex::run_demons`] / [`Memex::refresh`], which mutation paths run
+/// under the write lock. The one thing a query may compute and keep is
+/// the community themes, memoised behind a [`OnceLock`]: a value every
+/// reader would compute identically, so no reader can observe the write.
 pub struct Memex {
     pub corpus: Arc<Corpus>,
     pub server: MemexServer<CorpusFetcher>,
@@ -95,12 +142,18 @@ pub struct Memex {
     url_to_page: HashMap<String, u32>,
     analyzer: Analyzer,
     theme_opts: ThemeOptions,
-    /// Cached community themes + the page id of each theme doc. Always
-    /// populated; rebuilt by [`Memex::refresh`] when bookmarks changed.
-    themes_cache: (Themes, Vec<u32>),
-    themes_built_at_bookmarks: usize,
+    /// Replaced by [`Memex::refresh`] whenever bookmarks were recorded.
+    themes: ThemesCell,
     /// Bookmarks already filed into folder spaces.
     filed_bookmarks: usize,
+    /// The classification demon's cursor into the append-only
+    /// `server.trails.visits()`: visits before it have been considered.
+    classified_visits: usize,
+    /// Users whose folder space changed since the last sweep (a bookmark
+    /// filed, or `&mut FolderSpace` handed out): only such a change can make
+    /// an old unassigned page classifiable, so only they are re-walked.
+    reclassify: HashSet<u32>,
+    metrics: DemonMetrics,
     /// Request tracer (flight recorder + slow log). Built disabled; the
     /// serving layer configures it ([`memex_obs::Tracer::configure`]).
     tracer: memex_obs::Tracer,
@@ -111,9 +164,9 @@ impl Memex {
     pub fn new(corpus: Arc<Corpus>, opts: MemexOptions) -> StoreResult<Memex> {
         let server = MemexServer::new(CorpusFetcher::new(corpus.clone()), opts.server)?;
         let url_to_page = corpus.pages.iter().map(|p| (p.url.clone(), p.id)).collect();
-        let empty_themes = ThemeDiscovery::new(opts.themes).run(&[], &[]);
         let tracer = memex_obs::Tracer::default();
         tracer.attach_registry(server.registry());
+        let metrics = DemonMetrics::new(server.registry());
         Ok(Memex {
             corpus,
             server,
@@ -122,9 +175,11 @@ impl Memex {
             url_to_page,
             analyzer: Analyzer::default(),
             theme_opts: opts.themes,
-            themes_cache: (empty_themes, Vec::new()),
-            themes_built_at_bookmarks: 0,
+            themes: ThemesCell::default(),
             filed_bookmarks: 0,
+            classified_visits: 0,
+            reclassify: HashSet::new(),
+            metrics,
             tracer,
         })
     }
@@ -157,8 +212,10 @@ impl Memex {
         self.server.submit(event)
     }
 
-    /// A user's folder space (created on first touch).
+    /// A user's folder space (created on first touch). The caller may edit
+    /// it, so the next [`Memex::run_demons`] re-walks this user's history.
     pub fn folder_space(&mut self, user: u32) -> &mut FolderSpace {
+        self.reclassify.insert(user);
         self.folder_spaces.entry(user).or_default()
     }
 
@@ -173,70 +230,103 @@ impl Memex {
     /// Run every background demon to quiescence: server fetch/index/trail
     /// demons, then bookmark filing and the per-user classification demon
     /// (Fig. 1's '?' guesses).
+    ///
+    /// The classification demon costs what the write changed: it considers
+    /// the visits recorded since its cursor, and walks a user's whole
+    /// history only when that user's folder space changed. The outcome is
+    /// that of sweeping every user's history on every call: a guess is never
+    /// revised and guesses do not train the classifier, so a page left
+    /// unassigned stays unclassifiable until its user's folder space changes.
     pub fn run_demons(&mut self) -> StoreResult<()> {
         self.server.drain_demons()?;
         // File newly recorded bookmarks into folder spaces.
-        let new_bookmarks: Vec<_> = self.server.bookmarks[self.filed_bookmarks..].to_vec();
-        self.filed_bookmarks = self.server.bookmarks.len();
-        for b in new_bookmarks {
-            let tf = self
-                .server
-                .tf(b.page)
-                .map(<[_]>::to_vec)
-                .unwrap_or_default();
+        for b in &self.server.bookmarks[self.filed_bookmarks..] {
+            let tf = self.server.tf(b.page).unwrap_or_default();
             let fs = self.folder_spaces.entry(b.user).or_default();
             let folder = fs.add_folder(&b.folder);
-            fs.bookmark(b.page, folder, &tf);
+            fs.bookmark(b.page, folder, tf);
+            self.reclassify.insert(b.user);
         }
-        // Classification demon: guess folders for each user's unfiled
-        // visited pages.
-        let users: Vec<u32> = self.folder_spaces.keys().copied().collect();
-        for user in users {
-            let pages = self.server.trails.user_pages(user, 0);
-            // `users` was listed from this map moments ago; skip rather
-            // than panic the serving thread if it ever disagrees.
-            let Some(fs) = self.folder_spaces.get_mut(&user) else {
-                continue;
-            };
-            for page in pages {
-                if fs.assignment(page).is_none() {
-                    if let Some(tf) = self.server.tf(page) {
-                        fs.classify(page, tf);
-                    }
+        self.filed_bookmarks = self.server.bookmarks.len();
+        // Classification demon: guess folders for unfiled visited pages.
+        let server = &self.server;
+        let guess = |fs: &mut FolderSpace, page: u32| {
+            if fs.assignment(page).is_none() {
+                if let Some(tf) = server.tf(page) {
+                    fs.classify(page, tf);
+                }
+            }
+        };
+        for user in self.reclassify.drain() {
+            if let Some(fs) = self.folder_spaces.get_mut(&user) {
+                self.metrics.classify_rewalks.inc();
+                for page in server.trails.user_pages(user, 0) {
+                    guess(fs, page);
                 }
             }
         }
+        let visits = server.trails.visits();
+        let new_visits = visits.get(self.classified_visits..).unwrap_or_default();
+        for v in new_visits {
+            if let Some(fs) = self.folder_spaces.get_mut(&v.user) {
+                guess(fs, v.page);
+            }
+        }
+        self.metrics.classify_visits.add(new_visits.len() as u64);
+        self.classified_visits = visits.len();
         self.refresh()
     }
 
-    /// Bring every query-visible cache up to date: seal the index buffer
-    /// and rebuild the community-theme cache if new bookmarks arrived.
+    /// Bring every query-visible structure up to date: seal the index
+    /// buffer, and if bookmarks were recorded since the community themes
+    /// were pinned, pin them anew.
     ///
-    /// Mutation paths (`run_demons`, `dispatch_write`) call this under the
-    /// write lock so that every query method can take `&self` — queries
-    /// never commit, never rebuild, never allocate folder spaces.
+    /// Pinning is a capture, not a build: the bookmark count and a copy of
+    /// the vocabulary's idf table go into a fresh cell, and the first
+    /// [`Memex::community_themes`] afterwards runs theme discovery from them
+    /// — themes as of the last bookmark, idf as it stood then, however many
+    /// pages are first visited in between. (`bookmarks[..n]` is append-only
+    /// and a bookmark is recorded only after its page's fetch was settled,
+    /// so the `tf` rows read at build time are those of capture time.)
     pub fn refresh(&mut self) -> StoreResult<()> {
         self.server.index.commit()?;
         let n_bookmarks = self.server.bookmarks.len();
-        if self.themes_built_at_bookmarks != n_bookmarks {
+        if self.themes.bookmarks != n_bookmarks {
+            self.metrics
+                .themes_behind
+                .add(n_bookmarks as i64 - self.themes.bookmarks as i64);
+            self.themes = ThemesCell {
+                bookmarks: n_bookmarks,
+                idf: self.server.vocab.idf_table().clone(),
+                built: OnceLock::new(),
+            };
+        }
+        Ok(())
+    }
+
+    /// The memoised themes, built on first use after a bookmark.
+    pub(crate) fn themes(&self) -> &CommunityThemes {
+        let cell = &self.themes;
+        cell.built.get_or_init(|| {
+            let _span = self.metrics.themes_build_latency.start_span();
             // Documents: distinct bookmarked pages.
             let mut doc_pages: Vec<u32> = Vec::new();
             let mut doc_of_page: HashMap<u32, usize> = HashMap::new();
-            let mut folders_by_key: HashMap<(u32, String), Vec<usize>> = HashMap::new();
-            for b in &self.server.bookmarks {
+            let mut folders_by_key: HashMap<(u32, &str), Vec<usize>> = HashMap::new();
+            for b in &self.server.bookmarks[..cell.bookmarks] {
                 let doc = *doc_of_page.entry(b.page).or_insert_with(|| {
                     doc_pages.push(b.page);
                     doc_pages.len() - 1
                 });
                 folders_by_key
-                    .entry((b.user, b.folder.clone()))
+                    .entry((b.user, &b.folder))
                     .or_default()
                     .push(doc);
             }
             let docs: Vec<SparseVec> = doc_pages
                 .iter()
                 .map(|&p| match self.server.tf(p) {
-                    Some(tf) => self.analyzer.tfidf(&self.server.vocab, tf),
+                    Some(tf) => self.analyzer.tfidf_at(&cell.idf, tf),
                     None => SparseVec::new(),
                 })
                 .collect();
@@ -245,15 +335,22 @@ impl Memex {
                 .map(|((user, name), mut docs)| {
                     docs.sort_unstable();
                     docs.dedup();
-                    UserFolder { user, name, docs }
+                    UserFolder {
+                        user,
+                        name: name.to_string(),
+                        docs,
+                    }
                 })
                 .collect();
             folders.sort_by(|a, b| (a.user, &a.name).cmp(&(b.user, &b.name)));
             let themes = ThemeDiscovery::new(self.theme_opts).run(&docs, &folders);
-            self.themes_cache = (themes, doc_pages);
-            self.themes_built_at_bookmarks = n_bookmarks;
-        }
-        Ok(())
+            self.metrics.themes_builds.inc();
+            self.metrics.themes_behind.set(0);
+            CommunityThemes {
+                view: (themes, doc_pages),
+                doc_of_page,
+            }
+        })
     }
 
     // -- Q1: recall ---------------------------------------------------------
@@ -603,12 +700,13 @@ impl Memex {
     // -- Q5: community themes -------------------------------------------------
 
     /// Consolidate all users' public folders into the community theme
-    /// taxonomy (Fig. 4). Served from the cache maintained by
-    /// [`Memex::refresh`] — call `run_demons`/`refresh` after bookmark
-    /// mutations to pick up new folders. Returns the themes plus the page
+    /// taxonomy (Fig. 4), as of the last bookmark [`Memex::refresh`] saw —
+    /// call `run_demons`/`refresh` after bookmark mutations to pick up new
+    /// folders. The first call after such a refresh runs theme discovery;
+    /// later ones return the same value. Returns the themes plus the page
     /// id behind each theme document index.
     pub fn community_themes(&self) -> &(Themes, Vec<u32>) {
-        &self.themes_cache
+        &self.themes().view
     }
 
     /// TF-IDF vector of a fetched page.

@@ -22,33 +22,20 @@ use crate::memex::Memex;
 /// [`profile_similarity`]'s fixed summation order.
 pub fn theme_profile(memex: &Memex, user: u32) -> BTreeMap<TopicId, f64> {
     let pages = memex.server.trails.user_pages(user, 0);
-    // Snapshot what we need from the cache to keep borrows simple.
-    let (doc_theme, doc_pages, taxonomy) = {
-        let (themes, doc_pages) = memex.community_themes();
-        (
-            themes.doc_theme.clone(),
-            doc_pages.clone(),
-            themes.taxonomy.clone(),
-        )
-    };
-    let doc_of_page: HashMap<u32, usize> =
-        doc_pages.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+    let community = memex.themes();
+    let (themes, _) = &community.view;
     let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
     let total = pages.len().max(1) as f64;
     for page in pages {
-        let theme = match doc_of_page.get(&page) {
-            Some(&d) => doc_theme.get(d).copied().flatten(),
-            None => {
-                let v = memex.page_vector(page);
-                let (themes, _) = memex.community_themes();
-                v.and_then(|v| themes.assign(&v))
-            }
+        let theme = match community.doc_of_page.get(&page) {
+            Some(&d) => themes.doc_theme.get(d).copied().flatten(),
+            None => memex.page_vector(page).and_then(|v| themes.assign(&v)),
         };
         if let Some(node) = theme {
             let mut cur = Some(node);
             while let Some(c) = cur {
                 *profile.entry(c).or_insert(0.0) += 1.0 / total;
-                cur = taxonomy.parent(c);
+                cur = themes.taxonomy.parent(c);
             }
         }
     }

@@ -1,0 +1,238 @@
+//! The community themes are built by the first *reader* after a bookmark,
+//! under the shared lock. This races that build: after each bookmark ack
+//! four clients ask `SimilarSurfers` at the same moment (a barrier, not a
+//! sleep) while the writer keeps streaming visits. Every answer must be the
+//! one an in-process twin gives at some write epoch the request could have
+//! seen — never one from before the last ack it followed, which is what a
+//! stale cache hit or a theme memo surviving its bookmark would look like —
+//! and each bookmark-then-read must run theme discovery exactly once however
+//! many readers arrive together.
+//!
+//! Runs under the nightly TSan job in CI (`san-matrix`), which race-checks
+//! the `OnceLock` memo behind `RwLock<Memex>` read guards.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
+use memex_core::memex::{Memex, MemexOptions};
+use memex_core::servlet::{dispatch, Request, Response};
+use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_server::events::{ClientEvent, VisitEvent};
+use memex_web::corpus::{Corpus, CorpusConfig};
+
+const READERS: usize = 4;
+const ROUNDS: usize = 5;
+const VISITS_PER_ROUND: usize = 6;
+const READS_PER_ROUND: usize = 3;
+
+fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
+    Request::Event(ClientEvent::Visit(VisitEvent {
+        user,
+        session: 1,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        time,
+        referrer: None,
+    }))
+}
+
+fn bookmark(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
+    Request::Event(ClientEvent::Bookmark {
+        user,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        folder: format!("/topic{}", corpus.topic_of(page)),
+        time,
+    })
+}
+
+/// Four users, two per topic, each with a short trail and two bookmarks.
+/// Deterministic: the served archive and its in-process twin are both built
+/// by this.
+fn world(corpus: &Arc<Corpus>) -> Memex {
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
+    let mut time = 0u64;
+    for user in 0..READERS as u32 {
+        memex
+            .register_user(user, &format!("user{user}"))
+            .expect("register");
+        let pages = corpus.pages_of_topic(user as usize % 2);
+        for (i, &page) in pages.iter().skip(user as usize).take(8).enumerate() {
+            time += 1;
+            let mut writes = vec![visit(corpus, user, page, time)];
+            if i < 2 {
+                writes.push(bookmark(corpus, user, page, time));
+            }
+            for w in writes {
+                assert!(!matches!(dispatch(&mut memex, w), Response::Error(_)));
+            }
+        }
+    }
+    memex
+}
+
+/// The write stream: per round one bookmark, then the visits the writer
+/// streams while the readers read.
+fn rounds(corpus: &Corpus) -> Vec<Vec<Request>> {
+    let mut time = 10_000u64;
+    (0..ROUNDS)
+        .map(|round| {
+            let user = (round % READERS) as u32;
+            let pages = corpus.pages_of_topic((round + 1) % 2);
+            time += 1;
+            let mut writes = vec![bookmark(corpus, user, pages[20 + round], time)];
+            for i in 0..VISITS_PER_ROUND {
+                time += 1;
+                let visitor = ((round + i) % READERS) as u32;
+                writes.push(visit(corpus, visitor, pages[10 + round + i], time));
+            }
+            writes
+        })
+        .collect()
+}
+
+fn question(reader: usize) -> Request {
+    Request::SimilarSurfers {
+        user: reader as u32,
+        k: READERS,
+    }
+}
+
+fn themes_built(client: &mut MemexClient) -> u64 {
+    match client.request(&Request::Stats).expect("stats") {
+        Response::Stats(snap) => snap.counter("demon.themes.builds"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+#[test]
+fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        num_topics: 2,
+        pages_per_topic: 40,
+        ..CorpusConfig::default()
+    }));
+    let rounds = rounds(&corpus);
+
+    // truth[e][r]: reader r's answer once e writes of the stream are in.
+    let mut twin = world(&corpus);
+    let answers = |twin: &mut Memex| -> Vec<Response> {
+        (0..READERS).map(|r| dispatch(twin, question(r))).collect()
+    };
+    let mut truth = vec![answers(&mut twin)];
+    for write in rounds.iter().flatten() {
+        assert_eq!(
+            dispatch(&mut twin, write.clone()),
+            Response::Ack { archived: true }
+        );
+        truth.push(answers(&mut twin));
+    }
+    let truth = Arc::new(truth);
+    assert!(
+        truth.windows(2).filter(|w| w[0] != w[1]).count() >= ROUNDS * 2,
+        "the stream must move the answers, or any epoch would pass for any other"
+    );
+
+    let config = NetServerConfig {
+        workers: READERS + 2,
+        max_in_flight: 64,
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::start(world(&corpus), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    // Writes sent so far (bumped before the frame goes out) and writes
+    // acknowledged so far: together they bound the epochs a read can see.
+    let sent = Arc::new(AtomicUsize::new(0));
+    let acked = Arc::new(AtomicUsize::new(0));
+    // Readers and writer meet here after every bookmark ack, and again when
+    // the round's reads and visits are done.
+    let barrier = Arc::new(Barrier::new(READERS + 1));
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let (truth, sent, acked, barrier) = (
+                Arc::clone(&truth),
+                Arc::clone(&sent),
+                Arc::clone(&acked),
+                Arc::clone(&barrier),
+            );
+            std::thread::spawn(move || {
+                let mut client =
+                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+                // Collected, not asserted: a reader that panicked mid-round
+                // would leave the others parked on the barrier for good.
+                let mut wrong = Vec::new();
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    for read in 0..READS_PER_ROUND {
+                        let oldest = acked.load(Ordering::SeqCst);
+                        let answer = client.request(&question(r));
+                        let newest = sent.load(Ordering::SeqCst);
+                        let right = answer
+                            .as_ref()
+                            .is_ok_and(|a| truth[oldest..=newest].iter().any(|t| t[r] == *a));
+                        if !right {
+                            wrong.push(format!(
+                                "reader {r}, round {round}, read {read}: {answer:?} is not the \
+                                 in-process answer at any epoch in {oldest}..={newest}"
+                            ));
+                        }
+                    }
+                    barrier.wait();
+                }
+                wrong
+            })
+        })
+        .collect();
+
+    let mut writer = MemexClient::connect(addr, ClientConfig::default()).expect("connect writer");
+    let mut send = |write: &Request| {
+        sent.fetch_add(1, Ordering::SeqCst);
+        let ack = writer.request(write).expect("write");
+        assert_eq!(ack, Response::Ack { archived: true });
+        acked.fetch_add(1, Ordering::SeqCst);
+    };
+    let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
+    assert_eq!(
+        themes_built(&mut stats),
+        0,
+        "building the world read no theme"
+    );
+    for (round, writes) in rounds.iter().enumerate() {
+        send(&writes[0]);
+        assert_eq!(
+            themes_built(&mut stats),
+            round as u64,
+            "the bookmark ack ran theme discovery"
+        );
+        barrier.wait();
+        for visit in &writes[1..] {
+            send(visit);
+        }
+        barrier.wait();
+        assert_eq!(
+            themes_built(&mut stats),
+            round as u64 + 1,
+            "{READERS} readers arriving together after bookmark {round} must share one build"
+        );
+    }
+    for h in readers {
+        let wrong = h.join().expect("reader thread");
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+
+    // Quiescent: every reader's question now has exactly the final answer,
+    // from the cache or not.
+    let last = truth.last().expect("non-empty");
+    for (r, expected) in last.iter().enumerate() {
+        assert_eq!(&stats.request(&question(r)).expect("final read"), expected);
+    }
+    // Close the idle connections, or shutdown waits out their read timeout.
+    drop((writer, stats));
+    let memex = server.shutdown();
+    let snap = memex.registry().snapshot();
+    assert_eq!(snap.counter("net.shed"), 0);
+    assert_eq!(snap.counter("net.req.panics"), 0);
+    assert_eq!(snap.counter("demon.themes.builds"), ROUNDS as u64);
+    assert_eq!(snap.gauge("demon.themes.behind"), 0);
+}

@@ -7,7 +7,7 @@ use crate::stem::stem;
 use crate::stopwords::is_stopword;
 use crate::tokenize::tokenize;
 use crate::vector::SparseVec;
-use crate::vocab::{TermId, Vocabulary};
+use crate::vocab::{IdfTable, TermId, Vocabulary};
 
 /// Bag-of-words counts for one document, pre-interning.
 pub type TermCounts = HashMap<String, u32>;
@@ -105,9 +105,15 @@ impl Analyzer {
     /// Convert tf pairs into a TF-IDF vector using `vocab`'s current df
     /// statistics: `(1 + ln tf) * idf(t)`, L2-normalised.
     pub fn tfidf(&self, vocab: &Vocabulary, tf_pairs: &[(TermId, u32)]) -> SparseVec {
+        self.tfidf_at(vocab.idf_table(), tf_pairs)
+    }
+
+    /// [`Analyzer::tfidf`] against idf statistics frozen earlier (a cloned
+    /// [`IdfTable`]): the vector the document had when the table was taken.
+    pub fn tfidf_at(&self, idf: &IdfTable, tf_pairs: &[(TermId, u32)]) -> SparseVec {
         let mut v: SparseVec = tf_pairs
             .iter()
-            .map(|&(id, tf)| (id, (1.0 + (tf as f32).ln()) * vocab.idf(id)))
+            .map(|&(id, tf)| (id, (1.0 + (tf as f32).ln()) * idf.idf(id)))
             .collect();
         v.normalize();
         v

@@ -19,4 +19,4 @@ pub mod vocab;
 
 pub use analyze::{Analyzer, AnalyzerOptions, TermCounts};
 pub use vector::SparseVec;
-pub use vocab::{TermId, Vocabulary};
+pub use vocab::{IdfTable, TermId, Vocabulary};

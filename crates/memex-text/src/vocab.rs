@@ -7,15 +7,45 @@ use std::collections::HashMap;
 /// Dense term identifier.
 pub type TermId = u32;
 
+/// Everything [`Vocabulary::idf`] reads, and nothing else: a clone is the
+/// vocabulary's idf weighting frozen at that instant (one `Vec<u32>` copy),
+/// so vectors can be weighted later exactly as they would have been then
+/// ([`crate::analyze::Analyzer::tfidf_at`]) while the live vocabulary keeps
+/// observing documents.
+#[derive(Debug, Default, Clone)]
+pub struct IdfTable {
+    /// Documents containing the term at least once.
+    doc_freq: Vec<u32>,
+    /// Total documents observed through [`Vocabulary::observe_doc`].
+    num_docs: u64,
+}
+
+impl IdfTable {
+    /// Document frequency of a term.
+    pub fn df(&self, id: TermId) -> u32 {
+        self.doc_freq.get(id as usize).copied().unwrap_or(0)
+    }
+
+    /// Documents observed so far.
+    pub fn num_docs(&self) -> u64 {
+        self.num_docs
+    }
+
+    /// Smoothed inverse document frequency `ln((N + 1) / (df + 1)) + 1`.
+    /// Always positive, defined even for unseen terms.
+    pub fn idf(&self, id: TermId) -> f32 {
+        let n = self.num_docs as f32;
+        let df = self.df(id) as f32;
+        ((n + 1.0) / (df + 1.0)).ln() + 1.0
+    }
+}
+
 /// Interning vocabulary with document-frequency accounting.
 #[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
     term_to_id: HashMap<String, TermId>,
     id_to_term: Vec<String>,
-    /// Documents containing the term at least once.
-    doc_freq: Vec<u32>,
-    /// Total documents observed through [`Vocabulary::observe_doc`].
-    num_docs: u64,
+    idf: IdfTable,
 }
 
 impl Vocabulary {
@@ -31,7 +61,7 @@ impl Vocabulary {
         let id = self.id_to_term.len() as TermId;
         self.term_to_id.insert(term.to_string(), id);
         self.id_to_term.push(term.to_string());
-        self.doc_freq.push(0);
+        self.idf.doc_freq.push(0);
         id
     }
 
@@ -56,9 +86,9 @@ impl Vocabulary {
 
     /// Record one document's distinct term set for df statistics.
     pub fn observe_doc(&mut self, distinct_terms: impl IntoIterator<Item = TermId>) {
-        self.num_docs += 1;
+        self.idf.num_docs += 1;
         for id in distinct_terms {
-            if let Some(df) = self.doc_freq.get_mut(id as usize) {
+            if let Some(df) = self.idf.doc_freq.get_mut(id as usize) {
                 *df += 1;
             }
         }
@@ -66,20 +96,22 @@ impl Vocabulary {
 
     /// Document frequency of a term.
     pub fn df(&self, id: TermId) -> u32 {
-        self.doc_freq.get(id as usize).copied().unwrap_or(0)
+        self.idf.df(id)
     }
 
     /// Documents observed so far.
     pub fn num_docs(&self) -> u64 {
-        self.num_docs
+        self.idf.num_docs()
     }
 
-    /// Smoothed inverse document frequency `ln((N + 1) / (df + 1)) + 1`.
-    /// Always positive, defined even for unseen terms.
+    /// Smoothed inverse document frequency, see [`IdfTable::idf`].
     pub fn idf(&self, id: TermId) -> f32 {
-        let n = self.num_docs as f32;
-        let df = self.df(id) as f32;
-        ((n + 1.0) / (df + 1.0)).ln() + 1.0
+        self.idf.idf(id)
+    }
+
+    /// The live idf inputs; clone to freeze them.
+    pub fn idf_table(&self) -> &IdfTable {
+        &self.idf
     }
 }
 
@@ -127,5 +159,22 @@ mod tests {
         }
         assert!(v.idf(rare) > v.idf(common));
         assert!(v.idf(common) > 0.0);
+    }
+
+    #[test]
+    fn a_cloned_idf_table_stays_where_it_was_frozen() {
+        let mut v = Vocabulary::new();
+        let web = v.intern("web");
+        v.observe_doc([web]);
+        let frozen = v.idf_table().clone();
+        let before = v.idf(web);
+        let late = v.intern("late");
+        v.observe_doc([late]);
+        v.observe_doc([late]);
+        assert_ne!(v.idf(web).to_bits(), before.to_bits(), "live idf moved");
+        assert_eq!(frozen.idf(web).to_bits(), before.to_bits());
+        assert_eq!(frozen.num_docs(), 1);
+        // A term interned after the freeze is unseen there, as it was then.
+        assert_eq!(frozen.df(late), 0);
     }
 }

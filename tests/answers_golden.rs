@@ -78,10 +78,9 @@ fn requests(corpus: &Corpus, community: &Community, memex: &Memex) -> Vec<Reques
             .iter()
             .find(|v| v.user == user)
             .expect("every simulated user visits something");
-        // Two words, not more: `recall` sums each term's BM25 share in
-        // `HashMap` order, and f32 addition commutes but does not
-        // associate, so three or more terms differ in their last bits
-        // from one process to the next (on either engine).
+        // Two words: what the list asked when `GOLDEN` was generated, so
+        // they stay. (`recall` sums a query's per-term BM25 shares in
+        // sorted term order, so longer queries would digest stably too.)
         let query: Vec<&str> = corpus.pages[first.page as usize]
             .text
             .split_whitespace()
