@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use memex_index::index::{IndexOptions, InvertedIndex};
+use memex_index::index::InvertedIndex;
 use memex_index::search::{bm25_search, Bm25Params};
 use memex_text::analyze::Analyzer;
 use memex_web::corpus::{Corpus, CorpusConfig};
@@ -29,7 +29,7 @@ pub fn run_once(pages_per_topic: usize, seed: u64) -> SearchOutcome {
         ..CorpusConfig::default()
     });
     let analyzed = corpus.analyze();
-    let mut index = InvertedIndex::open_memory(IndexOptions::default()).expect("index");
+    let mut index = InvertedIndex::open_memory().expect("index");
     let start = Instant::now();
     for p in &corpus.pages {
         index

@@ -126,8 +126,8 @@ impl DemonMetrics {
 /// The assembled Memex system over a (simulated) web.
 ///
 /// Every query method takes `&self` so the serving layer can answer many
-/// queries in parallel behind an `RwLock`; all state maintenance (index
-/// commits, bookmark filing, classification) happens in
+/// queries in parallel behind an `RwLock`; all state maintenance
+/// (indexing, bookmark filing, classification) happens in
 /// [`Memex::run_demons`] / [`Memex::refresh`], which mutation paths run
 /// under the write lock. The one thing a query may compute and keep is
 /// the community themes, memoised behind a [`OnceLock`]: a value every
@@ -277,9 +277,11 @@ impl Memex {
         self.refresh()
     }
 
-    /// Bring every query-visible structure up to date: seal the index
-    /// buffer, and if bookmarks were recorded since the community themes
-    /// were pinned, pin them anew.
+    /// Bring every query-visible structure up to date: if bookmarks were
+    /// recorded since the community themes were pinned, pin them anew. (The
+    /// index needs nothing here: its queries read the buffer, and the buffer
+    /// bound alone decides when a segment is sealed. Nothing left can fail;
+    /// the `StoreResult` is the signature callers were written against.)
     ///
     /// Pinning is a capture, not a build: the bookmark count and a copy of
     /// the vocabulary's idf table go into a fresh cell, and the first
@@ -289,7 +291,6 @@ impl Memex {
     /// and a bookmark is recorded only after its page's fetch was settled,
     /// so the `tf` rows read at build time are those of capture time.)
     pub fn refresh(&mut self) -> StoreResult<()> {
-        self.server.index.commit()?;
         let n_bookmarks = self.server.bookmarks.len();
         if self.themes.bookmarks != n_bookmarks {
             self.metrics
@@ -355,6 +356,19 @@ impl Memex {
 
     // -- Q1: recall ---------------------------------------------------------
 
+    /// Visit-time filter: the pages `user` visited in `[since, until]`, each
+    /// with the time of its last such visit.
+    fn last_visits(&self, user: u32, since: u64, until: u64) -> HashMap<u32, u64> {
+        let mut last_visit: HashMap<u32, u64> = HashMap::new();
+        for v in self.server.trails.visits() {
+            if v.user == user && v.time >= since && v.time <= until {
+                let e = last_visit.entry(v.page).or_insert(0);
+                *e = (*e).max(v.time);
+            }
+        }
+        last_visit
+    }
+
     /// "What was the URL I visited about six months back regarding X?" —
     /// full-text search restricted to pages this user visited in
     /// `[since, until]`.
@@ -378,23 +392,10 @@ impl Memex {
         let hits = bm25_search(
             &self.server.index,
             &query_terms,
-            k * 20,
+            k.saturating_mul(20),
             Bm25Params::default(),
         )?;
-        // Visit-time filter per page for this user.
-        let mut last_visit: HashMap<u32, u64> = HashMap::new();
-        for v in self
-            .server
-            .trails
-            .visits()
-            .iter()
-            .filter(|v| v.user == user)
-        {
-            if v.time >= since && v.time <= until {
-                let e = last_visit.entry(v.page).or_insert(0);
-                *e = (*e).max(v.time);
-            }
-        }
+        let last_visit = self.last_visits(user, since, until);
         let mut out: Vec<RecallHit> = hits
             .into_iter()
             .filter_map(|h| {
@@ -437,19 +438,7 @@ impl Memex {
             return Ok(Vec::new());
         }; // unseen term: no match
         let docs = memex_index::search::phrase_search(&self.server.index, &ids)?;
-        let mut last_visit: HashMap<u32, u64> = HashMap::new();
-        for v in self
-            .server
-            .trails
-            .visits()
-            .iter()
-            .filter(|v| v.user == user)
-        {
-            if v.time >= since && v.time <= until {
-                let e = last_visit.entry(v.page).or_insert(0);
-                *e = (*e).max(v.time);
-            }
-        }
+        let last_visit = self.last_visits(user, since, until);
         let mut out: Vec<RecallHit> = docs
             .into_iter()
             .filter_map(|doc| {
@@ -584,11 +573,6 @@ impl Memex {
     /// that have appeared \[recently\]?" — authoritative pages in/near the
     /// community's recent on-topic trail graph that the user hasn't seen.
     pub fn whats_new(&self, user: u32, folder: TopicId, since: u64, k: usize) -> Vec<(u32, f64)> {
-        // Pin the index once, up front: the sweep below walks trails and
-        // the web graph for a while, and consulting live index state that
-        // deep in would read whatever ingest happens to have half-applied
-        // by then. Everything index-derived comes from this snapshot.
-        let index_snap = self.server.index.read_snapshot().ok();
         let on_topic = self.pages_on_topic(user, folder);
         // Community's recent on-topic pages, deduplicated in page order so
         // the graph expansion and authority scores below sum in one fixed
@@ -616,32 +600,17 @@ impl Memex {
             .filter(|v| v.user == user && v.time < since)
             .map(|v| v.page)
             .collect();
-        let fresh: Vec<(u32, f64)> =
-            top_authorities(&self.server.web, &base, k + seen_before.len())
-                .into_iter()
-                .filter(|(p, _)| {
-                    // Recommend only pages the pinned index knows: a page the
-                    // expansion reached but ingest has not indexed yet would
-                    // be recommended on graph shape alone.
-                    !seen_before.contains(p)
-                        && index_snap.as_ref().is_none_or(|s| s.doc_len(*p) > 0)
-                })
-                .take(k)
-                .collect();
-        if let Some(snap) = &index_snap {
-            // Staleness in engine-state transitions (seals, compactions,
-            // writes), not wall time: how far live ingest ran ahead of
-            // the view this sweep answered from.
-            let age = self
-                .server
-                .index
-                .engine_epoch()
-                .saturating_sub(snap.epoch());
-            self.registry()
-                .gauge("demon.whatsnew.snapshot_age")
-                .set(i64::try_from(age).unwrap_or(i64::MAX));
-        }
-        fresh
+        let wanted = k.saturating_add(seen_before.len());
+        top_authorities(&self.server.web, &base, wanted)
+            .into_iter()
+            .filter(|(p, _)| {
+                // Recommend only pages the index knows: a page the expansion
+                // reached but nobody archived would be recommended on graph
+                // shape alone.
+                !seen_before.contains(p) && self.server.index.doc_len(*p) > 0
+            })
+            .take(k)
+            .collect()
     }
 
     // -- Q4: ISP bill --------------------------------------------------------

@@ -278,9 +278,11 @@ pub fn dispatch_read(memex: &Memex, request: ReadRequest) -> Response {
             let entries: Vec<BookmarkEntry> = fs
                 .assignments()
                 .filter(|(_, a)| a.confirmed)
-                .map(|(page, a)| {
-                    let p = &memex.corpus.pages[page as usize];
-                    BookmarkEntry {
+                .filter_map(|(page, a)| {
+                    // A bookmark may name a page id the corpus lacks (ids
+                    // arrive over the wire); it has no URL to export.
+                    let p = memex.corpus.pages.get(page as usize)?;
+                    Some(BookmarkEntry {
                         folder_path: fs
                             .taxonomy
                             .path(a.folder)
@@ -290,7 +292,7 @@ pub fn dispatch_read(memex: &Memex, request: ReadRequest) -> Response {
                             .collect(),
                         url: p.url.clone(),
                         title: p.title.clone(),
-                    }
+                    })
                 })
                 .collect();
             Response::Exported(export_netscape(&entries))

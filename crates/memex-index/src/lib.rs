@@ -4,11 +4,12 @@
 //! this crate is that search. Term-level postings live in their own
 //! lightweight keyed store, a [`memex_store::LsmStore`] (the paper's
 //! architectural point: term-granularity data would overwhelm the
-//! RDBMS, so it gets the Berkeley-DB-style tier), written in
-//! segments by the background indexer demon and merged lazily:
+//! RDBMS, so it gets the Berkeley-DB-style tier), written by the
+//! background indexer demon one segment per 512 documents:
 //!
 //! * [`postings`] — delta+varint compressed posting lists;
-//! * [`index`] — the segmented inverted index (buffer → commit → merge);
+//! * [`index`] — the segmented inverted index (buffer → segments, gathered
+//!   per query);
 //! * [`search`] — BM25 ranked retrieval and boolean set queries.
 
 pub mod index;
@@ -16,5 +17,5 @@ pub mod postings;
 pub mod query;
 pub mod search;
 
-pub use index::{IndexOptions, IndexSnapshot, InvertedIndex};
+pub use index::InvertedIndex;
 pub use search::{BoolExpr, SearchHit};

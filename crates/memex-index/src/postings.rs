@@ -67,14 +67,6 @@ impl PostingList {
         Ok(())
     }
 
-    /// Union with another list (same term from another segment); duplicate
-    /// docs keep the larger tf.
-    pub fn merge(&self, other: &PostingList) -> PostingList {
-        let mut pairs = self.entries.clone();
-        pairs.extend_from_slice(&other.entries);
-        PostingList::from_pairs(pairs)
-    }
-
     /// Compressed encoding: delta-coded doc ids then varint tfs.
     pub fn encode(&self) -> StoreResult<Vec<u8>> {
         let mut out = Vec::with_capacity(self.entries.len() * 2 + 8);
@@ -112,12 +104,31 @@ pub struct PositionalList {
 }
 
 impl PositionalList {
-    pub fn new() -> PositionalList {
-        PositionalList::default()
+    /// Build from possibly-unsorted pairs; a duplicate doc keeps its
+    /// larger position set, the earlier of two equally large ones
+    /// (idempotent re-adds).
+    pub fn from_pairs(mut pairs: Vec<(u32, Vec<u32>)>) -> PositionalList {
+        pairs.sort_by_key(|&(d, _)| d);
+        let mut entries: Vec<(u32, Vec<u32>)> = Vec::with_capacity(pairs.len());
+        for (d, positions) in pairs {
+            match entries.last_mut() {
+                Some((last, kept)) if *last == d => {
+                    if positions.len() > kept.len() {
+                        *kept = positions;
+                    }
+                }
+                _ => entries.push((d, positions)),
+            }
+        }
+        PositionalList { entries }
     }
 
     pub fn entries(&self) -> &[(u32, Vec<u32>)] {
         &self.entries
+    }
+
+    pub fn into_entries(self) -> Vec<(u32, Vec<u32>)> {
+        self.entries
     }
 
     pub fn len(&self) -> usize {
@@ -132,45 +143,9 @@ impl PositionalList {
     pub fn positions(&self, doc: u32) -> &[u32] {
         self.entries
             .binary_search_by_key(&doc, |&(d, _)| d)
-            .map(|i| self.entries[i].1.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Append a document's occurrences; `doc` must exceed all present,
-    /// `positions` must be sorted strictly increasing and non-empty.
-    pub fn push(&mut self, doc: u32, positions: Vec<u32>) -> StoreResult<()> {
-        if positions.is_empty() {
-            return Err(StoreError::Invalid("empty position list".into()));
-        }
-        if positions.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(StoreError::Invalid(
-                "positions not strictly increasing".into(),
-            ));
-        }
-        if let Some(&(last, _)) = self.entries.last() {
-            if doc <= last {
-                return Err(StoreError::Invalid(format!(
-                    "positional doc {doc} not greater than last {last}"
-                )));
-            }
-        }
-        self.entries.push((doc, positions));
-        Ok(())
-    }
-
-    /// Union with another list (segments of the same term); on duplicate
-    /// docs the larger position set wins (idempotent re-adds).
-    pub fn merge(&self, other: &PositionalList) -> PositionalList {
-        let mut map: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
-        for (d, p) in self.entries.iter().chain(other.entries.iter()) {
-            let e = map.entry(*d).or_default();
-            if p.len() > e.len() {
-                *e = p.clone();
-            }
-        }
-        PositionalList {
-            entries: map.into_iter().collect(),
-        }
+            .ok()
+            .and_then(|i| self.entries.get(i))
+            .map_or(&[], |(_, positions)| positions.as_slice())
     }
 
     /// Compressed encoding: delta docs, then per doc a delta position list.
@@ -210,12 +185,12 @@ impl PositionalList {
 pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        match x.cmp(&y) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
-                out.push(a[i]);
+                out.push(x);
                 i += 1;
                 j += 1;
             }
@@ -264,10 +239,10 @@ pub fn difference(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len());
     let mut j = 0usize;
     for &x in a {
-        while j < b.len() && b[j] < x {
+        while b.get(j).is_some_and(|&y| y < x) {
             j += 1;
         }
-        if j >= b.len() || b[j] != x {
+        if b.get(j) != Some(&x) {
             out.push(x);
         }
     }
@@ -315,14 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_and_keeps_max_tf() {
-        let a = PostingList::from_pairs(vec![(1, 2), (3, 1)]);
-        let b = PostingList::from_pairs(vec![(2, 1), (3, 4)]);
-        let m = a.merge(&b);
-        assert_eq!(m.entries(), &[(1, 2), (2, 1), (3, 4)]);
-    }
-
-    #[test]
     fn set_ops() {
         let a = vec![1, 3, 5, 7];
         let b = vec![3, 4, 5, 8];
@@ -341,9 +308,7 @@ mod tests {
 
     #[test]
     fn positional_round_trip() {
-        let mut p = PositionalList::new();
-        p.push(3, vec![0, 4, 9]).unwrap();
-        p.push(10, vec![2]).unwrap();
+        let p = PositionalList::from_pairs(vec![(3, vec![0, 4, 9]), (10, vec![2])]);
         let enc = p.encode().unwrap();
         assert_eq!(PositionalList::decode(&enc).unwrap(), p);
         assert_eq!(p.positions(3), &[0, 4, 9]);
@@ -352,24 +317,14 @@ mod tests {
     }
 
     #[test]
-    fn positional_push_validation() {
-        let mut p = PositionalList::new();
-        assert!(p.push(1, vec![]).is_err());
-        assert!(p.push(1, vec![3, 3]).is_err());
-        p.push(5, vec![1, 2]).unwrap();
-        assert!(p.push(5, vec![0]).is_err(), "doc order enforced");
-        assert!(p.push(4, vec![0]).is_err());
-    }
-
-    #[test]
-    fn positional_merge_keeps_richer_entry() {
-        let mut a = PositionalList::new();
-        a.push(1, vec![0]).unwrap();
-        a.push(3, vec![1, 5]).unwrap();
-        let mut b = PositionalList::new();
-        b.push(1, vec![0, 7]).unwrap();
-        b.push(2, vec![4]).unwrap();
-        let m = a.merge(&b);
+    fn positional_from_pairs_keeps_richer_entry() {
+        let m = PositionalList::from_pairs(vec![
+            (3, vec![1, 5]),
+            (1, vec![0]),
+            (1, vec![0, 7]),
+            (2, vec![4]),
+            (2, vec![9]),
+        ]);
         assert_eq!(m.positions(1), &[0, 7]);
         assert_eq!(m.positions(2), &[4]);
         assert_eq!(m.positions(3), &[1, 5]);

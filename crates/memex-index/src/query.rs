@@ -43,10 +43,7 @@ impl Query {
                 break;
             }
             if let Some(after) = rest.strip_prefix('"') {
-                let (phrase, tail) = match after.find('"') {
-                    Some(end) => (&after[..end], &after[end + 1..]),
-                    None => (after, ""),
-                };
+                let (phrase, tail) = after.split_once('"').unwrap_or((after, ""));
                 let words: Vec<String> = phrase.split_whitespace().map(str::to_string).collect();
                 if !words.is_empty() {
                     q.phrases.push(words);
@@ -54,9 +51,8 @@ impl Query {
                 rest = tail;
                 continue;
             }
-            let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
-            let token = &rest[..end];
-            rest = &rest[end..];
+            let (token, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+            rest = tail;
             if let Some(t) = token.strip_prefix('+') {
                 if !t.is_empty() {
                     q.must.push(t.to_string());
@@ -155,7 +151,8 @@ pub fn execute(
             .map(|doc| SearchHit { doc, score: 1.0 })
             .collect()
     } else {
-        bm25_search(index, &ranked_ids, k * 20 + 50, Bm25Params::default())?
+        let pool = k.saturating_mul(20).saturating_add(50);
+        bm25_search(index, &ranked_ids, pool, Bm25Params::default())?
     };
     if let Some(allowed) = &allowed {
         hits.retain(|h| allowed.binary_search(&h.doc).is_ok());
@@ -176,7 +173,6 @@ pub fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexOptions;
 
     #[test]
     fn parser_splits_operators() {
@@ -210,7 +206,7 @@ mod tests {
     fn setup() -> (InvertedIndex, Vocabulary, Analyzer) {
         let analyzer = Analyzer::default();
         let mut vocab = Vocabulary::new();
-        let mut index = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let mut index = InvertedIndex::open_memory().unwrap();
         let docs = [
             (1u32, "bach organ fugue in classical style"),
             (2u32, "bach jazz crossover recordings"),

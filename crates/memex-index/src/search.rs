@@ -162,12 +162,12 @@ pub fn boolean_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{IndexOptions, InvertedIndex};
+    use crate::index::InvertedIndex;
 
     /// Docs: 1 = "music music bach", 2 = "music cycling", 3 = "cycling
     /// cycling gear", 4 = long doc mentioning music once.
     fn corpus() -> InvertedIndex {
-        let mut ix = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let mut ix = InvertedIndex::open_memory().unwrap();
         const MUSIC: u32 = 1;
         const BACH: u32 = 2;
         const CYCLING: u32 = 3;
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn phrase_search_requires_adjacency() {
-        let mut ix = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let mut ix = InvertedIndex::open_memory().unwrap();
         // Doc 1: "music bach organ"; doc 2: "music organ bach"; doc 3:
         // "bach music" (reverse); term ids: music=1, bach=2, organ=3.
         ix.add_document_positional(1, &[1, 2, 3]).unwrap();
@@ -267,23 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn phrase_search_survives_commit_and_merge() {
-        let mut ix = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+    fn phrase_search_spans_segments_and_the_buffer() {
+        let mut ix = InvertedIndex::open_memory().unwrap();
         ix.add_document_positional(1, &[7, 8]).unwrap();
         ix.commit().unwrap();
         ix.add_document_positional(2, &[7, 8]).unwrap();
         ix.add_document_positional(3, &[8, 7]).unwrap();
         assert_eq!(phrase_search(&ix, &[7, 8]).unwrap(), vec![1, 2]);
-        ix.merge_segments().unwrap();
-        assert_eq!(phrase_search(&ix, &[7, 8]).unwrap(), vec![1, 2]);
-        // Still writable afterwards.
+        ix.commit().unwrap();
         ix.add_document_positional(4, &[7, 8]).unwrap();
         assert_eq!(phrase_search(&ix, &[7, 8]).unwrap(), vec![1, 2, 4]);
     }
 
     #[test]
     fn empty_index_is_graceful() {
-        let ix = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let ix = InvertedIndex::open_memory().unwrap();
         assert!(bm25_search(&ix, &[(1, 1)], 5, Bm25Params::default())
             .unwrap()
             .is_empty());

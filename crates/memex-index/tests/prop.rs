@@ -1,12 +1,12 @@
 //! Property tests for the inverted index: the index agrees with a naive
-//! in-memory model across commits and merges, and boolean search obeys
-//! set-algebra laws (De Morgan, idempotence).
+//! in-memory model wherever the segment boundaries fall, and boolean search
+//! obeys set-algebra laws (De Morgan, idempotence).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use memex_index::index::{IndexOptions, InvertedIndex};
+use memex_index::index::InvertedIndex;
 use memex_index::query::Query;
 use memex_index::search::{boolean_search, phrase_search, BoolExpr};
 
@@ -14,15 +14,13 @@ use memex_index::search::{boolean_search, phrase_search, BoolExpr};
 enum Op {
     Add { doc: u32, terms: Vec<(u32, u32)> },
     Commit,
-    Merge,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u32..30, proptest::collection::vec((0u32..12, 1u32..4), 1..6))
             .prop_map(|(doc, terms)| Op::Add { doc, terms }),
-        1 => Just(Op::Commit),
-        1 => Just(Op::Merge),
+        2 => Just(Op::Commit),
     ]
 }
 
@@ -30,22 +28,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The index's postings match a reference model regardless of when
-    /// commits and merges happen.
+    /// commits happen.
     #[test]
     fn index_matches_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        let mut index = InvertedIndex::open_memory(IndexOptions {
-            auto_commit_docs: 7,
-        })
-        .unwrap();
+        let mut index = InvertedIndex::open_memory().unwrap();
         // term -> doc -> max tf (re-adds keep the max, see add_document docs).
         let mut model: BTreeMap<u32, BTreeMap<u32, u32>> = BTreeMap::new();
         let mut seen_docs: BTreeSet<u32> = BTreeSet::new();
         for op in ops {
             match op {
                 Op::Add { doc, terms } => {
-                    // The model mirrors the documented semantics: a re-added
-                    // doc id supersedes postings only per-term-max until a
-                    // merge; to keep the model simple we skip duplicate ids.
+                    // A re-added doc id unions its postings per-term-max; to
+                    // keep the model simple we skip duplicate ids.
                     if !seen_docs.insert(doc) {
                         continue;
                     }
@@ -60,7 +54,6 @@ proptest! {
                     }
                 }
                 Op::Commit => index.commit().unwrap(),
-                Op::Merge => index.merge_segments().unwrap(),
             }
         }
         for term in 0u32..12 {
@@ -80,7 +73,7 @@ proptest! {
     fn boolean_laws(
         docs in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..5), 1..20),
     ) {
-        let mut index = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let mut index = InvertedIndex::open_memory().unwrap();
         let mut universe = Vec::new();
         for (d, terms) in docs.iter().enumerate() {
             let d = d as u32;
@@ -127,7 +120,7 @@ proptest! {
         docs in proptest::collection::vec(proptest::collection::vec(0u32..5, 1..10), 1..15),
         phrase in proptest::collection::vec(0u32..5, 1..4),
     ) {
-        let mut index = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+        let mut index = InvertedIndex::open_memory().unwrap();
         for (d, terms) in docs.iter().enumerate() {
             index.add_document_positional(d as u32, terms).unwrap();
         }

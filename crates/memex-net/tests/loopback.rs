@@ -390,6 +390,117 @@ fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
     assert_eq!(snap.counter("net.req.poisoned"), 0, "the lock was poisoned");
 }
 
+/// Hostile numbers are harmless too: page ids, referrers and folder ids
+/// the archive cannot name, and counts at `usize::MAX`, through every
+/// servlet. Each answer is its typed variant — never the transport's
+/// "dispatch panicked" error — and known users keep being answered.
+#[test]
+fn hostile_ids_and_counts_get_typed_answers_through_every_servlet() {
+    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
+        .expect("bind");
+    let mut client =
+        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let user = USERS[0];
+    let requests = vec![
+        Request::Event(ClientEvent::Visit(VisitEvent {
+            user,
+            session: u32::MAX,
+            page: u32::MAX,
+            url: "https://nowhere.invalid/".into(),
+            time: u64::MAX,
+            referrer: Some(u32::MAX - 1),
+        })),
+        Request::Event(ClientEvent::Bookmark {
+            user,
+            page: u32::MAX,
+            url: "https://nowhere.invalid/".into(),
+            folder: "/hostile".into(),
+            time: u64::MAX,
+        }),
+        Request::ImportBookmarks {
+            user,
+            html: "<DL><DT><A HREF=\"https://nowhere.invalid/\">x</A></DL>".into(),
+            time: u64::MAX,
+        },
+        Request::Recall {
+            user,
+            query: "page".into(),
+            since: 0,
+            until: u64::MAX,
+            k: usize::MAX,
+        },
+        Request::TrailReplay {
+            user,
+            folder: u32::MAX,
+            since: 0,
+            max_pages: usize::MAX,
+        },
+        Request::WhatsNew {
+            user,
+            folder: u32::MAX,
+            since: 1,
+            k: usize::MAX,
+        },
+        Request::WhatsNew {
+            user,
+            folder: 1,
+            since: u64::MAX,
+            k: usize::MAX,
+        },
+        Request::Bill {
+            user,
+            since: u64::MAX,
+            until: 0,
+        },
+        Request::SimilarSurfers {
+            user,
+            k: usize::MAX,
+        },
+        Request::Recommend {
+            user,
+            k: usize::MAX,
+        },
+        Request::ProposeFolders {
+            user,
+            k: usize::MAX,
+        },
+        Request::ExportBookmarks { user },
+        Request::Traces {
+            slow_only: false,
+            limit: usize::MAX,
+        },
+        Request::Stats,
+    ];
+    for req in requests {
+        let resp = client
+            .request(&req)
+            .unwrap_or_else(|e| panic!("{req:?} transport error: {e}"));
+        let typed = match (&req, &resp) {
+            (Request::Event(_), Response::Ack { archived: true })
+            | (Request::ImportBookmarks { .. }, Response::Imported { unresolved: 1, .. })
+            | (Request::Recall { .. }, Response::Recall(_))
+            | (Request::TrailReplay { .. }, Response::TrailReplay(_))
+            | (Request::WhatsNew { .. }, Response::WhatsNew(_))
+            | (Request::Bill { .. }, Response::Bill(_))
+            | (Request::SimilarSurfers { .. }, Response::SimilarSurfers(_))
+            | (Request::Recommend { .. }, Response::Recommend(_))
+            | (Request::ProposeFolders { .. }, Response::Proposals(_))
+            | (Request::Traces { .. }, Response::Traces(_))
+            | (Request::Stats, Response::Stats(_)) => true,
+            // The hostile bookmark is filed, but has no URL to export.
+            (Request::ExportBookmarks { .. }, Response::Exported(html)) => {
+                html.contains("topic0") && !html.contains("hostile")
+            }
+            _ => false,
+        };
+        assert!(typed, "{req:?} answered {resp:?}");
+    }
+    drop(client);
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.req.panics"), 0, "a dispatch panicked");
+    assert_eq!(snap.counter("net.req.poisoned"), 0, "the lock was poisoned");
+}
+
 #[test]
 fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
     // The whole stack — Memex, servlets, wire — on the one storage

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use memex_graph::graph::WebGraph;
 use memex_graph::trail::{TrailGraph, Visit};
-use memex_index::index::{IndexOptions, InvertedIndex};
+use memex_index::index::InvertedIndex;
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use memex_store::error::StoreResult;
 use memex_store::rel::{ColType, Column, Database, Predicate, Schema, TableHandle, Value};
@@ -34,7 +34,6 @@ use crate::fetcher::{FetchError, PageFetcher, RetryPolicy};
 pub struct ServerOptions {
     /// Maximum bus batches retained before ingest starts discarding.
     pub max_retained_batches: usize,
-    pub index: IndexOptions,
     /// How hard the index demon tries before abandoning a page.
     pub retry: RetryPolicy,
 }
@@ -43,7 +42,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             max_retained_batches: 100_000,
-            index: IndexOptions::default(),
             retry: RetryPolicy::default(),
         }
     }
@@ -201,7 +199,7 @@ impl<F: PageFetcher> MemexServer<F> {
         bus.attach_registry(&registry);
         let trail_consumer = bus.register("trail-demon");
         let index_consumer = bus.register("index-demon");
-        let mut index = InvertedIndex::open_memory(opts.index)?;
+        let mut index = InvertedIndex::open_memory()?;
         index.attach_registry(&registry);
         let metrics = ServerMetrics::new(&registry);
         Ok(MemexServer {
@@ -372,13 +370,16 @@ impl<F: PageFetcher> MemexServer<F> {
         Ok(processed)
     }
 
-    /// Drive both demons to quiescence (test/bench convenience; a deployed
-    /// server calls the `run_*_demon` steps from its demon loops).
+    /// Drive both demons to quiescence, then let the bus forget what both
+    /// have applied (test/bench convenience; a deployed server calls the
+    /// `run_*_demon` steps from its demon loops).
     pub fn drain_demons(&mut self) -> StoreResult<()> {
         loop {
             let a = self.run_trail_demon(usize::MAX);
             let b = self.run_index_demon(usize::MAX)?;
             if a == 0 && b == 0 {
+                self.bus.trim();
+                self.metrics.bus_depth.set(self.bus.retained() as i64);
                 return Ok(());
             }
         }
@@ -623,6 +624,28 @@ mod tests {
         // Everything that survived was processed consistently by BOTH demons.
         assert_eq!(s.stats().visits_trailed, s.trails.len() as u64);
         assert!(s.trails.len() <= 20 - s.stats().events_discarded_overload as usize);
+    }
+
+    #[test]
+    fn the_bus_forgets_what_both_demons_applied() {
+        let (_, mut s) = server();
+        s.register_user(1, "u").unwrap();
+        for i in 0..6u32 {
+            s.submit(visit(1, i, u64::from(i)));
+        }
+        // One demon alone frees nothing: the other still needs the batches.
+        s.run_trail_demon(usize::MAX);
+        assert_eq!(s.bus.retained(), 6);
+        s.drain_demons().unwrap();
+        assert_eq!(s.bus.retained(), 0);
+        assert_eq!(s.metrics_snapshot().gauge("server.bus.depth"), 0);
+        assert_eq!(s.trails.len(), 6);
+        assert_eq!(s.index.num_docs(), 6);
+        // Still live afterwards.
+        s.submit(visit(1, 7, 7));
+        assert_eq!(s.metrics_snapshot().gauge("server.bus.depth"), 1);
+        s.drain_demons().unwrap();
+        assert_eq!(s.trails.len(), 7);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::ops::Bound;
 
-use memex::index::index::{IndexOptions, InvertedIndex};
+use memex::index::index::InvertedIndex;
 use memex::index::search::{bm25_search, Bm25Params};
 use memex::store::lsm::{LsmOptions, LsmStore};
 use memex::store::rel::{ColType, Column, Database, Predicate, Schema, Value};
@@ -28,7 +28,7 @@ fn indexed_corpus_survives_restart_and_answers_queries() {
         (3u32, "bach cantata recordings and scores"),
     ];
     {
-        let mut index = InvertedIndex::open_dir(&dir, IndexOptions::default()).unwrap();
+        let mut index = InvertedIndex::open_dir(&dir).unwrap();
         for (id, text) in docs {
             let tf = analyzer.index_document(&mut vocab, text);
             index.add_document(id, &tf).unwrap();
@@ -36,7 +36,7 @@ fn indexed_corpus_survives_restart_and_answers_queries() {
         index.checkpoint().unwrap();
     }
     {
-        let index = InvertedIndex::open_dir(&dir, IndexOptions::default()).unwrap();
+        let index = InvertedIndex::open_dir(&dir).unwrap();
         assert_eq!(index.num_docs(), 3);
         let bach = vocab.id(&memex::text::stem::stem("bach")).unwrap();
         let hits = bm25_search(&index, &[(bach, 1)], 10, Bm25Params::default()).unwrap();

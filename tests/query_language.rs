@@ -1,7 +1,7 @@
 //! End-to-end query-language test: the search-box syntax over a corpus
 //! indexed through the full analyzer pipeline (positions included).
 
-use memex::index::index::{IndexOptions, InvertedIndex};
+use memex::index::index::InvertedIndex;
 use memex::index::query::{execute, Query};
 use memex::text::analyze::Analyzer;
 use memex::text::vocab::Vocabulary;
@@ -16,7 +16,7 @@ fn search_box_syntax_over_an_analyzed_corpus() {
     });
     let analyzer = Analyzer::default();
     let mut vocab = Vocabulary::new();
-    let mut index = InvertedIndex::open_memory(IndexOptions::default()).unwrap();
+    let mut index = InvertedIndex::open_memory().unwrap();
     for p in &corpus.pages {
         let full = format!("{} {}", p.title, p.text);
         analyzer.index_document(&mut vocab, &full);
