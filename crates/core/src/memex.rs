@@ -16,7 +16,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
+use memex_cluster::themes::{nearest_theme, ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::TrailContext;
@@ -102,11 +102,44 @@ struct ThemesCell {
     built: OnceLock<CommunityThemes>,
 }
 
+/// One user's folder space and, beside it, what it implies for every page
+/// the community surfed.
+#[derive(Default)]
+struct UserSpace {
+    folders: FolderSpace,
+    /// page -> the folder it belongs to: the user's own confirmed filing
+    /// where there is one, else the leaf their topic filter routes it to;
+    /// pages the background class wins are absent. Memoised by the first
+    /// reader that needs it (see [`Memex::routing`]) and taken back whenever
+    /// an input moved.
+    routing: OnceLock<HashMap<u32, TopicId>>,
+}
+
+impl UserSpace {
+    /// The folder space, for editing: whatever the caller does to it, the
+    /// routing derived from it is gone first.
+    fn edit(&mut self, live: &memex_obs::Gauge) -> &mut FolderSpace {
+        self.kill_routing(live);
+        &mut self.folders
+    }
+
+    fn kill_routing(&mut self, live: &memex_obs::Gauge) {
+        if self.routing.take().is_some() {
+            live.add(-1);
+        }
+    }
+}
+
 /// Registry handles of the demons [`Memex`] itself runs.
 struct DemonMetrics {
     themes_builds: memex_obs::Counter,
     themes_build_latency: memex_obs::Histogram,
     themes_behind: memex_obs::Gauge,
+    page_themes_builds: memex_obs::Counter,
+    routing_builds: memex_obs::Counter,
+    routing_build_latency: memex_obs::Histogram,
+    /// Users whose routing is built.
+    routing_live: memex_obs::Gauge,
     classify_visits: memex_obs::Counter,
     classify_rewalks: memex_obs::Counter,
 }
@@ -117,6 +150,10 @@ impl DemonMetrics {
             themes_builds: registry.counter("demon.themes.builds"),
             themes_build_latency: registry.histogram("demon.themes.build.latency"),
             themes_behind: registry.gauge("demon.themes.behind"),
+            page_themes_builds: registry.counter("demon.page_themes.builds"),
+            routing_builds: registry.counter("demon.routing.builds"),
+            routing_build_latency: registry.histogram("demon.routing.build.latency"),
+            routing_live: registry.gauge("demon.routing.live"),
             classify_visits: registry.counter("demon.classify.visits"),
             classify_rewalks: registry.counter("demon.classify.rewalks"),
         }
@@ -129,21 +166,38 @@ impl DemonMetrics {
 /// queries in parallel behind an `RwLock`; all state maintenance
 /// (indexing, bookmark filing, classification) happens in
 /// [`Memex::run_demons`] / [`Memex::refresh`], which mutation paths run
-/// under the write lock. The one thing a query may compute and keep is
-/// the community themes, memoised behind a [`OnceLock`]: a value every
-/// reader would compute identically, so no reader can observe the write.
+/// under the write lock. What a query may compute and keep are the three
+/// memos behind a [`OnceLock`] each — the community themes, the page ->
+/// theme map and each user's page -> folder routing: values every reader
+/// would compute identically, so no reader can observe the write. The
+/// write path only ever takes them back, when one of their inputs moved.
 pub struct Memex {
     pub corpus: Arc<Corpus>,
     pub server: MemexServer<CorpusFetcher>,
-    folder_spaces: HashMap<u32, FolderSpace>,
+    folder_spaces: HashMap<u32, UserSpace>,
     /// Shared read-only stand-in for users without a folder space yet, so
-    /// `&self` queries never need `entry(..).or_default()`.
-    empty_folder_space: FolderSpace,
+    /// `&self` queries never need `entry(..).or_default()`. Its routing is
+    /// born built: no folders, so no page is routed anywhere.
+    empty_space: UserSpace,
     url_to_page: HashMap<String, u32>,
     analyzer: Analyzer,
     theme_opts: ThemeOptions,
     /// Replaced by [`Memex::refresh`] whenever bookmarks were recorded.
     themes: ThemesCell,
+    /// page -> nearest leaf theme, for every page surfed that is not a theme
+    /// document (those carry the theme discovery gave them). Built by the
+    /// first reader that needs it (see [`Memex::page_themes`]); taken back by
+    /// [`Memex::refresh`] when the themes were replaced or a page was seen
+    /// for the first time (the live idf moved).
+    page_themes: OnceLock<HashMap<u32, TopicId>>,
+    /// [`Memex::refresh`]'s cursor into the append-only
+    /// `server.trails.visits()`, the distinct pages before it, and the
+    /// number of pages the vocabulary had observed: a write moved the
+    /// domain, the idf or the background sample of the memos above exactly
+    /// if it moved one of the last two.
+    seen_visits: usize,
+    seen_pages: HashSet<u32>,
+    fetched_pages: u64,
     /// Bookmarks already filed into folder spaces.
     filed_bookmarks: usize,
     /// The classification demon's cursor into the append-only
@@ -171,11 +225,18 @@ impl Memex {
             corpus,
             server,
             folder_spaces: HashMap::new(),
-            empty_folder_space: FolderSpace::default(),
+            empty_space: UserSpace {
+                folders: FolderSpace::default(),
+                routing: OnceLock::from(HashMap::new()),
+            },
             url_to_page,
             analyzer: Analyzer::default(),
             theme_opts: opts.themes,
             themes: ThemesCell::default(),
+            page_themes: OnceLock::new(),
+            seen_visits: 0,
+            seen_pages: HashSet::new(),
+            fetched_pages: 0,
             filed_bookmarks: 0,
             classified_visits: 0,
             reclassify: HashSet::new(),
@@ -213,18 +274,24 @@ impl Memex {
     }
 
     /// A user's folder space (created on first touch). The caller may edit
-    /// it, so the next [`Memex::run_demons`] re-walks this user's history.
+    /// it, so the user's routing is dropped and the next
+    /// [`Memex::run_demons`] re-walks their history.
     pub fn folder_space(&mut self, user: u32) -> &mut FolderSpace {
         self.reclassify.insert(user);
-        self.folder_spaces.entry(user).or_default()
+        self.folder_spaces
+            .entry(user)
+            .or_default()
+            .edit(&self.metrics.routing_live)
     }
 
     /// Read-only view of a user's folder space; users without one see a
     /// shared empty space (queries must not mutate, see [`Memex::refresh`]).
     pub fn folder_space_ref(&self, user: u32) -> &FolderSpace {
-        self.folder_spaces
-            .get(&user)
-            .unwrap_or(&self.empty_folder_space)
+        &self.user_space(user).folders
+    }
+
+    fn user_space(&self, user: u32) -> &UserSpace {
+        self.folder_spaces.get(&user).unwrap_or(&self.empty_space)
     }
 
     /// Run every background demon to quiescence: server fetch/index/trail
@@ -242,7 +309,11 @@ impl Memex {
         // File newly recorded bookmarks into folder spaces.
         for b in &self.server.bookmarks[self.filed_bookmarks..] {
             let tf = self.server.tf(b.page).unwrap_or_default();
-            let fs = self.folder_spaces.entry(b.user).or_default();
+            let fs = self
+                .folder_spaces
+                .entry(b.user)
+                .or_default()
+                .edit(&self.metrics.routing_live);
             let folder = fs.add_folder(&b.folder);
             fs.bookmark(b.page, folder, tf);
             self.reclassify.insert(b.user);
@@ -257,19 +328,21 @@ impl Memex {
                 }
             }
         };
+        // (A guess trains nothing and routes nothing — routing reads
+        // confirmed filings only — so `space.folders` is touched directly.)
         for user in self.reclassify.drain() {
-            if let Some(fs) = self.folder_spaces.get_mut(&user) {
+            if let Some(space) = self.folder_spaces.get_mut(&user) {
                 self.metrics.classify_rewalks.inc();
                 for page in server.trails.user_pages(user, 0) {
-                    guess(fs, page);
+                    guess(&mut space.folders, page);
                 }
             }
         }
         let visits = server.trails.visits();
         let new_visits = visits.get(self.classified_visits..).unwrap_or_default();
         for v in new_visits {
-            if let Some(fs) = self.folder_spaces.get_mut(&v.user) {
-                guess(fs, v.page);
+            if let Some(space) = self.folder_spaces.get_mut(&v.user) {
+                guess(&mut space.folders, v.page);
             }
         }
         self.metrics.classify_visits.add(new_visits.len() as u64);
@@ -290,9 +363,20 @@ impl Memex {
     /// pages are first visited in between. (`bookmarks[..n]` is append-only
     /// and a bookmark is recorded only after its page's fetch was settled,
     /// so the `tf` rows read at build time are those of capture time.)
+    ///
+    /// The two derived memos are only ever taken back here, each exactly
+    /// when one of its inputs moved. The page -> theme map reads the themes
+    /// and the live idf: it goes when the themes cell was replaced or a page
+    /// was seen for the first time. Each user's page -> folder routing reads
+    /// their folder space (whose edits drop it where they happen:
+    /// [`Memex::folder_space`], bookmark filing) and the pages surfed — the
+    /// domain it routes and the background sample of
+    /// [`Memex::topic_filter`]: all of them go when a page was seen for the
+    /// first time. A repeat visit takes nothing.
     pub fn refresh(&mut self) -> StoreResult<()> {
         let n_bookmarks = self.server.bookmarks.len();
-        if self.themes.bookmarks != n_bookmarks {
+        let themes_replaced = self.themes.bookmarks != n_bookmarks;
+        if themes_replaced {
             self.metrics
                 .themes_behind
                 .add(n_bookmarks as i64 - self.themes.bookmarks as i64);
@@ -301,6 +385,25 @@ impl Memex {
                 idf: self.server.vocab.idf_table().clone(),
                 built: OnceLock::new(),
             };
+        }
+        // First seen by the trail (a dead link too: it shifts the background
+        // sample) or by the fetcher (a `tf` row appeared, the idf moved).
+        let visits = self.server.trails.visits();
+        let mut first_seen = false;
+        for v in visits.get(self.seen_visits..).unwrap_or_default() {
+            first_seen |= self.seen_pages.insert(v.page);
+        }
+        self.seen_visits = visits.len();
+        let fetched_pages = self.server.vocab.num_docs();
+        first_seen |= fetched_pages != self.fetched_pages;
+        self.fetched_pages = fetched_pages;
+        if themes_replaced || first_seen {
+            self.page_themes.take();
+        }
+        if first_seen {
+            for space in self.folder_spaces.values_mut() {
+                space.kill_routing(&self.metrics.routing_live);
+            }
         }
         Ok(())
     }
@@ -351,6 +454,57 @@ impl Memex {
                 view: (themes, doc_pages),
                 doc_of_page,
             }
+        })
+    }
+
+    /// The memoised page -> theme map, built on first use after
+    /// [`Memex::refresh`] took the last one back: every page surfed that is
+    /// not a theme document, routed to its nearest leaf theme by its TF-IDF
+    /// vector under the live idf. (From scratch this is
+    /// [`Memex::page_vector`] + [`Themes::assign`] per page per profile per
+    /// request; it survives as this builder.)
+    pub(crate) fn page_themes(&self) -> &HashMap<u32, TopicId> {
+        self.page_themes.get_or_init(|| {
+            let community = self.themes();
+            let leaves = community.view.0.leaf_themes();
+            let page_themes = self
+                .seen_pages
+                .iter()
+                .filter(|page| !community.doc_of_page.contains_key(page))
+                .filter_map(|&page| {
+                    let theme = nearest_theme(&leaves, self.page_vector(page)?)?;
+                    Some((page, theme))
+                })
+                .collect();
+            self.metrics.page_themes_builds.inc();
+            page_themes
+        })
+    }
+
+    /// A user's memoised page -> folder routing (see [`UserSpace::routing`]),
+    /// built on first use after it was taken back: train their
+    /// [`Memex::topic_filter`], route every page surfed, keep the map and
+    /// drop the model.
+    fn routing(&self, user: u32) -> &HashMap<u32, TopicId> {
+        let space = self.user_space(user);
+        space.routing.get_or_init(|| {
+            let _span = self.metrics.routing_build_latency.start_span();
+            let filter = self.topic_filter(user);
+            let routing = self
+                .seen_pages
+                .iter()
+                .filter_map(|&page| {
+                    let folder = match space.folders.assignment(page) {
+                        // The user's own confirmed filing is authoritative.
+                        Some(a) if a.confirmed => a.folder,
+                        _ => filter.classify(self.server.tf(page)?)?,
+                    };
+                    Some((page, folder))
+                })
+                .collect();
+            self.metrics.routing_builds.inc();
+            self.metrics.routing_live.add(1);
+            routing
         })
     }
 
@@ -518,37 +672,12 @@ impl Memex {
     /// under the folder, plus every community-visited page the topic
     /// filter routes to a leaf under the folder.
     pub fn pages_on_topic(&self, user: u32, folder: TopicId) -> HashSet<u32> {
-        let filter = self.topic_filter(user);
-        let all_pages: Vec<u32> = self
-            .server
-            .trails
-            .visits()
+        let taxonomy = &self.folder_space_ref(user).taxonomy;
+        self.routing(user)
             .iter()
-            .map(|v| v.page)
-            .collect::<HashSet<u32>>()
-            .into_iter()
-            .collect();
-        let fs = self.folder_space_ref(user);
-        let mut on_topic = HashSet::new();
-        for page in all_pages {
-            // The user's own confirmed filing is authoritative.
-            if let Some(a) = fs.assignment(page) {
-                if a.confirmed {
-                    if fs.taxonomy.is_ancestor_or_self(folder, a.folder) {
-                        on_topic.insert(page);
-                    }
-                    continue;
-                }
-            }
-            if let Some(tf) = self.server.tf(page) {
-                if let Some(f) = filter.classify(tf) {
-                    if fs.taxonomy.is_ancestor_or_self(folder, f) {
-                        on_topic.insert(page);
-                    }
-                }
-            }
-        }
-        on_topic
+            .filter(|&(_, &f)| taxonomy.is_ancestor_or_self(folder, f))
+            .map(|(&page, _)| page)
+            .collect()
     }
 
     /// The trail tab (Fig. 2): "Selecting a folder replays the hypertext
@@ -600,8 +729,10 @@ impl Memex {
             .filter(|v| v.user == user && v.time < since)
             .map(|v| v.page)
             .collect();
-        let wanted = k.saturating_add(seen_before.len());
-        top_authorities(&self.server.web, &base, wanted)
+        // Rank all of `base` and only then drop what does not qualify: in a
+        // young archive the top authorities are link targets nobody archived
+        // yet, and they must not use up the `k` slots.
+        top_authorities(&self.server.web, &base, base.len())
             .into_iter()
             .filter(|(p, _)| {
                 // Recommend only pages the index knows: a page the expansion
@@ -627,21 +758,15 @@ impl Memex {
             .filter(|v| v.user == user && v.time >= since && v.time <= until)
             .map(|v| (v.page, v.time))
             .collect();
-        let filter = self.topic_filter(user);
+        let taxonomy = &self.folder_space_ref(user).taxonomy;
+        let routing = self.routing(user);
         let mut per_folder: HashMap<String, (u64, u32)> = HashMap::new();
         let mut total_bytes = 0u64;
         for (page, _) in visits {
             let bytes = u64::from(self.server.page_bytes(page).unwrap_or(0));
-            let folder_name = {
-                let fs = self.folder_space_ref(user);
-                let assigned = match fs.assignment(page) {
-                    Some(a) if a.confirmed => Some(a.folder),
-                    _ => self.server.tf(page).and_then(|tf| filter.classify(tf)),
-                };
-                match assigned {
-                    Some(f) => fs.taxonomy.path(f),
-                    None => "(other)".to_string(),
-                }
+            let folder_name = match routing.get(&page) {
+                Some(&f) => taxonomy.path(f),
+                None => "(other)".to_string(),
             };
             let e = per_folder.entry(folder_name).or_insert((0, 0));
             e.0 += bytes;

@@ -24,12 +24,13 @@ pub fn theme_profile(memex: &Memex, user: u32) -> BTreeMap<TopicId, f64> {
     let pages = memex.server.trails.user_pages(user, 0);
     let community = memex.themes();
     let (themes, _) = &community.view;
+    let page_themes = memex.page_themes();
     let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
     let total = pages.len().max(1) as f64;
     for page in pages {
         let theme = match community.doc_of_page.get(&page) {
             Some(&d) => themes.doc_theme.get(d).copied().flatten(),
-            None => memex.page_vector(page).and_then(|v| themes.assign(&v)),
+            None => page_themes.get(&page).copied(),
         };
         if let Some(node) = theme {
             let mut cur = Some(node);

@@ -7,16 +7,27 @@
 //!   sweep it replaced ([`FullSweep`], kept here as the reference);
 //! * community themes are memoised: captured by the writer, built by the
 //!   first reader. *When* they are read must not show in what they say, and
-//!   a bookmark nobody follows with a theme read must build nothing.
+//!   a bookmark nobody follows with a theme read must build nothing;
+//! * so are the page -> theme map and each user's page -> folder routing
+//!   that the mining servlets answer from. Every answer must be, byte for
+//!   byte, the one recomputing everything per request gives
+//!   ([`FromScratch`], the read side as it was, kept here as the reference),
+//!   and a memo must be rebuilt only after a write that moved one of its
+//!   inputs — never after a repeat visit.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use memex_cluster::themes::profile_similarity;
 use memex_core::folders::{FolderSpace, PageAssignment};
-use memex_core::memex::{Memex, MemexOptions};
+use memex_core::memex::{BillLine, Memex, MemexOptions};
 use memex_core::servlet::{dispatch_read, dispatch_write, Classified, Request, Response};
+use memex_graph::hits::top_authorities;
+use memex_graph::neighborhood::{expand, Direction};
+use memex_learn::taxonomy::TopicId;
+use memex_net::wire::encode_response;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
 
@@ -195,9 +206,8 @@ fn assignments(memex: &Memex) -> Vec<(u32, Vec<(u32, PageAssignment)>)> {
         .collect()
 }
 
-/// Apply one op to the archive under test and mirror its folder-space half
-/// onto the reference.
-fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut FullSweep) {
+/// Apply one op to an archive.
+fn apply_op(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex) {
     match *op {
         Op::Visit { user, page } => {
             write(memex, visit(corpus, user, page, time));
@@ -222,24 +232,284 @@ fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut
         }
         Op::AddFolder { user, folder } => {
             memex.folder_space(user).add_folder(FOLDERS[folder]);
-            reference.space(user).add_folder(FOLDERS[folder]);
             memex.run_demons().expect("demons");
         }
         Op::FileDirectly { user, page, folder } => {
             let tf = memex.server.tf(page).unwrap_or_default().to_vec();
-            for fs in [memex.folder_space(user), reference.space(user)] {
-                let id = fs.add_folder(FOLDERS[folder]);
-                fs.bookmark(page, id, &tf);
-            }
+            let fs = memex.folder_space(user);
+            let id = fs.add_folder(FOLDERS[folder]);
+            fs.bookmark(page, id, &tf);
             memex.run_demons().expect("demons");
         }
         Op::Unassign { user, page } => {
             memex.folder_space(user).unassign(page);
-            reference.space(user).unassign(page);
             memex.run_demons().expect("demons");
         }
     }
+}
+
+/// Apply one op to the archive under test and mirror its folder-space half
+/// onto the reference.
+fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut FullSweep) {
+    apply_op(op, corpus, time, memex);
+    match *op {
+        Op::AddFolder { user, folder } => {
+            reference.space(user).add_folder(FOLDERS[folder]);
+        }
+        Op::FileDirectly { user, page, folder } => {
+            let fs = reference.space(user);
+            let id = fs.add_folder(FOLDERS[folder]);
+            fs.bookmark(page, id, memex.server.tf(page).unwrap_or_default());
+        }
+        Op::Unassign { user, page } => reference.space(user).unassign(page),
+        _ => {}
+    }
     reference.run(memex);
+}
+
+/// The mining servlets as they answered before `Memex` kept a page -> theme
+/// map and a per-user routing: every request retrains the user's topic
+/// filter and classifies every page surfed, every profile runs
+/// `page_vector` + `Themes::assign` over every page of every user. Reads the
+/// archive under test through its public parts, never through a memo.
+struct FromScratch<'a>(&'a Memex);
+
+impl FromScratch<'_> {
+    /// `Memex::pages_on_topic` as it was.
+    fn on_topic(&self, user: u32, folder: TopicId) -> HashSet<u32> {
+        let memex = self.0;
+        let filter = memex.topic_filter(user);
+        let all_pages: HashSet<u32> = memex
+            .server
+            .trails
+            .visits()
+            .iter()
+            .map(|v| v.page)
+            .collect();
+        let fs = memex.folder_space_ref(user);
+        let mut on_topic = HashSet::new();
+        for page in all_pages {
+            if let Some(a) = fs.assignment(page) {
+                if a.confirmed {
+                    if fs.taxonomy.is_ancestor_or_self(folder, a.folder) {
+                        on_topic.insert(page);
+                    }
+                    continue;
+                }
+            }
+            if let Some(tf) = memex.server.tf(page) {
+                if let Some(f) = filter.classify(tf) {
+                    if fs.taxonomy.is_ancestor_or_self(folder, f) {
+                        on_topic.insert(page);
+                    }
+                }
+            }
+        }
+        on_topic
+    }
+
+    fn whats_new(&self, user: u32, folder: TopicId, since: u64, k: usize) -> Vec<(u32, f64)> {
+        let server = &self.0.server;
+        let on_topic = self.on_topic(user, folder);
+        let recent: Vec<u32> = server
+            .trails
+            .visits()
+            .iter()
+            .filter(|v| v.public && v.time >= since && on_topic.contains(&v.page))
+            .map(|v| v.page)
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect();
+        let base: Vec<u32> = expand(&server.web, &recent, 1, Direction::Both, 4_000)
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        let seen_before: HashSet<u32> = server
+            .trails
+            .visits()
+            .iter()
+            .filter(|v| v.user == user && v.time < since)
+            .map(|v| v.page)
+            .collect();
+        top_authorities(&server.web, &base, base.len())
+            .into_iter()
+            .filter(|(p, _)| !seen_before.contains(p) && server.index.doc_len(*p) > 0)
+            .take(k)
+            .collect()
+    }
+
+    fn bill(&self, user: u32, since: u64, until: u64) -> Vec<BillLine> {
+        let memex = self.0;
+        let filter = memex.topic_filter(user);
+        let fs = memex.folder_space_ref(user);
+        let mut per_folder: HashMap<String, (u64, u32)> = HashMap::new();
+        let mut total_bytes = 0u64;
+        for v in memex.server.trails.visits() {
+            if v.user != user || v.time < since || v.time > until {
+                continue;
+            }
+            let bytes = u64::from(memex.server.page_bytes(v.page).unwrap_or(0));
+            let assigned = match fs.assignment(v.page) {
+                Some(a) if a.confirmed => Some(a.folder),
+                _ => memex.server.tf(v.page).and_then(|tf| filter.classify(tf)),
+            };
+            let folder_name = match assigned {
+                Some(f) => fs.taxonomy.path(f),
+                None => "(other)".to_string(),
+            };
+            let e = per_folder.entry(folder_name).or_insert((0, 0));
+            e.0 += bytes;
+            e.1 += 1;
+            total_bytes += bytes;
+        }
+        let mut lines: Vec<BillLine> = per_folder
+            .into_iter()
+            .map(|(folder, (bytes, visits))| BillLine {
+                folder,
+                bytes,
+                visits,
+                fraction: if total_bytes == 0 {
+                    0.0
+                } else {
+                    bytes as f64 / total_bytes as f64
+                },
+            })
+            .collect();
+        lines.sort_by(|a, b| b.bytes.cmp(&a.bytes).then_with(|| a.folder.cmp(&b.folder)));
+        lines
+    }
+
+    fn theme_profile(&self, user: u32) -> BTreeMap<TopicId, f64> {
+        let memex = self.0;
+        let pages = memex.server.trails.user_pages(user, 0);
+        let (themes, doc_pages) = memex.community_themes();
+        let doc_of_page: HashMap<u32, usize> =
+            doc_pages.iter().enumerate().map(|(d, &p)| (p, d)).collect();
+        let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
+        let total = pages.len().max(1) as f64;
+        for page in pages {
+            let theme = match doc_of_page.get(&page) {
+                Some(&d) => themes.doc_theme.get(d).copied().flatten(),
+                None => memex.page_vector(page).and_then(|v| themes.assign(&v)),
+            };
+            let mut cur = theme;
+            while let Some(c) = cur {
+                *profile.entry(c).or_insert(0.0) += 1.0 / total;
+                cur = themes.taxonomy.parent(c);
+            }
+        }
+        profile
+    }
+
+    fn similar_surfers(&self, user: u32, k: usize) -> Vec<(u32, f64)> {
+        let profiles: HashMap<u32, BTreeMap<TopicId, f64>> = self
+            .0
+            .users()
+            .into_iter()
+            .map(|u| (u, self.theme_profile(u)))
+            .collect();
+        let Some(mine) = profiles.get(&user) else {
+            return Vec::new();
+        };
+        let scored = profiles
+            .iter()
+            .filter(|(&u, _)| u != user)
+            .map(|(&u, p)| (u, profile_similarity(mine, p)))
+            .collect();
+        top_scored(scored, k)
+    }
+
+    fn recommend(&self, user: u32, k: usize) -> Vec<(u32, f64)> {
+        let trails = &self.0.server.trails;
+        let mine: HashSet<u32> = trails.user_pages(user, 0).into_iter().collect();
+        let mut scores: HashMap<u32, f64> = HashMap::new();
+        for (v, sim) in self.similar_surfers(user, 5) {
+            if sim <= 0.0 {
+                continue;
+            }
+            let mut counts: HashMap<u32, u32> = HashMap::new();
+            for visit in trails.visits().iter().filter(|x| x.user == v && x.public) {
+                *counts.entry(visit.page).or_insert(0) += 1;
+            }
+            for (page, c) in counts {
+                if !mine.contains(&page) {
+                    *scores.entry(page).or_insert(0.0) += sim * f64::from(c + 1).ln();
+                }
+            }
+        }
+        top_scored(scores.into_iter().collect(), k)
+    }
+
+    fn answer(&self, request: &Request) -> Response {
+        match *request {
+            Request::TrailReplay {
+                user,
+                folder,
+                since,
+                max_pages,
+            } => {
+                let on_topic = self.on_topic(user, folder);
+                Response::TrailReplay(self.0.server.trails.replay_context(
+                    |p| on_topic.contains(&p),
+                    user,
+                    since,
+                    max_pages,
+                ))
+            }
+            Request::WhatsNew {
+                user,
+                folder,
+                since,
+                k,
+            } => Response::WhatsNew(self.whats_new(user, folder, since, k)),
+            Request::Bill { user, since, until } => Response::Bill(self.bill(user, since, until)),
+            Request::SimilarSurfers { user, k } => {
+                Response::SimilarSurfers(self.similar_surfers(user, k))
+            }
+            Request::Recommend { user, k } => Response::Recommend(self.recommend(user, k)),
+            ref other => panic!("no reference for {other:?}"),
+        }
+    }
+}
+
+fn top_scored(mut scored: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    scored.truncate(k);
+    scored
+}
+
+/// What the mining tabs of `user` would ask at `time`: every folder of
+/// theirs replayed and mined for news, the bill, the soulmates and the
+/// recommendations.
+fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
+    let mut questions = vec![
+        Request::Bill {
+            user,
+            since: 0,
+            until: time,
+        },
+        Request::SimilarSurfers { user, k: 8 },
+        Request::Recommend { user, k: 8 },
+    ];
+    for folder in memex.folder_space_ref(user).taxonomy.all_topics() {
+        questions.push(Request::TrailReplay {
+            user,
+            folder,
+            since: 0,
+            max_pages: 30,
+        });
+        questions.push(Request::WhatsNew {
+            user,
+            folder,
+            since: time / 2,
+            k: 5,
+        });
+    }
+    questions
 }
 
 /// The float scores of an answer as raw bits.
@@ -251,6 +521,28 @@ fn score_bits(resp: &Response) -> Vec<(u32, u64)> {
         other => panic!("expected scored ids, got {other:?}"),
     }
 }
+
+/// Every case opens with a user who visits, then files two pages into two
+/// folders: the second bookmark trains a classifier that can place the
+/// earlier visits (and a topic filter that routes), so no case passes for
+/// want of a guess.
+const PROLOGUE: [Op; 4] = [
+    Op::Visit { user: 0, page: 2 },
+    Op::Visit {
+        user: 0,
+        page: PAGES / 2 + 2,
+    },
+    Op::Bookmark {
+        user: 0,
+        page: 0,
+        folder: 1,
+    },
+    Op::Bookmark {
+        user: 0,
+        page: PAGES / 2,
+        folder: 3,
+    },
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -267,19 +559,10 @@ proptest! {
         for user in 0..4u32 {
             reference.space(user);
         }
-        // Every case opens with a user who visits, then files two pages
-        // into two folders: the second bookmark trains a classifier that can
-        // place the earlier visits, so no case passes for want of a guess.
-        let prologue = [
-            Op::Visit { user: 0, page: 2 },
-            Op::Visit { user: 0, page: PAGES / 2 + 2 },
-            Op::Bookmark { user: 0, page: 0, folder: 1 },
-            Op::Bookmark { user: 0, page: PAGES / 2, folder: 3 },
-        ];
-        for (i, op) in prologue.iter().chain(&ops).enumerate() {
+        for (i, op) in PROLOGUE.iter().chain(&ops).enumerate() {
             apply(op, &corpus, 1 + i as u64, &mut memex, &mut reference);
             prop_assert_eq!(assignments(&memex), reference.assignments(), "diverged after op #{} {:?}", i, op);
-            if i + 1 == prologue.len() {
+            if i + 1 == PROLOGUE.len() {
                 let guessed = memex.folder_space_ref(0).assignments().filter(|(_, a)| !a.confirmed).count();
                 prop_assert_eq!(guessed, 2, "the prologue's visits were not guessed");
             }
@@ -340,6 +623,66 @@ proptest! {
             }
         }
     }
+
+    /// Every mining answer, for every user (registered or not), after every
+    /// write, is the one recomputing from scratch gives — as the bytes a
+    /// client would receive. A memo that outlived one of its inputs (a
+    /// first-seen page, dead link or not; a bookmark; a `folder_space(&mut)`
+    /// edit) answers from the past and fails here.
+    #[test]
+    fn memoised_answers_equal_recomputing_from_scratch(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+    ) {
+        let corpus = corpus();
+        let mut memex = fresh_memex(&corpus);
+        for (i, op) in PROLOGUE.iter().chain(&ops).enumerate() {
+            let time = 1 + i as u64;
+            apply_op(op, &corpus, time, &mut memex);
+            for user in 0..USERS {
+                for question in mining_questions(&memex, user, time) {
+                    let memoised = read(&memex, question.clone());
+                    let from_scratch = FromScratch(&memex).answer(&question);
+                    prop_assert!(
+                        encode_response(&memoised) == encode_response(&from_scratch),
+                        "after op #{} {:?}, {:?}:\n memoised     {:?}\n from scratch {:?}",
+                        i, op, question, memoised, from_scratch
+                    );
+                }
+            }
+        }
+    }
+
+    /// The memos are pure functions of the acknowledged writes: an archive
+    /// whose every user asks everything after every write and one nobody
+    /// asks until the end answer the same, byte for byte.
+    #[test]
+    fn when_mining_answers_are_read_does_not_show_in_what_they_say(
+        ops in proptest::collection::vec(op_strategy(), 20..60),
+    ) {
+        let corpus = corpus();
+        let mut eager = fresh_memex(&corpus);
+        let mut lazy = fresh_memex(&corpus);
+        let mut time = 0u64;
+        for op in PROLOGUE.iter().chain(&ops) {
+            time += 1;
+            apply_op(op, &corpus, time, &mut eager);
+            apply_op(op, &corpus, time, &mut lazy);
+            for user in 0..USERS {
+                for question in mining_questions(&eager, user, time) {
+                    read(&eager, question);
+                }
+            }
+        }
+        for user in 0..USERS {
+            for question in mining_questions(&lazy, user, time) {
+                prop_assert!(
+                    encode_response(&read(&eager, question.clone()))
+                        == encode_response(&read(&lazy, question.clone())),
+                    "{:?}", question
+                );
+            }
+        }
+    }
 }
 
 /// Bookmarks alone build nothing; the first theme read after them builds
@@ -383,4 +726,214 @@ fn themes_build_once_per_bookmark_then_read() {
     assert_eq!((builds(&memex), behind(&memex)), (1, 1));
     memex.community_themes();
     assert_eq!((builds(&memex), behind(&memex)), (2, 0));
+}
+
+/// Builds so far of (the page -> theme map, any user's routing).
+fn memo_builds(memex: &Memex) -> (u64, u64) {
+    let snap = memex.registry().snapshot();
+    (
+        snap.counter("demon.page_themes.builds"),
+        snap.counter("demon.routing.builds"),
+    )
+}
+
+fn routings_live(memex: &Memex) -> i64 {
+    memex.registry().snapshot().gauge("demon.routing.live")
+}
+
+fn trail_replay(user: u32) -> Request {
+    Request::TrailReplay {
+        user,
+        folder: 0,
+        since: 0,
+        max_pages: 30,
+    }
+}
+
+fn bill(user: u32) -> Request {
+    Request::Bill {
+        user,
+        since: 0,
+        until: u64::MAX,
+    }
+}
+
+/// Four users with a trail of five pages each and a bookmark in each of two
+/// folders; pages 20.. of the corpus stay unseen. Every memo is warm.
+fn warm_world(corpus: &Arc<Corpus>) -> Memex {
+    let mut memex = fresh_memex(corpus);
+    let mut time = 0u64;
+    for user in 0..4u32 {
+        for i in 0..5u32 {
+            time += 1;
+            // Pages 0..10 are one corpus topic, 20..30 the other.
+            let page = if i < 3 {
+                user + i
+            } else {
+                PAGES / 2 + user + i
+            };
+            write(&mut memex, visit(corpus, user, page, time));
+        }
+        write(&mut memex, bookmark(corpus, user, user, FOLDERS[0], time));
+        write(
+            &mut memex,
+            bookmark(corpus, user, PAGES / 2 + user + 3, FOLDERS[1], time),
+        );
+    }
+    assert_eq!(memo_builds(&memex), (0, 0), "a write built a memo");
+    ask_everything(&memex);
+    assert_eq!(memo_builds(&memex), (1, 4));
+    assert_eq!(routings_live(&memex), 4);
+    memex
+}
+
+/// Every registered user's trail tab and bill, then one profile question.
+fn ask_everything(memex: &Memex) {
+    for user in 0..4u32 {
+        read(memex, trail_replay(user));
+        read(memex, bill(user));
+    }
+    read(memex, Request::SimilarSurfers { user: 0, k: 3 });
+}
+
+/// A memo is rebuilt once per write that moved one of its inputs, by the
+/// first reader that needs it — and a repeat visit moves none.
+#[test]
+fn memos_build_once_per_input_that_moved() {
+    let corpus = corpus();
+    let mut memex = warm_world(&corpus);
+    let warm = memo_builds(&memex);
+
+    // Repeat visits, by the page's own visitor and by somebody else: nothing.
+    for (i, (user, page)) in [(0u32, 1u32), (1, 1), (2, PAGES / 2 + 5), (3, 3)]
+        .into_iter()
+        .enumerate()
+    {
+        write(&mut memex, visit(&corpus, user, page, 100 + i as u64));
+        ask_everything(&memex);
+        assert_eq!(memo_builds(&memex), warm, "repeat visit #{i} cost a build");
+    }
+    assert_eq!(routings_live(&memex), 4);
+
+    // A bookmark by user 2 (of a page already seen): their routing and the
+    // page themes are gone, nobody else's routing is.
+    write(&mut memex, bookmark(&corpus, 2, 1, FOLDERS[0], 200));
+    assert_eq!(memo_builds(&memex), warm, "the bookmark's ack built a memo");
+    assert_eq!(routings_live(&memex), 3);
+    for user in [0u32, 1, 3] {
+        read(&memex, trail_replay(user));
+        read(&memex, bill(user));
+    }
+    assert_eq!(
+        memo_builds(&memex),
+        warm,
+        "another user's routing was rebuilt"
+    );
+    read(&memex, trail_replay(2));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+    read(&memex, bill(2));
+    read(&memex, trail_replay(2));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1), "built twice");
+    read(&memex, Request::SimilarSurfers { user: 1, k: 3 });
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1));
+    read(&memex, Request::Recommend { user: 3, k: 3 });
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1), "built twice");
+    let warm = memo_builds(&memex);
+
+    // A page seen for the first time: every memo is gone, and each comes
+    // back when (and only if) somebody asks.
+    write(&mut memex, visit(&corpus, 1, 15, 300));
+    assert_eq!(memo_builds(&memex), warm, "the visit's ack built a memo");
+    assert_eq!(routings_live(&memex), 0);
+    read(&memex, bill(0));
+    read(&memex, trail_replay(3));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 2));
+    assert_eq!(routings_live(&memex), 2);
+    read(&memex, Request::SimilarSurfers { user: 0, k: 3 });
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 2));
+    ask_everything(&memex);
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 4));
+    let warm = memo_builds(&memex);
+
+    // Handing out `&mut FolderSpace` is an edit as far as anyone can tell.
+    memex.folder_space(3);
+    memex.run_demons().expect("demons");
+    assert_eq!(routings_live(&memex), 3);
+    ask_everything(&memex);
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+
+    // Unregistered users have no folders to route to: nothing to build.
+    read(&memex, trail_replay(5));
+    read(&memex, bill(5));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+    assert_eq!(routings_live(&memex), 4);
+}
+
+/// Traffic shaped like the benchmark's `browse_mix` — visits by random
+/// users to random pages, every tenth event a bookmark, everybody reading
+/// after every write — rebuilds no more than the writes that moved an input
+/// allow, and nothing at all across a repeat visit.
+#[test]
+fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
+    let corpus = corpus();
+    let mut memex = warm_world(&corpus);
+    let start = memo_builds(&memex);
+    let askers = 4u64;
+    let mut seen: HashSet<u32> = memex
+        .server
+        .trails
+        .visits()
+        .iter()
+        .map(|v| v.page)
+        .collect();
+    let (mut bookmarks, mut first_seen, mut repeats) = (0u64, 0u64, 0u64);
+    let mut state = 0x9E37_79B9u32;
+    let mut draw = |n: u32| {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 16) % n
+    };
+    for event in 1..=120u64 {
+        let (user, page) = (draw(4), draw(PAGES));
+        let before = memo_builds(&memex);
+        if event % 10 == 0 {
+            let folder = FOLDERS[usize::from(page >= PAGES / 2)];
+            write(
+                &mut memex,
+                bookmark(&corpus, user, page, folder, 1_000 + event),
+            );
+            bookmarks += 1;
+            // A bookmark may be the first the archive sees of its page.
+            first_seen += u64::from(!seen.contains(&page));
+            ask_everything(&memex);
+        } else {
+            let repeat = !seen.insert(page);
+            write(&mut memex, visit(&corpus, user, page, 1_000 + event));
+            ask_everything(&memex);
+            if repeat {
+                repeats += 1;
+                assert_eq!(
+                    memo_builds(&memex),
+                    before,
+                    "repeat visit (event {event}) cost a build"
+                );
+            } else {
+                first_seen += 1;
+            }
+        }
+    }
+    assert!(
+        repeats >= 60 && first_seen >= 10,
+        "{repeats} repeats, {first_seen} first seen"
+    );
+    let (page_themes, routing) = memo_builds(&memex);
+    assert!(
+        page_themes - start.0 <= bookmarks + first_seen,
+        "{} page-theme builds for {bookmarks} bookmarks + {first_seen} first-seen pages",
+        page_themes - start.0
+    );
+    assert!(
+        routing - start.1 <= bookmarks + first_seen * askers,
+        "{} routing builds for {bookmarks} bookmarks + {first_seen} first-seen pages x {askers} users",
+        routing - start.1
+    );
 }

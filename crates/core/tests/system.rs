@@ -12,6 +12,11 @@ use memex_web::surfer::{Community, SurferConfig};
 /// Build a world, push every simulated event through the server, run the
 /// demons.
 fn world() -> (Arc<Corpus>, Community, Memex) {
+    world_archiving(100)
+}
+
+/// The same world with only the first `percent` % of the trail archived.
+fn world_archiving(percent: usize) -> (Arc<Corpus>, Community, Memex) {
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 4,
         pages_per_topic: 50,
@@ -33,7 +38,8 @@ fn world() -> (Arc<Corpus>, Community, Memex) {
     }
     // Interleave bookmarks with visits in time order.
     let mut bi = 0usize;
-    for v in &community.visits {
+    let archived = community.visits.len() * percent / 100;
+    for v in &community.visits[..archived] {
         while bi < community.bookmarks.len() && community.bookmarks[bi].time <= v.time {
             let b = &community.bookmarks[bi];
             memex.submit(ClientEvent::Bookmark {
@@ -405,6 +411,39 @@ fn whats_new_excludes_seen_pages_and_ranks_authorities() {
         );
         assert!(*score >= 0.0);
     }
+}
+
+/// In a young archive the strongest authorities near a topic are link
+/// targets nobody has archived yet. They cannot be recommended, and they
+/// must not use up the `k` slots either: asking for `k` gives the first `k`
+/// of what asking for everything gives.
+#[test]
+fn whats_new_fills_k_slots_in_a_young_archive() {
+    let (_, community, memex) = world_archiving(10);
+    let horizon = {
+        let visits = memex.server.trails.visits();
+        visits[visits.len() / 2].time
+    };
+    let mut short_of_everything = 0usize;
+    for truth in &community.users {
+        let user = truth.user;
+        for folder in memex.folder_space_ref(user).taxonomy.all_topics() {
+            let everything = memex.whats_new(user, folder, horizon, usize::MAX);
+            for k in [1usize, 3, 5] {
+                let top = memex.whats_new(user, folder, horizon, k);
+                assert_eq!(
+                    top,
+                    everything[..k.min(everything.len())],
+                    "user {user}, folder {folder:?}, k {k}"
+                );
+                short_of_everything += usize::from(everything.len() > k);
+            }
+        }
+    }
+    assert!(
+        short_of_everything >= 10,
+        "too few questions had more than k qualifying pages to tell: {short_of_everything}"
+    );
 }
 
 /// The whole community surfs through a server whose fetcher fails

@@ -106,16 +106,18 @@ impl Themes {
         self.themes.iter().find(|t| t.topic == topic)
     }
 
-    /// Assign a new document vector to its nearest *leaf* theme.
-    pub fn assign(&self, doc: &SparseVec) -> Option<TopicId> {
-        let mut v = doc.clone();
-        v.normalize();
+    /// The *leaf* themes — the ones new documents are routed to — in
+    /// `themes` order.
+    pub fn leaf_themes(&self) -> Vec<&Theme> {
         self.themes
             .iter()
             .filter(|t| self.taxonomy.children(t.topic).is_empty())
-            .map(|t| (t.topic, v.dot(&t.centroid)))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(topic, _)| topic)
+            .collect()
+    }
+
+    /// Assign a new document vector to its nearest *leaf* theme.
+    pub fn assign(&self, doc: &SparseVec) -> Option<TopicId> {
+        nearest_theme(&self.leaf_themes(), doc.clone())
     }
 
     /// A user's profile: weight per theme node = fraction of their docs
@@ -136,6 +138,18 @@ impl Themes {
         }
         profile
     }
+}
+
+/// The theme of `leaves` (see [`Themes::leaf_themes`]) whose centroid is
+/// nearest to `doc`; among equals the last one. A caller routing many
+/// documents lists the leaves once and hands over each vector it owns.
+pub fn nearest_theme(leaves: &[&Theme], mut doc: SparseVec) -> Option<TopicId> {
+    doc.normalize();
+    leaves
+        .iter()
+        .map(|t| (t.topic, doc.dot(&t.centroid)))
+        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(topic, _)| topic)
 }
 
 /// Cosine similarity between two theme profiles (sparse maps over nodes).

@@ -1,0 +1,306 @@
+//! The page -> theme map and each user's page -> folder routing are built
+//! by the first *reader* after a write that moved one of their inputs, under
+//! the shared lock. This races those builds: after each such write — a first
+//! visit, which drops every memo, then a bookmark, which drops its user's
+//! routing and the page themes — four clients ask `TrailReplay`, `Bill` and
+//! `SimilarSurfers` at the same moment (a barrier, not a sleep) while the
+//! writer keeps streaming repeat visits, which drop nothing. Every answer
+//! must be the one an in-process twin gives at some write epoch the request
+//! could have seen, and the build counters, read over the wire, must move by
+//! exactly one per memo dropped however many readers arrive together: each
+//! routing is asked for by two of the four clients.
+//!
+//! Runs under the nightly TSan job in CI (`san-matrix`) beside
+//! `theme_memo.rs`.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+
+use memex_core::memex::{Memex, MemexOptions};
+use memex_core::servlet::{dispatch, Request, Response};
+use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_server::events::{ClientEvent, VisitEvent};
+use memex_web::corpus::{Corpus, CorpusConfig};
+
+const READERS: usize = 4;
+const ROUNDS: usize = 3;
+const REPEATS_PER_PHASE: usize = 5;
+const READS_PER_PHASE: usize = 2;
+
+fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
+    Request::Event(ClientEvent::Visit(VisitEvent {
+        user,
+        session: 1,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        time,
+        referrer: None,
+    }))
+}
+
+fn bookmark(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
+    Request::Event(ClientEvent::Bookmark {
+        user,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        folder: format!("/topic{}", corpus.topic_of(page)),
+        time,
+    })
+}
+
+/// The pages user `user` surfs before the race: six of their own topic and
+/// two of the other.
+fn trail(corpus: &Corpus, user: u32) -> Vec<u32> {
+    let topic = user as usize % 2;
+    let own = corpus.pages_of_topic(topic);
+    let other = corpus.pages_of_topic(1 - topic);
+    let mut pages: Vec<u32> = own.iter().skip(user as usize).take(6).copied().collect();
+    pages.extend(other.iter().skip(user as usize).take(2));
+    pages
+}
+
+/// Four users, two per topic, each with a short trail and one bookmark in
+/// each of two folders, so every topic filter has something to route
+/// between. Deterministic: the served archive and its in-process twin are
+/// both built by this.
+fn world(corpus: &Arc<Corpus>) -> Memex {
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
+    let mut time = 0u64;
+    for user in 0..READERS as u32 {
+        memex
+            .register_user(user, &format!("user{user}"))
+            .expect("register");
+        for (i, page) in trail(corpus, user).into_iter().enumerate() {
+            time += 1;
+            let mut writes = vec![visit(corpus, user, page, time)];
+            if i == 0 || i == 6 {
+                writes.push(bookmark(corpus, user, page, time));
+            }
+            for w in writes {
+                assert!(!matches!(dispatch(&mut memex, w), Response::Error(_)));
+            }
+        }
+    }
+    memex
+}
+
+/// One write that drops memos, then the repeat visits streamed while the
+/// readers read.
+struct Phase {
+    writes: Vec<Request>,
+    /// Builds the reads of this phase must cause: (page themes, routings).
+    builds: (u64, u64),
+}
+
+/// Per round two phases: a first visit (everything is dropped: one page
+/// themes build, one routing build per user), then a bookmark of that page
+/// by the same user (page themes and that user's routing).
+fn phases(corpus: &Corpus) -> Vec<Phase> {
+    let mut time = 10_000u64;
+    let mut out = Vec::new();
+    for round in 0..ROUNDS {
+        let user = (round % READERS) as u32;
+        let fresh = corpus.pages_of_topic(round % 2)[20 + round];
+        for first_visit in [true, false] {
+            time += 1;
+            let mut writes = vec![if first_visit {
+                visit(corpus, user, fresh, time)
+            } else {
+                bookmark(corpus, user, fresh, time)
+            }];
+            for i in 0..REPEATS_PER_PHASE {
+                time += 1;
+                let visitor = ((round + i) % READERS) as u32;
+                let known = trail(corpus, visitor)[i];
+                writes.push(visit(corpus, visitor, known, time));
+            }
+            let builds = if first_visit {
+                (1, READERS as u64)
+            } else {
+                (1, 1)
+            };
+            out.push(Phase { writes, builds });
+        }
+    }
+    out
+}
+
+/// What reader `reader` asks, each time round: its own trail tab and
+/// soulmates, and its neighbour's bill — so every user's routing has two
+/// clients after it.
+fn questions(reader: usize) -> [Request; 3] {
+    let user = reader as u32;
+    [
+        Request::TrailReplay {
+            user,
+            folder: 1,
+            since: 0,
+            max_pages: 30,
+        },
+        Request::Bill {
+            user: (user + 1) % READERS as u32,
+            since: 0,
+            until: u64::MAX,
+        },
+        Request::SimilarSurfers { user, k: READERS },
+    ]
+}
+
+/// (page themes builds, routing builds, routings live), over the wire.
+fn memo_stats(client: &mut MemexClient) -> (u64, u64, i64) {
+    match client.request(&Request::Stats).expect("stats") {
+        Response::Stats(snap) => (
+            snap.counter("demon.page_themes.builds"),
+            snap.counter("demon.routing.builds"),
+            snap.gauge("demon.routing.live"),
+        ),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+#[test]
+fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        num_topics: 2,
+        pages_per_topic: 40,
+        ..CorpusConfig::default()
+    }));
+    let phases = phases(&corpus);
+
+    // truth[e][r][q]: the answer to reader r's question q once e writes of
+    // the stream are in.
+    let mut twin = world(&corpus);
+    let answers = |twin: &mut Memex| -> Vec<Vec<Response>> {
+        (0..READERS)
+            .map(|r| questions(r).map(|q| dispatch(twin, q)).into())
+            .collect()
+    };
+    let mut truth = vec![answers(&mut twin)];
+    for write in phases.iter().flat_map(|p| &p.writes) {
+        assert_eq!(
+            dispatch(&mut twin, write.clone()),
+            Response::Ack { archived: true }
+        );
+        truth.push(answers(&mut twin));
+    }
+    let truth = Arc::new(truth);
+    for q in 0..3 {
+        assert!(
+            truth.windows(2).filter(|w| w[0][0][q] != w[1][0][q]).count() >= ROUNDS,
+            "the stream must move the answers to question {q}, or any epoch would pass for any other"
+        );
+    }
+
+    let config = NetServerConfig {
+        workers: READERS + 2,
+        max_in_flight: 64,
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::start(world(&corpus), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    // Writes sent so far (bumped before the frame goes out) and writes
+    // acknowledged so far: together they bound the epochs a read can see.
+    let sent = Arc::new(AtomicUsize::new(0));
+    let acked = Arc::new(AtomicUsize::new(0));
+    // Readers and writer meet here after every memo-dropping ack, and again
+    // when the phase's reads and repeat visits are done.
+    let barrier = Arc::new(Barrier::new(READERS + 1));
+
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let (truth, sent, acked, barrier) = (
+                Arc::clone(&truth),
+                Arc::clone(&sent),
+                Arc::clone(&acked),
+                Arc::clone(&barrier),
+            );
+            let phases = phases.len();
+            std::thread::spawn(move || {
+                let mut client =
+                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+                // Collected, not asserted: a reader that panicked mid-phase
+                // would leave the others parked on the barrier for good.
+                let mut wrong = Vec::new();
+                for phase in 0..phases {
+                    barrier.wait();
+                    for _ in 0..READS_PER_PHASE {
+                        for (q, question) in questions(r).iter().enumerate() {
+                            let oldest = acked.load(Ordering::SeqCst);
+                            let answer = client.request(question);
+                            let newest = sent.load(Ordering::SeqCst);
+                            let right = answer.as_ref().is_ok_and(|a| {
+                                truth[oldest..=newest].iter().any(|t| t[r][q] == *a)
+                            });
+                            if !right {
+                                wrong.push(format!(
+                                    "reader {r}, phase {phase}, {question:?}: {answer:?} is not \
+                                     the in-process answer at any epoch in {oldest}..={newest}"
+                                ));
+                            }
+                        }
+                    }
+                    barrier.wait();
+                }
+                wrong
+            })
+        })
+        .collect();
+
+    let mut writer = MemexClient::connect(addr, ClientConfig::default()).expect("connect writer");
+    let mut send = |write: &Request| {
+        sent.fetch_add(1, Ordering::SeqCst);
+        let ack = writer.request(write).expect("write");
+        assert_eq!(ack, Response::Ack { archived: true });
+        acked.fetch_add(1, Ordering::SeqCst);
+    };
+    let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
+    let (mut page_themes, mut routings, live) = memo_stats(&mut stats);
+    assert_eq!(
+        (page_themes, routings, live),
+        (0, 0, 0),
+        "building the world read no memo"
+    );
+    for (i, phase) in phases.iter().enumerate() {
+        send(&phase.writes[0]);
+        let (a, b, _) = memo_stats(&mut stats);
+        assert_eq!(
+            (a, b),
+            (page_themes, routings),
+            "the ack of phase {i} built a memo"
+        );
+        barrier.wait();
+        for repeat in &phase.writes[1..] {
+            send(repeat);
+        }
+        barrier.wait();
+        page_themes += phase.builds.0;
+        routings += phase.builds.1;
+        assert_eq!(
+            memo_stats(&mut stats),
+            (page_themes, routings, READERS as i64),
+            "phase {i}: {READERS} readers arriving together must share one build per memo \
+             dropped, and repeat visits must drop none"
+        );
+    }
+    for h in readers {
+        let wrong = h.join().expect("reader thread");
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    }
+
+    // Quiescent: every question now has exactly the final answer, from the
+    // cache or not.
+    let last = truth.last().expect("non-empty");
+    for (r, expected) in last.iter().enumerate() {
+        for (question, expected) in questions(r).iter().zip(expected) {
+            assert_eq!(&stats.request(question).expect("final read"), expected);
+        }
+    }
+    // Close the idle connections, or shutdown waits out their read timeout.
+    drop((writer, stats));
+    let memex = server.shutdown();
+    let snap = memex.registry().snapshot();
+    assert_eq!(snap.counter("net.shed"), 0);
+    assert_eq!(snap.counter("net.req.panics"), 0);
+    assert_eq!(snap.counter("demon.page_themes.builds"), page_themes);
+    assert_eq!(snap.counter("demon.routing.builds"), routings);
+}

@@ -2,6 +2,8 @@
 //! most (distinct, then total) query terms — what the search tab shows
 //! under each hit.
 
+use std::collections::HashMap;
+
 use crate::stem::stem;
 use crate::stopwords::is_stopword;
 use crate::tokenize::tokenize;
@@ -12,47 +14,53 @@ use crate::tokenize::tokenize;
 /// an ellipsis on clipped ends. Empty text gives an empty string.
 pub fn snippet(text: &str, query: &str, window: usize) -> String {
     let window = window.max(1);
-    // Original words (for display) and their match flags (for scoring).
+    // Original words, for display.
     let display: Vec<&str> = text.split_whitespace().collect();
     if display.is_empty() {
         return String::new();
     }
-    let query_stems: std::collections::HashSet<String> = tokenize(query)
-        .into_iter()
-        .filter(|w| !is_stopword(w))
-        .map(|w| stem(&w))
-        .collect();
-    let stems: Vec<Option<String>> = display
+    // Distinct query stems, numbered in order of appearance.
+    let mut query_stems: HashMap<String, usize> = HashMap::new();
+    for word in tokenize(query).into_iter().filter(|w| !is_stopword(w)) {
+        let next = query_stems.len();
+        query_stems.entry(stem(&word)).or_insert(next);
+    }
+    // Per word of the text: the query stem it matches, if any.
+    let hit: Vec<Option<usize>> = display
         .iter()
         .map(|w| {
             let toks = tokenize(w);
-            toks.first().map(|t| stem(t))
+            toks.first()
+                .and_then(|t| query_stems.get(&stem(t)).copied())
         })
         .collect();
-    let is_hit: Vec<bool> = stems
-        .iter()
-        .map(|s| s.as_ref().is_some_and(|s| query_stems.contains(s)))
-        .collect();
-    // Slide the window; score = (distinct stems covered, total hits).
+    // Slide the window once, keeping a count per query stem of the hits
+    // inside it; score = (distinct stems covered, total hits), and the
+    // first window with the best score wins.
     let mut best_start = 0usize;
     let mut best_score = (0usize, 0usize);
     let n = display.len();
     let w = window.min(n);
-    for start in 0..=(n - w) {
-        let mut distinct = std::collections::HashSet::new();
-        let mut total = 0usize;
-        for i in start..start + w {
-            if is_hit[i] {
-                total += 1;
-                if let Some(s) = &stems[i] {
-                    distinct.insert(s.clone());
-                }
+    let mut inside = vec![0usize; query_stems.len()];
+    let (mut distinct, mut total) = (0usize, 0usize);
+    for end in 0..n {
+        if let Some(q) = hit[end] {
+            if inside[q] == 0 {
+                distinct += 1;
             }
+            inside[q] += 1;
+            total += 1;
         }
-        let score = (distinct.len(), total);
-        if score > best_score {
-            best_score = score;
-            best_start = start;
+        if let Some(q) = end.checked_sub(w).and_then(|left| hit[left]) {
+            inside[q] -= 1;
+            if inside[q] == 0 {
+                distinct -= 1;
+            }
+            total -= 1;
+        }
+        if end + 1 >= w && (distinct, total) > best_score {
+            best_score = (distinct, total);
+            best_start = end + 1 - w;
         }
     }
     let mut out = String::new();
@@ -69,6 +77,7 @@ pub fn snippet(text: &str, query: &str, window: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TEXT: &str = "the quick brown fox jumps over the lazy dog while a \
                         compiler optimizes the inner loops of the interpreter \
@@ -111,5 +120,109 @@ mod tests {
         let text = "music music music music nothing nothing compiler music interlude";
         let s = snippet(text, "compiler music", 3);
         assert!(s.contains("compiler"), "{s}");
+    }
+
+    /// `snippet` as it was before it slid its window: every window position
+    /// rescanned, its distinct stems collected into a fresh set. Kept as the
+    /// reference the sliding version is held to.
+    fn snippet_by_rescan(text: &str, query: &str, window: usize) -> String {
+        use std::collections::HashSet;
+        let window = window.max(1);
+        let display: Vec<&str> = text.split_whitespace().collect();
+        if display.is_empty() {
+            return String::new();
+        }
+        let query_stems: HashSet<String> = tokenize(query)
+            .into_iter()
+            .filter(|w| !is_stopword(w))
+            .map(|w| stem(&w))
+            .collect();
+        let stems: Vec<Option<String>> = display
+            .iter()
+            .map(|w| tokenize(w).first().map(|t| stem(t)))
+            .collect();
+        let is_hit: Vec<bool> = stems
+            .iter()
+            .map(|s| s.as_ref().is_some_and(|s| query_stems.contains(s)))
+            .collect();
+        let mut best_start = 0usize;
+        let mut best_score = (0usize, 0usize);
+        let n = display.len();
+        let w = window.min(n);
+        for start in 0..=(n - w) {
+            let mut distinct = HashSet::new();
+            let mut total = 0usize;
+            for i in start..start + w {
+                if is_hit[i] {
+                    total += 1;
+                    if let Some(s) = &stems[i] {
+                        distinct.insert(s.clone());
+                    }
+                }
+            }
+            let score = (distinct.len(), total);
+            if score > best_score {
+                best_score = score;
+                best_start = start;
+            }
+        }
+        let mut out = String::new();
+        if best_start > 0 {
+            out.push_str("… ");
+        }
+        out.push_str(&display[best_start..best_start + w].join(" "));
+        if best_start + w < n {
+            out.push_str(" …");
+        }
+        out
+    }
+
+    /// Words that collide at stem level, stopwords, punctuation, a token
+    /// `tokenize` splits in two and one it drops.
+    const WORDS: [&str; 16] = [
+        "compiler",
+        "Compilers",
+        "optimizes",
+        "optimization,",
+        "music",
+        "musical",
+        "baroque",
+        "the",
+        "of",
+        "loop",
+        "loops.",
+        "inner-loop",
+        "garden",
+        "x",
+        "--",
+        "<b>bold</b>",
+    ];
+
+    fn words(max: usize) -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..WORDS.len(), 0..max).prop_map(|picks| {
+            picks
+                .iter()
+                .map(|&i| WORDS[i])
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Empty texts, empty queries and windows past the end included.
+        #[test]
+        fn sliding_window_equals_the_rescan(
+            text in words(40),
+            query in words(5),
+            window in 0usize..50,
+        ) {
+            prop_assert_eq!(
+                snippet(&text, &query, window),
+                snippet_by_rescan(&text, &query, window),
+                "text {:?} query {:?} window {}", text, query, window
+            );
+        }
     }
 }
