@@ -62,6 +62,7 @@ pub fn run(quick: bool) -> Table {
         crash_after_events: Some(n / 4),
         producer_pace_us: 100,
     });
+    assert_eq!(r.demons_panicked, 0, "the injected crash is not a panic");
     table.row(vec![
         "crash one demon at 25%".to_string(),
         n.to_string(),

@@ -147,7 +147,9 @@ impl Hac {
         }
         while active.len() > 1 {
             // Best merge among cached NNs.
-            let (&best_i, &(best_j, best_sim)) = active
+            // (Two active clusters always have a neighbour each; were the
+            // cache ever empty, the dendrogram simply stops short.)
+            let Some((&best_i, &(best_j, best_sim))) = active
                 .iter()
                 .filter_map(|i| nn[*i].as_ref().map(|p| (i, p)))
                 .max_by(|a, b| {
@@ -155,7 +157,9 @@ impl Hac {
                         .partial_cmp(&b.1 .1)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
-                .expect("at least two active clusters");
+            else {
+                break;
+            };
             // Merge best_i and best_j into a fresh cluster id.
             let into = self.clusters.len();
             let mut sum = self.clusters[best_i].sum.clone();

@@ -99,13 +99,14 @@ impl KMeans {
                 if counts[c] == 0 {
                     // Empty cluster: reseed with the doc farthest from its
                     // centroid (deterministic: lowest dot wins).
-                    let (worst, _) = normed
+                    let worst = normed
                         .iter()
                         .enumerate()
-                        .map(|(d, doc)| (d, doc.dot(&centroids[labels[d]])))
-                        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .expect("n > 0");
-                    *sum = normed[worst].clone();
+                        .map(|(d, doc)| (doc, doc.dot(&centroids[labels[d]])))
+                        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+                    if let Some((doc, _)) = worst {
+                        *sum = doc.clone();
+                    }
                 }
                 sum.normalize();
                 if self.centroid_terms > 0 {
@@ -207,6 +208,25 @@ mod tests {
         let result = KMeans::new(2).run(&docs, Some(seeds));
         assert_eq!(result.labels[0], 0);
         assert_eq!(result.labels[9], 1);
+    }
+
+    #[test]
+    fn empty_cluster_is_reseeded_with_the_farthest_doc() {
+        // Two identical seeds: every doc lands in one cluster, the other
+        // is empty after the first assignment and is reseeded with the doc
+        // farthest from its centroid — the run still finds both blobs.
+        let (docs, truth) = two_blobs();
+        let seeds = vec![docs[0].clone(), docs[0].clone()];
+        let result = KMeans::new(2).run(&docs, Some(seeds));
+        let l = &result.labels;
+        assert!(
+            truth
+                .iter()
+                .zip(l)
+                .all(|(&t, &p)| (p == l[0]) == (t == truth[0])),
+            "labels {l:?}"
+        );
+        assert!(result.cohesion(&docs) > 0.95);
     }
 
     #[test]

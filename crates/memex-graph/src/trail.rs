@@ -69,18 +69,16 @@ impl TrailGraph {
 
     /// The visits of one user, grouped by session (in first-seen order).
     pub fn user_sessions(&self, user: u32) -> Vec<Vec<Visit>> {
-        let mut order: Vec<u32> = Vec::new();
-        let mut map: HashMap<u32, Vec<Visit>> = HashMap::new();
+        let mut groups: Vec<Vec<Visit>> = Vec::new();
+        let mut group_of: HashMap<u32, usize> = HashMap::new();
         for v in self.visits.iter().filter(|v| v.user == user) {
-            if !map.contains_key(&v.session) {
-                order.push(v.session);
-            }
-            map.entry(v.session).or_default().push(*v);
+            let g = *group_of.entry(v.session).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(*v);
         }
-        order
-            .into_iter()
-            .map(|s| map.remove(&s).expect("collected above"))
-            .collect()
+        groups
     }
 
     /// Most recent visit satisfying `pred` on the page — powers "what was
@@ -191,10 +189,13 @@ mod tests {
         t.record(v(1, 10, 101, 2, Some(100)));
         t.record(v(1, 11, 200, 3, None));
         t.record(v(2, 99, 300, 4, None));
+        // Back to the first session: it keeps its first-seen position.
+        t.record(v(1, 10, 102, 5, Some(101)));
         let sessions = t.user_sessions(1);
+        let pages = |s: &[Visit]| s.iter().map(|v| v.page).collect::<Vec<_>>();
         assert_eq!(sessions.len(), 2);
-        assert_eq!(sessions[0].len(), 2);
-        assert_eq!(sessions[1][0].page, 200);
+        assert_eq!(pages(&sessions[0]), vec![100, 101, 102]);
+        assert_eq!(pages(&sessions[1]), vec![200]);
         assert!(t.user_sessions(3).is_empty());
     }
 

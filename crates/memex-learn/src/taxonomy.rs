@@ -179,22 +179,24 @@ impl Taxonomy {
     }
 
     /// Move `id` (with its subtree) under `new_parent` — the cut/paste
-    /// operation of the folder tab. Panics if it would create a cycle.
-    pub fn reparent(&mut self, id: TopicId, new_parent: TopicId) {
-        assert!(id != Self::ROOT, "cannot move the root");
-        assert!(self.is_live(id) && self.is_live(new_parent));
-        assert!(
-            !self.is_ancestor_or_self(id, new_parent),
-            "reparenting would create a cycle"
-        );
-        let old_parent = self.nodes[id as usize]
-            .parent
-            .expect("non-root has a parent");
+    /// operation of the folder tab. Refused (`false`, nothing changes) for
+    /// the root, for a deleted topic on either side, and for a move that
+    /// would create a cycle.
+    pub fn reparent(&mut self, id: TopicId, new_parent: TopicId) -> bool {
+        if !(self.is_live(id) && self.is_live(new_parent))
+            || self.is_ancestor_or_self(id, new_parent)
+        {
+            return false;
+        }
+        let Some(old_parent) = self.parent(id) else {
+            return false; // the root
+        };
         self.nodes[old_parent as usize]
             .children
             .retain(|&c| c != id);
         self.nodes[new_parent as usize].children.push(id);
         self.nodes[id as usize].parent = Some(new_parent);
+        true
     }
 
     /// Soft-delete `id` and its subtree.
@@ -337,17 +339,21 @@ mod tests {
     #[test]
     fn reparent_cut_paste() {
         let (mut t, music, classical, cycling) = music_tax();
-        t.reparent(classical, cycling);
+        assert!(t.reparent(classical, cycling));
         assert_eq!(t.path(classical), "/Cycling/Western Classical");
         assert!(t.children(music).is_empty());
         t.check_invariants().unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
     fn reparent_rejects_cycles() {
-        let (mut t, music, classical, _) = music_tax();
-        t.reparent(music, classical);
+        let (mut t, music, classical, cycling) = music_tax();
+        assert!(!t.reparent(music, classical), "a topic under its own child");
+        assert!(!t.reparent(music, music));
+        assert!(!t.reparent(Taxonomy::ROOT, cycling), "the root stays put");
+        assert_eq!(t.path(classical), "/Music/Western Classical");
+        assert_eq!(t.parent(music), Some(Taxonomy::ROOT));
+        t.check_invariants().unwrap();
     }
 
     #[test]

@@ -63,9 +63,8 @@ proptest! {
                 TaxOp::Reparent { node_pick, parent_pick } => {
                     let node = live[node_pick % live.len()];
                     let parent = live[parent_pick % live.len()];
-                    if node != Taxonomy::ROOT && !tax.is_ancestor_or_self(node, parent) {
-                        tax.reparent(node, parent);
-                    }
+                    let legal = node != Taxonomy::ROOT && !tax.is_ancestor_or_self(node, parent);
+                    prop_assert_eq!(tax.reparent(node, parent), legal);
                 }
                 TaxOp::Remove { node_pick } => {
                     let node = live[node_pick % live.len()];

@@ -1,76 +1,52 @@
 //! memex-lint: workspace-native static analysis for the memex codebase.
 //!
-//! Eight rule families over a hand-rolled token stream (no external
-//! dependencies, no rustc internals):
+//! Four rule families over a hand-rolled token stream (no external
+//! dependencies, no rustc internals, nothing interprocedural — each rule
+//! is a lexical pattern a reviewer can check by eye):
 //!
-//! 1. **panic** — no `unwrap`/`expect`/panic-macros/indexing in non-test
-//!    code of the serving crates ([`rules::panic_rule`]).
+//! 1. **panic** — no `unwrap`/`expect`/panic-macros in non-test code of
+//!    any crate a wire request can reach, and no indexing in the
+//!    `panic_crates` ([`rules::panic_rule`]).
 //! 2. **locks** — nested lock acquisitions must follow the order declared
-//!    in `LINT.toml` ([`rules::locks`]).
+//!    in `LINT.toml`, and every declaration must be live
+//!    ([`rules::locks`]).
 //! 3. **metrics** — metric-name literals and `docs/METRICS.md` must agree
 //!    bidirectionally ([`rules::metrics`]).
 //! 4. **codec** — no wildcard `_ =>` arms in the wire codec
 //!    ([`rules::codec`]).
 //!
-//! Plus four interprocedural families over a workspace [`callgraph`] and
-//! guard [`dataflow`] pass:
-//!
-//! 5. **blocking** — no blocking operation while a declared lock guard is
-//!    live, through calls ([`rules::blocking`]).
-//! 6. **locks-cross** — lock order across function boundaries
-//!    ([`rules::locks::check_cross`]).
-//! 7. **durability** — sync-before-truncate on WAL storage along
-//!    configured chains ([`rules::durability`]).
-//! 8. **panic-reach** — panic sites reachable from dispatch roots
-//!    ([`rules::reach`]).
-//!
-//! Pre-existing violations live in a checked-in baseline inside
-//! `LINT.toml` (a per-file ratchet, regenerated with `--fix-baseline`);
-//! anything beyond the baseline fails the run. **Hard findings** —
-//! durability-order violations and undeclared nested acquisitions — have
-//! no baseline escape hatch: they fail the run regardless, and
-//! `--fix-baseline` never writes entries for them.
+//! Any finding fails the run: there is no baseline and no allow list.
+//! What the linter does not check — and what does — is tabulated in
+//! `docs/LINT.md`.
 
-pub mod callgraph;
 pub mod config;
-pub mod dataflow;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use config::{Config, Rule};
+use config::Config;
 use rules::locks::LockAnalysis;
 use rules::metrics::MetricUse;
 use rules::Finding;
 
-/// Result of scanning the workspace (before the baseline is applied).
+/// Result of scanning the workspace.
 pub struct Scan {
-    /// All raw findings, sorted by (file, line, rule).
+    /// All findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
 }
 
-/// Final report after the baseline ratchet.
-pub struct Report {
-    /// Findings exceeding the baseline — these fail the run. When a
-    /// (rule, file) group exceeds its allowance, the whole group is
-    /// listed (the tool cannot know which occurrences are "the new ones").
-    pub failures: Vec<Finding>,
-    /// Groups that exceeded, as (rule, file, actual, allowed).
-    pub exceeded: Vec<(Rule, String, usize, usize)>,
-    /// Baseline entries now above the actual count — tighten the ratchet.
-    pub stale: Vec<String>,
-    pub files_scanned: usize,
-    pub total_findings: usize,
-}
-
 /// Directories under `src/` that never hold shipped code.
 const SKIP_DIRS: [&str; 2] = ["target", "vendor"];
+
+/// Crates whose code only the `experiments` and `memex-lint` binaries run:
+/// a panic there ends a command-line tool, not a server, so the panic
+/// rule skips them. Every other crate is on a path a wire request reaches.
+const OFFLINE_CRATES: [&str; 2] = ["bench", "memex-lint"];
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
@@ -137,39 +113,30 @@ pub fn scan(root: &Path, cfg: &Config) -> io::Result<Scan> {
     let mut findings: Vec<Finding> = Vec::new();
     let mut lock_analysis = LockAnalysis::default();
     let mut metric_uses: Vec<MetricUse> = Vec::new();
-    let mut units: Vec<callgraph::FileUnit> = Vec::new();
 
     for path in &files {
         let rel_path = rel(root, path);
         let text = fs::read_to_string(path)?;
         let model = parse::model(lexer::lex(&text));
 
-        if cfg.panic_crates.iter().any(|c| c == crate_of(&rel_path)) {
-            findings.extend(rules::panic_rule::check(&model, &rel_path));
+        let krate = crate_of(&rel_path);
+        if !OFFLINE_CRATES.contains(&krate) {
+            let indexing = cfg.panic_crates.iter().any(|c| c == krate);
+            findings.extend(rules::panic_rule::check(&model, &rel_path, indexing));
         }
         rules::locks::check(&model, &rel_path, cfg, &mut lock_analysis);
         metric_uses.extend(rules::metrics::collect_uses(&model, &rel_path));
         if cfg.codec_files.iter().any(|f| f == &rel_path) {
             findings.extend(rules::codec::check(&model, &rel_path, cfg));
         }
-        units.push(callgraph::FileUnit {
-            crate_name: crate_of(&rel_path).to_string(),
-            path: rel_path,
-            model,
-        });
     }
-
-    // Interprocedural pass: call graph + guard dataflow, then the four
-    // cross-function families.
-    let graph = callgraph::CallGraph::build(&units);
-    let flow = dataflow::Dataflow::build(&units, &graph, cfg);
-    findings.extend(rules::blocking::check(&units, &graph, &flow, cfg));
-    rules::locks::check_cross(&units, &graph, &flow, cfg, &mut lock_analysis);
-    findings.extend(rules::durability::check(&units, &graph, cfg));
-    findings.extend(rules::reach::check(&units, &graph, cfg));
 
     findings.extend(lock_analysis.findings);
     findings.extend(rules::locks::cycle_findings(&lock_analysis.edges));
+    findings.extend(rules::locks::dead_declarations(
+        cfg,
+        &lock_analysis.live_aliases,
+    ));
 
     let catalog_path = cfg.metrics_catalog.as_str();
     let catalog_text = fs::read_to_string(root.join(catalog_path)).unwrap_or_default();
@@ -183,207 +150,4 @@ pub fn scan(root: &Path, cfg: &Config) -> io::Result<Scan> {
         findings,
         files_scanned: files.len(),
     })
-}
-
-/// Hard findings bypass the baseline entirely: durability-order
-/// violations and undeclared nested lock acquisitions (intra- or
-/// cross-function) always fail the run, and `--fix-baseline` never
-/// writes allowances for them.
-pub fn is_hard(f: &Finding) -> bool {
-    f.rule == Rule::Durability
-        || ((f.rule == Rule::Locks || f.rule == Rule::CrossLocks)
-            && f.message.contains("undeclared"))
-}
-
-/// Raw per-(rule, file) counts — the shape the baseline stores. Hard
-/// findings are excluded (they can never be baselined).
-pub fn counts(findings: &[Finding]) -> BTreeMap<(Rule, String), usize> {
-    let mut out: BTreeMap<(Rule, String), usize> = BTreeMap::new();
-    for f in findings {
-        if is_hard(f) {
-            continue;
-        }
-        *out.entry((f.rule, f.file.clone())).or_default() += 1;
-    }
-    out
-}
-
-/// Apply the baseline ratchet to a scan.
-pub fn apply_baseline(scan: Scan, cfg: &Config) -> Report {
-    let actual = counts(&scan.findings);
-    let mut failures: Vec<Finding> = scan
-        .findings
-        .iter()
-        .filter(|f| is_hard(f))
-        .cloned()
-        .collect();
-    let mut exceeded = Vec::new();
-    for (key, &count) in &actual {
-        let allowed = cfg.baseline.get(key).copied().unwrap_or(0);
-        if count > allowed {
-            exceeded.push((key.0, key.1.clone(), count, allowed));
-            failures.extend(
-                scan.findings
-                    .iter()
-                    .filter(|f| f.rule == key.0 && f.file == key.1 && !is_hard(f))
-                    .cloned(),
-            );
-        }
-    }
-    let mut stale = Vec::new();
-    for (key, &allowed) in &cfg.baseline {
-        let count = actual.get(key).copied().unwrap_or(0);
-        if count < allowed {
-            stale.push(format!(
-                "baseline for [{}] {} allows {allowed} but only {count} remain — \
-                 run --fix-baseline to ratchet down",
-                key.0.name(),
-                key.1
-            ));
-        }
-    }
-    Report {
-        failures,
-        exceeded,
-        stale,
-        files_scanned: scan.files_scanned,
-        total_findings: scan.findings.len(),
-    }
-}
-
-/// Minimal JSON string escaping (the only JSON this crate emits).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the report as a single JSON object (for the CI job).
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"failures\": [\n");
-    for (i, f) in report.failures.iter().enumerate() {
-        let sep = if i + 1 == report.failures.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"function\": \"{}\", \"message\": \"{}\"}}{sep}\n",
-            f.rule.name(),
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.function),
-            json_escape(&f.message),
-        ));
-    }
-    out.push_str("  ],\n  \"stale\": [\n");
-    for (i, s) in report.stale.iter().enumerate() {
-        let sep = if i + 1 == report.stale.len() { "" } else { "," };
-        out.push_str(&format!("    \"{}\"{sep}\n", json_escape(s)));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"files_scanned\": {},\n  \"total_findings\": {},\n  \"ok\": {}\n}}\n",
-        report.files_scanned,
-        report.total_findings,
-        report.failures.is_empty(),
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use config::Rule;
-    use rules::Finding;
-
-    fn finding(rule: Rule, file: &str) -> Finding {
-        Finding {
-            rule,
-            file: file.to_string(),
-            line: 1,
-            function: "f".to_string(),
-            message: "m".to_string(),
-        }
-    }
-
-    #[test]
-    fn baseline_ratchet_semantics() {
-        let mut cfg = Config::default();
-        cfg.baseline.insert((Rule::Panic, "a.rs".to_string()), 2);
-        cfg.baseline.insert((Rule::Panic, "gone.rs".to_string()), 5);
-        let scan = Scan {
-            findings: vec![
-                finding(Rule::Panic, "a.rs"),
-                finding(Rule::Panic, "a.rs"),
-                finding(Rule::Codec, "b.rs"),
-            ],
-            files_scanned: 2,
-        };
-        let report = apply_baseline(scan, &cfg);
-        // a.rs is exactly at baseline → passes; b.rs has no allowance →
-        // fails; gone.rs allowance is stale.
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].file, "b.rs");
-        assert_eq!(
-            report.exceeded,
-            vec![(Rule::Codec, "b.rs".to_string(), 1, 0)]
-        );
-        assert_eq!(report.stale.len(), 1);
-        assert!(report.stale[0].contains("gone.rs"));
-    }
-
-    #[test]
-    fn hard_findings_bypass_the_baseline() {
-        let mut cfg = Config::default();
-        // A generous baseline that would absorb these if they were soft.
-        cfg.baseline
-            .insert((Rule::Durability, "a.rs".to_string()), 10);
-        cfg.baseline.insert((Rule::Locks, "a.rs".to_string()), 10);
-        let hard_dur = finding(Rule::Durability, "a.rs");
-        let hard_lock = Finding {
-            message: "undeclared nested acquisition: x inside y".to_string(),
-            ..finding(Rule::Locks, "a.rs")
-        };
-        let soft_lock = finding(Rule::Locks, "a.rs");
-        assert!(is_hard(&hard_dur));
-        assert!(is_hard(&hard_lock));
-        assert!(!is_hard(&soft_lock));
-        let scan = Scan {
-            findings: vec![hard_dur, hard_lock, soft_lock],
-            files_scanned: 1,
-        };
-        let report = apply_baseline(scan, &cfg);
-        assert_eq!(report.failures.len(), 2, "{:?}", report.failures);
-        assert!(report.failures.iter().all(is_hard));
-        // counts() never offers hard findings to --fix-baseline.
-        let c = counts(&report.failures);
-        assert!(c.is_empty(), "{c:?}");
-    }
-
-    #[test]
-    fn json_escapes_and_shape() {
-        let report = Report {
-            failures: vec![finding(Rule::Codec, "a\"b.rs")],
-            exceeded: vec![],
-            stale: vec![],
-            files_scanned: 1,
-            total_findings: 1,
-        };
-        let json = render_json(&report);
-        assert!(json.contains("a\\\"b.rs"));
-        assert!(json.contains("\"ok\": false"));
-    }
 }

@@ -1,20 +1,18 @@
 //! CLI for memex-lint.
 //!
 //! ```text
-//! cargo run -p memex-lint                 # human-readable report
-//! cargo run -p memex-lint -- --json       # machine-readable (CI artifact)
+//! cargo run -p memex-lint                     # human-readable report
 //! cargo run -p memex-lint -- --format github  # ::error annotations (CI)
-//! cargo run -p memex-lint -- --fix-baseline   # regenerate the ratchet
 //! ```
 //!
-//! Exit codes: 0 clean (baseline respected), 1 findings beyond the
-//! baseline, 2 usage / configuration / I/O error.
+//! Exit codes: 0 no findings, 1 any finding, 2 usage / configuration /
+//! I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use memex_lint::config::Config;
-use memex_lint::{apply_baseline, counts, render_json, scan, Report};
+use memex_lint::{scan, Scan};
 
 /// Escape a value for a GitHub workflow-command *message* position.
 fn gh_escape(s: &str) -> String {
@@ -29,12 +27,11 @@ fn gh_escape_prop(s: &str) -> String {
     gh_escape(s).replace(',', "%2C").replace(':', "%3A")
 }
 
-/// Render the report as GitHub Actions workflow commands: one
-/// `::error file=…,line=…` per failure (annotated inline on the PR) and
-/// `::notice` lines for stale baseline entries.
-fn render_github(report: &Report) -> String {
+/// Render the findings as GitHub Actions workflow commands: one
+/// `::error file=…,line=…` each (annotated inline on the PR).
+fn render_github(scan: &Scan) -> String {
     let mut out = String::new();
-    for f in &report.failures {
+    for f in &scan.findings {
         out.push_str(&format!(
             "::error file={},line={},title=memex-lint[{}]::{} (in {})\n",
             gh_escape_prop(&f.file),
@@ -44,15 +41,6 @@ fn render_github(report: &Report) -> String {
             gh_escape(&f.function),
         ));
     }
-    for s in &report.stale {
-        out.push_str(&format!("::notice title=memex-lint::{}\n", gh_escape(s)));
-    }
-    out.push_str(&format!(
-        "memex-lint: {} files scanned, {} findings ({} beyond baseline)\n",
-        report.files_scanned,
-        report.total_findings,
-        report.failures.len(),
-    ));
     out
 }
 
@@ -75,36 +63,29 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut github = false;
-    let mut fix_baseline = false;
     let mut want_format = false;
     for arg in std::env::args().skip(1) {
         if want_format {
             want_format = false;
             match arg.as_str() {
                 "github" => github = true,
-                "json" => json = true,
-                "text" => {}
-                other => return fail(&format!("unknown format {other:?} (github|json|text)")),
+                "text" => github = false,
+                other => return fail(&format!("unknown format {other:?} (github|text)")),
             }
             continue;
         }
         match arg.as_str() {
-            "--json" => json = true,
             "--format" => want_format = true,
-            "--fix-baseline" => fix_baseline = true,
             "--help" | "-h" => {
                 println!(
-                    "memex-lint: workspace static analysis (panic-freedom, lock \
-                     discipline,\nmetric catalog, codec coverage, and the \
-                     interprocedural families:\nblocking-under-lock, \
-                     cross-function lock order, durability order,\n\
-                     panic-reachability)\n\n\
-                     usage: memex-lint [--json] [--format github|json|text] \
-                     [--fix-baseline]\n\n\
-                     Configuration and baseline live in LINT.toml at the \
-                     workspace root."
+                    "memex-lint: lexical static analysis of the workspace's src/ trees.\n\
+                     Four rule families: panic-freedom, lock order, metric catalog,\n\
+                     codec coverage. Any finding fails the run (exit 1); there is no\n\
+                     baseline and no allow list.\n\n\
+                     usage: memex-lint [--format github|text]\n\n\
+                     Configuration lives in LINT.toml at the workspace root; the rule\n\
+                     reference, and what this linter does not check, in docs/LINT.md."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -112,7 +93,7 @@ fn main() -> ExitCode {
         }
     }
     if want_format {
-        return fail("--format requires a value (github|json|text)");
+        return fail("--format requires a value (github|text)");
     }
 
     let Some(root) = find_root() else {
@@ -132,49 +113,19 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("scanning workspace: {e}")),
     };
 
-    if fix_baseline {
-        let baseline = counts(&scanned.findings);
-        let entries = baseline.len();
-        let spliced = memex_lint::config::splice_baseline(&config_text, &baseline);
-        if let Err(e) = std::fs::write(&lint_toml, spliced) {
-            return fail(&format!("writing {}: {e}", lint_toml.display()));
-        }
-        println!(
-            "memex-lint: baseline regenerated — {} findings across {entries} \
-             (rule, file) entries in {} files",
-            scanned.findings.len(),
-            scanned.files_scanned,
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let report = apply_baseline(scanned, &cfg);
     if github {
-        print!("{}", render_github(&report));
-    } else if json {
-        print!("{}", render_json(&report));
+        print!("{}", render_github(&scanned));
     } else {
-        for f in &report.failures {
+        for f in &scanned.findings {
             println!("{f}");
         }
-        for (rule, file, actual, allowed) in &report.exceeded {
-            println!(
-                "memex-lint: [{}] {file}: {actual} findings exceed baseline of \
-                 {allowed}",
-                rule.name()
-            );
-        }
-        for s in &report.stale {
-            println!("memex-lint: note: {s}");
-        }
-        println!(
-            "memex-lint: {} files scanned, {} findings ({} beyond baseline)",
-            report.files_scanned,
-            report.total_findings,
-            report.failures.len(),
-        );
     }
-    if report.failures.is_empty() {
+    println!(
+        "memex-lint: {} files scanned, {} findings",
+        scanned.files_scanned,
+        scanned.findings.len(),
+    );
+    if scanned.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,17 +1,13 @@
 //! Lightweight structure over the token stream: which function each token
 //! belongs to, whether it sits in test-only code, and its brace depth.
 //!
-//! This is deliberately not a parser. It tracks exactly four things with
+//! This is deliberately not a parser. It tracks exactly three things with
 //! a single forward pass and a scope stack:
 //!
 //! 1. **Brace depth** — every `{`/`}` pushes/pops a scope.
 //! 2. **Functions** — `fn name … {` opens a function scope (a `;` before
 //!    the `{` cancels it: trait method declarations have no body).
-//! 3. **Impl blocks** — `impl [Trait for] Type {` opens a typed scope;
-//!    functions defined directly inside carry `Type` as their `self_ty`,
-//!    which is what lets the call graph resolve `receiver.method()` to
-//!    `Type::method`.
-//! 4. **Test regions** — a `#[cfg(test)]` / `#[test]`-style attribute arms
+//! 3. **Test regions** — a `#[cfg(test)]` / `#[test]`-style attribute arms
 //!    the next `{` it decorates; everything inside inherits test-ness.
 //!    Files under `tests/`, `benches/`, or `examples/` are excluded before
 //!    this module is ever consulted.
@@ -22,11 +18,6 @@ use crate::lexer::{Tok, Token};
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     pub name: String,
-    /// Type of the enclosing `impl` block, when the fn is defined directly
-    /// inside one (`impl Foo { fn m … }` and `impl Trait for Foo { … }`
-    /// both yield `Foo`). Free fns — and fns nested inside another fn's
-    /// body — carry `None`.
-    pub self_ty: Option<String>,
     /// Token index of the body-opening `{`.
     pub body_start: usize,
     /// Token index one past the body-closing `}` (or `tokens.len()` when
@@ -34,16 +25,6 @@ pub struct FnInfo {
     pub body_end: usize,
     pub line: usize,
     pub in_test: bool,
-}
-
-impl FnInfo {
-    /// `Type::name` for methods, bare `name` for free fns.
-    pub fn qname(&self) -> String {
-        match &self.self_ty {
-            Some(t) => format!("{t}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// Per-token structural facts, parallel to the token vector.
@@ -63,36 +44,6 @@ struct Scope {
     is_test: bool,
     /// Function whose body this brace opened, if any.
     fn_id: Option<usize>,
-    /// Self type of the `impl` block this brace opened, if any.
-    impl_ty: Option<String>,
-}
-
-/// Extract the self type of an `impl` header starting at token `start`
-/// (the `impl` keyword): the last path segment at angle-bracket depth 0,
-/// taken after the `for` when one is present, stopping at `where` or the
-/// body `{`. Handles `impl Foo`, `impl<T> Foo<T>`, `impl Trait for Foo`,
-/// `impl fmt::Display for Foo<'_>`, and `impl Trait for &mut Foo`.
-fn impl_self_ty(tokens: &[Token], start: usize) -> Option<String> {
-    let mut angle = 0i32;
-    let mut ty: Option<String> = None;
-    let mut j = start + 1;
-    while j < tokens.len() {
-        match &tokens[j].tok {
-            Tok::Punct('{') if angle <= 0 => break,
-            Tok::Punct(';') => break,
-            Tok::Punct('<') => angle += 1,
-            Tok::Punct('>') => angle -= 1,
-            Tok::Ident(s) if angle <= 0 => match s.as_str() {
-                "for" => ty = None,
-                "where" => break,
-                "mut" | "dyn" | "unsafe" | "const" => {}
-                _ => ty = Some(s.clone()),
-            },
-            _ => {}
-        }
-        j += 1;
-    }
-    ty
 }
 
 /// True when the attribute token span marks test-only code: `#[test]`,
@@ -117,8 +68,6 @@ pub fn model(tokens: Vec<Token>) -> FileModel {
     let mut test_armed = false;
     // Set when `fn` + name were seen and the body `{` is still pending.
     let mut pending_fn: Option<(String, usize)> = None;
-    // Set when `impl` was seen and its body `{` is still pending.
-    let mut pending_impl: Option<Option<String>> = None;
 
     let mut i = 0usize;
     while i < n {
@@ -167,25 +116,10 @@ pub fn model(tokens: Vec<Token>) -> FileModel {
                     pending_fn = Some((name.clone(), tokens[i].line));
                 }
             }
-            Tok::Ident(id) if id == "impl" && pending_fn.is_none() => {
-                pending_impl = Some(impl_self_ty(&tokens, i));
-            }
             Tok::Punct('{') => {
-                let impl_ty = pending_impl.take().flatten();
                 let fn_id = pending_fn.take().map(|(name, line)| {
-                    // Innermost enclosing impl type — but not across a fn
-                    // boundary: a free fn nested in a method body has no
-                    // self type.
-                    let self_ty = scopes.iter().rev().find_map(|s| {
-                        if s.fn_id.is_some() {
-                            Some(None)
-                        } else {
-                            s.impl_ty.clone().map(Some)
-                        }
-                    });
                     functions.push(FnInfo {
                         name,
-                        self_ty: self_ty.flatten(),
                         body_start: i,
                         body_end: n,
                         line,
@@ -196,7 +130,6 @@ pub fn model(tokens: Vec<Token>) -> FileModel {
                 scopes.push(Scope {
                     is_test: test_armed,
                     fn_id,
-                    impl_ty,
                 });
                 test_armed = false;
             }
@@ -215,7 +148,6 @@ pub fn model(tokens: Vec<Token>) -> FileModel {
                     test_armed = false;
                 }
                 pending_fn = None;
-                pending_impl = None;
             }
             _ => {}
         }
@@ -293,34 +225,6 @@ mod tests {
         let m = model(lex(src));
         assert_eq!(m.functions.len(), 1);
         assert_eq!(m.functions[0].name, "with_body");
-    }
-
-    #[test]
-    fn impl_blocks_give_methods_a_self_type() {
-        let src = r#"
-            struct Foo;
-            impl Foo {
-                fn m(&self) { x(); }
-            }
-            impl std::fmt::Display for Foo {
-                fn fmt(&self, f: &mut F) -> R { y(); }
-            }
-            impl<T: Clone> Wrapper<T> where T: Send {
-                fn w(&self) { z(); }
-            }
-            fn free() -> impl Iterator<Item = u8> {
-                fn inner() { q(); }
-                std::iter::empty()
-            }
-        "#;
-        let m = model(lex(src));
-        let by_name = |n: &str| m.functions.iter().find(|f| f.name == n).unwrap();
-        assert_eq!(by_name("m").self_ty.as_deref(), Some("Foo"));
-        assert_eq!(by_name("m").qname(), "Foo::m");
-        assert_eq!(by_name("fmt").self_ty.as_deref(), Some("Foo"));
-        assert_eq!(by_name("w").self_ty.as_deref(), Some("Wrapper"));
-        assert_eq!(by_name("free").self_ty, None, "return-position impl");
-        assert_eq!(by_name("inner").self_ty, None, "nested fn is free");
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! guard lives to the end of its enclosing brace scope; a temporary
 //! (`x.lock().unwrap().field`) lives to the `;` that ends its statement.
 //! This over-approximates (an early `drop(guard)` is invisible), which is
-//! the safe direction for a deadlock detector — the baseline absorbs
-//! deliberate false positives.
+//! the safe direction for a deadlock detector; the remedy for a false
+//! positive is an inner block, which also documents the guard's extent.
+//! Nesting across a *call* is not seen at all (docs/LINT.md says what
+//! covers that instead).
 //!
 //! Checks, for every acquisition of `B` while `A` is (possibly) held:
 //! - `A` and `B` both in `[locks] order` → the nesting must follow the
@@ -24,6 +26,12 @@
 //! - Declared-but-unordered pairs accumulate into a workspace-wide
 //!   nesting graph; a cycle anywhere in it fails the run, naming the
 //!   participating edges.
+//!
+//! And, so the declarations cannot rot into a vacuous green: an alias
+//! row that no acquisition in the tree resolved to, and an `order` name
+//! no alias maps to, are findings ([`dead_declarations`]) — a renamed
+//! field, or a lock taken through a helper the extraction cannot see,
+//! shows up as a dead row instead of silently dropping out of the check.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,18 +42,18 @@ use crate::rules::Finding;
 
 /// One lock acquisition site.
 #[derive(Debug, Clone)]
-pub(crate) struct Acq {
+struct Acq {
     /// Receiver path as written, e.g. `shared.memex`.
-    pub(crate) path: String,
+    path: String,
     /// Resolved lock name, if an alias matched.
-    pub(crate) name: Option<String>,
-    pub(crate) line: usize,
-    pub(crate) token: usize,
-    pub(crate) depth: usize,
+    name: Option<String>,
+    line: usize,
+    token: usize,
+    depth: usize,
     /// True when the guard is let-bound (scope lifetime); false for a
     /// temporary (statement lifetime).
-    pub(crate) let_bound: bool,
-    pub(crate) fn_id: usize,
+    let_bound: bool,
+    fn_id: usize,
 }
 
 /// A nested acquisition `outer → inner` observed somewhere.
@@ -59,11 +67,14 @@ pub struct Edge {
 }
 
 /// Per-workspace accumulator: findings are immediate; edges between
-/// declared-but-unordered locks wait for the cycle pass.
+/// declared-but-unordered locks wait for the cycle pass, and the alias
+/// rows that resolved at least one acquisition wait for
+/// [`dead_declarations`].
 #[derive(Debug, Default)]
 pub struct LockAnalysis {
     pub findings: Vec<Finding>,
     pub edges: Vec<Edge>,
+    pub live_aliases: BTreeSet<String>,
 }
 
 fn method_at(model: &FileModel, i: usize) -> Option<&str> {
@@ -78,7 +89,7 @@ fn punct_at(model: &FileModel, i: usize, c: char) -> bool {
 }
 
 /// Walk back from the `.` before the method to collect the receiver path.
-pub(crate) fn receiver_path(model: &FileModel, dot: usize) -> String {
+fn receiver_path(model: &FileModel, dot: usize) -> String {
     let mut parts: Vec<&str> = Vec::new();
     let mut i = dot; // index of the `.` token
     loop {
@@ -118,7 +129,7 @@ fn statement_has_let(model: &FileModel, i: usize) -> bool {
 }
 
 /// Collect every acquisition in non-test functions of this file.
-pub(crate) fn acquisitions(model: &FileModel) -> Vec<Acq> {
+fn acquisitions(model: &FileModel) -> Vec<Acq> {
     let mut out = Vec::new();
     for i in 0..model.tokens.len() {
         if model.in_test[i] {
@@ -159,7 +170,7 @@ pub(crate) fn acquisitions(model: &FileModel) -> Vec<Acq> {
 /// over-approximation described in the module docs). Body tokens and
 /// the closing `}` of a scope share the same depth, so the brace that
 /// ends the acquiring scope is the first `}` at `depth <= acq.depth`.
-pub(crate) fn held_until(model: &FileModel, acq: &Acq) -> usize {
+fn held_until(model: &FileModel, acq: &Acq) -> usize {
     let n = model.tokens.len();
     for j in acq.token + 1..n {
         match &model.tokens[j].tok {
@@ -175,7 +186,10 @@ pub(crate) fn held_until(model: &FileModel, acq: &Acq) -> usize {
 pub fn check(model: &FileModel, file: &str, cfg: &Config, analysis: &mut LockAnalysis) {
     let mut acqs = acquisitions(model);
     for acq in &mut acqs {
-        acq.name = cfg.resolve_lock(file, &acq.path).map(|s| s.to_string());
+        if let Some((alias, name)) = cfg.resolve_lock(file, &acq.path) {
+            analysis.live_aliases.insert(alias.to_string());
+            acq.name = Some(name.to_string());
+        }
     }
     for (ai, a) in acqs.iter().enumerate() {
         let a_end = held_until(model, a);
@@ -240,107 +254,6 @@ pub fn check(model: &FileModel, file: &str, cfg: &Config, analysis: &mut LockAna
     }
 }
 
-/// Cross-function lock discipline: for every acquisition of `A` whose
-/// guard region contains a call, the callee's transitive lock summary
-/// (bounded depth, via [`crate::dataflow`]) is checked against `A` —
-/// recursion, order violations, and undeclared acquisitions are all
-/// flagged with the call chain that reaches the inner lock. This is the
-/// interprocedural twin of [`check`]: neither nesting is visible in one
-/// body, but `f { lock A; g() }` + `g { lock B }` is still `A → B`.
-///
-/// Same-body pairs are [`check`]'s business and are not re-reported
-/// here. Declared-but-unordered pairs feed the same cycle detector.
-pub fn check_cross(
-    files: &[crate::callgraph::FileUnit],
-    graph: &crate::callgraph::CallGraph,
-    flow: &crate::dataflow::Dataflow,
-    cfg: &Config,
-    analysis: &mut LockAnalysis,
-) {
-    use crate::dataflow::{render_chain, EffectKind};
-    for (id, node) in graph.nodes.iter().enumerate() {
-        if node.in_test {
-            continue;
-        }
-        let model = &files[node.file_idx].model;
-        for held in &flow.direct[id].locks {
-            for call in &graph.calls[id] {
-                if call.token <= held.token || call.token >= held.until {
-                    continue;
-                }
-                let function = model.fn_name(call.token).to_string();
-                for e in flow.effects_of_call(graph, call.callee, call.line) {
-                    let chain = render_chain(&e.hops);
-                    let mut fail = |message: String| {
-                        analysis.findings.push(Finding {
-                            rule: Rule::CrossLocks,
-                            file: node.file.clone(),
-                            line: call.line,
-                            function: function.clone(),
-                            message,
-                        });
-                    };
-                    match (e.kind, held.name.as_deref()) {
-                        (EffectKind::UndeclaredLock, _) => {
-                            fail(format!(
-                                "undeclared nested acquisition across calls: `{}` \
-                                 ({}:{}) acquired while `{}` (line {}) is held{chain} — \
-                                 give `{}` a name in [locks.aliases] and a rank in \
-                                 [locks] order",
-                                e.name, e.file, e.line, held.path, held.line, e.name
-                            ));
-                        }
-                        (EffectKind::Lock, Some(outer)) if e.name == outer => {
-                            fail(format!(
-                                "recursive acquisition of `{outer}` across calls \
-                                 (outer at line {}, inner at {}:{}){chain}: \
-                                 std::sync primitives self-deadlock",
-                                held.line, e.file, e.line
-                            ));
-                        }
-                        (EffectKind::Lock, Some(outer)) => {
-                            match (cfg.lock_rank(outer), cfg.lock_rank(&e.name)) {
-                                (Some(ra), Some(rb)) if ra >= rb => {
-                                    fail(format!(
-                                        "cross-function lock order violation: `{}` \
-                                         (rank {rb}, at {}:{}) acquired while `{outer}` \
-                                         (rank {ra}, outer at line {}) is held{chain} — \
-                                         declared order requires `{}` before `{outer}`",
-                                        e.name, e.file, e.line, held.line, e.name
-                                    ));
-                                }
-                                (Some(_), Some(_)) => {}
-                                _ => {
-                                    analysis.edges.push(Edge {
-                                        outer: outer.to_string(),
-                                        inner: e.name.clone(),
-                                        file: node.file.clone(),
-                                        line: call.line,
-                                        function: function.clone(),
-                                    });
-                                }
-                            }
-                        }
-                        // Outer lock undeclared: the intra-function rule
-                        // already flags the acquisition site's nesting;
-                        // here we only care once the callee side names a
-                        // lock, handled above.
-                        (EffectKind::Lock, None) => {
-                            fail(format!(
-                                "undeclared nested acquisition across calls: `{}` \
-                                 ({}:{}) acquired while undeclared `{}` (line {}) is \
-                                 held{chain} — give `{}` a name in [locks.aliases]",
-                                e.name, e.file, e.line, held.path, held.line, held.path
-                            ));
-                        }
-                        (EffectKind::Blocking, _) => {}
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Cycle pass over the accumulated nesting graph (runs once per
 /// workspace). Any strongly-connected component with a cycle fails each
 /// participating edge.
@@ -382,6 +295,40 @@ pub fn cycle_findings(edges: &[Edge]) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// The no-vacuous-green pass (runs once per workspace, after every file):
+/// each `[locks.aliases]` row must have resolved an acquisition somewhere,
+/// and each `[locks] order` name must be the target of some alias.
+pub fn dead_declarations(cfg: &Config, live_aliases: &BTreeSet<String>) -> Vec<Finding> {
+    let finding = |message: String| Finding {
+        rule: Rule::Locks,
+        file: "LINT.toml".to_string(),
+        line: 1,
+        function: "[locks]".to_string(),
+        message,
+    };
+    let dead = cfg
+        .lock_aliases
+        .iter()
+        .filter(|(alias, _)| !live_aliases.contains(*alias))
+        .map(|(alias, name)| {
+            finding(format!(
+                "dead alias: no acquisition in the tree resolves to \"{alias}\" = \
+                 \"{name}\" — the lock was renamed, removed, or is taken through a \
+                 helper the lint cannot see"
+            ))
+        });
+    let unaliased = cfg
+        .lock_order
+        .iter()
+        .filter(|name| !cfg.lock_aliases.values().any(|n| n == *name))
+        .map(|name| {
+            finding(format!(
+                "`{name}` is ranked in [locks] order but no [locks.aliases] row maps to it"
+            ))
+        });
+    dead.chain(unaliased).collect()
 }
 
 #[cfg(test)]
@@ -545,87 +492,17 @@ mod tests {
         assert!(cycle_findings(&got.edges).is_empty());
     }
 
-    fn run_cross(src: &str, c: &Config) -> LockAnalysis {
-        let files = vec![crate::callgraph::FileUnit {
-            path: "x.rs".into(),
-            crate_name: "t".into(),
-            model: model(lex(src)),
-        }];
-        let graph = crate::callgraph::CallGraph::build(&files);
-        let flow = crate::dataflow::Dataflow::build(&files, &graph, c);
-        let mut analysis = LockAnalysis::default();
-        check_cross(&files, &graph, &flow, c, &mut analysis);
-        analysis
-    }
-
     #[test]
-    fn cross_function_order_violation_is_flagged_with_chain() {
+    fn dead_alias_and_unaliased_rank_are_findings() {
         let c = cfg(
-            &["outer.lock", "inner.lock"],
-            &[("a", "outer.lock"), ("b", "inner.lock")],
+            &["lock.a", "lock.ghost"],
+            &[("a", "lock.a"), ("renamed_away", "lock.a")],
         );
-        // Correct nesting across calls passes…
-        let good = r#"
-            fn helper(b: M) { let g = b.lock(); }
-            fn f(a: M, b: M) {
-                let ga = a.lock();
-                helper(b);
-            }
-        "#;
-        assert!(run_cross(good, &c).findings.is_empty());
-        // …reversed nesting across calls fails, naming the chain.
-        let bad = r#"
-            fn helper(a: M) { let g = a.lock(); }
-            fn f(a: M, b: M) {
-                let gb = b.lock();
-                helper(a);
-            }
-        "#;
-        let got = run_cross(bad, &c);
-        assert_eq!(got.findings.len(), 1, "{:?}", got.findings);
-        assert_eq!(got.findings[0].rule, Rule::CrossLocks);
-        assert!(got.findings[0].message.contains("via helper"));
-    }
-
-    #[test]
-    fn cross_function_recursion_and_undeclared_are_flagged() {
-        let c = cfg(&["m.lock"], &[("m", "m.lock")]);
-        let rec = r#"
-            fn helper(m: M) { let g = m.lock(); }
-            fn f(m: M) {
-                let g = m.lock();
-                helper(m);
-            }
-        "#;
-        let got = run_cross(rec, &c);
-        assert_eq!(got.findings.len(), 1, "{:?}", got.findings);
-        assert!(got.findings[0].message.contains("recursive"));
-
-        let undecl = r#"
-            fn helper(mystery: M) { let g = mystery.lock(); }
-            fn f(m: M) {
-                let g = m.lock();
-                helper(m);
-            }
-        "#;
-        let got = run_cross(undecl, &c);
-        assert_eq!(got.findings.len(), 1, "{:?}", got.findings);
-        assert!(got.findings[0].message.contains("undeclared"));
-    }
-
-    #[test]
-    fn call_after_guard_release_passes() {
-        let c = cfg(&["m.lock"], &[("m", "m.lock")]);
-        let src = r#"
-            fn helper(m: M) { let g = m.lock(); }
-            fn f(m: M) {
-                {
-                    let g = m.lock();
-                }
-                helper(m);
-            }
-        "#;
-        assert!(run_cross(src, &c).findings.is_empty());
+        let got = run("fn f(a: M) { let g = a.lock(); }", &c);
+        let findings = dead_declarations(&c, &got.live_aliases);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].message.contains("renamed_away"));
+        assert!(findings[1].message.contains("lock.ghost"));
     }
 
     #[test]

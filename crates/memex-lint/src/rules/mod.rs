@@ -1,19 +1,12 @@
-//! The rule families. The intra-function rules (panic, locks, metrics,
-//! codec) consume a [`FileModel`](crate::parse::FileModel) plus the
-//! repo-relative path; the interprocedural rules (blocking, locks-cross,
-//! durability, panic-reach) additionally consume the workspace
-//! [`CallGraph`](crate::callgraph::CallGraph) and
-//! [`Dataflow`](crate::dataflow::Dataflow). Every rule yields
-//! [`Finding`]s; the driver in `lib.rs` applies the baseline and decides
-//! the exit code.
+//! The four rule families. Each consumes a
+//! [`FileModel`](crate::parse::FileModel) plus the repo-relative path and
+//! yields [`Finding`]s; the driver in `lib.rs` collects them, and any
+//! finding fails the run.
 
-pub mod blocking;
 pub mod codec;
-pub mod durability;
 pub mod locks;
 pub mod metrics;
 pub mod panic_rule;
-pub mod reach;
 
 use crate::config::Rule;
 

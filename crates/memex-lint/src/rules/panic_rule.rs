@@ -1,13 +1,18 @@
 //! Rule family 1: **panic-freedom**.
 //!
-//! In the long-running serving crates, a panic is an outage-shaped event:
-//! it kills a worker thread, poisons whatever lock it held, and turns one
-//! bad request into degraded service for everyone behind it. This rule
-//! flags the panic-shaped constructs in non-test code — `unwrap()`,
-//! `expect(…)`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, and
-//! slice/array indexing (`buf[i]`, `buf[a..b]`) — so every new one must
-//! either be rewritten as a typed error or consciously burned into the
-//! baseline.
+//! In a long-running server a panic is an outage-shaped event: it kills a
+//! worker thread, poisons whatever lock it held, and turns one bad request
+//! into degraded service for everyone behind it. This rule flags the
+//! panic-shaped constructs in non-test code, in two halves:
+//!
+//! - **calls** — `unwrap()`, `expect(…)`, `panic!`, `unreachable!`,
+//!   `todo!`, `unimplemented!` — in every crate a wire request can reach
+//!   (the driver in `lib.rs` exempts only the offline-tool crates);
+//! - **indexing** — `buf[i]`, `buf[a..b]` — only in the `panic_crates` of
+//!   `LINT.toml`, where bytes from the wire or the disk are decoded.
+//!
+//! There is no allow list: a finding is rewritten as a typed error or so
+//! that the type carries the invariant.
 
 use crate::config::Rule;
 use crate::lexer::Tok;
@@ -28,21 +33,9 @@ fn punct_at(m: &FileModel, i: usize, c: char) -> bool {
     matches!(m.tokens.get(i).map(|t| &t.tok), Some(Tok::Punct(p)) if *p == c)
 }
 
-/// One panic-shaped construct in non-test code.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Token index of the construct.
-    pub token: usize,
-    pub line: usize,
-    pub message: String,
-}
-
-/// Collect panic-shaped constructs in non-test code. `include_indexing`
-/// controls whether slice/array index expressions count — the in-crate
-/// panic rule includes them; panic-reachability deliberately does not
-/// (indexing is pervasive in non-panic crates and would drown the
-/// signal; see docs/LINT.md).
-pub fn sites(model: &FileModel, include_indexing: bool) -> Vec<PanicSite> {
+/// Scan one file. `include_indexing` adds the indexing half (the file
+/// belongs to one of `panic_crates`).
+pub fn check(model: &FileModel, file: &str, include_indexing: bool) -> Vec<Finding> {
     let mut out = Vec::new();
     for i in 0..model.tokens.len() {
         if model.in_test[i] {
@@ -50,9 +43,11 @@ pub fn sites(model: &FileModel, include_indexing: bool) -> Vec<PanicSite> {
         }
         let line = model.tokens[i].line;
         let mut push = |message: String| {
-            out.push(PanicSite {
-                token: i,
+            out.push(Finding {
+                rule: Rule::Panic,
+                file: file.to_string(),
                 line,
+                function: model.fn_name(i).to_string(),
                 message,
             });
         };
@@ -91,31 +86,21 @@ pub fn sites(model: &FileModel, include_indexing: bool) -> Vec<PanicSite> {
     out
 }
 
-/// Scan one file of a panic-checked crate.
-pub fn check(model: &FileModel, file: &str) -> Vec<Finding> {
-    sites(model, true)
-        .into_iter()
-        .map(|s| Finding {
-            rule: Rule::Panic,
-            file: file.to_string(),
-            line: s.line,
-            function: model.fn_name(s.token).to_string(),
-            message: s.message,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parse::model;
 
-    fn findings(src: &str) -> Vec<String> {
-        check(&model(lex(src)), "f.rs")
+    fn findings_with(src: &str, include_indexing: bool) -> Vec<String> {
+        check(&model(lex(src)), "f.rs", include_indexing)
             .into_iter()
             .map(|f| f.message)
             .collect()
+    }
+
+    fn findings(src: &str) -> Vec<String> {
+        findings_with(src, true)
     }
 
     #[test]
@@ -159,6 +144,8 @@ mod tests {
         "#;
         let got = findings(src);
         assert_eq!(got.len(), 5, "{got:?}");
+        // Outside `panic_crates` only the call half applies.
+        assert!(findings_with(src, false).is_empty());
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Fixture-driven integration tests: each rule family against inline
-//! source snippets, plus an end-to-end scan of a miniature on-disk
-//! workspace exercising the walker, the baseline ratchet, and the
-//! `--fix-baseline` splice round-trip.
+//! Fixture-driven integration tests: each rule family against a seeded
+//! violation (fires exactly once) and, where it has one, a clean twin —
+//! inline snippets for the per-file rules, miniature on-disk workspaces
+//! for what the driver decides (crate scope, dead lock declarations, the
+//! walker, the binary's exit code).
 
-use memex_lint::config::{splice_baseline, Config, Rule};
+use memex_lint::config::{Config, Rule};
 use memex_lint::rules::locks::{cycle_findings, LockAnalysis};
 use memex_lint::rules::{codec, locks, metrics, panic_rule};
-use memex_lint::{apply_baseline, counts, lexer, parse, scan};
+use memex_lint::{lexer, parse, scan};
 
 fn model(src: &str) -> parse::FileModel {
     parse::model(lexer::lex(src))
@@ -59,7 +60,7 @@ fn panic_family_full_fixture() {
             }
         }
     "#;
-    let found = panic_rule::check(&model(src), "crates/serving/src/main.rs");
+    let found = panic_rule::check(&model(src), "crates/serving/src/main.rs", true);
     assert_eq!(found.len(), 3, "{found:?}");
     assert!(found.iter().all(|f| f.function == "serve"));
 }
@@ -199,206 +200,7 @@ fn codec_wildcard_fixture() {
 }
 
 // ---------------------------------------------------------------------------
-// Families 5-8 (interprocedural): each gets an on-disk mini-workspace with
-// one seeded violation (exactly one finding) and a clean twin (zero).
-// ---------------------------------------------------------------------------
-
-/// Shared base for the interprocedural fixtures: ranked locks + aliases,
-/// no other families enabled unless a test's config adds their section.
-const INTERPROC_BASE: &str = r#"
-[lint]
-panic_crates = ["srv"]
-
-[locks]
-order = ["lock.outer", "lock.inner"]
-
-[locks.aliases]
-"outer" = "lock.outer"
-"inner" = "lock.inner"
-"#;
-
-fn scan_tree(tree: &TempTree, config: &str) -> Vec<memex_lint::rules::Finding> {
-    let cfg = Config::parse(config).unwrap();
-    scan(&tree.0, &cfg).unwrap().findings
-}
-
-fn only_rule(findings: &[memex_lint::rules::Finding], rule: Rule) -> usize {
-    findings.iter().filter(|f| f.rule == rule).count()
-}
-
-#[test]
-fn blocking_family_on_disk_fixture() {
-    let config = format!("{INTERPROC_BASE}\n[blocking]\nmethods = [\"flush\"]\n");
-
-    let seeded = TempTree::new("blocking-bad");
-    seeded.write(
-        "crates/srv/src/main.rs",
-        r#"
-            fn hold_and_flush(outer: M, sink: F) {
-                let g = outer.lock();
-                sink.flush();
-                drop(g);
-            }
-        "#,
-    );
-    let findings = scan_tree(&seeded, &config);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(only_rule(&findings, Rule::Blocking), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("flush"),
-        "{}",
-        findings[0].message
-    );
-
-    let clean = TempTree::new("blocking-good");
-    clean.write(
-        "crates/srv/src/main.rs",
-        r#"
-            fn scoped_then_flush(outer: M, sink: F) {
-                {
-                    let g = outer.lock();
-                    let _ = &g;
-                }
-                sink.flush();
-            }
-        "#,
-    );
-    let findings = scan_tree(&clean, &config);
-    assert!(findings.is_empty(), "flush after release: {findings:?}");
-}
-
-#[test]
-fn cross_function_lock_family_on_disk_fixture() {
-    let seeded = TempTree::new("crosslock-bad");
-    seeded.write(
-        "crates/srv/src/main.rs",
-        r#"
-            fn top(inner: M, outer: M) {
-                let gi = inner.lock();
-                grab_outer(outer);
-            }
-            fn grab_outer(outer: M) {
-                let go = outer.lock();
-            }
-        "#,
-    );
-    let findings = scan_tree(&seeded, INTERPROC_BASE);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(only_rule(&findings, Rule::CrossLocks), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("grab_outer"),
-        "finding must carry the call chain: {}",
-        findings[0].message
-    );
-
-    // Same shape, locks taken in the declared order: clean.
-    let clean = TempTree::new("crosslock-good");
-    clean.write(
-        "crates/srv/src/main.rs",
-        r#"
-            fn top(outer: M, inner: M) {
-                let go = outer.lock();
-                grab_inner(inner);
-            }
-            fn grab_inner(inner: M) {
-                let gi = inner.lock();
-            }
-        "#,
-    );
-    let findings = scan_tree(&clean, INTERPROC_BASE);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn durability_family_on_disk_fixture() {
-    let config = format!(
-        "{INTERPROC_BASE}\n\
-         [durability]\n\
-         functions = [\"S::seal\"]\n\
-         sync_methods = [\"sync\"]\n\
-         truncate_methods = [\"set_len\"]\n\
-         wal_paths = [\"wal\"]\n"
-    );
-
-    let seeded = TempTree::new("durability-bad");
-    seeded.write(
-        "crates/store/src/wal.rs",
-        r#"
-            struct S { wal: W }
-            impl S {
-                fn seal(&self) {
-                    self.wal.set_len(0);
-                    self.wal.sync();
-                }
-            }
-        "#,
-    );
-    let findings = scan_tree(&seeded, &config);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(only_rule(&findings, Rule::Durability), 1, "{findings:?}");
-
-    let clean = TempTree::new("durability-good");
-    clean.write(
-        "crates/store/src/wal.rs",
-        r#"
-            struct S { wal: W }
-            impl S {
-                fn seal(&self) {
-                    self.wal.sync();
-                    self.wal.set_len(0);
-                }
-            }
-        "#,
-    );
-    let findings = scan_tree(&clean, &config);
-    assert!(
-        findings.is_empty(),
-        "sync-then-truncate is the law: {findings:?}"
-    );
-}
-
-#[test]
-fn panic_reach_family_on_disk_fixture() {
-    let config = format!("{INTERPROC_BASE}\n[reachability]\nroots = [\"accept_loop\"]\n");
-
-    let seeded = TempTree::new("reach-bad");
-    seeded.write("crates/srv/src/main.rs", "fn accept_loop() { lookup(); }");
-    seeded.write(
-        "crates/helper/src/lib.rs",
-        r#"
-            pub fn lookup() -> u32 { maybe().unwrap() }
-            fn maybe() -> Option<u32> { Some(1) }
-        "#,
-    );
-    let findings = scan_tree(&seeded, &config);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(only_rule(&findings, Rule::PanicReach), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("accept_loop → lookup"),
-        "{}",
-        findings[0].message
-    );
-
-    // The unwrap moves to a function no root reaches: clean.
-    let clean = TempTree::new("reach-good");
-    clean.write("crates/srv/src/main.rs", "fn accept_loop() { lookup(); }");
-    clean.write(
-        "crates/helper/src/lib.rs",
-        r#"
-            pub fn lookup() -> u32 { maybe().unwrap_or(0) }
-            pub fn offline_tool() -> u32 { maybe().unwrap() }
-            fn maybe() -> Option<u32> { Some(1) }
-        "#,
-    );
-    let findings = scan_tree(&clean, &config);
-    assert!(
-        findings.is_empty(),
-        "unreached panics are out of scope: {findings:?}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end: on-disk mini-workspace + allowlist round-trip
+// On-disk mini-workspaces: what the driver decides
 // ---------------------------------------------------------------------------
 
 struct TempTree(std::path::PathBuf);
@@ -425,9 +227,113 @@ impl Drop for TempTree {
     }
 }
 
+fn scan_tree(tree: &TempTree, config: &str) -> Vec<memex_lint::rules::Finding> {
+    let cfg = Config::parse(config).unwrap();
+    scan(&tree.0, &cfg).unwrap().findings
+}
+
+/// Family 1's scope: the call half applies to every crate but the offline
+/// tools, the indexing half only to `panic_crates`.
 #[test]
-fn scan_and_baseline_round_trip_on_disk() {
+fn panic_call_half_is_workspace_wide_on_disk_fixture() {
+    const CONFIG: &str = "[lint]\npanic_crates = [\"serving\"]\n";
+    const UNWRAP: &str = "pub fn reseed(x: Option<u8>) -> u8 { x.expect(\"n > 0\") }";
+    const INDEXING: &str = "pub fn first(v: &[u8]) -> u8 { v[0] }";
+
+    let seeded = TempTree::new("panic-wide-bad");
+    seeded.write("crates/mining/src/kmeans.rs", UNWRAP);
+    let findings = scan_tree(&seeded, CONFIG);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::Panic);
+    assert_eq!(findings[0].file, "crates/mining/src/kmeans.rs");
+
+    // Indexing outside `panic_crates` is not a finding…
+    let indexing = TempTree::new("panic-wide-indexing");
+    indexing.write("crates/mining/src/kmeans.rs", INDEXING);
+    assert!(scan_tree(&indexing, CONFIG).is_empty());
+    // …inside them it is.
+    indexing.write("crates/serving/src/decode.rs", INDEXING);
+    assert_eq!(scan_tree(&indexing, CONFIG).len(), 1);
+
+    // The same unwrap in an offline-tool crate is out of scope.
+    let offline = TempTree::new("panic-wide-offline");
+    offline.write("crates/bench/src/kmeans.rs", UNWRAP);
+    offline.write("crates/memex-lint/src/kmeans.rs", UNWRAP);
+    assert!(scan_tree(&offline, CONFIG).is_empty());
+}
+
+/// Family 2's no-vacuous-green rule: an alias row no acquisition resolves
+/// to is a finding; the same row with a live acquisition is not.
+#[test]
+fn dead_lock_alias_on_disk_fixture() {
+    const CONFIG: &str = r#"
+[locks]
+order = ["lock.outer", "lock.inner"]
+
+[locks.aliases]
+"outer" = "lock.outer"
+"inner" = "lock.inner"
+"#;
+    let seeded = TempTree::new("dead-alias-bad");
+    seeded.write(
+        "crates/srv/src/main.rs",
+        r#"
+            fn nested(outer: M, inner: M) {
+                let go = outer.lock();
+                let gi = lock_helper(inner);
+            }
+        "#,
+    );
+    let findings = scan_tree(&seeded, CONFIG);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, Rule::Locks);
+    assert_eq!(findings[0].file, "LINT.toml");
+    assert!(
+        findings[0].message.contains("\"inner\""),
+        "{}",
+        findings[0].message
+    );
+
+    let live = TempTree::new("dead-alias-good");
+    live.write(
+        "crates/srv/src/main.rs",
+        r#"
+            fn nested(outer: M, inner: M) {
+                let go = outer.lock();
+                let gi = inner.lock();
+            }
+        "#,
+    );
+    let findings = scan_tree(&live, CONFIG);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+/// Run the `memex-lint` binary inside `tree`; returns (exit code, stdout).
+fn run_binary(tree: &TempTree) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_memex-lint"))
+        .current_dir(&tree.0)
+        .output()
+        .unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+/// End to end: the walker, all four families in one scan, and the only
+/// policy there is — a seeded finding on disk exits non-zero, its clean
+/// twin exits 0.
+#[test]
+fn seeded_finding_exits_nonzero_and_clean_twin_exits_zero() {
+    const CONFIG: &str = r#"
+[lint]
+panic_crates = ["serving"]
+codec_files = ["crates/serving/src/wire.rs"]
+codec_functions = ["decode_thing"]
+metrics_catalog = "docs/METRICS.md"
+"#;
     let tree = TempTree::new("e2e");
+    tree.write("LINT.toml", CONFIG);
     tree.write(
         "crates/serving/src/main.rs",
         r#"
@@ -461,7 +367,7 @@ fn scan_and_baseline_round_trip_on_disk() {
         "| `app.requests` | counter | documented but unused |\n",
     );
 
-    let cfg = Config::parse(BASE_CONFIG).unwrap();
+    let cfg = Config::parse(CONFIG).unwrap();
     let scanned = scan(&tree.0, &cfg).unwrap();
     assert_eq!(
         scanned.files_scanned, 2,
@@ -474,36 +380,33 @@ fn scan_and_baseline_round_trip_on_disk() {
         "{:?}",
         scanned.findings
     );
+    let (code, stdout) = run_binary(&tree);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("3 findings"), "{stdout}");
 
-    // Freeze the findings into a baseline, as --fix-baseline would.
-    let baseline = counts(&scanned.findings);
-    let spliced = splice_baseline(BASE_CONFIG, &baseline);
-    let cfg2 = Config::parse(&spliced).unwrap();
-    assert_eq!(cfg2.baseline.len(), 3);
-
-    // Under the new baseline the same tree is clean…
-    let report = apply_baseline(scan(&tree.0, &cfg2).unwrap(), &cfg2);
-    assert!(report.failures.is_empty(), "{:?}", report.failures);
-    assert!(report.stale.is_empty());
-
-    // …and a fresh violation still fails.
+    // One finding left is still a failed run: nothing absorbs it.
     tree.write(
-        "crates/serving/src/extra.rs",
-        "pub fn boom() { panic!(\"new\"); }",
+        "crates/serving/src/wire.rs",
+        "fn decode_thing(tag: u8) -> Result<u8, u8> { match tag { 0 => Ok(0), t => Err(t) } }",
     );
-    let report = apply_baseline(scan(&tree.0, &cfg2).unwrap(), &cfg2);
-    assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].rule, Rule::Panic);
-    assert!(report.failures[0].file.ends_with("extra.rs"));
+    tree.write("docs/METRICS.md", "no table rows\n");
+    let (code, stdout) = run_binary(&tree);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("1 findings"), "{stdout}");
 
-    // Fixing the original unwrap makes its allowance stale (ratchet note).
+    // The clean twin.
     tree.write(
         "crates/serving/src/main.rs",
         "pub fn risky(x: Option<u8>) -> u8 { x.unwrap_or(0) }",
     );
-    tree.write("crates/serving/src/extra.rs", "pub fn boom() {}");
-    let report = apply_baseline(scan(&tree.0, &cfg2).unwrap(), &cfg2);
-    assert!(report.failures.is_empty());
-    assert_eq!(report.stale.len(), 1, "{:?}", report.stale);
-    assert!(report.stale[0].contains("main.rs"));
+    let (code, stdout) = run_binary(&tree);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("0 findings"), "{stdout}");
+
+    // An allow table is a configuration error (exit 2), not an escape hatch.
+    tree.write(
+        "LINT.toml",
+        &format!("{CONFIG}\n[[allow]]\nrule = \"panic\"\n"),
+    );
+    assert_eq!(run_binary(&tree).0, Some(2));
 }

@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::registry::{Counter, MetricsRegistry};
@@ -212,6 +212,11 @@ impl Ring {
     }
 }
 
+/// Every lock below is taken with poison recovery
+/// (`unwrap_or_else(|e| e.into_inner())`): tracing must never take a
+/// subsystem down, and the state behind a poisoned lock — a ring of
+/// `Arc`s — is still the state. Acquisitions are written inline so
+/// `memex-lint` sees the `ring → slot` nesting.
 struct TracerInner {
     enabled: AtomicBool,
     slow_threshold_ns: AtomicU64,
@@ -270,11 +275,11 @@ impl Tracer {
             .store(config.slow_capacity, Ordering::Relaxed);
         self.inner.ids.reseed(config.seed);
         let needs_resize = {
-            let ring = lock_read(&self.inner.ring);
+            let ring = self.inner.ring.read().unwrap_or_else(|e| e.into_inner());
             ring.slots.len() != config.recorder_capacity
         };
         if needs_resize {
-            let mut ring = lock_write(&self.inner.ring);
+            let mut ring = self.inner.ring.write().unwrap_or_else(|e| e.into_inner());
             *ring = Ring::with_capacity(config.recorder_capacity);
         }
     }
@@ -287,7 +292,7 @@ impl Tracer {
             slow_retained: registry.counter("slowlog.retained"),
             slow_dropped: registry.counter("slowlog.dropped"),
         };
-        *lock_mutex(&self.inner.metrics) = metrics;
+        *self.inner.metrics.lock().unwrap_or_else(|e| e.into_inner()) = metrics;
     }
 
     pub fn enabled(&self) -> bool {
@@ -304,7 +309,11 @@ impl Tracer {
     }
 
     fn metrics(&self) -> TraceMetrics {
-        lock_mutex(&self.inner.metrics).clone()
+        self.inner
+            .metrics
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Begin a trace rooted at `name`, adopting the propagated `id` when
@@ -351,7 +360,7 @@ impl Tracer {
     /// else the flight recorder. At most `limit` traces are returned.
     pub fn collect(&self, slow_only: bool, limit: usize) -> Vec<TraceData> {
         if slow_only {
-            let slow = lock_mutex(&self.inner.slow);
+            let slow = self.inner.slow.lock().unwrap_or_else(|e| e.into_inner());
             return slow
                 .iter()
                 .rev()
@@ -359,7 +368,7 @@ impl Tracer {
                 .map(|t| t.as_ref().clone())
                 .collect();
         }
-        let ring = lock_read(&self.inner.ring);
+        let ring = self.inner.ring.read().unwrap_or_else(|e| e.into_inner());
         let cap = ring.slots.len();
         if cap == 0 {
             return Vec::new();
@@ -373,7 +382,7 @@ impl Tracer {
             }
             let idx = (cursor.wrapping_sub(back)) % cap;
             let slot = &ring.slots[idx];
-            if let Some(t) = lock_mutex(slot).as_ref() {
+            if let Some(t) = slot.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
                 out.push(t.as_ref().clone());
             }
         }
@@ -382,10 +391,10 @@ impl Tracer {
 
     /// Number of traces currently held by the flight recorder.
     pub fn recorded(&self) -> usize {
-        let ring = lock_read(&self.inner.ring);
+        let ring = self.inner.ring.read().unwrap_or_else(|e| e.into_inner());
         let mut n = 0;
         for slot in &ring.slots {
-            if lock_mutex(slot).is_some() {
+            if slot.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
                 n += 1;
             }
         }
@@ -400,7 +409,7 @@ impl Tracer {
         if trace.duration_ns() >= threshold {
             let cap = self.inner.slow_capacity.load(Ordering::Relaxed);
             if cap > 0 {
-                let mut slow = lock_mutex(&self.inner.slow);
+                let mut slow = self.inner.slow.lock().unwrap_or_else(|e| e.into_inner());
                 slow.push_back(Arc::clone(&trace));
                 metrics.slow_retained.inc();
                 while slow.len() > cap {
@@ -409,29 +418,14 @@ impl Tracer {
                 }
             }
         }
-        let ring = lock_read(&self.inner.ring);
+        let ring = self.inner.ring.read().unwrap_or_else(|e| e.into_inner());
         if !ring.slots.is_empty() {
             let idx = ring.cursor.fetch_add(1, Ordering::Relaxed) % ring.slots.len();
             let slot = &ring.slots[idx];
-            *lock_mutex(slot) = Some(trace);
+            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(trace);
         }
         metrics.completed.inc();
     }
-}
-
-// Poison recovery: tracing must never take a subsystem down, so a
-// panicked peer's poison is absorbed (the data is a ring of Arcs — the
-// state behind a poisoned lock is still the state).
-fn lock_mutex<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------

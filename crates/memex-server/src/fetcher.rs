@@ -149,12 +149,18 @@ impl<F: PageFetcher> FlakyFetcher<F> {
 
     /// Transient failures injected so far.
     pub fn transient_failures(&self) -> u64 {
-        self.state.lock().unwrap().transient_failures
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .transient_failures
     }
 
     /// Total virtual latency accrued across all attempts (never slept).
     pub fn simulated_latency_ms(&self) -> u64 {
-        self.state.lock().unwrap().simulated_latency_ms
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .simulated_latency_ms
     }
 
     pub fn inner(&self) -> &F {
@@ -169,7 +175,7 @@ impl<F: PageFetcher> PageFetcher for FlakyFetcher<F> {
 
     fn try_fetch(&self, page: u32) -> Result<PageContent, FetchError> {
         let fail = {
-            let mut s = self.state.lock().unwrap();
+            let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
             let attempt = s.attempts.entry(page).or_insert(0);
             *attempt += 1;
             let mut rng = SplitMix64::new(

@@ -478,11 +478,14 @@ impl<F: PageFetcher> MemexServer<F> {
         )?;
         Ok(rows
             .into_iter()
-            .map(|(_, row)| BookmarkRecord {
-                user: row[0].as_int().unwrap_or(0) as u32,
-                page: row[1].as_int().unwrap_or(0) as u32,
-                folder: row[2].as_text().unwrap_or("").to_string(),
-                time: row[3].as_int().unwrap_or(0) as u64,
+            .filter_map(|(_, row)| match row.as_slice() {
+                [user, page, folder, time] => Some(BookmarkRecord {
+                    user: user.as_int().unwrap_or(0) as u32,
+                    page: page.as_int().unwrap_or(0) as u32,
+                    folder: folder.as_text().unwrap_or("").to_string(),
+                    time: time.as_int().unwrap_or(0) as u64,
+                }),
+                _ => None,
             })
             .collect())
     }

@@ -57,6 +57,9 @@ pub struct PipelineReport {
     /// Events each demon actually processed (the crashed demon loses its
     /// in-flight batch).
     pub per_consumer_processed: Vec<usize>,
+    /// Demon threads that died of a panic (unlike the injected crash, not
+    /// part of the experiment); each counts 0 events processed.
+    pub demons_panicked: usize,
     /// Events lost to the injected crash.
     pub events_lost_in_crash: usize,
     /// Highest staleness (epochs behind) sampled during the run.
@@ -168,14 +171,21 @@ pub fn run_threaded(config: ThreadedConfig) -> PipelineReport {
     let producer_elapsed = producer_start.elapsed();
     done.store(true, Ordering::Release);
 
+    let mut demons_panicked = 0usize;
     let per_consumer_processed: Vec<usize> = handles
         .into_iter()
-        .map(|h| h.join().expect("demon thread panicked"))
+        .map(|h| {
+            h.join().unwrap_or_else(|_| {
+                demons_panicked += 1;
+                0
+            })
+        })
         .collect();
     let total_elapsed = start.elapsed();
     PipelineReport {
         events_offered: offered,
         per_consumer_processed,
+        demons_panicked,
         events_lost_in_crash: lost.get() as usize,
         max_staleness: max_staleness.get() as u64,
         producer_elapsed,
@@ -240,6 +250,7 @@ mod tests {
             crash_after_events: Some(500),
             ..ThreadedConfig::default()
         });
+        assert_eq!(report.demons_panicked, 0, "a crash is not a panic");
         assert!(
             report.events_lost_in_crash > 0,
             "the crash must cost something"

@@ -84,12 +84,22 @@ pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> StoreResult<&'a [u8]> {
     let end = pos
         .checked_add(len)
         .ok_or_else(|| StoreError::Corrupt("byte-string length overflow".into()))?;
-    if end > buf.len() {
-        return Err(StoreError::Corrupt("byte string truncated".into()));
-    }
-    let slice = &buf[*pos..end];
+    let slice = buf
+        .get(*pos..end)
+        .ok_or_else(|| StoreError::Corrupt("byte string truncated".into()))?;
     *pos = end;
     Ok(slice)
+}
+
+/// The next `N` bytes as an array, advancing `*pos`; `Corrupt(what)` when
+/// fewer remain.
+fn get_array<const N: usize>(buf: &[u8], pos: &mut usize, what: &str) -> StoreResult<[u8; N]> {
+    let bytes = buf
+        .get(*pos..)
+        .and_then(|rest| rest.first_chunk::<N>())
+        .ok_or_else(|| StoreError::Corrupt(what.into()))?;
+    *pos += N;
+    Ok(*bytes)
 }
 
 /// Append a little-endian u32.
@@ -99,14 +109,7 @@ pub fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 /// Read a little-endian u32, advancing `*pos`.
 pub fn get_u32(buf: &[u8], pos: &mut usize) -> StoreResult<u32> {
-    let end = *pos + 4;
-    if end > buf.len() {
-        return Err(StoreError::Corrupt("u32 truncated".into()));
-    }
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(u32::from_le_bytes(b))
+    Ok(u32::from_le_bytes(get_array(buf, pos, "u32 truncated")?))
 }
 
 /// Append a little-endian u64.
@@ -116,14 +119,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Read a little-endian u64, advancing `*pos`.
 pub fn get_u64(buf: &[u8], pos: &mut usize) -> StoreResult<u64> {
-    let end = *pos + 8;
-    if end > buf.len() {
-        return Err(StoreError::Corrupt("u64 truncated".into()));
-    }
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[*pos..end]);
-    *pos = end;
-    Ok(u64::from_le_bytes(b))
+    Ok(u64::from_le_bytes(get_array(buf, pos, "u64 truncated")?))
 }
 
 /// Append an f64 via its IEEE-754 bit pattern.
@@ -209,7 +205,9 @@ pub fn crc32(data: &[u8]) -> u32 {
     let table = crc_table();
     let mut c: u32 = 0xFFFF_FFFF;
     for &b in data {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        // A `u8` index into a 256-entry table: `get` never misses.
+        let entry = table.get(usize::from(c as u8 ^ b)).copied();
+        c = entry.unwrap_or_default() ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

@@ -58,9 +58,9 @@ impl Database {
         // Load index markers.
         let mut indexes: HashMap<u32, BTreeSet<u16>> = HashMap::new();
         for (k, _) in kv.scan_prefix(b"xc:")? {
-            if k.len() == 3 + 4 + 2 {
-                let tid = u32::from_be_bytes(k[3..7].try_into().expect("length checked"));
-                let col = u16::from_be_bytes(k[7..9].try_into().expect("length checked"));
+            if let [_, _, _, t0, t1, t2, t3, c0, c1] = *k.as_slice() {
+                let tid = u32::from_be_bytes([t0, t1, t2, t3]);
+                let col = u16::from_be_bytes([c0, c1]);
                 indexes.entry(tid).or_default().insert(col);
             }
         }
@@ -106,12 +106,13 @@ impl Database {
             .kv
             .get(&Self::catalog_key(name))?
             .ok_or_else(|| StoreError::NotFound(format!("table `{name}`")))?;
-        if rec.len() < 4 {
+        let Some((id, schema)) = rec.split_first_chunk::<4>() else {
             return Err(StoreError::Corrupt("catalog record too short".into()));
-        }
-        let id = u32::from_be_bytes(rec[..4].try_into().expect("length checked"));
-        let schema = Schema::decode(&rec[4..])?;
-        Ok(TableHandle { id, schema })
+        };
+        Ok(TableHandle {
+            id: u32::from_be_bytes(*id),
+            schema: Schema::decode(schema)?,
+        })
     }
 
     /// All table names in the catalog.
@@ -120,7 +121,7 @@ impl Database {
             .kv
             .scan_prefix(b"c:")?
             .into_iter()
-            .filter_map(|(k, _)| String::from_utf8(k[2..].to_vec()).ok())
+            .filter_map(|(k, _)| String::from_utf8(k.strip_prefix(b"c:")?.to_vec()).ok())
             .collect())
     }
 
@@ -181,7 +182,7 @@ impl Database {
         // Backfill from existing rows.
         let rows = self.scan(t, &Predicate::True)?;
         for (rowid, row) in rows {
-            let key = Self::index_entry_key(t.id, col_idx, &row[col_idx as usize], rowid);
+            let key = Self::index_entry_key(t.id, col_idx, cell(&row, col_idx)?, rowid);
             self.kv.put(&key, &[])?;
         }
         self.indexes.entry(t.id).or_default().insert(col_idx);
@@ -225,10 +226,10 @@ impl Database {
             Bound::Included(prefix.as_slice()),
             Bound::Unbounded,
             &mut |k, v| {
-                if !k.starts_with(&prefix) {
+                let Some(rowid) = k.strip_prefix(prefix.as_slice()) else {
                     return false;
-                }
-                let rowid = u64::from_be_bytes(k[prefix.len()..].try_into().unwrap_or([0; 8]));
+                };
+                let rowid = u64::from_be_bytes(rowid.try_into().unwrap_or([0; 8]));
                 match decode_row(v) {
                     Ok(row) => {
                         if pred.matches(&schema, &row) {
@@ -334,14 +335,10 @@ impl Database {
 
     /// Atomically post-increment a big-endian counter key of width 4 or 8.
     fn bump_counter(&mut self, key: &[u8], width: usize) -> StoreResult<u64> {
-        let current = match self.kv.get(key)? {
-            Some(bytes) if bytes.len() == width => {
-                if width == 4 {
-                    u64::from(u32::from_be_bytes(bytes[..4].try_into().expect("checked")))
-                } else {
-                    u64::from_be_bytes(bytes[..8].try_into().expect("checked"))
-                }
-            }
+        let stored = self.kv.get(key)?;
+        let current = match (width, stored.as_deref()) {
+            (4, Some(&[a, b, c, d])) => u64::from(u32::from_be_bytes([a, b, c, d])),
+            (8, Some(bytes)) => bytes.try_into().map_or(1, u64::from_be_bytes),
             _ => 1,
         };
         let next = current + 1;
@@ -366,8 +363,10 @@ impl Database {
             .kv
             .scan_prefix(&prefix)?
             .into_iter()
-            .filter(|(k, _)| k.len() == prefix.len() + 8)
-            .map(|(k, _)| u64::from_be_bytes(k[prefix.len()..].try_into().expect("checked")))
+            .filter_map(|(k, _)| {
+                let rowid = k.strip_prefix(prefix.as_slice())?.try_into().ok()?;
+                Some(u64::from_be_bytes(rowid))
+            })
             .collect())
     }
 
@@ -377,16 +376,16 @@ impl Database {
         row: &[Value],
         updating: Option<RowId>,
     ) -> StoreResult<()> {
-        for (i, col) in t.schema.columns.iter().enumerate() {
-            if !col.unique || matches!(row[i], Value::Null) {
+        for (i, (col, value)) in t.schema.columns.iter().zip(row).enumerate() {
+            if !col.unique || matches!(value, Value::Null) {
                 continue;
             }
-            let hits = self.probe_index(t, i as u16, &row[i])?;
+            let hits = self.probe_index(t, i as u16, value)?;
             let conflict = hits.iter().any(|&r| Some(r) != updating);
             if conflict {
                 return Err(StoreError::Duplicate(format!(
                     "column `{}` of `{}` already holds {:?}",
-                    col.name, t.schema.name, row[i]
+                    col.name, t.schema.name, value
                 )));
             }
         }
@@ -400,7 +399,7 @@ impl Database {
         row: &[Value],
     ) -> StoreResult<()> {
         for col in self.indexed_cols(t.id) {
-            let key = Self::index_entry_key(t.id, col, &row[col as usize], rowid);
+            let key = Self::index_entry_key(t.id, col, cell(row, col)?, rowid);
             self.kv.put(&key, &[])?;
         }
         Ok(())
@@ -413,11 +412,18 @@ impl Database {
         row: &[Value],
     ) -> StoreResult<()> {
         for col in self.indexed_cols(t.id) {
-            let key = Self::index_entry_key(t.id, col, &row[col as usize], rowid);
+            let key = Self::index_entry_key(t.id, col, cell(row, col)?, rowid);
             self.kv.delete(&key)?;
         }
         Ok(())
     }
+}
+
+/// The row's value in column `col`: a stored row shorter than the index it
+/// is listed under is corruption.
+fn cell(row: &[Value], col: u16) -> StoreResult<&Value> {
+    row.get(usize::from(col))
+        .ok_or_else(|| StoreError::Corrupt(format!("row has no column {col}")))
 }
 
 #[cfg(test)]

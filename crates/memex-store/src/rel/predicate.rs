@@ -74,10 +74,7 @@ impl Predicate {
         match self {
             Predicate::True => true,
             Predicate::Cmp { col, op, value } => {
-                let Ok(i) = schema.col_index(col) else {
-                    return false;
-                };
-                let Some(ord) = compare(&row[i], value) else {
+                let Some(ord) = cell(schema, row, col).and_then(|c| compare(c, value)) else {
                     return false;
                 };
                 match op {
@@ -89,14 +86,9 @@ impl Predicate {
                     CmpOp::Ge => ord != std::cmp::Ordering::Less,
                 }
             }
-            Predicate::Contains { col, needle } => {
-                let Ok(i) = schema.col_index(col) else {
-                    return false;
-                };
-                row[i]
-                    .as_text()
-                    .is_some_and(|t| t.contains(needle.as_str()))
-            }
+            Predicate::Contains { col, needle } => cell(schema, row, col)
+                .and_then(Value::as_text)
+                .is_some_and(|t| t.contains(needle.as_str())),
             Predicate::And(a, b) => a.matches(schema, row) && b.matches(schema, row),
             Predicate::Or(a, b) => a.matches(schema, row) || b.matches(schema, row),
             Predicate::Not(p) => !p.matches(schema, row),
@@ -116,6 +108,12 @@ impl Predicate {
             _ => None,
         }
     }
+}
+
+/// The row's value in column `col`; `None` for an unknown column or a row
+/// shorter than its schema.
+fn cell<'r>(schema: &Schema, row: &'r [Value], col: &str) -> Option<&'r Value> {
+    row.get(schema.col_index(col).ok()?)
 }
 
 /// Compare same-typed values; `None` on cross-type or Null comparisons.

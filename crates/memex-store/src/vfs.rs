@@ -161,12 +161,15 @@ impl MemInner {
     fn apply(bytes: &mut Vec<u8>, op: &PendingOp, limit: Option<usize>) {
         match op {
             PendingOp::Write { offset, data } => {
-                let n = limit.unwrap_or(data.len()).min(data.len());
+                let src = limit.and_then(|n| data.get(..n)).unwrap_or(data);
                 let off = *offset as usize;
-                if bytes.len() < off + n {
-                    bytes.resize(off + n, 0);
+                let end = off + src.len();
+                if bytes.len() < end {
+                    bytes.resize(end, 0);
                 }
-                bytes[off..off + n].copy_from_slice(&data[..n]);
+                if let Some(dst) = bytes.get_mut(off..end) {
+                    dst.copy_from_slice(src);
+                }
             }
             PendingOp::SetLen(len) => bytes.resize(*len as usize, 0),
         }
@@ -226,24 +229,36 @@ impl Default for MemStorage {
 impl MemHandle {
     /// The bytes a reader would see right now (including unsynced writes).
     pub fn current_bytes(&self) -> Vec<u8> {
-        self.inner.lock().unwrap().current.clone()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .current
+            .clone()
     }
 
     /// The bytes guaranteed to survive a crash (state at the last sync).
     pub fn durable_bytes(&self) -> Vec<u8> {
-        self.inner.lock().unwrap().durable.clone()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .durable
+            .clone()
     }
 
     /// Number of writes not yet covered by a sync.
     pub fn pending_ops(&self) -> usize {
-        self.inner.lock().unwrap().pending.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pending
+            .len()
     }
 
     /// Flip bits at `offset` (in both the cached and durable views) —
     /// models media corruption for recovery tests. Out-of-range offsets
     /// are ignored.
     pub fn corrupt(&self, offset: u64, xor: u8) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let off = offset as usize;
         if let Some(b) = inner.current.get_mut(off) {
             *b ^= xor;
@@ -259,7 +274,7 @@ impl MemHandle {
     /// the new current/durable state, with pending cleared — as if the
     /// machine rebooted).
     pub fn crash(&self, seed: u64) -> Vec<u8> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = SplitMix64::new(seed);
         let keep = if inner.pending.is_empty() {
             0
@@ -267,16 +282,18 @@ impl MemHandle {
             (rng.next() % (inner.pending.len() as u64 + 1)) as usize
         };
         let mut survived = inner.durable.clone();
-        for op in &inner.pending[..keep] {
+        for op in inner.pending.iter().take(keep) {
             MemInner::apply(&mut survived, op, None);
         }
         // Possibly tear the next write partway (a torn sector).
-        if keep < inner.pending.len() && rng.next().is_multiple_of(2) {
-            if let PendingOp::Write { data, .. } = &inner.pending[keep] {
-                if !data.is_empty() {
-                    let part = (rng.next() % data.len() as u64) as usize;
-                    if part > 0 {
-                        MemInner::apply(&mut survived, &inner.pending[keep], Some(part));
+        if let Some(next) = inner.pending.get(keep) {
+            if rng.next().is_multiple_of(2) {
+                if let PendingOp::Write { data, .. } = next {
+                    if !data.is_empty() {
+                        let part = (rng.next() % data.len() as u64) as usize;
+                        if part > 0 {
+                            MemInner::apply(&mut survived, next, Some(part));
+                        }
                     }
                 }
             }
@@ -290,25 +307,29 @@ impl MemHandle {
 
 impl Storage for MemStorage {
     fn len(&self) -> io::Result<u64> {
-        Ok(self.inner.lock().unwrap().current.len() as u64)
+        Ok(self
+            .inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .current
+            .len() as u64)
     }
 
     fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let off = offset as usize;
-        let end = off + buf.len();
-        if end > inner.current.len() {
+        let Some(src) = inner.current.get(off..off + buf.len()) else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "read past end of mem storage",
             ));
-        }
-        buf.copy_from_slice(&inner.current[off..end]);
+        };
+        buf.copy_from_slice(src);
         Ok(())
     }
 
     fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let op = PendingOp::Write {
             offset,
             data: data.to_vec(),
@@ -319,14 +340,14 @@ impl Storage for MemStorage {
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.durable = inner.current.clone();
         inner.pending.clear();
         Ok(())
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let op = PendingOp::SetLen(len);
         MemInner::apply(&mut inner.current, &op, None);
         inner.pending.push(op);
@@ -389,12 +410,18 @@ pub struct FaultControl {
 impl FaultControl {
     /// Fail the next `n` writes with an I/O error (nothing written).
     pub fn fail_next_writes(&self, n: u32) {
-        self.script.lock().unwrap().fail_next_writes = n;
+        self.script
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .fail_next_writes = n;
     }
 
     /// Fail the next `n` syncs.
     pub fn fail_next_syncs(&self, n: u32) {
-        self.script.lock().unwrap().fail_next_syncs = n;
+        self.script
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .fail_next_syncs = n;
     }
 
     /// Let `skip` syncs through, then fail the following `n` — targets
@@ -407,17 +434,23 @@ impl FaultControl {
 
     /// Fail the next `n` `set_len` calls.
     pub fn fail_next_set_lens(&self, n: u32) {
-        self.script.lock().unwrap().fail_next_set_lens = n;
+        self.script
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .fail_next_set_lens = n;
     }
 
     /// Tear the next write: `prefix` bytes land, then it errors.
     pub fn tear_next_write(&self, prefix: usize) {
-        self.script.lock().unwrap().tear_next_write_at = Some(prefix);
+        self.script
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .tear_next_write_at = Some(prefix);
     }
 
     /// (read, write, short-write, sync) errors injected so far.
     pub fn injected(&self) -> (u64, u64, u64, u64) {
-        let s = self.script.lock().unwrap();
+        let s = self.script.lock().unwrap_or_else(|e| e.into_inner());
         (
             s.injected_read_errors,
             s.injected_write_errors,
@@ -440,7 +473,7 @@ impl FaultControl {
         let c_write = registry.counter("fault.injected.write_errors");
         let c_short = registry.counter("fault.injected.short_writes");
         let c_sync = registry.counter("fault.injected.sync_errors");
-        let mut s = self.script.lock().unwrap();
+        let mut s = self.script.lock().unwrap_or_else(|e| e.into_inner());
         s.c_read = c_read;
         s.c_write = c_write;
         s.c_short = c_short;
@@ -495,7 +528,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 
     fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         if self.roll(self.cfg.read_err_per_10k) {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.injected_read_errors += 1;
             s.c_read.inc();
             return Err(injected_err("read"));
@@ -505,7 +542,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 
     fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
         let scripted_fail = {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             if s.fail_next_writes > 0 {
                 s.fail_next_writes -= 1;
                 true
@@ -514,13 +555,21 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             }
         };
         if scripted_fail || self.roll(self.cfg.write_err_per_10k) {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.injected_write_errors += 1;
             s.c_write.inc();
             return Err(injected_err("write"));
         }
         let tear_at = {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.tear_next_write_at.take()
         };
         let tear_at = match tear_at {
@@ -531,10 +580,14 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             None => None,
         };
         if let Some(t) = tear_at {
-            let t = t.min(data.len());
             // A prefix lands, then the device gives up.
-            self.inner.write_all_at(offset, &data[..t])?;
-            let mut s = self.control.script.lock().unwrap();
+            self.inner
+                .write_all_at(offset, data.get(..t).unwrap_or(data))?;
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.injected_short_writes += 1;
             s.c_short.inc();
             return Err(injected_err("short write"));
@@ -544,7 +597,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 
     fn sync(&mut self) -> io::Result<()> {
         let scripted = {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             if s.skip_syncs > 0 {
                 s.skip_syncs -= 1;
                 false
@@ -556,7 +613,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             }
         };
         if scripted || self.roll(self.cfg.sync_err_per_10k) {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.injected_sync_errors += 1;
             s.c_sync.inc();
             return Err(injected_err("sync"));
@@ -566,7 +627,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         let scripted = {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             if s.fail_next_set_lens > 0 {
                 s.fail_next_set_lens -= 1;
                 true
@@ -575,7 +640,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             }
         };
         if scripted {
-            let mut s = self.control.script.lock().unwrap();
+            let mut s = self
+                .control
+                .script
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
             s.injected_write_errors += 1;
             s.c_write.inc();
             return Err(injected_err("set_len"));

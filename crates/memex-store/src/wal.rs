@@ -131,7 +131,7 @@ pub struct Replay {
 impl Wal {
     /// In-memory log (tests / transient stores).
     pub fn in_memory() -> Wal {
-        Self::with_storage(Box::new(MemStorage::new())).expect("mem storage cannot fail to open")
+        Self::starting_at(Box::new(MemStorage::new()), 0)
     }
 
     /// Open or create a file-backed log. The existing content is left
@@ -143,7 +143,12 @@ impl Wal {
     /// Wrap an arbitrary storage (the fault-injection entry point).
     pub fn with_storage(backing: Box<dyn Storage>) -> StoreResult<Wal> {
         let end_pos = backing.len()?;
-        Ok(Wal {
+        Ok(Self::starting_at(backing, end_pos))
+    }
+
+    /// A log over `backing`, whose current length is `end_pos`.
+    fn starting_at(backing: Box<dyn Storage>, end_pos: u64) -> Wal {
+        Wal {
             backing,
             end_pos,
             // Content present at open time was written by a previous
@@ -152,7 +157,7 @@ impl Wal {
             durable_end: end_pos,
             next_lsn: 1,
             metrics: WalMetrics::default(),
-        })
+        }
     }
 
     /// Register this log's counters with `registry` (`store.wal.*`).
@@ -225,11 +230,10 @@ impl Wal {
                     break;
                 }
             };
-            if pos + len > bytes.len() {
+            let Some(payload) = bytes.get(pos..pos + len) else {
                 replay.torn_tail = true;
                 break;
-            }
-            let payload = &bytes[pos..pos + len];
+            };
             if crc32(payload) != crc {
                 replay.torn_tail = true;
                 break;

@@ -166,11 +166,8 @@ impl SparseVec {
         if self.entries.len() <= k {
             return;
         }
-        self.entries.sort_unstable_by(|a, b| {
-            b.1.abs()
-                .partial_cmp(&a.1.abs())
-                .expect("weights are finite")
-        });
+        self.entries
+            .sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
         self.entries.truncate(k);
         self.entries.sort_unstable_by_key(|&(id, _)| id);
     }
@@ -239,6 +236,18 @@ mod tests {
         let mut a = v(&[(1, 0.1), (2, 5.0), (3, -4.0), (4, 0.2)]);
         a.truncate_top(2);
         assert_eq!(a.entries(), &[(2, 5.0), (3, -4.0)]);
+    }
+
+    #[test]
+    fn truncate_tolerates_a_nan_weight() {
+        // A NaN sorts as the heaviest entry instead of panicking the
+        // comparator; the finite entries keep their order around it.
+        let mut a = v(&[(1, 3.0), (2, f32::NAN), (3, 1.0), (4, -2.0)]);
+        a.truncate_top(3);
+        let kept: Vec<u32> = a.entries().iter().map(|&(id, _)| id).collect();
+        assert_eq!(kept, vec![1, 2, 4]);
+        a.truncate_top(1);
+        assert!(a.entries()[0].1.is_nan());
     }
 
     #[test]

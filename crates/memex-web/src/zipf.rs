@@ -31,10 +31,7 @@ impl Zipf {
     /// Sample a rank.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cdf is finite"))
-        {
+        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -71,6 +68,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 7);
+        }
+    }
+
+    #[test]
+    fn sample_is_the_first_rank_whose_cdf_covers_the_draw() {
+        let z = Zipf::new(50, 0.8);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut draws = StdRng::seed_from_u64(5);
+        for _ in 0..500 {
+            let u: f64 = draws.gen();
+            let expected = z.cdf.iter().position(|&c| c >= u).unwrap_or(49);
+            assert_eq!(z.sample(&mut rng), expected);
         }
     }
 
