@@ -80,18 +80,6 @@ impl FolderSpace {
         self.assignments.get(&page).copied()
     }
 
-    /// Pages filed under `folder` or its subfolders.
-    pub fn pages_under(&self, folder: TopicId) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .assignments
-            .iter()
-            .filter(|(_, a)| self.taxonomy.is_ancestor_or_self(folder, a.folder))
-            .map(|(&p, _)| p)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// User deliberately bookmarks `page` into `folder` (confirmed).
     /// Feeds the classifier immediately.
     pub fn bookmark(&mut self, page: u32, folder: TopicId, tf: &[(TermId, u32)]) {
@@ -310,18 +298,6 @@ mod tests {
         let only = fs.add_folder("/Everything");
         fs.bookmark(1, only, &tf(&[(1, 1)]));
         assert_eq!(fs.classify(2, &tf(&[(1, 1)])), None);
-    }
-
-    #[test]
-    fn pages_under_includes_subfolders() {
-        let mut fs = FolderSpace::new();
-        let music = fs.add_folder("/Music");
-        let classical = fs.add_folder("/Music/Western Classical");
-        let jazz = fs.add_folder("/Music/Jazz");
-        fs.bookmark(1, classical, &tf(&[(1, 1)]));
-        fs.bookmark(2, jazz, &tf(&[(2, 1)]));
-        assert_eq!(fs.pages_under(music), vec![1, 2]);
-        assert_eq!(fs.pages_under(classical), vec![1]);
     }
 
     #[test]

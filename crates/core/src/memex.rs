@@ -26,7 +26,6 @@ use memex_server::events::ClientEvent;
 use memex_server::fetcher::CorpusFetcher;
 use memex_server::pipeline::{MemexServer, ServerOptions};
 use memex_store::error::StoreResult;
-use memex_text::analyze::Analyzer;
 use memex_text::vector::SparseVec;
 use memex_text::vocab::IdfTable;
 use memex_web::corpus::Corpus;
@@ -180,7 +179,6 @@ pub struct Memex {
     /// born built: no folders, so no page is routed anywhere.
     empty_space: UserSpace,
     url_to_page: HashMap<String, u32>,
-    analyzer: Analyzer,
     theme_opts: ThemeOptions,
     /// Replaced by [`Memex::refresh`] whenever bookmarks were recorded.
     themes: ThemesCell,
@@ -230,7 +228,6 @@ impl Memex {
                 routing: OnceLock::from(HashMap::new()),
             },
             url_to_page,
-            analyzer: Analyzer::default(),
             theme_opts: opts.themes,
             themes: ThemesCell::default(),
             page_themes: OnceLock::new(),
@@ -430,7 +427,7 @@ impl Memex {
             let docs: Vec<SparseVec> = doc_pages
                 .iter()
                 .map(|&p| match self.server.tf(p) {
-                    Some(tf) => self.analyzer.tfidf_at(&cell.idf, tf),
+                    Some(tf) => self.server.analyzer().tfidf_at(&cell.idf, tf),
                     None => SparseVec::new(),
                 })
                 .collect();
@@ -534,7 +531,7 @@ impl Memex {
         until: u64,
         k: usize,
     ) -> StoreResult<Vec<RecallHit>> {
-        let q = self.analyzer.counts(query);
+        let q = self.server.analyzer().counts(query);
         let mut query_terms: Vec<(u32, u32)> = q
             .iter()
             .filter_map(|(t, &c)| self.server.vocab.id(t).map(|id| (id, c)))
@@ -571,45 +568,6 @@ impl Memex {
                 .partial_cmp(&a.score)
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        Ok(out)
-    }
-
-    /// Exact-phrase recall over the user's history: like [`Memex::recall`]
-    /// but the words must appear consecutively (stopwords removed, stems
-    /// applied — "compiler optimization" matches "compilers optimize").
-    /// Hits are ordered most-recent-first.
-    pub fn recall_phrase(
-        &self,
-        user: u32,
-        phrase: &str,
-        since: u64,
-        until: u64,
-        k: usize,
-    ) -> StoreResult<Vec<RecallHit>> {
-        let seq = self.analyzer.term_sequence(phrase);
-        let ids: Option<Vec<u32>> = seq.iter().map(|t| self.server.vocab.id(t)).collect();
-        let Some(ids) = ids else {
-            return Ok(Vec::new());
-        }; // unseen term: no match
-        let docs = memex_index::search::phrase_search(&self.server.index, &ids)?;
-        let last_visit = self.last_visits(user, since, until);
-        let mut out: Vec<RecallHit> = docs
-            .into_iter()
-            .filter_map(|doc| {
-                last_visit.get(&doc).map(|&t| {
-                    let page = &self.corpus.pages[doc as usize];
-                    RecallHit {
-                        page: doc,
-                        url: page.url.clone(),
-                        score: 1.0,
-                        last_visit: t,
-                        snippet: memex_text::snippet::snippet(&page.text, phrase, 12),
-                    }
-                })
-            })
-            .collect();
-        out.sort_by_key(|h| std::cmp::Reverse(h.last_visit));
-        out.truncate(k);
         Ok(out)
     }
 
@@ -807,7 +765,7 @@ impl Memex {
     pub fn page_vector(&self, page: u32) -> Option<SparseVec> {
         self.server
             .tf(page)
-            .map(|tf| self.analyzer.tfidf(&self.server.vocab, tf))
+            .map(|tf| self.server.analyzer().tfidf(&self.server.vocab, tf))
     }
 
     /// "Where and how do I fit into that map?" — the user's weight on each
@@ -867,7 +825,7 @@ impl Memex {
             .filter_map(|&p| {
                 self.server
                     .tf(p)
-                    .map(|tf| self.analyzer.tfidf(&self.server.vocab, tf))
+                    .map(|tf| self.server.analyzer().tfidf(&self.server.vocab, tf))
             })
             .collect();
         if docs.is_empty() || k == 0 {

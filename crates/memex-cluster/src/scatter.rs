@@ -172,11 +172,6 @@ impl<'a> ScatterGather<'a> {
         }
     }
 
-    /// Documents currently in focus.
-    pub fn focus_len(&self) -> usize {
-        self.focus.len()
-    }
-
     /// Scatter the focus set into k summarised clusters (Buckshot).
     pub fn scatter(&self) -> Vec<ClusterView> {
         let subset: Vec<SparseVec> = self.focus.iter().map(|&i| self.docs[i].clone()).collect();
@@ -305,7 +300,7 @@ mod tests {
         // Pick the cluster holding doc 0.
         let chosen: Vec<&ClusterView> = views.iter().filter(|v| v.members.contains(&0)).collect();
         sg.gather(&chosen);
-        assert!(sg.focus_len() < docs.len());
+        assert!(sg.focus.len() < docs.len());
         let inner = sg.scatter();
         // Re-scattering the gathered subset still covers only group 0 docs.
         for v in &inner {
@@ -314,7 +309,7 @@ mod tests {
             }
         }
         sg.reset();
-        assert_eq!(sg.focus_len(), docs.len());
+        assert_eq!(sg.focus.len(), docs.len());
     }
 
     #[test]

@@ -101,11 +101,6 @@ pub struct Themes {
 }
 
 impl Themes {
-    /// Theme lookup by taxonomy node.
-    pub fn theme_of(&self, topic: TopicId) -> Option<&Theme> {
-        self.themes.iter().find(|t| t.topic == topic)
-    }
-
     /// The *leaf* themes — the ones new documents are routed to — in
     /// `themes` order.
     pub fn leaf_themes(&self) -> Vec<&Theme> {
@@ -118,25 +113,6 @@ impl Themes {
     /// Assign a new document vector to its nearest *leaf* theme.
     pub fn assign(&self, doc: &SparseVec) -> Option<TopicId> {
         nearest_theme(&self.leaf_themes(), doc.clone())
-    }
-
-    /// A user's profile: weight per theme node = fraction of their docs
-    /// assigned under that node (ancestors accumulate descendants).
-    /// Ordered by node, so sums over it add up in one fixed order.
-    pub fn user_profile(&self, user_docs: &[usize]) -> BTreeMap<TopicId, f64> {
-        let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
-        let total = user_docs.len().max(1) as f64;
-        for &d in user_docs {
-            if let Some(Some(topic)) = self.doc_theme.get(d) {
-                // Credit the node and every ancestor.
-                let mut cur = Some(*topic);
-                while let Some(c) = cur {
-                    *profile.entry(c).or_insert(0.0) += 1.0 / total;
-                    cur = self.taxonomy.parent(c);
-                }
-            }
-        }
-        profile
     }
 }
 
@@ -597,19 +573,15 @@ mod tests {
     }
 
     #[test]
-    fn profiles_and_similarity() {
-        let (docs, folders) = community();
-        let themes = ThemeDiscovery::new(ThemeOptions::default()).run(&docs, &folders);
-        let u1 = themes.user_profile(&[0, 1, 2, 3, 4]);
-        let u2 = themes.user_profile(&[5, 6, 7, 8, 9]);
-        let u3 = themes.user_profile(&[10, 11, 12, 13]);
-        let s12 = profile_similarity(&u1, &u2);
-        let s13 = profile_similarity(&u1, &u3);
-        assert!(s12 > 0.9, "shared-interest users similar, got {s12}");
-        assert!(s13 < 0.5, "disjoint users dissimilar, got {s13}");
-        // URL overlap would have said u1 and u2 are *unrelated* (no shared
-        // docs) — the theme profile fixes exactly that.
-        assert!(profile_similarity(&u1, &BTreeMap::new()) == 0.0);
+    fn profile_similarity_is_cosine_over_shared_nodes() {
+        let profile = |w: &[(TopicId, f64)]| w.iter().copied().collect::<BTreeMap<_, _>>();
+        let u1 = profile(&[(1, 1.0), (2, 0.6), (3, 0.4)]);
+        let u2 = profile(&[(1, 1.0), (2, 0.5), (3, 0.5)]);
+        let u3 = profile(&[(4, 1.0), (5, 1.0)]);
+        assert!(profile_similarity(&u1, &u2) > 0.9);
+        assert_eq!(profile_similarity(&u1, &u3), 0.0, "no shared node");
+        assert!((profile_similarity(&u1, &u1) - 1.0).abs() < 1e-12);
+        assert_eq!(profile_similarity(&u1, &BTreeMap::new()), 0.0);
     }
 
     #[test]

@@ -76,10 +76,6 @@ impl WebGraph {
         self.out_links(id).len()
     }
 
-    pub fn in_degree(&self, id: NodeId) -> usize {
-        self.in_links(id).len()
-    }
-
     /// Number of (implicit) nodes.
     pub fn num_nodes(&self) -> usize {
         self.out.len()
@@ -135,7 +131,7 @@ mod tests {
             assert_eq!(g.in_links(to), &[0]);
         }
         assert_eq!(g.out_degree(0), 4);
-        assert_eq!(g.in_degree(0), 0);
+        assert!(g.in_links(0).is_empty());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The Memex server keeps two graph-shaped structures:
 //!
 //! * the **web graph** of pages and hyperlinks ([`graph::WebGraph`]), over
-//!   which the resource-discovery demon runs link analysis
-//!   ([`hits`], [`pagerank`]) and bounded neighbourhood expansion
-//!   ([`neighborhood`]);
+//!   which the resource-discovery demon runs link analysis ([`hits`]) and
+//!   bounded neighbourhood expansion ([`neighborhood`]);
 //! * the **trail graph** of timestamped page visits ([`trail`]), the raw
 //!   material of the paper's trail tab (Fig. 2): "selecting a folder
 //!   replays the hypertext graph of recent pages publicly surfed by the
@@ -14,8 +13,6 @@
 pub mod graph;
 pub mod hits;
 pub mod neighborhood;
-pub mod pagerank;
-pub mod related;
 pub mod trail;
 
 pub use graph::{NodeId, WebGraph};

@@ -67,31 +67,6 @@ impl TrailGraph {
         &self.visits
     }
 
-    /// The visits of one user, grouped by session (in first-seen order).
-    pub fn user_sessions(&self, user: u32) -> Vec<Vec<Visit>> {
-        let mut groups: Vec<Vec<Visit>> = Vec::new();
-        let mut group_of: HashMap<u32, usize> = HashMap::new();
-        for v in self.visits.iter().filter(|v| v.user == user) {
-            let g = *group_of.entry(v.session).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(*v);
-        }
-        groups
-    }
-
-    /// Most recent visit satisfying `pred` on the page — powers "what was
-    /// the URL I visited about six months back regarding X" once the topic
-    /// classifier supplies `pred`.
-    pub fn last_visit_where<F: Fn(&Visit) -> bool>(&self, pred: F) -> Option<Visit> {
-        self.visits
-            .iter()
-            .filter(|v| pred(v))
-            .max_by_key(|v| v.time)
-            .copied()
-    }
-
     /// Replay the recent topical context (Fig. 2).
     ///
     /// * `on_topic` — the classifier's verdict for a page;
@@ -155,16 +130,6 @@ impl TrailGraph {
         pages.dedup();
         pages
     }
-
-    /// Total visits per page across the (public) community — "popular
-    /// pages in or near my community's recent trail graph".
-    pub fn popularity(&self, since: u64) -> HashMap<NodeId, u32> {
-        let mut out = HashMap::new();
-        for v in self.visits.iter().filter(|v| v.public && v.time >= since) {
-            *out.entry(v.page).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,23 +145,6 @@ mod tests {
             referrer,
             public: true,
         }
-    }
-
-    #[test]
-    fn sessions_group_in_order() {
-        let mut t = TrailGraph::new();
-        t.record(v(1, 10, 100, 1, None));
-        t.record(v(1, 10, 101, 2, Some(100)));
-        t.record(v(1, 11, 200, 3, None));
-        t.record(v(2, 99, 300, 4, None));
-        // Back to the first session: it keeps its first-seen position.
-        t.record(v(1, 10, 102, 5, Some(101)));
-        let sessions = t.user_sessions(1);
-        let pages = |s: &[Visit]| s.iter().map(|v| v.page).collect::<Vec<_>>();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(pages(&sessions[0]), vec![100, 101, 102]);
-        assert_eq!(pages(&sessions[1]), vec![200]);
-        assert!(t.user_sessions(3).is_empty());
     }
 
     #[test]
@@ -250,34 +198,6 @@ mod tests {
         assert_eq!(ctx.nodes.len(), 5);
         assert_eq!(ctx.nodes[0].page, 19);
         assert_eq!(ctx.nodes[4].page, 15);
-    }
-
-    #[test]
-    fn last_visit_where_finds_most_recent() {
-        let mut t = TrailGraph::new();
-        t.record(v(1, 0, 7, 100, None));
-        t.record(v(1, 1, 7, 900, None));
-        t.record(v(1, 1, 8, 500, None));
-        let hit = t.last_visit_where(|vv| vv.page == 7).unwrap();
-        assert_eq!(hit.time, 900);
-        assert!(t.last_visit_where(|vv| vv.page == 99).is_none());
-    }
-
-    #[test]
-    fn popularity_counts_public_only() {
-        let mut t = TrailGraph::new();
-        t.record(v(1, 0, 5, 1, None));
-        t.record(v(2, 0, 5, 2, None));
-        t.record(Visit {
-            user: 3,
-            session: 0,
-            page: 5,
-            time: 3,
-            referrer: None,
-            public: false,
-        });
-        let pop = t.popularity(0);
-        assert_eq!(pop[&5], 2);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Property tests for the graph substrate: PageRank mass conservation,
-//! HITS normalisation, BFS distance validity, and trail-replay filtering
-//! laws on random graphs and event streams.
+//! Property tests for the graph substrate: HITS normalisation, BFS
+//! distance validity, and trail-replay filtering laws on random graphs and
+//! event streams.
 
 use proptest::prelude::*;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::hits::hits;
 use memex_graph::neighborhood::{expand, Direction};
-use memex_graph::pagerank::{pagerank, personalized_pagerank, PageRankOptions};
 use memex_graph::trail::{TrailGraph, Visit};
 
 fn graph_strategy() -> impl Strategy<Value = WebGraph> {
@@ -23,24 +22,6 @@ fn graph_strategy() -> impl Strategy<Value = WebGraph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// PageRank is a probability distribution on any graph.
-    #[test]
-    fn pagerank_conserves_mass(g in graph_strategy()) {
-        let r = pagerank(&g, PageRankOptions::default());
-        prop_assert_eq!(r.len(), g.num_nodes());
-        let total: f64 = r.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-6, "total {total}");
-        prop_assert!(r.iter().all(|&x| x >= 0.0));
-    }
-
-    /// Personalised PageRank never leaks mass outside and stays normalised.
-    #[test]
-    fn personalized_pagerank_normalised(g in graph_strategy(), seeds in proptest::collection::vec(0u32..20, 1..5)) {
-        let r = personalized_pagerank(&g, &seeds, PageRankOptions::default());
-        let total: f64 = r.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-6);
-    }
 
     /// HITS scores are finite, non-negative and — when the base set has any
     /// edges at all — L2-normalised. An edge-free base set carries no link

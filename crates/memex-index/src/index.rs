@@ -11,10 +11,11 @@
 //! Key layout in the keyed store:
 //! ```text
 //! P<term BE32><seg BE32> -> compressed posting list
-//! Q<term BE32><seg BE32> -> compressed positional posting list
 //! L<doc BE32>            -> varint doc length (token count)
 //! Mseg                   -> next segment number (BE32)
 //! ```
+//! Every key written is one a query or a reopen reads. (A directory from a
+//! build that also stored positional lists may hold `Q…` keys: never read.)
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -25,7 +26,7 @@ use memex_store::error::StoreResult;
 use memex_store::lsm::{LsmOptions, LsmStore};
 use memex_text::vocab::TermId;
 
-use crate::postings::{PositionalList, PostingList};
+use crate::postings::PostingList;
 
 /// The buffer is sealed into a segment when it holds this many documents.
 pub const BUFFER_DOCS: usize = 512;
@@ -45,16 +46,12 @@ pub(crate) struct IndexMetrics {
 
 /// A segmented inverted index over term ids.
 ///
-/// Queries ([`InvertedIndex::postings`], [`InvertedIndex::positions`],
-/// [`InvertedIndex::df`]) take `&self` and reach the store through
+/// [`InvertedIndex::postings`] takes `&self` and reaches the store through
 /// [`LsmStore`]'s own `&self` reads — no index-level lock.
 pub struct InvertedIndex {
     kv: LsmStore,
     /// term -> buffered postings, in insertion order.
     buffer: HashMap<TermId, Vec<(u32, u32)>>,
-    /// term -> buffered positional postings (parallel namespace, written
-    /// only for documents indexed through [`InvertedIndex::add_document_positional`]).
-    pos_buffer: HashMap<TermId, Vec<(u32, Vec<u32>)>>,
     buffered_docs: usize,
     /// doc -> token length (cache of the L records).
     doc_len: HashMap<u32, u32>,
@@ -96,7 +93,6 @@ impl InvertedIndex {
         Ok(InvertedIndex {
             kv,
             buffer: HashMap::new(),
-            pos_buffer: HashMap::new(),
             buffered_docs: 0,
             doc_len,
             total_tokens,
@@ -134,10 +130,10 @@ impl InvertedIndex {
         let mut lv = Vec::with_capacity(4);
         put_uvarint(&mut lv, u64::from(len));
         self.kv.put(&Self::len_key(doc), &lv)?;
-        self.doc_len.insert(doc, len);
+        let replaced = self.doc_len.insert(doc, len).unwrap_or(0);
         self.metrics.docs.inc();
         self.metrics.tokens.add(u64::from(len));
-        self.total_tokens += u64::from(len);
+        self.total_tokens = self.total_tokens - u64::from(replaced) + u64::from(len);
         self.buffered_docs += 1;
         if self.buffered_docs >= BUFFER_DOCS {
             self.commit()?;
@@ -145,31 +141,9 @@ impl InvertedIndex {
         Ok(())
     }
 
-    /// Index a document from its *ordered* (analysed) token sequence,
-    /// recording positions so phrase queries work. Also feeds the plain
-    /// frequency postings, so ranked search sees the document too.
-    pub fn add_document_positional(
-        &mut self,
-        doc: u32,
-        ordered_terms: &[TermId],
-    ) -> StoreResult<()> {
-        let mut per_term: HashMap<TermId, Vec<u32>> = HashMap::new();
-        let mut tf: HashMap<TermId, u32> = HashMap::new();
-        for (i, &t) in ordered_terms.iter().enumerate() {
-            per_term.entry(t).or_default().push(i as u32);
-            *tf.entry(t).or_insert(0) += 1;
-        }
-        let mut tf: Vec<(TermId, u32)> = tf.into_iter().collect();
-        tf.sort_unstable_by_key(|&(t, _)| t);
-        for (t, positions) in per_term {
-            self.pos_buffer.entry(t).or_default().push((doc, positions));
-        }
-        self.add_document(doc, &tf)
-    }
-
     /// Seal the buffer into a new segment.
     pub fn commit(&mut self) -> StoreResult<()> {
-        if self.buffer.is_empty() && self.pos_buffer.is_empty() {
+        if self.buffer.is_empty() {
             return Ok(());
         }
         let _span = self.metrics.commit_latency.start_span();
@@ -181,13 +155,7 @@ impl InvertedIndex {
         for (term, pairs) in terms {
             self.metrics.postings_flushed.add(pairs.len() as u64);
             let encoded = PostingList::from_pairs(pairs).encode()?;
-            self.kv.put(&Self::seg_key(b'P', term, seg), &encoded)?;
-        }
-        let mut pos_terms: Vec<_> = self.pos_buffer.drain().collect();
-        pos_terms.sort_unstable_by_key(|&(t, _)| t);
-        for (term, pairs) in pos_terms {
-            let encoded = PositionalList::from_pairs(pairs).encode()?;
-            self.kv.put(&Self::seg_key(b'Q', term, seg), &encoded)?;
+            self.kv.put(&Self::seg_key(term, seg), &encoded)?;
         }
         self.buffered_docs = 0;
         self.metrics.commits.inc();
@@ -198,25 +166,10 @@ impl InvertedIndex {
     /// once.
     pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
         let mut pairs = self.buffer.get(&term).cloned().unwrap_or_default();
-        for (_k, v) in self.kv.scan_prefix(&Self::term_prefix(b'P', term))? {
+        for (_k, v) in self.kv.scan_prefix(&Self::term_prefix(term))? {
             pairs.extend_from_slice(PostingList::decode(&v)?.entries());
         }
         Ok(PostingList::from_pairs(pairs))
-    }
-
-    /// All positional postings for `term`, gathered like
-    /// [`InvertedIndex::postings`].
-    pub fn positions(&self, term: TermId) -> StoreResult<PositionalList> {
-        let mut pairs = self.pos_buffer.get(&term).cloned().unwrap_or_default();
-        for (_k, v) in self.kv.scan_prefix(&Self::term_prefix(b'Q', term))? {
-            pairs.extend(PositionalList::decode(&v)?.into_entries());
-        }
-        Ok(PositionalList::from_pairs(pairs))
-    }
-
-    /// Document frequency of a term (docs containing it).
-    pub fn df(&self, term: TermId) -> StoreResult<u32> {
-        Ok(self.postings(term)?.len() as u32)
     }
 
     /// Flush everything durable.
@@ -242,16 +195,16 @@ impl InvertedIndex {
         self.doc_len.get(&doc).copied().unwrap_or(0)
     }
 
-    /// `<tag><term BE32>`: the prefix of every segment key of `term`.
-    fn term_prefix(tag: u8, term: TermId) -> Vec<u8> {
+    /// `P<term BE32>`: the prefix of every segment key of `term`.
+    fn term_prefix(term: TermId) -> Vec<u8> {
         let mut k = Vec::with_capacity(9);
-        k.push(tag);
+        k.push(b'P');
         k.extend_from_slice(&term.to_be_bytes());
         k
     }
 
-    fn seg_key(tag: u8, term: TermId, seg: u32) -> Vec<u8> {
-        let mut k = Self::term_prefix(tag, term);
+    fn seg_key(term: TermId, seg: u32) -> Vec<u8> {
+        let mut k = Self::term_prefix(term);
         k.extend_from_slice(&seg.to_be_bytes());
         k
     }
@@ -308,20 +261,39 @@ mod tests {
     }
 
     #[test]
-    fn a_re_added_doc_keeps_the_larger_tf_and_the_richer_positions() {
+    fn a_re_added_doc_keeps_the_larger_tf() {
         // Across a segment boundary and inside the buffer alike.
         let mut ix = idx();
-        ix.add_document_positional(1, &[7, 8, 7]).unwrap();
-        ix.add_document_positional(2, &[7]).unwrap();
+        ix.add_document(1, &[(7, 2), (8, 1)]).unwrap();
+        ix.add_document(2, &[(7, 1)]).unwrap();
         ix.commit().unwrap();
-        ix.add_document_positional(1, &[7]).unwrap();
-        ix.add_document_positional(2, &[8, 7, 7]).unwrap();
-        ix.add_document_positional(2, &[7, 8]).unwrap();
+        ix.add_document(1, &[(7, 1)]).unwrap();
+        ix.add_document(2, &[(7, 2), (8, 1)]).unwrap();
+        ix.add_document(2, &[(7, 1), (8, 1)]).unwrap();
         assert_eq!(ix.postings(7).unwrap().entries(), &[(1, 2), (2, 2)]);
-        let positions = ix.positions(7).unwrap();
-        assert_eq!(positions.positions(1), &[0, 2]);
-        assert_eq!(positions.positions(2), &[1, 2]);
         assert_eq!(ix.num_docs(), 2);
+    }
+
+    #[test]
+    fn re_added_doc_keeps_avg_doc_len_equal_to_a_reopened_index() {
+        // A reopen recomputes the average from the L records, which hold
+        // one length per doc id: the live total must drop the replaced one.
+        let dir = std::env::temp_dir().join(format!("memex-index-readd-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = {
+            let mut ix = InvertedIndex::open_dir(&dir).unwrap();
+            ix.add_document(1, &[(7, 9)]).unwrap();
+            ix.add_document(2, &[(7, 3)]).unwrap();
+            ix.add_document(1, &[(7, 1), (8, 2)]).unwrap();
+            assert_eq!(ix.doc_len(1), 3);
+            assert_eq!(ix.avg_doc_len(), 3.0);
+            ix.checkpoint().unwrap();
+            ix.avg_doc_len()
+        };
+        let reopened = InvertedIndex::open_dir(&dir).unwrap();
+        assert_eq!(reopened.num_docs(), 2);
+        assert_eq!(reopened.avg_doc_len(), live);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -358,34 +330,45 @@ mod tests {
     }
 
     #[test]
-    fn a_common_term_round_trips_through_its_single_q_key() {
-        // 400 documents x 20 occurrences in one segment: about 9 KB of
-        // position bytes under one key — the store caps no value.
+    fn a_common_term_round_trips_through_its_single_p_key() {
+        // 400 documents in one segment: one key holds them all.
         let mut ix = idx();
         let common = 7u32;
         for d in 0..400u32 {
-            let seq: Vec<u32> = (0..40)
-                .map(|i| if i % 2 == 0 { common } else { 1000 + d })
-                .collect();
-            ix.add_document_positional(d, &seq).unwrap();
+            ix.add_document(d, &[(common, 20), (1000 + d, 20)]).unwrap();
         }
         ix.commit().unwrap();
         let keys = ix
             .kv
-            .scan_prefix(&InvertedIndex::term_prefix(b'Q', common))
+            .scan_prefix(&InvertedIndex::term_prefix(common))
             .unwrap();
-        assert_eq!(keys.len(), 1, "one Q key per term per segment");
-        let list = ix.positions(common).unwrap();
+        assert_eq!(keys.len(), 1, "one P key per term per segment");
+        let list = ix.postings(common).unwrap();
         assert_eq!(list.len(), 400);
-        let evens: Vec<u32> = (0..40).step_by(2).collect();
-        assert_eq!(list.positions(123), evens.as_slice());
-        assert_eq!(ix.postings(common).unwrap().len(), 400);
+        assert_eq!(list.entries().get(123), Some(&(123, 20)));
+    }
+
+    #[test]
+    fn every_stored_key_is_one_a_query_or_a_reopen_reads() {
+        // 600 documents: one sealed segment (512) plus a sealed remainder.
+        let mut ix = idx();
+        for d in 0..600u32 {
+            ix.add_document(d, &[(d % 13, 2), (100 + d, 1)]).unwrap();
+        }
+        ix.checkpoint().unwrap();
+        let keys = ix.kv.scan_prefix(b"").unwrap();
+        assert!(keys.len() > 600);
+        for (k, _) in keys {
+            assert!(
+                matches!(k.first(), Some(b'P' | b'L' | b'M')),
+                "stored key {k:?} is read by nothing"
+            );
+        }
     }
 
     #[test]
     fn unknown_term_is_empty() {
         let ix = idx();
         assert!(ix.postings(999).unwrap().is_empty());
-        assert_eq!(ix.df(999).unwrap(), 0);
     }
 }

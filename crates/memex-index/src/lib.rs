@@ -5,17 +5,17 @@
 //! lightweight keyed store, a [`memex_store::LsmStore`] (the paper's
 //! architectural point: term-granularity data would overwhelm the
 //! RDBMS, so it gets the Berkeley-DB-style tier), written by the
-//! background indexer demon one segment per 512 documents:
+//! background indexer demon one segment per 512 documents (keys: `P`
+//! postings, `L` doc lengths, the `Mseg` counter — all of them read back):
 //!
 //! * [`postings`] — delta+varint compressed posting lists;
 //! * [`index`] — the segmented inverted index (buffer → segments, gathered
 //!   per query);
-//! * [`search`] — BM25 ranked retrieval and boolean set queries.
+//! * [`search`] — BM25 ranked retrieval.
 
 pub mod index;
 pub mod postings;
-pub mod query;
 pub mod search;
 
 pub use index::InvertedIndex;
-pub use search::{BoolExpr, SearchHit};
+pub use search::SearchHit;

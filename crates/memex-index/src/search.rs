@@ -1,4 +1,4 @@
-//! Ranked (BM25) and boolean retrieval over the inverted index.
+//! Ranked (BM25) retrieval over the inverted index.
 
 use std::collections::HashMap;
 
@@ -6,7 +6,6 @@ use memex_store::error::StoreResult;
 use memex_text::vocab::TermId;
 
 use crate::index::InvertedIndex;
-use crate::postings::{difference, intersect, union};
 
 /// One ranked result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,92 +70,6 @@ pub fn bm25_search(
     });
     hits.truncate(k);
     Ok(hits)
-}
-
-/// Exact phrase search over positional postings: documents containing the
-/// terms at strictly consecutive positions (in the analysed token stream —
-/// stopwords removed, stems applied — so "compiler optimization" matches
-/// "compilers optimize"). Returns sorted doc ids. A single-term phrase
-/// degenerates to that term's document list; an empty phrase matches
-/// nothing. Only documents indexed via
-/// [`InvertedIndex::add_document_positional`] can match.
-pub fn phrase_search(index: &InvertedIndex, phrase: &[TermId]) -> StoreResult<Vec<u32>> {
-    let _span = index.metrics.query_latency.start_span();
-    let _trace = memex_obs::trace::span("index.phrase");
-    let Some((&first, rest)) = phrase.split_first() else {
-        return Ok(Vec::new());
-    };
-    let first_list = index.positions(first)?;
-    if rest.is_empty() {
-        return Ok(first_list.entries().iter().map(|&(d, _)| d).collect());
-    }
-    let rest_lists: Vec<_> = rest
-        .iter()
-        .map(|&t| index.positions(t))
-        .collect::<StoreResult<Vec<_>>>()?;
-    let mut out = Vec::new();
-    'docs: for (doc, first_positions) in first_list.entries() {
-        // Candidate start positions; prune against each following term.
-        let mut starts: Vec<u32> = first_positions.clone();
-        for (offset, list) in rest_lists.iter().enumerate() {
-            let needed = offset as u32 + 1;
-            let positions = list.positions(*doc);
-            if positions.is_empty() {
-                continue 'docs;
-            }
-            starts.retain(|&s| positions.binary_search(&(s + needed)).is_ok());
-            if starts.is_empty() {
-                continue 'docs;
-            }
-        }
-        out.push(*doc);
-    }
-    Ok(out)
-}
-
-/// Boolean query tree. `Not` is interpreted as "all indexed docs minus X"
-/// using the given universe, so it composes anywhere.
-#[derive(Debug, Clone)]
-pub enum BoolExpr {
-    Term(TermId),
-    And(Vec<BoolExpr>),
-    Or(Vec<BoolExpr>),
-    Not(Box<BoolExpr>),
-}
-
-/// Evaluate a boolean expression to a sorted doc-id set. `universe` must be
-/// sorted (use all doc ids for full NOT semantics).
-pub fn boolean_search(
-    index: &InvertedIndex,
-    expr: &BoolExpr,
-    universe: &[u32],
-) -> StoreResult<Vec<u32>> {
-    let _trace = memex_obs::trace::span("index.boolean");
-    Ok(match expr {
-        BoolExpr::Term(t) => index.postings(*t)?.docs(),
-        BoolExpr::And(parts) => {
-            let mut acc: Option<Vec<u32>> = None;
-            for p in parts {
-                let s = boolean_search(index, p, universe)?;
-                acc = Some(match acc {
-                    None => s,
-                    Some(a) => intersect(&a, &s),
-                });
-                if acc.as_ref().is_some_and(Vec::is_empty) {
-                    break;
-                }
-            }
-            acc.unwrap_or_default()
-        }
-        BoolExpr::Or(parts) => {
-            let mut acc = Vec::new();
-            for p in parts {
-                acc = union(&acc, &boolean_search(index, p, universe)?);
-            }
-            acc
-        }
-        BoolExpr::Not(inner) => difference(universe, &boolean_search(index, inner, universe)?),
-    })
 }
 
 #[cfg(test)]
@@ -228,64 +141,9 @@ mod tests {
     }
 
     #[test]
-    fn boolean_combinators() {
-        let ix = corpus();
-        let universe = vec![1, 2, 3, 4];
-        let and = BoolExpr::And(vec![BoolExpr::Term(1), BoolExpr::Term(3)]);
-        assert_eq!(boolean_search(&ix, &and, &universe).unwrap(), vec![2]);
-        let or = BoolExpr::Or(vec![BoolExpr::Term(2), BoolExpr::Term(4)]);
-        assert_eq!(boolean_search(&ix, &or, &universe).unwrap(), vec![1, 3]);
-        let and_not = BoolExpr::And(vec![
-            BoolExpr::Term(1),
-            BoolExpr::Not(Box::new(BoolExpr::Term(3))),
-        ]);
-        assert_eq!(
-            boolean_search(&ix, &and_not, &universe).unwrap(),
-            vec![1, 4]
-        );
-        let nothing = BoolExpr::And(vec![BoolExpr::Term(2), BoolExpr::Term(4)]);
-        assert!(boolean_search(&ix, &nothing, &universe).unwrap().is_empty());
-    }
-
-    #[test]
-    fn phrase_search_requires_adjacency() {
-        let mut ix = InvertedIndex::open_memory().unwrap();
-        // Doc 1: "music bach organ"; doc 2: "music organ bach"; doc 3:
-        // "bach music" (reverse); term ids: music=1, bach=2, organ=3.
-        ix.add_document_positional(1, &[1, 2, 3]).unwrap();
-        ix.add_document_positional(2, &[1, 3, 2]).unwrap();
-        ix.add_document_positional(3, &[2, 1]).unwrap();
-        assert_eq!(phrase_search(&ix, &[1, 2]).unwrap(), vec![1], "music bach");
-        assert_eq!(phrase_search(&ix, &[2, 1]).unwrap(), vec![3], "bach music");
-        assert_eq!(phrase_search(&ix, &[1, 2, 3]).unwrap(), vec![1]);
-        assert_eq!(phrase_search(&ix, &[1]).unwrap(), vec![1, 2, 3]);
-        assert!(phrase_search(&ix, &[]).unwrap().is_empty());
-        assert!(phrase_search(&ix, &[3, 1]).unwrap().is_empty());
-        // Ranked search still sees positionally-indexed docs.
-        let hits = bm25_search(&ix, &[(1, 1)], 10, Bm25Params::default()).unwrap();
-        assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn phrase_search_spans_segments_and_the_buffer() {
-        let mut ix = InvertedIndex::open_memory().unwrap();
-        ix.add_document_positional(1, &[7, 8]).unwrap();
-        ix.commit().unwrap();
-        ix.add_document_positional(2, &[7, 8]).unwrap();
-        ix.add_document_positional(3, &[8, 7]).unwrap();
-        assert_eq!(phrase_search(&ix, &[7, 8]).unwrap(), vec![1, 2]);
-        ix.commit().unwrap();
-        ix.add_document_positional(4, &[7, 8]).unwrap();
-        assert_eq!(phrase_search(&ix, &[7, 8]).unwrap(), vec![1, 2, 4]);
-    }
-
-    #[test]
     fn empty_index_is_graceful() {
         let ix = InvertedIndex::open_memory().unwrap();
         assert!(bm25_search(&ix, &[(1, 1)], 5, Bm25Params::default())
-            .unwrap()
-            .is_empty());
-        assert!(boolean_search(&ix, &BoolExpr::Term(1), &[])
             .unwrap()
             .is_empty());
     }

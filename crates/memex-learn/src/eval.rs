@@ -53,44 +53,6 @@ impl Confusion {
         let correct: u64 = (0..self.k).map(|i| self.get(i, i)).sum();
         correct as f64 / total as f64
     }
-
-    /// Per-class precision, recall, F1.
-    pub fn per_class(&self) -> Vec<(f64, f64, f64)> {
-        (0..self.k)
-            .map(|c| {
-                let tp = self.get(c, c) as f64;
-                let fp: f64 = (0..self.k)
-                    .filter(|&t| t != c)
-                    .map(|t| self.get(t, c) as f64)
-                    .sum();
-                let fung: f64 = (0..self.k)
-                    .filter(|&p| p != c)
-                    .map(|p| self.get(c, p) as f64)
-                    .sum();
-                let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-                let recall = if tp + fung > 0.0 {
-                    tp / (tp + fung)
-                } else {
-                    0.0
-                };
-                let f1 = if precision + recall > 0.0 {
-                    2.0 * precision * recall / (precision + recall)
-                } else {
-                    0.0
-                };
-                (precision, recall, f1)
-            })
-            .collect()
-    }
-
-    /// Unweighted mean of per-class F1.
-    pub fn macro_f1(&self) -> f64 {
-        let per = self.per_class();
-        if per.is_empty() {
-            return 0.0;
-        }
-        per.iter().map(|&(_, _, f1)| f1).sum::<f64>() / per.len() as f64
-    }
 }
 
 /// Deterministic shuffled split: returns (train, test) index sets with
@@ -140,21 +102,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accuracy_and_f1_on_known_matrix() {
+    fn accuracy_on_known_matrix() {
         // truth:  0 0 0 1 1 1 ; pred: 0 0 1 1 1 0
         let c = Confusion::from_pairs(2, &[0, 0, 0, 1, 1, 1], &[0, 0, 1, 1, 1, 0]);
         assert!((c.accuracy() - 4.0 / 6.0).abs() < 1e-12);
-        let per = c.per_class();
-        assert!((per[0].0 - 2.0 / 3.0).abs() < 1e-12, "precision class 0");
-        assert!((per[0].1 - 2.0 / 3.0).abs() < 1e-12, "recall class 0");
-        assert!((c.macro_f1() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_matrix_is_zero_not_nan() {
         let c = Confusion::new(3);
         assert_eq!(c.accuracy(), 0.0);
-        assert_eq!(c.macro_f1(), 0.0);
     }
 
     #[test]

@@ -1194,16 +1194,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-// Convenience stream helpers used by client and server.
+// Convenience stream helper.
 
 /// Frame and write a request.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
     write_frame(w, FrameKind::Request, &encode_request(req))
-}
-
-/// Frame and write a response.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    write_frame(w, FrameKind::Response, &encode_response(resp))
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //!                                                              web-graph edges)
 //! ```
 //!
+//! A first-visited page is analysed once: the one term vector goes to the
+//! index (`P` postings, `L` length, the `Mseg` counter — nothing a query
+//! cannot read) and to the tf cache the classifiers read.
+//!
 //! Ingest never blocks on mining: when the bus is saturated the server
 //! "recovers … even if it has to discard a few client events" — discards
 //! are counted, which experiment F3 reports against the offered load.
@@ -426,12 +430,11 @@ impl<F: PageFetcher> MemexServer<F> {
         };
         self.fetched.insert(page);
         self.metrics.pages_fetched.inc();
-        // Analyze with the shared vocabulary and index (positionally, so
-        // the search tab supports exact phrases).
+        // Analyze once with the shared vocabulary; the same term vector
+        // feeds the index and the tf cache.
         let full = format!("{} {}", content.title, content.text);
         let tf = self.analyzer.index_document(&mut self.vocab, &full);
-        let seq = self.analyzer.intern_sequence(&mut self.vocab, &full);
-        self.index.add_document_positional(page, &seq)?;
+        self.index.add_document(page, &tf)?;
         self.metrics.docs_indexed.inc();
         self.tf_cache.insert(page, tf);
         self.page_bytes.insert(page, content.bytes);
@@ -458,6 +461,12 @@ impl<F: PageFetcher> MemexServer<F> {
     /// lag of Fig. 3's "loosely synchronized data repositories".
     pub fn staleness(&self) -> Vec<StalenessReport> {
         self.bus.staleness()
+    }
+
+    /// The one analyzer: pages were indexed through it, so queries must be
+    /// tokenised, stopped and stemmed through it too.
+    pub fn analyzer(&self) -> &Analyzer {
+        &self.analyzer
     }
 
     /// Analyzed term vector of a fetched page.

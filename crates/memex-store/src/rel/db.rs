@@ -115,16 +115,6 @@ impl Database {
         })
     }
 
-    /// All table names in the catalog.
-    pub fn table_names(&mut self) -> StoreResult<Vec<String>> {
-        Ok(self
-            .kv
-            .scan_prefix(b"c:")?
-            .into_iter()
-            .filter_map(|(k, _)| String::from_utf8(k.strip_prefix(b"c:")?.to_vec()).ok())
-            .collect())
-    }
-
     /// Insert a validated row; returns its new row id.
     pub fn insert(&mut self, t: &TableHandle, row: Vec<Value>) -> StoreResult<RowId> {
         t.schema.validate(&row)?;
@@ -587,7 +577,6 @@ mod tests {
             .unwrap();
         assert_eq!(db.count(&pages).unwrap(), 1);
         assert_eq!(db.count(&users).unwrap(), 1);
-        assert_eq!(db.table_names().unwrap().len(), 2);
         assert!(db
             .create_table(Schema::new("pages", vec![Column::new("x", ColType::Int)]).unwrap())
             .is_err());

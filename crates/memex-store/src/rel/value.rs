@@ -51,25 +51,9 @@ impl Value {
         }
     }
 
-    pub fn as_float(&self) -> Option<f64> {
-        if let Value::Float(v) = self {
-            Some(*v)
-        } else {
-            None
-        }
-    }
-
     pub fn as_text(&self) -> Option<&str> {
         if let Value::Text(v) = self {
             Some(v)
-        } else {
-            None
-        }
-    }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        if let Value::Bool(v) = self {
-            Some(*v)
         } else {
             None
         }

@@ -283,11 +283,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Current logical log size in bytes (complete frames only).
-    pub fn len_bytes(&mut self) -> StoreResult<u64> {
-        Ok(self.end_pos)
-    }
-
     /// Deliberately corrupt the tail by removing `n` trailing bytes —
     /// simulates a crash mid-write. Used by recovery tests and the F3
     /// fault-injection experiment.

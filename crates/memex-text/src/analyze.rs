@@ -55,27 +55,6 @@ impl Analyzer {
         counts
     }
 
-    /// The *ordered* analysed token stream of a document (stopwords
-    /// removed, stems applied) — the positional index consumes this so
-    /// phrase queries line up with bag-of-words statistics.
-    pub fn term_sequence(&self, text: &str) -> Vec<String> {
-        tokenize(text)
-            .into_iter()
-            .filter(|t| !self.opts.remove_stopwords || !is_stopword(t))
-            .map(|t| if self.opts.stem { stem(&t) } else { t })
-            .collect()
-    }
-
-    /// Intern an ordered token stream into `vocab`, returning term ids in
-    /// document order (df statistics are NOT recorded — combine with
-    /// [`Analyzer::index_document`] when both are needed).
-    pub fn intern_sequence(&self, vocab: &mut Vocabulary, text: &str) -> Vec<TermId> {
-        self.term_sequence(text)
-            .iter()
-            .map(|t| vocab.intern(t))
-            .collect()
-    }
-
     /// Intern counts into `vocab` (creating ids as needed) and record the
     /// document for df statistics. Returns raw term-frequency pairs.
     pub fn intern_counts(&self, vocab: &mut Vocabulary, counts: &TermCounts) -> Vec<(TermId, u32)> {
@@ -118,23 +97,6 @@ impl Analyzer {
         v.normalize();
         v
     }
-
-    /// Full path: text → TF-IDF vector, reusing ids only for terms already
-    /// in `vocab` (read-only; unseen terms are dropped). Use for *queries*
-    /// against a frozen corpus vocabulary.
-    pub fn tfidf_query(&self, vocab: &Vocabulary, text: &str) -> SparseVec {
-        let counts = self.counts(text);
-        let mut v: SparseVec = counts
-            .iter()
-            .filter_map(|(t, &c)| {
-                vocab
-                    .id(t)
-                    .map(|id| (id, (1.0 + (c as f32).ln()) * vocab.idf(id)))
-            })
-            .collect();
-        v.normalize();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -163,26 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn term_sequence_preserves_order_and_agrees_with_counts() {
-        let a = Analyzer::default();
-        let seq = a.term_sequence("The compilers were optimizing the loops");
-        assert_eq!(seq, vec!["compil", "optim", "loop"]);
-        // Sequence histogram equals counts().
-        let counts = a.counts("The compilers were optimizing the loops");
-        let mut hist = TermCounts::new();
-        for t in &seq {
-            *hist.entry(t.clone()).or_insert(0) += 1;
-        }
-        assert_eq!(hist, counts);
-        // Interning keeps order.
-        let mut vocab = Vocabulary::new();
-        let ids = a.intern_sequence(&mut vocab, "bach organ bach");
-        assert_eq!(ids.len(), 3);
-        assert_eq!(ids[0], ids[2]);
-        assert_ne!(ids[0], ids[1]);
-    }
-
-    #[test]
     fn tfidf_vectors_are_unit_and_idf_weighted() {
         let a = Analyzer::default();
         let mut vocab = Vocabulary::new();
@@ -203,17 +145,6 @@ mod tests {
         let rare = vocab.id("theremin").unwrap();
         assert!(v.get(rare) > v.get(web), "rare term should dominate");
         let _ = pairs_last;
-    }
-
-    #[test]
-    fn query_vectors_ignore_unknown_terms() {
-        let a = Analyzer::default();
-        let mut vocab = Vocabulary::new();
-        a.index_document(&mut vocab, "classical music bach");
-        let q = a.tfidf_query(&vocab, "music zeppelin");
-        assert_eq!(q.len(), 1, "only `music` is known");
-        let q2 = a.tfidf_query(&vocab, "zeppelin");
-        assert!(q2.is_empty());
     }
 
     #[test]

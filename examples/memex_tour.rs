@@ -10,7 +10,6 @@ use std::sync::Arc;
 use memex::cluster::scatter::ScatterGather;
 use memex::core::memex::{Memex, MemexOptions};
 use memex::core::servlet::{dispatch, Request, Response};
-use memex::graph::related::related_pages;
 use memex::server::events::{ClientEvent, VisitEvent};
 use memex::web::corpus::{Corpus, CorpusConfig};
 use memex::web::surfer::{Community, SurferConfig};
@@ -72,47 +71,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("    {:.2}  {}\n          \"{}\"", h.score, h.url, h.snippet);
     }
 
-    // --- 2. Exact phrase recall.
-    let sample = corpus
-        .pages
-        .iter()
-        .find(|p| !p.is_front && memex.server.trails.user_pages(user, 0).contains(&p.id))
-        .expect("a visited interior page");
-    let phrase: String = sample
-        .text
-        .split_whitespace()
-        .take(3)
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!("\n[2] phrase recall: \"{phrase}\"");
-    for h in memex.recall_phrase(user, &phrase, 0, u64::MAX, 3)? {
-        println!("    {}", h.url);
-    }
-
-    // --- 3. Trail tab.
+    // --- 2. Trail tab.
     let folder = memex
         .folder_space(user)
         .add_folder(&format!("/{}", corpus.topic_names[topic]));
     let ctx = memex.topic_context(user, folder, 0, 8);
     println!(
-        "\n[3] trail tab /{}: {} pages, {} links",
+        "\n[2] trail tab /{}: {} pages, {} links",
         corpus.topic_names[topic],
         ctx.nodes.len(),
         ctx.edges.len()
     );
 
-    // --- 4. Folder proposals for loose pages.
-    println!("\n[4] proposed folders for unfiled history:");
+    // --- 3. Folder proposals for loose pages.
+    println!("\n[3] proposed folders for unfiled history:");
     for p in memex.propose_folders(user, 4).into_iter().take(3) {
         println!("    \"{}\"  ({} pages)", p.name, p.pages.len());
     }
 
-    // --- 5. Scatter/Gather browsing over the user's whole history.
+    // --- 4. Scatter/Gather browsing over the user's whole history.
     let pages = memex.server.trails.user_pages(user, 0);
     let docs: Vec<memex::text::vector::SparseVec> =
         pages.iter().filter_map(|&p| memex.page_vector(p)).collect();
     let sg = ScatterGather::new(&docs, &memex.server.vocab, 4, 1);
-    println!("\n[5] scatter/gather over {} history pages:", docs.len());
+    println!("\n[4] scatter/gather over {} history pages:", docs.len());
     for view in sg.scatter() {
         println!(
             "    [{} docs] {}",
@@ -121,20 +103,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- 6. Related pages by pure link structure.
-    let anchor = ctx.nodes.first().expect("context non-empty").page;
-    println!(
-        "\n[6] link-structure neighbours of {}:",
-        corpus.pages[anchor as usize].url
-    );
-    for (p, sim) in related_pages(&memex.server.web, anchor, 3) {
-        println!("    {:.3}  {}", sim, corpus.pages[p as usize].url);
-    }
-
-    // --- 7. Community map + my place + similar surfers.
+    // --- 5. Community map + my place + similar surfers.
     let (themes, _) = memex.community_themes().clone();
     println!(
-        "\n[7] community themes ({} themes, {} merges/{} refines/{} coarsens):",
+        "\n[5] community themes ({} themes, {} merges/{} refines/{} coarsens):",
         themes.themes.len(),
         themes.merges,
         themes.refines,
@@ -143,9 +115,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("    my place: {:?}", memex.my_place(user).first());
     println!("    similar surfers: {:?}", memex.similar_surfers(user, 2));
 
-    // --- 8. Recommendation + bill via the servlet boundary.
+    // --- 6. Recommendation + bill via the servlet boundary.
     if let Response::Recommend(recs) = dispatch(&mut memex, Request::Recommend { user, k: 3 }) {
-        println!("\n[8] recommendations: {recs:?}");
+        println!("\n[6] recommendations: {recs:?}");
     }
     if let Response::Bill(lines) = dispatch(
         &mut memex,

@@ -42,9 +42,10 @@ fn privacy_modes_respected_through_the_facade() {
     memex.submit(visit(1, 5, 10, None));
     memex.submit(visit(2, 5, 20, None));
     memex.run_demons().unwrap();
-    // Community popularity counts only the public visit.
-    let pop = memex.server.trails.popularity(0);
-    assert_eq!(pop.get(&5), Some(&1));
+    // What the public user is shown counts only the public visit.
+    let shown = memex.server.trails.replay_context(|p| p == 5, 2, 0, 10);
+    assert_eq!(shown.nodes.len(), 1);
+    assert_eq!(shown.nodes[0].visit_count, 1);
     // The private user still recalls their own page.
     let own = memex.server.trails.user_pages(1, 0);
     assert_eq!(own, vec![5]);
@@ -138,38 +139,38 @@ fn trails_follow_referrers_across_users() {
 }
 
 #[test]
-fn phrase_recall_finds_exact_word_runs() {
+fn recall_reads_quotes_and_operators_as_plain_words() {
+    // `Request::Recall` carries a bag of words: the wire never had phrase
+    // or boolean semantics, so search-box punctuation changes nothing.
     let (corpus, mut memex) = small_world();
-    memex.register_user(1, "phraser").unwrap();
-    // Visit an interior page and query a 3-word run from its own text.
+    memex.register_user(1, "searcher").unwrap();
     let page = corpus
         .pages
         .iter()
         .find(|p| !p.is_front && p.text.split_whitespace().count() >= 10)
         .expect("an interior page");
+    for (i, p) in corpus.pages.iter().take(30).enumerate() {
+        memex.submit(visit(1, p.id, 10 + i as u64, None));
+    }
     memex.submit(visit(1, page.id, 50, None));
     memex.run_demons().unwrap();
-    let words: Vec<&str> = page.text.split_whitespace().skip(2).take(3).collect();
-    let phrase = words.join(" ");
-    let hits = memex.recall_phrase(1, &phrase, 0, u64::MAX, 5).unwrap();
+    let words: Vec<&str> = page.text.split_whitespace().collect();
+    let (w1, w2) = (words[2], words[words.len() - 1]);
+    let plain = memex
+        .recall(1, &format!("{w1} {w2}"), 0, u64::MAX, 5)
+        .unwrap();
     assert!(
-        hits.iter().any(|h| h.page == page.id),
-        "phrase \"{phrase}\" should find page {} in {hits:?}",
+        plain.iter().any(|h| h.page == page.id),
+        "\"{w1} {w2}\" should find page {} in {plain:?}",
         page.id
     );
-    // A scrambled (non-consecutive) phrase from distant words should not
-    // match as a phrase even though all words occur.
-    let w: Vec<&str> = page.text.split_whitespace().collect();
-    let scrambled = format!("{} {}", w[w.len() - 1], w[0]);
-    let hits = memex.recall_phrase(1, &scrambled, 0, u64::MAX, 5).unwrap();
-    // (The reversed pair could coincidentally be adjacent elsewhere; only
-    // assert that the result set is never *larger* than the bag-of-words
-    // recall for the same terms.)
-    let bag = memex.recall(1, &scrambled, 0, u64::MAX, 5).unwrap();
-    assert!(hits.len() <= bag.len());
+    for query in [format!("\"{w1} {w2}\""), format!("+{w1} -{w2}")] {
+        let hits = memex.recall(1, &query, 0, u64::MAX, 5).unwrap();
+        assert_eq!(hits, plain, "{query}");
+    }
     // Unknown vocabulary gives no hits rather than an error.
     assert!(memex
-        .recall_phrase(1, "zzzunseen wordzzz", 0, u64::MAX, 5)
+        .recall(1, "zzzunseen wordzzz", 0, u64::MAX, 5)
         .unwrap()
         .is_empty());
 }
