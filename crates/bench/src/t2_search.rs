@@ -39,7 +39,7 @@ pub fn run_once(pages_per_topic: usize, seed: u64) -> SearchOutcome {
     index.commit().expect("commit");
     let build = start.elapsed().as_secs_f64();
     // Queries: for each topic, its two name words (e.g. "classical music").
-    let analyzer = Analyzer::default();
+    let analyzer = Analyzer;
     let mut total_p10 = 0.0;
     let mut queries = 0usize;
     let mut query_time = 0.0;

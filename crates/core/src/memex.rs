@@ -26,6 +26,7 @@ use memex_server::events::ClientEvent;
 use memex_server::fetcher::CorpusFetcher;
 use memex_server::pipeline::{MemexServer, ServerOptions};
 use memex_store::error::StoreResult;
+use memex_text::snippet::SnippetQuery;
 use memex_text::vector::SparseVec;
 use memex_text::vocab::IdfTable;
 use memex_web::corpus::Corpus;
@@ -547,7 +548,12 @@ impl Memex {
             Bm25Params::default(),
         )?;
         let last_visit = self.last_visits(user, since, until);
-        let mut out: Vec<RecallHit> = hits
+        // The query's terms are already analysed: every hit's snippet
+        // matches against them instead of analysing the query again.
+        let mut snippets = SnippetQuery::from_terms(q.into_keys());
+        // `hits` arrive ranked (score desc, doc asc); filtering and
+        // truncating keep that order.
+        Ok(hits
             .into_iter()
             .filter_map(|h| {
                 last_visit.get(&h.doc).map(|&t| {
@@ -557,18 +563,12 @@ impl Memex {
                         url: page.url.clone(),
                         score: h.score,
                         last_visit: t,
-                        snippet: memex_text::snippet::snippet(&page.text, query, 12),
+                        snippet: snippets.snippet(&page.text, 12),
                     }
                 })
             })
             .take(k)
-            .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        Ok(out)
+            .collect())
     }
 
     // -- Q2 / F2: topical context replay -------------------------------------

@@ -131,6 +131,45 @@ fn recall_finds_a_months_old_page() {
 }
 
 #[test]
+fn recall_returns_equal_scores_in_page_order() {
+    // Pages 5 and 9 read the same, so they score the same; page 7 says the
+    // word twice in a shorter text and outranks both. Visited 9, 5, 7.
+    let mut corpus = Corpus::generate(CorpusConfig {
+        num_topics: 2,
+        pages_per_topic: 10,
+        ..CorpusConfig::default()
+    });
+    for (page, text) in [
+        (5, "zeppelin mooring mast over the harbour"),
+        (9, "zeppelin mooring mast over the harbour"),
+        (7, "zeppelin zeppelin hangar"),
+    ] {
+        corpus.pages[page].title = "airships".to_string();
+        corpus.pages[page].text = text.to_string();
+    }
+    let corpus = Arc::new(corpus);
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).unwrap();
+    memex.register_user(1, "user1").unwrap();
+    for (time, page) in [(10, 9u32), (20, 5), (30, 7)] {
+        memex.submit(ClientEvent::Visit(VisitEvent {
+            user: 1,
+            session: 1,
+            page,
+            url: corpus.pages[page as usize].url.clone(),
+            time,
+            referrer: None,
+        }));
+    }
+    memex.run_demons().unwrap();
+    let hits = memex.recall(1, "zeppelins", 0, u64::MAX, 10).unwrap();
+    let pages: Vec<u32> = hits.iter().map(|h| h.page).collect();
+    assert_eq!(pages, [7, 5, 9], "score desc, then page asc");
+    assert_eq!(hits[1].score.to_bits(), hits[2].score.to_bits());
+    assert!(hits[0].score > hits[1].score);
+    assert_eq!(hits[1].snippet, "zeppelin mooring mast over the harbour");
+}
+
+#[test]
 fn trail_replay_recreates_topical_context() {
     let (corpus, community, mut memex) = world();
     let user = community.users[0].user;

@@ -1,7 +1,5 @@
 //! Ranked (BM25) retrieval over the inverted index.
 
-use std::collections::HashMap;
-
 use memex_store::error::StoreResult;
 use memex_text::vocab::TermId;
 
@@ -27,7 +25,20 @@ impl Default for Bm25Params {
     }
 }
 
+/// One query term's postings, consumed front to back by the merge.
+struct TermCursor<'a> {
+    idf: f32,
+    qtf: f32,
+    rest: &'a [(u32, u32)],
+}
+
 /// Ranked top-`k` retrieval for a bag-of-terms query.
+///
+/// Posting lists are sorted by document, so the lists of the query's terms
+/// are merged in one pass: the smallest document under any cursor is scored
+/// by summing, in query-term order, the share of every term that has it —
+/// one score per matching document, no table keyed by document. The best
+/// `k` are then selected, and only those sorted, by `(score desc, doc asc)`.
 pub fn bm25_search(
     index: &InvertedIndex,
     query_terms: &[(TermId, u32)],
@@ -41,34 +52,55 @@ pub fn bm25_search(
         return Ok(Vec::new());
     }
     let avg_len = index.avg_doc_len() as f32;
-    let mut scores: HashMap<u32, f32> = HashMap::new();
-    for &(term, qtf) in query_terms {
-        let postings = index.postings(term)?;
-        let df = postings.len() as f32;
+    let lists = query_terms
+        .iter()
+        .map(|&(term, _)| index.postings(term))
+        .collect::<StoreResult<Vec<_>>>()?;
+    let mut cursors: Vec<TermCursor> = Vec::with_capacity(lists.len());
+    for (list, &(_, qtf)) in lists.iter().zip(query_terms) {
+        let df = list.len() as f32;
         if df == 0.0 {
             continue;
         }
-        // BM25 idf with the usual +1 to keep it positive.
-        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-        for &(doc, tf) in postings.entries() {
-            let dl = index.doc_len(doc) as f32;
-            let tf = tf as f32;
-            let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0));
-            let contribution = idf * tf * (params.k1 + 1.0) / denom;
-            *scores.entry(doc).or_insert(0.0) += contribution * qtf as f32;
-        }
+        cursors.push(TermCursor {
+            // BM25 idf with the usual +1 to keep it positive.
+            idf: ((n - df + 0.5) / (df + 0.5) + 1.0).ln(),
+            qtf: qtf as f32,
+            rest: list.entries(),
+        });
     }
-    let mut hits: Vec<SearchHit> = scores
-        .into_iter()
-        .map(|(doc, score)| SearchHit { doc, score })
-        .collect();
-    hits.sort_by(|a, b| {
+    let mut hits: Vec<SearchHit> = Vec::new();
+    while let Some(doc) = cursors
+        .iter()
+        .filter_map(|c| c.rest.first().map(|&(doc, _)| doc))
+        .min()
+    {
+        let dl = index.doc_len(doc) as f32;
+        let length_norm = params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0));
+        let mut score = 0.0f32;
+        for c in &mut cursors {
+            if let Some((&(d, tf), rest)) = c.rest.split_first() {
+                if d == doc {
+                    let tf = tf as f32;
+                    let contribution = c.idf * tf * (params.k1 + 1.0) / (tf + length_norm);
+                    score += contribution * c.qtf;
+                    c.rest = rest;
+                }
+            }
+        }
+        hits.push(SearchHit { doc, score });
+    }
+    let by_rank = |a: &SearchHit, b: &SearchHit| {
         b.score
             .partial_cmp(&a.score)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.doc.cmp(&b.doc))
-    });
-    hits.truncate(k);
+    };
+    if k < hits.len() {
+        hits.select_nth_unstable_by(k, by_rank);
+        hits.truncate(k);
+    }
+    hits.sort_unstable_by(by_rank);
     Ok(hits)
 }
 

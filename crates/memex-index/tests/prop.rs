@@ -1,11 +1,57 @@
-//! Property test for the inverted index: it agrees with a naive in-memory
-//! model wherever the segment boundaries fall.
+//! Property tests for the inverted index: it agrees with a naive in-memory
+//! model wherever the segment boundaries fall, and ranked search over it
+//! returns what scoring every posting into a table returned.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use memex_index::index::InvertedIndex;
+use memex_index::search::{bm25_search, Bm25Params, SearchHit};
+
+/// `bm25_search` as it was before it merged posting lists: every posting of
+/// every query term added into a table keyed by document, the whole table
+/// sorted, `k` kept. The reference the merge is held to, bit for bit.
+fn bm25_by_table(
+    index: &InvertedIndex,
+    query_terms: &[(u32, u32)],
+    k: usize,
+    params: Bm25Params,
+) -> Vec<SearchHit> {
+    let n = index.num_docs() as f32;
+    if n == 0.0 || query_terms.is_empty() || k == 0 {
+        return Vec::new();
+    }
+    let avg_len = index.avg_doc_len() as f32;
+    let mut scores: HashMap<u32, f32> = HashMap::new();
+    for &(term, qtf) in query_terms {
+        let postings = index.postings(term).unwrap();
+        let df = postings.len() as f32;
+        if df == 0.0 {
+            continue;
+        }
+        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
+        for &(doc, tf) in postings.entries() {
+            let dl = index.doc_len(doc) as f32;
+            let tf = tf as f32;
+            let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0));
+            let contribution = idf * tf * (params.k1 + 1.0) / denom;
+            *scores.entry(doc).or_insert(0.0) += contribution * qtf as f32;
+        }
+    }
+    let mut hits: Vec<SearchHit> = scores
+        .into_iter()
+        .map(|(doc, score)| SearchHit { doc, score })
+        .collect();
+    hits.sort_by(|a, b| {
+        b.score
+            .partial_cmp(&a.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.doc.cmp(&b.doc))
+    });
+    hits.truncate(k);
+    hits
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -62,5 +108,39 @@ proptest! {
             prop_assert_eq!(got.entries(), expected.as_slice(), "term {}", term);
         }
         prop_assert_eq!(index.num_docs(), seen_docs.len() as u64);
+    }
+
+    /// The merge scores like the table did: the same documents in the same
+    /// order with the same bits, for one to four query terms (a term may
+    /// repeat, `qtf` may exceed 1, a term may match nothing), documents
+    /// with equal scores, postings split between a sealed segment and the
+    /// buffer, and `k` below, at and above the number of matches.
+    #[test]
+    fn bm25_merge_equals_the_table(
+        docs in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..8, 1..5), 1..40),
+        sealed in 0usize..40,
+        query in proptest::collection::vec((0u32..10, 1u32..4), 1..5),
+    ) {
+        let mut index = InvertedIndex::open_memory().unwrap();
+        for (doc, terms) in docs.iter().enumerate() {
+            // tf from a small range, so equal-score documents are common.
+            let tf: Vec<(u32, u32)> = terms.iter().map(|&t| (t, 1 + (doc as u32 + t) % 3)).collect();
+            index.add_document(doc as u32, &tf).unwrap();
+            if doc + 1 == sealed {
+                index.commit().unwrap();
+            }
+        }
+        let params = Bm25Params::default();
+        let matches = bm25_by_table(&index, &query, usize::MAX, params).len();
+        for k in [1, matches.saturating_sub(1), matches, matches + 1, usize::MAX] {
+            let got = bm25_search(&index, &query, k, params).unwrap();
+            let expected = bm25_by_table(&index, &query, k, params);
+            prop_assert_eq!(got.len(), expected.len(), "k {}", k);
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert_eq!(g.doc, e.doc, "k {} got {:?} expected {:?}", k, got, expected);
+                prop_assert_eq!(g.score.to_bits(), e.score.to_bits(), "doc {}", g.doc);
+            }
+        }
     }
 }

@@ -568,11 +568,6 @@ pub fn annotate(key: &str, value: impl std::fmt::Display) {
     });
 }
 
-/// The id of the trace active on this thread, if any.
-pub fn active_trace_id() -> Option<TraceId> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|at| at.trace_id))
-}
-
 /// Guard for a span opened with [`span`]; closes it (and any leaked
 /// children above it) on drop.
 #[must_use = "a span closes on drop; binding it to _ closes it immediately"]
@@ -703,7 +698,6 @@ mod tests {
         let tracer = Tracer::new(TraceConfig::default());
         let guard = tracer.start_trace("root", None);
         assert!(!guard.is_active());
-        assert!(active_trace_id().is_none());
         let _s = span("ignored");
         annotate("k", "v");
         drop(guard);
@@ -753,7 +747,7 @@ mod tests {
         let inner = tracer.start_trace("inner", Some(6));
         assert!(!inner.is_active());
         drop(inner); // must not complete the outer trace
-        assert_eq!(active_trace_id(), Some(5));
+        assert!(outer.is_active());
         drop(outer);
         let traces = tracer.collect(false, 10);
         assert_eq!(traces.len(), 1);

@@ -23,13 +23,11 @@
 //! *repairs* the log (truncates the torn bytes), so a reopened log never
 //! carries two frames with the same LSN.
 
-use std::path::Path;
-
 use memex_obs::{Counter, MetricsRegistry};
 
 use crate::codec::{crc32, get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64};
 use crate::error::{StoreError, StoreResult};
-use crate::vfs::{FileStorage, MemStorage, Storage};
+use crate::vfs::{MemStorage, Storage};
 
 /// A single logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,12 +130,6 @@ impl Wal {
     /// In-memory log (tests / transient stores).
     pub fn in_memory() -> Wal {
         Self::starting_at(Box::new(MemStorage::new()), 0)
-    }
-
-    /// Open or create a file-backed log. The existing content is left
-    /// untouched; call [`Wal::replay`] to read it.
-    pub fn open_file<P: AsRef<Path>>(path: P) -> StoreResult<Wal> {
-        Self::with_storage(Box::new(FileStorage::open(path)?))
     }
 
     /// Wrap an arbitrary storage (the fault-injection entry point).
@@ -306,7 +298,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultConfig, FaultyStorage};
+    use crate::vfs::{FaultConfig, FaultyStorage, FileStorage};
 
     #[test]
     fn append_replay_round_trip() {
@@ -412,7 +404,7 @@ mod tests {
         path.push(format!("memex-wal-{}.log", std::process::id()));
         let _ = std::fs::remove_file(&path);
         {
-            let mut wal = Wal::open_file(&path).unwrap();
+            let mut wal = Wal::with_storage(Box::new(FileStorage::open(&path).unwrap())).unwrap();
             wal.append(&WalRecord::Put {
                 key: b"k".to_vec(),
                 value: b"v".to_vec(),
@@ -421,7 +413,7 @@ mod tests {
             wal.sync().unwrap();
         }
         {
-            let mut wal = Wal::open_file(&path).unwrap();
+            let mut wal = Wal::with_storage(Box::new(FileStorage::open(&path).unwrap())).unwrap();
             let replay = wal.replay().unwrap();
             assert_eq!(replay.records.len(), 1);
         }

@@ -1,56 +1,46 @@
-//! The analysis pipeline: raw page text → tokens → (stop, stem) → term
-//! counts → interned TF-IDF vectors.
+//! The analysis pipeline: raw page text → terms → term counts → interned
+//! TF-IDF vectors.
+//!
+//! A *term* is a kept token ([`Tokens`]) that is not a stopword, Porter
+//! stemmed. [`Analyzer::counts`] is the one place that says so: the
+//! archive path counts a page's terms with it and
+//! [`SnippetQuery`](crate::snippet::SnippetQuery) takes a query's terms
+//! from it. It streams — one token buffer, stemmed in place, and a key
+//! allocated only the first time a term is seen.
 
 use std::collections::HashMap;
 
-use crate::stem::stem;
+use crate::stem::stem_in_place;
 use crate::stopwords::is_stopword;
-use crate::tokenize::tokenize;
+use crate::tokenize::Tokens;
 use crate::vector::SparseVec;
 use crate::vocab::{IdfTable, TermId, Vocabulary};
 
 /// Bag-of-words counts for one document, pre-interning.
 pub type TermCounts = HashMap<String, u32>;
 
-/// Pipeline configuration.
-#[derive(Debug, Clone)]
-pub struct AnalyzerOptions {
-    /// Apply the Porter stemmer.
-    pub stem: bool,
-    /// Drop stopwords (before stemming).
-    pub remove_stopwords: bool,
-}
-
-impl Default for AnalyzerOptions {
-    fn default() -> Self {
-        AnalyzerOptions {
-            stem: true,
-            remove_stopwords: true,
-        }
-    }
-}
-
 /// Stateless text→counts analyzer plus helpers to intern counts into a
 /// shared [`Vocabulary`].
 #[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    opts: AnalyzerOptions,
-}
+pub struct Analyzer;
 
 impl Analyzer {
-    pub fn new(opts: AnalyzerOptions) -> Analyzer {
-        Analyzer { opts }
-    }
-
     /// HTML/text → term counts.
     pub fn counts(&self, text: &str) -> TermCounts {
         let mut counts = TermCounts::new();
-        for token in tokenize(text) {
-            if self.opts.remove_stopwords && is_stopword(&token) {
+        let mut tokens = Tokens::new(text);
+        let mut term = String::new();
+        while tokens.next_into(&mut term) {
+            if is_stopword(&term) {
                 continue;
             }
-            let term = if self.opts.stem { stem(&token) } else { token };
-            *counts.entry(term).or_insert(0) += 1;
+            stem_in_place(&mut term);
+            match counts.get_mut(term.as_str()) {
+                Some(count) => *count += 1,
+                None => {
+                    counts.insert(term.clone(), 1);
+                }
+            }
         }
         counts
     }
@@ -105,7 +95,7 @@ mod tests {
 
     #[test]
     fn pipeline_stems_and_stops() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let counts = a.counts("The compilers were optimizing the optimization of compilers");
         // "the", "were", "of" are stopwords; compilers/compiler -> compil.
         assert!(counts.keys().all(|k| !is_stopword(k)));
@@ -114,19 +104,8 @@ mod tests {
     }
 
     #[test]
-    fn options_can_disable_stages() {
-        let a = Analyzer::new(AnalyzerOptions {
-            stem: false,
-            remove_stopwords: false,
-        });
-        let counts = a.counts("the compilers");
-        assert_eq!(counts.get("the"), Some(&1));
-        assert_eq!(counts.get("compilers"), Some(&1));
-    }
-
-    #[test]
     fn tfidf_vectors_are_unit_and_idf_weighted() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut vocab = Vocabulary::new();
         // "web" appears everywhere, "theremin" once.
         let mut pairs_last = Vec::new();
@@ -149,7 +128,7 @@ mod tests {
 
     #[test]
     fn similar_documents_have_high_cosine() {
-        let a = Analyzer::default();
+        let a = Analyzer;
         let mut vocab = Vocabulary::new();
         let d1 = a.index_document(&mut vocab, "bach fugue organ baroque music");
         let d2 = a.index_document(&mut vocab, "baroque organ music by bach");

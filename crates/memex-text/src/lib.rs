@@ -1,12 +1,13 @@
 //! # memex-text — text analysis substrate
 //!
-//! Everything between raw page bytes and term statistics: an HTML-aware
-//! [`tokenize`](tokenize::tokenize) pass, the classic Porter stemmer
-//! ([`stem`]), a stopword list, an interning [`Vocabulary`](vocab::Vocabulary)
-//! with document frequencies, sparse TF-IDF [`SparseVec`](vector::SparseVec)
-//! algebra, and the feature-selection statistics (Fisher discriminant, χ²,
-//! mutual information) that the paper's TAPER-style classifier (ref \[3\])
-//! uses to prune vocabulary before training.
+//! Everything between raw page bytes and term statistics: a streaming
+//! HTML-aware tokenizer ([`Tokens`](tokenize::Tokens)), the classic Porter
+//! stemmer ([`stem`], in place on the token just read), a stopword list, an
+//! interning [`Vocabulary`](vocab::Vocabulary) with document frequencies,
+//! sparse TF-IDF [`SparseVec`](vector::SparseVec) algebra, and the
+//! feature-selection statistics (Fisher discriminant, χ², mutual
+//! information) that the paper's TAPER-style classifier (ref \[3\]) uses to
+//! prune vocabulary before training.
 
 pub mod analyze;
 pub mod features;
@@ -17,6 +18,6 @@ pub mod tokenize;
 pub mod vector;
 pub mod vocab;
 
-pub use analyze::{Analyzer, AnalyzerOptions, TermCounts};
+pub use analyze::{Analyzer, TermCounts};
 pub use vector::SparseVec;
 pub use vocab::{IdfTable, TermId, Vocabulary};

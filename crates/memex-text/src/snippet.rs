@@ -1,82 +1,130 @@
 //! Query-biased snippets: pick the window of a page's text that covers the
 //! most (distinct, then total) query terms — what the search tab shows
 //! under each hit.
+//!
+//! A request analyses its query once ([`SnippetQuery`]) and then reads each
+//! returned page in a single pass: every whitespace-separated display word
+//! is read for its first token ([`Words`]), stemmed in place in one reused
+//! buffer and looked up among the query's stems, while a ring of the last
+//! `window` lookups slides the window. Cost is linear in the page's words
+//! with a constant number of allocations, whatever the page's length.
 
-use std::collections::HashMap;
+use crate::analyze::Analyzer;
+use crate::stem::stem_in_place;
+use crate::tokenize::Words;
 
-use crate::stem::stem;
-use crate::stopwords::is_stopword;
-use crate::tokenize::tokenize;
+/// The distinct terms of one query, ready to be matched against any number
+/// of texts.
+#[derive(Debug, Clone)]
+pub struct SnippetQuery {
+    /// Sorted, so a display word costs a binary search however long the
+    /// query.
+    stems: Vec<String>,
+    token: String,
+}
 
-/// Extract a snippet of at most `window` words from `text` biased toward
-/// `query`. Matching is stem-level, so "optimizing" matches a query for
-/// "optimization". Returns the original-case words joined by spaces, with
-/// an ellipsis on clipped ends. Empty text gives an empty string.
+impl SnippetQuery {
+    pub fn new(query: &str) -> SnippetQuery {
+        SnippetQuery::from_terms(Analyzer.counts(query).into_keys())
+    }
+
+    /// From terms already analysed: the keys of [`Analyzer::counts`].
+    pub fn from_terms(terms: impl IntoIterator<Item = String>) -> SnippetQuery {
+        let mut stems: Vec<String> = terms.into_iter().collect();
+        stems.sort_unstable();
+        stems.dedup();
+        SnippetQuery {
+            stems,
+            token: String::new(),
+        }
+    }
+
+    /// Extract a snippet of at most `window` words from `text` biased
+    /// toward the query. Matching is stem-level, so "optimizing" matches a
+    /// query for "optimization". Returns the original-case words joined by
+    /// spaces, with an ellipsis on clipped ends. Empty text gives an empty
+    /// string.
+    pub fn snippet(&mut self, text: &str, window: usize) -> String {
+        let window = window.max(1);
+        // `ring[i % window]` is word `i` while it is inside the window:
+        // where it starts and which query stem it matches. A text has at
+        // most one word per two bytes, so a window longer than that never
+        // wraps and needs no more slots.
+        let slots = window.min(text.len() / 2 + 1);
+        let mut ring: Vec<(usize, Option<usize>)> = vec![(0, None); slots];
+        // Per query stem, its hits inside the window; score = (distinct
+        // stems covered, total hits), and the first window with the best
+        // score wins.
+        let mut inside = vec![0usize; self.stems.len()];
+        let (mut distinct, mut total) = (0usize, 0usize);
+        let mut best_score = (0usize, 0usize);
+        // The best window's first word: its index and its byte offset.
+        let (mut best_word, mut best_offset) = (0usize, 0usize);
+        let mut n = 0usize;
+        let mut words = Words::new(text);
+        while let Some((start, _)) = words.next_into(&mut self.token) {
+            let slot = n % ring.len();
+            if n >= window {
+                if let (_, Some(q)) = ring[slot] {
+                    inside[q] -= 1;
+                    if inside[q] == 0 {
+                        distinct -= 1;
+                    }
+                    total -= 1;
+                }
+            }
+            // The query stem the word matches, if any: by its first token
+            // (none leaves `token` empty), stemmed.
+            stem_in_place(&mut self.token);
+            let hit = match self.token.as_str() {
+                "" => None,
+                stem => self.stems.binary_search_by(|s| s.as_str().cmp(stem)).ok(),
+            };
+            ring[slot] = (start, hit);
+            if let Some(q) = hit {
+                if inside[q] == 0 {
+                    distinct += 1;
+                }
+                inside[q] += 1;
+                total += 1;
+            }
+            n += 1;
+            if n >= window && (distinct, total) > best_score {
+                best_score = (distinct, total);
+                // The oldest word in the ring opens this window.
+                (best_word, best_offset) = (n - window, ring[n % ring.len()].0);
+            }
+        }
+        let w = window.min(n);
+        let mut out = String::new();
+        if best_word > 0 {
+            out.push_str("… ");
+        }
+        let shown = text[best_offset..].split_whitespace().take(w);
+        for (i, word) in shown.enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(word);
+        }
+        if best_word + w < n {
+            out.push_str(" …");
+        }
+        out
+    }
+}
+
+/// One-shot [`SnippetQuery::snippet`]: analyse `query`, read one `text`.
 pub fn snippet(text: &str, query: &str, window: usize) -> String {
-    let window = window.max(1);
-    // Original words, for display.
-    let display: Vec<&str> = text.split_whitespace().collect();
-    if display.is_empty() {
-        return String::new();
-    }
-    // Distinct query stems, numbered in order of appearance.
-    let mut query_stems: HashMap<String, usize> = HashMap::new();
-    for word in tokenize(query).into_iter().filter(|w| !is_stopword(w)) {
-        let next = query_stems.len();
-        query_stems.entry(stem(&word)).or_insert(next);
-    }
-    // Per word of the text: the query stem it matches, if any.
-    let hit: Vec<Option<usize>> = display
-        .iter()
-        .map(|w| {
-            let toks = tokenize(w);
-            toks.first()
-                .and_then(|t| query_stems.get(&stem(t)).copied())
-        })
-        .collect();
-    // Slide the window once, keeping a count per query stem of the hits
-    // inside it; score = (distinct stems covered, total hits), and the
-    // first window with the best score wins.
-    let mut best_start = 0usize;
-    let mut best_score = (0usize, 0usize);
-    let n = display.len();
-    let w = window.min(n);
-    let mut inside = vec![0usize; query_stems.len()];
-    let (mut distinct, mut total) = (0usize, 0usize);
-    for end in 0..n {
-        if let Some(q) = hit[end] {
-            if inside[q] == 0 {
-                distinct += 1;
-            }
-            inside[q] += 1;
-            total += 1;
-        }
-        if let Some(q) = end.checked_sub(w).and_then(|left| hit[left]) {
-            inside[q] -= 1;
-            if inside[q] == 0 {
-                distinct -= 1;
-            }
-            total -= 1;
-        }
-        if end + 1 >= w && (distinct, total) > best_score {
-            best_score = (distinct, total);
-            best_start = end + 1 - w;
-        }
-    }
-    let mut out = String::new();
-    if best_start > 0 {
-        out.push_str("… ");
-    }
-    out.push_str(&display[best_start..best_start + w].join(" "));
-    if best_start + w < n {
-        out.push_str(" …");
-    }
-    out
+    SnippetQuery::new(query).snippet(text, window)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stem::stem;
+    use crate::stopwords::is_stopword;
+    use crate::tokenize::tokenize;
     use proptest::prelude::*;
 
     const TEXT: &str = "the quick brown fox jumps over the lazy dog while a \
@@ -178,8 +226,9 @@ mod tests {
     }
 
     /// Words that collide at stem level, stopwords, punctuation, a token
-    /// `tokenize` splits in two and one it drops.
-    const WORDS: [&str; 16] = [
+    /// `tokenize` splits in two and one it drops, and every kind of
+    /// whitespace `split_whitespace` breaks a word at.
+    const WORDS: [&str; 22] = [
         "compiler",
         "Compilers",
         "optimizes",
@@ -196,6 +245,12 @@ mod tests {
         "x",
         "--",
         "<b>bold</b>",
+        "Über-garden",
+        "music\u{a0}garden",
+        "loop\u{3000}\u{2003}compiler",
+        "baroque\tmusic\nloops\r\n",
+        "\u{b}garden\u{c}",
+        "\u{85}",
     ];
 
     fn words(max: usize) -> impl Strategy<Value = String> {

@@ -3,27 +3,32 @@
 //! have used for its keyword index and classifiers.
 //!
 //! This is a faithful implementation of the five-step algorithm operating
-//! on ASCII lowercase; non-ASCII tokens are returned unchanged (stemming
-//! rules are English-specific).
+//! on ASCII lowercase; any other token is left unchanged (stemming rules
+//! are English-specific). [`stem_in_place`] rewrites the caller's buffer —
+//! every step only truncates it or appends ASCII, so the analysis paths
+//! stem the token they just read without allocating; [`stem`] is the
+//! owning wrapper.
 
 /// Stem one lower-cased token.
 pub fn stem(word: &str) -> String {
-    if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-        return word.to_string();
+    let mut w = word.to_owned();
+    stem_in_place(&mut w);
+    w
+}
+
+/// Stem the lower-cased token in `w`, in place.
+pub fn stem_in_place(w: &mut String) {
+    if w.len() <= 2 || !w.bytes().all(|b| b.is_ascii_lowercase()) {
+        return;
     }
-    let mut w: Vec<u8> = word.as_bytes().to_vec();
-    step1a(&mut w);
-    step1b(&mut w);
-    step1c(&mut w);
-    step2(&mut w);
-    step3(&mut w);
-    step4(&mut w);
-    step5a(&mut w);
-    step5b(&mut w);
-    // The transformations are ASCII-only so the bytes stay valid UTF-8;
-    // degrade lossily rather than panic on the serving path if that
-    // invariant is ever broken.
-    String::from_utf8(w).unwrap_or_else(|e| String::from_utf8_lossy(&e.into_bytes()).into_owned())
+    step1a(w);
+    step1b(w);
+    step1c(w);
+    step2(w);
+    step3(w);
+    step4(w);
+    step5a(w);
+    step5b(w);
 }
 
 /// Is `w[i]` a consonant (in the Porter sense)?
@@ -83,71 +88,65 @@ fn ends_cvc(w: &[u8], len: usize) -> bool {
         && !matches!(w[len - 1], b'w' | b'x' | b'y')
 }
 
-fn ends_with(w: &[u8], suffix: &str) -> bool {
-    w.len() >= suffix.len() && &w[w.len() - suffix.len()..] == suffix.as_bytes()
-}
-
 /// If the word ends with `suffix` and the remaining stem has measure > `m`,
-/// replace the suffix with `replacement` and return true.
-fn replace_if_m(w: &mut Vec<u8>, suffix: &str, replacement: &str, m: usize) -> bool {
-    if !ends_with(w, suffix) {
-        return false;
+/// replace the suffix with `replacement`.
+fn replace_if_m(w: &mut String, suffix: &str, replacement: &str, m: usize) {
+    if !w.ends_with(suffix) {
+        return;
     }
     let stem_len = w.len() - suffix.len();
-    if measure(w, stem_len) > m {
+    if measure(w.as_bytes(), stem_len) > m {
         w.truncate(stem_len);
-        w.extend_from_slice(replacement.as_bytes());
-        true
-    } else {
-        false
+        w.push_str(replacement);
     }
 }
 
-fn step1a(w: &mut Vec<u8>) {
-    if ends_with(w, "sses") || ends_with(w, "ies") {
+fn step1a(w: &mut String) {
+    if w.ends_with("sses") || w.ends_with("ies") {
         w.truncate(w.len() - 2);
-    } else if ends_with(w, "ss") {
+    } else if w.ends_with("ss") {
         // unchanged
-    } else if ends_with(w, "s") {
+    } else if w.ends_with('s') {
         w.truncate(w.len() - 1);
     }
 }
 
-fn step1b(w: &mut Vec<u8>) {
-    if ends_with(w, "eed") {
-        if measure(w, w.len() - 3) > 0 {
+fn step1b(w: &mut String) {
+    if w.ends_with("eed") {
+        if measure(w.as_bytes(), w.len() - 3) > 0 {
             w.truncate(w.len() - 1);
         }
         return;
     }
-    let stripped = if ends_with(w, "ed") && has_vowel(w, w.len() - 2) {
+    let stripped = if w.ends_with("ed") && has_vowel(w.as_bytes(), w.len() - 2) {
         w.truncate(w.len() - 2);
         true
-    } else if ends_with(w, "ing") && has_vowel(w, w.len() - 3) {
+    } else if w.ends_with("ing") && has_vowel(w.as_bytes(), w.len() - 3) {
         w.truncate(w.len() - 3);
         true
     } else {
         false
     };
     if stripped {
-        if ends_with(w, "at") || ends_with(w, "bl") || ends_with(w, "iz") {
-            w.push(b'e');
-        } else if ends_double_cons(w, w.len()) && !matches!(w[w.len() - 1], b'l' | b's' | b'z') {
+        let b = w.as_bytes();
+        if w.ends_with("at") || w.ends_with("bl") || w.ends_with("iz") {
+            w.push('e');
+        } else if ends_double_cons(b, b.len()) && !matches!(b[b.len() - 1], b'l' | b's' | b'z') {
             w.truncate(w.len() - 1);
-        } else if measure(w, w.len()) == 1 && ends_cvc(w, w.len()) {
-            w.push(b'e');
+        } else if measure(b, b.len()) == 1 && ends_cvc(b, b.len()) {
+            w.push('e');
         }
     }
 }
 
-fn step1c(w: &mut [u8]) {
-    if ends_with(w, "y") && has_vowel(w, w.len() - 1) {
-        let n = w.len();
-        w[n - 1] = b'i';
+fn step1c(w: &mut String) {
+    if w.ends_with('y') && has_vowel(w.as_bytes(), w.len() - 1) {
+        w.pop();
+        w.push('i');
     }
 }
 
-fn step2(w: &mut Vec<u8>) {
+fn step2(w: &mut String) {
     const RULES: &[(&str, &str)] = &[
         ("ational", "ate"),
         ("tional", "tion"),
@@ -171,14 +170,14 @@ fn step2(w: &mut Vec<u8>) {
         ("biliti", "ble"),
     ];
     for (suffix, replacement) in RULES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             replace_if_m(w, suffix, replacement, 0);
             return;
         }
     }
 }
 
-fn step3(w: &mut Vec<u8>) {
+fn step3(w: &mut String) {
     const RULES: &[(&str, &str)] = &[
         ("icate", "ic"),
         ("ative", ""),
@@ -189,46 +188,48 @@ fn step3(w: &mut Vec<u8>) {
         ("ness", ""),
     ];
     for (suffix, replacement) in RULES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             replace_if_m(w, suffix, replacement, 0);
             return;
         }
     }
 }
 
-fn step4(w: &mut Vec<u8>) {
+fn step4(w: &mut String) {
     const SUFFIXES: &[&str] = &[
         "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ou",
         "ism", "ate", "iti", "ous", "ive", "ize",
     ];
     // "ion" requires the stem to end in s or t.
-    if ends_with(w, "ion") {
-        let stem_len = w.len() - 3;
-        if stem_len > 0 && matches!(w[stem_len - 1], b's' | b't') && measure(w, stem_len) > 1 {
+    if w.ends_with("ion") {
+        let b = w.as_bytes();
+        let stem_len = b.len() - 3;
+        if stem_len > 0 && matches!(b[stem_len - 1], b's' | b't') && measure(b, stem_len) > 1 {
             w.truncate(stem_len);
         }
         return;
     }
     for suffix in SUFFIXES {
-        if ends_with(w, suffix) {
+        if w.ends_with(suffix) {
             replace_if_m(w, suffix, "", 1);
             return;
         }
     }
 }
 
-fn step5a(w: &mut Vec<u8>) {
-    if ends_with(w, "e") {
+fn step5a(w: &mut String) {
+    if w.ends_with('e') {
         let stem_len = w.len() - 1;
-        let m = measure(w, stem_len);
-        if m > 1 || (m == 1 && !ends_cvc(w, stem_len)) {
+        let m = measure(w.as_bytes(), stem_len);
+        if m > 1 || (m == 1 && !ends_cvc(w.as_bytes(), stem_len)) {
             w.truncate(stem_len);
         }
     }
 }
 
-fn step5b(w: &mut Vec<u8>) {
-    if measure(w, w.len()) > 1 && ends_double_cons(w, w.len()) && w[w.len() - 1] == b'l' {
+fn step5b(w: &mut String) {
+    let b = w.as_bytes();
+    if measure(b, b.len()) > 1 && ends_double_cons(b, b.len()) && b[b.len() - 1] == b'l' {
         w.truncate(w.len() - 1);
     }
 }

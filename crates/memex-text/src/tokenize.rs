@@ -1,10 +1,16 @@
-//! HTML-aware tokenisation.
+//! HTML-aware tokenisation, as one streaming pass.
 //!
 //! Visited pages arrive as HTML-ish text; bookmark imports arrive as
-//! Netscape bookmark files (also HTML). The tokenizer therefore strips
-//! markup and entities before word-breaking, lower-cases, and keeps
-//! alphanumeric word characters only. It never panics on arbitrary input —
-//! a property test in `tests/prop.rs` enforces that.
+//! Netscape bookmark files (also HTML). [`Tokens`] walks the input once:
+//! it skips tags, comments, `<script>`/`<style>` bodies and entities,
+//! lower-cases, breaks words at every non-alphanumeric character and
+//! writes each kept token into a buffer the caller owns — no copy of the
+//! input, no intermediate string, and a caller that wants only the first
+//! token stops there. [`Words`] is that caller packaged: a snippet's walk
+//! over a page's display words, each with its first token. [`tokenize`] is
+//! the collecting wrapper. Nothing here panics on arbitrary input, and
+//! `tests/prop.rs` holds all three to the two-pass strip-then-split
+//! reference they replaced.
 
 /// Maximum token length kept; longer blobs are almost always noise
 /// (base64, session ids) and would bloat term statistics.
@@ -12,133 +18,215 @@ pub const MAX_TOKEN_LEN: usize = 24;
 /// Minimum token length kept.
 pub const MIN_TOKEN_LEN: usize = 2;
 
-/// Strip HTML tags, comments and script/style bodies; decode the handful of
-/// entities that matter for term statistics. Unknown entities become spaces.
-pub fn strip_html(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0usize;
-    let lower = input.to_ascii_lowercase();
-    while i < input.len() {
-        if bytes[i] == b'<' {
-            // Comments.
-            if lower[i..].starts_with("<!--") {
-                match lower[i..].find("-->") {
-                    Some(end) => {
-                        i += end + 3;
-                        out.push(' ');
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            // Script/style elements: skip their bodies entirely.
-            let mut skipped_element = false;
-            for elem in ["script", "style"] {
-                if lower[i + 1..].starts_with(elem) {
-                    let close = format!("</{elem}");
-                    if let Some(end) = lower[i..].find(&close) {
-                        let after = i + end;
-                        if let Some(gt) = lower[after..].find('>') {
-                            i = after + gt + 1;
-                        } else {
-                            i = input.len();
-                        }
-                    } else {
-                        i = input.len();
-                    }
-                    out.push(' ');
-                    skipped_element = true;
-                    break;
-                }
-            }
-            if skipped_element || i >= input.len() {
+/// A cursor over the kept tokens of one HTML-or-text input.
+///
+/// Tokens are maximal runs of alphanumeric characters, lower-cased and
+/// length-filtered in characters; pure digit runs longer than four are
+/// dropped (ports, timestamps, ids). Markup separates words: a tag, a
+/// comment, a `<script>`/`<style>` element with its body, or an entity
+/// (decoded or not — every entity we decode is punctuation). An
+/// unterminated `<…` or `<!--…` swallows the rest of the input.
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    input: &'a str,
+    pos: usize,
+}
+
+impl<'a> Tokens<'a> {
+    pub fn new(input: &'a str) -> Tokens<'a> {
+        Tokens { input, pos: 0 }
+    }
+
+    /// Overwrite `token` with the next kept token; `false` (and an empty
+    /// `token`) once the input is exhausted. `token` never grows past
+    /// [`MAX_TOKEN_LEN`] characters, so one buffer serves any input.
+    pub fn next_into(&mut self, token: &mut String) -> bool {
+        let bytes = self.input.as_bytes();
+        token.clear();
+        // Characters of the word under the cursor, counted past the cap.
+        let mut chars = 0usize;
+        while let Some(&b) = bytes.get(self.pos) {
+            let mut width = 1;
+            if b.is_ascii_alphanumeric() {
+                push_capped(token, &mut chars, b.to_ascii_lowercase() as char);
+                self.pos += 1;
                 continue;
             }
-            // Ordinary tag: skip to `>`.
-            match input[i..].find('>') {
-                Some(end) => {
-                    i += end + 1;
-                    out.push(' ');
-                }
-                None => break,
-            }
-        } else if bytes[i] == b'&' {
-            // Entity.
-            let rest = &input[i..];
-            let decoded = [
-                ("&amp;", "&"),
-                ("&lt;", "<"),
-                ("&gt;", ">"),
-                ("&quot;", "\""),
-                ("&apos;", "'"),
-                ("&nbsp;", " "),
-            ]
-            .iter()
-            .find(|(e, _)| rest.starts_with(e));
-            match decoded {
-                Some((e, r)) => {
-                    out.push_str(r);
-                    i += e.len();
-                }
-                None => {
-                    // Unknown entity: consume up to `;` within 8 chars.
-                    let semi = rest.char_indices().take(8).find(|&(_, c)| c == ';');
-                    match semi {
-                        Some((j, _)) => i += j + 1,
-                        None => i += 1,
+            if !b.is_ascii() {
+                // `pos` is always on a char boundary.
+                let Some(ch) = self.input[self.pos..].chars().next() else {
+                    break;
+                };
+                width = ch.len_utf8();
+                if ch.is_alphanumeric() {
+                    for c in ch.to_lowercase() {
+                        push_capped(token, &mut chars, c);
                     }
-                    out.push(' ');
+                    self.pos += width;
+                    continue;
                 }
             }
-        } else {
-            // Copy one full character. `i` is always on a char boundary,
-            // so `None` means the end of input.
-            let Some(ch) = input[i..].chars().next() else {
-                break;
-            };
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
-    out
-}
-
-/// Split plain text into lower-cased word tokens. Tokens are maximal runs
-/// of alphanumeric characters; length-filtered; pure digit runs longer than
-/// four characters are dropped (ports, timestamps, ids).
-pub fn words(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for c in ch.to_lowercase() {
-                current.push(c);
+            // A separator ends the word; a kept one is handed out with the
+            // cursor still on the separator.
+            if chars > 0 {
+                if keep_or_clear(token, chars) {
+                    return true;
+                }
+                chars = 0;
             }
-        } else if !current.is_empty() {
-            push_token(&mut out, std::mem::take(&mut current));
+            self.pos = match b {
+                b'<' => self.after_markup(),
+                b'&' => self.after_entity(),
+                _ => self.pos + width,
+            };
         }
+        keep_or_clear(token, chars)
     }
-    if !current.is_empty() {
-        push_token(&mut out, current);
+
+    /// The position after the markup construct that opens at `pos`.
+    fn after_markup(&self) -> usize {
+        let bytes = self.input.as_bytes();
+        let rest = &bytes[self.pos..];
+        let end = bytes.len();
+        if rest.starts_with(b"<!--") {
+            return find(rest, b"-->").map_or(end, |at| self.pos + at + 3);
+        }
+        // Script/style elements go with their bodies, up to the `>` of the
+        // closing tag.
+        for close in [&b"</script"[..], b"</style"] {
+            let name = &close[2..];
+            if rest
+                .get(1..1 + name.len())
+                .is_some_and(|n| n.eq_ignore_ascii_case(name))
+            {
+                let Some(at) = find(rest, close) else {
+                    return end;
+                };
+                return tag_end(&rest[at..]).map_or(end, |gt| self.pos + at + gt);
+            }
+        }
+        tag_end(rest).map_or(end, |gt| self.pos + gt)
+    }
+
+    /// The position after the entity that opens at `pos`: through a `;`
+    /// within eight characters, else just the `&`.
+    fn after_entity(&self) -> usize {
+        let semi = self.input[self.pos..]
+            .char_indices()
+            .take(8)
+            .find(|&(_, c)| c == ';');
+        self.pos + semi.map_or(1, |(at, _)| at + 1)
+    }
+}
+
+/// A cursor over the whitespace-separated words of a text, each read for
+/// its first token: what `text.split_whitespace()` with a [`Tokens`] per
+/// word gives, in one walk. A snippet shows the words and matches on the
+/// tokens.
+#[derive(Debug, Clone)]
+pub struct Words<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Words<'a> {
+    pub fn new(text: &'a str) -> Words<'a> {
+        Words { text, pos: 0 }
+    }
+
+    /// The next word and its byte offset, with `token` overwritten by the
+    /// word's first kept token — empty when it has none.
+    pub fn next_into(&mut self, token: &mut String) -> Option<(usize, &'a str)> {
+        let bytes = self.text.as_bytes();
+        token.clear();
+        let start = self.scan(self.pos, true);
+        // Nearly every word is ASCII letters and digits up to the next
+        // blank: read as it is scanned.
+        let mut chars = 0usize;
+        let mut end = start;
+        while let Some(b) = bytes.get(end).filter(|b| b.is_ascii_alphanumeric()) {
+            push_capped(token, &mut chars, b.to_ascii_lowercase() as char);
+            end += 1;
+        }
+        if bytes.get(end).is_none_or(|&b| ascii_whitespace(b)) {
+            keep_or_clear(token, chars);
+        } else {
+            // Punctuation, markup or a wider character: find where the
+            // word ends and tokenize it on its own.
+            end = self.scan(end, false);
+            Tokens::new(&self.text[start..end]).next_into(token);
+        }
+        self.pos = end;
+        (start < end).then(|| (start, &self.text[start..end]))
+    }
+
+    /// The first position at or after `at` whose character is not
+    /// (`whitespace`) or is (`!whitespace`) whitespace.
+    fn scan(&self, mut at: usize, whitespace: bool) -> usize {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(at) {
+            let (is_whitespace, width) = if b.is_ascii() {
+                (ascii_whitespace(b), 1)
+            } else {
+                // `at` is always on a char boundary.
+                self.text[at..]
+                    .chars()
+                    .next()
+                    .map_or((true, 1), |c| (c.is_whitespace(), c.len_utf8()))
+            };
+            if is_whitespace != whitespace {
+                break;
+            }
+            at += width;
+        }
+        at
+    }
+}
+
+/// `char::is_whitespace` for an ASCII byte.
+fn ascii_whitespace(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+fn push_capped(token: &mut String, chars: &mut usize, c: char) {
+    if *chars < MAX_TOKEN_LEN {
+        token.push(c);
+    }
+    *chars += 1;
+}
+
+/// The length and digit-run filters on a finished word of `chars`
+/// characters (a `token` of at most [`MAX_TOKEN_LEN`] is whole): `true` if
+/// it is kept, else `token` is emptied.
+fn keep_or_clear(token: &mut String, chars: usize) -> bool {
+    let kept = (MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&chars)
+        && !(chars > 4 && token.bytes().all(|b| b.is_ascii_digit()));
+    if !kept {
+        token.clear();
+    }
+    kept
+}
+
+/// The offset just past the first `>` of `tag`.
+fn tag_end(tag: &[u8]) -> Option<usize> {
+    tag.iter().position(|&b| b == b'>').map(|gt| gt + 1)
+}
+
+/// First offset of `needle` in `hay`, ASCII case-insensitively.
+fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len())
+        .position(|w| w.eq_ignore_ascii_case(needle))
+}
+
+/// Every kept token of `html_or_text`, collected.
+pub fn tokenize(html_or_text: &str) -> Vec<String> {
+    let mut tokens = Tokens::new(html_or_text);
+    let mut out = Vec::new();
+    let mut token = String::new();
+    while tokens.next_into(&mut token) {
+        out.push(token.clone());
     }
     out
-}
-
-fn push_token(out: &mut Vec<String>, token: String) {
-    let len = token.chars().count();
-    if !(MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&len) {
-        return;
-    }
-    if len > 4 && token.chars().all(|c| c.is_ascii_digit()) {
-        return;
-    }
-    out.push(token);
-}
-
-/// Full pipeline: strip markup, then word-break.
-pub fn tokenize(html_or_text: &str) -> Vec<String> {
-    words(&strip_html(html_or_text))
 }
 
 /// Extract the `href` targets of anchor tags — bookmark-import and crawl
@@ -176,17 +264,18 @@ mod tests {
 
     #[test]
     fn plain_words() {
-        assert_eq!(words("Hello, World!"), vec!["hello", "world"]);
-        assert_eq!(words("web-based IR"), vec!["web", "based", "ir"]);
+        assert_eq!(tokenize("Hello, World!"), vec!["hello", "world"]);
+        assert_eq!(tokenize("web-based IR"), vec!["web", "based", "ir"]);
     }
 
     #[test]
     fn length_filters() {
-        assert!(words("a I x").is_empty(), "single chars dropped");
+        assert!(tokenize("a I x").is_empty(), "single chars dropped");
         let long = "x".repeat(MAX_TOKEN_LEN + 1);
-        assert!(words(&long).is_empty(), "overlong tokens dropped");
+        assert!(tokenize(&long).is_empty(), "overlong tokens dropped");
+        assert_eq!(tokenize(&long[1..]), vec![&long[1..]]);
         assert_eq!(
-            words("12345 1999"),
+            tokenize("12345 1999"),
             vec!["1999"],
             "long digit runs dropped, years kept"
         );
@@ -229,7 +318,7 @@ mod tests {
 
     #[test]
     fn unicode_is_lowercased_not_mangled() {
-        assert_eq!(words("Über Straße"), vec!["über", "straße"]);
+        assert_eq!(tokenize("Über Straße"), vec!["über", "straße"]);
     }
 
     #[test]

@@ -1,12 +1,156 @@
 //! Property tests for the text substrate: the tokenizer must never panic on
-//! arbitrary input, stemming must be idempotent-ish and shortening, and the
-//! sparse-vector algebra must obey the usual laws.
+//! arbitrary input and must agree with the two-pass pipeline it replaced,
+//! stemming must be idempotent-ish and shortening and the same in place as
+//! owned, and the sparse-vector algebra must obey the usual laws.
 
 use proptest::prelude::*;
 
-use memex_text::stem::stem;
-use memex_text::tokenize::{extract_hrefs, strip_html, tokenize, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
+use memex_text::stem::{stem, stem_in_place};
+use memex_text::tokenize::{extract_hrefs, tokenize, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
 use memex_text::vector::SparseVec;
+
+/// The tokenizer as it was before it streamed, kept as the reference
+/// [`Tokens`] is held to: first strip tags, comments and script/style
+/// bodies and decode entities into a new string…
+fn strip_html(input: &str) -> String {
+    let mut out = String::with_capacity(input.len());
+    let bytes = input.as_bytes();
+    let mut i = 0usize;
+    let lower = input.to_ascii_lowercase();
+    while i < input.len() {
+        if bytes[i] == b'<' {
+            if lower[i..].starts_with("<!--") {
+                match lower[i..].find("-->") {
+                    Some(end) => {
+                        i += end + 3;
+                        out.push(' ');
+                        continue;
+                    }
+                    None => break,
+                }
+            }
+            let mut skipped_element = false;
+            for elem in ["script", "style"] {
+                if lower[i + 1..].starts_with(elem) {
+                    let close = format!("</{elem}");
+                    if let Some(end) = lower[i..].find(&close) {
+                        let after = i + end;
+                        if let Some(gt) = lower[after..].find('>') {
+                            i = after + gt + 1;
+                        } else {
+                            i = input.len();
+                        }
+                    } else {
+                        i = input.len();
+                    }
+                    out.push(' ');
+                    skipped_element = true;
+                    break;
+                }
+            }
+            if skipped_element || i >= input.len() {
+                continue;
+            }
+            match input[i..].find('>') {
+                Some(end) => {
+                    i += end + 1;
+                    out.push(' ');
+                }
+                None => break,
+            }
+        } else if bytes[i] == b'&' {
+            let rest = &input[i..];
+            let decoded = [
+                ("&amp;", "&"),
+                ("&lt;", "<"),
+                ("&gt;", ">"),
+                ("&quot;", "\""),
+                ("&apos;", "'"),
+                ("&nbsp;", " "),
+            ]
+            .iter()
+            .find(|(e, _)| rest.starts_with(e));
+            match decoded {
+                Some((e, r)) => {
+                    out.push_str(r);
+                    i += e.len();
+                }
+                None => {
+                    let semi = rest.char_indices().take(8).find(|&(_, c)| c == ';');
+                    match semi {
+                        Some((j, _)) => i += j + 1,
+                        None => i += 1,
+                    }
+                    out.push(' ');
+                }
+            }
+        } else {
+            let Some(ch) = input[i..].chars().next() else {
+                break;
+            };
+            out.push(ch);
+            i += ch.len_utf8();
+        }
+    }
+    out
+}
+
+/// …then split the plain text into lower-cased, length-filtered words.
+fn words(text: &str) -> Vec<String> {
+    fn push_token(out: &mut Vec<String>, token: String) {
+        let len = token.chars().count();
+        if !(MIN_TOKEN_LEN..=MAX_TOKEN_LEN).contains(&len) {
+            return;
+        }
+        if len > 4 && token.chars().all(|c| c.is_ascii_digit()) {
+            return;
+        }
+        out.push(token);
+    }
+    let mut out = Vec::new();
+    let mut current = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            for c in ch.to_lowercase() {
+                current.push(c);
+            }
+        } else if !current.is_empty() {
+            push_token(&mut out, std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        push_token(&mut out, current);
+    }
+    out
+}
+
+/// HTML soup: markup whole and broken, `<script>`/`<style>` in any case,
+/// entities the old stripper decoded and ones it did not, unterminated `<`
+/// and `&`, characters whose lower case is longer than they are, tokens at
+/// both length limits, digit runs on both sides of the four-digit rule and
+/// every kind of whitespace.
+fn soup() -> impl Strategy<Value = String> {
+    #[rustfmt::skip]
+    const PARTS: &[&str] = &[
+        "<", ">", "<b>", "</b>", "<a href=\"x y\">", "<P CLASS=intro>", "<unclosed",
+        "<!--", "-->", "<!-- hidden words -->", "<!-->",
+        "<script>", "<SCRIPT type=js>", "</script>", "</SCRIPT", "</script", "<scripture>",
+        "<style>", "</Style>", "<sty",
+        "&", ";", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&nbsp;",
+        "&AMP;", "&copy;", "&#169;", "&toolongtobe;", "&é;", "&amp",
+        "Über", "Straße", "İstanbul", "İİİİİİİİİİİİ", "世界", "λόγος", "ǅ", "K",
+        "a", "ab", "xxxxxxxxxxxxxxxxxxxxxxxx", "xxxxxxxxxxxxxxxxxxxxxxxxx",
+        "éééééééééééééééééééééééé", "ééééééééééééééééééééééééé",
+        "1", "1999", "12345", "123456", "12a45", "\u{663}\u{663}\u{663}\u{663}\u{663}",
+        " ", " ", " ", "\n", "\t", "\r\n", "\u{b}", "\u{85}", "\u{a0}", "\u{3000}",
+        "-", ".", "'",
+    ];
+    let part = prop_oneof![
+        3 => (0..PARTS.len()).prop_map(|i| PARTS[i].to_string()),
+        1 => "[a-zA-Z0-9]{0,8}",
+    ];
+    proptest::collection::vec(part, 0..40).prop_map(|parts| parts.concat())
+}
 
 fn sparse_strategy() -> impl Strategy<Value = SparseVec> {
     proptest::collection::vec((0u32..64, -10.0f32..10.0), 0..24).prop_map(SparseVec::from_pairs)
@@ -20,7 +164,6 @@ proptest! {
     /// respect the length bounds.
     #[test]
     fn tokenizer_total_on_arbitrary_input(s in "\\PC{0,200}") {
-        let _ = strip_html(&s);
         let _ = extract_hrefs(&s);
         for tok in tokenize(&s) {
             let n = tok.chars().count();
@@ -108,6 +251,47 @@ proptest! {
         let source: std::collections::HashSet<&str> = text.split_whitespace().collect();
         for w in words {
             prop_assert!(source.contains(w), "snippet word {w:?} not in source");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One streaming pass reads what strip-then-split read: over a whole
+    /// input, and over each whitespace-separated word of it on its own with
+    /// only the first token taken, which is how a snippet reads a page —
+    /// both a `Tokens` per word and the `Words` cursor that fuses the
+    /// splitting with it. The token buffer is reused throughout, as the
+    /// product reuses it.
+    #[test]
+    fn streaming_tokenizer_equals_strip_then_split(html in soup()) {
+        prop_assert_eq!(tokenize(&html), words(&strip_html(&html)), "input {:?}", html);
+        let mut token = String::from("left over");
+        let mut cursor = Words::new(&html);
+        for word in html.split_whitespace() {
+            let first = words(&strip_html(word)).into_iter().next();
+            prop_assert_eq!(Tokens::new(word).next_into(&mut token), first.is_some());
+            prop_assert_eq!(&token, first.as_deref().unwrap_or(""), "word {:?}", word);
+            let offset = word.as_ptr() as usize - html.as_ptr() as usize;
+            prop_assert_eq!(cursor.next_into(&mut token), Some((offset, word)));
+            prop_assert_eq!(&token, first.as_deref().unwrap_or(""), "word {:?}", word);
+        }
+        prop_assert_eq!(cursor.next_into(&mut token), None);
+    }
+
+    /// Stemming in place is stemming: any lower-case word, and any token
+    /// the tokenizer can produce (digits, non-ASCII and one- or two-byte
+    /// tokens come back untouched).
+    #[test]
+    fn stem_in_place_equals_stem(w in "[a-z]{0,20}", html in soup()) {
+        for token in tokenize(&html).into_iter().chain([w]) {
+            let mut buf = token.clone();
+            stem_in_place(&mut buf);
+            prop_assert_eq!(&buf, &stem(&token), "token {:?}", token);
+            if token.len() <= 2 || !token.bytes().all(|b| b.is_ascii_lowercase()) {
+                prop_assert_eq!(&buf, &token);
+            }
         }
     }
 }

@@ -287,7 +287,7 @@ impl Corpus {
 
     /// Run every page through the real text pipeline.
     pub fn analyze(&self) -> AnalyzedCorpus {
-        let analyzer = Analyzer::default();
+        let analyzer = Analyzer;
         let mut vocab = Vocabulary::new();
         let tf: Vec<Vec<(TermId, u32)>> = self
             .pages

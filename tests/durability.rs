@@ -20,7 +20,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn indexed_corpus_survives_restart_and_answers_queries() {
     let dir = tmpdir("index");
-    let analyzer = Analyzer::default();
+    let analyzer = Analyzer;
     let mut vocab = Vocabulary::new();
     let docs = [
         (1u32, "bach organ fugue baroque music archive"),
