@@ -16,11 +16,12 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
-use memex_cluster::themes::{nearest_theme, ThemeDiscovery, ThemeOptions, Themes, UserFolder};
+use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::TrailContext;
 use memex_index::search::{bm25_search, Bm25Params};
+use memex_learn::nb::{ClassCounts, NaiveBayes, NbOptions, NbScorer};
 use memex_learn::taxonomy::TopicId;
 use memex_server::events::ClientEvent;
 use memex_server::fetcher::CorpusFetcher;
@@ -63,19 +64,16 @@ pub struct BillLine {
 /// A rejection-capable per-user topic classifier: the user's leaf folders
 /// plus a background class ("none of my folders").
 pub struct TopicFilter {
-    nb: memex_learn::nb::NaiveBayes,
+    /// The trained model, frozen; `None` when there was nothing to train on.
+    scorer: Option<NbScorer>,
     leaves: Vec<TopicId>,
-    usable: bool,
 }
 
 impl TopicFilter {
     /// The folder this page belongs to, or `None` for "no folder"
     /// (background wins or the filter has no training data).
     pub fn classify(&self, tf: &[(memex_text::vocab::TermId, u32)]) -> Option<TopicId> {
-        if !self.usable {
-            return None;
-        }
-        let class = self.nb.predict(tf);
+        let class = self.scorer.as_ref()?.predict(tf);
         self.leaves.get(class).copied()
     }
 }
@@ -136,6 +134,8 @@ struct DemonMetrics {
     themes_build_latency: memex_obs::Histogram,
     themes_behind: memex_obs::Gauge,
     page_themes_builds: memex_obs::Counter,
+    page_themes_build_latency: memex_obs::Histogram,
+    background_builds: memex_obs::Counter,
     routing_builds: memex_obs::Counter,
     routing_build_latency: memex_obs::Histogram,
     /// Users whose routing is built.
@@ -151,6 +151,8 @@ impl DemonMetrics {
             themes_build_latency: registry.histogram("demon.themes.build.latency"),
             themes_behind: registry.gauge("demon.themes.behind"),
             page_themes_builds: registry.counter("demon.page_themes.builds"),
+            page_themes_build_latency: registry.histogram("demon.page_themes.build.latency"),
+            background_builds: registry.counter("demon.background.builds"),
             routing_builds: registry.counter("demon.routing.builds"),
             routing_build_latency: registry.histogram("demon.routing.build.latency"),
             routing_live: registry.gauge("demon.routing.live"),
@@ -166,9 +168,10 @@ impl DemonMetrics {
 /// queries in parallel behind an `RwLock`; all state maintenance
 /// (indexing, bookmark filing, classification) happens in
 /// [`Memex::run_demons`] / [`Memex::refresh`], which mutation paths run
-/// under the write lock. What a query may compute and keep are the three
-/// memos behind a [`OnceLock`] each — the community themes, the page ->
-/// theme map and each user's page -> folder routing: values every reader
+/// under the write lock. What a query may compute and keep are the memos
+/// behind a [`OnceLock`] each — the community themes, the page -> theme
+/// map, each user's page -> folder routing and the background class the
+/// routings are trained against: values every reader
 /// would compute identically, so no reader can observe the write. The
 /// write path only ever takes them back, when one of their inputs moved.
 pub struct Memex {
@@ -189,6 +192,12 @@ pub struct Memex {
     /// [`Memex::refresh`] when the themes were replaced or a page was seen
     /// for the first time (the live idf moved).
     page_themes: OnceLock<HashMap<u32, TopicId>>,
+    /// The background class every user's topic filter shares: term counts of
+    /// an even sample of the pages the community surfed. Built by the first
+    /// [`Memex::topic_filter`] that needs it; taken back by
+    /// [`Memex::refresh`] when a page was seen for the first time (the
+    /// sample moved).
+    background: OnceLock<ClassCounts>,
     /// [`Memex::refresh`]'s cursor into the append-only
     /// `server.trails.visits()`, the distinct pages before it, and the
     /// number of pages the vocabulary had observed: a write moved the
@@ -232,6 +241,7 @@ impl Memex {
             theme_opts: opts.themes,
             themes: ThemesCell::default(),
             page_themes: OnceLock::new(),
+            background: OnceLock::new(),
             seen_visits: 0,
             seen_pages: HashSet::new(),
             fetched_pages: 0,
@@ -362,15 +372,16 @@ impl Memex {
     /// and a bookmark is recorded only after its page's fetch was settled,
     /// so the `tf` rows read at build time are those of capture time.)
     ///
-    /// The two derived memos are only ever taken back here, each exactly
+    /// The derived memos are only ever taken back here, each exactly
     /// when one of its inputs moved. The page -> theme map reads the themes
     /// and the live idf: it goes when the themes cell was replaced or a page
     /// was seen for the first time. Each user's page -> folder routing reads
     /// their folder space (whose edits drop it where they happen:
     /// [`Memex::folder_space`], bookmark filing) and the pages surfed — the
     /// domain it routes and the background sample of
-    /// [`Memex::topic_filter`]: all of them go when a page was seen for the
-    /// first time. A repeat visit takes nothing.
+    /// [`Memex::topic_filter`]: all of them, and the background class built
+    /// from that sample, go when a page was seen for the first time. A repeat
+    /// visit takes nothing.
     pub fn refresh(&mut self) -> StoreResult<()> {
         let n_bookmarks = self.server.bookmarks.len();
         let themes_replaced = self.themes.bookmarks != n_bookmarks;
@@ -399,6 +410,7 @@ impl Memex {
             self.page_themes.take();
         }
         if first_seen {
+            self.background.take();
             for space in self.folder_spaces.values_mut() {
                 space.kill_routing(&self.metrics.routing_live);
             }
@@ -464,13 +476,14 @@ impl Memex {
     pub(crate) fn page_themes(&self) -> &HashMap<u32, TopicId> {
         self.page_themes.get_or_init(|| {
             let community = self.themes();
-            let leaves = community.view.0.leaf_themes();
+            let _span = self.metrics.page_themes_build_latency.start_span();
+            let router = community.view.0.leaf_router();
             let page_themes = self
                 .seen_pages
                 .iter()
                 .filter(|page| !community.doc_of_page.contains_key(page))
                 .filter_map(|&page| {
-                    let theme = nearest_theme(&leaves, self.page_vector(page)?)?;
+                    let theme = router.assign(self.page_vector(page)?)?;
                     Some((page, theme))
                 })
                 .collect();
@@ -573,56 +586,56 @@ impl Memex {
 
     // -- Q2 / F2: topical context replay -------------------------------------
 
+    /// The memoised background class, built on first use after
+    /// [`Memex::refresh`] took the last one back: every second page in the
+    /// order the community first surfed them, up to 300 that were fetched.
+    fn background(&self) -> &ClassCounts {
+        self.background.get_or_init(|| {
+            let mut seen = HashSet::new();
+            let sample = self
+                .server
+                .trails
+                .visits()
+                .iter()
+                .filter(|v| seen.insert(v.page) && seen.len() % 2 == 0)
+                .filter_map(|v| self.server.tf(v.page))
+                .take(300);
+            self.metrics.background_builds.inc();
+            ClassCounts::from_documents(sample)
+        })
+    }
+
     /// Build a rejection-capable topic filter for one user: a naive Bayes
     /// over their leaf folders **plus a background class** trained from a
     /// sample of everything the community surfed. Community pages whose
     /// best class is the background simply don't *belong* to any folder —
     /// which is what "most likely to belong to the selected topic" needs
     /// (a forced choice among the user's folders would claim every page).
+    ///
+    /// Only the user's confirmed pages are trained here; the background is
+    /// the same for everybody and shared (`Memex::background`).
     pub fn topic_filter(&self, user: u32) -> TopicFilter {
         let fs = self.folder_space_ref(user);
         let leaves: Vec<TopicId> = fs.classes().to_vec();
-        let confirmed: Vec<(u32, TopicId)> = fs
-            .assignments()
-            .filter(|(_, a)| a.confirmed)
-            .map(|(p, a)| (p, a.folder))
-            .collect();
         // `leaves + background` classes; NaiveBayes insists on >= 2, so a
         // user with no folders yet gets a padded (never-trained, unusable)
         // classifier instead of a panic on the query path.
-        let mut nb = memex_learn::nb::NaiveBayes::new(
-            (leaves.len() + 1).max(2),
-            memex_learn::nb::NbOptions::default(),
-        );
-        let background = leaves.len();
+        let mut nb = NaiveBayes::new((leaves.len() + 1).max(2), NbOptions::default());
         let mut trained = 0usize;
-        for (page, folder) in &confirmed {
+        for (page, a) in fs.assignments().filter(|(_, a)| a.confirmed) {
             if let (Some(class), Some(tf)) = (
-                leaves.iter().position(|l| l == folder),
-                self.server.tf(*page),
+                leaves.iter().position(|&l| l == a.folder),
+                self.server.tf(page),
             ) {
                 nb.add_document(class, tf);
                 trained += 1;
             }
         }
-        // Background: an even sample of community-visited pages.
-        let mut sampled = 0usize;
-        let mut seen = HashSet::new();
-        for v in self.server.trails.visits() {
-            if seen.insert(v.page) && seen.len() % 2 == 0 {
-                if let Some(tf) = self.server.tf(v.page) {
-                    nb.add_document(background, tf);
-                    sampled += 1;
-                    if sampled >= 300 {
-                        break;
-                    }
-                }
-            }
-        }
+        let background = self.background();
+        let usable = trained > 0 && background.num_docs() > 0.0;
         TopicFilter {
-            nb,
+            scorer: usable.then(|| NbScorer::with_shared_class(&nb, leaves.len(), background)),
             leaves,
-            usable: trained > 0 && sampled > 0,
         }
     }
 

@@ -43,25 +43,19 @@ pub fn theme_profile(memex: &Memex, user: u32) -> BTreeMap<TopicId, f64> {
     profile
 }
 
-/// Theme profiles for every registered user.
-pub fn all_profiles(memex: &Memex) -> HashMap<u32, BTreeMap<TopicId, f64>> {
-    memex
-        .users()
-        .into_iter()
-        .map(|u| (u, theme_profile(memex, u)))
-        .collect()
-}
-
-/// Most similar surfers by theme-profile cosine (excludes `user`).
+/// Most similar surfers by theme-profile cosine (excludes `user`). A user
+/// without a folder space has no profile to compare and nobody is asked for
+/// theirs: the answer is empty and no memo is built for it.
 pub fn similar_surfers(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f64)> {
-    let profiles = all_profiles(memex);
-    let Some(mine) = profiles.get(&user) else {
+    let users = memex.users();
+    if !users.contains(&user) {
         return Vec::new();
-    };
-    let mut scored: Vec<(u32, f64)> = profiles
-        .iter()
-        .filter(|(&u, _)| u != user)
-        .map(|(&u, p)| (u, profile_similarity(mine, p)))
+    }
+    let mine = theme_profile(memex, user);
+    let mut scored: Vec<(u32, f64)> = users
+        .into_iter()
+        .filter(|&u| u != user)
+        .map(|u| (u, profile_similarity(&mine, &theme_profile(memex, u))))
         .collect();
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

@@ -11,9 +11,10 @@
 //! * so are the page -> theme map and each user's page -> folder routing
 //!   that the mining servlets answer from. Every answer must be, byte for
 //!   byte, the one recomputing everything per request gives
-//!   ([`FromScratch`], the read side as it was, kept here as the reference),
-//!   and a memo must be rebuilt only after a write that moved one of its
-//!   inputs — never after a repeat visit.
+//!   ([`FromScratch`], the read side as it was, kept here as the reference
+//!   down to its own topic filter, so that it reads no memo at all — not the
+//!   shared background class either), and a memo must be rebuilt only after
+//!   a write that moved one of its inputs — never after a repeat visit.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -26,9 +27,11 @@ use memex_core::memex::{BillLine, Memex, MemexOptions};
 use memex_core::servlet::{dispatch_read, dispatch_write, Classified, Request, Response};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
+use memex_learn::nb::{NaiveBayes, NbOptions};
 use memex_learn::taxonomy::TopicId;
 use memex_net::wire::encode_response;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
+use memex_text::vocab::TermId;
 use memex_web::corpus::{Corpus, CorpusConfig};
 
 const PAGES: u32 = 40;
@@ -274,11 +277,71 @@ fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut
 /// archive under test through its public parts, never through a memo.
 struct FromScratch<'a>(&'a Memex);
 
+/// `Memex::topic_filter`'s answer as it was: one model per call, the 300
+/// background documents trained in beside the user's own, every `ln` taken
+/// per document asked.
+struct ScratchFilter {
+    nb: NaiveBayes,
+    leaves: Vec<TopicId>,
+    usable: bool,
+}
+
+impl ScratchFilter {
+    fn classify(&self, tf: &[(TermId, u32)]) -> Option<TopicId> {
+        if !self.usable {
+            return None;
+        }
+        self.leaves.get(self.nb.predict(tf)).copied()
+    }
+}
+
 impl FromScratch<'_> {
+    /// `Memex::topic_filter` as it was.
+    fn topic_filter(&self, user: u32) -> ScratchFilter {
+        let memex = self.0;
+        let fs = memex.folder_space_ref(user);
+        let leaves: Vec<TopicId> = fs.classes().to_vec();
+        let confirmed: Vec<(u32, TopicId)> = fs
+            .assignments()
+            .filter(|(_, a)| a.confirmed)
+            .map(|(p, a)| (p, a.folder))
+            .collect();
+        let mut nb = NaiveBayes::new((leaves.len() + 1).max(2), NbOptions::default());
+        let background = leaves.len();
+        let mut trained = 0usize;
+        for (page, folder) in &confirmed {
+            if let (Some(class), Some(tf)) = (
+                leaves.iter().position(|l| l == folder),
+                memex.server.tf(*page),
+            ) {
+                nb.add_document(class, tf);
+                trained += 1;
+            }
+        }
+        let mut sampled = 0usize;
+        let mut seen = HashSet::new();
+        for v in memex.server.trails.visits() {
+            if seen.insert(v.page) && seen.len() % 2 == 0 {
+                if let Some(tf) = memex.server.tf(v.page) {
+                    nb.add_document(background, tf);
+                    sampled += 1;
+                    if sampled >= 300 {
+                        break;
+                    }
+                }
+            }
+        }
+        ScratchFilter {
+            nb,
+            leaves,
+            usable: trained > 0 && sampled > 0,
+        }
+    }
+
     /// `Memex::pages_on_topic` as it was.
     fn on_topic(&self, user: u32, folder: TopicId) -> HashSet<u32> {
         let memex = self.0;
-        let filter = memex.topic_filter(user);
+        let filter = self.topic_filter(user);
         let all_pages: HashSet<u32> = memex
             .server
             .trails
@@ -340,7 +403,7 @@ impl FromScratch<'_> {
 
     fn bill(&self, user: u32, since: u64, until: u64) -> Vec<BillLine> {
         let memex = self.0;
-        let filter = memex.topic_filter(user);
+        let filter = self.topic_filter(user);
         let fs = memex.folder_space_ref(user);
         let mut per_folder: HashMap<String, (u64, u32)> = HashMap::new();
         let mut total_bytes = 0u64;
@@ -737,6 +800,14 @@ fn memo_builds(memex: &Memex) -> (u64, u64) {
     )
 }
 
+/// Builds so far of the background class the topic filters share.
+fn background_builds(memex: &Memex) -> u64 {
+    memex
+        .registry()
+        .snapshot()
+        .counter("demon.background.builds")
+}
+
 fn routings_live(memex: &Memex) -> i64 {
     memex.registry().snapshot().gauge("demon.routing.live")
 }
@@ -783,6 +854,11 @@ fn warm_world(corpus: &Arc<Corpus>) -> Memex {
     assert_eq!(memo_builds(&memex), (0, 0), "a write built a memo");
     ask_everything(&memex);
     assert_eq!(memo_builds(&memex), (1, 4));
+    assert_eq!(
+        background_builds(&memex),
+        1,
+        "four routings, one background"
+    );
     assert_eq!(routings_live(&memex), 4);
     memex
 }
@@ -838,6 +914,11 @@ fn memos_build_once_per_input_that_moved() {
     assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1));
     read(&memex, Request::Recommend { user: 3, k: 3 });
     assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1), "built twice");
+    assert_eq!(
+        background_builds(&memex),
+        1,
+        "neither a repeat visit nor a bookmark of a page already surfed moves the background"
+    );
     let warm = memo_builds(&memex);
 
     // A page seen for the first time: every memo is gone, and each comes
@@ -845,9 +926,11 @@ fn memos_build_once_per_input_that_moved() {
     write(&mut memex, visit(&corpus, 1, 15, 300));
     assert_eq!(memo_builds(&memex), warm, "the visit's ack built a memo");
     assert_eq!(routings_live(&memex), 0);
+    assert_eq!(background_builds(&memex), 1, "the visit's ack built it");
     read(&memex, bill(0));
     read(&memex, trail_replay(3));
     assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 2));
+    assert_eq!(background_builds(&memex), 2, "two routings, one background");
     assert_eq!(routings_live(&memex), 2);
     read(&memex, Request::SimilarSurfers { user: 0, k: 3 });
     assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 2));
@@ -867,6 +950,101 @@ fn memos_build_once_per_input_that_moved() {
     read(&memex, bill(5));
     assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
     assert_eq!(routings_live(&memex), 4);
+    assert_eq!(background_builds(&memex), 2, "a folder edit moved it");
+}
+
+/// The background class reads `tf` rows, not just the trail: a page whose
+/// fetch settles after the trail demon recorded its visit (the two demons
+/// are separate consumers) moves the sample when its row appears, although
+/// no page is seen for the first time by then.
+#[test]
+fn a_page_fetched_after_it_was_trailed_moves_the_background() {
+    let corpus = corpus();
+    let mut memex = warm_world(&corpus);
+    let page = 15u32;
+    let Request::Event(event) = visit(&corpus, 1, page, 500) else {
+        panic!("a visit is an event");
+    };
+    assert!(memex.submit(event));
+    memex.server.run_trail_demon(usize::MAX);
+    memex.refresh().expect("refresh");
+    // Everything is rebuilt around a page that is surfed but not fetched.
+    ask_everything(&memex);
+    assert!(memex.server.tf(page).is_none());
+    let built = background_builds(&memex);
+
+    memex.run_demons().expect("demons");
+    assert!(memex.server.tf(page).is_some(), "the fetcher caught up");
+    assert_eq!(background_builds(&memex), built, "a write built it");
+    for user in 0..USERS {
+        for question in mining_questions(&memex, user, 500) {
+            assert!(
+                encode_response(&read(&memex, question.clone()))
+                    == encode_response(&FromScratch(&memex).answer(&question)),
+                "{question:?}"
+            );
+        }
+    }
+    assert_eq!(
+        background_builds(&memex),
+        built + 1,
+        "the background outlived a `tf` row it samples"
+    );
+}
+
+/// Somebody without a folder space has no profile to compare: asking for
+/// their soulmates or recommendations answers empty without building the
+/// themes or the page -> theme map for it — not even when both are due.
+#[test]
+fn a_stranger_asking_for_soulmates_builds_nothing() {
+    let corpus = corpus();
+    let mut memex = fresh_memex(&corpus);
+    for user in 0..4u32 {
+        write(&mut memex, visit(&corpus, user, user + 10, 1));
+        write(&mut memex, bookmark(&corpus, user, user, FOLDERS[0], 2));
+    }
+    let theme_builds = |memex: &Memex| {
+        let snap = memex.registry().snapshot();
+        (
+            snap.counter("demon.themes.builds"),
+            snap.counter("demon.page_themes.builds"),
+        )
+    };
+    let stranger = USERS + 1;
+    assert_eq!(
+        read(
+            &memex,
+            Request::SimilarSurfers {
+                user: stranger,
+                k: 3
+            }
+        ),
+        Response::SimilarSurfers(Vec::new())
+    );
+    assert_eq!(
+        read(
+            &memex,
+            Request::Recommend {
+                user: stranger,
+                k: 3
+            }
+        ),
+        Response::Recommend(Vec::new())
+    );
+    assert_eq!(theme_builds(&memex), (0, 0), "a stranger's question built");
+    // The same question from a member builds both, once — and `Stats`
+    // shows how long each build took.
+    read(&memex, Request::SimilarSurfers { user: 0, k: 3 });
+    assert_eq!(theme_builds(&memex), (1, 1));
+    let Response::Stats(snap) = read(&memex, Request::Stats) else {
+        panic!("expected Stats");
+    };
+    for timed in [
+        "demon.themes.build.latency",
+        "demon.page_themes.build.latency",
+    ] {
+        assert_eq!(snap.histogram(timed).map(|h| h.count), Some(1), "{timed}");
+    }
 }
 
 /// Traffic shaped like the benchmark's `browse_mix` — visits by random

@@ -1,12 +1,22 @@
 //! Spherical k-means: cosine assignment, mean-of-unit-vectors centroids,
-//! deterministic under a caller-provided seed. Used directly and as the
-//! refinement pass of Buckshot Scatter/Gather.
+//! deterministic under a caller-provided seed. Used directly, as the
+//! refinement pass of Buckshot Scatter/Gather, and by theme discovery to
+//! split a loose theme in two.
+//!
+//! An iteration costs the documents' terms, not documents × centroid
+//! length: assignment walks each document once against an inverted list of
+//! the centroids ([`CentroidIndex`]), and re-estimation sums each cluster
+//! through a dense accumulator ([`SumAccumulator`]) instead of merging the
+//! growing sum with every member. Both give the bits of the sorted merges
+//! they stand for, so labels and centroids are what those would give.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use memex_text::vector::SparseVec;
+use memex_text::vector::{SparseVec, SumAccumulator};
+
+use crate::nearest::CentroidIndex;
 
 /// k-means configuration.
 #[derive(Debug, Clone, Copy)]
@@ -68,18 +78,14 @@ impl KMeans {
         let k = centroids.len();
         let mut labels = vec![0usize; n];
         let mut iterations = 0usize;
+        let mut acc = SumAccumulator::default();
         for it in 0..self.max_iters {
             iterations = it + 1;
             // Assign.
+            let index = CentroidIndex::new(&centroids.iter().collect::<Vec<_>>());
             let mut changed = false;
             for (d, doc) in normed.iter().enumerate() {
-                let best = centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(c, cen)| (c, doc.dot(cen)))
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0);
+                let best = index.nearest(doc).unwrap_or(0);
                 if labels[d] != best {
                     labels[d] = best;
                     changed = true;
@@ -88,15 +94,16 @@ impl KMeans {
             if it > 0 && !changed {
                 break;
             }
-            // Re-estimate.
-            let mut sums: Vec<SparseVec> = vec![SparseVec::new(); k];
-            let mut counts = vec![0usize; k];
-            for (d, doc) in normed.iter().enumerate() {
-                sums[labels[d]].add_assign(doc);
-                counts[labels[d]] += 1;
-            }
-            for (c, sum) in sums.iter_mut().enumerate() {
-                if counts[c] == 0 {
+            // Re-estimate: each cluster's members summed in document order.
+            let mut sums: Vec<SparseVec> = Vec::with_capacity(k);
+            for c in 0..k {
+                let mut members = 0usize;
+                for (doc, _) in normed.iter().zip(&labels).filter(|&(_, &l)| l == c) {
+                    acc.add(doc);
+                    members += 1;
+                }
+                let mut sum = acc.take();
+                if members == 0 {
                     // Empty cluster: reseed with the doc farthest from its
                     // centroid (deterministic: lowest dot wins).
                     let worst = normed
@@ -105,7 +112,7 @@ impl KMeans {
                         .map(|(d, doc)| (doc, doc.dot(&centroids[labels[d]])))
                         .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
                     if let Some((doc, _)) = worst {
-                        *sum = doc.clone();
+                        sum = doc.clone();
                     }
                 }
                 sum.normalize();
@@ -113,6 +120,7 @@ impl KMeans {
                     sum.truncate_top(self.centroid_terms);
                     sum.normalize();
                 }
+                sums.push(sum);
             }
             centroids = sums;
         }

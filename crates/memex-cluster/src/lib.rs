@@ -6,6 +6,8 @@
 //!   group-average cosine linkage ("for clustering we started with a
 //!   bottom-up hierarchical agglomerative approach", ref \[6\]);
 //! * [`kmeans`] — spherical k-means, the workhorse refinement step;
+//! * [`nearest`] — nearest-centroid assignment through an inverted list of
+//!   the centroids, shared by k-means and leaf-theme routing;
 //! * [`scatter`] — Scatter/Gather with Buckshot and Fractionation seeding
 //!   (Cutting, Karger & Pedersen's "constant interaction-time" browsing,
 //!   ref \[6\]) — the T3 experiment contrasts its near-linear cost against
@@ -17,6 +19,7 @@
 
 pub mod hac;
 pub mod kmeans;
+pub mod nearest;
 pub mod quality;
 pub mod scatter;
 pub mod themes;

@@ -19,13 +19,25 @@
 //!
 //! The result is a [`Taxonomy`] of themes plus doc/folder→theme maps; user
 //! profiles over these nodes feed collaborative recommendation (T5).
+//!
+//! What a step does not change is not recomputed: the merge loop keeps each
+//! candidate's unit centroid, the norm of its sum and the cosine of every
+//! candidate pair, and after a merge recomputes the merged candidate's row
+//! only; refinement's 2-means and leaf routing ([`LeafRouter`]) assign
+//! through an inverted list of the centroids; folder and cluster sums go
+//! through a dense accumulator. Each is the float operations of the plain
+//! version in the same order — the same pairs enumerated and stably sorted,
+//! the same misfit test — so the merge sequence, the taxonomy and every
+//! centroid bit are those of recomputing everything per step
+//! (`tests/prop.rs` keeps that version as the reference).
 
 use std::collections::{BTreeMap, HashMap};
 
 use memex_learn::taxonomy::{Taxonomy, TopicId};
-use memex_text::vector::SparseVec;
+use memex_text::vector::{SparseVec, SumAccumulator};
 
 use crate::kmeans::KMeans;
+use crate::nearest::CentroidIndex;
 
 /// One user's folder with the documents they filed in it.
 #[derive(Debug, Clone)]
@@ -110,22 +122,43 @@ impl Themes {
             .collect()
     }
 
-    /// Assign a new document vector to its nearest *leaf* theme.
+    /// Assign a new document vector to its nearest *leaf* theme; among
+    /// equally near ones the last. One sorted merge per leaf: the plain form
+    /// [`LeafRouter`] is held to (`core/tests/demons.rs` routes every page
+    /// through this one).
     pub fn assign(&self, doc: &SparseVec) -> Option<TopicId> {
-        nearest_theme(&self.leaf_themes(), doc.clone())
+        let mut doc = doc.clone();
+        doc.normalize();
+        self.leaf_themes()
+            .iter()
+            .map(|t| (t.topic, doc.dot(&t.centroid)))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(topic, _)| topic)
+    }
+
+    /// [`Themes::assign`] for a caller routing many documents: the leaves
+    /// are listed and their centroids inverted once.
+    pub fn leaf_router(&self) -> LeafRouter {
+        let leaves = self.leaf_themes();
+        LeafRouter {
+            topics: leaves.iter().map(|t| t.topic).collect(),
+            index: CentroidIndex::new(&leaves.iter().map(|t| &t.centroid).collect::<Vec<_>>()),
+        }
     }
 }
 
-/// The theme of `leaves` (see [`Themes::leaf_themes`]) whose centroid is
-/// nearest to `doc`; among equals the last one. A caller routing many
-/// documents lists the leaves once and hands over each vector it owns.
-pub fn nearest_theme(leaves: &[&Theme], mut doc: SparseVec) -> Option<TopicId> {
-    doc.normalize();
-    leaves
-        .iter()
-        .map(|t| (t.topic, doc.dot(&t.centroid)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(topic, _)| topic)
+/// Routes documents to the leaf themes of the [`Themes`] it was made from.
+pub struct LeafRouter {
+    topics: Vec<TopicId>,
+    index: CentroidIndex,
+}
+
+impl LeafRouter {
+    /// What [`Themes::assign`] answers for `doc`.
+    pub fn assign(&self, mut doc: SparseVec) -> Option<TopicId> {
+        doc.normalize();
+        Some(self.topics[self.index.nearest(&doc)?])
+    }
 }
 
 /// Cosine similarity between two theme profiles (sparse maps over nodes).
@@ -188,20 +221,15 @@ impl ThemeDiscovery {
             .iter()
             .enumerate()
             .map(|(fi, f)| {
-                let mut sum = SparseVec::new();
-                for &d in &f.docs {
-                    if d < normed.len() {
-                        sum.add_assign(&normed[d]);
-                    }
-                }
+                let docs: Vec<usize> = f
+                    .docs
+                    .iter()
+                    .copied()
+                    .filter(|&d| d < normed.len())
+                    .collect();
                 Candidate {
-                    sum,
-                    docs: f
-                        .docs
-                        .iter()
-                        .copied()
-                        .filter(|&d| d < normed.len())
-                        .collect(),
+                    sum: sum_of(&normed, &docs),
+                    docs,
                     users: vec![f.user],
                     folders: vec![fi],
                     names: vec![f.name.clone()],
@@ -218,37 +246,43 @@ impl ThemeDiscovery {
         // anti-chaining guard: as themes grow, gluing two of them together
         // costs more, so tight same-topic folders pool while distinct
         // topics stay apart ("individuality when they must").
+        //
+        // A merge changes one candidate, so what the loop reads of the
+        // others — unit centroid, norm of the sum, cosine to every other
+        // candidate — is kept, and only the merged candidate's share is
+        // recomputed. `sims[i * f + j]` (i < j) is the cosine of candidates
+        // i and j, current while both are alive.
+        let f = cands.len();
+        let mut centroids: Vec<SparseVec> = cands.iter().map(Candidate::centroid).collect();
+        let mut norms: Vec<f32> = cands.iter().map(|c| c.sum.norm()).collect();
+        let mut sims = vec![0.0f32; f * f];
+        for i in 0..f {
+            for j in i + 1..f {
+                sims[i * f + j] = centroids[i].dot(&centroids[j]);
+            }
+        }
         let mut merges = 0usize;
         loop {
-            let alive: Vec<usize> = (0..cands.len()).filter(|&i| cands[i].alive).collect();
-            if alive.len() < 2 {
-                break;
-            }
+            let alive: Vec<usize> = (0..f).filter(|&i| cands[i].alive).collect();
             let mut scored: Vec<(usize, usize, f32)> = Vec::new();
             for (ai, &i) in alive.iter().enumerate() {
-                let ci = cands[i].centroid();
                 for &j in &alive[ai + 1..] {
-                    let sim = ci.dot(&cands[j].centroid());
+                    let sim = sims[i * f + j];
                     if sim >= self.opts.merge_threshold {
                         scored.push((i, j, sim));
                     }
                 }
             }
             scored.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
-            let mut chosen = None;
-            for &(i, j, sim) in &scored {
-                let na = cands[i].sum.norm();
-                let nb = cands[j].sum.norm();
+            let chosen = scored.iter().find(|&&(i, j, _)| {
                 let mut merged = cands[i].sum.clone();
                 merged.add_assign(&cands[j].sum);
-                let added_misfit = f64::from(na) + f64::from(nb) - f64::from(merged.norm());
-                if added_misfit < self.opts.alpha {
-                    chosen = Some((i, j, sim));
-                    break;
-                }
-            }
-            let Some((i, j, _sim)) = chosen else { break };
-            let (lo, hi) = (i.min(j), i.max(j));
+                let added_misfit =
+                    f64::from(norms[i]) + f64::from(norms[j]) - f64::from(merged.norm());
+                added_misfit < self.opts.alpha
+            });
+            // `scored` pairs are (lower, higher): the lower one absorbs.
+            let Some(&(lo, hi, _)) = chosen else { break };
             let (head, tail) = cands.split_at_mut(hi);
             let (a, b) = (&mut head[lo], &mut tail[0]);
             a.sum.add_assign(&b.sum);
@@ -258,6 +292,12 @@ impl ThemeDiscovery {
             a.names.append(&mut b.names);
             b.alive = false;
             merges += 1;
+            centroids[lo] = cands[lo].centroid();
+            norms[lo] = cands[lo].sum.norm();
+            for &other in alive.iter().filter(|&&x| x != lo && x != hi) {
+                let (i, j) = (other.min(lo), other.max(lo));
+                sims[i * f + j] = centroids[i].dot(&centroids[j]);
+            }
         }
         // 3. Build the taxonomy: one node per surviving candidate.
         let mut taxonomy = Taxonomy::new();
@@ -398,12 +438,8 @@ impl ThemeDiscovery {
                         .filter(|&(_, &l)| l == half)
                         .map(|(&d, _)| d)
                         .collect();
-                    let mut sum = SparseVec::new();
-                    for &d in &docs {
-                        sum.add_assign(&normed[d]);
-                    }
                     let sub = Candidate {
-                        sum,
+                        sum: sum_of(normed, &docs),
                         docs,
                         users: cand.users.clone(),
                         folders: Vec::new(),
@@ -436,6 +472,15 @@ impl ThemeDiscovery {
             source_folders: cand.folders.clone(),
         });
     }
+}
+
+/// Sum of the documents `docs` of `normed`, added in that order.
+fn sum_of(normed: &[SparseVec], docs: &[usize]) -> SparseVec {
+    let mut acc = SumAccumulator::default();
+    for &d in docs {
+        acc.add(&normed[d]);
+    }
+    acc.take()
 }
 
 /// Most frequent name, ties broken lexicographically.

@@ -2,6 +2,18 @@
 //! selection, incremental updates (for the Fig. 1 feedback loop) and a
 //! hierarchical variant that classifies by greedy descent through a topic
 //! taxonomy — the TAPER recipe of paper ref \[3\].
+//!
+//! Two ways to score a document, one formula (`ln_prior`,
+//! `ln_likelihood`). [`NaiveBayes`] is the trainable model: it can be
+//! asked between any two updates, so it derives every `ln p(t|c)` per call
+//! from its hash tables — what a folder space needs on the ack path, where
+//! a bookmark must not pay for a table. [`NbScorer`] is the same model
+//! frozen: the logarithms are taken once into one row per term, and a
+//! document costs a lookup and a multiply-add per class per term. It is for
+//! a model that is trained, asked many times and dropped (a user's topic
+//! filter classifying every page the community surfed). A class every such
+//! model shares — the community background — is aggregated once as
+//! [`ClassCounts`] and laid over each model at freeze time.
 
 use std::collections::{HashMap, HashSet};
 
@@ -132,17 +144,14 @@ impl NaiveBayes {
         let k = self.num_classes() as f64;
         let v = self.vocab_size();
         let alpha = self.opts.smoothing;
-        let mut scores: Vec<f64> = (0..self.num_classes())
-            .map(|c| ((self.class_docs[c] + 1.0) / (n + k)).ln())
-            .collect();
+        let mut scores: Vec<f64> = self.class_docs.iter().map(|&d| ln_prior(d, n, k)).collect();
         for &(t, count) in tf {
             if !self.term_active(t) {
                 continue;
             }
             for (c, score) in scores.iter_mut().enumerate() {
                 let tc = self.term_counts[c].get(&t).copied().unwrap_or(0.0);
-                let p = (tc + alpha) / (self.token_totals[c] + alpha * v);
-                *score += f64::from(count) * p.ln();
+                *score += f64::from(count) * ln_likelihood(tc, self.token_totals[c], alpha, v);
             }
         }
         log_normalize(&mut scores);
@@ -155,6 +164,187 @@ impl NaiveBayes {
     }
 
     /// Most probable class.
+    pub fn predict(&self, tf: &[(TermId, u32)]) -> usize {
+        argmax(&self.log_posteriors(tf))
+    }
+}
+
+/// `ln p(c)` of a class holding `docs` of the `n` training documents, one
+/// of `k` classes (add-one smoothed).
+fn ln_prior(docs: f64, n: f64, k: f64) -> f64 {
+    ((docs + 1.0) / (n + k)).ln()
+}
+
+/// `ln p(t|c)` of a term counted `tc` times among the `total` tokens of a
+/// class, Lidstone-smoothed by `alpha` over a vocabulary of `v` terms.
+fn ln_likelihood(tc: f64, total: f64, alpha: f64, v: f64) -> f64 {
+    ((tc + alpha) / (total + alpha * v)).ln()
+}
+
+/// What [`NaiveBayes::add_document`] accumulates for one class, aggregated
+/// on its own so that many models can share it ([`NbScorer::with_shared_class`]).
+#[derive(Debug, Clone, Default)]
+pub struct ClassCounts {
+    docs: f64,
+    total: f64,
+    /// `(term, token count)`, one entry per distinct term.
+    counts: Vec<(TermId, f64)>,
+}
+
+impl ClassCounts {
+    pub fn from_documents<'a>(docs: impl IntoIterator<Item = &'a [(TermId, u32)]>) -> ClassCounts {
+        let mut class = ClassCounts::default();
+        // term -> 1 + its entry in `counts`.
+        let mut slot_of: Vec<u32> = Vec::new();
+        for tf in docs {
+            class.docs += 1.0;
+            for &(t, c) in tf {
+                let (t_at, c) = (t as usize, f64::from(c));
+                if t_at >= slot_of.len() {
+                    slot_of.resize(t_at + 1, 0);
+                }
+                if slot_of[t_at] == 0 {
+                    class.counts.push((t, 0.0));
+                    slot_of[t_at] = class.counts.len() as u32;
+                }
+                class.counts[slot_of[t_at] as usize - 1].1 += c;
+                class.total += c;
+            }
+        }
+        class
+    }
+
+    /// Documents aggregated.
+    pub fn num_docs(&self) -> f64 {
+        self.docs
+    }
+}
+
+/// A trained [`NaiveBayes`], frozen: the same posteriors bit for bit (same
+/// operations in the same order), with every `ln p(t|c)` taken once at
+/// build time instead of once per document asked.
+///
+/// Term ids are expected dense (a `Vocabulary`'s): the term index is as long
+/// as the largest id the model has seen.
+#[derive(Debug, Clone)]
+pub struct NbScorer {
+    priors: Vec<f64>,
+    /// Per class: `ln p(t|c)` of a term no class has counted.
+    unseen: Vec<f64>,
+    /// Feature selection was active: a term without a row is not a feature
+    /// and is skipped. Otherwise it is a term never seen and scores `unseen`.
+    skip_rowless: bool,
+    /// term -> 1 + its row in `rows`; 0, or past the end: no row.
+    row_of: Vec<u32>,
+    /// One row per model term, one `ln p(t|c)` per class in each.
+    rows: Vec<f64>,
+}
+
+impl NbScorer {
+    /// Freeze `nb` as it stands.
+    pub fn new(nb: &NaiveBayes) -> NbScorer {
+        NbScorer::build(nb, None)
+    }
+
+    /// Freeze `nb` with `shared` standing in for its class `class`: the
+    /// model `nb` would be had that class been fed `shared`'s documents.
+    /// `nb` must have left the class untrained and select no features.
+    pub fn with_shared_class(nb: &NaiveBayes, class: usize, shared: &ClassCounts) -> NbScorer {
+        assert!(class < nb.num_classes());
+        assert!(
+            nb.class_docs[class] == 0.0 && nb.term_counts[class].is_empty(),
+            "the shared class must be untrained"
+        );
+        assert!(
+            nb.selected.is_none(),
+            "selection never saw the shared class"
+        );
+        NbScorer::build(nb, Some((class, shared)))
+    }
+
+    fn build(nb: &NaiveBayes, shared: Option<(usize, &ClassCounts)>) -> NbScorer {
+        let k = nb.num_classes();
+        let shared_at = |c: usize| shared.filter(|&(class, _)| class == c).map(|(_, s)| s);
+        let class_docs: Vec<f64> = (0..k)
+            .map(|c| shared_at(c).map_or(nb.class_docs[c], |s| s.docs))
+            .collect();
+        let totals: Vec<f64> = (0..k)
+            .map(|c| shared_at(c).map_or(nb.token_totals[c], |s| s.total))
+            .collect();
+        // One row per model term: the selected features, or every term seen.
+        let shared_terms = shared
+            .iter()
+            .flat_map(|(_, s)| s.counts.iter().map(|&(t, _)| t));
+        let model_terms: Vec<TermId> = match &nb.selected {
+            Some(selected) => selected.iter().copied().collect(),
+            None => nb.all_terms.iter().copied().chain(shared_terms).collect(),
+        };
+        let index_len = model_terms.iter().max().map_or(0, |&t| t as usize + 1);
+        let mut row_of = vec![0u32; index_len];
+        let mut num_rows = 0u32;
+        for &t in &model_terms {
+            if row_of[t as usize] == 0 {
+                num_rows += 1;
+                row_of[t as usize] = num_rows;
+            }
+        }
+        let n = class_docs.iter().sum::<f64>().max(1.0);
+        let v = num_rows.max(1) as f64;
+        let alpha = nb.opts.smoothing;
+        let unseen: Vec<f64> = totals
+            .iter()
+            .map(|&total| ln_likelihood(0.0, total, alpha, v))
+            .collect();
+        let mut rows = Vec::with_capacity(num_rows as usize * k);
+        for _ in 0..num_rows {
+            rows.extend_from_slice(&unseen);
+        }
+        for c in 0..k {
+            let mut fill = |t: TermId, tc: f64| {
+                if let Some(&row) = row_of.get(t as usize).filter(|&&row| row > 0) {
+                    rows[(row as usize - 1) * k + c] = ln_likelihood(tc, totals[c], alpha, v);
+                }
+            };
+            match shared_at(c) {
+                Some(s) => s.counts.iter().for_each(|&(t, tc)| fill(t, tc)),
+                None => nb.term_counts[c].iter().for_each(|(&t, &tc)| fill(t, tc)),
+            }
+        }
+        NbScorer {
+            priors: class_docs
+                .iter()
+                .map(|&d| ln_prior(d, n, k as f64))
+                .collect(),
+            unseen,
+            skip_rowless: nb.selected.is_some(),
+            row_of,
+            rows,
+        }
+    }
+
+    /// [`NaiveBayes::log_posteriors`] of the frozen model.
+    pub fn log_posteriors(&self, tf: &[(TermId, u32)]) -> Vec<f64> {
+        let k = self.priors.len();
+        let mut scores = self.priors.clone();
+        for &(t, count) in tf {
+            let row = match self.row_of.get(t as usize) {
+                Some(&row) if row > 0 => {
+                    let at = (row as usize - 1) * k;
+                    &self.rows[at..at + k]
+                }
+                _ if self.skip_rowless => continue,
+                _ => &self.unseen[..],
+            };
+            let count = f64::from(count);
+            for (score, &ln_p) in scores.iter_mut().zip(row) {
+                *score += count * ln_p;
+            }
+        }
+        log_normalize(&mut scores);
+        scores
+    }
+
+    /// [`NaiveBayes::predict`] of the frozen model.
     pub fn predict(&self, tf: &[(TermId, u32)]) -> usize {
         argmax(&self.log_posteriors(tf))
     }

@@ -1,12 +1,14 @@
 //! Property tests for the learning substrate: taxonomy edits preserve
 //! tree well-formedness, naive Bayes posteriors stay proper distributions
-//! under arbitrary training streams, and evaluation splits partition.
+//! under arbitrary training streams, the frozen scorer says what the model
+//! it was frozen from says, and evaluation splits partition.
 
 use proptest::prelude::*;
 
 use memex_learn::eval::{k_fold, train_test_split, Confusion};
-use memex_learn::nb::{NaiveBayes, NbOptions};
+use memex_learn::nb::{ClassCounts, NaiveBayes, NbOptions, NbScorer};
 use memex_learn::taxonomy::{Taxonomy, TopicId};
+use memex_text::features::FeatureScore;
 
 #[derive(Debug, Clone)]
 enum TaxOp {
@@ -25,6 +27,42 @@ enum TaxOp {
         node_pick: usize,
         name: u8,
     },
+}
+
+/// A document over a small term universe (`0..terms`), so classes overlap.
+fn doc_strategy(terms: u32) -> impl Strategy<Value = Vec<(u32, u32)>> {
+    proptest::collection::vec((0..terms, 1u32..5), 0..10)
+}
+
+/// Queries to put to a model trained on terms `0..40`: the empty document,
+/// documents within the model's terms, ones reaching terms it never saw
+/// (40..60) and ones whose ids lie far past its term index.
+fn queries() -> impl Strategy<Value = Vec<Vec<(u32, u32)>>> {
+    let query = prop_oneof![
+        4 => doc_strategy(60),
+        1 => proptest::collection::vec((0u32..1_000_000, 1u32..5), 1..6),
+        1 => Just(Vec::new()),
+    ];
+    proptest::collection::vec(query, 1..8)
+}
+
+/// Same posteriors to the bit, hence the same prediction.
+fn assert_same_answers(
+    nb: &NaiveBayes,
+    scorer: &NbScorer,
+    queries: &[Vec<(u32, u32)>],
+) -> Result<(), TestCaseError> {
+    for q in queries.iter().chain([&Vec::new()]) {
+        let bits = |post: Vec<f64>| post.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(scorer.log_posteriors(q)),
+            bits(nb.log_posteriors(q)),
+            "posteriors of {:?}",
+            q
+        );
+        prop_assert_eq!(scorer.predict(q), nb.predict(q), "prediction for {:?}", q);
+    }
+    Ok(())
 }
 
 fn tax_op() -> impl Strategy<Value = TaxOp> {
@@ -114,6 +152,63 @@ proptest! {
         prop_assert!((post.iter().sum::<f64>() - 1.0).abs() < 1e-6);
         prop_assert!(post.iter().all(|&p| (0.0..=1.0 + 1e-9).contains(&p)));
         prop_assert!(nb.predict(&query) < 3);
+    }
+
+    /// A frozen scorer answers as the model it was frozen from: the same
+    /// posterior bits and the same class, ties included — with and without
+    /// Fisher selection, and after documents were removed again (counts
+    /// clamped at zero, terms left behind with no tokens).
+    #[test]
+    fn scorer_equals_the_model_it_froze(
+        classes in 2usize..10,
+        train in proptest::collection::vec((0usize..9, doc_strategy(40)), 0..30),
+        removed in proptest::collection::vec(any::<bool>(), 30),
+        select in 1usize..30,
+        queries in queries(),
+    ) {
+        let mut nb = NaiveBayes::new(classes, NbOptions::default());
+        for (class, tf) in &train {
+            nb.add_document(class % classes, tf);
+        }
+        assert_same_answers(&nb, &NbScorer::new(&nb), &queries)?;
+        // Documents leave again — some of them, then (with the features
+        // selected in between) all of them.
+        for take_all in [false, true] {
+            for ((class, tf), &gone) in train.iter().zip(&removed) {
+                if gone || take_all {
+                    nb.remove_document(class % classes, tf);
+                }
+            }
+            assert_same_answers(&nb, &NbScorer::new(&nb), &queries)?;
+            if !take_all {
+                nb.select_features(FeatureScore::Fisher, select);
+                assert_same_answers(&nb, &NbScorer::new(&nb), &queries)?;
+            }
+        }
+    }
+
+    /// A class aggregated on its own and laid over a model at freeze time
+    /// is the class trained into the model document by document.
+    #[test]
+    fn shared_class_equals_training_it_in(
+        own in 1usize..8,
+        train in proptest::collection::vec((0usize..8, doc_strategy(40)), 0..20),
+        background in proptest::collection::vec(doc_strategy(50), 0..20),
+        queries in queries(),
+    ) {
+        let mut whole = NaiveBayes::new(own + 1, NbOptions::default());
+        let mut partial = NaiveBayes::new(own + 1, NbOptions::default());
+        for (class, tf) in &train {
+            whole.add_document(class % own, tf);
+            partial.add_document(class % own, tf);
+        }
+        for tf in &background {
+            whole.add_document(own, tf);
+        }
+        let shared = ClassCounts::from_documents(background.iter().map(Vec::as_slice));
+        prop_assert_eq!(shared.num_docs(), background.len() as f64);
+        let scorer = NbScorer::with_shared_class(&partial, own, &shared);
+        assert_same_answers(&whole, &scorer, &queries)?;
     }
 
     /// Adding then removing a document restores the previous prediction

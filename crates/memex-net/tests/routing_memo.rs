@@ -8,7 +8,9 @@
 //! must be the one an in-process twin gives at some write epoch the request
 //! could have seen, and the build counters, read over the wire, must move by
 //! exactly one per memo dropped however many readers arrive together: each
-//! routing is asked for by two of the four clients.
+//! routing is asked for by two of the four clients, and the background class
+//! all four routings train against — dropped by the first visit only — by
+//! whichever of them gets there first.
 //!
 //! Runs under the nightly TSan job in CI (`san-matrix`) beside
 //! `theme_memo.rs`.
@@ -88,13 +90,16 @@ fn world(corpus: &Arc<Corpus>) -> Memex {
 /// readers read.
 struct Phase {
     writes: Vec<Request>,
-    /// Builds the reads of this phase must cause: (page themes, routings).
-    builds: (u64, u64),
+    /// Builds the reads of this phase must cause: (page themes, routings,
+    /// background).
+    builds: (u64, u64, u64),
 }
 
 /// Per round two phases: a first visit (everything is dropped: one page
-/// themes build, one routing build per user), then a bookmark of that page
-/// by the same user (page themes and that user's routing).
+/// themes build, one routing build per user, one background build between
+/// them), then a bookmark of that page by the same user (page themes and
+/// that user's routing; the page is surfed and fetched already, so the
+/// background stays).
 fn phases(corpus: &Corpus) -> Vec<Phase> {
     let mut time = 10_000u64;
     let mut out = Vec::new();
@@ -115,9 +120,9 @@ fn phases(corpus: &Corpus) -> Vec<Phase> {
                 writes.push(visit(corpus, visitor, known, time));
             }
             let builds = if first_visit {
-                (1, READERS as u64)
+                (1, READERS as u64, 1)
             } else {
-                (1, 1)
+                (1, 1, 0)
             };
             out.push(Phase { writes, builds });
         }
@@ -146,12 +151,14 @@ fn questions(reader: usize) -> [Request; 3] {
     ]
 }
 
-/// (page themes builds, routing builds, routings live), over the wire.
-fn memo_stats(client: &mut MemexClient) -> (u64, u64, i64) {
+/// (page themes builds, routing builds, background builds, routings live),
+/// over the wire.
+fn memo_stats(client: &mut MemexClient) -> (u64, u64, u64, i64) {
     match client.request(&Request::Stats).expect("stats") {
         Response::Stats(snap) => (
             snap.counter("demon.page_themes.builds"),
             snap.counter("demon.routing.builds"),
+            snap.counter("demon.background.builds"),
             snap.gauge("demon.routing.live"),
         ),
         other => panic!("expected Stats, got {other:?}"),
@@ -254,18 +261,18 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
         acked.fetch_add(1, Ordering::SeqCst);
     };
     let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
-    let (mut page_themes, mut routings, live) = memo_stats(&mut stats);
+    let (mut page_themes, mut routings, mut backgrounds, live) = memo_stats(&mut stats);
     assert_eq!(
-        (page_themes, routings, live),
-        (0, 0, 0),
+        (page_themes, routings, backgrounds, live),
+        (0, 0, 0, 0),
         "building the world read no memo"
     );
     for (i, phase) in phases.iter().enumerate() {
         send(&phase.writes[0]);
-        let (a, b, _) = memo_stats(&mut stats);
+        let (a, b, c, _) = memo_stats(&mut stats);
         assert_eq!(
-            (a, b),
-            (page_themes, routings),
+            (a, b, c),
+            (page_themes, routings, backgrounds),
             "the ack of phase {i} built a memo"
         );
         barrier.wait();
@@ -275,9 +282,10 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
         barrier.wait();
         page_themes += phase.builds.0;
         routings += phase.builds.1;
+        backgrounds += phase.builds.2;
         assert_eq!(
             memo_stats(&mut stats),
-            (page_themes, routings, READERS as i64),
+            (page_themes, routings, backgrounds, READERS as i64),
             "phase {i}: {READERS} readers arriving together must share one build per memo \
              dropped, and repeat visits must drop none"
         );
@@ -303,4 +311,5 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
     assert_eq!(snap.counter("net.req.panics"), 0);
     assert_eq!(snap.counter("demon.page_themes.builds"), page_themes);
     assert_eq!(snap.counter("demon.routing.builds"), routings);
+    assert_eq!(snap.counter("demon.background.builds"), backgrounds);
 }

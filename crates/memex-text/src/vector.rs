@@ -173,6 +173,70 @@ impl SparseVec {
     }
 }
 
+/// Folds [`SparseVec::add_assign`] over many vectors through a dense
+/// accumulator instead of re-merging the running sum once per vector. The
+/// sum is the fold's bit for bit: a term's weights are added in the order
+/// the vectors arrive, and a weight that cancels to zero drops its entry, as
+/// the merge drops it. Reusable: [`SumAccumulator::take`] leaves it empty.
+#[derive(Debug, Default)]
+pub struct SumAccumulator {
+    weights: Vec<f32>,
+    /// Per term: [`UNTOUCHED`], [`HELD`] or [`CANCELLED`].
+    state: Vec<u8>,
+    /// Every term whose state is not [`UNTOUCHED`], once.
+    touched: Vec<TermId>,
+}
+
+const UNTOUCHED: u8 = 0;
+/// The sum has an entry for the term; its weight is in `weights`.
+const HELD: u8 = 1;
+/// The term's weights cancelled to zero: no entry until it is added again.
+const CANCELLED: u8 = 2;
+
+impl SumAccumulator {
+    /// `sum += v`.
+    pub fn add(&mut self, v: &SparseVec) {
+        let Some(&(last, _)) = v.entries.last() else {
+            return;
+        };
+        if last as usize >= self.state.len() {
+            self.weights.resize(last as usize + 1, 0.0);
+            self.state.resize(last as usize + 1, UNTOUCHED);
+        }
+        for &(id, w) in &v.entries {
+            let at = id as usize;
+            if self.state[at] == HELD {
+                let sum = self.weights[at] + w;
+                if sum != 0.0 {
+                    self.weights[at] = sum;
+                } else {
+                    self.state[at] = CANCELLED;
+                }
+                continue;
+            }
+            if self.state[at] == UNTOUCHED {
+                self.touched.push(id);
+            }
+            self.weights[at] = w;
+            self.state[at] = HELD;
+        }
+    }
+
+    /// The sum so far; the accumulator starts over from zero.
+    pub fn take(&mut self) -> SparseVec {
+        self.touched.sort_unstable();
+        let mut entries = Vec::with_capacity(self.touched.len());
+        for id in self.touched.drain(..) {
+            let at = id as usize;
+            if self.state[at] == HELD {
+                entries.push((id, self.weights[at]));
+            }
+            self.state[at] = UNTOUCHED;
+        }
+        SparseVec { entries }
+    }
+}
+
 impl FromIterator<(TermId, f32)> for SparseVec {
     fn from_iter<T: IntoIterator<Item = (TermId, f32)>>(iter: T) -> Self {
         SparseVec::from_pairs(iter.into_iter().collect())
@@ -220,6 +284,33 @@ mod tests {
         let mut a = v(&[(1, 1.0), (3, 1.0)]);
         a.add_assign(&v(&[(2, 2.0), (3, -1.0)]));
         assert_eq!(a.entries(), &[(1, 1.0), (2, 2.0)]);
+    }
+
+    #[test]
+    fn sum_accumulator_is_the_add_assign_fold() {
+        // Term 3 cancels to zero and comes back; term 9 cancels for good.
+        let vectors = [
+            v(&[(1, 0.1), (3, 1.0), (9, 2.0)]),
+            v(&[(3, -1.0), (4, 0.7), (9, -2.0)]),
+            v(&[(1, 0.2), (3, 0.3)]),
+            SparseVec::new(),
+            v(&[(1, 0.3), (700, 1.5)]),
+        ];
+        let mut acc = SumAccumulator::default();
+        for round in 0..2 {
+            let mut folded = SparseVec::new();
+            for x in &vectors[round..] {
+                folded.add_assign(x);
+                acc.add(x);
+            }
+            let summed = acc.take();
+            let bits = |s: &SparseVec| -> Vec<(u32, u32)> {
+                s.entries().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+            };
+            assert_eq!(bits(&summed), bits(&folded), "round {round}");
+            assert!(round == 1 || summed.get(9) == 0.0 && summed.get(3) == 0.3);
+        }
+        assert!(acc.take().is_empty());
     }
 
     #[test]

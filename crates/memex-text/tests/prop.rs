@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use memex_text::stem::{stem, stem_in_place};
 use memex_text::tokenize::{extract_hrefs, tokenize, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
-use memex_text::vector::SparseVec;
+use memex_text::vector::{SparseVec, SumAccumulator};
 
 /// The tokenizer as it was before it streamed, kept as the reference
 /// [`Tokens`] is held to: first strip tags, comments and script/style
@@ -232,6 +232,41 @@ proptest! {
         // Entries stay sorted and deduplicated.
         let ids: Vec<u32> = ab.entries().iter().map(|&(i, _)| i).collect();
         prop_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The dense accumulator is the `add_assign` fold, bit for bit — also
+    /// when a vector meets its own negation (entries cancel to zero and are
+    /// dropped, as the merge drops them) and comes back later, and when one
+    /// accumulator serves several sums in a row.
+    #[test]
+    fn sum_accumulator_equals_folding_add_assign(
+        vectors in proptest::collection::vec((sparse_strategy(), any::<bool>()), 0..12),
+        cut in 0usize..12,
+    ) {
+        let mut stream: Vec<SparseVec> = Vec::new();
+        for (v, negated_too) in vectors {
+            if negated_too {
+                let mut minus = v.clone();
+                minus.scale(-1.0);
+                stream.push(minus);
+            }
+            stream.push(v);
+        }
+        let turn = cut % stream.len().max(1);
+        stream.rotate_left(turn);
+        let mut acc = SumAccumulator::default();
+        let cut = cut.min(stream.len());
+        for part in [&stream[..cut], &stream[cut..]] {
+            let mut folded = SparseVec::new();
+            for v in part {
+                folded.add_assign(v);
+                acc.add(v);
+            }
+            let bits = |s: &SparseVec| -> Vec<(u32, u32)> {
+                s.entries().iter().map(|&(t, w)| (t, w.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&acc.take()), bits(&folded));
+        }
     }
 
     /// dot(a, b) respects the Cauchy–Schwarz bound.
