@@ -13,14 +13,14 @@
 //! | "major topics of my workplace, where do I fit?" | [`Memex::community_themes`], [`Memex::my_place`] |
 //! | "who shares my interest most closely?" | [`Memex::similar_surfers`] |
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::TrailContext;
-use memex_index::search::{bm25_search, Bm25Params};
+use memex_index::search::{bm25_search_among, Bm25Params};
 use memex_learn::nb::{ClassCounts, NaiveBayes, NbOptions, NbScorer};
 use memex_learn::taxonomy::TopicId;
 use memex_server::events::ClientEvent;
@@ -522,16 +522,25 @@ impl Memex {
     // -- Q1: recall ---------------------------------------------------------
 
     /// Visit-time filter: the pages `user` visited in `[since, until]`, each
-    /// with the time of its last such visit.
-    fn last_visits(&self, user: u32, since: u64, until: u64) -> HashMap<u32, u64> {
-        let mut last_visit: HashMap<u32, u64> = HashMap::new();
-        for v in self.server.trails.visits() {
-            if v.user == user && v.time >= since && v.time <= until {
-                let e = last_visit.entry(v.page).or_insert(0);
-                *e = (*e).max(v.time);
+    /// with the time of its last such visit, sorted by page.
+    fn last_visits(&self, user: u32, since: u64, until: u64) -> Vec<(u32, u64)> {
+        let mut visited: Vec<(u32, u64)> = self
+            .server
+            .trails
+            .user_visits(user)
+            .filter(|v| v.time >= since && v.time <= until)
+            .map(|v| (v.page, v.time))
+            .collect();
+        visited.sort_unstable();
+        // Each page's visits are now adjacent, the latest last: keep it.
+        visited.dedup_by(|later, kept| {
+            let same_page = later.0 == kept.0;
+            if same_page {
+                kept.1 = later.1;
             }
-        }
-        last_visit
+            same_page
+        });
+        visited
     }
 
     /// "What was the URL I visited about six months back regarding X?" —
@@ -554,33 +563,39 @@ impl Memex {
         // shares of a >= 3-term query would be summed in hash order and the
         // same recall would score differently in its last bits call to call.
         query_terms.sort_unstable();
-        let hits = bm25_search(
+        // BM25 is asked for the best `k` among the user's pages only: it
+        // reports matching documents in ascending order, so membership is a
+        // cursor over the page-sorted `visited`.
+        let visited = self.last_visits(user, since, until);
+        let mut ahead = visited.iter().map(|&(page, _)| page).peekable();
+        let hits = bm25_search_among(
             &self.server.index,
             &query_terms,
-            k.saturating_mul(20),
+            k,
             Bm25Params::default(),
+            |doc| {
+                while ahead.next_if(|&page| page < doc).is_some() {}
+                ahead.peek() == Some(&doc)
+            },
         )?;
-        let last_visit = self.last_visits(user, since, until);
         // The query's terms are already analysed: every hit's snippet
         // matches against them instead of analysing the query again.
         let mut snippets = SnippetQuery::from_terms(q.into_keys());
-        // `hits` arrive ranked (score desc, doc asc); filtering and
-        // truncating keep that order.
         Ok(hits
             .into_iter()
             .filter_map(|h| {
-                last_visit.get(&h.doc).map(|&t| {
-                    let page = &self.corpus.pages[h.doc as usize];
-                    RecallHit {
-                        page: h.doc,
-                        url: page.url.clone(),
-                        score: h.score,
-                        last_visit: t,
-                        snippet: snippets.snippet(&page.text, 12),
-                    }
+                let at = visited
+                    .binary_search_by_key(&h.doc, |&(page, _)| page)
+                    .ok()?;
+                let page = &self.corpus.pages[h.doc as usize];
+                Some(RecallHit {
+                    page: h.doc,
+                    url: page.url.clone(),
+                    score: h.score,
+                    last_visit: visited[at].1,
+                    snippet: snippets.snippet(&page.text, 12),
                 })
             })
-            .take(k)
             .collect())
     }
 
@@ -664,7 +679,7 @@ impl Memex {
         let on_topic = self.pages_on_topic(user, folder);
         self.server
             .trails
-            .replay_context(|p| on_topic.contains(&p), user, since, max_pages)
+            .replay_context(on_topic, user, since, max_pages)
     }
 
     // -- Q3: what's new ------------------------------------------------------
@@ -674,30 +689,28 @@ impl Memex {
     /// community's recent on-topic trail graph that the user hasn't seen.
     pub fn whats_new(&self, user: u32, folder: TopicId, since: u64, k: usize) -> Vec<(u32, f64)> {
         let on_topic = self.pages_on_topic(user, folder);
-        // Community's recent on-topic pages, deduplicated in page order so
-        // the graph expansion and authority scores below sum in one fixed
-        // order.
-        let recent: Vec<u32> = self
-            .server
-            .trails
-            .visits()
-            .iter()
-            .filter(|v| v.public && v.time >= since && on_topic.contains(&v.page))
-            .map(|v| v.page)
-            .collect::<BTreeSet<u32>>()
+        // Community's recent on-topic pages, in page order so the graph
+        // expansion and authority scores below sum in one fixed order. (A
+        // recent visit, if there is one, is near the end of the page's list.)
+        let trails = &self.server.trails;
+        let mut recent: Vec<u32> = on_topic
             .into_iter()
+            .filter(|&p| {
+                trails
+                    .page_visits(p)
+                    .rev()
+                    .any(|v| v.public && v.time >= since)
+            })
             .collect();
+        recent.sort_unstable();
         // ...expanded one hop through the fetched web graph ("in or near").
         let base: Vec<u32> = expand(&self.server.web, &recent, 1, Direction::Both, 4_000)
             .into_iter()
             .map(|(n, _)| n)
             .collect();
-        let seen_before: HashSet<u32> = self
-            .server
-            .trails
-            .visits()
-            .iter()
-            .filter(|v| v.user == user && v.time < since)
+        let seen_before: HashSet<u32> = trails
+            .user_visits(user)
+            .filter(|v| v.time < since)
             .map(|v| v.page)
             .collect();
         // Rank all of `base` and only then drop what does not qualify: in a
@@ -721,21 +734,18 @@ impl Memex {
     /// hobby and entertainment?" — bytes per folder for the user's visits
     /// in `[since, until]`.
     pub fn bill(&self, user: u32, since: u64, until: u64) -> Vec<BillLine> {
-        let visits: Vec<(u32, u64)> = self
+        let window = self
             .server
             .trails
-            .visits()
-            .iter()
-            .filter(|v| v.user == user && v.time >= since && v.time <= until)
-            .map(|v| (v.page, v.time))
-            .collect();
+            .user_visits(user)
+            .filter(|v| v.time >= since && v.time <= until);
         let taxonomy = &self.folder_space_ref(user).taxonomy;
         let routing = self.routing(user);
         let mut per_folder: HashMap<String, (u64, u32)> = HashMap::new();
         let mut total_bytes = 0u64;
-        for (page, _) in visits {
-            let bytes = u64::from(self.server.page_bytes(page).unwrap_or(0));
-            let folder_name = match routing.get(&page) {
+        for v in window {
+            let bytes = u64::from(self.server.page_bytes(v.page).unwrap_or(0));
+            let folder_name = match routing.get(&v.page) {
                 Some(&f) => taxonomy.path(f),
                 None => "(other)".to_string(),
             };

@@ -112,13 +112,7 @@ pub fn recommend_pages(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f64)> {
             continue;
         }
         let mut counts: HashMap<u32, u32> = HashMap::new();
-        for visit in memex
-            .server
-            .trails
-            .visits()
-            .iter()
-            .filter(|x| x.user == v && x.public)
-        {
+        for visit in memex.server.trails.user_visits(v).filter(|x| x.public) {
             *counts.entry(visit.page).or_insert(0) += 1;
         }
         for (page, c) in counts {

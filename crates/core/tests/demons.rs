@@ -14,7 +14,12 @@
 //!   ([`FromScratch`], the read side as it was, kept here as the reference
 //!   down to its own topic filter, so that it reads no memo at all — not the
 //!   shared background class either), and a memo must be rebuilt only after
-//!   a write that moved one of its inputs — never after a repeat visit.
+//!   a write that moved one of its inputs — never after a repeat visit;
+//! * and the servlets answer from the archive's per-user and per-page visit
+//!   lists, recall from a BM25 merge that only scores the user's own pages.
+//!   [`FromScratch`] reads neither: it filters the flat visit log, as every
+//!   servlet did, and ranks the whole community before it drops what the
+//!   user never visited.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -23,10 +28,12 @@ use proptest::prelude::*;
 
 use memex_cluster::themes::profile_similarity;
 use memex_core::folders::{FolderSpace, PageAssignment};
-use memex_core::memex::{BillLine, Memex, MemexOptions};
+use memex_core::memex::{BillLine, Memex, MemexOptions, RecallHit};
 use memex_core::servlet::{dispatch_read, dispatch_write, Classified, Request, Response};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
+use memex_graph::trail::{ContextNode, TrailContext};
+use memex_index::search::{bm25_search, Bm25Params};
 use memex_learn::nb::{NaiveBayes, NbOptions};
 use memex_learn::taxonomy::TopicId;
 use memex_net::wire::encode_response;
@@ -64,6 +71,9 @@ fn url(corpus: &Corpus, page: u32) -> String {
     }
 }
 
+/// Two visits in three followed a link — from whichever page `time` makes
+/// it: usually another one, now and then the page itself, a page nobody
+/// surfed or a dead link. (Only the trail replay's edges read referrers.)
 fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
     Request::Event(ClientEvent::Visit(VisitEvent {
         user,
@@ -71,7 +81,7 @@ fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
         page,
         url: url(corpus, page),
         time,
-        referrer: None,
+        referrer: (!time.is_multiple_of(3)).then_some((page + time as u32 * 7) % (PAGES + 4)),
     }))
 }
 
@@ -180,7 +190,7 @@ impl FullSweep {
         }
         self.filed_bookmarks = server.bookmarks.len();
         for (&user, fs) in &mut self.spaces {
-            for page in server.trails.user_pages(user, 0) {
+            for page in user_pages_by_scan(memex, user) {
                 if fs.assignment(page).is_none() {
                     if let Some(tf) = server.tf(page) {
                         fs.classify(page, tf);
@@ -270,11 +280,25 @@ fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut
     reference.run(memex);
 }
 
+/// `TrailGraph::user_pages` as it was: a filter over the whole visit log.
+fn user_pages_by_scan(memex: &Memex, user: u32) -> Vec<u32> {
+    let pages: BTreeSet<u32> = memex
+        .server
+        .trails
+        .visits()
+        .iter()
+        .filter(|v| v.user == user)
+        .map(|v| v.page)
+        .collect();
+    pages.into_iter().collect()
+}
+
 /// The mining servlets as they answered before `Memex` kept a page -> theme
 /// map and a per-user routing: every request retrains the user's topic
 /// filter and classifies every page surfed, every profile runs
 /// `page_vector` + `Themes::assign` over every page of every user. Reads the
-/// archive under test through its public parts, never through a memo.
+/// archive under test through its public parts, never through a memo — and
+/// the trail only as the flat `visits()` log, never through a visit list.
 struct FromScratch<'a>(&'a Memex);
 
 /// `Memex::topic_filter`'s answer as it was: one model per call, the 300
@@ -371,6 +395,92 @@ impl FromScratch<'_> {
         on_topic
     }
 
+    /// `TrailGraph::replay_context` as it was: two passes over the log, the
+    /// first asking of every visit whether its page is on topic.
+    fn trail_replay(
+        &self,
+        user: u32,
+        folder: TopicId,
+        since: u64,
+        max_pages: usize,
+    ) -> TrailContext {
+        let on_topic = self.on_topic(user, folder);
+        let visible = || {
+            let visits = self.0.server.trails.visits().iter();
+            visits.filter(move |v| v.time >= since && (v.public || v.user == user))
+        };
+        let mut agg: HashMap<u32, ContextNode> = HashMap::new();
+        for v in visible().filter(|v| on_topic.contains(&v.page)) {
+            let e = agg.entry(v.page).or_insert(ContextNode {
+                page: v.page,
+                visit_count: 0,
+                last_time: 0,
+            });
+            e.visit_count += 1;
+            e.last_time = e.last_time.max(v.time);
+        }
+        let mut nodes: Vec<ContextNode> = agg.values().copied().collect();
+        nodes.sort_by(|a, b| b.last_time.cmp(&a.last_time).then(a.page.cmp(&b.page)));
+        nodes.truncate(max_pages);
+        let kept: HashSet<u32> = nodes.iter().map(|n| n.page).collect();
+        let mut edge_count: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        for v in visible() {
+            if let Some(r) = v.referrer {
+                if kept.contains(&r) && kept.contains(&v.page) && r != v.page {
+                    *edge_count.entry((r, v.page)).or_insert(0) += 1;
+                }
+            }
+        }
+        let edges = edge_count
+            .into_iter()
+            .map(|((a, b), c)| (a, b, c))
+            .collect();
+        TrailContext { nodes, edges }
+    }
+
+    /// `Memex::recall` without its cut: rank every matching page of the
+    /// community, drop what the user did not visit in the window (a
+    /// last-visit map scanned from the log), keep `k`.
+    fn recall(&self, user: u32, query: &str, since: u64, until: u64, k: usize) -> Vec<RecallHit> {
+        let memex = self.0;
+        let mut terms: Vec<(u32, u32)> = memex
+            .server
+            .analyzer()
+            .counts(query)
+            .iter()
+            .filter_map(|(t, &c)| memex.server.vocab.id(t).map(|id| (id, c)))
+            .collect();
+        terms.sort_unstable();
+        let ranked = bm25_search(
+            &memex.server.index,
+            &terms,
+            usize::MAX,
+            Bm25Params::default(),
+        )
+        .expect("search");
+        let mut last_visit: HashMap<u32, u64> = HashMap::new();
+        for v in memex.server.trails.visits() {
+            if v.user == user && v.time >= since && v.time <= until {
+                let e = last_visit.entry(v.page).or_insert(0);
+                *e = (*e).max(v.time);
+            }
+        }
+        ranked
+            .into_iter()
+            .filter_map(|h| {
+                let page = &memex.corpus.pages[h.doc as usize];
+                Some(RecallHit {
+                    page: h.doc,
+                    url: page.url.clone(),
+                    score: h.score,
+                    last_visit: *last_visit.get(&h.doc)?,
+                    snippet: memex_text::snippet::snippet(&page.text, query, 12),
+                })
+            })
+            .take(k)
+            .collect()
+    }
+
     fn whats_new(&self, user: u32, folder: TopicId, since: u64, k: usize) -> Vec<(u32, f64)> {
         let server = &self.0.server;
         let on_topic = self.on_topic(user, folder);
@@ -444,7 +554,7 @@ impl FromScratch<'_> {
 
     fn theme_profile(&self, user: u32) -> BTreeMap<TopicId, f64> {
         let memex = self.0;
-        let pages = memex.server.trails.user_pages(user, 0);
+        let pages = user_pages_by_scan(memex, user);
         let (themes, doc_pages) = memex.community_themes();
         let doc_of_page: HashMap<u32, usize> =
             doc_pages.iter().enumerate().map(|(d, &p)| (p, d)).collect();
@@ -484,7 +594,7 @@ impl FromScratch<'_> {
 
     fn recommend(&self, user: u32, k: usize) -> Vec<(u32, f64)> {
         let trails = &self.0.server.trails;
-        let mine: HashSet<u32> = trails.user_pages(user, 0).into_iter().collect();
+        let mine: HashSet<u32> = user_pages_by_scan(self.0, user).into_iter().collect();
         let mut scores: HashMap<u32, f64> = HashMap::new();
         for (v, sim) in self.similar_surfers(user, 5) {
             if sim <= 0.0 {
@@ -510,15 +620,14 @@ impl FromScratch<'_> {
                 folder,
                 since,
                 max_pages,
-            } => {
-                let on_topic = self.on_topic(user, folder);
-                Response::TrailReplay(self.0.server.trails.replay_context(
-                    |p| on_topic.contains(&p),
-                    user,
-                    since,
-                    max_pages,
-                ))
-            }
+            } => Response::TrailReplay(self.trail_replay(user, folder, since, max_pages)),
+            Request::Recall {
+                user,
+                ref query,
+                since,
+                until,
+                k,
+            } => Response::Recall(self.recall(user, query, since, until, k)),
             Request::WhatsNew {
                 user,
                 folder,
@@ -545,10 +654,19 @@ fn top_scored(mut scored: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
     scored
 }
 
-/// What the mining tabs of `user` would ask at `time`: every folder of
-/// theirs replayed and mined for news, the bill, the soulmates and the
-/// recommendations.
+/// What the tabs of `user` would ask at `time`: every folder of theirs
+/// replayed and mined for news, the bill, the soulmates, the
+/// recommendations — and two recalls, in the words some page opens with:
+/// the single best hit of all time (where a cut of the community's ranking
+/// would bite first) and a few from the recent half.
 fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
+    let opening_words = |page: u64| {
+        let text = &memex.corpus.pages[(page % u64::from(PAGES)) as usize].text;
+        text.split_whitespace()
+            .take(3)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
     let mut questions = vec![
         Request::Bill {
             user,
@@ -557,6 +675,20 @@ fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
         },
         Request::SimilarSurfers { user, k: 8 },
         Request::Recommend { user, k: 8 },
+        Request::Recall {
+            user,
+            query: opening_words(time + u64::from(user)),
+            since: 0,
+            until: time,
+            k: 1,
+        },
+        Request::Recall {
+            user,
+            query: opening_words(time * 3 + u64::from(user)),
+            since: time / 2,
+            until: time,
+            k: 3,
+        },
     ];
     for folder in memex.folder_space_ref(user).taxonomy.all_topics() {
         questions.push(Request::TrailReplay {

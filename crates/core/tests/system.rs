@@ -169,6 +169,68 @@ fn recall_returns_equal_scores_in_page_order() {
     assert_eq!(hits[1].snippet, "zeppelin mooring mast over the harbour");
 }
 
+/// Recall ranks *my* pages: the best `k` among what I visited, not what is
+/// left of the community's best after dropping everybody else's. Twenty-five
+/// pages somebody else read outrank the one page I did.
+#[test]
+fn recall_returns_my_page_however_the_community_ranks_it() {
+    let mut corpus = Corpus::generate(CorpusConfig {
+        num_topics: 2,
+        pages_per_topic: 15,
+        ..CorpusConfig::default()
+    });
+    let mine = 29usize;
+    for page in 0..25 {
+        corpus.pages[page].title = "airships".to_string();
+        corpus.pages[page].text = "zeppelin zeppelin hangar".to_string();
+    }
+    corpus.pages[mine].title = "harbour".to_string();
+    corpus.pages[mine].text =
+        "a long walk along the harbour wall past the cranes and the old zeppelin mooring mast"
+            .to_string();
+    let corpus = Arc::new(corpus);
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).unwrap();
+    memex.register_user(1, "me").unwrap();
+    memex.register_user(2, "them").unwrap();
+    let visit = |memex: &mut Memex, user: u32, page: usize, time: u64| {
+        memex.submit(ClientEvent::Visit(VisitEvent {
+            user,
+            session: user,
+            page: page as u32,
+            url: corpus.pages[page].url.clone(),
+            time,
+            referrer: None,
+        }));
+    };
+    for page in 0..25 {
+        visit(&mut memex, 2, page, 10 + page as u64);
+    }
+    // Three visits of mine, arriving out of time order.
+    for time in [30, 50, 40] {
+        visit(&mut memex, 1, mine, time);
+    }
+    memex.run_demons().unwrap();
+    let theirs = memex.recall(2, "zeppelin", 0, u64::MAX, 40).unwrap();
+    assert_eq!(theirs.len(), 25);
+    for k in [1, 3, 40] {
+        let hits = memex.recall(1, "zeppelin", 0, u64::MAX, k).unwrap();
+        assert_eq!(hits.len(), 1, "k = {k}: {hits:?}");
+        assert_eq!(hits[0].page, mine as u32);
+        assert!(hits[0].score < theirs[24].score, "and it does rank last");
+        assert_eq!(
+            hits[0].last_visit, 50,
+            "the latest visit, not the last to arrive"
+        );
+    }
+    // The window is over my visits: [0, 45] last saw the page at 40.
+    let earlier = memex.recall(1, "zeppelin", 0, 45, 1).unwrap();
+    assert_eq!(earlier[0].last_visit, 40);
+    assert!(memex
+        .recall(1, "zeppelin", 60, u64::MAX, 1)
+        .unwrap()
+        .is_empty());
+}
+
 #[test]
 fn trail_replay_recreates_topical_context() {
     let (corpus, community, mut memex) = world();
@@ -404,6 +466,14 @@ fn stats_servlet_reports_live_subsystems() {
         .histogram("index.query.latency")
         .expect("query latency histogram");
     assert!(q.count > 0 && q.sum > 0);
+    // The one recall walked the community's postings of "classical" and
+    // "music" and scored the user's own pages among them.
+    let (walked, scored) = (
+        snap.counter("index.query.postings"),
+        snap.counter("index.query.scored"),
+    );
+    assert!(scored > 0, "recall scored nothing");
+    assert!(walked > scored, "walked {walked}, scored {scored}");
     let s = snap
         .histogram("servlet.recall.latency")
         .expect("servlet latency histogram");

@@ -23,23 +23,39 @@ pub fn hits(
     max_iters: usize,
     tol: f64,
 ) -> HashMap<NodeId, HitsScore> {
+    let (nodes, hub, auth) = hits_dense(graph, nodes, max_iters, tol);
+    nodes
+        .into_iter()
+        .zip(hub.into_iter().zip(auth))
+        .map(|(v, (hub, authority))| (v, HitsScore { hub, authority }))
+        .collect()
+}
+
+/// [`hits`] as three parallel vectors: the base set sorted and
+/// deduplicated, each node's hub score, each node's authority score.
+fn hits_dense(
+    graph: &WebGraph,
+    nodes: &[NodeId],
+    max_iters: usize,
+    tol: f64,
+) -> (Vec<NodeId>, Vec<f64>, Vec<f64>) {
     let (nodes, edges) = graph.induced_subgraph(nodes);
     let n = nodes.len();
-    if n == 0 {
-        return HashMap::new();
-    }
     let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     // Edge list in dense indices.
     let dense: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (index[&u], index[&v])).collect();
     let mut hub = vec![1.0f64; n];
     let mut auth = vec![1.0f64; n];
+    // The next iteration's scores, swapped with the current ones each round.
+    let mut new_hub = vec![0.0f64; n];
+    let mut new_auth = vec![0.0f64; n];
     for _ in 0..max_iters {
-        let mut new_auth = vec![0.0f64; n];
+        new_auth.fill(0.0);
         for &(u, v) in &dense {
             new_auth[v] += hub[u];
         }
         normalize(&mut new_auth);
-        let mut new_hub = vec![0.0f64; n];
+        new_hub.fill(0.0);
         for &(u, v) in &dense {
             new_hub[u] += new_auth[v];
         }
@@ -50,31 +66,19 @@ pub fn hits(
             .chain(new_auth.iter().zip(&auth))
             .map(|(a, b)| (a - b).abs())
             .sum();
-        hub = new_hub;
-        auth = new_auth;
+        std::mem::swap(&mut hub, &mut new_hub);
+        std::mem::swap(&mut auth, &mut new_auth);
         if delta < tol {
             break;
         }
     }
-    nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            (
-                v,
-                HitsScore {
-                    hub: hub[i],
-                    authority: auth[i],
-                },
-            )
-        })
-        .collect()
+    (nodes, hub, auth)
 }
 
 /// Top-`k` authorities within `nodes`, descending.
 pub fn top_authorities(graph: &WebGraph, nodes: &[NodeId], k: usize) -> Vec<(NodeId, f64)> {
-    let scores = hits(graph, nodes, 50, 1e-9);
-    let mut v: Vec<(NodeId, f64)> = scores.into_iter().map(|(n, s)| (n, s.authority)).collect();
+    let (nodes, _, auth) = hits_dense(graph, nodes, 50, 1e-9);
+    let mut v: Vec<(NodeId, f64)> = nodes.into_iter().zip(auth).collect();
     v.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)

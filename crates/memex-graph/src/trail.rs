@@ -3,6 +3,19 @@
 //! "selecting a folder replays the hypertext graph of recent pages publicly
 //! surfed by the community which are most likely to belong to the selected
 //! topic, and thus recreates the user's browsing context."
+//!
+//! The archive is append-only, so it is indexed by position: beside the
+//! flat visit log, each user and each page has the list of positions of
+//! its own visits, in recorded order. Every question here is about
+//! somebody ([`TrailGraph::user_visits`], [`TrailGraph::user_pages`]) or
+//! about some pages ([`TrailGraph::page_visits`],
+//! [`TrailGraph::replay_context`]) and costs the visits of that user or of
+//! those pages, not the archive. The lists are in *recorded* order, not
+//! time order — visits may arrive slightly out of order — so a time window
+//! is a filter over a list, never a binary search. The flat log
+//! ([`TrailGraph::visits`]) stays for what reads the archive by position:
+//! the write path's cursors ("everything recorded since I last looked") and
+//! the experiments.
 
 use std::collections::HashMap;
 
@@ -42,6 +55,10 @@ pub struct TrailContext {
 #[derive(Debug, Clone, Default)]
 pub struct TrailGraph {
     visits: Vec<Visit>,
+    /// Positions in `visits` of each user's visits, in recorded order.
+    by_user: HashMap<u32, Vec<u32>>,
+    /// Positions in `visits` of the visits to each page, in recorded order.
+    by_page: HashMap<NodeId, Vec<u32>>,
 }
 
 impl TrailGraph {
@@ -52,6 +69,14 @@ impl TrailGraph {
     /// Record a visit. Visits may arrive slightly out of order (the paper's
     /// demons are asynchronous); queries sort as needed.
     pub fn record(&mut self, visit: Visit) {
+        // 2^32 visits are 128 GiB of `visits` alone: out of memory first.
+        assert!(
+            self.visits.len() < u32::MAX as usize,
+            "visit positions are u32"
+        );
+        let position = self.visits.len() as u32;
+        self.by_user.entry(visit.user).or_default().push(position);
+        self.by_page.entry(visit.page).or_default().push(position);
         self.visits.push(visit);
     }
 
@@ -63,67 +88,97 @@ impl TrailGraph {
         self.visits.is_empty()
     }
 
+    /// Every visit, in recorded order.
     pub fn visits(&self) -> &[Visit] {
         &self.visits
     }
 
+    /// The visits of `user`, in recorded order.
+    pub fn user_visits(&self, user: u32) -> impl DoubleEndedIterator<Item = &Visit> {
+        self.at(self.by_user.get(&user))
+    }
+
+    /// The visits to `page` by anybody, private ones included, in recorded
+    /// order.
+    pub fn page_visits(&self, page: NodeId) -> impl DoubleEndedIterator<Item = &Visit> {
+        self.at(self.by_page.get(&page))
+    }
+
+    fn at<'a>(
+        &'a self,
+        positions: Option<&'a Vec<u32>>,
+    ) -> impl DoubleEndedIterator<Item = &'a Visit> {
+        positions
+            .into_iter()
+            .flatten()
+            .map(|&position| &self.visits[position as usize])
+    }
+
     /// Replay the recent topical context (Fig. 2).
     ///
-    /// * `on_topic` — the classifier's verdict for a page;
+    /// * `on_topic` — the pages the classifier routes to the topic (pages
+    ///   nobody visited contribute nothing);
     /// * `viewer` — private visits of other users are excluded;
     /// * `since` — only visits at/after this time;
     /// * `max_pages` — cap on replayed pages (most recent win).
-    pub fn replay_context<F: Fn(NodeId) -> bool>(
+    pub fn replay_context(
         &self,
-        on_topic: F,
+        on_topic: impl IntoIterator<Item = NodeId>,
         viewer: u32,
         since: u64,
         max_pages: usize,
     ) -> TrailContext {
-        // Aggregate visible on-topic visits per page.
-        let mut agg: HashMap<NodeId, ContextNode> = HashMap::new();
-        for v in &self.visits {
-            if v.time < since || !(v.public || v.user == viewer) || !on_topic(v.page) {
-                continue;
-            }
-            let e = agg.entry(v.page).or_insert(ContextNode {
-                page: v.page,
-                visit_count: 0,
-                last_time: 0,
-            });
-            e.visit_count += 1;
-            e.last_time = e.last_time.max(v.time);
-        }
-        let mut nodes: Vec<ContextNode> = agg.values().copied().collect();
+        let visible = |v: &&Visit| v.time >= since && (v.public || v.user == viewer);
+        // One node per on-topic page, from that page's own visible visits.
+        let mut nodes: Vec<ContextNode> = on_topic
+            .into_iter()
+            .filter_map(|page| {
+                let mut node = ContextNode {
+                    page,
+                    visit_count: 0,
+                    last_time: 0,
+                };
+                for v in self.page_visits(page).filter(visible) {
+                    node.visit_count += 1;
+                    node.last_time = node.last_time.max(v.time);
+                }
+                (node.visit_count > 0).then_some(node)
+            })
+            .collect();
         nodes.sort_by(|a, b| b.last_time.cmp(&a.last_time).then(a.page.cmp(&b.page)));
+        // A page named twice made two equal nodes, now adjacent.
+        nodes.dedup();
         nodes.truncate(max_pages);
-        let kept: std::collections::HashSet<NodeId> = nodes.iter().map(|n| n.page).collect();
-        // Traversed edges among kept pages.
-        let mut edge_count: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        for v in &self.visits {
-            if v.time < since || !(v.public || v.user == viewer) {
-                continue;
-            }
-            if let Some(r) = v.referrer {
-                if kept.contains(&r) && kept.contains(&v.page) && r != v.page {
-                    *edge_count.entry((r, v.page)).or_insert(0) += 1;
+        // Traversed edges among kept pages: every hop into a kept page is
+        // in that page's list.
+        let mut kept: Vec<NodeId> = nodes.iter().map(|n| n.page).collect();
+        kept.sort_unstable();
+        let mut hops: Vec<(NodeId, NodeId)> = Vec::new();
+        for &page in &kept {
+            for v in self.page_visits(page).filter(visible) {
+                if let Some(r) = v.referrer {
+                    if r != page && kept.binary_search(&r).is_ok() {
+                        hops.push((r, page));
+                    }
                 }
             }
         }
-        let mut edges: Vec<(NodeId, NodeId, u32)> = edge_count
-            .into_iter()
-            .map(|((a, b), c)| (a, b, c))
-            .collect();
-        edges.sort_unstable();
+        hops.sort_unstable();
+        let mut edges: Vec<(NodeId, NodeId, u32)> = Vec::new();
+        for (from, to) in hops {
+            match edges.last_mut() {
+                Some((a, b, count)) if (*a, *b) == (from, to) => *count += 1,
+                _ => edges.push((from, to, 1)),
+            }
+        }
         TrailContext { nodes, edges }
     }
 
     /// Distinct pages visited by `user` (optionally only after `since`).
     pub fn user_pages(&self, user: u32, since: u64) -> Vec<NodeId> {
         let mut pages: Vec<NodeId> = self
-            .visits
-            .iter()
-            .filter(|v| v.user == user && v.time >= since)
+            .user_visits(user)
+            .filter(|v| v.time >= since)
             .map(|v| v.page)
             .collect();
         pages.sort_unstable();
@@ -163,8 +218,8 @@ mod tests {
             referrer: None,
             public: false,
         });
-        let music = |p: NodeId| p <= 3;
-        let ctx = t.replay_context(music, 1, 0, 10);
+        let music = 0..=3;
+        let ctx = t.replay_context(music.clone(), 1, 0, 10);
         let pages: Vec<NodeId> = ctx.nodes.iter().map(|n| n.page).collect();
         assert_eq!(pages, vec![3, 2, 1], "most recent first");
         assert_eq!(
@@ -178,7 +233,7 @@ mod tests {
             1
         );
         // ...but does for its owner.
-        let ctx3 = t.replay_context(music, 3, 0, 10);
+        let ctx3 = t.replay_context(music.clone(), 3, 0, 10);
         assert_eq!(
             ctx3.nodes.iter().find(|n| n.page == 2).unwrap().visit_count,
             2
@@ -194,10 +249,50 @@ mod tests {
         for i in 0..20u32 {
             t.record(v(1, 0, i, u64::from(i), None));
         }
-        let ctx = t.replay_context(|_| true, 1, 0, 5);
+        let ctx = t.replay_context(0..20, 1, 0, 5);
         assert_eq!(ctx.nodes.len(), 5);
         assert_eq!(ctx.nodes[0].page, 19);
         assert_eq!(ctx.nodes[4].page, 15);
+    }
+
+    #[test]
+    fn edges_are_counted_among_the_kept_pages_only() {
+        let mut t = TrailGraph::new();
+        t.record(v(1, 0, 1, 10, None));
+        t.record(v(1, 0, 2, 20, Some(1)));
+        t.record(v(2, 0, 2, 21, Some(1)));
+        t.record(v(1, 0, 2, 22, Some(2))); // a reload is no traversal
+        t.record(v(1, 0, 3, 30, Some(2)));
+        t.record(v(1, 0, 3, 31, Some(9))); // from a page off the topic
+        let ctx = t.replay_context([3, 1, 2, 2, 7], 1, 0, 10);
+        assert_eq!(ctx.nodes.len(), 3, "a page named twice is one node");
+        assert_eq!(ctx.edges, vec![(1, 2, 2), (2, 3, 1)]);
+        // Page 1 falls to the cap, and its edge with it.
+        let capped = t.replay_context([1, 2, 3], 1, 0, 2);
+        assert_eq!(capped.edges, vec![(2, 3, 1)]);
+        assert!(t.replay_context([1, 2, 3], 1, 0, 0).nodes.is_empty());
+    }
+
+    #[test]
+    fn lists_follow_the_log_in_recorded_order() {
+        let mut t = TrailGraph::new();
+        let log = [
+            v(1, 0, 5, 30, None),
+            v(2, 0, 5, 10, None),
+            v(1, 0, 6, 20, Some(5)),
+            v(2, 1, 6, 5, None),
+        ];
+        for (i, visit) in log.iter().enumerate() {
+            t.record(*visit);
+            // Right after each `record`, not only at the end.
+            let mine: Vec<&Visit> = t.visits().iter().filter(|x| x.user == 1).collect();
+            assert_eq!(t.user_visits(1).collect::<Vec<_>>(), mine, "after #{i}");
+        }
+        let to_5: Vec<u64> = t.page_visits(5).map(|x| x.time).collect();
+        assert_eq!(to_5, vec![30, 10], "recorded order, not time order");
+        let back: Vec<u64> = t.page_visits(6).rev().map(|x| x.time).collect();
+        assert_eq!(back, vec![5, 20]);
+        assert_eq!(t.user_visits(9).count() + t.page_visits(9).count(), 0);
     }
 
     #[test]

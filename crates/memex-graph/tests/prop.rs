@@ -1,13 +1,101 @@
 //! Property tests for the graph substrate: HITS normalisation, BFS
-//! distance validity, and trail-replay filtering laws on random graphs and
-//! event streams.
+//! distance validity, trail-replay filtering laws on random graphs and
+//! event streams, and the per-user / per-page visit lists held to the
+//! whole-archive scans they replaced.
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::hits::hits;
 use memex_graph::neighborhood::{expand, Direction};
-use memex_graph::trail::{TrailGraph, Visit};
+use memex_graph::trail::{ContextNode, TrailContext, TrailGraph, Visit};
+
+/// `TrailGraph::replay_context` as it was before the archive kept a list of
+/// positions per page: a predicate asked once per visit in the archive, two
+/// passes over all of it. The reference the indexed replay is held to.
+fn replay_context_by_scan(
+    visits: &[Visit],
+    on_topic: impl Fn(u32) -> bool,
+    viewer: u32,
+    since: u64,
+    max_pages: usize,
+) -> TrailContext {
+    let mut agg: HashMap<u32, ContextNode> = HashMap::new();
+    for v in visits {
+        if v.time < since || !(v.public || v.user == viewer) || !on_topic(v.page) {
+            continue;
+        }
+        let e = agg.entry(v.page).or_insert(ContextNode {
+            page: v.page,
+            visit_count: 0,
+            last_time: 0,
+        });
+        e.visit_count += 1;
+        e.last_time = e.last_time.max(v.time);
+    }
+    let mut nodes: Vec<ContextNode> = agg.values().copied().collect();
+    nodes.sort_by(|a, b| b.last_time.cmp(&a.last_time).then(a.page.cmp(&b.page)));
+    nodes.truncate(max_pages);
+    let kept: HashSet<u32> = nodes.iter().map(|n| n.page).collect();
+    let mut edge_count: HashMap<(u32, u32), u32> = HashMap::new();
+    for v in visits {
+        if v.time < since || !(v.public || v.user == viewer) {
+            continue;
+        }
+        if let Some(r) = v.referrer {
+            if kept.contains(&r) && kept.contains(&v.page) && r != v.page {
+                *edge_count.entry((r, v.page)).or_insert(0) += 1;
+            }
+        }
+    }
+    let mut edges: Vec<(u32, u32, u32)> = edge_count
+        .into_iter()
+        .map(|((a, b), c)| (a, b, c))
+        .collect();
+    edges.sort_unstable();
+    TrailContext { nodes, edges }
+}
+
+/// `TrailGraph::user_pages` as it was: a filter over the whole archive.
+fn user_pages_by_scan(visits: &[Visit], user: u32, since: u64) -> Vec<u32> {
+    let mut pages: Vec<u32> = visits
+        .iter()
+        .filter(|v| v.user == user && v.time >= since)
+        .map(|v| v.page)
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages
+}
+
+/// Trails of four users over twelve pages: times in no order at all, a
+/// third of the visits private, referrers absent, the page itself, another
+/// page of the range or a page (12..14) nobody ever visits.
+fn trail_strategy() -> impl Strategy<Value = Vec<Visit>> {
+    let referrer = prop_oneof![
+        2 => Just(None),
+        3 => (0u32..14).prop_map(Some),
+    ];
+    proptest::collection::vec(
+        (0u32..4, 0u32..3, 0u32..12, 0u64..50, referrer, 0u32..3),
+        0..80,
+    )
+    .prop_map(|visits| {
+        visits
+            .into_iter()
+            .map(|(user, session, page, time, referrer, private)| Visit {
+                user,
+                session,
+                page,
+                time,
+                referrer,
+                public: private != 0,
+            })
+            .collect()
+    })
+}
 
 fn graph_strategy() -> impl Strategy<Value = WebGraph> {
     proptest::collection::vec((0u32..20, 0u32..20), 0..80).prop_map(|edges| {
@@ -89,7 +177,8 @@ proptest! {
             });
         }
         let on_topic = |p: u32| p.is_multiple_of(2);
-        let ctx = t.replay_context(on_topic, viewer, since, 100);
+        let evens = || (0u32..12).filter(|&p| on_topic(p));
+        let ctx = t.replay_context(evens(), viewer, since, 100);
         for n in &ctx.nodes {
             prop_assert!(on_topic(n.page));
             prop_assert!(n.last_time >= since);
@@ -98,10 +187,10 @@ proptest! {
         // Nodes sorted by recency.
         prop_assert!(ctx.nodes.windows(2).all(|w| w[0].last_time >= w[1].last_time));
         // Widening the window only adds pages.
-        let wider = t.replay_context(on_topic, viewer, 0, 100);
+        let wider = t.replay_context(evens(), viewer, 0, 100);
         prop_assert!(wider.nodes.len() >= ctx.nodes.len());
         // An "everything" topic contains the even-page context.
-        let all = t.replay_context(|_| true, viewer, since, 100);
+        let all = t.replay_context(0u32..12, viewer, since, 100);
         let all_pages: std::collections::HashSet<u32> = all.nodes.iter().map(|n| n.page).collect();
         for n in &ctx.nodes {
             prop_assert!(all_pages.contains(&n.page));
@@ -124,6 +213,56 @@ proptest! {
             for &p in &pages {
                 prop_assert!(visits.iter().any(|&(u, pg, tm)| u == user && pg == p && tm >= since));
             }
+        }
+    }
+
+    /// The indexed replay answers what the two-pass scan answered — nodes,
+    /// their order, edges and counts — whatever the trail, for viewers who
+    /// never surfed (4, 5), every `max_pages` from 0 up, and an on-topic
+    /// input that names pages nobody visited, names a page twice and comes
+    /// in no order.
+    #[test]
+    fn indexed_replay_equals_the_scan(
+        visits in trail_strategy(),
+        on_topic in proptest::collection::vec(0u32..16, 0..20),
+        viewer in 0u32..6,
+        since in 0u64..50,
+        max_pages in 0usize..14,
+    ) {
+        let mut t = TrailGraph::new();
+        for v in &visits {
+            t.record(*v);
+        }
+        let got = t.replay_context(on_topic.iter().copied(), viewer, since, max_pages);
+        let expected =
+            replay_context_by_scan(&visits, |p| on_topic.contains(&p), viewer, since, max_pages);
+        prop_assert_eq!(got, expected);
+    }
+
+    /// After every `record`, a user's list and a page's list are exactly
+    /// the archive filtered, in recorded order, forwards and backwards; and
+    /// `user_pages` is what the scan gave, for unknown users (4, 5) too.
+    #[test]
+    fn lists_equal_the_filtered_log_after_every_record(
+        visits in trail_strategy(),
+        since in 0u64..50,
+    ) {
+        let mut t = TrailGraph::new();
+        for (i, v) in visits.iter().enumerate() {
+            t.record(*v);
+            let log = &visits[..=i];
+            prop_assert_eq!(t.visits(), log);
+            let of_user: Vec<&Visit> = log.iter().filter(|x| x.user == v.user).collect();
+            prop_assert_eq!(t.user_visits(v.user).collect::<Vec<_>>(), of_user);
+            let to_page: Vec<&Visit> = log.iter().filter(|x| x.page == v.page).collect();
+            prop_assert_eq!(t.page_visits(v.page).collect::<Vec<_>>(), to_page);
+        }
+        for key in 0u32..14 {
+            let of_user: Vec<&Visit> = visits.iter().filter(|x| x.user == key).rev().collect();
+            prop_assert_eq!(t.user_visits(key).rev().collect::<Vec<_>>(), of_user);
+            let to_page: Vec<&Visit> = visits.iter().filter(|x| x.page == key).rev().collect();
+            prop_assert_eq!(t.page_visits(key).rev().collect::<Vec<_>>(), to_page);
+            prop_assert_eq!(t.user_pages(key, since), user_pages_by_scan(&visits, key, since));
         }
     }
 }

@@ -42,6 +42,11 @@ pub(crate) struct IndexMetrics {
     commit_latency: Histogram,
     /// Recorded by the search layer (`index.query.latency`).
     pub(crate) query_latency: Histogram,
+    /// Postings the search layer's merge stepped over or scored
+    /// (`index.query.postings`).
+    pub(crate) query_postings: Counter,
+    /// Documents it scored (`index.query.scored`).
+    pub(crate) query_scored: Counter,
 }
 
 /// A segmented inverted index over term ids.
@@ -112,6 +117,8 @@ impl InvertedIndex {
             postings_flushed: registry.counter("index.postings_flushed"),
             commit_latency: registry.histogram("index.commit.latency"),
             query_latency: registry.histogram("index.query.latency"),
+            query_postings: registry.counter("index.query.postings"),
+            query_scored: registry.counter("index.query.scored"),
         };
     }
 

@@ -1,4 +1,13 @@
 //! Ranked (BM25) retrieval over the inverted index.
+//!
+//! One merge loop serves both questions asked of it. [`bm25_search`] ranks
+//! every document that matches; [`bm25_search_among`] ranks the matching
+//! documents a caller's filter keeps — recall's "only pages I visited" —
+//! and asks the filter *before* a document costs anything: a rejected
+//! document is stepped over in the posting lists, never scored, and never
+//! competes for the `k` places. So `k` is what the caller wants back, not
+//! a guess at how deep the unfiltered ranking must be cut for enough of
+//! the caller's documents to survive.
 
 use memex_store::error::StoreResult;
 use memex_text::vocab::TermId;
@@ -32,18 +41,35 @@ struct TermCursor<'a> {
     rest: &'a [(u32, u32)],
 }
 
-/// Ranked top-`k` retrieval for a bag-of-terms query.
+/// Ranked top-`k` retrieval for a bag-of-terms query: [`bm25_search_among`]
+/// with every document kept.
+pub fn bm25_search(
+    index: &InvertedIndex,
+    query_terms: &[(TermId, u32)],
+    k: usize,
+    params: Bm25Params,
+) -> StoreResult<Vec<SearchHit>> {
+    bm25_search_among(index, query_terms, k, params, |_| true)
+}
+
+/// Ranked top-`k` retrieval among the documents `keep` accepts.
 ///
 /// Posting lists are sorted by document, so the lists of the query's terms
 /// are merged in one pass: the smallest document under any cursor is scored
 /// by summing, in query-term order, the share of every term that has it —
 /// one score per matching document, no table keyed by document. The best
 /// `k` are then selected, and only those sorted, by `(score desc, doc asc)`.
-pub fn bm25_search(
+///
+/// `keep` is asked exactly once per matching document, in ascending
+/// document order (so a caller holding a sorted set can answer from a
+/// cursor), before the document's length is read. A kept document's score
+/// does not depend on what else was kept.
+pub fn bm25_search_among(
     index: &InvertedIndex,
     query_terms: &[(TermId, u32)],
     k: usize,
     params: Bm25Params,
+    mut keep: impl FnMut(u32) -> bool,
 ) -> StoreResult<Vec<SearchHit>> {
     let _span = index.metrics.query_latency.start_span();
     let _trace = memex_obs::trace::span("index.bm25");
@@ -70,26 +96,37 @@ pub fn bm25_search(
         });
     }
     let mut hits: Vec<SearchHit> = Vec::new();
+    let mut postings_walked = 0u64;
     while let Some(doc) = cursors
         .iter()
         .filter_map(|c| c.rest.first().map(|&(doc, _)| doc))
         .min()
     {
-        let dl = index.doc_len(doc) as f32;
-        let length_norm = params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0));
+        // `None`: rejected, its postings are only stepped over.
+        let length_norm = keep(doc).then(|| {
+            let dl = index.doc_len(doc) as f32;
+            params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0))
+        });
         let mut score = 0.0f32;
         for c in &mut cursors {
             if let Some((&(d, tf), rest)) = c.rest.split_first() {
                 if d == doc {
-                    let tf = tf as f32;
-                    let contribution = c.idf * tf * (params.k1 + 1.0) / (tf + length_norm);
-                    score += contribution * c.qtf;
                     c.rest = rest;
+                    postings_walked += 1;
+                    if let Some(length_norm) = length_norm {
+                        let tf = tf as f32;
+                        let contribution = c.idf * tf * (params.k1 + 1.0) / (tf + length_norm);
+                        score += contribution * c.qtf;
+                    }
                 }
             }
         }
-        hits.push(SearchHit { doc, score });
+        if length_norm.is_some() {
+            hits.push(SearchHit { doc, score });
+        }
     }
+    index.metrics.query_postings.add(postings_walked);
+    index.metrics.query_scored.add(hits.len() as u64);
     let by_rank = |a: &SearchHit, b: &SearchHit| {
         b.score
             .partial_cmp(&a.score)

@@ -1,13 +1,14 @@
 //! Property tests for the inverted index: it agrees with a naive in-memory
-//! model wherever the segment boundaries fall, and ranked search over it
-//! returns what scoring every posting into a table returned.
+//! model wherever the segment boundaries fall, ranked search over it
+//! returns what scoring every posting into a table returned, and a filtered
+//! search returns what filtering the whole ranking returned.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use memex_index::index::InvertedIndex;
-use memex_index::search::{bm25_search, Bm25Params, SearchHit};
+use memex_index::search::{bm25_search, bm25_search_among, Bm25Params, SearchHit};
 
 /// `bm25_search` as it was before it merged posting lists: every posting of
 /// every query term added into a table keyed by document, the whole table
@@ -137,6 +138,49 @@ proptest! {
             let got = bm25_search(&index, &query, k, params).unwrap();
             let expected = bm25_by_table(&index, &query, k, params);
             prop_assert_eq!(got.len(), expected.len(), "k {}", k);
+            for (g, e) in got.iter().zip(&expected) {
+                prop_assert_eq!(g.doc, e.doc, "k {} got {:?} expected {:?}", k, got, expected);
+                prop_assert_eq!(g.score.to_bits(), e.score.to_bits(), "doc {}", g.doc);
+            }
+        }
+    }
+
+    /// Filtering inside the merge is filtering the whole ranking afterwards:
+    /// the same documents in the same order with the same bits, for every
+    /// `k` — and `keep` is asked about each matching document exactly once,
+    /// in ascending order, about nothing else.
+    #[test]
+    fn filtered_search_equals_filtering_the_whole_ranking(
+        docs in proptest::collection::vec(
+            proptest::collection::btree_set(0u32..8, 1..5), 1..40),
+        sealed in 0usize..40,
+        query in proptest::collection::vec((0u32..10, 1u32..4), 1..5),
+        kept in proptest::collection::btree_set(0u32..40, 0..40),
+    ) {
+        let mut index = InvertedIndex::open_memory().unwrap();
+        for (doc, terms) in docs.iter().enumerate() {
+            let tf: Vec<(u32, u32)> = terms.iter().map(|&t| (t, 1 + (doc as u32 + t) % 3)).collect();
+            index.add_document(doc as u32, &tf).unwrap();
+            if doc + 1 == sealed {
+                index.commit().unwrap();
+            }
+        }
+        let params = Bm25Params::default();
+        let everything = bm25_search(&index, &query, usize::MAX, params).unwrap();
+        let matching: BTreeSet<u32> = everything.iter().map(|h| h.doc).collect();
+        let expected: Vec<SearchHit> =
+            everything.into_iter().filter(|h| kept.contains(&h.doc)).collect();
+        for k in [1, expected.len().saturating_sub(1), expected.len(), expected.len() + 1, usize::MAX] {
+            let mut asked: Vec<u32> = Vec::new();
+            let got = bm25_search_among(&index, &query, k, params, |doc| {
+                asked.push(doc);
+                kept.contains(&doc)
+            })
+            .unwrap();
+            // (Asking for nothing costs nothing: no document is offered.)
+            let offered: Vec<u32> = matching.iter().copied().filter(|_| k > 0).collect();
+            prop_assert_eq!(asked, offered, "every matching document once, ascending");
+            prop_assert_eq!(got.len(), expected.len().min(k), "k {}", k);
             for (g, e) in got.iter().zip(&expected) {
                 prop_assert_eq!(g.doc, e.doc, "k {} got {:?} expected {:?}", k, got, expected);
                 prop_assert_eq!(g.score.to_bits(), e.score.to_bits(), "doc {}", g.doc);

@@ -43,7 +43,7 @@ fn privacy_modes_respected_through_the_facade() {
     memex.submit(visit(2, 5, 20, None));
     memex.run_demons().unwrap();
     // What the public user is shown counts only the public visit.
-    let shown = memex.server.trails.replay_context(|p| p == 5, 2, 0, 10);
+    let shown = memex.server.trails.replay_context([5], 2, 0, 10);
     assert_eq!(shown.nodes.len(), 1);
     assert_eq!(shown.nodes[0].visit_count, 1);
     // The private user still recalls their own page.
@@ -129,10 +129,7 @@ fn trails_follow_referrers_across_users() {
     memex.submit(visit(2, 11, 3, None));
     memex.submit(visit(2, 12, 4, Some(11)));
     memex.run_demons().unwrap();
-    let ctx = memex
-        .server
-        .trails
-        .replay_context(|p| (10..=12).contains(&p), 1, 0, 10);
+    let ctx = memex.server.trails.replay_context(10..=12, 1, 0, 10);
     assert_eq!(ctx.nodes.len(), 3);
     assert!(ctx.edges.contains(&(10, 11, 1)));
     assert!(ctx.edges.contains(&(11, 12, 1)));
