@@ -13,7 +13,7 @@
 //! | "major topics of my workplace, where do I fit?" | [`Memex::community_themes`], [`Memex::my_place`] |
 //! | "who shares my interest most closely?" | [`Memex::similar_surfers`] |
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
@@ -86,6 +86,30 @@ pub(crate) struct CommunityThemes {
     pub(crate) doc_of_page: HashMap<u32, usize>,
 }
 
+/// One surfer's row of the profile table (see [`Memex::profiles`]).
+pub(crate) struct Profile {
+    /// The distinct pages they visited, sorted.
+    pub(crate) pages: Vec<u32>,
+    /// Their weight on each theme node, ordered by node for
+    /// [`memex_cluster::themes::profile_similarity`]'s fixed summation order.
+    pub(crate) weights: BTreeMap<TopicId, f64>,
+}
+
+/// What somebody with no visit reads: no pages, no weight anywhere.
+static NO_PROFILE: Profile = Profile {
+    pages: Vec::new(),
+    weights: BTreeMap::new(),
+};
+
+/// Every surfer's profile, one row per user the trail has a visit of.
+pub(crate) struct ProfileTable(HashMap<u32, Profile>);
+
+impl ProfileTable {
+    pub(crate) fn of(&self, user: u32) -> &Profile {
+        self.0.get(&user).unwrap_or(&NO_PROFILE)
+    }
+}
+
 /// Community themes as a memoised pure function of the acknowledged
 /// writes. A bookmark only *captures* what pins the answer; the first
 /// theme read after it runs theme discovery (see [`Memex::refresh`]).
@@ -135,6 +159,8 @@ struct DemonMetrics {
     themes_behind: memex_obs::Gauge,
     page_themes_builds: memex_obs::Counter,
     page_themes_build_latency: memex_obs::Histogram,
+    profiles_builds: memex_obs::Counter,
+    profiles_build_latency: memex_obs::Histogram,
     background_builds: memex_obs::Counter,
     routing_builds: memex_obs::Counter,
     routing_build_latency: memex_obs::Histogram,
@@ -152,6 +178,8 @@ impl DemonMetrics {
             themes_behind: registry.gauge("demon.themes.behind"),
             page_themes_builds: registry.counter("demon.page_themes.builds"),
             page_themes_build_latency: registry.histogram("demon.page_themes.build.latency"),
+            profiles_builds: registry.counter("demon.profiles.builds"),
+            profiles_build_latency: registry.histogram("demon.profiles.build.latency"),
             background_builds: registry.counter("demon.background.builds"),
             routing_builds: registry.counter("demon.routing.builds"),
             routing_build_latency: registry.histogram("demon.routing.build.latency"),
@@ -170,8 +198,9 @@ impl DemonMetrics {
 /// [`Memex::run_demons`] / [`Memex::refresh`], which mutation paths run
 /// under the write lock. What a query may compute and keep are the memos
 /// behind a [`OnceLock`] each — the community themes, the page -> theme
-/// map, each user's page -> folder routing and the background class the
-/// routings are trained against: values every reader
+/// map, every surfer's theme profile, each user's page -> folder routing
+/// and the background class the routings are trained against: values every
+/// reader
 /// would compute identically, so no reader can observe the write. The
 /// write path only ever takes them back, when one of their inputs moved.
 pub struct Memex {
@@ -192,6 +221,11 @@ pub struct Memex {
     /// [`Memex::refresh`] when the themes were replaced or a page was seen
     /// for the first time (the live idf moved).
     page_themes: OnceLock<HashMap<u32, TopicId>>,
+    /// Every surfer's distinct pages and theme profile. Built by the first
+    /// reader that needs a profile (see [`Memex::profiles`]); taken back by
+    /// [`Memex::refresh`] with the page -> theme map, and when a visit
+    /// named a page new to its visitor.
+    profiles: OnceLock<ProfileTable>,
     /// The background class every user's topic filter shares: term counts of
     /// an even sample of the pages the community surfed. Built by the first
     /// [`Memex::topic_filter`] that needs it; taken back by
@@ -202,7 +236,8 @@ pub struct Memex {
     /// `server.trails.visits()`, the distinct pages before it, and the
     /// number of pages the vocabulary had observed: a write moved the
     /// domain, the idf or the background sample of the memos above exactly
-    /// if it moved one of the last two.
+    /// if it moved one of the last two, and a profile exactly if it also
+    /// did, or if a visit past the cursor named a page new to its visitor.
     seen_visits: usize,
     seen_pages: HashSet<u32>,
     fetched_pages: u64,
@@ -241,6 +276,7 @@ impl Memex {
             theme_opts: opts.themes,
             themes: ThemesCell::default(),
             page_themes: OnceLock::new(),
+            profiles: OnceLock::new(),
             background: OnceLock::new(),
             seen_visits: 0,
             seen_pages: HashSet::new(),
@@ -380,8 +416,11 @@ impl Memex {
     /// [`Memex::folder_space`], bookmark filing) and the pages surfed — the
     /// domain it routes and the background sample of
     /// [`Memex::topic_filter`]: all of them, and the background class built
-    /// from that sample, go when a page was seen for the first time. A repeat
-    /// visit takes nothing.
+    /// from that sample, go when a page was seen for the first time. The
+    /// profile table reads the page -> theme map and each surfer's distinct
+    /// pages: it goes with the map, and when a visit named a page missing
+    /// from its visitor's row. A repeat visit of one's own page takes
+    /// nothing.
     pub fn refresh(&mut self) -> StoreResult<()> {
         let n_bookmarks = self.server.bookmarks.len();
         let themes_replaced = self.themes.bookmarks != n_bookmarks;
@@ -398,9 +437,12 @@ impl Memex {
         // First seen by the trail (a dead link too: it shifts the background
         // sample) or by the fetcher (a `tf` row appeared, the idf moved).
         let visits = self.server.trails.visits();
-        let mut first_seen = false;
+        let profiles = self.profiles.get();
+        let (mut first_seen, mut new_to_user) = (false, false);
         for v in visits.get(self.seen_visits..).unwrap_or_default() {
             first_seen |= self.seen_pages.insert(v.page);
+            new_to_user = new_to_user
+                || profiles.is_some_and(|t| t.of(v.user).pages.binary_search(&v.page).is_err());
         }
         self.seen_visits = visits.len();
         let fetched_pages = self.server.vocab.num_docs();
@@ -408,6 +450,9 @@ impl Memex {
         self.fetched_pages = fetched_pages;
         if themes_replaced || first_seen {
             self.page_themes.take();
+        }
+        if themes_replaced || first_seen || new_to_user {
+            self.profiles.take();
         }
         if first_seen {
             self.background.take();
@@ -489,6 +534,47 @@ impl Memex {
                 .collect();
             self.metrics.page_themes_builds.inc();
             page_themes
+        })
+    }
+
+    /// The memoised profile table, built on first use after
+    /// [`Memex::refresh`] took the last one back: for every user with a
+    /// visit, their distinct pages and their theme profile — for every page
+    /// they visited, its theme (bookmarked pages carry their discovered
+    /// theme, other pages the nearest leaf theme of [`Memex::page_themes`]),
+    /// weight accumulated up the theme taxonomy. (From scratch this is
+    /// `theme_profile` per user per request; it survives as this builder.)
+    pub(crate) fn profiles(&self) -> &ProfileTable {
+        self.profiles.get_or_init(|| {
+            let community = self.themes();
+            let page_themes = self.page_themes();
+            let _span = self.metrics.profiles_build_latency.start_span();
+            let (themes, _) = &community.view;
+            let trails = &self.server.trails;
+            let table = trails
+                .users()
+                .map(|user| {
+                    let pages = trails.user_pages(user, 0);
+                    let mut weights: BTreeMap<TopicId, f64> = BTreeMap::new();
+                    let total = pages.len().max(1) as f64;
+                    for page in &pages {
+                        let theme = match community.doc_of_page.get(page) {
+                            Some(&d) => themes.doc_theme.get(d).copied().flatten(),
+                            None => page_themes.get(page).copied(),
+                        };
+                        if let Some(node) = theme {
+                            let mut cur = Some(node);
+                            while let Some(c) = cur {
+                                *weights.entry(c).or_insert(0.0) += 1.0 / total;
+                                cur = themes.taxonomy.parent(c);
+                            }
+                        }
+                    }
+                    (user, Profile { pages, weights })
+                })
+                .collect();
+            self.metrics.profiles_builds.inc();
+            ProfileTable(table)
         })
     }
 
@@ -739,22 +825,30 @@ impl Memex {
             .trails
             .user_visits(user)
             .filter(|v| v.time >= since && v.time <= until);
-        let taxonomy = &self.folder_space_ref(user).taxonomy;
         let routing = self.routing(user);
-        let mut per_folder: HashMap<String, (u64, u32)> = HashMap::new();
+        // Per routed folder (`None`: no folder), each path formatted once
+        // below rather than once per visit.
+        let mut per_folder: HashMap<Option<TopicId>, (u64, u32)> = HashMap::new();
         let mut total_bytes = 0u64;
         for v in window {
             let bytes = u64::from(self.server.page_bytes(v.page).unwrap_or(0));
-            let folder_name = match routing.get(&v.page) {
-                Some(&f) => taxonomy.path(f),
-                None => "(other)".to_string(),
-            };
-            let e = per_folder.entry(folder_name).or_insert((0, 0));
+            let e = per_folder
+                .entry(routing.get(&v.page).copied())
+                .or_insert((0, 0));
             e.0 += bytes;
             e.1 += 1;
             total_bytes += bytes;
         }
-        let mut lines: Vec<BillLine> = per_folder
+        // A line per path: folders that print alike are one line.
+        let taxonomy = &self.folder_space_ref(user).taxonomy;
+        let mut per_path: HashMap<String, (u64, u32)> = HashMap::new();
+        for (folder, (bytes, visits)) in per_folder {
+            let path = folder.map_or_else(|| "(other)".to_string(), |f| taxonomy.path(f));
+            let e = per_path.entry(path).or_insert((0, 0));
+            e.0 += bytes;
+            e.1 += visits;
+        }
+        let mut lines: Vec<BillLine> = per_path
             .into_iter()
             .map(|(folder, (bytes, visits))| BillLine {
                 folder,

@@ -8,39 +8,21 @@
 //! The URL-overlap (Jaccard) baseline lives here too — experiment T5
 //! measures exactly that "far superior" claim.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use memex_cluster::themes::profile_similarity;
 use memex_learn::taxonomy::TopicId;
 
 use crate::memex::Memex;
 
-/// Build a user's theme profile: for every page they visited, find its
-/// theme (bookmarked pages carry their discovered theme; other pages are
-/// routed to the nearest leaf theme by centroid similarity) and accumulate
-/// weight up the theme taxonomy. Ordered by node for
-/// [`profile_similarity`]'s fixed summation order.
-pub fn theme_profile(memex: &Memex, user: u32) -> BTreeMap<TopicId, f64> {
-    let pages = memex.server.trails.user_pages(user, 0);
-    let community = memex.themes();
-    let (themes, _) = &community.view;
-    let page_themes = memex.page_themes();
-    let mut profile: BTreeMap<TopicId, f64> = BTreeMap::new();
-    let total = pages.len().max(1) as f64;
-    for page in pages {
-        let theme = match community.doc_of_page.get(&page) {
-            Some(&d) => themes.doc_theme.get(d).copied().flatten(),
-            None => page_themes.get(&page).copied(),
-        };
-        if let Some(node) = theme {
-            let mut cur = Some(node);
-            while let Some(c) = cur {
-                *profile.entry(c).or_insert(0.0) += 1.0 / total;
-                cur = themes.taxonomy.parent(c);
-            }
-        }
-    }
-    profile
+/// A user's theme profile: for every page they visited, its theme
+/// (bookmarked pages carry their discovered theme; other pages are routed to
+/// the nearest leaf theme by centroid similarity), weight accumulated up the
+/// theme taxonomy. Ordered by node for [`profile_similarity`]'s fixed
+/// summation order. Read from the memoised profile table (memo D of
+/// DESIGN §11); somebody with no visit has the empty profile.
+pub fn theme_profile(memex: &Memex, user: u32) -> &BTreeMap<TopicId, f64> {
+    &memex.profiles().of(user).weights
 }
 
 /// Most similar surfers by theme-profile cosine (excludes `user`). A user
@@ -51,11 +33,12 @@ pub fn similar_surfers(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f64)> {
     if !users.contains(&user) {
         return Vec::new();
     }
-    let mine = theme_profile(memex, user);
+    let profiles = memex.profiles();
+    let mine = &profiles.of(user).weights;
     let mut scored: Vec<(u32, f64)> = users
         .into_iter()
         .filter(|&u| u != user)
-        .map(|u| (u, profile_similarity(&mine, &theme_profile(memex, u))))
+        .map(|u| (u, profile_similarity(mine, &profiles.of(u).weights)))
         .collect();
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -100,28 +83,39 @@ pub fn similar_surfers_by_url(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f
 /// log(1 + neighbour's visit count).
 pub fn recommend_pages(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f64)> {
     let neighbours = similar_surfers(memex, user, 5);
-    let mine: HashSet<u32> = memex
-        .server
-        .trails
-        .user_pages(user, 0)
-        .into_iter()
-        .collect();
-    let mut scores: HashMap<u32, f64> = HashMap::new();
+    if neighbours.is_empty() {
+        // Nobody to learn from — or a stranger, for whom nothing is built.
+        return Vec::new();
+    }
+    let mine = &memex.profiles().of(user).pages;
+    // One (page, share) per page a neighbour visited publicly and `user`
+    // did not, neighbour by neighbour.
+    let mut shares: Vec<(u32, f64)> = Vec::new();
+    let mut theirs: Vec<u32> = Vec::new();
     for (v, sim) in neighbours {
         if sim <= 0.0 {
             continue;
         }
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        for visit in memex.server.trails.user_visits(v).filter(|x| x.public) {
-            *counts.entry(visit.page).or_insert(0) += 1;
-        }
-        for (page, c) in counts {
-            if !mine.contains(&page) {
-                *scores.entry(page).or_insert(0.0) += sim * f64::from(c + 1).ln();
+        theirs.clear();
+        let public = memex.server.trails.user_visits(v).filter(|x| x.public);
+        theirs.extend(public.map(|x| x.page));
+        theirs.sort_unstable();
+        for run in theirs.chunk_by(|a, b| a == b) {
+            if mine.binary_search(&run[0]).is_err() {
+                shares.push((run[0], sim * ((run.len() + 1) as f64).ln()));
             }
         }
     }
-    let mut out: Vec<(u32, f64)> = scores.into_iter().collect();
+    // Stable: a page's shares stay in neighbour order and sum from 0.0 in
+    // it, as they would into a map entry, so the scores are those bits.
+    shares.sort_by_key(|&(page, _)| page);
+    let mut out: Vec<(u32, f64)> = Vec::new();
+    for (page, share) in shares {
+        match out.last_mut() {
+            Some((last, score)) if *last == page => *score += share,
+            _ => out.push((page, 0.0 + share)),
+        }
+    }
     out.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)

@@ -8,13 +8,15 @@
 //! * community themes are memoised: captured by the writer, built by the
 //!   first reader. *When* they are read must not show in what they say, and
 //!   a bookmark nobody follows with a theme read must build nothing;
-//! * so are the page -> theme map and each user's page -> folder routing
-//!   that the mining servlets answer from. Every answer must be, byte for
-//!   byte, the one recomputing everything per request gives
-//!   ([`FromScratch`], the read side as it was, kept here as the reference
-//!   down to its own topic filter, so that it reads no memo at all — not the
-//!   shared background class either), and a memo must be rebuilt only after
-//!   a write that moved one of its inputs — never after a repeat visit;
+//! * so are the page -> theme map, the table of every surfer's profile and
+//!   each user's page -> folder routing that the mining servlets answer
+//!   from. Every answer must be, byte for byte, the one recomputing
+//!   everything per request gives ([`FromScratch`], the read side as it
+//!   was, kept here as the reference down to its own topic filter and
+//!   profiles, so that it reads no memo at all — not the shared background
+//!   class either), and a memo must be rebuilt only after a write that
+//!   moved one of its inputs — never after a repeat visit of one's own
+//!   page;
 //! * and the servlets answer from the archive's per-user and per-page visit
 //!   lists, recall from a BM25 merge that only scores the user's own pages.
 //!   [`FromScratch`] reads neither: it filters the flat visit log, as every
@@ -35,7 +37,7 @@ use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::{ContextNode, TrailContext};
 use memex_index::search::{bm25_search, Bm25Params};
 use memex_learn::nb::{NaiveBayes, NbOptions};
-use memex_learn::taxonomy::TopicId;
+use memex_learn::taxonomy::{Taxonomy, TopicId};
 use memex_net::wire::encode_response;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 use memex_text::vocab::TermId;
@@ -574,6 +576,19 @@ impl FromScratch<'_> {
         profile
     }
 
+    /// `Memex::my_place` over [`FromScratch::theme_profile`].
+    fn my_place(&self, user: u32) -> Vec<(String, f64)> {
+        let (themes, _) = self.0.community_themes();
+        let mut place: Vec<(String, f64)> = self
+            .theme_profile(user)
+            .into_iter()
+            .filter(|&(node, _)| node != Taxonomy::ROOT)
+            .map(|(node, w)| (themes.taxonomy.path(node), w))
+            .collect();
+        place.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        place
+    }
+
     fn similar_surfers(&self, user: u32, k: usize) -> Vec<(u32, f64)> {
         let profiles: HashMap<u32, BTreeMap<TopicId, f64>> = self
             .0
@@ -707,6 +722,14 @@ fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
     questions
 }
 
+/// A `my_place` answer with its weights as raw bits.
+fn place_bits(place: Vec<(String, f64)>) -> Vec<(String, u64)> {
+    place
+        .into_iter()
+        .map(|(path, w)| (path, w.to_bits()))
+        .collect()
+}
+
 /// The float scores of an answer as raw bits.
 fn score_bits(resp: &Response) -> Vec<(u32, u64)> {
     match resp {
@@ -821,9 +844,10 @@ proptest! {
 
     /// Every mining answer, for every user (registered or not), after every
     /// write, is the one recomputing from scratch gives — as the bytes a
-    /// client would receive. A memo that outlived one of its inputs (a
-    /// first-seen page, dead link or not; a bookmark; a `folder_space(&mut)`
-    /// edit) answers from the past and fails here.
+    /// client would receive, and `my_place` weight for weight, bit for bit.
+    /// A memo that outlived one of its inputs (a first-seen page, dead link
+    /// or not; a bookmark; a `folder_space(&mut)` edit; a page new to its
+    /// visitor) answers from the past and fails here.
     #[test]
     fn memoised_answers_equal_recomputing_from_scratch(
         ops in proptest::collection::vec(op_strategy(), 1..40),
@@ -843,6 +867,11 @@ proptest! {
                         i, op, question, memoised, from_scratch
                     );
                 }
+                prop_assert_eq!(
+                    place_bits(memex.my_place(user)),
+                    place_bits(FromScratch(&memex).my_place(user)),
+                    "after op #{} {:?}, my_place({})", i, op, user
+                );
             }
         }
     }
@@ -923,12 +952,14 @@ fn themes_build_once_per_bookmark_then_read() {
     assert_eq!((builds(&memex), behind(&memex)), (2, 0));
 }
 
-/// Builds so far of (the page -> theme map, any user's routing).
-fn memo_builds(memex: &Memex) -> (u64, u64) {
+/// Builds so far of (the page -> theme map, any user's routing, the
+/// profile table).
+fn memo_builds(memex: &Memex) -> (u64, u64, u64) {
     let snap = memex.registry().snapshot();
     (
         snap.counter("demon.page_themes.builds"),
         snap.counter("demon.routing.builds"),
+        snap.counter("demon.profiles.builds"),
     )
 }
 
@@ -983,9 +1014,9 @@ fn warm_world(corpus: &Arc<Corpus>) -> Memex {
             bookmark(corpus, user, PAGES / 2 + user + 3, FOLDERS[1], time),
         );
     }
-    assert_eq!(memo_builds(&memex), (0, 0), "a write built a memo");
+    assert_eq!(memo_builds(&memex), (0, 0, 0), "a write built a memo");
     ask_everything(&memex);
-    assert_eq!(memo_builds(&memex), (1, 4));
+    assert_eq!(memo_builds(&memex), (1, 4, 1));
     assert_eq!(
         background_builds(&memex),
         1,
@@ -1012,7 +1043,8 @@ fn memos_build_once_per_input_that_moved() {
     let mut memex = warm_world(&corpus);
     let warm = memo_builds(&memex);
 
-    // Repeat visits, by the page's own visitor and by somebody else: nothing.
+    // Repeat visits of one's own page (page 1 was surfed by users 0 and 1
+    // both): nothing.
     for (i, (user, page)) in [(0u32, 1u32), (1, 1), (2, PAGES / 2 + 5), (3, 3)]
         .into_iter()
         .enumerate()
@@ -1022,6 +1054,16 @@ fn memos_build_once_per_input_that_moved() {
         assert_eq!(memo_builds(&memex), warm, "repeat visit #{i} cost a build");
     }
     assert_eq!(routings_live(&memex), 4);
+
+    // A page the community has seen but its visitor had not: their profile
+    // moved, and only the profile table is rebuilt — once.
+    write(&mut memex, visit(&corpus, 1, 0, 150));
+    assert_eq!(memo_builds(&memex), warm, "the visit's ack built a memo");
+    ask_everything(&memex);
+    read(&memex, Request::Recommend { user: 2, k: 3 });
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1, warm.2 + 1));
+    assert_eq!(routings_live(&memex), 4);
+    let warm = memo_builds(&memex);
 
     // A bookmark by user 2 (of a page already seen): their routing and the
     // page themes are gone, nobody else's routing is.
@@ -1038,14 +1080,23 @@ fn memos_build_once_per_input_that_moved() {
         "another user's routing was rebuilt"
     );
     read(&memex, trail_replay(2));
-    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1, warm.2));
     read(&memex, bill(2));
     read(&memex, trail_replay(2));
-    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1), "built twice");
+    assert_eq!(
+        memo_builds(&memex),
+        (warm.0, warm.1 + 1, warm.2),
+        "built twice"
+    );
     read(&memex, Request::SimilarSurfers { user: 1, k: 3 });
-    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1));
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1, warm.2 + 1));
     read(&memex, Request::Recommend { user: 3, k: 3 });
-    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 1), "built twice");
+    memex.my_place(0);
+    assert_eq!(
+        memo_builds(&memex),
+        (warm.0 + 1, warm.1 + 1, warm.2 + 1),
+        "built twice"
+    );
     assert_eq!(
         background_builds(&memex),
         1,
@@ -1061,13 +1112,13 @@ fn memos_build_once_per_input_that_moved() {
     assert_eq!(background_builds(&memex), 1, "the visit's ack built it");
     read(&memex, bill(0));
     read(&memex, trail_replay(3));
-    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 2));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 2, warm.2));
     assert_eq!(background_builds(&memex), 2, "two routings, one background");
     assert_eq!(routings_live(&memex), 2);
     read(&memex, Request::SimilarSurfers { user: 0, k: 3 });
-    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 2));
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 2, warm.2 + 1));
     ask_everything(&memex);
-    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 4));
+    assert_eq!(memo_builds(&memex), (warm.0 + 1, warm.1 + 4, warm.2 + 1));
     let warm = memo_builds(&memex);
 
     // Handing out `&mut FolderSpace` is an edit as far as anyone can tell.
@@ -1075,12 +1126,12 @@ fn memos_build_once_per_input_that_moved() {
     memex.run_demons().expect("demons");
     assert_eq!(routings_live(&memex), 3);
     ask_everything(&memex);
-    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1, warm.2));
 
     // Unregistered users have no folders to route to: nothing to build.
     read(&memex, trail_replay(5));
     read(&memex, bill(5));
-    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1));
+    assert_eq!(memo_builds(&memex), (warm.0, warm.1 + 1, warm.2));
     assert_eq!(routings_live(&memex), 4);
     assert_eq!(background_builds(&memex), 2, "a folder edit moved it");
 }
@@ -1126,7 +1177,8 @@ fn a_page_fetched_after_it_was_trailed_moves_the_background() {
 
 /// Somebody without a folder space has no profile to compare: asking for
 /// their soulmates or recommendations answers empty without building the
-/// themes or the page -> theme map for it — not even when both are due.
+/// themes, the page -> theme map or the profile table for it — not even
+/// when all three are due.
 #[test]
 fn a_stranger_asking_for_soulmates_builds_nothing() {
     let corpus = corpus();
@@ -1140,6 +1192,7 @@ fn a_stranger_asking_for_soulmates_builds_nothing() {
         (
             snap.counter("demon.themes.builds"),
             snap.counter("demon.page_themes.builds"),
+            snap.counter("demon.profiles.builds"),
         )
     };
     let stranger = USERS + 1;
@@ -1163,17 +1216,22 @@ fn a_stranger_asking_for_soulmates_builds_nothing() {
         ),
         Response::Recommend(Vec::new())
     );
-    assert_eq!(theme_builds(&memex), (0, 0), "a stranger's question built");
-    // The same question from a member builds both, once — and `Stats`
+    assert_eq!(
+        theme_builds(&memex),
+        (0, 0, 0),
+        "a stranger's question built"
+    );
+    // The same question from a member builds all three, once — and `Stats`
     // shows how long each build took.
     read(&memex, Request::SimilarSurfers { user: 0, k: 3 });
-    assert_eq!(theme_builds(&memex), (1, 1));
+    assert_eq!(theme_builds(&memex), (1, 1, 1));
     let Response::Stats(snap) = read(&memex, Request::Stats) else {
         panic!("expected Stats");
     };
     for timed in [
         "demon.themes.build.latency",
         "demon.page_themes.build.latency",
+        "demon.profiles.build.latency",
     ] {
         assert_eq!(snap.histogram(timed).map(|h| h.count), Some(1), "{timed}");
     }
@@ -1182,7 +1240,8 @@ fn a_stranger_asking_for_soulmates_builds_nothing() {
 /// Traffic shaped like the benchmark's `browse_mix` — visits by random
 /// users to random pages, every tenth event a bookmark, everybody reading
 /// after every write — rebuilds no more than the writes that moved an input
-/// allow, and nothing at all across a repeat visit.
+/// allow: nothing at all across a repeat visit of one's own page, only the
+/// profile table across a visit of a page new to its visitor alone.
 #[test]
 fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
     let corpus = corpus();
@@ -1196,7 +1255,12 @@ fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
         .iter()
         .map(|v| v.page)
         .collect();
+    let mut theirs: HashMap<u32, HashSet<u32>> = HashMap::new();
+    for v in memex.server.trails.visits() {
+        theirs.entry(v.user).or_default().insert(v.page);
+    }
     let (mut bookmarks, mut first_seen, mut repeats) = (0u64, 0u64, 0u64);
+    let mut new_to_user = 0u64;
     let mut state = 0x9E37_79B9u32;
     let mut draw = |n: u32| {
         state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
@@ -1217,14 +1281,19 @@ fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
             ask_everything(&memex);
         } else {
             let repeat = !seen.insert(page);
+            let own_repeat = !theirs.entry(user).or_default().insert(page);
             write(&mut memex, visit(&corpus, user, page, 1_000 + event));
             ask_everything(&memex);
-            if repeat {
+            let after = memo_builds(&memex);
+            if own_repeat {
                 repeats += 1;
+                assert_eq!(after, before, "repeat visit (event {event}) cost a build");
+            } else if repeat {
+                new_to_user += 1;
                 assert_eq!(
-                    memo_builds(&memex),
-                    before,
-                    "repeat visit (event {event}) cost a build"
+                    (after.0, after.1),
+                    (before.0, before.1),
+                    "a visit new to its user only (event {event}) cost a build"
                 );
             } else {
                 first_seen += 1;
@@ -1232,10 +1301,10 @@ fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
         }
     }
     assert!(
-        repeats >= 60 && first_seen >= 10,
-        "{repeats} repeats, {first_seen} first seen"
+        repeats >= 30 && new_to_user >= 20 && first_seen >= 10,
+        "{repeats} repeats, {new_to_user} new to their user, {first_seen} first seen"
     );
-    let (page_themes, routing) = memo_builds(&memex);
+    let (page_themes, routing, profiles) = memo_builds(&memex);
     assert!(
         page_themes - start.0 <= bookmarks + first_seen,
         "{} page-theme builds for {bookmarks} bookmarks + {first_seen} first-seen pages",
@@ -1245,5 +1314,11 @@ fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
         routing - start.1 <= bookmarks + first_seen * askers,
         "{} routing builds for {bookmarks} bookmarks + {first_seen} first-seen pages x {askers} users",
         routing - start.1
+    );
+    assert!(
+        profiles - start.2 <= bookmarks + first_seen + new_to_user,
+        "{} profile builds for {bookmarks} bookmarks + {first_seen} first-seen pages + \
+         {new_to_user} visits new to their user",
+        profiles - start.2
     );
 }

@@ -93,6 +93,11 @@ impl TrailGraph {
         &self.visits
     }
 
+    /// Every user with at least one visit, in no particular order.
+    pub fn users(&self) -> impl Iterator<Item = u32> + '_ {
+        self.by_user.keys().copied()
+    }
+
     /// The visits of `user`, in recorded order.
     pub fn user_visits(&self, user: u32) -> impl DoubleEndedIterator<Item = &Visit> {
         self.at(self.by_user.get(&user))
@@ -293,6 +298,9 @@ mod tests {
         let back: Vec<u64> = t.page_visits(6).rev().map(|x| x.time).collect();
         assert_eq!(back, vec![5, 20]);
         assert_eq!(t.user_visits(9).count() + t.page_visits(9).count(), 0);
+        let mut users: Vec<u32> = t.users().collect();
+        users.sort_unstable();
+        assert_eq!(users, vec![1, 2]);
     }
 
     #[test]

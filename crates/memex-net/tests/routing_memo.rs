@@ -1,16 +1,23 @@
-//! The page -> theme map and each user's page -> folder routing are built
-//! by the first *reader* after a write that moved one of their inputs, under
-//! the shared lock. This races those builds: after each such write — a first
-//! visit, which drops every memo, then a bookmark, which drops its user's
-//! routing and the page themes — four clients ask `TrailReplay`, `Bill` and
-//! `SimilarSurfers` at the same moment (a barrier, not a sleep) while the
-//! writer keeps streaming repeat visits, which drop nothing. Every answer
-//! must be the one an in-process twin gives at some write epoch the request
-//! could have seen, and the build counters, read over the wire, must move by
-//! exactly one per memo dropped however many readers arrive together: each
-//! routing is asked for by two of the four clients, and the background class
-//! all four routings train against — dropped by the first visit only — by
-//! whichever of them gets there first.
+//! The page -> theme map, the profile table and each user's page -> folder
+//! routing are built by the first *reader* after a write that moved one of
+//! their inputs, under the shared lock. This races those builds: after each
+//! such write four clients ask at the same moment (a barrier, not a sleep)
+//! while the writer keeps streaming repeat visits of the visitors' own
+//! pages, which drop nothing. Every answer must be the one an in-process
+//! twin gives at some write epoch the request could have seen, and the build
+//! counters, read over the wire, must move by exactly one per memo dropped
+//! however many readers arrive together.
+//!
+//! * Routings: after a first visit, which drops every memo, then a bookmark,
+//!   which drops its user's routing and the page themes, the clients ask
+//!   `TrailReplay`, `Bill` and `SimilarSurfers`: each routing is asked for
+//!   by two of the four clients, and the background class all four routings
+//!   train against — dropped by the first visit only — by whichever of them
+//!   gets there first.
+//! * Profiles: after a visit of a page new to its visitor (but not to the
+//!   community), which drops the profile table alone, then a bookmark, which
+//!   drops the themes with it, the clients ask `SimilarSurfers` and
+//!   `Recommend`, every one of which reads the table.
 //!
 //! Runs under the nightly TSan job in CI (`san-matrix`) beside
 //! `theme_memo.rs`.
@@ -90,17 +97,36 @@ fn world(corpus: &Arc<Corpus>) -> Memex {
 /// readers read.
 struct Phase {
     writes: Vec<Request>,
-    /// Builds the reads of this phase must cause: (page themes, routings,
-    /// background).
-    builds: (u64, u64, u64),
+    /// Builds the reads of this phase must cause, counter by counter of the
+    /// race.
+    builds: Vec<u64>,
 }
+
+/// `REPEATS_PER_PHASE` repeat visits, each of a page on its visitor's own
+/// trail, from `time` on.
+fn repeat_visits(corpus: &Corpus, round: usize, time: &mut u64) -> Vec<Request> {
+    (0..REPEATS_PER_PHASE)
+        .map(|i| {
+            *time += 1;
+            let visitor = ((round + i) % READERS) as u32;
+            let known = trail(corpus, visitor)[i];
+            visit(corpus, visitor, known, *time)
+        })
+        .collect()
+}
+
+const ROUTING_COUNTERS: &[&str] = &[
+    "demon.page_themes.builds",
+    "demon.routing.builds",
+    "demon.background.builds",
+];
 
 /// Per round two phases: a first visit (everything is dropped: one page
 /// themes build, one routing build per user, one background build between
 /// them), then a bookmark of that page by the same user (page themes and
 /// that user's routing; the page is surfed and fetched already, so the
 /// background stays).
-fn phases(corpus: &Corpus) -> Vec<Phase> {
+fn routing_phases(corpus: &Corpus) -> Vec<Phase> {
     let mut time = 10_000u64;
     let mut out = Vec::new();
     for round in 0..ROUNDS {
@@ -113,16 +139,11 @@ fn phases(corpus: &Corpus) -> Vec<Phase> {
             } else {
                 bookmark(corpus, user, fresh, time)
             }];
-            for i in 0..REPEATS_PER_PHASE {
-                time += 1;
-                let visitor = ((round + i) % READERS) as u32;
-                let known = trail(corpus, visitor)[i];
-                writes.push(visit(corpus, visitor, known, time));
-            }
+            writes.extend(repeat_visits(corpus, round, &mut time));
             let builds = if first_visit {
-                (1, READERS as u64, 1)
+                vec![1, READERS as u64, 1]
             } else {
-                (1, 1, 0)
+                vec![1, 1, 0]
             };
             out.push(Phase { writes, builds });
         }
@@ -130,12 +151,12 @@ fn phases(corpus: &Corpus) -> Vec<Phase> {
     out
 }
 
-/// What reader `reader` asks, each time round: its own trail tab and
-/// soulmates, and its neighbour's bill — so every user's routing has two
-/// clients after it.
-fn questions(reader: usize) -> [Request; 3] {
+/// What reader `reader` asks in the routing race, each time round: its own
+/// trail tab and soulmates, and its neighbour's bill — so every user's
+/// routing has two clients after it.
+fn routing_questions(reader: usize) -> Vec<Request> {
     let user = reader as u32;
-    [
+    vec![
         Request::TrailReplay {
             user,
             folder: 1,
@@ -151,14 +172,63 @@ fn questions(reader: usize) -> [Request; 3] {
     ]
 }
 
-/// (page themes builds, routing builds, background builds, routings live),
-/// over the wire.
-fn memo_stats(client: &mut MemexClient) -> (u64, u64, u64, i64) {
+const PROFILE_COUNTERS: &[&str] = &[
+    "demon.profiles.builds",
+    "demon.page_themes.builds",
+    "demon.themes.builds",
+];
+
+/// Per round two phases: a user visits a page another user surfed before
+/// the race, new to them but not to the community (the profile table alone),
+/// then bookmarks it (the themes, the page themes and the profile table).
+fn profile_phases(corpus: &Corpus) -> Vec<Phase> {
+    let mut time = 10_000u64;
+    let mut out = Vec::new();
+    for round in 0..ROUNDS {
+        let user = (round % READERS) as u32;
+        let other = (user + 1) % READERS as u32;
+        let own = trail(corpus, user);
+        let borrowed = trail(corpus, other)
+            .into_iter()
+            .find(|page| !own.contains(page))
+            .expect("trails differ");
+        for new_to_user in [true, false] {
+            time += 1;
+            let mut writes = vec![if new_to_user {
+                visit(corpus, user, borrowed, time)
+            } else {
+                bookmark(corpus, user, borrowed, time)
+            }];
+            writes.extend(repeat_visits(corpus, round, &mut time));
+            let builds = if new_to_user {
+                vec![1, 0, 0]
+            } else {
+                vec![1, 1, 1]
+            };
+            out.push(Phase { writes, builds });
+        }
+    }
+    out
+}
+
+/// What reader `reader` asks in the profile race: its own soulmates and
+/// its neighbour's recommendations.
+fn profile_questions(reader: usize) -> Vec<Request> {
+    let user = reader as u32;
+    vec![
+        Request::SimilarSurfers { user, k: READERS },
+        Request::Recommend {
+            user: (user + 1) % READERS as u32,
+            k: 8,
+        },
+    ]
+}
+
+/// The race's build counters and the routings live, over the wire.
+fn memo_stats(client: &mut MemexClient, counters: &[&str]) -> (Vec<u64>, i64) {
     match client.request(&Request::Stats).expect("stats") {
         Response::Stats(snap) => (
-            snap.counter("demon.page_themes.builds"),
-            snap.counter("demon.routing.builds"),
-            snap.counter("demon.background.builds"),
+            counters.iter().map(|name| snap.counter(name)).collect(),
             snap.gauge("demon.routing.live"),
         ),
         other => panic!("expected Stats, got {other:?}"),
@@ -167,6 +237,29 @@ fn memo_stats(client: &mut MemexClient) -> (u64, u64, u64, i64) {
 
 #[test]
 fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
+    race(
+        routing_phases,
+        routing_questions,
+        ROUTING_COUNTERS,
+        READERS as i64,
+    );
+}
+
+#[test]
+fn readers_racing_the_profile_build_agree_with_the_in_process_truth() {
+    race(profile_phases, profile_questions, PROFILE_COUNTERS, 0);
+}
+
+/// Serve the world, stream `phases` with every reader asking its
+/// `questions` after each memo-dropping ack, and hold the answers to the
+/// twin's and `counters` to the phases' builds; `live` routings after each
+/// phase.
+fn race(
+    phases: fn(&Corpus) -> Vec<Phase>,
+    questions: fn(usize) -> Vec<Request>,
+    counters: &'static [&'static str],
+    live: i64,
+) {
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 2,
         pages_per_topic: 40,
@@ -179,7 +272,12 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
     let mut twin = world(&corpus);
     let answers = |twin: &mut Memex| -> Vec<Vec<Response>> {
         (0..READERS)
-            .map(|r| questions(r).map(|q| dispatch(twin, q)).into())
+            .map(|r| {
+                questions(r)
+                    .into_iter()
+                    .map(|q| dispatch(twin, q))
+                    .collect()
+            })
             .collect()
     };
     let mut truth = vec![answers(&mut twin)];
@@ -191,7 +289,7 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
         truth.push(answers(&mut twin));
     }
     let truth = Arc::new(truth);
-    for q in 0..3 {
+    for q in 0..questions(0).len() {
         assert!(
             truth.windows(2).filter(|w| w[0][0][q] != w[1][0][q]).count() >= ROUNDS,
             "the stream must move the answers to question {q}, or any epoch would pass for any other"
@@ -261,33 +359,38 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
         acked.fetch_add(1, Ordering::SeqCst);
     };
     let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
-    let (mut page_themes, mut routings, mut backgrounds, live) = memo_stats(&mut stats);
     assert_eq!(
-        (page_themes, routings, backgrounds, live),
-        (0, 0, 0, 0),
+        memo_stats(&mut stats, counters),
+        (vec![0; counters.len()], 0),
         "building the world read no memo"
     );
+    // One reader's questions warm what the world's bookmarks left unbuilt,
+    // so that each phase builds only what its own write dropped.
+    for (question, expected) in questions(0).iter().zip(&truth[0][0]) {
+        assert_eq!(&stats.request(question).expect("warm-up"), expected);
+    }
+    let mut builds = memo_stats(&mut stats, counters);
     for (i, phase) in phases.iter().enumerate() {
         send(&phase.writes[0]);
-        let (a, b, c, _) = memo_stats(&mut stats);
         assert_eq!(
-            (a, b, c),
-            (page_themes, routings, backgrounds),
-            "the ack of phase {i} built a memo"
+            memo_stats(&mut stats, counters).0,
+            builds.0,
+            "the ack of phase {i} built a memo ({counters:?})"
         );
         barrier.wait();
         for repeat in &phase.writes[1..] {
             send(repeat);
         }
         barrier.wait();
-        page_themes += phase.builds.0;
-        routings += phase.builds.1;
-        backgrounds += phase.builds.2;
+        for (total, moved) in builds.0.iter_mut().zip(&phase.builds) {
+            *total += moved;
+        }
+        builds.1 = live;
         assert_eq!(
-            memo_stats(&mut stats),
-            (page_themes, routings, backgrounds, READERS as i64),
+            memo_stats(&mut stats, counters),
+            builds,
             "phase {i}: {READERS} readers arriving together must share one build per memo \
-             dropped, and repeat visits must drop none"
+             dropped, and repeat visits must drop none ({counters:?})"
         );
     }
     for h in readers {
@@ -309,7 +412,7 @@ fn readers_racing_a_memo_build_agree_with_the_in_process_truth() {
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("net.shed"), 0);
     assert_eq!(snap.counter("net.req.panics"), 0);
-    assert_eq!(snap.counter("demon.page_themes.builds"), page_themes);
-    assert_eq!(snap.counter("demon.routing.builds"), routings);
-    assert_eq!(snap.counter("demon.background.builds"), backgrounds);
+    for (name, total) in counters.iter().zip(&builds.0) {
+        assert_eq!(snap.counter(name), *total, "{name}");
+    }
 }

@@ -4,8 +4,9 @@
 //!
 //! A request analyses its query once ([`SnippetQuery`]) and then reads each
 //! returned page in a single pass: every whitespace-separated display word
-//! is read for its first token ([`Words`]), stemmed in place in one reused
-//! buffer and looked up among the query's stems, while a ring of the last
+//! is read for its first token ([`Words`]) and, if a query stem starts with
+//! its first byte, stemmed in place in one reused buffer and looked up
+//! among the query's stems, while a ring of the last
 //! `window` lookups slides the window. Cost is linear in the page's words
 //! with a constant number of allocations, whatever the page's length.
 
@@ -20,6 +21,10 @@ pub struct SnippetQuery {
     /// Sorted, so a display word costs a binary search however long the
     /// query.
     stems: Vec<String>,
+    /// The bytes the stems start with. Stemming never changes a token's
+    /// first byte, so a word whose token starts elsewhere matches nothing
+    /// and is neither copied nor stemmed.
+    firsts: [bool; 256],
     token: String,
 }
 
@@ -33,8 +38,13 @@ impl SnippetQuery {
         let mut stems: Vec<String> = terms.into_iter().collect();
         stems.sort_unstable();
         stems.dedup();
+        let mut firsts = [false; 256];
+        for first in stems.iter().filter_map(|s| s.bytes().next()) {
+            firsts[usize::from(first)] = true;
+        }
         SnippetQuery {
             stems,
+            firsts,
             token: String::new(),
         }
     }
@@ -62,7 +72,7 @@ impl SnippetQuery {
         let (mut best_word, mut best_offset) = (0usize, 0usize);
         let mut n = 0usize;
         let mut words = Words::new(text);
-        while let Some((start, _)) = words.next_into(&mut self.token) {
+        while let Some((start, _)) = words.next_into(&mut self.token, &self.firsts) {
             let slot = n % ring.len();
             if n >= window {
                 if let (_, Some(q)) = ring[slot] {
@@ -74,11 +84,14 @@ impl SnippetQuery {
                 }
             }
             // The query stem the word matches, if any: by its first token
-            // (none leaves `token` empty), stemmed.
-            stem_in_place(&mut self.token);
-            let hit = match self.token.as_str() {
-                "" => None,
-                stem => self.stems.binary_search_by(|s| s.as_str().cmp(stem)).ok(),
+            // (none, or one no stem starts like, leaves nothing to stem).
+            let hit = match self.token.bytes().next() {
+                Some(first) if self.firsts[usize::from(first)] => {
+                    stem_in_place(&mut self.token);
+                    let stem = self.token.as_str();
+                    self.stems.binary_search_by(|s| s.as_str().cmp(stem)).ok()
+                }
+                _ => None,
             };
             ring[slot] = (start, hit);
             if let Some(q) = hit {

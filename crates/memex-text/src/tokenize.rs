@@ -135,17 +135,30 @@ impl<'a> Words<'a> {
     }
 
     /// The next word and its byte offset, with `token` overwritten by the
-    /// word's first kept token — empty when it has none.
-    pub fn next_into(&mut self, token: &mut String) -> Option<(usize, &'a str)> {
+    /// word's first kept token — empty when it has none. `firsts` gates the
+    /// copy: a word that is one ASCII alphanumeric run whose lower-cased
+    /// first byte is not in it leaves `token` empty, uncopied (a caller that
+    /// looks tokens up by their first byte needs no more; `[true; 256]`
+    /// reads every token).
+    pub fn next_into(
+        &mut self,
+        token: &mut String,
+        firsts: &[bool; 256],
+    ) -> Option<(usize, &'a str)> {
         let bytes = self.text.as_bytes();
         token.clear();
         let start = self.scan(self.pos, true);
         // Nearly every word is ASCII letters and digits up to the next
-        // blank: read as it is scanned.
+        // blank: read as it is scanned — copied only past the gate.
+        let gated = bytes
+            .get(start)
+            .is_some_and(|b| !firsts[usize::from(b.to_ascii_lowercase())]);
         let mut chars = 0usize;
         let mut end = start;
         while let Some(b) = bytes.get(end).filter(|b| b.is_ascii_alphanumeric()) {
-            push_capped(token, &mut chars, b.to_ascii_lowercase() as char);
+            if !gated {
+                push_capped(token, &mut chars, b.to_ascii_lowercase() as char);
+            }
             end += 1;
         }
         if bytes.get(end).is_none_or(|&b| ascii_whitespace(b)) {

@@ -298,21 +298,48 @@ proptest! {
     /// only the first token taken, which is how a snippet reads a page —
     /// both a `Tokens` per word and the `Words` cursor that fuses the
     /// splitting with it. The token buffer is reused throughout, as the
-    /// product reuses it.
+    /// product reuses it. An open gate reads every token; a random one
+    /// reads each token or nothing — and the token whenever its first byte
+    /// is let through.
     #[test]
-    fn streaming_tokenizer_equals_strip_then_split(html in soup()) {
+    fn streaming_tokenizer_equals_strip_then_split(
+        html in soup(),
+        gate in proptest::collection::vec(any::<bool>(), 256),
+    ) {
         prop_assert_eq!(tokenize(&html), words(&strip_html(&html)), "input {:?}", html);
+        let gate: [bool; 256] = gate.try_into().expect("256 bools");
         let mut token = String::from("left over");
         let mut cursor = Words::new(&html);
+        let mut gated = Words::new(&html);
         for word in html.split_whitespace() {
             let first = words(&strip_html(word)).into_iter().next();
-            prop_assert_eq!(Tokens::new(word).next_into(&mut token), first.is_some());
-            prop_assert_eq!(&token, first.as_deref().unwrap_or(""), "word {:?}", word);
+            let first = first.as_deref().unwrap_or("");
+            prop_assert_eq!(Tokens::new(word).next_into(&mut token), !first.is_empty());
+            prop_assert_eq!(&token, first, "word {:?}", word);
             let offset = word.as_ptr() as usize - html.as_ptr() as usize;
-            prop_assert_eq!(cursor.next_into(&mut token), Some((offset, word)));
-            prop_assert_eq!(&token, first.as_deref().unwrap_or(""), "word {:?}", word);
+            prop_assert_eq!(cursor.next_into(&mut token, &[true; 256]), Some((offset, word)));
+            prop_assert_eq!(&token, first, "word {:?}", word);
+            prop_assert_eq!(gated.next_into(&mut token, &gate), Some((offset, word)));
+            let let_through = first.bytes().next().is_some_and(|b| gate[usize::from(b)]);
+            prop_assert!(
+                token == first || (token.is_empty() && !let_through),
+                "word {:?}: {:?} through the gate, {:?} without", word, token, first
+            );
         }
-        prop_assert_eq!(cursor.next_into(&mut token), None);
+        prop_assert_eq!(cursor.next_into(&mut token, &[true; 256]), None);
+        prop_assert_eq!(gated.next_into(&mut token, &gate), None);
+    }
+
+    /// A snippet stems only the tokens whose first byte some query stem
+    /// starts with: exact, because stemming never changes byte 0 — any
+    /// lower-case word, and any token the tokenizer can produce.
+    #[test]
+    fn stemming_keeps_the_first_byte(w in "[a-z]{1,20}", html in soup()) {
+        for token in tokenize(&html).into_iter().chain([w]) {
+            let mut buf = token.clone();
+            stem_in_place(&mut buf);
+            prop_assert_eq!(buf.bytes().next(), token.bytes().next(), "token {:?}", token);
+        }
     }
 
     /// Stemming in place is stemming: any lower-case word, and any token
