@@ -1,8 +1,8 @@
 //! Ablations for the design choices DESIGN.md calls out. These are not
 //! paper tables — they justify the knobs: which evidence channel earns the
 //! T1 lift, how much Fisher feature selection buys, whether TAPER's
-//! hierarchical descent helps over a flat classifier, what bus batching
-//! costs in staleness, and what §3's storage split saves on term statistics.
+//! hierarchical descent helps over a flat classifier, and what §3's storage
+//! split saves on term statistics.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -12,7 +12,6 @@ use memex_learn::enhanced::{EnhancedClassifier, EnhancedOptions, EnhancedProblem
 use memex_learn::eval::{train_test_split, Confusion};
 use memex_learn::nb::{HierarchicalNB, NaiveBayes, NbOptions};
 use memex_learn::taxonomy::Taxonomy;
-use memex_server::threaded::{run_threaded, ThreadedConfig};
 use memex_store::lsm::LsmStore;
 use memex_store::rel::{ColType, Column, Database, Predicate, Schema, Value};
 use memex_text::features::FeatureScore;
@@ -317,32 +316,6 @@ pub fn run_em(quick: bool) -> Table {
         pct(front_acc(&enhanced.predictions)),
     ]);
     table.note("EM makes things WORSE here: front pages form a real text cluster (shared navigational chrome) that is orthogonal to topics, so EM labels them confidently wrong — the classic Nigam et al. caveat. No pure-text learner rescues text-poor pages; link evidence does.");
-    table
-}
-
-/// A4 — bus batch size vs ingest and end-to-end throughput.
-pub fn run_batching(quick: bool) -> Table {
-    let n = if quick { 5_000 } else { 30_000 };
-    let mut table = Table::new(
-        "A4: pipeline batch size vs throughput",
-        &["batch size", "ingest (ev/s)", "end-to-end (ev/s)"],
-    );
-    for &batch in &[1usize, 8, 32, 128] {
-        let r = run_threaded(ThreadedConfig {
-            num_events: n,
-            batch_size: batch,
-            consumers: 3,
-            work_per_event: 2_000,
-            crash_after_events: None,
-            producer_pace_us: 0,
-        });
-        table.row(vec![
-            batch.to_string(),
-            format!("{:.0}", r.ingest_events_per_sec),
-            format!("{:.0}", n as f64 / r.total_elapsed.as_secs_f64().max(1e-9)),
-        ]);
-    }
-    table.note("bigger batches amortise bus locking on both the producer and demon sides");
     table
 }
 

@@ -42,7 +42,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "F3",
-            "Server pipeline: throughput, staleness, recovery (Fig. 3)",
+            "Server pipeline: write-ack latency through the demons (Fig. 3)",
             f3_pipeline::run,
         ),
         ("F4", "Community theme discovery (Fig. 4)", f4_themes::run),
@@ -85,11 +85,6 @@ pub fn all_experiments() -> Vec<Experiment> {
             "A3",
             "Ablation: flat vs hierarchical (TAPER) classification",
             ablations::run_hierarchy,
-        ),
-        (
-            "A4",
-            "Ablation: pipeline batch size",
-            ablations::run_batching,
         ),
         (
             "A5",

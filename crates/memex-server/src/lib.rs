@@ -12,15 +12,13 @@
 //! * [`fetcher`] — the page-fetch demon's source abstraction (the live Web
 //!   in the paper; the simulated corpus here);
 //! * [`pipeline`] — [`pipeline::MemexServer`]: immediate ingest onto the
-//!   loosely-consistent bus, background demons (fetch→index, trail), the
-//!   RDBMS bookkeeping, and bounded-bus event discard;
-//! * [`threaded`] — the concurrent producer/consumer deployment used by
-//!   experiment F3 to measure throughput, staleness and crash recovery.
+//!   event log, the demons that consume it (fetch→index, trail) and the
+//!   RDBMS bookkeeping. The demons run synchronously: every write ack
+//!   drains the log.
 
 pub mod events;
 pub mod fetcher;
 pub mod pipeline;
-pub mod threaded;
 
 pub use events::{ArchiveMode, ClientEvent, VisitEvent};
 pub use fetcher::{

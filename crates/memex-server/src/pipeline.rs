@@ -1,22 +1,22 @@
-//! The Memex server core: guaranteed-immediate event ingest onto a
-//! loosely-consistent bus, plus the background demons (Fig. 3).
+//! The Memex server core: guaranteed-immediate event ingest onto the
+//! event log of paper §3, plus the demons that consume it (Fig. 3).
 //!
 //! The flow mirrors the paper's block diagram:
 //!
 //! ```text
-//! client events ──submit()──► bounded VersionedLog bus  ──┬─► trail demon   (TrailGraph)
-//!        (privacy filter,       (publish = watermark)     └─► index demon   (fetch page,
-//!         overload discard)                                    analyze, invert, RDBMS rows,
-//!                                                              web-graph edges)
+//! client events ──submit()──► EventLog  ──┬─► trail demon   (TrailGraph)
+//!        (privacy filter)   (2 cursors)   └─► index demon   (fetch page,
+//!                                              analyze, invert, RDBMS rows,
+//!                                              web-graph edges)
 //! ```
 //!
 //! A first-visited page is analysed once: the one term vector goes to the
 //! index (`P` postings, `L` length, the `Mseg` counter — nothing a query
 //! cannot read) and to the tf cache the classifiers read.
 //!
-//! Ingest never blocks on mining: when the bus is saturated the server
-//! "recovers … even if it has to discard a few client events" — discards
-//! are counted, which experiment F3 reports against the offered load.
+//! The demons are synchronous: every write ack runs [`MemexServer::drain_demons`]
+//! before it returns, so the log is empty between acks. Admission control
+//! is the serving layer's (`memex-net`'s in-flight limit), not the log's.
 
 use std::collections::{HashMap, HashSet};
 
@@ -26,7 +26,7 @@ use memex_index::index::InvertedIndex;
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use memex_store::error::StoreResult;
 use memex_store::rel::{ColType, Column, Database, Predicate, Schema, TableHandle, Value};
-use memex_store::version::{Consumer, StalenessReport, VersionedLog};
+use memex_store::version::EventLog;
 use memex_text::analyze::Analyzer;
 use memex_text::vocab::{TermId, Vocabulary};
 
@@ -34,22 +34,16 @@ use crate::events::{ArchiveMode, ClientEvent};
 use crate::fetcher::{FetchError, PageFetcher, RetryPolicy};
 
 /// Server tuning.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServerOptions {
-    /// Maximum bus batches retained before ingest starts discarding.
-    pub max_retained_batches: usize,
     /// How hard the index demon tries before abandoning a page.
     pub retry: RetryPolicy,
 }
 
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            max_retained_batches: 100_000,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
+/// The log's cursors, by id: one per demon.
+const CURSORS: [&str; 2] = ["trail-demon", "index-demon"];
+const TRAIL_DEMON: usize = 0;
+const INDEX_DEMON: usize = 1;
 
 /// Operational counters (F3 reports these). Since the observability
 /// refactor this is a point-in-time *view* assembled from the server's
@@ -59,8 +53,6 @@ pub struct ServerStats {
     pub events_submitted: u64,
     /// Dropped because the user's mode was `Off`.
     pub events_mode_filtered: u64,
-    /// Dropped because the bus was saturated.
-    pub events_discarded_overload: u64,
     pub visits_trailed: u64,
     pub pages_fetched: u64,
     pub docs_indexed: u64,
@@ -75,14 +67,13 @@ pub struct ServerStats {
 struct ServerMetrics {
     events_submitted: Counter,
     events_mode_filtered: Counter,
-    events_discarded_overload: Counter,
     visits_trailed: Counter,
     pages_fetched: Counter,
     docs_indexed: Counter,
     bookmarks_recorded: Counter,
     fetch_retries: Counter,
     pages_abandoned: Counter,
-    /// Published-but-retained batches on the bus.
+    /// Events the log retains.
     bus_depth: Gauge,
     fetch_latency: Histogram,
 }
@@ -92,7 +83,6 @@ impl ServerMetrics {
         ServerMetrics {
             events_submitted: registry.counter("server.events.submitted"),
             events_mode_filtered: registry.counter("server.events.mode_filtered"),
-            events_discarded_overload: registry.counter("server.events.discarded_overload"),
             visits_trailed: registry.counter("server.trail.visits"),
             pages_fetched: registry.counter("server.fetch.pages"),
             docs_indexed: registry.counter("server.index.docs"),
@@ -131,9 +121,7 @@ pub struct MemexServer<F: PageFetcher> {
     users_t: TableHandle,
     pages_t: TableHandle,
     bookmarks_t: TableHandle,
-    bus: VersionedLog<ArchivedEvent>,
-    trail_consumer: Consumer<ArchivedEvent>,
-    index_consumer: Consumer<ArchivedEvent>,
+    log: EventLog<ArchivedEvent>,
     /// Term store + postings (the Berkeley-DB side).
     pub index: InvertedIndex,
     pub vocab: Vocabulary,
@@ -164,7 +152,7 @@ impl<F: PageFetcher> MemexServer<F> {
     /// Stand up a server that reports into `registry` — pass
     /// [`MetricsRegistry::disabled`] to turn the observability layer off,
     /// or a shared registry to aggregate several servers. Every subsystem
-    /// the server owns (bus, RDBMS, inverted index) registers here too.
+    /// the server owns (event log, RDBMS, inverted index) registers here too.
     pub fn with_registry(
         fetcher: F,
         opts: ServerOptions,
@@ -199,10 +187,7 @@ impl<F: PageFetcher> MemexServer<F> {
             ],
         )?)?;
         db.create_index(&bookmarks_t, "user")?;
-        let bus = VersionedLog::new();
-        bus.attach_registry(&registry);
-        let trail_consumer = bus.register("trail-demon");
-        let index_consumer = bus.register("index-demon");
+        let log = EventLog::new(&CURSORS, &registry);
         let mut index = InvertedIndex::open_memory()?;
         index.attach_registry(&registry);
         let metrics = ServerMetrics::new(&registry);
@@ -213,9 +198,7 @@ impl<F: PageFetcher> MemexServer<F> {
             users_t,
             pages_t,
             bookmarks_t,
-            bus,
-            trail_consumer,
-            index_consumer,
+            log,
             index,
             vocab: Vocabulary::new(),
             analyzer: Analyzer,
@@ -272,8 +255,8 @@ impl<F: PageFetcher> MemexServer<F> {
         self.modes.get(&user).copied().unwrap_or_default()
     }
 
-    /// Guaranteed-immediate ingest. Returns true if archived, false if
-    /// filtered or discarded.
+    /// Guaranteed-immediate ingest: appends the event to the log. Returns
+    /// true if archived, false if the user's mode filtered it out.
     pub fn submit(&mut self, event: ClientEvent) -> bool {
         self.metrics.events_submitted.inc();
         if let ClientEvent::SetMode { user, mode, .. } = &event {
@@ -285,108 +268,96 @@ impl<F: PageFetcher> MemexServer<F> {
             self.metrics.events_mode_filtered.inc();
             return false;
         }
-        // Overload shedding: trim applied batches, then check saturation.
-        if self.bus.retained() >= self.opts.max_retained_batches {
-            self.bus.trim();
-            if self.bus.retained() >= self.opts.max_retained_batches {
-                self.metrics.events_discarded_overload.inc();
-                self.registry.event(
-                    "server",
-                    format!(
-                        "overload: bus saturated at {} batches, discarding",
-                        self.bus.retained()
-                    ),
-                );
-                return false;
-            }
-        }
         let public = mode == ArchiveMode::Community;
-        self.bus.append(vec![ArchivedEvent { event, public }]);
-        self.bus.publish();
-        self.metrics.bus_depth.set(self.bus.retained() as i64);
+        self.log.append(ArchivedEvent { event, public });
+        self.metrics.bus_depth.set(self.log.retained() as i64);
         true
     }
 
-    /// Run the trail demon: consumes events into the trail graph.
-    /// Returns events processed.
-    pub fn run_trail_demon(&mut self, max_batches: usize) -> usize {
-        let mut processed = 0usize;
-        for (_, batch) in self.trail_consumer.poll_up_to(max_batches) {
-            for ae in batch.iter() {
-                if let ClientEvent::Visit(v) = &ae.event {
-                    self.trails.record(Visit {
-                        user: v.user,
-                        session: v.session,
-                        page: v.page,
-                        time: v.time,
-                        referrer: v.referrer,
-                        public: ae.public,
-                    });
-                    self.metrics.visits_trailed.inc();
-                }
-                processed += 1;
+    /// Run the trail demon over at most `max` pending events: visits go
+    /// into the trail graph. Returns events processed.
+    pub fn run_trail_demon(&mut self, max: usize) -> usize {
+        let pending = self.log.pending(TRAIL_DEMON, max);
+        for ae in pending {
+            if let ClientEvent::Visit(v) = &ae.event {
+                self.trails.record(Visit {
+                    user: v.user,
+                    session: v.session,
+                    page: v.page,
+                    time: v.time,
+                    referrer: v.referrer,
+                    public: ae.public,
+                });
+                self.metrics.visits_trailed.inc();
             }
         }
+        let processed = pending.len();
+        self.log.advance(TRAIL_DEMON, processed);
         processed
     }
 
-    /// Run the fetch+index demon: fetches unseen pages, analyzes them,
-    /// feeds the inverted index, the RDBMS page table, the web graph and
-    /// the bookmark table. Returns events processed.
-    pub fn run_index_demon(&mut self, max_batches: usize) -> StoreResult<usize> {
+    /// Run the fetch+index demon over at most `max` pending events: fetches
+    /// unseen pages, analyzes them, feeds the inverted index, the RDBMS page
+    /// table, the web graph and the bookmark table. Returns events
+    /// processed. An event whose store write fails stays pending, and the
+    /// next pass starts from it.
+    pub fn run_index_demon(&mut self, max: usize) -> StoreResult<usize> {
+        // Applying an event needs `&mut self`, so the log steps out for the
+        // pass: a move of its handle, not of the events.
+        let log = std::mem::take(&mut self.log);
         let mut processed = 0usize;
-        for (_, batch) in self.index_consumer.poll_up_to(max_batches) {
-            for ae in batch.iter() {
-                match &ae.event {
-                    ClientEvent::Visit(v) => {
-                        self.ensure_fetched(v.page)?;
-                    }
-                    ClientEvent::Bookmark {
-                        user,
-                        page,
-                        url: _,
-                        folder,
-                        time,
-                    } => {
-                        self.ensure_fetched(*page)?;
-                        self.db.insert(
-                            &self.bookmarks_t,
-                            vec![
-                                Value::Int(i64::from(*user)),
-                                Value::Int(i64::from(*page)),
-                                Value::Text(folder.clone()),
-                                Value::Int(*time as i64),
-                            ],
-                        )?;
-                        self.bookmarks.push(BookmarkRecord {
-                            user: *user,
-                            page: *page,
-                            folder: folder.clone(),
-                            time: *time,
-                        });
-                        self.metrics.bookmarks_recorded.inc();
-                    }
-                    ClientEvent::SetMode { .. } => {}
-                }
-                processed += 1;
-            }
-        }
-        Ok(processed)
+        let outcome = log.pending(INDEX_DEMON, max).iter().try_for_each(|ae| {
+            self.index_event(&ae.event)?;
+            processed += 1;
+            Ok(())
+        });
+        self.log = log;
+        self.log.advance(INDEX_DEMON, processed);
+        outcome.map(|()| processed)
     }
 
-    /// Drive both demons to quiescence, then let the bus forget what both
-    /// have applied (test/bench convenience; a deployed server calls the
-    /// `run_*_demon` steps from its demon loops).
-    pub fn drain_demons(&mut self) -> StoreResult<()> {
-        loop {
-            let a = self.run_trail_demon(usize::MAX);
-            let b = self.run_index_demon(usize::MAX)?;
-            if a == 0 && b == 0 {
-                self.bus.trim();
-                self.metrics.bus_depth.set(self.bus.retained() as i64);
-                return Ok(());
+    fn index_event(&mut self, event: &ClientEvent) -> StoreResult<()> {
+        match event {
+            ClientEvent::Visit(v) => self.ensure_fetched(v.page),
+            ClientEvent::Bookmark {
+                user,
+                page,
+                url: _,
+                folder,
+                time,
+            } => {
+                self.ensure_fetched(*page)?;
+                self.db.insert(
+                    &self.bookmarks_t,
+                    vec![
+                        Value::Int(i64::from(*user)),
+                        Value::Int(i64::from(*page)),
+                        Value::Text(folder.clone()),
+                        Value::Int(*time as i64),
+                    ],
+                )?;
+                self.bookmarks.push(BookmarkRecord {
+                    user: *user,
+                    page: *page,
+                    folder: folder.clone(),
+                    time: *time,
+                });
+                self.metrics.bookmarks_recorded.inc();
+                Ok(())
             }
+            ClientEvent::SetMode { .. } => Ok(()),
         }
+    }
+
+    /// One pass of each demon over everything pending, then trim the log to
+    /// what neither has applied — empty, unless the index demon failed.
+    /// Every write ack runs it (through `Memex::run_demons`).
+    pub fn drain_demons(&mut self) -> StoreResult<()> {
+        self.run_trail_demon(usize::MAX);
+        let indexed = self.run_index_demon(usize::MAX);
+        self.log.trim();
+        self.metrics.bus_depth.set(self.log.retained() as i64);
+        indexed.map(drop)
     }
 
     /// Fetch-with-retry: transient failures back off (virtual time — the
@@ -457,10 +428,11 @@ impl<F: PageFetcher> MemexServer<F> {
         Ok(())
     }
 
-    /// Per-consumer staleness (published − applied epochs) — the coherence
-    /// lag of Fig. 3's "loosely synchronized data repositories".
-    pub fn staleness(&self) -> Vec<StalenessReport> {
-        self.bus.staleness()
+    /// Each demon's name and staleness (events appended that it has not
+    /// applied) — the coherence lag of Fig. 3's "loosely synchronized data
+    /// repositories".
+    pub fn staleness(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.log.staleness()
     }
 
     /// The one analyzer: pages were indexed through it, so queries must be
@@ -503,7 +475,6 @@ impl<F: PageFetcher> MemexServer<F> {
         ServerStats {
             events_submitted: self.metrics.events_submitted.get(),
             events_mode_filtered: self.metrics.events_mode_filtered.get(),
-            events_discarded_overload: self.metrics.events_discarded_overload.get(),
             visits_trailed: self.metrics.visits_trailed.get(),
             pages_fetched: self.metrics.pages_fetched.get(),
             docs_indexed: self.metrics.docs_indexed.get(),
@@ -564,12 +535,12 @@ mod tests {
         assert!(s.submit(visit(1, 1, 20)));
         // Demons have not run: trail empty, staleness visible.
         assert!(s.trails.is_empty());
-        assert!(s.staleness().iter().all(|r| r.staleness == 2));
+        assert!(s.staleness().all(|(_, n)| n == 2));
         s.drain_demons().unwrap();
         assert_eq!(s.trails.len(), 2);
         assert_eq!(s.stats().pages_fetched, 2);
         assert_eq!(s.index.num_docs(), 2);
-        assert!(s.staleness().iter().all(|r| r.staleness == 0));
+        assert!(s.staleness().all(|(_, n)| n == 0));
         // The page made it into the RDBMS.
         let pages_t = s.db.table("pages").unwrap();
         let hit =
@@ -610,39 +581,18 @@ mod tests {
     }
 
     #[test]
-    fn overload_discards_but_keeps_serving() {
-        let (corpus, _) = server();
-        let mut s = MemexServer::new(
-            CorpusFetcher::new(corpus),
-            ServerOptions {
-                max_retained_batches: 5,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        s.register_user(1, "u").unwrap();
-        for i in 0..20u32 {
-            s.submit(visit(1, i % 3, u64::from(i)));
-        }
-        assert!(s.stats().events_discarded_overload > 0);
-        s.drain_demons().unwrap();
-        // Everything that survived was processed consistently by BOTH demons.
-        assert_eq!(s.stats().visits_trailed, s.trails.len() as u64);
-        assert!(s.trails.len() <= 20 - s.stats().events_discarded_overload as usize);
-    }
-
-    #[test]
     fn the_bus_forgets_what_both_demons_applied() {
         let (_, mut s) = server();
         s.register_user(1, "u").unwrap();
         for i in 0..6u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
-        // One demon alone frees nothing: the other still needs the batches.
+        // One demon alone frees nothing: the other still needs the events.
         s.run_trail_demon(usize::MAX);
-        assert_eq!(s.bus.retained(), 6);
+        s.log.trim();
+        assert_eq!(s.log.retained(), 6);
         s.drain_demons().unwrap();
-        assert_eq!(s.bus.retained(), 0);
+        assert_eq!(s.log.retained(), 0);
         assert_eq!(s.metrics_snapshot().gauge("server.bus.depth"), 0);
         assert_eq!(s.trails.len(), 6);
         assert_eq!(s.index.num_docs(), 6);
@@ -681,20 +631,13 @@ mod tests {
         for i in 0..6u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
-        s.run_trail_demon(3);
-        let reports = s.staleness();
-        let trail = reports
-            .iter()
-            .find(|r| r.consumer == "trail-demon")
-            .unwrap();
-        let index = reports
-            .iter()
-            .find(|r| r.consumer == "index-demon")
-            .unwrap();
-        assert_eq!(trail.staleness, 3);
-        assert_eq!(index.staleness, 6);
+        assert_eq!(s.run_trail_demon(3), 3);
+        assert_eq!(
+            s.staleness().collect::<Vec<_>>(),
+            [("trail-demon", 3), ("index-demon", 6)]
+        );
         s.drain_demons().unwrap();
-        assert!(s.staleness().iter().all(|r| r.staleness == 0));
+        assert!(s.staleness().all(|(_, n)| n == 0));
     }
 
     #[test]
@@ -748,7 +691,7 @@ mod tests {
             s.submit(visit(1, i, u64::from(i)));
         }
         s.drain_demons().unwrap();
-        assert!(s.staleness().iter().all(|r| r.staleness == 0), "no stall");
+        assert!(s.staleness().all(|(_, n)| n == 0), "no stall");
         let stats = s.stats();
         assert_eq!(
             stats.pages_fetched + stats.pages_abandoned,
@@ -768,7 +711,7 @@ mod tests {
     }
 
     /// A fetcher that *always* fails transiently: the demon must abandon
-    /// every page after the bounded retry budget and still drain the bus.
+    /// every page after the bounded retry budget and still drain the log.
     #[test]
     fn total_fetch_outage_abandons_but_never_stalls() {
         let (_, mut s) = flaky_server(10_000, 7);
@@ -784,7 +727,7 @@ mod tests {
         // Budget: max_attempts per page, retries = attempts - 1.
         let per_page = u64::from(ServerOptions::default().retry.max_attempts) - 1;
         assert_eq!(stats.fetch_retries, 10 * per_page);
-        assert!(s.staleness().iter().all(|r| r.staleness == 0));
+        assert!(s.staleness().all(|(_, n)| n == 0));
         // Abandoned pages are remembered: replaying the same page does not
         // re-burn the retry budget.
         s.submit(visit(1, 3, 99));

@@ -17,7 +17,8 @@
 //!
 //! The paper further describes "a loosely-consistent versioning system on
 //! top of the RDBMS, with a single producer (crawler) and several consumers
-//! (indexer and statistical analyzers)"; that is [`version`].
+//! (indexer and statistical analyzers)"; that is [`version`]'s event log
+//! with one named cursor per consumer.
 //!
 //! All byte-level encoding used across the store lives in [`codec`].
 //!
@@ -36,7 +37,7 @@ pub mod wal;
 
 pub use error::{StoreError, StoreResult};
 pub use lsm::{LsmOptions, LsmSnapshot, LsmStore};
-pub use version::{Consumer, Epoch, VersionedLog};
+pub use version::{Epoch, EventLog};
 pub use vfs::{
     FaultConfig, FaultControl, FaultyDir, FaultyStorage, FileDir, FileStorage, MemDir,
     MemDirHandle, MemHandle, MemStorage, Storage, StorageDir,

@@ -1,316 +1,144 @@
 //! The loosely-consistent versioning system of paper §3: "a single producer
-//! (crawler) and several consumers (indexer and statistical analyzers)"
-//! coordinate through published epochs rather than shared transactions.
+//! (crawler) and several consumers (indexer and statistical analyzers)".
 //!
-//! * The **producer** appends batches; each batch gets an epoch number.
-//!   Appended batches are invisible until [`VersionedLog::publish`] moves
-//!   the watermark — so consumers always see a prefix-consistent snapshot.
-//! * Each **consumer** tracks the epoch it has applied; [`Consumer::poll`]
-//!   returns the published-but-unapplied batches. The gap between the
-//!   producer watermark and a consumer is its *staleness* — the quantity
-//!   experiment F3 measures under load.
-//! * Fully-consumed batches can be trimmed (log compaction).
+//! It is an append-only event log owned by its one producer and read through
+//! a fixed set of named cursors, one per consumer:
+//!
+//! * [`EventLog::append`] is the producer's only step. An event is visible to
+//!   every cursor once appended, and its epoch is its absolute position: the
+//!   n-th event ever appended has epoch n.
+//! * A consumer reads [`EventLog::pending`] (the events past its cursor) and
+//!   [`EventLog::advance`]s its cursor over the ones it applied. Its
+//!   *staleness* is `head − cursor`.
+//! * [`EventLog::trim`] drops the prefix every cursor has passed. Epochs keep
+//!   counting from where they were.
+//!
+//! There is no lock: the owner runs its consumers in turn.
 
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use memex_obs::{Gauge, MetricsRegistry};
 
-use memex_obs::{Counter, Gauge, MetricsRegistry};
-
-/// Monotone batch number. Epoch 0 means "nothing yet".
+/// Absolute position of an event in the log. Epoch 0 means "nothing yet".
 pub type Epoch = u64;
 
-/// Obs handles (inert until [`VersionedLog::attach_registry`] is called).
-#[derive(Default)]
-struct LogMetrics {
-    /// Registry kept so consumer gauges can be created lazily on register.
-    registry: Option<MetricsRegistry>,
-    /// Producer watermark (`store.version.published`).
-    published: Gauge,
-    /// Retained (untrimmed) batches (`store.version.retained`).
-    retained: Gauge,
-    /// Per-consumer staleness (`store.version.staleness.<consumer>`).
-    staleness: HashMap<String, Gauge>,
-    /// Epochs lost to trim before application (`store.version.skipped`).
-    skipped: Counter,
+/// Capacity [`EventLog::trim`] leaves the buffer: room for the events one
+/// write ack appends (an import appends one per bookmark), so the served
+/// path allocates nothing once warm.
+const RETAINED_CAPACITY: usize = 64;
+
+struct Cursor {
+    name: &'static str,
+    /// Epoch of the last event this consumer applied; never below the
+    /// log's `trimmed`.
+    applied: Epoch,
+    /// `store.version.staleness.<name>`.
+    staleness: Gauge,
 }
 
-impl LogMetrics {
-    fn consumer_gauge(&mut self, name: &str) -> Gauge {
-        match (self.staleness.get(name), &self.registry) {
-            (Some(g), _) => g.clone(),
-            (None, Some(reg)) => {
-                let g = reg.gauge(&format!("store.version.staleness.{name}"));
-                self.staleness.insert(name.to_string(), g.clone());
-                g
-            }
-            (None, None) => Gauge::default(),
-        }
-    }
+/// An append-only event log read through cursors named at construction.
+pub struct EventLog<T> {
+    /// Events not yet trimmed, oldest first: the i-th has epoch
+    /// `trimmed + i + 1`.
+    events: Vec<T>,
+    /// Epoch of the last event [`EventLog::trim`] dropped.
+    trimmed: Epoch,
+    cursors: Vec<Cursor>,
+    /// `store.version.head`.
+    head: Gauge,
 }
 
-struct State<T> {
-    /// Retained batches in epoch order (possibly trimmed at the front).
-    batches: Vec<(Epoch, Arc<Vec<T>>)>,
-    /// Highest epoch ever appended (may exceed `published`).
-    appended: Epoch,
-    /// Highest epoch visible to consumers.
-    published: Epoch,
-    /// Consumer name -> applied epoch.
-    consumers: HashMap<String, Epoch>,
-    /// Consumer name -> epochs that were trimmed away before the consumer
-    /// could apply them (register-after-trim). Never silently folded into
-    /// `applied` — callers can see exactly how much history they missed.
-    skipped: HashMap<String, u64>,
-    metrics: LogMetrics,
-}
-
-/// Shared, loosely-consistent, multi-consumer batch log.
-pub struct VersionedLog<T> {
-    state: Arc<RwLock<State<T>>>,
-}
-
-impl<T> Clone for VersionedLog<T> {
-    fn clone(&self) -> Self {
-        VersionedLog {
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-/// Per-consumer staleness report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StalenessReport {
-    pub consumer: String,
-    pub applied: Epoch,
-    pub published: Epoch,
-    /// `published - applied`: how many epochs behind this consumer runs.
-    pub staleness: u64,
-    /// Epochs this consumer could never apply because they were trimmed
-    /// before it saw them (register-after-trim). Zero in steady state.
-    pub skipped: u64,
-}
-
-impl<T> Default for VersionedLog<T> {
+impl<T> Default for EventLog<T> {
+    /// An empty log with no cursors and no metrics.
     fn default() -> Self {
-        Self::new()
+        EventLog {
+            events: Vec::new(),
+            trimmed: 0,
+            cursors: Vec::new(),
+            head: Gauge::default(),
+        }
     }
 }
 
-impl<T> VersionedLog<T> {
-    pub fn new() -> VersionedLog<T> {
-        VersionedLog {
-            state: Arc::new(RwLock::new(State {
-                batches: Vec::new(),
-                appended: 0,
-                published: 0,
-                consumers: HashMap::new(),
-                skipped: HashMap::new(),
-                metrics: LogMetrics::default(),
-            })),
-        }
-    }
-
-    /// Register this log's gauges with `registry` (`store.version.*`):
-    /// the producer watermark, retained batch count, and one staleness
-    /// gauge per consumer.
-    pub fn attach_registry(&self, registry: &MetricsRegistry) {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        s.metrics = LogMetrics {
-            registry: Some(registry.clone()),
-            published: registry.gauge("store.version.published"),
-            retained: registry.gauge("store.version.retained"),
-            staleness: HashMap::new(),
-            skipped: registry.counter("store.version.skipped"),
-        };
-        let names: Vec<String> = s.consumers.keys().cloned().collect();
-        for name in names {
-            let applied = s.consumers.get(&name).copied().unwrap_or(0);
-            let published = s.published;
-            let gauge = s.metrics.consumer_gauge(&name);
-            gauge.set(published.saturating_sub(applied) as i64);
-        }
-    }
-
-    /// Producer: stage a batch; returns its epoch. Not yet visible.
-    pub fn append(&self, batch: Vec<T>) -> Epoch {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        s.appended += 1;
-        let epoch = s.appended;
-        s.batches.push((epoch, Arc::new(batch)));
-        s.metrics.retained.set(s.batches.len() as i64);
-        epoch
-    }
-
-    /// Producer: make everything appended so far visible. Returns the new
-    /// watermark.
-    pub fn publish(&self) -> Epoch {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        s.published = s.appended;
-        let published = s.published;
-        s.metrics.published.set(published as i64);
-        // Publishing grows every consumer's backlog.
-        let consumers: Vec<(String, Epoch)> =
-            s.consumers.iter().map(|(n, &a)| (n.clone(), a)).collect();
-        for (name, applied) in consumers {
-            let gauge = s.metrics.consumer_gauge(&name);
-            gauge.set(published.saturating_sub(applied) as i64);
-        }
-        published
-    }
-
-    /// Current visible watermark.
-    pub fn published(&self) -> Epoch {
-        self.state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .published
-    }
-
-    /// Register a consumer starting from epoch 0 (sees all history that is
-    /// still retained).
-    pub fn register(&self, name: &str) -> Consumer<T> {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        s.consumers.entry(name.to_string()).or_insert(0);
-        let applied = s.consumers.get(name).copied().unwrap_or(0);
-        let published = s.published;
-        let gauge = s.metrics.consumer_gauge(name);
-        gauge.set(published.saturating_sub(applied) as i64);
-        drop(s);
-        Consumer {
-            log: self.clone(),
-            name: name.to_string(),
-        }
-    }
-
-    /// Staleness of every registered consumer.
-    pub fn staleness(&self) -> Vec<StalenessReport> {
-        let s = self.state.read().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<StalenessReport> = s
-            .consumers
+impl<T> EventLog<T> {
+    /// An empty log with one cursor per name. A cursor's id, as
+    /// [`EventLog::pending`] and [`EventLog::advance`] take it, is its
+    /// position in `names`. Registers `store.version.head` and one
+    /// `store.version.staleness.<name>` gauge per cursor with `registry`.
+    pub fn new(names: &[&'static str], registry: &MetricsRegistry) -> EventLog<T> {
+        let cursors = names
             .iter()
-            .map(|(name, &applied)| StalenessReport {
-                consumer: name.clone(),
-                applied,
-                published: s.published,
-                staleness: s.published.saturating_sub(applied),
-                skipped: s.skipped.get(name).copied().unwrap_or(0),
+            .map(|&name| Cursor {
+                name,
+                applied: 0,
+                staleness: registry.gauge(&format!("store.version.staleness.{name}")),
             })
             .collect();
-        out.sort_by(|a, b| a.consumer.cmp(&b.consumer));
-        out
+        EventLog {
+            cursors,
+            head: registry.gauge("store.version.head"),
+            ..EventLog::default()
+        }
     }
 
-    /// Drop batches already applied by every consumer. Returns how many
-    /// batches were discarded.
-    pub fn trim(&self) -> usize {
-        let mut s = self.state.write().unwrap_or_else(|e| e.into_inner());
-        let min_applied = s.consumers.values().copied().min().unwrap_or(0);
-        let before = s.batches.len();
-        s.batches.retain(|(e, _)| *e > min_applied);
-        s.metrics.retained.set(s.batches.len() as i64);
-        before - s.batches.len()
+    /// Epoch of the newest event appended.
+    fn head(&self) -> Epoch {
+        self.trimmed + self.events.len() as Epoch
     }
 
-    /// Number of retained batches (diagnostic).
+    /// Producer: append one event, pending at every cursor from now on.
+    /// Returns its epoch.
+    pub fn append(&mut self, event: T) -> Epoch {
+        self.events.push(event);
+        let head = self.head();
+        self.head.set(head as i64);
+        for c in &self.cursors {
+            c.staleness.set((head - c.applied) as i64);
+        }
+        head
+    }
+
+    /// The events `cursor` has not applied yet, oldest first, at most `max`
+    /// of them. An id past the cursors named at construction has none.
+    pub fn pending(&self, cursor: usize, max: usize) -> &[T] {
+        let start = self
+            .cursors
+            .get(cursor)
+            .map_or(self.events.len(), |c| (c.applied - self.trimmed) as usize);
+        let end = start.saturating_add(max).min(self.events.len());
+        self.events.get(start..end).unwrap_or_default()
+    }
+
+    /// Move `cursor` past its next `n` pending events (never past the head).
+    pub fn advance(&mut self, cursor: usize, n: usize) {
+        let head = self.head();
+        if let Some(c) = self.cursors.get_mut(cursor) {
+            c.applied = c.applied.saturating_add(n as Epoch).min(head);
+            c.staleness.set((head - c.applied) as i64);
+        }
+    }
+
+    /// Every cursor's name and staleness (`head − cursor`), in construction
+    /// order.
+    pub fn staleness(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let head = self.head();
+        self.cursors.iter().map(move |c| (c.name, head - c.applied))
+    }
+
+    /// Drop the events every cursor has passed. Returns how many.
+    pub fn trim(&mut self) -> usize {
+        let head = self.head();
+        let floor = self.cursors.iter().map(|c| c.applied).min().unwrap_or(head);
+        let n = (floor - self.trimmed) as usize;
+        self.events.drain(..n);
+        // A bulk load grows the buffer far past what an ack needs; give the
+        // excess back rather than keep it resident for the log's lifetime.
+        self.events.shrink_to(RETAINED_CAPACITY);
+        self.trimmed = floor;
+        n
+    }
+
+    /// Events appended and not yet trimmed.
     pub fn retained(&self) -> usize {
-        self.state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .batches
-            .len()
-    }
-}
-
-/// A named consumer cursor over a [`VersionedLog`].
-pub struct Consumer<T> {
-    log: VersionedLog<T>,
-    name: String,
-}
-
-impl<T> Consumer<T> {
-    /// Published batches not yet applied by this consumer, oldest first.
-    /// Marks them applied. Batches are shared (`Arc`) — no cloning of items.
-    pub fn poll(&self) -> Vec<(Epoch, Arc<Vec<T>>)> {
-        self.poll_up_to(usize::MAX)
-    }
-
-    /// Like [`Consumer::poll`] but applies at most `max_batches` — the
-    /// demon-scheduling primitive: a demon that takes only part of its
-    /// backlog stays (measurably) stale on the rest rather than silently
-    /// skipping it.
-    ///
-    /// The cursor advances only past epochs actually returned, plus any
-    /// epochs that can *never* be returned because `trim` already
-    /// discarded them (a consumer registered after the fact). Discarded
-    /// epochs are counted as skipped — visible via [`Consumer::skipped`],
-    /// [`VersionedLog::staleness`] and the `store.version.skipped`
-    /// counter — instead of being silently folded into `applied`.
-    pub fn poll_up_to(&self, max_batches: usize) -> Vec<(Epoch, Arc<Vec<T>>)> {
-        let mut s = self.log.state.write().unwrap_or_else(|e| e.into_inner());
-        let applied = *s.consumers.get(&self.name).unwrap_or(&0);
-        let published = s.published;
-        if applied >= published || max_batches == 0 {
-            return Vec::new();
-        }
-        let out: Vec<(Epoch, Arc<Vec<T>>)> = s
-            .batches
-            .iter()
-            .filter(|(e, _)| *e > applied && *e <= published)
-            .take(max_batches)
-            .map(|(e, b)| (*e, Arc::clone(b)))
-            .collect();
-        // Epochs in (applied, published] below the oldest retained batch
-        // were trimmed before this consumer could apply them. They are
-        // unavailable forever: skip past them (liveness) but say so.
-        let first_retained = s.batches.first().map(|&(e, _)| e);
-        let unavailable_hi = match first_retained {
-            Some(first) => first.saturating_sub(1).min(published),
-            None => published,
-        };
-        let skipped_now = unavailable_hi.saturating_sub(applied);
-        if skipped_now > 0 {
-            *s.skipped.entry(self.name.clone()).or_insert(0) += skipped_now;
-            s.metrics.skipped.add(skipped_now);
-        }
-        let new_applied = out
-            .last()
-            .map(|&(e, _)| e)
-            .unwrap_or(unavailable_hi)
-            .max(applied);
-        s.consumers.insert(self.name.clone(), new_applied);
-        let gauge = s.metrics.consumer_gauge(&self.name);
-        gauge.set(published.saturating_sub(new_applied) as i64);
-        out
-    }
-
-    /// This consumer's applied epoch.
-    pub fn applied(&self) -> Epoch {
-        *self
-            .log
-            .state
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .consumers
-            .get(&self.name)
-            .unwrap_or(&0)
-    }
-
-    /// How far behind the producer this consumer currently is.
-    pub fn staleness(&self) -> u64 {
-        let s = self.log.state.read().unwrap_or_else(|e| e.into_inner());
-        s.published
-            .saturating_sub(*s.consumers.get(&self.name).unwrap_or(&0))
-    }
-
-    /// Epochs this consumer could never apply because trim discarded them
-    /// first (register-after-trim). Zero in steady state.
-    pub fn skipped(&self) -> u64 {
-        let s = self.log.state.read().unwrap_or_else(|e| e.into_inner());
-        s.skipped.get(&self.name).copied().unwrap_or(0)
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
+        self.events.len()
     }
 }
 
@@ -318,189 +146,100 @@ impl<T> Consumer<T> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unpublished_batches_are_invisible() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let indexer = log.register("indexer");
-        log.append(vec![1, 2]);
-        assert!(
-            indexer.poll().is_empty(),
-            "append without publish is invisible"
-        );
-        log.publish();
-        let got = indexer.poll();
-        assert_eq!(got.len(), 1);
-        assert_eq!(*got[0].1, vec![1, 2]);
+    const A: usize = 0;
+    const B: usize = 1;
+
+    fn log() -> EventLog<u32> {
+        EventLog::new(&["a", "b"], &MetricsRegistry::new())
     }
 
     #[test]
-    fn consumers_progress_independently() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let fast = log.register("indexer");
-        let slow = log.register("analyzer");
+    fn cursors_progress_independently() {
+        let mut log = log();
         for i in 0..5 {
-            log.append(vec![i]);
+            log.append(i);
         }
-        log.publish();
-        assert_eq!(fast.poll().len(), 5);
-        assert_eq!(fast.staleness(), 0);
-        assert_eq!(slow.staleness(), 5);
-        let reports = log.staleness();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].consumer, "analyzer");
-        assert_eq!(reports[0].staleness, 5);
-        assert_eq!(slow.poll().len(), 5);
-        assert_eq!(slow.staleness(), 0);
+        assert_eq!(log.pending(A, usize::MAX), &[0, 1, 2, 3, 4]);
+        log.advance(A, 5);
+        assert!(log.pending(A, usize::MAX).is_empty());
+        assert_eq!(log.pending(B, usize::MAX).len(), 5, "b still has it all");
+        assert_eq!(log.staleness().collect::<Vec<_>>(), [("a", 0), ("b", 5)]);
     }
 
     #[test]
-    fn poll_is_exactly_once() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let c = log.register("c");
-        log.append(vec![1]);
-        log.publish();
-        assert_eq!(c.poll().len(), 1);
-        assert!(c.poll().is_empty());
-        log.append(vec![2]);
-        log.publish();
-        let got = c.poll();
-        assert_eq!(got.len(), 1);
-        assert_eq!(*got[0].1, vec![2]);
-    }
-
-    #[test]
-    fn poll_up_to_limits_and_tracks_staleness() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let c = log.register("c");
-        for i in 0..5 {
-            log.append(vec![i]);
-        }
-        log.publish();
-        let got = c.poll_up_to(2);
-        assert_eq!(got.len(), 2);
-        assert_eq!(c.staleness(), 3, "unapplied batches still count as stale");
-        assert_eq!(c.poll_up_to(0).len(), 0);
-        assert_eq!(c.poll_up_to(10).len(), 3);
-        assert_eq!(c.staleness(), 0);
-    }
-
-    #[test]
-    fn trim_respects_slowest_consumer() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let a = log.register("a");
-        let _b = log.register("b");
-        for i in 0..4 {
-            log.append(vec![i]);
-        }
-        log.publish();
-        a.poll();
-        assert_eq!(log.trim(), 0, "b has applied nothing; nothing trimmable");
-        let b = log.register("b");
-        b.poll();
-        assert_eq!(log.trim(), 4);
-        assert_eq!(log.retained(), 0);
-    }
-
-    /// Regression: a consumer registered *after* `trim` discarded epochs
-    /// used to have its cursor silently jumped to `published`, pretending
-    /// the trimmed epochs were applied. The cursor must still advance
-    /// (liveness — demons wait on staleness reaching zero) but the gap has
-    /// to be reported as skipped, and epochs that are still retained must
-    /// be delivered, not jumped over.
-    #[test]
-    fn register_after_trim_reports_skipped_epochs() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let early = log.register("early");
-        for i in 0..3 {
-            log.append(vec![i]);
-        }
-        log.publish();
-        assert_eq!(early.poll().len(), 3);
-        assert_eq!(log.trim(), 3, "epochs 1..=3 discarded");
-
-        // Epochs 4 and 5 are published after the trim and still retained.
-        log.append(vec![10]);
-        log.append(vec![11]);
-        log.publish();
-
-        let late = log.register("late");
-        assert_eq!(late.staleness(), 5);
-        let got = late.poll_up_to(1);
-        assert_eq!(got.len(), 1, "retained epoch 4 must be delivered");
-        assert_eq!(got[0].0, 4, "cursor may not jump past retained epochs");
-        assert_eq!(*got[0].1, vec![10]);
-        assert_eq!(
-            late.skipped(),
-            3,
-            "trimmed epochs 1..=3 reported, not hidden"
-        );
-
-        let got = late.poll();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, 5);
-        assert_eq!(late.staleness(), 0, "cursor caught up — liveness preserved");
-        assert_eq!(late.skipped(), 3, "skips counted once, not per poll");
-
-        let report = log
-            .staleness()
-            .into_iter()
-            .find(|r| r.consumer == "late")
-            .unwrap();
-        assert_eq!(report.skipped, 3);
-        assert_eq!(report.staleness, 0);
-    }
-
-    /// If *everything* was trimmed, the late consumer's cursor must still
-    /// reach `published` (liveness) while reporting the whole gap.
-    #[test]
-    fn register_after_full_trim_skips_all_and_stays_live() {
-        let log: VersionedLog<u32> = VersionedLog::new();
-        let early = log.register("early");
-        for i in 0..4 {
-            log.append(vec![i]);
-        }
-        log.publish();
-        early.poll();
-        assert_eq!(log.trim(), 4);
-
-        let late = log.register("late");
-        assert!(late.poll().is_empty());
-        assert_eq!(late.staleness(), 0, "cursor advanced past the void");
-        assert_eq!(late.skipped(), 4, "but the void is on the record");
-    }
-
-    #[test]
-    fn concurrent_producer_and_consumers() {
-        let log: VersionedLog<u64> = VersionedLog::new();
-        let consumer = log.register("indexer");
-        let producer = {
-            let log = log.clone();
-            std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    log.append(vec![i]);
-                    if i % 5 == 4 {
-                        log.publish();
-                    }
+    fn every_event_is_delivered_exactly_once_in_order() {
+        let mut log = log();
+        let mut seen = Vec::new();
+        for i in 0..10u32 {
+            assert_eq!(log.append(i), Epoch::from(i) + 1, "epoch = position");
+            if i % 3 == 2 {
+                // Partial passes: at most two events at a time.
+                while !log.pending(A, 2).is_empty() {
+                    let got = log.pending(A, 2);
+                    assert!(got.len() <= 2);
+                    seen.extend_from_slice(got);
+                    let n = got.len();
+                    log.advance(A, n);
                 }
-                log.publish();
-            })
-        };
-        let collector = std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            while seen.len() < 100 {
-                for (_, batch) in consumer.poll() {
-                    seen.extend(batch.iter().copied());
-                }
-                std::thread::yield_now();
             }
-            seen
-        });
-        producer.join().unwrap();
-        let seen = collector.join().unwrap();
-        assert_eq!(
-            seen,
-            (0..100).collect::<Vec<u64>>(),
-            "order and completeness preserved"
-        );
+        }
+        seen.extend_from_slice(log.pending(A, usize::MAX));
+        assert_eq!(seen, (0..10).collect::<Vec<u32>>());
+        assert!(log.pending(A, 0).is_empty());
+        assert!(log.pending(7, usize::MAX).is_empty(), "unknown cursor");
+    }
+
+    #[test]
+    fn trim_respects_the_slowest_cursor() {
+        let mut log = log();
+        for i in 0..4 {
+            log.append(i);
+        }
+        log.advance(A, 4);
+        assert_eq!(log.trim(), 0, "b has applied nothing");
+        log.advance(B, 1);
+        assert_eq!(log.trim(), 1);
+        assert_eq!(log.retained(), 3);
+        assert_eq!(log.pending(B, usize::MAX), &[1, 2, 3], "b resumes in place");
+        log.advance(B, 3);
+        assert_eq!(log.trim(), 3);
+        assert_eq!(log.retained(), 0);
+        assert_eq!(log.append(9), 5, "epochs keep counting past a trim");
+        assert_eq!(log.pending(A, usize::MAX), &[9]);
+        // A bulk load's buffer is handed back once trimmed.
+        for i in 0..1_000 {
+            log.append(i);
+        }
+        log.advance(A, usize::MAX);
+        log.advance(B, usize::MAX);
+        assert_eq!(log.trim(), 1_001);
+        assert!(log.events.capacity() <= RETAINED_CAPACITY);
+    }
+
+    #[test]
+    fn staleness_is_head_minus_cursor() {
+        let registry = MetricsRegistry::new();
+        let mut log: EventLog<u32> = EventLog::new(&["a", "b"], &registry);
+        let gauges = |log: &EventLog<u32>| {
+            let snap = registry.snapshot();
+            (
+                snap.gauge("store.version.head"),
+                snap.gauge("store.version.staleness.a"),
+                snap.gauge("store.version.staleness.b"),
+                log.staleness().map(|(_, s)| s).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(gauges(&log), (0, 0, 0, vec![0, 0]));
+        for i in 0..6 {
+            log.append(i);
+        }
+        log.advance(A, 4);
+        assert_eq!(gauges(&log), (6, 2, 6, vec![2, 6]));
+        log.advance(B, 100);
+        assert_eq!(gauges(&log), (6, 2, 0, vec![2, 0]), "clamped at the head");
+        log.trim();
+        log.append(6);
+        assert_eq!(log.head(), 7);
+        assert_eq!(gauges(&log), (7, 3, 1, vec![3, 1]));
     }
 }

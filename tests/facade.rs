@@ -119,6 +119,76 @@ fn servlet_event_ingest_matches_direct_submit() {
     assert_eq!(memex.server.trails.len(), 1);
 }
 
+/// Every write ack through the served entry point drains the event log: the
+/// log retains nothing afterwards and no demon is behind. This is why the log
+/// needs no overload shedding.
+#[test]
+fn every_write_ack_leaves_the_event_log_empty() {
+    use memex::core::bookmarks_io::{export_netscape, BookmarkEntry};
+    use rand::prelude::*;
+
+    let (corpus, mut memex) = small_world();
+    for user in 0..3 {
+        memex.register_user(user, &format!("u{user}")).unwrap();
+    }
+    let modes = [
+        ArchiveMode::Off,
+        ArchiveMode::Private,
+        ArchiveMode::Community,
+    ];
+    let mut rng = StdRng::seed_from_u64(26);
+    for time in 0..300u64 {
+        let user = rng.gen_range(0u32..3);
+        let page = rng.gen_range(0..corpus.num_pages());
+        let url = corpus.pages[page].url.clone();
+        let page = page as u32;
+        let request = match rng.gen_range(0u32..10) {
+            0..=5 => Request::Event(visit(user, page, time, None)),
+            6 | 7 => Request::Event(ClientEvent::Bookmark {
+                user,
+                page,
+                url,
+                folder: format!("/F{}", page % 3),
+                time,
+            }),
+            8 => Request::Event(ClientEvent::SetMode {
+                user,
+                mode: modes[rng.gen_range(0usize..3)],
+                time,
+            }),
+            _ => Request::ImportBookmarks {
+                user,
+                html: export_netscape(&[BookmarkEntry {
+                    folder_path: vec!["Imported".into()],
+                    url,
+                    title: String::new(),
+                }]),
+                time,
+            },
+        };
+        let response = dispatch(&mut memex, request);
+        assert!(
+            matches!(response, Response::Ack { .. } | Response::Imported { .. }),
+            "ack {time}: {response:?}"
+        );
+        let snap = memex.registry().snapshot();
+        assert_eq!(snap.gauge("server.bus.depth"), 0, "ack {time}");
+        let staleness: Vec<_> = snap
+            .gauges
+            .iter()
+            .filter(|(name, _)| name.starts_with("store.version.staleness."))
+            .collect();
+        assert_eq!(staleness.len(), 2, "one gauge per demon");
+        assert!(
+            staleness.iter().all(|(_, behind)| *behind == 0),
+            "ack {time}: {staleness:?}"
+        );
+    }
+    let stats = memex.server.stats();
+    assert!(stats.visits_trailed > 0 && stats.bookmarks_recorded > 0);
+    assert!(stats.events_mode_filtered > 0, "the mix reached Off mode");
+}
+
 #[test]
 fn trails_follow_referrers_across_users() {
     let (_, mut memex) = small_world();
