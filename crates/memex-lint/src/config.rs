@@ -11,7 +11,6 @@ pub enum Rule {
     Panic,
     Locks,
     Metrics,
-    Codec,
 }
 
 impl Rule {
@@ -20,7 +19,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Locks => "locks",
             Rule::Metrics => "metrics",
-            Rule::Codec => "codec",
         }
     }
 }
@@ -31,10 +29,6 @@ pub struct Config {
     /// Crates whose non-test `src/` code must also be free of slice/array
     /// indexing (the call half of the panic rule applies everywhere).
     pub panic_crates: Vec<String>,
-    /// Files whose configured functions must have wildcard-free matches.
-    pub codec_files: Vec<String>,
-    /// Function names the codec rule applies to within `codec_files`.
-    pub codec_functions: Vec<String>,
     /// Repo-relative path of the metric catalog document.
     pub metrics_catalog: String,
     /// Declared lock acquisition order, outermost first.
@@ -151,8 +145,6 @@ impl Config {
     ) -> Result<(), String> {
         match (section, key) {
             ("lint", "panic_crates") => self.panic_crates = items,
-            ("lint", "codec_files") => self.codec_files = items,
-            ("lint", "codec_functions") => self.codec_functions = items,
             ("locks", "order") => self.lock_order = items,
             _ => return Err(unknown_key(section, key, ln)),
         }
@@ -186,11 +178,9 @@ mod tests {
 
     const SAMPLE: &str = r#"
 [lint]
-panic_crates = ["memex-net", "memex-store"]
-codec_files = ["crates/memex-net/src/wire.rs"]
-codec_functions = [
-    "encode_request",
-    "decode_request",
+panic_crates = [
+    "memex-net",
+    "memex-store",
 ]
 metrics_catalog = "docs/METRICS.md"
 
@@ -206,10 +196,6 @@ order = ["net.accept_rx", "net.memex"]
     fn parses_the_full_shape() {
         let cfg = Config::parse(SAMPLE).unwrap();
         assert_eq!(cfg.panic_crates, vec!["memex-net", "memex-store"]);
-        assert_eq!(
-            cfg.codec_functions,
-            vec!["encode_request", "decode_request"]
-        );
         assert_eq!(cfg.lock_order, vec!["net.accept_rx", "net.memex"]);
         assert_eq!(cfg.metrics_catalog, "docs/METRICS.md");
     }

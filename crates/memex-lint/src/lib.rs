@@ -1,6 +1,6 @@
 //! memex-lint: workspace-native static analysis for the memex codebase.
 //!
-//! Four rule families over a hand-rolled token stream (no external
+//! Three rule families over a hand-rolled token stream (no external
 //! dependencies, no rustc internals, nothing interprocedural — each rule
 //! is a lexical pattern a reviewer can check by eye):
 //!
@@ -12,8 +12,6 @@
 //!    ([`rules::locks`]).
 //! 3. **metrics** — metric-name literals and `docs/METRICS.md` must agree
 //!    bidirectionally ([`rules::metrics`]).
-//! 4. **codec** — no wildcard `_ =>` arms in the wire codec
-//!    ([`rules::codec`]).
 //!
 //! Any finding fails the run: there is no baseline and no allow list.
 //! What the linter does not check — and what does — is tabulated in
@@ -126,9 +124,6 @@ pub fn scan(root: &Path, cfg: &Config) -> io::Result<Scan> {
         }
         rules::locks::check(&model, &rel_path, cfg, &mut lock_analysis);
         metric_uses.extend(rules::metrics::collect_uses(&model, &rel_path));
-        if cfg.codec_files.iter().any(|f| f == &rel_path) {
-            findings.extend(rules::codec::check(&model, &rel_path, cfg));
-        }
     }
 
     findings.extend(lock_analysis.findings);

@@ -80,9 +80,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "memex-lint: lexical static analysis of the workspace's src/ trees.\n\
-                     Four rule families: panic-freedom, lock order, metric catalog,\n\
-                     codec coverage. Any finding fails the run (exit 1); there is no\n\
-                     baseline and no allow list.\n\n\
+                     Three rule families: panic-freedom, lock order, metric catalog.\n\
+                     Any finding fails the run (exit 1); there is no baseline and no\n\
+                     allow list.\n\n\
                      usage: memex-lint [--format github|text]\n\n\
                      Configuration lives in LINT.toml at the workspace root; the rule\n\
                      reference, and what this linter does not check, in docs/LINT.md."

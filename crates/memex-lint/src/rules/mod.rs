@@ -1,9 +1,8 @@
-//! The four rule families. Each consumes a
+//! The three rule families. Each consumes a
 //! [`FileModel`](crate::parse::FileModel) plus the repo-relative path and
 //! yields [`Finding`]s; the driver in `lib.rs` collects them, and any
 //! finding fails the run.
 
-pub mod codec;
 pub mod locks;
 pub mod metrics;
 pub mod panic_rule;

@@ -6,7 +6,7 @@
 
 use memex_lint::config::{Config, Rule};
 use memex_lint::rules::locks::{cycle_findings, LockAnalysis};
-use memex_lint::rules::{codec, locks, metrics, panic_rule};
+use memex_lint::rules::{locks, metrics, panic_rule};
 use memex_lint::{lexer, parse, scan};
 
 fn model(src: &str) -> parse::FileModel {
@@ -16,8 +16,6 @@ fn model(src: &str) -> parse::FileModel {
 const BASE_CONFIG: &str = r#"
 [lint]
 panic_crates = ["serving"]
-codec_files = ["crates/serving/src/wire.rs"]
-codec_functions = ["decode_thing"]
 metrics_catalog = "docs/METRICS.md"
 
 [locks]
@@ -168,38 +166,6 @@ fn metric_catalog_fixture() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 4: codec coverage
-// ---------------------------------------------------------------------------
-
-#[test]
-fn codec_wildcard_fixture() {
-    let cfg = Config::parse(BASE_CONFIG).unwrap();
-    let bad = r#"
-        fn decode_thing(tag: u8) -> Result<Thing, Error> {
-            match tag {
-                0 => Ok(Thing::A),
-                1 => Ok(Thing::B),
-                _ => Err(Error::Unknown),
-            }
-        }
-    "#;
-    let found = codec::check(&model(bad), "crates/serving/src/wire.rs", &cfg);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].function, "decode_thing");
-
-    let good = r#"
-        fn decode_thing(tag: u8) -> Result<Thing, Error> {
-            match tag {
-                0 => Ok(Thing::A),
-                1 => Ok(Thing::B),
-                tag => Err(Error::UnknownTag(tag)),
-            }
-        }
-    "#;
-    assert!(codec::check(&model(good), "crates/serving/src/wire.rs", &cfg).is_empty());
-}
-
-// ---------------------------------------------------------------------------
 // On-disk mini-workspaces: what the driver decides
 // ---------------------------------------------------------------------------
 
@@ -320,7 +286,7 @@ fn run_binary(tree: &TempTree) -> (Option<i32>, String) {
     )
 }
 
-/// End to end: the walker, all four families in one scan, and the only
+/// End to end: the walker, the families in one scan, and the only
 /// policy there is — a seeded finding on disk exits non-zero, its clean
 /// twin exits 0.
 #[test]
@@ -328,8 +294,6 @@ fn seeded_finding_exits_nonzero_and_clean_twin_exits_zero() {
     const CONFIG: &str = r#"
 [lint]
 panic_crates = ["serving"]
-codec_files = ["crates/serving/src/wire.rs"]
-codec_functions = ["decode_thing"]
 metrics_catalog = "docs/METRICS.md"
 "#;
     let tree = TempTree::new("e2e");
@@ -339,17 +303,6 @@ metrics_catalog = "docs/METRICS.md"
         r#"
             pub fn risky(x: Option<u8>) -> u8 {
                 x.unwrap()
-            }
-        "#,
-    );
-    tree.write(
-        "crates/serving/src/wire.rs",
-        r#"
-            fn decode_thing(tag: u8) -> Result<u8, u8> {
-                match tag {
-                    0 => Ok(0),
-                    _ => Err(tag),
-                }
             }
         "#,
     );
@@ -370,25 +323,21 @@ metrics_catalog = "docs/METRICS.md"
     let cfg = Config::parse(CONFIG).unwrap();
     let scanned = scan(&tree.0, &cfg).unwrap();
     assert_eq!(
-        scanned.files_scanned, 2,
+        scanned.files_scanned, 1,
         "vendor/ and tests/ must be invisible to the walker"
     );
     let by_rule: Vec<Rule> = scanned.findings.iter().map(|f| f.rule).collect();
     assert_eq!(
         by_rule,
-        vec![Rule::Panic, Rule::Codec, Rule::Metrics],
+        vec![Rule::Panic, Rule::Metrics],
         "{:?}",
         scanned.findings
     );
     let (code, stdout) = run_binary(&tree);
     assert_eq!(code, Some(1), "{stdout}");
-    assert!(stdout.contains("3 findings"), "{stdout}");
+    assert!(stdout.contains("2 findings"), "{stdout}");
 
     // One finding left is still a failed run: nothing absorbs it.
-    tree.write(
-        "crates/serving/src/wire.rs",
-        "fn decode_thing(tag: u8) -> Result<u8, u8> { match tag { 0 => Ok(0), t => Err(t) } }",
-    );
     tree.write("docs/METRICS.md", "no table rows\n");
     let (code, stdout) = run_binary(&tree);
     assert_eq!(code, Some(1), "{stdout}");

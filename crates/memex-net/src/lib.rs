@@ -7,8 +7,9 @@
 //! socket, `std`-only:
 //!
 //! - [`wire`] — length-prefixed, checksummed, versioned binary framing
-//!   with a hand-rolled serializer for every request/response variant.
-//!   Typed errors, a hard frame cap, no panics on hostile bytes.
+//!   around one declared field list per request/response type, which
+//!   drives both encode and decode. Typed errors, a hard frame cap, no
+//!   panics on hostile bytes.
 //! - [`NetServer`] — a concurrent TCP server: fixed worker pool over a
 //!   bounded accept queue, per-request timeouts, graceful shutdown, and
 //!   semaphore-style admission control that sheds load with explicit
@@ -32,4 +33,4 @@ pub mod wire;
 
 pub use client::{ClientConfig, MemexClient, NetError};
 pub use server::{NetServer, NetServerConfig};
-pub use wire::{FrameKind, TraceContext, WireError, MAX_PAYLOAD, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{FrameKind, TraceContext, WireError, MAX_PAYLOAD, WIRE_VERSION};

@@ -398,6 +398,7 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                         rejected.inc();
                         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
                         let _ = respond(
+                            reg,
                             &mut stream,
                             None,
                             &Response::Overloaded {
@@ -572,19 +573,37 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     }
 }
 
-/// Frame and write one response, echoing the request's trace context.
+/// Frame and write one response, echoing the request's trace context. A
+/// response too big for one frame (an export of a huge folder name, say)
+/// is answered with a typed error instead, counted in
+/// `net.resp.oversized`: the client is told, and the connection stays in
+/// step.
 fn respond(
+    reg: &MetricsRegistry,
     stream: &mut TcpStream,
     trace_ctx: Option<TraceContext>,
     resp: &Response,
 ) -> Result<(), WireError> {
-    wire::write_frame_versioned(
-        stream,
-        wire::WIRE_VERSION,
-        FrameKind::Response,
-        &wire::encode_response(resp),
-        trace_ctx,
-    )
+    let write = |stream: &mut TcpStream, resp: &Response| {
+        let payload = wire::encode_response(resp);
+        wire::write_frame_versioned(
+            stream,
+            wire::WIRE_VERSION,
+            FrameKind::Response,
+            &payload,
+            trace_ctx,
+        )
+    };
+    match write(stream, resp) {
+        Err(WireError::Oversized { .. }) => {
+            reg.counter("net.resp.oversized").inc();
+            write(
+                stream,
+                &Response::Error("response exceeds frame cap".into()),
+            )
+        }
+        wrote => wrote,
+    }
 }
 
 fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
@@ -605,7 +624,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             // speak: report and close (the stream position is no longer
             // trustworthy).
             reg.counter("net.decode.errors").inc();
-            let _ = respond(stream, None, &Response::Error(format!("decode: {e}")));
+            let _ = respond(reg, stream, None, &Response::Error(format!("decode: {e}")));
             return Exchange::Closed;
         }
     };
@@ -614,6 +633,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
         // A client must never send response frames; protocol violation.
         reg.counter("net.decode.errors").inc();
         let _ = respond(
+            reg,
             stream,
             None,
             &Response::Error("protocol: response frame sent to server".into()),
@@ -640,6 +660,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             drop(decode_span);
             reg.counter("net.decode.errors").inc();
             let _ = respond(
+                reg,
                 stream,
                 frame.trace,
                 &Response::Error(format!("decode: {e}")),
@@ -667,7 +688,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             in_flight: prev.min(u32::MAX as usize) as u32,
             limit: limit.min(u32::MAX as usize) as u32,
         };
-        let wrote = respond(stream, frame.trace, &overload);
+        let wrote = respond(reg, stream, frame.trace, &overload);
         // Complete the (short) trace before returning: decode → shed.
         drop(trace_guard);
         return match wrote {
@@ -684,7 +705,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     let encode_started = Instant::now();
-    let wrote = respond(stream, frame.trace, &response);
+    let wrote = respond(reg, stream, frame.trace, &response);
     trace::record_span("net.encode", encode_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);

@@ -2,16 +2,20 @@
 //! variant encodes and decodes back to an equal value, standalone and
 //! through a full checksummed frame.
 //!
-//! Variant coverage is guarded twice: the wildcard-free `match`es in
-//! `wire::encode_request`/`encode_response` (and in
-//! `request_variant_index`/`response_variant_index` below) make a newly
-//! added variant a *compile* error until the codec and these strategies
-//! learn it, and `strategies_cover_every_variant` fails at runtime if a
-//! strategy arm is missing.
+//! Variant coverage is guarded twice: the exhaustive `match`es that
+//! `wire.rs`'s `wire_enum!` generates (and `request_variant_index` /
+//! `response_variant_index` below) make a newly added variant a *compile*
+//! error until the codec and these strategies learn it, and
+//! `strategies_cover_every_variant` fails at runtime if a strategy arm is
+//! missing. Round trips cannot see a change made symmetrically to both
+//! directions, so `fixed_values_encode_to_committed_bytes` pins the bytes.
+
+mod common;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
+use common::decode_frame;
 use memex_core::memex::{BillLine, FolderProposal, RecallHit};
 use memex_core::servlet::{Request, Response};
 use memex_graph::trail::{ContextNode, TrailContext};
@@ -344,6 +348,207 @@ fn strategies_cover_every_variant() {
 }
 
 // ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+
+/// One fixed value of every `Request` and `Response` variant, every
+/// `ClientEvent` and every `ArchiveMode`.
+fn fixed_values() -> (Vec<Request>, Vec<Response>) {
+    let visit = ClientEvent::Visit(VisitEvent {
+        user: 7,
+        session: 3,
+        page: 41,
+        url: "http://example.org/a".into(),
+        time: 1_000,
+        referrer: Some(40),
+    });
+    let bookmark = ClientEvent::Bookmark {
+        user: 7,
+        page: 41,
+        url: "http://example.org/a".into(),
+        folder: "/Research/Δ".into(),
+        time: 1_001,
+    };
+    let mut requests = vec![Request::Event(visit), Request::Event(bookmark)];
+    for (i, mode) in [
+        ArchiveMode::Off,
+        ArchiveMode::Private,
+        ArchiveMode::Community,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        requests.push(Request::Event(ClientEvent::SetMode {
+            user: 7,
+            mode,
+            time: 1_002 + i as u64,
+        }));
+    }
+    requests.extend([
+        Request::Recall {
+            user: 7,
+            query: "surf trails".into(),
+            since: 5,
+            until: u64::MAX,
+            k: 10,
+        },
+        Request::TrailReplay {
+            user: 7,
+            folder: 2,
+            since: 9,
+            max_pages: 20,
+        },
+        Request::WhatsNew {
+            user: 7,
+            folder: 2,
+            since: 9,
+            k: 4,
+        },
+        Request::Bill {
+            user: 7,
+            since: 0,
+            until: 99,
+        },
+        Request::SimilarSurfers { user: 7, k: 3 },
+        Request::Recommend { user: 7, k: 6 },
+        Request::ImportBookmarks {
+            user: 7,
+            html: "<DL><DT><A HREF=\"http://x/\">x</A></DL>".into(),
+            time: 12,
+        },
+        Request::ExportBookmarks { user: 7 },
+        Request::ProposeFolders { user: 7, k: 2 },
+        Request::Stats,
+        Request::Traces {
+            slow_only: true,
+            limit: 17,
+        },
+    ]);
+
+    let mut buckets = [0u64; NUM_BUCKETS];
+    buckets[0] = 1;
+    buckets[NUM_BUCKETS - 1] = u64::MAX;
+    let snapshot = Snapshot {
+        counters: vec![("net.req.ok".into(), 17)],
+        gauges: vec![("net.conn.active".into(), -2)],
+        histograms: vec![(
+            "net.req.latency".into(),
+            HistogramSnapshot {
+                buckets,
+                count: 3,
+                sum: 1_234,
+            },
+        )],
+        events: vec![(
+            "server".into(),
+            vec![Event {
+                seq: 9,
+                message: "overload: shed 3".into(),
+            }],
+        )],
+    };
+    let responses = vec![
+        Response::Ack { archived: true },
+        Response::Recall(vec![RecallHit {
+            page: 5,
+            url: "http://page5".into(),
+            score: 0.75,
+            last_visit: 99,
+            snippet: "…about six months back…".into(),
+        }]),
+        Response::TrailReplay(TrailContext {
+            nodes: vec![ContextNode {
+                page: 1,
+                visit_count: 2,
+                last_time: 3,
+            }],
+            edges: vec![(1, 2, 4)],
+        }),
+        Response::WhatsNew(vec![(3, 0.5), (4, -1.25)]),
+        Response::Bill(vec![BillLine {
+            folder: "/News".into(),
+            bytes: 4_096,
+            visits: 8,
+            fraction: 0.125,
+        }]),
+        Response::SimilarSurfers(vec![(2, 0.9)]),
+        Response::Recommend(vec![(11, 2.0)]),
+        Response::Imported {
+            archived: 3,
+            rejected: 1,
+            unresolved: 2,
+        },
+        Response::Exported("<DL></DL>".into()),
+        Response::Proposals(vec![FolderProposal {
+            name: "memex trails".into(),
+            pages: vec![1, 2, 3],
+        }]),
+        Response::Stats(snapshot),
+        Response::Traces(vec![TraceData {
+            trace_id: 42,
+            spans: vec![SpanData {
+                id: 0,
+                parent: None,
+                name: "net.req".into(),
+                start_ns: 0,
+                end_ns: 100,
+                annotations: vec![("lock_wait_ns".into(), "7".into())],
+            }],
+        }]),
+        Response::Error("boom".into()),
+        Response::Overloaded {
+            in_flight: 8,
+            limit: 4,
+        },
+    ];
+    (requests, responses)
+}
+
+/// Symmetric format changes pass every round trip; this pins the bytes
+/// themselves. Each encoding (and one frame carrying a trace id and a
+/// `retry_of`) is folded into an FNV-1a digest behind its length. A
+/// deliberate format change bumps `WIRE_VERSION` and re-records the digest.
+#[test]
+fn fixed_values_encode_to_committed_bytes() {
+    fn fold(digest: &mut u64, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            *digest ^= u64::from(b);
+            *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let (requests, responses) = fixed_values();
+    let mut seen_req = [false; REQUEST_VARIANTS];
+    let mut seen_resp = [false; RESPONSE_VARIANTS];
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for req in &requests {
+        seen_req[request_variant_index(req)] = true;
+        fold(&mut digest, &wire::encode_request(req));
+    }
+    for resp in &responses {
+        seen_resp[response_variant_index(resp)] = true;
+        fold(&mut digest, &wire::encode_response(resp));
+    }
+    assert!(seen_req.iter().chain(&seen_resp).all(|&s| s));
+    let mut frame = Vec::new();
+    wire::write_frame_versioned(
+        &mut frame,
+        wire::WIRE_VERSION,
+        wire::FrameKind::Request,
+        &wire::encode_request(&Request::Stats),
+        Some(wire::TraceContext {
+            trace_id: 0xDEAD_BEEF_CAFE_F00D,
+            retry_of: Some(0x0123_4567_89AB_CDEF),
+        }),
+    )
+    .expect("write to vec");
+    fold(&mut digest, &frame);
+    assert_eq!(
+        digest, 0x40ea_1bab_1b3c_1f60,
+        "wire bytes moved: digest {digest:#018x}"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Round-trip properties
 // ---------------------------------------------------------------------------
 
@@ -356,10 +561,10 @@ proptest! {
         let back = wire::decode_request(&payload).expect("decode own encoding");
         prop_assert_eq!(&req, &back);
         // And through the full checksummed frame.
-        let frame = wire::frame_bytes(wire::FrameKind::Request, &payload);
-        let (kind, framed) = wire::decode_frame(&frame).expect("decode own frame");
-        prop_assert_eq!(kind, wire::FrameKind::Request);
-        prop_assert_eq!(framed, &payload[..]);
+        let frame = wire::frame_bytes(wire::FrameKind::Request, &payload, None).expect("frame");
+        let meta = decode_frame(&frame).expect("decode own frame");
+        prop_assert_eq!(meta.kind, wire::FrameKind::Request);
+        prop_assert_eq!(meta.payload, payload);
     }
 
     #[test]
@@ -367,10 +572,10 @@ proptest! {
         let payload = wire::encode_response(&resp);
         let back = wire::decode_response(&payload).expect("decode own encoding");
         prop_assert_eq!(&resp, &back);
-        let frame = wire::frame_bytes(wire::FrameKind::Response, &payload);
-        let (kind, framed) = wire::decode_frame(&frame).expect("decode own frame");
-        prop_assert_eq!(kind, wire::FrameKind::Response);
-        prop_assert_eq!(framed, &payload[..]);
+        let frame = wire::frame_bytes(wire::FrameKind::Response, &payload, None).expect("frame");
+        let meta = decode_frame(&frame).expect("decode own frame");
+        prop_assert_eq!(meta.kind, wire::FrameKind::Response);
+        prop_assert_eq!(meta.payload, payload);
     }
 
     #[test]
@@ -380,19 +585,15 @@ proptest! {
         // frame wearing a retired version byte (v2, v3) is rejected.
         let payload = wire::encode_request(&req);
         let ctx = wire::TraceContext { trace_id, retry_of };
-        let mut frame = wire::frame_bytes_versioned(
-            wire::WIRE_VERSION,
-            wire::FrameKind::Request,
-            &payload,
-            Some(ctx),
-        );
-        let meta = wire::decode_frame_meta(&frame).expect("decode traced frame");
+        let mut frame =
+            wire::frame_bytes(wire::FrameKind::Request, &payload, Some(ctx)).expect("frame");
+        let meta = decode_frame(&frame).expect("decode traced frame");
         prop_assert_eq!(meta.trace, Some(ctx));
         prop_assert_eq!(&meta.payload, &payload);
         for retired in [2u8, 3] {
             frame[2] = retired;
             prop_assert!(matches!(
-                wire::decode_frame_meta(&frame),
+                decode_frame(&frame),
                 Err(wire::WireError::UnsupportedVersion(v)) if v == retired
             ));
         }
@@ -404,13 +605,20 @@ proptest! {
         // framing keeps its own boundaries on a contiguous stream.
         let mut buf = Vec::new();
         for req in &reqs {
-            wire::write_request(&mut buf, req).expect("write to vec");
+            wire::write_frame_versioned(
+                &mut buf,
+                wire::WIRE_VERSION,
+                wire::FrameKind::Request,
+                &wire::encode_request(req),
+                None,
+            )
+            .expect("write to vec");
         }
         let mut cursor = std::io::Cursor::new(buf);
         for req in &reqs {
-            let (kind, payload) = wire::read_frame(&mut cursor).expect("read frame");
-            prop_assert_eq!(kind, wire::FrameKind::Request);
-            prop_assert_eq!(req, &wire::decode_request(&payload).expect("decode"));
+            let meta = wire::read_frame_meta(&mut cursor).expect("read frame");
+            prop_assert_eq!(meta.kind, wire::FrameKind::Request);
+            prop_assert_eq!(req, &wire::decode_request(&meta.payload).expect("decode"));
         }
     }
 }

@@ -3,13 +3,22 @@
 //! and flip every single bit, and assert the decoder returns a typed error
 //! every time — it never panics, and never reads past the declared frame
 //! cap. Random junk payloads are also thrown at the payload decoders.
+//! In-memory frames go through the same parser as the socket,
+//! `wire::read_frame_meta`, run over a `&[u8]`.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::decode_frame;
 use memex_core::servlet::{Request, Response};
 use memex_net::wire::{self, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD};
 use memex_obs::Snapshot;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
+
+fn framed(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+    wire::frame_bytes(kind, payload, None).expect("fixture under the cap")
+}
 
 /// Representative fixtures covering scalar, string, vector, nested, and
 /// empty payload shapes.
@@ -82,9 +91,9 @@ fn fixtures() -> Vec<(FrameKind, Vec<u8>)> {
 #[test]
 fn truncation_at_every_offset_errors() {
     for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+        let frame = framed(kind, &payload);
         for cut in 0..frame.len() {
-            let result = wire::decode_frame(&frame[..cut]);
+            let result = decode_frame(&frame[..cut]);
             assert!(
                 result.is_err(),
                 "truncation to {cut}/{} bytes decoded successfully",
@@ -96,16 +105,17 @@ fn truncation_at_every_offset_errors() {
 
 #[test]
 fn bit_flip_at_every_offset_errors() {
-    // The checksum covers version ‖ kind ‖ payload, the magic check covers
-    // the first two bytes, and a flipped length can no longer match the
-    // buffer size — so *every* single-bit corruption must surface as Err.
+    // The checksum covers version ‖ kind ‖ ext ‖ payload, the magic check
+    // covers the first two bytes, and a flipped length can no longer match
+    // the buffer size — so *every* single-bit corruption must surface as
+    // Err.
     for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+        let frame = framed(kind, &payload);
         for i in 0..frame.len() {
             for bit in 0..8 {
                 let mut bad = frame.clone();
                 bad[i] ^= 1 << bit;
-                let result = wire::decode_frame(&bad);
+                let result = decode_frame(&bad);
                 assert!(
                     result.is_err(),
                     "flip of bit {bit} at byte {i}/{} decoded successfully",
@@ -119,10 +129,10 @@ fn bit_flip_at_every_offset_errors() {
 #[test]
 fn truncated_stream_reads_error_and_stop_at_cap() {
     for (kind, payload) in fixtures() {
-        let frame = wire::frame_bytes(kind, &payload);
+        let frame = framed(kind, &payload);
         for cut in 0..frame.len() {
             let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-            assert!(wire::read_frame(&mut cursor).is_err());
+            assert!(wire::read_frame_meta(&mut cursor).is_err());
             // The reader must never have consumed more than the frame cap.
             assert!(cursor.position() as usize <= HEADER_LEN + MAX_PAYLOAD + 4);
         }
@@ -139,17 +149,13 @@ fn oversized_declared_length_never_allocates_or_reads() {
     bytes.push(0); // request
     bytes.extend_from_slice(&((MAX_PAYLOAD as u32) + 1).to_le_bytes());
     bytes.extend_from_slice(&[0u8; 64]);
-    let mut cursor = std::io::Cursor::new(bytes.clone());
+    let mut cursor = std::io::Cursor::new(bytes);
     assert!(matches!(
-        wire::read_frame(&mut cursor),
+        wire::read_frame_meta(&mut cursor),
         Err(WireError::Oversized { .. })
     ));
     // Only the header was consumed.
     assert_eq!(cursor.position() as usize, HEADER_LEN);
-    assert!(matches!(
-        wire::decode_frame(&bytes),
-        Err(WireError::Oversized { .. })
-    ));
 }
 
 proptest! {
@@ -160,7 +166,7 @@ proptest! {
         // Ok or Err are both acceptable; panicking or over-reading is not.
         let _ = wire::decode_request(&junk);
         let _ = wire::decode_response(&junk);
-        let _ = wire::decode_frame(&junk);
+        let _ = decode_frame(&junk);
     }
 
     #[test]
@@ -168,8 +174,6 @@ proptest! {
         // Junk wearing a valid magic + version: exercises the deeper paths.
         let mut bytes = vec![b'M', b'X', wire::WIRE_VERSION];
         bytes.extend_from_slice(&junk);
-        let _ = wire::decode_frame(&bytes);
-        let mut cursor = std::io::Cursor::new(bytes);
-        let _ = wire::read_frame(&mut cursor);
+        let _ = decode_frame(&bytes);
     }
 }

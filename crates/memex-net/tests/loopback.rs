@@ -19,14 +19,19 @@ use memex_web::corpus::{Corpus, CorpusConfig};
 
 const USERS: [u32; 4] = [1, 2, 3, 4];
 
-/// A small community surf: four users, three topics, referrer chains and
-/// bookmarks, demons drained.
-fn community_world() -> Memex {
-    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+/// The synthetic web under `community_world` (deterministic per seed).
+fn community_corpus() -> Arc<Corpus> {
+    Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 3,
         pages_per_topic: 25,
         ..CorpusConfig::default()
-    }));
+    }))
+}
+
+/// A small community surf: four users, three topics, referrer chains and
+/// bookmarks, demons drained.
+fn community_world() -> Memex {
+    let corpus = community_corpus();
     let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
     for &user in &USERS {
         memex
@@ -233,9 +238,9 @@ fn garbage_frames_get_an_error_frame_then_close() {
     raw.write_all(b"not a memex frame at all......................")
         .expect("write garbage");
     // The server answers with a typed Error response frame, then closes.
-    let (kind, payload) = memex_net::wire::read_frame(&mut raw).expect("error frame back");
-    assert_eq!(kind, memex_net::FrameKind::Response);
-    match memex_net::wire::decode_response(&payload).expect("decode error frame") {
+    let frame = memex_net::wire::read_frame_meta(&mut raw).expect("error frame back");
+    assert_eq!(frame.kind, memex_net::FrameKind::Response);
+    match memex_net::wire::decode_response(&frame.payload).expect("decode error frame") {
         Response::Error(msg) => assert!(msg.contains("decode"), "unexpected message: {msg}"),
         other => panic!("expected Error response, got {other:?}"),
     }
@@ -258,6 +263,54 @@ fn garbage_frames_get_an_error_frame_then_close() {
 
     let memex = server.shutdown();
     assert!(memex.registry().snapshot().counter("net.decode.errors") >= 1);
+}
+
+/// A response too big for one frame is answered with a typed error, not a
+/// dead worker: a 4 MiB folder name of `&`s fits in a request, but its
+/// HTML-escaped export (≈ 20 MiB) is over the 16 MiB frame cap.
+#[test]
+fn over_cap_response_is_a_typed_error_and_the_worker_survives() {
+    let corpus = community_corpus();
+    let page = corpus.pages_of_topic(0)[0];
+    let url = corpus.pages[page as usize].url.clone();
+    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
+        .expect("bind");
+    let mut client =
+        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let ack = client
+        .request(&Request::Event(ClientEvent::Bookmark {
+            user: 1,
+            page,
+            url,
+            folder: "&".repeat(4 << 20),
+            time: 1_000_000,
+        }))
+        .expect("bookmark");
+    assert_eq!(ack, Response::Ack { archived: true });
+    match client
+        .request(&Request::ExportBookmarks { user: 1 })
+        .expect("export answered, not a dropped connection")
+    {
+        Response::Error(msg) => assert_eq!(msg, "response exceeds frame cap"),
+        other => panic!(
+            "expected the over-cap error, got {:?}",
+            std::mem::discriminant(&other)
+        ),
+    }
+    // The same worker and connection keep serving.
+    assert!(matches!(
+        client.request(&Request::Stats).expect("next request"),
+        Response::Stats(_)
+    ));
+    drop(client);
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(
+        snap.gauge("net.conn.active"),
+        0,
+        "a worker died holding its connection"
+    );
+    assert_eq!(snap.counter("net.req.panics"), 0);
+    assert_eq!(snap.counter("net.resp.oversized"), 1);
 }
 
 #[test]

@@ -265,7 +265,7 @@ fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_conte
     // version — the only one the server speaks), then the connection
     // closes. Nothing was dispatched.
     for retired in [2u8, 3] {
-        let mut frame = wire::frame_bytes(FrameKind::Request, &payload);
+        let mut frame = wire::frame_bytes(FrameKind::Request, &payload, None).expect("frame");
         frame[2] = retired;
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
