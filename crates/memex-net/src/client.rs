@@ -1,10 +1,12 @@
 //! Blocking client for the Memex wire protocol.
 //!
 //! [`MemexClient`] keeps one TCP connection and pipelines request/response
-//! pairs over it. Connects are bounded by a connect timeout, each exchange
-//! by read/write timeouts, and a connection torn down underneath us
-//! (broken pipe, reset, EOF — e.g. the server closed an idle connection)
-//! is re-dialled transparently and the request retried, at most
+//! pairs over it, reading answers through a per-connection `BufReader` (a
+//! frame costs one `recv`) and writing requests straight to the socket; a
+//! re-dial drops the buffer with the dead connection. Connects are bounded
+//! by a connect timeout, each exchange by read/write timeouts, and a
+//! connection torn down underneath us (broken pipe, reset, EOF — e.g. the
+//! server closed an idle connection) is re-dialled transparently and the request retried, at most
 //! [`ClientConfig::reconnect_attempts`] times — but **only for read
 //! requests** ([`Request::is_read`]). A write (`Event`, `ImportBookmarks`)
 //! whose connection dies mid-exchange may already have been applied by the
@@ -25,7 +27,7 @@
 //! annotation so the attempts of one logical request can be stitched
 //! together.
 
-use std::io::ErrorKind;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -141,7 +143,7 @@ impl NetError {
 pub struct MemexClient {
     addr: SocketAddr,
     config: ClientConfig,
-    stream: Option<TcpStream>,
+    stream: Option<BufReader<TcpStream>>,
     trace_ids: TraceIdGen,
     last_trace_id: Option<u64>,
 }
@@ -167,12 +169,12 @@ impl MemexClient {
         Ok(client)
     }
 
-    fn dial(&self) -> Result<TcpStream, NetError> {
+    fn dial(&self) -> Result<BufReader<TcpStream>, NetError> {
         let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
         stream.set_read_timeout(Some(self.config.request_timeout))?;
         stream.set_write_timeout(Some(self.config.request_timeout))?;
         stream.set_nodelay(true)?;
-        Ok(stream)
+        Ok(BufReader::new(stream))
     }
 
     /// Send one request and block for its response.
@@ -208,7 +210,8 @@ impl MemexClient {
             match Self::exchange(stream, trace_ctx, &payload) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => {
-                    // Whatever happened, this connection is suspect.
+                    // Whatever happened, this connection is suspect: drop
+                    // it, and whatever it had buffered, before a re-dial.
                     self.stream = None;
                     if e.reconnectable() {
                         if !request.is_read() {
@@ -240,18 +243,18 @@ impl MemexClient {
     }
 
     fn exchange(
-        stream: &mut TcpStream,
+        conn: &mut BufReader<TcpStream>,
         trace_ctx: TraceContext,
         request_payload: &[u8],
     ) -> Result<Response, NetError> {
         wire::write_frame_versioned(
-            stream,
+            conn.get_mut(),
             wire::WIRE_VERSION,
             FrameKind::Request,
             request_payload,
             Some(trace_ctx),
         )?;
-        let meta = wire::read_frame_meta(stream)?;
+        let meta = wire::read_frame_meta(conn)?;
         if meta.kind != FrameKind::Response {
             return Err(NetError::Protocol("request frame received from server"));
         }

@@ -14,7 +14,10 @@
 //! serving shape, on one process.
 //!
 //! **Epoch-keyed read cache:** identical read requests between two writes
-//! hit a bounded FIFO cache keyed by the request itself. Every entry is
+//! hit a bounded FIFO cache keyed by the request itself. An entry is the
+//! answer's encoded payload and its CRC-32, so a hit only frames those bytes
+//! for the request's trace context: no clone of the answer, no re-encode,
+//! and a checksum over the envelope alone. Every entry is
 //! tagged with the write epoch *loaded before* the underlying dispatch
 //! acquired the read lock; an entry is served only while its tag equals the
 //! current epoch, so a cached response can never outlive the write that
@@ -64,7 +67,7 @@
 //! wire — reports them.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::ErrorKind;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -118,6 +121,15 @@ impl Default for NetServerConfig {
     }
 }
 
+/// An encoded response payload and its CRC-32 (see
+/// [`wire::checked_response`]): what the read cache keeps, and all a
+/// response frame needs besides the trace context.
+type Encoded = Arc<(Vec<u8>, u32)>;
+
+fn encoded(resp: &Response) -> Encoded {
+    Arc::new(wire::checked_response(resp))
+}
+
 /// Bounded FIFO read-result cache keyed by the request. Entries carry the
 /// write epoch observed before their dispatch; [`ReadCache::get`] serves an
 /// entry only while that tag equals the newest epoch the cache has seen.
@@ -129,7 +141,7 @@ struct ReadCache {
     /// Newest write epoch this cache has observed; entries tagged older
     /// are dead weight and are purged on the bump.
     epoch: u64,
-    map: HashMap<Request, (u64, Response)>,
+    map: HashMap<Request, (u64, Encoded)>,
     /// Insertion order for FIFO eviction; may lag `map` (stale entries are
     /// removed from `map` first), which eviction tolerates.
     order: VecDeque<Request>,
@@ -163,10 +175,10 @@ impl ReadCache {
 
     /// Probe for `key` at `epoch`. Returns the hit (if live) and how many
     /// stale entries the epoch observation purged.
-    fn get(&mut self, key: &Request, epoch: u64) -> (Option<Response>, u64) {
+    fn get(&mut self, key: &Request, epoch: u64) -> (Option<Encoded>, u64) {
         let purged = self.note_epoch(epoch);
         let hit = match self.map.get(key) {
-            Some((tag, resp)) if *tag == self.epoch => Some(resp.clone()),
+            Some((tag, answer)) if *tag == self.epoch => Some(Arc::clone(answer)),
             Some(_) => {
                 // Tagged older than the newest seen epoch (an under-tagged
                 // racing insert): dead — drop rather than serve.
@@ -182,7 +194,7 @@ impl ReadCache {
     /// evicted for capacity, and how many stale ones the epoch observation
     /// purged. An insert tagged older than the newest seen epoch is dead
     /// on arrival and is not stored (it must not waste a slot).
-    fn put(&mut self, key: Request, epoch: u64, resp: Response) -> (u64, u64) {
+    fn put(&mut self, key: Request, epoch: u64, answer: Encoded) -> (u64, u64) {
         if self.capacity == 0 {
             return (0, 0);
         }
@@ -191,7 +203,7 @@ impl ReadCache {
             return (0, purged);
         }
         let mut evicted = 0u64;
-        if self.map.insert(key.clone(), (epoch, resp)).is_none() {
+        if self.map.insert(key.clone(), (epoch, answer)).is_none() {
             self.order.push_back(key);
             while self.map.len() > self.capacity {
                 match self.order.pop_front() {
@@ -225,7 +237,23 @@ struct Shared {
 }
 
 impl Shared {
-    fn cache_get(&self, key: &Request, epoch: u64) -> Option<Response> {
+    fn new(memex: Memex, config: NetServerConfig) -> Shared {
+        let registry = memex.registry().clone();
+        memex.tracer().configure(config.trace);
+        let tracer = memex.tracer().clone();
+        Shared {
+            memex: RwLock::new(memex),
+            epoch: AtomicU64::new(0),
+            cache: Mutex::new(ReadCache::new(config.read_cache)),
+            registry,
+            shutdown: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            config,
+            tracer,
+        }
+    }
+
+    fn cache_get(&self, key: &Request, epoch: u64) -> Option<Encoded> {
         let (hit, purged) = self
             .cache
             .lock()
@@ -239,12 +267,12 @@ impl Shared {
         hit
     }
 
-    fn cache_put(&self, key: Request, epoch: u64, resp: Response) {
+    fn cache_put(&self, key: Request, epoch: u64, answer: Encoded) {
         let (evicted, purged) = self
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .put(key, epoch, resp);
+            .put(key, epoch, answer);
         if evicted > 0 {
             self.registry.counter("net.read.cache.evict").add(evicted);
         }
@@ -276,19 +304,7 @@ impl NetServer {
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let registry = memex.registry().clone();
-        memex.tracer().configure(config.trace);
-        let tracer = memex.tracer().clone();
-        let shared = Arc::new(Shared {
-            memex: RwLock::new(memex),
-            epoch: AtomicU64::new(0),
-            cache: Mutex::new(ReadCache::new(config.read_cache)),
-            registry,
-            shutdown: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            config,
-            tracer,
-        });
+        let shared = Arc::new(Shared::new(memex, config));
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
         let mut worker_handles = Vec::with_capacity(config.workers.max(1));
@@ -401,10 +417,10 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                             reg,
                             &mut stream,
                             None,
-                            &Response::Overloaded {
+                            &encoded(&Response::Overloaded {
                                 in_flight: shared.config.accept_queue as u32,
                                 limit: shared.config.accept_queue as u32,
-                            },
+                            }),
                         );
                     }
                     Err(TrySendError::Disconnected(_)) => break,
@@ -439,14 +455,18 @@ enum Exchange {
     Closed,
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let reg = &shared.registry;
     let active = reg.gauge("net.conn.active");
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
     active.add(1);
-    while let Exchange::Served = exchange_one(&mut stream, shared) {
+    // Frames are read through the buffer (one `recv` takes in a whole
+    // request, or several pipelined ones); answers are written straight to
+    // the socket underneath it.
+    let mut conn = BufReader::new(stream);
+    while let Exchange::Served = exchange_one(&mut conn, shared) {
         // After answering, honour a pending shutdown: the request in
         // flight was served, the connection closes at a frame boundary.
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -468,8 +488,9 @@ fn note_lock_acquired(reg: &MetricsRegistry, kind: &str, waited_since: Instant) 
 }
 
 /// Serve one read request: probe the epoch-keyed cache, else dispatch
-/// under the shared read guard and (when cacheable) remember the answer.
-fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
+/// under the shared read guard, encode, and (when cacheable) remember the
+/// encoded answer.
+fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
     let reg = &shared.registry;
     let started = Instant::now();
     // The epoch MUST be loaded before the read lock is acquired: a write
@@ -484,13 +505,9 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
             request.as_request(),
             Request::Stats | Request::Traces { .. }
         );
-    let cache_key = if cacheable {
-        Some(request.as_request().clone())
-    } else {
-        None
-    };
-    if let Some(key) = &cache_key {
-        if let Some(resp) = shared.cache_get(key, epoch) {
+    if cacheable {
+        let key = request.as_request();
+        if let Some(answer) = shared.cache_get(key, epoch) {
             reg.counter("net.req.ok").inc();
             reg.counter("net.read.ok").inc();
             reg.counter("net.read.cache.hit").inc();
@@ -500,10 +517,12 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
             reg.histogram(key.latency_metric())
                 .record(started.elapsed().as_nanos() as u64);
             trace::annotate("cache_hit", "true");
-            return resp;
+            return answer;
         }
         reg.counter("net.read.cache.miss").inc();
     }
+    // Only a miss pays for an owned key: the dispatch consumes the request.
+    let cache_key = cacheable.then(|| request.as_request().clone());
     // The lock is taken *inside* the unwind boundary: a panicking dispatch
     // drops the guard mid-unwind and the worker survives to answer with a
     // typed error. (Read guards do not poison an `RwLock`; a poisoned
@@ -521,25 +540,30 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Response {
         Ok(Some(resp)) => {
             reg.counter("net.req.ok").inc();
             reg.counter("net.read.ok").inc();
+            let answer = encoded(&resp);
             if let Some(key) = cache_key {
-                shared.cache_put(key, epoch, resp.clone());
+                shared.cache_put(key, epoch, Arc::clone(&answer));
             }
-            resp
+            answer
         }
         Ok(None) => {
             reg.counter("net.req.poisoned").inc();
-            Response::Error("internal: memex state poisoned by an earlier panic".into())
+            encoded(&Response::Error(
+                "internal: memex state poisoned by an earlier panic".into(),
+            ))
         }
         Err(_panic) => {
             reg.counter("net.req.panics").inc();
-            Response::Error("internal: request dispatch panicked".into())
+            encoded(&Response::Error(
+                "internal: request dispatch panicked".into(),
+            ))
         }
     }
 }
 
 /// Serve one write request under the exclusive guard: bump the write epoch
 /// (which invalidates the cached reads), then apply it, demons included.
-fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
+fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
     let reg = &shared.registry;
     let lock_started = Instant::now();
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -558,57 +582,53 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Response {
     match dispatched {
         Ok(Some(resp)) => {
             reg.counter("net.req.ok").inc();
-            resp
+            encoded(&resp)
         }
         Ok(None) => {
             reg.counter("net.req.poisoned").inc();
-            Response::Error("internal: memex state poisoned by an earlier panic".into())
+            encoded(&Response::Error(
+                "internal: memex state poisoned by an earlier panic".into(),
+            ))
         }
         Err(_panic) => {
             // The panicking dispatch held the write guard, so the lock is
             // now poisoned; later requests degrade to typed errors above.
             reg.counter("net.req.panics").inc();
-            Response::Error("internal: request dispatch panicked".into())
+            encoded(&Response::Error(
+                "internal: request dispatch panicked".into(),
+            ))
         }
     }
 }
 
-/// Frame and write one response, echoing the request's trace context. A
-/// response too big for one frame (an export of a huge folder name, say)
-/// is answered with a typed error instead, counted in
-/// `net.resp.oversized`: the client is told, and the connection stays in
-/// step.
+/// Frame one encoded response with the request's trace context and write
+/// it in one `write_all`. A response too big for one frame (an export of a
+/// huge folder name, say) is answered with a typed error instead, counted
+/// in `net.resp.oversized`: the client is told, and the connection stays
+/// in step.
 fn respond(
     reg: &MetricsRegistry,
-    stream: &mut TcpStream,
+    out: &mut impl Write,
     trace_ctx: Option<TraceContext>,
-    resp: &Response,
+    answer: &(Vec<u8>, u32),
 ) -> Result<(), WireError> {
-    let write = |stream: &mut TcpStream, resp: &Response| {
-        let payload = wire::encode_response(resp);
-        wire::write_frame_versioned(
-            stream,
-            wire::WIRE_VERSION,
-            FrameKind::Response,
-            &payload,
-            trace_ctx,
-        )
-    };
-    match write(stream, resp) {
+    let (payload, crc) = answer;
+    let frame = match wire::frame_with_crc(FrameKind::Response, payload, *crc, trace_ctx) {
         Err(WireError::Oversized { .. }) => {
             reg.counter("net.resp.oversized").inc();
-            write(
-                stream,
-                &Response::Error("response exceeds frame cap".into()),
-            )
+            let error =
+                wire::encode_response(&Response::Error("response exceeds frame cap".into()));
+            wire::frame_bytes(FrameKind::Response, &error, trace_ctx)?
         }
-        wrote => wrote,
-    }
+        framed => framed?,
+    };
+    out.write_all(&frame)?;
+    Ok(())
 }
 
-fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
+fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
     let reg = &shared.registry;
-    let frame = match wire::read_frame_meta(stream) {
+    let frame = match wire::read_frame_meta(conn) {
         Ok(f) => f,
         Err(WireError::Io(e)) => {
             // Clean close, peer reset, or idle timeout: just drop the
@@ -624,7 +644,12 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             // speak: report and close (the stream position is no longer
             // trustworthy).
             reg.counter("net.decode.errors").inc();
-            let _ = respond(reg, stream, None, &Response::Error(format!("decode: {e}")));
+            let _ = respond(
+                reg,
+                conn.get_mut(),
+                None,
+                &encoded(&Response::Error(format!("decode: {e}"))),
+            );
             return Exchange::Closed;
         }
     };
@@ -634,9 +659,11 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
         reg.counter("net.decode.errors").inc();
         let _ = respond(
             reg,
-            stream,
+            conn.get_mut(),
             None,
-            &Response::Error("protocol: response frame sent to server".into()),
+            &encoded(&Response::Error(
+                "protocol: response frame sent to server".into(),
+            )),
         );
         return Exchange::Closed;
     }
@@ -661,9 +688,9 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             reg.counter("net.decode.errors").inc();
             let _ = respond(
                 reg,
-                stream,
+                conn.get_mut(),
                 frame.trace,
-                &Response::Error(format!("decode: {e}")),
+                &encoded(&Response::Error(format!("decode: {e}"))),
             );
             return Exchange::Closed;
         }
@@ -688,7 +715,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             in_flight: prev.min(u32::MAX as usize) as u32,
             limit: limit.min(u32::MAX as usize) as u32,
         };
-        let wrote = respond(reg, stream, frame.trace, &overload);
+        let wrote = respond(reg, conn.get_mut(), frame.trace, &encoded(&overload));
         // Complete the (short) trace before returning: decode → shed.
         drop(trace_guard);
         return match wrote {
@@ -696,7 +723,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
             Err(_) => Exchange::Closed,
         };
     }
-    let response = {
+    let answer = {
         let _span = reg.span("net.req.latency");
         match request.classify() {
             Classified::Read(r) => answer_read(shared, r),
@@ -705,7 +732,7 @@ fn exchange_one(stream: &mut TcpStream, shared: &Shared) -> Exchange {
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     let encode_started = Instant::now();
-    let wrote = respond(reg, stream, frame.trace, &response);
+    let wrote = respond(reg, conn.get_mut(), frame.trace, &answer);
     trace::record_span("net.encode", encode_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);
@@ -730,12 +757,85 @@ mod tests {
         }
     }
 
-    // A cheap, distinguishable stand-in response for cache entries.
-    fn resp(tag: u32) -> Response {
-        Response::Overloaded {
+    // A cheap, distinguishable stand-in answer for cache entries.
+    fn resp(tag: u32) -> Encoded {
+        encoded(&Response::Overloaded {
             in_flight: tag,
             limit: tag,
+        })
+    }
+
+    /// A cache hit writes, byte for byte, the frame a miss writes for the
+    /// same request and trace context: `frame_bytes` around a fresh
+    /// `encode_response` of the dispatched answer. The hits are framed for
+    /// other trace contexts than the miss that filled the entry.
+    #[test]
+    fn a_cache_hit_writes_the_frame_a_miss_writes() {
+        use memex_core::memex::MemexOptions;
+        use memex_server::events::{ClientEvent, VisitEvent};
+        use memex_web::corpus::{Corpus, CorpusConfig};
+
+        let corpus = Arc::new(Corpus::generate(CorpusConfig {
+            num_topics: 2,
+            pages_per_topic: 6,
+            ..CorpusConfig::default()
+        }));
+        let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("memex");
+        memex.register_user(1, "user1").expect("register");
+        for (time, &page) in (1u64..).zip(corpus.pages_of_topic(0).iter().take(4)) {
+            memex.submit(ClientEvent::Visit(VisitEvent {
+                user: 1,
+                session: 1,
+                page,
+                url: corpus.pages[page as usize].url.clone(),
+                time,
+                referrer: None,
+            }));
         }
+        memex.run_demons().expect("demons");
+        let shared = Shared::new(memex, NetServerConfig::default());
+        let recall = Request::Recall {
+            user: 1,
+            query: "page".into(),
+            since: 0,
+            until: u64::MAX,
+            k: 5,
+        };
+        let read_request = || match recall.clone().classify() {
+            Classified::Read(r) => r,
+            Classified::Write(_) => unreachable!("recall is a read"),
+        };
+        let expected_payload = {
+            let memex = shared.memex.read().expect("unpoisoned");
+            wire::encode_response(&dispatch_read(&memex, read_request()))
+        };
+        let traces = [
+            Some(TraceContext {
+                trace_id: 7,
+                retry_of: None,
+            }),
+            None,
+            Some(TraceContext {
+                trace_id: 8,
+                retry_of: Some(7),
+            }),
+        ];
+        for trace in traces {
+            let mut written = Vec::new();
+            respond(
+                &shared.registry,
+                &mut written,
+                trace,
+                &answer_read(&shared, read_request()),
+            )
+            .expect("write to vec");
+            let expected =
+                wire::frame_bytes(FrameKind::Response, &expected_payload, trace).expect("frame");
+            assert_eq!(written, expected, "frame for {trace:?}");
+        }
+        let snap = shared.registry.snapshot();
+        assert_eq!(snap.counter("net.read.cache.miss"), 1);
+        assert_eq!(snap.counter("net.read.cache.hit"), 2);
     }
 
     /// Regression for the stale-entry capacity leak: fill the cache at

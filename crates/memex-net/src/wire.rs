@@ -4,10 +4,10 @@
 //! ## Frame layout
 //!
 //! ```text
-//! +----+----+---------+------+-------------+-----------+------------------+----------+
-//! | 'M'| 'X'| version | kind | len u32 LE  | ext       | payload (len B)  | crc u32  |
-//! +----+----+---------+------+-------------+-----------+------------------+----------+
-//!   magic      1 B      1 B      4 B        1/9/17 B       ≤ 16 MiB         FNV-1a
+//! +----+----+---------+------+-------------+-----------+------------------+-----------+
+//! | 'M'| 'X'| version | kind | len u32 LE  | ext       | payload (len B)  | crc32 LE  |
+//! +----+----+---------+------+-------------+-----------+------------------+-----------+
+//!   magic      1 B      1 B      4 B        1/9/17 B       ≤ 16 MiB         CRC-32/IEEE
 //! ```
 //!
 //! Every frame carries an **extension block** between the header and the
@@ -20,15 +20,19 @@
 //! extension a decoder cannot parse would desynchronize the stream, so
 //! there is nothing safe to skip.
 //!
-//! The CRC is FNV-1a over `version ‖ kind ‖ ext ‖ payload`, so a single
-//! flipped bit anywhere after the magic is detected. `len` counts the
-//! payload only and is capped at [`MAX_PAYLOAD`] **before** any
-//! allocation happens, so a corrupted length can neither over-read the
-//! stream nor balloon memory; an encoder asked for a bigger payload gets
-//! [`WireError::Oversized`] back. [`read_frame_meta`] is the one frame
-//! parser: it takes a frame off a socket in three reads (header, flags,
-//! everything else), and tests decode in-memory frames by running it over
-//! a `&[u8]`.
+//! The trailer is CRC-32/IEEE (`memex_store::codec`, the checksum of the
+//! WAL and the runs too) over `payload ‖ version ‖ kind ‖ ext`, so a single
+//! flipped bit anywhere after the magic is detected. The payload comes
+//! first so the payload's CRC can be computed once and kept beside the
+//! encoded bytes (the server's read cache does): framing it again for
+//! another trace id extends that CRC over at most 19 envelope bytes.
+//! `len` counts the payload only and is capped at [`MAX_PAYLOAD`]
+//! **before** any allocation happens, so a corrupted length can neither
+//! over-read the stream nor balloon memory; an encoder asked for a bigger
+//! payload gets [`WireError::Oversized`] back. [`read_frame_meta`] is the
+//! one frame parser. Server and client run it over a `BufReader` on the
+//! socket, so a frame costs one `recv` however many reads it makes; tests
+//! decode in-memory frames by running it over a `&[u8]`.
 //!
 //! ## Payloads
 //!
@@ -49,7 +53,8 @@
 //! every other version byte with [`WireError::UnsupportedVersion`] (and
 //! unknown tags with [`WireError::BadTag`]) — it never guesses.
 //! `codec_roundtrip.rs::fixed_values_encode_to_committed_bytes` pins the
-//! bytes themselves, so a format change cannot slip in unversioned.
+//! payload bytes and `fixed_frame_encodes_to_committed_bytes` the
+//! envelope's, so a format change cannot slip in unversioned.
 //!
 //! Every decode path returns a typed [`WireError`]; nothing in this module
 //! panics on untrusted bytes (see `tests/corruption.rs` for the sweep that
@@ -70,9 +75,10 @@ use memex_graph::trail::{ContextNode, TrailContext};
 use memex_obs::trace::{SpanData, TraceData};
 use memex_obs::{Event, HistogramSnapshot, Snapshot};
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
+use memex_store::codec;
 
 /// The wire version (see the module docs for the bump rule).
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
 /// Extension flag bit: an 8-byte trace id follows the flags byte.
 const EXT_FLAG_TRACE: u8 = 0b0000_0001;
@@ -115,7 +121,7 @@ pub enum WireError {
     Oversized { len: u64, cap: u64 },
     /// The buffer ended before the structure it claims to hold.
     Truncated { needed: usize, available: usize },
-    /// FNV-1a over version+kind+ext+payload did not match the trailer.
+    /// CRC-32 over payload+version+kind+ext did not match the trailer.
     ChecksumMismatch { expected: u32, actual: u32 },
     /// Unknown tag (enum variant, option, frame kind, extension flags)
     /// while decoding `what`.
@@ -169,17 +175,6 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
-
 // ---------------------------------------------------------------------------
 // Frames
 // ---------------------------------------------------------------------------
@@ -205,12 +200,41 @@ pub struct FrameMeta {
     pub payload: Vec<u8>,
 }
 
+/// The trailer: the payload's CRC-32 extended over `version ‖ kind` and
+/// the extension block. The length field is not checksummed: a corrupted
+/// one is caught by the cap or by the trailer landing somewhere else.
+fn trailer(payload_crc: u32, envelope: &[&[u8]]) -> u32 {
+    envelope
+        .iter()
+        .fold(payload_crc, |crc, part| codec::crc32_extend(crc, part))
+}
+
 /// Assemble a complete frame (header, extension block, payload, checksum)
 /// at the current wire version. A payload over [`MAX_PAYLOAD`] is
 /// [`WireError::Oversized`]: no peer would accept it.
 pub fn frame_bytes(
     kind: FrameKind,
     payload: &[u8],
+    trace: Option<TraceContext>,
+) -> Result<Vec<u8>, WireError> {
+    frame_with_crc(kind, payload, codec::crc32(payload), trace)
+}
+
+/// Encode a response payload and its CRC-32 once, so it can be framed for
+/// any number of trace contexts by [`frame_with_crc`] without being
+/// encoded or checksummed again.
+pub(crate) fn checked_response(resp: &Response) -> (Vec<u8>, u32) {
+    let payload = encode_response(resp);
+    let crc = codec::crc32(&payload);
+    (payload, crc)
+}
+
+/// [`frame_bytes`] for a payload whose CRC-32 is already known: only the
+/// envelope (at most 19 bytes) is checksummed here.
+pub(crate) fn frame_with_crc(
+    kind: FrameKind,
+    payload: &[u8],
+    payload_crc: u32,
     trace: Option<TraceContext>,
 ) -> Result<Vec<u8>, WireError> {
     if payload.len() > MAX_PAYLOAD {
@@ -241,13 +265,14 @@ pub fn frame_bytes(
             (trace_id, prev).put(&mut out);
         }
     }
+    let crc = trailer(
+        payload_crc,
+        &[
+            out.get(2..4).unwrap_or_default(),
+            out.get(HEADER_LEN..).unwrap_or_default(),
+        ],
+    );
     out.extend_from_slice(payload);
-    // The length field is not checksummed: a corrupted one is caught by
-    // the cap or by the trailer landing somewhere else.
-    let crc = fnv1a(&[
-        out.get(2..4).unwrap_or_default(),
-        out.get(HEADER_LEN..).unwrap_or_default(),
-    ]);
     crc.put(&mut out);
     Ok(out)
 }
@@ -288,11 +313,13 @@ fn ext_ids(flags: u8) -> Result<usize, WireError> {
 }
 
 /// Read one frame, enforcing the size cap *before* allocating and
-/// verifying the checksum after. Three reads: the header (so an over-cap
-/// length is rejected after exactly [`HEADER_LEN`] bytes), the flags byte
-/// (which sizes the extension block), then the trace ids, payload and
-/// trailer in one. Over a `&[u8]` it decodes an in-memory frame and leaves
-/// the slice at the byte after it.
+/// verifying the checksum after. The header is read alone, so an over-cap
+/// length is rejected after exactly [`HEADER_LEN`] bytes; then the flags
+/// byte (which sizes the extension block), the trace ids into a stack
+/// buffer, and the payload with its trailer into the buffer the payload is
+/// returned in. Give it a `BufReader` on a socket: a frame that fits the
+/// buffer then costs one `recv`. Over a `&[u8]` it decodes an in-memory
+/// frame and leaves the slice at the byte after it.
 pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
@@ -315,20 +342,26 @@ pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
     r.read_exact(&mut flags)?;
     let [flag_byte] = flags;
     let ids = ext_ids(flag_byte)?;
-    let mut rest = vec![0u8; 8 * ids + len + TRAILER_LEN];
-    r.read_exact(&mut rest)?;
-    let Some((checked, trailer)) = rest.split_last_chunk::<TRAILER_LEN>() else {
+    let mut id_buf = [0u8; 16];
+    let id_bytes = id_buf.get_mut(..8 * ids).unwrap_or_default();
+    r.read_exact(id_bytes)?;
+    let mut payload = vec![0u8; len + TRAILER_LEN];
+    r.read_exact(&mut payload)?;
+    let Some((body, tail)) = payload.split_last_chunk::<TRAILER_LEN>() else {
         return Err(WireError::Truncated {
             needed: TRAILER_LEN,
-            available: rest.len(),
+            available: payload.len(),
         });
     };
-    let expected = u32::from_le_bytes(*trailer);
-    let actual = fnv1a(&[&[version, kind_byte, flag_byte], checked]);
+    let expected = u32::from_le_bytes(*tail);
+    let actual = trailer(
+        codec::crc32(body),
+        &[&[version, kind_byte, flag_byte], id_bytes],
+    );
     if expected != actual {
         return Err(WireError::ChecksumMismatch { expected, actual });
     }
-    let mut ext = Reader(checked);
+    let mut ext = Reader(id_bytes);
     let trace = match ids {
         0 => None,
         _ => Some(TraceContext {
@@ -340,12 +373,11 @@ pub fn read_frame_meta(r: &mut impl Read) -> Result<FrameMeta, WireError> {
             },
         }),
     };
-    rest.truncate(8 * ids + len);
-    rest.drain(..8 * ids);
+    payload.truncate(len);
     Ok(FrameMeta {
         kind,
         trace,
-        payload: rest,
+        payload,
     })
 }
 
@@ -809,11 +841,11 @@ mod tests {
     }
 
     /// Every version byte but the current one is refused — the retired
-    /// v2 and v3 included.
+    /// v2–v4 included.
     #[test]
     fn every_other_version_rejected() {
         let mut frame = stats_frame();
-        for bad in [0u8, 1, 2, 3, WIRE_VERSION + 1, 255] {
+        for bad in [0u8, 1, 2, 3, 4, WIRE_VERSION + 1, 255] {
             frame[2] = bad;
             assert!(matches!(
                 decode_frame(&frame),

@@ -8,7 +8,8 @@
 //! error until the codec and these strategies learn it, and
 //! `strategies_cover_every_variant` fails at runtime if a strategy arm is
 //! missing. Round trips cannot see a change made symmetrically to both
-//! directions, so `fixed_values_encode_to_committed_bytes` pins the bytes.
+//! directions, so `fixed_values_encode_to_committed_bytes` pins the payload
+//! bytes and `fixed_frame_encodes_to_committed_bytes` the envelope's.
 
 mod common;
 
@@ -22,6 +23,7 @@ use memex_graph::trail::{ContextNode, TrailContext};
 use memex_net::wire;
 use memex_obs::{Event, HistogramSnapshot, Snapshot, SpanData, TraceData, NUM_BUCKETS};
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
+use memex_store::codec;
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -504,22 +506,27 @@ fn fixed_values() -> (Vec<Request>, Vec<Response>) {
     (requests, responses)
 }
 
-/// Symmetric format changes pass every round trip; this pins the bytes
-/// themselves. Each encoding (and one frame carrying a trace id and a
-/// `retry_of`) is folded into an FNV-1a digest behind its length. A
-/// deliberate format change bumps `WIRE_VERSION` and re-records the digest.
+/// A 64-bit FNV-1a digest over a sequence of byte strings, each behind its
+/// length.
+fn fold(digest: &mut u64, bytes: &[u8]) {
+    for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+        *digest ^= u64::from(b);
+        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Symmetric format changes pass every round trip; this pins the payload
+/// bytes themselves, folding each encoding into one digest. It moves only
+/// with a payload change, which bumps `WIRE_VERSION` and re-records it; an
+/// envelope-only bump leaves it alone.
 #[test]
 fn fixed_values_encode_to_committed_bytes() {
-    fn fold(digest: &mut u64, bytes: &[u8]) {
-        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
-            *digest ^= u64::from(b);
-            *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
     let (requests, responses) = fixed_values();
     let mut seen_req = [false; REQUEST_VARIANTS];
     let mut seen_resp = [false; RESPONSE_VARIANTS];
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for req in &requests {
         seen_req[request_variant_index(req)] = true;
         fold(&mut digest, &wire::encode_request(req));
@@ -529,6 +536,16 @@ fn fixed_values_encode_to_committed_bytes() {
         fold(&mut digest, &wire::encode_response(resp));
     }
     assert!(seen_req.iter().chain(&seen_resp).all(|&s| s));
+    assert_eq!(
+        digest, 0xe47d_8b3d_00fd_5c5c,
+        "payload bytes moved: digest {digest:#018x}"
+    );
+}
+
+/// The envelope's bytes: one frame carrying a trace id and a `retry_of`.
+/// Any envelope change bumps `WIRE_VERSION` and re-records this digest.
+#[test]
+fn fixed_frame_encodes_to_committed_bytes() {
     let mut frame = Vec::new();
     wire::write_frame_versioned(
         &mut frame,
@@ -541,11 +558,59 @@ fn fixed_values_encode_to_committed_bytes() {
         }),
     )
     .expect("write to vec");
+    let mut digest = FNV_OFFSET;
     fold(&mut digest, &frame);
     assert_eq!(
-        digest, 0x40ea_1bab_1b3c_1f60,
-        "wire bytes moved: digest {digest:#018x}"
+        digest,
+        0xdaea_86aa_b539_973a,
+        "frame bytes moved at v{}: digest {digest:#018x}",
+        wire::WIRE_VERSION
     );
+}
+
+/// The trailer is CRC-32/IEEE over `payload ‖ version ‖ kind ‖ ext`, built
+/// here by hand from the layout, with no trace, a trace id, and a trace id
+/// plus `retry_of`.
+#[test]
+fn frame_trailer_is_crc32_of_payload_then_envelope() {
+    let (_, responses) = fixed_values();
+    let payload = wire::encode_response(&responses[1]);
+    let trace_id = 0xDEAD_BEEF_CAFE_F00Du64;
+    let prev = 0x0123_4567_89AB_CDEFu64;
+    let cases = [
+        (None, vec![0u8]),
+        (
+            Some(wire::TraceContext {
+                trace_id,
+                retry_of: None,
+            }),
+            [&[1u8][..], &trace_id.to_le_bytes()].concat(),
+        ),
+        (
+            Some(wire::TraceContext {
+                trace_id,
+                retry_of: Some(prev),
+            }),
+            [&[3u8][..], &trace_id.to_le_bytes(), &prev.to_le_bytes()].concat(),
+        ),
+    ];
+    for (trace, ext) in cases {
+        let frame = wire::frame_bytes(wire::FrameKind::Response, &payload, trace).expect("frame");
+        let (body, trailer) = frame.split_last_chunk::<4>().expect("a trailer");
+        assert_eq!(
+            &body[wire::HEADER_LEN..wire::HEADER_LEN + ext.len()],
+            &ext[..],
+            "ext block for {trace:?}"
+        );
+        let mut checked = payload.clone();
+        checked.extend_from_slice(&[wire::WIRE_VERSION, 1]);
+        checked.extend_from_slice(&ext);
+        assert_eq!(
+            u32::from_le_bytes(*trailer),
+            codec::crc32(&checked),
+            "trailer for {trace:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +647,7 @@ proptest! {
     fn traced_frame_roundtrips(req in arb_request(), trace_id in any::<u64>(), retry_of in prop_oneof![Just(None), any::<u64>().prop_map(Some)]) {
         // A frame carrying a trace context (optionally a retry-of id)
         // decodes back to the same payload and the same context; the same
-        // frame wearing a retired version byte (v2, v3) is rejected.
+        // frame wearing a retired version byte (v2–v4) is rejected.
         let payload = wire::encode_request(&req);
         let ctx = wire::TraceContext { trace_id, retry_of };
         let mut frame =
@@ -590,7 +655,7 @@ proptest! {
         let meta = decode_frame(&frame).expect("decode traced frame");
         prop_assert_eq!(meta.trace, Some(ctx));
         prop_assert_eq!(&meta.payload, &payload);
-        for retired in [2u8, 3] {
+        for retired in [2u8, 3, 4] {
             frame[2] = retired;
             prop_assert!(matches!(
                 decode_frame(&frame),

@@ -12,16 +12,37 @@ use proptest::prelude::*;
 
 use common::decode_frame;
 use memex_core::servlet::{Request, Response};
-use memex_net::wire::{self, FrameKind, WireError, HEADER_LEN, MAX_PAYLOAD};
+use memex_net::wire::{self, FrameKind, TraceContext, WireError, HEADER_LEN, MAX_PAYLOAD};
 use memex_obs::Snapshot;
 use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
 
-fn framed(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
-    wire::frame_bytes(kind, payload, None).expect("fixture under the cap")
+/// Every payload fixture framed with each extension block: no trace, a
+/// trace id (8 bytes), and a trace id plus `retry_of` (16 bytes), so the
+/// sweeps flip and cut the ids too.
+fn frames() -> Vec<Vec<u8>> {
+    let traces = [
+        None,
+        Some(TraceContext {
+            trace_id: 0xDEAD_BEEF_CAFE_F00D,
+            retry_of: None,
+        }),
+        Some(TraceContext {
+            trace_id: 0x0123_4567_89AB_CDEF,
+            retry_of: Some(0xDEAD_BEEF_CAFE_F00D),
+        }),
+    ];
+    fixtures()
+        .into_iter()
+        .flat_map(|(kind, payload)| {
+            traces.map(|trace| {
+                wire::frame_bytes(kind, &payload, trace).expect("fixture under the cap")
+            })
+        })
+        .collect()
 }
 
-/// Representative fixtures covering scalar, string, vector, nested, and
-/// empty payload shapes.
+/// Representative payloads covering scalar, string, vector, nested, and
+/// empty shapes.
 fn fixtures() -> Vec<(FrameKind, Vec<u8>)> {
     let mut snap = Snapshot::default();
     snap.counters.push(("net.req.ok".into(), 17));
@@ -90,8 +111,7 @@ fn fixtures() -> Vec<(FrameKind, Vec<u8>)> {
 
 #[test]
 fn truncation_at_every_offset_errors() {
-    for (kind, payload) in fixtures() {
-        let frame = framed(kind, &payload);
+    for frame in frames() {
         for cut in 0..frame.len() {
             let result = decode_frame(&frame[..cut]);
             assert!(
@@ -105,12 +125,11 @@ fn truncation_at_every_offset_errors() {
 
 #[test]
 fn bit_flip_at_every_offset_errors() {
-    // The checksum covers version ‖ kind ‖ ext ‖ payload, the magic check
+    // The checksum covers payload ‖ version ‖ kind ‖ ext, the magic check
     // covers the first two bytes, and a flipped length can no longer match
     // the buffer size — so *every* single-bit corruption must surface as
     // Err.
-    for (kind, payload) in fixtures() {
-        let frame = framed(kind, &payload);
+    for frame in frames() {
         for i in 0..frame.len() {
             for bit in 0..8 {
                 let mut bad = frame.clone();
@@ -128,8 +147,7 @@ fn bit_flip_at_every_offset_errors() {
 
 #[test]
 fn truncated_stream_reads_error_and_stop_at_cap() {
-    for (kind, payload) in fixtures() {
-        let frame = framed(kind, &payload);
+    for frame in frames() {
         for cut in 0..frame.len() {
             let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
             assert!(wire::read_frame_meta(&mut cursor).is_err());

@@ -5,7 +5,8 @@
 //! wire and in-process, and shutdown joins every worker with an exact
 //! request accounting — nothing dropped silently.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,6 +14,7 @@ use proptest::test_runner::TestRng;
 
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{dispatch, Request, Response};
+use memex_net::wire::{self, FrameKind, TraceContext};
 use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
@@ -198,7 +200,7 @@ fn zero_capacity_sheds_every_request_explicitly() {
             Response::Overloaded { limit, .. } => assert_eq!(limit, 0),
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        shed_ids.push(client.last_trace_id().expect("v4 client stamps ids"));
+        shed_ids.push(client.last_trace_id().expect("the client stamps ids"));
     }
     let memex = server.shutdown();
     let snap = memex.registry().snapshot();
@@ -313,9 +315,18 @@ fn over_cap_response_is_a_typed_error_and_the_worker_survives() {
     assert_eq!(snap.counter("net.resp.oversized"), 1);
 }
 
+/// The client re-dials after the server closes an idle connection, and the
+/// answer it returns is the new request's, read on the new connection: the
+/// buffer of the dead one went with it.
 #[test]
 fn client_reconnects_after_server_closes_idle_connection() {
-    let memex = community_world();
+    let mut memex = community_world();
+    let bill = |user| Request::Bill {
+        user,
+        since: 0,
+        until: u64::MAX,
+    };
+    let expected = [1, 2].map(|user| dispatch(&mut memex, bill(user)));
     let config = NetServerConfig {
         read_timeout: Duration::from_millis(100),
         ..NetServerConfig::default()
@@ -324,25 +335,101 @@ fn client_reconnects_after_server_closes_idle_connection() {
     let addr = server.local_addr();
 
     let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-    assert!(matches!(
-        client.request(&Request::Stats).expect("first"),
-        Response::Stats(_)
-    ));
+    assert_eq!(client.request(&bill(1)).expect("first"), expected[0]);
     // Outlive the server's idle timeout: the server closes our connection,
     // and the next request must transparently re-dial.
     std::thread::sleep(Duration::from_millis(400));
-    assert!(matches!(
-        client.request(&Request::Stats).expect("after idle"),
-        Response::Stats(_)
-    ));
+    assert_eq!(client.request(&bill(2)).expect("after idle"), expected[1]);
 
     let memex = server.shutdown();
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("net.req.ok"), 2);
+    assert!(snap.counter("net.conn.idle_closed") >= 1);
     assert!(
         snap.counter("net.conn.accepted") >= 2,
         "reconnect did not open a new connection"
     );
+}
+
+/// A raw connection to a server over `community_world`, with the in-process
+/// answers to `requests` computed first.
+fn raw_connection(requests: &[Request]) -> (NetServer, TcpStream, Vec<Response>) {
+    let mut memex = community_world();
+    let expected = requests
+        .iter()
+        .map(|req| dispatch(&mut memex, req.clone()))
+        .collect();
+    let server = NetServer::start(memex, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
+    let raw = TcpStream::connect(server.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    (server, raw, expected)
+}
+
+/// Two request frames in one `write_all` reach the server in one segment:
+/// its buffered reader takes both in and answers both, in order.
+#[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    let requests = [
+        Request::Bill {
+            user: 1,
+            since: 0,
+            until: u64::MAX,
+        },
+        Request::SimilarSurfers { user: 2, k: 3 },
+    ];
+    let (server, mut raw, expected) = raw_connection(&requests);
+    let mut both = Vec::new();
+    for req in &requests {
+        let frame = wire::frame_bytes(FrameKind::Request, &wire::encode_request(req), None);
+        both.extend(frame.expect("frame"));
+    }
+    raw.write_all(&both).expect("write both frames");
+    let mut conn = BufReader::new(raw);
+    for want in &expected {
+        let meta = wire::read_frame_meta(&mut conn).expect("answer");
+        assert_eq!(meta.kind, FrameKind::Response);
+        assert_eq!(&wire::decode_response(&meta.payload).expect("decode"), want);
+    }
+    drop(conn);
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.req.ok"), 2);
+}
+
+/// A frame that arrives in two halves, with a pause between them, is
+/// assembled across two `recv`s and answered with the trace context echoed.
+#[test]
+fn a_frame_written_in_two_halves_is_assembled() {
+    let recall = Request::Recall {
+        user: 1,
+        query: "page".into(),
+        since: 0,
+        until: u64::MAX,
+        k: 5,
+    };
+    let (server, mut raw, expected) = raw_connection(std::slice::from_ref(&recall));
+    let ctx = TraceContext {
+        trace_id: 9,
+        retry_of: Some(8),
+    };
+    let frame = wire::frame_bytes(
+        FrameKind::Request,
+        &wire::encode_request(&recall),
+        Some(ctx),
+    )
+    .expect("frame");
+    let (first, second) = frame.split_at(frame.len() / 2);
+    raw.write_all(first).expect("first half");
+    std::thread::sleep(Duration::from_millis(50));
+    raw.write_all(second).expect("second half");
+    let meta = wire::read_frame_meta(&mut raw).expect("answer");
+    assert_eq!(meta.trace, Some(ctx));
+    assert_eq!(
+        wire::decode_response(&meta.payload).expect("decode"),
+        expected[0]
+    );
+    drop(raw);
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.req.ok"), 1);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! hits included — must leave exactly one complete span tree in the
 //! flight recorder, slow requests must land in the slow log with their
 //! lock-wait accounting and per-layer children, and frames in a retired
-//! wire version (v2, v3) must be refused with a typed error.
+//! wire version (v2–v4) must be refused with a typed error.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -261,10 +261,12 @@ fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_conte
     let addr = server.local_addr();
     let payload = wire::encode_request(&Request::Stats);
 
-    // A v2 or v3 frame: a typed error frame comes back (in the current
+    // A v2, v3 or v4 frame: a typed error frame comes back (in the current
     // version — the only one the server speaks), then the connection
-    // closes. Nothing was dispatched.
-    for retired in [2u8, 3] {
+    // closes. Nothing was dispatched. A v4 frame is refused even though
+    // only its checksum differs from v5's.
+    let retired_versions = [2u8, 3, 4];
+    for retired in retired_versions {
         let mut frame = wire::frame_bytes(FrameKind::Request, &payload, None).expect("frame");
         frame[2] = retired;
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
@@ -315,7 +317,7 @@ fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_conte
     let snap = memex.registry().snapshot();
     assert_eq!(
         snap.counter("net.decode.errors"),
-        2,
+        retired_versions.len() as u64,
         "one per retired frame"
     );
     assert_eq!(

@@ -1,7 +1,8 @@
 //! Byte-level encoding primitives used across the storage layer:
 //! LEB128-style varints, zigzag transforms for signed values, delta
 //! encoding of sorted id sequences, length-prefixed byte strings, and a
-//! table-driven CRC-32 (IEEE) used by the WAL to detect torn writes.
+//! slicing-by-8 CRC-32 (IEEE) that checks WAL records, runs, the manifest
+//! and `memex-net`'s wire frames.
 //!
 //! Keeping the codec in one place means the runs, the WAL, the relational
 //! tuple format and the inverted-index postings (in `memex-index`) all share
@@ -178,13 +179,15 @@ pub fn decode_deltas(buf: &[u8], pos: &mut usize) -> StoreResult<Vec<u64>> {
 // CRC-32 (IEEE 802.3 polynomial, reflected)
 // ---------------------------------------------------------------------------
 
-/// Lazily-built 256-entry CRC-32 lookup table.
-fn crc_table() -> &'static [u32; 256] {
+/// Lazily-built slicing-by-8 tables: `tables[0]` is the classic bytewise
+/// table, and `tables[k][b]` is the CRC register after byte `b` followed by
+/// `k` zero bytes, so eight table lookups advance the register eight bytes.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut bytewise = [0u32; 256];
+        for (i, slot) in bytewise.iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -195,21 +198,52 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        let mut tables = [bytewise; 8];
+        let mut prev = bytewise;
+        for table in tables.iter_mut().skip(1) {
+            for (slot, &c) in table.iter_mut().zip(&prev) {
+                *slot = (c >> 8) ^ lookup(&bytewise, c);
+            }
+            prev = *table;
+        }
+        tables
     })
+}
+
+/// `table[low byte of i]`. A `u8` index into a 256-entry table: `get`
+/// never misses, and the compiler drops the check.
+#[inline(always)]
+fn lookup(table: &[u32; 256], i: u32) -> u32 {
+    table.get(usize::from(i as u8)).copied().unwrap_or_default()
 }
 
 /// CRC-32 (IEEE) of `data`. Matches the ubiquitous zlib/PNG checksum, so it
 /// is easy to cross-validate externally.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        // A `u8` index into a 256-entry table: `get` never misses.
-        let entry = table.get(usize::from(c as u8 ^ b)).copied();
-        c = entry.unwrap_or_default() ^ (c >> 8);
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of `a ‖ data`, given `crc == crc32(a)`: a checksum can be
+/// computed once over a long prefix and finished over a short tail later.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = crc_tables();
+    let mut c = !crc;
+    let (blocks, tail) = data.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
+        let lo = c ^ u32::from_le_bytes([b0, b1, b2, b3]);
+        c = lookup(t7, lo)
+            ^ lookup(t6, lo >> 8)
+            ^ lookup(t5, lo >> 16)
+            ^ lookup(t4, lo >> 24)
+            ^ lookup(t3, u32::from(b4))
+            ^ lookup(t2, u32::from(b5))
+            ^ lookup(t1, u32::from(b6))
+            ^ lookup(t0, u32::from(b7));
     }
-    c ^ 0xFFFF_FFFF
+    for &b in tail {
+        c = lookup(t0, c ^ u32::from(b)) ^ (c >> 8);
+    }
+    !c
 }
 
 #[cfg(test)]

@@ -175,4 +175,38 @@ proptest! {
         mutated[i] ^= flip;
         prop_assert_ne!(before, codec::crc32(&mutated));
     }
+
+    /// The slicing-by-8 CRC equals the bytewise definition on every prefix
+    /// of a random 300-byte input: every length 0–300, so every tail length
+    /// 0–7 after every number of 8-byte blocks.
+    #[test]
+    fn crc_slicing_matches_bytewise_reference(data in proptest::collection::vec(any::<u8>(), 300)) {
+        for n in 0..=data.len() {
+            prop_assert_eq!(codec::crc32(&data[..n]), bytewise_crc32(&data[..n]));
+        }
+    }
+
+    /// Extending a prefix's CRC over the rest equals the CRC of the whole.
+    #[test]
+    fn crc_extend_continues_a_prefix(data in proptest::collection::vec(any::<u8>(), 0..=300), split in any::<usize>()) {
+        let (a, b) = data.split_at(split % (data.len() + 1));
+        prop_assert_eq!(codec::crc32_extend(codec::crc32(a), b), codec::crc32(&data));
+    }
+}
+
+/// CRC-32/IEEE one bit at a time, straight from the reflected polynomial:
+/// the reference the table-driven `codec::crc32` is held to.
+fn bytewise_crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
 }
