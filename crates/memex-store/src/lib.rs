@@ -22,10 +22,10 @@
 //!
 //! All byte-level encoding used across the store lives in [`codec`].
 //!
-//! Every byte the store persists flows through the [`vfs`] layer — a small
-//! `Storage` trait whose `FaultyStorage` decorator and crash-modelling
-//! `MemStorage` make I/O failure a deterministic, seeded, first-class test
-//! input (see `tests/fault.rs`).
+//! Every byte the store persists flows through the [`vfs`] layer — named
+//! `Storage` files opened through a `StorageDir`, whose crash-modelling
+//! `MemDir` and fault-injecting `FaultyDir` make I/O failure a
+//! deterministic, seeded, first-class test input (see `tests/fault.rs`).
 
 pub mod codec;
 pub mod error;
@@ -38,7 +38,4 @@ pub mod wal;
 pub use error::{StoreError, StoreResult};
 pub use lsm::{LsmOptions, LsmSnapshot, LsmStore};
 pub use version::{Epoch, EventLog};
-pub use vfs::{
-    FaultConfig, FaultControl, FaultyDir, FaultyStorage, FileDir, FileStorage, MemDir,
-    MemDirHandle, MemHandle, MemStorage, Storage, StorageDir,
-};
+pub use vfs::{FaultConfig, FaultControl, FaultyDir, FileDir, MemDir, Storage, StorageDir};

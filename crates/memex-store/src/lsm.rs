@@ -89,8 +89,6 @@ pub struct LsmOptions {
     /// deterministic schedules turn this off and call
     /// [`LsmStore::compact_now`].
     pub background_compaction: bool,
-    /// Call `fsync` after every WAL append (durability vs. throughput).
-    pub sync_every_append: bool,
 }
 
 /// The seal budget, measured rather than guessed: unsealed data lives
@@ -106,7 +104,6 @@ impl Default for LsmOptions {
             memtable_bytes: MEMTABLE_BYTES,
             compact_min_runs: 4,
             background_compaction: true,
-            sync_every_append: false,
         }
     }
 }
@@ -453,21 +450,13 @@ impl LsmStore {
             .add(self.recovered.recovered_orphan_runs);
     }
 
-    fn append_wal(&mut self, record: &WalRecord) -> StoreResult<()> {
-        self.wal.append(record)?;
-        if self.opts.sync_every_append {
-            self.wal.sync()?;
-        }
-        Ok(())
-    }
-
     /// Upsert. Once the WAL append returns, the write is acked: a
     /// budget-triggered seal that fails afterwards must not retract the
     /// ack, so its error is deferred — counted in `store.lsm.seal.errors`
     /// and retried on the next trigger or explicit [`LsmStore::seal`].
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> StoreResult<()> {
         let _trace = memex_obs::trace::span("store.kv.put");
-        self.append_wal(&WalRecord::Put {
+        self.wal.append(&WalRecord::Put {
             key: key.to_vec(),
             value: value.to_vec(),
         })?;
@@ -495,7 +484,7 @@ impl LsmStore {
     /// Delete (writes a tombstone; absent keys are fine). Seal-error
     /// deferral works exactly as in [`LsmStore::put`].
     pub fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
-        self.append_wal(&WalRecord::Delete { key: key.to_vec() })?;
+        self.wal.append(&WalRecord::Delete { key: key.to_vec() })?;
         let (delta, bytes) = {
             let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
             let delta = state.memtable_insert(key, None);
@@ -1316,7 +1305,6 @@ mod tests {
             memtable_bytes: 1 << 30, // never auto-seal
             compact_min_runs: 64,    // never auto-compact
             background_compaction: false,
-            sync_every_append: false,
         }
     }
 
@@ -1602,7 +1590,7 @@ mod tests {
                 Ok(_) => panic!("a v1 run file must not load"),
             }
             assert!(
-                dir.exists(&Run::file_name(id)).unwrap(),
+                dir.list().unwrap().contains(&Run::file_name(id)),
                 "a failed open must not reap the file"
             );
         }
@@ -1687,13 +1675,13 @@ mod tests {
             "orphan data must not resurrect"
         );
         assert!(
-            !dir.exists(&Run::file_name(99)).unwrap(),
+            !dir.list().unwrap().contains(&Run::file_name(99)),
             "orphan file deleted"
         );
         // Ids never reused: the next seal allocates past the orphan.
         s.put(b"b", b"2").unwrap();
         s.seal().unwrap();
-        assert!(dir.exists(&Run::file_name(100)).unwrap());
+        assert!(dir.list().unwrap().contains(&Run::file_name(100)));
     }
 
     #[test]
@@ -1702,7 +1690,6 @@ mod tests {
             memtable_bytes: 64,
             compact_min_runs: 2,
             background_compaction: true,
-            sync_every_append: false,
         };
         let mut s = LsmStore::open_memory_opts(opts).unwrap();
         for i in 0..64u32 {

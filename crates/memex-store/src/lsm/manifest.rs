@@ -179,17 +179,25 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::MemStorage;
+    use crate::vfs::test_files::{flip, mem_file, read_all};
+    use crate::vfs::{MemDir, StorageDir};
+
+    fn open(dir: &MemDir) -> StoreResult<Manifest> {
+        Manifest::open(dir.open("manifest").unwrap())
+    }
+
+    fn bytes(dir: &MemDir) -> Vec<u8> {
+        read_all(dir.open("manifest").unwrap().as_mut())
+    }
 
     #[test]
     fn append_and_reopen() {
-        let s = MemStorage::new();
-        let h = s.handle();
-        let mut m = Manifest::open(Box::new(s)).unwrap();
+        let dir = MemDir::new();
+        let mut m = open(&dir).unwrap();
         assert_eq!(m.epoch, 0);
         m.append(1, 2, &[(1, 0), (0, 0)]).unwrap();
         m.append(2, 3, &[(2, 1)]).unwrap();
-        let reopened = Manifest::open(Box::new(MemStorage::from_bytes(h.current_bytes()))).unwrap();
+        let reopened = open(&dir).unwrap();
         assert_eq!(reopened.epoch, 2);
         assert_eq!(reopened.next_run_id, 3);
         assert_eq!(reopened.runs, vec![(2, 1)]);
@@ -209,32 +217,29 @@ mod tests {
         put_u32(&mut frame, payload.len() as u32);
         put_u32(&mut frame, crc32(&payload));
         frame.extend_from_slice(&payload);
-        let s = MemStorage::from_bytes(frame.clone());
-        let h = s.handle();
-        assert!(matches!(
-            Manifest::open(Box::new(s)),
-            Err(StoreError::Corrupt(_))
-        ));
-        assert_eq!(h.current_bytes(), frame, "nothing was trimmed");
+        let dir = MemDir::new();
+        dir.open("manifest")
+            .unwrap()
+            .write_all_at(0, &frame)
+            .unwrap();
+        assert!(matches!(open(&dir), Err(StoreError::Corrupt(_))));
+        assert_eq!(bytes(&dir), frame, "nothing was trimmed");
     }
 
     #[test]
     fn torn_tail_reverts_to_previous_record() {
-        let s = MemStorage::new();
-        let h = s.handle();
-        let mut m = Manifest::open(Box::new(s)).unwrap();
+        let dir = MemDir::new();
+        let mut m = open(&dir).unwrap();
         m.append(1, 2, &[(1, 0)]).unwrap();
         m.append(2, 5, &[(4, 0), (3, 0)]).unwrap();
-        let full = h.current_bytes();
+        let full = bytes(&dir);
         // Cut the second record at every byte offset: state must be
         // either record 2 (intact) or record 1 (torn) — never garbage.
         // Frame = 8-byte header + payload (epoch + next_run_id + count +
         // one (run id, level) pair) = 8 + 32.
         let first_record_end = 40;
         for cut in 0..full.len() {
-            let mut bytes = full.clone();
-            bytes.truncate(cut);
-            let m = Manifest::open(Box::new(MemStorage::from_bytes(bytes))).unwrap();
+            let m = Manifest::open(mem_file(&full[..cut])).unwrap();
             if cut < first_record_end {
                 assert_eq!(m.epoch, 0, "cut at {cut}");
                 assert!(m.runs.is_empty());
@@ -248,18 +253,16 @@ mod tests {
 
     #[test]
     fn failed_append_leaves_state_unchanged() {
-        let s = MemStorage::new();
-        let h = s.handle();
-        let mut m = Manifest::open(Box::new(s)).unwrap();
+        let dir = MemDir::new();
+        let mut m = open(&dir).unwrap();
         m.append(1, 2, &[(1, 0)]).unwrap();
         // Simulate an append failure by corrupting afterwards: the open
         // path must fall back to record 1.
         m.append(2, 3, &[(2, 0), (1, 0)]).unwrap();
-        let mut bytes = h.current_bytes();
-        if let Some(last) = bytes.last_mut() {
-            *last ^= 0xFF;
-        }
-        let reopened = Manifest::open(Box::new(MemStorage::from_bytes(bytes))).unwrap();
+        let mut file = dir.open("manifest").unwrap();
+        let len = file.len().unwrap();
+        flip(file.as_mut(), len - 1, 0xFF);
+        let reopened = open(&dir).unwrap();
         assert_eq!(reopened.epoch, 1);
         assert_eq!(reopened.runs, vec![(1, 0)]);
         assert!(reopened.torn_tail);
@@ -267,21 +270,20 @@ mod tests {
 
     #[test]
     fn trims_tail_durably() {
-        let s = MemStorage::new();
-        let h = s.handle();
+        let dir = MemDir::new();
+        open(&dir).unwrap().append(1, 2, &[(1, 0)]).unwrap();
         {
-            let mut m = Manifest::open(Box::new(s)).unwrap();
-            m.append(1, 2, &[(1, 0)]).unwrap();
+            // A durable garbage tail: only a durable trim removes it.
+            let mut file = dir.open("manifest").unwrap();
+            let len = file.len().unwrap();
+            file.write_all_at(len, &[1, 2, 3]).unwrap();
+            file.sync().unwrap();
         }
-        let mut bytes = h.current_bytes();
-        bytes.extend_from_slice(&[1, 2, 3]); // garbage tail
-        let garbage = MemStorage::from_bytes(bytes);
-        let gh = garbage.handle();
-        let m = Manifest::open(Box::new(garbage)).unwrap();
+        let m = open(&dir).unwrap();
         assert_eq!(m.epoch, 1);
         assert_eq!(m.repaired_bytes, 3);
-        let reopened =
-            Manifest::open(Box::new(MemStorage::from_bytes(gh.current_bytes()))).unwrap();
+        dir.crash(7);
+        let reopened = open(&dir).unwrap();
         assert!(!reopened.torn_tail, "tail trim persisted");
     }
 }

@@ -581,7 +581,7 @@ impl<'a> Iterator for RunIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::MemStorage;
+    use crate::vfs::test_files::{flip, mem_file};
 
     fn sample() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
         vec![
@@ -606,9 +606,9 @@ mod tests {
 
     #[test]
     fn write_load_round_trip() {
-        let mut s = MemStorage::new();
-        let written = Run::write(7, sample(), &mut s).unwrap();
-        let loaded = Run::load(7, &mut s).unwrap();
+        let mut s = mem_file(b"");
+        let written = Run::write(7, sample(), s.as_mut()).unwrap();
+        let loaded = Run::load(7, s.as_mut()).unwrap();
         assert_eq!(collect(&loaded), sample());
         assert_eq!(loaded.bytes, written.bytes);
         assert_eq!(probe_value(&loaded, b"alpha"), Some(Some(b"1".to_vec())));
@@ -630,8 +630,8 @@ mod tests {
         put_bytes(&mut out, b"1");
         let crc = crc32(&out);
         put_u32(&mut out, crc);
-        let mut s = MemStorage::from_bytes(out);
-        match Run::load(3, &mut s) {
+        let mut s = mem_file(&out);
+        match Run::load(3, s.as_mut()) {
             Err(StoreError::Corrupt(msg)) => {
                 assert!(msg.contains("unsupported version 1"), "{msg}")
             }
@@ -645,8 +645,8 @@ mod tests {
         let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..200u32)
             .map(|i| (format!("key-{i:04}").into_bytes(), Some(vec![i as u8])))
             .collect();
-        let mut s = MemStorage::new();
-        let run = Run::write(11, entries, &mut s).unwrap();
+        let mut s = mem_file(b"");
+        let run = Run::write(11, entries, s.as_mut()).unwrap();
         // Every present key must be admitted (no false negatives, ever).
         for i in 0..200u32 {
             let k = format!("key-{i:04}").into_bytes();
@@ -673,8 +673,8 @@ mod tests {
         let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..100u32)
             .map(|i| (format!("k{i:03}").into_bytes(), Some(vec![1])))
             .collect();
-        let mut s = MemStorage::new();
-        let run = Run::write(5, entries, &mut s).unwrap();
+        let mut s = mem_file(b"");
+        let run = Run::write(5, entries, s.as_mut()).unwrap();
         let from: Vec<Vec<u8>> = run.iter_from(b"k050").map(|(k, _)| k.to_vec()).collect();
         assert_eq!(from.len(), 50);
         assert_eq!(from[0], b"k050".to_vec());
@@ -687,42 +687,53 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let mut s = MemStorage::new();
-        let h = s.handle();
-        Run::write(1, sample(), &mut s).unwrap();
-        h.corrupt(14, 0xFF);
-        assert!(matches!(Run::load(1, &mut s), Err(StoreError::Corrupt(_))));
+        let mut s = mem_file(b"");
+        Run::write(1, sample(), s.as_mut()).unwrap();
+        flip(s.as_mut(), 14, 0xFF);
+        assert!(matches!(
+            Run::load(1, s.as_mut()),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn truncated_file_is_corrupt() {
-        let mut s = MemStorage::new();
-        Run::write(1, sample(), &mut s).unwrap();
+        let mut s = mem_file(b"");
+        Run::write(1, sample(), s.as_mut()).unwrap();
         let len = s.len().unwrap();
         s.set_len(len - 3).unwrap();
-        assert!(matches!(Run::load(1, &mut s), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            Run::load(1, s.as_mut()),
+            Err(StoreError::Corrupt(_))
+        ));
         s.set_len(4).unwrap();
-        assert!(matches!(Run::load(1, &mut s), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            Run::load(1, s.as_mut()),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn unsorted_entries_rejected_at_load() {
-        let mut s = MemStorage::new();
+        let mut s = mem_file(b"");
         let entries = vec![
             (b"b".to_vec(), Some(b"1".to_vec())),
             (b"a".to_vec(), Some(b"2".to_vec())),
         ];
-        Run::write(1, entries, &mut s).unwrap();
-        assert!(matches!(Run::load(1, &mut s), Err(StoreError::Corrupt(_))));
+        Run::write(1, entries, s.as_mut()).unwrap();
+        assert!(matches!(
+            Run::load(1, s.as_mut()),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
     fn empty_run_round_trips() {
-        let mut s = MemStorage::new();
-        let run = Run::write(2, Vec::new(), &mut s).unwrap();
+        let mut s = mem_file(b"");
+        let run = Run::write(2, Vec::new(), s.as_mut()).unwrap();
         assert_eq!(run.entry_count(), 0);
         assert!(matches!(run.probe(b"x"), Probe::Skip | Probe::Miss));
-        let loaded = Run::load(2, &mut s).unwrap();
+        let loaded = Run::load(2, s.as_mut()).unwrap();
         assert_eq!(loaded.entry_count(), 0);
         assert!(loaded.iter().next().is_none());
     }

@@ -1,22 +1,23 @@
-//! The storage VFS: raw-byte backing for the WAL and the run files, plus the
-//! deterministic fault-injection layer behind experiment F3's recovery
-//! claims.
+//! The storage VFS: raw-byte backing for the WAL, the manifest and the run
+//! files, plus the deterministic fault-injection layer behind the store's
+//! recovery claims.
 //!
 //! The paper's server "recovers from network and programming errors
 //! quickly, even if it has to discard a few client events" (§3). Making
 //! that claim *testable* needs failure to be a first-class input, so every
-//! byte the store persists flows through a small [`Storage`] trait with
-//! three implementations:
+//! byte the store persists goes to a named [`Storage`] file opened through
+//! a [`StorageDir`], of which there are three:
 //!
-//! * [`FileStorage`] — a real file (production path);
-//! * [`MemStorage`] — an in-memory byte vector that **models crash
-//!   semantics**: writes land in a "page cache" until [`Storage::sync`]
-//!   makes them durable, and [`MemHandle::crash`] discards an arbitrary
-//!   (seeded-random) suffix of the unsynced writes — exactly what a power
-//!   cut does to a real disk;
-//! * [`FaultyStorage`] — a decorator over any storage that injects I/O
-//!   errors, short (torn) writes and sync failures from a seeded schedule
-//!   or from a scripted [`FaultControl`] handle.
+//! * [`FileDir`] — a real directory whose files are [`std::fs::File`]s;
+//! * [`MemDir`] — in-memory files that **model crash semantics**: writes
+//!   land in a "page cache" until [`Storage::sync`] makes them durable, and
+//!   [`MemDir::crash`] keeps each file's durable bytes plus a
+//!   (seeded-random) prefix of its unsynced writes, the last one possibly
+//!   torn — exactly what a power cut does to a real disk. The served stores
+//!   run on these files;
+//! * [`FaultyDir`] — wraps every file another directory opens and injects
+//!   write errors, short (torn) writes and sync failures from a seeded
+//!   schedule or from a scripted [`FaultControl`].
 //!
 //! Everything is deterministic given a seed, so any failing recovery run
 //! is reproducible from the seed in the log.
@@ -39,6 +40,7 @@ use memex_obs::{Counter, MetricsRegistry};
 /// `Send + Sync` because the serving layer shares whole subsystems built
 /// on storage (index, KV) behind an `RwLock`; every implementation here is
 /// either plain owned data or already `Arc<Mutex<…>>`-based.
+#[allow(clippy::len_without_is_empty)] // a fallible length; nothing asks for emptiness
 pub trait Storage: Send + Sync {
     /// Current size in bytes (includes unsynced writes).
     fn len(&self) -> io::Result<u64>;
@@ -56,90 +58,111 @@ pub trait Storage: Send + Sync {
 
     /// Truncate (or extend with zeros) to `len` bytes.
     fn set_len(&mut self, len: u64) -> io::Result<()>;
-
-    /// True when `len() == 0` (convenience; mirrors `is_empty` idiom).
-    fn is_empty(&self) -> io::Result<bool> {
-        Ok(self.len()? == 0)
-    }
 }
 
-/// Boxed storages forward, so decorators like [`FaultyStorage`] can wrap
-/// whatever a [`StorageDir`] hands out without knowing the concrete type.
-impl<S: Storage + ?Sized> Storage for Box<S> {
+/// A flat namespace of named [`Storage`] files — what the LSM engine
+/// stores its WAL, manifest and runs in, and the only way to get a
+/// [`Storage`].
+pub trait StorageDir: Send + Sync {
+    /// Open (or create) the named file.
+    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>>;
+
+    /// Delete the named file. Deleting a missing file is an error, so
+    /// recovery can distinguish "cleaned up" from "never existed".
+    fn remove(&self, name: &str) -> io::Result<()>;
+
+    /// Names of every file in the directory, sorted.
+    fn list(&self) -> io::Result<Vec<String>>;
+}
+
+/// FNV-1a, used to derive stable per-file seeds from a directory seed so
+/// fault schedules and crash outcomes are reproducible per file name.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+// ---------------------------------------------------------------------------
+// Real files
+// ---------------------------------------------------------------------------
+
+/// Production storage: a real file, as [`FileDir`] opens it.
+impl Storage for File {
     fn len(&self) -> io::Result<u64> {
-        (**self).len()
+        Ok(self.metadata()?.len())
     }
 
     fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        (**self).read_exact_at(offset, buf)
+        self.seek(SeekFrom::Start(offset))?;
+        self.read_exact(buf)
     }
 
     fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        (**self).write_all_at(offset, data)
+        // Seeking past the end and writing leaves a zero-filled gap.
+        self.seek(SeekFrom::Start(offset))?;
+        self.write_all(data)
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        (**self).sync()
+        self.sync_data()
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        (**self).set_len(len)
+        // Path-qualified: `self.set_len` would resolve to this method.
+        File::set_len(self, len)
     }
 }
 
-// ---------------------------------------------------------------------------
-// File storage
-// ---------------------------------------------------------------------------
-
-/// Production storage: a real file.
-pub struct FileStorage {
-    file: File,
+/// Production directory: real files under a root path.
+pub struct FileDir {
+    root: PathBuf,
 }
 
-impl FileStorage {
-    /// Open (or create) `path` read-write without truncating.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<FileStorage> {
+impl FileDir {
+    /// Open `root`, creating the directory if needed.
+    pub fn open<P: AsRef<Path>>(root: P) -> io::Result<FileDir> {
+        std::fs::create_dir_all(&root)?;
+        Ok(FileDir {
+            root: root.as_ref().to_path_buf(),
+        })
+    }
+}
+
+impl StorageDir for FileDir {
+    /// Open (or create) the file read-write without truncating it.
+    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(path)?;
-        Ok(FileStorage { file })
-    }
-}
-
-impl Storage for FileStorage {
-    fn len(&self) -> io::Result<u64> {
-        Ok(self.file.metadata()?.len())
+            .open(self.root.join(name))?;
+        Ok(Box::new(file))
     }
 
-    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(buf)
+    fn remove(&self, name: &str) -> io::Result<()> {
+        std::fs::remove_file(self.root.join(name))
     }
 
-    fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let len = self.file.metadata()?.len();
-        if offset > len {
-            // Fill the gap so offsets stay meaningful.
-            self.file.set_len(offset)?;
+    fn list(&self) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(&self.root)? {
+            let entry = entry?;
+            if entry.file_type()?.is_file() {
+                names.push(entry.file_name().to_string_lossy().into_owned());
+            }
         }
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.file.write_all(data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)
+        names.sort();
+        Ok(names)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Memory storage with crash semantics
+// In-memory files with crash semantics
 // ---------------------------------------------------------------------------
 
 /// A write not yet made durable by a sync.
@@ -148,6 +171,7 @@ enum PendingOp {
     SetLen(u64),
 }
 
+#[derive(Default)]
 struct MemInner {
     /// What a reader sees now (page cache + disk).
     current: Vec<u8>,
@@ -176,104 +200,19 @@ impl MemInner {
     }
 }
 
-/// In-memory [`Storage`] modelling an OS page cache over a disk.
-pub struct MemStorage {
+/// One in-memory file modelling an OS page cache over a disk. Clones share
+/// the bytes: [`MemDir`] keeps one and hands a clone to every opener.
+#[derive(Clone, Default)]
+struct MemFile {
     inner: Arc<Mutex<MemInner>>,
 }
 
-/// A cloneable handle onto a [`MemStorage`]'s bytes, held by a test
-/// harness while the store owns the storage itself. Supports simulating a
-/// crash and re-reading the surviving bytes.
-#[derive(Clone)]
-pub struct MemHandle {
-    inner: Arc<Mutex<MemInner>>,
-}
-
-impl MemStorage {
-    /// Empty storage.
-    pub fn new() -> MemStorage {
-        MemStorage::from_bytes(Vec::new())
-    }
-
-    /// Storage pre-loaded with `bytes` (already durable).
-    pub fn from_bytes(bytes: Vec<u8>) -> MemStorage {
-        MemStorage {
-            inner: Arc::new(Mutex::new(MemInner {
-                current: bytes.clone(),
-                durable: bytes,
-                pending: Vec::new(),
-            })),
-        }
-    }
-
-    /// A harness-side handle onto this storage's bytes.
-    pub fn handle(&self) -> MemHandle {
-        MemHandle {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// A storage view over an existing byte store (shared with any other
-    /// views of the same file) — how [`MemDir`] re-opens a named file.
-    fn from_inner(inner: Arc<Mutex<MemInner>>) -> MemStorage {
-        MemStorage { inner }
-    }
-}
-
-impl Default for MemStorage {
-    fn default() -> Self {
-        MemStorage::new()
-    }
-}
-
-impl MemHandle {
-    /// The bytes a reader would see right now (including unsynced writes).
-    pub fn current_bytes(&self) -> Vec<u8> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current
-            .clone()
-    }
-
-    /// The bytes guaranteed to survive a crash (state at the last sync).
-    pub fn durable_bytes(&self) -> Vec<u8> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .durable
-            .clone()
-    }
-
-    /// Number of writes not yet covered by a sync.
-    pub fn pending_ops(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pending
-            .len()
-    }
-
-    /// Flip bits at `offset` (in both the cached and durable views) —
-    /// models media corruption for recovery tests. Out-of-range offsets
-    /// are ignored.
-    pub fn corrupt(&self, offset: u64, xor: u8) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let off = offset as usize;
-        if let Some(b) = inner.current.get_mut(off) {
-            *b ^= xor;
-        }
-        if let Some(b) = inner.durable.get_mut(off) {
-            *b ^= xor;
-        }
-    }
-
-    /// Simulate a crash: the durable state plus a seeded-random *prefix* of
-    /// the pending writes survives; the final surviving write may itself be
-    /// torn partway through. Returns the surviving bytes (also installed as
-    /// the new current/durable state, with pending cleared — as if the
-    /// machine rebooted).
-    pub fn crash(&self, seed: u64) -> Vec<u8> {
+impl MemFile {
+    /// Power cut: the durable state plus a seeded-random *prefix* of the
+    /// pending writes survives, and the next write may itself be torn
+    /// partway. The survivors become the new current and durable state,
+    /// with nothing pending — as if the machine rebooted.
+    fn crash(&self, seed: u64) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = SplitMix64::new(seed);
         let keep = if inner.pending.is_empty() {
@@ -299,13 +238,12 @@ impl MemHandle {
             }
         }
         inner.current = survived.clone();
-        inner.durable = survived.clone();
+        inner.durable = survived;
         inner.pending.clear();
-        survived
     }
 }
 
-impl Storage for MemStorage {
+impl Storage for MemFile {
     fn len(&self) -> io::Result<u64> {
         Ok(self
             .inner
@@ -321,7 +259,7 @@ impl Storage for MemStorage {
         let Some(src) = inner.current.get(off..off + buf.len()) else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "read past end of mem storage",
+                "read past end of mem file",
             ));
         };
         buf.copy_from_slice(src);
@@ -355,17 +293,76 @@ impl Storage for MemStorage {
     }
 }
 
+/// In-memory [`StorageDir`]: each file keeps the page-cache crash model,
+/// and [`MemDir::crash`] crashes them all at once with per-file seeded
+/// outcomes. Clones share the same files, so a harness can keep one,
+/// crash it, and reopen a store over what survived.
+#[derive(Clone, Default)]
+pub struct MemDir {
+    files: Arc<Mutex<BTreeMap<String, MemFile>>>,
+}
+
+impl MemDir {
+    pub fn new() -> MemDir {
+        MemDir::default()
+    }
+
+    /// Simulate a whole-machine crash: every file independently keeps its
+    /// durable state plus a seeded prefix of its pending writes (the last
+    /// surviving write possibly torn). Per-file outcomes derive from
+    /// `seed ^ fnv64(name)`, so a run is reproducible from the directory
+    /// seed.
+    ///
+    /// Independence across files is the right adversary here: the store's
+    /// durability protocol may only rely on explicit sync barriers, never
+    /// on cross-file write ordering.
+    pub fn crash(&self, seed: u64) {
+        let files: Vec<(String, MemFile)> = {
+            let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+            files
+                .iter()
+                .map(|(name, file)| (name.clone(), file.clone()))
+                .collect()
+        };
+        for (name, file) in files {
+            file.crash(seed ^ fnv64(name.as_bytes()));
+        }
+    }
+}
+
+impl StorageDir for MemDir {
+    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>> {
+        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        Ok(Box::new(files.entry(name.to_string()).or_default().clone()))
+    }
+
+    fn remove(&self, name: &str) -> io::Result<()> {
+        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        match files.remove(name) {
+            Some(_) => Ok(()),
+            None => Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no such mem file: {name}"),
+            )),
+        }
+    }
+
+    fn list(&self) -> io::Result<Vec<String>> {
+        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        Ok(files.keys().cloned().collect())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
 
 /// Seeded fault schedule: each probability is expressed per 10 000
 /// operations, so the schedule is integer-deterministic across platforms.
+/// Reads are never faulted: replay must be able to see what survived.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultConfig {
     pub seed: u64,
-    /// Probability (per 10 000 reads) of an injected read error.
-    pub read_err_per_10k: u32,
     /// Probability (per 10 000 writes) of an injected write error
     /// (nothing written).
     pub write_err_per_10k: u32,
@@ -376,8 +373,8 @@ pub struct FaultConfig {
     pub sync_err_per_10k: u32,
 }
 
-/// Scripted one-shot faults plus injection counters, shared between the
-/// [`FaultyStorage`] (owned by the store) and the test driving it.
+/// Scripted one-shot faults plus injection counters, shared by every file
+/// a [`FaultyDir`] opens and the test driving it.
 #[derive(Default)]
 struct FaultScript {
     fail_next_writes: u32,
@@ -389,19 +386,32 @@ struct FaultScript {
     fail_next_set_lens: u32,
     /// Tear the next write after this many bytes (one-shot).
     tear_next_write_at: Option<usize>,
-    injected_read_errors: u64,
     injected_write_errors: u64,
     injected_short_writes: u64,
     injected_sync_errors: u64,
     // Obs mirrors (inert until attach_registry).
-    c_read: Counter,
     c_write: Counter,
     c_short: Counter,
     c_sync: Counter,
 }
 
-/// Cloneable control handle for a [`FaultyStorage`]: script one-shot
-/// faults and read injection counters while the store owns the storage.
+impl FaultScript {
+    fn write_error(&mut self, what: &str) -> io::Error {
+        self.injected_write_errors += 1;
+        self.c_write.inc();
+        injected_err(what)
+    }
+}
+
+/// Spend one shot of a scripted fault: true when one was armed.
+fn take_one(shots: &mut u32) -> bool {
+    let armed = *shots > 0;
+    *shots = shots.saturating_sub(1);
+    armed
+}
+
+/// Cloneable control handle for a [`FaultyDir`]: script one-shot faults
+/// and read injection counters while the store owns the directory.
 #[derive(Clone, Default)]
 pub struct FaultControl {
     script: Arc<Mutex<FaultScript>>,
@@ -414,14 +424,6 @@ impl FaultControl {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .fail_next_writes = n;
-    }
-
-    /// Fail the next `n` syncs.
-    pub fn fail_next_syncs(&self, n: u32) {
-        self.script
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .fail_next_syncs = n;
     }
 
     /// Let `skip` syncs through, then fail the following `n` — targets
@@ -448,11 +450,10 @@ impl FaultControl {
             .tear_next_write_at = Some(prefix);
     }
 
-    /// (read, write, short-write, sync) errors injected so far.
-    pub fn injected(&self) -> (u64, u64, u64, u64) {
+    /// (write, short-write, sync) errors injected so far.
+    pub fn injected(&self) -> (u64, u64, u64) {
         let s = self.script.lock().unwrap_or_else(|e| e.into_inner());
         (
-            s.injected_read_errors,
             s.injected_write_errors,
             s.injected_short_writes,
             s.injected_sync_errors,
@@ -461,20 +462,18 @@ impl FaultControl {
 
     /// Total faults injected so far.
     pub fn injected_total(&self) -> u64 {
-        let (r, w, s, y) = self.injected();
-        r + w + s + y
+        let (w, s, y) = self.injected();
+        w + s + y
     }
 
     /// Mirror injection counts into `registry` (`fault.injected.*`).
     /// Counter registration takes the registry's slot lock, so it happens
     /// before the script lock — never nested inside it.
     pub fn attach_registry(&self, registry: &MetricsRegistry) {
-        let c_read = registry.counter("fault.injected.read_errors");
         let c_write = registry.counter("fault.injected.write_errors");
         let c_short = registry.counter("fault.injected.short_writes");
         let c_sync = registry.counter("fault.injected.sync_errors");
         let mut s = self.script.lock().unwrap_or_else(|e| e.into_inner());
-        s.c_read = c_read;
         s.c_write = c_write;
         s.c_short = c_short;
         s.c_sync = c_sync;
@@ -485,364 +484,14 @@ fn injected_err(what: &str) -> io::Error {
     io::Error::other(format!("injected fault: {what}"))
 }
 
-/// Decorator that injects faults into any [`Storage`] from a seeded
-/// schedule and/or a scripted [`FaultControl`].
-pub struct FaultyStorage<S> {
-    inner: S,
-    cfg: FaultConfig,
-    rng: SplitMix64,
-    control: FaultControl,
-}
-
-impl<S: Storage> FaultyStorage<S> {
-    pub fn new(inner: S, cfg: FaultConfig) -> FaultyStorage<S> {
-        FaultyStorage::with_control(inner, cfg, FaultControl::default())
-    }
-
-    /// Like [`FaultyStorage::new`] but sharing an existing control handle,
-    /// so every file a [`FaultyDir`] opens answers to one script and one
-    /// set of injection counters.
-    pub fn with_control(inner: S, cfg: FaultConfig, control: FaultControl) -> FaultyStorage<S> {
-        FaultyStorage {
-            inner,
-            rng: SplitMix64::new(cfg.seed),
-            cfg,
-            control,
-        }
-    }
-
-    /// The control handle (clone it before boxing the storage).
-    pub fn control(&self) -> FaultControl {
-        self.control.clone()
-    }
-
-    fn roll(&mut self, per_10k: u32) -> bool {
-        per_10k > 0 && self.rng.next() % 10_000 < u64::from(per_10k)
-    }
-}
-
-impl<S: Storage> Storage for FaultyStorage<S> {
-    fn len(&self) -> io::Result<u64> {
-        self.inner.len()
-    }
-
-    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        if self.roll(self.cfg.read_err_per_10k) {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.injected_read_errors += 1;
-            s.c_read.inc();
-            return Err(injected_err("read"));
-        }
-        self.inner.read_exact_at(offset, buf)
-    }
-
-    fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let scripted_fail = {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if s.fail_next_writes > 0 {
-                s.fail_next_writes -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        if scripted_fail || self.roll(self.cfg.write_err_per_10k) {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.injected_write_errors += 1;
-            s.c_write.inc();
-            return Err(injected_err("write"));
-        }
-        let tear_at = {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.tear_next_write_at.take()
-        };
-        let tear_at = match tear_at {
-            Some(t) => Some(t),
-            None if self.roll(self.cfg.short_write_per_10k) && !data.is_empty() => {
-                Some((self.rng.next() % data.len() as u64) as usize)
-            }
-            None => None,
-        };
-        if let Some(t) = tear_at {
-            // A prefix lands, then the device gives up.
-            self.inner
-                .write_all_at(offset, data.get(..t).unwrap_or(data))?;
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.injected_short_writes += 1;
-            s.c_short.inc();
-            return Err(injected_err("short write"));
-        }
-        self.inner.write_all_at(offset, data)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        let scripted = {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if s.skip_syncs > 0 {
-                s.skip_syncs -= 1;
-                false
-            } else if s.fail_next_syncs > 0 {
-                s.fail_next_syncs -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        if scripted || self.roll(self.cfg.sync_err_per_10k) {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.injected_sync_errors += 1;
-            s.c_sync.inc();
-            return Err(injected_err("sync"));
-        }
-        self.inner.sync()
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        let scripted = {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if s.fail_next_set_lens > 0 {
-                s.fail_next_set_lens -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        if scripted {
-            let mut s = self
-                .control
-                .script
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            s.injected_write_errors += 1;
-            s.c_write.inc();
-            return Err(injected_err("set_len"));
-        }
-        self.inner.set_len(len)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Directory storage
-// ---------------------------------------------------------------------------
-
-/// A flat namespace of named [`Storage`] files — what the LSM engine
-/// stores its runs and manifest in. Three implementations mirror the
-/// single-file story: [`FileDir`] (a real directory), [`MemDir`]
-/// (in-memory, per-file crash semantics), and [`FaultyDir`] (injects
-/// faults into every file it opens from one shared schedule/script).
-pub trait StorageDir: Send + Sync {
-    /// Open (or create) the named file.
-    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>>;
-
-    /// Does the named file exist?
-    fn exists(&self, name: &str) -> io::Result<bool>;
-
-    /// Delete the named file. Deleting a missing file is an error, so
-    /// recovery can distinguish "cleaned up" from "never existed".
-    fn remove(&self, name: &str) -> io::Result<()>;
-
-    /// Names of every file in the directory, sorted.
-    fn list(&self) -> io::Result<Vec<String>>;
-}
-
-/// FNV-1a, used to derive stable per-file seeds from a directory seed so
-/// fault schedules and crash outcomes are reproducible per file name.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Production directory: real files under a root path.
-pub struct FileDir {
-    root: PathBuf,
-}
-
-impl FileDir {
-    /// Open `root`, creating the directory if needed.
-    pub fn open<P: AsRef<Path>>(root: P) -> io::Result<FileDir> {
-        std::fs::create_dir_all(&root)?;
-        Ok(FileDir {
-            root: root.as_ref().to_path_buf(),
-        })
-    }
-}
-
-impl StorageDir for FileDir {
-    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>> {
-        Ok(Box::new(FileStorage::open(self.root.join(name))?))
-    }
-
-    fn exists(&self, name: &str) -> io::Result<bool> {
-        Ok(self.root.join(name).exists())
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        std::fs::remove_file(self.root.join(name))
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if entry.file_type()?.is_file() {
-                names.push(entry.file_name().to_string_lossy().into_owned());
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-}
-
-type MemFiles = Arc<Mutex<BTreeMap<String, Arc<Mutex<MemInner>>>>>;
-
-/// In-memory [`StorageDir`] whose files are [`MemStorage`]s — each file
-/// keeps the page-cache crash model, and [`MemDirHandle::crash`] crashes
-/// them all at once with per-file seeded outcomes. Clones share the same
-/// files, so a harness can reopen a store over the directory it crashed.
-#[derive(Clone)]
-pub struct MemDir {
-    files: MemFiles,
-}
-
-/// Harness-side handle onto a [`MemDir`]: crash the whole directory, or
-/// reach into a single file's bytes.
-#[derive(Clone)]
-pub struct MemDirHandle {
-    files: MemFiles,
-}
-
-impl MemDir {
-    pub fn new() -> MemDir {
-        MemDir {
-            files: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    pub fn handle(&self) -> MemDirHandle {
-        MemDirHandle {
-            files: Arc::clone(&self.files),
-        }
-    }
-}
-
-impl Default for MemDir {
-    fn default() -> Self {
-        MemDir::new()
-    }
-}
-
-impl StorageDir for MemDir {
-    fn open(&self, name: &str) -> io::Result<Box<dyn Storage>> {
-        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        let inner = files.entry(name.to_string()).or_insert_with(|| {
-            Arc::new(Mutex::new(MemInner {
-                current: Vec::new(),
-                durable: Vec::new(),
-                pending: Vec::new(),
-            }))
-        });
-        Ok(Box::new(MemStorage::from_inner(Arc::clone(inner))))
-    }
-
-    fn exists(&self, name: &str) -> io::Result<bool> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(files.contains_key(name))
-    }
-
-    fn remove(&self, name: &str) -> io::Result<()> {
-        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        match files.remove(name) {
-            Some(_) => Ok(()),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such mem file: {name}"),
-            )),
-        }
-    }
-
-    fn list(&self) -> io::Result<Vec<String>> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(files.keys().cloned().collect())
-    }
-}
-
-impl MemDirHandle {
-    /// Simulate a whole-machine crash: every file independently keeps its
-    /// durable state plus a seeded prefix of its pending writes (the last
-    /// surviving write possibly torn), exactly as [`MemHandle::crash`]
-    /// does for one file. Per-file outcomes derive from `seed ^
-    /// fnv64(name)`, so a run is reproducible from the directory seed.
-    ///
-    /// Independence across files is the right adversary here: the store's
-    /// durability protocol may only rely on explicit sync barriers, never
-    /// on cross-file write ordering.
-    pub fn crash(&self, seed: u64) {
-        let entries: Vec<(String, Arc<Mutex<MemInner>>)> = {
-            let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-            files
-                .iter()
-                .map(|(name, inner)| (name.clone(), Arc::clone(inner)))
-                .collect()
-        };
-        for (name, inner) in entries {
-            let handle = MemHandle { inner };
-            handle.crash(seed ^ fnv64(name.as_bytes()));
-        }
-    }
-
-    /// A byte-level handle onto one file, if it exists.
-    pub fn file(&self, name: &str) -> Option<MemHandle> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        files.get(name).map(|inner| MemHandle {
-            inner: Arc::clone(inner),
-        })
-    }
-
-    /// Current file names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        files.keys().cloned().collect()
-    }
+/// Does this operation draw the fault? A zero probability consumes no
+/// roll, so switching one fault kind off never shifts another's stream.
+fn roll(rng: &mut SplitMix64, per_10k: u32) -> bool {
+    per_10k > 0 && rng.next() % 10_000 < u64::from(per_10k)
 }
 
 /// Decorator that wraps every file another [`StorageDir`] opens in a
-/// [`FaultyStorage`] sharing one [`FaultControl`] and one seeded
+/// faulty file answering to one shared [`FaultControl`] and one seeded
 /// schedule (per-file seeds derive from the file name, so outcomes are
 /// stable across runs regardless of open order).
 pub struct FaultyDir<D> {
@@ -868,20 +517,12 @@ impl<D: StorageDir> FaultyDir<D> {
 
 impl<D: StorageDir> StorageDir for FaultyDir<D> {
     fn open(&self, name: &str) -> io::Result<Box<dyn Storage>> {
-        let storage = self.inner.open(name)?;
-        let cfg = FaultConfig {
-            seed: self.cfg.seed ^ fnv64(name.as_bytes()),
-            ..self.cfg
-        };
-        Ok(Box::new(FaultyStorage::with_control(
-            storage,
-            cfg,
-            self.control.clone(),
-        )))
-    }
-
-    fn exists(&self, name: &str) -> io::Result<bool> {
-        self.inner.exists(name)
+        Ok(Box::new(FaultyFile {
+            inner: self.inner.open(name)?,
+            cfg: self.cfg,
+            rng: SplitMix64::new(self.cfg.seed ^ fnv64(name.as_bytes())),
+            script: Arc::clone(&self.control.script),
+        }))
     }
 
     fn remove(&self, name: &str) -> io::Result<()> {
@@ -890,6 +531,79 @@ impl<D: StorageDir> StorageDir for FaultyDir<D> {
 
     fn list(&self) -> io::Result<Vec<String>> {
         self.inner.list()
+    }
+}
+
+/// One file of a [`FaultyDir`]. Each operation decides its fault under a
+/// single script lock, releases it, and only then touches the inner file.
+struct FaultyFile {
+    inner: Box<dyn Storage>,
+    cfg: FaultConfig,
+    rng: SplitMix64,
+    script: Arc<Mutex<FaultScript>>,
+}
+
+impl Storage for FaultyFile {
+    fn len(&self) -> io::Result<u64> {
+        self.inner.len()
+    }
+
+    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.inner.read_exact_at(offset, buf)
+    }
+
+    fn write_all_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
+        let tear_at = {
+            let mut s = self.script.lock().unwrap_or_else(|e| e.into_inner());
+            if take_one(&mut s.fail_next_writes) || roll(&mut self.rng, self.cfg.write_err_per_10k)
+            {
+                return Err(s.write_error("write"));
+            }
+            let tear_at = match s.tear_next_write_at.take() {
+                Some(t) => Some(t),
+                None if roll(&mut self.rng, self.cfg.short_write_per_10k) && !data.is_empty() => {
+                    Some((self.rng.next() % data.len() as u64) as usize)
+                }
+                None => None,
+            };
+            if tear_at.is_some() {
+                s.injected_short_writes += 1;
+                s.c_short.inc();
+            }
+            tear_at
+        };
+        match tear_at {
+            // A prefix lands, then the device gives up.
+            Some(t) => {
+                self.inner
+                    .write_all_at(offset, data.get(..t).unwrap_or(data))?;
+                Err(injected_err("short write"))
+            }
+            None => self.inner.write_all_at(offset, data),
+        }
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        {
+            let mut s = self.script.lock().unwrap_or_else(|e| e.into_inner());
+            let scripted = !take_one(&mut s.skip_syncs) && take_one(&mut s.fail_next_syncs);
+            if scripted || roll(&mut self.rng, self.cfg.sync_err_per_10k) {
+                s.injected_sync_errors += 1;
+                s.c_sync.inc();
+                return Err(injected_err("sync"));
+            }
+        }
+        self.inner.sync()
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        {
+            let mut s = self.script.lock().unwrap_or_else(|e| e.into_inner());
+            if take_one(&mut s.fail_next_set_lens) {
+                return Err(s.write_error("set_len"));
+            }
+        }
+        self.inner.set_len(len)
     }
 }
 
@@ -921,13 +635,46 @@ impl SplitMix64 {
     }
 }
 
+/// File helpers for the unit tests of the layers above: build and inspect
+/// files through [`Storage`] itself.
+#[cfg(test)]
+pub(crate) mod test_files {
+    use super::{MemDir, Storage, StorageDir};
+
+    /// A file of a fresh [`MemDir`] holding `bytes` (written, not synced).
+    pub fn mem_file(bytes: &[u8]) -> Box<dyn Storage> {
+        let mut f = MemDir::new().open("file").unwrap();
+        f.write_all_at(0, bytes).unwrap();
+        f
+    }
+
+    /// Every byte a reader sees now.
+    pub fn read_all(f: &mut dyn Storage) -> Vec<u8> {
+        let mut bytes = vec![0u8; f.len().unwrap() as usize];
+        f.read_exact_at(0, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// Flip bits of the byte at `offset` — media corruption.
+    pub fn flip(f: &mut dyn Storage, offset: u64, xor: u8) {
+        let mut b = [0u8];
+        f.read_exact_at(offset, &mut b).unwrap();
+        f.write_all_at(offset, &[b[0] ^ xor]).unwrap();
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_files::read_all;
     use super::*;
 
+    fn bytes_of(dir: &dyn StorageDir, name: &str) -> Vec<u8> {
+        read_all(dir.open(name).unwrap().as_mut())
+    }
+
     #[test]
-    fn mem_storage_read_your_writes() {
-        let mut s = MemStorage::new();
+    fn mem_file_read_your_writes() {
+        let mut s = MemDir::new().open("f").unwrap();
         s.write_all_at(0, b"hello").unwrap();
         s.write_all_at(5, b" world").unwrap();
         let mut buf = [0u8; 11];
@@ -940,13 +687,14 @@ mod tests {
     #[test]
     fn crash_discards_unsynced_suffix_only() {
         for seed in 0..32u64 {
-            let mut s = MemStorage::new();
-            let h = s.handle();
+            let dir = MemDir::new();
+            let mut s = dir.open("f").unwrap();
             s.write_all_at(0, b"durable!").unwrap();
             s.sync().unwrap();
             s.write_all_at(8, b"maybe").unwrap();
             s.write_all_at(13, b"lost").unwrap();
-            let survived = h.crash(seed);
+            dir.crash(seed);
+            let survived = read_all(s.as_mut());
             assert!(survived.starts_with(b"durable!"), "synced prefix survives");
             assert!(survived.len() >= 8 && survived.len() <= 17);
             if survived.len() > 13 {
@@ -958,45 +706,29 @@ mod tests {
     }
 
     #[test]
-    fn crash_is_deterministic_per_seed() {
-        let stage = || {
-            let s = MemStorage::new();
-            let h = s.handle();
-            let mut s = s;
-            s.write_all_at(0, b"base").unwrap();
-            s.sync().unwrap();
-            for i in 0..5u8 {
-                s.write_all_at(4 + u64::from(i) * 3, &[i; 3]).unwrap();
-            }
-            h
-        };
-        assert_eq!(stage().crash(42), stage().crash(42));
-    }
-
-    #[test]
-    fn faulty_storage_scripted_faults_fire_once() {
-        let mut s = FaultyStorage::new(MemStorage::new(), FaultConfig::default());
-        let ctl = s.control();
+    fn faulty_dir_scripted_faults_fire_once() {
+        let dir = FaultyDir::new(MemDir::new(), FaultConfig::default());
+        let ctl = dir.control();
+        let mut s = dir.open("f").unwrap();
         ctl.fail_next_writes(1);
         assert!(s.write_all_at(0, b"x").is_err());
         assert!(s.write_all_at(0, b"x").is_ok());
-        ctl.fail_next_syncs(2);
+        ctl.fail_syncs_after(0, 2);
         assert!(s.sync().is_err());
         assert!(s.sync().is_err());
         assert!(s.sync().is_ok());
-        assert_eq!(ctl.injected(), (0, 1, 0, 2));
+        assert_eq!(ctl.injected(), (1, 0, 2));
     }
 
     #[test]
-    fn faulty_storage_tears_writes() {
-        let mut s = FaultyStorage::new(MemStorage::new(), FaultConfig::default());
-        let ctl = s.control();
+    fn faulty_dir_tears_writes() {
+        let dir = FaultyDir::new(MemDir::new(), FaultConfig::default());
+        let ctl = dir.control();
+        let mut s = dir.open("f").unwrap();
         ctl.tear_next_write(3);
         assert!(s.write_all_at(0, b"abcdef").is_err());
         assert_eq!(s.len().unwrap(), 3, "prefix landed before the error");
-        let mut buf = [0u8; 3];
-        s.read_exact_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"abc");
+        assert_eq!(read_all(s.as_mut()), b"abc");
     }
 
     #[test]
@@ -1007,10 +739,10 @@ mod tests {
                 write_err_per_10k: 2_000,
                 short_write_per_10k: 1_000,
                 sync_err_per_10k: 1_500,
-                ..FaultConfig::default()
             };
-            let mut s = FaultyStorage::new(MemStorage::new(), cfg);
-            let ctl = s.control();
+            let dir = FaultyDir::new(MemDir::new(), cfg);
+            let ctl = dir.control();
+            let mut s = dir.open("f").unwrap();
             let mut outcome = Vec::new();
             for i in 0..200u64 {
                 outcome.push(s.write_all_at(i * 4, &[1, 2, 3, 4]).is_ok());
@@ -1039,14 +771,10 @@ mod tests {
             f.write_all_at(0, b"beta").unwrap();
         }
         assert_eq!(dir.list().unwrap(), vec!["a".to_string(), "b".to_string()]);
-        assert!(dir.exists("a").unwrap());
         // Re-opening sees the same bytes.
-        let mut f = dir.open("a").unwrap();
-        let mut buf = [0u8; 5];
-        f.read_exact_at(0, &mut buf).unwrap();
-        assert_eq!(&buf, b"alpha");
+        assert_eq!(bytes_of(&dir, "a"), b"alpha");
         dir.remove("b").unwrap();
-        assert!(!dir.exists("b").unwrap());
+        assert_eq!(dir.list().unwrap(), vec!["a".to_string()]);
         assert!(dir.remove("b").is_err(), "double remove is an error");
     }
 
@@ -1054,33 +782,24 @@ mod tests {
     fn mem_dir_crash_keeps_synced_files_and_is_deterministic() {
         let stage = || {
             let dir = MemDir::new();
-            let h = dir.handle();
             let mut a = dir.open("a").unwrap();
             a.write_all_at(0, b"durable").unwrap();
             a.sync().unwrap();
             let mut b = dir.open("b").unwrap();
             b.write_all_at(0, b"pending-bytes").unwrap();
-            h
+            dir
         };
-        let h1 = stage();
-        h1.crash(42);
-        assert_eq!(
-            h1.file("a").unwrap().current_bytes(),
-            b"durable".to_vec(),
-            "synced file survives whole"
-        );
-        let b1 = h1.file("b").unwrap().current_bytes();
+        let d1 = stage();
+        d1.crash(42);
+        assert_eq!(bytes_of(&d1, "a"), b"durable", "synced file survives whole");
+        let b1 = bytes_of(&d1, "b");
         assert!(
             b1.len() <= 13,
             "unsynced file keeps at most what was written"
         );
-        let h2 = stage();
-        h2.crash(42);
-        assert_eq!(
-            b1,
-            h2.file("b").unwrap().current_bytes(),
-            "same seed, same outcome"
-        );
+        let d2 = stage();
+        d2.crash(42);
+        assert_eq!(b1, bytes_of(&d2, "b"), "same seed, same outcome");
     }
 
     #[test]
@@ -1092,7 +811,7 @@ mod tests {
         ctl.fail_next_writes(1);
         assert!(a.write_all_at(0, b"x").is_err(), "script hits first writer");
         assert!(b.write_all_at(0, b"y").is_ok(), "one-shot script is spent");
-        assert_eq!(ctl.injected(), (0, 1, 0, 0));
+        assert_eq!(ctl.injected(), (1, 0, 0));
     }
 
     #[test]
@@ -1103,34 +822,122 @@ mod tests {
         let dir = FileDir::open(&p).unwrap();
         {
             let mut f = dir.open("run-1").unwrap();
-            f.write_all_at(0, b"contents").unwrap();
+            f.write_all_at(0, b"0123456789").unwrap();
             f.sync().unwrap();
+            f.set_len(6).unwrap();
+            f.write_all_at(8, b"xy").unwrap();
         }
         assert_eq!(dir.list().unwrap(), vec!["run-1".to_string()]);
-        assert!(dir.exists("run-1").unwrap());
+        assert_eq!(
+            bytes_of(&dir, "run-1"),
+            b"012345\0\0xy",
+            "reopen sees the truncation and the zero-filled gap"
+        );
         dir.remove("run-1").unwrap();
         assert!(dir.list().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&p);
     }
 
+    /// FNV-1a 64 over everything `storage_model_digest` folds in.
+    fn fold(h: &mut u64, bytes: &[u8]) {
+        for b in bytes {
+            *h ^= u64::from(*b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn fold_file(h: &mut u64, dir: &dyn StorageDir, name: &str) {
+        let bytes = bytes_of(dir, name);
+        fold(h, name.as_bytes());
+        fold(h, &(bytes.len() as u64).to_le_bytes());
+        fold(h, &bytes);
+    }
+
+    /// Pins the crash model and the seeded fault schedule to committed
+    /// bytes, so a refactor of this layer cannot change either unnoticed
+    /// (the determinism tests above only compare a run with itself).
     #[test]
-    fn file_storage_round_trip() {
-        let mut p = std::env::temp_dir();
-        p.push(format!("memex-vfs-{}.bin", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        {
-            let mut s = FileStorage::open(&p).unwrap();
-            s.write_all_at(0, b"0123456789").unwrap();
-            s.sync().unwrap();
-            s.set_len(6).unwrap();
+    fn storage_model_digest() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+
+        // 1. Crash model: three files with synced, pending, resized and
+        //    gapped writes, crashed at 64 seeds.
+        for seed in 0..64u64 {
+            let dir = MemDir::new();
+            let mut a = dir.open("a").unwrap();
+            let mut b = dir.open("b").unwrap();
+            let mut c = dir.open("c").unwrap();
+            a.write_all_at(0, b"alpha-durable").unwrap();
+            a.sync().unwrap();
+            a.write_all_at(13, b"-pending-1").unwrap();
+            a.write_all_at(5, b"XY").unwrap();
+            b.write_all_at(0, &[7u8; 40]).unwrap();
+            b.set_len(25).unwrap();
+            b.write_all_at(30, b"gap").unwrap();
+            c.write_all_at(0, b"c0").unwrap();
+            c.sync().unwrap();
+            c.set_len(1).unwrap();
+            c.write_all_at(1, b"tail-bytes-here").unwrap();
+            c.sync().unwrap();
+            c.write_all_at(3, b"after-sync").unwrap();
+            a.write_all_at(23, b"-pending-2").unwrap();
+            b.write_all_at(2, b"overwrite").unwrap();
+            dir.crash(seed);
+            for name in dir.list().unwrap() {
+                fold_file(&mut h, &dir, &name);
+            }
         }
-        {
-            let mut s = FileStorage::open(&p).unwrap();
-            assert_eq!(s.len().unwrap(), 6);
-            let mut buf = [0u8; 6];
-            s.read_exact_at(0, &mut buf).unwrap();
-            assert_eq!(&buf, b"012345");
+
+        // 2. Fault schedule: seeded write/short-write/sync faults over two
+        //    files, with every scripted fault kind mixed in.
+        for seed in [3u64, 11, 0xDEAD_BEEF] {
+            let mem = MemDir::new();
+            let dir = FaultyDir::new(
+                mem.clone(),
+                FaultConfig {
+                    seed,
+                    write_err_per_10k: 2_000,
+                    short_write_per_10k: 1_500,
+                    sync_err_per_10k: 1_500,
+                },
+            );
+            let ctl = dir.control();
+            let mut files = [dir.open("x").unwrap(), dir.open("y").unwrap()];
+            for i in 0..120u64 {
+                match i {
+                    40 => ctl.tear_next_write(2),
+                    60 => ctl.fail_next_writes(1),
+                    80 => ctl.fail_syncs_after(1, 1),
+                    _ => {}
+                }
+                let f = &mut files[(i % 2) as usize];
+                let data: Vec<u8> = (0..1 + i % 9).map(|j| (i * 7 + j) as u8).collect();
+                fold(&mut h, &[u8::from(f.write_all_at(i * 3, &data).is_ok())]);
+                if i % 5 == 4 {
+                    fold(&mut h, &[u8::from(f.sync().is_ok())]);
+                }
+                if i == 100 {
+                    ctl.fail_next_set_lens(1);
+                    fold(&mut h, &[u8::from(f.set_len(i * 2).is_ok())]);
+                    fold(&mut h, &[u8::from(f.set_len(i * 2).is_ok())]);
+                }
+            }
+            let (w, s, y) = ctl.injected();
+            assert!(
+                w > 0 && s > 0 && y > 0,
+                "seed {seed}: a fault kind never fired"
+            );
+            for n in [w, s, y] {
+                fold(&mut h, &n.to_le_bytes());
+            }
+            for name in ["x", "y"] {
+                fold_file(&mut h, &mem, name);
+            }
         }
-        let _ = std::fs::remove_file(&p);
+
+        assert_eq!(
+            h, 0xb92e_498f_12d2_9e29,
+            "storage model digest moved: {h:#018x}"
+        );
     }
 }

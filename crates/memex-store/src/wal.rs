@@ -27,7 +27,7 @@ use memex_obs::{Counter, MetricsRegistry};
 
 use crate::codec::{crc32, get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64};
 use crate::error::{StoreError, StoreResult};
-use crate::vfs::{MemStorage, Storage};
+use crate::vfs::Storage;
 
 /// A single logical WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,20 +127,12 @@ pub struct Replay {
 }
 
 impl Wal {
-    /// In-memory log (tests / transient stores).
-    pub fn in_memory() -> Wal {
-        Self::starting_at(Box::new(MemStorage::new()), 0)
-    }
-
-    /// Wrap an arbitrary storage (the fault-injection entry point).
+    /// A log over `backing` — a file some [`StorageDir`] opened.
+    ///
+    /// [`StorageDir`]: crate::vfs::StorageDir
     pub fn with_storage(backing: Box<dyn Storage>) -> StoreResult<Wal> {
         let end_pos = backing.len()?;
-        Ok(Self::starting_at(backing, end_pos))
-    }
-
-    /// A log over `backing`, whose current length is `end_pos`.
-    fn starting_at(backing: Box<dyn Storage>, end_pos: u64) -> Wal {
-        Wal {
+        Ok(Wal {
             backing,
             end_pos,
             // Content present at open time was written by a previous
@@ -149,7 +141,7 @@ impl Wal {
             durable_end: end_pos,
             next_lsn: 1,
             metrics: WalMetrics::default(),
-        }
+        })
     }
 
     /// Register this log's counters with `registry` (`store.wal.*`).
@@ -276,8 +268,7 @@ impl Wal {
     }
 
     /// Deliberately corrupt the tail by removing `n` trailing bytes —
-    /// simulates a crash mid-write. Used by recovery tests and the F3
-    /// fault-injection experiment.
+    /// simulates a crash mid-write for recovery tests.
     pub fn tear_tail(&mut self, n: u64) -> StoreResult<()> {
         let len = self.backing.len()?;
         let keep = len.saturating_sub(n);
@@ -298,11 +289,16 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultConfig, FaultyStorage, FileStorage};
+    use crate::vfs::test_files::{flip, mem_file};
+    use crate::vfs::{FaultConfig, FaultyDir, FileDir, MemDir, StorageDir};
+
+    fn mem_wal() -> Wal {
+        Wal::with_storage(mem_file(b"")).unwrap()
+    }
 
     #[test]
     fn append_replay_round_trip() {
-        let mut wal = Wal::in_memory();
+        let mut wal = mem_wal();
         wal.append(&WalRecord::Put {
             key: b"a".to_vec(),
             value: b"1".to_vec(),
@@ -326,7 +322,7 @@ mod tests {
 
     #[test]
     fn checkpoint_clears_prefix() {
-        let mut wal = Wal::in_memory();
+        let mut wal = mem_wal();
         wal.append(&WalRecord::Put {
             key: b"a".to_vec(),
             value: b"1".to_vec(),
@@ -352,7 +348,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
-        let mut wal = Wal::in_memory();
+        let mut wal = mem_wal();
         wal.append(&WalRecord::Put {
             key: b"a".to_vec(),
             value: b"1".to_vec(),
@@ -372,16 +368,16 @@ mod tests {
 
     #[test]
     fn bit_flip_detected_by_crc() {
-        let storage = MemStorage::new();
-        let handle = storage.handle();
-        let mut wal = Wal::with_storage(Box::new(storage)).unwrap();
+        let dir = MemDir::new();
+        let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
         wal.append(&WalRecord::Put {
             key: b"abc".to_vec(),
             value: b"def".to_vec(),
         })
         .unwrap();
-        let len = handle.current_bytes().len() as u64;
-        handle.corrupt(len - 1, 0xFF);
+        let mut file = dir.open("wal").unwrap();
+        let len = file.len().unwrap();
+        flip(file.as_mut(), len - 1, 0xFF);
         let replay = wal.replay().unwrap();
         assert!(replay.torn_tail);
         assert!(replay.records.is_empty());
@@ -389,7 +385,7 @@ mod tests {
 
     #[test]
     fn lsns_resume_after_replay() {
-        let mut wal = Wal::in_memory();
+        let mut wal = mem_wal();
         wal.append(&WalRecord::Checkpoint).unwrap();
         wal.append(&WalRecord::Delete { key: b"x".to_vec() })
             .unwrap();
@@ -401,10 +397,11 @@ mod tests {
     #[test]
     fn file_backed_wal_survives_reopen() {
         let mut path = std::env::temp_dir();
-        path.push(format!("memex-wal-{}.log", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        path.push(format!("memex-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let dir = FileDir::open(&path).unwrap();
         {
-            let mut wal = Wal::with_storage(Box::new(FileStorage::open(&path).unwrap())).unwrap();
+            let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
             wal.append(&WalRecord::Put {
                 key: b"k".to_vec(),
                 value: b"v".to_vec(),
@@ -413,11 +410,11 @@ mod tests {
             wal.sync().unwrap();
         }
         {
-            let mut wal = Wal::with_storage(Box::new(FileStorage::open(&path).unwrap())).unwrap();
+            let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
             let replay = wal.replay().unwrap();
             assert_eq!(replay.records.len(), 1);
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
     }
 
     /// Regression: a failed (torn) append used to strand every later
@@ -425,9 +422,9 @@ mod tests {
     /// the physical end of the file while replay stopped at the tear.
     #[test]
     fn append_after_failed_append_overwrites_garbage() {
-        let storage = FaultyStorage::new(MemStorage::new(), FaultConfig::default());
-        let ctl = storage.control();
-        let mut wal = Wal::with_storage(Box::new(storage)).unwrap();
+        let dir = FaultyDir::new(MemDir::new(), FaultConfig::default());
+        let ctl = dir.control();
+        let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
         wal.append(&WalRecord::Put {
             key: b"a".to_vec(),
             value: b"1".to_vec(),
@@ -464,9 +461,8 @@ mod tests {
     /// duplicate LSNs, and durable frames keep theirs.
     #[test]
     fn lsn_reuse_is_confined_to_torn_frames() {
-        let storage = MemStorage::new();
-        let handle = storage.handle();
-        let mut wal = Wal::with_storage(Box::new(storage)).unwrap();
+        let dir = MemDir::new();
+        let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
         let l1 = wal
             .append(&WalRecord::Put {
                 key: b"a".to_vec(),
@@ -492,8 +488,7 @@ mod tests {
             .unwrap();
         assert_eq!(l2_again, 2);
         // A reopened log replays unique, strictly increasing LSNs.
-        let mut wal2 =
-            Wal::with_storage(Box::new(MemStorage::from_bytes(handle.current_bytes()))).unwrap();
+        let mut wal2 = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
         let replay = wal2.replay().unwrap();
         assert!(!replay.torn_tail, "repair removed the torn bytes");
         let lsns: Vec<u64> = replay.records.iter().map(|&(l, _)| l).collect();
@@ -504,7 +499,7 @@ mod tests {
     /// is physically truncated, so a second replay is clean.
     #[test]
     fn replay_repairs_torn_tail() {
-        let mut wal = Wal::in_memory();
+        let mut wal = mem_wal();
         for i in 0..3u8 {
             wal.append(&WalRecord::Put {
                 key: vec![i],

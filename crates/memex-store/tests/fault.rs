@@ -1,9 +1,10 @@
 //! Deterministic fault-injection harness for the storage substrate.
 //!
-//! Everything here is reproducible from a seed: `MemStorage` models an OS
-//! page cache over a disk (synced bytes are durable, unsynced writes may
-//! vanish at a crash — possibly torn mid-write), and `FaultyStorage`
-//! injects I/O errors from a seeded schedule or a scripted `FaultControl`.
+//! Everything here is reproducible from a seed: every file of a `MemDir`
+//! models an OS page cache over a disk (synced bytes are durable, unsynced
+//! writes may vanish at a crash — possibly torn mid-write), and a
+//! `FaultyDir` wrapped around it injects write errors, short writes and
+//! sync failures from a seeded schedule or a scripted `FaultControl`.
 //!
 //! The central property is **prefix consistency**: after running an
 //! arbitrary operation sequence against the store, crashing at an
@@ -18,7 +19,9 @@
 //! top.
 //!
 //! Run a specific schedule with `PROPTEST_SEED=<n> cargo test -p
-//! memex-store --test fault` (this is what CI's fault-matrix job does).
+//! memex-store --test fault` (this is what CI's fault-matrix job does):
+//! the proptests draw their cases from it, and the two seeded chaos tests
+//! run it as a fault-schedule seed after their four fixed ones.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -28,7 +31,7 @@ use proptest::prelude::*;
 
 use memex_obs::MetricsRegistry;
 use memex_store::lsm::{LsmOptions, LsmStore};
-use memex_store::vfs::{FaultConfig, FaultControl, FaultyDir, MemDir, MemStorage, StorageDir};
+use memex_store::vfs::{FaultConfig, FaultControl, FaultyDir, MemDir, Storage, StorageDir};
 use memex_store::wal::{Wal, WalRecord};
 
 // ---------------------------------------------------------------------------
@@ -88,7 +91,6 @@ fn small_lsm_opts() -> LsmOptions {
         compact_min_runs: 3,
         // The harness drives compaction explicitly and deterministically.
         background_compaction: false,
-        sync_every_append: false,
     }
 }
 
@@ -107,7 +109,7 @@ impl Rig {
     fn crash_and_reopen(self, seed: u64) -> LsmStore {
         let Rig { store, dir } = self;
         drop(store);
-        dir.handle().crash(seed);
+        dir.crash(seed);
         LsmStore::open_with_dir(Arc::new(dir), small_lsm_opts())
             .expect("reopen after crash must succeed")
     }
@@ -127,6 +129,43 @@ fn open_faulty_rig(cfg: FaultConfig) -> (Rig, FaultControl) {
     let ctl = faulty.control();
     let store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
     (Rig { store, dir }, ctl)
+}
+
+/// A file of a fresh [`MemDir`] holding `bytes`.
+fn mem_file(bytes: &[u8]) -> Box<dyn Storage> {
+    let mut f = MemDir::new().open("file").unwrap();
+    f.write_all_at(0, bytes).unwrap();
+    f
+}
+
+/// The bytes of a WAL holding `kvs` as puts.
+fn wal_bytes(kvs: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+    let dir = MemDir::new();
+    let mut wal = Wal::with_storage(dir.open("wal").unwrap()).unwrap();
+    for (k, v) in kvs {
+        wal.append(&WalRecord::Put {
+            key: k.clone(),
+            value: v.clone(),
+        })
+        .unwrap();
+    }
+    let mut f = dir.open("wal").unwrap();
+    let mut bytes = vec![0u8; f.len().unwrap() as usize];
+    f.read_exact_at(0, &mut bytes).unwrap();
+    bytes
+}
+
+/// The seeded chaos schedules: four fixed seeds, plus `PROPTEST_SEED`
+/// when it is set, so each CI fault-matrix job adds a schedule of its own.
+fn chaos_seeds() -> Vec<u64> {
+    let mut seeds = vec![1u64, 7, 42, 0x2000_0101];
+    let env = std::env::var("PROPTEST_SEED").ok();
+    if let Some(seed) = env.and_then(|s| s.parse::<u64>().ok()) {
+        if !seeds.contains(&seed) {
+            seeds.push(seed);
+        }
+    }
+    seeds
 }
 
 /// Does `recovered` equal `model_at(ops, p)` for some `synced <= p <=
@@ -206,18 +245,10 @@ proptest! {
     fn wal_cut_at_every_byte_offset_recovers_record_prefix(
         kvs in proptest::collection::vec((key_strategy(), key_strategy()), 1..10),
     ) {
-        let storage = MemStorage::new();
-        let handle = storage.handle();
-        let mut wal = Wal::with_storage(Box::new(storage)).unwrap();
-        for (k, v) in &kvs {
-            wal.append(&WalRecord::Put { key: k.clone(), value: v.clone() }).unwrap();
-        }
-        let bytes = handle.current_bytes();
+        let bytes = wal_bytes(&kvs);
 
         for cut in 0..=bytes.len() {
-            let mut wal =
-                Wal::with_storage(Box::new(MemStorage::from_bytes(bytes[..cut].to_vec())))
-                    .unwrap();
+            let mut wal = Wal::with_storage(mem_file(&bytes[..cut])).unwrap();
             let replay = wal.replay().unwrap_or_else(|e| {
                 panic!("replay failed at cut {cut}/{}: {e}", bytes.len())
             });
@@ -247,18 +278,12 @@ proptest! {
         kvs in proptest::collection::vec((key_strategy(), key_strategy()), 1..8),
         xor in 1u8..=255,
     ) {
-        let storage = MemStorage::new();
-        let handle = storage.handle();
-        let mut wal = Wal::with_storage(Box::new(storage)).unwrap();
-        for (k, v) in &kvs {
-            wal.append(&WalRecord::Put { key: k.clone(), value: v.clone() }).unwrap();
-        }
-        let bytes = handle.current_bytes();
+        let bytes = wal_bytes(&kvs);
 
         for off in 0..bytes.len() {
             let mut mutated = bytes.clone();
             mutated[off] ^= xor;
-            let mut wal = Wal::with_storage(Box::new(MemStorage::from_bytes(mutated))).unwrap();
+            let mut wal = Wal::with_storage(mem_file(&mutated)).unwrap();
             let replay = wal.replay().unwrap_or_else(|e| {
                 panic!("replay failed with flip at {off}: {e}")
             });
@@ -424,7 +449,6 @@ fn crash_mid_seal_reconciles_manifest_against_partial_runs() {
     let mut saw_adopted = false;
     for crash_seed in [0u64, 1, 7, 42, 0x2000_0101] {
         let dir = MemDir::new();
-        let handle = dir.handle();
         let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
         let ctl = faulty.control();
         let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
@@ -436,14 +460,15 @@ fn crash_mid_seal_reconciles_manifest_against_partial_runs() {
         // the run file is durable, its manifest record staged but not.
         ctl.fail_syncs_after(2, 1);
         assert!(store.seal().is_err(), "manifest sync failure must surface");
-        let orphan_name = handle
-            .names()
+        let orphan_name = dir
+            .list()
+            .unwrap()
             .into_iter()
             .find(|n| n.starts_with("run-"))
             .expect("the synced run file must remain for recovery to reconcile");
         drop(store);
 
-        handle.crash(crash_seed);
+        dir.crash(crash_seed);
 
         let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
             .expect("recovery must reconcile the manifest against partial runs");
@@ -463,7 +488,7 @@ fn crash_mid_seal_reconciles_manifest_against_partial_runs() {
         if orphans > 0 {
             saw_orphan = true;
             assert!(
-                !handle.names().contains(&orphan_name),
+                !dir.list().unwrap().contains(&orphan_name),
                 "seed {crash_seed}: orphan run deleted but still listed"
             );
         } else {
@@ -477,7 +502,7 @@ fn crash_mid_seal_reconciles_manifest_against_partial_runs() {
         store.seal().unwrap();
         if orphans > 0 {
             assert!(
-                handle.names().iter().all(|n| n != &orphan_name),
+                dir.list().unwrap().iter().all(|n| n != &orphan_name),
                 "seed {crash_seed}: orphan run id was re-allocated"
             );
         }
@@ -514,7 +539,6 @@ fn crash_mid_compaction_preserves_sealed_state() {
     for barrier in 0..2u32 {
         for crash_seed in [5u64, 0xFACE_F00D] {
             let dir = MemDir::new();
-            let handle = dir.handle();
             let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
             let ctl = faulty.control();
             let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
@@ -540,7 +564,7 @@ fn crash_mid_compaction_preserves_sealed_state() {
             );
             drop(store);
 
-            handle.crash(crash_seed);
+            dir.crash(crash_seed);
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-compaction crash");
@@ -575,7 +599,6 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
     for barrier in 0..2u32 {
         for crash_seed in [9u64, 0xC0FF_EE42] {
             let dir = MemDir::new();
-            let handle = dir.handle();
             let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
             let ctl = faulty.control();
             let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
@@ -611,7 +634,7 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
             );
             drop(store);
 
-            handle.crash(crash_seed);
+            dir.crash(crash_seed);
 
             let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                 .expect("recovery after a mid-tier-compaction crash");
@@ -687,7 +710,6 @@ proptest! {
         ops in proptest::collection::vec(tier_op_strategy(), 1..48),
     ) {
         let dir = MemDir::new();
-        let handle = dir.handle();
         let mut store =
             LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -711,7 +733,7 @@ proptest! {
                 TierOp::Crash(seed) => {
                     store.sync().unwrap();
                     drop(store);
-                    handle.crash(*seed);
+                    dir.crash(*seed);
                     store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
                         .expect("reopen after synced crash");
                 }
@@ -746,10 +768,9 @@ proptest! {
 /// deferred, never retracting an acked op).
 #[test]
 fn seeded_fault_schedule_preserves_prefix_consistency() {
-    for seed in [1u64, 7, 42, 0x2000_0101] {
+    for seed in chaos_seeds() {
         let cfg = FaultConfig {
             seed,
-            read_err_per_10k: 0, // reads must stay reliable for replay
             write_err_per_10k: 800,
             short_write_per_10k: 600,
             sync_err_per_10k: 500,
@@ -804,16 +825,14 @@ fn seeded_fault_schedule_preserves_prefix_consistency() {
 /// clean retry converges to a single run with nothing lost.
 #[test]
 fn seeded_compaction_chaos_never_corrupts() {
-    for seed in [1u64, 7, 42, 0x2000_0101] {
+    for seed in chaos_seeds() {
         let cfg = FaultConfig {
             seed,
-            read_err_per_10k: 0,
             write_err_per_10k: 400,
             short_write_per_10k: 300,
             sync_err_per_10k: 400,
         };
         let dir = MemDir::new();
-        let handle = dir.handle();
         let faulty = FaultyDir::new(dir.clone(), cfg);
         let ctl = faulty.control();
         let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
@@ -844,7 +863,7 @@ fn seeded_compaction_chaos_never_corrupts() {
         );
         drop(store);
 
-        handle.crash(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        dir.crash(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
             .expect("recovery after compaction chaos");
@@ -867,7 +886,7 @@ fn seeded_compaction_chaos_never_corrupts() {
 }
 
 /// Recovery outcomes surface in `store.recovery.*` once a registry is
-/// attached — the observability contract the F3 experiment reads.
+/// attached.
 #[test]
 fn recovery_metrics_report_replay_and_repair() {
     let dir = MemDir::new();

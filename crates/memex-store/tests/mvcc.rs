@@ -22,7 +22,6 @@ fn burst_opts() -> LsmOptions {
         memtable_bytes: 256,
         compact_min_runs: 2,
         background_compaction: true,
-        sync_every_append: false,
     }
 }
 

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use memex_store::codec;
 use memex_store::lsm::{LsmOptions, LsmStore};
 use memex_store::rel::Value;
+use memex_store::vfs::{MemDir, StorageDir};
 use memex_store::wal::{Wal, WalRecord};
 
 #[derive(Debug, Clone)]
@@ -83,7 +84,7 @@ proptest! {
     /// records appended since the last checkpoint.
     #[test]
     fn wal_replay_matches_appends(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let mut wal = Wal::in_memory();
+        let mut wal = Wal::with_storage(MemDir::new().open("wal").unwrap()).unwrap();
         let mut expected: Vec<WalRecord> = Vec::new();
         for op in &ops {
             let rec = match op {
@@ -111,7 +112,7 @@ proptest! {
         kvs in proptest::collection::vec((key_strategy(), key_strategy()), 1..20),
         tear in 1u64..64,
     ) {
-        let mut wal = Wal::in_memory();
+        let mut wal = Wal::with_storage(MemDir::new().open("wal").unwrap()).unwrap();
         for (k, v) in &kvs {
             wal.append(&WalRecord::Put { key: k.clone(), value: v.clone() }).unwrap();
         }
