@@ -19,7 +19,7 @@ mod t4_crawl;
 mod t5_recommend;
 mod t6_recall;
 pub mod table;
-mod worlds;
+pub mod worlds;
 
 pub use table::Table;
 

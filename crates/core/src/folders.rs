@@ -5,6 +5,10 @@
 //! '?'. The user can correct or reinforce the classifier using cut/paste,
 //! thus continually improving Memex's models for the user's topics of
 //! interest."
+//!
+//! The model learns from what the user files (a bookmark, a cut/paste, a
+//! confirmed guess) and from nothing else, so the space keeps a term vector
+//! only for its confirmed pages; confirming a guess brings its vector along.
 
 use std::collections::HashMap;
 
@@ -22,37 +26,25 @@ pub struct PageAssignment {
 }
 
 /// One user's editable folder tree plus the learned model over it.
+#[derive(Default)]
 pub struct FolderSpace {
     pub taxonomy: Taxonomy,
     /// page -> assignment.
     assignments: HashMap<u32, PageAssignment>,
-    /// Training cache: page -> tf (needed to unlearn on correction).
+    /// The training set: confirmed page -> tf (a rebuild retrains on it,
+    /// an unfiling unlearns from it). Exactly the confirmed pages.
     tf_of: HashMap<u32, Vec<(TermId, u32)>>,
     classifier: Option<NaiveBayes>,
     /// class index -> folder id (leaves of the taxonomy at train time).
     classes: Vec<TopicId>,
-    nb_opts: NbOptions,
-    /// Fisher-selected vocabulary size (None = all terms).
-    pub feature_k: Option<usize>,
 }
 
-impl Default for FolderSpace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Fisher-selected vocabulary size of a trained model.
+const FEATURE_K: usize = 2_000;
 
 impl FolderSpace {
     pub fn new() -> FolderSpace {
-        FolderSpace {
-            taxonomy: Taxonomy::new(),
-            assignments: HashMap::new(),
-            tf_of: HashMap::new(),
-            classifier: None,
-            classes: Vec::new(),
-            nb_opts: NbOptions::default(),
-            feature_k: Some(2_000),
-        }
+        FolderSpace::default()
     }
 
     /// Create (or find) a folder by path, e.g. `"/Music/Western Classical"`.
@@ -80,11 +72,11 @@ impl FolderSpace {
         self.assignments.get(&page).copied()
     }
 
-    /// User deliberately bookmarks `page` into `folder` (confirmed).
-    /// Feeds the classifier immediately.
+    /// User deliberately bookmarks `page` into `folder` (confirmed), or
+    /// cuts and pastes it there. Feeds the classifier immediately.
     pub fn bookmark(&mut self, page: u32, folder: TopicId, tf: &[(TermId, u32)]) {
         assert!(self.taxonomy.is_live(folder), "folder must exist");
-        // If the page was guessed elsewhere, unlearn that first.
+        // If the page was filed elsewhere, unlearn that first.
         self.unassign(page);
         // A folder receiving its first confirmed page brings new vocabulary
         // online; a full rebuild re-runs feature selection over it.
@@ -100,25 +92,19 @@ impl FolderSpace {
             },
         );
         self.tf_of.insert(page, tf.to_vec());
-        if self.classifier.is_none() || folder_was_empty {
-            self.rebuild_classifier();
-            return;
-        }
-        if let Some(class) = self.class_of(folder) {
-            if let Some(nb) = &mut self.classifier {
-                nb.add_document(class, tf);
-            }
-        } else {
-            self.rebuild_classifier();
+        match (self.class_of(folder), &mut self.classifier) {
+            (Some(class), Some(nb)) if !folder_was_empty => nb.add_document(class, tf),
+            _ => self.rebuild_classifier(),
         }
     }
 
     /// The classification demon's entry point: guess a folder for an
     /// unfiled page. Returns the guess (marked '?') or `None` when the
-    /// model cannot classify yet (fewer than two trained folders).
+    /// model cannot classify yet (fewer than two trained folders). The
+    /// guess keeps no copy of `tf`: nothing trains on it.
     pub fn classify(&mut self, page: u32, tf: &[(TermId, u32)]) -> Option<TopicId> {
-        if self.assignments.get(&page).is_some_and(|a| a.confirmed) {
-            return Some(self.assignments[&page].folder);
+        if let Some(a) = self.assignment(page).filter(|a| a.confirmed) {
+            return Some(a.folder);
         }
         let nb = self.classifier.as_ref()?;
         if nb.num_docs() < 2.0 {
@@ -132,13 +118,12 @@ impl FolderSpace {
                 confirmed: false,
             },
         );
-        self.tf_of.insert(page, tf.to_vec());
         Some(folder)
     }
 
-    /// User reinforces a guess (keeps it where the demon put it). The page
-    /// becomes a confirmed training example.
-    pub fn confirm(&mut self, page: u32) {
+    /// User reinforces a guess (keeps it where the demon put it). The page,
+    /// with its term vector `tf`, becomes a confirmed training example.
+    pub fn confirm(&mut self, page: u32, tf: &[(TermId, u32)]) {
         let Some(a) = self.assignments.get_mut(&page) else {
             return;
         };
@@ -147,30 +132,21 @@ impl FolderSpace {
         }
         a.confirmed = true;
         let folder = a.folder;
-        if let (Some(class), Some(tf)) = (self.class_of(folder), self.tf_of.get(&page).cloned()) {
-            if let Some(nb) = &mut self.classifier {
-                nb.add_document(class, &tf);
-            }
+        self.tf_of.insert(page, tf.to_vec());
+        if let (Some(class), Some(nb)) = (self.class_of(folder), &mut self.classifier) {
+            nb.add_document(class, tf);
         }
-    }
-
-    /// User corrects a guess: cut from its current folder, paste into
-    /// `folder`. Equivalent to a confirmed bookmark.
-    pub fn correct(&mut self, page: u32, folder: TopicId) {
-        let tf = self.tf_of.get(&page).cloned().unwrap_or_default();
-        self.bookmark(page, folder, &tf);
     }
 
     /// Remove a page from the space entirely (unlearns if confirmed).
     pub fn unassign(&mut self, page: u32) {
-        if let Some(a) = self.assignments.remove(&page) {
-            if a.confirmed {
-                if let (Some(class), Some(tf)) = (self.class_of(a.folder), self.tf_of.get(&page)) {
-                    let tf = tf.clone();
-                    if let Some(nb) = &mut self.classifier {
-                        nb.remove_document(class, &tf);
-                    }
-                }
+        let Some(a) = self.assignments.remove(&page) else {
+            return;
+        };
+        // Only a confirmed page has a vector, and only it trained the model.
+        if let (Some(tf), Some(class)) = (self.tf_of.remove(&page), self.class_of(a.folder)) {
+            if let Some(nb) = &mut self.classifier {
+                nb.remove_document(class, &tf);
             }
         }
     }
@@ -203,26 +179,18 @@ impl FolderSpace {
             self.classes = leaves;
             return;
         }
-        let mut nb = NaiveBayes::new(leaves.len(), self.nb_opts);
+        let mut nb = NaiveBayes::new(leaves.len(), NbOptions::default());
         let mut trained = 0usize;
-        for (&page, a) in &self.assignments {
-            if !a.confirmed {
-                continue;
-            }
-            // Assignments to internal folders train the nearest leaf under
-            // them? No: only leaf assignments train (internal folders are
-            // structural). Find the leaf == folder.
-            if let Some(class) = leaves.iter().position(|&l| l == a.folder) {
-                if let Some(tf) = self.tf_of.get(&page) {
-                    nb.add_document(class, tf);
-                    trained += 1;
-                }
+        // Only filings into a leaf train: internal folders are structural.
+        for (page, tf) in &self.tf_of {
+            let folder = self.assignments.get(page).map(|a| a.folder);
+            if let Some(class) = leaves.iter().position(|&l| Some(l) == folder) {
+                nb.add_document(class, tf);
+                trained += 1;
             }
         }
-        if let Some(k) = self.feature_k {
-            if trained >= 10 {
-                nb.select_features(FeatureScore::Fisher, k);
-            }
+        if trained >= 10 {
+            nb.select_features(FeatureScore::Fisher, FEATURE_K);
         }
         self.classes = leaves;
         self.classifier = if trained > 0 { Some(nb) } else { None };
@@ -235,6 +203,14 @@ mod tests {
 
     fn tf(pairs: &[(u32, u32)]) -> Vec<(TermId, u32)> {
         pairs.to_vec()
+    }
+
+    /// The space keeps a vector for exactly its confirmed pages.
+    fn vectors_are_the_confirmed_pages(fs: &FolderSpace) -> bool {
+        let mut kept: Vec<u32> = fs.tf_of.keys().copied().collect();
+        kept.sort_unstable();
+        let confirmed = fs.assignments().filter(|(_, a)| a.confirmed);
+        confirmed.map(|(page, _)| page).eq(kept)
     }
 
     fn space_with_two_folders() -> (FolderSpace, TopicId, TopicId) {
@@ -266,16 +242,20 @@ mod tests {
         let a = fs.assignment(500).unwrap();
         assert!(!a.confirmed, "demon guesses carry the '?'");
         assert_eq!(fs.confirmed_count(), 10);
+        assert!(vectors_are_the_confirmed_pages(&fs), "a guess keeps none");
     }
 
     #[test]
     fn confirm_reinforces_the_model() {
         let (mut fs, music, _) = space_with_two_folders();
         fs.classify(500, &tf(&[(1, 2)]));
-        fs.confirm(500);
+        fs.confirm(500, &tf(&[(1, 2)]));
         assert!(fs.assignment(500).unwrap().confirmed);
         assert_eq!(fs.confirmed_count(), 11);
         assert_eq!(fs.assignment(500).unwrap().folder, music);
+        assert!(vectors_are_the_confirmed_pages(&fs));
+        fs.unassign(500);
+        assert!(vectors_are_the_confirmed_pages(&fs), "unfiling drops it");
     }
 
     #[test]
@@ -285,11 +265,12 @@ mod tests {
         let ambiguous = tf(&[(1, 1), (10, 1)]);
         fs.bookmark(600, music, &ambiguous);
         assert_eq!(fs.assignment(600).unwrap().folder, music);
-        fs.correct(600, cycling);
+        fs.bookmark(600, cycling, &ambiguous);
         let a = fs.assignment(600).unwrap();
         assert_eq!(a.folder, cycling);
         assert!(a.confirmed);
         assert_eq!(fs.confirmed_count(), 11, "moved, not duplicated");
+        assert!(vectors_are_the_confirmed_pages(&fs));
     }
 
     #[test]

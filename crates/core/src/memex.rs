@@ -233,13 +233,13 @@ pub struct Memex {
     /// sample moved).
     background: OnceLock<ClassCounts>,
     /// [`Memex::refresh`]'s cursor into the append-only
-    /// `server.trails.visits()`, the distinct pages before it, and the
-    /// number of pages the vocabulary had observed: a write moved the
-    /// domain, the idf or the background sample of the memos above exactly
-    /// if it moved one of the last two, and a profile exactly if it also
-    /// did, or if a visit past the cursor named a page new to its visitor.
+    /// `server.trails.visits()` and the trail's and the vocabulary's page
+    /// counts: a write moved the domain, the idf or the background sample
+    /// of the memos above exactly if it moved a count, and a profile exactly
+    /// if it also did, or if a visit past the cursor named a page new to its
+    /// visitor.
     seen_visits: usize,
-    seen_pages: HashSet<u32>,
+    surfed_pages: usize,
     fetched_pages: u64,
     /// Bookmarks already filed into folder spaces.
     filed_bookmarks: usize,
@@ -279,7 +279,7 @@ impl Memex {
             profiles: OnceLock::new(),
             background: OnceLock::new(),
             seen_visits: 0,
-            seen_pages: HashSet::new(),
+            surfed_pages: 0,
             fetched_pages: 0,
             filed_bookmarks: 0,
             classified_visits: 0,
@@ -436,18 +436,16 @@ impl Memex {
         }
         // First seen by the trail (a dead link too: it shifts the background
         // sample) or by the fetcher (a `tf` row appeared, the idf moved).
-        let visits = self.server.trails.visits();
-        let profiles = self.profiles.get();
-        let (mut first_seen, mut new_to_user) = (false, false);
-        for v in visits.get(self.seen_visits..).unwrap_or_default() {
-            first_seen |= self.seen_pages.insert(v.page);
-            new_to_user = new_to_user
-                || profiles.is_some_and(|t| t.of(v.user).pages.binary_search(&v.page).is_err());
-        }
+        let trails = &self.server.trails;
+        let counts = (trails.num_pages(), self.server.vocab.num_docs());
+        let first_seen = counts != (self.surfed_pages, self.fetched_pages);
+        (self.surfed_pages, self.fetched_pages) = counts;
+        let visits = trails.visits();
+        let new_to_user = self.profiles.get().is_some_and(|table| {
+            let mut new = visits.get(self.seen_visits..).unwrap_or_default().iter();
+            new.any(|v| table.of(v.user).pages.binary_search(&v.page).is_err())
+        });
         self.seen_visits = visits.len();
-        let fetched_pages = self.server.vocab.num_docs();
-        first_seen |= fetched_pages != self.fetched_pages;
-        self.fetched_pages = fetched_pages;
         if themes_replaced || first_seen {
             self.page_themes.take();
         }
@@ -524,10 +522,11 @@ impl Memex {
             let _span = self.metrics.page_themes_build_latency.start_span();
             let router = community.view.0.leaf_router();
             let page_themes = self
-                .seen_pages
-                .iter()
+                .server
+                .trails
+                .pages()
                 .filter(|page| !community.doc_of_page.contains_key(page))
-                .filter_map(|&page| {
+                .filter_map(|page| {
                     let theme = router.assign(self.page_vector(page)?)?;
                     Some((page, theme))
                 })
@@ -588,9 +587,10 @@ impl Memex {
             let _span = self.metrics.routing_build_latency.start_span();
             let filter = self.topic_filter(user);
             let routing = self
-                .seen_pages
-                .iter()
-                .filter_map(|&page| {
+                .server
+                .trails
+                .pages()
+                .filter_map(|page| {
                     let folder = match space.folders.assignment(page) {
                         // The user's own confirmed filing is authoritative.
                         Some(a) if a.confirmed => a.folder,
@@ -937,14 +937,7 @@ impl Memex {
                 .filter(|&p| !fs.assignment(p).is_some_and(|a| a.confirmed))
                 .collect()
         };
-        let docs: Vec<SparseVec> = pages
-            .iter()
-            .filter_map(|&p| {
-                self.server
-                    .tf(p)
-                    .map(|tf| self.server.analyzer().tfidf(&self.server.vocab, tf))
-            })
-            .collect();
+        let docs: Vec<SparseVec> = pages.iter().filter_map(|&p| self.page_vector(p)).collect();
         if docs.is_empty() || k == 0 {
             return Vec::new();
         }

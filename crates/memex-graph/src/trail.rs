@@ -12,10 +12,11 @@
 //! [`TrailGraph::replay_context`]) and costs the visits of that user or of
 //! those pages, not the archive. The lists are in *recorded* order, not
 //! time order — visits may arrive slightly out of order — so a time window
-//! is a filter over a list, never a binary search. The flat log
-//! ([`TrailGraph::visits`]) stays for what reads the archive by position:
-//! the write path's cursors ("everything recorded since I last looked") and
-//! the experiments.
+//! is a filter over a list, never a binary search. The pages with a list
+//! are the set of pages surfed ([`TrailGraph::pages`]; nobody keeps a copy).
+//! The flat log ([`TrailGraph::visits`]) stays for what reads the archive
+//! by position: the write path's cursors ("everything recorded since I last
+//! looked") and the experiments.
 
 use std::collections::HashMap;
 
@@ -96,6 +97,16 @@ impl TrailGraph {
     /// Every user with at least one visit, in no particular order.
     pub fn users(&self) -> impl Iterator<Item = u32> + '_ {
         self.by_user.keys().copied()
+    }
+
+    /// Every page with at least one visit, in no particular order.
+    pub fn pages(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.by_page.keys().copied()
+    }
+
+    /// How many distinct pages were visited.
+    pub fn num_pages(&self) -> usize {
+        self.by_page.len()
     }
 
     /// The visits of `user`, in recorded order.

@@ -1,7 +1,7 @@
 //! Property tests for the graph substrate: HITS normalisation, BFS
 //! distance validity, trail-replay filtering laws on random graphs and
-//! event streams, and the per-user / per-page visit lists held to the
-//! whole-archive scans they replaced.
+//! event streams, and the per-user / per-page visit lists and the page set
+//! held to the whole-archive scans they replaced.
 
 use std::collections::{HashMap, HashSet};
 
@@ -263,6 +263,23 @@ proptest! {
             let to_page: Vec<&Visit> = visits.iter().filter(|x| x.page == key).rev().collect();
             prop_assert_eq!(t.page_visits(key).rev().collect::<Vec<_>>(), to_page);
             prop_assert_eq!(t.user_pages(key, since), user_pages_by_scan(&visits, key, since));
+        }
+    }
+
+    /// After every `record`, the page set is the distinct pages of the log.
+    #[test]
+    fn pages_are_the_distinct_pages_of_the_log(visits in trail_strategy()) {
+        let mut t = TrailGraph::new();
+        prop_assert_eq!(t.num_pages(), 0);
+        for v in &visits {
+            t.record(*v);
+            let mut pages: Vec<u32> = t.pages().collect();
+            pages.sort_unstable();
+            let mut expected: Vec<u32> = t.visits().iter().map(|x| x.page).collect();
+            expected.sort_unstable();
+            expected.dedup();
+            prop_assert_eq!(t.num_pages(), expected.len());
+            prop_assert_eq!(pages, expected);
         }
     }
 }

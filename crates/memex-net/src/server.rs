@@ -14,10 +14,10 @@
 //! serving shape, on one process.
 //!
 //! **Epoch-keyed read cache:** identical read requests between two writes
-//! hit a bounded FIFO cache keyed by the request itself. An entry is the
-//! answer's encoded payload and its CRC-32, so a hit only frames those bytes
-//! for the request's trace context: no clone of the answer, no re-encode,
-//! and a checksum over the envelope alone. Every entry is
+//! hit a bounded FIFO cache (256 entries) keyed by the request itself. An
+//! entry is the answer's encoded payload and its CRC-32, so a hit only
+//! frames those bytes for the request's trace context: no clone of the
+//! answer, no re-encode, and a checksum over the envelope alone. Every entry is
 //! tagged with the write epoch *loaded before* the underlying dispatch
 //! acquired the read lock; an entry is served only while its tag equals the
 //! current epoch, so a cached response can never outlive the write that
@@ -99,9 +99,6 @@ pub struct NetServerConfig {
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
-    /// Capacity (entries) of the epoch-keyed read-result cache; `0`
-    /// disables caching entirely.
-    pub read_cache: usize,
     /// Request-tracing knobs (applied to the served Memex's tracer at
     /// start). Disabled by default: tracing is opt-in per server.
     pub trace: TraceConfig,
@@ -115,11 +112,13 @@ impl Default for NetServerConfig {
             max_in_flight: 8,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            read_cache: 256,
             trace: TraceConfig::default(),
         }
     }
 }
+
+/// Capacity (entries) of the epoch-keyed read-result cache.
+const READ_CACHE_ENTRIES: usize = 256;
 
 /// An encoded response payload and its CRC-32 (see
 /// [`wire::checked_response`]): what the read cache keeps, and all a
@@ -136,8 +135,8 @@ fn encoded(resp: &Response) -> Encoded {
 /// The first observation of a newer epoch sweeps every stale-tagged entry
 /// out in one pass, so dead entries never occupy capacity that should hold
 /// fresh ones.
+#[derive(Default)]
 struct ReadCache {
-    capacity: usize,
     /// Newest write epoch this cache has observed; entries tagged older
     /// are dead weight and are purged on the bump.
     epoch: u64,
@@ -148,15 +147,6 @@ struct ReadCache {
 }
 
 impl ReadCache {
-    fn new(capacity: usize) -> ReadCache {
-        ReadCache {
-            capacity,
-            epoch: 0,
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
     /// Observe `epoch`; on a bump, purge every entry tagged older. Returns
     /// how many stale entries were purged.
     fn note_epoch(&mut self, epoch: u64) -> u64 {
@@ -195,9 +185,6 @@ impl ReadCache {
     /// purged. An insert tagged older than the newest seen epoch is dead
     /// on arrival and is not stored (it must not waste a slot).
     fn put(&mut self, key: Request, epoch: u64, answer: Encoded) -> (u64, u64) {
-        if self.capacity == 0 {
-            return (0, 0);
-        }
         let purged = self.note_epoch(epoch);
         if epoch < self.epoch {
             return (0, purged);
@@ -205,7 +192,7 @@ impl ReadCache {
         let mut evicted = 0u64;
         if self.map.insert(key.clone(), (epoch, answer)).is_none() {
             self.order.push_back(key);
-            while self.map.len() > self.capacity {
+            while self.map.len() > READ_CACHE_ENTRIES {
                 match self.order.pop_front() {
                     Some(old) => {
                         if self.map.remove(&old).is_some() {
@@ -244,7 +231,7 @@ impl Shared {
         Shared {
             memex: RwLock::new(memex),
             epoch: AtomicU64::new(0),
-            cache: Mutex::new(ReadCache::new(config.read_cache)),
+            cache: Mutex::new(ReadCache::default()),
             registry,
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -500,11 +487,10 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
     let epoch = shared.epoch.load(Ordering::SeqCst);
     // `Stats` and `Traces` bypass the cache: their answers change without
     // any write (new samples, newly completed traces).
-    let cacheable = shared.config.read_cache > 0
-        && !matches!(
-            request.as_request(),
-            Request::Stats | Request::Traces { .. }
-        );
+    let cacheable = !matches!(
+        request.as_request(),
+        Request::Stats | Request::Traces { .. }
+    );
     if cacheable {
         let key = request.as_request();
         if let Some(answer) = shared.cache_get(key, epoch) {
@@ -844,8 +830,8 @@ mod tests {
     /// not evict the fresh ones.
     #[test]
     fn stale_entries_are_purged_not_capacity_holders() {
-        let cap = 4usize;
-        let mut cache = ReadCache::new(cap);
+        let cap = READ_CACHE_ENTRIES;
+        let mut cache = ReadCache::default();
         for u in 0..cap as u32 {
             let (evicted, purged) = cache.put(bill(u), 0, resp(u));
             assert_eq!((evicted, purged), (0, 0), "warm-up insert {u}");
@@ -879,7 +865,7 @@ mod tests {
     /// dispatched after the write): the sweep happens there too.
     #[test]
     fn put_observes_epoch_bump_and_purges() {
-        let mut cache = ReadCache::new(8);
+        let mut cache = ReadCache::default();
         for u in 0..4u32 {
             cache.put(bill(u), 3, resp(u));
         }
@@ -894,7 +880,7 @@ mod tests {
     /// it must not occupy a slot it can never serve from.
     #[test]
     fn under_tagged_insert_is_not_stored() {
-        let mut cache = ReadCache::new(8);
+        let mut cache = ReadCache::default();
         cache.put(bill(0), 5, resp(0));
         let (evicted, purged) = cache.put(bill(1), 4, resp(1));
         assert_eq!((evicted, purged), (0, 0));
@@ -910,10 +896,12 @@ mod tests {
     /// capacity are counted, purged stale ones are not conflated.
     #[test]
     fn capacity_eviction_counts_only_live_entries() {
-        let mut cache = ReadCache::new(2);
-        cache.put(bill(0), 0, resp(0));
-        cache.put(bill(1), 0, resp(1));
-        let (evicted, purged) = cache.put(bill(2), 0, resp(2));
+        let mut cache = ReadCache::default();
+        let full = READ_CACHE_ENTRIES as u32;
+        for u in 0..full {
+            cache.put(bill(u), 0, resp(u));
+        }
+        let (evicted, purged) = cache.put(bill(full), 0, resp(full));
         assert_eq!((evicted, purged), (1, 0), "FIFO evicts the oldest live");
         let (hit, _) = cache.get(&bill(0), 0);
         assert!(hit.is_none(), "oldest entry should have been evicted");

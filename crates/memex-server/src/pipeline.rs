@@ -12,13 +12,15 @@
 //!
 //! A first-visited page is analysed once: the one term vector goes to the
 //! index (`P` postings, `L` length, the `Mseg` counter — nothing a query
-//! cannot read) and to the tf cache the classifiers read.
+//! cannot read) and into the page's one record of what the fetch demon
+//! concluded (`FetchOutcome`: archived — vector and transfer size — or
+//! abandoned), which is also what stops a second fetch.
 //!
 //! The demons are synchronous: every write ack runs [`MemexServer::drain_demons`]
 //! before it returns, so the log is empty between acks. Admission control
 //! is the serving layer's (`memex-net`'s in-flight limit), not the log's.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::trail::{TrailGraph, Visit};
@@ -112,6 +114,25 @@ pub struct BookmarkRecord {
     pub time: u64,
 }
 
+/// What the fetch demon concluded for a page it tried.
+enum FetchOutcome {
+    /// Fetched and analysed: its term vector and transfer size.
+    Archived { tf: Vec<(TermId, u32)>, bytes: u32 },
+    /// The retry policy gave up on it, or its index write failed —
+    /// remembered so a hot page that keeps reappearing in events cannot
+    /// stall the demon over and over.
+    Abandoned,
+}
+
+impl FetchOutcome {
+    fn archived(&self) -> Option<(&[(TermId, u32)], u32)> {
+        match self {
+            FetchOutcome::Archived { tf, bytes } => Some((tf, *bytes)),
+            FetchOutcome::Abandoned => None,
+        }
+    }
+}
+
 /// The server.
 pub struct MemexServer<F: PageFetcher> {
     fetcher: F,
@@ -130,13 +151,11 @@ pub struct MemexServer<F: PageFetcher> {
     pub trails: TrailGraph,
     /// Hyperlink graph discovered by the fetch demon.
     pub web: WebGraph,
+    /// Modes users chose with `SetMode`; everybody else is in the default.
     modes: HashMap<u32, ArchiveMode>,
-    fetched: HashSet<u32>,
-    /// Pages the retry policy gave up on — remembered so a hot page that
-    /// keeps reappearing in events cannot stall the demon over and over.
-    abandoned: HashSet<u32>,
-    tf_cache: HashMap<u32, Vec<(TermId, u32)>>,
-    page_bytes: HashMap<u32, u32>,
+    /// Every page the fetch demon settled. A dead link settles nothing: the
+    /// next event naming it tries again.
+    pages: HashMap<u32, FetchOutcome>,
     pub bookmarks: Vec<BookmarkRecord>,
     registry: MetricsRegistry,
     metrics: ServerMetrics,
@@ -205,10 +224,7 @@ impl<F: PageFetcher> MemexServer<F> {
             trails: TrailGraph::new(),
             web: WebGraph::new(),
             modes: HashMap::new(),
-            fetched: HashSet::new(),
-            abandoned: HashSet::new(),
-            tf_cache: HashMap::new(),
-            page_bytes: HashMap::new(),
+            pages: HashMap::new(),
             bookmarks: Vec::new(),
             registry,
             metrics,
@@ -246,7 +262,6 @@ impl<F: PageFetcher> MemexServer<F> {
                 Value::Int(i64::from(client_id)),
             ],
         )?;
-        self.modes.insert(client_id, ArchiveMode::Community);
         Ok(())
     }
 
@@ -366,7 +381,7 @@ impl<F: PageFetcher> MemexServer<F> {
     /// the demon moves on. The demon therefore *never stalls* on a flaky
     /// page — the fetch loop is bounded no matter what the fetcher does.
     fn ensure_fetched(&mut self, page: u32) -> StoreResult<()> {
-        if self.fetched.contains(&page) || self.abandoned.contains(&page) {
+        if self.pages.contains_key(&page) {
             return Ok(());
         }
         let policy = self.opts.retry;
@@ -383,7 +398,7 @@ impl<F: PageFetcher> MemexServer<F> {
                 Err(FetchError::NotFound) => return Ok(()), // dead link; the demon shrugs
                 Err(FetchError::Transient { reason }) => {
                     if attempt >= policy.max_attempts.max(1) || waited_ms >= policy.deadline_ms {
-                        self.abandoned.insert(page);
+                        self.pages.insert(page, FetchOutcome::Abandoned);
                         self.metrics.pages_abandoned.inc();
                         self.registry.event(
                             "server",
@@ -399,16 +414,24 @@ impl<F: PageFetcher> MemexServer<F> {
                 }
             }
         };
-        self.fetched.insert(page);
         self.metrics.pages_fetched.inc();
-        // Analyze once with the shared vocabulary; the same term vector
-        // feeds the index and the tf cache.
+        // Analyze once with the shared vocabulary. The page is settled before
+        // a failed index write returns, so it is never fetched again; without
+        // postings it serves no vector either.
         let full = format!("{} {}", content.title, content.text);
         let tf = self.analyzer.index_document(&mut self.vocab, &full);
-        self.index.add_document(page, &tf)?;
+        let indexed = self.index.add_document(page, &tf);
+        let outcome = if indexed.is_ok() {
+            FetchOutcome::Archived {
+                tf,
+                bytes: content.bytes,
+            }
+        } else {
+            FetchOutcome::Abandoned
+        };
+        self.pages.insert(page, outcome);
+        indexed?;
         self.metrics.docs_indexed.inc();
-        self.tf_cache.insert(page, tf);
-        self.page_bytes.insert(page, content.bytes);
         // Web graph edges.
         self.web.ensure_node(page);
         for &l in &content.links {
@@ -443,12 +466,12 @@ impl<F: PageFetcher> MemexServer<F> {
 
     /// Analyzed term vector of a fetched page.
     pub fn tf(&self, page: u32) -> Option<&[(TermId, u32)]> {
-        self.tf_cache.get(&page).map(Vec::as_slice)
+        Some(self.pages.get(&page)?.archived()?.0)
     }
 
     /// Transfer size of a fetched page.
     pub fn page_bytes(&self, page: u32) -> Option<u32> {
-        self.page_bytes.get(&page).copied()
+        Some(self.pages.get(&page)?.archived()?.1)
     }
 
     /// Bookmarks of one user (RDBMS query path, exercising the index).
@@ -640,6 +663,19 @@ mod tests {
         assert!(s.staleness().all(|(_, n)| n == 0));
     }
 
+    /// Registering makes a user row, not a mode choice: a mode set first stays.
+    #[test]
+    fn registering_keeps_a_mode_set_before_it() {
+        let (_, mut s) = server();
+        s.submit(ClientEvent::SetMode {
+            user: 1,
+            mode: ArchiveMode::Off,
+            time: 1,
+        });
+        s.register_user(1, "late").unwrap();
+        assert!(!s.submit(visit(1, 0, 2)), "Off still drops events");
+    }
+
     #[test]
     fn duplicate_user_registration_is_idempotent() {
         let (_, mut s) = server();
@@ -705,7 +741,11 @@ mod tests {
             snap.counter("server.fetch.abandoned"),
             stats.pages_abandoned
         );
-        assert_eq!(stats.pages_abandoned, s.abandoned.len() as u64);
+        // The abandoned counter counts exactly the pages settled as abandoned.
+        assert_eq!(
+            s.pages.values().filter(|o| o.archived().is_none()).count() as u64,
+            stats.pages_abandoned
+        );
         // Fetched pages were fully indexed despite the noise.
         assert_eq!(stats.docs_indexed, stats.pages_fetched);
     }
@@ -723,7 +763,7 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.pages_fetched, 0);
         assert_eq!(stats.pages_abandoned, 10);
-        assert!((0..10u32).all(|page| s.abandoned.contains(&page)));
+        assert!((0..10u32).all(|page| s.pages.contains_key(&page) && s.tf(page).is_none()));
         // Budget: max_attempts per page, retries = attempts - 1.
         let per_page = u64::from(ServerOptions::default().retry.max_attempts) - 1;
         assert_eq!(stats.fetch_retries, 10 * per_page);

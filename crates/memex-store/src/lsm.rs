@@ -62,7 +62,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -108,17 +107,10 @@ impl Default for LsmOptions {
     }
 }
 
-/// Diagnostic counters.
+/// What recovery found at open time. Operation counts live in the registry
+/// only (`store.kv.*`, `store.lsm.*`; see [`LsmStore::attach_registry`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LsmStats {
-    pub puts: u64,
-    pub deletes: u64,
-    pub gets: u64,
-    pub seals: u64,
-    /// Budget-triggered seals that failed and were deferred (the writes
-    /// they covered stay acked in the WAL + memtable; see [`LsmStore::put`]).
-    pub seal_errors: u64,
-    pub compactions: u64,
     /// Records recovered from the WAL at open time.
     pub recovered_records: u64,
     /// True if recovery found (and dropped) a torn WAL or manifest tail.
@@ -127,17 +119,6 @@ pub struct LsmStats {
     pub recovered_repaired_bytes: u64,
     /// Partially-written run files deleted by the orphan scan at open.
     pub recovered_orphan_runs: u64,
-}
-
-/// Live operation counters. Reads go through `&self`, so these are
-/// atomics; [`LsmStore::stats`] assembles the `Copy` [`LsmStats`] view.
-#[derive(Default)]
-struct StatCells {
-    puts: AtomicU64,
-    deletes: AtomicU64,
-    gets: AtomicU64,
-    seals: AtomicU64,
-    seal_errors: AtomicU64,
 }
 
 /// Obs handles (inert until [`LsmStore::attach_registry`]).
@@ -281,9 +262,6 @@ struct LsmShared {
     state: RwLock<LsmState>,
     manifest: Mutex<Manifest>,
     metrics: RwLock<LsmMetrics>,
-    /// Total compaction merges (shared so the demon's count in
-    /// [`LsmStats::compactions`] too).
-    compactions: AtomicU64,
     wake: Wake,
     dir: Arc<dyn StorageDir>,
 }
@@ -295,8 +273,7 @@ pub struct LsmStore {
     shared: Arc<LsmShared>,
     wal: Wal,
     opts: LsmOptions,
-    stats: StatCells,
-    /// Recovery facts from open time (`recovered_*` in [`LsmStats`]).
+    /// What recovery found at open time.
     recovered: LsmStats,
     compactor: Option<JoinHandle<()>>,
 }
@@ -381,7 +358,6 @@ impl LsmStore {
             recovered_torn_tail: replay.torn_tail || manifest.torn_tail,
             recovered_repaired_bytes: replay.repaired_bytes + manifest.repaired_bytes,
             recovered_orphan_runs: orphans,
-            ..LsmStats::default()
         };
         let mut manifest = manifest;
         manifest.next_run_id = next_run_id;
@@ -389,7 +365,6 @@ impl LsmStore {
             state: RwLock::new(state),
             manifest: Mutex::new(manifest),
             metrics: RwLock::new(LsmMetrics::default()),
-            compactions: AtomicU64::new(0),
             wake: Wake {
                 flag: Mutex::new(WakeFlag::default()),
                 cond: Condvar::new(),
@@ -409,7 +384,6 @@ impl LsmStore {
             shared,
             wal,
             opts,
-            stats: StatCells::default(),
             recovered,
             compactor,
         })
@@ -465,7 +439,6 @@ impl LsmStore {
             let delta = state.memtable_insert(key, Some(value.to_vec()));
             (delta, state.memtable_bytes)
         };
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
         {
             let m = self
                 .shared
@@ -490,7 +463,6 @@ impl LsmStore {
             let delta = state.memtable_insert(key, None);
             (delta, state.memtable_bytes)
         };
-        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
         {
             let m = self
                 .shared
@@ -511,7 +483,6 @@ impl LsmStore {
     /// keeps growing past its budget until a later seal succeeds.
     fn seal_deferred(&mut self) {
         if self.seal().is_err() {
-            self.stats.seal_errors.fetch_add(1, Ordering::Relaxed);
             let m = self
                 .shared
                 .metrics
@@ -528,7 +499,6 @@ impl LsmStore {
     /// `store.lsm.read.amplification`.
     pub fn get(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
         let _trace = memex_obs::trace::span("store.kv.get");
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let out = {
             let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
             lookup(&state.memtable, &state.runs, key)
@@ -706,7 +676,6 @@ impl LsmStore {
                 tier_ready(&state.runs, self.opts.compact_min_runs),
             )
         };
-        self.stats.seals.fetch_add(1, Ordering::Relaxed);
         {
             let m = self
                 .shared
@@ -813,17 +782,9 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Diagnostic counters.
+    /// What recovery found at open time.
     pub fn stats(&self) -> LsmStats {
-        LsmStats {
-            puts: self.stats.puts.load(Ordering::Relaxed),
-            deletes: self.stats.deletes.load(Ordering::Relaxed),
-            gets: self.stats.gets.load(Ordering::Relaxed),
-            seals: self.stats.seals.load(Ordering::Relaxed),
-            seal_errors: self.stats.seal_errors.load(Ordering::Relaxed),
-            compactions: self.shared.compactions.load(Ordering::Relaxed),
-            ..self.recovered
-        }
+        self.recovered
     }
 
     /// Expose the WAL for fault-injection in recovery experiments.
@@ -1076,7 +1037,6 @@ fn compact_once(shared: &Arc<LsmShared>, min_runs: usize, full: bool) -> StoreRe
     for victim in &plan.victims {
         let _ = shared.dir.remove(&Run::file_name(victim.run.id));
     }
-    shared.compactions.fetch_add(1, Ordering::Relaxed);
     {
         let m = shared.metrics.read().unwrap_or_else(|e| e.into_inner());
         m.compactions.inc();
@@ -1340,7 +1300,9 @@ mod tests {
 
     #[test]
     fn compaction_merges_runs_and_drops_tombstones() {
+        let registry = MetricsRegistry::new();
         let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        s.attach_registry(&registry);
         s.put(b"a", b"1").unwrap();
         s.put(b"b", b"2").unwrap();
         s.seal().unwrap();
@@ -1360,7 +1322,11 @@ mod tests {
             2,
             "tombstone dropped by bottom merge"
         );
-        assert_eq!(s.stats().compactions, 1, "compaction counted");
+        assert_eq!(
+            registry.snapshot().counter("store.lsm.compactions"),
+            1,
+            "compaction counted"
+        );
     }
 
     #[test]
