@@ -23,6 +23,18 @@
 //! * [`servlet`] — the request/response dispatch surface (the paper's
 //!   HTTP-tunnelled servlet interface, sans the wire).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod bookmarks_io;
 pub mod folders;
 pub mod memex;

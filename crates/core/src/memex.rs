@@ -937,7 +937,13 @@ impl Memex {
                 .filter(|&p| !fs.assignment(p).is_some_and(|a| a.confirmed))
                 .collect()
         };
-        let docs: Vec<SparseVec> = pages.iter().filter_map(|&p| self.page_vector(p)).collect();
+        // A page without a vector (a dead link, or one the fetch demon has
+        // not reached) sits out, so that `pages[i]` is the page behind
+        // `docs[i]` and its cluster label.
+        let (pages, docs): (Vec<u32>, Vec<SparseVec>) = pages
+            .into_iter()
+            .filter_map(|p| Some((p, self.page_vector(p)?)))
+            .unzip();
         if docs.is_empty() || k == 0 {
             return Vec::new();
         }

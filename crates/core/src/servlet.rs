@@ -64,45 +64,46 @@ pub enum Request {
     Traces { slow_only: bool, limit: usize },
 }
 
+/// One list of variant names, and both name methods generated from it.
+macro_rules! request_names {
+    ($($variant:pat => $name:literal,)*) => {
+        impl Request {
+            /// Stable name of this request variant, used as the metric
+            /// suffix in `servlet.<name>.latency`.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($variant => $name,)*
+                }
+            }
+
+            /// Precomputed `servlet.<name>.latency` metric name for this
+            /// variant, so the hot dispatch path never allocates a
+            /// `format!` string.
+            pub fn latency_metric(&self) -> &'static str {
+                match self {
+                    $($variant => concat!("servlet.", $name, ".latency"),)*
+                }
+            }
+        }
+    };
+}
+
+request_names! {
+    Request::Event(_) => "event",
+    Request::Recall { .. } => "recall",
+    Request::TrailReplay { .. } => "trail_replay",
+    Request::WhatsNew { .. } => "whats_new",
+    Request::Bill { .. } => "bill",
+    Request::SimilarSurfers { .. } => "similar_surfers",
+    Request::Recommend { .. } => "recommend",
+    Request::ImportBookmarks { .. } => "import_bookmarks",
+    Request::ExportBookmarks { .. } => "export_bookmarks",
+    Request::ProposeFolders { .. } => "propose_folders",
+    Request::Stats => "stats",
+    Request::Traces { .. } => "traces",
+}
+
 impl Request {
-    /// Stable name of this request variant, used as the metric suffix in
-    /// `servlet.<name>.latency`.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Request::Event(_) => "event",
-            Request::Recall { .. } => "recall",
-            Request::TrailReplay { .. } => "trail_replay",
-            Request::WhatsNew { .. } => "whats_new",
-            Request::Bill { .. } => "bill",
-            Request::SimilarSurfers { .. } => "similar_surfers",
-            Request::Recommend { .. } => "recommend",
-            Request::ImportBookmarks { .. } => "import_bookmarks",
-            Request::ExportBookmarks { .. } => "export_bookmarks",
-            Request::ProposeFolders { .. } => "propose_folders",
-            Request::Stats => "stats",
-            Request::Traces { .. } => "traces",
-        }
-    }
-
-    /// Precomputed `servlet.<name>.latency` metric name for this variant,
-    /// so the hot dispatch path never allocates a `format!` string.
-    pub fn latency_metric(&self) -> &'static str {
-        match self {
-            Request::Event(_) => "servlet.event.latency",
-            Request::Recall { .. } => "servlet.recall.latency",
-            Request::TrailReplay { .. } => "servlet.trail_replay.latency",
-            Request::WhatsNew { .. } => "servlet.whats_new.latency",
-            Request::Bill { .. } => "servlet.bill.latency",
-            Request::SimilarSurfers { .. } => "servlet.similar_surfers.latency",
-            Request::Recommend { .. } => "servlet.recommend.latency",
-            Request::ImportBookmarks { .. } => "servlet.import_bookmarks.latency",
-            Request::ExportBookmarks { .. } => "servlet.export_bookmarks.latency",
-            Request::ProposeFolders { .. } => "servlet.propose_folders.latency",
-            Request::Stats => "servlet.stats.latency",
-            Request::Traces { .. } => "servlet.traces.latency",
-        }
-    }
-
     /// `true` when the request is a pure query: it can be answered with
     /// `&Memex` (shared, concurrent) and is safe to retry or serve from a
     /// cache. Mutating requests (`Event`, `ImportBookmarks`) are writes.

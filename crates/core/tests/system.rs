@@ -431,6 +431,54 @@ fn proposed_folders_cluster_loose_pages_by_topic() {
     }
 }
 
+/// A loose page without a vector sits out of the clustering, and every
+/// other one is still proposed as itself rather than as its neighbour.
+/// Two kinds of page have no vector: a dead link (the fetcher answers
+/// `NotFound`) and a page the fetch demon has not reached. Loose pages are
+/// taken in id order and a dead link's id is past the corpus, so it is the
+/// lagging page, at id 0, that sits in front of the live ones.
+#[test]
+fn proposed_folders_name_their_own_pages_when_some_have_no_vector() {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        num_topics: 2,
+        pages_per_topic: 10,
+        ..CorpusConfig::default()
+    }));
+    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).unwrap();
+    memex.register_user(1, "user1").unwrap();
+    let visit = |page: u32, time: u64| {
+        ClientEvent::Visit(VisitEvent {
+            user: 1,
+            session: 1,
+            page,
+            url: format!("http://example.org/{page}"),
+            time,
+            referrer: None,
+        })
+    };
+    let dead = corpus.num_pages() as u32 + 7;
+    let live: Vec<u32> = (1..=6).collect();
+    for (time, &page) in (1u64..).zip(live.iter().chain([&dead])) {
+        memex.submit(visit(page, time));
+    }
+    memex.run_demons().unwrap();
+    // Page 0 reaches the trail, but not yet the fetch demon.
+    memex.submit(visit(0, 100));
+    memex.server.run_trail_demon(usize::MAX);
+    let proposed = |memex: &Memex| -> Vec<u32> {
+        let mut pages: Vec<u32> = memex
+            .propose_folders(1, 2)
+            .into_iter()
+            .flat_map(|p| p.pages)
+            .collect();
+        pages.sort_unstable();
+        pages
+    };
+    assert_eq!(proposed(&memex), live);
+    memex.run_demons().unwrap();
+    assert_eq!(proposed(&memex), [0, 1, 2, 3, 4, 5, 6]);
+}
+
 #[test]
 fn stats_servlet_reports_live_subsystems() {
     let (corpus, community, mut memex) = world();

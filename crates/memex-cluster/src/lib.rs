@@ -17,6 +17,18 @@
 //!   "refining topics where needed and coarsening where possible", driven
 //!   by an MDL-style description cost ([`quality`]).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod hac;
 pub mod kmeans;
 pub mod nearest;

@@ -48,7 +48,8 @@ impl WebGraph {
             Err(pos) => {
                 out.insert(pos, to);
                 let inn = &mut self.inn[to as usize];
-                let ipos = inn.binary_search(&from).unwrap_err();
+                // `inn` mirrors `out`, so `from` is absent here too.
+                let (Ok(ipos) | Err(ipos)) = inn.binary_search(&from);
                 inn.insert(ipos, from);
                 self.num_edges += 1;
                 true

@@ -10,6 +10,18 @@
 //!   replays the hypertext graph of recent pages publicly surfed by the
 //!   community which are most likely to belong to the selected topic".
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod graph;
 pub mod hits;
 pub mod neighborhood;

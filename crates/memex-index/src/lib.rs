@@ -13,6 +13,19 @@
 //!   per query);
 //! * [`search`] — BM25 ranked retrieval.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod index;
 pub mod postings;
 pub mod search;

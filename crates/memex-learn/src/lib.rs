@@ -14,6 +14,18 @@
 //!   the link graph with folder co-placement evidence;
 //! * [`eval`] — accuracy/F1/confusion, seeded splits and k-fold.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod em;
 pub mod enhanced;
 pub mod eval;

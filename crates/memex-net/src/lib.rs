@@ -27,6 +27,19 @@
 //! children) into its flight recorder, and `Request::Traces` pulls the
 //! trees back over the wire.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod client;
 pub mod server;
 pub mod wire;

@@ -79,7 +79,7 @@ use memex_core::memex::Memex;
 use memex_core::servlet::{
     dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, WriteRequest,
 };
-use memex_obs::{trace, MetricsRegistry, TraceConfig, Tracer};
+use memex_obs::{trace, Counter, Gauge, Histogram, MetricsRegistry, TraceConfig, Tracer};
 
 use crate::wire::{self, FrameKind, TraceContext, WireError};
 
@@ -207,15 +207,72 @@ impl ReadCache {
     }
 }
 
+/// The serving layer's registry handles, every `net.*` name, registered
+/// once when the server starts (like `memex-server`'s `ServerMetrics`): the
+/// rare paths' names are in the first snapshot too, and a request bumps
+/// atomics without looking a name up.
+struct NetMetrics {
+    conn_accepted: Counter,
+    conn_rejected: Counter,
+    conn_closed: Counter,
+    conn_idle_closed: Counter,
+    conn_write_errors: Counter,
+    conn_active: Gauge,
+    accept_errors: Counter,
+    decode_errors: Counter,
+    resp_oversized: Counter,
+    shed: Counter,
+    req_ok: Counter,
+    req_panics: Counter,
+    req_poisoned: Counter,
+    req_shed: Counter,
+    req_latency: Histogram,
+    read_ok: Counter,
+    cache_hit: Counter,
+    cache_miss: Counter,
+    cache_evict: Counter,
+    cache_stale_purged: Counter,
+    lock_wait: Histogram,
+}
+
+impl NetMetrics {
+    fn new(registry: &MetricsRegistry) -> NetMetrics {
+        NetMetrics {
+            conn_accepted: registry.counter("net.conn.accepted"),
+            conn_rejected: registry.counter("net.conn.rejected"),
+            conn_closed: registry.counter("net.conn.closed"),
+            conn_idle_closed: registry.counter("net.conn.idle_closed"),
+            conn_write_errors: registry.counter("net.conn.write_errors"),
+            conn_active: registry.gauge("net.conn.active"),
+            accept_errors: registry.counter("net.accept.errors"),
+            decode_errors: registry.counter("net.decode.errors"),
+            resp_oversized: registry.counter("net.resp.oversized"),
+            shed: registry.counter("net.shed"),
+            req_ok: registry.counter("net.req.ok"),
+            req_panics: registry.counter("net.req.panics"),
+            req_poisoned: registry.counter("net.req.poisoned"),
+            req_shed: registry.counter("net.req.shed"),
+            req_latency: registry.histogram("net.req.latency"),
+            read_ok: registry.counter("net.read.ok"),
+            cache_hit: registry.counter("net.read.cache.hit"),
+            cache_miss: registry.counter("net.read.cache.miss"),
+            cache_evict: registry.counter("net.read.cache.evict"),
+            cache_stale_purged: registry.counter("net.read.cache.stale_purged"),
+            lock_wait: registry.histogram("net.lock.wait"),
+        }
+    }
+}
+
 struct Shared {
     memex: RwLock<Memex>,
     /// Bumped (under the write lock, before the mutation) on every write;
     /// versions the read cache.
     epoch: AtomicU64,
     cache: Mutex<ReadCache>,
-    /// The served Memex's registry; all `net.*` serving-layer metrics
-    /// land here.
+    /// The served Memex's registry: a cache hit records its servlet's
+    /// latency here.
     registry: MetricsRegistry,
+    metrics: NetMetrics,
     shutdown: AtomicBool,
     in_flight: AtomicUsize,
     config: NetServerConfig,
@@ -232,6 +289,7 @@ impl Shared {
             memex: RwLock::new(memex),
             epoch: AtomicU64::new(0),
             cache: Mutex::new(ReadCache::default()),
+            metrics: NetMetrics::new(&registry),
             registry,
             shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -247,9 +305,7 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
             .get(key, epoch);
         if purged > 0 {
-            self.registry
-                .counter("net.read.cache.stale_purged")
-                .add(purged);
+            self.metrics.cache_stale_purged.add(purged);
         }
         hit
     }
@@ -261,12 +317,10 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner)
             .put(key, epoch, answer);
         if evicted > 0 {
-            self.registry.counter("net.read.cache.evict").add(evicted);
+            self.metrics.cache_evict.add(evicted);
         }
         if purged > 0 {
-            self.registry
-                .counter("net.read.cache.stale_purged")
-                .add(purged);
+            self.metrics.cache_stale_purged.add(purged);
         }
     }
 }
@@ -378,11 +432,7 @@ impl NetServer {
 }
 
 fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Shared>) {
-    let reg = &shared.registry;
-    let accepted = reg.counter("net.conn.accepted");
-    let rejected = reg.counter("net.conn.rejected");
-    let shed = reg.counter("net.shed");
-    let errors = reg.counter("net.accept.errors");
+    let m = &shared.metrics;
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -391,17 +441,17 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                     drop(stream);
                     break;
                 }
-                accepted.inc();
+                m.conn_accepted.inc();
                 match tx.try_send(stream) {
                     Ok(()) => {}
                     Err(TrySendError::Full(mut stream)) => {
                         // Bounded queue is the contract: shed explicitly
                         // rather than let connections pile up unseen.
-                        shed.inc();
-                        rejected.inc();
+                        m.shed.inc();
+                        m.conn_rejected.inc();
                         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
                         let _ = respond(
-                            reg,
+                            m,
                             &mut stream,
                             None,
                             &encoded(&Response::Overloaded {
@@ -414,7 +464,7 @@ fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Sha
                 }
             }
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-            Err(_) => errors.inc(),
+            Err(_) => m.accept_errors.inc(),
         }
     }
 }
@@ -443,12 +493,11 @@ enum Exchange {
 }
 
 fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let reg = &shared.registry;
-    let active = reg.gauge("net.conn.active");
+    let m = &shared.metrics;
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let _ = stream.set_nodelay(true);
-    active.add(1);
+    m.conn_active.add(1);
     // Frames are read through the buffer (one `recv` takes in a whole
     // request, or several pipelined ones); answers are written straight to
     // the socket underneath it.
@@ -460,16 +509,16 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             break;
         }
     }
-    active.add(-1);
-    reg.counter("net.conn.closed").inc();
+    m.conn_active.add(-1);
+    m.conn_closed.inc();
 }
 
 /// Record how long an RwLock acquisition stalled this request: into the
 /// `net.lock.wait` histogram always, and onto the active trace's root span
 /// (`lock_wait_ns`, `lock_kind`) when tracing is on.
-fn note_lock_acquired(reg: &MetricsRegistry, kind: &str, waited_since: Instant) {
+fn note_lock_acquired(lock_wait: &Histogram, kind: &str, waited_since: Instant) {
     let wait_ns = waited_since.elapsed().as_nanos() as u64;
-    reg.histogram("net.lock.wait").record(wait_ns);
+    lock_wait.record(wait_ns);
     trace::annotate("lock_wait_ns", wait_ns);
     trace::annotate("lock_kind", kind);
 }
@@ -478,7 +527,7 @@ fn note_lock_acquired(reg: &MetricsRegistry, kind: &str, waited_since: Instant) 
 /// under the shared read guard, encode, and (when cacheable) remember the
 /// encoded answer.
 fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
-    let reg = &shared.registry;
+    let m = &shared.metrics;
     let started = Instant::now();
     // The epoch MUST be loaded before the read lock is acquired: a write
     // that slips in between can only make this dispatch's tag *older* than
@@ -494,18 +543,20 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
     if cacheable {
         let key = request.as_request();
         if let Some(answer) = shared.cache_get(key, epoch) {
-            reg.counter("net.req.ok").inc();
-            reg.counter("net.read.ok").inc();
-            reg.counter("net.read.cache.hit").inc();
+            m.req_ok.inc();
+            m.read_ok.inc();
+            m.cache_hit.inc();
             // A cache hit is a served request: record it in the same
             // per-servlet histogram as a dispatched one, otherwise the
             // histogram silently excludes the fastest responses.
-            reg.histogram(key.latency_metric())
+            shared
+                .registry
+                .histogram(key.latency_metric())
                 .record(started.elapsed().as_nanos() as u64);
             trace::annotate("cache_hit", "true");
             return answer;
         }
-        reg.counter("net.read.cache.miss").inc();
+        m.cache_miss.inc();
     }
     // Only a miss pays for an owned key: the dispatch consumes the request.
     let cache_key = cacheable.then(|| request.as_request().clone());
@@ -517,15 +568,15 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
     let dispatched =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shared.memex.read() {
             Ok(memex) => {
-                note_lock_acquired(reg, "read", lock_started);
+                note_lock_acquired(&m.lock_wait, "read", lock_started);
                 Some(dispatch_read(&memex, request))
             }
             Err(_poisoned) => None,
         }));
     match dispatched {
         Ok(Some(resp)) => {
-            reg.counter("net.req.ok").inc();
-            reg.counter("net.read.ok").inc();
+            m.req_ok.inc();
+            m.read_ok.inc();
             let answer = encoded(&resp);
             if let Some(key) = cache_key {
                 shared.cache_put(key, epoch, Arc::clone(&answer));
@@ -533,13 +584,13 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
             answer
         }
         Ok(None) => {
-            reg.counter("net.req.poisoned").inc();
+            m.req_poisoned.inc();
             encoded(&Response::Error(
                 "internal: memex state poisoned by an earlier panic".into(),
             ))
         }
         Err(_panic) => {
-            reg.counter("net.req.panics").inc();
+            m.req_panics.inc();
             encoded(&Response::Error(
                 "internal: request dispatch panicked".into(),
             ))
@@ -550,12 +601,12 @@ fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
 /// Serve one write request under the exclusive guard: bump the write epoch
 /// (which invalidates the cached reads), then apply it, demons included.
 fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
-    let reg = &shared.registry;
+    let m = &shared.metrics;
     let lock_started = Instant::now();
     let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         match shared.memex.write() {
             Ok(mut memex) => {
-                note_lock_acquired(reg, "write", lock_started);
+                note_lock_acquired(&m.lock_wait, "write", lock_started);
                 // Bump before mutating: a reader that loaded the old epoch
                 // concurrently will tag its entry with it and the entry
                 // dies the moment this store lands.
@@ -567,11 +618,11 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
     }));
     match dispatched {
         Ok(Some(resp)) => {
-            reg.counter("net.req.ok").inc();
+            m.req_ok.inc();
             encoded(&resp)
         }
         Ok(None) => {
-            reg.counter("net.req.poisoned").inc();
+            m.req_poisoned.inc();
             encoded(&Response::Error(
                 "internal: memex state poisoned by an earlier panic".into(),
             ))
@@ -579,7 +630,7 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
         Err(_panic) => {
             // The panicking dispatch held the write guard, so the lock is
             // now poisoned; later requests degrade to typed errors above.
-            reg.counter("net.req.panics").inc();
+            m.req_panics.inc();
             encoded(&Response::Error(
                 "internal: request dispatch panicked".into(),
             ))
@@ -593,7 +644,7 @@ fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
 /// in `net.resp.oversized`: the client is told, and the connection stays
 /// in step.
 fn respond(
-    reg: &MetricsRegistry,
+    m: &NetMetrics,
     out: &mut impl Write,
     trace_ctx: Option<TraceContext>,
     answer: &(Vec<u8>, u32),
@@ -601,7 +652,7 @@ fn respond(
     let (payload, crc) = answer;
     let frame = match wire::frame_with_crc(FrameKind::Response, payload, *crc, trace_ctx) {
         Err(WireError::Oversized { .. }) => {
-            reg.counter("net.resp.oversized").inc();
+            m.resp_oversized.inc();
             let error =
                 wire::encode_response(&Response::Error("response exceeds frame cap".into()));
             wire::frame_bytes(FrameKind::Response, &error, trace_ctx)?
@@ -613,7 +664,7 @@ fn respond(
 }
 
 fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
-    let reg = &shared.registry;
+    let m = &shared.metrics;
     let frame = match wire::read_frame_meta(conn) {
         Ok(f) => f,
         Err(WireError::Io(e)) => {
@@ -621,7 +672,7 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
             // connection. Framing stays in sync only from a frame
             // boundary, so a timeout mid-frame also closes.
             if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                reg.counter("net.conn.idle_closed").inc();
+                m.conn_idle_closed.inc();
             }
             return Exchange::Closed;
         }
@@ -629,9 +680,9 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
             // Corrupted frame or a wire version this server does not
             // speak: report and close (the stream position is no longer
             // trustworthy).
-            reg.counter("net.decode.errors").inc();
+            m.decode_errors.inc();
             let _ = respond(
-                reg,
+                m,
                 conn.get_mut(),
                 None,
                 &encoded(&Response::Error(format!("decode: {e}"))),
@@ -642,9 +693,9 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
     let req_started = Instant::now();
     if frame.kind == FrameKind::Response {
         // A client must never send response frames; protocol violation.
-        reg.counter("net.decode.errors").inc();
+        m.decode_errors.inc();
         let _ = respond(
-            reg,
+            m,
             conn.get_mut(),
             None,
             &encoded(&Response::Error(
@@ -671,9 +722,9 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
         Ok(r) => r,
         Err(e) => {
             drop(decode_span);
-            reg.counter("net.decode.errors").inc();
+            m.decode_errors.inc();
             let _ = respond(
-                reg,
+                m,
                 conn.get_mut(),
                 frame.trace,
                 &encoded(&Response::Error(format!("decode: {e}"))),
@@ -692,16 +743,16 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
         // A shed reply is still a served request: it must show up in the
         // `net.req.*` accounting and the flight recorder, not just in
         // `net.shed` — overload is exactly when operators look there.
-        reg.counter("net.shed").inc();
-        reg.counter("net.req.shed").inc();
-        reg.histogram("net.req.latency")
+        m.shed.inc();
+        m.req_shed.inc();
+        m.req_latency
             .record(req_started.elapsed().as_nanos() as u64);
         trace::annotate("shed", "true");
         let overload = Response::Overloaded {
             in_flight: prev.min(u32::MAX as usize) as u32,
             limit: limit.min(u32::MAX as usize) as u32,
         };
-        let wrote = respond(reg, conn.get_mut(), frame.trace, &encoded(&overload));
+        let wrote = respond(m, conn.get_mut(), frame.trace, &encoded(&overload));
         // Complete the (short) trace before returning: decode → shed.
         drop(trace_guard);
         return match wrote {
@@ -710,7 +761,7 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
         };
     }
     let answer = {
-        let _span = reg.span("net.req.latency");
+        let _span = m.req_latency.start_span();
         match request.classify() {
             Classified::Read(r) => answer_read(shared, r),
             Classified::Write(w) => answer_write(shared, w),
@@ -718,14 +769,14 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
     let encode_started = Instant::now();
-    let wrote = respond(reg, conn.get_mut(), frame.trace, &answer);
+    let wrote = respond(m, conn.get_mut(), frame.trace, &answer);
     trace::record_span("net.encode", encode_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);
     match wrote {
         Ok(()) => Exchange::Served,
         Err(_) => {
-            reg.counter("net.conn.write_errors").inc();
+            m.conn_write_errors.inc();
             Exchange::Closed
         }
     }
@@ -809,7 +860,7 @@ mod tests {
         for trace in traces {
             let mut written = Vec::new();
             respond(
-                &shared.registry,
+                &shared.metrics,
                 &mut written,
                 trace,
                 &answer_read(&shared, read_request()),

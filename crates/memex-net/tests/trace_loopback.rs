@@ -82,8 +82,9 @@ fn every_request_records_exactly_one_complete_trace() {
         k: 5,
     };
     // 1. recall (cache miss), 2. identical recall (cache hit), 3. bill,
-    // 4. stats (uncacheable), 5. bookmark event (write).
-    let page = corpus.pages_of_topic(0)[0];
+    // 4. stats (uncacheable), 5. bookmark event (write) of a page not
+    // yet fetched, so the fetch demon's index writes land in its trace.
+    let page = corpus.pages_of_topic(1)[0];
     let write = Request::Event(ClientEvent::Bookmark {
         user: 1,
         page,

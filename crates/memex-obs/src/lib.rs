@@ -28,6 +28,18 @@
 //! via an `attach_registry`-style constructor so tests stay isolated;
 //! free-standing code uses the process-wide [`global()`] registry.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod histogram;
 mod registry;
 mod snapshot;

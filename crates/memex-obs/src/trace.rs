@@ -216,7 +216,7 @@ impl Ring {
 /// (`unwrap_or_else(|e| e.into_inner())`): tracing must never take a
 /// subsystem down, and the state behind a poisoned lock — a ring of
 /// `Arc`s — is still the state. Acquisitions are written inline so
-/// `memex-lint` sees the `ring → slot` nesting.
+/// `tests/lock_order` sees the `ring → slot` nesting.
 struct TracerInner {
     enabled: AtomicBool,
     slow_threshold_ns: AtomicU64,

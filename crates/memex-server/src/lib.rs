@@ -16,6 +16,19 @@
 //!   RDBMS bookkeeping. The demons run synchronously: every write ack
 //!   drains the log.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod events;
 pub mod fetcher;
 pub mod pipeline;

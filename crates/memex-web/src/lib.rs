@@ -15,6 +15,18 @@
 //!   BFS baseline, compared by harvest rate in experiment T4;
 //! * [`zipf`] — the seeded Zipf sampler both generators share.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod corpus;
 pub mod crawler;
 pub mod surfer;

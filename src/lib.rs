@@ -1,4 +1,17 @@
 //! Facade crate re-exporting the entire Memex workspace.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub use memex_cluster as cluster;
 pub use memex_core as core;
 pub use memex_graph as graph;
