@@ -29,7 +29,7 @@ use memex_server::pipeline::{MemexServer, ServerOptions};
 use memex_store::error::StoreResult;
 use memex_text::snippet::SnippetQuery;
 use memex_text::vector::SparseVec;
-use memex_text::vocab::IdfTable;
+use memex_text::vocab::{IdfTable, TermId};
 use memex_web::corpus::Corpus;
 
 use crate::folders::FolderSpace;
@@ -40,6 +40,9 @@ pub struct MemexOptions {
     pub server: ServerOptions,
     pub themes: ThemeOptions,
 }
+
+/// Words in a recall hit's snippet.
+const SNIPPET_WORDS: usize = 12;
 
 /// A ranked recall result (Q1).
 #[derive(Debug, Clone, PartialEq)]
@@ -168,6 +171,8 @@ struct DemonMetrics {
     routing_live: memex_obs::Gauge,
     classify_visits: memex_obs::Counter,
     classify_rewalks: memex_obs::Counter,
+    /// Recall hits whose snippet read the page's text, not its word memo.
+    page_words_fallbacks: memex_obs::Counter,
 }
 
 impl DemonMetrics {
@@ -186,6 +191,7 @@ impl DemonMetrics {
             routing_live: registry.gauge("demon.routing.live"),
             classify_visits: registry.counter("demon.classify.visits"),
             classify_rewalks: registry.counter("demon.classify.rewalks"),
+            page_words_fallbacks: registry.counter("demon.page_words.fallbacks"),
         }
     }
 }
@@ -665,8 +671,17 @@ impl Memex {
             },
         )?;
         // The query's terms are already analysed: every hit's snippet
-        // matches against them instead of analysing the query again.
+        // matches against them instead of analysing the query again. It is
+        // read from the page's word memo, which says where each word's stem
+        // sits in the page's `tf`, so each query stem is looked up there
+        // too, by its vocabulary id; the text is walked only when the memo
+        // cannot tell (`SnippetQuery::snippet_from_words`).
         let mut snippets = SnippetQuery::from_terms(q.into_keys());
+        let stem_ids: Vec<Option<TermId>> = snippets
+            .stems()
+            .iter()
+            .map(|stem| self.server.vocab.id(stem))
+            .collect();
         Ok(hits
             .into_iter()
             .filter_map(|h| {
@@ -674,12 +689,27 @@ impl Memex {
                     .binary_search_by_key(&h.doc, |&(page, _)| page)
                     .ok()?;
                 let page = &self.corpus.pages[h.doc as usize];
+                let text = &page.text;
+                let memo = self.server.page_words(h.doc, text);
+                let snippet = memo
+                    .zip(self.server.tf(h.doc))
+                    .and_then(|(words, tf)| {
+                        let position = |q: usize| {
+                            let id = stem_ids.get(q).copied().flatten()?;
+                            tf.binary_search_by_key(&id, |&(t, _)| t).ok()
+                        };
+                        snippets.snippet_from_words(text, words, position, SNIPPET_WORDS)
+                    })
+                    .unwrap_or_else(|| {
+                        self.metrics.page_words_fallbacks.inc();
+                        snippets.snippet(text, SNIPPET_WORDS)
+                    });
                 Some(RecallHit {
                     page: h.doc,
                     url: page.url.clone(),
                     score: h.score,
                     last_visit: visited[at].1,
-                    snippet: snippets.snippet(&page.text, 12),
+                    snippet,
                 })
             })
             .collect())

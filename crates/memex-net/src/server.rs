@@ -51,7 +51,7 @@
 //!
 //! **Tracing:** when [`NetServerConfig::trace`] enables it, every
 //! exchanged request gets a root span (`net.req`) covering
-//! decode → lock-acquire → dispatch → encode, annotated with
+//! decode → lock-acquire → dispatch → write, annotated with
 //! `lock_wait_ns`/`lock_kind` at RwLock acquisition (and `cache_hit=true`
 //! on cache-served reads, `shed=true` on overload verdicts,
 //! `retry_of=<id>` when the client marked the request as a retry of an
@@ -705,7 +705,7 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
         return Exchange::Closed;
     }
     // Root span for the whole exchange, opened before payload decode so
-    // the tree covers decode → lock-acquire → dispatch → encode. The id
+    // the tree covers decode → lock-acquire → dispatch → write. The id
     // is the client's (frame trace context) or minted from the server's
     // seeded generator; the guard publishes the completed tree to the
     // flight recorder when it drops at the end of this function.
@@ -768,9 +768,9 @@ fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
         }
     };
     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    let encode_started = Instant::now();
+    let write_started = Instant::now();
     let wrote = respond(m, conn.get_mut(), frame.trace, &answer);
-    trace::record_span("net.encode", encode_started, Instant::now());
+    trace::record_span("net.write", write_started, Instant::now());
     // Completes the trace: everything after this is outside the request.
     drop(trace_guard);
     match wrote {

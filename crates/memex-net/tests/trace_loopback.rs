@@ -133,7 +133,7 @@ fn every_request_records_exactly_one_complete_trace() {
         assert!(t.is_complete(), "incomplete span tree: {t:?}");
         assert_eq!(t.root().expect("root").name, "net.req");
         assert!(has_span(t, "net.decode"), "decode span missing: {t:?}");
-        assert!(has_span(t, "net.encode"), "encode span missing: {t:?}");
+        assert!(has_span(t, "net.write"), "write span missing: {t:?}");
     }
     for &id in &ids {
         find_trace(&traces, id);
@@ -246,7 +246,7 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
     assert!(wait < 60_000_000_000, "implausible lock wait: {wait}ns");
     assert_eq!(root.annotation("lock_kind"), Some("write"));
     // Per-layer children: framing, servlet, storage.
-    for name in ["net.decode", "net.encode", "event", "store.kv.put"] {
+    for name in ["net.decode", "net.write", "event", "store.kv.put"] {
         assert!(has_span(t, name), "slow trace lacks `{name}` child: {t:?}");
     }
 

@@ -14,13 +14,16 @@
 //! index (`P` postings, `L` length, the `Mseg` counter — nothing a query
 //! cannot read) and into the page's one record of what the fetch demon
 //! concluded (`FetchOutcome`: archived — vector and transfer size — or
-//! abandoned), which is also what stops a second fetch.
+//! abandoned), which is also what stops a second fetch. An archived page
+//! gains one more fact later, on a read: the word memo its snippets are
+//! read from ([`MemexServer::page_words`]).
 //!
 //! The demons are synchronous: every write ack runs [`MemexServer::drain_demons`]
 //! before it returns, so the log is empty between acks. Admission control
 //! is the serving layer's (`memex-net`'s in-flight limit), not the log's.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::trail::{TrailGraph, Visit};
@@ -30,6 +33,7 @@ use memex_store::error::StoreResult;
 use memex_store::rel::{ColType, Column, Database, Schema, TableHandle, Value};
 use memex_store::version::EventLog;
 use memex_text::analyze::Analyzer;
+use memex_text::snippet::{self, OUTSIDE};
 use memex_text::vocab::{TermId, Vocabulary};
 
 use crate::events::{ArchiveMode, ClientEvent};
@@ -78,6 +82,7 @@ struct ServerMetrics {
     /// Events the log retains.
     bus_depth: Gauge,
     fetch_latency: Histogram,
+    page_words_builds: Counter,
 }
 
 impl ServerMetrics {
@@ -93,6 +98,7 @@ impl ServerMetrics {
             pages_abandoned: registry.counter("server.fetch.abandoned"),
             bus_depth: registry.gauge("server.bus.depth"),
             fetch_latency: registry.histogram("server.fetch.latency"),
+            page_words_builds: registry.counter("demon.page_words.builds"),
         }
     }
 }
@@ -116,8 +122,14 @@ pub struct BookmarkRecord {
 
 /// What the fetch demon concluded for a page it tried.
 enum FetchOutcome {
-    /// Fetched and analysed: its term vector and transfer size.
-    Archived { tf: Vec<(TermId, u32)>, bytes: u32 },
+    /// Fetched and analysed: its term vector and transfer size, and the
+    /// word memo of its text, built by the first recall that hits it
+    /// ([`MemexServer::page_words`]).
+    Archived {
+        tf: Vec<(TermId, u32)>,
+        bytes: u32,
+        words: OnceLock<Box<[u16]>>,
+    },
     /// The retry policy gave up on it, or its index write failed —
     /// remembered so a hot page that keeps reappearing in events cannot
     /// stall the demon over and over.
@@ -127,7 +139,7 @@ enum FetchOutcome {
 impl FetchOutcome {
     fn archived(&self) -> Option<(&[(TermId, u32)], u32)> {
         match self {
-            FetchOutcome::Archived { tf, bytes } => Some((tf, *bytes)),
+            FetchOutcome::Archived { tf, bytes, .. } => Some((tf, *bytes)),
             FetchOutcome::Abandoned => None,
         }
     }
@@ -402,6 +414,7 @@ impl<F: PageFetcher> MemexServer<F> {
             FetchOutcome::Archived {
                 tf,
                 bytes: content.bytes,
+                words: OnceLock::new(),
             }
         } else {
             FetchOutcome::Abandoned
@@ -447,6 +460,30 @@ impl<F: PageFetcher> MemexServer<F> {
     /// Transfer size of a fetched page.
     pub fn page_bytes(&self, page: u32) -> Option<u32> {
         Some(self.pages.get(&page)?.archived()?.1)
+    }
+
+    /// The word memo of a fetched page's `text` — the text its snippet
+    /// renders, the same on every call: for each display word, the position
+    /// of its first token's stem in [`MemexServer::tf`]
+    /// ([`snippet::page_words`]). The first caller builds it, under the
+    /// shared guard; the page record never changes, so nothing takes it
+    /// back, and no write builds one. `None` for a page not archived, or
+    /// with more distinct terms than a `u16` position below
+    /// [`OUTSIDE`] can name.
+    pub fn page_words(&self, page: u32, text: &str) -> Option<&[u16]> {
+        let Some(FetchOutcome::Archived { tf, words, .. }) = self.pages.get(&page) else {
+            return None;
+        };
+        if tf.len() >= usize::from(OUTSIDE) {
+            return None;
+        }
+        Some(words.get_or_init(|| {
+            self.metrics.page_words_builds.inc();
+            snippet::page_words(text, |stem| {
+                let id = self.vocab.id(stem)?;
+                tf.binary_search_by_key(&id, |&(t, _)| t).ok()
+            })
+        }))
     }
 
     pub fn stats(&self) -> ServerStats {

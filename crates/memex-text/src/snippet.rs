@@ -3,16 +3,34 @@
 //! under each hit.
 //!
 //! A request analyses its query once ([`SnippetQuery`]) and then reads each
-//! returned page in a single pass: every whitespace-separated display word
-//! is read for its first token ([`Words`]) and, if a query stem starts with
-//! its first byte, stemmed in place in one reused buffer and looked up
-//! among the query's stems, while a ring of the last
-//! `window` lookups slides the window. Cost is linear in the page's words
-//! with a constant number of allocations, whatever the page's length.
+//! returned page in a single pass over its display words, each word
+//! reduced to the query stem it matches, if any, while a ring of the last
+//! `window` matches slides the window. Two sources say which stem a word
+//! matches, and both feed the same window loop:
+//!
+//! * the text walk ([`SnippetQuery::snippet`]): every whitespace-separated
+//!   word is read for its first token ([`Words`]) and, if a query stem
+//!   starts with its first byte, stemmed in place in one reused buffer and
+//!   looked up among the query's stems;
+//! * the page's word memo ([`page_words`], read by
+//!   [`SnippetQuery::snippet_from_words`]): per word, where its first
+//!   token's stem sits among the page's terms, so a word costs one compare
+//!   against the query stems' positions and nothing is copied or stemmed.
+//!
+//! Rendering then finds the best window's first word with one whitespace
+//! scan. Cost is linear in the page's words with a constant number of
+//! allocations, whatever the page's length.
 
 use crate::analyze::Analyzer;
 use crate::stem::stem_in_place;
-use crate::tokenize::Words;
+use crate::tokenize::{word_start, Words};
+
+/// A word-memo entry: the word has no kept token.
+pub const NO_TOKEN: u16 = u16::MAX;
+/// A word-memo entry: the stem of the word's first token is not among the
+/// page's terms (a stopword, or a token markup cut differently when the
+/// page was analysed whole). Positions are below it.
+pub const OUTSIDE: u16 = u16::MAX - 1;
 
 /// The distinct terms of one query, ready to be matched against any number
 /// of texts.
@@ -26,6 +44,10 @@ pub struct SnippetQuery {
     /// and is neither copied nor stemmed.
     firsts: [bool; 256],
     token: String,
+    /// Per query stem found among a page's terms, its position there and
+    /// its index in `stems`, sorted by position: reused page after page by
+    /// [`SnippetQuery::snippet_from_words`].
+    positions: Vec<(u16, usize)>,
 }
 
 impl SnippetQuery {
@@ -46,7 +68,14 @@ impl SnippetQuery {
             stems,
             firsts,
             token: String::new(),
+            positions: Vec::new(),
         }
+    }
+
+    /// The query's distinct stems, sorted: what the `i` of
+    /// [`SnippetQuery::snippet_from_words`]'s `position(i)` indexes.
+    pub fn stems(&self) -> &[String] {
+        &self.stems
     }
 
     /// Extract a snippet of at most `window` words from `text` biased
@@ -55,76 +84,174 @@ impl SnippetQuery {
     /// spaces, with an ellipsis on clipped ends. Empty text gives an empty
     /// string.
     pub fn snippet(&mut self, text: &str, window: usize) -> String {
-        let window = window.max(1);
-        // `ring[i % window]` is word `i` while it is inside the window:
-        // where it starts and which query stem it matches. A text has at
-        // most one word per two bytes, so a window longer than that never
-        // wraps and needs no more slots.
-        let slots = window.min(text.len() / 2 + 1);
-        let mut ring: Vec<(usize, Option<usize>)> = vec![(0, None); slots];
-        // Per query stem, its hits inside the window; score = (distinct
-        // stems covered, total hits), and the first window with the best
-        // score wins.
-        let mut inside = vec![0usize; self.stems.len()];
-        let (mut distinct, mut total) = (0usize, 0usize);
-        let mut best_score = (0usize, 0usize);
-        // The best window's first word: its index and its byte offset.
-        let (mut best_word, mut best_offset) = (0usize, 0usize);
-        let mut n = 0usize;
+        let SnippetQuery {
+            stems,
+            firsts,
+            token,
+            ..
+        } = self;
         let mut words = Words::new(text);
-        while let Some((start, _)) = words.next_into(&mut self.token, &self.firsts) {
-            let slot = n % ring.len();
-            if n >= window {
-                if let (_, Some(q)) = ring[slot] {
-                    inside[q] -= 1;
-                    if inside[q] == 0 {
-                        distinct -= 1;
-                    }
-                    total -= 1;
-                }
-            }
+        let hits = std::iter::from_fn(|| {
+            words.next_into(token, firsts)?;
             // The query stem the word matches, if any: by its first token
             // (none, or one no stem starts like, leaves nothing to stem).
-            let hit = match self.token.bytes().next() {
-                Some(first) if self.firsts[usize::from(first)] => {
-                    stem_in_place(&mut self.token);
-                    let stem = self.token.as_str();
-                    self.stems.binary_search_by(|s| s.as_str().cmp(stem)).ok()
+            Some(match token.bytes().next() {
+                Some(first) if firsts[usize::from(first)] => {
+                    stem_in_place(token);
+                    let stem = token.as_str();
+                    stems.binary_search_by(|s| s.as_str().cmp(stem)).ok()
                 }
                 _ => None,
-            };
-            ring[slot] = (start, hit);
-            if let Some(q) = hit {
-                if inside[q] == 0 {
-                    distinct += 1;
-                }
-                inside[q] += 1;
-                total += 1;
-            }
-            n += 1;
-            if n >= window && (distinct, total) > best_score {
-                best_score = (distinct, total);
-                // The oldest word in the ring opens this window.
-                (best_word, best_offset) = (n - window, ring[n % ring.len()].0);
-            }
-        }
-        let w = window.min(n);
-        let mut out = String::new();
-        if best_word > 0 {
-            out.push_str("… ");
-        }
-        let shown = text[best_offset..].split_whitespace().take(w);
-        for (i, word) in shown.enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(word);
-        }
-        if best_word + w < n {
-            out.push_str(" …");
-        }
-        out
+            })
+        });
+        // A text has at most one word per two bytes.
+        best_window(text, hits, stems.len(), window, text.len() / 2 + 1)
     }
+
+    /// [`SnippetQuery::snippet`] of `text`, read from `words`, its word memo
+    /// ([`page_words`] of the same text) instead of from its tokens.
+    /// `position(i)` is where query stem `i` ([`SnippetQuery::stems`]) sits
+    /// among the terms the memo was built against, if it is one of them.
+    ///
+    /// `None` — read the text instead — when some query stem is not among
+    /// those terms and some word is [`OUTSIDE`] them: that word's stem may
+    /// be the missing one. Otherwise a missing stem matches no word, every
+    /// other stem matches exactly the words at its position, and the
+    /// snippet is the text walk's, bit for bit.
+    pub fn snippet_from_words(
+        &mut self,
+        text: &str,
+        words: &[u16],
+        mut position: impl FnMut(usize) -> Option<usize>,
+        window: usize,
+    ) -> Option<String> {
+        self.positions.clear();
+        let mut missing = false;
+        for q in 0..self.stems.len() {
+            match entry(position(q)) {
+                Some(p) => self.positions.push((p, q)),
+                None => missing = true,
+            }
+        }
+        if missing && words.contains(&OUTSIDE) {
+            return None;
+        }
+        self.positions.sort_unstable();
+        let positions = &self.positions;
+        let hits = words.iter().map(|word| {
+            let at = positions.binary_search_by_key(word, |&(p, _)| p).ok()?;
+            positions.get(at).map(|&(_, q)| q)
+        });
+        Some(best_window(
+            text,
+            hits,
+            self.stems.len(),
+            window,
+            words.len(),
+        ))
+    }
+}
+
+/// A page's word memo, the source [`SnippetQuery::snippet_from_words`]
+/// reads instead of the text: for each display word of `text`, where its
+/// first token's stem sits among the page's terms (`position`), [`OUTSIDE`]
+/// if it is not one of them (or sits at [`OUTSIDE`] or beyond), and
+/// [`NO_TOKEN`] if the word has no kept token. One walk of the text that
+/// stems every word.
+pub fn page_words(text: &str, mut position: impl FnMut(&str) -> Option<usize>) -> Box<[u16]> {
+    let mut words = Words::new(text);
+    let mut token = String::new();
+    let mut memo = Vec::new();
+    while words.next_into(&mut token, &[true; 256]).is_some() {
+        memo.push(if token.is_empty() {
+            NO_TOKEN
+        } else {
+            stem_in_place(&mut token);
+            entry(position(&token)).unwrap_or(OUTSIDE)
+        });
+    }
+    memo.into_boxed_slice()
+}
+
+/// A position among a page's terms as a word-memo entry, if it is one and
+/// lies below the markers.
+fn entry(position: Option<usize>) -> Option<u16> {
+    position
+        .and_then(|p| u16::try_from(p).ok())
+        .filter(|&p| p < OUTSIDE)
+}
+
+/// The window loop both sources feed, and the rendering of what it picked.
+/// `hits` yields, word by word, the index of the query stem the word
+/// matches, for a query of `stems` stems; it yields at most `most_words`.
+/// Score = (distinct stems covered, total hits), and the first window with
+/// the best score wins.
+fn best_window(
+    text: &str,
+    hits: impl Iterator<Item = Option<usize>>,
+    stems: usize,
+    window: usize,
+    most_words: usize,
+) -> String {
+    let window = window.max(1);
+    // `ring[i % ring.len()]` is the stem word `i` matches while it is inside
+    // the window. A window longer than the words never wraps and needs no
+    // more slots.
+    let mut ring: Vec<Option<usize>> = vec![None; window.min(most_words).max(1)];
+    // Per query stem, its hits inside the window.
+    let mut inside = vec![0usize; stems];
+    let (mut distinct, mut total) = (0usize, 0usize);
+    let mut best_score = (0usize, 0usize);
+    let mut best_word = 0usize;
+    let mut n = 0usize;
+    // `n % ring.len()`, kept without a division per word.
+    let mut slot = 0usize;
+    for hit in hits {
+        if n >= window {
+            if let Some(q) = ring[slot] {
+                inside[q] -= 1;
+                if inside[q] == 0 {
+                    distinct -= 1;
+                }
+                total -= 1;
+            }
+        }
+        ring[slot] = hit;
+        slot += 1;
+        if slot == ring.len() {
+            slot = 0;
+        }
+        if let Some(q) = hit {
+            if inside[q] == 0 {
+                distinct += 1;
+            }
+            inside[q] += 1;
+            total += 1;
+        }
+        n += 1;
+        if n >= window && (distinct, total) > best_score {
+            best_score = (distinct, total);
+            best_word = n - window;
+        }
+    }
+    let w = window.min(n);
+    let mut out = String::new();
+    if best_word > 0 {
+        out.push_str("… ");
+    }
+    let shown = text[word_start(text, best_word)..]
+        .split_whitespace()
+        .take(w);
+    for (i, word) in shown.enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(word);
+    }
+    if best_word + w < n {
+        out.push_str(" …");
+    }
+    out
 }
 
 /// One-shot [`SnippetQuery::snippet`]: analyse `query`, read one `text`.
@@ -135,10 +262,6 @@ pub fn snippet(text: &str, query: &str, window: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stem::stem;
-    use crate::stopwords::is_stopword;
-    use crate::tokenize::tokenize;
-    use proptest::prelude::*;
 
     const TEXT: &str = "the quick brown fox jumps over the lazy dog while a \
                         compiler optimizes the inner loops of the interpreter \
@@ -183,114 +306,57 @@ mod tests {
         assert!(s.contains("compiler"), "{s}");
     }
 
-    /// `snippet` as it was before it slid its window: every window position
-    /// rescanned, its distinct stems collected into a fresh set. Kept as the
-    /// reference the sliding version is held to.
-    fn snippet_by_rescan(text: &str, query: &str, window: usize) -> String {
-        use std::collections::HashSet;
-        let window = window.max(1);
-        let display: Vec<&str> = text.split_whitespace().collect();
-        if display.is_empty() {
-            return String::new();
-        }
-        let query_stems: HashSet<String> = tokenize(query)
-            .into_iter()
-            .filter(|w| !is_stopword(w))
-            .map(|w| stem(&w))
-            .collect();
-        let stems: Vec<Option<String>> = display
-            .iter()
-            .map(|w| tokenize(w).first().map(|t| stem(t)))
-            .collect();
-        let is_hit: Vec<bool> = stems
-            .iter()
-            .map(|s| s.as_ref().is_some_and(|s| query_stems.contains(s)))
-            .collect();
-        let mut best_start = 0usize;
-        let mut best_score = (0usize, 0usize);
-        let n = display.len();
-        let w = window.min(n);
-        for start in 0..=(n - w) {
-            let mut distinct = HashSet::new();
-            let mut total = 0usize;
-            for i in start..start + w {
-                if is_hit[i] {
-                    total += 1;
-                    if let Some(s) = &stems[i] {
-                        distinct.insert(s.clone());
-                    }
-                }
-            }
-            let score = (distinct.len(), total);
-            if score > best_score {
-                best_score = score;
-                best_start = start;
-            }
-        }
-        let mut out = String::new();
-        if best_start > 0 {
-            out.push_str("… ");
-        }
-        out.push_str(&display[best_start..best_start + w].join(" "));
-        if best_start + w < n {
-            out.push_str(" …");
-        }
-        out
+    /// The page's terms as `Analyzer::counts` gives them, sorted: a
+    /// position is an index into them.
+    fn terms(page: &str) -> Vec<String> {
+        let mut terms: Vec<String> = Analyzer.counts(page).into_keys().collect();
+        terms.sort_unstable();
+        terms
     }
 
-    /// Words that collide at stem level, stopwords, punctuation, a token
-    /// `tokenize` splits in two and one it drops, and every kind of
-    /// whitespace `split_whitespace` breaks a word at.
-    const WORDS: [&str; 22] = [
-        "compiler",
-        "Compilers",
-        "optimizes",
-        "optimization,",
-        "music",
-        "musical",
-        "baroque",
-        "the",
-        "of",
-        "loop",
-        "loops.",
-        "inner-loop",
-        "garden",
-        "x",
-        "--",
-        "<b>bold</b>",
-        "Über-garden",
-        "music\u{a0}garden",
-        "loop\u{3000}\u{2003}compiler",
-        "baroque\tmusic\nloops\r\n",
-        "\u{b}garden\u{c}",
-        "\u{85}",
-    ];
-
-    fn words(max: usize) -> impl Strategy<Value = String> {
-        proptest::collection::vec(0..WORDS.len(), 0..max).prop_map(|picks| {
-            picks
-                .iter()
-                .map(|&i| WORDS[i])
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
+    /// `query`'s snippet of `text` from its word memo against `terms`.
+    fn from_words(text: &str, terms: &[String], query: &str, window: usize) -> Option<String> {
+        let memo = page_words(text, |stem| {
+            terms.binary_search_by(|t| t.as_str().cmp(stem)).ok()
+        });
+        let mut q = SnippetQuery::new(query);
+        let stems = q.stems().to_vec();
+        q.snippet_from_words(text, &memo, |i| terms.binary_search(&stems[i]).ok(), window)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+    #[test]
+    fn the_memo_marks_words_without_a_token_and_stems_outside_the_terms() {
+        let text = "The compilers -- optimize x Loops";
+        let terms = terms(text);
+        let memo = page_words(text, |stem| {
+            terms.binary_search_by(|t| t.as_str().cmp(stem)).ok()
+        });
+        let at = |term: &str| terms.binary_search_by(|t| t.as_str().cmp(term)).ok();
+        let at = |term| at(term).and_then(|p| u16::try_from(p).ok());
+        assert_eq!(
+            memo.iter().map(|&w| Some(w)).collect::<Vec<_>>(),
+            [
+                Some(OUTSIDE),
+                at("compil"),
+                Some(NO_TOKEN),
+                at("optim"),
+                Some(NO_TOKEN),
+                at("loop"),
+            ]
+        );
+    }
 
-        /// Empty texts, empty queries and windows past the end included.
-        #[test]
-        fn sliding_window_equals_the_rescan(
-            text in words(40),
-            query in words(5),
-            window in 0usize..50,
-        ) {
-            prop_assert_eq!(
-                snippet(&text, &query, window),
-                snippet_by_rescan(&text, &query, window),
-                "text {:?} query {:?} window {}", text, query, window
-            );
-        }
+    /// "page" is a stopword, so not among the page's terms, yet the query
+    /// "pages" stems to it: only the text can say which words match.
+    #[test]
+    fn a_missing_stem_falls_back_only_when_a_word_is_outside_the_terms() {
+        let text = "compiler notes on the page about loops";
+        assert_eq!(from_words(text, &terms(text), "pages", 3), None);
+        assert_eq!(snippet(text, "pages", 3), "… on the page …");
+        let plain = "compiler notes loops compiler";
+        assert_eq!(
+            from_words(plain, &terms(plain), "pages loops", 2).as_deref(),
+            Some(snippet(plain, "pages loops", 2).as_str())
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! writes each kept token into a buffer the caller owns — no copy of the
 //! input, no intermediate string, and a caller that wants only the first
 //! token stops there. [`Words`] is that caller packaged: a snippet's walk
-//! over a page's display words, each with its first token. [`tokenize`] is
+//! over a page's display words, each with its first token ([`word_start`]
+//! finds one of them again without the tokens). [`tokenize`] is
 //! the collecting wrapper. Nothing here panics on arbitrary input, and
 //! `tests/prop.rs` holds all three to the two-pass strip-then-split
 //! reference they replaced.
@@ -149,20 +150,21 @@ impl<'a> Words<'a> {
         token.clear();
         let start = self.scan(self.pos, true);
         // Nearly every word is ASCII letters and digits up to the next
-        // blank: read as it is scanned — copied only past the gate.
+        // blank: scanned to its end, then — only past the gate — copied in
+        // one piece and lower-cased.
         let gated = bytes
             .get(start)
             .is_some_and(|b| !firsts[usize::from(b.to_ascii_lowercase())]);
-        let mut chars = 0usize;
         let mut end = start;
-        while let Some(b) = bytes.get(end).filter(|b| b.is_ascii_alphanumeric()) {
-            if !gated {
-                push_capped(token, &mut chars, b.to_ascii_lowercase() as char);
-            }
+        while bytes.get(end).is_some_and(u8::is_ascii_alphanumeric) {
             end += 1;
         }
         if bytes.get(end).is_none_or(|&b| ascii_whitespace(b)) {
-            keep_or_clear(token, chars);
+            if !gated {
+                token.push_str(&self.text[start..end.min(start + MAX_TOKEN_LEN)]);
+                token.make_ascii_lowercase();
+                keep_or_clear(token, end - start);
+            }
         } else {
             // Punctuation, markup or a wider character: find where the
             // word ends and tokenize it on its own.
@@ -194,6 +196,80 @@ impl<'a> Words<'a> {
         }
         at
     }
+}
+
+/// One in each byte of a `u64`, and each byte's high bit.
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = ONES * 0x80;
+
+/// Where word `n` (from 0) of `text` starts, or `text.len()` if it has no
+/// such word — words as [`Words`] and `split_whitespace` cut them. One
+/// scan: eight ASCII bytes at a time, their word starts counted without a
+/// branch per byte, and a character at a time only where a wider one is.
+pub fn word_start(text: &str, n: usize) -> usize {
+    let bytes = text.as_bytes();
+    // Words begun before `at`, and whether the character before it is
+    // whitespace (the text's start counts as such).
+    let (mut at, mut begun, mut blank) = (0usize, 0usize, true);
+    while at < bytes.len() {
+        let chunk = bytes
+            .get(at..at + 8)
+            .and_then(|c| <[u8; 8]>::try_from(c).ok())
+            .map(u64::from_le_bytes)
+            .filter(|x| x & HIGH_BITS == 0);
+        if let Some(x) = chunk {
+            // Low bit of each byte: whitespace; a word starts at each
+            // other byte whose predecessor is whitespace.
+            let blanks = ascii_whitespace_bytes(x) >> 7;
+            let starts = !blanks & ((blanks << 8) | u64::from(blank)) & ONES;
+            let found = starts.count_ones() as usize;
+            if begun + found > n {
+                // Drop the starts before word `n`; the lowest one left is it.
+                let mut starts = starts;
+                for _ in begun..n {
+                    starts &= starts - 1;
+                }
+                return at + starts.trailing_zeros() as usize / 8;
+            }
+            begun += found;
+            blank = blanks >> 56 != 0;
+            at += 8;
+            continue;
+        }
+        // The last few bytes, or a wider character among the next eight.
+        let (is_blank, width) = match bytes.get(at) {
+            Some(&b) if b.is_ascii() => (ascii_whitespace(b), 1),
+            // `at` is always on a char boundary.
+            _ => text[at..]
+                .chars()
+                .next()
+                .map_or((true, 1), |c| (c.is_whitespace(), c.len_utf8())),
+        };
+        if blank && !is_blank {
+            if begun == n {
+                return at;
+            }
+            begun += 1;
+        }
+        blank = is_blank;
+        at += width;
+    }
+    text.len()
+}
+
+/// [`ascii_whitespace`] for each byte of eight ASCII bytes (all below
+/// 0x80): the byte's high bit set where it is whitespace. Exact, because
+/// no per-byte sum below carries into the next byte.
+fn ascii_whitespace_bytes(x: u64) -> u64 {
+    const LOW_BITS: u64 = ONES * 0x7f;
+    // A space: a byte that is zero once xored with b' '.
+    let spaced = x ^ (ONES * u64::from(b' '));
+    let space = !(((spaced & LOW_BITS) + LOW_BITS) | spaced) & HIGH_BITS;
+    // b'\t'..=b'\r': the high bit reached by adding 0x80 - 9, not by
+    // adding 0x80 - 14.
+    let at_least_tab = x + ONES * (0x80 - 9);
+    let past_return = x + ONES * (0x80 - 14);
+    space | (at_least_tab & !past_return & HIGH_BITS)
 }
 
 /// `char::is_whitespace` for an ASCII byte.

@@ -1,5 +1,6 @@
 //! What the analysis paths allocate, counted: a snippet costs a constant
-//! number of allocations however long the page, and `Analyzer::counts`
+//! number of allocations however long the page, read from its text or from
+//! its word memo, and `Analyzer::counts`
 //! allocates per distinct term, not per token. Its own test binary, because
 //! the counting allocator is process-wide; the counter is per thread, so
 //! the harness's other threads do not disturb a test's count.
@@ -7,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use memex_text::snippet::{snippet, SnippetQuery};
+use memex_text::snippet::{page_words, snippet, SnippetQuery};
 use memex_text::Analyzer;
 
 struct Counting;
@@ -89,6 +90,30 @@ fn a_snippet_allocates_the_same_for_a_long_page_as_for_a_short_one() {
     let per_long = allocations(|| analysed.snippet(&long, 12));
     assert!(per_long <= per_short + 2, "{per_long} vs {per_short}");
     assert!(per_short < on_short, "analysing the query is not free");
+
+    // Read from the page's word memo, nothing per word either — and no
+    // more than the text walk.
+    let mut terms: Vec<String> = Analyzer.counts(&short).into_keys().collect();
+    terms.sort_unstable();
+    let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
+    let (short_memo, long_memo) = (page_words(&short, position), page_words(&long, position));
+    let stems = analysed.stems().to_vec();
+    let mut from_words = |text: &str, memo: &[u16]| {
+        allocations(|| {
+            let read = analysed.snippet_from_words(text, memo, |i| position(&stems[i]), 12);
+            assert!(read.is_some(), "every query stem is a term of the page");
+        })
+    };
+    let memo_short = from_words(&short, &short_memo);
+    let memo_long = from_words(&long, &long_memo);
+    assert!(
+        memo_long <= memo_short + 2,
+        "{memo_long} vs {memo_short} from the memo"
+    );
+    assert!(
+        memo_short <= per_short,
+        "{memo_short} from the memo, {per_short} from the text"
+    );
 }
 
 #[test]

@@ -5,9 +5,14 @@
 
 use proptest::prelude::*;
 
+use memex_text::snippet::{page_words, snippet, SnippetQuery, OUTSIDE};
 use memex_text::stem::{stem, stem_in_place};
-use memex_text::tokenize::{extract_hrefs, tokenize, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
+use memex_text::stopwords::is_stopword;
+use memex_text::tokenize::{
+    extract_hrefs, tokenize, word_start, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN,
+};
 use memex_text::vector::{SparseVec, SumAccumulator};
+use memex_text::Analyzer;
 
 /// The tokenizer as it was before it streamed, kept as the reference
 /// [`Tokens`] is held to: first strip tags, comments and script/style
@@ -300,7 +305,7 @@ proptest! {
     /// splitting with it. The token buffer is reused throughout, as the
     /// product reuses it. An open gate reads every token; a random one
     /// reads each token or nothing — and the token whenever its first byte
-    /// is let through.
+    /// is let through. `word_start` finds every word where the cursor did.
     #[test]
     fn streaming_tokenizer_equals_strip_then_split(
         html in soup(),
@@ -311,12 +316,15 @@ proptest! {
         let mut token = String::from("left over");
         let mut cursor = Words::new(&html);
         let mut gated = Words::new(&html);
-        for word in html.split_whitespace() {
+        let mut count = 0usize;
+        for (n, word) in html.split_whitespace().enumerate() {
             let first = words(&strip_html(word)).into_iter().next();
             let first = first.as_deref().unwrap_or("");
             prop_assert_eq!(Tokens::new(word).next_into(&mut token), !first.is_empty());
             prop_assert_eq!(&token, first, "word {:?}", word);
             let offset = word.as_ptr() as usize - html.as_ptr() as usize;
+            prop_assert_eq!(word_start(&html, n), offset, "word {} of {:?}", n, html);
+            count = n + 1;
             prop_assert_eq!(cursor.next_into(&mut token, &[true; 256]), Some((offset, word)));
             prop_assert_eq!(&token, first, "word {:?}", word);
             prop_assert_eq!(gated.next_into(&mut token, &gate), Some((offset, word)));
@@ -328,6 +336,25 @@ proptest! {
         }
         prop_assert_eq!(cursor.next_into(&mut token, &[true; 256]), None);
         prop_assert_eq!(gated.next_into(&mut token, &gate), None);
+        prop_assert_eq!(word_start(&html, count), html.len());
+        prop_assert_eq!(word_start(&html, count + 3), html.len());
+    }
+
+    /// `word_start` finds every word where `split_whitespace` does: runs of
+    /// ASCII long enough for its eight-byte steps, every ASCII whitespace
+    /// byte and control characters that are not whitespace beside them,
+    /// and wider characters, whitespace or not, anywhere in a step.
+    #[test]
+    fn word_start_finds_every_word(
+        text in "[ab \t\n\u{b}\u{c}\r\u{1c}\u{1f}\u{7f}é\u{a0}\u{85}\u{3000}]{0,80}",
+    ) {
+        let mut count = 0usize;
+        for (n, word) in text.split_whitespace().enumerate() {
+            let offset = word.as_ptr() as usize - text.as_ptr() as usize;
+            prop_assert_eq!(word_start(&text, n), offset, "word {} of {:?}", n, text);
+            count = n + 1;
+        }
+        prop_assert_eq!(word_start(&text, count), text.len(), "{:?}", text);
     }
 
     /// A snippet stems only the tokens whose first byte some query stem
@@ -354,6 +381,166 @@ proptest! {
             if token.len() <= 2 || !token.bytes().all(|b| b.is_ascii_lowercase()) {
                 prop_assert_eq!(&buf, &token);
             }
+        }
+    }
+}
+
+/// `snippet` as it was before it slid its window: every window position
+/// rescanned, its distinct stems collected into a fresh set. Kept as the
+/// reference the sliding version is held to.
+fn snippet_by_rescan(text: &str, query: &str, window: usize) -> String {
+    use std::collections::HashSet;
+    let window = window.max(1);
+    let display: Vec<&str> = text.split_whitespace().collect();
+    if display.is_empty() {
+        return String::new();
+    }
+    let query_stems: HashSet<String> = tokenize(query)
+        .into_iter()
+        .filter(|w| !is_stopword(w))
+        .map(|w| stem(&w))
+        .collect();
+    let stems: Vec<Option<String>> = display
+        .iter()
+        .map(|w| tokenize(w).first().map(|t| stem(t)))
+        .collect();
+    let is_hit: Vec<bool> = stems
+        .iter()
+        .map(|s| s.as_ref().is_some_and(|s| query_stems.contains(s)))
+        .collect();
+    let mut best_start = 0usize;
+    let mut best_score = (0usize, 0usize);
+    let n = display.len();
+    let w = window.min(n);
+    for start in 0..=(n - w) {
+        let mut distinct = HashSet::new();
+        let mut total = 0usize;
+        for i in start..start + w {
+            if is_hit[i] {
+                total += 1;
+                if let Some(s) = &stems[i] {
+                    distinct.insert(s.clone());
+                }
+            }
+        }
+        let score = (distinct.len(), total);
+        if score > best_score {
+            best_score = score;
+            best_start = start;
+        }
+    }
+    let mut out = String::new();
+    if best_start > 0 {
+        out.push_str("… ");
+    }
+    out.push_str(&display[best_start..best_start + w].join(" "));
+    if best_start + w < n {
+        out.push_str(" …");
+    }
+    out
+}
+
+/// The snippet alphabet. Words that collide at stem level, punctuation, a
+/// token `tokenize` splits in two and one it drops, and every kind of
+/// whitespace `split_whitespace` breaks a word at; then, from
+/// [`OUTSIDE_FROM`] on, the words that can put a page's word memo
+/// [`OUTSIDE`] its terms: stopwords, "page" (a stopword that "Pages" stems
+/// to), and a tag opened in one word and closed in a later one (a page
+/// analysed whole does not say "href" inside `<a href=…>`, a word read on
+/// its own does).
+const WORDS: [&str; 26] = [
+    "compiler",
+    "Compilers",
+    "optimizes",
+    "optimization,",
+    "music",
+    "musical",
+    "baroque",
+    "loop",
+    "loops.",
+    "inner-loop",
+    "garden",
+    "Pages",
+    "x",
+    "--",
+    "<b>bold</b>",
+    "Über-garden",
+    "music\u{a0}garden",
+    "loop\u{3000}\u{2003}compiler",
+    "baroque\tmusic\nloops\r\n",
+    "\u{b}garden\u{c}",
+    "\u{85}",
+    "the",
+    "of",
+    "page",
+    "<a",
+    "href=loop>garden",
+];
+const OUTSIDE_FROM: usize = 21;
+
+/// Up to `max` words of the alphabet, its `OUTSIDE` makers included or not.
+fn snippet_text(max: usize, outside: bool) -> impl Strategy<Value = String> {
+    let alphabet = if outside { WORDS.len() } else { OUTSIDE_FROM };
+    proptest::collection::vec(0..alphabet, 0..max).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&i| WORDS[i])
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Empty texts, empty queries and windows past the end included.
+    #[test]
+    fn sliding_window_equals_the_rescan(
+        text in snippet_text(40, true),
+        query in snippet_text(5, true),
+        window in 0usize..50,
+    ) {
+        prop_assert_eq!(
+            snippet(&text, &query, window),
+            snippet_by_rescan(&text, &query, window),
+            "text {:?} query {:?} window {}", text, query, window
+        );
+    }
+
+    /// The word memo reads what the text walk reads. The page's terms are
+    /// those of a title and the text analysed together, as an archived
+    /// page's are; the query may name stems the page lacks (words of the
+    /// alphabet it does not use, a word of no page, "Pages" beside a
+    /// stopword "page"), on texts with and without words outside the
+    /// terms. The memo answers unless a stem is missing and a word is
+    /// outside, and then it answers the text walk's snippet.
+    #[test]
+    fn the_word_memo_reads_what_the_text_walk_reads(
+        text in prop_oneof![snippet_text(40, false), snippet_text(40, true)],
+        title in snippet_text(6, true),
+        query in snippet_text(5, true),
+        extra in 0usize..3,
+        window in 0usize..50,
+    ) {
+        let mut terms: Vec<String> = Analyzer.counts(&format!("{title} {text}")).into_keys().collect();
+        terms.sort_unstable();
+        let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
+        let memo = page_words(&text, position);
+        prop_assert_eq!(memo.len(), text.split_whitespace().count());
+        let query = format!("{query} {}", ["", "zeppelin", "Pages"][extra]);
+        let mut analysed = SnippetQuery::new(&query);
+        let stems = analysed.stems().to_vec();
+        let missing = stems.iter().any(|s| position(s).is_none());
+        let walked = snippet(&text, &query, window);
+        match analysed.snippet_from_words(&text, &memo, |i| position(&stems[i]), window) {
+            Some(read) => prop_assert_eq!(
+                read, walked, "text {:?} title {:?} query {:?} window {}", text, title, query, window
+            ),
+            None => prop_assert!(
+                missing && memo.contains(&OUTSIDE),
+                "text {:?} title {:?} query {:?}: fell back with every stem found or no word outside",
+                text, title, query
+            ),
         }
     }
 }

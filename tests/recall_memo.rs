@@ -1,0 +1,86 @@
+//! A recall hit's snippet is read from the page's word memo, on the
+//! benchmark's world (`memex_bench::worlds::standard_world(false, 1)`, the
+//! one `folder_assignments.rs` pins). No write builds a memo; the first
+//! recall that hits a page builds that page's, once; a repeated recall
+//! builds none and walks no page's text; and every snippet is the one the
+//! text walk renders. The world's corpus has no stopwords, so no word of
+//! any page is outside its terms and no hit falls back to the text — not
+//! even for a query stem the page lacks.
+
+use std::collections::BTreeSet;
+
+use memex::core::memex::{Memex, RecallHit};
+use memex::text::snippet::snippet;
+use memex_bench::worlds::standard_world;
+
+/// `demon.page_words.builds` and `demon.page_words.fallbacks`.
+fn memo_counters(memex: &Memex) -> (u64, u64) {
+    let snap = memex.registry().snapshot();
+    (
+        snap.counter("demon.page_words.builds"),
+        snap.counter("demon.page_words.fallbacks"),
+    )
+}
+
+/// Per user, queries of two words off pages of their own history, as the
+/// benchmark draws them, and one of a word off a page and a word of no
+/// page.
+fn queries(memex: &Memex) -> Vec<(u32, String)> {
+    let mut out = Vec::new();
+    for user in memex.users() {
+        let pages = memex.server.trails.user_pages(user, 0);
+        for k in 0..4usize {
+            let page = pages[(k * 7) % pages.len()];
+            let words: Vec<&str> = memex.corpus.pages[page as usize]
+                .text
+                .split_whitespace()
+                .collect();
+            let (a, b) = (
+                words[(k * 3) % words.len()],
+                words[(k * 5 + 1) % words.len()],
+            );
+            out.push((user, format!("{a} {b}")));
+            if k == 0 {
+                out.push((user, format!("{a} zeppelin")));
+            }
+        }
+    }
+    out
+}
+
+fn recall_all(memex: &Memex, queries: &[(u32, String)]) -> Vec<Vec<RecallHit>> {
+    queries
+        .iter()
+        .map(|(user, query)| memex.recall(*user, query, 0, u64::MAX, 12).expect("recall"))
+        .collect()
+}
+
+#[test]
+fn a_repeated_recall_builds_no_memo_and_walks_no_text() {
+    let (corpus, _, memex) = standard_world(false, 1);
+    assert_eq!(memo_counters(&memex), (0, 0), "no write builds a word memo");
+    let queries = queries(&memex);
+    let first = recall_all(&memex, &queries);
+    let mut hit_pages = BTreeSet::new();
+    for ((_, query), hits) in queries.iter().zip(&first) {
+        for hit in hits {
+            let text = &corpus.pages[hit.page as usize].text;
+            assert_eq!(hit.snippet, snippet(text, query, 12), "page {}", hit.page);
+            hit_pages.insert(hit.page);
+        }
+    }
+    assert!(hit_pages.len() > 100, "{} pages hit", hit_pages.len());
+    assert_eq!(
+        memo_counters(&memex),
+        (hit_pages.len() as u64, 0),
+        "one memo per page hit, and no hit walked its page's text"
+    );
+
+    let again = recall_all(&memex, &queries);
+    assert_eq!(again, first);
+    assert_eq!(
+        memo_counters(&memex),
+        (hit_pages.len() as u64, 0),
+        "a repeated recall builds no memo and walks no text"
+    );
+}
