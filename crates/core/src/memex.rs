@@ -155,7 +155,8 @@ impl UserSpace {
     }
 }
 
-/// Registry handles of the demons [`Memex`] itself runs.
+/// Registry handles of the demons [`Memex`] itself runs, and of what its
+/// servlets read.
 struct DemonMetrics {
     themes_builds: memex_obs::Counter,
     themes_build_latency: memex_obs::Histogram,
@@ -173,6 +174,8 @@ struct DemonMetrics {
     classify_rewalks: memex_obs::Counter,
     /// Recall hits whose snippet read the page's text, not its word memo.
     page_words_fallbacks: memex_obs::Counter,
+    /// Visit-list entries recall's time filter read.
+    recall_visits: memex_obs::Counter,
 }
 
 impl DemonMetrics {
@@ -192,6 +195,7 @@ impl DemonMetrics {
             classify_visits: registry.counter("demon.classify.visits"),
             classify_rewalks: registry.counter("demon.classify.rewalks"),
             page_words_fallbacks: registry.counter("demon.page_words.fallbacks"),
+            recall_visits: registry.counter("servlet.recall.visits"),
         }
     }
 }
@@ -614,24 +618,23 @@ impl Memex {
     // -- Q1: recall ---------------------------------------------------------
 
     /// Visit-time filter: the pages `user` visited in `[since, until]`, each
-    /// with the time of its last such visit, sorted by page.
+    /// with the time of its last such visit, sorted by page. One pass: the
+    /// user's visits come by page, each page's by time, so a page's last
+    /// in-window visit is the last of its run.
     fn last_visits(&self, user: u32, since: u64, until: u64) -> Vec<(u32, u64)> {
-        let mut visited: Vec<(u32, u64)> = self
-            .server
-            .trails
-            .user_visits(user)
-            .filter(|v| v.time >= since && v.time <= until)
-            .map(|v| (v.page, v.time))
-            .collect();
-        visited.sort_unstable();
-        // Each page's visits are now adjacent, the latest last: keep it.
-        visited.dedup_by(|later, kept| {
-            let same_page = later.0 == kept.0;
-            if same_page {
-                kept.1 = later.1;
+        let mut visited: Vec<(u32, u64)> = Vec::new();
+        let mut read = 0u64;
+        for v in self.server.trails.user_visits(user) {
+            read += 1;
+            if v.time < since || v.time > until {
+                continue;
             }
-            same_page
-        });
+            match visited.last_mut() {
+                Some((page, time)) if *page == v.page => *time = v.time,
+                _ => visited.push((v.page, v.time)),
+            }
+        }
+        self.metrics.recall_visits.add(read);
         visited
     }
 
@@ -1003,6 +1006,6 @@ impl Memex {
 pub struct FolderProposal {
     /// Suggested folder name: the cluster's top centroid terms.
     pub name: String,
-    /// Member pages, in trail order.
+    /// Member pages, in page-id order.
     pub pages: Vec<u32>,
 }

@@ -96,10 +96,10 @@ pub fn recommend_pages(memex: &Memex, user: u32, k: usize) -> Vec<(u32, f64)> {
         if sim <= 0.0 {
             continue;
         }
+        // A user's visits come by page: each page's are one run.
         theirs.clear();
         let public = memex.server.trails.user_visits(v).filter(|x| x.public);
         theirs.extend(public.map(|x| x.page));
-        theirs.sort_unstable();
         for run in theirs.chunk_by(|a, b| a == b) {
             if mine.binary_search(&run[0]).is_err() {
                 shares.push((run[0], sim * ((run.len() + 1) as f64).ln()));

@@ -6,14 +6,17 @@
 //!
 //! The archive is append-only, so it is indexed by position: beside the
 //! flat visit log, each user and each page has the list of positions of
-//! its own visits, in recorded order. Every question here is about
-//! somebody ([`TrailGraph::user_visits`], [`TrailGraph::user_pages`]) or
-//! about some pages ([`TrailGraph::page_visits`],
-//! [`TrailGraph::replay_context`]) and costs the visits of that user or of
-//! those pages, not the archive. The lists are in *recorded* order, not
-//! time order — visits may arrive slightly out of order — so a time window
-//! is a filter over a list, never a binary search. The pages with a list
-//! are the set of pages surfed ([`TrailGraph::pages`]; nobody keeps a copy).
+//! its own visits. Every question here is about somebody
+//! ([`TrailGraph::user_visits`], [`TrailGraph::user_pages`]) or about some
+//! pages ([`TrailGraph::page_visits`], [`TrailGraph::replay_context`]) and
+//! costs the visits of that user or of those pages, not the archive. A
+//! page's list is in recorded order. A user's list is in `(page, time)`
+//! order, recorded order breaking ties: what a user's questions group by
+//! is the page, so a user's distinct pages, or the last visit of each, are
+//! one pass over runs with nothing sorted. Neither list is in time order —
+//! visits may arrive slightly out of order — so a time window is a filter
+//! over a list, never a binary search. The pages with a list are the set
+//! of pages surfed ([`TrailGraph::pages`]; nobody keeps a copy).
 //! The flat log ([`TrailGraph::visits`]) stays for what reads the archive
 //! by position: the write path's cursors ("everything recorded since I last
 //! looked") and the experiments.
@@ -56,7 +59,8 @@ pub struct TrailContext {
 #[derive(Debug, Clone, Default)]
 pub struct TrailGraph {
     visits: Vec<Visit>,
-    /// Positions in `visits` of each user's visits, in recorded order.
+    /// Positions in `visits` of each user's visits, in `(page, time,
+    /// position)` order.
     by_user: HashMap<u32, Vec<u32>>,
     /// Positions in `visits` of the visits to each page, in recorded order.
     by_page: HashMap<NodeId, Vec<u32>>,
@@ -68,7 +72,11 @@ impl TrailGraph {
     }
 
     /// Record a visit. Visits may arrive slightly out of order (the paper's
-    /// demons are asynchronous); queries sort as needed.
+    /// demons are asynchronous). The user's list takes the new position at
+    /// its `(page, time)` place — after every visit that does not come
+    /// later, its position being the largest — and the page's list appends
+    /// it. The insert moves every later entry of the user's list: O(own
+    /// history) per visit.
     pub fn record(&mut self, visit: Visit) {
         // 2^32 visits are 128 GiB of `visits` alone: out of memory first.
         assert!(
@@ -76,7 +84,13 @@ impl TrailGraph {
             "visit positions are u32"
         );
         let position = self.visits.len() as u32;
-        self.by_user.entry(visit.user).or_default().push(position);
+        let key = (visit.page, visit.time);
+        let mine = self.by_user.entry(visit.user).or_default();
+        let at = mine.partition_point(|&p| {
+            let v = &self.visits[p as usize];
+            (v.page, v.time) <= key
+        });
+        mine.insert(at, position);
         self.by_page.entry(visit.page).or_default().push(position);
         self.visits.push(visit);
     }
@@ -109,7 +123,8 @@ impl TrailGraph {
         self.by_page.len()
     }
 
-    /// The visits of `user`, in recorded order.
+    /// The visits of `user`, by page, each page's by time, visits of one
+    /// page at one time in recorded order.
     pub fn user_visits(&self, user: u32) -> impl DoubleEndedIterator<Item = &Visit> {
         self.at(self.by_user.get(&user))
     }
@@ -190,14 +205,14 @@ impl TrailGraph {
         TrailContext { nodes, edges }
     }
 
-    /// Distinct pages visited by `user` (optionally only after `since`).
+    /// Distinct pages visited by `user` (optionally only after `since`),
+    /// sorted: [`TrailGraph::user_visits`] is already by page.
     pub fn user_pages(&self, user: u32, since: u64) -> Vec<NodeId> {
         let mut pages: Vec<NodeId> = self
             .user_visits(user)
             .filter(|v| v.time >= since)
             .map(|v| v.page)
             .collect();
-        pages.sort_unstable();
         pages.dedup();
         pages
     }
@@ -290,24 +305,41 @@ mod tests {
     }
 
     #[test]
-    fn lists_follow_the_log_in_recorded_order() {
+    fn user_lists_are_by_page_and_time_page_lists_in_recorded_order() {
         let mut t = TrailGraph::new();
         let log = [
-            v(1, 0, 5, 30, None),
+            v(1, 0, 6, 30, None),
             v(2, 0, 5, 10, None),
-            v(1, 0, 6, 20, Some(5)),
+            v(1, 0, 5, 20, Some(6)),
             v(2, 1, 6, 5, None),
+            v(1, 1, 5, 15, None),
+            v(1, 1, 5, 15, Some(9)),
         ];
         for (i, visit) in log.iter().enumerate() {
             t.record(*visit);
             // Right after each `record`, not only at the end.
-            let mine: Vec<&Visit> = t.visits().iter().filter(|x| x.user == 1).collect();
+            let mut mine: Vec<&Visit> = t.visits().iter().filter(|x| x.user == 1).collect();
+            mine.sort_by_key(|x| (x.page, x.time));
             assert_eq!(t.user_visits(1).collect::<Vec<_>>(), mine, "after #{i}");
         }
+        let of_1: Vec<(u32, u64, Option<u32>)> = t
+            .user_visits(1)
+            .map(|x| (x.page, x.time, x.referrer))
+            .collect();
+        assert_eq!(
+            of_1,
+            vec![
+                (5, 15, None),
+                (5, 15, Some(9)),
+                (5, 20, Some(6)),
+                (6, 30, None)
+            ],
+            "by page, then time, then recorded order"
+        );
         let to_5: Vec<u64> = t.page_visits(5).map(|x| x.time).collect();
-        assert_eq!(to_5, vec![30, 10], "recorded order, not time order");
+        assert_eq!(to_5, vec![10, 20, 15, 15], "recorded order, not time order");
         let back: Vec<u64> = t.page_visits(6).rev().map(|x| x.time).collect();
-        assert_eq!(back, vec![5, 20]);
+        assert_eq!(back, vec![5, 30]);
         assert_eq!(t.user_visits(9).count() + t.page_visits(9).count(), 0);
         let mut users: Vec<u32> = t.users().collect();
         users.sort_unstable();

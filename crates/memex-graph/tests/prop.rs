@@ -70,6 +70,34 @@ fn user_pages_by_scan(visits: &[Visit], user: u32, since: u64) -> Vec<u32> {
     pages
 }
 
+/// A user's visits as the archive holds them: the log filtered by user,
+/// then stably sorted by `(page, time)`, so recorded order breaks ties.
+fn user_list_by_scan(visits: &[Visit], user: u32) -> Vec<&Visit> {
+    let mut of_user: Vec<&Visit> = visits.iter().filter(|v| v.user == user).collect();
+    of_user.sort_by_key(|v| (v.page, v.time));
+    of_user
+}
+
+/// The last visit of each page `user` visited in `[since, until]`, by page,
+/// as recall computed it before the user's list was by page: every
+/// in-window visit collected, sorted, and each page's run cut to its last.
+fn last_visits_by_sort(visits: &[Visit], user: u32, since: u64, until: u64) -> Vec<(u32, u64)> {
+    let mut visited: Vec<(u32, u64)> = visits
+        .iter()
+        .filter(|v| v.user == user && v.time >= since && v.time <= until)
+        .map(|v| (v.page, v.time))
+        .collect();
+    visited.sort_unstable();
+    visited.dedup_by(|later, kept| {
+        let same_page = later.0 == kept.0;
+        if same_page {
+            kept.1 = later.1;
+        }
+        same_page
+    });
+    visited
+}
+
 /// Trails of four users over twelve pages: times in no order at all, a
 /// third of the visits private, referrers absent, the page itself, another
 /// page of the range or a page (12..14) nobody ever visits.
@@ -239,9 +267,11 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// After every `record`, a user's list and a page's list are exactly
-    /// the archive filtered, in recorded order, forwards and backwards; and
-    /// `user_pages` is what the scan gave, for unknown users (4, 5) too.
+    /// After every `record`, a user's list is exactly the archive filtered
+    /// and stably sorted by `(page, time)` — recorded order breaking ties —
+    /// and a page's list exactly the archive filtered, in recorded order,
+    /// forwards and backwards; and `user_pages` is what the scan gave, for
+    /// unknown users (4, 5) too.
     #[test]
     fn lists_equal_the_filtered_log_after_every_record(
         visits in trail_strategy(),
@@ -252,17 +282,42 @@ proptest! {
             t.record(*v);
             let log = &visits[..=i];
             prop_assert_eq!(t.visits(), log);
-            let of_user: Vec<&Visit> = log.iter().filter(|x| x.user == v.user).collect();
-            prop_assert_eq!(t.user_visits(v.user).collect::<Vec<_>>(), of_user);
+            prop_assert_eq!(t.user_visits(v.user).collect::<Vec<_>>(), user_list_by_scan(log, v.user));
             let to_page: Vec<&Visit> = log.iter().filter(|x| x.page == v.page).collect();
             prop_assert_eq!(t.page_visits(v.page).collect::<Vec<_>>(), to_page);
         }
         for key in 0u32..14 {
-            let of_user: Vec<&Visit> = visits.iter().filter(|x| x.user == key).rev().collect();
+            let of_user: Vec<&Visit> = user_list_by_scan(&visits, key).into_iter().rev().collect();
             prop_assert_eq!(t.user_visits(key).rev().collect::<Vec<_>>(), of_user);
             let to_page: Vec<&Visit> = visits.iter().filter(|x| x.page == key).rev().collect();
             prop_assert_eq!(t.page_visits(key).rev().collect::<Vec<_>>(), to_page);
             prop_assert_eq!(t.user_pages(key, since), user_pages_by_scan(&visits, key, since));
+        }
+    }
+
+    /// A user's list is by page, each page's run by time: one pass that
+    /// keeps the last in-window time of each run is the sorted-and-cut
+    /// answer, for every window, unknown users (4, 5) included.
+    #[test]
+    fn one_pass_over_a_user_list_is_the_last_visit_per_page(
+        visits in trail_strategy(),
+        since in 0u64..50,
+        span in 0u64..60,
+    ) {
+        let mut t = TrailGraph::new();
+        for v in &visits {
+            t.record(*v);
+        }
+        let until = since + span;
+        for user in 0u32..6 {
+            let mut one_pass: Vec<(u32, u64)> = Vec::new();
+            for v in t.user_visits(user).filter(|v| v.time >= since && v.time <= until) {
+                match one_pass.last_mut() {
+                    Some((page, time)) if *page == v.page => *time = v.time,
+                    _ => one_pass.push((v.page, v.time)),
+                }
+            }
+            prop_assert_eq!(one_pass, last_visits_by_sort(&visits, user, since, until));
         }
     }
 

@@ -2,10 +2,12 @@
 //!
 //! Documents accumulate in an in-memory buffer; every [`BUFFER_DOCS`]th
 //! document (or an explicit `commit()`) seals the buffer into a numbered
-//! segment inside the keyed store, one key per term per segment. Queries
-//! gather a term's postings from every segment and the buffer and sort
-//! them once, so what a query sees — and, the buffer bound being the only
-//! thing that seals, what the store holds — is a function of the documents
+//! segment inside the keyed store, one key per term per segment. The
+//! buffer keeps each term's postings in document order and every segment
+//! is sealed from such a list, so a query gathers a term's postings as
+//! already-sorted runs — the buffer's, then one per segment — and merges
+//! them. What a query sees — and, the buffer bound being the only thing
+//! that seals, what the store holds — is a function of the documents
 //! added, not of how they arrived.
 //!
 //! Key layout in the keyed store:
@@ -55,7 +57,8 @@ pub(crate) struct IndexMetrics {
 /// [`LsmStore`]'s own `&self` reads — no index-level lock.
 pub struct InvertedIndex {
     kv: LsmStore,
-    /// term -> buffered postings, in insertion order.
+    /// term -> buffered postings, in document order; a re-added document's
+    /// pairs in the order they were added.
     buffer: HashMap<TermId, Vec<(u32, u32)>>,
     buffered_docs: usize,
     /// doc -> token length (cache of the L records).
@@ -122,16 +125,19 @@ impl InvertedIndex {
         };
     }
 
-    /// Index one document. Re-adding a doc id replaces its length record;
-    /// its postings are unioned with the earlier ones, per term the larger
-    /// tf winning.
+    /// Index one document. Each `(doc, tf)` pair goes to its document's
+    /// place in its term's buffered list, after any pair of the same
+    /// document. Re-adding a doc id replaces its length record; its
+    /// postings are unioned with the earlier ones, per term the larger tf
+    /// winning.
     pub fn add_document(&mut self, doc: u32, tf: &[(TermId, u32)]) -> StoreResult<()> {
         let mut len = 0u32;
         for &(t, c) in tf {
             if c == 0 {
                 continue;
             }
-            self.buffer.entry(t).or_default().push((doc, c));
+            let list = self.buffer.entry(t).or_default();
+            list.insert(list.partition_point(|&(d, _)| d <= doc), (doc, c));
             len += c;
         }
         let mut lv = Vec::with_capacity(4);
@@ -169,8 +175,10 @@ impl InvertedIndex {
         Ok(())
     }
 
-    /// All postings for `term`: every segment's and the buffer's, sorted
-    /// once.
+    /// All postings for `term`: the buffer's, then every segment's, each a
+    /// run already in document order, merged by
+    /// [`PostingList::from_pairs`]'s run-adaptive sort in linear time per
+    /// run.
     pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
         let mut pairs = self.buffer.get(&term).cloned().unwrap_or_default();
         for (_k, v) in self.kv.scan_prefix(&Self::term_prefix(term))? {
@@ -265,6 +273,23 @@ mod tests {
         ix.add_document(last + 1, &[(7, 1)]).unwrap();
         assert_eq!(commits.get(), 1);
         assert_eq!(ix.postings(7).unwrap().len(), BUFFER_DOCS + 1);
+    }
+
+    #[test]
+    fn the_buffer_keeps_each_term_in_document_order() {
+        let mut ix = idx();
+        for (doc, tf) in [(9, 1), (3, 2), (7, 1), (3, 1), (12, 4), (0, 1), (7, 3)] {
+            ix.add_document(doc, &[(5, tf)]).unwrap();
+        }
+        assert_eq!(
+            ix.buffer.get(&5).map(Vec::as_slice),
+            Some(&[(0, 1), (3, 2), (3, 1), (7, 1), (7, 3), (9, 1), (12, 4)][..]),
+            "by document, a re-added one's pairs in arrival order"
+        );
+        assert_eq!(
+            ix.postings(5).unwrap().entries(),
+            &[(0, 1), (3, 2), (7, 3), (9, 1), (12, 4)]
+        );
     }
 
     #[test]

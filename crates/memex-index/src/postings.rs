@@ -14,20 +14,19 @@ pub struct PostingList {
 
 impl PostingList {
     /// Build from possibly-unsorted pairs; duplicate docs keep the larger tf
-    /// (idempotent re-adds).
+    /// (idempotent re-adds). The sort is stable and run-adaptive: pairs that
+    /// come as a few runs already in doc order are merged, not re-sorted.
     pub fn from_pairs(mut pairs: Vec<(u32, u32)>) -> PostingList {
-        pairs.sort_unstable_by_key(|&(d, _)| d);
-        let mut entries: Vec<(u32, u32)> = Vec::with_capacity(pairs.len());
-        for (d, tf) in pairs {
-            if tf == 0 {
-                continue;
+        pairs.sort_by_key(|&(d, _)| d);
+        pairs.retain(|&(_, tf)| tf != 0);
+        pairs.dedup_by(|later, kept| {
+            let same_doc = later.0 == kept.0;
+            if same_doc {
+                kept.1 = kept.1.max(later.1);
             }
-            match entries.last_mut() {
-                Some((last, ltf)) if *last == d => *ltf = (*ltf).max(tf),
-                _ => entries.push((d, tf)),
-            }
-        }
-        PostingList { entries }
+            same_doc
+        });
+        PostingList { entries: pairs }
     }
 
     pub fn entries(&self) -> &[(u32, u32)] {

@@ -1,13 +1,15 @@
 //! Property tests for the inverted index: it agrees with a naive in-memory
 //! model wherever the segment boundaries fall, ranked search over it
 //! returns what scoring every posting into a table returned, and a filtered
-//! search returns what filtering the whole ranking returned.
+//! search returns what filtering the whole ranking returned — also over
+//! documents that arrive out of order and are re-added.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use memex_index::index::InvertedIndex;
+use memex_index::postings::PostingList;
 use memex_index::search::{bm25_search, bm25_search_among, Bm25Params, SearchHit};
 
 /// `bm25_search` as it was before it merged posting lists: every posting of
@@ -19,21 +21,44 @@ fn bm25_by_table(
     k: usize,
     params: Bm25Params,
 ) -> Vec<SearchHit> {
-    let n = index.num_docs() as f32;
+    let corpus = Corpus {
+        n: index.num_docs() as f32,
+        avg_len: index.avg_doc_len() as f32,
+        postings: &|term| index.postings(term).unwrap().entries().to_vec(),
+        doc_len: &|doc| index.doc_len(doc),
+    };
+    bm25_over(&corpus, query_terms, k, params)
+}
+
+/// What BM25 reads of an index, from wherever the test takes it.
+struct Corpus<'a> {
+    n: f32,
+    avg_len: f32,
+    postings: &'a dyn Fn(u32) -> Vec<(u32, u32)>,
+    doc_len: &'a dyn Fn(u32) -> u32,
+}
+
+/// [`bm25_by_table`] over `corpus`.
+fn bm25_over(
+    corpus: &Corpus,
+    query_terms: &[(u32, u32)],
+    k: usize,
+    params: Bm25Params,
+) -> Vec<SearchHit> {
+    let (n, avg_len) = (corpus.n, corpus.avg_len);
     if n == 0.0 || query_terms.is_empty() || k == 0 {
         return Vec::new();
     }
-    let avg_len = index.avg_doc_len() as f32;
     let mut scores: HashMap<u32, f32> = HashMap::new();
     for &(term, qtf) in query_terms {
-        let postings = index.postings(term).unwrap();
+        let postings = (corpus.postings)(term);
         let df = postings.len() as f32;
         if df == 0.0 {
             continue;
         }
         let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-        for &(doc, tf) in postings.entries() {
-            let dl = index.doc_len(doc) as f32;
+        for &(doc, tf) in &postings {
+            let dl = (corpus.doc_len)(doc) as f32;
             let tf = tf as f32;
             let denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avg_len.max(1.0));
             let contribution = idf * tf * (params.k1 + 1.0) / denom;
@@ -68,8 +93,94 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// One step of [`postings_and_scores_equal_the_model_after_every_step`]:
+/// a document added (its pairs may repeat a term, and a tf may be 0, which
+/// adds nothing) or the buffer sealed.
+#[derive(Debug, Clone)]
+enum Step {
+    Add { doc: u32, pairs: Vec<(u32, u32)> },
+    Commit,
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        5 => (0u32..24, proptest::collection::vec((0u32..8, 0u32..5), 0..6))
+            .prop_map(|(doc, pairs)| Step::Add { doc, pairs }),
+        1 => Just(Step::Commit),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Documents arrive in any order and are re-added with larger and
+    /// smaller tfs, the buffer sealed at random points: after every step,
+    /// a term's postings are `from_pairs` of every pair ever added for it
+    /// — itself the model's per-document largest tf — and filtered BM25
+    /// scores, bit for bit, what the table scores over the model's lists.
+    #[test]
+    fn postings_and_scores_equal_the_model_after_every_step(
+        steps in proptest::collection::vec(step_strategy(), 1..48),
+        query in proptest::collection::vec((0u32..9, 1u32..3), 1..4),
+        kept in proptest::collection::btree_set(0u32..24, 0..24),
+    ) {
+        let mut index = InvertedIndex::open_memory().unwrap();
+        // term -> every pair added for it, in arrival order.
+        let mut added: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+        // doc -> its last length.
+        let mut lengths: BTreeMap<u32, u32> = BTreeMap::new();
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Add { doc, pairs } => {
+                    index.add_document(*doc, pairs).unwrap();
+                    for &(t, c) in pairs.iter().filter(|&&(_, c)| c > 0) {
+                        added.entry(t).or_default().push((*doc, c));
+                    }
+                    lengths.insert(*doc, pairs.iter().map(|&(_, c)| c).sum());
+                }
+                Step::Commit => index.commit().unwrap(),
+            }
+            let mut model: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+            for (&t, pairs) in &added {
+                let mut max_tf: BTreeMap<u32, u32> = BTreeMap::new();
+                for &(d, c) in pairs {
+                    let tf = max_tf.entry(d).or_insert(0);
+                    *tf = (*tf).max(c);
+                }
+                let list: Vec<(u32, u32)> = max_tf.into_iter().collect();
+                prop_assert_eq!(PostingList::from_pairs(pairs.clone()).entries(), list.as_slice());
+                model.insert(t, list);
+            }
+            for term in 0u32..9 {
+                let expected = model.get(&term).cloned().unwrap_or_default();
+                prop_assert_eq!(
+                    index.postings(term).unwrap().entries(), expected.as_slice(),
+                    "term {} after step {}", term, i
+                );
+            }
+            let total: u64 = lengths.values().map(|&l| u64::from(l)).sum();
+            let corpus = Corpus {
+                n: lengths.len() as f32,
+                avg_len: if lengths.is_empty() { 0.0 } else { (total as f64 / lengths.len() as f64) as f32 },
+                postings: &|term| model.get(&term).cloned().unwrap_or_default(),
+                doc_len: &|doc| lengths.get(&doc).copied().unwrap_or(0),
+            };
+            let everything = bm25_over(&corpus, &query, usize::MAX, Bm25Params::default());
+            let expected: Vec<SearchHit> =
+                everything.into_iter().filter(|h| kept.contains(&h.doc)).collect();
+            for k in [1, expected.len(), usize::MAX] {
+                let got = bm25_search_among(&index, &query, k, Bm25Params::default(), |doc| {
+                    kept.contains(&doc)
+                })
+                .unwrap();
+                prop_assert_eq!(got.len(), expected.len().min(k), "k {} after step {}", k, i);
+                for (g, e) in got.iter().zip(&expected) {
+                    prop_assert_eq!(g.doc, e.doc, "k {} got {:?} expected {:?}", k, got, expected);
+                    prop_assert_eq!(g.score.to_bits(), e.score.to_bits(), "doc {}", g.doc);
+                }
+            }
+        }
+    }
 
     /// The index's postings match a reference model regardless of when
     /// commits happen.

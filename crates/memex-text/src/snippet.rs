@@ -3,10 +3,9 @@
 //! under each hit.
 //!
 //! A request analyses its query once ([`SnippetQuery`]) and then reads each
-//! returned page in a single pass over its display words, each word
-//! reduced to the query stem it matches, if any, while a ring of the last
-//! `window` matches slides the window. Two sources say which stem a word
-//! matches, and both feed the same window loop:
+//! returned page in a single pass over its display words, collecting the
+//! words that match a query stem (the hits). Two sources say which stem a
+//! word matches:
 //!
 //! * the text walk ([`SnippetQuery::snippet`]): every whitespace-separated
 //!   word is read for its first token ([`Words`]) and, if a query stem
@@ -17,9 +16,12 @@
 //!   token's stem sits among the page's terms, so a word costs one compare
 //!   against the query stems' positions and nothing is copied or stemmed.
 //!
-//! Rendering then finds the best window's first word with one whitespace
-//! scan. Cost is linear in the page's words with a constant number of
-//! allocations, whatever the page's length.
+//! Either way the window is chosen from the hits alone: the first best
+//! window starts at word 0 or ends on a hit — one whose last word is not a
+//! hit covers no more than the window one word earlier — so only those are
+//! scored. Rendering then finds the best window's first word with one
+//! whitespace scan. Cost is linear in the page's words with a constant
+//! number of allocations, whatever the page's length.
 
 use crate::analyze::Analyzer;
 use crate::stem::stem_in_place;
@@ -48,6 +50,12 @@ pub struct SnippetQuery {
     /// its index in `stems`, sorted by position: reused page after page by
     /// [`SnippetQuery::snippet_from_words`].
     positions: Vec<(u16, usize)>,
+    /// The page's hits: each word that matches a query stem, and that
+    /// stem's index in `stems`, in word order. Reused page after page by
+    /// both sources, as is `inside`.
+    hits: Vec<(usize, usize)>,
+    /// Per query stem, its hits inside the window being scored.
+    inside: Vec<usize>,
 }
 
 impl SnippetQuery {
@@ -69,6 +77,8 @@ impl SnippetQuery {
             firsts,
             token: String::new(),
             positions: Vec::new(),
+            hits: Vec::new(),
+            inside: Vec::new(),
         }
     }
 
@@ -88,24 +98,30 @@ impl SnippetQuery {
             stems,
             firsts,
             token,
+            hits,
+            inside,
             ..
         } = self;
+        hits.clear();
+        // A text has at most one word per two bytes: room for every word, so
+        // a page costs no reallocation past the longest one read so far.
+        hits.reserve(text.len() / 2 + 1);
         let mut words = Words::new(text);
-        let hits = std::iter::from_fn(|| {
-            words.next_into(token, firsts)?;
+        let mut n = 0usize;
+        while words.next_into(token, firsts).is_some() {
             // The query stem the word matches, if any: by its first token
             // (none, or one no stem starts like, leaves nothing to stem).
-            Some(match token.bytes().next() {
-                Some(first) if firsts[usize::from(first)] => {
-                    stem_in_place(token);
-                    let stem = token.as_str();
-                    stems.binary_search_by(|s| s.as_str().cmp(stem)).ok()
+            if token.bytes().next().is_some_and(|b| firsts[usize::from(b)]) {
+                stem_in_place(token);
+                let stem = token.as_str();
+                if let Ok(q) = stems.binary_search_by(|s| s.as_str().cmp(stem)) {
+                    hits.push((n, q));
                 }
-                _ => None,
-            })
-        });
-        // A text has at most one word per two bytes.
-        best_window(text, hits, stems.len(), window, text.len() / 2 + 1)
+            }
+            n += 1;
+        }
+        let best_word = hit_window(hits, inside, stems.len(), window, n);
+        render(text, best_word, window, n)
     }
 
     /// [`SnippetQuery::snippet`] of `text`, read from `words`, its word memo
@@ -138,17 +154,24 @@ impl SnippetQuery {
         }
         self.positions.sort_unstable();
         let positions = &self.positions;
-        let hits = words.iter().map(|word| {
-            let at = positions.binary_search_by_key(word, |&(p, _)| p).ok()?;
-            positions.get(at).map(|&(_, q)| q)
-        });
-        Some(best_window(
-            text,
-            hits,
+        self.hits.clear();
+        // Room for every word, so a page costs no reallocation past the
+        // longest one read so far.
+        self.hits.reserve(words.len());
+        for (i, word) in words.iter().enumerate() {
+            let at = positions.binary_search_by_key(word, |&(p, _)| p);
+            if let Some(&(_, q)) = at.ok().and_then(|at| positions.get(at)) {
+                self.hits.push((i, q));
+            }
+        }
+        let best_word = hit_window(
+            &self.hits,
+            &mut self.inside,
             self.stems.len(),
             window,
             words.len(),
-        ))
+        );
+        Some(render(text, best_word, window, words.len()))
     }
 }
 
@@ -181,60 +204,65 @@ fn entry(position: Option<usize>) -> Option<u16> {
         .filter(|&p| p < OUTSIDE)
 }
 
-/// The window loop both sources feed, and the rendering of what it picked.
-/// `hits` yields, word by word, the index of the query stem the word
-/// matches, for a query of `stems` stems; it yields at most `most_words`.
-/// Score = (distinct stems covered, total hits), and the first window with
-/// the best score wins.
-fn best_window(
-    text: &str,
-    hits: impl Iterator<Item = Option<usize>>,
+/// The first word of the first best window of `window` words among `n`,
+/// from their `hits` alone: each `(word, stem)`, in word order, for a query
+/// of `stems` stems; `inside` is scratch for the per-stem counts. Score =
+/// (distinct stems covered, total hits), and the first window with the best
+/// score wins; word 0 when no window fits or none scores.
+///
+/// A window starting at word `s > 0` whose last word is not a hit covers
+/// no hit the window starting at `s - 1` lacks, so it is never the first
+/// best: only the window at word 0 and the windows ending on a hit are
+/// scored, in order, with two cursors into `hits`.
+fn hit_window(
+    hits: &[(usize, usize)],
+    inside: &mut Vec<usize>,
     stems: usize,
     window: usize,
-    most_words: usize,
-) -> String {
+    n: usize,
+) -> usize {
     let window = window.max(1);
-    // `ring[i % ring.len()]` is the stem word `i` matches while it is inside
-    // the window. A window longer than the words never wraps and needs no
-    // more slots.
-    let mut ring: Vec<Option<usize>> = vec![None; window.min(most_words).max(1)];
-    // Per query stem, its hits inside the window.
-    let mut inside = vec![0usize; stems];
+    if n < window {
+        return 0;
+    }
+    inside.clear();
+    inside.resize(stems, 0);
     let (mut distinct, mut total) = (0usize, 0usize);
     let mut best_score = (0usize, 0usize);
     let mut best_word = 0usize;
-    let mut n = 0usize;
-    // `n % ring.len()`, kept without a division per word.
-    let mut slot = 0usize;
-    for hit in hits {
-        if n >= window {
-            if let Some(q) = ring[slot] {
-                inside[q] -= 1;
-                if inside[q] == 0 {
-                    distinct -= 1;
-                }
-                total -= 1;
-            }
-        }
-        ring[slot] = hit;
-        slot += 1;
-        if slot == ring.len() {
-            slot = 0;
-        }
-        if let Some(q) = hit {
+    // `hits[left..right]` are inside the window.
+    let (mut left, mut right) = (0usize, 0usize);
+    let last_words = hits.iter().map(|&(word, _)| word).filter(|&w| w >= window);
+    for last in std::iter::once(window - 1).chain(last_words) {
+        while let Some(&(_, q)) = hits.get(right).filter(|&&(word, _)| word <= last) {
             if inside[q] == 0 {
                 distinct += 1;
             }
             inside[q] += 1;
             total += 1;
+            right += 1;
         }
-        n += 1;
-        if n >= window && (distinct, total) > best_score {
+        let first = last + 1 - window;
+        while let Some(&(_, q)) = hits.get(left).filter(|&&(word, _)| word < first) {
+            inside[q] -= 1;
+            if inside[q] == 0 {
+                distinct -= 1;
+            }
+            total -= 1;
+            left += 1;
+        }
+        if (distinct, total) > best_score {
             best_score = (distinct, total);
-            best_word = n - window;
+            best_word = first;
         }
     }
-    let w = window.min(n);
+    best_word
+}
+
+/// The snippet of `window` words from word `best_word` of `text`'s `n`,
+/// with an ellipsis on clipped ends.
+fn render(text: &str, best_word: usize, window: usize, n: usize) -> String {
+    let w = window.max(1).min(n);
     let mut out = String::new();
     if best_word > 0 {
         out.push_str("… ");

@@ -543,4 +543,30 @@ proptest! {
             ),
         }
     }
+
+    /// The window chosen from the memo's hits alone is the rescan's at the
+    /// edges of the window's range: 0 and 1, one word short of the text,
+    /// exactly the text, past it; and for a query no word matches.
+    #[test]
+    fn the_window_from_hits_equals_the_rescan_at_the_edges(
+        text in snippet_text(30, false),
+        query in snippet_text(4, false),
+        no_hits in any::<bool>(),
+    ) {
+        let mut terms: Vec<String> = Analyzer.counts(&text).into_keys().collect();
+        terms.sort_unstable();
+        let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
+        let memo = page_words(&text, position);
+        let query = if no_hits { "zeppelin".to_string() } else { query };
+        let mut analysed = SnippetQuery::new(&query);
+        let stems = analysed.stems().to_vec();
+        let n = memo.len();
+        for window in [0, 1, n.saturating_sub(1), n, n + 1, 40] {
+            let read = analysed.snippet_from_words(&text, &memo, |i| position(&stems[i]), window);
+            prop_assert_eq!(
+                read, Some(snippet_by_rescan(&text, &query, window)),
+                "text {:?} query {:?} window {}", text, query, window
+            );
+        }
+    }
 }
