@@ -255,6 +255,56 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
     assert!(snap.counter("slowlog.retained") >= 2);
 }
 
+/// A first visit's ack shows its page analysis as a `text.analyze` child;
+/// a repeat visit of the same page analyses nothing and has none.
+#[test]
+fn a_first_visit_traces_its_page_analysis_and_a_repeat_visit_does_not() {
+    let (corpus, memex) = small_world();
+    let server = NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind");
+    let mut client =
+        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+
+    let page = corpus.pages_of_topic(1)[0];
+    let mut ids = Vec::new();
+    for time in [70, 71] {
+        client
+            .request(&Request::Event(ClientEvent::Visit(VisitEvent {
+                user: 1,
+                session: 2,
+                page,
+                url: corpus.pages[page as usize].url.clone(),
+                time,
+                referrer: None,
+            })))
+            .expect("visit over wire");
+        ids.push(client.last_trace_id().expect("stamped"));
+    }
+
+    let Response::Traces(traces) = client
+        .request(&Request::Traces {
+            slow_only: false,
+            limit: 10,
+        })
+        .expect("traces over wire")
+    else {
+        panic!("Traces request answered with a non-Traces response");
+    };
+    let first = find_trace(&traces, ids[0]);
+    assert!(first.is_complete());
+    assert!(has_span(first, "event"), "servlet child: {first:?}");
+    assert!(
+        has_span(first, "text.analyze"),
+        "first visit lacks its analysis: {first:?}"
+    );
+    let repeat = find_trace(&traces, ids[1]);
+    assert!(has_span(repeat, "event"), "servlet child: {repeat:?}");
+    assert!(
+        !has_span(repeat, "text.analyze"),
+        "a repeat visit analysed its page again: {repeat:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_context() {
     let (_corpus, memex) = small_world();

@@ -407,8 +407,11 @@ impl<F: PageFetcher> MemexServer<F> {
         // Analyze once with the shared vocabulary. The page is settled before
         // a failed index write returns, so it is never fetched again; without
         // postings it serves no vector either.
-        let full = format!("{} {}", content.title, content.text);
-        let tf = self.analyzer.index_document(&mut self.vocab, &full);
+        let tf = {
+            let _trace = memex_obs::trace::span("text.analyze");
+            let full = format!("{} {}", content.title, content.text);
+            self.analyzer.index_document(&mut self.vocab, &full)
+        };
         let indexed = self.index.add_document(page, &tf);
         let outcome = if indexed.is_ok() {
             FetchOutcome::Archived {

@@ -9,7 +9,7 @@
 //!   [`Wal`] (crash recovery replays it back).
 //! * **Seal**: when the memtable outgrows its budget (or on an explicit
 //!   checkpoint) it is written as one immutable sorted [`Run`] file on a
-//!   [`StorageDir`], the [`Manifest`] records the new run set, and the
+//!   [`StorageDir`], the `Manifest` records the new run set, and the
 //!   WAL is truncated.
 //! * **Tiered compaction**: runs carry a **level** (0 = freshly sealed).
 //!   The background demon merges one tier — a maximal contiguous span of
@@ -393,7 +393,7 @@ impl LsmStore {
     /// `store.wal.*`, recovery counters under `store.recovery.*`). Several
     /// stores may share one registry: counters add up by construction, and
     /// the `runs` / `memtable.bytes` gauges move by delta so they read the
-    /// sum over attached stores (see [`publish_gauges`]).
+    /// sum over attached stores (see `publish_gauges`).
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
         self.wal.attach_registry(registry);
         {

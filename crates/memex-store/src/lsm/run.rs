@@ -264,7 +264,7 @@ impl Run {
         self.probe_hashed(key, key_hash(key))
     }
 
-    /// [`probe`](Run::probe) with the key's [`key_hash`] precomputed —
+    /// [`probe`](Run::probe) with the key's `key_hash` precomputed —
     /// multi-run lookups hash once and reuse it across the whole stack.
     pub fn probe_hashed(&self, key: &[u8], hash: u64) -> Probe<'_> {
         match self.index.first() {

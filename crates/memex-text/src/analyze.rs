@@ -2,73 +2,102 @@
 //! TF-IDF vectors.
 //!
 //! A *term* is a kept token ([`Tokens`]) that is not a stopword, Porter
-//! stemmed. [`Analyzer::counts`] is the one place that says so: the
-//! archive path counts a page's terms with it and
-//! [`SnippetQuery`](crate::snippet::SnippetQuery) takes a query's terms
-//! from it. It streams — one token buffer, stemmed in place, and a key
-//! allocated only the first time a term is seen.
+//! stemmed. One private walk is the one place that says so:
+//! [`Analyzer::index_document`] (the archive path) and [`Analyzer::counts`]
+//! (which [`SnippetQuery`](crate::snippet::SnippetQuery) takes a query's
+//! terms from) both read terms through it. It streams — one token buffer,
+//! stemmed in place.
 
 use std::collections::HashMap;
 
 use crate::stem::stem_in_place;
 use crate::stopwords::is_stopword;
-use crate::tokenize::Tokens;
+use crate::tokenize::{Tokens, MIN_TOKEN_LEN};
 use crate::vector::SparseVec;
 use crate::vocab::{IdfTable, TermId, Vocabulary};
 
 /// Bag-of-words counts for one document, pre-interning.
 pub type TermCounts = HashMap<String, u32>;
 
-/// Stateless text→counts analyzer plus helpers to intern counts into a
-/// shared [`Vocabulary`].
+/// Stateless text→terms analyzer: counts, interned tf pairs and TF-IDF
+/// vectors over a shared [`Vocabulary`].
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer;
 
+/// Every term of `text`, in order: tokenised, stopwords skipped, stemmed in
+/// place in the one buffer `each` borrows.
+fn for_each_term(text: &str, mut each: impl FnMut(&str)) {
+    let mut tokens = Tokens::new(text);
+    let mut term = String::new();
+    while tokens.next_into(&mut term) {
+        if is_stopword(&term) {
+            continue;
+        }
+        stem_in_place(&mut term);
+        each(&term);
+    }
+}
+
 impl Analyzer {
-    /// HTML/text → term counts.
+    /// HTML/text → term counts: a key allocated only the first time a term
+    /// is seen.
     pub fn counts(&self, text: &str) -> TermCounts {
         let mut counts = TermCounts::new();
-        let mut tokens = Tokens::new(text);
-        let mut term = String::new();
-        while tokens.next_into(&mut term) {
-            if is_stopword(&term) {
-                continue;
+        for_each_term(text, |term| match counts.get_mut(term) {
+            Some(count) => *count += 1,
+            None => {
+                counts.insert(term.to_owned(), 1);
             }
-            stem_in_place(&mut term);
-            match counts.get_mut(term.as_str()) {
-                Some(count) => *count += 1,
-                None => {
-                    counts.insert(term.clone(), 1);
-                }
-            }
-        }
+        });
         counts
     }
 
-    /// Intern counts into `vocab` (creating ids as needed) and record the
-    /// document for df statistics. Returns raw term-frequency pairs.
-    pub fn intern_counts(&self, vocab: &mut Vocabulary, counts: &TermCounts) -> Vec<(TermId, u32)> {
-        // Intern in lexicographic term order, not `HashMap` iteration
-        // order: id assignment must be a pure function of the documents
-        // fed in, so two archives ingesting the same stream (e.g. a
-        // benchmark's oracle and the served process it checks) number
-        // their vocabularies identically and stay float-for-float
-        // comparable.
-        let mut items: Vec<(&str, u32)> = counts.iter().map(|(t, &c)| (t.as_str(), c)).collect();
-        items.sort_unstable_by_key(|&(t, _)| t);
-        let mut pairs: Vec<(TermId, u32)> = items
-            .into_iter()
-            .map(|(t, c)| (vocab.intern(t), c))
-            .collect();
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
-        pairs
-    }
-
-    /// One-shot: text → interned tf pairs (df recorded).
+    /// Text → interned term-frequency pairs, sorted by id, exactly sized;
+    /// the document is recorded for df statistics. One vocabulary probe
+    /// per term: a term `vocab` knows costs an `(id, 1)` push, and only a
+    /// term it has never seen is copied.
     pub fn index_document(&self, vocab: &mut Vocabulary, text: &str) -> Vec<(TermId, u32)> {
-        let counts = self.counts(text);
-        self.intern_counts(vocab, &counts)
+        // A term is at least `MIN_TOKEN_LEN` bytes of text and a separator
+        // ends it, so the walk never pushes past this.
+        let mut pairs: Vec<(TermId, u32)> =
+            Vec::with_capacity(text.len() / (MIN_TOKEN_LEN + 1) + 1);
+        // Every occurrence of a term `vocab` has never seen, each followed
+        // by a space (no term contains one).
+        let mut fresh = String::new();
+        for_each_term(text, |term| match vocab.id(term) {
+            Some(id) => pairs.push((id, 1)),
+            None => {
+                fresh.push_str(term);
+                fresh.push(' ');
+            }
+        });
+        let mut terms: Vec<&str> = fresh.split_terminator(' ').collect();
+        // Intern new terms in lexicographic order, not the order the
+        // page says them: id assignment must be a pure function of the
+        // documents fed in, so two archives ingesting the same stream
+        // (e.g. a benchmark's oracle and the served process it checks)
+        // number their vocabularies identically and stay
+        // float-for-float comparable.
+        terms.sort_unstable();
+        for run in terms.chunk_by(|a, b| a == b) {
+            if let [term, ..] = run {
+                let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
+                pairs.push((vocab.intern(term), count));
+            }
+        }
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            same
+        });
+        vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
+        // The pairs outlive the page's analysis (a server keeps them): a
+        // copy exactly their size, while the walk's one slot per token
+        // goes back whole for the next page's walk to reuse.
+        pairs.to_vec()
     }
 
     /// Convert tf pairs into a TF-IDF vector using `vocab`'s current df

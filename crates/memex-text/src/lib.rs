@@ -3,11 +3,10 @@
 //! Everything between raw page bytes and term statistics: a streaming
 //! HTML-aware tokenizer ([`Tokens`](tokenize::Tokens)), the classic Porter
 //! stemmer ([`stem`], in place on the token just read), a stopword list, an
-//! interning [`Vocabulary`](vocab::Vocabulary) with document frequencies,
-//! sparse TF-IDF [`SparseVec`](vector::SparseVec) algebra, and the
-//! feature-selection statistics (Fisher discriminant, χ², mutual
-//! information) that the paper's TAPER-style classifier (ref \[3\]) uses to
-//! prune vocabulary before training.
+//! interning [`Vocabulary`] with document frequencies, sparse TF-IDF
+//! [`SparseVec`] algebra, and the feature-selection statistics (Fisher
+//! discriminant, χ², mutual information) that the paper's TAPER-style
+//! classifier (ref \[3\]) uses to prune vocabulary before training.
 
 #![cfg_attr(
     not(test),

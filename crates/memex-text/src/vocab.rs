@@ -1,6 +1,7 @@
-//! Vocabulary interning: string terms become dense `u32` ids, and the
-//! vocabulary tracks document frequencies so TF-IDF weights and feature
-//! selection can be computed without re-touching text.
+//! Vocabulary interning: string terms become dense `u32` ids, numbered in
+//! the order they are first interned, and the vocabulary tracks document
+//! frequencies so TF-IDF weights and feature selection can be computed
+//! without re-touching text.
 
 use std::collections::HashMap;
 
@@ -65,7 +66,9 @@ impl Vocabulary {
         id
     }
 
-    /// Id of `term` if already interned.
+    /// Id of `term` if already interned: the one probe
+    /// [`Analyzer::index_document`](crate::analyze::Analyzer::index_document)
+    /// makes per term of a page, which interns only the page's new terms.
     pub fn id(&self, term: &str) -> Option<TermId> {
         self.term_to_id.get(term).copied()
     }

@@ -1,7 +1,8 @@
 //! What the analysis paths allocate, counted: a snippet costs a constant
 //! number of allocations however long the page, read from its text or from
-//! its word memo, and `Analyzer::counts`
-//! allocates per distinct term, not per token. Its own test binary, because
+//! its word memo, `Analyzer::counts` allocates per distinct term, not per
+//! token, and `Analyzer::index_document` on a vocabulary that knows the
+//! page's terms allocates neither. Its own test binary, because
 //! the counting allocator is process-wide; the counter is per thread, so
 //! the harness's other threads do not disturb a test's count.
 
@@ -9,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use memex_text::snippet::{page_words, snippet, SnippetQuery};
-use memex_text::Analyzer;
+use memex_text::{Analyzer, Vocabulary};
 
 struct Counting;
 
@@ -136,5 +137,32 @@ fn counts_allocates_per_distinct_term_not_per_token() {
     assert!(
         on_short <= 24,
         "eight distinct terms, not {on_short} allocations"
+    );
+}
+
+#[test]
+fn index_document_on_a_known_vocabulary_allocates_the_same_for_a_long_page() {
+    // `page` words plus as many of up to 500 distinct ones, so a longer
+    // page also says more distinct terms.
+    let many_terms = |n: usize| {
+        let terms: Vec<String> = (0..n).map(|i| format!("term{}", i % 500)).collect();
+        format!("{} {}", page(n), terms.join(" "))
+    };
+    let analyzer = Analyzer;
+    let (short, long) = (many_terms(20), many_terms(2_000));
+    let mut vocab = Vocabulary::new();
+    let _ = analyzer.index_document(&mut vocab, &long);
+    let known = vocab.len();
+
+    let on_short = allocations(|| analyzer.index_document(&mut vocab, &short));
+    let on_long = allocations(|| analyzer.index_document(&mut vocab, &long));
+    assert_eq!(vocab.len(), known, "every term was known");
+    assert_eq!(
+        on_long, on_short,
+        "508 distinct terms in 4 000 words cost {on_long} allocations, 28 in 40 {on_short}"
+    );
+    assert!(
+        on_short <= 6,
+        "a known page is a handful of allocations, not {on_short}"
     );
 }

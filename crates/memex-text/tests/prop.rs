@@ -1,7 +1,9 @@
 //! Property tests for the text substrate: the tokenizer must never panic on
 //! arbitrary input and must agree with the two-pass pipeline it replaced,
 //! stemming must be idempotent-ish and shortening and the same in place as
-//! owned, and the sparse-vector algebra must obey the usual laws.
+//! owned, the one-probe archive analysis must number and count terms as
+//! counting then interning did, and the sparse-vector algebra must obey the
+//! usual laws.
 
 use proptest::prelude::*;
 
@@ -12,7 +14,7 @@ use memex_text::tokenize::{
     extract_hrefs, tokenize, word_start, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN,
 };
 use memex_text::vector::{SparseVec, SumAccumulator};
-use memex_text::Analyzer;
+use memex_text::{Analyzer, TermId, Vocabulary};
 
 /// The tokenizer as it was before it streamed, kept as the reference
 /// [`Tokens`] is held to: first strip tags, comments and script/style
@@ -567,6 +569,70 @@ proptest! {
                 read, Some(snippet_by_rescan(&text, &query, window)),
                 "text {:?} query {:?} window {}", text, query, window
             );
+        }
+    }
+}
+
+/// `Analyzer::index_document` as it was before it probed the vocabulary
+/// once per term: count the page, intern its terms sorted by string, sort
+/// the pairs by id, record the document. Kept as the reference the one-probe
+/// walk is held to.
+fn index_by_counting(vocab: &mut Vocabulary, text: &str) -> Vec<(TermId, u32)> {
+    let counts = Analyzer.counts(text);
+    let mut terms: Vec<(&String, &u32)> = counts.iter().collect();
+    terms.sort_unstable();
+    let mut pairs: Vec<(TermId, u32)> = terms
+        .into_iter()
+        .map(|(term, &count)| (vocab.intern(term), count))
+        .collect();
+    pairs.sort_unstable_by_key(|&(id, _)| id);
+    vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
+    pairs
+}
+
+/// A page for the analysis stream: HTML soup, or words from a small pool
+/// so terms repeat within a page and across pages — stem variants,
+/// stopwords, non-ASCII words and markup among them — or nothing at all.
+fn page_text() -> impl Strategy<Value = String> {
+    #[rustfmt::skip]
+    const POOL: &[&str] = &[
+        "the", "and", "of", "a", "is", "music", "musical", "musician", "Music",
+        "compilers", "compiler", "compiling", "organ", "organs", "zebra", "apple",
+        "Über", "straße", "世界", "λόγος", "<b>bach</b>", "<!-- hidden -->", "fugue,",
+        "1999", "123456", "inner-loop",
+    ];
+    prop_oneof![
+        2 => soup(),
+        2 => proptest::collection::vec(0..POOL.len(), 0..30)
+            .prop_map(|picks| picks.iter().map(|&i| POOL[i]).collect::<Vec<_>>().join(" ")),
+        1 => Just(String::new()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fed the same stream of pages — some of them again later — the
+    /// one-probe walk and counting-then-interning give every page the same
+    /// pairs and leave the two vocabularies the same: the same terms under
+    /// the same ids, the same document frequencies, the same document count.
+    #[test]
+    fn index_document_equals_counting_then_interning(
+        pages in proptest::collection::vec(page_text(), 1..10),
+        again in proptest::collection::vec(0usize..10, 0..4),
+    ) {
+        let repeats = again.iter().map(|&i| pages[i % pages.len()].clone());
+        let stream: Vec<String> = pages.iter().cloned().chain(repeats).collect();
+        let (mut walked, mut counted) = (Vocabulary::new(), Vocabulary::new());
+        for text in &stream {
+            let pairs = Analyzer.index_document(&mut walked, text);
+            prop_assert_eq!(&pairs, &index_by_counting(&mut counted, text), "page {:?}", text);
+            prop_assert_eq!(walked.len(), counted.len());
+            for id in 0..walked.len() as TermId {
+                prop_assert_eq!(walked.term(id), counted.term(id), "term {}", id);
+                prop_assert_eq!(walked.df(id), counted.df(id), "df of term {}", id);
+            }
+            prop_assert_eq!(walked.num_docs(), counted.num_docs());
         }
     }
 }
