@@ -675,10 +675,11 @@ impl Memex {
         )?;
         // The query's terms are already analysed: every hit's snippet
         // matches against them instead of analysing the query again. It is
-        // read from the page's word memo, which says where each word's stem
-        // sits in the page's `tf`, so each query stem is looked up there
-        // too, by its vocabulary id; the text is walked only when the memo
-        // cannot tell (`SnippetQuery::snippet_from_words`).
+        // read from the page's word memo, written when the page was
+        // analysed, which says where each word's stem sits in the page's
+        // `tf`, so each query stem is looked up there too, by its
+        // vocabulary id; the text is walked only when the memo cannot tell
+        // (`SnippetQuery::snippet_from_words`).
         let mut snippets = SnippetQuery::from_terms(q.into_keys());
         let stem_ids: Vec<Option<TermId>> = snippets
             .stems()
@@ -693,7 +694,13 @@ impl Memex {
                     .ok()?;
                 let page = &self.corpus.pages[h.doc as usize];
                 let text = &page.text;
-                let memo = self.server.page_words(h.doc, text);
+                // The memo describes the text the page was fetched with; a
+                // text of another length is not that one.
+                let memo = self
+                    .server
+                    .page_words(h.doc)
+                    .filter(|&(_, len)| len == text.len())
+                    .map(|(words, _)| words);
                 let snippet = memo
                     .zip(self.server.tf(h.doc))
                     .and_then(|(words, tf)| {
@@ -1008,4 +1015,71 @@ pub struct FolderProposal {
     pub name: String,
     /// Member pages, in page-id order.
     pub pages: Vec<u32>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use memex_server::events::VisitEvent;
+    use memex_text::snippet::snippet;
+    use memex_web::corpus::CorpusConfig;
+
+    /// A page's word memo describes the text it was fetched with, and recall
+    /// renders `Memex::corpus`'s. Here the corpus the archive renders stops
+    /// being the one its fetcher served: every page's text gains a word. No
+    /// hit may read a memo of another text — each walks the text it renders
+    /// and is counted a fallback, and each snippet is the text walk's.
+    #[test]
+    fn a_hit_whose_text_is_not_the_fetched_one_walks_the_text() {
+        let corpus = Arc::new(Corpus::generate(CorpusConfig {
+            num_topics: 2,
+            pages_per_topic: 12,
+            ..CorpusConfig::default()
+        }));
+        let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("memex");
+        memex.register_user(0, "ann").expect("register");
+        for page in &corpus.pages {
+            memex.submit(ClientEvent::Visit(VisitEvent {
+                user: 0,
+                session: 1,
+                page: page.id,
+                url: page.url.clone(),
+                time: u64::from(page.id),
+                referrer: None,
+            }));
+        }
+        memex.run_demons().expect("demons");
+        let words: Vec<&str> = corpus.pages[20].text.split_whitespace().collect();
+        let query = format!("{} {}", words[0], words[words.len() / 2]);
+        let fallbacks = |memex: &Memex| {
+            let snap = memex.registry().snapshot();
+            snap.counter("demon.page_words.fallbacks")
+        };
+
+        let fetched = memex.recall(0, &query, 0, u64::MAX, 8).expect("recall");
+        assert!(fetched.len() > 1, "{} hits", fetched.len());
+        assert_eq!(fallbacks(&memex), 0, "the fetched texts read their memos");
+
+        let mut edited = (*corpus).clone();
+        for page in &mut edited.pages {
+            page.text = format!("zeppelin {}", page.text);
+        }
+        memex.corpus = Arc::new(edited);
+        let hits = memex.recall(0, &query, 0, u64::MAX, 8).expect("recall");
+        assert_eq!(hits.len(), fetched.len());
+        for hit in &hits {
+            let text = &memex.corpus.pages[hit.page as usize].text;
+            assert_eq!(
+                hit.snippet,
+                snippet(text, &query, SNIPPET_WORDS),
+                "page {}",
+                hit.page
+            );
+        }
+        assert_eq!(
+            fallbacks(&memex),
+            hits.len() as u64,
+            "every hit walked its text"
+        );
+    }
 }

@@ -14,16 +14,15 @@
 //! index (`P` postings, `L` length, the `Mseg` counter — nothing a query
 //! cannot read) and into the page's one record of what the fetch demon
 //! concluded (`FetchOutcome`: archived — vector and transfer size — or
-//! abandoned), which is also what stops a second fetch. An archived page
-//! gains one more fact later, on a read: the word memo its snippets are
-//! read from ([`MemexServer::page_words`]).
+//! abandoned), which is also what stops a second fetch. The same walk
+//! writes an archived page's word memo, which its snippets are read from
+//! ([`MemexServer::page_words`]).
 //!
 //! The demons are synchronous: every write ack runs [`MemexServer::drain_demons`]
 //! before it returns, so the log is empty between acks. Admission control
 //! is the serving layer's (`memex-net`'s in-flight limit), not the log's.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::trail::{TrailGraph, Visit};
@@ -32,8 +31,7 @@ use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use memex_store::error::StoreResult;
 use memex_store::rel::{ColType, Column, Database, Schema, TableHandle, Value};
 use memex_store::version::EventLog;
-use memex_text::analyze::Analyzer;
-use memex_text::snippet::{self, OUTSIDE};
+use memex_text::analyze::{Analyzer, IndexedPage};
 use memex_text::vocab::{TermId, Vocabulary};
 
 use crate::events::{ArchiveMode, ClientEvent};
@@ -82,7 +80,6 @@ struct ServerMetrics {
     /// Events the log retains.
     bus_depth: Gauge,
     fetch_latency: Histogram,
-    page_words_builds: Counter,
 }
 
 impl ServerMetrics {
@@ -98,7 +95,6 @@ impl ServerMetrics {
             pages_abandoned: registry.counter("server.fetch.abandoned"),
             bus_depth: registry.gauge("server.bus.depth"),
             fetch_latency: registry.histogram("server.fetch.latency"),
-            page_words_builds: registry.counter("demon.page_words.builds"),
         }
     }
 }
@@ -123,12 +119,13 @@ pub struct BookmarkRecord {
 /// What the fetch demon concluded for a page it tried.
 enum FetchOutcome {
     /// Fetched and analysed: its term vector and transfer size, and the
-    /// word memo of its text, built by the first recall that hits it
-    /// ([`MemexServer::page_words`]).
+    /// word memo of its text with that text's length in bytes
+    /// ([`MemexServer::page_words`]), written by the same walk as `tf`.
     Archived {
         tf: Vec<(TermId, u32)>,
         bytes: u32,
-        words: OnceLock<Box<[u16]>>,
+        words: Option<Box<[u16]>>,
+        text_len: usize,
     },
     /// The retry policy gave up on it, or its index write failed —
     /// remembered so a hot page that keeps reappearing in events cannot
@@ -404,20 +401,22 @@ impl<F: PageFetcher> MemexServer<F> {
             }
         };
         self.metrics.pages_fetched.inc();
-        // Analyze once with the shared vocabulary. The page is settled before
-        // a failed index write returns, so it is never fetched again; without
-        // postings it serves no vector either.
-        let tf = {
+        // Analyze once with the shared vocabulary, title and text in one
+        // walk that also writes the text's word memo. The page is settled
+        // before a failed index write returns, so it is never fetched again;
+        // without postings it serves no vector either.
+        let IndexedPage { tf, words } = {
             let _trace = memex_obs::trace::span("text.analyze");
-            let full = format!("{} {}", content.title, content.text);
-            self.analyzer.index_document(&mut self.vocab, &full)
+            self.analyzer
+                .index_page(&mut self.vocab, &content.title, &content.text)
         };
         let indexed = self.index.add_document(page, &tf);
         let outcome = if indexed.is_ok() {
             FetchOutcome::Archived {
                 tf,
                 bytes: content.bytes,
-                words: OnceLock::new(),
+                words,
+                text_len: content.text.len(),
             }
         } else {
             FetchOutcome::Abandoned
@@ -465,28 +464,20 @@ impl<F: PageFetcher> MemexServer<F> {
         Some(self.pages.get(&page)?.archived()?.1)
     }
 
-    /// The word memo of a fetched page's `text` — the text its snippet
-    /// renders, the same on every call: for each display word, the position
-    /// of its first token's stem in [`MemexServer::tf`]
-    /// ([`snippet::page_words`]). The first caller builds it, under the
-    /// shared guard; the page record never changes, so nothing takes it
-    /// back, and no write builds one. `None` for a page not archived, or
-    /// with more distinct terms than a `u16` position below
-    /// [`OUTSIDE`] can name.
-    pub fn page_words(&self, page: u32, text: &str) -> Option<&[u16]> {
-        let Some(FetchOutcome::Archived { tf, words, .. }) = self.pages.get(&page) else {
-            return None;
-        };
-        if tf.len() >= usize::from(OUTSIDE) {
-            return None;
+    /// The word memo of a fetched page, written when it was analysed: for
+    /// each display word of the text it was fetched with, the position of
+    /// its first token's stem in [`MemexServer::tf`]
+    /// ([`memex_text::snippet::page_words`]) — and that text's length in
+    /// bytes, for a reader to check it renders the same text. `None` for a
+    /// page not archived, or with more distinct terms than a `u16` position
+    /// below [`memex_text::snippet::OUTSIDE`] can name.
+    pub fn page_words(&self, page: u32) -> Option<(&[u16], usize)> {
+        match self.pages.get(&page)? {
+            FetchOutcome::Archived {
+                words, text_len, ..
+            } => Some((words.as_deref()?, *text_len)),
+            FetchOutcome::Abandoned => None,
         }
-        Some(words.get_or_init(|| {
-            self.metrics.page_words_builds.inc();
-            snippet::page_words(text, |stem| {
-                let id = self.vocab.id(stem)?;
-                tf.binary_search_by_key(&id, |&(t, _)| t).ok()
-            })
-        }))
     }
 
     pub fn stats(&self) -> ServerStats {

@@ -3,16 +3,20 @@
 //!
 //! A *term* is a kept token ([`Tokens`]) that is not a stopword, Porter
 //! stemmed. One private walk is the one place that says so:
-//! [`Analyzer::index_document`] (the archive path) and [`Analyzer::counts`]
-//! (which [`SnippetQuery`](crate::snippet::SnippetQuery) takes a query's
-//! terms from) both read terms through it. It streams — one token buffer,
-//! stemmed in place.
+//! [`Analyzer::counts`] (which [`SnippetQuery`](crate::snippet::SnippetQuery)
+//! takes a query's terms from) reads terms through it. It streams — one
+//! token buffer, stemmed in place. The archive path has one more:
+//! [`Analyzer::index_page`] (the fetch demon's) and
+//! [`Analyzer::index_document`] share one walk that counts the terms as it
+//! reads them word by word, and that writes the page's word memo
+//! ([`snippet::page_words`]) as it goes when asked to.
 
 use std::collections::HashMap;
 
+use crate::snippet::{self, NO_TOKEN, OUTSIDE};
 use crate::stem::stem_in_place;
-use crate::stopwords::is_stopword;
-use crate::tokenize::{Tokens, MIN_TOKEN_LEN};
+use crate::stopwords::{is_stopword, stopword, stopword_stem};
+use crate::tokenize::{Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
 use crate::vector::SparseVec;
 use crate::vocab::{IdfTable, TermId, Vocabulary};
 
@@ -28,13 +32,134 @@ pub struct Analyzer;
 /// place in the one buffer `each` borrows.
 fn for_each_term(text: &str, mut each: impl FnMut(&str)) {
     let mut tokens = Tokens::new(text);
-    let mut term = String::new();
+    let mut term = String::with_capacity(MAX_TOKEN_LEN);
     while tokens.next_into(&mut term) {
         if is_stopword(&term) {
             continue;
         }
         stem_in_place(&mut term);
         each(&term);
+    }
+}
+
+/// An archived page's analysis ([`Analyzer::index_page`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexedPage {
+    /// Interned term-frequency pairs, sorted by id, exactly sized.
+    pub tf: Vec<(TermId, u32)>,
+    /// The page's word memo against `tf` ([`snippet::page_words`]); `None`
+    /// when `tf` has [`OUTSIDE`] terms or more, whose positions a memo
+    /// entry cannot name, or for a page of 4 GiB or more.
+    pub words: Option<Box<[u16]>>,
+}
+
+/// A word of a page as its analysis first reads it for the word memo: what
+/// its first token's stem is, resolved to a position among the page's terms
+/// once they are all interned. Eight bytes: a page reserves one per two
+/// bytes of text.
+#[derive(Clone, Copy)]
+enum Draft {
+    /// The word has no kept token.
+    NoToken,
+    /// A stem the vocabulary knows.
+    Known(TermId),
+    /// A term the vocabulary had not seen: the page's `k`-th occurrence of
+    /// such a term ([`Tally::add`]), whose id interning gives it.
+    Fresh(u32),
+    /// A stopword, by its index in
+    /// [`STOPWORDS`](crate::stopwords::STOPWORDS): not a term, but a term
+    /// of the page may share its stem.
+    Stopword(u32),
+}
+
+/// One page's terms as the walk reads them: an `(id, 1)` per occurrence of
+/// a term `vocab` knows, and every occurrence of one it has never seen in
+/// `fresh`, each followed by a space (no term contains one).
+struct Tally {
+    pairs: Vec<(TermId, u32)>,
+    fresh: String,
+    /// Occurrences in `fresh`.
+    fresh_count: u32,
+}
+
+impl Tally {
+    /// For a page of `bytes` bytes: a term is at least `MIN_TOKEN_LEN`
+    /// bytes of text and a separator ends it, so the walk never pushes
+    /// past this.
+    fn new(bytes: usize) -> Tally {
+        Tally {
+            pairs: Vec::with_capacity(bytes / (MIN_TOKEN_LEN + 1) + 1),
+            fresh: String::new(),
+            fresh_count: 0,
+        }
+    }
+
+    /// Count one occurrence of `term`, and draft it: by its id if `vocab`
+    /// has one, else by which occurrence of a new term it is.
+    fn add(&mut self, vocab: &Vocabulary, term: &str) -> Draft {
+        match vocab.id(term) {
+            Some(id) => {
+                self.pairs.push((id, 1));
+                Draft::Known(id)
+            }
+            None => {
+                self.fresh.push_str(term);
+                self.fresh.push(' ');
+                self.fresh_count = self.fresh_count.saturating_add(1);
+                Draft::Fresh(self.fresh_count - 1)
+            }
+        }
+    }
+
+    /// Forget every occurrence counted, keeping the room.
+    fn clear(&mut self) {
+        self.pairs.clear();
+        self.fresh.clear();
+        self.fresh_count = 0;
+    }
+
+    /// The page's pairs, sorted by id and exactly sized, once its new
+    /// terms are interned, and the id each occurrence of a new term was
+    /// given, in [`Tally::add`]'s order; the document is recorded for df
+    /// statistics.
+    fn finish(self, vocab: &mut Vocabulary) -> (Vec<(TermId, u32)>, Vec<TermId>) {
+        let Tally {
+            mut pairs, fresh, ..
+        } = self;
+        let mut terms: Vec<(&str, usize)> = fresh.split_terminator(' ').zip(0..).collect();
+        let mut fresh_ids = vec![0; terms.len()];
+        // Intern new terms in lexicographic order, not the order the
+        // page says them: id assignment must be a pure function of the
+        // documents fed in, so two archives ingesting the same stream
+        // (e.g. a benchmark's oracle and the served process it checks)
+        // number their vocabularies identically and stay
+        // float-for-float comparable.
+        terms.sort_unstable();
+        for run in terms.chunk_by(|a, b| a.0 == b.0) {
+            if let [(term, _), ..] = run {
+                let id = vocab.intern(term);
+                let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
+                pairs.push((id, count));
+                for &(_, k) in run {
+                    if let Some(slot) = fresh_ids.get_mut(k) {
+                        *slot = id;
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable_by_key(|&(id, _)| id);
+        pairs.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.saturating_add(next.1);
+            }
+            same
+        });
+        vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
+        // The pairs outlive the page's analysis (a server keeps them): a
+        // copy exactly their size, while the walk's one slot per token
+        // goes back whole for the next page's walk to reuse.
+        (pairs.to_vec(), fresh_ids)
     }
 }
 
@@ -57,47 +182,104 @@ impl Analyzer {
     /// per term: a term `vocab` knows costs an `(id, 1)` push, and only a
     /// term it has never seen is copied.
     pub fn index_document(&self, vocab: &mut Vocabulary, text: &str) -> Vec<(TermId, u32)> {
-        // A term is at least `MIN_TOKEN_LEN` bytes of text and a separator
-        // ends it, so the walk never pushes past this.
-        let mut pairs: Vec<(TermId, u32)> =
-            Vec::with_capacity(text.len() / (MIN_TOKEN_LEN + 1) + 1);
-        // Every occurrence of a term `vocab` has never seen, each followed
-        // by a space (no term contains one).
-        let mut fresh = String::new();
-        for_each_term(text, |term| match vocab.id(term) {
-            Some(id) => pairs.push((id, 1)),
-            None => {
-                fresh.push_str(term);
-                fresh.push(' ');
-            }
-        });
-        let mut terms: Vec<&str> = fresh.split_terminator(' ').collect();
-        // Intern new terms in lexicographic order, not the order the
-        // page says them: id assignment must be a pure function of the
-        // documents fed in, so two archives ingesting the same stream
-        // (e.g. a benchmark's oracle and the served process it checks)
-        // number their vocabularies identically and stay
-        // float-for-float comparable.
-        terms.sort_unstable();
-        for run in terms.chunk_by(|a, b| a == b) {
-            if let [term, ..] = run {
-                let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
-                pairs.push((vocab.intern(term), count));
+        self.walk(vocab, "", text, false).tf
+    }
+
+    /// An archived page's analysis: [`Analyzer::index_document`] of
+    /// `"{title} {text}"`, read in place, and in the same walk the page's
+    /// word memo — for each display word of `text`, the entry
+    /// [`snippet::page_words`] gives against the returned pairs.
+    pub fn index_page(&self, vocab: &mut Vocabulary, title: &str, text: &str) -> IndexedPage {
+        self.walk(vocab, title, text, true)
+    }
+
+    /// The one walk behind both: `title`'s terms, then `text`'s read word by
+    /// word ([`Words::next_tokens`]) — each kept token stopped, stemmed in
+    /// place and probed once — and, when `memo` is asked for, each word's
+    /// first token drafted ([`Draft`]). Drafts are resolved to positions in
+    /// the pairs once the page's new terms are interned. A page whose markup
+    /// runs across a word boundary, or whose title holds any markup or
+    /// entity, has whole-text tokens its words do not: it is read again
+    /// whole, as `"{title} {text}"`, and its memo built by
+    /// [`snippet::page_words`].
+    fn walk(&self, vocab: &mut Vocabulary, title: &str, text: &str, memo: bool) -> IndexedPage {
+        let mut tally = Tally::new(title.len() + 1 + text.len());
+        // Below 4 GiB a page's occurrences of new terms fit `Draft::Fresh`.
+        let memo = memo && u32::try_from(title.len() + text.len()).is_ok();
+        // A text has at most one word per two bytes.
+        let mut words: Vec<Draft> = Vec::new();
+        if memo {
+            words.reserve(text.len() / 2 + 1);
+        }
+        let mut whole = !title.contains(['<', '&']);
+        if whole {
+            for_each_term(title, |term| {
+                tally.add(vocab, term);
+            });
+            let mut read = Words::new(text);
+            let mut token = String::with_capacity(MAX_TOKEN_LEN);
+            while whole {
+                let mut first = Draft::NoToken;
+                let Some(within) = read.next_tokens(&mut token, |token, n| {
+                    let read_first = memo && n == 0;
+                    if let Some(stop) = stopword(token) {
+                        if read_first {
+                            first = Draft::Stopword(stop);
+                        }
+                        return;
+                    }
+                    stem_in_place(token);
+                    let draft = tally.add(vocab, token);
+                    if read_first {
+                        first = draft;
+                    }
+                }) else {
+                    break;
+                };
+                if memo {
+                    words.push(first);
+                }
+                whole = within;
             }
         }
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        pairs.dedup_by(|next, kept| {
-            let same = next.0 == kept.0;
-            if same {
-                kept.1 = kept.1.saturating_add(next.1);
+        if !whole {
+            tally.clear();
+            let joined;
+            let page = if title.is_empty() {
+                text
+            } else {
+                joined = format!("{title} {text}");
+                &joined
+            };
+            for_each_term(page, |term| {
+                tally.add(vocab, term);
+            });
+        }
+        let (tf, fresh_ids) = tally.finish(vocab);
+        let words = (memo && tf.len() < usize::from(OUTSIDE)).then(|| {
+            let position = |id: TermId| {
+                let at = tf.binary_search_by_key(&id, |&(t, _)| t).ok()?;
+                u16::try_from(at).ok()
+            };
+            if !whole {
+                return snippet::page_words(text, |stem| {
+                    position(vocab.id(stem)?).map(usize::from)
+                });
             }
-            same
+            words
+                .iter()
+                .map(|&word| {
+                    let id = match word {
+                        Draft::NoToken => return NO_TOKEN,
+                        Draft::Known(id) => Some(id),
+                        Draft::Fresh(k) => fresh_ids.get(k as usize).copied(),
+                        Draft::Stopword(stop) => stopword_stem(stop).and_then(|s| vocab.id(s)),
+                    };
+                    id.and_then(position).unwrap_or(OUTSIDE)
+                })
+                .collect()
         });
-        vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
-        // The pairs outlive the page's analysis (a server keeps them): a
-        // copy exactly their size, while the walk's one slot per token
-        // goes back whole for the next page's walk to reuse.
-        pairs.to_vec()
+        IndexedPage { tf, words }
     }
 
     /// Convert tf pairs into a TF-IDF vector using `vocab`'s current df
@@ -121,6 +303,31 @@ impl Analyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// "page" is a stopword that "pages" stems to: its word is placed at
+    /// that term. A tag with a space inside runs across words, so that page
+    /// is read whole, and a word read alone says "href" where the page
+    /// says nothing.
+    #[test]
+    fn index_page_places_every_word_of_the_text() {
+        let mut vocab = Vocabulary::new();
+        let page = Analyzer.index_page(&mut vocab, "Compiler", "The pages -- compilers page");
+        let (compil, pages) = (vocab.id("compil"), vocab.id("page"));
+        assert_eq!(page.tf, [(compil.unwrap(), 2), (pages.unwrap(), 1)]);
+        assert_eq!(
+            page.words.as_deref(),
+            Some(&[OUTSIDE, 1, NO_TOKEN, 0, 1][..])
+        );
+
+        let page = Analyzer.index_page(&mut vocab, "", "<a href=x y>loops</a>");
+        assert_eq!(page.tf, [(vocab.id("loop").unwrap(), 1)]);
+        assert_eq!(page.words.as_deref(), Some(&[NO_TOKEN, OUTSIDE, 0][..]));
+    }
+
+    #[test]
+    fn a_draft_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Draft>(), 8);
+    }
 
     #[test]
     fn pipeline_stems_and_stops() {

@@ -29,6 +29,6 @@ pub mod tokenize;
 pub mod vector;
 pub mod vocab;
 
-pub use analyze::{Analyzer, TermCounts};
+pub use analyze::{Analyzer, IndexedPage, TermCounts};
 pub use vector::SparseVec;
 pub use vocab::{IdfTable, TermId, Vocabulary};

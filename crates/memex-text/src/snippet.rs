@@ -180,7 +180,9 @@ impl SnippetQuery {
 /// first token's stem sits among the page's terms (`position`), [`OUTSIDE`]
 /// if it is not one of them (or sits at [`OUTSIDE`] or beyond), and
 /// [`NO_TOKEN`] if the word has no kept token. One walk of the text that
-/// stems every word.
+/// stems every word: the reference
+/// [`Analyzer::index_page`](crate::analyze::Analyzer::index_page) writes the
+/// same memo by, inside the walk that counts the page's terms.
 pub fn page_words(text: &str, mut position: impl FnMut(&str) -> Option<usize>) -> Box<[u16]> {
     let mut words = Words::new(text);
     let mut token = String::new();

@@ -3,8 +3,10 @@
 //! happens *before* stemming in the [`Analyzer`](crate::analyze::Analyzer)
 //! pipeline.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::OnceLock;
+
+use crate::stem::stem;
 
 /// The raw list (lower-case, unstemmed).
 pub const STOPWORDS: &[&str] = &[
@@ -148,14 +150,28 @@ pub const STOPWORDS: &[&str] = &[
     "site",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
-    SET.get_or_init(|| STOPWORDS.iter().copied().collect())
+fn set() -> &'static HashMap<&'static str, u32> {
+    static SET: OnceLock<HashMap<&'static str, u32>> = OnceLock::new();
+    SET.get_or_init(|| STOPWORDS.iter().copied().zip(0..).collect())
 }
 
 /// Is `word` (already lower-cased) a stopword?
 pub fn is_stopword(word: &str) -> bool {
-    set().contains(word)
+    set().contains_key(word)
+}
+
+/// The index of `word` (already lower-cased) in [`STOPWORDS`], if it is one.
+pub(crate) fn stopword(word: &str) -> Option<u32> {
+    set().get(word).copied()
+}
+
+/// The Porter stem of the stopword at `index` in [`STOPWORDS`]: a page's
+/// word memo places a stopword by its stem, which a term of the page may
+/// share. Stemmed once per process, on first use.
+pub(crate) fn stopword_stem(index: u32) -> Option<&'static str> {
+    static STEMS: OnceLock<Vec<String>> = OnceLock::new();
+    let stems = STEMS.get_or_init(|| STOPWORDS.iter().map(|w| stem(w)).collect());
+    stems.get(index as usize).map(String::as_str)
 }
 
 #[cfg(test)]
@@ -177,8 +193,19 @@ mod tests {
     }
 
     #[test]
+    fn a_stopword_is_found_by_index_and_stems_as_stem_does() {
+        for w in ["the", "page", "being", "does"] {
+            let index = stopword(w).expect("a stopword");
+            assert_eq!(STOPWORDS[index as usize], w);
+            assert_eq!(stopword_stem(index), Some(stem(w).as_str()));
+        }
+        assert_eq!(stopword("music"), None);
+        assert_eq!(stopword_stem(STOPWORDS.len() as u32), None);
+    }
+
+    #[test]
     fn list_is_all_lowercase_and_unique() {
-        let mut seen = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         for w in STOPWORDS {
             assert_eq!(*w, w.to_lowercase());
             assert!(seen.insert(*w), "duplicate stopword {w}");

@@ -7,7 +7,8 @@
 //! writes each kept token into a buffer the caller owns — no copy of the
 //! input, no intermediate string, and a caller that wants only the first
 //! token stops there. [`Words`] is that caller packaged: a snippet's walk
-//! over a page's display words, each with its first token ([`word_start`]
+//! over a page's display words, each with its first token, or an archived
+//! page's analysis reading every token word by word ([`word_start`]
 //! finds one of them again without the tokens). [`tokenize`] is
 //! the collecting wrapper. Nothing here panics on arbitrary input, and
 //! `tests/prop.rs` holds all three to the two-pass strip-then-split
@@ -31,18 +32,26 @@ pub const MIN_TOKEN_LEN: usize = 2;
 pub struct Tokens<'a> {
     input: &'a str,
     pos: usize,
+    /// Where the walk stops: the input's end, or a word's when [`Words`]
+    /// reads one word's tokens out of a whole text. Markup is still
+    /// skipped to its end in the whole input, past this if it runs on.
+    end: usize,
 }
 
 impl<'a> Tokens<'a> {
     pub fn new(input: &'a str) -> Tokens<'a> {
-        Tokens { input, pos: 0 }
+        Tokens {
+            input,
+            pos: 0,
+            end: input.len(),
+        }
     }
 
     /// Overwrite `token` with the next kept token; `false` (and an empty
     /// `token`) once the input is exhausted. `token` never grows past
     /// [`MAX_TOKEN_LEN`] characters, so one buffer serves any input.
     pub fn next_into(&mut self, token: &mut String) -> bool {
-        let bytes = self.input.as_bytes();
+        let bytes = self.input.as_bytes().get(..self.end).unwrap_or_default();
         token.clear();
         // Characters of the word under the cursor, counted past the cap.
         let mut chars = 0usize;
@@ -146,33 +155,86 @@ impl<'a> Words<'a> {
         token: &mut String,
         firsts: &[bool; 256],
     ) -> Option<(usize, &'a str)> {
-        let bytes = self.text.as_bytes();
         token.clear();
+        let (start, end, run) = self.advance()?;
+        if run {
+            let gated = self
+                .text
+                .as_bytes()
+                .get(start)
+                .is_some_and(|b| !firsts[usize::from(b.to_ascii_lowercase())]);
+            if !gated {
+                self.copy_run(token, start, end);
+            }
+        } else {
+            Tokens::new(&self.text[start..end]).next_into(token);
+        }
+        Some((start, &self.text[start..end]))
+    }
+
+    /// Every kept token of the next word, in order: each written into
+    /// `token` and handed to `each` with its index in the word. `None` past
+    /// the last word. `Some(true)` when these are the tokens a [`Tokens`]
+    /// walk of the whole text reads in the word, and also the ones the word
+    /// read on its own gives — so the first is [`Words::next_into`]'s —
+    /// which holds unless markup or an entity opened in the word runs past
+    /// its end in the whole text (a tag whose attributes hold a space, say):
+    /// then `Some(false)`, after the tokens read up to that construct, and
+    /// from there on the two readings may differ.
+    pub(crate) fn next_tokens(
+        &mut self,
+        token: &mut String,
+        mut each: impl FnMut(&mut String, usize),
+    ) -> Option<bool> {
+        token.clear();
+        let (start, end, run) = self.advance()?;
+        if run {
+            if self.copy_run(token, start, end) {
+                each(token, 0);
+            }
+            return Some(true);
+        }
+        // The whole text's walk, entered where it enters the word: the
+        // same separators, the same markup ends.
+        let mut tokens = Tokens {
+            input: self.text,
+            pos: start,
+            end,
+        };
+        let mut n = 0;
+        while tokens.next_into(token) {
+            each(token, n);
+            n += 1;
+        }
+        Some(tokens.pos <= end)
+    }
+
+    /// Move past the next word: its start and end, and whether it is one
+    /// run of ASCII letters and digits — one token at most, the run itself.
+    /// Nearly every word is such a run up to the next blank; any other
+    /// (punctuation, markup, a wider character) is scanned on to its end.
+    fn advance(&mut self) -> Option<(usize, usize, bool)> {
+        let bytes = self.text.as_bytes();
         let start = self.scan(self.pos, true);
-        // Nearly every word is ASCII letters and digits up to the next
-        // blank: scanned to its end, then — only past the gate — copied in
-        // one piece and lower-cased.
-        let gated = bytes
-            .get(start)
-            .is_some_and(|b| !firsts[usize::from(b.to_ascii_lowercase())]);
         let mut end = start;
         while bytes.get(end).is_some_and(u8::is_ascii_alphanumeric) {
             end += 1;
         }
-        if bytes.get(end).is_none_or(|&b| ascii_whitespace(b)) {
-            if !gated {
-                token.push_str(&self.text[start..end.min(start + MAX_TOKEN_LEN)]);
-                token.make_ascii_lowercase();
-                keep_or_clear(token, end - start);
-            }
-        } else {
-            // Punctuation, markup or a wider character: find where the
-            // word ends and tokenize it on its own.
+        let run = bytes.get(end).is_none_or(|&b| ascii_whitespace(b));
+        if !run {
             end = self.scan(end, false);
-            Tokens::new(&self.text[start..end]).next_into(token);
         }
         self.pos = end;
-        (start < end).then(|| (start, &self.text[start..end]))
+        (start < end).then_some((start, end, run))
+    }
+
+    /// Overwrite `token` with the run of ASCII letters and digits at
+    /// `start..end`, copied in one piece and lower-cased; `false` (and an
+    /// empty `token`) if the length or digit filter drops it.
+    fn copy_run(&self, token: &mut String, start: usize, end: usize) -> bool {
+        token.push_str(&self.text[start..end.min(start + MAX_TOKEN_LEN)]);
+        token.make_ascii_lowercase();
+        keep_or_clear(token, end - start)
     }
 
     /// The first position at or after `at` whose character is not

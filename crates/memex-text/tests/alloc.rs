@@ -2,7 +2,8 @@
 //! number of allocations however long the page, read from its text or from
 //! its word memo, `Analyzer::counts` allocates per distinct term, not per
 //! token, and `Analyzer::index_document` on a vocabulary that knows the
-//! page's terms allocates neither. Its own test binary, because
+//! page's terms allocates neither — nor does `Analyzer::index_page`, which
+//! writes the page's word memo in the same walk. Its own test binary, because
 //! the counting allocator is process-wide; the counter is per thread, so
 //! the harness's other threads do not disturb a test's count.
 
@@ -140,14 +141,15 @@ fn counts_allocates_per_distinct_term_not_per_token() {
     );
 }
 
+/// `page` words plus as many of up to 500 distinct ones, so a longer page
+/// also says more distinct terms.
+fn many_terms(n: usize) -> String {
+    let terms: Vec<String> = (0..n).map(|i| format!("term{}", i % 500)).collect();
+    format!("{} {}", page(n), terms.join(" "))
+}
+
 #[test]
 fn index_document_on_a_known_vocabulary_allocates_the_same_for_a_long_page() {
-    // `page` words plus as many of up to 500 distinct ones, so a longer
-    // page also says more distinct terms.
-    let many_terms = |n: usize| {
-        let terms: Vec<String> = (0..n).map(|i| format!("term{}", i % 500)).collect();
-        format!("{} {}", page(n), terms.join(" "))
-    };
     let analyzer = Analyzer;
     let (short, long) = (many_terms(20), many_terms(2_000));
     let mut vocab = Vocabulary::new();
@@ -161,6 +163,33 @@ fn index_document_on_a_known_vocabulary_allocates_the_same_for_a_long_page() {
         on_long, on_short,
         "508 distinct terms in 4 000 words cost {on_long} allocations, 28 in 40 {on_short}"
     );
+    assert!(
+        on_short <= 6,
+        "a known page is a handful of allocations, not {on_short}"
+    );
+}
+
+#[test]
+fn index_page_on_a_known_vocabulary_allocates_the_same_for_a_long_page() {
+    let analyzer = Analyzer;
+    let title = "Compilers for the baroque garden";
+    let (short, long) = (many_terms(20), many_terms(2_000));
+    let mut vocab = Vocabulary::new();
+    let _ = analyzer.index_page(&mut vocab, title, &long);
+    let known = vocab.len();
+
+    let on_short = allocations(|| analyzer.index_page(&mut vocab, title, &short));
+    let on_long = allocations(|| analyzer.index_page(&mut vocab, title, &long));
+    assert_eq!(vocab.len(), known, "every term was known");
+    let memo = analyzer.index_page(&mut vocab, title, &long).words;
+    assert_eq!(memo.map(|m| m.len()), Some(4_000), "one entry a word");
+    assert_eq!(
+        on_long, on_short,
+        "508 distinct terms in 4 000 words cost {on_long} allocations, 28 in 40 {on_short}"
+    );
+    // The walk's slots for the pairs and for the memo's draft, its token
+    // buffers for the title and the text, and the two kept: the pairs'
+    // copy and the memo.
     assert!(
         on_short <= 6,
         "a known page is a handful of allocations, not {on_short}"

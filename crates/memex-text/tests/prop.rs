@@ -2,8 +2,9 @@
 //! arbitrary input and must agree with the two-pass pipeline it replaced,
 //! stemming must be idempotent-ish and shortening and the same in place as
 //! owned, the one-probe archive analysis must number and count terms as
-//! counting then interning did, and the sparse-vector algebra must obey the
-//! usual laws.
+//! counting then interning did — and, reading a title and a text in place,
+//! write the word memo the text walk would — and the sparse-vector algebra
+//! must obey the usual laws.
 
 use proptest::prelude::*;
 
@@ -14,7 +15,7 @@ use memex_text::tokenize::{
     extract_hrefs, tokenize, word_start, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN,
 };
 use memex_text::vector::{SparseVec, SumAccumulator};
-use memex_text::{Analyzer, TermId, Vocabulary};
+use memex_text::{Analyzer, IndexedPage, TermId, Vocabulary};
 
 /// The tokenizer as it was before it streamed, kept as the reference
 /// [`Tokens`] is held to: first strip tags, comments and script/style
@@ -633,6 +634,49 @@ proptest! {
                 prop_assert_eq!(walked.df(id), counted.df(id), "df of term {}", id);
             }
             prop_assert_eq!(walked.num_docs(), counted.num_docs());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fed the same stream of titled pages — some of them again later — the
+    /// walk that reads a title and a text in place and `index_document` of
+    /// `"{title} {text}"` give every page the same pairs and leave the two
+    /// vocabularies the same; and the walk's word memo is, entry for entry,
+    /// `page_words` of the text against those pairs. Texts have stopwords
+    /// (one a term stems to), markup opened in one word and closed in a
+    /// later one and non-ASCII words, or are HTML soup; titles have markup
+    /// too, so both of the walk's ways through a page are taken.
+    #[test]
+    fn index_page_equals_index_document_of_title_and_text_and_page_words(
+        pages in proptest::collection::vec(
+            (page_text(), prop_oneof![2 => snippet_text(40, true), 1 => page_text()]),
+            1..10,
+        ),
+        again in proptest::collection::vec(0usize..10, 0..4),
+    ) {
+        let repeats = again.iter().map(|&i| pages[i % pages.len()].clone());
+        let stream: Vec<(String, String)> = pages.iter().cloned().chain(repeats).collect();
+        let (mut walked, mut whole) = (Vocabulary::new(), Vocabulary::new());
+        for (title, text) in &stream {
+            let IndexedPage { tf: pairs, words: memo } = Analyzer.index_page(&mut walked, title, text);
+            let expected = Analyzer.index_document(&mut whole, &format!("{title} {text}"));
+            prop_assert_eq!(&pairs, &expected, "title {:?} text {:?}", title, text);
+            prop_assert_eq!(walked.len(), whole.len());
+            for id in 0..walked.len() as TermId {
+                prop_assert_eq!(walked.term(id), whole.term(id), "term {}", id);
+                prop_assert_eq!(walked.df(id), whole.df(id), "df of term {}", id);
+            }
+            prop_assert_eq!(walked.num_docs(), whole.num_docs());
+            let reference = page_words(text, |stem| {
+                let id = whole.id(stem)?;
+                expected.binary_search_by_key(&id, |&(t, _)| t).ok()
+            });
+            prop_assert_eq!(
+                memo.as_deref(), Some(&reference[..]), "title {:?} text {:?}", title, text
+            );
         }
     }
 }
