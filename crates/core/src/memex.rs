@@ -676,10 +676,10 @@ impl Memex {
         // The query's terms are already analysed: every hit's snippet
         // matches against them instead of analysing the query again. It is
         // read from the page's word memo, written when the page was
-        // analysed, which says where each word's stem sits in the page's
-        // `tf`, so each query stem is looked up there too, by its
-        // vocabulary id; the text is walked only when the memo cannot tell
-        // (`SnippetQuery::snippet_from_words`).
+        // analysed, which lists the words at each position of the page's
+        // `tf` and where each word starts, so each query stem is looked up
+        // there too, by its vocabulary id; the text is walked only when the
+        // memo cannot tell (`SnippetQuery::snippet_from_memo`).
         let mut snippets = SnippetQuery::from_terms(q.into_keys());
         let stem_ids: Vec<Option<TermId>> = snippets
             .stems()
@@ -694,21 +694,19 @@ impl Memex {
                     .ok()?;
                 let page = &self.corpus.pages[h.doc as usize];
                 let text = &page.text;
-                // The memo describes the text the page was fetched with; a
-                // text of another length is not that one.
-                let memo = self
+                // The memo describes the text the page was fetched with, and
+                // reads nothing from a text not that one's length, or one
+                // its words' starts do not cut at char boundaries.
+                let snippet = self
                     .server
-                    .page_words(h.doc)
-                    .filter(|&(_, len)| len == text.len())
-                    .map(|(words, _)| words);
-                let snippet = memo
+                    .page_memo(h.doc)
                     .zip(self.server.tf(h.doc))
-                    .and_then(|(words, tf)| {
+                    .and_then(|(memo, tf)| {
                         let position = |q: usize| {
                             let id = stem_ids.get(q).copied().flatten()?;
                             tf.binary_search_by_key(&id, |&(t, _)| t).ok()
                         };
-                        snippets.snippet_from_words(text, words, position, SNIPPET_WORDS)
+                        snippets.snippet_from_memo(text, memo, position, SNIPPET_WORDS)
                     })
                     .unwrap_or_else(|| {
                         self.metrics.page_words_fallbacks.inc();
@@ -1069,6 +1067,78 @@ mod tests {
         assert_eq!(hits.len(), fetched.len());
         for hit in &hits {
             let text = &memex.corpus.pages[hit.page as usize].text;
+            assert_eq!(
+                hit.snippet,
+                snippet(text, &query, SNIPPET_WORDS),
+                "page {}",
+                hit.page
+            );
+        }
+        assert_eq!(
+            fallbacks(&memex),
+            hits.len() as u64,
+            "every hit walked its text"
+        );
+    }
+
+    /// The memo cuts a window at its words' starts, so a text of the
+    /// fetched one's length but other bytes must not be cut by it. Here
+    /// every word start but the first falls inside a two-byte character:
+    /// the space before it moves one byte left and the "é" that takes its
+    /// place swallows the word's first letter. No hit may panic or render a
+    /// cut character: each walks the text it renders, is counted a
+    /// fallback, and shows that text's words.
+    #[test]
+    fn a_hit_whose_text_has_the_fetched_length_but_not_its_starts_walks_the_text() {
+        let corpus = Arc::new(Corpus::generate(CorpusConfig {
+            num_topics: 2,
+            pages_per_topic: 12,
+            ..CorpusConfig::default()
+        }));
+        let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("memex");
+        memex.register_user(0, "ann").expect("register");
+        for page in &corpus.pages {
+            memex.submit(ClientEvent::Visit(VisitEvent {
+                user: 0,
+                session: 1,
+                page: page.id,
+                url: page.url.clone(),
+                time: u64::from(page.id),
+                referrer: None,
+            }));
+        }
+        memex.run_demons().expect("demons");
+        let words: Vec<&str> = corpus.pages[20].text.split_whitespace().collect();
+        let query = format!("{} {}", words[0], words[words.len() / 2]);
+        let fetched = memex.recall(0, &query, 0, u64::MAX, 8).expect("recall");
+        assert!(fetched.len() > 1, "{} hits", fetched.len());
+        let fallbacks = |memex: &Memex| {
+            let snap = memex.registry().snapshot();
+            snap.counter("demon.page_words.fallbacks")
+        };
+        assert_eq!(fallbacks(&memex), 0, "the fetched texts read their memos");
+
+        let mut edited = (*corpus).clone();
+        for page in &mut edited.pages {
+            let mut bytes = page.text.clone().into_bytes();
+            let starts: Vec<usize> = page.text.match_indices(' ').map(|(at, _)| at + 1).collect();
+            for &start in &starts {
+                assert!(
+                    bytes[start - 2].is_ascii_alphanumeric(),
+                    "a word of one letter"
+                );
+                bytes[start - 2] = b' ';
+                bytes[start - 1..=start].copy_from_slice("é".as_bytes());
+            }
+            page.text = String::from_utf8(bytes).expect("one é in place of a space and a letter");
+            assert_eq!(page.text.len(), corpus.pages[page.id as usize].text.len());
+        }
+        let corpus = Arc::new(edited);
+        memex.corpus = corpus.clone();
+        let hits = memex.recall(0, &query, 0, u64::MAX, 8).expect("recall");
+        assert_eq!(hits.len(), fetched.len());
+        for hit in &hits {
+            let text = &corpus.pages[hit.page as usize].text;
             assert_eq!(
                 hit.snippet,
                 snippet(text, &query, SNIPPET_WORDS),

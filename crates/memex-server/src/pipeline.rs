@@ -16,7 +16,7 @@
 //! concluded (`FetchOutcome`: archived — vector and transfer size — or
 //! abandoned), which is also what stops a second fetch. The same walk
 //! writes an archived page's word memo, which its snippets are read from
-//! ([`MemexServer::page_words`]).
+//! ([`MemexServer::page_memo`]).
 //!
 //! The demons are synchronous: every write ack runs [`MemexServer::drain_demons`]
 //! before it returns, so the log is empty between acks. Admission control
@@ -32,6 +32,7 @@ use memex_store::error::StoreResult;
 use memex_store::rel::{ColType, Column, Database, Schema, TableHandle, Value};
 use memex_store::version::EventLog;
 use memex_text::analyze::{Analyzer, IndexedPage};
+use memex_text::snippet::PageMemo;
 use memex_text::vocab::{TermId, Vocabulary};
 
 use crate::events::{ArchiveMode, ClientEvent};
@@ -119,13 +120,12 @@ pub struct BookmarkRecord {
 /// What the fetch demon concluded for a page it tried.
 enum FetchOutcome {
     /// Fetched and analysed: its term vector and transfer size, and the
-    /// word memo of its text with that text's length in bytes
-    /// ([`MemexServer::page_words`]), written by the same walk as `tf`.
+    /// word memo of its text ([`MemexServer::page_memo`]), written by the
+    /// same walk as `tf`.
     Archived {
         tf: Vec<(TermId, u32)>,
         bytes: u32,
-        words: Option<Box<[u16]>>,
-        text_len: usize,
+        memo: Option<PageMemo>,
     },
     /// The retry policy gave up on it, or its index write failed —
     /// remembered so a hot page that keeps reappearing in events cannot
@@ -405,7 +405,7 @@ impl<F: PageFetcher> MemexServer<F> {
         // walk that also writes the text's word memo. The page is settled
         // before a failed index write returns, so it is never fetched again;
         // without postings it serves no vector either.
-        let IndexedPage { tf, words } = {
+        let IndexedPage { tf, memo } = {
             let _trace = memex_obs::trace::span("text.analyze");
             self.analyzer
                 .index_page(&mut self.vocab, &content.title, &content.text)
@@ -415,8 +415,7 @@ impl<F: PageFetcher> MemexServer<F> {
             FetchOutcome::Archived {
                 tf,
                 bytes: content.bytes,
-                words,
-                text_len: content.text.len(),
+                memo,
             }
         } else {
             FetchOutcome::Abandoned
@@ -464,18 +463,13 @@ impl<F: PageFetcher> MemexServer<F> {
         Some(self.pages.get(&page)?.archived()?.1)
     }
 
-    /// The word memo of a fetched page, written when it was analysed: for
-    /// each display word of the text it was fetched with, the position of
-    /// its first token's stem in [`MemexServer::tf`]
-    /// ([`memex_text::snippet::page_words`]) — and that text's length in
-    /// bytes, for a reader to check it renders the same text. `None` for a
-    /// page not archived, or with more distinct terms than a `u16` position
-    /// below [`memex_text::snippet::OUTSIDE`] can name.
-    pub fn page_words(&self, page: u32) -> Option<(&[u16], usize)> {
+    /// The word memo of a fetched page, written when it was analysed: a
+    /// positional index of the text it was fetched with against its terms
+    /// in [`MemexServer::tf`] ([`memex_text::snippet::page_words`]). `None`
+    /// for a page not archived, or with 4 GiB of text or more.
+    pub fn page_memo(&self, page: u32) -> Option<&PageMemo> {
         match self.pages.get(&page)? {
-            FetchOutcome::Archived {
-                words, text_len, ..
-            } => Some((words.as_deref()?, *text_len)),
+            FetchOutcome::Archived { memo, .. } => memo.as_ref(),
             FetchOutcome::Abandoned => None,
         }
     }

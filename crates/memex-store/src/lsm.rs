@@ -1169,13 +1169,14 @@ fn merged_for_each(
         sources.push(it.peekable());
     }
     loop {
-        // Find the smallest key any source is looking at.
-        let mut min_key: Option<Vec<u8>> = None;
+        // Find the smallest key any source is looking at. Every source
+        // borrows from the memtable or a run, so keys and values are
+        // compared and handed on as borrowed slices, never copied.
+        let mut min_key: Option<&[u8]> = None;
         for source in sources.iter_mut() {
-            if let Some((k, _)) = source.peek() {
-                match &min_key {
-                    Some(m) if *k >= m.as_slice() => {}
-                    _ => min_key = Some(k.to_vec()),
+            if let Some(&(k, _)) = source.peek() {
+                if min_key.is_none_or(|m| k < m) {
+                    min_key = Some(k);
                 }
             }
         }
@@ -1183,19 +1184,14 @@ fn merged_for_each(
             return;
         };
         // Pop every source at that key; the youngest (first) wins.
-        let mut chosen: Option<Option<Vec<u8>>> = None;
+        let mut chosen: Option<Option<&[u8]>> = None;
         for source in sources.iter_mut() {
-            if let Some((k, v)) = source.peek() {
-                if *k == key.as_slice() {
-                    if chosen.is_none() {
-                        chosen = Some(v.map(|x| x.to_vec()));
-                    }
-                    source.next();
-                }
+            if let Some((_, v)) = source.next_if(|&(k, _)| k == key) {
+                chosen.get_or_insert(v);
             }
         }
         if let Some(Some(value)) = chosen {
-            if !f(&key, &value) {
+            if !f(key, value) {
                 return;
             }
         }

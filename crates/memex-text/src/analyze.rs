@@ -9,11 +9,11 @@
 //! [`Analyzer::index_page`] (the fetch demon's) and
 //! [`Analyzer::index_document`] share one walk that counts the terms as it
 //! reads them word by word, and that writes the page's word memo
-//! ([`snippet::page_words`]) as it goes when asked to.
+//! ([`snippet::PageMemo`]) as it goes when asked to.
 
 use std::collections::HashMap;
 
-use crate::snippet::{self, NO_TOKEN, OUTSIDE};
+use crate::snippet::{self, Entry, PageMemo, Spacing};
 use crate::stem::stem_in_place;
 use crate::stopwords::{is_stopword, stopword, stopword_stem};
 use crate::tokenize::{Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
@@ -47,16 +47,15 @@ fn for_each_term(text: &str, mut each: impl FnMut(&str)) {
 pub struct IndexedPage {
     /// Interned term-frequency pairs, sorted by id, exactly sized.
     pub tf: Vec<(TermId, u32)>,
-    /// The page's word memo against `tf` ([`snippet::page_words`]); `None`
-    /// when `tf` has [`OUTSIDE`] terms or more, whose positions a memo
-    /// entry cannot name, or for a page of 4 GiB or more.
-    pub words: Option<Box<[u16]>>,
+    /// The word memo of the page's text against `tf`
+    /// ([`snippet::page_words`]); `None` for a page of 4 GiB or more.
+    pub memo: Option<PageMemo>,
 }
 
 /// A word of a page as its analysis first reads it for the word memo: what
 /// its first token's stem is, resolved to a position among the page's terms
-/// once they are all interned. Eight bytes: a page reserves one per two
-/// bytes of text.
+/// ([`Entry`]) once they are all interned. Eight bytes: a page reserves one,
+/// with the word's start, per two bytes of text.
 #[derive(Clone, Copy)]
 enum Draft {
     /// The word has no kept token.
@@ -186,9 +185,9 @@ impl Analyzer {
     }
 
     /// An archived page's analysis: [`Analyzer::index_document`] of
-    /// `"{title} {text}"`, read in place, and in the same walk the page's
-    /// word memo — for each display word of `text`, the entry
-    /// [`snippet::page_words`] gives against the returned pairs.
+    /// `"{title} {text}"`, read in place, and in the same walk the word memo
+    /// of `text` that [`snippet::page_words`] gives against the returned
+    /// pairs.
     pub fn index_page(&self, vocab: &mut Vocabulary, title: &str, text: &str) -> IndexedPage {
         self.walk(vocab, title, text, true)
     }
@@ -196,8 +195,10 @@ impl Analyzer {
     /// The one walk behind both: `title`'s terms, then `text`'s read word by
     /// word ([`Words::next_tokens`]) — each kept token stopped, stemmed in
     /// place and probed once — and, when `memo` is asked for, each word's
+    /// start recorded, its gap to the last checked ([`Spacing`]) and its
     /// first token drafted ([`Draft`]). Drafts are resolved to positions in
-    /// the pairs once the page's new terms are interned. A page whose markup
+    /// the pairs once the page's new terms are interned, and the memo is
+    /// built from them, with no second pass over the text. A page whose markup
     /// runs across a word boundary, or whose title holds any markup or
     /// entity, has whole-text tokens its words do not: it is read again
     /// whole, as `"{title} {text}"`, and its memo built by
@@ -206,11 +207,13 @@ impl Analyzer {
         let mut tally = Tally::new(title.len() + 1 + text.len());
         // Below 4 GiB a page's occurrences of new terms fit `Draft::Fresh`.
         let memo = memo && u32::try_from(title.len() + text.len()).is_ok();
-        // A text has at most one word per two bytes.
-        let mut words: Vec<Draft> = Vec::new();
+        // A text has at most one word per two bytes. Starts fit a `u32`
+        // below 4 GiB.
+        let mut words: Vec<(u32, Draft)> = Vec::new();
         if memo {
             words.reserve(text.len() / 2 + 1);
         }
+        let mut spacing = Spacing::new();
         let mut whole = !title.contains(['<', '&']);
         if whole {
             for_each_term(title, |term| {
@@ -220,7 +223,7 @@ impl Analyzer {
             let mut token = String::with_capacity(MAX_TOKEN_LEN);
             while whole {
                 let mut first = Draft::NoToken;
-                let Some(within) = read.next_tokens(&mut token, |token, n| {
+                let Some((start, end, within)) = read.next_tokens(&mut token, |token, n| {
                     let read_first = memo && n == 0;
                     if let Some(stop) = stopword(token) {
                         if read_first {
@@ -237,7 +240,8 @@ impl Analyzer {
                     break;
                 };
                 if memo {
-                    words.push(first);
+                    spacing.word(text, start, end);
+                    words.push((start as u32, first));
                 }
                 whole = within;
             }
@@ -256,30 +260,32 @@ impl Analyzer {
             });
         }
         let (tf, fresh_ids) = tally.finish(vocab);
-        let words = (memo && tf.len() < usize::from(OUTSIDE)).then(|| {
-            let position = |id: TermId| {
-                let at = tf.binary_search_by_key(&id, |&(t, _)| t).ok()?;
-                u16::try_from(at).ok()
-            };
+        let memo = memo.then(|| {
+            let position = |id: TermId| tf.binary_search_by_key(&id, |&(t, _)| t).ok();
             if !whole {
-                return snippet::page_words(text, |stem| {
-                    position(vocab.id(stem)?).map(usize::from)
-                });
+                return snippet::page_words(text, tf.len(), |stem| position(vocab.id(stem)?));
             }
-            words
-                .iter()
-                .map(|&word| {
+            // Each draft resolved into its own slot: an entry is the
+            // draft's size, so the collect reuses the drafts' buffer.
+            let words: Vec<(u32, Entry)> = words
+                .into_iter()
+                .map(|(start, word)| {
                     let id = match word {
-                        Draft::NoToken => return NO_TOKEN,
+                        Draft::NoToken => return (start, Entry::NoToken),
                         Draft::Known(id) => Some(id),
                         Draft::Fresh(k) => fresh_ids.get(k as usize).copied(),
                         Draft::Stopword(stop) => stopword_stem(stop).and_then(|s| vocab.id(s)),
                     };
-                    id.and_then(position).unwrap_or(OUTSIDE)
+                    (start, snippet::entry(id.and_then(position), tf.len()))
                 })
-                .collect()
+                .collect();
+            let words = words.iter().map(|&(start, entry)| (start as usize, entry));
+            PageMemo::new(text.len(), tf.len(), spacing.spaced(text), words)
         });
-        IndexedPage { tf, words }
+        IndexedPage {
+            tf,
+            memo: memo.flatten(),
+        }
     }
 
     /// Convert tf pairs into a TF-IDF vector using `vocab`'s current df
@@ -307,21 +313,31 @@ mod tests {
     /// "page" is a stopword that "pages" stems to: its word is placed at
     /// that term. A tag with a space inside runs across words, so that page
     /// is read whole, and a word read alone says "href" where the page
-    /// says nothing.
+    /// says nothing. Either way the memo is the reference's.
     #[test]
     fn index_page_places_every_word_of_the_text() {
         let mut vocab = Vocabulary::new();
-        let page = Analyzer.index_page(&mut vocab, "Compiler", "The pages -- compilers page");
+        for (title, text) in [
+            ("Compiler", "The pages -- compilers page"),
+            ("", "<a href=x y>loops</a>"),
+        ] {
+            let page = Analyzer.index_page(&mut vocab, title, text);
+            let reference = snippet::page_words(text, page.tf.len(), |stem| {
+                let id = vocab.id(stem)?;
+                page.tf.binary_search_by_key(&id, |&(t, _)| t).ok()
+            });
+            assert_eq!(page.memo, reference, "{text:?}");
+        }
         let (compil, pages) = (vocab.id("compil"), vocab.id("page"));
+        let page = Analyzer.index_page(&mut vocab, "Compiler", "The pages -- compilers page");
         assert_eq!(page.tf, [(compil.unwrap(), 2), (pages.unwrap(), 1)]);
-        assert_eq!(
-            page.words.as_deref(),
-            Some(&[OUTSIDE, 1, NO_TOKEN, 0, 1][..])
-        );
-
-        let page = Analyzer.index_page(&mut vocab, "", "<a href=x y>loops</a>");
-        assert_eq!(page.tf, [(vocab.id("loop").unwrap(), 1)]);
-        assert_eq!(page.words.as_deref(), Some(&[NO_TOKEN, OUTSIDE, 0][..]));
+        let memo = page.memo.expect("a memo");
+        assert_eq!(memo.words(), 5);
+        assert!(memo.outside(), "\"The\" is a stopword no term stems to");
+        let mut query = snippet::SnippetQuery::new("pages");
+        let at = |_: usize| Some(1);
+        let read = query.snippet_from_memo("The pages -- compilers page", &memo, at, 1);
+        assert_eq!(read.as_deref(), Some("… pages …"));
     }
 
     #[test]

@@ -3,36 +3,32 @@
 //! under each hit.
 //!
 //! A request analyses its query once ([`SnippetQuery`]) and then reads each
-//! returned page in a single pass over its display words, collecting the
-//! words that match a query stem (the hits). Two sources say which stem a
-//! word matches:
+//! returned page for its hits — the display words that match a query stem —
+//! from one of two sources:
 //!
 //! * the text walk ([`SnippetQuery::snippet`]): every whitespace-separated
 //!   word is read for its first token ([`Words`]) and, if a query stem
 //!   starts with its first byte, stemmed in place in one reused buffer and
-//!   looked up among the query's stems;
-//! * the page's word memo ([`page_words`], read by
-//!   [`SnippetQuery::snippet_from_words`]): per word, where its first
-//!   token's stem sits among the page's terms, so a word costs one compare
-//!   against the query stems' positions and nothing is copied or stemmed.
+//!   looked up among the query's stems — linear in the page's words;
+//! * the page's word memo ([`PageMemo`], read by
+//!   [`SnippetQuery::snippet_from_memo`]): a positional index of the page,
+//!   written when it was analysed — per term of the page, the words whose
+//!   first token's stem it is, and per word, where it starts in the text —
+//!   so the hits are the query stems' lists merged, and the window is cut
+//!   from the text at its words' starts: O(hits + window), whatever the
+//!   page's length.
 //!
 //! Either way the window is chosen from the hits alone: the first best
 //! window starts at word 0 or ends on a hit — one whose last word is not a
 //! hit covers no more than the window one word earlier — so only those are
-//! scored. Rendering then finds the best window's first word with one
-//! whitespace scan. Cost is linear in the page's words with a constant
-//! number of allocations, whatever the page's length.
+//! scored. Either way a snippet costs a constant number of allocations,
+//! whatever the page's length.
+
+use std::ops::Range;
 
 use crate::analyze::Analyzer;
 use crate::stem::stem_in_place;
 use crate::tokenize::{word_start, Words};
-
-/// A word-memo entry: the word has no kept token.
-pub const NO_TOKEN: u16 = u16::MAX;
-/// A word-memo entry: the stem of the word's first token is not among the
-/// page's terms (a stopword, or a token markup cut differently when the
-/// page was analysed whole). Positions are below it.
-pub const OUTSIDE: u16 = u16::MAX - 1;
 
 /// The distinct terms of one query, ready to be matched against any number
 /// of texts.
@@ -46,10 +42,6 @@ pub struct SnippetQuery {
     /// and is neither copied nor stemmed.
     firsts: [bool; 256],
     token: String,
-    /// Per query stem found among a page's terms, its position there and
-    /// its index in `stems`, sorted by position: reused page after page by
-    /// [`SnippetQuery::snippet_from_words`].
-    positions: Vec<(u16, usize)>,
     /// The page's hits: each word that matches a query stem, and that
     /// stem's index in `stems`, in word order. Reused page after page by
     /// both sources, as is `inside`.
@@ -76,14 +68,13 @@ impl SnippetQuery {
             stems,
             firsts,
             token: String::new(),
-            positions: Vec::new(),
             hits: Vec::new(),
             inside: Vec::new(),
         }
     }
 
     /// The query's distinct stems, sorted: what the `i` of
-    /// [`SnippetQuery::snippet_from_words`]'s `position(i)` indexes.
+    /// [`SnippetQuery::snippet_from_memo`]'s `position(i)` indexes.
     pub fn stems(&self) -> &[String] {
         &self.stems
     }
@@ -100,7 +91,6 @@ impl SnippetQuery {
             token,
             hits,
             inside,
-            ..
         } = self;
         hits.clear();
         // A text has at most one word per two bytes: room for every word, so
@@ -124,87 +114,381 @@ impl SnippetQuery {
         render(text, best_word, window, n)
     }
 
-    /// [`SnippetQuery::snippet`] of `text`, read from `words`, its word memo
-    /// ([`page_words`] of the same text) instead of from its tokens.
-    /// `position(i)` is where query stem `i` ([`SnippetQuery::stems`]) sits
-    /// among the terms the memo was built against, if it is one of them.
+    /// [`SnippetQuery::snippet`] of `text`, read from `memo`, its word memo,
+    /// instead of from its tokens. `position(i)` is where query stem `i`
+    /// ([`SnippetQuery::stems`]) sits among the terms the memo was built
+    /// against, if it is one of them.
     ///
-    /// `None` — read the text instead — when some query stem is not among
-    /// those terms and some word is [`OUTSIDE`] them: that word's stem may
-    /// be the missing one. Otherwise a missing stem matches no word, every
-    /// other stem matches exactly the words at its position, and the
-    /// snippet is the text walk's, bit for bit.
-    pub fn snippet_from_words(
+    /// `None` — read the text instead — when `text` is not the memo's: its
+    /// length differs, or a start the window is cut at is off a char
+    /// boundary or past the end. And when some query stem is not among the
+    /// terms and some word is outside them ([`PageMemo::outside`]): that
+    /// word's stem may be the missing one. Otherwise a missing stem matches
+    /// no word, every other stem matches exactly the words at its position,
+    /// and the snippet is the text walk's, bit for bit.
+    pub fn snippet_from_memo(
         &mut self,
         text: &str,
-        words: &[u16],
+        memo: &PageMemo,
         mut position: impl FnMut(usize) -> Option<usize>,
         window: usize,
     ) -> Option<String> {
-        self.positions.clear();
+        if text.len() != memo.text_len() {
+            return None;
+        }
+        self.hits.clear();
         let mut missing = false;
         for q in 0..self.stems.len() {
-            match entry(position(q)) {
-                Some(p) => self.positions.push((p, q)),
+            match position(q).and_then(|p| memo.occurrences(p)) {
+                Some(words) => {
+                    let words = words.filter_map(|at| memo.slot(at));
+                    self.hits.extend(words.map(|word| (word, q)));
+                }
                 None => missing = true,
             }
         }
-        if missing && words.contains(&OUTSIDE) {
+        if missing && memo.outside {
             return None;
         }
-        self.positions.sort_unstable();
-        let positions = &self.positions;
-        self.hits.clear();
-        // Room for every word, so a page costs no reallocation past the
-        // longest one read so far.
-        self.hits.reserve(words.len());
-        for (i, word) in words.iter().enumerate() {
-            let at = positions.binary_search_by_key(word, |&(p, _)| p);
-            if let Some(&(_, q)) = at.ok().and_then(|at| positions.get(at)) {
-                self.hits.push((i, q));
-            }
-        }
+        // A word sits at one position at most, so the stems' lists share no
+        // word: sorted, they are merged in word order.
+        self.hits.sort_unstable();
         let best_word = hit_window(
             &self.hits,
             &mut self.inside,
             self.stems.len(),
             window,
-            words.len(),
+            memo.words(),
         );
-        Some(render(text, best_word, window, words.len()))
+        memo.render(text, best_word, window)
     }
 }
 
-/// A page's word memo, the source [`SnippetQuery::snippet_from_words`]
-/// reads instead of the text: for each display word of `text`, where its
-/// first token's stem sits among the page's terms (`position`), [`OUTSIDE`]
-/// if it is not one of them (or sits at [`OUTSIDE`] or beyond), and
-/// [`NO_TOKEN`] if the word has no kept token. One walk of the text that
-/// stems every word: the reference
-/// [`Analyzer::index_page`](crate::analyze::Analyzer::index_page) writes the
-/// same memo by, inside the walk that counts the page's terms.
-pub fn page_words(text: &str, mut position: impl FnMut(&str) -> Option<usize>) -> Box<[u16]> {
+/// What a page's word memo records of one display word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// The word has no kept token.
+    NoToken,
+    /// The stem of its first token is not among the page's terms (a
+    /// stopword, or a token markup cut differently when the page was
+    /// analysed whole).
+    Outside,
+    /// The stem of its first token is the page's term at this position.
+    At(u32),
+}
+
+/// A position among a page's `positions` terms as a memo entry.
+pub(crate) fn entry(position: Option<usize>, positions: usize) -> Entry {
+    position
+        .filter(|&p| p < positions)
+        .and_then(|p| u32::try_from(p).ok())
+        .map_or(Entry::Outside, Entry::At)
+}
+
+/// A page's word memo: a positional index of its text's display words
+/// against the page's terms, the source [`SnippetQuery::snippet_from_memo`]
+/// reads instead of the text. Built by [`page_words`], or, equal field for
+/// field, by [`Analyzer::index_page`](crate::analyze::Analyzer::index_page)
+/// inside the walk that counts the page's terms.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageMemo {
+    /// One exactly sized allocation, three runs of slots: per term position
+    /// `p`, the end of its occurrences (they begin at `p - 1`'s end); the
+    /// occurrences — position by position, in word order, each display
+    /// word whose first token's stem sits there; per display word, its
+    /// first byte in the text.
+    slots: Slots,
+    /// The page's terms: the first run's length.
+    positions: u32,
+    /// The text's display words: the last run's length.
+    words: u32,
+    /// The text's length in bytes: the memo describes no text of another.
+    text_len: u32,
+    /// Some word's first stem is not among the page's terms
+    /// ([`Entry::Outside`]).
+    outside: bool,
+    /// The words are the text's bytes with exactly one `b' '` between each
+    /// two and no blank before the first or after the last: a window is
+    /// one slice of the text.
+    spaced: bool,
+}
+
+/// A memo's slots: `u16` for a text of up to 64 KiB, which every offset,
+/// word index and end fits, `u32` past that.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Slots {
+    Narrow(Box<[u16]>),
+    Wide(Box<[u32]>),
+}
+
+/// The longest text whose memo's slots are `u16`s: its last word starts at
+/// 65 535 at most, and it has fewer words than that.
+const NARROW: usize = 1 << 16;
+
+/// A memo slot's width.
+trait Slot: Copy + Default {
+    fn of(value: usize) -> Option<Self>;
+    fn at(self) -> usize;
+}
+
+impl Slot for u16 {
+    fn of(value: usize) -> Option<u16> {
+        u16::try_from(value).ok()
+    }
+    fn at(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Slot for u32 {
+    fn of(value: usize) -> Option<u32> {
+        u32::try_from(value).ok()
+    }
+    fn at(self) -> usize {
+        self as usize
+    }
+}
+
+/// A memo's slots at width `T` for a page of `positions` terms, from its
+/// display words — each one's start and entry, in order, read three times —
+/// and the memo's word count and outside bit. `None` if a value does not
+/// fit `T`.
+fn fill<T: Slot>(
+    positions: usize,
+    words: impl Iterator<Item = (usize, Entry)> + Clone,
+) -> Option<(Box<[T]>, usize, bool)> {
+    let (mut n, mut placed, mut outside) = (0usize, 0usize, false);
+    for (_, entry) in words.clone() {
+        n += 1;
+        match entry {
+            Entry::At(_) => placed += 1,
+            Entry::Outside => outside = true,
+            Entry::NoToken => {}
+        }
+    }
+    let mut slots = vec![T::default(); positions + placed + n];
+    let (ends, rest) = slots.split_at_mut(positions);
+    let (occurrences, starts) = rest.split_at_mut(placed);
+    // A counting sort of the placed words by position: count each
+    // position's words,
+    for (_, entry) in words.clone() {
+        if let Entry::At(p) = entry {
+            let end = ends.get_mut(p as usize)?;
+            *end = T::of(end.at() + 1)?;
+        }
+    }
+    // turn the counts into where each position's words begin,
+    let mut begin = 0;
+    for end in ends.iter_mut() {
+        let count = end.at();
+        *end = T::of(begin)?;
+        begin += count;
+    }
+    // and put each word there, which leaves every position at its end.
+    for (i, (start, entry)) in words.enumerate() {
+        *starts.get_mut(i)? = T::of(start)?;
+        if let Entry::At(p) = entry {
+            let end = ends.get_mut(p as usize)?;
+            *occurrences.get_mut(end.at())? = T::of(i)?;
+            *end = T::of(end.at() + 1)?;
+        }
+    }
+    Some((slots.into_boxed_slice(), n, outside))
+}
+
+impl PageMemo {
+    /// The memo of a text of `text_len` bytes against a page of `positions`
+    /// terms, from its display words: each one's start and entry, in order,
+    /// and whether they are `spaced` ([`Spacing`]). `None` for a text of
+    /// 4 GiB or more.
+    pub(crate) fn new(
+        text_len: usize,
+        positions: usize,
+        spaced: bool,
+        words: impl Iterator<Item = (usize, Entry)> + Clone,
+    ) -> Option<PageMemo> {
+        let (slots, n, outside) = if text_len <= NARROW {
+            let (slots, n, outside) = fill(positions, words)?;
+            (Slots::Narrow(slots), n, outside)
+        } else {
+            let (slots, n, outside) = fill(positions, words)?;
+            (Slots::Wide(slots), n, outside)
+        };
+        Some(PageMemo {
+            slots,
+            positions: u32::try_from(positions).ok()?,
+            words: u32::try_from(n).ok()?,
+            text_len: u32::try_from(text_len).ok()?,
+            outside,
+            spaced,
+        })
+    }
+
+    /// The number of display words of the memo's text.
+    pub fn words(&self) -> usize {
+        self.words as usize
+    }
+
+    /// The length in bytes of the text the memo describes.
+    pub fn text_len(&self) -> usize {
+        self.text_len as usize
+    }
+
+    /// Whether some word's first stem is not among the page's terms.
+    pub fn outside(&self) -> bool {
+        self.outside
+    }
+
+    /// Slot `at`.
+    fn slot(&self, at: usize) -> Option<usize> {
+        match &self.slots {
+            Slots::Narrow(slots) => slots.get(at).map(|&v| v.at()),
+            Slots::Wide(slots) => slots.get(at).map(|&v| v.at()),
+        }
+    }
+
+    /// How many slots there are.
+    fn len(&self) -> usize {
+        match &self.slots {
+            Slots::Narrow(slots) => slots.len(),
+            Slots::Wide(slots) => slots.len(),
+        }
+    }
+
+    /// The slots that hold the words at term position `p`, if the page has
+    /// that term.
+    fn occurrences(&self, p: usize) -> Option<Range<usize>> {
+        let positions = self.positions as usize;
+        if p >= positions {
+            return None;
+        }
+        let begin = match p.checked_sub(1) {
+            Some(before) => self.slot(before)?,
+            None => 0,
+        };
+        Some(positions + begin..positions + self.slot(p)?)
+    }
+
+    /// Where word `i` starts in the text.
+    fn start(&self, i: usize) -> Option<usize> {
+        self.slot(self.len().checked_sub(self.words())? + i)
+    }
+
+    /// [`render`] of the window of `window` words from word `best_word`,
+    /// cut from `text` at its words' starts: one slice when the words are
+    /// spaced, else each word up to the next one's start, trimmed. `None`
+    /// when a start is off a char boundary of `text` or past its end, or a
+    /// spaced gap is not a space: a text not the memo's.
+    fn render(&self, text: &str, best_word: usize, window: usize) -> Option<String> {
+        let n = self.words();
+        let w = window.max(1).min(n);
+        if w == 0 {
+            return Some(String::new());
+        }
+        let (lead, trail) = (best_word > 0, best_word + w < n);
+        // The text from the window's first word to the next one's start.
+        let until = if trail {
+            self.start(best_word + w)?
+        } else {
+            text.len()
+        };
+        let span = text.get(self.start(best_word)?..until)?;
+        let spaced = match (self.spaced, trail) {
+            (false, _) => None,
+            (true, false) => Some(span),
+            (true, true) => Some(span.strip_suffix(' ')?),
+        };
+        let ends = usize::from(lead) * LEAD.len() + usize::from(trail) * TRAIL.len();
+        let mut out = String::with_capacity(spaced.unwrap_or(span).len() + ends);
+        if lead {
+            out.push_str(LEAD);
+        }
+        match spaced {
+            Some(words) => out.push_str(words),
+            None => {
+                for i in best_word..best_word + w {
+                    let next = if i + 1 < n { self.start(i + 1)? } else { until };
+                    if i > best_word {
+                        out.push(' ');
+                    }
+                    out.push_str(text.get(self.start(i)?..next)?.trim_end());
+                }
+            }
+        }
+        if trail {
+            out.push_str(TRAIL);
+        }
+        Some(out)
+    }
+}
+
+/// Whether a text's display words, read in order, are its bytes with
+/// exactly one `b' '` between each two and no blank before the first or
+/// after the last: [`PageMemo`]'s `spaced`.
+pub(crate) struct Spacing {
+    /// Where the next word starts if the gap before it is one byte.
+    next: usize,
+    spaced: bool,
+}
+
+impl Spacing {
+    pub(crate) fn new() -> Spacing {
+        Spacing {
+            next: 0,
+            spaced: true,
+        }
+    }
+
+    /// The next word, at `start..end` of `text`.
+    pub(crate) fn word(&mut self, text: &str, start: usize, end: usize) {
+        let gap = start
+            .checked_sub(1)
+            .is_none_or(|at| text.as_bytes().get(at) == Some(&b' '));
+        self.spaced &= start == self.next && gap;
+        self.next = end + 1;
+    }
+
+    /// Whether the words read so far were the whole of `text`, spaced.
+    pub(crate) fn spaced(&self, text: &str) -> bool {
+        self.spaced && self.next == text.len() + 1
+    }
+}
+
+/// A page's word memo ([`PageMemo`]) against its `positions` terms: for each
+/// display word of `text`, its start and where its first token's stem sits
+/// among the terms (`position`), outside them if it is not one (or sits at
+/// `positions` or beyond). One walk of the text that stems every word: the
+/// reference [`Analyzer::index_page`](crate::analyze::Analyzer::index_page)
+/// writes the same memo by, inside the walk that counts the page's terms.
+/// `None` for a text of 4 GiB or more.
+pub fn page_words(
+    text: &str,
+    positions: usize,
+    mut position: impl FnMut(&str) -> Option<usize>,
+) -> Option<PageMemo> {
     let mut words = Words::new(text);
     let mut token = String::new();
-    let mut memo = Vec::new();
-    while words.next_into(&mut token, &[true; 256]).is_some() {
-        memo.push(if token.is_empty() {
-            NO_TOKEN
-        } else {
-            stem_in_place(&mut token);
-            entry(position(&token)).unwrap_or(OUTSIDE)
-        });
+    let mut spacing = Spacing::new();
+    let mut entries = Vec::new();
+    while let Some((start, word)) = words.next_into(&mut token, &[true; 256]) {
+        spacing.word(text, start, start + word.len());
+        entries.push((
+            start,
+            if token.is_empty() {
+                Entry::NoToken
+            } else {
+                stem_in_place(&mut token);
+                entry(position(&token), positions)
+            },
+        ));
     }
-    memo.into_boxed_slice()
+    let spaced = spacing.spaced(text);
+    PageMemo::new(text.len(), positions, spaced, entries.into_iter())
 }
 
-/// A position among a page's terms as a word-memo entry, if it is one and
-/// lies below the markers.
-fn entry(position: Option<usize>) -> Option<u16> {
-    position
-        .and_then(|p| u16::try_from(p).ok())
-        .filter(|&p| p < OUTSIDE)
-}
+/// What a snippet clipped at its start or its end shows there.
+const LEAD: &str = "… ";
+const TRAIL: &str = " …";
 
 /// The first word of the first best window of `window` words among `n`,
 /// from their `hits` alone: each `(word, stem)`, in word order, for a query
@@ -267,7 +551,7 @@ fn render(text: &str, best_word: usize, window: usize, n: usize) -> String {
     let w = window.max(1).min(n);
     let mut out = String::new();
     if best_word > 0 {
-        out.push_str("… ");
+        out.push_str(LEAD);
     }
     let shown = text[word_start(text, best_word)..]
         .split_whitespace()
@@ -279,7 +563,7 @@ fn render(text: &str, best_word: usize, window: usize, n: usize) -> String {
         out.push_str(word);
     }
     if best_word + w < n {
-        out.push_str(" …");
+        out.push_str(TRAIL);
     }
     out
 }
@@ -344,36 +628,69 @@ mod tests {
         terms
     }
 
-    /// `query`'s snippet of `text` from its word memo against `terms`.
-    fn from_words(text: &str, terms: &[String], query: &str, window: usize) -> Option<String> {
-        let memo = page_words(text, |stem| {
+    /// `text`'s word memo against `terms`.
+    fn memo_of(text: &str, terms: &[String]) -> PageMemo {
+        page_words(text, terms.len(), |stem| {
             terms.binary_search_by(|t| t.as_str().cmp(stem)).ok()
-        });
+        })
+        .expect("a memo")
+    }
+
+    /// `query`'s snippet of `text` from its word memo against `terms`.
+    fn from_memo(text: &str, terms: &[String], query: &str, window: usize) -> Option<String> {
+        let memo = memo_of(text, terms);
         let mut q = SnippetQuery::new(query);
         let stems = q.stems().to_vec();
-        q.snippet_from_words(text, &memo, |i| terms.binary_search(&stems[i]).ok(), window)
+        q.snippet_from_memo(text, &memo, |i| terms.binary_search(&stems[i]).ok(), window)
+    }
+
+    /// Terms "compil", "loop", "optim": each with the word whose first stem
+    /// it is; "The" is a stopword no term stems to, "--" and "x" have no
+    /// kept token.
+    #[test]
+    fn the_memo_lists_each_terms_words_and_each_words_start() {
+        let text = "The compilers -- optimize x Loops";
+        assert_eq!(
+            memo_of(text, &terms(text)),
+            PageMemo {
+                // Ends, occurrences, starts.
+                slots: Slots::Narrow(Box::new([1, 2, 3, 1, 5, 3, 0, 4, 14, 17, 26, 28])),
+                positions: 3,
+                words: 6,
+                text_len: 33,
+                outside: true,
+                spaced: true,
+            }
+        );
     }
 
     #[test]
-    fn the_memo_marks_words_without_a_token_and_stems_outside_the_terms() {
-        let text = "The compilers -- optimize x Loops";
-        let terms = terms(text);
-        let memo = page_words(text, |stem| {
-            terms.binary_search_by(|t| t.as_str().cmp(stem)).ok()
-        });
-        let at = |term: &str| terms.binary_search_by(|t| t.as_str().cmp(term)).ok();
-        let at = |term| at(term).and_then(|p| u16::try_from(p).ok());
-        assert_eq!(
-            memo.iter().map(|&w| Some(w)).collect::<Vec<_>>(),
-            [
-                Some(OUTSIDE),
-                at("compil"),
-                Some(NO_TOKEN),
-                at("optim"),
-                Some(NO_TOKEN),
-                at("loop"),
-            ]
+    fn a_text_is_spaced_when_one_space_separates_each_two_words_and_no_blank_ends_it() {
+        let spaced = |text: &str| {
+            let mut words = Words::new(text);
+            let mut spacing = Spacing::new();
+            while let Some((start, word)) = words.next_into(&mut String::new(), &[true; 256]) {
+                spacing.word(text, start, start + word.len());
+            }
+            spacing.spaced(text)
+        };
+        assert!(spaced("alpha beta gamma"));
+        assert!(
+            spaced("Über straße 世界"),
+            "a space is a space, whatever the words"
         );
+        for text in [
+            "alpha  beta",
+            "alpha\tbeta",
+            "alpha\nbeta",
+            "alpha\u{a0}beta",
+            " alpha beta",
+            "alpha beta ",
+            "",
+            " ",
+        ] {
+            assert!(!spaced(text), "{text:?}");
+        }
     }
 
     /// "page" is a stopword, so not among the page's terms, yet the query
@@ -381,12 +698,65 @@ mod tests {
     #[test]
     fn a_missing_stem_falls_back_only_when_a_word_is_outside_the_terms() {
         let text = "compiler notes on the page about loops";
-        assert_eq!(from_words(text, &terms(text), "pages", 3), None);
+        assert_eq!(from_memo(text, &terms(text), "pages", 3), None);
         assert_eq!(snippet(text, "pages", 3), "… on the page …");
         let plain = "compiler notes loops compiler";
         assert_eq!(
-            from_words(plain, &terms(plain), "pages loops", 2).as_deref(),
+            from_memo(plain, &terms(plain), "pages loops", 2).as_deref(),
             Some(snippet(plain, "pages loops", 2).as_str())
         );
+    }
+
+    /// Past 64 KiB of text and 65 535 words the slots are `u32`s, and the
+    /// memo reads the text walk's snippet, spaced or not, at either end and
+    /// in the middle.
+    #[test]
+    fn a_page_past_64_kib_and_65_535_words_reads_its_memo() {
+        const WORDS: [&str; 4] = ["music", "x", "garden", "organ"];
+        let words = (0..70_000).map(|i| if i == 50_000 { "baroque" } else { WORDS[i % 4] });
+        let words: Vec<&str> = words.collect();
+        for gap in [" ", " \t"] {
+            let text = words.join(gap);
+            let terms = terms(&text);
+            let memo = memo_of(&text, &terms);
+            assert!(matches!(memo.slots, Slots::Wide(_)), "{} bytes", text.len());
+            assert_eq!(memo.words(), 70_000);
+            assert_eq!(memo.spaced, gap == " ");
+            for query in ["baroque garden", "music", "zeppelin", "organ baroque"] {
+                assert_eq!(
+                    from_memo(&text, &terms, query, 12),
+                    Some(snippet(&text, query, 12)),
+                    "{query:?}, gap {gap:?}"
+                );
+            }
+        }
+        let short = "music garden";
+        assert!(matches!(
+            memo_of(short, &terms(short)).slots,
+            Slots::Narrow(_)
+        ));
+    }
+
+    /// A text of the memo's length whose bytes are not the memo's: a
+    /// two-byte character straddles the start of every word but the first,
+    /// so a window cut there is off a char boundary. The reader says so
+    /// rather than panic or render a cut character.
+    #[test]
+    fn a_start_off_a_char_boundary_reads_nothing() {
+        let text = "alpha beta gamma delta epsilon zeta eta theta";
+        let terms = terms(text);
+        let memo = memo_of(text, &terms);
+        let mut bytes = text.as_bytes().to_vec();
+        for at in text.match_indices(' ').map(|(at, _)| at) {
+            bytes[at..at + 2].copy_from_slice("é".as_bytes());
+        }
+        let straddled =
+            String::from_utf8(bytes).expect("every space and the letter after it became one é");
+        let mut q = SnippetQuery::new("gamma eta");
+        let stems = q.stems().to_vec();
+        let at = |i: usize| terms.binary_search(&stems[i]).ok();
+        assert!(q.snippet_from_memo(text, &memo, at, 3).is_some());
+        let at = |i: usize| terms.binary_search(&stems[i]).ok();
+        assert_eq!(q.snippet_from_memo(&straddled, &memo, at, 3), None);
     }
 }

@@ -1,9 +1,10 @@
 //! What the analysis paths allocate, counted: a snippet costs a constant
-//! number of allocations however long the page, read from its text or from
-//! its word memo, `Analyzer::counts` allocates per distinct term, not per
-//! token, and `Analyzer::index_document` on a vocabulary that knows the
-//! page's terms allocates neither — nor does `Analyzer::index_page`, which
-//! writes the page's word memo in the same walk. Its own test binary, because
+//! number of allocations however long the page when read from its text,
+//! and exactly the returned `String` when read from its word memo,
+//! `Analyzer::counts` allocates per distinct term, not per token, and
+//! `Analyzer::index_document` on a vocabulary that knows the page's terms
+//! allocates neither — nor does `Analyzer::index_page`, which writes the
+//! page's word memo in the same walk. Its own test binary, because
 //! the counting allocator is process-wide; the counter is per thread, so
 //! the harness's other threads do not disturb a test's count.
 
@@ -92,30 +93,40 @@ fn a_snippet_allocates_the_same_for_a_long_page_as_for_a_short_one() {
     let per_long = allocations(|| analysed.snippet(&long, 12));
     assert!(per_long <= per_short + 2, "{per_long} vs {per_short}");
     assert!(per_short < on_short, "analysing the query is not free");
+}
 
-    // Read from the page's word memo, nothing per word either — and no
-    // more than the text walk.
-    let mut terms: Vec<String> = Analyzer.counts(&short).into_keys().collect();
+/// A snippet read from the page's word memo allocates the `String` it
+/// returns and nothing else, once the query's buffers have room for the
+/// page's hits: a 40-word page and a 4 000-word one alike, with one space
+/// between words (the window is one slice) or two (it is joined word by
+/// word).
+#[test]
+fn a_snippet_read_from_the_memo_allocates_only_the_string() {
+    let query = "compiler optimization music";
+    let mut terms: Vec<String> = Analyzer.counts(&page(40)).into_keys().collect();
     terms.sort_unstable();
     let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
-    let (short_memo, long_memo) = (page_words(&short, position), page_words(&long, position));
-    let stems = analysed.stems().to_vec();
-    let mut from_words = |text: &str, memo: &[u16]| {
-        allocations(|| {
-            let read = analysed.snippet_from_words(text, memo, |i| position(&stems[i]), 12);
-            assert!(read.is_some(), "every query stem is a term of the page");
-        })
-    };
-    let memo_short = from_words(&short, &short_memo);
-    let memo_long = from_words(&long, &long_memo);
-    assert!(
-        memo_long <= memo_short + 2,
-        "{memo_long} vs {memo_short} from the memo"
-    );
-    assert!(
-        memo_short <= per_short,
-        "{memo_short} from the memo, {per_short} from the text"
-    );
+    for gap in [" ", "  "] {
+        let (short, long) = (page(40).replace(' ', gap), page(4_000).replace(' ', gap));
+        let short_memo = page_words(&short, terms.len(), position).expect("a memo");
+        let long_memo = page_words(&long, terms.len(), position).expect("a memo");
+        let mut analysed = SnippetQuery::new(query);
+        let stems = analysed.stems().to_vec();
+        let at = |i: usize| position(&stems[i]);
+        // Room for the long page's hits.
+        let _ = analysed.snippet_from_memo(&long, &long_memo, at, 12);
+        for (text, memo) in [(&short, &short_memo), (&long, &long_memo)] {
+            let read = analysed.snippet_from_memo(text, memo, at, 12);
+            assert_eq!(read, Some(snippet(text, query, 12)));
+            let made = allocations(|| analysed.snippet_from_memo(text, memo, at, 12));
+            assert_eq!(
+                made,
+                1,
+                "{} words, gap {gap:?}: the string and nothing else",
+                memo.words()
+            );
+        }
+    }
 }
 
 #[test]
@@ -181,8 +192,8 @@ fn index_page_on_a_known_vocabulary_allocates_the_same_for_a_long_page() {
     let on_short = allocations(|| analyzer.index_page(&mut vocab, title, &short));
     let on_long = allocations(|| analyzer.index_page(&mut vocab, title, &long));
     assert_eq!(vocab.len(), known, "every term was known");
-    let memo = analyzer.index_page(&mut vocab, title, &long).words;
-    assert_eq!(memo.map(|m| m.len()), Some(4_000), "one entry a word");
+    let memo = analyzer.index_page(&mut vocab, title, &long).memo;
+    assert_eq!(memo.map(|m| m.words()), Some(4_000), "every word");
     assert_eq!(
         on_long, on_short,
         "508 distinct terms in 4 000 words cost {on_long} allocations, 28 in 40 {on_short}"

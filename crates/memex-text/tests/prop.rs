@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use memex_text::snippet::{page_words, snippet, SnippetQuery, OUTSIDE};
+use memex_text::snippet::{page_words, snippet, SnippetQuery};
 use memex_text::stem::{stem, stem_in_place};
 use memex_text::stopwords::is_stopword;
 use memex_text::tokenize::{
@@ -446,8 +446,8 @@ fn snippet_by_rescan(text: &str, query: &str, window: usize) -> String {
 /// The snippet alphabet. Words that collide at stem level, punctuation, a
 /// token `tokenize` splits in two and one it drops, and every kind of
 /// whitespace `split_whitespace` breaks a word at; then, from
-/// [`OUTSIDE_FROM`] on, the words that can put a page's word memo
-/// [`OUTSIDE`] its terms: stopwords, "page" (a stopword that "Pages" stems
+/// [`OUTSIDE_FROM`] on, the words that can put a word of a page's memo
+/// outside its terms: stopwords, "page" (a stopword that "Pages" stems
 /// to), and a tag opened in one word and closed in a later one (a page
 /// analysed whole does not say "href" inside `<a href=…>`, a word read on
 /// its own does).
@@ -481,7 +481,7 @@ const WORDS: [&str; 26] = [
 ];
 const OUTSIDE_FROM: usize = 21;
 
-/// Up to `max` words of the alphabet, its `OUTSIDE` makers included or not.
+/// Up to `max` words of the alphabet, its outside makers included or not.
 fn snippet_text(max: usize, outside: bool) -> impl Strategy<Value = String> {
     let alphabet = if outside { WORDS.len() } else { OUTSIDE_FROM };
     proptest::collection::vec(0..alphabet, 0..max).prop_map(|picks| {
@@ -490,6 +490,49 @@ fn snippet_text(max: usize, outside: bool) -> impl Strategy<Value = String> {
             .map(|&i| WORDS[i])
             .collect::<Vec<_>>()
             .join(" ")
+    })
+}
+
+/// What [`separated_text`] puts between two words, or before the first or
+/// after the last: one space — a word memo cuts a window of such a text as
+/// one slice — or any other blank, which it cuts word by word. A lone tab
+/// is one byte, like a space, but the text walk renders it as a space.
+const SEPARATORS: [&str; 7] = [" ", "  ", "\t", "\n", "\u{a0}", "\u{3000}", " \u{2003} "];
+
+/// Up to `max` words of the alphabet with no blank inside, its outside
+/// makers included or not, separated by [`SEPARATORS`]: one space between
+/// each two but one gap, where any separator goes, or any separator in
+/// every gap; and a separator before the first word and after the last,
+/// or not.
+fn separated_text(max: usize, outside: bool) -> impl Strategy<Value = String> {
+    let alphabet = if outside {
+        &WORDS[..]
+    } else {
+        &WORDS[..OUTSIDE_FROM]
+    };
+    let bare: Vec<&str> = alphabet
+        .iter()
+        .copied()
+        .filter(|word| !word.contains(char::is_whitespace))
+        .collect();
+    let words = proptest::collection::vec((0..bare.len(), 0..SEPARATORS.len()), 0..max);
+    let end = || prop_oneof![3 => Just(None), 1 => (0..SEPARATORS.len()).prop_map(Some)];
+    let shape = (any::<bool>(), 0..max.max(1));
+    (words, shape, end(), end()).prop_map(move |(words, (mixed, odd), lead, trail)| {
+        let mut text = String::new();
+        text.extend(lead.map(|s| SEPARATORS[s]));
+        for (k, &(word, gap)) in words.iter().enumerate() {
+            if k > 0 {
+                text.push_str(if mixed || k == odd {
+                    SEPARATORS[gap]
+                } else {
+                    " "
+                });
+            }
+            text.push_str(bare[word]);
+        }
+        text.extend(trail.map(|s| SEPARATORS[s]));
+        text
     })
 }
 
@@ -515,11 +558,18 @@ proptest! {
     /// page's are; the query may name stems the page lacks (words of the
     /// alphabet it does not use, a word of no page, "Pages" beside a
     /// stopword "page"), on texts with and without words outside the
-    /// terms. The memo answers unless a stem is missing and a word is
+    /// terms, whose words one space separates (a window is one slice) or
+    /// any blanks, leading and trailing ones too (it is joined word by
+    /// word). The memo answers unless a stem is missing and a word is
     /// outside, and then it answers the text walk's snippet.
     #[test]
     fn the_word_memo_reads_what_the_text_walk_reads(
-        text in prop_oneof![snippet_text(40, false), snippet_text(40, true)],
+        text in prop_oneof![
+            snippet_text(40, false),
+            snippet_text(40, true),
+            separated_text(40, false),
+            separated_text(40, true),
+        ],
         title in snippet_text(6, true),
         query in snippet_text(5, true),
         extra in 0usize..3,
@@ -528,19 +578,20 @@ proptest! {
         let mut terms: Vec<String> = Analyzer.counts(&format!("{title} {text}")).into_keys().collect();
         terms.sort_unstable();
         let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
-        let memo = page_words(&text, position);
-        prop_assert_eq!(memo.len(), text.split_whitespace().count());
+        let memo = page_words(&text, terms.len(), position).expect("a memo");
+        prop_assert_eq!(memo.words(), text.split_whitespace().count());
+        prop_assert_eq!(memo.text_len(), text.len());
         let query = format!("{query} {}", ["", "zeppelin", "Pages"][extra]);
         let mut analysed = SnippetQuery::new(&query);
         let stems = analysed.stems().to_vec();
         let missing = stems.iter().any(|s| position(s).is_none());
         let walked = snippet(&text, &query, window);
-        match analysed.snippet_from_words(&text, &memo, |i| position(&stems[i]), window) {
+        match analysed.snippet_from_memo(&text, &memo, |i| position(&stems[i]), window) {
             Some(read) => prop_assert_eq!(
                 read, walked, "text {:?} title {:?} query {:?} window {}", text, title, query, window
             ),
             None => prop_assert!(
-                missing && memo.contains(&OUTSIDE),
+                missing && memo.outside(),
                 "text {:?} title {:?} query {:?}: fell back with every stem found or no word outside",
                 text, title, query
             ),
@@ -552,20 +603,20 @@ proptest! {
     /// exactly the text, past it; and for a query no word matches.
     #[test]
     fn the_window_from_hits_equals_the_rescan_at_the_edges(
-        text in snippet_text(30, false),
+        text in prop_oneof![snippet_text(30, false), separated_text(30, false)],
         query in snippet_text(4, false),
         no_hits in any::<bool>(),
     ) {
         let mut terms: Vec<String> = Analyzer.counts(&text).into_keys().collect();
         terms.sort_unstable();
         let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
-        let memo = page_words(&text, position);
+        let memo = page_words(&text, terms.len(), position).expect("a memo");
         let query = if no_hits { "zeppelin".to_string() } else { query };
         let mut analysed = SnippetQuery::new(&query);
         let stems = analysed.stems().to_vec();
-        let n = memo.len();
+        let n = memo.words();
         for window in [0, 1, n.saturating_sub(1), n, n + 1, 40] {
-            let read = analysed.snippet_from_words(&text, &memo, |i| position(&stems[i]), window);
+            let read = analysed.snippet_from_memo(&text, &memo, |i| position(&stems[i]), window);
             prop_assert_eq!(
                 read, Some(snippet_by_rescan(&text, &query, window)),
                 "text {:?} query {:?} window {}", text, query, window
@@ -644,15 +695,24 @@ proptest! {
     /// Fed the same stream of titled pages — some of them again later — the
     /// walk that reads a title and a text in place and `index_document` of
     /// `"{title} {text}"` give every page the same pairs and leave the two
-    /// vocabularies the same; and the walk's word memo is, entry for entry,
-    /// `page_words` of the text against those pairs. Texts have stopwords
-    /// (one a term stems to), markup opened in one word and closed in a
-    /// later one and non-ASCII words, or are HTML soup; titles have markup
+    /// vocabularies the same; and the walk's word memo is, field for field,
+    /// `page_words` of the text against those pairs: each term's words,
+    /// each word's start, the outside and spaced bits, the counts. Texts
+    /// have stopwords (one a term stems to), markup opened in one word and
+    /// closed in a later one, non-ASCII words and blanks of every kind
+    /// between words and around them, or are HTML soup; titles have markup
     /// too, so both of the walk's ways through a page are taken.
     #[test]
     fn index_page_equals_index_document_of_title_and_text_and_page_words(
         pages in proptest::collection::vec(
-            (page_text(), prop_oneof![2 => snippet_text(40, true), 1 => page_text()]),
+            (
+                page_text(),
+                prop_oneof![
+                    2 => snippet_text(40, true),
+                    2 => separated_text(40, true),
+                    1 => page_text(),
+                ],
+            ),
             1..10,
         ),
         again in proptest::collection::vec(0usize..10, 0..4),
@@ -661,7 +721,7 @@ proptest! {
         let stream: Vec<(String, String)> = pages.iter().cloned().chain(repeats).collect();
         let (mut walked, mut whole) = (Vocabulary::new(), Vocabulary::new());
         for (title, text) in &stream {
-            let IndexedPage { tf: pairs, words: memo } = Analyzer.index_page(&mut walked, title, text);
+            let IndexedPage { tf: pairs, memo } = Analyzer.index_page(&mut walked, title, text);
             let expected = Analyzer.index_document(&mut whole, &format!("{title} {text}"));
             prop_assert_eq!(&pairs, &expected, "title {:?} text {:?}", title, text);
             prop_assert_eq!(walked.len(), whole.len());
@@ -670,13 +730,12 @@ proptest! {
                 prop_assert_eq!(walked.df(id), whole.df(id), "df of term {}", id);
             }
             prop_assert_eq!(walked.num_docs(), whole.num_docs());
-            let reference = page_words(text, |stem| {
+            let reference = page_words(text, expected.len(), |stem| {
                 let id = whole.id(stem)?;
                 expected.binary_search_by_key(&id, |&(t, _)| t).ok()
             });
-            prop_assert_eq!(
-                memo.as_deref(), Some(&reference[..]), "title {:?} text {:?}", title, text
-            );
+            prop_assert!(reference.is_some());
+            prop_assert_eq!(memo, reference, "title {:?} text {:?}", title, text);
         }
     }
 }

@@ -1,10 +1,13 @@
 //! A recall hit's snippet is read from the page's word memo, on the
 //! benchmark's world (`memex_bench::worlds::standard_world(false, 1)`, the
 //! one `folder_assignments.rs` pins). The fetch demon's analysis wrote every
-//! archived page's memo, so a recall builds none — there is nothing left to
-//! build — and every snippet is the one the text walk renders. The world's
-//! corpus has no stopwords, so no word of any page is outside its terms and
-//! no hit falls back to the text — not even for a query stem the page lacks.
+//! archived page's memo — each term's words and each word's start, for the
+//! text it fetched — so a recall builds none, and every snippet, cut from
+//! the text at its window's starts, is the one the text walk renders. The
+//! world's corpus has no stopwords, so no word of any page is outside its
+//! terms and no hit falls back to the text — not even for a query stem the
+//! page lacks. CI runs this in release too, where a slot that overflowed
+//! would wrap silently instead of panicking.
 
 use std::collections::BTreeSet;
 
@@ -65,9 +68,10 @@ fn every_archived_page_has_its_memo_and_no_recall_walks_a_text() {
     assert!(archived.len() > 100, "{} pages archived", archived.len());
     for &page in &archived {
         let text = &corpus.pages[page as usize].text;
-        let (words, text_len) = memex.server.page_words(page).expect("a memo");
-        assert_eq!(text_len, text.len(), "page {page}");
-        assert_eq!(words.len(), text.split_whitespace().count(), "page {page}");
+        let memo = memex.server.page_memo(page).expect("a memo");
+        assert_eq!(memo.text_len(), text.len(), "page {page}");
+        assert_eq!(memo.words(), text.split_whitespace().count(), "page {page}");
+        assert!(!memo.outside(), "page {page} has a word outside its terms");
     }
 
     let queries = queries(&memex);
