@@ -466,7 +466,8 @@ impl<F: PageFetcher> MemexServer<F> {
     /// The word memo of a fetched page, written when it was analysed: a
     /// positional index of the text it was fetched with against its terms
     /// in [`MemexServer::tf`] ([`memex_text::snippet::page_words`]). `None`
-    /// for a page not archived, or with 4 GiB of text or more.
+    /// for a page not archived, or with a text longer than 64 KiB
+    /// ([`memex_text::snippet::MAX_TEXT_LEN`]).
     pub fn page_memo(&self, page: u32) -> Option<&PageMemo> {
         match self.pages.get(&page)? {
             FetchOutcome::Archived { memo, .. } => memo.as_ref(),

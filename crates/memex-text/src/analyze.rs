@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::snippet::{self, Entry, PageMemo, Spacing};
+use crate::snippet::{self, Entry, PageMemo, MAX_TEXT_LEN};
 use crate::stem::stem_in_place;
 use crate::stopwords::{is_stopword, stopword, stopword_stem};
 use crate::tokenize::{Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
@@ -48,7 +48,8 @@ pub struct IndexedPage {
     /// Interned term-frequency pairs, sorted by id, exactly sized.
     pub tf: Vec<(TermId, u32)>,
     /// The word memo of the page's text against `tf`
-    /// ([`snippet::page_words`]); `None` for a page of 4 GiB or more.
+    /// ([`snippet::page_words`]); `None` for a text longer than
+    /// [`MAX_TEXT_LEN`].
     pub memo: Option<PageMemo>,
 }
 
@@ -195,25 +196,24 @@ impl Analyzer {
     /// The one walk behind both: `title`'s terms, then `text`'s read word by
     /// word ([`Words::next_tokens`]) — each kept token stopped, stemmed in
     /// place and probed once — and, when `memo` is asked for, each word's
-    /// start recorded, its gap to the last checked ([`Spacing`]) and its
-    /// first token drafted ([`Draft`]). Drafts are resolved to positions in
-    /// the pairs once the page's new terms are interned, and the memo is
-    /// built from them, with no second pass over the text. A page whose markup
-    /// runs across a word boundary, or whose title holds any markup or
+    /// start recorded and its first token drafted ([`Draft`]). Drafts are
+    /// resolved to positions in the pairs once the page's new terms are
+    /// interned, and the memo is built from them, with no second pass over
+    /// the text. A page whose markup runs across a word boundary, or whose title holds any markup or
     /// entity, has whole-text tokens its words do not: it is read again
     /// whole, as `"{title} {text}"`, and its memo built by
     /// [`snippet::page_words`].
     fn walk(&self, vocab: &mut Vocabulary, title: &str, text: &str, memo: bool) -> IndexedPage {
         let mut tally = Tally::new(title.len() + 1 + text.len());
-        // Below 4 GiB a page's occurrences of new terms fit `Draft::Fresh`.
-        let memo = memo && u32::try_from(title.len() + text.len()).is_ok();
-        // A text has at most one word per two bytes. Starts fit a `u32`
-        // below 4 GiB.
+        // Only a text of at most 64 KiB has a memo; its page's occurrences
+        // of new terms fit `Draft::Fresh` below 4 GiB of title and text.
+        let memo =
+            memo && text.len() <= MAX_TEXT_LEN && u32::try_from(title.len() + text.len()).is_ok();
+        // A text has at most one word per two bytes.
         let mut words: Vec<(u32, Draft)> = Vec::new();
         if memo {
             words.reserve(text.len() / 2 + 1);
         }
-        let mut spacing = Spacing::new();
         let mut whole = !title.contains(['<', '&']);
         if whole {
             for_each_term(title, |term| {
@@ -223,7 +223,7 @@ impl Analyzer {
             let mut token = String::with_capacity(MAX_TOKEN_LEN);
             while whole {
                 let mut first = Draft::NoToken;
-                let Some((start, end, within)) = read.next_tokens(&mut token, |token, n| {
+                let Some((start, within)) = read.next_tokens(&mut token, |token, n| {
                     let read_first = memo && n == 0;
                     if let Some(stop) = stopword(token) {
                         if read_first {
@@ -240,7 +240,6 @@ impl Analyzer {
                     break;
                 };
                 if memo {
-                    spacing.word(text, start, end);
                     words.push((start as u32, first));
                 }
                 whole = within;
@@ -280,7 +279,7 @@ impl Analyzer {
                 })
                 .collect();
             let words = words.iter().map(|&(start, entry)| (start as usize, entry));
-            PageMemo::new(text.len(), tf.len(), spacing.spaced(text), words)
+            PageMemo::new(text.len(), tf.len(), words)
         });
         IndexedPage {
             tf,

@@ -24,8 +24,6 @@
 //! scored. Either way a snippet costs a constant number of allocations,
 //! whatever the page's length.
 
-use std::ops::Range;
-
 use crate::analyze::Analyzer;
 use crate::stem::stem_in_place;
 use crate::tokenize::{word_start, Words};
@@ -46,7 +44,8 @@ pub struct SnippetQuery {
     /// stem's index in `stems`, in word order. Reused page after page by
     /// both sources, as is `inside`.
     hits: Vec<(usize, usize)>,
-    /// Per query stem, its hits inside the window being scored.
+    /// Per query stem, its hits inside the window being scored; before
+    /// that, on a memo read, its position among the page's terms.
     inside: Vec<usize>,
 }
 
@@ -65,11 +64,11 @@ impl SnippetQuery {
             firsts[usize::from(first)] = true;
         }
         SnippetQuery {
+            inside: Vec::with_capacity(stems.len()),
             stems,
             firsts,
             token: String::new(),
             hits: Vec::new(),
-            inside: Vec::new(),
         }
     }
 
@@ -136,30 +135,31 @@ impl SnippetQuery {
         if text.len() != memo.text_len() {
             return None;
         }
-        self.hits.clear();
-        let mut missing = false;
-        for q in 0..self.stems.len() {
-            match position(q).and_then(|p| memo.occurrences(p)) {
-                Some(words) => {
-                    let words = words.filter_map(|at| memo.slot(at));
-                    self.hits.extend(words.map(|word| (word, q)));
-                }
-                None => missing = true,
-            }
-        }
-        if missing && memo.outside {
+        // Each query stem's word list, found by its position, which waits in
+        // `inside` until the window is scored: the hits are counted before
+        // they are listed, so their buffer grows at most once.
+        let SnippetQuery {
+            stems,
+            hits,
+            inside,
+            ..
+        } = self;
+        inside.clear();
+        inside.extend((0..stems.len()).map(|q| position(q).unwrap_or(usize::MAX)));
+        let lists = inside.iter().map(|&p| memo.occurrences(p));
+        if memo.outside && lists.clone().any(|words| words.is_none()) {
             return None;
+        }
+        hits.clear();
+        hits.reserve(lists.clone().flatten().map(<[u16]>::len).sum());
+        for (q, words) in lists.enumerate() {
+            let words = words.unwrap_or_default();
+            hits.extend(words.iter().map(|&word| (usize::from(word), q)));
         }
         // A word sits at one position at most, so the stems' lists share no
         // word: sorted, they are merged in word order.
-        self.hits.sort_unstable();
-        let best_word = hit_window(
-            &self.hits,
-            &mut self.inside,
-            self.stems.len(),
-            window,
-            memo.words(),
-        );
+        hits.sort_unstable();
+        let best_word = hit_window(hits, inside, stems.len(), window, memo.words());
         memo.render(text, best_word, window)
     }
 }
@@ -189,7 +189,8 @@ pub(crate) fn entry(position: Option<usize>, positions: usize) -> Entry {
 /// against the page's terms, the source [`SnippetQuery::snippet_from_memo`]
 /// reads instead of the text. Built by [`page_words`], or, equal field for
 /// field, by [`Analyzer::index_page`](crate::analyze::Analyzer::index_page)
-/// inside the walk that counts the page's terms.
+/// inside the walk that counts the page's terms. Only a text of at most
+/// [`MAX_TEXT_LEN`] bytes has one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMemo {
     /// One exactly sized allocation, three runs of slots: per term position
@@ -197,7 +198,7 @@ pub struct PageMemo {
     /// occurrences — position by position, in word order, each display
     /// word whose first token's stem sits there; per display word, its
     /// first byte in the text.
-    slots: Slots,
+    slots: Box<[u16]>,
     /// The page's terms: the first run's length.
     positions: u32,
     /// The text's display words: the last run's length.
@@ -207,120 +208,68 @@ pub struct PageMemo {
     /// Some word's first stem is not among the page's terms
     /// ([`Entry::Outside`]).
     outside: bool,
-    /// The words are the text's bytes with exactly one `b' '` between each
-    /// two and no blank before the first or after the last: a window is
-    /// one slice of the text.
-    spaced: bool,
 }
 
-/// A memo's slots: `u16` for a text of up to 64 KiB, which every offset,
-/// word index and end fits, `u32` past that.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Slots {
-    Narrow(Box<[u16]>),
-    Wide(Box<[u32]>),
-}
-
-/// The longest text whose memo's slots are `u16`s: its last word starts at
-/// 65 535 at most, and it has fewer words than that.
-const NARROW: usize = 1 << 16;
-
-/// A memo slot's width.
-trait Slot: Copy + Default {
-    fn of(value: usize) -> Option<Self>;
-    fn at(self) -> usize;
-}
-
-impl Slot for u16 {
-    fn of(value: usize) -> Option<u16> {
-        u16::try_from(value).ok()
-    }
-    fn at(self) -> usize {
-        usize::from(self)
-    }
-}
-
-impl Slot for u32 {
-    fn of(value: usize) -> Option<u32> {
-        u32::try_from(value).ok()
-    }
-    fn at(self) -> usize {
-        self as usize
-    }
-}
-
-/// A memo's slots at width `T` for a page of `positions` terms, from its
-/// display words — each one's start and entry, in order, read three times —
-/// and the memo's word count and outside bit. `None` if a value does not
-/// fit `T`.
-fn fill<T: Slot>(
-    positions: usize,
-    words: impl Iterator<Item = (usize, Entry)> + Clone,
-) -> Option<(Box<[T]>, usize, bool)> {
-    let (mut n, mut placed, mut outside) = (0usize, 0usize, false);
-    for (_, entry) in words.clone() {
-        n += 1;
-        match entry {
-            Entry::At(_) => placed += 1,
-            Entry::Outside => outside = true,
-            Entry::NoToken => {}
-        }
-    }
-    let mut slots = vec![T::default(); positions + placed + n];
-    let (ends, rest) = slots.split_at_mut(positions);
-    let (occurrences, starts) = rest.split_at_mut(placed);
-    // A counting sort of the placed words by position: count each
-    // position's words,
-    for (_, entry) in words.clone() {
-        if let Entry::At(p) = entry {
-            let end = ends.get_mut(p as usize)?;
-            *end = T::of(end.at() + 1)?;
-        }
-    }
-    // turn the counts into where each position's words begin,
-    let mut begin = 0;
-    for end in ends.iter_mut() {
-        let count = end.at();
-        *end = T::of(begin)?;
-        begin += count;
-    }
-    // and put each word there, which leaves every position at its end.
-    for (i, (start, entry)) in words.enumerate() {
-        *starts.get_mut(i)? = T::of(start)?;
-        if let Entry::At(p) = entry {
-            let end = ends.get_mut(p as usize)?;
-            *occurrences.get_mut(end.at())? = T::of(i)?;
-            *end = T::of(end.at() + 1)?;
-        }
-    }
-    Some((slots.into_boxed_slice(), n, outside))
-}
+/// The longest text a word memo describes, 64 KiB: its last word starts at
+/// 65 535 at most and it has fewer words than that, so every slot fits a
+/// `u16`. A longer text has no memo, and its snippets walk the text.
+pub const MAX_TEXT_LEN: usize = 1 << 16;
 
 impl PageMemo {
     /// The memo of a text of `text_len` bytes against a page of `positions`
     /// terms, from its display words: each one's start and entry, in order,
-    /// and whether they are `spaced` ([`Spacing`]). `None` for a text of
-    /// 4 GiB or more.
+    /// read three times. `None` for a text longer than [`MAX_TEXT_LEN`].
     pub(crate) fn new(
         text_len: usize,
         positions: usize,
-        spaced: bool,
         words: impl Iterator<Item = (usize, Entry)> + Clone,
     ) -> Option<PageMemo> {
-        let (slots, n, outside) = if text_len <= NARROW {
-            let (slots, n, outside) = fill(positions, words)?;
-            (Slots::Narrow(slots), n, outside)
-        } else {
-            let (slots, n, outside) = fill(positions, words)?;
-            (Slots::Wide(slots), n, outside)
-        };
+        if text_len > MAX_TEXT_LEN {
+            return None;
+        }
+        let slot = |value: usize| u16::try_from(value).ok();
+        let (mut n, mut placed, mut outside) = (0usize, 0usize, false);
+        for (_, entry) in words.clone() {
+            n += 1;
+            match entry {
+                Entry::At(_) => placed += 1,
+                Entry::Outside => outside = true,
+                Entry::NoToken => {}
+            }
+        }
+        let mut slots = vec![0u16; positions + placed + n];
+        let (ends, rest) = slots.split_at_mut(positions);
+        let (occurrences, starts) = rest.split_at_mut(placed);
+        // A counting sort of the placed words by position: count each
+        // position's words,
+        for (_, entry) in words.clone() {
+            if let Entry::At(p) = entry {
+                let end = ends.get_mut(p as usize)?;
+                *end = slot(usize::from(*end) + 1)?;
+            }
+        }
+        // turn the counts into where each position's words begin,
+        let mut begin = 0;
+        for end in ends.iter_mut() {
+            let count = usize::from(*end);
+            *end = slot(begin)?;
+            begin += count;
+        }
+        // and put each word there, which leaves every position at its end.
+        for (i, (start, entry)) in words.enumerate() {
+            *starts.get_mut(i)? = slot(start)?;
+            if let Entry::At(p) = entry {
+                let end = ends.get_mut(p as usize)?;
+                *occurrences.get_mut(usize::from(*end))? = slot(i)?;
+                *end = slot(usize::from(*end) + 1)?;
+            }
+        }
         Some(PageMemo {
-            slots,
+            slots: slots.into_boxed_slice(),
             positions: u32::try_from(positions).ok()?,
             words: u32::try_from(n).ok()?,
             text_len: u32::try_from(text_len).ok()?,
             outside,
-            spaced,
         })
     }
 
@@ -339,118 +288,64 @@ impl PageMemo {
         self.outside
     }
 
-    /// Slot `at`.
-    fn slot(&self, at: usize) -> Option<usize> {
-        match &self.slots {
-            Slots::Narrow(slots) => slots.get(at).map(|&v| v.at()),
-            Slots::Wide(slots) => slots.get(at).map(|&v| v.at()),
-        }
-    }
-
-    /// How many slots there are.
-    fn len(&self) -> usize {
-        match &self.slots {
-            Slots::Narrow(slots) => slots.len(),
-            Slots::Wide(slots) => slots.len(),
-        }
-    }
-
-    /// The slots that hold the words at term position `p`, if the page has
-    /// that term.
-    fn occurrences(&self, p: usize) -> Option<Range<usize>> {
+    /// The words at term position `p`, in order, if the page has that term.
+    fn occurrences(&self, p: usize) -> Option<&[u16]> {
         let positions = self.positions as usize;
         if p >= positions {
             return None;
         }
         let begin = match p.checked_sub(1) {
-            Some(before) => self.slot(before)?,
+            Some(before) => usize::from(*self.slots.get(before)?),
             None => 0,
         };
-        Some(positions + begin..positions + self.slot(p)?)
+        let end = usize::from(*self.slots.get(p)?);
+        self.slots.get(positions + begin..positions + end)
     }
 
     /// Where word `i` starts in the text.
     fn start(&self, i: usize) -> Option<usize> {
-        self.slot(self.len().checked_sub(self.words())? + i)
+        let first = self.slots.len().checked_sub(self.words())?;
+        self.slots.get(first + i).map(|&start| usize::from(start))
     }
 
     /// [`render`] of the window of `window` words from word `best_word`,
-    /// cut from `text` at its words' starts: one slice when the words are
-    /// spaced, else each word up to the next one's start, trimmed. `None`
-    /// when a start is off a char boundary of `text` or past its end, or a
-    /// spaced gap is not a space: a text not the memo's.
+    /// cut from `text` at its words' starts: each word up to the next one's
+    /// start (the last one's up to the text's end), trimmed. `None` when a
+    /// start is off a char boundary of `text` or past its end: a text not
+    /// the memo's.
     fn render(&self, text: &str, best_word: usize, window: usize) -> Option<String> {
         let n = self.words();
         let w = window.max(1).min(n);
         if w == 0 {
             return Some(String::new());
         }
+        let end = |i: usize| {
+            if i + 1 < n {
+                self.start(i + 1)
+            } else {
+                Some(text.len())
+            }
+        };
         let (lead, trail) = (best_word > 0, best_word + w < n);
-        // The text from the window's first word to the next one's start.
-        let until = if trail {
-            self.start(best_word + w)?
-        } else {
-            text.len()
-        };
-        let span = text.get(self.start(best_word)?..until)?;
-        let spaced = match (self.spaced, trail) {
-            (false, _) => None,
-            (true, false) => Some(span),
-            (true, true) => Some(span.strip_suffix(' ')?),
-        };
+        // The text from the window's first word to its end holds its words
+        // and at least one blank byte between each two: room for the words
+        // joined by single spaces.
+        let span = end(best_word + w - 1)?.saturating_sub(self.start(best_word)?);
         let ends = usize::from(lead) * LEAD.len() + usize::from(trail) * TRAIL.len();
-        let mut out = String::with_capacity(spaced.unwrap_or(span).len() + ends);
+        let mut out = String::with_capacity(span + ends);
         if lead {
             out.push_str(LEAD);
         }
-        match spaced {
-            Some(words) => out.push_str(words),
-            None => {
-                for i in best_word..best_word + w {
-                    let next = if i + 1 < n { self.start(i + 1)? } else { until };
-                    if i > best_word {
-                        out.push(' ');
-                    }
-                    out.push_str(text.get(self.start(i)?..next)?.trim_end());
-                }
+        for i in best_word..best_word + w {
+            if i > best_word {
+                out.push(' ');
             }
+            out.push_str(text.get(self.start(i)?..end(i)?)?.trim_end());
         }
         if trail {
             out.push_str(TRAIL);
         }
         Some(out)
-    }
-}
-
-/// Whether a text's display words, read in order, are its bytes with
-/// exactly one `b' '` between each two and no blank before the first or
-/// after the last: [`PageMemo`]'s `spaced`.
-pub(crate) struct Spacing {
-    /// Where the next word starts if the gap before it is one byte.
-    next: usize,
-    spaced: bool,
-}
-
-impl Spacing {
-    pub(crate) fn new() -> Spacing {
-        Spacing {
-            next: 0,
-            spaced: true,
-        }
-    }
-
-    /// The next word, at `start..end` of `text`.
-    pub(crate) fn word(&mut self, text: &str, start: usize, end: usize) {
-        let gap = start
-            .checked_sub(1)
-            .is_none_or(|at| text.as_bytes().get(at) == Some(&b' '));
-        self.spaced &= start == self.next && gap;
-        self.next = end + 1;
-    }
-
-    /// Whether the words read so far were the whole of `text`, spaced.
-    pub(crate) fn spaced(&self, text: &str) -> bool {
-        self.spaced && self.next == text.len() + 1
     }
 }
 
@@ -460,18 +355,19 @@ impl Spacing {
 /// `positions` or beyond). One walk of the text that stems every word: the
 /// reference [`Analyzer::index_page`](crate::analyze::Analyzer::index_page)
 /// writes the same memo by, inside the walk that counts the page's terms.
-/// `None` for a text of 4 GiB or more.
+/// `None` for a text longer than [`MAX_TEXT_LEN`].
 pub fn page_words(
     text: &str,
     positions: usize,
     mut position: impl FnMut(&str) -> Option<usize>,
 ) -> Option<PageMemo> {
+    if text.len() > MAX_TEXT_LEN {
+        return None;
+    }
     let mut words = Words::new(text);
     let mut token = String::new();
-    let mut spacing = Spacing::new();
     let mut entries = Vec::new();
-    while let Some((start, word)) = words.next_into(&mut token, &[true; 256]) {
-        spacing.word(text, start, start + word.len());
+    while let Some((start, _)) = words.next_into(&mut token, &[true; 256]) {
         entries.push((
             start,
             if token.is_empty() {
@@ -482,8 +378,7 @@ pub fn page_words(
             },
         ));
     }
-    let spaced = spacing.spaced(text);
-    PageMemo::new(text.len(), positions, spaced, entries.into_iter())
+    PageMemo::new(text.len(), positions, entries.iter().copied())
 }
 
 /// What a snippet clipped at its start or its end shows there.
@@ -654,43 +549,13 @@ mod tests {
             memo_of(text, &terms(text)),
             PageMemo {
                 // Ends, occurrences, starts.
-                slots: Slots::Narrow(Box::new([1, 2, 3, 1, 5, 3, 0, 4, 14, 17, 26, 28])),
+                slots: Box::new([1, 2, 3, 1, 5, 3, 0, 4, 14, 17, 26, 28]),
                 positions: 3,
                 words: 6,
                 text_len: 33,
                 outside: true,
-                spaced: true,
             }
         );
-    }
-
-    #[test]
-    fn a_text_is_spaced_when_one_space_separates_each_two_words_and_no_blank_ends_it() {
-        let spaced = |text: &str| {
-            let mut words = Words::new(text);
-            let mut spacing = Spacing::new();
-            while let Some((start, word)) = words.next_into(&mut String::new(), &[true; 256]) {
-                spacing.word(text, start, start + word.len());
-            }
-            spacing.spaced(text)
-        };
-        assert!(spaced("alpha beta gamma"));
-        assert!(
-            spaced("Über straße 世界"),
-            "a space is a space, whatever the words"
-        );
-        for text in [
-            "alpha  beta",
-            "alpha\tbeta",
-            "alpha\nbeta",
-            "alpha\u{a0}beta",
-            " alpha beta",
-            "alpha beta ",
-            "",
-            " ",
-        ] {
-            assert!(!spaced(text), "{text:?}");
-        }
     }
 
     /// "page" is a stopword, so not among the page's terms, yet the query
@@ -707,21 +572,22 @@ mod tests {
         );
     }
 
-    /// Past 64 KiB of text and 65 535 words the slots are `u32`s, and the
-    /// memo reads the text walk's snippet, spaced or not, at either end and
-    /// in the middle.
+    /// A text of 64 KiB, whose last word starts at 65 535, has a memo that
+    /// reads the text walk's snippet, however its words are separated; a
+    /// longer one has none, read alone or analysed as a page.
     #[test]
-    fn a_page_past_64_kib_and_65_535_words_reads_its_memo() {
+    fn a_text_of_64_kib_has_a_memo_and_a_longer_one_none() {
         const WORDS: [&str; 4] = ["music", "x", "garden", "organ"];
-        let words = (0..70_000).map(|i| if i == 50_000 { "baroque" } else { WORDS[i % 4] });
+        let words = (0..20_000).map(|i| if i == 5_000 { "baroque" } else { WORDS[i % 4] });
         let words: Vec<&str> = words.collect();
         for gap in [" ", " \t"] {
-            let text = words.join(gap);
+            let mut text = words.join(gap);
+            text.truncate(MAX_TEXT_LEN - 2);
+            text.push_str(" y");
+            assert_eq!(text.len(), MAX_TEXT_LEN);
             let terms = terms(&text);
             let memo = memo_of(&text, &terms);
-            assert!(matches!(memo.slots, Slots::Wide(_)), "{} bytes", text.len());
-            assert_eq!(memo.words(), 70_000);
-            assert_eq!(memo.spaced, gap == " ");
+            assert_eq!(memo.start(memo.words() - 1), Some(MAX_TEXT_LEN - 1));
             for query in ["baroque garden", "music", "zeppelin", "organ baroque"] {
                 assert_eq!(
                     from_memo(&text, &terms, query, 12),
@@ -729,12 +595,11 @@ mod tests {
                     "{query:?}, gap {gap:?}"
                 );
             }
+            text.push('z');
+            assert_eq!(page_words(&text, terms.len(), |_| None), None);
+            let mut vocab = crate::vocab::Vocabulary::new();
+            assert_eq!(Analyzer.index_page(&mut vocab, "", &text).memo, None);
         }
-        let short = "music garden";
-        assert!(matches!(
-            memo_of(short, &terms(short)).slots,
-            Slots::Narrow(_)
-        ));
     }
 
     /// A text of the memo's length whose bytes are not the memo's: a

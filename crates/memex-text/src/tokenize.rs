@@ -174,26 +174,25 @@ impl<'a> Words<'a> {
 
     /// Every kept token of the next word, in order: each written into
     /// `token` and handed to `each` with its index in the word. `None` past
-    /// the last word; else the word's start and end in bytes, and `true`
-    /// when these are the tokens a [`Tokens`] walk of the whole text reads
-    /// in the word, and also the ones the word read on its own gives — so
-    /// the first is [`Words::next_into`]'s — which holds unless markup or an
-    /// entity opened in the word runs past its end in the whole text (a tag
-    /// whose attributes hold a space, say): then `false`, after the tokens
-    /// read up to that construct, and from there on the two readings may
-    /// differ.
+    /// the last word; else the word's start in bytes, and `true` when these
+    /// are the tokens a [`Tokens`] walk of the whole text reads in the word,
+    /// and also the ones the word read on its own gives — so the first is
+    /// [`Words::next_into`]'s — which holds unless markup or an entity
+    /// opened in the word runs past its end in the whole text (a tag whose
+    /// attributes hold a space, say): then `false`, after the tokens read
+    /// up to that construct, and from there on the two readings may differ.
     pub(crate) fn next_tokens(
         &mut self,
         token: &mut String,
         mut each: impl FnMut(&mut String, usize),
-    ) -> Option<(usize, usize, bool)> {
+    ) -> Option<(usize, bool)> {
         token.clear();
         let (start, end, run) = self.advance()?;
         if run {
             if self.copy_run(token, start, end) {
                 each(token, 0);
             }
-            return Some((start, end, true));
+            return Some((start, true));
         }
         // The whole text's walk, entered where it enters the word: the
         // same separators, the same markup ends.
@@ -207,7 +206,7 @@ impl<'a> Words<'a> {
             each(token, n);
             n += 1;
         }
-        Some((start, end, tokens.pos <= end))
+        Some((start, tokens.pos <= end))
     }
 
     /// Move past the next word: its start and end, and whether it is one

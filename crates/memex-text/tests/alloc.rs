@@ -96,10 +96,9 @@ fn a_snippet_allocates_the_same_for_a_long_page_as_for_a_short_one() {
 }
 
 /// A snippet read from the page's word memo allocates the `String` it
-/// returns and nothing else, once the query's buffers have room for the
-/// page's hits: a 40-word page and a 4 000-word one alike, with one space
-/// between words (the window is one slice) or two (it is joined word by
-/// word).
+/// returns and nothing else once the query's hit buffer has room for the
+/// page's hits, and that buffer once before: a 40-word page and a 4 000-word
+/// one alike, with one space between words or two.
 #[test]
 fn a_snippet_read_from_the_memo_allocates_only_the_string() {
     let query = "compiler optimization music";
@@ -107,23 +106,20 @@ fn a_snippet_read_from_the_memo_allocates_only_the_string() {
     terms.sort_unstable();
     let position = |stem: &str| terms.binary_search_by(|t| t.as_str().cmp(stem)).ok();
     for gap in [" ", "  "] {
-        let (short, long) = (page(40).replace(' ', gap), page(4_000).replace(' ', gap));
-        let short_memo = page_words(&short, terms.len(), position).expect("a memo");
-        let long_memo = page_words(&long, terms.len(), position).expect("a memo");
-        let mut analysed = SnippetQuery::new(query);
-        let stems = analysed.stems().to_vec();
-        let at = |i: usize| position(&stems[i]);
-        // Room for the long page's hits.
-        let _ = analysed.snippet_from_memo(&long, &long_memo, at, 12);
-        for (text, memo) in [(&short, &short_memo), (&long, &long_memo)] {
-            let read = analysed.snippet_from_memo(text, memo, at, 12);
-            assert_eq!(read, Some(snippet(text, query, 12)));
-            let made = allocations(|| analysed.snippet_from_memo(text, memo, at, 12));
+        for n in [40, 4_000] {
+            let text = page(n).replace(' ', gap);
+            let memo = page_words(&text, terms.len(), position).expect("a memo");
+            let mut analysed = SnippetQuery::new(query);
+            let stems = analysed.stems().to_vec();
+            let at = |i: usize| position(&stems[i]);
+            let cold = allocations(|| analysed.snippet_from_memo(&text, &memo, at, 12));
+            assert_eq!(cold, 2, "{n} words, gap {gap:?}: the hits and the string");
+            let read = analysed.snippet_from_memo(&text, &memo, at, 12);
+            assert_eq!(read, Some(snippet(&text, query, 12)));
+            let warm = allocations(|| analysed.snippet_from_memo(&text, &memo, at, 12));
             assert_eq!(
-                made,
-                1,
-                "{} words, gap {gap:?}: the string and nothing else",
-                memo.words()
+                warm, 1,
+                "{n} words, gap {gap:?}: the string and nothing else"
             );
         }
     }

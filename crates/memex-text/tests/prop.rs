@@ -494,9 +494,10 @@ fn snippet_text(max: usize, outside: bool) -> impl Strategy<Value = String> {
 }
 
 /// What [`separated_text`] puts between two words, or before the first or
-/// after the last: one space — a word memo cuts a window of such a text as
-/// one slice — or any other blank, which it cuts word by word. A lone tab
-/// is one byte, like a space, but the text walk renders it as a space.
+/// after the last: one space or any other blank. A word memo cuts each word
+/// of a window from its start to the next word's, so whatever the blank —
+/// a lone tab is one byte, like a space — it must render the text walk's
+/// single space.
 const SEPARATORS: [&str; 7] = [" ", "  ", "\t", "\n", "\u{a0}", "\u{3000}", " \u{2003} "];
 
 /// Up to `max` words of the alphabet with no blank inside, its outside
@@ -558,9 +559,8 @@ proptest! {
     /// page's are; the query may name stems the page lacks (words of the
     /// alphabet it does not use, a word of no page, "Pages" beside a
     /// stopword "page"), on texts with and without words outside the
-    /// terms, whose words one space separates (a window is one slice) or
-    /// any blanks, leading and trailing ones too (it is joined word by
-    /// word). The memo answers unless a stem is missing and a word is
+    /// terms, whose words one space separates or any blanks, leading and
+    /// trailing ones too. The memo answers unless a stem is missing and a word is
     /// outside, and then it answers the text walk's snippet.
     #[test]
     fn the_word_memo_reads_what_the_text_walk_reads(
@@ -697,7 +697,7 @@ proptest! {
     /// `"{title} {text}"` give every page the same pairs and leave the two
     /// vocabularies the same; and the walk's word memo is, field for field,
     /// `page_words` of the text against those pairs: each term's words,
-    /// each word's start, the outside and spaced bits, the counts. Texts
+    /// each word's start, the outside bit, the counts. Texts
     /// have stopwords (one a term stems to), markup opened in one word and
     /// closed in a later one, non-ASCII words and blanks of every kind
     /// between words and around them, or are HTML soup; titles have markup
