@@ -617,25 +617,28 @@ impl Memex {
 
     // -- Q1: recall ---------------------------------------------------------
 
-    /// Visit-time filter: the pages `user` visited in `[since, until]`, each
-    /// with the time of its last such visit, sorted by page. One pass: the
-    /// user's visits come by page, each page's by time, so a page's last
-    /// in-window visit is the last of its run.
-    fn last_visits(&self, user: u32, since: u64, until: u64) -> Vec<(u32, u64)> {
-        let mut visited: Vec<(u32, u64)> = Vec::new();
+    /// Visit-time filter: the pages `user` visited in `[since, until]`,
+    /// sorted, and beside each the time of its last such visit. One pass:
+    /// the user's visits come by page, each page's by time, so a page's
+    /// last in-window visit is the last of its run.
+    fn last_visits(&self, user: u32, since: u64, until: u64) -> (Vec<u32>, Vec<u64>) {
+        let (mut pages, mut times): (Vec<u32>, Vec<u64>) = (Vec::new(), Vec::new());
         let mut read = 0u64;
         for v in self.server.trails.user_visits(user) {
             read += 1;
             if v.time < since || v.time > until {
                 continue;
             }
-            match visited.last_mut() {
-                Some((page, time)) if *page == v.page => *time = v.time,
-                _ => visited.push((v.page, v.time)),
+            match (pages.last(), times.last_mut()) {
+                (Some(&page), Some(time)) if page == v.page => *time = v.time,
+                _ => {
+                    pages.push(v.page);
+                    times.push(v.time);
+                }
             }
         }
         self.metrics.recall_visits.add(read);
-        visited
+        (pages, times)
     }
 
     /// "What was the URL I visited about six months back regarding X?" —
@@ -658,20 +661,14 @@ impl Memex {
         // shares of a >= 3-term query would be summed in hash order and the
         // same recall would score differently in its last bits call to call.
         query_terms.sort_unstable();
-        // BM25 is asked for the best `k` among the user's pages only: it
-        // reports matching documents in ascending order, so membership is a
-        // cursor over the page-sorted `visited`.
-        let visited = self.last_visits(user, since, until);
-        let mut ahead = visited.iter().map(|&(page, _)| page).peekable();
+        // BM25 is asked for the best `k` among the user's pages only.
+        let (pages, times) = self.last_visits(user, since, until);
         let hits = bm25_search_among(
             &self.server.index,
             &query_terms,
             k,
             Bm25Params::default(),
-            |doc| {
-                while ahead.next_if(|&page| page < doc).is_some() {}
-                ahead.peek() == Some(&doc)
-            },
+            &pages,
         )?;
         // The query's terms are already analysed: every hit's snippet
         // matches against them instead of analysing the query again. It is
@@ -689,9 +686,7 @@ impl Memex {
         Ok(hits
             .into_iter()
             .filter_map(|h| {
-                let at = visited
-                    .binary_search_by_key(&h.doc, |&(page, _)| page)
-                    .ok()?;
+                let at = pages.binary_search(&h.doc).ok()?;
                 let page = &self.corpus.pages[h.doc as usize];
                 let text = &page.text;
                 // The memo describes the text the page was fetched with, and
@@ -716,7 +711,7 @@ impl Memex {
                     page: h.doc,
                     url: page.url.clone(),
                     score: h.score,
-                    last_visit: visited[at].1,
+                    last_visit: times[at],
                     snippet,
                 })
             })

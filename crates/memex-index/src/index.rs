@@ -2,13 +2,15 @@
 //!
 //! Documents accumulate in an in-memory buffer; every [`BUFFER_DOCS`]th
 //! document (or an explicit `commit()`) seals the buffer into a numbered
-//! segment inside the keyed store, one key per term per segment. The
-//! buffer keeps each term's postings in document order and every segment
-//! is sealed from such a list, so a query gathers a term's postings as
-//! already-sorted runs — the buffer's, then one per segment — and merges
-//! them. What a query sees — and, the buffer bound being the only thing
-//! that seals, what the store holds — is a function of the documents
-//! added, not of how they arrived.
+//! segment inside the keyed store, one key per term per segment. A
+//! document is added once, so a term's postings lie in disjoint runs — the
+//! buffer's list, kept in document order, then one encoded list per
+//! segment — and a query reads them where they lie
+//! ([`InvertedIndex::for_each_posting`]): the buffer's list borrowed, each
+//! segment decoded as the store walks it, nothing copied or merged, and
+//! the term's df is the sum of the runs' lengths. What a query sees — and,
+//! the buffer bound being the only thing that seals, what the store holds
+//! — is a function of the documents added, not of how they arrived.
 //!
 //! Key layout in the keyed store:
 //! ```text
@@ -20,15 +22,16 @@
 //! build that also stored positional lists may hold `Q…` keys: never read.)
 
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::path::Path;
 
 use memex_obs::{Counter, Histogram, MetricsRegistry};
 use memex_store::codec::{get_uvarint, put_uvarint};
-use memex_store::error::StoreResult;
+use memex_store::error::{StoreError, StoreResult};
 use memex_store::lsm::{LsmOptions, LsmStore};
 use memex_text::vocab::TermId;
 
-use crate::postings::PostingList;
+use crate::postings::{self, PostingList};
 
 /// The buffer is sealed into a segment when it holds this many documents.
 pub const BUFFER_DOCS: usize = 512;
@@ -44,7 +47,7 @@ pub(crate) struct IndexMetrics {
     commit_latency: Histogram,
     /// Recorded by the search layer (`index.query.latency`).
     pub(crate) query_latency: Histogram,
-    /// Postings the search layer's merge stepped over or scored
+    /// Postings the search layer read, from the buffer and the segments
     /// (`index.query.postings`).
     pub(crate) query_postings: Counter,
     /// Documents it scored (`index.query.scored`).
@@ -53,16 +56,17 @@ pub(crate) struct IndexMetrics {
 
 /// A segmented inverted index over term ids.
 ///
-/// [`InvertedIndex::postings`] takes `&self` and reaches the store through
-/// [`LsmStore`]'s own `&self` reads — no index-level lock.
+/// [`InvertedIndex::for_each_posting`] takes `&self` and reaches the store
+/// through [`LsmStore`]'s own `&self` reads — no index-level lock.
 pub struct InvertedIndex {
     kv: LsmStore,
-    /// term -> buffered postings, in document order; a re-added document's
-    /// pairs in the order they were added.
+    /// term -> buffered postings, in document order, one per document.
     buffer: HashMap<TermId, Vec<(u32, u32)>>,
     buffered_docs: usize,
-    /// doc -> token length (cache of the L records).
+    /// doc -> token length (cache of the L records): the documents held.
     doc_len: HashMap<u32, u32>,
+    /// The largest document id held.
+    max_doc: Option<u32>,
     total_tokens: u64,
     next_seg: u32,
     pub(crate) metrics: IndexMetrics,
@@ -102,6 +106,7 @@ impl InvertedIndex {
             kv,
             buffer: HashMap::new(),
             buffered_docs: 0,
+            max_doc: doc_len.keys().copied().max(),
             doc_len,
             total_tokens,
             next_seg,
@@ -126,27 +131,37 @@ impl InvertedIndex {
     }
 
     /// Index one document. Each `(doc, tf)` pair goes to its document's
-    /// place in its term's buffered list, after any pair of the same
-    /// document. Re-adding a doc id replaces its length record; its
-    /// postings are unioned with the earlier ones, per term the larger tf
-    /// winning.
+    /// place in its term's buffered list; a term listed twice keeps one
+    /// posting with the larger count, and every count adds to the length.
+    /// A document is added once: a doc id the index already holds is
+    /// `Invalid`, and nothing is written.
     pub fn add_document(&mut self, doc: u32, tf: &[(TermId, u32)]) -> StoreResult<()> {
+        if self.doc_len.contains_key(&doc) {
+            return Err(StoreError::Invalid(format!(
+                "document {doc} is already indexed"
+            )));
+        }
         let mut len = 0u32;
         for &(t, c) in tf {
             if c == 0 {
                 continue;
             }
             let list = self.buffer.entry(t).or_default();
-            list.insert(list.partition_point(|&(d, _)| d <= doc), (doc, c));
+            let at = list.partition_point(|&(d, _)| d < doc);
+            match list.get_mut(at) {
+                Some((d, count)) if *d == doc => *count = (*count).max(c),
+                _ => list.insert(at, (doc, c)),
+            }
             len += c;
         }
         let mut lv = Vec::with_capacity(4);
         put_uvarint(&mut lv, u64::from(len));
         self.kv.put(&Self::len_key(doc), &lv)?;
-        let replaced = self.doc_len.insert(doc, len).unwrap_or(0);
+        self.doc_len.insert(doc, len);
+        self.max_doc = self.max_doc.max(Some(doc));
         self.metrics.docs.inc();
         self.metrics.tokens.add(u64::from(len));
-        self.total_tokens = self.total_tokens - u64::from(replaced) + u64::from(len);
+        self.total_tokens += u64::from(len);
         self.buffered_docs += 1;
         if self.buffered_docs >= BUFFER_DOCS {
             self.commit()?;
@@ -175,15 +190,41 @@ impl InvertedIndex {
         Ok(())
     }
 
-    /// All postings for `term`: the buffer's, then every segment's, each a
-    /// run already in document order, merged by
-    /// [`PostingList::from_pairs`]'s run-adaptive sort in linear time per
-    /// run.
-    pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
-        let mut pairs = self.buffer.get(&term).cloned().unwrap_or_default();
-        for (_k, v) in self.kv.scan_prefix(&Self::term_prefix(term))? {
-            pairs.extend_from_slice(PostingList::decode(&v)?.entries());
+    /// Hand every posting of `term` to `f` where it lies — the buffer's
+    /// list borrowed, then each segment's bytes decoded as the store walks
+    /// them — and return how many there were: the term's df, since the
+    /// runs are disjoint. Each run is in document order; the runs are
+    /// not in order among themselves.
+    pub fn for_each_posting(&self, term: TermId, mut f: impl FnMut(u32, u32)) -> StoreResult<u64> {
+        let buffered = self.buffer.get(&term).map_or(&[][..], Vec::as_slice);
+        for &(doc, tf) in buffered {
+            f(doc, tf);
         }
+        let mut df = buffered.len() as u64;
+        let prefix = Self::term_prefix(term);
+        let mut failed = None;
+        self.kv.for_each_range(
+            Bound::Included(&prefix),
+            Bound::Unbounded,
+            &mut |key, value| {
+                if !key.starts_with(&prefix) {
+                    return false;
+                }
+                match postings::for_each_encoded(value, &mut f) {
+                    Ok(n) => df += n,
+                    Err(e) => failed = Some(e),
+                }
+                failed.is_none()
+            },
+        )?;
+        failed.map_or(Ok(df), Err)
+    }
+
+    /// All postings for `term`, sorted by document: what
+    /// [`InvertedIndex::for_each_posting`] reads, collected.
+    pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
+        let mut pairs = Vec::new();
+        self.for_each_posting(term, |doc, tf| pairs.push((doc, tf)))?;
         Ok(PostingList::from_pairs(pairs))
     }
 
@@ -210,16 +251,20 @@ impl InvertedIndex {
         self.doc_len.get(&doc).copied().unwrap_or(0)
     }
 
+    /// The largest document id the index holds (`None` when empty).
+    pub fn max_doc(&self) -> Option<u32> {
+        self.max_doc
+    }
+
     /// `P<term BE32>`: the prefix of every segment key of `term`.
-    fn term_prefix(term: TermId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(9);
-        k.push(b'P');
-        k.extend_from_slice(&term.to_be_bytes());
-        k
+    fn term_prefix(term: TermId) -> [u8; 5] {
+        let [a, b, c, d] = term.to_be_bytes();
+        [b'P', a, b, c, d]
     }
 
     fn seg_key(term: TermId, seg: u32) -> Vec<u8> {
-        let mut k = Self::term_prefix(term);
+        let mut k = Vec::with_capacity(9);
+        k.extend_from_slice(&Self::term_prefix(term));
         k.extend_from_slice(&seg.to_be_bytes());
         k
     }
@@ -278,53 +323,62 @@ mod tests {
     #[test]
     fn the_buffer_keeps_each_term_in_document_order() {
         let mut ix = idx();
-        for (doc, tf) in [(9, 1), (3, 2), (7, 1), (3, 1), (12, 4), (0, 1), (7, 3)] {
+        for (doc, tf) in [(9, 1), (3, 2), (7, 1), (12, 4), (0, 1)] {
             ix.add_document(doc, &[(5, tf)]).unwrap();
         }
+        // A term listed twice: one posting with the larger count, and both
+        // counts in the length.
+        ix.add_document(4, &[(5, 1), (6, 2), (5, 3)]).unwrap();
         assert_eq!(
             ix.buffer.get(&5).map(Vec::as_slice),
-            Some(&[(0, 1), (3, 2), (3, 1), (7, 1), (7, 3), (9, 1), (12, 4)][..]),
-            "by document, a re-added one's pairs in arrival order"
+            Some(&[(0, 1), (3, 2), (4, 3), (7, 1), (9, 1), (12, 4)][..]),
         );
-        assert_eq!(
-            ix.postings(5).unwrap().entries(),
-            &[(0, 1), (3, 2), (7, 3), (9, 1), (12, 4)]
-        );
+        assert_eq!(ix.doc_len(4), 6);
+        assert_eq!(ix.max_doc(), Some(12));
     }
 
     #[test]
-    fn a_re_added_doc_keeps_the_larger_tf() {
+    fn a_re_added_doc_is_rejected_and_changes_nothing() {
         // Across a segment boundary and inside the buffer alike.
+        let registry = MetricsRegistry::new();
         let mut ix = idx();
+        ix.attach_registry(&registry);
         ix.add_document(1, &[(7, 2), (8, 1)]).unwrap();
         ix.add_document(2, &[(7, 1)]).unwrap();
         ix.commit().unwrap();
-        ix.add_document(1, &[(7, 1)]).unwrap();
-        ix.add_document(2, &[(7, 2), (8, 1)]).unwrap();
-        ix.add_document(2, &[(7, 1), (8, 1)]).unwrap();
-        assert_eq!(ix.postings(7).unwrap().entries(), &[(1, 2), (2, 2)]);
-        assert_eq!(ix.num_docs(), 2);
+        ix.add_document(3, &[(7, 3)]).unwrap();
+        let before = (ix.postings(7).unwrap(), ix.postings(8).unwrap());
+        let stored = ix.kv.scan_prefix(b"").unwrap();
+        for (doc, tf) in [(1, &[(7, 1)][..]), (2, &[(7, 2), (8, 1)]), (3, &[(8, 5)])] {
+            assert!(matches!(
+                ix.add_document(doc, tf),
+                Err(StoreError::Invalid(_))
+            ));
+        }
+        assert_eq!((ix.postings(7).unwrap(), ix.postings(8).unwrap()), before);
+        assert_eq!(ix.kv.scan_prefix(b"").unwrap(), stored, "nothing written");
+        assert_eq!((ix.num_docs(), ix.doc_len(1), ix.doc_len(3)), (3, 3, 3));
+        assert_eq!(ix.avg_doc_len(), 7.0 / 3.0);
+        assert_eq!(registry.counter("index.docs").get(), 3);
     }
 
     #[test]
-    fn re_added_doc_keeps_avg_doc_len_equal_to_a_reopened_index() {
-        // A reopen recomputes the average from the L records, which hold
-        // one length per doc id: the live total must drop the replaced one.
+    fn a_reopened_index_rejects_the_docs_it_held() {
         let dir = std::env::temp_dir().join(format!("memex-index-readd-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let live = {
             let mut ix = InvertedIndex::open_dir(&dir).unwrap();
             ix.add_document(1, &[(7, 9)]).unwrap();
             ix.add_document(2, &[(7, 3)]).unwrap();
-            ix.add_document(1, &[(7, 1), (8, 2)]).unwrap();
-            assert_eq!(ix.doc_len(1), 3);
-            assert_eq!(ix.avg_doc_len(), 3.0);
             ix.checkpoint().unwrap();
             ix.avg_doc_len()
         };
-        let reopened = InvertedIndex::open_dir(&dir).unwrap();
+        let mut reopened = InvertedIndex::open_dir(&dir).unwrap();
+        assert_eq!(reopened.max_doc(), Some(2));
+        assert!(reopened.add_document(1, &[(7, 1), (8, 2)]).is_err());
         assert_eq!(reopened.num_docs(), 2);
         assert_eq!(reopened.avg_doc_len(), live);
+        assert_eq!(reopened.postings(7).unwrap().entries(), &[(1, 9), (2, 3)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

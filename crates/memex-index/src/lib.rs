@@ -9,8 +9,8 @@
 //! postings, `L` doc lengths, the `Mseg` counter — all of them read back):
 //!
 //! * [`postings`] — delta+varint compressed posting lists;
-//! * [`index`] — the segmented inverted index (buffer → segments, gathered
-//!   per query);
+//! * [`index`] — the segmented inverted index (buffer → segments, each
+//!   read where it lies per query; a document is added once);
 //! * [`search`] — BM25 ranked retrieval.
 
 #![cfg_attr(

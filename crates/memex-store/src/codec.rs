@@ -15,6 +15,7 @@ use crate::error::{StoreError, StoreResult};
 // ---------------------------------------------------------------------------
 
 /// Append `v` to `out` as an unsigned LEB128 varint (1–10 bytes).
+#[inline]
 pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -28,6 +29,7 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Decode an unsigned varint from `buf[*pos..]`, advancing `*pos`.
+#[inline]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> StoreResult<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -147,9 +149,16 @@ pub fn encode_deltas(out: &mut Vec<u8>, sorted: &[u64]) -> StoreResult<()> {
     Ok(())
 }
 
-/// Inverse of [`encode_deltas`].
+/// Inverse of [`encode_deltas`]. A count larger than the bytes left (each
+/// gap takes at least one) is `Corrupt`, not an allocation of that size.
 pub fn decode_deltas(buf: &[u8], pos: &mut usize) -> StoreResult<Vec<u64>> {
-    let n = get_uvarint(buf, pos)? as usize;
+    let n = get_uvarint(buf, pos)?;
+    if n > buf.len().saturating_sub(*pos) as u64 {
+        return Err(StoreError::Corrupt(
+            "delta count exceeds the bytes left".into(),
+        ));
+    }
+    let n = n as usize;
     let mut out = Vec::with_capacity(n);
     let mut acc = 0u64;
     for i in 0..n {
@@ -300,6 +309,20 @@ mod tests {
         encode_deltas(&mut buf, &seq).unwrap();
         let mut pos = 0;
         assert_eq!(decode_deltas(&buf, &mut pos).unwrap(), seq);
+    }
+
+    #[test]
+    fn deltas_reject_a_count_the_bytes_cannot_hold() {
+        // Counts of 2^32 - 1 and 2^60 with no gaps behind them, and of 3
+        // with two.
+        for bytes in [
+            vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+            vec![0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10],
+            vec![3, 1, 1],
+        ] {
+            let mut pos = 0;
+            assert!(decode_deltas(&bytes, &mut pos).is_err(), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -56,9 +56,10 @@
 mod manifest;
 mod run;
 
+use run::RunIter;
 pub use run::{Probe, Run};
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::path::Path;
@@ -1120,53 +1121,55 @@ fn within_end(key: &[u8], end: &Bound<&[u8]>) -> bool {
     }
 }
 
-type MergeIter<'a> = Box<dyn Iterator<Item = (&'a [u8], Option<&'a [u8]>)> + 'a>;
+/// One source of a merged read: the memtable's range, or one run read
+/// from a start key up to the range's end. An enum rather than a boxed
+/// iterator, so a read allocates nothing per run. (Its `Peekable` keeps
+/// the first `None` it sees, so a run is not read past the end.)
+enum MergeIter<'a> {
+    Mem(btree_map::Range<'a, Vec<u8>, Option<Vec<u8>>>),
+    Run(RunIter<'a>, Bound<&'a [u8]>),
+}
+
+impl<'a> Iterator for MergeIter<'a> {
+    type Item = (&'a [u8], Option<&'a [u8]>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            MergeIter::Mem(range) => range.next().map(|(k, v)| (k.as_slice(), v.as_deref())),
+            MergeIter::Run(run, end) => run.next().filter(|(key, _)| within_end(key, end)),
+        }
+    }
+}
+
 type MergeSource<'a> = Peekable<MergeIter<'a>>;
 
 /// K-way merge over the memtable and runs, youngest source wins per key,
 /// tombstones suppressed. `f` returning `false` stops the iteration.
-/// Run entries stream straight out of their resident encoded blocks.
-fn merged_for_each(
-    memtable: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    runs: &[LeveledRun],
-    start: Bound<&[u8]>,
-    end: Bound<&[u8]>,
+/// Run entries stream straight out of their resident encoded blocks; the
+/// only allocation is the list of sources.
+fn merged_for_each<'a>(
+    memtable: &'a BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    runs: &'a [LeveledRun],
+    start: Bound<&'a [u8]>,
+    end: Bound<&'a [u8]>,
     f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
 ) {
     if empty_range(&start, &end) {
         return;
     }
     // Sources ordered youngest-first: memtable, then runs newest-first.
-    let mut sources: Vec<MergeSource<'_>> = Vec::with_capacity(runs.len() + 1);
-    let mem_iter: MergeIter<'_> = Box::new(
-        memtable
-            .range::<[u8], _>((start, end))
-            .map(|(k, v)| (k.as_slice(), v.as_deref())),
-    );
-    sources.push(mem_iter.peekable());
+    let mut sources: Vec<MergeSource<'a>> = Vec::with_capacity(runs.len() + 1);
+    sources.push(MergeIter::Mem(memtable.range::<[u8], _>((start, end))).peekable());
     for entry in runs {
-        let it: MergeIter<'_> = match start {
-            Bound::Included(k) => Box::new(
-                entry
-                    .run
-                    .iter_from(k)
-                    .take_while(move |(key, _)| within_end(key, &end)),
-            ),
-            Bound::Excluded(k) => Box::new(
-                entry
-                    .run
-                    .iter_from(k)
-                    .skip_while(move |(key, _)| *key == k)
-                    .take_while(move |(key, _)| within_end(key, &end)),
-            ),
-            Bound::Unbounded => Box::new(
-                entry
-                    .run
-                    .iter()
-                    .take_while(move |(key, _)| within_end(key, &end)),
-            ),
+        let it = match start {
+            Bound::Included(k) | Bound::Excluded(k) => entry.run.iter_from(k),
+            Bound::Unbounded => entry.run.iter(),
         };
-        sources.push(it.peekable());
+        let mut source = MergeIter::Run(it, end).peekable();
+        if let Bound::Excluded(k) = start {
+            source.next_if(|&(key, _)| key == k);
+        }
+        sources.push(source);
     }
     loop {
         // Find the smallest key any source is looking at. Every source
