@@ -34,20 +34,29 @@ pub struct FolderSpace {
     /// The training set: confirmed page -> tf (a rebuild retrains on it,
     /// an unfiling unlearns from it). Exactly the confirmed pages.
     tf_of: HashMap<u32, Vec<(TermId, u32)>>,
+    /// folder -> its confirmed pages, for every folder that has one.
+    confirmed_in: HashMap<TopicId, usize>,
     classifier: Option<NaiveBayes>,
     /// class index -> folder id (leaves of the taxonomy at train time).
     classes: Vec<TopicId>,
+    /// Classifier builds from scratch since [`FolderSpace::take_full_rebuilds`].
+    full_rebuilds: u64,
 }
 
 /// Fisher-selected vocabulary size of a trained model.
 const FEATURE_K: usize = 2_000;
+
+/// Trained pages from which a model selects features.
+const SELECT_FROM_DOCS: usize = 10;
 
 impl FolderSpace {
     pub fn new() -> FolderSpace {
         FolderSpace::default()
     }
 
-    /// Create (or find) a folder by path, e.g. `"/Music/Western Classical"`.
+    /// Create (or find) a folder by path, e.g. `"/Music/Western Classical"`,
+    /// and bring the classifier up to date ([`FolderSpace::rebuild_classifier`]):
+    /// retrained when the leaf set moved, re-selected in place otherwise.
     pub fn add_folder(&mut self, path: &str) -> TopicId {
         let parts: Vec<&str> = path.split('/').filter(|p| !p.is_empty()).collect();
         let id = self.taxonomy.add_path(&parts);
@@ -78,12 +87,7 @@ impl FolderSpace {
         assert!(self.taxonomy.is_live(folder), "folder must exist");
         // If the page was filed elsewhere, unlearn that first.
         self.unassign(page);
-        // A folder receiving its first confirmed page brings new vocabulary
-        // online; a full rebuild re-runs feature selection over it.
-        let folder_was_empty = !self
-            .assignments
-            .values()
-            .any(|a| a.confirmed && a.folder == folder);
+        let folder_was_empty = !self.confirmed_in.contains_key(&folder);
         self.assignments.insert(
             page,
             PageAssignment {
@@ -92,10 +96,16 @@ impl FolderSpace {
             },
         );
         self.tf_of.insert(page, tf.to_vec());
-        match (self.class_of(folder), &mut self.classifier) {
-            (Some(class), Some(nb)) if !folder_was_empty => nb.add_document(class, tf),
-            _ => self.rebuild_classifier(),
+        *self.confirmed_in.entry(folder).or_default() += 1;
+        if let (Some(class), Some(nb)) = (self.class_of(folder), &mut self.classifier) {
+            nb.add_document(class, tf);
+            if !folder_was_empty {
+                return;
+            }
         }
+        // A folder receiving its first confirmed page brings new vocabulary
+        // online: feature selection runs again over it.
+        self.rebuild_classifier();
     }
 
     /// The classification demon's entry point: guess a folder for an
@@ -133,6 +143,7 @@ impl FolderSpace {
         a.confirmed = true;
         let folder = a.folder;
         self.tf_of.insert(page, tf.to_vec());
+        *self.confirmed_in.entry(folder).or_default() += 1;
         if let (Some(class), Some(nb)) = (self.class_of(folder), &mut self.classifier) {
             nb.add_document(class, tf);
         }
@@ -143,6 +154,15 @@ impl FolderSpace {
         let Some(a) = self.assignments.remove(&page) else {
             return;
         };
+        if !a.confirmed {
+            return;
+        }
+        if let Some(count) = self.confirmed_in.get_mut(&a.folder) {
+            *count -= 1;
+            if *count == 0 {
+                self.confirmed_in.remove(&a.folder);
+            }
+        }
         // Only a confirmed page has a vector, and only it trained the model.
         if let (Some(tf), Some(class)) = (self.tf_of.remove(&page), self.class_of(a.folder)) {
             if let Some(nb) = &mut self.classifier {
@@ -158,15 +178,29 @@ impl FolderSpace {
 
     /// Number of confirmed examples.
     pub fn confirmed_count(&self) -> usize {
-        self.assignments.values().filter(|a| a.confirmed).count()
+        self.tf_of.len()
+    }
+
+    /// Classifier builds from scratch since the last call: the
+    /// [`FolderSpace::rebuild_classifier`] calls that could not re-select in
+    /// place.
+    pub(crate) fn take_full_rebuilds(&mut self) -> u64 {
+        std::mem::take(&mut self.full_rebuilds)
     }
 
     fn class_of(&self, folder: TopicId) -> Option<usize> {
         self.classes.iter().position(|&f| f == folder)
     }
 
-    /// Rebuild the classifier over the current leaf set from confirmed
-    /// assignments (called when the folder tree changes shape).
+    /// Bring the classifier to the model a build from scratch over the
+    /// current leaf set and confirmed pages would give; every
+    /// [`FolderSpace::add_folder`] and every first page into a folder calls
+    /// it. When the leaf set is the one the model was built for, no page
+    /// was unlearned since and the model has seen at most `FEATURE_K`
+    /// terms, Fisher selection keeps every term, so the two models differ
+    /// only by the terms first seen since the last selection: the model is
+    /// re-selected in place, in O(those terms). Otherwise — a new leaf, a
+    /// moved or unfiled page, a larger vocabulary — it is retrained.
     pub fn rebuild_classifier(&mut self) {
         let leaves: Vec<TopicId> = self
             .taxonomy
@@ -174,6 +208,19 @@ impl FolderSpace {
             .into_iter()
             .filter(|&l| l != Taxonomy::ROOT)
             .collect();
+        if leaves == self.classes {
+            // Fewer than two leaves: no model, as a build would leave it.
+            if leaves.len() < 2 {
+                return;
+            }
+            if let Some(nb) = &mut self.classifier {
+                let k = (nb.num_docs() >= SELECT_FROM_DOCS as f64).then_some(FEATURE_K);
+                if nb.reselect_in_place(k) {
+                    return;
+                }
+            }
+        }
+        self.full_rebuilds += 1;
         if leaves.len() < 2 {
             self.classifier = None;
             self.classes = leaves;
@@ -189,7 +236,7 @@ impl FolderSpace {
                 trained += 1;
             }
         }
-        if trained >= 10 {
+        if trained >= SELECT_FROM_DOCS {
             nb.select_features(FeatureScore::Fisher, FEATURE_K);
         }
         self.classes = leaves;
@@ -205,12 +252,18 @@ mod tests {
         pairs.to_vec()
     }
 
-    /// The space keeps a vector for exactly its confirmed pages.
+    /// The space keeps a vector for exactly its confirmed pages, and a
+    /// count of them for exactly the folders that have one.
     fn vectors_are_the_confirmed_pages(fs: &FolderSpace) -> bool {
         let mut kept: Vec<u32> = fs.tf_of.keys().copied().collect();
         kept.sort_unstable();
-        let confirmed = fs.assignments().filter(|(_, a)| a.confirmed);
-        confirmed.map(|(page, _)| page).eq(kept)
+        let confirmed: Vec<(u32, PageAssignment)> =
+            fs.assignments().filter(|(_, a)| a.confirmed).collect();
+        let mut counts: HashMap<TopicId, usize> = HashMap::new();
+        for (_, a) in &confirmed {
+            *counts.entry(a.folder).or_default() += 1;
+        }
+        confirmed.iter().map(|&(page, _)| page).eq(kept) && counts == fs.confirmed_in
     }
 
     fn space_with_two_folders() -> (FolderSpace, TopicId, TopicId) {
@@ -289,6 +342,27 @@ mod tests {
         fs.bookmark(300, travel, &tf(&[(20, 3)]));
         assert_eq!(fs.classes().len(), 3);
         assert_eq!(fs.classify(700, &tf(&[(20, 2)])), Some(travel));
+    }
+
+    #[test]
+    fn only_a_new_leaf_or_an_unfiling_retrains() {
+        let (mut fs, music, cycling) = space_with_two_folders();
+        fs.take_full_rebuilds();
+        // Filing into existing folders, as `Memex` does, re-selects in place.
+        for page in 200..205u32 {
+            let folder = fs.add_folder("/Cycling");
+            fs.bookmark(page, folder, &tf(&[(10, 1), (page, 2)]));
+        }
+        assert_eq!(fs.take_full_rebuilds(), 0);
+        // A move unlearns: the next re-selection retrains.
+        fs.bookmark(200, music, &tf(&[(10, 1), (200, 2)]));
+        fs.add_folder("/Cycling");
+        assert_eq!(fs.take_full_rebuilds(), 1);
+        // So does a new leaf.
+        fs.add_folder("/Travel");
+        assert_eq!(fs.take_full_rebuilds(), 1);
+        assert_eq!(fs.classify(900, &tf(&[(10, 2)])), Some(cycling));
+        assert!(vectors_are_the_confirmed_pages(&fs));
     }
 
     #[test]

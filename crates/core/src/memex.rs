@@ -172,6 +172,8 @@ struct DemonMetrics {
     routing_live: memex_obs::Gauge,
     classify_visits: memex_obs::Counter,
     classify_rewalks: memex_obs::Counter,
+    /// Folder classifiers retrained from scratch.
+    folder_rebuilds: memex_obs::Counter,
     /// Recall hits whose snippet read the page's text, not its word memo.
     page_words_fallbacks: memex_obs::Counter,
     /// Visit-list entries recall's time filter read.
@@ -194,6 +196,7 @@ impl DemonMetrics {
             routing_live: registry.gauge("demon.routing.live"),
             classify_visits: registry.counter("demon.classify.visits"),
             classify_rewalks: registry.counter("demon.classify.rewalks"),
+            folder_rebuilds: registry.counter("demon.folders.rebuilds"),
             page_words_fallbacks: registry.counter("demon.page_words.fallbacks"),
             recall_visits: registry.counter("servlet.recall.visits"),
         }
@@ -386,6 +389,9 @@ impl Memex {
         // confirmed filings only — so `space.folders` is touched directly.)
         for user in self.reclassify.drain() {
             if let Some(space) = self.folder_spaces.get_mut(&user) {
+                // Every space a write could retrain is in this set.
+                let rebuilds = space.folders.take_full_rebuilds();
+                self.metrics.folder_rebuilds.add(rebuilds);
                 self.metrics.classify_rewalks.inc();
                 for page in server.trails.user_pages(user, 0) {
                     guess(&mut space.folders, page);

@@ -51,6 +51,12 @@ pub struct NaiveBayes {
     presence: ClassTermStats,
     /// Active feature set (None = all terms).
     selected: Option<HashSet<TermId>>,
+    /// Terms first seen while a selection was active, since it was made:
+    /// counted, but outside the selection and its token totals.
+    unselected: Vec<TermId>,
+    /// A document was removed: `all_terms` and `presence` still hold what
+    /// it added, so they are no longer those of the documents kept.
+    unlearned: bool,
 }
 
 impl NaiveBayes {
@@ -64,6 +70,8 @@ impl NaiveBayes {
             all_terms: HashSet::new(),
             presence: ClassTermStats::new(num_classes),
             selected: None,
+            unselected: Vec::new(),
+            unlearned: false,
         }
     }
 
@@ -88,7 +96,9 @@ impl NaiveBayes {
             if self.selected.as_ref().is_none_or(|s| s.contains(&t)) {
                 self.token_totals[class] += c;
             }
-            self.all_terms.insert(t);
+            if self.all_terms.insert(t) && self.selected.is_some() {
+                self.unselected.push(t);
+            }
         }
         self.presence.add_doc(class, tf.iter().map(|&(t, _)| t));
     }
@@ -97,6 +107,7 @@ impl NaiveBayes {
     /// user cut a page out of a folder). Counts clamp at zero.
     pub fn remove_document(&mut self, class: usize, tf: &[(TermId, u32)]) {
         assert!(class < self.num_classes());
+        self.unlearned = true;
         self.class_docs[class] = (self.class_docs[class] - 1.0).max(0.0);
         for &(t, c) in tf {
             let c = f64::from(c);
@@ -112,9 +123,14 @@ impl NaiveBayes {
     }
 
     /// Restrict the model to the `k` most discriminative terms (Fisher by
-    /// default in TAPER). Pass `None` to deselect.
+    /// default in TAPER). With `k` at or above the number of terms seen,
+    /// every score keeps every term, so none is scored.
     pub fn select_features(&mut self, score: FeatureScore, k: usize) {
-        let chosen: HashSet<TermId> = self.presence.select_top_k(score, k).into_iter().collect();
+        let chosen: HashSet<TermId> = if k >= self.presence.num_terms() {
+            self.presence.terms().collect()
+        } else {
+            self.presence.select_top_k(score, k).into_iter().collect()
+        };
         // Recompute token totals over the selected set.
         for (class, counts) in self.term_counts.iter().enumerate() {
             self.token_totals[class] = counts
@@ -124,6 +140,43 @@ impl NaiveBayes {
                 .sum();
         }
         self.selected = Some(chosen);
+        self.unselected.clear();
+    }
+
+    /// Bring the model, in place, to the one a fresh model fed the same
+    /// documents would be after `select_features(_, k)` — or, with `None`,
+    /// with no selection. At `k` or fewer terms seen a selection keeps every
+    /// term, so only the terms first seen since the last one differ: each
+    /// joins the selection and adds its counts to the token totals
+    /// (integer-valued sums, exact in any order). Returns false, changing
+    /// nothing, when the two models could differ: a document was removed,
+    /// more than `k` terms were seen, or the last selection dropped terms.
+    pub fn reselect_in_place(&mut self, k: Option<usize>) -> bool {
+        if self.unlearned {
+            return false;
+        }
+        let Some(k) = k else {
+            return self.selected.is_none();
+        };
+        if self.all_terms.len() > k {
+            return false;
+        }
+        match &mut self.selected {
+            // The token totals already count every term.
+            None => self.selected = Some(self.all_terms.clone()),
+            Some(selected) => {
+                if selected.len() + self.unselected.len() != self.all_terms.len() {
+                    return false;
+                }
+                for t in self.unselected.drain(..) {
+                    for (total, counts) in self.token_totals.iter_mut().zip(&self.term_counts) {
+                        *total += counts.get(&t).copied().unwrap_or(0.0);
+                    }
+                    selected.insert(t);
+                }
+            }
+        }
+        true
     }
 
     /// Effective vocabulary size for smoothing.

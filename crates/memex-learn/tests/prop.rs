@@ -46,6 +46,17 @@ fn queries() -> impl Strategy<Value = Vec<Vec<(u32, u32)>>> {
     proptest::collection::vec(query, 1..8)
 }
 
+/// The distinct terms of some labelled documents.
+fn distinct_terms<'a>(docs: impl IntoIterator<Item = &'a (usize, Vec<(u32, u32)>)>) -> usize {
+    let mut terms: Vec<u32> = docs
+        .into_iter()
+        .flat_map(|(_, tf)| tf.iter().map(|&(t, _)| t))
+        .collect();
+    terms.sort_unstable();
+    terms.dedup();
+    terms.len()
+}
+
 /// Same posteriors to the bit, hence the same prediction.
 fn assert_same_answers(
     nb: &NaiveBayes,
@@ -183,6 +194,66 @@ proptest! {
             if !take_all {
                 nb.select_features(FeatureScore::Fisher, select);
                 assert_same_answers(&nb, &NbScorer::new(&nb), &queries)?;
+            }
+        }
+    }
+
+    /// A model re-selected in place after more documents is, bit for bit,
+    /// the model built from all of them and selected once — whenever
+    /// `reselect_in_place` says so, which it must at `k` or fewer terms
+    /// seen, no document removed and no term dropped by an earlier
+    /// selection.
+    #[test]
+    fn reselecting_in_place_equals_building_from_scratch(
+        classes in 2usize..5,
+        first in proptest::collection::vec((0usize..5, doc_strategy(40)), 1..12),
+        more in proptest::collection::vec((0usize..5, doc_strategy(40)), 0..12),
+        select_first in any::<bool>(),
+        first_k in 0usize..50,
+        k in prop_oneof![Just(None), (0usize..50).prop_map(Some)],
+        remove_one in any::<bool>(),
+        queries in queries(),
+    ) {
+        let mut live = NaiveBayes::new(classes, NbOptions::default());
+        let mut fresh = NaiveBayes::new(classes, NbOptions::default());
+        for (class, tf) in &first {
+            live.add_document(class % classes, tf);
+        }
+        if select_first {
+            live.select_features(FeatureScore::Fisher, first_k);
+        }
+        for (class, tf) in &more {
+            live.add_document(class % classes, tf);
+        }
+        let mut kept: Vec<&(usize, Vec<(u32, u32)>)> = first.iter().chain(&more).collect();
+        if remove_one {
+            let (class, tf) = kept.remove(0);
+            live.remove_document(class % classes, tf);
+        }
+        for (class, tf) in &kept {
+            fresh.add_document(class % classes, tf);
+        }
+        if let Some(k) = k {
+            fresh.select_features(FeatureScore::Fisher, k);
+        }
+        // A selection of k keeps every term when there are k or fewer.
+        let expected = !remove_one && match k {
+            None => !select_first,
+            Some(k) => {
+                distinct_terms(first.iter().chain(&more)) <= k
+                    && (!select_first || distinct_terms(&first) <= first_k)
+            }
+        };
+        prop_assert_eq!(live.reselect_in_place(k), expected);
+        if expected {
+            for q in queries.iter().chain([&Vec::new()]) {
+                let bits = |post: Vec<f64>| post.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(live.log_posteriors(q)),
+                    bits(fresh.log_posteriors(q)),
+                    "posteriors of {:?}",
+                    q
+                );
             }
         }
     }

@@ -51,6 +51,16 @@ impl ClassTermStats {
         }
     }
 
+    /// Distinct terms recorded.
+    pub fn num_terms(&self) -> usize {
+        self.term_class_df.len()
+    }
+
+    /// Every term recorded, in no particular order.
+    pub fn terms(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.term_class_df.keys().copied()
+    }
+
     /// Total documents.
     pub fn total_docs(&self) -> u32 {
         self.class_docs.iter().sum()
@@ -86,26 +96,25 @@ impl ClassTermStats {
     }
 
     fn fisher(&self, dfs: &[u32]) -> f64 {
-        // Presence rate per class.
-        let rates: Vec<f64> = dfs
-            .iter()
-            .zip(&self.class_docs)
-            .map(|(&df, &n)| {
+        // Presence rate per class, recomputed by each pass below rather
+        // than collected: the same values summed in the same order.
+        let rates = || {
+            dfs.iter().zip(&self.class_docs).map(|(&df, &n)| {
                 if n == 0 {
                     0.0
                 } else {
                     f64::from(df) / f64::from(n)
                 }
             })
-            .collect();
-        let k = rates.len() as f64;
+        };
+        let k = dfs.len().min(self.class_docs.len()) as f64;
         if k < 2.0 {
             return 0.0;
         }
-        let mean = rates.iter().sum::<f64>() / k;
-        let between: f64 = rates.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / k;
+        let mean = rates().sum::<f64>() / k;
+        let between: f64 = rates().map(|p| (p - mean).powi(2)).sum::<f64>() / k;
         // Within-class variance of a Bernoulli(p) presence indicator.
-        let within: f64 = rates.iter().map(|p| p * (1.0 - p)).sum::<f64>() / k;
+        let within: f64 = rates().map(|p| p * (1.0 - p)).sum::<f64>() / k;
         between / (within + 1e-9)
     }
 
@@ -206,6 +215,52 @@ mod tests {
         assert_eq!(top.len(), 2);
         let all = s.select_top_k(FeatureScore::Fisher, 100);
         assert_eq!(all.len(), 3, "only as many terms as exist");
+    }
+
+    /// The Fisher score as first written, over a collected rate per class.
+    fn fisher_collected(s: &ClassTermStats, dfs: &[u32]) -> f64 {
+        let rates: Vec<f64> = dfs
+            .iter()
+            .zip(&s.class_docs)
+            .map(|(&df, &n)| {
+                if n == 0 {
+                    0.0
+                } else {
+                    f64::from(df) / f64::from(n)
+                }
+            })
+            .collect();
+        let k = rates.len() as f64;
+        if k < 2.0 {
+            return 0.0;
+        }
+        let mean = rates.iter().sum::<f64>() / k;
+        let between: f64 = rates.iter().map(|p| (p - mean).powi(2)).sum::<f64>() / k;
+        let within: f64 = rates.iter().map(|p| p * (1.0 - p)).sum::<f64>() / k;
+        between / (within + 1e-9)
+    }
+
+    #[test]
+    fn fisher_is_the_collected_rates_formula_bit_for_bit() {
+        // Five classes, the last never trained; terms spread unevenly.
+        let mut s = ClassTermStats::new(5);
+        for doc in 0u32..60 {
+            let class = (doc * 7 % 4) as usize;
+            s.add_doc(
+                class,
+                (0u32..40).filter(|t| (doc + t * 3) % (t % 5 + 2) == 0),
+            );
+        }
+        assert!(s.num_terms() > 30);
+        for t in s.terms() {
+            let dfs = &s.term_class_df[&t];
+            let fisher = s.score(t, FeatureScore::Fisher);
+            assert_eq!(
+                fisher.to_bits(),
+                fisher_collected(&s, dfs).to_bits(),
+                "term {t}"
+            );
+        }
     }
 
     #[test]

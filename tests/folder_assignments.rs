@@ -7,6 +7,11 @@
 //! side (the vectors they train on, the classifier), what they file where
 //! must not move.
 //!
+//! The same world pins how often filing its 484 bookmarks retrained a
+//! folder classifier from scratch (`demon.folders.rebuilds`): a bookmark
+//! into an existing folder re-selects in place, so only a user's new leaf
+//! folders, moves and large vocabularies do.
+//!
 //! (The benchmark also submits the bookmarks left after the last visit; a
 //! simulated bookmark carries its visit's time, so there are none.)
 
@@ -63,4 +68,20 @@ fn every_users_folder_assignments_match_the_committed_digest() {
         digest, GOLDEN,
         "folder assignments moved: new digest {digest:#018x}"
     );
+}
+
+/// `demon.folders.rebuilds` after filing `standard_world(false, 1)`'s 484
+/// bookmarks: a user's new leaf folders and moved pages (no space there
+/// passes 2 000 terms). Every other bookmark re-selects in place.
+const FULL_REBUILDS: u64 = 98;
+
+#[test]
+fn filing_the_worlds_bookmarks_retrains_only_on_new_leaves_and_moves() {
+    let (_, community, memex) = standard_world(false, 1);
+    assert_eq!(community.bookmarks.len(), 484);
+    let rebuilds = memex
+        .registry()
+        .snapshot()
+        .counter("demon.folders.rebuilds");
+    assert_eq!(rebuilds, FULL_REBUILDS, "full classifier rebuilds");
 }
