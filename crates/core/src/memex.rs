@@ -21,7 +21,7 @@ use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::TrailContext;
 use memex_index::search::{bm25_search_among, Bm25Params};
-use memex_learn::nb::{ClassCounts, NaiveBayes, NbOptions, NbScorer};
+use memex_learn::nb::{ClassCounts, NbOptions, NbScorer};
 use memex_learn::taxonomy::TopicId;
 use memex_server::events::ClientEvent;
 use memex_server::fetcher::CorpusFetcher;
@@ -67,7 +67,8 @@ pub struct BillLine {
 /// A rejection-capable per-user topic classifier: the user's leaf folders
 /// plus a background class ("none of my folders").
 pub struct TopicFilter {
-    /// The trained model, frozen; `None` when there was nothing to train on.
+    /// The model, frozen; `None` when it would have no document of the
+    /// user's or no background to score against.
     scorer: Option<NbScorer>,
     leaves: Vec<TopicId>,
 }
@@ -752,29 +753,32 @@ impl Memex {
     /// which is what "most likely to belong to the selected topic" needs
     /// (a forced choice among the user's folders would claim every page).
     ///
-    /// Only the user's confirmed pages are trained here; the background is
-    /// the same for everybody and shared (`Memex::background`).
+    /// Nothing is trained: each leaf's confirmed pages are counted, and the
+    /// background, the same for everybody, is shared (`Memex::background`);
+    /// the scorer is filled from those counts.
     pub fn topic_filter(&self, user: u32) -> TopicFilter {
         let fs = self.folder_space_ref(user);
         let leaves: Vec<TopicId> = fs.classes().to_vec();
-        // `leaves + background` classes; NaiveBayes insists on >= 2, so a
-        // user with no folders yet gets a padded (never-trained, unusable)
-        // classifier instead of a panic on the query path.
-        let mut nb = NaiveBayes::new((leaves.len() + 1).max(2), NbOptions::default());
-        let mut trained = 0usize;
+        let mut per_leaf: Vec<Vec<&[(TermId, u32)]>> = vec![Vec::new(); leaves.len()];
         for (page, a) in fs.assignments().filter(|(_, a)| a.confirmed) {
             if let (Some(class), Some(tf)) = (
                 leaves.iter().position(|&l| l == a.folder),
                 self.server.tf(page),
             ) {
-                nb.add_document(class, tf);
-                trained += 1;
+                per_leaf[class].push(tf);
             }
         }
         let background = self.background();
-        let usable = trained > 0 && background.num_docs() > 0.0;
+        let usable = per_leaf.iter().any(|docs| !docs.is_empty()) && background.num_docs() > 0.0;
         TopicFilter {
-            scorer: usable.then(|| NbScorer::with_shared_class(&nb, leaves.len(), background)),
+            scorer: usable.then(|| {
+                let counts: Vec<ClassCounts> = per_leaf
+                    .into_iter()
+                    .map(ClassCounts::from_documents)
+                    .collect();
+                let classes: Vec<&ClassCounts> = counts.iter().chain([background]).collect();
+                NbScorer::from_counts(&classes, NbOptions::default())
+            }),
             leaves,
         }
     }

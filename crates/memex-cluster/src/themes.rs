@@ -25,7 +25,9 @@
 //! candidate pair, and after a merge recomputes the merged candidate's row
 //! only; refinement's 2-means and leaf routing ([`LeafRouter`]) assign
 //! through an inverted list of the centroids; folder and cluster sums go
-//! through a dense accumulator. Each is the float operations of the plain
+//! through a dense accumulator; the candidates' pairwise cosines and each
+//! theme's cohesion scatter one operand into a dense scratch
+//! ([`DotScratch`]) and walk the other. Each is the float operations of the plain
 //! version in the same order — the same pairs enumerated and stably sorted,
 //! the same misfit test — so the merge sequence, the taxonomy and every
 //! centroid bit are those of recomputing everything per step
@@ -34,7 +36,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use memex_learn::taxonomy::{Taxonomy, TopicId};
-use memex_text::vector::{SparseVec, SumAccumulator};
+use memex_text::vector::{DotScratch, SparseVec, SumAccumulator};
 
 use crate::kmeans::KMeans;
 use crate::nearest::CentroidIndex;
@@ -256,9 +258,12 @@ impl ThemeDiscovery {
         let mut centroids: Vec<SparseVec> = cands.iter().map(Candidate::centroid).collect();
         let mut norms: Vec<f32> = cands.iter().map(|c| c.sum.norm()).collect();
         let mut sims = vec![0.0f32; f * f];
+        // One scratch for every dot of the build, seeding to refinement.
+        let mut scratch = DotScratch::default();
         for i in 0..f {
+            let row = scratch.scatter(&centroids[i]);
             for j in i + 1..f {
-                sims[i * f + j] = centroids[i].dot(&centroids[j]);
+                sims[i * f + j] = row.dot(&centroids[j]);
             }
         }
         let mut merges = 0usize;
@@ -294,9 +299,10 @@ impl ThemeDiscovery {
             merges += 1;
             centroids[lo] = cands[lo].centroid();
             norms[lo] = cands[lo].sum.norm();
+            let row = scratch.scatter(&centroids[lo]);
             for &other in alive.iter().filter(|&&x| x != lo && x != hi) {
                 let (i, j) = (other.min(lo), other.max(lo));
-                sims[i * f + j] = centroids[i].dot(&centroids[j]);
+                sims[i * f + j] = row.dot(&centroids[other]);
             }
         }
         // 3. Build the taxonomy: one node per surviving candidate.
@@ -318,6 +324,7 @@ impl ThemeDiscovery {
                 &mut themes,
                 &mut doc_theme,
                 &normed,
+                &mut scratch,
                 node,
                 &name,
                 cand,
@@ -400,6 +407,7 @@ impl ThemeDiscovery {
         themes: &mut Vec<Theme>,
         doc_theme: &mut [Option<TopicId>],
         normed: &[SparseVec],
+        scratch: &mut DotScratch,
         node: TopicId,
         name: &str,
         cand: &Candidate,
@@ -410,11 +418,8 @@ impl ThemeDiscovery {
         let cohesion = if cand.docs.is_empty() {
             1.0
         } else {
-            cand.docs
-                .iter()
-                .map(|&d| normed[d].dot(&centroid))
-                .sum::<f32>()
-                / cand.docs.len() as f32
+            let row = scratch.scatter(&centroid);
+            cand.docs.iter().map(|&d| row.dot(&normed[d])).sum::<f32>() / cand.docs.len() as f32
         };
         let should_refine = depth < self.opts.max_refine_depth
             && cand.docs.len() >= 2 * self.opts.min_support
@@ -451,6 +456,7 @@ impl ThemeDiscovery {
                         themes,
                         doc_theme,
                         normed,
+                        scratch,
                         child,
                         &child_name,
                         &sub,

@@ -85,24 +85,6 @@ impl WebGraph {
     pub fn num_edges(&self) -> u64 {
         self.num_edges
     }
-
-    /// The subgraph induced by `nodes`: edges with both endpoints inside.
-    /// Returned as `(kept_nodes_sorted, edges)`.
-    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
-        let mut sorted: Vec<NodeId> = nodes.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let inside = |id: NodeId| sorted.binary_search(&id).is_ok();
-        let mut edges = Vec::new();
-        for &u in &sorted {
-            for &v in self.out_links(u) {
-                if inside(v) {
-                    edges.push((u, v));
-                }
-            }
-        }
-        (sorted, edges)
-    }
 }
 
 #[cfg(test)]
@@ -145,17 +127,5 @@ mod tests {
             g.out_links(9999).is_empty(),
             "out-of-range is empty, not panic"
         );
-    }
-
-    #[test]
-    fn induced_subgraph_filters_edges() {
-        let mut g = WebGraph::new();
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g.add_edge(3, 0);
-        let (nodes, edges) = g.induced_subgraph(&[0, 1, 2, 2]);
-        assert_eq!(nodes, vec![0, 1, 2]);
-        assert_eq!(edges, vec![(0, 1), (1, 2)]);
     }
 }

@@ -33,32 +33,59 @@ pub fn hits(
 
 /// [`hits`] as three parallel vectors: the base set sorted and
 /// deduplicated, each node's hub score, each node's authority score.
+///
+/// The induced subgraph is laid out once as two CSR (compressed sparse row)
+/// lists over base-set positions: each node's out-links, targets ascending,
+/// and its in-links, sources ascending. Each update is then a gather, and a
+/// node's sum adds the same terms in the same order as a scatter over the
+/// edge list sorted by (source, target) would.
 fn hits_dense(
     graph: &WebGraph,
     nodes: &[NodeId],
     max_iters: usize,
     tol: f64,
 ) -> (Vec<NodeId>, Vec<f64>, Vec<f64>) {
-    let (nodes, edges) = graph.induced_subgraph(nodes);
+    let mut nodes = nodes.to_vec();
+    nodes.sort_unstable();
+    nodes.dedup();
     let n = nodes.len();
-    let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    // Edge list in dense indices.
-    let dense: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (index[&u], index[&v])).collect();
+    // Graph node -> base-set position, `OUTSIDE` when not in the base set.
+    // A base node past the graph has no links and needs no slot.
+    let mut position = vec![OUTSIDE; graph.num_nodes()];
+    for (i, &v) in nodes.iter().enumerate() {
+        if let Some(slot) = position.get_mut(v as usize) {
+            *slot = i as u32;
+        }
+    }
+    let csr = |links: fn(&WebGraph, NodeId) -> &[NodeId]| {
+        let mut start = Vec::with_capacity(n + 1);
+        let mut adjacent: Vec<u32> = Vec::new();
+        start.push(0);
+        for &v in &nodes {
+            let inside = links(graph, v).iter().map(|&u| position[u as usize]);
+            adjacent.extend(inside.filter(|&at| at != OUTSIDE));
+            start.push(adjacent.len());
+        }
+        (start, adjacent)
+    };
+    let (out_start, out_adj) = csr(WebGraph::out_links);
+    let (in_start, in_adj) = csr(WebGraph::in_links);
+    let gather = |start: &[usize], adjacent: &[u32], from: &[f64], to: &mut [f64]| {
+        for (v, slot) in to.iter_mut().enumerate() {
+            *slot = adjacent[start[v]..start[v + 1]]
+                .iter()
+                .fold(0.0, |sum, &u| sum + from[u as usize]);
+        }
+    };
     let mut hub = vec![1.0f64; n];
     let mut auth = vec![1.0f64; n];
     // The next iteration's scores, swapped with the current ones each round.
     let mut new_hub = vec![0.0f64; n];
     let mut new_auth = vec![0.0f64; n];
     for _ in 0..max_iters {
-        new_auth.fill(0.0);
-        for &(u, v) in &dense {
-            new_auth[v] += hub[u];
-        }
+        gather(&in_start, &in_adj, &hub, &mut new_auth);
         normalize(&mut new_auth);
-        new_hub.fill(0.0);
-        for &(u, v) in &dense {
-            new_hub[u] += new_auth[v];
-        }
+        gather(&out_start, &out_adj, &new_auth, &mut new_hub);
         normalize(&mut new_hub);
         let delta: f64 = new_hub
             .iter()
@@ -74,6 +101,9 @@ fn hits_dense(
     }
     (nodes, hub, auth)
 }
+
+/// Position of a graph node outside the base set.
+const OUTSIDE: u32 = u32::MAX;
 
 /// Top-`k` authorities within `nodes`, descending.
 pub fn top_authorities(graph: &WebGraph, nodes: &[NodeId], k: usize) -> Vec<(NodeId, f64)> {

@@ -24,6 +24,9 @@ pub fn expand(
     direction: Direction,
     max_nodes: usize,
 ) -> Vec<(NodeId, usize)> {
+    if max_nodes == 0 {
+        return Vec::new();
+    }
     let n = graph.num_nodes();
     let mut dist: Vec<Option<usize>> = vec![None; n];
     let mut queue = VecDeque::new();
@@ -111,6 +114,13 @@ mod tests {
         let g = chain(100);
         let hits = expand(&g, &[0], 99, Direction::Forward, 5);
         assert_eq!(hits.len(), 5);
+    }
+
+    #[test]
+    fn zero_budget_visits_nothing() {
+        let g = chain(3);
+        assert!(expand(&g, &[0, 1], 2, Direction::Both, 0).is_empty());
+        assert_eq!(expand(&g, &[0, 1], 2, Direction::Both, 1), vec![(0, 0)]);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests for the graph substrate: HITS normalisation, BFS
+//! Property tests for the graph substrate: HITS normalisation, HITS over
+//! CSR lists held bit for bit to the edge-list scatter it replaced, BFS
 //! distance validity, trail-replay filtering laws on random graphs and
 //! event streams, and the per-user / per-page visit lists and the page set
 //! held to the whole-archive scans they replaced.
@@ -7,8 +8,8 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use memex_graph::graph::WebGraph;
-use memex_graph::hits::hits;
+use memex_graph::graph::{NodeId, WebGraph};
+use memex_graph::hits::{hits, top_authorities};
 use memex_graph::neighborhood::{expand, Direction};
 use memex_graph::trail::{ContextNode, TrailContext, TrailGraph, Visit};
 
@@ -56,6 +57,94 @@ fn replay_context_by_scan(
         .collect();
     edges.sort_unstable();
     TrailContext { nodes, edges }
+}
+
+/// The subgraph HITS ran on before it laid out CSR lists: the base set
+/// sorted and deduplicated, and its edges by source, then target.
+fn induced_subgraph(graph: &WebGraph, nodes: &[NodeId]) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
+    let mut sorted: Vec<NodeId> = nodes.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let inside = |id: NodeId| sorted.binary_search(&id).is_ok();
+    let mut edges = Vec::new();
+    for &u in &sorted {
+        for &v in graph.out_links(u) {
+            if inside(v) {
+                edges.push((u, v));
+            }
+        }
+    }
+    (sorted, edges)
+}
+
+/// HITS as it was: a `HashMap` index and a scatter over the edge list per
+/// update. The reference the CSR gathers are held to, bit for bit.
+fn hits_by_edge_list(
+    graph: &WebGraph,
+    nodes: &[NodeId],
+    max_iters: usize,
+    tol: f64,
+) -> (Vec<NodeId>, Vec<f64>, Vec<f64>) {
+    let (nodes, edges) = induced_subgraph(graph, nodes);
+    let n = nodes.len();
+    let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    // Edge list in dense indices.
+    let dense: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (index[&u], index[&v])).collect();
+    let mut hub = vec![1.0f64; n];
+    let mut auth = vec![1.0f64; n];
+    // The next iteration's scores, swapped with the current ones each round.
+    let mut new_hub = vec![0.0f64; n];
+    let mut new_auth = vec![0.0f64; n];
+    for _ in 0..max_iters {
+        new_auth.fill(0.0);
+        for &(u, v) in &dense {
+            new_auth[v] += hub[u];
+        }
+        normalize(&mut new_auth);
+        new_hub.fill(0.0);
+        for &(u, v) in &dense {
+            new_hub[u] += new_auth[v];
+        }
+        normalize(&mut new_hub);
+        let delta: f64 = new_hub
+            .iter()
+            .zip(&hub)
+            .chain(new_auth.iter().zip(&auth))
+            .map(|(a, b)| (a - b).abs())
+            .sum();
+        std::mem::swap(&mut hub, &mut new_hub);
+        std::mem::swap(&mut auth, &mut new_auth);
+        if delta < tol {
+            break;
+        }
+    }
+    (nodes, hub, auth)
+}
+
+/// `top_authorities` over [`hits_by_edge_list`].
+fn top_authorities_by_edge_list(
+    graph: &WebGraph,
+    nodes: &[NodeId],
+    k: usize,
+) -> Vec<(NodeId, f64)> {
+    let (nodes, _, auth) = hits_by_edge_list(graph, nodes, 50, 1e-9);
+    let mut v: Vec<(NodeId, f64)> = nodes.into_iter().zip(auth).collect();
+    v.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    v.truncate(k);
+    v
+}
+
+fn normalize(v: &mut [f64]) {
+    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    if norm > 0.0 {
+        for x in v {
+            *x /= norm;
+        }
+    }
 }
 
 /// `TrailGraph::user_pages` as it was: a filter over the whole archive.
@@ -161,13 +250,49 @@ proptest! {
         }
     }
 
+    /// HITS over CSR lists scores every node of the base set as the scatter
+    /// over the edge list did, bit for bit, and ranks the same authorities —
+    /// on base sets with repeated ids, ids past the graph and nodes with no
+    /// edge at all, stopped by the iteration cap or by the tolerance.
+    #[test]
+    fn hits_equals_the_edge_list_scatter(
+        g in graph_strategy(),
+        base in proptest::collection::vec(0u32..26, 0..40),
+        max_iters in 0usize..40,
+        tol in prop_oneof![Just(0.0), Just(1e-9), Just(1e-3)],
+        k in 0usize..30,
+    ) {
+        let (nodes, hub, auth) = hits_by_edge_list(&g, &base, max_iters, tol);
+        let scores = hits(&g, &base, max_iters, tol);
+        prop_assert_eq!(scores.len(), nodes.len());
+        for ((v, h), a) in nodes.iter().zip(&hub).zip(&auth) {
+            let got = scores.get(v).copied();
+            prop_assert_eq!(
+                got.map(|s| (s.hub.to_bits(), s.authority.to_bits())),
+                Some((h.to_bits(), a.to_bits())),
+                "node {}", v
+            );
+        }
+        let bits = |top: Vec<(NodeId, f64)>| -> Vec<(NodeId, u64)> {
+            top.into_iter().map(|(v, a)| (v, a.to_bits())).collect()
+        };
+        prop_assert_eq!(
+            bits(top_authorities(&g, &base, k)),
+            bits(top_authorities_by_edge_list(&g, &base, k))
+        );
+    }
+
     /// BFS expansion yields valid, non-decreasing distances and respects
     /// the node budget; distance-1 nodes really are neighbours.
     #[test]
-    fn expand_distances_valid(g in graph_strategy(), seed in 0u32..20, radius in 0usize..4, budget in 1usize..30) {
+    fn expand_distances_valid(g in graph_strategy(), seed in 0u32..20, radius in 0usize..4, budget in 0usize..30) {
         let out = expand(&g, &[seed], radius, Direction::Forward, budget);
         prop_assert!(out.len() <= budget);
-        prop_assert!(!out.is_empty() && out[0] == (seed, 0));
+        if budget == 0 {
+            prop_assert!(out.is_empty());
+            return Ok(());
+        }
+        prop_assert!(out[0] == (seed, 0));
         let mut last = 0usize;
         for &(node, d) in &out {
             prop_assert!(d >= last, "BFS order violated");

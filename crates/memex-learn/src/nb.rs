@@ -10,10 +10,11 @@
 //! a bookmark must not pay for a table. [`NbScorer`] is the same model
 //! frozen: the logarithms are taken once into one row per term, and a
 //! document costs a lookup and a multiply-add per class per term. It is for
-//! a model that is trained, asked many times and dropped (a user's topic
-//! filter classifying every page the community surfed). A class every such
-//! model shares — the community background — is aggregated once as
-//! [`ClassCounts`] and laid over each model at freeze time.
+//! a model that is asked many times and dropped (a user's topic filter
+//! classifying every page the community surfed). Such a model need not be
+//! trained at all: [`NbScorer::from_counts`] fills the table straight from
+//! per-class [`ClassCounts`], and a class every such model shares — the
+//! community background — is aggregated once and passed to each.
 
 use std::collections::{HashMap, HashSet};
 
@@ -235,7 +236,7 @@ fn ln_likelihood(tc: f64, total: f64, alpha: f64, v: f64) -> f64 {
 }
 
 /// What [`NaiveBayes::add_document`] accumulates for one class, aggregated
-/// on its own so that many models can share it ([`NbScorer::with_shared_class`]).
+/// on its own so that many models can share it ([`NbScorer::from_counts`]).
 #[derive(Debug, Clone, Default)]
 pub struct ClassCounts {
     docs: f64,
@@ -296,46 +297,52 @@ pub struct NbScorer {
 impl NbScorer {
     /// Freeze `nb` as it stands.
     pub fn new(nb: &NaiveBayes) -> NbScorer {
-        NbScorer::build(nb, None)
-    }
-
-    /// Freeze `nb` with `shared` standing in for its class `class`: the
-    /// model `nb` would be had that class been fed `shared`'s documents.
-    /// `nb` must have left the class untrained and select no features.
-    pub fn with_shared_class(nb: &NaiveBayes, class: usize, shared: &ClassCounts) -> NbScorer {
-        assert!(class < nb.num_classes());
-        assert!(
-            nb.class_docs[class] == 0.0 && nb.term_counts[class].is_empty(),
-            "the shared class must be untrained"
-        );
-        assert!(
-            nb.selected.is_none(),
-            "selection never saw the shared class"
-        );
-        NbScorer::build(nb, Some((class, shared)))
-    }
-
-    fn build(nb: &NaiveBayes, shared: Option<(usize, &ClassCounts)>) -> NbScorer {
-        let k = nb.num_classes();
-        let shared_at = |c: usize| shared.filter(|&(class, _)| class == c).map(|(_, s)| s);
-        let class_docs: Vec<f64> = (0..k)
-            .map(|c| shared_at(c).map_or(nb.class_docs[c], |s| s.docs))
-            .collect();
-        let totals: Vec<f64> = (0..k)
-            .map(|c| shared_at(c).map_or(nb.token_totals[c], |s| s.total))
-            .collect();
         // One row per model term: the selected features, or every term seen.
-        let shared_terms = shared
-            .iter()
-            .flat_map(|(_, s)| s.counts.iter().map(|&(t, _)| t));
-        let model_terms: Vec<TermId> = match &nb.selected {
-            Some(selected) => selected.iter().copied().collect(),
-            None => nb.all_terms.iter().copied().chain(shared_terms).collect(),
-        };
-        let index_len = model_terms.iter().max().map_or(0, |&t| t as usize + 1);
+        let model_terms = nb.selected.as_ref().unwrap_or(&nb.all_terms);
+        NbScorer::build(
+            nb.opts,
+            &nb.class_docs,
+            &nb.token_totals,
+            model_terms.iter().copied(),
+            nb.selected.is_some(),
+            |c| nb.term_counts[c].iter().map(|(&t, &tc)| (t, tc)),
+        )
+    }
+
+    /// The [`NaiveBayes`] with no feature selection whose class `c` was fed
+    /// the documents `classes[c]` aggregates, frozen — without training it:
+    /// its counts are integer-valued sums, the same in any order.
+    pub fn from_counts(classes: &[&ClassCounts], opts: NbOptions) -> NbScorer {
+        let class_docs: Vec<f64> = classes.iter().map(|c| c.docs).collect();
+        let totals: Vec<f64> = classes.iter().map(|c| c.total).collect();
+        NbScorer::build(
+            opts,
+            &class_docs,
+            &totals,
+            classes
+                .iter()
+                .flat_map(|c| c.counts.iter().map(|&(t, _)| t)),
+            false,
+            |c| classes[c].counts.iter().copied(),
+        )
+    }
+
+    /// The table of a model with `class_docs` documents and `totals` tokens
+    /// per class, a row for each of `model_terms` (repeats are fine) and
+    /// `counts(c)` the `(term, token count)` of class `c`.
+    fn build<I: Iterator<Item = (TermId, f64)>>(
+        opts: NbOptions,
+        class_docs: &[f64],
+        totals: &[f64],
+        model_terms: impl Iterator<Item = TermId> + Clone,
+        skip_rowless: bool,
+        counts: impl Fn(usize) -> I,
+    ) -> NbScorer {
+        let k = class_docs.len();
+        let index_len = model_terms.clone().max().map_or(0, |t| t as usize + 1);
         let mut row_of = vec![0u32; index_len];
         let mut num_rows = 0u32;
-        for &t in &model_terms {
+        for t in model_terms {
             if row_of[t as usize] == 0 {
                 num_rows += 1;
                 row_of[t as usize] = num_rows;
@@ -343,7 +350,7 @@ impl NbScorer {
         }
         let n = class_docs.iter().sum::<f64>().max(1.0);
         let v = num_rows.max(1) as f64;
-        let alpha = nb.opts.smoothing;
+        let alpha = opts.smoothing;
         let unseen: Vec<f64> = totals
             .iter()
             .map(|&total| ln_likelihood(0.0, total, alpha, v))
@@ -352,15 +359,11 @@ impl NbScorer {
         for _ in 0..num_rows {
             rows.extend_from_slice(&unseen);
         }
-        for c in 0..k {
-            let mut fill = |t: TermId, tc: f64| {
+        for (c, &total) in totals.iter().enumerate() {
+            for (t, tc) in counts(c) {
                 if let Some(&row) = row_of.get(t as usize).filter(|&&row| row > 0) {
-                    rows[(row as usize - 1) * k + c] = ln_likelihood(tc, totals[c], alpha, v);
+                    rows[(row as usize - 1) * k + c] = ln_likelihood(tc, total, alpha, v);
                 }
-            };
-            match shared_at(c) {
-                Some(s) => s.counts.iter().for_each(|&(t, tc)| fill(t, tc)),
-                None => nb.term_counts[c].iter().for_each(|(&t, &tc)| fill(t, tc)),
             }
         }
         NbScorer {
@@ -369,7 +372,7 @@ impl NbScorer {
                 .map(|&d| ln_prior(d, n, k as f64))
                 .collect(),
             unseen,
-            skip_rowless: nb.selected.is_some(),
+            skip_rowless,
             row_of,
             rows,
         }

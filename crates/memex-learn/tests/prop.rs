@@ -258,28 +258,33 @@ proptest! {
         }
     }
 
-    /// A class aggregated on its own and laid over a model at freeze time
-    /// is the class trained into the model document by document.
+    /// A scorer filled from per-class counts is the model trained on the
+    /// same documents one by one, frozen: the same posterior bits and the
+    /// same class, ties included — a class with no document among them, and
+    /// one class (the background of every topic filter) over terms the
+    /// others never saw.
     #[test]
-    fn shared_class_equals_training_it_in(
+    fn from_counts_equals_training_document_by_document(
         own in 1usize..8,
         train in proptest::collection::vec((0usize..8, doc_strategy(40)), 0..20),
         background in proptest::collection::vec(doc_strategy(50), 0..20),
         queries in queries(),
     ) {
-        let mut whole = NaiveBayes::new(own + 1, NbOptions::default());
-        let mut partial = NaiveBayes::new(own + 1, NbOptions::default());
+        let mut nb = NaiveBayes::new(own + 1, NbOptions::default());
+        let mut per_class: Vec<Vec<&[(u32, u32)]>> = vec![Vec::new(); own + 1];
         for (class, tf) in &train {
-            whole.add_document(class % own, tf);
-            partial.add_document(class % own, tf);
+            nb.add_document(class % own, tf);
+            per_class[class % own].push(tf);
         }
         for tf in &background {
-            whole.add_document(own, tf);
+            nb.add_document(own, tf);
+            per_class[own].push(tf);
         }
-        let shared = ClassCounts::from_documents(background.iter().map(Vec::as_slice));
-        prop_assert_eq!(shared.num_docs(), background.len() as f64);
-        let scorer = NbScorer::with_shared_class(&partial, own, &shared);
-        assert_same_answers(&whole, &scorer, &queries)?;
+        let counts: Vec<ClassCounts> = per_class.into_iter().map(ClassCounts::from_documents).collect();
+        prop_assert_eq!(counts[own].num_docs(), background.len() as f64);
+        let classes: Vec<&ClassCounts> = counts.iter().collect();
+        let scorer = NbScorer::from_counts(&classes, NbOptions::default());
+        assert_same_answers(&nb, &scorer, &queries)?;
     }
 
     /// Adding then removing a document restores the previous prediction

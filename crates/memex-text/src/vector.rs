@@ -161,15 +161,78 @@ impl SparseVec {
     }
 
     /// Keep only the `k` highest-magnitude entries (centroid truncation,
-    /// standard in Scatter/Gather for constant-time behaviour).
+    /// standard in Scatter/Gather for constant-time behaviour). Entries rank
+    /// by `|w|` descending, then by id ascending: of entries tied in
+    /// magnitude at the cut the lowest ids stay. A NaN weight ranks above
+    /// every number. Costs a selection, not a sort, of the entries.
     pub fn truncate_top(&mut self, k: usize) {
         if self.entries.len() <= k {
             return;
         }
-        self.entries
-            .sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+        self.entries.select_nth_unstable_by(k, |a, b| {
+            b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0))
+        });
         self.entries.truncate(k);
         self.entries.sort_unstable_by_key(|&(id, _)| id);
+    }
+}
+
+/// Takes many dot products against one vector: [`DotScratch::scatter`] lays
+/// it into a dense array indexed by term id, and each [`Scattered::dot`]
+/// then walks the other operand's entries only. The shared terms' products
+/// are added in ascending term order, as [`SparseVec::dot`] adds them, so
+/// the dot is that merge's bit for bit. Reusable: dropping the
+/// [`Scattered`] clears the entries it wrote, never the whole array.
+#[derive(Debug, Default)]
+pub struct DotScratch {
+    dense: Vec<f32>,
+}
+
+impl DotScratch {
+    /// `v` laid out by term id until the returned view is dropped.
+    pub fn scatter<'a>(&'a mut self, v: &'a SparseVec) -> Scattered<'a> {
+        if let Some(&(last, _)) = v.entries.last() {
+            if last as usize >= self.dense.len() {
+                self.dense.resize(last as usize + 1, 0.0);
+            }
+        }
+        for &(id, w) in &v.entries {
+            self.dense[id as usize] = w;
+        }
+        Scattered {
+            dense: &mut self.dense,
+            v,
+        }
+    }
+}
+
+/// One vector held in a [`DotScratch`].
+#[derive(Debug)]
+pub struct Scattered<'a> {
+    dense: &'a mut Vec<f32>,
+    v: &'a SparseVec,
+}
+
+impl Scattered<'_> {
+    /// `v.dot(other)` for the scattered `v`. A term `v` lacks reads as 0.0
+    /// and adds nothing (a vector holds no explicit zero).
+    pub fn dot(&self, other: &SparseVec) -> f32 {
+        let mut acc = 0.0f32;
+        for &(id, w) in &other.entries {
+            let held = self.dense.get(id as usize).copied().unwrap_or(0.0);
+            if held != 0.0 {
+                acc += held * w;
+            }
+        }
+        acc
+    }
+}
+
+impl Drop for Scattered<'_> {
+    fn drop(&mut self) {
+        for &(id, _) in &self.v.entries {
+            self.dense[id as usize] = 0.0;
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use memex_text::stopwords::is_stopword;
 use memex_text::tokenize::{
     extract_hrefs, tokenize, word_start, Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN,
 };
-use memex_text::vector::{SparseVec, SumAccumulator};
+use memex_text::vector::{DotScratch, SparseVec, SumAccumulator};
 use memex_text::{Analyzer, IndexedPage, TermId, Vocabulary};
 
 /// The tokenizer as it was before it streamed, kept as the reference
@@ -274,6 +274,43 @@ proptest! {
                 s.entries().iter().map(|&(t, w)| (t, w.to_bits())).collect()
             };
             prop_assert_eq!(bits(&acc.take()), bits(&folded));
+        }
+    }
+
+    /// `truncate_top` keeps what a full sort under its order keeps: `|w|`
+    /// descending, then id ascending. Weights come from a short list, so
+    /// magnitudes tie at the cut, and `k` runs from 0 past the length.
+    #[test]
+    fn truncate_top_equals_a_full_sort(
+        pairs in proptest::collection::vec(
+            (0u32..64, prop_oneof![Just(0.5f32), Just(-0.5), Just(1.0), Just(-1.0), Just(2.0), -3.0f32..3.0]),
+            0..40,
+        ),
+        k in 0usize..48,
+    ) {
+        let v = SparseVec::from_pairs(pairs);
+        let mut sorted = v.entries().to_vec();
+        sorted.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
+        sorted.truncate(k);
+        sorted.sort_by_key(|&(id, _)| id);
+        let mut kept = v.clone();
+        kept.truncate_top(k);
+        prop_assert_eq!(kept.entries(), &sorted[..]);
+    }
+
+    /// A dot against a scattered vector is the sorted merge's, bit for bit,
+    /// with one scratch reused vector after vector.
+    #[test]
+    fn scattered_dot_equals_the_merge(
+        rows in proptest::collection::vec(sparse_strategy(), 1..6),
+        others in proptest::collection::vec(sparse_strategy(), 0..6),
+    ) {
+        let mut scratch = DotScratch::default();
+        for row in &rows {
+            let scattered = scratch.scatter(row);
+            for other in others.iter().chain(&rows) {
+                prop_assert_eq!(scattered.dot(other).to_bits(), row.dot(other).to_bits());
+            }
         }
     }
 
