@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use crate::eval::{train_test_split, Confusion};
 use memex_learn::enhanced::{EnhancedClassifier, EnhancedOptions, EnhancedProblem};
-use memex_learn::eval::{train_test_split, Confusion};
 use memex_learn::nb::{HierarchicalNB, NaiveBayes, NbOptions};
 use memex_learn::taxonomy::Taxonomy;
 use memex_store::lsm::LsmStore;
@@ -252,7 +252,7 @@ pub fn run_hierarchy(quick: bool) -> Table {
 /// link+folder enhanced classifier, all on the T1 front-page problem: how
 /// much of the enhanced lift could plain unlabelled *text* have delivered?
 pub fn run_em(quick: bool) -> Table {
-    use memex_learn::em::{em_naive_bayes, EmOptions};
+    use crate::em::{em_naive_bayes, EmOptions};
     let corpus = Corpus::generate(CorpusConfig {
         num_topics: if quick { 4 } else { 8 },
         pages_per_topic: if quick { 40 } else { 80 },

@@ -30,11 +30,4 @@ fn main() {
         println!("[{id} took {:.1}s]\n", start.elapsed().as_secs_f64());
     }
     println!("all done in {:.1}s", total.elapsed().as_secs_f64());
-    // Operational picture of the run itself: everything the experiments
-    // pushed through process-global instruments (crawler frontier, spans).
-    let obs = memex_obs::global().snapshot();
-    if !obs.is_empty() {
-        println!("\n=== observability snapshot (process-global registry) ===");
-        print!("{}", obs.render_text());
-    }
 }

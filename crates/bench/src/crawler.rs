@@ -9,10 +9,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use memex_learn::nb::NaiveBayes;
-use memex_obs::global;
 use memex_text::vocab::TermId;
-
-use crate::corpus::Corpus;
+use memex_web::corpus::Corpus;
 
 /// Record of one crawl: pages in fetch order plus their ground-truth
 /// on-topic flags.
@@ -68,27 +66,18 @@ pub fn unfocused_crawl(
             queue.push_back(s);
         }
     }
-    let fetches = global().counter("web.crawl.fetches");
-    let on_topic_hits = global().counter("web.crawl.on_topic");
-    let frontier = global().gauge("web.crawl.frontier");
     while let Some(p) = queue.pop_front() {
         if trace.order.len() >= budget {
             break;
         }
-        fetches.inc();
         trace.order.push(p);
-        let hit = corpus.topic_of(p) == target_topic;
-        if hit {
-            on_topic_hits.inc();
-        }
-        trace.on_topic.push(hit);
+        trace.on_topic.push(corpus.topic_of(p) == target_topic);
         for &n in corpus.graph.out_links(p) {
             if !visited[n as usize] {
                 visited[n as usize] = true;
                 queue.push_back(n);
             }
         }
-        frontier.set(queue.len() as i64);
     }
     trace
 }
@@ -150,9 +139,6 @@ pub fn focused_crawl(
         order: Vec::new(),
         on_topic: Vec::new(),
     };
-    let fetches = global().counter("web.crawl.fetches");
-    let on_topic_hits = global().counter("web.crawl.on_topic");
-    let frontier = global().gauge("web.crawl.frontier");
     while let Some(Entry { page, .. }) = heap.pop() {
         if fetched[page as usize] {
             continue;
@@ -161,13 +147,8 @@ pub fn focused_crawl(
             break;
         }
         fetched[page as usize] = true;
-        fetches.inc();
         trace.order.push(page);
-        let hit = corpus.topic_of(page) == target_topic;
-        if hit {
-            on_topic_hits.inc();
-        }
-        trace.on_topic.push(hit);
+        trace.on_topic.push(corpus.topic_of(page) == target_topic);
         // Fetch -> classify -> propagate relevance to out-links.
         let relevance = classifier.posteriors(&tf[page as usize])[target_topic];
         for &link in corpus.graph.out_links(page) {
@@ -182,7 +163,6 @@ pub fn focused_crawl(
                 seq += 1;
             }
         }
-        frontier.set(heap.len() as i64);
     }
     trace
 }
@@ -190,8 +170,8 @@ pub fn focused_crawl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{Corpus, CorpusConfig};
     use memex_learn::nb::NbOptions;
+    use memex_web::corpus::{Corpus, CorpusConfig};
 
     fn setup() -> (Corpus, Vec<Vec<(TermId, u32)>>, NaiveBayes) {
         // The regime where focus matters: a web much larger than the crawl

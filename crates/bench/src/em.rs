@@ -17,7 +17,7 @@
 
 use memex_text::vocab::TermId;
 
-use crate::nb::{argmax, NaiveBayes, NbOptions};
+use memex_learn::nb::{argmax, log_normalize, NaiveBayes, NbOptions};
 
 /// EM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -100,7 +100,7 @@ impl WeightedNb {
                 *s += f64::from(count) * p.ln();
             }
         }
-        crate::nb::log_normalize(&mut scores);
+        log_normalize(&mut scores);
         scores
     }
 }

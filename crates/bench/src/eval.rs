@@ -1,6 +1,5 @@
-//! Evaluation kit: confusion matrices, accuracy/F1, seeded splits and
-//! k-fold cross-validation — everything the T1/F1 experiments need to
-//! report numbers the way the paper's companion evaluation did.
+//! Evaluation kit: confusion matrices with accuracy, and seeded
+//! train/test splits — what the ablations report their numbers with.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -72,31 +71,6 @@ pub fn train_test_split(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>,
     (train, test)
 }
 
-/// Deterministic k-fold assignment: returns for each fold the (train, test)
-/// index sets. Every item appears in exactly one test fold.
-pub fn k_fold(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2 && k <= n, "need 2 <= k <= n");
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &item) in idx.iter().enumerate() {
-        folds[i % k].push(item);
-    }
-    (0..k)
-        .map(|f| {
-            let test = folds[f].clone();
-            let train: Vec<usize> = folds
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != f)
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect();
-            (train, test)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,23 +107,5 @@ mod tests {
         let (train, test) = train_test_split(2, 0.01, 7);
         assert_eq!(train.len(), 1);
         assert_eq!(test.len(), 1);
-    }
-
-    #[test]
-    fn k_fold_covers_everything_once() {
-        let folds = k_fold(23, 5, 9);
-        assert_eq!(folds.len(), 5);
-        let mut seen = [0u32; 23];
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 23);
-            for &t in test {
-                seen[t] += 1;
-            }
-            // Train and test are disjoint.
-            for &t in test {
-                assert!(!train.contains(&t));
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
     }
 }

@@ -15,8 +15,8 @@
 
 use std::collections::HashMap;
 
+use crate::quality::{nmi, partition_cost};
 use memex_cluster::kmeans::KMeans;
-use memex_cluster::quality::{nmi, partition_cost};
 use memex_text::vector::SparseVec;
 
 use crate::table::{f3, Table};

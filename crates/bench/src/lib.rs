@@ -3,15 +3,24 @@
 //! One module per table/figure of EXPERIMENTS.md. Every module exposes
 //! `run(quick) -> Table`; the `experiments` binary prints them all.
 //!
+//! The tools only experiments use live here too: the focused and
+//! unfocused crawlers ([`crawler`], T4), semi-supervised EM ([`em`], A5),
+//! confusion matrices and splits ([`eval`]) and clustering quality
+//! metrics ([`quality`], T3/F4).
+//!
 //! `quick = true` shrinks workloads for CI; the committed EXPERIMENTS.md
 //! numbers come from `quick = false`. Speed claims are not made here:
 //! `BENCHMARK.json` + `benchmark/` judge those.
 
 mod ablations;
+pub mod crawler;
+pub mod em;
+pub mod eval;
 mod f1_feedback;
 mod f2_trail;
 mod f3_pipeline;
 mod f4_themes;
+pub mod quality;
 mod t1_classify;
 mod t2_search;
 mod t3_cluster;

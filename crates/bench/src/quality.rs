@@ -1,7 +1,7 @@
 //! Clustering quality metrics: purity, normalised mutual information, and
-//! the MDL-style *description cost* that drives and evaluates theme
-//! discovery (Fig. 4): model cost per theme + data cost for how badly each
-//! document fits its theme centroid.
+//! the MDL-style *description cost* F4 scores theme discovery with (Fig. 4):
+//! model cost per theme + data cost for how badly each document fits its
+//! theme centroid.
 
 use std::collections::HashMap;
 

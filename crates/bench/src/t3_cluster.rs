@@ -7,8 +7,8 @@
 
 use std::time::Instant;
 
+use crate::quality::purity;
 use memex_cluster::hac::hac_cut;
-use memex_cluster::quality::purity;
 use memex_cluster::scatter::{buckshot, fractionation};
 use memex_text::vector::SparseVec;
 use memex_web::corpus::{Corpus, CorpusConfig};

@@ -4,9 +4,9 @@
 //! the focused-crawling paper: harvest rate stays high for the focused
 //! crawler while the unfocused baseline decays toward the base rate.
 
+use crate::crawler::{focused_crawl, unfocused_crawl, CrawlTrace};
 use memex_learn::nb::{NaiveBayes, NbOptions};
 use memex_web::corpus::{Corpus, CorpusConfig};
-use memex_web::crawler::{focused_crawl, unfocused_crawl, CrawlTrace};
 
 use crate::table::{pct, Table};
 

@@ -264,13 +264,7 @@ pub fn dispatch_read(memex: &Memex, request: ReadRequest) -> Response {
         }
         Request::Recommend { user, k } => Response::Recommend(memex.recommend_pages(user, k)),
         Request::ProposeFolders { user, k } => Response::Proposals(memex.propose_folders(user, k)),
-        Request::Stats => {
-            // Fold in the process-global registry: free-function subsystems
-            // (e.g. the focused crawler) report there, not on the server.
-            let mut snap = memex.registry().snapshot();
-            snap.absorb(memex_obs::global().snapshot());
-            Response::Stats(snap)
-        }
+        Request::Stats => Response::Stats(memex.registry().snapshot()),
         Request::Traces { slow_only, limit } => {
             Response::Traces(memex.tracer().collect(slow_only, limit))
         }

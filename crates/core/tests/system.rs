@@ -481,7 +481,7 @@ fn proposed_folders_name_their_own_pages_when_some_have_no_vector() {
 
 #[test]
 fn stats_servlet_reports_live_subsystems() {
-    let (corpus, community, mut memex) = world();
+    let (_, community, mut memex) = world();
     // Exercise a query path so servlet + index.query latencies exist.
     let user = community.users[0].user;
     let _ = dispatch(
@@ -494,15 +494,25 @@ fn stats_servlet_reports_live_subsystems() {
             k: 5,
         },
     );
-    // Exercise the crawler (reports to the process-global registry).
-    let seeds: Vec<u32> = corpus.front_pages_of_topic(0).into_iter().take(2).collect();
-    let _ = memex_web::crawler::unfocused_crawl(&corpus, &seeds, 0, 40);
-
     let Response::Stats(snap) = dispatch(&mut memex, Request::Stats) else {
         panic!("expected stats");
     };
-    // Live values from every layer: store, index, server pipeline, crawler,
-    // and the servlet surface itself.
+    // The answer is this server's registry and nothing else: the same
+    // names, whatever else ran in the process.
+    let names = |s: &memex_obs::Snapshot| -> Vec<String> {
+        let counters = s.counters.iter().map(|(n, _)| n.clone());
+        let gauges = s.gauges.iter().map(|(n, _)| n.clone());
+        let histograms = s.histograms.iter().map(|(n, _)| n.clone());
+        let events = s.events.iter().map(|(n, _)| n.clone());
+        counters
+            .chain(gauges)
+            .chain(histograms)
+            .chain(events)
+            .collect()
+    };
+    assert_eq!(names(&snap), names(&memex.registry().snapshot()));
+    // Live values from every layer: store, index, server pipeline, and the
+    // servlet surface itself.
     assert!(snap.counter("store.kv.puts") > 0, "store layer silent");
     assert!(snap.counter("store.wal.appends") > 0, "wal silent");
     assert!(snap.counter("index.docs") > 0, "index layer silent");
@@ -511,7 +521,6 @@ fn stats_servlet_reports_live_subsystems() {
         "pipeline silent"
     );
     assert!(snap.counter("server.fetch.pages") > 0, "fetcher silent");
-    assert!(snap.counter("web.crawl.fetches") >= 40, "crawler silent");
     let q = snap
         .histogram("index.query.latency")
         .expect("query latency histogram");
@@ -533,11 +542,8 @@ fn stats_servlet_reports_live_subsystems() {
         .gauges
         .iter()
         .any(|(n, _)| n == "store.version.staleness.index-demon"));
-    // The exporters render it.
-    let text = snap.render_text();
-    assert!(text.contains("server.events.submitted"));
-    assert!(snap.render_prometheus().contains("index_docs"));
-    assert!(snap.render_json().contains("\"store.kv.puts\""));
+    // The text exporter renders it.
+    assert!(snap.render_text().contains("server.events.submitted"));
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! * [`themes`] — the paper's *new* theme-discovery formulation (Fig. 4):
 //!   consolidate all users' folders into a community topic taxonomy,
 //!   "refining topics where needed and coarsening where possible", driven
-//!   by an MDL-style description cost ([`quality`]).
+//!   by an MDL-style description cost.
 
 #![cfg_attr(
     not(test),
@@ -32,7 +32,6 @@
 pub mod hac;
 pub mod kmeans;
 pub mod nearest;
-pub mod quality;
 pub mod scatter;
 pub mod themes;
 

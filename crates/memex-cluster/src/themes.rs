@@ -4,7 +4,8 @@
 //! themes which capture common factors in people's interests when they
 //! can, while maintaining individuality when they must."
 //!
-//! The algorithm, driven by the MDL-style cost of [`crate::quality`]:
+//! The algorithm, driven by an MDL-style description cost — `alpha` per
+//! theme plus each document's misfit `1 − cos` to its theme's centroid:
 //!
 //! 1. **Seed** one candidate theme per user folder (centroid of its docs).
 //! 2. **Merge** — greedily merge the most-similar theme pair across users

@@ -1,6 +1,5 @@
 //! Property tests for the clustering substrate: HAC cuts are proper
-//! partitions, k-means output is well-formed and deterministic, quality
-//! metrics stay in range, and the MDL cost behaves monotonically in alpha.
+//! partitions and k-means output is well-formed and deterministic.
 //!
 //! Theme discovery and k-means are also held, bit for bit, to what they
 //! computed before they kept anything between steps: [`reference`] is the
@@ -13,7 +12,6 @@ use proptest::prelude::*;
 use memex_cluster::hac::{hac_cut, Hac};
 use memex_cluster::kmeans::{KMeans, KMeansResult};
 use memex_cluster::nearest::CentroidIndex;
-use memex_cluster::quality::{nmi, partition_cost, purity};
 use memex_cluster::scatter::buckshot;
 use memex_cluster::themes::{ThemeDiscovery, ThemeOptions, Themes, UserFolder};
 use memex_text::vector::SparseVec;
@@ -272,36 +270,6 @@ proptest! {
         prop_assert!(result.labels.iter().all(|&l| l < kk));
     }
 
-    /// Purity and NMI live in [0, 1]; purity of the identity labelling is 1.
-    #[test]
-    fn quality_metrics_bounded(
-        labels in proptest::collection::vec(0usize..5, 1..40),
-        truth in proptest::collection::vec(0usize..5, 1..40),
-    ) {
-        let n = labels.len().min(truth.len());
-        let labels = &labels[..n];
-        let truth = &truth[..n];
-        let p = purity(labels, truth);
-        prop_assert!((0.0..=1.0).contains(&p));
-        let m = nmi(labels, truth);
-        prop_assert!((0.0..=1.0).contains(&m));
-        prop_assert_eq!(purity(truth, truth), 1.0);
-        let self_nmi = nmi(truth, truth);
-        prop_assert!(self_nmi > 0.999 || truth.iter().all(|&t| t == truth[0]));
-    }
-
-    /// Description cost grows linearly in alpha with fixed partition.
-    #[test]
-    fn cost_monotone_in_alpha(docs in docs_strategy(16), labels_seed in any::<u64>()) {
-        let k = 3usize;
-        let labels: Vec<usize> =
-            (0..docs.len()).map(|i| ((i as u64).wrapping_mul(labels_seed | 1) % k as u64) as usize).collect();
-        let c1 = partition_cost(&docs, &labels, 0.5);
-        let c2 = partition_cost(&docs, &labels, 1.5);
-        prop_assert!(c2 >= c1);
-        let clusters = labels.iter().collect::<std::collections::HashSet<_>>().len() as f64;
-        prop_assert!((c2 - c1 - clusters).abs() < 1e-6, "slope must be #clusters");
-    }
 }
 
 /// Theme discovery and k-means as they were before they kept centroids,

@@ -90,13 +90,26 @@ impl InvertedIndex {
         // Restore doc lengths and segment counter.
         let mut doc_len = HashMap::new();
         let mut total_tokens = 0u64;
-        for (k, v) in kv.scan_prefix(b"L")? {
-            if let &[_, a, b, c, d] = k.as_slice() {
-                let mut pos = 0usize;
-                let len = get_uvarint(&v, &mut pos)? as u32;
-                doc_len.insert(u32::from_be_bytes([a, b, c, d]), len);
-                total_tokens += u64::from(len);
+        let mut failed = None;
+        kv.for_each_range(Bound::Included(b"L"), Bound::Unbounded, &mut |k, v| {
+            if !k.starts_with(b"L") {
+                return false;
             }
+            if let &[_, a, b, c, d] = k {
+                let mut pos = 0usize;
+                match get_uvarint(v, &mut pos) {
+                    Ok(len) => {
+                        let len = len as u32;
+                        doc_len.insert(u32::from_be_bytes([a, b, c, d]), len);
+                        total_tokens += u64::from(len);
+                    }
+                    Err(e) => failed = Some(e),
+                }
+            }
+            failed.is_none()
+        })?;
+        if let Some(e) = failed {
+            return Err(e);
         }
         let next_seg = kv
             .get(b"Mseg")?
@@ -348,7 +361,7 @@ mod tests {
         ix.commit().unwrap();
         ix.add_document(3, &[(7, 3)]).unwrap();
         let before = (ix.postings(7).unwrap(), ix.postings(8).unwrap());
-        let stored = ix.kv.scan_prefix(b"").unwrap();
+        let stored = ix.kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         for (doc, tf) in [(1, &[(7, 1)][..]), (2, &[(7, 2), (8, 1)]), (3, &[(8, 5)])] {
             assert!(matches!(
                 ix.add_document(doc, tf),
@@ -356,7 +369,11 @@ mod tests {
             ));
         }
         assert_eq!((ix.postings(7).unwrap(), ix.postings(8).unwrap()), before);
-        assert_eq!(ix.kv.scan_prefix(b"").unwrap(), stored, "nothing written");
+        assert_eq!(
+            ix.kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
+            stored,
+            "nothing written"
+        );
         assert_eq!((ix.num_docs(), ix.doc_len(1), ix.doc_len(3)), (3, 3, 3));
         assert_eq!(ix.avg_doc_len(), 7.0 / 3.0);
         assert_eq!(registry.counter("index.docs").get(), 3);
@@ -424,11 +441,13 @@ mod tests {
             ix.add_document(d, &[(common, 20), (1000 + d, 20)]).unwrap();
         }
         ix.commit().unwrap();
+        let prefix = InvertedIndex::term_prefix(common);
         let keys = ix
             .kv
-            .scan_prefix(&InvertedIndex::term_prefix(common))
+            .scan(Bound::Included(&prefix), Bound::Unbounded)
             .unwrap();
-        assert_eq!(keys.len(), 1, "one P key per term per segment");
+        let keys = keys.iter().filter(|(k, _)| k.starts_with(&prefix)).count();
+        assert_eq!(keys, 1, "one P key per term per segment");
         let list = ix.postings(common).unwrap();
         assert_eq!(list.len(), 400);
         assert_eq!(list.entries().get(123), Some(&(123, 20)));
@@ -442,7 +461,7 @@ mod tests {
             ix.add_document(d, &[(d % 13, 2), (100 + d, 1)]).unwrap();
         }
         ix.checkpoint().unwrap();
-        let keys = ix.kv.scan_prefix(b"").unwrap();
+        let keys = ix.kv.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert!(keys.len() > 600);
         for (k, _) in keys {
             assert!(

@@ -11,8 +11,7 @@
 //!   from text, hyperlink and folder placement to offer significantly
 //!   boosted accuracy, increasing from a mere 40% accuracy for text-only
 //!   learners to about 80%": an iterative relaxation-labelling scheme over
-//!   the link graph with folder co-placement evidence;
-//! * [`eval`] — accuracy/F1/confusion, seeded splits and k-fold.
+//!   the link graph with folder co-placement evidence.
 
 #![cfg_attr(
     not(test),
@@ -26,9 +25,7 @@
     )
 )]
 
-pub mod em;
 pub mod enhanced;
-pub mod eval;
 pub mod nb;
 pub mod taxonomy;
 

@@ -407,7 +407,7 @@ impl NbScorer {
 }
 
 /// Normalise log scores in place so `exp` sums to 1 (log-sum-exp).
-pub(crate) fn log_normalize(scores: &mut [f64]) {
+pub fn log_normalize(scores: &mut [f64]) {
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if !max.is_finite() {
         let uniform = -(scores.len().max(1) as f64).ln();
@@ -420,7 +420,8 @@ pub(crate) fn log_normalize(scores: &mut [f64]) {
     }
 }
 
-pub(crate) fn argmax(scores: &[f64]) -> usize {
+/// Index of the largest score (the last of equal maxima; 0 when empty).
+pub fn argmax(scores: &[f64]) -> usize {
     scores
         .iter()
         .enumerate()

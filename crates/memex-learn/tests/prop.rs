@@ -1,11 +1,10 @@
 //! Property tests for the learning substrate: taxonomy edits preserve
 //! tree well-formedness, naive Bayes posteriors stay proper distributions
 //! under arbitrary training streams, the frozen scorer says what the model
-//! it was frozen from says, and evaluation splits partition.
+//! it was frozen from says.
 
 use proptest::prelude::*;
 
-use memex_learn::eval::{k_fold, train_test_split, Confusion};
 use memex_learn::nb::{ClassCounts, NaiveBayes, NbOptions, NbScorer};
 use memex_learn::taxonomy::{Taxonomy, TopicId};
 use memex_text::features::FeatureScore;
@@ -312,39 +311,5 @@ proptest! {
         for (b, a) in before.iter().zip(&after) {
             prop_assert!((b - a).abs() < 1e-6, "posterior changed: {b} vs {a}");
         }
-    }
-
-    /// k-fold and train/test splits partition the index set exactly.
-    #[test]
-    fn splits_partition(n in 4usize..60, seed in any::<u64>()) {
-        let (train, test) = train_test_split(n, 0.25, seed);
-        let mut all: Vec<usize> = train.iter().chain(&test).copied().collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-        let k = 4.min(n);
-        let folds = k_fold(n, k, seed);
-        let mut seen = vec![0u8; n];
-        for (_, test) in &folds {
-            for &t in test {
-                seen[t] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    /// Confusion-matrix accuracy is invariant under consistent relabelling
-    /// of *predictions and truth together*.
-    #[test]
-    fn confusion_accuracy_permutation_invariant(
-        pairs in proptest::collection::vec((0usize..4, 0usize..4), 1..50),
-        offset in 0usize..4,
-    ) {
-        let truth: Vec<usize> = pairs.iter().map(|&(t, _)| t).collect();
-        let pred: Vec<usize> = pairs.iter().map(|&(_, p)| p).collect();
-        let a = Confusion::from_pairs(4, &truth, &pred).accuracy();
-        let truth2: Vec<usize> = truth.iter().map(|&t| (t + offset) % 4).collect();
-        let pred2: Vec<usize> = pred.iter().map(|&p| (p + offset) % 4).collect();
-        let b = Confusion::from_pairs(4, &truth2, &pred2).accuracy();
-        prop_assert!((a - b).abs() < 1e-12);
     }
 }

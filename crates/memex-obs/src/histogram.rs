@@ -21,7 +21,7 @@ pub fn bucket_of(value: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `idx`.
-pub fn bucket_upper_bound(idx: usize) -> u64 {
+fn bucket_upper_bound(idx: usize) -> u64 {
     if idx >= NUM_BUCKETS - 1 {
         u64::MAX
     } else {
@@ -68,7 +68,7 @@ impl HistogramCore {
     }
 }
 
-/// A point-in-time copy of a histogram, with percentile readout and merge.
+/// A point-in-time copy of a histogram, with percentile readout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub buckets: [u64; NUM_BUCKETS],
@@ -111,20 +111,6 @@ impl HistogramSnapshot {
             0.0
         } else {
             self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Combine two snapshots; counts and sums add, percentiles reflect the
-    /// union population.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = self.buckets;
-        for (b, o) in buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count + other.count,
-            sum: self.sum.saturating_add(other.sum),
         }
     }
 }

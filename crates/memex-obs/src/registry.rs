@@ -151,21 +151,6 @@ impl MetricsRegistry {
             .shallow_clone()
     }
 
-    /// Time a scope into histogram `name` (nanoseconds):
-    /// `let _g = registry.span("index.invert");`
-    pub fn span(&self, name: &str) -> SpanGuard {
-        if !self.inner.enabled {
-            return SpanGuard {
-                hist: Histogram { core: None },
-                start: None,
-            };
-        }
-        SpanGuard {
-            hist: self.histogram(name),
-            start: Some(Instant::now()),
-        }
-    }
-
     /// Append an annotated event to `subsystem`'s bounded ring.
     pub fn event(&self, subsystem: &str, message: impl Into<String>) {
         if !self.inner.enabled {
@@ -358,7 +343,7 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 0);
         reg.event("t", "ignored");
-        let _g = reg.span("t.latency");
+        let _g = reg.histogram("t.latency").start_span();
         drop(_g);
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
@@ -370,7 +355,7 @@ mod tests {
     fn spans_record_latency() {
         let reg = MetricsRegistry::new();
         {
-            let _g = reg.span("t.work");
+            let _g = reg.histogram("t.work").start_span();
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = reg.histogram("t.work").snapshot();

@@ -1,7 +1,7 @@
-//! Point-in-time snapshots and their three exporters: a human-readable
-//! text table, Prometheus exposition format, and JSON.
+//! Point-in-time snapshots and their one exporter, a human-readable text
+//! table.
 
-use crate::histogram::{HistogramSnapshot, NUM_BUCKETS};
+use crate::histogram::HistogramSnapshot;
 
 /// One annotated entry from a subsystem's bounded event ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,50 +44,6 @@ impl Snapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.events.is_empty()
-    }
-
-    /// Fold another registry's snapshot into this one (e.g. the process
-    /// global registry into a server's). Counters and histogram buckets
-    /// add; gauges and event rings from `other` win on a name collision,
-    /// new names are appended in sorted position.
-    pub fn absorb(&mut self, other: Snapshot) {
-        for (name, v) in other.counters {
-            match self
-                .counters
-                .binary_search_by(|(n, _)| n.as_str().cmp(&name))
-            {
-                Ok(i) => self.counters[i].1 += v,
-                Err(i) => self.counters.insert(i, (name, v)),
-            }
-        }
-        for (name, v) in other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
-                Ok(i) => self.gauges[i].1 = v,
-                Err(i) => self.gauges.insert(i, (name, v)),
-            }
-        }
-        for (name, h) in other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|(n, _)| n.as_str().cmp(&name))
-            {
-                Ok(i) => self.histograms[i].1 = self.histograms[i].1.merge(&h),
-                Err(i) => self.histograms.insert(i, (name, h)),
-            }
-        }
-        for (name, ring) in other.events {
-            match self.events.binary_search_by(|(n, _)| n.as_str().cmp(&name)) {
-                Ok(i) => self.events[i].1 = ring,
-                Err(i) => self.events.insert(i, (name, ring)),
-            }
-        }
     }
 
     /// Human-readable table, one instrument per line; histograms report
@@ -145,120 +101,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Prometheus exposition format. Dots in metric names become
-    /// underscores; histograms export cumulative `_bucket` series plus
-    /// `_sum` and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let name = promify(name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let name = promify(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let name = promify(name);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (idx, &n) in h.buckets.iter().enumerate() {
-                cumulative += n;
-                if n == 0 && idx != NUM_BUCKETS - 1 {
-                    continue;
-                }
-                let le = if idx == NUM_BUCKETS - 1 {
-                    "+Inf".to_string()
-                } else {
-                    crate::histogram::bucket_upper_bound(idx).to_string()
-                };
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-            }
-            if h.buckets[NUM_BUCKETS - 1] == 0 && cumulative != h.count {
-                // Shouldn't happen, but keep the series self-consistent.
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            }
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
-
-    /// JSON object with `counters`, `gauges`, `histograms` (count / sum /
-    /// percentiles), and `events` keys. Hand-rolled: the workspace has no
-    /// serde.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str("\"counters\":{");
-        push_joined(&mut out, &self.counters, |out, (name, v)| {
-            out.push_str(&format!("{}:{v}", json_string(name)));
-        });
-        out.push_str("},\"gauges\":{");
-        push_joined(&mut out, &self.gauges, |out, (name, v)| {
-            out.push_str(&format!("{}:{v}", json_string(name)));
-        });
-        out.push_str("},\"histograms\":{");
-        push_joined(&mut out, &self.histograms, |out, (name, h)| {
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"mean\":{:.1},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                json_string(name),
-                h.count,
-                h.sum,
-                h.mean(),
-                h.percentile(0.5),
-                h.percentile(0.9),
-                h.percentile(0.99),
-                h.percentile(1.0),
-            ));
-        });
-        out.push_str("},\"events\":{");
-        push_joined(&mut out, &self.events, |out, (subsystem, ring)| {
-            out.push_str(&format!("{}:[", json_string(subsystem)));
-            push_joined(out, ring, |out, ev| {
-                out.push_str(&format!(
-                    "{{\"seq\":{},\"message\":{}}}",
-                    ev.seq,
-                    json_string(&ev.message)
-                ));
-            });
-            out.push(']');
-        });
-        out.push_str("}}");
-        out
-    }
-}
-
-fn push_joined<T>(out: &mut String, items: &[T], mut f: impl FnMut(&mut String, &T)) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        f(out, item);
-    }
-}
-
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn promify(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 /// Render a nanosecond quantity with a unit that keeps it readable.
@@ -303,52 +145,6 @@ mod tests {
         assert!(text.contains("server.bus.depth"));
         assert!(text.contains("index.query.latency"));
         assert!(text.contains("overload: discarded 2 events"));
-    }
-
-    #[test]
-    fn prometheus_is_underscored_and_cumulative() {
-        let prom = sample().render_prometheus();
-        assert!(prom.contains("# TYPE store_wal_appends counter"));
-        assert!(prom.contains("store_wal_appends 42"));
-        assert!(prom.contains("# TYPE server_bus_depth gauge"));
-        assert!(prom.contains("index_query_latency_count 4"));
-        assert!(prom.contains("le=\"+Inf\"} 4"));
-    }
-
-    #[test]
-    fn json_parses_shallowly() {
-        let json = sample().render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"store.wal.appends\":42"));
-        assert!(json.contains("\"count\":4"));
-        // Balanced braces (cheap structural check without a parser).
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn absorb_merges_and_inserts() {
-        let mut a = sample();
-        let mut b = Snapshot::default();
-        b.counters.push(("store.wal.appends".into(), 8)); // collides: adds
-        b.counters.push(("web.crawl.fetches".into(), 3)); // new: inserts
-        b.histograms.push(("index.query.latency".into(), {
-            let mut h = HistogramSnapshot::default();
-            h.buckets[crate::histogram::bucket_of(50)] += 1;
-            h.count = 1;
-            h.sum = 50;
-            h
-        }));
-        a.absorb(b);
-        assert_eq!(a.counter("store.wal.appends"), 50);
-        assert_eq!(a.counter("web.crawl.fetches"), 3);
-        assert_eq!(a.histogram("index.query.latency").unwrap().count, 5);
-        // Still sorted by name.
-        let names: Vec<&str> = a.counters.iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
     }
 
     #[test]

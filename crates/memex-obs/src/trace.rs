@@ -17,8 +17,6 @@
 //!   recorder** ring (atomic cursor, per-slot mutex — contention is one
 //!   pointer swap per trace) and, when the root span exceeds the
 //!   configured threshold, to the bounded **slow-request log**.
-//! - [`render_chrome_trace`] exports traces as Chrome `trace_event`
-//!   JSON, loadable in `about:tracing` / Perfetto.
 //!
 //! A [`Tracer`] built disabled hands out inert guards; the entire layer
 //! can be toggled at runtime ([`Tracer::configure`]).
@@ -30,7 +28,6 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::registry::{Counter, MetricsRegistry};
-use crate::snapshot::json_string;
 
 /// SplitMix64 finalizer: a full-avalanche mix of a 64-bit state.
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -591,46 +588,6 @@ impl Drop for SpanScope {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace_event exporter
-// ---------------------------------------------------------------------------
-
-/// Render traces as Chrome `trace_event` JSON (complete `"X"` events),
-/// loadable in `about:tracing` or <https://ui.perfetto.dev>. Each trace
-/// gets its own `tid` lane; timestamps are microseconds with nanosecond
-/// fractions preserved.
-pub fn render_chrome_trace(traces: &[TraceData]) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    for (lane, trace) in traces.iter().enumerate() {
-        for span in &trace.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"name\":{},\"cat\":\"memex\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{:.3},\"dur\":{:.3},\"args\":{{\"trace_id\":\"{:016x}\",\"span_id\":{}",
-                json_string(&span.name),
-                lane + 1,
-                span.start_ns as f64 / 1_000.0,
-                span.duration_ns() as f64 / 1_000.0,
-                trace.trace_id,
-                span.id,
-            ));
-            if let Some(parent) = span.parent {
-                out.push_str(&format!(",\"parent\":{parent}"));
-            }
-            for (k, v) in &span.annotations {
-                out.push_str(&format!(",{}:{}", json_string(k), json_string(v)));
-            }
-            out.push_str("}}");
-        }
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,23 +745,5 @@ mod tests {
         let pre = t.span("pre_work").unwrap();
         assert_eq!(pre.start_ns, 0);
         assert!(pre.duration_ns() >= 1_000_000);
-    }
-
-    #[test]
-    fn chrome_export_is_balanced_and_escaped() {
-        let tracer = enabled_tracer();
-        let guard = tracer.start_trace("net.req", Some(0xABCD));
-        annotate("weird\"key", "line\nbreak");
-        {
-            let _c = span("child");
-        }
-        drop(guard);
-        let json = render_chrome_trace(&tracer.collect(false, 10));
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"net.req\""));
-        assert!(json.contains("000000000000abcd"));
-        assert!(json.contains("weird\\\"key"));
-        assert!(json.contains("line\\nbreak"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -40,32 +40,10 @@ proptest! {
         // bucket bound nor above the max value's bucket bound.
         let max = *values.iter().max().unwrap();
         prop_assert!(snap.percentile(1.0) >= max);
-    }
-
-    /// Merging histograms preserves total count and sum, and the merged
-    /// percentiles reflect the union population.
-    #[test]
-    fn merge_preserves_count_and_sum(
-        a in proptest::collection::vec(0u64..1_000_000, 0..120),
-        b in proptest::collection::vec(0u64..1_000_000, 0..120),
-    ) {
-        let sa = snapshot_of(&a);
-        let sb = snapshot_of(&b);
-        let merged = sa.merge(&sb);
-        prop_assert_eq!(merged.count, sa.count + sb.count);
-        prop_assert_eq!(merged.sum, sa.sum + sb.sum);
-        let bucket_total: u64 = merged.buckets.iter().sum();
-        prop_assert_eq!(bucket_total, merged.count);
-        // Merge is symmetric.
-        prop_assert_eq!(sb.merge(&sa), merged);
-        // The union's max is visible at p100.
-        let all_max = a.iter().chain(&b).max().copied();
-        if let Some(m) = all_max {
-            prop_assert!(merged.percentile(1.0) >= m);
-        }
         // Bucket index sanity for the whole u64 range.
         prop_assert!(bucket_of(u64::MAX) == NUM_BUCKETS - 1);
     }
+
 }
 
 /// N threads x M increments on one shared counter sum exactly — the relaxed

@@ -8,9 +8,10 @@
 //!
 //! * [`lsm`] — the keyed store: a WAL-backed memtable sealed into
 //!   immutable, checksummed, bloom-filtered sorted runs, tiered
-//!   compaction, crash recovery and MVCC snapshots. The inverted index
-//!   (`memex-index`) keeps its term-level data directly in one
-//!   [`LsmStore`].
+//!   compaction and crash recovery. Its read API is what the index reads:
+//!   a point `get` and an ordered range walk (`for_each_range`). The
+//!   inverted index (`memex-index`) keeps its term-level data directly in
+//!   one [`LsmStore`].
 //! * [`rel`] — the metadata tier: typed tables keyed by their first
 //!   column, with uniqueness and a point lookup by any unique column,
 //!   laid out as key prefixes inside its own [`LsmStore`].
@@ -49,6 +50,6 @@ pub mod vfs;
 pub mod wal;
 
 pub use error::{StoreError, StoreResult};
-pub use lsm::{LsmOptions, LsmSnapshot, LsmStore};
+pub use lsm::{LsmOptions, LsmStore};
 pub use version::{Epoch, EventLog};
 pub use vfs::{FaultConfig, FaultControl, FaultyDir, FileDir, MemDir, Storage, StorageDir};

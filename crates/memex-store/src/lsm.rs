@@ -1,9 +1,8 @@
-//! # memex-store::lsm — the keyed store: log-structured, MVCC
+//! # memex-store::lsm — the keyed store: log-structured, tier-compacted
 //!
-//! The archive workload the paper describes has one shape: browsers
-//! stream events in *continuously* while mining demons read long-lived
-//! views. A store that mutates pages in place makes every reader share a
-//! lock with the writer; this one never modifies anything it has written:
+//! The archive only grows, and what the served system asks of it is the
+//! contract of an ordered map: put, delete, point get, and an ordered range
+//! walk. This store never modifies anything it has written:
 //!
 //! * **Writes** land in a sorted in-memory memtable, logged through the
 //!   [`Wal`] (crash recovery replays it back).
@@ -25,10 +24,11 @@
 //!   admits the key and decodes one small block there — `get()` stays
 //!   flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}` classify
 //!   every probe.
-//! * **MVCC snapshots**: [`LsmSnapshot`] clones the (bounded) memtable
-//!   and grabs `Arc`s on the immutable runs under one brief read lock;
-//!   every read after that touches no lock at all, so a mining demon can
-//!   scan a pinned epoch while ingest and compaction continue.
+//! * **Reads** ([`LsmStore::get`], [`LsmStore::for_each_range`]) see the
+//!   live state under one brief shared lock; the writer is single
+//!   (`&mut`), and the only other thread is the background compactor,
+//!   which merges `Arc`'d immutable runs with no lock held and swaps the
+//!   result in under the locks below.
 //!
 //! ## Durability protocol (the order is the contract)
 //!
@@ -49,7 +49,7 @@
 //! `store.lsm.manifest` → `store.lsm.state` → `store.lsm.metrics`. The
 //! manifest mutex also serializes run-set transitions (seal vs. compact),
 //! so the run list read under it cannot change until it is released.
-//! Reads (`get`/scans/`snapshot`) take `&self`: their shared counters are
+//! Reads (`get`/scans) take `&self`: their shared counters are
 //! atomics and the metrics handles sit behind an `RwLock` only so
 //! `attach_registry` can swap them.
 
@@ -141,7 +141,6 @@ struct LsmMetrics {
     bloom_hit: Counter,
     bloom_skip: Counter,
     bloom_fp: Counter,
-    snapshots: Counter,
 }
 
 impl LsmMetrics {
@@ -164,7 +163,6 @@ impl LsmMetrics {
             bloom_hit: registry.counter("store.lsm.bloom.hit"),
             bloom_skip: registry.counter("store.lsm.bloom.skip"),
             bloom_fp: registry.counter("store.lsm.bloom.fp"),
-            snapshots: registry.counter("store.lsm.snapshots"),
         }
     }
 }
@@ -183,8 +181,7 @@ struct LeveledRun {
     level: u32,
 }
 
-/// Mutable engine state behind the RwLock: what a point-in-time view is
-/// made of.
+/// Mutable engine state behind the RwLock: everything a read consults.
 struct LsmState {
     /// Sorted write buffer; `None` = tombstone.
     memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
@@ -193,7 +190,9 @@ struct LsmState {
     /// Immutable runs, newest first; levels are non-decreasing front to
     /// back (level 0 youngest, deepest tier oldest).
     runs: Vec<LeveledRun>,
-    /// Bumped on every run-set transition (seal or compaction).
+    /// Bumped on every run-set transition (seal or compaction); a
+    /// compaction installs its merge only if the epoch it planned at is
+    /// still current.
     epoch: u64,
 }
 
@@ -257,8 +256,7 @@ struct Wake {
     cond: Condvar,
 }
 
-/// State shared between the writer, readers (snapshots) and the
-/// compaction demon.
+/// State shared between the writer, readers and the compaction demon.
 struct LsmShared {
     state: RwLock<LsmState>,
     manifest: Mutex<Manifest>,
@@ -267,9 +265,8 @@ struct LsmShared {
     dir: Arc<dyn StorageDir>,
 }
 
-/// The keyed store. Writes are writer-owned (`&mut`); reads take `&self`
-/// and concurrency happens through [`LsmStore::snapshot`] handles and the
-/// background compactor.
+/// The keyed store. Writes are writer-owned (`&mut`); reads take `&self`;
+/// the background compactor is the one other thread.
 pub struct LsmStore {
     shared: Arc<LsmShared>,
     wal: Wal,
@@ -532,13 +529,7 @@ impl LsmStore {
         Ok(())
     }
 
-    /// Collect every `(key, value)` whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> StoreResult<Vec<(Vec<u8>, Vec<u8>)>> {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        Ok(merged_prefix(&state.memtable, &state.runs, prefix))
-    }
-
-    /// Collect a bounded range.
+    /// Collect a bounded range: [`LsmStore::for_each_range`], gathered.
     pub fn scan(
         &self,
         start: Bound<&[u8]>,
@@ -555,36 +546,6 @@ impl LsmStore {
     /// Make every acked record durable (WAL fsync).
     pub fn sync(&mut self) -> StoreResult<()> {
         self.wal.sync()
-    }
-
-    /// Open an MVCC snapshot: one brief read lock to clone the (bounded)
-    /// memtable and pin the immutable run set, then every read on the
-    /// returned handle is lock-free. Ingest, seals and compactions after
-    /// this point are invisible to the snapshot.
-    pub fn snapshot(&self) -> LsmSnapshot {
-        let (memtable, runs, epoch) = {
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            (state.memtable.clone(), state.runs.clone(), state.epoch)
-        };
-        {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            m.snapshots.inc();
-        }
-        LsmSnapshot {
-            memtable,
-            runs,
-            epoch,
-        }
-    }
-
-    /// The run-set epoch readers would pin right now.
-    pub fn epoch(&self) -> u64 {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        state.epoch
     }
 
     /// Live run count.
@@ -786,12 +747,6 @@ impl LsmStore {
     /// What recovery found at open time.
     pub fn stats(&self) -> LsmStats {
         self.recovered
-    }
-
-    /// Expose the WAL for fault-injection in recovery experiments.
-    #[doc(hidden)]
-    pub fn wal_mut(&mut self) -> &mut Wal {
-        &mut self.wal
     }
 }
 
@@ -1201,60 +1156,6 @@ fn merged_for_each<'a>(
     }
 }
 
-/// Every merged `(key, value)` whose key starts with `prefix`.
-fn merged_prefix(
-    memtable: &BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    runs: &[LeveledRun],
-    prefix: &[u8],
-) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::new();
-    let start = Bound::Included(prefix);
-    merged_for_each(memtable, runs, start, Bound::Unbounded, &mut |k, v| {
-        if !k.starts_with(prefix) {
-            return false;
-        }
-        out.push((k.to_vec(), v.to_vec()));
-        true
-    });
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Snapshots
-// ---------------------------------------------------------------------------
-
-/// A pinned point-in-time view: the memtable as of the snapshot plus
-/// `Arc`s on the then-live immutable runs. Reads take no lock at all.
-pub struct LsmSnapshot {
-    memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    runs: Vec<LeveledRun>,
-    epoch: u64,
-}
-
-impl LsmSnapshot {
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        lookup(&self.memtable, &self.runs, key).value
-    }
-
-    pub fn for_each_range(
-        &self,
-        start: Bound<&[u8]>,
-        end: Bound<&[u8]>,
-        f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
-    ) {
-        merged_for_each(&self.memtable, &self.runs, start, end, f);
-    }
-
-    /// Collect every `(key, value)` whose key starts with `prefix`.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        merged_prefix(&self.memtable, &self.runs, prefix)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1447,39 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_pins_pre_burst_state_across_seal_and_compaction() {
-        let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
-        s.put(b"k1", b"v1").unwrap();
-        s.put(b"k2", b"v2").unwrap();
-        let snap = s.snapshot();
-        let epoch = snap.epoch();
-        // Burst: overwrite, delete, seal twice, compact.
-        s.put(b"k1", b"changed").unwrap();
-        s.delete(b"k2").unwrap();
-        s.seal().unwrap();
-        s.put(b"k3", b"v3").unwrap();
-        s.seal().unwrap();
-        s.compact_now().unwrap();
-        // The snapshot still reads the exact pre-burst state.
-        assert_eq!(snap.get(b"k1"), Some(b"v1".to_vec()));
-        assert_eq!(snap.get(b"k2"), Some(b"v2".to_vec()));
-        assert_eq!(snap.get(b"k3"), None);
-        let mut seen = Vec::new();
-        snap.for_each_range(Bound::Unbounded, Bound::Unbounded, &mut |k, v| {
-            seen.push((k.to_vec(), v.to_vec()));
-            true
-        });
-        assert_eq!(
-            seen,
-            vec![
-                (b"k1".to_vec(), b"v1".to_vec()),
-                (b"k2".to_vec(), b"v2".to_vec())
-            ]
-        );
-        assert!(s.epoch() > epoch, "live epoch moved on");
-    }
-
-    #[test]
     fn reopen_recovers_runs_and_wal() {
         let dir: Arc<MemDir> = Arc::new(MemDir::new());
         {
@@ -1651,36 +1519,62 @@ mod tests {
 
     #[test]
     fn background_compactor_kicks_in() {
+        // The writer/compactor race the sanitizer matrix runs under TSan: a
+        // burst of puts, overwrites and deletes under a tiny memtable seals
+        // every few writes, each seal past two runs wakes the demon, and
+        // the writer's reads interleave with its merges. Every read must
+        // see the newest write of its key, wherever that lies.
         let opts = LsmOptions {
-            memtable_bytes: 64,
+            memtable_bytes: 256,
             compact_min_runs: 2,
             background_compaction: true,
         };
         let mut s = LsmStore::open_memory_opts(opts).unwrap();
-        for i in 0..64u32 {
-            let k = format!("key-{i:04}");
-            s.put(k.as_bytes(), &[0u8; 40]).unwrap();
-        }
-        // Wait (bounded) for the demon to merge every ready tier.
-        for _ in 0..200 {
-            if s.run_count() <= 2 && !tier_ready(&s.shared.state.read().unwrap().runs, 2) {
-                break;
+        let registry = MetricsRegistry::new();
+        s.attach_registry(&registry);
+        let all = |s: &LsmStore| s.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for i in 0..400u32 {
+            let k = format!("k{:03}", i % 80).into_bytes();
+            let v = format!("w{i}").into_bytes();
+            s.put(&k, &v).unwrap();
+            model.insert(k.clone(), v);
+            assert_eq!(s.get(&k).unwrap().as_ref(), model.get(&k), "op {i}");
+            if i % 16 == 15 {
+                let k = format!("k{:03}", (i / 16) % 40).into_bytes();
+                s.delete(&k).unwrap();
+                model.remove(&k);
+                assert_eq!(s.get(&k).unwrap(), None, "op {i}: delete");
             }
+            if i % 50 == 49 {
+                let want: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
+                assert_eq!(all(&s), want, "op {i}: scan");
+            }
+        }
+        // Wait (bounded) for the demon to merge at least once and to drain
+        // every ready tier.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while registry.snapshot().counter("store.lsm.compactions") == 0
+            || tier_ready(&s.shared.state.read().unwrap().runs, 2)
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the background compactor never drained the burst's runs"
+            );
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert!(
-            !tier_ready(&s.shared.state.read().unwrap().runs, 2),
-            "no tier should remain compactable"
-        );
-        for i in 0..64u32 {
-            let k = format!("key-{i:04}");
-            assert_eq!(s.get(k.as_bytes()).unwrap(), Some(vec![0u8; 40]));
+        assert!(registry.snapshot().counter("store.lsm.seals") > 0);
+        for i in 0..80u32 {
+            let k = format!("k{i:03}").into_bytes();
+            assert_eq!(s.get(&k).unwrap().as_ref(), model.get(&k), "key {i}");
         }
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        assert_eq!(all(&s), want, "after the merges");
         s.check().unwrap();
     }
 
     #[test]
-    fn scan_prefix_and_ranges_merge_correctly() {
+    fn ranges_merge_correctly() {
         let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
         s.put(b"p/a", b"1").unwrap();
         s.put(b"p/b", b"2").unwrap();
@@ -1688,7 +1582,12 @@ mod tests {
         s.seal().unwrap();
         s.put(b"p/b", b"2b").unwrap();
         s.put(b"p/c", b"4").unwrap();
-        let got = s.scan_prefix(b"p/").unwrap();
+        let got = s
+            .scan(
+                Bound::Included(b"p/".as_slice()),
+                Bound::Excluded(b"p0".as_slice()),
+            )
+            .unwrap();
         assert_eq!(
             got,
             vec![

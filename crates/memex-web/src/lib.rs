@@ -11,8 +11,6 @@
 //!   Web documents");
 //! * [`surfer`] — simulated users with focused interests producing
 //!   timestamped visit/bookmark event streams over months of virtual time;
-//! * [`crawler`] — the focused crawler of paper ref \[5\] and its unfocused
-//!   BFS baseline, compared by harvest rate in experiment T4;
 //! * [`zipf`] — the seeded Zipf sampler both generators share.
 
 #![cfg_attr(
@@ -28,10 +26,8 @@
 )]
 
 pub mod corpus;
-pub mod crawler;
 pub mod surfer;
 pub mod zipf;
 
 pub use corpus::{AnalyzedCorpus, Corpus, CorpusConfig, Page};
-pub use crawler::{focused_crawl, unfocused_crawl, CrawlTrace};
 pub use surfer::{Bookmark, Community, SurferConfig};

@@ -1,11 +1,10 @@
 //! Property tests for the simulation substrate: generated corpora are
 //! structurally sound for any configuration, simulation output respects
-//! its own ground truth, and crawls never escape the web.
+//! its own ground truth.
 
 use proptest::prelude::*;
 
 use memex_web::corpus::{Corpus, CorpusConfig};
-use memex_web::crawler::unfocused_crawl;
 use memex_web::surfer::{Community, SurferConfig};
 use memex_web::zipf::Zipf;
 
@@ -100,27 +99,6 @@ proptest! {
             prop_assert!(!truth.interests.is_empty());
             prop_assert!(truth.interests.iter().all(|&t| t < 3));
         }
-    }
-
-    /// Crawls visit only valid pages, never revisit, and respect budgets.
-    #[test]
-    fn crawl_stays_in_bounds(seed in any::<u64>(), budget in 1usize..40) {
-        let corpus = Corpus::generate(CorpusConfig {
-            num_topics: 3,
-            pages_per_topic: 12,
-            interior_tokens: (5, 10),
-            seed,
-            ..CorpusConfig::default()
-        });
-        let trace = unfocused_crawl(&corpus, &[0, 5], 1, budget);
-        prop_assert!(trace.order.len() <= budget);
-        let mut seen = std::collections::HashSet::new();
-        for &p in &trace.order {
-            prop_assert!((p as usize) < corpus.num_pages());
-            prop_assert!(seen.insert(p), "refetched {p}");
-        }
-        let hr = trace.harvest_rate();
-        prop_assert!((0.0..=1.0).contains(&hr));
     }
 
     /// Zipf samples always fall in support and rank-0 dominates for

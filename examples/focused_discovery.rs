@@ -9,7 +9,7 @@
 use memex::graph::hits::top_authorities;
 use memex::learn::nb::{NaiveBayes, NbOptions};
 use memex::web::corpus::{Corpus, CorpusConfig};
-use memex::web::crawler::{focused_crawl, unfocused_crawl};
+use memex_bench::crawler::{focused_crawl, unfocused_crawl};
 
 fn main() {
     let corpus = Corpus::generate(CorpusConfig {

@@ -55,9 +55,17 @@ fn metadata_db_and_term_store_recover_from_torn_wal() {
             kv.put(format!("df:{i:06}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
         }
-        kv.wal_mut().sync().unwrap();
-        // Crash mid-write of the last record.
-        kv.wal_mut().tear_tail(5).unwrap();
+        kv.sync().unwrap();
+    }
+    {
+        // Crash mid-write of the last record: its last 5 bytes never
+        // reached the disk.
+        let wal = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("terms").join("wal"))
+            .unwrap();
+        let len = wal.metadata().unwrap().len();
+        wal.set_len(len - 5).unwrap();
     }
     {
         let kv = LsmStore::open_dir(dir.join("terms"), LsmOptions::default()).unwrap();

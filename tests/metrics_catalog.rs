@@ -6,8 +6,7 @@
 //!
 //! The served system here is a `Memex` behind a `NetServer` that is
 //! started, answers one request and is shut down, plus a `FaultyDir`
-//! reporting into the same registry and one tiny crawl (`web.crawl.*` live
-//! on the process-global registry). Every subsystem registers its names
+//! reporting into the same registry. Every subsystem registers its names
 //! when it is built, so one request is enough to see them all.
 
 use std::collections::BTreeSet;
@@ -78,12 +77,7 @@ fn served_names() -> BTreeSet<String> {
     assert!(matches!(answer, Response::Ack { .. }), "{answer:?}");
     drop(client);
     let memex = server.shutdown();
-
-    memex::web::crawler::unfocused_crawl(&corpus, &[page], 0, 4);
-
-    names(&memex.registry().snapshot())
-        .chain(names(&memex::obs::global().snapshot()))
-        .collect()
+    names(&memex.registry().snapshot()).collect()
 }
 
 #[test]
