@@ -10,10 +10,15 @@
 //!   around one declared field list per request/response type, which
 //!   drives both encode and decode. Typed errors, a hard frame cap, no
 //!   panics on hostile bytes.
-//! - [`NetServer`] — a concurrent TCP server: fixed worker pool over a
-//!   bounded accept queue, per-request timeouts, graceful shutdown, and
-//!   semaphore-style admission control that sheds load with explicit
-//!   [`memex_core::servlet::Response::Overloaded`] frames.
+//! - [`Service`] — the serving core, with no I/O of its own: one frame in,
+//!   one answer frame written out. It holds the served `Memex` behind an
+//!   `RwLock`, the epoch-keyed read cache, the `net.*` metrics, tracing,
+//!   and semaphore-style admission control that sheds load with explicit
+//!   [`memex_core::servlet::Response::Overloaded`] frames. TCP, tests and
+//!   seeded single-thread schedules all drive this one `handle`.
+//! - [`NetServer`] — the TCP transport around a `Service`: an accept
+//!   thread, a fixed worker pool over a bounded accept queue, per-connection
+//!   timeouts and graceful shutdown.
 //! - [`MemexClient`] — a blocking client with connect/request timeouts and
 //!   transparent reconnect-on-broken-pipe.
 //!
@@ -45,5 +50,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientConfig, MemexClient, NetError};
-pub use server::{NetServer, NetServerConfig};
+pub use server::{NetServer, NetServerConfig, Service};
 pub use wire::{FrameKind, TraceContext, WireError, MAX_PAYLOAD, WIRE_VERSION};

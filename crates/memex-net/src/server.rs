@@ -1,33 +1,38 @@
-//! The concurrent TCP serving layer.
+//! The serving core and its TCP transport.
 //!
-//! One accept thread feeds connections into a *bounded* queue drained by a
-//! fixed pool of worker threads; each worker speaks the frame protocol of
-//! [`crate::wire`] and dispatches decoded requests against the one served
-//! [`Memex`].
+//! [`Service`] is the server the paper describes: the servlets over one
+//! served [`Memex`], run "as triggered by client action" (§3). It does no
+//! I/O of its own. [`Service::handle`] takes one frame as
+//! [`wire::read_frame_meta`] read it and writes the answer frame into any
+//! [`Write`]: a socket, a `Vec<u8>` in a test, or a seeded single-thread
+//! schedule. [`NetServer`] is only the transport around it: one accept
+//! thread feeds connections into a *bounded* queue drained by a fixed pool
+//! of worker threads, and each worker reads frames off its connection and
+//! hands them to the one shared `Service`.
 //!
 //! **Read/write split:** requests are classified by
 //! [`memex_core::servlet::Request::is_read`]. Reads dispatch through
 //! [`dispatch_read`] under a *shared* `RwLock` read guard, so any number of
-//! workers answer queries in parallel; writes take the exclusive guard,
-//! apply the mutation plus demons/refresh through [`dispatch_write`], and
-//! bump the write epoch. The paper's §3 single-producer/multi-consumer
+//! callers answer queries in parallel; writes take the exclusive guard,
+//! bump the write epoch, and apply the mutation plus demons/refresh
+//! through [`dispatch_write`]. The paper's §3 single-producer/multi-consumer
 //! serving shape, on one process.
 //!
 //! **Epoch-keyed read cache:** identical read requests between two writes
 //! hit a bounded FIFO cache (256 entries) keyed by the request itself. An
 //! entry is the answer's encoded payload and its CRC-32, so a hit only
 //! frames those bytes for the request's trace context: no clone of the
-//! answer, no re-encode, and a checksum over the envelope alone. Every entry is
-//! tagged with the write epoch *loaded before* the underlying dispatch
-//! acquired the read lock; an entry is served only while its tag equals the
-//! current epoch, so a cached response can never outlive the write that
-//! invalidated it (a racing write can only *under*-tag an entry, making it
-//! die early — never serve stale). When the cache observes a newer epoch it
-//! purges every stale-tagged entry in one sweep (counted in
-//! `net.read.cache.stale_purged`), so dead entries stop occupying capacity
-//! and can never force the eviction of fresh ones (`net.read.cache.evict`
-//! counts only live-entry evictions). `Request::Stats` bypasses the cache:
-//! its answer changes without any write. Counters: `net.read.cache.hit`,
+//! answer, no re-encode, and a checksum over the envelope alone. The cache
+//! holds answers as of one write epoch. A reader loads the epoch *before*
+//! it takes the read lock and offers its answer under that epoch; the
+//! first probe or insert that brings a newer epoch clears the whole cache
+//! (the cleared entries are counted in `net.read.cache.stale_purged`), and
+//! an insert under an older epoch is refused. So a cached response can
+//! never outlive the write that invalidated it: a racing write can only
+//! make a reader's answer arrive too old to be kept, never keep a stale
+//! one. `net.read.cache.evict` counts FIFO evictions of current entries.
+//! `Request::Stats` and `Request::Traces` bypass the cache: their answers
+//! change without any write. Counters: `net.read.cache.hit`,
 //! `net.read.cache.miss`, `net.read.cache.evict`,
 //! `net.read.cache.stale_purged`.
 //!
@@ -47,19 +52,19 @@
 //! Workers drain the accept queue before exiting (the channel hands out
 //! buffered connections even after the sender is dropped), and any
 //! in-progress request completes and is answered — nothing is dropped
-//! silently.
+//! silently. Then [`Service::into_memex`] hands the archive back.
 //!
-//! **Tracing:** when [`NetServerConfig::trace`] enables it, every
-//! exchanged request gets a root span (`net.req`) covering
+//! **Tracing:** when the served Memex's [`memex_obs::Tracer`] is enabled
+//! (configure it before building the `Service`; it is off by default),
+//! every handled request gets a root span (`net.req`) covering
 //! decode → lock-acquire → dispatch → write, annotated with
 //! `lock_wait_ns`/`lock_kind` at RwLock acquisition (and `cache_hit=true`
 //! on cache-served reads, `shed=true` on overload verdicts,
 //! `retry_of=<id>` when the client marked the request as a retry of an
 //! earlier attempt). The trace id comes from the frame envelope when the
-//! client stamped one, else from the server's seeded generator; responses
-//! echo it. Completed span trees land in the served Memex's
-//! [`memex_obs::Tracer`] flight recorder (and slow log) and are served
-//! over the wire by `Request::Traces`.
+//! client stamped one, else from the tracer's seeded generator; responses
+//! echo it. Completed span trees land in the tracer's flight recorder (and
+//! slow log) and are served over the wire by `Request::Traces`.
 //!
 //! All serving stats flow through the served Memex's metrics registry
 //! (`net.conn.*`, `net.req.*`, `net.read.*`, `net.shed`,
@@ -79,9 +84,9 @@ use memex_core::memex::Memex;
 use memex_core::servlet::{
     dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, WriteRequest,
 };
-use memex_obs::{trace, Counter, Gauge, Histogram, MetricsRegistry, TraceConfig, Tracer};
+use memex_obs::{trace, Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 
-use crate::wire::{self, FrameKind, TraceContext, WireError};
+use crate::wire::{self, FrameKind, FrameMeta, TraceContext, WireError};
 
 /// Tuning knobs for [`NetServer`].
 #[derive(Debug, Clone, Copy)]
@@ -99,9 +104,6 @@ pub struct NetServerConfig {
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
-    /// Request-tracing knobs (applied to the served Memex's tracer at
-    /// start). Disabled by default: tracing is opt-in per server.
-    pub trace: TraceConfig,
 }
 
 impl Default for NetServerConfig {
@@ -112,7 +114,6 @@ impl Default for NetServerConfig {
             max_in_flight: 8,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            trace: TraceConfig::default(),
         }
     }
 }
@@ -129,77 +130,56 @@ fn encoded(resp: &Response) -> Encoded {
     Arc::new(wire::checked_response(resp))
 }
 
-/// Bounded FIFO read-result cache keyed by the request. Entries carry the
-/// write epoch observed before their dispatch; [`ReadCache::get`] serves an
-/// entry only while that tag equals the newest epoch the cache has seen.
-/// The first observation of a newer epoch sweeps every stale-tagged entry
-/// out in one pass, so dead entries never occupy capacity that should hold
-/// fresh ones.
+/// Bounded FIFO read-result cache keyed by the request, holding answers
+/// as of one write epoch: the newest one it has observed. Observing a newer
+/// epoch clears it and an insert under an older one is refused, so every
+/// entry is current and a probe needs no per-entry tag.
 #[derive(Default)]
 struct ReadCache {
-    /// Newest write epoch this cache has observed; entries tagged older
-    /// are dead weight and are purged on the bump.
+    /// Newest write epoch this cache has observed; every entry is as of it.
     epoch: u64,
-    map: HashMap<Request, (u64, Encoded)>,
-    /// Insertion order for FIFO eviction; may lag `map` (stale entries are
-    /// removed from `map` first), which eviction tolerates.
+    map: HashMap<Request, Encoded>,
+    /// The keys of `map` in insertion order, for FIFO eviction.
     order: VecDeque<Request>,
 }
 
 impl ReadCache {
-    /// Observe `epoch`; on a bump, purge every entry tagged older. Returns
-    /// how many stale entries were purged.
+    /// Observe `epoch`; on a bump, clear every entry. Returns how many
+    /// entries were cleared.
     fn note_epoch(&mut self, epoch: u64) -> u64 {
         if epoch <= self.epoch {
             return 0;
         }
         self.epoch = epoch;
-        let before = self.map.len();
-        self.map.retain(|_, (tag, _)| *tag >= epoch);
-        let purged = (before - self.map.len()) as u64;
-        if purged > 0 {
-            self.order.retain(|k| self.map.contains_key(k));
-        }
+        let purged = self.map.len() as u64;
+        self.map.clear();
+        self.order.clear();
         purged
     }
 
-    /// Probe for `key` at `epoch`. Returns the hit (if live) and how many
-    /// stale entries the epoch observation purged.
+    /// Probe for `key` by a reader that loaded `epoch`. Returns the hit and
+    /// how many entries the epoch observation cleared.
     fn get(&mut self, key: &Request, epoch: u64) -> (Option<Encoded>, u64) {
         let purged = self.note_epoch(epoch);
-        let hit = match self.map.get(key) {
-            Some((tag, answer)) if *tag == self.epoch => Some(Arc::clone(answer)),
-            Some(_) => {
-                // Tagged older than the newest seen epoch (an under-tagged
-                // racing insert): dead — drop rather than serve.
-                self.map.remove(key);
-                None
-            }
-            None => None,
-        };
-        (hit, purged)
+        (self.map.get(key).map(Arc::clone), purged)
     }
 
-    /// Insert. Returns `(evicted, purged)`: how many *live* entries were
-    /// evicted for capacity, and how many stale ones the epoch observation
-    /// purged. An insert tagged older than the newest seen epoch is dead
-    /// on arrival and is not stored (it must not waste a slot).
+    /// Insert an answer dispatched by a reader that loaded `epoch`. Returns
+    /// `(evicted, purged)`: how many entries were evicted for capacity, and
+    /// how many the epoch observation cleared. An answer from before the
+    /// newest observed epoch may be stale and is not stored.
     fn put(&mut self, key: Request, epoch: u64, answer: Encoded) -> (u64, u64) {
         let purged = self.note_epoch(epoch);
         if epoch < self.epoch {
             return (0, purged);
         }
         let mut evicted = 0u64;
-        if self.map.insert(key.clone(), (epoch, answer)).is_none() {
+        if self.map.insert(key.clone(), answer).is_none() {
             self.order.push_back(key);
-            while self.map.len() > READ_CACHE_ENTRIES {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        if self.map.remove(&old).is_some() {
-                            evicted += 1;
-                        }
-                    }
-                    None => break,
+            if self.map.len() > READ_CACHE_ENTRIES {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                    evicted = 1;
                 }
             }
         }
@@ -208,9 +188,10 @@ impl ReadCache {
 }
 
 /// The serving layer's registry handles, every `net.*` name, registered
-/// once when the server starts (like `memex-server`'s `ServerMetrics`): the
-/// rare paths' names are in the first snapshot too, and a request bumps
-/// atomics without looking a name up.
+/// once when the [`Service`] is built (like `memex-server`'s
+/// `ServerMetrics`): the rare paths' names — the transport's included — are
+/// in the first snapshot too, and a request bumps atomics without looking a
+/// name up.
 struct NetMetrics {
     conn_accepted: Counter,
     conn_rejected: Counter,
@@ -263,7 +244,12 @@ impl NetMetrics {
     }
 }
 
-struct Shared {
+/// The servlets over one served [`Memex`], with no I/O of their own: the
+/// `RwLock` guard, the write epoch and the read cache keyed by it,
+/// admission control, the `net.*` metrics and per-request tracing. Share
+/// it by reference; any number of threads may call [`Service::handle`] at
+/// once.
+pub struct Service {
     memex: RwLock<Memex>,
     /// Bumped (under the write lock, before the mutation) on every write;
     /// versions the read cache.
@@ -273,29 +259,122 @@ struct Shared {
     /// latency here.
     registry: MetricsRegistry,
     metrics: NetMetrics,
-    shutdown: AtomicBool,
     in_flight: AtomicUsize,
-    config: NetServerConfig,
+    max_in_flight: usize,
     /// The served Memex's tracer; root spans start here.
     tracer: Tracer,
 }
 
-impl Shared {
-    fn new(memex: Memex, config: NetServerConfig) -> Shared {
+impl Service {
+    /// Serve `memex`, shedding any request that arrives while
+    /// `max_in_flight` others are dispatching. Tracing follows
+    /// `memex.tracer()` as configured.
+    pub fn new(memex: Memex, max_in_flight: usize) -> Service {
         let registry = memex.registry().clone();
-        memex.tracer().configure(config.trace);
         let tracer = memex.tracer().clone();
-        Shared {
+        Service {
             memex: RwLock::new(memex),
             epoch: AtomicU64::new(0),
             cache: Mutex::new(ReadCache::default()),
             metrics: NetMetrics::new(&registry),
             registry,
-            shutdown: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            config,
+            max_in_flight,
             tracer,
         }
+    }
+
+    /// Give the served `Memex` back. A panicking write dispatch poisons the
+    /// lock; the state behind it is still the state, so it is recovered
+    /// rather than the poison propagated.
+    pub fn into_memex(self) -> Memex {
+        self.memex
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Answer one frame, as [`wire::read_frame_meta`] returned it, into
+    /// `out`, and return whether the connection stays open. I/O errors
+    /// belong to the transport; any other error, a response frame or a
+    /// payload that does not decode is answered with a typed error frame
+    /// and closes the connection (the stream position is no longer
+    /// trustworthy). A request is shed, or dispatched — reads through the
+    /// read cache — and its answer framed with the request's trace context
+    /// in one `write_all`; a failed write closes the connection.
+    pub fn handle(&self, frame: Result<FrameMeta, WireError>, out: &mut impl Write) -> bool {
+        let m = &self.metrics;
+        let req_started = Instant::now();
+        let frame = match frame {
+            Ok(frame) if frame.kind == FrameKind::Request => frame,
+            // A client must never send response frames.
+            Ok(_) => {
+                return self.reject("protocol: response frame sent to server".into(), None, out)
+            }
+            Err(e) => return self.reject(format!("decode: {e}"), None, out),
+        };
+        // Root span for the whole exchange, opened before payload decode so
+        // the tree covers decode → lock-acquire → dispatch → write. The id
+        // is the client's (frame trace context) or minted from the tracer's
+        // seeded generator; the guard publishes the completed tree to the
+        // flight recorder when it is dropped after the write.
+        let trace_guard = self
+            .tracer
+            .start_trace("net.req", frame.trace.map(|t| t.trace_id));
+        if let Some(prev) = frame.trace.and_then(|t| t.retry_of) {
+            // The client marked this as the retry of a dead attempt: link
+            // the trees so operators can stitch the logical request together.
+            trace::annotate("retry_of", prev);
+        }
+        let decode_span = trace::span("net.decode");
+        let request = wire::decode_request(&frame.payload);
+        drop(decode_span);
+        let request = match request {
+            Ok(r) => r,
+            Err(e) => return self.reject(format!("decode: {e}"), frame.trace, out),
+        };
+        // Admission control: acquire an in-flight permit or shed. The permit
+        // covers lock wait + dispatch, so a convoy behind a slow request is
+        // surfaced as explicit overload frames instead of unbounded queueing.
+        let prev = self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let answer = if prev >= self.max_in_flight {
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            // A shed reply is still a served request: it must show up in the
+            // `net.req.*` accounting and the flight recorder, not just in
+            // `net.shed` — overload is exactly when operators look there.
+            m.shed.inc();
+            m.req_shed.inc();
+            m.req_latency
+                .record(req_started.elapsed().as_nanos() as u64);
+            trace::annotate("shed", "true");
+            encoded(&Response::Overloaded {
+                in_flight: prev.min(u32::MAX as usize) as u32,
+                limit: self.max_in_flight.min(u32::MAX as usize) as u32,
+            })
+        } else {
+            let answer = {
+                let _span = m.req_latency.start_span();
+                match request.classify() {
+                    Classified::Read(r) => self.answer_read(r),
+                    Classified::Write(w) => self.answer_write(w),
+                }
+            };
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            answer
+        };
+        let write_started = Instant::now();
+        let wrote = respond(m, out, frame.trace, &answer);
+        trace::record_span("net.write", write_started, Instant::now());
+        // Completes the trace: everything after this is outside the request.
+        drop(trace_guard);
+        wrote.map_err(|_| m.conn_write_errors.inc()).is_ok()
+    }
+
+    /// Answer a frame that cannot be served with a typed error, counted in
+    /// `net.decode.errors`, and close the connection.
+    fn reject(&self, why: String, trace: Option<TraceContext>, out: &mut impl Write) -> bool {
+        self.metrics.decode_errors.inc();
+        let _ = respond(&self.metrics, out, trace, &encoded(&Response::Error(why)));
+        false
     }
 
     fn cache_get(&self, key: &Request, epoch: u64) -> Option<Encoded> {
@@ -323,194 +402,105 @@ impl Shared {
             self.metrics.cache_stale_purged.add(purged);
         }
     }
-}
 
-/// A running Memex network server. Dropping without calling
-/// [`NetServer::shutdown`] detaches the threads; call it for a clean join.
-pub struct NetServer {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept_handle: Option<JoinHandle<()>>,
-    worker_handles: Vec<JoinHandle<()>>,
-}
-
-impl NetServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving `memex`. The server takes ownership;
-    /// [`NetServer::shutdown`] hands it back.
-    pub fn start(
-        memex: Memex,
-        addr: impl ToSocketAddrs,
-        config: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::new(memex, config));
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_handles = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(&shared);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("memex-net-worker-{i}"))
-                    .spawn(move || worker_loop(rx, shared))?,
-            );
+    /// Serve one read request: probe the epoch-keyed cache, else dispatch
+    /// under the shared read guard, encode, and (when cacheable) remember
+    /// the encoded answer.
+    fn answer_read(&self, request: ReadRequest) -> Encoded {
+        let m = &self.metrics;
+        let started = Instant::now();
+        // The epoch MUST be loaded before the read lock is acquired: a write
+        // that slips in between can only make this dispatch's epoch *older*
+        // than the state it actually saw, so the cache drops its answer
+        // early (refused, or cleared by the newer epoch) instead of serving
+        // it stale.
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        // `Stats` and `Traces` bypass the cache: their answers change without
+        // any write (new samples, newly completed traces).
+        let cacheable = !matches!(
+            request.as_request(),
+            Request::Stats | Request::Traces { .. }
+        );
+        if cacheable {
+            let key = request.as_request();
+            if let Some(answer) = self.cache_get(key, epoch) {
+                m.req_ok.inc();
+                m.read_ok.inc();
+                m.cache_hit.inc();
+                // A cache hit is a served request: record it in the same
+                // per-servlet histogram as a dispatched one, otherwise the
+                // histogram silently excludes the fastest responses.
+                self.registry
+                    .histogram(key.latency_metric())
+                    .record(started.elapsed().as_nanos() as u64);
+                trace::annotate("cache_hit", "true");
+                return answer;
+            }
+            m.cache_miss.inc();
         }
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("memex-net-accept".into())
-            .spawn(move || accept_loop(listener, tx, accept_shared))?;
-        Ok(NetServer {
-            local_addr,
-            shared,
-            accept_handle: Some(accept_handle),
-            worker_handles,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stop accepting, drain the queue, join every thread, and hand the
-    /// `Memex` back. In-progress requests are answered before their
-    /// connections close.
-    pub fn shutdown(mut self) -> Memex {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept thread: it may be parked in `accept()`.
-        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        // The accept thread dropped the sender; workers drain what is
-        // buffered, then their `recv` disconnects and they exit.
-        for h in self.worker_handles.drain(..) {
-            let _ = h.join();
-        }
-        // Every thread is joined, so this Arc is unique. Spin defensively
-        // on the (unreachable) contended case instead of panicking —
-        // shutdown must never kill the thread that owns the data.
-        let mut shared = self.shared;
-        let shared = loop {
-            match Arc::try_unwrap(shared) {
-                Ok(s) => break s,
-                Err(still_shared) => {
-                    shared = still_shared;
-                    std::thread::yield_now();
+        // Only a miss pays for an owned key: the dispatch consumes the request.
+        let cache_key = cacheable.then(|| request.as_request().clone());
+        let lock_started = Instant::now();
+        let dispatched = self.guarded(|| {
+            let memex = self.memex.read().ok()?;
+            note_lock_acquired(&m.lock_wait, "read", lock_started);
+            Some(dispatch_read(&memex, request))
+        });
+        dispatched.map_or_else(
+            |error| error,
+            |resp| {
+                m.read_ok.inc();
+                let answer = encoded(&resp);
+                if let Some(key) = cache_key {
+                    self.cache_put(key, epoch, Arc::clone(&answer));
                 }
+                answer
+            },
+        )
+    }
+
+    /// Serve one write request under the exclusive guard: bump the write
+    /// epoch (which invalidates the cached reads), then apply it, demons
+    /// included.
+    fn answer_write(&self, request: WriteRequest) -> Encoded {
+        let lock_started = Instant::now();
+        let dispatched = self.guarded(|| {
+            let mut memex = self.memex.write().ok()?;
+            note_lock_acquired(&self.metrics.lock_wait, "write", lock_started);
+            // Bump before mutating: a reader that loaded the old epoch
+            // concurrently offers its answer under it, and the cache refuses
+            // it once this epoch has been seen.
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            Some(dispatch_write(&mut memex, request))
+        });
+        dispatched.map_or_else(|error| error, |resp| encoded(&resp))
+    }
+
+    /// Run `dispatch` — which takes the `Memex` lock itself and returns
+    /// `None` when it finds it poisoned — inside the unwind boundary: a
+    /// panicking dispatch drops its guard mid-unwind and the caller survives
+    /// to answer with a typed error. (Read guards do not poison an `RwLock`;
+    /// a panicking *write* does, and every later request then finds it
+    /// poisoned.) Counts the outcome in `net.req.ok`, `net.req.poisoned` or
+    /// `net.req.panics`; an error comes back already encoded.
+    fn guarded(&self, dispatch: impl FnOnce() -> Option<Response>) -> Result<Response, Encoded> {
+        let m = &self.metrics;
+        let error = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(dispatch)) {
+            Ok(Some(resp)) => {
+                m.req_ok.inc();
+                return Ok(resp);
+            }
+            Ok(None) => {
+                m.req_poisoned.inc();
+                "internal: memex state poisoned by an earlier panic"
+            }
+            Err(_panic) => {
+                m.req_panics.inc();
+                "internal: request dispatch panicked"
             }
         };
-        // A panicking write dispatch poisons the lock; the state behind it
-        // is still the state — recover it rather than propagate the poison.
-        shared
-            .memex
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
+        Err(encoded(&Response::Error(error.into())))
     }
-
-    /// Test instrumentation: poison the `Memex` lock by unwinding
-    /// a throwaway thread while it holds the *write* guard (only writers
-    /// poison an `RwLock`). The loopback suite uses this to prove a
-    /// poisoned lock degrades to a typed [`Response::Error`] on every
-    /// subsequent request — never a dead worker or a hung connection.
-    #[doc(hidden)]
-    pub fn poison_memex_for_test(&self) {
-        let shared = Arc::clone(&self.shared);
-        let _ = std::thread::Builder::new()
-            .name("memex-net-poisoner".into())
-            .spawn(move || {
-                let _guard = shared.memex.write();
-                // Unwind without tripping the panic hook: quiet in test
-                // output, still poisons the held lock.
-                std::panic::resume_unwind(Box::new("poisoning memex lock for test"));
-            })
-            .map(|h| h.join());
-    }
-}
-
-fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shared: Arc<Shared>) {
-    let m = &shared.metrics;
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late arrival) — close it.
-                    drop(stream);
-                    break;
-                }
-                m.conn_accepted.inc();
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut stream)) => {
-                        // Bounded queue is the contract: shed explicitly
-                        // rather than let connections pile up unseen.
-                        m.shed.inc();
-                        m.conn_rejected.inc();
-                        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                        let _ = respond(
-                            m,
-                            &mut stream,
-                            None,
-                            &encoded(&Response::Overloaded {
-                                in_flight: shared.config.accept_queue as u32,
-                                limit: shared.config.accept_queue as u32,
-                            }),
-                        );
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
-            Err(_) => m.accept_errors.inc(),
-        }
-    }
-}
-
-fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, shared: Arc<Shared>) {
-    loop {
-        // Take the next connection, then release the receiver lock before
-        // serving it so siblings keep draining the queue. A poisoned
-        // receiver lock (a sibling died mid-recv) must not cascade into
-        // more dead workers — recover the guard and keep draining.
-        let stream = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(poisoned) => poisoned.into_inner().recv(),
-        };
-        match stream {
-            Ok(s) => serve_connection(s, &shared),
-            Err(_) => return, // sender dropped and queue drained
-        }
-    }
-}
-
-/// Outcome of one request/response exchange on a connection.
-enum Exchange {
-    Served,
-    Closed,
-}
-
-fn serve_connection(stream: TcpStream, shared: &Shared) {
-    let m = &shared.metrics;
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    m.conn_active.add(1);
-    // Frames are read through the buffer (one `recv` takes in a whole
-    // request, or several pipelined ones); answers are written straight to
-    // the socket underneath it.
-    let mut conn = BufReader::new(stream);
-    while let Exchange::Served = exchange_one(&mut conn, shared) {
-        // After answering, honour a pending shutdown: the request in
-        // flight was served, the connection closes at a frame boundary.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    m.conn_active.add(-1);
-    m.conn_closed.inc();
 }
 
 /// Record how long an RwLock acquisition stalled this request: into the
@@ -521,121 +511,6 @@ fn note_lock_acquired(lock_wait: &Histogram, kind: &str, waited_since: Instant) 
     lock_wait.record(wait_ns);
     trace::annotate("lock_wait_ns", wait_ns);
     trace::annotate("lock_kind", kind);
-}
-
-/// Serve one read request: probe the epoch-keyed cache, else dispatch
-/// under the shared read guard, encode, and (when cacheable) remember the
-/// encoded answer.
-fn answer_read(shared: &Shared, request: ReadRequest) -> Encoded {
-    let m = &shared.metrics;
-    let started = Instant::now();
-    // The epoch MUST be loaded before the read lock is acquired: a write
-    // that slips in between can only make this dispatch's tag *older* than
-    // the state it actually saw, so the entry dies early instead of
-    // serving stale.
-    let epoch = shared.epoch.load(Ordering::SeqCst);
-    // `Stats` and `Traces` bypass the cache: their answers change without
-    // any write (new samples, newly completed traces).
-    let cacheable = !matches!(
-        request.as_request(),
-        Request::Stats | Request::Traces { .. }
-    );
-    if cacheable {
-        let key = request.as_request();
-        if let Some(answer) = shared.cache_get(key, epoch) {
-            m.req_ok.inc();
-            m.read_ok.inc();
-            m.cache_hit.inc();
-            // A cache hit is a served request: record it in the same
-            // per-servlet histogram as a dispatched one, otherwise the
-            // histogram silently excludes the fastest responses.
-            shared
-                .registry
-                .histogram(key.latency_metric())
-                .record(started.elapsed().as_nanos() as u64);
-            trace::annotate("cache_hit", "true");
-            return answer;
-        }
-        m.cache_miss.inc();
-    }
-    // Only a miss pays for an owned key: the dispatch consumes the request.
-    let cache_key = cacheable.then(|| request.as_request().clone());
-    // The lock is taken *inside* the unwind boundary: a panicking dispatch
-    // drops the guard mid-unwind and the worker survives to answer with a
-    // typed error. (Read guards do not poison an `RwLock`; a poisoned
-    // observation here means an earlier *write* panicked.)
-    let lock_started = Instant::now();
-    let dispatched =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shared.memex.read() {
-            Ok(memex) => {
-                note_lock_acquired(&m.lock_wait, "read", lock_started);
-                Some(dispatch_read(&memex, request))
-            }
-            Err(_poisoned) => None,
-        }));
-    match dispatched {
-        Ok(Some(resp)) => {
-            m.req_ok.inc();
-            m.read_ok.inc();
-            let answer = encoded(&resp);
-            if let Some(key) = cache_key {
-                shared.cache_put(key, epoch, Arc::clone(&answer));
-            }
-            answer
-        }
-        Ok(None) => {
-            m.req_poisoned.inc();
-            encoded(&Response::Error(
-                "internal: memex state poisoned by an earlier panic".into(),
-            ))
-        }
-        Err(_panic) => {
-            m.req_panics.inc();
-            encoded(&Response::Error(
-                "internal: request dispatch panicked".into(),
-            ))
-        }
-    }
-}
-
-/// Serve one write request under the exclusive guard: bump the write epoch
-/// (which invalidates the cached reads), then apply it, demons included.
-fn answer_write(shared: &Shared, request: WriteRequest) -> Encoded {
-    let m = &shared.metrics;
-    let lock_started = Instant::now();
-    let dispatched = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        match shared.memex.write() {
-            Ok(mut memex) => {
-                note_lock_acquired(&m.lock_wait, "write", lock_started);
-                // Bump before mutating: a reader that loaded the old epoch
-                // concurrently will tag its entry with it and the entry
-                // dies the moment this store lands.
-                shared.epoch.fetch_add(1, Ordering::SeqCst);
-                Some(dispatch_write(&mut memex, request))
-            }
-            Err(_poisoned) => None,
-        }
-    }));
-    match dispatched {
-        Ok(Some(resp)) => {
-            m.req_ok.inc();
-            encoded(&resp)
-        }
-        Ok(None) => {
-            m.req_poisoned.inc();
-            encoded(&Response::Error(
-                "internal: memex state poisoned by an earlier panic".into(),
-            ))
-        }
-        Err(_panic) => {
-            // The panicking dispatch held the write guard, so the lock is
-            // now poisoned; later requests degrade to typed errors above.
-            m.req_panics.inc();
-            encoded(&Response::Error(
-                "internal: request dispatch panicked".into(),
-            ))
-        }
-    }
 }
 
 /// Frame one encoded response with the request's trace context and write
@@ -663,128 +538,198 @@ fn respond(
     Ok(())
 }
 
-fn exchange_one(conn: &mut BufReader<TcpStream>, shared: &Shared) -> Exchange {
-    let m = &shared.metrics;
-    let frame = match wire::read_frame_meta(conn) {
-        Ok(f) => f,
-        Err(WireError::Io(e)) => {
-            // Clean close, peer reset, or idle timeout: just drop the
-            // connection. Framing stays in sync only from a frame
-            // boundary, so a timeout mid-frame also closes.
-            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                m.conn_idle_closed.inc();
+/// What the transport's threads share.
+struct Transport {
+    service: Service,
+    shutdown: AtomicBool,
+    config: NetServerConfig,
+}
+
+/// A running Memex network server: a [`Service`] behind a TCP listener.
+/// Dropping without calling [`NetServer::shutdown`] detaches the threads;
+/// call it for a clean join.
+pub struct NetServer {
+    local_addr: SocketAddr,
+    transport: Arc<Transport>,
+    accept_handle: Option<JoinHandle<()>>,
+    worker_handles: Vec<JoinHandle<()>>,
+}
+
+impl NetServer {
+    /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
+    /// serving `memex`. The server takes ownership;
+    /// [`NetServer::shutdown`] hands it back.
+    pub fn start(
+        memex: Memex,
+        addr: impl ToSocketAddrs,
+        config: NetServerConfig,
+    ) -> std::io::Result<NetServer> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let transport = Arc::new(Transport {
+            service: Service::new(memex, config.max_in_flight),
+            shutdown: AtomicBool::new(false),
+            config,
+        });
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
+        let rx = Arc::new(Mutex::new(rx));
+        let mut worker_handles = Vec::with_capacity(config.workers.max(1));
+        for i in 0..config.workers.max(1) {
+            let rx = Arc::clone(&rx);
+            let transport = Arc::clone(&transport);
+            worker_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("memex-net-worker-{i}"))
+                    .spawn(move || worker_loop(rx, transport))?,
+            );
+        }
+        let accept_transport = Arc::clone(&transport);
+        let accept_handle = std::thread::Builder::new()
+            .name("memex-net-accept".into())
+            .spawn(move || accept_loop(listener, tx, accept_transport))?;
+        Ok(NetServer {
+            local_addr,
+            transport,
+            accept_handle: Some(accept_handle),
+            worker_handles,
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// Stop accepting, drain the queue, join every thread, and hand the
+    /// `Memex` back. In-progress requests are answered before their
+    /// connections close.
+    pub fn shutdown(mut self) -> Memex {
+        self.transport.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept thread: it may be parked in `accept()`.
+        let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
+        if let Some(h) = self.accept_handle.take() {
+            let _ = h.join();
+        }
+        // The accept thread dropped the sender; workers drain what is
+        // buffered, then their `recv` disconnects and they exit.
+        for h in self.worker_handles.drain(..) {
+            let _ = h.join();
+        }
+        // Every thread is joined, so this Arc is unique. Spin defensively
+        // on the (unreachable) contended case instead of panicking —
+        // shutdown must never kill the thread that owns the data.
+        let mut transport = self.transport;
+        loop {
+            match Arc::try_unwrap(transport) {
+                Ok(t) => return t.service.into_memex(),
+                Err(still_shared) => {
+                    transport = still_shared;
+                    std::thread::yield_now();
+                }
             }
-            return Exchange::Closed;
         }
-        Err(e) => {
-            // Corrupted frame or a wire version this server does not
-            // speak: report and close (the stream position is no longer
-            // trustworthy).
-            m.decode_errors.inc();
-            let _ = respond(
-                m,
-                conn.get_mut(),
-                None,
-                &encoded(&Response::Error(format!("decode: {e}"))),
-            );
-            return Exchange::Closed;
-        }
-    };
-    let req_started = Instant::now();
-    if frame.kind == FrameKind::Response {
-        // A client must never send response frames; protocol violation.
-        m.decode_errors.inc();
-        let _ = respond(
-            m,
-            conn.get_mut(),
-            None,
-            &encoded(&Response::Error(
-                "protocol: response frame sent to server".into(),
-            )),
-        );
-        return Exchange::Closed;
     }
-    // Root span for the whole exchange, opened before payload decode so
-    // the tree covers decode → lock-acquire → dispatch → write. The id
-    // is the client's (frame trace context) or minted from the server's
-    // seeded generator; the guard publishes the completed tree to the
-    // flight recorder when it drops at the end of this function.
-    let trace_guard = shared
-        .tracer
-        .start_trace("net.req", frame.trace.map(|t| t.trace_id));
-    if let Some(prev) = frame.trace.and_then(|t| t.retry_of) {
-        // The client marked this as the retry of a dead attempt: link
-        // the trees so operators can stitch the logical request together.
-        trace::annotate("retry_of", prev);
-    }
-    let decode_span = trace::span("net.decode");
-    let request = match wire::decode_request(&frame.payload) {
-        Ok(r) => r,
-        Err(e) => {
-            drop(decode_span);
-            m.decode_errors.inc();
-            let _ = respond(
-                m,
-                conn.get_mut(),
-                frame.trace,
-                &encoded(&Response::Error(format!("decode: {e}"))),
-            );
-            return Exchange::Closed;
+}
+
+fn accept_loop(listener: TcpListener, tx: SyncSender<TcpStream>, transport: Arc<Transport>) {
+    let m = &transport.service.metrics;
+    let config = &transport.config;
+    loop {
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                if transport.shutdown.load(Ordering::SeqCst) {
+                    // The wake-up connection (or a late arrival) — close it.
+                    drop(stream);
+                    break;
+                }
+                m.conn_accepted.inc();
+                match tx.try_send(stream) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(mut stream)) => {
+                        // Bounded queue is the contract: shed explicitly
+                        // rather than let connections pile up unseen.
+                        m.shed.inc();
+                        m.conn_rejected.inc();
+                        let _ = stream.set_write_timeout(Some(config.write_timeout));
+                        let _ = respond(
+                            m,
+                            &mut stream,
+                            None,
+                            &encoded(&Response::Overloaded {
+                                in_flight: config.accept_queue as u32,
+                                limit: config.accept_queue as u32,
+                            }),
+                        );
+                    }
+                    Err(TrySendError::Disconnected(_)) => break,
+                }
+            }
+            Err(_) if transport.shutdown.load(Ordering::SeqCst) => break,
+            Err(_) => m.accept_errors.inc(),
         }
-    };
-    drop(decode_span);
-    // Admission control: acquire an in-flight permit or shed. The permit
-    // covers lock wait + dispatch, so a convoy behind a slow request is
-    // surfaced as explicit overload frames instead of unbounded queueing.
-    let limit = shared.config.max_in_flight;
-    let prev = shared.in_flight.fetch_add(1, Ordering::SeqCst);
-    if prev >= limit {
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        // A shed reply is still a served request: it must show up in the
-        // `net.req.*` accounting and the flight recorder, not just in
-        // `net.shed` — overload is exactly when operators look there.
-        m.shed.inc();
-        m.req_shed.inc();
-        m.req_latency
-            .record(req_started.elapsed().as_nanos() as u64);
-        trace::annotate("shed", "true");
-        let overload = Response::Overloaded {
-            in_flight: prev.min(u32::MAX as usize) as u32,
-            limit: limit.min(u32::MAX as usize) as u32,
+    }
+}
+
+fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, transport: Arc<Transport>) {
+    loop {
+        // Take the next connection, then release the receiver lock before
+        // serving it so siblings keep draining the queue. A poisoned
+        // receiver lock (a sibling died mid-recv) must not cascade into
+        // more dead workers — recover the guard and keep draining.
+        let stream = match rx.lock() {
+            Ok(guard) => guard.recv(),
+            Err(poisoned) => poisoned.into_inner().recv(),
         };
-        let wrote = respond(m, conn.get_mut(), frame.trace, &encoded(&overload));
-        // Complete the (short) trace before returning: decode → shed.
-        drop(trace_guard);
-        return match wrote {
-            Ok(()) => Exchange::Served,
-            Err(_) => Exchange::Closed,
-        };
+        match stream {
+            Ok(s) => serve_connection(s, &transport),
+            Err(_) => return, // sender dropped and queue drained
+        }
     }
-    let answer = {
-        let _span = m.req_latency.start_span();
-        match request.classify() {
-            Classified::Read(r) => answer_read(shared, r),
-            Classified::Write(w) => answer_write(shared, w),
+}
+
+fn serve_connection(stream: TcpStream, transport: &Transport) {
+    let m = &transport.service.metrics;
+    let _ = stream.set_read_timeout(Some(transport.config.read_timeout));
+    let _ = stream.set_write_timeout(Some(transport.config.write_timeout));
+    let _ = stream.set_nodelay(true);
+    m.conn_active.add(1);
+    // Frames are read through the buffer (one `recv` takes in a whole
+    // request, or several pipelined ones); answers are written straight to
+    // the socket underneath it.
+    let mut conn = BufReader::new(stream);
+    while exchange_one(&mut conn, &transport.service) {
+        // After answering, honour a pending shutdown: the request in
+        // flight was served, the connection closes at a frame boundary.
+        if transport.shutdown.load(Ordering::SeqCst) {
+            break;
         }
-    };
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    let write_started = Instant::now();
-    let wrote = respond(m, conn.get_mut(), frame.trace, &answer);
-    trace::record_span("net.write", write_started, Instant::now());
-    // Completes the trace: everything after this is outside the request.
-    drop(trace_guard);
-    match wrote {
-        Ok(()) => Exchange::Served,
-        Err(_) => {
-            m.conn_write_errors.inc();
-            Exchange::Closed
+    }
+    m.conn_active.add(-1);
+    m.conn_closed.inc();
+}
+
+/// Read one frame and hand it to the service; `false` closes the
+/// connection. A clean close, a peer reset or an idle timeout just drops
+/// it: framing stays in sync only from a frame boundary, so a timeout
+/// mid-frame closes too.
+fn exchange_one(conn: &mut BufReader<TcpStream>, service: &Service) -> bool {
+    match wire::read_frame_meta(conn) {
+        Err(WireError::Io(e)) => {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                service.metrics.conn_idle_closed.inc();
+            }
+            false
         }
+        frame => service.handle(frame, conn.get_mut()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memex_core::memex::MemexOptions;
+    use memex_server::events::{ClientEvent, VisitEvent};
+    use memex_web::corpus::{Corpus, CorpusConfig};
 
     fn bill(user: u32) -> Request {
         Request::Bill {
@@ -802,16 +747,8 @@ mod tests {
         })
     }
 
-    /// A cache hit writes, byte for byte, the frame a miss writes for the
-    /// same request and trace context: `frame_bytes` around a fresh
-    /// `encode_response` of the dispatched answer. The hits are framed for
-    /// other trace contexts than the miss that filled the entry.
-    #[test]
-    fn a_cache_hit_writes_the_frame_a_miss_writes() {
-        use memex_core::memex::MemexOptions;
-        use memex_server::events::{ClientEvent, VisitEvent};
-        use memex_web::corpus::{Corpus, CorpusConfig};
-
+    /// One user with four visits, demons drained.
+    fn small_memex() -> Memex {
         let corpus = Arc::new(Corpus::generate(CorpusConfig {
             num_topics: 2,
             pages_per_topic: 6,
@@ -830,7 +767,28 @@ mod tests {
             }));
         }
         memex.run_demons().expect("demons");
-        let shared = Shared::new(memex, NetServerConfig::default());
+        memex
+    }
+
+    /// `request` through `service` with `trace`: the bytes it wrote.
+    fn handled(service: &Service, request: &Request, trace: Option<TraceContext>) -> Vec<u8> {
+        let frame = wire::frame_bytes(FrameKind::Request, &wire::encode_request(request), trace)
+            .expect("frame");
+        let mut written = Vec::new();
+        assert!(
+            service.handle(wire::read_frame_meta(&mut &frame[..]), &mut written),
+            "a served request keeps the connection open"
+        );
+        written
+    }
+
+    /// A cache hit writes, byte for byte, the frame a miss writes for the
+    /// same request and trace context: `frame_bytes` around a fresh
+    /// `encode_response` of the dispatched answer. The hits are framed for
+    /// other trace contexts than the miss that filled the entry.
+    #[test]
+    fn a_cache_hit_writes_the_frame_a_miss_writes() {
+        let service = Service::new(small_memex(), NetServerConfig::default().max_in_flight);
         let recall = Request::Recall {
             user: 1,
             query: "page".into(),
@@ -838,13 +796,12 @@ mod tests {
             until: u64::MAX,
             k: 5,
         };
-        let read_request = || match recall.clone().classify() {
-            Classified::Read(r) => r,
-            Classified::Write(_) => unreachable!("recall is a read"),
-        };
         let expected_payload = {
-            let memex = shared.memex.read().expect("unpoisoned");
-            wire::encode_response(&dispatch_read(&memex, read_request()))
+            let memex = service.memex.read().expect("unpoisoned");
+            let Classified::Read(read) = recall.clone().classify() else {
+                unreachable!("recall is a read")
+            };
+            wire::encode_response(&dispatch_read(&memex, read))
         };
         let traces = [
             Some(TraceContext {
@@ -858,21 +815,49 @@ mod tests {
             }),
         ];
         for trace in traces {
-            let mut written = Vec::new();
-            respond(
-                &shared.metrics,
-                &mut written,
-                trace,
-                &answer_read(&shared, read_request()),
-            )
-            .expect("write to vec");
+            let written = handled(&service, &recall, trace);
             let expected =
                 wire::frame_bytes(FrameKind::Response, &expected_payload, trace).expect("frame");
             assert_eq!(written, expected, "frame for {trace:?}");
         }
-        let snap = shared.registry.snapshot();
+        let snap = service.registry.snapshot();
         assert_eq!(snap.counter("net.read.cache.miss"), 1);
         assert_eq!(snap.counter("net.read.cache.hit"), 2);
+    }
+
+    /// A poisoned `Memex` lock degrades to a typed error on every later
+    /// request — never a panic or a dead caller — and the archive still
+    /// comes back out of the service.
+    #[test]
+    fn a_poisoned_memex_lock_answers_typed_errors() {
+        let service = Service::new(small_memex(), NetServerConfig::default().max_in_flight);
+        let stats = |service: &Service| {
+            let written = handled(service, &Request::Stats, None);
+            let meta = wire::read_frame_meta(&mut &written[..]).expect("one frame");
+            wire::decode_response(&meta.payload).expect("a response")
+        };
+        assert!(matches!(stats(&service), Response::Stats(_)));
+        // Unwind a thread while it holds the *write* guard (only writers
+        // poison an `RwLock`), without tripping the panic hook.
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = service.memex.write();
+                std::panic::resume_unwind(Box::new("poisoning the memex lock"));
+            });
+            assert!(poisoner.join().is_err());
+        });
+        for _ in 0..3 {
+            match stats(&service) {
+                Response::Error(msg) => assert!(
+                    msg.contains("poisoned"),
+                    "error should name the poison, got {msg:?}"
+                ),
+                other => panic!("expected Response::Error from a poisoned lock, got {other:?}"),
+            }
+        }
+        let snap = service.into_memex().registry().snapshot();
+        assert_eq!(snap.counter("net.req.poisoned"), 3);
+        assert_eq!(snap.counter("net.req.ok"), 1);
     }
 
     /// Regression for the stale-entry capacity leak: fill the cache at

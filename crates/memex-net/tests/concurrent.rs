@@ -1,5 +1,5 @@
-//! Concurrent serving tests: N reader clients race one writer stream over
-//! a live `NetServer` and the answers must always reflect a consistent
+//! Concurrent serving tests: N reader threads race one writer through one
+//! shared [`Service`] and the answers must always reflect a consistent
 //! write epoch — a reader may see an *older* archive than the latest write,
 //! never a torn one, and the read cache must never serve a result from
 //! before a write after that write was acknowledged.
@@ -7,14 +7,18 @@
 //! These run under the nightly TSan job in CI (`san-matrix`), which makes
 //! the RwLock + epoch-cache protocol race-checked, not just stress-tested.
 
+mod serve;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{Request, Response};
-use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_net::Service;
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
+
+use serve::ask;
 
 /// The user whose visits the writer streams in while readers watch.
 const WATCHED_USER: u32 = 9;
@@ -80,33 +84,25 @@ fn bill_total(resp: &Response) -> u32 {
 }
 
 /// N concurrent readers poll the watched user's bill while one writer
-/// streams visit events. Each reader's watermark must be non-decreasing
-/// (a stale cached answer after a newer one was observed would decrease
-/// it), and after the writer finishes every reader — and the cache — must
-/// converge on the exact final count.
+/// streams visit events, each thread calling `Service::handle` on the one
+/// shared service. Each reader's watermark must be non-decreasing (a stale
+/// cached answer after a newer one was observed would decrease it), and
+/// after the writer finishes every reader — and the cache — must converge
+/// on the exact final count.
 #[test]
 fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
     let (corpus, memex) = world();
-    let config = NetServerConfig {
-        workers: READERS + 1,
-        max_in_flight: 64,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
+    let service = Arc::new(Service::new(memex, 64));
     let done = Arc::new(AtomicBool::new(false));
 
     let reader_handles: Vec<_> = (0..READERS)
         .map(|_| {
-            let done = Arc::clone(&done);
+            let (service, done) = (Arc::clone(&service), Arc::clone(&done));
             std::thread::spawn(move || {
-                let mut client =
-                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
                 let mut watermark = 0u32;
                 let mut observations = 0u64;
                 while !done.load(Ordering::SeqCst) {
-                    let resp = client.request(&bill_request()).expect("read");
-                    let total = bill_total(&resp);
+                    let total = bill_total(&ask(&service, &bill_request(), None));
                     assert!(
                         total >= watermark,
                         "bill went backwards: {total} after {watermark} — a stale \
@@ -117,7 +113,7 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
                 }
                 // Convergence: the writer is done, so the very next answer
                 // (cached or dispatched) must be the final archive.
-                let final_total = bill_total(&client.request(&bill_request()).expect("final"));
+                let final_total = bill_total(&ask(&service, &bill_request(), None));
                 assert_eq!(final_total, WRITES as u32, "reader did not converge");
                 observations
             })
@@ -125,22 +121,22 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
         .collect();
 
     // One writer streams visits; every Ack means the event (and its demon
-    // pass) is durable under the write lock before the next one goes out.
+    // pass) is applied under the write lock before the next one goes in.
     let pages = corpus.pages_of_topic(1);
-    let mut writer = MemexClient::connect(addr, ClientConfig::default()).expect("connect writer");
     for i in 0..WRITES {
         let page = pages[i % pages.len()];
-        let resp = writer
-            .request(&Request::Event(ClientEvent::Visit(VisitEvent {
-                user: WATCHED_USER,
-                session: 1,
-                page,
-                url: corpus.pages[page as usize].url.clone(),
-                time: 1_000 + i as u64,
-                referrer: None,
-            })))
-            .expect("write");
-        assert_eq!(resp, Response::Ack { archived: true });
+        let visit = Request::Event(ClientEvent::Visit(VisitEvent {
+            user: WATCHED_USER,
+            session: 1,
+            page,
+            url: corpus.pages[page as usize].url.clone(),
+            time: 1_000 + i as u64,
+            referrer: None,
+        }));
+        assert_eq!(
+            ask(&service, &visit, None),
+            Response::Ack { archived: true }
+        );
     }
     done.store(true, Ordering::SeqCst);
 
@@ -150,7 +146,8 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
     }
     total_reads += READERS as u64; // the per-reader convergence read
 
-    let memex = server.shutdown();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("every reader joined"));
+    let memex = service.into_memex();
     let snap = memex.registry().snapshot();
     // Nothing shed, nothing panicked, nothing poisoned.
     assert_eq!(snap.counter("net.shed"), 0);
@@ -163,7 +160,7 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
         snap.counter("net.read.cache.hit") + snap.counter("net.read.cache.miss"),
         total_reads
     );
-    // Ground truth: the archive the server hands back agrees with what the
+    // Ground truth: the archive the service hands back agrees with what the
     // readers converged on.
     let final_bill: u32 = memex
         .bill(WATCHED_USER, 0, u64::MAX)
@@ -173,46 +170,40 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
     assert_eq!(final_bill, WRITES as u32);
 }
 
-/// Deterministic cache-coherence check on a single connection: a repeated
-/// read must hit the cache, an interleaved write must invalidate it, and
-/// the post-write read must see the new archive — never the cached one.
+/// Deterministic cache-coherence check: a repeated read must hit the
+/// cache, an interleaved write must invalidate it, and the post-write read
+/// must see the new archive — never the cached one.
 #[test]
 fn write_invalidates_cached_read_results() {
     let (corpus, memex) = world();
-    let server = NetServer::start(memex, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    let service = Service::new(memex, 64);
 
-    let before = bill_total(&client.request(&bill_request()).expect("miss"));
+    let before = bill_total(&ask(&service, &bill_request(), None));
     assert_eq!(before, 0, "watched user starts with an empty trail");
     // Identical request, no intervening write: answered from the cache.
-    let again = bill_total(&client.request(&bill_request()).expect("hit"));
+    let again = bill_total(&ask(&service, &bill_request(), None));
     assert_eq!(again, before);
 
     let page = corpus.pages_of_topic(1)[0];
-    let resp = client
-        .request(&Request::Event(ClientEvent::Visit(VisitEvent {
-            user: WATCHED_USER,
-            session: 1,
-            page,
-            url: corpus.pages[page as usize].url.clone(),
-            time: 5_000,
-            referrer: None,
-        })))
-        .expect("write");
-    assert_eq!(resp, Response::Ack { archived: true });
+    let visit = Request::Event(ClientEvent::Visit(VisitEvent {
+        user: WATCHED_USER,
+        session: 1,
+        page,
+        url: corpus.pages[page as usize].url.clone(),
+        time: 5_000,
+        referrer: None,
+    }));
+    assert_eq!(
+        ask(&service, &visit, None),
+        Response::Ack { archived: true }
+    );
 
     // The write bumped the epoch: the cached entry is dead, and the fresh
     // dispatch must see the new visit.
-    let after = bill_total(&client.request(&bill_request()).expect("post-write"));
+    let after = bill_total(&ask(&service, &bill_request(), None));
     assert_eq!(after, 1, "post-write read served a stale cached result");
 
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
-    assert!(
-        snap.counter("net.read.cache.hit") >= 1,
-        "second identical read should have hit the cache"
-    );
+    let snap = service.into_memex().registry().snapshot();
     // Probe accounting: 3 bill reads = 1 hit + 2 misses.
     assert_eq!(snap.counter("net.read.cache.hit"), 1);
     assert_eq!(snap.counter("net.read.cache.miss"), 2);

@@ -1,9 +1,12 @@
-//! Loopback system tests: a live `NetServer` on an ephemeral port, driven
-//! by real `MemexClient`s from multiple threads.
-//!
-//! The core property: every mining servlet answers *identically* over the
-//! wire and in-process, and shutdown joins every worker with an exact
-//! request accounting — nothing dropped silently.
+//! Whole-stack tests. Through the [`Service`], with no socket: every
+//! mining servlet answers exactly as in-process, hostile ids and unknown
+//! users get typed answers, and a zero in-flight limit sheds every request
+//! explicitly. Over a live `NetServer` on an ephemeral port, one smoke per
+//! transport feature: buffered framing (pipelined, split, garbage,
+//! over-cap), accept-queue shedding, idle close and reconnect, and a
+//! shutdown whose accounting balances.
+
+mod serve;
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -15,9 +18,14 @@ use proptest::test_runner::TestRng;
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{dispatch, Request, Response};
 use memex_net::wire::{self, FrameKind, TraceContext};
-use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig, Service};
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
+
+use serve::ask;
+
+/// The in-flight limit the services here run with.
+const MAX_IN_FLIGHT: usize = 8;
 
 const USERS: [u32; 4] = [1, 2, 3, 4];
 
@@ -108,106 +116,149 @@ fn user_requests(user: u32) -> Vec<Request> {
 }
 
 #[test]
-fn loopback_matches_in_process_and_shuts_down_cleanly() {
+fn service_answers_match_in_process() {
     let mut memex = community_world();
-    // In-process ground truth first; the same Memex then goes on the wire.
-    let mut expected: Vec<(u32, Vec<Response>)> = Vec::new();
-    for &user in &USERS {
-        let answers: Vec<Response> = user_requests(user)
-            .into_iter()
-            .map(|req| dispatch(&mut memex, req))
-            .collect();
-        expected.push((user, answers));
-    }
-
-    let server = NetServer::start(memex, "127.0.0.1:0", NetServerConfig::default())
-        .expect("bind ephemeral port");
-    let addr = server.local_addr();
-
-    let handles: Vec<_> = USERS
+    // In-process ground truth first; the same Memex then goes behind the
+    // service.
+    let expected: Vec<(u32, Vec<Response>)> = USERS
         .iter()
         .map(|&user| {
-            std::thread::spawn(move || {
-                let mut client =
-                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-                user_requests(user)
-                    .into_iter()
-                    .map(|req| client.request(&req).expect("request over wire"))
-                    .collect::<Vec<Response>>()
-            })
+            let answers = user_requests(user)
+                .into_iter()
+                .map(|req| dispatch(&mut memex, req))
+                .collect();
+            (user, answers)
         })
         .collect();
-    let over_wire: Vec<Vec<Response>> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread"))
-        .collect();
 
-    let mut total_sent = 0usize;
-    for ((user, in_process), wire_answers) in expected.iter().zip(&over_wire) {
-        assert_eq!(in_process.len(), wire_answers.len());
-        for (i, (a, b)) in in_process.iter().zip(wire_answers).enumerate() {
-            assert_eq!(a, b, "user {user} request #{i} diverged over the wire");
+    let service = Service::new(memex, MAX_IN_FLIGHT);
+    let mut total_sent = 0u64;
+    for (user, in_process) in &expected {
+        for (i, (req, want)) in user_requests(*user).iter().zip(in_process).enumerate() {
+            assert_eq!(
+                &ask(&service, req, None),
+                want,
+                "user {user} request #{i} diverged through the service"
+            );
             total_sent += 1;
         }
     }
 
-    // Stats — itself served over the wire — must surface the net.* metrics.
-    let mut stats_client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-    let Response::Stats(snap) = stats_client.request(&Request::Stats).expect("stats") else {
+    // Stats — itself served — must surface the net.* metrics.
+    let Response::Stats(snap) = ask(&service, &Request::Stats, None) else {
         panic!("Stats request answered with a non-Stats response");
     };
     total_sent += 1;
-    assert!(snap.counter("net.req.ok") >= total_sent as u64 - 1);
-    assert!(snap.counter("net.conn.accepted") >= USERS.len() as u64);
+    assert_eq!(snap.counter("net.req.ok"), total_sent - 1);
     assert_eq!(snap.counter("net.decode.errors"), 0);
     let lat = snap
         .histogram("net.req.latency")
-        .expect("latency histogram on the wire");
-    assert!(lat.count >= total_sent as u64 - 1);
+        .expect("latency histogram in Stats");
+    assert_eq!(lat.count, total_sent - 1);
 
-    // Graceful shutdown joins every thread and hands the Memex back; the
-    // final accounting shows every request answered, none shed, none lost.
-    let memex = server.shutdown();
-    let final_snap = memex.registry().snapshot();
-    assert_eq!(final_snap.counter("net.req.ok"), total_sent as u64);
+    // The Memex comes back with every request answered, none shed.
+    let final_snap = service.into_memex().registry().snapshot();
+    assert_eq!(final_snap.counter("net.req.ok"), total_sent);
     assert_eq!(final_snap.counter("net.shed"), 0);
     assert_eq!(final_snap.counter("net.decode.errors"), 0);
+}
+
+/// Clients on their own threads, then a clean shutdown: every thread
+/// joined, the Memex handed back, every request and connection counted
+/// and `net.conn.active` back to zero.
+#[test]
+fn shutdown_after_concurrent_clients_balances_the_accounting() {
+    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
+        .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    std::thread::scope(|scope| {
+        for &user in &USERS {
+            scope.spawn(move || {
+                let mut client =
+                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+                for req in &user_requests(user)[..2] {
+                    let answer = client.request(req).expect("request over the wire");
+                    assert!(!matches!(answer, Response::Error(_)), "{req:?}: {answer:?}");
+                }
+            });
+        }
+    });
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.req.ok"), 2 * USERS.len() as u64);
+    assert_eq!(snap.counter("net.conn.accepted"), USERS.len() as u64);
+    assert_eq!(snap.counter("net.conn.closed"), USERS.len() as u64);
+    assert_eq!(snap.counter("net.shed"), 0);
+    assert_eq!(snap.counter("net.decode.errors"), 0);
     assert_eq!(
-        final_snap.gauge("net.conn.active"),
+        snap.gauge("net.conn.active"),
         0,
         "connections leaked past shutdown"
     );
 }
 
+/// With the accept queue full, a new connection is answered with an
+/// overload frame and closed; the connections before it are served.
+#[test]
+fn a_connection_over_a_full_accept_queue_is_shed_with_an_overload_frame() {
+    let config = NetServerConfig {
+        workers: 1,
+        accept_queue: 1,
+        ..NetServerConfig::default()
+    };
+    let server = NetServer::start(community_world(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    // The one worker holds the first connection: an answer proves it.
+    let mut held = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    assert!(matches!(
+        held.request(&Request::Stats).expect("stats"),
+        Response::Stats(_)
+    ));
+    // The second connection waits in the queue; the third finds it full.
+    let queued = TcpStream::connect(addr).expect("connect queued");
+    let mut shed = TcpStream::connect(addr).expect("connect shed");
+    shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let meta = wire::read_frame_meta(&mut shed).expect("overload frame");
+    assert_eq!(
+        wire::decode_response(&meta.payload).expect("decode"),
+        Response::Overloaded {
+            in_flight: 1,
+            limit: 1
+        }
+    );
+    drop((held, queued, shed));
+    let snap = server.shutdown().registry().snapshot();
+    assert_eq!(snap.counter("net.conn.accepted"), 3);
+    assert_eq!(snap.counter("net.conn.rejected"), 1);
+    assert_eq!(snap.counter("net.shed"), 1);
+    assert_eq!(snap.counter("net.req.shed"), 0, "no request was read");
+    assert_eq!(snap.gauge("net.conn.active"), 0);
+}
+
 #[test]
 fn zero_capacity_sheds_every_request_explicitly() {
     let memex = community_world();
-    let config = NetServerConfig {
-        max_in_flight: 0,
-        trace: memex_obs::TraceConfig {
-            enabled: true,
-            ..memex_obs::TraceConfig::default()
-        },
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
-
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-    let mut shed_ids = Vec::new();
-    for _ in 0..5 {
-        match client.request(&Request::Stats).expect("request") {
+    memex.tracer().configure(memex_obs::TraceConfig {
+        enabled: true,
+        ..memex_obs::TraceConfig::default()
+    });
+    let service = Service::new(memex, 0);
+    let shed_ids: Vec<u64> = (1..=5).collect();
+    for &trace_id in &shed_ids {
+        let trace = Some(TraceContext {
+            trace_id,
+            retry_of: None,
+        });
+        match ask(&service, &Request::Stats, trace) {
             Response::Overloaded { limit, .. } => assert_eq!(limit, 0),
             other => panic!("expected Overloaded, got {other:?}"),
         }
-        shed_ids.push(client.last_trace_id().expect("the client stamps ids"));
     }
-    let memex = server.shutdown();
+    let memex = service.into_memex();
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("net.shed"), 5);
     assert_eq!(snap.counter("net.req.ok"), 0);
     // A shed reply is still a served request: it must appear in the
-    // `net.req.*` accounting (the blind spot this PR closes) …
+    // `net.req.*` accounting …
     assert_eq!(snap.counter("net.req.shed"), 5);
     let lat = snap
         .histogram("net.req.latency")
@@ -263,6 +314,7 @@ fn garbage_frames_get_an_error_frame_then_close() {
         ),
     }
 
+    drop(raw);
     let memex = server.shutdown();
     assert!(memex.registry().snapshot().counter("net.decode.errors") >= 1);
 }
@@ -341,6 +393,7 @@ fn client_reconnects_after_server_closes_idle_connection() {
     std::thread::sleep(Duration::from_millis(400));
     assert_eq!(client.request(&bill(2)).expect("after idle"), expected[1]);
 
+    drop(client);
     let memex = server.shutdown();
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("net.req.ok"), 2);
@@ -432,55 +485,16 @@ fn a_frame_written_in_two_halves_is_assembled() {
     assert_eq!(snap.counter("net.req.ok"), 1);
 }
 
-#[test]
-fn poisoned_memex_mutex_answers_typed_error_not_hung_connection() {
-    let memex = community_world();
-    let server = NetServer::start(memex, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
-    assert!(matches!(
-        client.request(&Request::Stats).expect("pre-poison"),
-        Response::Stats(_)
-    ));
-
-    // Panic a throwaway thread while it holds the memex lock: every later
-    // request finds the mutex poisoned.
-    server.poison_memex_for_test();
-
-    // The worker must answer with a typed error — not panic, not hang the
-    // connection until the client's request timeout.
-    for _ in 0..3 {
-        match client.request(&Request::Stats).expect("poisoned exchange") {
-            Response::Error(msg) => assert!(
-                msg.contains("poisoned"),
-                "error should name the poison, got {msg:?}"
-            ),
-            other => panic!("expected Response::Error from poisoned server, got {other:?}"),
-        }
-    }
-
-    // Shutdown still joins every thread and recovers the Memex from the
-    // poisoned lock; the poison surfaces in the counters.
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
-    assert_eq!(snap.counter("net.req.poisoned"), 3);
-    assert_eq!(snap.counter("net.req.ok"), 1);
-}
-
 /// Unknown users are harmless: every user-scoped request variant, reads
 /// and writes, carrying an id the archive never registered comes back as
 /// a typed response. Nothing panics, the lock is not poisoned, and the
 /// server keeps answering known users afterwards.
 #[test]
 fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
-    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
-        .expect("bind");
-    let addr = server.local_addr();
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    let service = Service::new(community_world(), MAX_IN_FLIGHT);
 
     // Driven by the deterministic per-test RNG (the vendored proptest
-    // runner cannot share one live server across generated cases).
+    // runner cannot share one service across generated cases).
     let mut rng = TestRng::for_test("unknown_users_get_typed_answers_never_a_poisoned_lock");
     for _case in 0..16 {
         let user = 5 + rng.below(u64::from(u32::MAX - 5)) as u32;
@@ -499,10 +513,7 @@ fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
             time: 1_000_000,
         });
         for req in surface {
-            let resp = client
-                .request(&req)
-                .unwrap_or_else(|e| panic!("user {user} {req:?} transport error: {e}"));
-            if let Response::Error(msg) = &resp {
+            if let Response::Error(msg) = &ask(&service, &req, None) {
                 assert!(
                     !msg.contains("panicked") && !msg.contains("poisoned"),
                     "user {user} {req:?} crashed the dispatch: {msg}"
@@ -518,14 +529,11 @@ fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
             until: u64::MAX,
         };
         assert!(
-            !matches!(
-                client.request(&bill).expect("post-fuzz bill"),
-                Response::Error(_)
-            ),
+            !matches!(ask(&service, &bill, None), Response::Error(_)),
             "user {user} stopped being answered after the fuzz"
         );
     }
-    let snap = server.shutdown().registry().snapshot();
+    let snap = service.into_memex().registry().snapshot();
     assert_eq!(snap.counter("net.req.panics"), 0, "a dispatch panicked");
     assert_eq!(snap.counter("net.req.poisoned"), 0, "the lock was poisoned");
 }
@@ -536,10 +544,7 @@ fn unknown_users_get_typed_answers_never_a_poisoned_lock() {
 /// "dispatch panicked" error — and known users keep being answered.
 #[test]
 fn hostile_ids_and_counts_get_typed_answers_through_every_servlet() {
-    let server = NetServer::start(community_world(), "127.0.0.1:0", NetServerConfig::default())
-        .expect("bind");
-    let mut client =
-        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let service = Service::new(community_world(), MAX_IN_FLIGHT);
     let user = USERS[0];
     let requests = vec![
         Request::Event(ClientEvent::Visit(VisitEvent {
@@ -612,9 +617,7 @@ fn hostile_ids_and_counts_get_typed_answers_through_every_servlet() {
         Request::Stats,
     ];
     for req in requests {
-        let resp = client
-            .request(&req)
-            .unwrap_or_else(|e| panic!("{req:?} transport error: {e}"));
+        let resp = ask(&service, &req, None);
         let typed = match (&req, &resp) {
             (Request::Event(_), Response::Ack { archived: true })
             | (Request::ImportBookmarks { .. }, Response::Imported { unresolved: 1, .. })
@@ -635,17 +638,16 @@ fn hostile_ids_and_counts_get_typed_answers_through_every_servlet() {
         };
         assert!(typed, "{req:?} answered {resp:?}");
     }
-    drop(client);
-    let snap = server.shutdown().registry().snapshot();
+    let snap = service.into_memex().registry().snapshot();
     assert_eq!(snap.counter("net.req.panics"), 0, "a dispatch panicked");
     assert_eq!(snap.counter("net.req.poisoned"), 0, "the lock was poisoned");
 }
 
 #[test]
 fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
-    // The whole stack — Memex, servlets, wire — on the one storage
+    // The whole stack — Memex, servlets, service — on the one storage
     // engine a default `Memex` has: queries must answer exactly as they
-    // do in-process, and the wire Stats snapshot must surface both the
+    // do in-process, and the served Stats snapshot must surface both the
     // job-named `store.kv.*` counters and the `store.lsm.*` family.
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         num_topics: 2,
@@ -675,15 +677,13 @@ fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
     };
     let expected = dispatch(&mut memex, recall.clone());
 
-    let server = NetServer::start(memex, "127.0.0.1:0", NetServerConfig::default()).expect("bind");
-    let addr = server.local_addr();
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    let service = Service::new(memex, MAX_IN_FLIGHT);
     assert_eq!(
-        client.request(&recall).expect("recall over wire"),
+        ask(&service, &recall, None),
         expected,
-        "recall diverged over the wire"
+        "recall diverged through the service"
     );
-    let Response::Stats(snap) = client.request(&Request::Stats).expect("stats") else {
+    let Response::Stats(snap) = ask(&service, &Request::Stats, None) else {
         panic!("Stats request answered with a non-Stats response");
     };
     assert!(
@@ -694,5 +694,4 @@ fn lsm_engine_memex_serves_identically_and_reports_lsm_metrics() {
         snap.gauge("store.lsm.memtable.bytes") > 0,
         "indexed postings and metadata rows should be buffered in the memtables"
     );
-    server.shutdown();
 }

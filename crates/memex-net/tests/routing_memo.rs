@@ -1,35 +1,39 @@
 //! The page -> theme map, the profile table and each user's page -> folder
 //! routing are built by the first *reader* after a write that moved one of
 //! their inputs, under the shared lock. This races those builds: after each
-//! such write four clients ask at the same moment (a barrier, not a sleep)
-//! while the writer keeps streaming repeat visits of the visitors' own
-//! pages, which drop nothing. Every answer must be the one an in-process
-//! twin gives at some write epoch the request could have seen, and the build
-//! counters, read over the wire, must move by exactly one per memo dropped
-//! however many readers arrive together.
+//! such write four reader threads ask one shared [`Service`] at the same
+//! moment (a barrier, not a sleep) while the writer keeps streaming repeat
+//! visits of the visitors' own pages, which drop nothing. Every answer must
+//! be the one an in-process twin gives at some write epoch the request
+//! could have seen, and the build counters, read through `Stats`, must move
+//! by exactly one per memo dropped however many readers arrive together.
 //!
 //! * Routings: after a first visit, which drops every memo, then a bookmark,
-//!   which drops its user's routing and the page themes, the clients ask
+//!   which drops its user's routing and the page themes, the readers ask
 //!   `TrailReplay`, `Bill` and `SimilarSurfers`: each routing is asked for
-//!   by two of the four clients, and the background class all four routings
+//!   by two of the four readers, and the background class all four routings
 //!   train against — dropped by the first visit only — by whichever of them
 //!   gets there first.
 //! * Profiles: after a visit of a page new to its visitor (but not to the
 //!   community), which drops the profile table alone, then a bookmark, which
-//!   drops the themes with it, the clients ask `SimilarSurfers` and
+//!   drops the themes with it, the readers ask `SimilarSurfers` and
 //!   `Recommend`, every one of which reads the table.
 //!
 //! Runs under the nightly TSan job in CI (`san-matrix`) beside
 //! `theme_memo.rs`.
+
+mod serve;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{dispatch, Request, Response};
-use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_net::Service;
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
+
+use serve::ask;
 
 const READERS: usize = 4;
 const ROUNDS: usize = 3;
@@ -153,7 +157,7 @@ fn routing_phases(corpus: &Corpus) -> Vec<Phase> {
 
 /// What reader `reader` asks in the routing race, each time round: its own
 /// trail tab and soulmates, and its neighbour's bill — so every user's
-/// routing has two clients after it.
+/// routing has two readers after it.
 fn routing_questions(reader: usize) -> Vec<Request> {
     let user = reader as u32;
     vec![
@@ -224,9 +228,9 @@ fn profile_questions(reader: usize) -> Vec<Request> {
     ]
 }
 
-/// The race's build counters and the routings live, over the wire.
-fn memo_stats(client: &mut MemexClient, counters: &[&str]) -> (Vec<u64>, i64) {
-    match client.request(&Request::Stats).expect("stats") {
+/// The race's build counters and the routings live, read through `Stats`.
+fn memo_stats(service: &Service, counters: &[&str]) -> (Vec<u64>, i64) {
+    match ask(service, &Request::Stats, None) {
         Response::Stats(snap) => (
             counters.iter().map(|name| snap.counter(name)).collect(),
             snap.gauge("demon.routing.live"),
@@ -296,14 +300,8 @@ fn race(
         );
     }
 
-    let config = NetServerConfig {
-        workers: READERS + 2,
-        max_in_flight: 64,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(world(&corpus), "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
-    // Writes sent so far (bumped before the frame goes out) and writes
+    let service = Arc::new(Service::new(world(&corpus), 64));
+    // Writes sent so far (bumped before the request goes in) and writes
     // acknowledged so far: together they bound the epochs a read can see.
     let sent = Arc::new(AtomicUsize::new(0));
     let acked = Arc::new(AtomicUsize::new(0));
@@ -313,7 +311,8 @@ fn race(
 
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
-            let (truth, sent, acked, barrier) = (
+            let (service, truth, sent, acked, barrier) = (
+                Arc::clone(&service),
                 Arc::clone(&truth),
                 Arc::clone(&sent),
                 Arc::clone(&acked),
@@ -321,8 +320,6 @@ fn race(
             );
             let phases = phases.len();
             std::thread::spawn(move || {
-                let mut client =
-                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
                 // Collected, not asserted: a reader that panicked mid-phase
                 // would leave the others parked on the barrier for good.
                 let mut wrong = Vec::new();
@@ -331,12 +328,9 @@ fn race(
                     for _ in 0..READS_PER_PHASE {
                         for (q, question) in questions(r).iter().enumerate() {
                             let oldest = acked.load(Ordering::SeqCst);
-                            let answer = client.request(question);
+                            let answer = ask(&service, question, None);
                             let newest = sent.load(Ordering::SeqCst);
-                            let right = answer.as_ref().is_ok_and(|a| {
-                                truth[oldest..=newest].iter().any(|t| t[r][q] == *a)
-                            });
-                            if !right {
+                            if !truth[oldest..=newest].iter().any(|t| t[r][q] == answer) {
                                 wrong.push(format!(
                                     "reader {r}, phase {phase}, {question:?}: {answer:?} is not \
                                      the in-process answer at any epoch in {oldest}..={newest}"
@@ -351,29 +345,26 @@ fn race(
         })
         .collect();
 
-    let mut writer = MemexClient::connect(addr, ClientConfig::default()).expect("connect writer");
-    let mut send = |write: &Request| {
+    let send = |write: &Request| {
         sent.fetch_add(1, Ordering::SeqCst);
-        let ack = writer.request(write).expect("write");
-        assert_eq!(ack, Response::Ack { archived: true });
+        assert_eq!(ask(&service, write, None), Response::Ack { archived: true });
         acked.fetch_add(1, Ordering::SeqCst);
     };
-    let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
     assert_eq!(
-        memo_stats(&mut stats, counters),
+        memo_stats(&service, counters),
         (vec![0; counters.len()], 0),
         "building the world read no memo"
     );
     // One reader's questions warm what the world's bookmarks left unbuilt,
     // so that each phase builds only what its own write dropped.
     for (question, expected) in questions(0).iter().zip(&truth[0][0]) {
-        assert_eq!(&stats.request(question).expect("warm-up"), expected);
+        assert_eq!(&ask(&service, question, None), expected);
     }
-    let mut builds = memo_stats(&mut stats, counters);
+    let mut builds = memo_stats(&service, counters);
     for (i, phase) in phases.iter().enumerate() {
         send(&phase.writes[0]);
         assert_eq!(
-            memo_stats(&mut stats, counters).0,
+            memo_stats(&service, counters).0,
             builds.0,
             "the ack of phase {i} built a memo ({counters:?})"
         );
@@ -387,7 +378,7 @@ fn race(
         }
         builds.1 = live;
         assert_eq!(
-            memo_stats(&mut stats, counters),
+            memo_stats(&service, counters),
             builds,
             "phase {i}: {READERS} readers arriving together must share one build per memo \
              dropped, and repeat visits must drop none ({counters:?})"
@@ -403,13 +394,11 @@ fn race(
     let last = truth.last().expect("non-empty");
     for (r, expected) in last.iter().enumerate() {
         for (question, expected) in questions(r).iter().zip(expected) {
-            assert_eq!(&stats.request(question).expect("final read"), expected);
+            assert_eq!(&ask(&service, question, None), expected);
         }
     }
-    // Close the idle connections, or shutdown waits out their read timeout.
-    drop((writer, stats));
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("every reader joined"));
+    let snap = service.into_memex().registry().snapshot();
     assert_eq!(snap.counter("net.shed"), 0);
     assert_eq!(snap.counter("net.req.panics"), 0);
     for (name, total) in counters.iter().zip(&builds.0) {

@@ -1,7 +1,8 @@
 //! The community themes are built by the first *reader* after a bookmark,
 //! under the shared lock. This races that build: after each bookmark ack
-//! four clients ask `SimilarSurfers` at the same moment (a barrier, not a
-//! sleep) while the writer keeps streaming visits. Every answer must be the
+//! four reader threads ask `SimilarSurfers` of one shared [`Service`] at
+//! the same moment (a barrier, not a sleep) while the writer keeps
+//! streaming visits. Every answer must be the
 //! one an in-process twin gives at some write epoch the request could have
 //! seen — never one from before the last ack it followed, which is what a
 //! stale cache hit or a theme memo surviving its bookmark would look like —
@@ -11,14 +12,18 @@
 //! Runs under the nightly TSan job in CI (`san-matrix`), which race-checks
 //! the `OnceLock` memo behind `RwLock<Memex>` read guards.
 
+mod serve;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{dispatch, Request, Response};
-use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_net::Service;
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
+
+use serve::ask;
 
 const READERS: usize = 4;
 const ROUNDS: usize = 5;
@@ -98,8 +103,8 @@ fn question(reader: usize) -> Request {
     }
 }
 
-fn themes_built(client: &mut MemexClient) -> u64 {
-    match client.request(&Request::Stats).expect("stats") {
+fn themes_built(service: &Service) -> u64 {
+    match ask(service, &Request::Stats, None) {
         Response::Stats(snap) => snap.counter("demon.themes.builds"),
         other => panic!("expected Stats, got {other:?}"),
     }
@@ -127,20 +132,15 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
         );
         truth.push(answers(&mut twin));
     }
-    let truth = Arc::new(truth);
     assert!(
         truth.windows(2).filter(|w| w[0] != w[1]).count() >= ROUNDS * 2,
         "the stream must move the answers, or any epoch would pass for any other"
     );
 
-    let config = NetServerConfig {
-        workers: READERS + 2,
-        max_in_flight: 64,
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(world(&corpus), "127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr();
-    // Writes sent so far (bumped before the frame goes out) and writes
+    let truth = Arc::new(truth);
+
+    let service = Arc::new(Service::new(world(&corpus), 64));
+    // Writes sent so far (bumped before the request goes in) and writes
     // acknowledged so far: together they bound the epochs a read can see.
     let sent = Arc::new(AtomicUsize::new(0));
     let acked = Arc::new(AtomicUsize::new(0));
@@ -150,15 +150,14 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
 
     let readers: Vec<_> = (0..READERS)
         .map(|r| {
-            let (truth, sent, acked, barrier) = (
+            let (service, truth, sent, acked, barrier) = (
+                Arc::clone(&service),
                 Arc::clone(&truth),
                 Arc::clone(&sent),
                 Arc::clone(&acked),
                 Arc::clone(&barrier),
             );
             std::thread::spawn(move || {
-                let mut client =
-                    MemexClient::connect(addr, ClientConfig::default()).expect("connect");
                 // Collected, not asserted: a reader that panicked mid-round
                 // would leave the others parked on the barrier for good.
                 let mut wrong = Vec::new();
@@ -166,12 +165,9 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
                     barrier.wait();
                     for read in 0..READS_PER_ROUND {
                         let oldest = acked.load(Ordering::SeqCst);
-                        let answer = client.request(&question(r));
+                        let answer = ask(&service, &question(r), None);
                         let newest = sent.load(Ordering::SeqCst);
-                        let right = answer
-                            .as_ref()
-                            .is_ok_and(|a| truth[oldest..=newest].iter().any(|t| t[r] == *a));
-                        if !right {
+                        if !truth[oldest..=newest].iter().any(|t| t[r] == answer) {
                             wrong.push(format!(
                                 "reader {r}, round {round}, read {read}: {answer:?} is not the \
                                  in-process answer at any epoch in {oldest}..={newest}"
@@ -185,23 +181,20 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
         })
         .collect();
 
-    let mut writer = MemexClient::connect(addr, ClientConfig::default()).expect("connect writer");
-    let mut send = |write: &Request| {
+    let send = |write: &Request| {
         sent.fetch_add(1, Ordering::SeqCst);
-        let ack = writer.request(write).expect("write");
-        assert_eq!(ack, Response::Ack { archived: true });
+        assert_eq!(ask(&service, write, None), Response::Ack { archived: true });
         acked.fetch_add(1, Ordering::SeqCst);
     };
-    let mut stats = MemexClient::connect(addr, ClientConfig::default()).expect("connect stats");
     assert_eq!(
-        themes_built(&mut stats),
+        themes_built(&service),
         0,
         "building the world read no theme"
     );
     for (round, writes) in rounds.iter().enumerate() {
         send(&writes[0]);
         assert_eq!(
-            themes_built(&mut stats),
+            themes_built(&service),
             round as u64,
             "the bookmark ack ran theme discovery"
         );
@@ -211,7 +204,7 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
         }
         barrier.wait();
         assert_eq!(
-            themes_built(&mut stats),
+            themes_built(&service),
             round as u64 + 1,
             "{READERS} readers arriving together after bookmark {round} must share one build"
         );
@@ -225,12 +218,10 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
     // from the cache or not.
     let last = truth.last().expect("non-empty");
     for (r, expected) in last.iter().enumerate() {
-        assert_eq!(&stats.request(&question(r)).expect("final read"), expected);
+        assert_eq!(&ask(&service, &question(r), None), expected);
     }
-    // Close the idle connections, or shutdown waits out their read timeout.
-    drop((writer, stats));
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
+    let service = Arc::try_unwrap(service).unwrap_or_else(|_| panic!("every reader joined"));
+    let snap = service.into_memex().registry().snapshot();
     assert_eq!(snap.counter("net.shed"), 0);
     assert_eq!(snap.counter("net.req.panics"), 0);
     assert_eq!(snap.counter("demon.themes.builds"), ROUNDS as u64);

@@ -1,21 +1,26 @@
-//! End-to-end tracing over a live loopback server: every request — cache
-//! hits included — must leave exactly one complete span tree in the
-//! flight recorder, slow requests must land in the slow log with their
-//! lock-wait accounting and per-layer children, and frames in a retired
-//! wire version (v2–v4) must be refused with a typed error.
+//! End-to-end tracing. Through the [`Service`]: every request — cache hits
+//! included — must leave exactly one complete span tree in the flight
+//! recorder, slow requests must land in the slow log with their lock-wait
+//! accounting and per-layer children, frames in a retired wire version
+//! (v2–v4) must be refused with a typed error, and a disabled tracer must
+//! start no trace and cost little. Over a live loopback server: a retried
+//! read is a new trace linked to its dead attempt.
+
+mod serve;
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{Request, Response};
 use memex_net::wire::{self, FrameKind, TraceContext};
-use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig};
+use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig, Service};
 use memex_obs::{TraceConfig, TraceData};
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
+
+use serve::ask;
 
 /// A small archived world: one user with a short referrer chain, demons
 /// drained, so recall/bill queries have something to chew on.
@@ -44,14 +49,25 @@ fn small_world() -> (Arc<Corpus>, Memex) {
     (corpus, memex)
 }
 
-fn traced_server_config() -> NetServerConfig {
-    NetServerConfig {
-        trace: TraceConfig {
-            enabled: true,
-            ..TraceConfig::default()
-        },
-        ..NetServerConfig::default()
+/// Serve `memex` with its tracer configured by `config` first.
+fn service(memex: Memex, config: TraceConfig) -> Service {
+    memex.tracer().configure(config);
+    Service::new(memex, NetServerConfig::default().max_in_flight)
+}
+
+fn traced() -> TraceConfig {
+    TraceConfig {
+        enabled: true,
+        ..TraceConfig::default()
     }
+}
+
+/// The trace context a client stamps on its `n`th request.
+fn stamped(n: u64) -> Option<TraceContext> {
+    Some(TraceContext {
+        trace_id: n,
+        retry_of: None,
+    })
 }
 
 fn find_trace(traces: &[TraceData], id: u64) -> &TraceData {
@@ -69,10 +85,7 @@ fn has_span(trace: &TraceData, name: &str) -> bool {
 #[test]
 fn every_request_records_exactly_one_complete_trace() {
     let (corpus, memex) = small_world();
-    let server =
-        NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind ephemeral");
-    let addr = server.local_addr();
-    let mut client = MemexClient::connect(addr, ClientConfig::default()).expect("connect");
+    let service = service(memex, traced());
 
     let recall = Request::Recall {
         user: 1,
@@ -103,23 +116,19 @@ fn every_request_records_exactly_one_complete_trace() {
         Request::Stats,
         write,
     ];
-    let mut ids = Vec::new();
-    for req in &sequence {
-        client.request(req).expect("request over wire");
-        ids.push(
-            client
-                .last_trace_id()
-                .expect("the client stamps every request"),
-        );
+    let ids: Vec<u64> = (1..=sequence.len() as u64).collect();
+    for (req, &id) in sequence.iter().zip(&ids) {
+        ask(&service, req, stamped(id));
     }
 
-    let Response::Traces(traces) = client
-        .request(&Request::Traces {
+    let Response::Traces(traces) = ask(
+        &service,
+        &Request::Traces {
             slow_only: false,
             limit: 100,
-        })
-        .expect("traces over wire")
-    else {
+        },
+        None,
+    ) else {
         panic!("Traces request answered with a non-Traces response");
     };
 
@@ -180,15 +189,15 @@ fn every_request_records_exactly_one_complete_trace() {
         "store child missing from write trace: {write_trace:?}"
     );
 
-    // The tracer the server hands back agrees with what the wire reported
-    // (plus the Traces request itself, which completed after collecting).
-    let memex = server.shutdown();
+    // The tracer the service hands back agrees with what it reported (plus
+    // the Traces request itself, which completed after collecting).
+    let memex = service.into_memex();
     assert_eq!(memex.tracer().recorded(), sequence.len() + 1);
     let snap = memex.registry().snapshot();
     assert_eq!(snap.counter("trace.started"), sequence.len() as u64 + 1);
     assert_eq!(snap.counter("trace.completed"), sequence.len() as u64 + 1);
-    // The cache hit recorded the servlet latency histogram (the metrics
-    // blind spot this PR closes): two recalls, two observations.
+    // The cache hit recorded the servlet latency histogram: two recalls,
+    // two observations.
     let lat = snap
         .histogram("servlet.recall.latency")
         .expect("recall latency histogram");
@@ -199,38 +208,37 @@ fn every_request_records_exactly_one_complete_trace() {
 #[test]
 fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
     let (corpus, memex) = small_world();
-    let config = NetServerConfig {
-        trace: TraceConfig {
-            enabled: true,
+    let service = service(
+        memex,
+        TraceConfig {
             // Every request is "slow": the slow log sees them all.
             slow_threshold_ns: 0,
-            ..TraceConfig::default()
+            ..traced()
         },
-        ..NetServerConfig::default()
-    };
-    let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
-    let mut client =
-        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    );
 
     let page = corpus.pages_of_topic(1)[0];
-    client
-        .request(&Request::Event(ClientEvent::Bookmark {
+    let write_id = 1;
+    ask(
+        &service,
+        &Request::Event(ClientEvent::Bookmark {
             user: 1,
             page,
             url: corpus.pages[page as usize].url.clone(),
             folder: "/slow".into(),
             time: 50,
-        }))
-        .expect("write over wire");
-    let write_id = client.last_trace_id().expect("stamped");
+        }),
+        stamped(write_id),
+    );
 
-    let Response::Traces(slow) = client
-        .request(&Request::Traces {
+    let Response::Traces(slow) = ask(
+        &service,
+        &Request::Traces {
             slow_only: true,
             limit: 10,
-        })
-        .expect("slow log over wire")
-    else {
+        },
+        None,
+    ) else {
         panic!("Traces request answered with a non-Traces response");
     };
 
@@ -250,8 +258,7 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
         assert!(has_span(t, name), "slow trace lacks `{name}` child: {t:?}");
     }
 
-    let memex = server.shutdown();
-    let snap = memex.registry().snapshot();
+    let snap = service.into_memex().registry().snapshot();
     assert!(snap.counter("slowlog.retained") >= 2);
 }
 
@@ -260,33 +267,30 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
 #[test]
 fn a_first_visit_traces_its_page_analysis_and_a_repeat_visit_does_not() {
     let (corpus, memex) = small_world();
-    let server = NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind");
-    let mut client =
-        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    let service = service(memex, traced());
 
     let page = corpus.pages_of_topic(1)[0];
-    let mut ids = Vec::new();
-    for time in [70, 71] {
-        client
-            .request(&Request::Event(ClientEvent::Visit(VisitEvent {
-                user: 1,
-                session: 2,
-                page,
-                url: corpus.pages[page as usize].url.clone(),
-                time,
-                referrer: None,
-            })))
-            .expect("visit over wire");
-        ids.push(client.last_trace_id().expect("stamped"));
+    let ids = [1, 2];
+    for (time, id) in [70, 71].into_iter().zip(ids) {
+        let visit = Request::Event(ClientEvent::Visit(VisitEvent {
+            user: 1,
+            session: 2,
+            page,
+            url: corpus.pages[page as usize].url.clone(),
+            time,
+            referrer: None,
+        }));
+        ask(&service, &visit, stamped(id));
     }
 
-    let Response::Traces(traces) = client
-        .request(&Request::Traces {
+    let Response::Traces(traces) = ask(
+        &service,
+        &Request::Traces {
             slow_only: false,
             limit: 10,
-        })
-        .expect("traces over wire")
-    else {
+        },
+        None,
+    ) else {
         panic!("Traces request answered with a non-Traces response");
     };
     let first = find_trace(&traces, ids[0]);
@@ -302,28 +306,30 @@ fn a_first_visit_traces_its_page_analysis_and_a_repeat_visit_does_not() {
         !has_span(repeat, "text.analyze"),
         "a repeat visit analysed its page again: {repeat:?}"
     );
-    server.shutdown();
 }
 
 #[test]
 fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_context() {
     let (_corpus, memex) = small_world();
-    let server = NetServer::start(memex, "127.0.0.1:0", traced_server_config()).expect("bind");
-    let addr = server.local_addr();
+    let service = service(memex, traced());
     let payload = wire::encode_request(&Request::Stats);
 
     // A v2, v3 or v4 frame: a typed error frame comes back (in the current
-    // version — the only one the server speaks), then the connection
+    // version — the only one the service speaks), and the connection
     // closes. Nothing was dispatched. A v4 frame is refused even though
     // only its checksum differs from v5's.
     let retired_versions = [2u8, 3, 4];
     for retired in retired_versions {
         let mut frame = wire::frame_bytes(FrameKind::Request, &payload, None).expect("frame");
         frame[2] = retired;
-        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        raw.write_all(&frame).expect("write retired-version frame");
-        let meta = wire::read_frame_meta(&mut raw).expect("error frame back");
+        let mut written = Vec::new();
+        assert!(
+            !service.handle(wire::read_frame_meta(&mut &frame[..]), &mut written),
+            "a v{retired} frame must close the connection"
+        );
+        let mut rest = &written[..];
+        let meta = wire::read_frame_meta(&mut rest).expect("error frame back");
+        assert!(rest.is_empty(), "frames after a v{retired} rejection");
         assert_eq!(meta.kind, FrameKind::Response);
         match wire::decode_response(&meta.payload).expect("decode error frame") {
             Response::Error(msg) => assert!(
@@ -332,39 +338,18 @@ fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_conte
             ),
             other => panic!("v{retired} frame answered with {other:?}"),
         }
-        let mut rest = Vec::new();
-        match raw.read_to_end(&mut rest) {
-            Ok(_) => assert!(rest.is_empty(), "frames after a v{retired} rejection"),
-            Err(e) => assert!(
-                matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
-                ),
-                "unexpected error after v{retired} rejection: {e}"
-            ),
-        }
     }
 
-    // Raw current-version exchange: the server echoes the client's trace
-    // id back in the response envelope and records the trace under that id.
+    // A current-version exchange: the service echoes the client's trace id
+    // back in the response envelope (`ask` checks it) and records the trace
+    // under that id.
     let ctx = TraceContext {
         trace_id: 0xDEAD_BEEF_CAFE_F00D,
         retry_of: None,
     };
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    wire::write_frame_versioned(
-        &mut raw,
-        wire::WIRE_VERSION,
-        FrameKind::Request,
-        &payload,
-        Some(ctx),
-    )
-    .expect("write frame");
-    let meta = wire::read_frame_meta(&mut raw).expect("response");
-    assert_eq!(meta.trace, Some(ctx), "response must echo the trace id");
+    ask(&service, &Request::Stats, Some(ctx));
 
-    let memex = server.shutdown();
+    let memex = service.into_memex();
     let snap = memex.registry().snapshot();
     assert_eq!(
         snap.counter("net.decode.errors"),
@@ -391,11 +376,12 @@ fn retired_wire_versions_are_rejected_and_the_current_one_echoes_the_trace_conte
 #[test]
 fn retried_read_gets_fresh_trace_id_linked_to_dead_attempt() {
     let (_corpus, memex) = small_world();
+    memex.tracer().configure(traced());
     let config = NetServerConfig {
         // Close idle connections quickly so the test can kill the client's
         // connection under it by just sleeping.
         read_timeout: Duration::from_millis(100),
-        ..traced_server_config()
+        ..NetServerConfig::default()
     };
     let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
     let seed = 0x5EED_5EED_5EED_5EED;
@@ -435,6 +421,7 @@ fn retried_read_gets_fresh_trace_id_linked_to_dead_attempt() {
         "the answering attempt must carry a fresh id, not re-use {id_dead:#x}"
     );
 
+    drop(client);
     let memex = server.shutdown();
     let traces = memex.tracer().collect(false, 100);
     // No span tree aliases the dead attempt's id, and the answering
@@ -464,27 +451,18 @@ fn disabled_tracing_keeps_request_throughput() {
         let mut best = Duration::MAX;
         for _ in 0..3 {
             let (_corpus, memex) = small_world();
-            let config = NetServerConfig {
-                trace: TraceConfig {
+            let service = service(
+                memex,
+                TraceConfig {
                     enabled,
                     ..TraceConfig::default()
                 },
-                ..NetServerConfig::default()
-            };
-            let server = NetServer::start(memex, "127.0.0.1:0", config).expect("bind");
-            let mut client = MemexClient::connect(server.local_addr(), ClientConfig::default())
-                .expect("connect");
-            let req = Request::Bill {
-                user: 1,
-                since: 0,
-                until: u64::MAX,
-            };
+            );
             let started = Instant::now();
             for _ in 0..200 {
-                client.request(&req).expect("request");
+                ask(&service, &bill(), None);
             }
             best = best.min(started.elapsed());
-            server.shutdown();
         }
         best
     }
@@ -502,4 +480,29 @@ fn disabled_tracing_keeps_request_throughput() {
         on <= off.saturating_mul(5),
         "tracing-on ({on:?}) pathologically slower than tracing-off ({off:?})"
     );
+}
+
+/// The exact side of the same property: with tracing disabled, 200 requests
+/// start no trace and record none.
+#[test]
+fn disabled_tracing_starts_no_trace() {
+    let (_corpus, memex) = small_world();
+    let service = service(memex, TraceConfig::default());
+    for _ in 0..200 {
+        ask(&service, &bill(), None);
+    }
+    let memex = service.into_memex();
+    let snap = memex.registry().snapshot();
+    assert_eq!(snap.counter("net.req.ok"), 200);
+    assert_eq!(snap.counter("trace.started"), 0);
+    assert_eq!(snap.counter("trace.completed"), 0);
+    assert_eq!(memex.tracer().recorded(), 0);
+}
+
+fn bill() -> Request {
+    Request::Bill {
+        user: 1,
+        since: 0,
+        until: u64::MAX,
+    }
 }

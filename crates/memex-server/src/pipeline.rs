@@ -171,20 +171,10 @@ pub struct MemexServer<F: PageFetcher> {
 
 impl<F: PageFetcher> MemexServer<F> {
     /// Stand up a server over `fetcher` with in-memory storage and its own
-    /// (enabled) metrics registry.
+    /// (enabled) metrics registry, which every subsystem the server owns
+    /// (event log, RDBMS, inverted index) reports into too.
     pub fn new(fetcher: F, opts: ServerOptions) -> StoreResult<MemexServer<F>> {
-        Self::with_registry(fetcher, opts, MetricsRegistry::new())
-    }
-
-    /// Stand up a server that reports into `registry` — pass
-    /// [`MetricsRegistry::disabled`] to turn the observability layer off,
-    /// or a shared registry to aggregate several servers. Every subsystem
-    /// the server owns (event log, RDBMS, inverted index) registers here too.
-    pub fn with_registry(
-        fetcher: F,
-        opts: ServerOptions,
-        registry: MetricsRegistry,
-    ) -> StoreResult<MemexServer<F>> {
+        let registry = MetricsRegistry::new();
         let mut db = Database::open_memory()?;
         db.attach_registry(&registry);
         let users_t = db.create_table(Schema::new(

@@ -33,7 +33,7 @@ type Table = [(&'static str, &'static [&'static str])];
 /// a lock further down the table.
 const LOCKS: &Table = &[
     ("net.accept_rx", &["server.rs:rx"]),
-    ("net.memex", &["server.rs:shared.memex"]),
+    ("net.memex", &["server.rs:self.memex"]),
     ("net.read_cache", &["server.rs:self.cache"]),
     ("store.lsm.wake", &["lsm.rs:shared.wake.flag"]),
     ("store.lsm.manifest", &["lsm.rs:shared.manifest"]),
