@@ -9,11 +9,11 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use crate::eval::{train_test_split, Confusion};
+use crate::rel::{ColType, Column, Database, Schema, Value};
 use memex_learn::enhanced::{EnhancedClassifier, EnhancedOptions, EnhancedProblem};
 use memex_learn::nb::{HierarchicalNB, NaiveBayes, NbOptions};
 use memex_learn::taxonomy::Taxonomy;
 use memex_store::lsm::LsmStore;
-use memex_store::rel::{ColType, Column, Database, Schema, Value};
 use memex_text::features::FeatureScore;
 use memex_web::corpus::{Corpus, CorpusConfig};
 use memex_web::surfer::{Community, SurferConfig};

@@ -145,7 +145,6 @@ pub fn run(quick: bool) -> Table {
         ServerOptions::default(),
     )
     .expect("server");
-    server.register_user(1, "flaky").expect("user");
     let visits = if quick { 500 } else { 2_000 };
     let mut acks = Acks::default();
     for i in 0..visits {

@@ -5,8 +5,9 @@
 //!
 //! The tools only experiments use live here too: the focused and
 //! unfocused crawlers ([`crawler`], T4), semi-supervised EM ([`em`], A5),
-//! confusion matrices and splits ([`eval`]) and clustering quality
-//! metrics ([`quality`], T3/F4).
+//! confusion matrices and splits ([`eval`]), clustering quality
+//! metrics ([`quality`], T3/F4) and the relational engine A6 measures
+//! the keyed store against ([`rel`]).
 //!
 //! `quick = true` shrinks workloads for CI; the committed EXPERIMENTS.md
 //! numbers come from `quick = false`. Speed claims are not made here:
@@ -21,6 +22,7 @@ mod f2_trail;
 mod f3_pipeline;
 mod f4_themes;
 pub mod quality;
+pub mod rel;
 mod t1_classify;
 mod t2_search;
 mod t3_cluster;

@@ -23,10 +23,12 @@
 use std::ops::Bound;
 use std::path::Path;
 
-use crate::error::{StoreError, StoreResult};
-use crate::lsm::{LsmOptions, LsmStore};
+use memex_store::codec::put_uvarint;
+use memex_store::{LsmOptions, LsmStore, StoreResult};
+
 use crate::rel::schema::Schema;
 use crate::rel::value::{decode_row, encode_row, Value};
+use crate::rel::{corrupt, RelError, RelResult};
 
 /// Cheap handle naming a table; obtained from [`Database::create_table`]
 /// or [`Database::table`].
@@ -43,36 +45,30 @@ pub struct Database {
 
 impl Database {
     /// In-memory database.
-    pub fn open_memory() -> StoreResult<Database> {
+    pub fn open_memory() -> RelResult<Database> {
         Ok(Database {
             kv: LsmStore::open_memory()?,
         })
     }
 
     /// Durable database stored under `dir/meta/` (WAL, manifest, runs).
-    pub fn open_dir<P: AsRef<Path>>(dir: P) -> StoreResult<Database> {
+    pub fn open_dir<P: AsRef<Path>>(dir: P) -> RelResult<Database> {
         Ok(Database {
             kv: LsmStore::open_dir(dir.as_ref().join("meta"), LsmOptions::default())?,
         })
     }
 
-    /// Register the backing store (and its WAL) with `registry`. The
-    /// relational layer itself adds no metrics of its own.
-    pub fn attach_registry(&mut self, registry: &memex_obs::MetricsRegistry) {
-        self.kv.attach_registry(registry);
-    }
-
     /// Create a table.
-    pub fn create_table(&mut self, schema: Schema) -> StoreResult<TableHandle> {
+    pub fn create_table(&mut self, schema: Schema) -> RelResult<TableHandle> {
         let cat_key = catalog_key(&schema.name);
         if self.kv.get(&cat_key)?.is_some() {
-            return Err(StoreError::Schema(format!(
+            return Err(RelError::Schema(format!(
                 "table `{}` already exists",
                 schema.name
             )));
         }
         let id = 1 + u32::try_from(count_prefix(&self.kv, b"c:")?)
-            .map_err(|_| StoreError::Schema("too many tables".into()))?;
+            .map_err(|_| RelError::Schema("too many tables".into()))?;
         let mut rec = id.to_be_bytes().to_vec();
         rec.extend_from_slice(&schema.encode());
         self.kv.put(&cat_key, &rec)?;
@@ -80,13 +76,13 @@ impl Database {
     }
 
     /// Look up an existing table by name.
-    pub fn table(&self, name: &str) -> StoreResult<TableHandle> {
+    pub fn table(&self, name: &str) -> RelResult<TableHandle> {
         let rec = self
             .kv
             .get(&catalog_key(name))?
-            .ok_or_else(|| StoreError::NotFound(format!("table `{name}`")))?;
+            .ok_or_else(|| RelError::NotFound(format!("table `{name}`")))?;
         let Some((id, schema)) = rec.split_first_chunk::<4>() else {
-            return Err(StoreError::Corrupt("catalog record too short".into()));
+            return Err(corrupt("catalog record too short"));
         };
         Ok(TableHandle {
             id: u32::from_be_bytes(*id),
@@ -96,11 +92,11 @@ impl Database {
 
     /// Insert a validated row. A value some row already holds in a unique
     /// column is `Duplicate`, and then nothing is written.
-    pub fn insert(&mut self, t: &TableHandle, row: Vec<Value>) -> StoreResult<()> {
+    pub fn insert(&mut self, t: &TableHandle, row: Vec<Value>) -> RelResult<()> {
         t.schema.validate(&row)?;
         for (col, (column, value)) in t.schema.columns.iter().zip(&row).enumerate() {
             if column.unique && self.find(t, col, value)?.is_some() {
-                return Err(StoreError::Duplicate(format!(
+                return Err(RelError::Duplicate(format!(
                     "column `{}` of `{}` already holds {:?}",
                     column.name, t.schema.name, value
                 )));
@@ -114,7 +110,9 @@ impl Database {
                 self.kv.put(&index_key(t.id, col, value), &ordered_key)?;
             }
         }
-        self.kv.put(&row_key(t.id, &ordered_key), &encode_row(&row))
+        Ok(self
+            .kv
+            .put(&row_key(t.id, &ordered_key), &encode_row(&row))?)
     }
 
     /// The row whose unique column `col` holds `value`.
@@ -123,12 +121,12 @@ impl Database {
         t: &TableHandle,
         col: &str,
         value: &Value,
-    ) -> StoreResult<Option<Vec<Value>>> {
+    ) -> RelResult<Option<Vec<Value>>> {
         let i = t.schema.col_index(col)?;
         if t.schema.columns.get(i).is_some_and(|c| c.unique) {
             self.find(t, i, value)
         } else {
-            Err(StoreError::Schema(format!(
+            Err(RelError::Schema(format!(
                 "column `{col}` of `{}` is not unique",
                 t.schema.name
             )))
@@ -136,18 +134,18 @@ impl Database {
     }
 
     /// Number of rows in the table.
-    pub fn count(&self, t: &TableHandle) -> StoreResult<u64> {
-        count_prefix(&self.kv, &row_key(t.id, &[]))
+    pub fn count(&self, t: &TableHandle) -> RelResult<u64> {
+        Ok(count_prefix(&self.kv, &row_key(t.id, &[]))?)
     }
 
     /// Flush everything to stable storage.
-    pub fn checkpoint(&mut self) -> StoreResult<()> {
-        self.kv.seal()
+    pub fn checkpoint(&mut self) -> RelResult<()> {
+        Ok(self.kv.seal()?)
     }
 
     /// The row holding `value` in unique column `col`: one point read of
     /// the row for the key, two for any other column.
-    fn find(&self, t: &TableHandle, col: usize, value: &Value) -> StoreResult<Option<Vec<Value>>> {
+    fn find(&self, t: &TableHandle, col: usize, value: &Value) -> RelResult<Option<Vec<Value>>> {
         let ordered_key = if col == 0 {
             let mut k = Vec::new();
             value.encode_ordered(&mut k);
@@ -193,7 +191,7 @@ fn row_key(tid: u32, ordered_key: &[u8]) -> Vec<u8> {
 fn index_key(tid: u32, col: usize, value: &Value) -> Vec<u8> {
     let mut k = b"x:".to_vec();
     k.extend_from_slice(&tid.to_be_bytes());
-    crate::codec::put_uvarint(&mut k, col as u64);
+    put_uvarint(&mut k, col as u64);
     value.encode_ordered(&mut k);
     k
 }
@@ -242,7 +240,7 @@ mod tests {
         );
         assert!(matches!(
             db.lookup_unique(&t, "bytes", &Value::Int(100)),
-            Err(StoreError::Schema(_))
+            Err(RelError::Schema(_))
         ));
     }
 
@@ -253,9 +251,9 @@ mod tests {
         db.insert(&t, page(1, "http://a", 1)).unwrap();
         // Same key, and same url under a fresh key.
         let dup_key = db.insert(&t, page(1, "http://b", 2));
-        assert!(matches!(dup_key, Err(StoreError::Duplicate(_))));
+        assert!(matches!(dup_key, Err(RelError::Duplicate(_))));
         let dup_url = db.insert(&t, page(2, "http://a", 2));
-        assert!(matches!(dup_url, Err(StoreError::Duplicate(_))));
+        assert!(matches!(dup_url, Err(RelError::Duplicate(_))));
         assert_eq!(db.count(&t).unwrap(), 1);
         assert_eq!(
             db.lookup_unique(&t, "url", &Value::Text("http://b".into()))

@@ -1,11 +1,12 @@
 //! Table schemas: named, typed columns with optional uniqueness. Column 0
 //! is the table's primary key.
 
-use crate::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
-use crate::error::{StoreError, StoreResult};
+use memex_store::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
+
 pub use crate::rel::value::ColType;
 
 use crate::rel::value::Value;
+use crate::rel::{corrupt, RelError, RelResult};
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,18 +45,18 @@ pub struct Schema {
 }
 
 impl Schema {
-    pub fn new(name: &str, columns: Vec<Column>) -> StoreResult<Schema> {
+    pub fn new(name: &str, columns: Vec<Column>) -> RelResult<Schema> {
         if name.is_empty() {
-            return Err(StoreError::Schema("table name must not be empty".into()));
+            return Err(RelError::Schema("table name must not be empty".into()));
         }
         match columns.first() {
             None => {
-                return Err(StoreError::Schema(format!(
+                return Err(RelError::Schema(format!(
                     "table `{name}` needs at least one column"
                 )))
             }
             Some(key) if !key.unique => {
-                return Err(StoreError::Schema(format!(
+                return Err(RelError::Schema(format!(
                     "column `{}` of `{name}` is its primary key, so it must be unique",
                     key.name
                 )))
@@ -65,7 +66,7 @@ impl Schema {
         let mut seen = std::collections::HashSet::new();
         for c in &columns {
             if !seen.insert(c.name.as_str()) {
-                return Err(StoreError::Schema(format!(
+                return Err(RelError::Schema(format!(
                     "duplicate column `{}` in table `{name}`",
                     c.name
                 )));
@@ -78,17 +79,17 @@ impl Schema {
     }
 
     /// Position of a named column.
-    pub(crate) fn col_index(&self, name: &str) -> StoreResult<usize> {
+    pub(crate) fn col_index(&self, name: &str) -> RelResult<usize> {
         self.columns
             .iter()
             .position(|c| c.name == name)
-            .ok_or_else(|| StoreError::Schema(format!("no column `{name}` in `{}`", self.name)))
+            .ok_or_else(|| RelError::Schema(format!("no column `{name}` in `{}`", self.name)))
     }
 
     /// Validate a row against the schema.
-    pub(crate) fn validate(&self, row: &[Value]) -> StoreResult<()> {
+    pub(crate) fn validate(&self, row: &[Value]) -> RelResult<()> {
         if row.len() != self.columns.len() {
-            return Err(StoreError::Schema(format!(
+            return Err(RelError::Schema(format!(
                 "table `{}` expects {} columns, row has {}",
                 self.name,
                 self.columns.len(),
@@ -97,7 +98,7 @@ impl Schema {
         }
         for (v, c) in row.iter().zip(&self.columns) {
             if v.col_type() != c.ty {
-                return Err(StoreError::Schema(format!(
+                return Err(RelError::Schema(format!(
                     "column `{}` of `{}` expects {:?}, got {:?}",
                     c.name, self.name, c.ty, v
                 )));
@@ -123,24 +124,24 @@ impl Schema {
     }
 
     /// Inverse of [`Schema::encode`].
-    pub(crate) fn decode(buf: &[u8]) -> StoreResult<Schema> {
+    pub(crate) fn decode(buf: &[u8]) -> RelResult<Schema> {
         let mut pos = 0usize;
         let name = String::from_utf8(get_bytes(buf, &mut pos)?.to_vec())
-            .map_err(|_| StoreError::Corrupt("schema name not utf-8".into()))?;
+            .map_err(|_| corrupt("schema name not utf-8"))?;
         let n = get_uvarint(buf, &mut pos)? as usize;
         let mut columns = Vec::with_capacity(n.min(buf.len()));
         for _ in 0..n {
             let cname = String::from_utf8(get_bytes(buf, &mut pos)?.to_vec())
-                .map_err(|_| StoreError::Corrupt("column name not utf-8".into()))?;
+                .map_err(|_| corrupt("column name not utf-8"))?;
             let ty = match buf.get(pos) {
                 Some(1) => ColType::Int,
                 Some(3) => ColType::Text,
-                _ => return Err(StoreError::Corrupt("bad column type tag".into())),
+                _ => return Err(corrupt("bad column type tag")),
             };
             let unique = match buf.get(pos + 1) {
                 Some(0) => false,
                 Some(1) => true,
-                _ => return Err(StoreError::Corrupt("bad unique flag".into())),
+                _ => return Err(corrupt("bad unique flag")),
             };
             pos += 2;
             columns.push(Column {
@@ -196,7 +197,7 @@ mod tests {
                 Column::unique("b", ColType::Text),
             ],
         );
-        assert!(matches!(err, Err(StoreError::Schema(_))));
+        assert!(matches!(err, Err(RelError::Schema(_))));
         assert!(Schema::new("t", vec![]).is_err());
     }
 

@@ -1,7 +1,31 @@
 //! Typed values, their row encoding and the order-preserving key encoding.
 
-use crate::codec::{get_bytes, get_ivarint, put_bytes, put_ivarint};
-use crate::error::{StoreError, StoreResult};
+use memex_store::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
+use memex_store::StoreResult;
+
+use crate::rel::{corrupt, RelResult};
+
+/// Zigzag-encode a signed integer so small magnitudes stay small.
+#[inline]
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+#[inline]
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// Append a signed varint (zigzag + LEB128).
+pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
+    put_uvarint(out, zigzag(v));
+}
+
+/// Decode a signed varint.
+pub fn get_ivarint(buf: &[u8], pos: &mut usize) -> StoreResult<i64> {
+    Ok(unzigzag(get_uvarint(buf, pos)?))
+}
 
 /// Column types supported by the metadata engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,19 +65,19 @@ impl Value {
     }
 
     /// Inverse of [`Value::encode`].
-    fn decode(buf: &[u8], pos: &mut usize) -> StoreResult<Value> {
+    fn decode(buf: &[u8], pos: &mut usize) -> RelResult<Value> {
         let tag = *buf
             .get(*pos)
-            .ok_or_else(|| StoreError::Corrupt("value tag truncated".into()))?;
+            .ok_or_else(|| corrupt("value tag truncated"))?;
         *pos += 1;
         Ok(match tag {
             1 => Value::Int(get_ivarint(buf, pos)?),
             3 => Value::Text(
                 std::str::from_utf8(get_bytes(buf, pos)?)
-                    .map_err(|_| StoreError::Corrupt("text cell not utf-8".into()))?
+                    .map_err(|_| corrupt("text cell not utf-8"))?
                     .to_string(),
             ),
-            t => return Err(StoreError::Corrupt(format!("unknown value tag {t}"))),
+            t => return Err(corrupt(&format!("unknown value tag {t}"))),
         })
     }
 
@@ -85,7 +109,7 @@ impl Value {
 /// Encode a whole row.
 pub(crate) fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(row.len() * 8);
-    crate::codec::put_uvarint(&mut out, row.len() as u64);
+    put_uvarint(&mut out, row.len() as u64);
     for v in row {
         v.encode(&mut out);
     }
@@ -93,9 +117,9 @@ pub(crate) fn encode_row(row: &[Value]) -> Vec<u8> {
 }
 
 /// Decode a whole row.
-pub(crate) fn decode_row(buf: &[u8]) -> StoreResult<Vec<Value>> {
+pub(crate) fn decode_row(buf: &[u8]) -> RelResult<Vec<Value>> {
     let mut pos = 0usize;
-    let n = crate::codec::get_uvarint(buf, &mut pos)? as usize;
+    let n = get_uvarint(buf, &mut pos)? as usize;
     let mut out = Vec::with_capacity(n.min(buf.len()));
     for _ in 0..n {
         out.push(Value::decode(buf, &mut pos)?);
@@ -146,6 +170,24 @@ mod tests {
         let plain = Value::Text("a".into());
         assert!(ordered(&plain) < ordered(&with_nul));
         assert!(!ordered(&with_nul).starts_with(&ordered(&plain)));
+    }
+
+    #[test]
+    fn ivarint_round_trips_signed_extremes() {
+        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
+            let mut buf = Vec::new();
+            put_ivarint(&mut buf, v);
+            let mut pos = 0;
+            assert_eq!(get_ivarint(&buf, &mut pos).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn zigzag_small_magnitudes_stay_small() {
+        assert_eq!(zigzag(0), 0);
+        assert_eq!(zigzag(-1), 1);
+        assert_eq!(zigzag(1), 2);
+        assert_eq!(zigzag(-2), 3);
     }
 
     #[test]

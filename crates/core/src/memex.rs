@@ -303,9 +303,11 @@ impl Memex {
         })
     }
 
-    /// Register a user with the server and give them a folder space.
-    pub fn register_user(&mut self, user: u32, name: &str) -> StoreResult<()> {
-        self.server.register_user(user, name)?;
+    /// Register a user: give them a folder space, if they have none. The
+    /// folder-space map is the user registry; nothing served reads a
+    /// user's name, so it is not kept. Registration never fails and is
+    /// idempotent; the `Result` is kept for callers that `?` it.
+    pub fn register_user(&mut self, user: u32, _name: &str) -> StoreResult<()> {
         self.folder_spaces.entry(user).or_default();
         Ok(())
     }

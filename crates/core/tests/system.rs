@@ -644,11 +644,6 @@ fn community_surf_survives_flaky_fetcher() {
     );
     let mut server = MemexServer::new(fetcher, ServerOptions::default()).unwrap();
     let mut pages = std::collections::HashSet::new();
-    for truth in &community.users {
-        server
-            .register_user(truth.user, &format!("user{}", truth.user))
-            .unwrap();
-    }
     for v in &community.visits {
         pages.insert(v.page);
         server.submit(ClientEvent::Visit(VisitEvent {

@@ -3,8 +3,9 @@
 //! "Apart from a standard full-text search over all pages visited…" (§2) —
 //! this crate is that search. Term-level postings live in their own
 //! lightweight keyed store, a [`memex_store::LsmStore`] (the paper's
-//! architectural point: term-granularity data would overwhelm the
-//! RDBMS, so it gets the Berkeley-DB-style tier), written by the
+//! architectural point: term-granularity data would overwhelm an
+//! RDBMS, so it gets the Berkeley-DB-style tier; ablation A6 measures
+//! the gap), written by the
 //! background indexer demon one segment per 512 documents (keys: `P`
 //! postings, `L` doc lengths, the `Mseg` counter — all of them read back):
 //!

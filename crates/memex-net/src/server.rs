@@ -48,10 +48,12 @@
 //! capacity.
 //!
 //! **Shutdown:** [`NetServer::shutdown`] flips the shutdown flag, wakes
-//! the accept thread with a self-connection, and joins every thread.
+//! the accept thread with a self-connection, closes the read side of every
+//! connection a worker is serving (so a worker parked on a silent client
+//! wakes at once instead of after `read_timeout`), and joins every thread.
 //! Workers drain the accept queue before exiting (the channel hands out
 //! buffered connections even after the sender is dropped), and any
-//! in-progress request completes and is answered — nothing is dropped
+//! request that arrived completes and is answered — nothing is dropped
 //! silently. Then [`Service::into_memex`] hands the archive back.
 //!
 //! **Tracing:** when the served Memex's [`memex_obs::Tracer`] is enabled
@@ -73,7 +75,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
@@ -99,8 +101,7 @@ pub struct NetServerConfig {
     /// Maximum requests dispatching concurrently before load-shedding.
     pub max_in_flight: usize,
     /// Per-connection read timeout. A connection idle longer than this is
-    /// closed (clients reconnect transparently); during shutdown it bounds
-    /// how long a worker can stay parked on a silent peer.
+    /// closed (clients reconnect transparently).
     pub read_timeout: Duration,
     /// Per-response write timeout.
     pub write_timeout: Duration,
@@ -543,6 +544,10 @@ struct Transport {
     service: Service,
     shutdown: AtomicBool,
     config: NetServerConfig,
+    /// A handle on every connection a worker is serving, by connection id,
+    /// so [`NetServer::shutdown`] can close their read sides.
+    live: Mutex<HashMap<u64, TcpStream>>,
+    next_conn: AtomicU64,
 }
 
 /// A running Memex network server: a [`Service`] behind a TCP listener.
@@ -570,6 +575,8 @@ impl NetServer {
             service: Service::new(memex, config.max_in_flight),
             shutdown: AtomicBool::new(false),
             config,
+            live: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(0),
         });
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -602,13 +609,26 @@ impl NetServer {
 
     /// Stop accepting, drain the queue, join every thread, and hand the
     /// `Memex` back. In-progress requests are answered before their
-    /// connections close.
+    /// connections close, and a silent client does not hold it up.
     pub fn shutdown(mut self) -> Memex {
         self.transport.shutdown.store(true, Ordering::SeqCst);
         // Wake the accept thread: it may be parked in `accept()`.
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
+        }
+        // Wake every worker parked in a read: a closed read side hands back
+        // what the peer already sent, then end-of-stream. A connection
+        // registered after this sweep sees the flag and closes its own.
+        {
+            let live = self
+                .transport
+                .live
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            for stream in live.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
         }
         // The accept thread dropped the sender; workers drain what is
         // buffered, then their `recv` disconnects and they exit.
@@ -692,6 +712,20 @@ fn serve_connection(stream: TcpStream, transport: &Transport) {
     let _ = stream.set_read_timeout(Some(transport.config.read_timeout));
     let _ = stream.set_write_timeout(Some(transport.config.write_timeout));
     let _ = stream.set_nodelay(true);
+    let id = transport.next_conn.fetch_add(1, Ordering::Relaxed);
+    {
+        // The flag is read under the lock `shutdown` sweeps under, so a
+        // connection is either swept or sees the flag here.
+        let mut live = transport
+            .live
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if transport.shutdown.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Read);
+        } else if let Ok(handle) = stream.try_clone() {
+            live.insert(id, handle);
+        }
+    }
     m.conn_active.add(1);
     // Frames are read through the buffer (one `recv` takes in a whole
     // request, or several pipelined ones); answers are written straight to
@@ -704,6 +738,12 @@ fn serve_connection(stream: TcpStream, transport: &Transport) {
             break;
         }
     }
+    // The handle shares the socket: drop it before the connection closes.
+    transport
+        .live
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(&id);
     m.conn_active.add(-1);
     m.conn_closed.inc();
 }

@@ -11,7 +11,7 @@ mod serve;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::test_runner::TestRng;
 
@@ -194,6 +194,32 @@ fn shutdown_after_concurrent_clients_balances_the_accounting() {
         0,
         "connections leaked past shutdown"
     );
+}
+
+/// `shutdown` does not wait out the read timeout of a client that is
+/// connected and silent: it closes the read side the worker is parked on.
+#[test]
+fn shutdown_does_not_wait_for_a_silent_client() {
+    let config = NetServerConfig::default();
+    assert_eq!(config.read_timeout, Duration::from_secs(5));
+    let server = NetServer::start(community_world(), "127.0.0.1:0", config).expect("bind");
+    // An answer proves a worker holds the connection; then it goes quiet.
+    let mut silent =
+        MemexClient::connect(server.local_addr(), ClientConfig::default()).expect("connect");
+    assert!(matches!(
+        silent.request(&Request::Stats).expect("stats"),
+        Response::Stats(_)
+    ));
+    let started = Instant::now();
+    let memex = server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    let snap = memex.registry().snapshot();
+    assert_eq!(snap.counter("net.conn.accepted"), 1);
+    assert_eq!(snap.counter("net.conn.closed"), 1);
+    assert_eq!(snap.counter("net.conn.idle_closed"), 0, "not a timeout");
+    assert_eq!(snap.gauge("net.conn.active"), 0);
+    drop(silent);
 }
 
 /// With the accept queue full, a new connection is answered with an

@@ -18,7 +18,6 @@ use memex_web::corpus::Corpus;
 /// What a fetch returns: body text, out-links, transfer size.
 #[derive(Debug, Clone)]
 pub struct PageContent {
-    pub url: String,
     pub title: String,
     pub text: String,
     pub links: Vec<u32>,
@@ -79,7 +78,6 @@ impl PageFetcher for CorpusFetcher {
     fn fetch(&self, page: u32) -> Option<PageContent> {
         let p = self.corpus.pages.get(page as usize)?;
         Some(PageContent {
-            url: p.url.clone(),
             title: p.title.clone(),
             text: p.text.clone(),
             links: self.corpus.graph.out_links(page).to_vec(),
@@ -279,7 +277,7 @@ mod tests {
         let f = CorpusFetcher::new(corpus.clone());
         assert_eq!(f.num_pages(), 10);
         let c = f.fetch(3).expect("page 3 exists");
-        assert_eq!(c.url, corpus.pages[3].url);
+        assert_eq!(c.title, corpus.pages[3].title);
         assert_eq!(c.links, corpus.graph.out_links(3));
         assert!(f.fetch(999).is_none());
         assert_eq!(f.try_fetch(999).err(), Some(FetchError::NotFound));

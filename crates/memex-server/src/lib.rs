@@ -12,9 +12,9 @@
 //! * [`fetcher`] — the page-fetch demon's source abstraction (the live Web
 //!   in the paper; the simulated corpus here);
 //! * [`pipeline`] — [`pipeline::MemexServer`]: immediate ingest onto the
-//!   event log, the demons that consume it (fetch→index, trail) and the
-//!   RDBMS bookkeeping. The demons run synchronously: every write ack
-//!   drains the log.
+//!   event log and the demons that consume it (fetch→index, trail). The
+//!   index is the server's one store. The demons run synchronously: every
+//!   write ack drains the log.
 
 #![cfg_attr(
     not(test),

@@ -6,7 +6,7 @@
 //! ```text
 //! client events ──submit()──► EventLog  ──┬─► trail demon   (TrailGraph)
 //!        (privacy filter)   (2 cursors)   └─► index demon   (fetch page,
-//!                                              analyze, invert, RDBMS rows,
+//!                                              analyze, invert,
 //!                                              web-graph edges)
 //! ```
 //!
@@ -29,7 +29,6 @@ use memex_graph::trail::{TrailGraph, Visit};
 use memex_index::index::InvertedIndex;
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry, Snapshot};
 use memex_store::error::StoreResult;
-use memex_store::rel::{ColType, Column, Database, Schema, TableHandle, Value};
 use memex_store::version::EventLog;
 use memex_text::analyze::{Analyzer, IndexedPage};
 use memex_text::snippet::PageMemo;
@@ -146,10 +145,6 @@ impl FetchOutcome {
 pub struct MemexServer<F: PageFetcher> {
     fetcher: F,
     opts: ServerOptions,
-    /// RDBMS metadata (paper: "pages, links, users, and topics").
-    db: Database,
-    users_t: TableHandle,
-    pages_t: TableHandle,
     log: EventLog<ArchivedEvent>,
     /// Term store + postings (the Berkeley-DB side).
     pub index: InvertedIndex,
@@ -172,26 +167,9 @@ pub struct MemexServer<F: PageFetcher> {
 impl<F: PageFetcher> MemexServer<F> {
     /// Stand up a server over `fetcher` with in-memory storage and its own
     /// (enabled) metrics registry, which every subsystem the server owns
-    /// (event log, RDBMS, inverted index) reports into too.
+    /// (event log, inverted index) reports into too.
     pub fn new(fetcher: F, opts: ServerOptions) -> StoreResult<MemexServer<F>> {
         let registry = MetricsRegistry::new();
-        let mut db = Database::open_memory()?;
-        db.attach_registry(&registry);
-        let users_t = db.create_table(Schema::new(
-            "users",
-            vec![
-                Column::unique("client_id", ColType::Int),
-                Column::unique("name", ColType::Text),
-            ],
-        )?)?;
-        let pages_t = db.create_table(Schema::new(
-            "pages",
-            vec![
-                Column::unique("page_id", ColType::Int),
-                Column::unique("url", ColType::Text),
-                Column::new("bytes", ColType::Int),
-            ],
-        )?)?;
         let log = EventLog::new(&CURSORS, &registry);
         let mut index = InvertedIndex::open_memory()?;
         index.attach_registry(&registry);
@@ -199,9 +177,6 @@ impl<F: PageFetcher> MemexServer<F> {
         Ok(MemexServer {
             fetcher,
             opts,
-            db,
-            users_t,
-            pages_t,
             log,
             index,
             vocab: Vocabulary::new(),
@@ -225,29 +200,6 @@ impl<F: PageFetcher> MemexServer<F> {
     /// Point-in-time snapshot of every metric (see [`Snapshot`] exporters).
     pub fn metrics_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
-    }
-
-    /// Register a user (RDBMS row); idempotent per client id.
-    pub fn register_user(&mut self, client_id: u32, name: &str) -> StoreResult<()> {
-        if self
-            .db
-            .lookup_unique(
-                &self.users_t,
-                "client_id",
-                &Value::Int(i64::from(client_id)),
-            )?
-            .is_some()
-        {
-            return Ok(());
-        }
-        self.db.insert(
-            &self.users_t,
-            vec![
-                Value::Int(i64::from(client_id)),
-                Value::Text(name.to_string()),
-            ],
-        )?;
-        Ok(())
     }
 
     /// The user's current archive mode.
@@ -297,8 +249,8 @@ impl<F: PageFetcher> MemexServer<F> {
     }
 
     /// Run the fetch+index demon over at most `max` pending events: fetches
-    /// unseen pages, analyzes them, feeds the inverted index, the RDBMS page
-    /// table, the web graph and the bookmark list. Returns events
+    /// unseen pages, analyzes them, feeds the inverted index, the web graph
+    /// and the bookmark list. Returns events
     /// processed. An event whose store write fails stays pending, and the
     /// next pass starts from it.
     pub fn run_index_demon(&mut self, max: usize) -> StoreResult<usize> {
@@ -418,15 +370,6 @@ impl<F: PageFetcher> MemexServer<F> {
         for &l in &content.links {
             self.web.add_edge(page, l);
         }
-        // RDBMS page row.
-        self.db.insert(
-            &self.pages_t,
-            vec![
-                Value::Int(i64::from(page)),
-                Value::Text(content.url),
-                Value::Int(i64::from(content.bytes)),
-            ],
-        )?;
         Ok(())
     }
 
@@ -484,10 +427,9 @@ impl<F: PageFetcher> MemexServer<F> {
         &self.fetcher
     }
 
-    /// Flush durable state.
+    /// Flush durable state: the index is the server's one store.
     pub fn checkpoint(&mut self) -> StoreResult<()> {
-        self.index.checkpoint()?;
-        self.db.checkpoint()
+        self.index.checkpoint()
     }
 }
 
@@ -524,7 +466,6 @@ mod tests {
     #[test]
     fn ingest_then_demons_index_and_trail() {
         let (corpus, mut s) = server();
-        s.register_user(1, "soumen").unwrap();
         assert!(s.submit(visit(1, 0, 10)));
         assert!(s.submit(visit(1, 1, 20)));
         // Demons have not run: trail empty, staleness visible.
@@ -535,18 +476,12 @@ mod tests {
         assert_eq!(s.stats().pages_fetched, 2);
         assert_eq!(s.index.num_docs(), 2);
         assert!(s.staleness().all(|(_, n)| n == 0));
-        // The page made it into the RDBMS.
-        let pages_t = s.db.table("pages").unwrap();
-        let hit =
-            s.db.lookup_unique(&pages_t, "url", &Value::Text(corpus.pages[0].url.clone()))
-                .unwrap();
-        assert!(hit.is_some());
+        assert_eq!(s.page_bytes(0), Some(corpus.pages[0].bytes));
     }
 
     #[test]
     fn privacy_modes_filter_and_mark() {
         let (_, mut s) = server();
-        s.register_user(1, "u1").unwrap();
         s.submit(ClientEvent::SetMode {
             user: 1,
             mode: ArchiveMode::Off,
@@ -577,7 +512,6 @@ mod tests {
     #[test]
     fn the_bus_forgets_what_both_demons_applied() {
         let (_, mut s) = server();
-        s.register_user(1, "u").unwrap();
         for i in 0..6u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
@@ -600,7 +534,6 @@ mod tests {
     #[test]
     fn bookmarks_are_recorded_and_their_pages_fetched() {
         let (corpus, mut s) = server();
-        s.register_user(2, "mits").unwrap();
         s.submit(ClientEvent::Bookmark {
             user: 2,
             page: 5,
@@ -626,7 +559,6 @@ mod tests {
     #[test]
     fn demons_can_lag_independently() {
         let (_, mut s) = server();
-        s.register_user(1, "u").unwrap();
         for i in 0..6u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
@@ -639,32 +571,9 @@ mod tests {
         assert!(s.staleness().all(|(_, n)| n == 0));
     }
 
-    /// Registering makes a user row, not a mode choice: a mode set first stays.
-    #[test]
-    fn registering_keeps_a_mode_set_before_it() {
-        let (_, mut s) = server();
-        s.submit(ClientEvent::SetMode {
-            user: 1,
-            mode: ArchiveMode::Off,
-            time: 1,
-        });
-        s.register_user(1, "late").unwrap();
-        assert!(!s.submit(visit(1, 0, 2)), "Off still drops events");
-    }
-
-    #[test]
-    fn duplicate_user_registration_is_idempotent() {
-        let (_, mut s) = server();
-        s.register_user(1, "x").unwrap();
-        s.register_user(1, "x").unwrap();
-        let users_t = s.db.table("users").unwrap();
-        assert_eq!(s.db.count(&users_t).unwrap(), 1);
-    }
-
     #[test]
     fn web_graph_grows_from_fetches() {
         let (corpus, mut s) = server();
-        s.register_user(1, "u").unwrap();
         s.submit(visit(1, 0, 1));
         s.drain_demons().unwrap();
         assert_eq!(s.web.out_links(0), corpus.graph.out_links(0));
@@ -698,7 +607,6 @@ mod tests {
     #[test]
     fn index_demon_completes_against_flaky_fetcher() {
         let (_, mut s) = flaky_server(2_000, 42);
-        s.register_user(1, "u").unwrap();
         for i in 0..60u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
@@ -731,7 +639,6 @@ mod tests {
     #[test]
     fn total_fetch_outage_abandons_but_never_stalls() {
         let (_, mut s) = flaky_server(10_000, 7);
-        s.register_user(1, "u").unwrap();
         for i in 0..10u32 {
             s.submit(visit(1, i, u64::from(i)));
         }
@@ -757,7 +664,6 @@ mod tests {
     fn flaky_runs_reproduce_from_seed() {
         let run = |seed: u64| {
             let (_, mut s) = flaky_server(5_000, seed);
-            s.register_user(1, "u").unwrap();
             for i in 0..30u32 {
                 s.submit(visit(1, i, u64::from(i)));
             }

@@ -47,9 +47,6 @@ proptest! {
     fn pipeline_invariants_under_any_interleaving(actions in proptest::collection::vec(action_strategy(), 0..80)) {
         let corpus = corpus();
         let mut server = MemexServer::new(CorpusFetcher::new(corpus), ServerOptions::default()).unwrap();
-        for u in 0..3 {
-            server.register_user(u, &format!("u{u}")).unwrap();
-        }
         let mut time = 0u64;
         // Our own reference model of what should survive ingest.
         let mut expected_visits = 0u64;
@@ -145,7 +142,6 @@ proptest! {
     fn privacy_decided_at_ingest(flips in proptest::collection::vec(0u8..3, 1..10)) {
         let corpus = corpus();
         let mut server = MemexServer::new(CorpusFetcher::new(corpus), ServerOptions::default()).unwrap();
-        server.register_user(0, "u").unwrap();
         let mut expected_public = 0usize;
         let mut expected_total = 0usize;
         for (i, &flip) in flips.iter().enumerate() {

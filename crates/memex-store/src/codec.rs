@@ -1,12 +1,11 @@
 //! Byte-level encoding primitives used across the storage layer:
-//! LEB128-style varints, zigzag transforms for signed values, delta
-//! encoding of sorted id sequences, length-prefixed byte strings, and a
+//! LEB128-style varints, delta encoding of sorted id sequences, length-prefixed byte strings, and a
 //! slicing-by-8 CRC-32 (IEEE) that checks WAL records, runs, the manifest
 //! and `memex-net`'s wire frames.
 //!
-//! Keeping the codec in one place means the runs, the WAL, the relational
-//! tuple format and the inverted-index postings (in `memex-index`) all share
-//! the same, well-tested primitives.
+//! Keeping the codec in one place means the runs, the WAL and the
+//! inverted-index postings (in `memex-index`) all share the same,
+//! well-tested primitives.
 
 use crate::error::{StoreError, StoreResult};
 
@@ -47,28 +46,6 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> StoreResult<u64> {
         }
         shift += 7;
     }
-}
-
-/// Zigzag-encode a signed integer so small magnitudes stay small.
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append a signed varint (zigzag + LEB128).
-pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
-    put_uvarint(out, zigzag(v));
-}
-
-/// Decode a signed varint.
-pub fn get_ivarint(buf: &[u8], pos: &mut usize) -> StoreResult<i64> {
-    Ok(unzigzag(get_uvarint(buf, pos)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -267,24 +244,6 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert!(get_uvarint(&buf, &mut pos).is_err());
-    }
-
-    #[test]
-    fn ivarint_round_trips_signed_extremes() {
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
-            let mut buf = Vec::new();
-            put_ivarint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_ivarint(&buf, &mut pos).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_small_magnitudes_stay_small() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
     }
 
     #[test]

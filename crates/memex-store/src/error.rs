@@ -19,12 +19,6 @@ pub enum StoreError {
         len: usize,
         max: usize,
     },
-    /// Catalog-level misuse: unknown table, duplicate table, schema mismatch.
-    Schema(String),
-    /// A uniqueness constraint (primary key / unique index) was violated.
-    Duplicate(String),
-    /// Referenced row/key does not exist.
-    NotFound(String),
     /// Invalid argument (empty key, bad column index, ...).
     Invalid(String),
 }
@@ -37,9 +31,6 @@ impl fmt::Display for StoreError {
             StoreError::TooLarge { what, len, max } => {
                 write!(f, "{what} of {len} bytes exceeds maximum of {max}")
             }
-            StoreError::Schema(m) => write!(f, "schema error: {m}"),
-            StoreError::Duplicate(m) => write!(f, "duplicate key: {m}"),
-            StoreError::NotFound(m) => write!(f, "not found: {m}"),
             StoreError::Invalid(m) => write!(f, "invalid argument: {m}"),
         }
     }

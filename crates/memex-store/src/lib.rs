@@ -3,18 +3,18 @@
 //! The Memex paper (§3) manages server state in two *tiers*: a relational
 //! database (Oracle/DB2 in the paper) for **metadata** about pages, links,
 //! users and topics, and a lightweight Berkeley DB storage manager for
-//! **fine-grained term-level data**. Both tiers are reproduced here over
-//! one keyed store:
+//! **fine-grained term-level data**. No request here reads a metadata row
+//! (users, page sizes and links live in memory where they are read), so
+//! the served system keeps the second tier only:
 //!
 //! * [`lsm`] — the keyed store: a WAL-backed memtable sealed into
 //!   immutable, checksummed, bloom-filtered sorted runs, tiered
 //!   compaction and crash recovery. Its read API is what the index reads:
 //!   a point `get` and an ordered range walk (`for_each_range`). The
 //!   inverted index (`memex-index`) keeps its term-level data directly in
-//!   one [`LsmStore`].
-//! * [`rel`] — the metadata tier: typed tables keyed by their first
-//!   column, with uniqueness and a point lookup by any unique column,
-//!   laid out as key prefixes inside its own [`LsmStore`].
+//!   one [`LsmStore`], the served system's only store. (A relational
+//!   engine over an `LsmStore` lives in `memex-bench`, where ablation A6
+//!   measures it against the keyed store.)
 //!
 //! The paper further describes "a loosely-consistent versioning system on
 //! top of the RDBMS, with a single producer (crawler) and several consumers
@@ -44,7 +44,6 @@
 pub mod codec;
 pub mod error;
 pub mod lsm;
-pub mod rel;
 pub mod version;
 pub mod vfs;
 pub mod wal;

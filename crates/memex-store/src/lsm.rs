@@ -28,7 +28,8 @@
 //!   live state under one brief shared lock; the writer is single
 //!   (`&mut`), and the only other thread is the background compactor,
 //!   which merges `Arc`'d immutable runs with no lock held and swaps the
-//!   result in under the locks below.
+//!   result in under the locks below. The first seal that leaves a tier
+//!   ready starts it, so a store that never fills a tier owns no thread.
 //!
 //! ## Durability protocol (the order is the contract)
 //!
@@ -85,9 +86,9 @@ pub struct LsmOptions {
     pub memtable_bytes: u64,
     /// Compact a tier once its run count reaches this.
     pub compact_min_runs: usize,
-    /// Run the compaction demon on a background thread. Tests that need
-    /// deterministic schedules turn this off and call
-    /// [`LsmStore::compact_now`].
+    /// Run the compaction demon on a background thread, started the first
+    /// time a tier is ready. Tests that need deterministic schedules turn
+    /// this off and call [`LsmStore::compact_now`].
     pub background_compaction: bool,
 }
 
@@ -273,6 +274,7 @@ pub struct LsmStore {
     opts: LsmOptions,
     /// What recovery found at open time.
     recovered: LsmStats,
+    /// Started by the first seal that leaves a tier ready, not at open.
     compactor: Option<JoinHandle<()>>,
 }
 
@@ -369,21 +371,12 @@ impl LsmStore {
             },
             dir,
         });
-        let compactor = if opts.background_compaction {
-            let thread_shared = Arc::clone(&shared);
-            let min_runs = opts.compact_min_runs;
-            Some(std::thread::spawn(move || {
-                compactor_loop(&thread_shared, min_runs);
-            }))
-        } else {
-            None
-        };
         Ok(LsmStore {
             shared,
             wal,
             opts,
             recovered,
-            compactor,
+            compactor: None,
         })
     }
 
@@ -686,9 +679,18 @@ impl LsmStore {
         compact_once(&self.shared, 2, false)
     }
 
-    fn wake_compactor(&self) {
-        if self.compactor.is_none() {
+    /// Hand a ready tier to the background compactor, starting it on the
+    /// first one: a store that never fills a tier owns no thread.
+    fn wake_compactor(&mut self) {
+        if !self.opts.background_compaction {
             return;
+        }
+        if self.compactor.is_none() {
+            let shared = Arc::clone(&self.shared);
+            let min_runs = self.opts.compact_min_runs;
+            self.compactor = Some(std::thread::spawn(move || {
+                compactor_loop(&shared, min_runs);
+            }));
         }
         {
             let mut flag = self
@@ -1431,8 +1433,8 @@ mod tests {
 
     #[test]
     fn shared_gauges_sum_over_stores_on_one_registry() {
-        // `rel` and the index each own a store and share the server's
-        // registry: with `set()` the last writer won and Stats lied.
+        // Several stores may share one registry: with `set()` the last
+        // writer won and Stats lied.
         let registry = MetricsRegistry::new();
         let gauge = |name: &str| registry.snapshot().gauge(name);
         let mut a = LsmStore::open_memory_opts(tiny_opts()).unwrap();
@@ -1571,6 +1573,56 @@ mod tests {
         let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         assert_eq!(all(&s), want, "after the merges");
         s.check().unwrap();
+    }
+
+    /// The compactor thread starts with the first ready tier, not at open:
+    /// puts under the seal budget, and seals short of `compact_min_runs`
+    /// runs, leave the store without one.
+    #[test]
+    fn the_compactor_starts_at_the_first_ready_tier() {
+        let opts = LsmOptions::default();
+        assert!(opts.background_compaction);
+        let mut s = LsmStore::open_memory_opts(opts).unwrap();
+        let registry = MetricsRegistry::new();
+        s.attach_registry(&registry);
+        for i in 0..100u32 {
+            s.put(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        assert!(s.compactor.is_none(), "puts under the seal budget");
+        for seal in 1..opts.compact_min_runs {
+            s.put(format!("s{seal}").as_bytes(), b"v").unwrap();
+            s.seal().unwrap();
+            assert_eq!(s.run_count(), seal);
+            assert!(s.compactor.is_none(), "{seal} runs, no tier ready");
+        }
+        s.put(b"last", b"v").unwrap();
+        s.seal().unwrap();
+        assert!(s.compactor.is_some(), "the first ready tier starts it");
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while registry.snapshot().counter("store.lsm.compactions") == 0 {
+            assert!(Instant::now() < deadline, "the started compactor never ran");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(s.get(b"k7").unwrap(), Some(b"v".to_vec()));
+        drop(s);
+        assert_eq!(registry.snapshot().gauge("store.lsm.runs"), 0);
+    }
+
+    /// A store that never started a compactor drops cleanly: nothing to
+    /// join, and it stops counting toward the shared gauges.
+    #[test]
+    fn a_store_without_a_compactor_drops_cleanly() {
+        let registry = MetricsRegistry::new();
+        let mut s = LsmStore::open_memory().unwrap();
+        s.attach_registry(&registry);
+        s.put(b"a", b"1").unwrap();
+        s.seal().unwrap();
+        s.put(b"b", b"2").unwrap();
+        assert!(s.compactor.is_none());
+        drop(s);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("store.lsm.runs"), 0);
+        assert_eq!(snap.gauge("store.lsm.memtable.bytes"), 0);
     }
 
     #[test]

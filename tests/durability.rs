@@ -1,13 +1,12 @@
-//! Cross-crate durability: the same storage substrate the server uses must
+//! Cross-crate durability: the storage substrate the server uses must
 //! survive process "restarts" (drop + reopen) and torn writes, end to end
-//! through the inverted index and the metadata engine.
+//! through the inverted index.
 
 use std::ops::Bound;
 
 use memex::index::index::InvertedIndex;
 use memex::index::search::{bm25_search, Bm25Params};
 use memex::store::lsm::{LsmOptions, LsmStore};
-use memex::store::rel::{ColType, Column, Database, Schema, Value};
 use memex::text::analyze::Analyzer;
 use memex::text::vocab::Vocabulary;
 
@@ -47,7 +46,7 @@ fn indexed_corpus_survives_restart_and_answers_queries() {
 }
 
 #[test]
-fn metadata_db_and_term_store_recover_from_torn_wal() {
+fn term_store_recovers_from_torn_wal() {
     let dir = tmpdir("torn");
     {
         let mut kv = LsmStore::open_dir(dir.join("terms"), LsmOptions::default()).unwrap();
@@ -75,78 +74,6 @@ fn metadata_db_and_term_store_recover_from_torn_wal() {
         assert!(all.len() >= 199);
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
         kv.check().unwrap();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn relational_catalog_round_trips_through_restart() {
-    let dir = tmpdir("rel");
-    let users_schema = || {
-        Schema::new(
-            "users",
-            vec![
-                Column::unique("client_id", ColType::Int),
-                Column::unique("name", ColType::Text),
-                Column::new("joined", ColType::Int),
-            ],
-        )
-        .unwrap()
-    };
-    let user = |i: i64, name: &str| vec![Value::Int(i), Value::Text(name.into()), Value::Int(i)];
-    let names = ["soumen", "sandy", "manyam", "mits"];
-    {
-        let mut db = Database::open_dir(&dir).unwrap();
-        let users = db.create_table(users_schema()).unwrap();
-        for (i, name) in (1..).zip(names) {
-            db.insert(&users, user(i, name)).unwrap();
-        }
-        db.checkpoint().unwrap();
-    }
-    {
-        let mut db = Database::open_dir(&dir).unwrap();
-        let users = db.table("users").unwrap();
-        assert_eq!(users.schema, users_schema());
-        assert_eq!(db.count(&users).unwrap(), 4);
-        // Both unique columns still find every row.
-        for (i, name) in (1..).zip(names) {
-            let by_key = db.lookup_unique(&users, "client_id", &Value::Int(i));
-            let by_name = db.lookup_unique(&users, "name", &Value::Text(name.into()));
-            assert_eq!(by_key.unwrap(), Some(user(i, name)));
-            assert_eq!(by_name.unwrap(), Some(user(i, name)));
-        }
-        // Uniqueness still enforced after restart, on either column.
-        assert!(db.insert(&users, user(9, "soumen")).is_err());
-        assert!(db.insert(&users, user(1, "sunita")).is_err());
-        // A table created after the reopen gets a fresh id and sees none
-        // of the first table's rows.
-        let pages = db
-            .create_table(
-                Schema::new(
-                    "pages",
-                    vec![
-                        Column::unique("page_id", ColType::Int),
-                        Column::unique("name", ColType::Text),
-                    ],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        assert_ne!(pages.id, users.id);
-        assert_eq!(db.count(&pages).unwrap(), 0);
-        assert_eq!(
-            db.lookup_unique(&pages, "page_id", &Value::Int(1)).unwrap(),
-            None
-        );
-        assert_eq!(
-            db.lookup_unique(&pages, "name", &Value::Text("mits".into()))
-                .unwrap(),
-            None
-        );
-        db.insert(&pages, vec![Value::Int(1), Value::Text("mits".into())])
-            .unwrap();
-        assert_eq!(db.count(&pages).unwrap(), 1);
-        assert_eq!(db.count(&users).unwrap(), 4);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -119,6 +119,45 @@ fn servlet_event_ingest_matches_direct_submit() {
     assert_eq!(memex.server.trails.len(), 1);
 }
 
+/// The index is the served system's one store: through the served entry
+/// point, registering writes nothing, a first visit's ack is one store put
+/// (the page's length; postings wait in the index buffer), and a repeat
+/// visit or a bookmark of a page already fetched writes nothing.
+#[test]
+fn an_ack_puts_once_per_first_fetched_page() {
+    let (corpus, mut memex) = small_world();
+    let puts = |memex: &Memex| memex.registry().snapshot().counter("store.kv.puts");
+    memex.register_user(1, "u").unwrap();
+    memex.register_user(2, "v").unwrap();
+    assert_eq!(puts(&memex), 0, "registration");
+    let ack = |memex: &mut Memex, event: ClientEvent| {
+        let before = puts(memex);
+        let response = dispatch(memex, Request::Event(event));
+        assert!(matches!(response, Response::Ack { archived: true }));
+        puts(memex) - before
+    };
+    assert_eq!(ack(&mut memex, visit(1, 3, 1, None)), 1, "first visit");
+    assert_eq!(ack(&mut memex, visit(1, 3, 2, None)), 0, "repeat visit");
+    assert_eq!(
+        ack(&mut memex, visit(2, 3, 2, None)),
+        0,
+        "another user's visit"
+    );
+    let bookmark = ClientEvent::Bookmark {
+        user: 1,
+        page: 3,
+        url: corpus.pages[3].url.clone(),
+        folder: "/Music".into(),
+        time: 3,
+    };
+    assert_eq!(ack(&mut memex, bookmark), 0, "bookmark of a fetched page");
+    assert_eq!(
+        ack(&mut memex, visit(1, 4, 4, Some(3))),
+        1,
+        "next first visit"
+    );
+}
+
 /// Every write ack through the served entry point drains the event log: the
 /// log retains nothing afterwards and no demon is behind. This is why the log
 /// needs no overload shedding.

@@ -35,6 +35,7 @@ const LOCKS: &Table = &[
     ("net.accept_rx", &["server.rs:rx"]),
     ("net.memex", &["server.rs:self.memex"]),
     ("net.read_cache", &["server.rs:self.cache"]),
+    ("net.live_conns", &["server.rs:transport.live"]),
     ("store.lsm.wake", &["lsm.rs:shared.wake.flag"]),
     ("store.lsm.manifest", &["lsm.rs:shared.manifest"]),
     ("store.lsm.state", &["lsm.rs:shared.state"]),
