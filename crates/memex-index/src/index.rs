@@ -235,6 +235,7 @@ impl InvertedIndex {
 
     /// All postings for `term`, sorted by document: what
     /// [`InvertedIndex::for_each_posting`] reads, collected.
+    #[cfg(test)]
     pub fn postings(&self, term: TermId) -> StoreResult<PostingList> {
         let mut pairs = Vec::new();
         self.for_each_posting(term, |doc, tf| pairs.push((doc, tf)))?;

@@ -11,25 +11,25 @@
 //!   [`StorageDir`], the `Manifest` records the new run set, and the
 //!   WAL is truncated.
 //! * **Tiered compaction**: runs carry a **level** (0 = freshly sealed).
-//!   The background demon merges one tier — a maximal contiguous span of
-//!   same-level runs — when it reaches `compact_min_runs`, producing one
-//!   run a level deeper. Each record is therefore rewritten O(levels)
-//!   times instead of O(total-data/seal) times, which is the whole point:
-//!   the archive only grows, and full merges grow with it. Tombstones are
-//!   dropped only when the merge reaches the **bottom** of the stack —
-//!   anywhere else a dropped tombstone would resurrect a deleted key
-//!   still shadowed in an older run.
+//!   Once a seal has checkpointed the WAL it merges, inline, every tier —
+//!   a maximal contiguous span of same-level runs — that has reached
+//!   `compact_min_runs`, each into one run a level deeper. Each record is
+//!   therefore rewritten O(levels) times instead of O(total-data/seal)
+//!   times, which is the whole point: the archive only grows, and full
+//!   merges grow with it. Tombstones are dropped only when the merge
+//!   reaches the **bottom** of the stack — anywhere else a dropped
+//!   tombstone would resurrect a deleted key still shadowed in an older
+//!   run.
 //! * **Bloom + sparse index**: every run carries a bloom filter and a
 //!   sparse block index, so a point lookup consults only runs whose bloom
 //!   admits the key and decodes one small block there — `get()` stays
 //!   flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}` classify
 //!   every probe.
-//! * **Reads** ([`LsmStore::get`], [`LsmStore::for_each_range`]) see the
-//!   live state under one brief shared lock; the writer is single
-//!   (`&mut`), and the only other thread is the background compactor,
-//!   which merges `Arc`'d immutable runs with no lock held and swaps the
-//!   result in under the locks below. The first seal that leaves a tier
-//!   ready starts it, so a store that never fills a tier owns no thread.
+//! * **One owner**: writes (and the seals and merges they trigger) take
+//!   `&mut self`, reads ([`LsmStore::get`], [`LsmStore::for_each_range`])
+//!   take `&self`. The store starts no thread and holds no lock; whoever
+//!   shares it supplies the lock (the served store sits under the
+//!   serving layer's read/write lock).
 //!
 //! ## Durability protocol (the order is the contract)
 //!
@@ -44,15 +44,9 @@
 //! counted in `store.recovery.orphan_runs`. Tier compaction follows the
 //! same shape: write+sync merged run → manifest append+sync → swap; a
 //! crash between the two leaves either the old state (new file is an
-//! orphan) or the new one (victims are orphans).
-//!
-//! Lock order (the `LOCKS` table in `tests/lock_order`): `store.lsm.wake` →
-//! `store.lsm.manifest` → `store.lsm.state` → `store.lsm.metrics`. The
-//! manifest mutex also serializes run-set transitions (seal vs. compact),
-//! so the run list read under it cannot change until it is released.
-//! Reads (`get`/scans) take `&self`: their shared counters are
-//! atomics and the metrics handles sit behind an `RwLock` only so
-//! `attach_registry` can swap them.
+//! orphan) or the new one (victims are orphans). It never touches the
+//! WAL, so it runs after the checkpoint, and a merge that fails only
+//! leaves its tier for the next seal: the sealed run is already durable.
 
 mod manifest;
 mod run;
@@ -64,8 +58,7 @@ use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Instant;
 
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -84,12 +77,8 @@ const WAL_FILE: &str = "wal";
 pub struct LsmOptions {
     /// Seal the memtable into a run once its tracked bytes exceed this.
     pub memtable_bytes: u64,
-    /// Compact a tier once its run count reaches this.
+    /// A seal merges a tier once its run count reaches this.
     pub compact_min_runs: usize,
-    /// Run the compaction demon on a background thread, started the first
-    /// time a tier is ready. Tests that need deterministic schedules turn
-    /// this off and call [`LsmStore::compact_now`].
-    pub background_compaction: bool,
 }
 
 /// The seal budget, measured rather than guessed: unsealed data lives
@@ -104,7 +93,6 @@ impl Default for LsmOptions {
         LsmOptions {
             memtable_bytes: MEMTABLE_BYTES,
             compact_min_runs: 4,
-            background_compaction: true,
         }
     }
 }
@@ -176,13 +164,19 @@ impl Default for LsmMetrics {
 
 /// One live run plus its tier level. Level 0 is freshly sealed; a tier
 /// merge outputs one level deeper than its inputs.
-#[derive(Clone)]
 struct LeveledRun {
-    run: Arc<Run>,
+    run: Run,
     level: u32,
 }
 
-/// Mutable engine state behind the RwLock: everything a read consults.
+impl LeveledRun {
+    /// The run as the manifest records it.
+    fn id_level(&self) -> (u64, u32) {
+        (self.run.id, self.level)
+    }
+}
+
+/// Everything a read consults.
 struct LsmState {
     /// Sorted write buffer; `None` = tombstone.
     memtable: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
@@ -191,10 +185,6 @@ struct LsmState {
     /// Immutable runs, newest first; levels are non-decreasing front to
     /// back (level 0 youngest, deepest tier oldest).
     runs: Vec<LeveledRun>,
-    /// Bumped on every run-set transition (seal or compaction); a
-    /// compaction installs its merge only if the epoch it planned at is
-    /// still current.
-    epoch: u64,
 }
 
 /// Per-entry bookkeeping cost used for the memtable budget.
@@ -239,43 +229,17 @@ fn publish_gauges(m: &LsmMetrics, state: &LsmState, sign: i64) {
     }
 }
 
-/// True when some tier (contiguous same-level span) holds at least
-/// `min_runs` runs — i.e. a compaction pass would find work.
-fn tier_ready(runs: &[LeveledRun], min_runs: usize) -> bool {
-    select_tier(runs, min_runs).is_some()
-}
-
-/// Compactor wake-up channel.
-#[derive(Default)]
-struct WakeFlag {
-    work: bool,
-    shutdown: bool,
-}
-
-struct Wake {
-    flag: Mutex<WakeFlag>,
-    cond: Condvar,
-}
-
-/// State shared between the writer, readers and the compaction demon.
-struct LsmShared {
-    state: RwLock<LsmState>,
-    manifest: Mutex<Manifest>,
-    metrics: RwLock<LsmMetrics>,
-    wake: Wake,
-    dir: Arc<dyn StorageDir>,
-}
-
-/// The keyed store. Writes are writer-owned (`&mut`); reads take `&self`;
-/// the background compactor is the one other thread.
+/// The keyed store: one owner, writes through `&mut self`, reads through
+/// `&self`, no thread and no lock of its own.
 pub struct LsmStore {
-    shared: Arc<LsmShared>,
+    state: LsmState,
+    manifest: Manifest,
+    metrics: LsmMetrics,
+    dir: Arc<dyn StorageDir>,
     wal: Wal,
     opts: LsmOptions,
     /// What recovery found at open time.
     recovered: LsmStats,
-    /// Started by the first seal that leaves a tier ready, not at open.
-    compactor: Option<JoinHandle<()>>,
 }
 
 impl LsmStore {
@@ -299,7 +263,7 @@ impl LsmStore {
     /// crashes against every file the engine touches.
     pub fn open_with_dir(dir: Arc<dyn StorageDir>, opts: LsmOptions) -> StoreResult<LsmStore> {
         // 1. Manifest: adopt the last intact run-set record.
-        let manifest = Manifest::open(dir.open(MANIFEST_FILE)?)?;
+        let mut manifest = Manifest::open(dir.open(MANIFEST_FILE)?)?;
 
         // 2. Load every referenced run. These were synced before the
         //    manifest record naming them, so failures here are real
@@ -308,7 +272,7 @@ impl LsmStore {
         for (id, level) in &manifest.runs {
             let mut storage = dir.open(&Run::file_name(*id))?;
             runs.push(LeveledRun {
-                run: Arc::new(Run::load(*id, storage.as_mut())?),
+                run: Run::load(*id, storage.as_mut())?,
                 level: *level,
             });
         }
@@ -318,13 +282,10 @@ impl LsmStore {
         //    the manifest never committed. They must be deleted (never
         //    resurrected), and their ids must never be re-allocated.
         let live: BTreeSet<u64> = manifest.runs.iter().map(|(id, _)| *id).collect();
-        let mut next_run_id = manifest.next_run_id;
         let mut orphans = 0u64;
         for name in dir.list()? {
             if let Some(id) = Run::parse_file_name(&name) {
-                if id >= next_run_id {
-                    next_run_id = id + 1;
-                }
+                manifest.next_run_id = manifest.next_run_id.max(id + 1);
                 if !live.contains(&id) {
                     dir.remove(&name)?;
                     orphans += 1;
@@ -339,7 +300,6 @@ impl LsmStore {
             memtable: BTreeMap::new(),
             memtable_bytes: 0,
             runs,
-            epoch: manifest.epoch,
         };
         for (_lsn, rec) in &replay.records {
             match rec {
@@ -359,24 +319,14 @@ impl LsmStore {
             recovered_repaired_bytes: replay.repaired_bytes + manifest.repaired_bytes,
             recovered_orphan_runs: orphans,
         };
-        let mut manifest = manifest;
-        manifest.next_run_id = next_run_id;
-        let shared = Arc::new(LsmShared {
-            state: RwLock::new(state),
-            manifest: Mutex::new(manifest),
-            metrics: RwLock::new(LsmMetrics::default()),
-            wake: Wake {
-                flag: Mutex::new(WakeFlag::default()),
-                cond: Condvar::new(),
-            },
-            dir,
-        });
         Ok(LsmStore {
-            shared,
+            state,
+            manifest,
+            metrics: LsmMetrics::default(),
+            dir,
             wal,
             opts,
             recovered,
-            compactor: None,
         })
     }
 
@@ -387,20 +337,9 @@ impl LsmStore {
     /// sum over attached stores (see `publish_gauges`).
     pub fn attach_registry(&mut self, registry: &MetricsRegistry) {
         self.wal.attach_registry(registry);
-        {
-            // The state lock is held across the swap so the compactor
-            // (which moves `runs` under the state write lock) cannot land
-            // a delta between "read the run count" and "publish it".
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            let mut m = self
-                .shared
-                .metrics
-                .write()
-                .unwrap_or_else(|e| e.into_inner());
-            publish_gauges(&m, &state, -1);
-            *m = LsmMetrics::new(registry);
-            publish_gauges(&m, &state, 1);
-        }
+        publish_gauges(&self.metrics, &self.state, -1);
+        self.metrics = LsmMetrics::new(registry);
+        publish_gauges(&self.metrics, &self.state, 1);
         registry
             .counter("store.recovery.replayed_records")
             .add(self.recovered.recovered_records);
@@ -425,23 +364,10 @@ impl LsmStore {
             key: key.to_vec(),
             value: value.to_vec(),
         })?;
-        let (delta, bytes) = {
-            let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-            let delta = state.memtable_insert(key, Some(value.to_vec()));
-            (delta, state.memtable_bytes)
-        };
-        {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            m.puts.inc();
-            m.memtable_bytes.add(delta);
-        }
-        if bytes > self.opts.memtable_bytes {
-            self.seal_deferred();
-        }
+        let delta = self.state.memtable_insert(key, Some(value.to_vec()));
+        self.metrics.puts.inc();
+        self.metrics.memtable_bytes.add(delta);
+        self.seal_if_over_budget();
         Ok(())
     }
 
@@ -449,37 +375,19 @@ impl LsmStore {
     /// deferral works exactly as in [`LsmStore::put`].
     pub fn delete(&mut self, key: &[u8]) -> StoreResult<()> {
         self.wal.append(&WalRecord::Delete { key: key.to_vec() })?;
-        let (delta, bytes) = {
-            let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-            let delta = state.memtable_insert(key, None);
-            (delta, state.memtable_bytes)
-        };
-        {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            m.deletes.inc();
-            m.memtable_bytes.add(delta);
-        }
-        if bytes > self.opts.memtable_bytes {
-            self.seal_deferred();
-        }
+        let delta = self.state.memtable_insert(key, None);
+        self.metrics.deletes.inc();
+        self.metrics.memtable_bytes.add(delta);
+        self.seal_if_over_budget();
         Ok(())
     }
 
     /// Budget-triggered seal: the covered writes are already acked (WAL +
     /// memtable), so a failure here only defers the seal — the memtable
     /// keeps growing past its budget until a later seal succeeds.
-    fn seal_deferred(&mut self) {
-        if self.seal().is_err() {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            m.seal_errors.inc();
+    fn seal_if_over_budget(&mut self) {
+        if self.state.memtable_bytes > self.opts.memtable_bytes && self.seal().is_err() {
+            self.metrics.seal_errors.inc();
         }
     }
 
@@ -490,22 +398,13 @@ impl LsmStore {
     /// `store.lsm.read.amplification`.
     pub fn get(&self, key: &[u8]) -> StoreResult<Option<Vec<u8>>> {
         let _trace = memex_obs::trace::span("store.kv.get");
-        let out = {
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            lookup(&state.memtable, &state.runs, key)
-        };
-        {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
-            m.gets.inc();
-            m.read_amp.record(out.consulted);
-            m.bloom_hit.add(out.bloom_hit);
-            m.bloom_skip.add(out.bloom_skip);
-            m.bloom_fp.add(out.bloom_fp);
-        }
+        let out = lookup(&self.state.memtable, &self.state.runs, key);
+        let m = &self.metrics;
+        m.gets.inc();
+        m.read_amp.record(out.consulted);
+        m.bloom_hit.add(out.bloom_hit);
+        m.bloom_skip.add(out.bloom_skip);
+        m.bloom_fp.add(out.bloom_fp);
         Ok(out.value)
     }
 
@@ -517,8 +416,7 @@ impl LsmStore {
         end: Bound<&[u8]>,
         f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> StoreResult<()> {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        merged_for_each(&state.memtable, &state.runs, start, end, f);
+        merged_for_each(&self.state.memtable, &self.state.runs, start, end, f);
         Ok(())
     }
 
@@ -543,21 +441,22 @@ impl LsmStore {
 
     /// Live run count.
     pub fn run_count(&self) -> usize {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        state.runs.len()
+        self.state.runs.len()
     }
 
     /// Live `(run id, level)` pairs, newest first (test observability).
     #[doc(hidden)]
     pub fn run_levels(&self) -> Vec<(u64, u32)> {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        state.runs.iter().map(|r| (r.run.id, r.level)).collect()
+        self.state.runs.iter().map(LeveledRun::id_level).collect()
     }
 
-    /// Seal the memtable into an immutable run and truncate the WAL. See
-    /// the module docs for why each step orders before the next. An empty
-    /// memtable still checkpoints the WAL (everything acked is already in
-    /// runs, so dropping the log is safe).
+    /// Seal the memtable into an immutable run, truncate the WAL, then
+    /// merge every tier that is ready. See the module docs for why each
+    /// step orders before the next. An empty memtable still checkpoints
+    /// the WAL (everything acked is already in runs, so dropping the log
+    /// is safe) and still merges. A failed merge does not fail the seal:
+    /// its inputs are durable, so it is counted in
+    /// `store.lsm.compact.errors` and its tier waits for the next seal.
     pub fn seal(&mut self) -> StoreResult<()> {
         let _trace = memex_obs::trace::span("store.lsm.seal");
         let started = Instant::now();
@@ -565,88 +464,48 @@ impl LsmStore {
         // the run must never get ahead of the durable WAL, or a crash
         // could replay a stale prefix over newer run data.
         self.wal.sync()?;
-        let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = {
-            let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-            state
+        if !self.state.memtable.is_empty() {
+            let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = self
+                .state
                 .memtable
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        };
-        if entries.is_empty() {
-            return self.checkpoint_wal();
-        }
-        let (sealed_bytes, levels, ready) = {
-            // The manifest mutex serializes run-set transitions against
-            // the compactor; the run list cannot change until released.
-            let mut manifest = self
-                .shared
-                .manifest
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let id = manifest.next_run_id;
-            let name = Run::file_name(id);
-            let run = {
-                let mut storage = self.shared.dir.open(&name)?;
-                match Run::write(id, entries, storage.as_mut()) {
-                    Ok(run) => run,
-                    Err(e) => {
-                        // A partial file may remain: delete it if we can;
-                        // otherwise the orphan scan reaps it at next open.
-                        let _ = self.shared.dir.remove(&name);
-                        return Err(e);
-                    }
-                }
-            };
-            let (epoch, list) = {
-                let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-                let list: Vec<(u64, u32)> = std::iter::once((id, 0))
-                    .chain(state.runs.iter().map(|r| (r.run.id, r.level)))
-                    .collect();
-                (state.epoch + 1, list)
-            };
+                .collect();
+            let id = self.allocate_run_id();
+            let run = self.write_run(id, entries)?;
+            let list: Vec<(u64, u32)> = std::iter::once((id, 0))
+                .chain(self.state.runs.iter().map(LeveledRun::id_level))
+                .collect();
             // On failure, keep the run file: the append may have staged
             // its record before the failure, and a crash can still land
             // those bytes durably. If the record lands, the (fully
             // synced) run is live and must exist; if it does not, the
             // orphan scan reaps the file at the next open. Removing it
             // here would let a landed record point at nothing.
-            manifest.append(epoch, id + 1, &list)?;
+            self.commit_runs(&list)?;
             // Committed: install in memory. From here on failure may only
             // leave the WAL un-truncated, which replays idempotently.
-            let mut state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-            state.runs.insert(
-                0,
-                LeveledRun {
-                    run: Arc::new(run),
-                    level: 0,
-                },
-            );
-            state.memtable.clear();
-            let sealed_bytes = std::mem::take(&mut state.memtable_bytes);
-            state.epoch = epoch;
-            (
-                sealed_bytes,
-                level_count(&state.runs),
-                tier_ready(&state.runs, self.opts.compact_min_runs),
-            )
-        };
-        {
-            let m = self
-                .shared
-                .metrics
-                .read()
-                .unwrap_or_else(|e| e.into_inner());
+            self.state.runs.insert(0, LeveledRun { run, level: 0 });
+            self.state.memtable.clear();
+            let sealed_bytes = std::mem::take(&mut self.state.memtable_bytes);
+            let m = &self.metrics;
             m.seals.inc();
             m.memtable_bytes.add(-(sealed_bytes as i64));
             m.runs.add(1);
-            m.levels.set_max(levels as i64);
+            m.levels.set_max(level_count(&self.state.runs) as i64);
             m.seal_latency.record(elapsed_ns(started));
         }
-        if ready {
-            self.wake_compactor();
+        self.checkpoint_wal()?;
+        loop {
+            match self.compact_once() {
+                Ok(true) => {}
+                Ok(false) => return Ok(()),
+                Err(_) => {
+                    self.metrics.compact_errors.inc();
+                    return Ok(());
+                }
+            }
         }
-        self.checkpoint_wal()
     }
 
     /// Truncate the WAL and mark the checkpoint (the sealed runs now
@@ -657,51 +516,103 @@ impl LsmStore {
         self.wal.sync()
     }
 
-    /// Compact inline until nothing is left to merge, finishing with a
-    /// bottom merge of the whole stack (deterministic alternative to the
-    /// background demon; used by crash tests). Returns whether any merge
-    /// happened.
-    pub fn compact_now(&mut self) -> StoreResult<bool> {
-        let mut any = false;
-        while compact_once(&self.shared, 2, false)? {
-            any = true;
-        }
-        if compact_once(&self.shared, 2, true)? {
-            any = true;
-        }
-        Ok(any)
+    /// A fresh run id. It is burned even if its run never commits: a
+    /// failed manifest append may have staged a record naming it that a
+    /// crash can still land, so no later run may take its file name.
+    fn allocate_run_id(&mut self) -> u64 {
+        let id = self.manifest.next_run_id;
+        self.manifest.next_run_id = id + 1;
+        id
     }
 
-    /// Run exactly one tier-compaction pass (no full merge): the
-    /// fine-grained hook the tiering tests schedule crashes around.
-    #[doc(hidden)]
-    pub fn compact_tier_now(&mut self) -> StoreResult<bool> {
-        compact_once(&self.shared, 2, false)
+    /// Append `runs` (newest first) as the next manifest record and sync
+    /// it: the commit point of a seal or a merge.
+    fn commit_runs(&mut self, runs: &[(u64, u32)]) -> StoreResult<()> {
+        let (epoch, next_run_id) = (self.manifest.epoch + 1, self.manifest.next_run_id);
+        self.manifest.append(epoch, next_run_id, runs)
     }
 
-    /// Hand a ready tier to the background compactor, starting it on the
-    /// first one: a store that never fills a tier owns no thread.
-    fn wake_compactor(&mut self) {
-        if !self.opts.background_compaction {
-            return;
+    /// Write and sync run `id` holding `entries`. A partial file may
+    /// remain when this fails: it is deleted if possible, and otherwise
+    /// the orphan scan reaps it at the next open.
+    fn write_run(&self, id: u64, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> StoreResult<Run> {
+        let name = Run::file_name(id);
+        let mut storage = self.dir.open(&name)?;
+        Run::write(id, entries, storage.as_mut()).inspect_err(|_| {
+            let _ = self.dir.remove(&name);
+        })
+    }
+
+    /// Merge the first ready tier into one run a level deeper; returns
+    /// whether there was one. Tombstones are dropped **only** when the
+    /// tier reaches the bottom of the stack; anywhere else they must
+    /// survive to keep shadowing deleted keys in older runs. The merged
+    /// run is committed by a manifest record before it replaces its
+    /// inputs in memory; the input files are deleted afterwards (failed
+    /// deletions become orphans for the next open).
+    fn compact_once(&mut self) -> StoreResult<bool> {
+        let Some((start, end, out_level)) =
+            select_tier(&self.state.runs, self.opts.compact_min_runs)
+        else {
+            return Ok(false);
+        };
+        let Some(victims) = self.state.runs.get(start..end) else {
+            return Ok(false);
+        };
+        let _trace = memex_obs::trace::span("store.lsm.compact");
+        let started = Instant::now();
+        // Oldest victim first so newer entries overwrite.
+        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+        for victim in victims.iter().rev() {
+            for (k, v) in victim.run.iter() {
+                merged.insert(k.to_vec(), v.map(|x| x.to_vec()));
+            }
         }
-        if self.compactor.is_none() {
-            let shared = Arc::clone(&self.shared);
-            let min_runs = self.opts.compact_min_runs;
-            self.compactor = Some(std::thread::spawn(move || {
-                compactor_loop(&shared, min_runs);
-            }));
+        // Tombstones shadow matching keys in runs *below* the merged span;
+        // only a merge that reaches the bottom of the stack may drop them.
+        let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = if end == self.state.runs.len() {
+            merged.into_iter().filter(|(_, v)| v.is_some()).collect()
+        } else {
+            merged.into_iter().collect()
+        };
+        let input_bytes: u64 = victims.iter().map(|r| r.run.bytes).sum();
+        let id = self.allocate_run_id();
+        let run = self.write_run(id, entries)?;
+        let runs = &self.state.runs;
+        let list: Vec<(u64, u32)> = runs
+            .iter()
+            .take(start)
+            .map(LeveledRun::id_level)
+            .chain(std::iter::once((id, out_level)))
+            .chain(runs.iter().skip(end).map(LeveledRun::id_level))
+            .collect();
+        // On failure, keep the merged run file — same reasoning as in
+        // `seal`: the staged manifest record may still land at a crash.
+        // Either the record lands (run live, victims become orphans) or it
+        // does not (this file becomes the orphan) — recovery reconciles
+        // both.
+        self.commit_runs(&list)?;
+        let merged_away: Vec<LeveledRun> = self
+            .state
+            .runs
+            .splice(
+                start..end,
+                [LeveledRun {
+                    run,
+                    level: out_level,
+                }],
+            )
+            .collect();
+        for victim in &merged_away {
+            let _ = self.dir.remove(&Run::file_name(victim.run.id));
         }
-        {
-            let mut flag = self
-                .shared
-                .wake
-                .flag
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            flag.work = true;
-        }
-        self.shared.wake.cond.notify_all();
+        let m = &self.metrics;
+        m.runs.add(1 - merged_away.len() as i64);
+        m.levels.set_max(level_count(&self.state.runs) as i64);
+        m.compactions.inc();
+        m.compact_bytes.add(input_bytes);
+        m.compact_latency.record(elapsed_ns(started));
+        Ok(true)
     }
 
     /// Verify the tier-shape invariants (tests / debugging). Run files
@@ -710,11 +621,10 @@ impl LsmStore {
     /// globally unique, and ids strictly descending within each level
     /// (newer runs allocate higher ids).
     pub fn check(&self) -> StoreResult<()> {
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         let mut prev_level: Option<u32> = None;
         let mut prev_id_in_level: Option<u64> = None;
-        for entry in &state.runs {
+        for entry in &self.state.runs {
             if let Some(level) = prev_level {
                 if entry.level < level {
                     return Err(StoreError::Corrupt(format!(
@@ -754,79 +664,13 @@ impl LsmStore {
 
 impl Drop for LsmStore {
     fn drop(&mut self) {
-        if let Some(handle) = self.compactor.take() {
-            {
-                let mut flag = self
-                    .shared
-                    .wake
-                    .flag
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                flag.shutdown = true;
-            }
-            self.shared.wake.cond.notify_all();
-            let _ = handle.join();
-        }
         // A closed store no longer counts toward the shared gauges.
-        let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        let m = self
-            .shared
-            .metrics
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        publish_gauges(&m, &state, -1);
+        publish_gauges(&self.metrics, &self.state, -1);
     }
 }
 
 fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Background compactor: waits for a wake, then runs tier merges until no
-/// tier qualifies. Errors are counted and retried at the next wake — the
-/// demon itself never dies and never panics.
-fn compactor_loop(shared: &Arc<LsmShared>, min_runs: usize) {
-    loop {
-        {
-            let mut flag = shared.wake.flag.lock().unwrap_or_else(|e| e.into_inner());
-            while !flag.work && !flag.shutdown {
-                flag = shared
-                    .wake
-                    .cond
-                    .wait(flag)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            if flag.shutdown {
-                return;
-            }
-            flag.work = false;
-        }
-        loop {
-            match compact_once(shared, min_runs, false) {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(_) => {
-                    let m = shared.metrics.read().unwrap_or_else(|e| e.into_inner());
-                    m.compact_errors.inc();
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// A compaction decision: merge `runs[start..end)` (a contiguous span)
-/// into one run at `out_level`.
-struct CompactPlan {
-    victims: Vec<LeveledRun>,
-    start: usize,
-    end: usize,
-    out_level: u32,
-    /// The merge reaches the oldest run: nothing below can shadow, so
-    /// tombstones may be dropped.
-    bottom: bool,
-    old_epoch: u64,
-    id: u64,
 }
 
 /// Pick the first (youngest) tier — maximal contiguous same-level span —
@@ -856,152 +700,6 @@ fn select_tier(runs: &[LeveledRun], min_runs: usize) -> Option<(usize, usize, u3
         }
     }
     None
-}
-
-/// Pick the whole stack (a full merge), regardless of levels. The output
-/// lands at the deepest input level (at least 1, so it never masquerades
-/// as a fresh seal).
-fn select_all(runs: &[LeveledRun]) -> Option<(usize, usize, u32)> {
-    if runs.len() < 2 {
-        return None;
-    }
-    let out_level = runs.iter().map(|r| r.level).max().unwrap_or(0).max(1);
-    Some((0, runs.len(), out_level))
-}
-
-/// Merge one tier (or, with `full`, the whole stack) into one run a level
-/// deeper. The merge itself happens on `Arc` clones with no lock held
-/// (readers and the writer proceed); the manifest mutex is taken twice,
-/// briefly: once to pick the victim span and reserve a run id, and once
-/// to commit the transition (the state write lock is held just long
-/// enough to splice the list). If the epoch moved between the two — a
-/// seal or another compaction landed — the merged output is stale: the
-/// orphan file is removed and the caller retries against the new run set.
-/// Tombstones are dropped **only** when the span reaches the bottom of
-/// the stack; anywhere else they must survive to keep shadowing deleted
-/// keys in older runs. Snapshots holding the old runs keep them alive;
-/// their files are deleted once the manifest stops referencing them
-/// (failed deletions become orphans for the next open).
-fn compact_once(shared: &Arc<LsmShared>, min_runs: usize, full: bool) -> StoreResult<bool> {
-    let _trace = memex_obs::trace::span("store.lsm.compact");
-    let started = Instant::now();
-    let plan = {
-        let mut manifest = shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-        let state = shared.state.read().unwrap_or_else(|e| e.into_inner());
-        let selected = if full {
-            select_all(&state.runs)
-        } else {
-            select_tier(&state.runs, min_runs)
-        };
-        let Some((start, end, out_level)) = selected else {
-            return Ok(false);
-        };
-        // Reserve the run id in memory only: a concurrent seal allocates
-        // past it, and the commit append persists the high-water mark.
-        // A reservation abandoned by abort or crash is never densely
-        // required — the orphan scan owns unreferenced files.
-        let id = manifest.next_run_id;
-        manifest.next_run_id = id + 1;
-        CompactPlan {
-            victims: state
-                .runs
-                .get(start..end)
-                .into_iter()
-                .flatten()
-                .cloned()
-                .collect(),
-            start,
-            end,
-            out_level,
-            bottom: end == state.runs.len(),
-            old_epoch: state.epoch,
-            id,
-        }
-    };
-    // Oldest victim first so newer entries overwrite. No lock is held for
-    // the merge or the run write: this is the bulk of the work, and
-    // sealers must not stall behind it.
-    let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-    for victim in plan.victims.iter().rev() {
-        for (k, v) in victim.run.iter() {
-            merged.insert(k.to_vec(), v.map(|x| x.to_vec()));
-        }
-    }
-    // Tombstones shadow matching keys in runs *below* the merged span;
-    // only a merge that reaches the bottom of the stack may drop them.
-    let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = if plan.bottom {
-        merged.into_iter().filter(|(_, v)| v.is_some()).collect()
-    } else {
-        merged.into_iter().collect()
-    };
-    let input_bytes: u64 = plan.victims.iter().map(|r| r.run.bytes).sum();
-    let name = Run::file_name(plan.id);
-    let run = {
-        let mut storage = shared.dir.open(&name)?;
-        match Run::write(plan.id, entries, storage.as_mut()) {
-            Ok(run) => run,
-            Err(e) => {
-                let _ = shared.dir.remove(&name);
-                return Err(e);
-            }
-        }
-    };
-    let mut manifest = shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-    let new_runs: Vec<LeveledRun> = {
-        let state = shared.state.read().unwrap_or_else(|e| e.into_inner());
-        if state.epoch != plan.old_epoch {
-            // The run set changed under us (seal or concurrent compact):
-            // the span indices no longer describe it, and installing the
-            // merge could drop newcomers. Abandon this output and ask the
-            // caller to retry against the new set. Never reached
-            // single-threaded (compact_now in crash tests).
-            drop(state);
-            drop(manifest);
-            let _ = shared.dir.remove(&name);
-            return Ok(true);
-        }
-        // Epoch unchanged ⇒ the list is exactly the one the plan indexed.
-        let mut list = Vec::with_capacity(state.runs.len() + 1 - plan.victims.len());
-        list.extend(state.runs.get(..plan.start).into_iter().flatten().cloned());
-        list.push(LeveledRun {
-            run: Arc::new(run),
-            level: plan.out_level,
-        });
-        list.extend(state.runs.get(plan.end..).into_iter().flatten().cloned());
-        list
-    };
-    let epoch = plan.old_epoch + 1;
-    // On failure, keep the merged run file — same reasoning as in `seal`:
-    // the staged manifest record may still land at a crash. Either the
-    // record lands (run live, victims become orphans) or it does not
-    // (this file becomes the orphan) — recovery reconciles both. The
-    // persisted next_run_id must cover ids a concurrent seal may have
-    // taken after our reservation.
-    let next_id = manifest.next_run_id.max(plan.id + 1);
-    let record: Vec<(u64, u32)> = new_runs.iter().map(|r| (r.run.id, r.level)).collect();
-    manifest.append(epoch, next_id, &record)?;
-    {
-        let mut state = shared.state.write().unwrap_or_else(|e| e.into_inner());
-        state.runs = new_runs;
-        state.epoch = epoch;
-        // The shared gauges move under the state lock: `attach_registry`
-        // swaps the handles under the same lock, so this delta lands on
-        // exactly one side of the swap.
-        let m = shared.metrics.read().unwrap_or_else(|e| e.into_inner());
-        m.runs.add(1 - plan.victims.len() as i64);
-        m.levels.set_max(level_count(&state.runs) as i64);
-    }
-    drop(manifest);
-    for victim in &plan.victims {
-        let _ = shared.dir.remove(&Run::file_name(victim.run.id));
-    }
-    {
-        let m = shared.metrics.read().unwrap_or_else(|e| e.into_inner());
-        m.compactions.inc();
-        m.compact_bytes.add(input_bytes);
-        m.compact_latency.record(elapsed_ns(started));
-    }
-    Ok(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -1165,9 +863,20 @@ mod tests {
     fn tiny_opts() -> LsmOptions {
         LsmOptions {
             memtable_bytes: 1 << 30, // never auto-seal
-            compact_min_runs: 64,    // never auto-compact
-            background_compaction: false,
+            compact_min_runs: 64,    // never compact
         }
+    }
+
+    /// [`tiny_opts`], but a seal merges a tier of `min_runs` runs.
+    fn merging_opts(min_runs: usize) -> LsmOptions {
+        LsmOptions {
+            compact_min_runs: min_runs,
+            ..tiny_opts()
+        }
+    }
+
+    fn levels(s: &LsmStore) -> Vec<u32> {
+        s.run_levels().iter().map(|(_, l)| *l).collect()
     }
 
     #[test]
@@ -1203,22 +912,21 @@ mod tests {
     #[test]
     fn compaction_merges_runs_and_drops_tombstones() {
         let registry = MetricsRegistry::new();
-        let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        let mut s = LsmStore::open_memory_opts(merging_opts(2)).unwrap();
         s.attach_registry(&registry);
         s.put(b"a", b"1").unwrap();
         s.put(b"b", b"2").unwrap();
         s.seal().unwrap();
+        assert_eq!(s.run_count(), 1);
         s.delete(b"a").unwrap();
         s.put(b"c", b"3").unwrap();
+        // The second run readies the level-0 tier: this seal merges it.
         s.seal().unwrap();
-        assert_eq!(s.run_count(), 2);
-        assert!(s.compact_now().unwrap());
         assert_eq!(s.run_count(), 1);
         assert_eq!(s.get(b"a").unwrap(), None);
         assert_eq!(s.get(b"b").unwrap(), Some(b"2".to_vec()));
         assert_eq!(s.get(b"c").unwrap(), Some(b"3".to_vec()));
-        let state = s.shared.state.read().unwrap();
-        let merged = state.runs.first().unwrap();
+        let merged = s.state.runs.first().unwrap();
         assert_eq!(
             merged.run.entry_count(),
             2,
@@ -1234,78 +942,61 @@ mod tests {
     #[test]
     fn tier_compaction_keeps_tombstones_above_older_runs() {
         // The tombstone-resurrection regression: delete a key whose live
-        // value sits in an older (deeper) run, compact only the young
-        // tier, and the key must stay deleted. The unguarded full-merge
-        // logic dropped the tombstone here and resurrected `k`.
-        let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        // value sits in an older (deeper) run, merge only the young tier,
+        // and the key must stay deleted. The unguarded full-merge logic
+        // dropped the tombstone here and resurrected `k`.
+        let mut s = LsmStore::open_memory_opts(merging_opts(3)).unwrap();
         s.put(b"k", b"live").unwrap();
-        s.put(b"f1", b"x").unwrap();
-        s.seal().unwrap();
-        s.put(b"f2", b"x").unwrap();
-        s.seal().unwrap();
+        for f in [b"f1", b"f2", b"f3"] {
+            s.put(f, b"x").unwrap();
+            s.seal().unwrap();
+        }
         // Bottom merge: `k` now lives in a level-1 run.
-        assert!(s.compact_tier_now().unwrap());
-        assert_eq!(
-            s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![1]
-        );
+        assert_eq!(levels(&s), vec![1]);
         s.delete(b"k").unwrap();
-        s.put(b"f3", b"x").unwrap();
-        s.seal().unwrap();
-        s.put(b"f4", b"x").unwrap();
-        s.seal().unwrap();
-        // Merge ONLY the two young level-0 runs: not a bottom merge, so
-        // the tombstone must survive into the merged run.
-        assert!(s.compact_tier_now().unwrap());
-        let levels: Vec<u32> = s.run_levels().iter().map(|(_, l)| *l).collect();
-        assert_eq!(levels, vec![1, 1], "young tier merged above the old run");
+        for f in [b"f4", b"f5", b"f6"] {
+            s.put(f, b"x").unwrap();
+            s.seal().unwrap();
+        }
+        // The third seal merged ONLY the young level-0 tier: not a bottom
+        // merge, so the tombstone survives into the merged run.
+        assert_eq!(
+            levels(&s),
+            vec![1, 1],
+            "young tier merged above the old run"
+        );
         assert_eq!(
             s.get(b"k").unwrap(),
             None,
             "tier merge must not resurrect a deleted key"
         );
+        let young = s.state.runs.first().unwrap();
+        assert_eq!(young.run.entry_count(), 4, "f4–f6 and the tombstone");
         s.check().unwrap();
-        // The final bottom merge may (and does) drop the tombstone.
-        assert!(s.compact_now().unwrap());
-        assert_eq!(s.run_count(), 1);
+        // Three more seals ready level 0, then level 1: the second merge
+        // reaches the bottom and may (and does) drop the tombstone.
+        for f in [b"f7", b"f8", b"f9"] {
+            s.put(f, b"x").unwrap();
+            s.seal().unwrap();
+        }
+        assert_eq!(levels(&s), vec![2]);
         assert_eq!(s.get(b"k").unwrap(), None);
+        assert_eq!(s.state.runs.first().unwrap().run.entry_count(), 9);
     }
 
     #[test]
     fn tiers_deepen_and_invariants_hold() {
-        let mut s = LsmStore::open_memory_opts(tiny_opts()).unwrap();
-        for round in 0..4u32 {
+        let mut s = LsmStore::open_memory_opts(merging_opts(2)).unwrap();
+        // Each seal adds a level-0 run; every ready tier then merges one
+        // level deeper, so the stack counts seals in binary.
+        let want: [&[u32]; 6] = [&[0], &[1], &[0, 1], &[2], &[0, 2], &[1, 2]];
+        for (round, want) in want.iter().enumerate() {
             s.put(format!("key-{round}").as_bytes(), b"v").unwrap();
             s.seal().unwrap();
+            assert_eq!(levels(&s), *want, "after seal {}", round + 1);
+            assert!(select_tier(&s.state.runs, 2).is_none());
+            s.check().unwrap();
         }
-        assert_eq!(
-            s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![0, 0, 0, 0]
-        );
-        // One tier pass merges the whole level-0 span (bottom ⇒ level 1).
-        assert!(s.compact_tier_now().unwrap());
-        assert_eq!(
-            s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![1]
-        );
-        for round in 4..6u32 {
-            s.put(format!("key-{round}").as_bytes(), b"v").unwrap();
-            s.seal().unwrap();
-        }
-        // The two fresh seals tier-merge in front of the old level-1 run.
-        assert!(s.compact_tier_now().unwrap());
-        assert_eq!(
-            s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![1, 1]
-        );
-        s.check().unwrap();
-        // Now the level-1 tier qualifies; merging it reaches the bottom.
-        assert!(s.compact_tier_now().unwrap());
-        assert_eq!(
-            s.run_levels().iter().map(|(_, l)| *l).collect::<Vec<_>>(),
-            vec![2]
-        );
-        s.check().unwrap();
         for round in 0..6u32 {
             let k = format!("key-{round}");
             assert_eq!(s.get(k.as_bytes()).unwrap(), Some(b"v".to_vec()));
@@ -1373,18 +1064,16 @@ mod tests {
     fn reopen_preserves_levels() {
         let dir: Arc<MemDir> = Arc::new(MemDir::new());
         {
-            let mut s = LsmStore::open_with_dir(dir.clone(), tiny_opts()).unwrap();
+            let mut s = LsmStore::open_with_dir(dir.clone(), merging_opts(2)).unwrap();
             for key in [b"a", b"b"] {
                 s.put(key, b"1").unwrap();
                 s.seal().unwrap();
             }
-            assert!(s.compact_tier_now().unwrap());
             s.put(b"c", b"2").unwrap();
             s.seal().unwrap();
         }
-        let s = LsmStore::open_with_dir(dir, tiny_opts()).unwrap();
-        let levels: Vec<u32> = s.run_levels().iter().map(|(_, l)| *l).collect();
-        assert_eq!(levels, vec![0, 1]);
+        let s = LsmStore::open_with_dir(dir, merging_opts(2)).unwrap();
+        assert_eq!(levels(&s), vec![0, 1]);
         s.check().unwrap();
         assert_eq!(s.get(b"a").unwrap(), Some(b"1".to_vec()));
         assert_eq!(s.get(b"c").unwrap(), Some(b"2".to_vec()));
@@ -1437,7 +1126,7 @@ mod tests {
         // writer won and Stats lied.
         let registry = MetricsRegistry::new();
         let gauge = |name: &str| registry.snapshot().gauge(name);
-        let mut a = LsmStore::open_memory_opts(tiny_opts()).unwrap();
+        let mut a = LsmStore::open_memory_opts(merging_opts(3)).unwrap();
         let mut b = LsmStore::open_memory_opts(tiny_opts()).unwrap();
         // `a` already holds state when it attaches: it is published whole.
         a.put(b"a1", b"x").unwrap();
@@ -1465,20 +1154,27 @@ mod tests {
         assert_eq!(gauge("store.lsm.memtable.bytes"), 0);
         assert_eq!(gauge("store.lsm.levels"), 1);
 
-        // A compaction in one store subtracts only what it merged away.
-        assert!(a.compact_now().unwrap());
+        // A compaction in one store subtracts only what it merged away:
+        // `a`'s third run readies its tier, and the seal merges all three.
+        a.put(b"a3", b"x").unwrap();
+        a.seal().unwrap();
         assert_eq!(a.run_count(), 1);
         assert_eq!(gauge("store.lsm.runs"), 2);
         // Levels is the deepest stack any store reached: `a` now holds a
         // level-1 run over nothing else, `b` one level-0 run.
-        a.put(b"a3", b"x").unwrap();
+        a.put(b"a4", b"x").unwrap();
         a.seal().unwrap();
         assert_eq!(gauge("store.lsm.levels"), 2);
         assert_eq!(gauge("store.lsm.runs"), 3);
 
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("store.kv.puts"), 3, "b1 twice, a3");
-        assert_eq!(snap.counter("store.lsm.seals"), 3, "b, a, a (post-attach)");
+        assert_eq!(snap.counter("store.kv.puts"), 4, "b1 twice, a3, a4");
+        assert_eq!(
+            snap.counter("store.lsm.seals"),
+            4,
+            "b, a, a, a (post-attach)"
+        );
+        assert_eq!(snap.counter("store.lsm.compactions"), 1);
 
         // A closed store stops counting.
         drop(a);
@@ -1520,16 +1216,14 @@ mod tests {
     }
 
     #[test]
-    fn background_compactor_kicks_in() {
-        // The writer/compactor race the sanitizer matrix runs under TSan: a
-        // burst of puts, overwrites and deletes under a tiny memtable seals
-        // every few writes, each seal past two runs wakes the demon, and
-        // the writer's reads interleave with its merges. Every read must
-        // see the newest write of its key, wherever that lies.
+    fn a_seal_that_readies_a_tier_merges_it_before_returning() {
+        // A burst of puts, overwrites and deletes under a tiny memtable
+        // seals every few writes, and the seals merge as they go. Every
+        // read must see the newest write of its key, wherever that lies,
+        // and no seal may return with a tier still ready.
         let opts = LsmOptions {
             memtable_bytes: 256,
             compact_min_runs: 2,
-            background_compaction: true,
         };
         let mut s = LsmStore::open_memory_opts(opts).unwrap();
         let registry = MetricsRegistry::new();
@@ -1542,30 +1236,23 @@ mod tests {
             s.put(&k, &v).unwrap();
             model.insert(k.clone(), v);
             assert_eq!(s.get(&k).unwrap().as_ref(), model.get(&k), "op {i}");
+            assert!(select_tier(&s.state.runs, 2).is_none(), "op {i}: tier left");
             if i % 16 == 15 {
                 let k = format!("k{:03}", (i / 16) % 40).into_bytes();
                 s.delete(&k).unwrap();
                 model.remove(&k);
                 assert_eq!(s.get(&k).unwrap(), None, "op {i}: delete");
+                assert!(select_tier(&s.state.runs, 2).is_none(), "op {i}: tier left");
             }
             if i % 50 == 49 {
                 let want: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
                 assert_eq!(all(&s), want, "op {i}: scan");
             }
         }
-        // Wait (bounded) for the demon to merge at least once and to drain
-        // every ready tier.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while registry.snapshot().counter("store.lsm.compactions") == 0
-            || tier_ready(&s.shared.state.read().unwrap().runs, 2)
-        {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the background compactor never drained the burst's runs"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(registry.snapshot().counter("store.lsm.seals") > 0);
+        let snap = registry.snapshot();
+        assert!(snap.counter("store.lsm.seals") > 0);
+        assert!(snap.counter("store.lsm.compactions") > 0);
+        assert_eq!(snap.counter("store.lsm.compact.errors"), 0);
         for i in 0..80u32 {
             let k = format!("k{i:03}").into_bytes();
             assert_eq!(s.get(&k).unwrap().as_ref(), model.get(&k), "key {i}");
@@ -1573,56 +1260,9 @@ mod tests {
         let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         assert_eq!(all(&s), want, "after the merges");
         s.check().unwrap();
-    }
-
-    /// The compactor thread starts with the first ready tier, not at open:
-    /// puts under the seal budget, and seals short of `compact_min_runs`
-    /// runs, leave the store without one.
-    #[test]
-    fn the_compactor_starts_at_the_first_ready_tier() {
-        let opts = LsmOptions::default();
-        assert!(opts.background_compaction);
-        let mut s = LsmStore::open_memory_opts(opts).unwrap();
-        let registry = MetricsRegistry::new();
-        s.attach_registry(&registry);
-        for i in 0..100u32 {
-            s.put(format!("k{i}").as_bytes(), b"v").unwrap();
-        }
-        assert!(s.compactor.is_none(), "puts under the seal budget");
-        for seal in 1..opts.compact_min_runs {
-            s.put(format!("s{seal}").as_bytes(), b"v").unwrap();
-            s.seal().unwrap();
-            assert_eq!(s.run_count(), seal);
-            assert!(s.compactor.is_none(), "{seal} runs, no tier ready");
-        }
-        s.put(b"last", b"v").unwrap();
-        s.seal().unwrap();
-        assert!(s.compactor.is_some(), "the first ready tier starts it");
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while registry.snapshot().counter("store.lsm.compactions") == 0 {
-            assert!(Instant::now() < deadline, "the started compactor never ran");
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(s.get(b"k7").unwrap(), Some(b"v".to_vec()));
         drop(s);
         assert_eq!(registry.snapshot().gauge("store.lsm.runs"), 0);
-    }
-
-    /// A store that never started a compactor drops cleanly: nothing to
-    /// join, and it stops counting toward the shared gauges.
-    #[test]
-    fn a_store_without_a_compactor_drops_cleanly() {
-        let registry = MetricsRegistry::new();
-        let mut s = LsmStore::open_memory().unwrap();
-        s.attach_registry(&registry);
-        s.put(b"a", b"1").unwrap();
-        s.seal().unwrap();
-        s.put(b"b", b"2").unwrap();
-        assert!(s.compactor.is_none());
-        drop(s);
-        let snap = registry.snapshot();
-        assert_eq!(snap.gauge("store.lsm.runs"), 0);
-        assert_eq!(snap.gauge("store.lsm.memtable.bytes"), 0);
+        assert_eq!(registry.snapshot().gauge("store.lsm.memtable.bytes"), 0);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! A run is a sealed memtable (or a compaction merge): a sorted list of
 //! `(key, value-or-tombstone)` entries written as one buffer, synced, and
-//! never modified again. Immutability is what makes MVCC cheap — a
-//! snapshot pins a run *set* by holding `Arc<Run>`s, and compaction can
-//! replace the set without touching the bytes a reader is using.
+//! never modified again: a merge writes a new run and drops its inputs
+//! whole, so recovery only ever has to choose between complete files.
 //!
 //! Each run carries the two read-amplification guards tiered compaction
 //! needs: a **bloom filter** over the keys (seeded FNV-1a base hash with

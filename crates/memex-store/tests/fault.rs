@@ -88,10 +88,22 @@ fn small_lsm_opts() -> LsmOptions {
         // Tiny budget so random schedules seal mid-stream (the
         // interesting case: crashes land between WAL and run state).
         memtable_bytes: 512,
+        // Seals merge every third run, so deep stacks form as they go.
         compact_min_runs: 3,
-        // The harness drives compaction explicitly and deterministically.
-        background_compaction: false,
     }
+}
+
+/// The stack's levels, newest run first.
+fn levels(store: &LsmStore) -> Vec<u32> {
+    store.run_levels().iter().map(|&(_, l)| l).collect()
+}
+
+/// Does some tier — a run of equal levels — hold `min_runs` runs, i.e.
+/// would the next seal merge it?
+fn tier_ready(store: &LsmStore, min_runs: usize) -> bool {
+    levels(store)
+        .chunk_by(|a, b| a == b)
+        .any(|tier| tier.len() >= min_runs)
 }
 
 /// The store under test plus the raw in-memory directory under it, so the
@@ -530,141 +542,145 @@ fn crash_mid_seal_reconciles_manifest_against_partial_runs() {
     assert!(saw_adopted, "no seed landed the staged manifest record");
 }
 
-/// Crash mid-compaction at each of its durability barriers (merged-run
-/// sync, manifest sync). Compaction is pure reorganization — every input
-/// is already sealed and durable — so recovery must land on exactly the
-/// pre-crash logical state, and a retried compaction must converge.
+/// The seal that readies a tier, with that tier's merge failing at each
+/// of its durability barriers (merged-run sync, manifest sync). The young
+/// tier carries a tombstone whose live value sits in a deeper run, so the
+/// merge is not a bottom merge and must keep it. The run the seal wrote is
+/// already durable, so the seal still returns `Ok`: the failure is counted
+/// in `store.lsm.compact.errors` and the tier waits for the next seal.
+/// Reads equal the model throughout; a crash recovers exactly the
+/// pre-crash state with the stack's invariants intact and the deleted key
+/// still deleted; and the next seal — on the live store or the recovered
+/// one — completes the merge.
 #[test]
-fn crash_mid_compaction_preserves_sealed_state() {
+fn a_merge_that_fails_during_a_seal_is_counted_and_retried_by_the_next() {
     for barrier in 0..2u32 {
-        for crash_seed in [5u64, 0xFACE_F00D] {
-            let dir = MemDir::new();
-            let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
-            let ctl = faulty.control();
-            let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
+        for crash_seed in [
+            None,
+            Some(5u64),
+            Some(0xFACE_F00D),
+            Some(9),
+            Some(0xC0FF_EE42),
+        ] {
+            let case = format!("barrier {barrier} crash {crash_seed:?}");
+            let (Rig { mut store, dir }, ctl) = open_faulty_rig(FaultConfig::default());
+            let registry = MetricsRegistry::new();
+            store.attach_registry(&registry);
 
-            // Three overlapping runs with updates and a tombstone.
-            for (round, base) in [(0u8, 0u8), (1, 2), (2, 4)] {
-                for i in base..base + 4 {
-                    store.put(&[b'k', i], &[round, i]).unwrap();
-                }
-                if round == 2 {
-                    store.delete(&[b'k', 0]).unwrap();
-                }
+            // A deep (level-1) run holding a key the young tier deletes.
+            store.put(b"old", b"live").unwrap();
+            for k in [b"base1", b"base2", b"base3"] {
+                store.put(k, b"1").unwrap();
                 store.seal().unwrap();
             }
-            assert!(store.run_count() >= 3);
+            assert_eq!(levels(&store), vec![1], "{case}");
+            store.delete(b"old").unwrap();
+            for k in [b"y1", b"y2", b"y3"] {
+                store.put(k, b"2").unwrap();
+                if k != b"y3" {
+                    store.seal().unwrap();
+                }
+            }
+            assert_eq!(levels(&store), vec![0, 0, 1], "{case}");
             let expected = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+            assert!(expected.iter().all(|(k, _)| k != b"old"));
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("store.lsm.compactions"), 1, "{case}");
 
-            // Compaction syncs: #1 merged-run file, #2 manifest record.
-            ctl.fail_syncs_after(barrier, 1);
-            assert!(
-                store.compact_now().is_err(),
-                "barrier {barrier}: compaction sync failure must surface"
+            // The seal's syncs: #1 leading WAL, #2 run file, #3 manifest,
+            // #4 WAL truncation, #5 checkpoint record; then the merge's
+            // #6 merged-run file and #7 manifest record.
+            ctl.fail_syncs_after(5 + barrier, 1);
+            store
+                .seal()
+                .unwrap_or_else(|e| panic!("{case}: a failed merge failed the seal: {e}"));
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("store.lsm.compact.errors"), 1, "{case}");
+            assert_eq!(snap.counter("store.lsm.compactions"), 1, "{case}");
+            assert_eq!(levels(&store), vec![0, 0, 0, 1], "{case}: tier still ready");
+            assert_eq!(
+                store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
+                expected,
+                "{case}: reads changed"
             );
-            drop(store);
+            assert_eq!(store.get(b"old").unwrap(), None, "{case}");
+            assert_eq!(store.get(b"y3").unwrap().unwrap(), b"2", "{case}");
 
-            dir.crash(crash_seed);
+            if let Some(seed) = crash_seed {
+                drop(store);
+                dir.crash(seed);
+                store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
+                    .expect("recovery after a failed merge");
+                store.check().unwrap();
+                assert_eq!(
+                    store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
+                    expected,
+                    "{case}: sealed state changed"
+                );
+                assert_eq!(
+                    store.get(b"old").unwrap(),
+                    None,
+                    "{case}: the crash resurrected a deleted key"
+                );
+            }
 
-            let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
-                .expect("recovery after a mid-compaction crash");
+            // The next seal completes the merge. (If the failed manifest
+            // record landed at the crash, it already did, and the seal
+            // finds nothing to merge.)
+            store.seal().unwrap();
+            assert_eq!(levels(&store), vec![1, 1], "{case}");
             store.check().unwrap();
             assert_eq!(
                 store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
                 expected,
-                "barrier {barrier} seed {crash_seed}: sealed state changed"
+                "{case}: the retried merge changed the state"
             );
-            // Retry converges: one run, same contents. (If the staged
-            // manifest record landed, the merge is already installed and
-            // the retry is a no-op.)
-            let _ = store.compact_now().unwrap();
-            assert_eq!(store.run_count(), 1);
-            assert_eq!(
-                store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-                expected
-            );
+            assert_eq!(store.get(b"old").unwrap(), None, "{case}");
         }
     }
 }
 
-/// Crash mid-**tier**-compaction at each durability barrier (merged-run
-/// sync, manifest sync), with a tombstone riding in the merged tier whose
-/// live value sits in a deeper run. Beyond what the full-merge crash test
-/// covers, recovery must also preserve the tier structure (levels stay
-/// non-decreasing, `check` passes) and must never resurrect the deleted
-/// key — the merged young tier keeps its tombstone because it is not a
-/// bottom merge.
+/// A merge whose manifest sync fails leaves a staged record naming its
+/// run, and a crash can still land it. The next seal must therefore not
+/// write its own run under that name: if it did and its commit failed
+/// too, a crash landing the merge's record would adopt the seal's data as
+/// the merged run and reap the merge's inputs as orphans.
 #[test]
-fn crash_mid_tier_compaction_preserves_state_and_levels() {
-    for barrier in 0..2u32 {
-        for crash_seed in [9u64, 0xC0FF_EE42] {
-            let dir = MemDir::new();
-            let faulty = FaultyDir::new(dir.clone(), FaultConfig::default());
-            let ctl = faulty.control();
-            let mut store = LsmStore::open_with_dir(Arc::new(faulty), small_lsm_opts()).unwrap();
-
-            // A deep (level-1) run holding a key the young tier deletes.
-            store.put(b"old", b"live").unwrap();
-            store.put(b"base", b"1").unwrap();
+fn a_failed_merge_never_lends_its_run_id_to_the_next_seal() {
+    // Seed 12 is one that lands the merge's record alone.
+    for crash_seed in 0u64..32 {
+        let (Rig { mut store, dir }, ctl) = open_faulty_rig(FaultConfig::default());
+        let mut acked: Vec<Op> = Vec::new();
+        let mut put = |store: &mut LsmStore, k: &[u8]| {
+            store.put(k, b"v").unwrap();
+            acked.push(Op::Put(k.to_vec(), b"v".to_vec()));
+        };
+        for k in [b"a1", b"a2"] {
+            put(&mut store, k);
             store.seal().unwrap();
-            store.put(b"base2", b"2").unwrap();
-            store.seal().unwrap();
-            assert!(store.compact_tier_now().unwrap());
-            assert_eq!(
-                store
-                    .run_levels()
-                    .iter()
-                    .map(|&(_, l)| l)
-                    .collect::<Vec<_>>(),
-                vec![1]
-            );
-            store.delete(b"old").unwrap();
-            store.put(b"y1", b"3").unwrap();
-            store.seal().unwrap();
-            store.put(b"y2", b"4").unwrap();
-            store.seal().unwrap();
-            let expected = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
-            assert!(expected.iter().all(|(k, _)| k != b"old"));
-
-            // Tier-merge syncs: #1 merged-run file, #2 manifest record.
-            ctl.fail_syncs_after(barrier, 1);
-            assert!(
-                store.compact_tier_now().is_err(),
-                "barrier {barrier}: tier-compaction sync failure must surface"
-            );
-            drop(store);
-
-            dir.crash(crash_seed);
-
-            let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
-                .expect("recovery after a mid-tier-compaction crash");
-            store.check().unwrap();
-            assert_eq!(
-                store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-                expected,
-                "barrier {barrier} seed {crash_seed}: sealed state changed"
-            );
-            assert_eq!(
-                store.get(b"old").unwrap(),
-                None,
-                "barrier {barrier} seed {crash_seed}: tier crash resurrected a deleted key"
-            );
-            // Retried tier merges converge without changing the state.
-            while store.compact_tier_now().unwrap() {}
-            store.check().unwrap();
-            assert_eq!(
-                store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-                expected
-            );
-            assert_eq!(store.get(b"old").unwrap(), None);
-            // And the full merge still collapses everything to one run.
-            let _ = store.compact_now().unwrap();
-            assert_eq!(store.run_count(), 1);
-            assert_eq!(
-                store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
-                expected
-            );
         }
+        put(&mut store, b"a3");
+        // This seal readies the level-0 tier; fail the merge's manifest
+        // sync (#7, as counted above).
+        ctl.fail_syncs_after(6, 1);
+        store.seal().unwrap();
+        assert_eq!(levels(&store), vec![0, 0, 0]);
+        // The next seal's own commit fails too (#3: its manifest sync).
+        put(&mut store, b"b1");
+        ctl.fail_syncs_after(2, 1);
+        assert!(store.seal().is_err(), "manifest sync failure must surface");
+        drop(store);
+
+        dir.crash(crash_seed);
+        let store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
+            .expect("recovery after two failed commits");
+        store.check().unwrap();
+        // The failed seal's leading WAL sync made every acked op durable.
+        let recovered = store.scan(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert!(
+            matching_prefix(&recovered, &acked, acked.len()).is_some(),
+            "seed {crash_seed}: recovered {recovered:?}"
+        );
     }
 }
 
@@ -676,12 +692,8 @@ fn crash_mid_tier_compaction_preserves_state_and_levels() {
 enum TierOp {
     Put(Vec<u8>, Vec<u8>),
     Delete(Vec<u8>),
+    /// Seal, merging every tier it readies.
     Seal,
-    /// One tier merge ([`LsmStore::compact_tier_now`]).
-    CompactTier,
-    /// Tier merges to fixpoint plus the bottom merge
-    /// ([`LsmStore::compact_now`]).
-    CompactFull,
     /// Sync, power-cut with this seed, reopen.
     Crash(u64),
 }
@@ -691,9 +703,7 @@ fn tier_op_strategy() -> impl Strategy<Value = TierOp> {
         5 => (key_strategy(), proptest::collection::vec(any::<u8>(), 0..16))
             .prop_map(|(k, v)| TierOp::Put(k, v)),
         2 => key_strategy().prop_map(TierOp::Delete),
-        2 => Just(TierOp::Seal),
-        2 => Just(TierOp::CompactTier),
-        1 => Just(TierOp::CompactFull),
+        3 => Just(TierOp::Seal),
         1 => any::<u64>().prop_map(TierOp::Crash),
     ]
 }
@@ -701,17 +711,18 @@ fn tier_op_strategy() -> impl Strategy<Value = TierOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any interleaving of writes, seals, per-tier merges, full merges
-    /// and (synced) crashes leaves the tiered store read-equivalent to
-    /// the flat `BTreeMap` model — point reads, bloom filters and sparse
-    /// indexes included.
+    /// Any interleaving of writes, seals (and the merges they run) and
+    /// (synced) crashes leaves the tiered store read-equivalent to the
+    /// flat `BTreeMap` model — point reads, bloom filters and sparse
+    /// indexes included. Seals merge every second run, so a stack counts
+    /// its seals in binary and several levels form within one case.
     #[test]
     fn tiered_compaction_is_read_equivalent_to_flat_model(
         ops in proptest::collection::vec(tier_op_strategy(), 1..48),
     ) {
+        let opts = LsmOptions { compact_min_runs: 2, ..small_lsm_opts() };
         let dir = MemDir::new();
-        let mut store =
-            LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts()).unwrap();
+        let mut store = LsmStore::open_with_dir(Arc::new(dir.clone()), opts).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
         for op in &ops {
             match op {
@@ -723,18 +734,15 @@ proptest! {
                     store.delete(k).unwrap();
                     model.remove(k);
                 }
-                TierOp::Seal => store.seal().unwrap(),
-                TierOp::CompactTier => {
-                    let _ = store.compact_tier_now().unwrap();
-                }
-                TierOp::CompactFull => {
-                    let _ = store.compact_now().unwrap();
+                TierOp::Seal => {
+                    store.seal().unwrap();
+                    prop_assert!(!tier_ready(&store, 2), "a seal left a tier ready");
                 }
                 TierOp::Crash(seed) => {
                     store.sync().unwrap();
                     drop(store);
                     dir.crash(*seed);
-                    store = LsmStore::open_with_dir(Arc::new(dir.clone()), small_lsm_opts())
+                    store = LsmStore::open_with_dir(Arc::new(dir.clone()), opts)
                         .expect("reopen after synced crash");
                 }
             }
@@ -819,10 +827,10 @@ fn seeded_fault_schedule_preserves_prefix_consistency() {
     }
 }
 
-/// Compaction chaos: seal/compact cycles under a seeded fault
-/// schedule. Reorganization failures only defer the merge — the live
-/// view always equals the acked model, a crash recovers a prefix, and a
-/// clean retry converges to a single run with nothing lost.
+/// Compaction chaos: seal cycles, and the merges they run, under a seeded
+/// fault schedule. Reorganization failures only defer the merge — the
+/// live view always equals the acked model, a crash recovers a prefix,
+/// and a clean seal merges every tier left ready with nothing lost.
 #[test]
 fn seeded_compaction_chaos_never_corrupts() {
     for seed in chaos_seeds() {
@@ -846,10 +854,9 @@ fn seeded_compaction_chaos_never_corrupts() {
                     acked.push(Op::Put(k, v));
                 }
             }
-            // Reorganization under chaos: either may fail, neither may
-            // lose or invent data.
+            // Reorganization under chaos: the seal or its merges may
+            // fail, neither may lose or invent data.
             let _ = store.seal();
-            let _ = store.compact_now();
         }
         assert!(
             ctl.injected_total() > 0,
@@ -873,10 +880,9 @@ fn seeded_compaction_chaos_never_corrupts() {
             matching_prefix(&recovered, &acked, 0).is_some(),
             "seed {seed}: recovered state is not a prefix of the acked ops"
         );
-        // A clean retry converges without changing the logical state.
+        // A clean seal converges without changing the logical state.
         store.seal().unwrap();
-        let _ = store.compact_now().unwrap();
-        assert!(store.run_count() <= 1);
+        assert!(!tier_ready(&store, small_lsm_opts().compact_min_runs));
         assert_eq!(
             store.scan(Bound::Unbounded, Bound::Unbounded).unwrap(),
             recovered,

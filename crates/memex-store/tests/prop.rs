@@ -43,14 +43,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The keyed store behaves exactly like an in-memory ordered map —
-    /// with a budget small enough that the stream seals on its own, and a
-    /// tier merge after every explicit checkpoint.
+    /// with a budget small enough that the stream seals on its own, and
+    /// seals that merge every second run, so the stack deepens as it goes.
     #[test]
     fn kv_matches_btreemap_model(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let mut kv = LsmStore::open_memory_opts(LsmOptions {
             memtable_bytes: 256,
-            background_compaction: false,
-            ..LsmOptions::default()
+            compact_min_runs: 2,
         })
         .unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -66,10 +65,7 @@ proptest! {
                     kv.delete(k).unwrap();
                     model.remove(k);
                 }
-                Op::Checkpoint => {
-                    kv.seal().unwrap();
-                    kv.compact_tier_now().unwrap();
-                }
+                Op::Checkpoint => kv.seal().unwrap(),
             }
         }
         kv.check().unwrap();

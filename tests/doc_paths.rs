@@ -4,6 +4,10 @@
 //! `src/` or `tests/` — the ways the docs abbreviate one — so
 //! `tests/fault.rs`, `memex-store/tests/fault.rs` and `vfs.rs` all
 //! resolve. A deleted or renamed file that a doc still cites fails here.
+//!
+//! A span naming a function in a file, `file.rs::name` (how the docs cite
+//! a test), must also find `fn name` in the file it resolves to, so a
+//! renamed or deleted test that a doc still cites fails here too.
 
 use std::path::{Path, PathBuf};
 
@@ -23,19 +27,42 @@ fn doc_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Every backticked span of `text` that is one word ending in `.rs`.
-fn rs_paths(text: &str) -> Vec<&str> {
+/// Every backticked span of `text` that is one word ending in `.rs`, or
+/// one word `<path>.rs::<name>`: the path, and the name when there is one.
+fn rs_paths(text: &str) -> Vec<(&str, Option<&str>)> {
     let mut out = Vec::new();
     for line in text.lines() {
         let spans: Vec<&str> = line.split('`').collect();
         // The pieces between two backticks of one line.
         for span in spans.iter().skip(1).take(spans.len().saturating_sub(2)) {
-            if span.ends_with(".rs") && !span.contains(char::is_whitespace) {
-                out.push(*span);
+            if span.contains(char::is_whitespace) {
+                continue;
+            }
+            match span.split_once("::") {
+                Some((path, name)) if path.ends_with(".rs") && is_ident(name) => {
+                    out.push((path, Some(name)));
+                }
+                None if span.ends_with(".rs") => out.push((*span, None)),
+                _ => {}
             }
         }
     }
     out
+}
+
+fn is_ident(name: &str) -> bool {
+    !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Does `source` declare `fn name`?
+fn declares_fn(source: &str, name: &str) -> bool {
+    let needle = format!("fn {name}");
+    source.match_indices(&needle).any(|(at, _)| {
+        source[at + needle.len()..]
+            .chars()
+            .next()
+            .is_some_and(|c| !(c.is_ascii_alphanumeric() || c == '_'))
+    })
 }
 
 /// The directories a doc path may be relative to.
@@ -60,18 +87,32 @@ fn every_backticked_rs_path_in_the_docs_resolves() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let bases = bases(root);
     let mut checked = 0usize;
+    let mut named = 0usize;
     let mut missing = Vec::new();
     for doc in doc_files(root) {
         let text = std::fs::read_to_string(&doc).expect("readable doc");
-        for path in rs_paths(&text) {
+        let doc_name = doc.strip_prefix(root).unwrap_or(&doc).display().to_string();
+        for (path, name) in rs_paths(&text) {
             checked += 1;
-            if !bases.iter().any(|base| base.join(path).is_file()) {
-                let name = doc.strip_prefix(root).unwrap_or(&doc);
-                missing.push(format!("{}: `{path}`", name.display()));
+            let Some(file) = bases
+                .iter()
+                .map(|base| base.join(path))
+                .find(|file| file.is_file())
+            else {
+                missing.push(format!("{doc_name}: `{path}`"));
+                continue;
+            };
+            if let Some(name) = name {
+                named += 1;
+                let source = std::fs::read_to_string(&file).expect("readable source");
+                if !declares_fn(&source, name) {
+                    missing.push(format!("{doc_name}: `{path}::{name}` (no `fn {name}`)"));
+                }
             }
         }
     }
     assert!(checked >= 20, "found only {checked} `*.rs` references");
+    assert!(named >= 6, "found only {named} `*.rs::name` references");
     assert!(
         missing.is_empty(),
         "doc references to no file:\n{}",
@@ -82,6 +123,23 @@ fn every_backticked_rs_path_in_the_docs_resolves() {
 #[test]
 fn spans_are_one_word_ending_in_rs_within_a_line() {
     let text = "see `tests/fault.rs` and `vfs.rs`, not `a b.rs` or `x.rsx`\n\
-                ```rust\nlet s = `c.rs`;\n```\nopen `d.rs\nnext.rs` line";
-    assert_eq!(rs_paths(text), ["tests/fault.rs", "vfs.rs", "c.rs"]);
+                ```rust\nlet s = `c.rs`;\n```\nopen `d.rs\nnext.rs` line\n\
+                `lsm.rs::seal`, not `lsm.rs::` or `lsm.rs::a b` or `e.rs::f()`";
+    assert_eq!(
+        rs_paths(text),
+        [
+            ("tests/fault.rs", None),
+            ("vfs.rs", None),
+            ("c.rs", None),
+            ("lsm.rs", Some("seal")),
+        ]
+    );
+}
+
+#[test]
+fn a_named_function_must_be_declared_whole() {
+    let source = "fn seal_deferred() {}\npub fn sealed<T>() {}\n";
+    assert!(declares_fn(source, "sealed"));
+    assert!(declares_fn(source, "seal_deferred"));
+    assert!(!declares_fn(source, "seal"));
 }

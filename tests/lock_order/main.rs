@@ -36,10 +36,6 @@ const LOCKS: &Table = &[
     ("net.memex", &["server.rs:self.memex"]),
     ("net.read_cache", &["server.rs:self.cache"]),
     ("net.live_conns", &["server.rs:transport.live"]),
-    ("store.lsm.wake", &["lsm.rs:shared.wake.flag"]),
-    ("store.lsm.manifest", &["lsm.rs:shared.manifest"]),
-    ("store.lsm.state", &["lsm.rs:shared.state"]),
-    ("store.lsm.metrics", &["lsm.rs:shared.metrics"]),
     ("store.vfs.inner", &["vfs.rs:self.inner"]),
     ("store.vfs.script", &["vfs.rs:self.script"]),
     ("server.fetcher.state", &["fetcher.rs:state"]),
