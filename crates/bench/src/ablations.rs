@@ -1,8 +1,9 @@
 //! Ablations for the design choices DESIGN.md calls out. These are not
 //! paper tables — they justify the knobs: which evidence channel earns the
 //! T1 lift, how much Fisher feature selection buys, whether TAPER's
-//! hierarchical descent helps over a flat classifier, and what §3's storage
-//! split saves on term statistics.
+//! hierarchical descent helps over a flat classifier, what §3's storage
+//! split saves on term statistics, and what the keyed store's inline
+//! merges cost.
 
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -13,6 +14,7 @@ use crate::rel::{ColType, Column, Database, Schema, Value};
 use memex_learn::enhanced::{EnhancedClassifier, EnhancedOptions, EnhancedProblem};
 use memex_learn::nb::{HierarchicalNB, NaiveBayes, NbOptions};
 use memex_learn::taxonomy::Taxonomy;
+use memex_obs::MetricsRegistry;
 use memex_store::lsm::LsmStore;
 use memex_text::features::FeatureScore;
 use memex_web::corpus::{Corpus, CorpusConfig};
@@ -424,6 +426,64 @@ pub fn run_store(quick: bool) -> Table {
             gaps.join(", ")
         ));
     }
+    table
+}
+
+/// A7 — what the writer's inline merges cost (DESIGN §14.2): 400 000
+/// distinct 26-byte keys with 40-byte values put into one keyed store with
+/// default options, in a scrambled order so every run spans the key
+/// range. Every seal that readies a tier merges it before the put that
+/// triggered it returns; the store's own counters say how often and what
+/// it read.
+///
+/// `--quick` runs it in full too: a run takes about a second, and the
+/// first run in a process pays for growing the heap (it reads ≈ 40 %
+/// slower than the next two), so a single run would overstate the cost.
+pub fn run_merges(_quick: bool) -> Table {
+    const KEYS: u64 = 400_000;
+    // 999 983 is prime and shares no factor with 400 000 (2^7 * 5^5), so
+    // stepping by it visits every key once.
+    const STEP: u64 = 999_983;
+    let value = [b'v'; 40];
+    let mut rows = Vec::new();
+    for _ in 0..3 {
+        let registry = MetricsRegistry::new();
+        let mut kv = LsmStore::open_memory().expect("kv");
+        kv.attach_registry(&registry);
+        let start = Instant::now();
+        for i in 0..KEYS {
+            let key = format!("key-{:022}", i * STEP % KEYS);
+            kv.put(key.as_bytes(), &value).expect("put");
+        }
+        let wall = start.elapsed();
+        let snap = registry.snapshot();
+        let merge = registry.histogram("store.lsm.compact.latency").snapshot();
+        let mib = snap.counter("store.lsm.compact.bytes") as f64 / f64::from(1u32 << 20);
+        let merge_ms = merge.sum as f64 / 1e6;
+        rows.push(vec![
+            snap.counter("store.lsm.seals").to_string(),
+            merge.count.to_string(),
+            format!("{mib:.1}"),
+            format!("{merge_ms:.0}"),
+            format!("{:.1}", merge_ms / mib),
+            format!("{:.2}", wall.as_secs_f64()),
+        ]);
+    }
+    let mut table = Table::new(
+        "A7: inline tier merges, 400 000 distinct keys into one keyed store (default options)",
+        &[
+            "seals",
+            "merges",
+            "MiB merged",
+            "merge time (ms)",
+            "ms per MiB",
+            "all puts (s)",
+        ],
+    );
+    for row in rows {
+        table.row(row);
+    }
+    table.note("MiB merged is `store.lsm.compact.bytes` (the inputs' file sizes); merge time sums `store.lsm.compact.latency`. Each row is one run in a `MemDir`; timings are single readings on the host that ran them.");
     table
 }
 

@@ -107,5 +107,10 @@ pub fn all_experiments() -> Vec<Experiment> {
             "Ablation: RDBMS vs lightweight store for term statistics (§3)",
             ablations::run_store,
         ),
+        (
+            "A7",
+            "Ablation: the keyed store's inline tier merges",
+            ablations::run_merges,
+        ),
     ]
 }

@@ -7,24 +7,26 @@
 //! * **Writes** land in a sorted in-memory memtable, logged through the
 //!   [`Wal`] (crash recovery replays it back).
 //! * **Seal**: when the memtable outgrows its budget (or on an explicit
-//!   checkpoint) it is written as one immutable sorted [`Run`] file on a
-//!   [`StorageDir`], the `Manifest` records the new run set, and the
-//!   WAL is truncated.
+//!   checkpoint) its sorted entries stream into one immutable sorted run
+//!   file on a [`StorageDir`], the `Manifest` records the new run set,
+//!   and the WAL is truncated.
 //! * **Tiered compaction**: runs carry a **level** (0 = freshly sealed).
 //!   Once a seal has checkpointed the WAL it merges, inline, every tier —
 //!   a maximal contiguous span of same-level runs — that has reached
 //!   `compact_min_runs`, each into one run a level deeper. Each record is
 //!   therefore rewritten O(levels) times instead of O(total-data/seal)
 //!   times, which is the whole point: the archive only grows, and full
-//!   merges grow with it. Tombstones are dropped only when the merge
-//!   reaches the **bottom** of the stack — anywhere else a dropped
-//!   tombstone would resurrect a deleted key still shadowed in an older
-//!   run.
+//!   merges grow with it. A merge streams its inputs through the k-way
+//!   merge range reads use, straight into the run encoder, copying no
+//!   entry. Tombstones are dropped only when the merge reaches the
+//!   **bottom** of the stack — anywhere else a dropped tombstone would
+//!   resurrect a deleted key still shadowed in an older run.
 //! * **Bloom + sparse index**: every run carries a bloom filter and a
-//!   sparse block index, so a point lookup consults only runs whose bloom
-//!   admits the key and decodes one small block there — `get()` stays
-//!   flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}` classify
-//!   every probe.
+//!   sparse block index, derived from its data region by one walk when it
+//!   is written and again when it is loaded. A point lookup consults only
+//!   runs whose bloom admits the key and decodes one small block there —
+//!   `get()` stays flat as runs accumulate. `store.lsm.bloom.{hit,skip,fp}`
+//!   classify every probe.
 //! * **One owner**: writes (and the seals and merges they trigger) take
 //!   `&mut self`, reads ([`LsmStore::get`], [`LsmStore::for_each_range`])
 //!   take `&self`. The store starts no thread and holds no lock; whoever
@@ -51,15 +53,13 @@
 mod manifest;
 mod run;
 
-use run::RunIter;
-pub use run::{Probe, Run};
+use run::{Probe, Run, RunEncoder, RunIter};
 
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 use memex_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -416,7 +416,26 @@ impl LsmStore {
         end: Bound<&[u8]>,
         f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
     ) -> StoreResult<()> {
-        merged_for_each(&self.state.memtable, &self.state.runs, start, end, f);
+        if empty_range(&start, &end) {
+            return Ok(());
+        }
+        // Sources youngest first: the memtable's range, then every run
+        // (newest first) from the range's start.
+        let runs = &self.state.runs;
+        let mut sources: Vec<MergeSource<'_>> = Vec::with_capacity(runs.len() + 1);
+        sources.push(MergeIter::Mem(self.state.memtable.range::<[u8], _>((start, end))).peekable());
+        for entry in runs {
+            let it = match start {
+                Bound::Included(k) | Bound::Excluded(k) => entry.run.iter_from(k),
+                Bound::Unbounded => entry.run.iter(),
+            };
+            let mut source = MergeIter::Run(it, end).peekable();
+            if let Bound::Excluded(k) = start {
+                source.next_if(|&(key, _)| key == k);
+            }
+            sources.push(source);
+        }
+        merged_for_each(sources, |key, value| value.is_none_or(|v| f(key, v)));
         Ok(())
     }
 
@@ -459,41 +478,10 @@ impl LsmStore {
     /// `store.lsm.compact.errors` and its tier waits for the next seal.
     pub fn seal(&mut self) -> StoreResult<()> {
         let _trace = memex_obs::trace::span("store.lsm.seal");
-        let started = Instant::now();
-        // Make the whole log durable before anything derived from it is:
-        // the run must never get ahead of the durable WAL, or a crash
-        // could replay a stale prefix over newer run data.
-        self.wal.sync()?;
-        if !self.state.memtable.is_empty() {
-            let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = self
-                .state
-                .memtable
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            let id = self.allocate_run_id();
-            let run = self.write_run(id, entries)?;
-            let list: Vec<(u64, u32)> = std::iter::once((id, 0))
-                .chain(self.state.runs.iter().map(LeveledRun::id_level))
-                .collect();
-            // On failure, keep the run file: the append may have staged
-            // its record before the failure, and a crash can still land
-            // those bytes durably. If the record lands, the (fully
-            // synced) run is live and must exist; if it does not, the
-            // orphan scan reaps the file at the next open. Removing it
-            // here would let a landed record point at nothing.
-            self.commit_runs(&list)?;
-            // Committed: install in memory. From here on failure may only
-            // leave the WAL un-truncated, which replays idempotently.
-            self.state.runs.insert(0, LeveledRun { run, level: 0 });
-            self.state.memtable.clear();
-            let sealed_bytes = std::mem::take(&mut self.state.memtable_bytes);
-            let m = &self.metrics;
-            m.seals.inc();
-            m.memtable_bytes.add(-(sealed_bytes as i64));
-            m.runs.add(1);
-            m.levels.set_max(level_count(&self.state.runs) as i64);
-            m.seal_latency.record(elapsed_ns(started));
+        if self.state.memtable.is_empty() {
+            self.wal.sync()?;
+        } else {
+            self.seal_memtable()?;
         }
         self.checkpoint_wal()?;
         loop {
@@ -506,6 +494,46 @@ impl LsmStore {
                 }
             }
         }
+    }
+
+    /// Write the (non-empty) memtable as a level-0 run and commit it,
+    /// timed in `store.lsm.seal.latency`.
+    fn seal_memtable(&mut self) -> StoreResult<()> {
+        let _latency = self.metrics.seal_latency.start_span();
+        // Make the whole log durable before anything derived from it is:
+        // the run must never get ahead of the durable WAL, or a crash
+        // could replay a stale prefix over newer run data.
+        self.wal.sync()?;
+        let id = self.allocate_run_id();
+        // Each entry's tracked cost carries 32 bytes of overhead and its
+        // encoding at most 11, so the memtable's bytes bound the run's.
+        let capacity = usize::try_from(self.state.memtable_bytes).unwrap_or(0);
+        let mut encoder = RunEncoder::with_capacity(capacity);
+        for (key, value) in &self.state.memtable {
+            encoder.push(key, value.as_deref());
+        }
+        let run = self.write_run(id, encoder)?;
+        let list: Vec<(u64, u32)> = std::iter::once((id, 0))
+            .chain(self.state.runs.iter().map(LeveledRun::id_level))
+            .collect();
+        // On failure, keep the run file: the append may have staged its
+        // record before the failure, and a crash can still land those
+        // bytes durably. If the record lands, the (fully synced) run is
+        // live and must exist; if it does not, the orphan scan reaps the
+        // file at the next open. Removing it here would let a landed
+        // record point at nothing.
+        self.commit_runs(&list)?;
+        // Committed: install in memory. From here on failure may only
+        // leave the WAL un-truncated, which replays idempotently.
+        self.state.runs.insert(0, LeveledRun { run, level: 0 });
+        self.state.memtable.clear();
+        let sealed_bytes = std::mem::take(&mut self.state.memtable_bytes);
+        let m = &self.metrics;
+        m.seals.inc();
+        m.memtable_bytes.add(-(sealed_bytes as i64));
+        m.runs.add(1);
+        m.levels.set_max(level_count(&self.state.runs) as i64);
+        Ok(())
     }
 
     /// Truncate the WAL and mark the checkpoint (the sealed runs now
@@ -532,52 +560,53 @@ impl LsmStore {
         self.manifest.append(epoch, next_run_id, runs)
     }
 
-    /// Write and sync run `id` holding `entries`. A partial file may
-    /// remain when this fails: it is deleted if possible, and otherwise
-    /// the orphan scan reaps it at the next open.
-    fn write_run(&self, id: u64, entries: Vec<(Vec<u8>, Option<Vec<u8>>)>) -> StoreResult<Run> {
+    /// Write and sync run `id` holding what `encoder` was fed. A partial
+    /// file may remain when this fails: it is deleted if possible, and
+    /// otherwise the orphan scan reaps it at the next open.
+    fn write_run(&self, id: u64, encoder: RunEncoder) -> StoreResult<Run> {
         let name = Run::file_name(id);
         let mut storage = self.dir.open(&name)?;
-        Run::write(id, entries, storage.as_mut()).inspect_err(|_| {
+        encoder.finish(id, storage.as_mut()).inspect_err(|_| {
             let _ = self.dir.remove(&name);
         })
     }
 
     /// Merge the first ready tier into one run a level deeper; returns
-    /// whether there was one. Tombstones are dropped **only** when the
-    /// tier reaches the bottom of the stack; anywhere else they must
-    /// survive to keep shadowing deleted keys in older runs. The merged
-    /// run is committed by a manifest record before it replaces its
-    /// inputs in memory; the input files are deleted afterwards (failed
-    /// deletions become orphans for the next open).
+    /// whether there was one. The victims stream through the read path's
+    /// k-way merge into the run encoder. Tombstones are dropped **only**
+    /// when the tier reaches the bottom of the stack; anywhere else they
+    /// must survive to keep shadowing deleted keys in older runs. The
+    /// merged run is committed by a manifest record before it replaces
+    /// its inputs in memory; the input files are deleted afterwards
+    /// (failed deletions become orphans for the next open).
     fn compact_once(&mut self) -> StoreResult<bool> {
         let Some((start, end, out_level)) =
             select_tier(&self.state.runs, self.opts.compact_min_runs)
         else {
             return Ok(false);
         };
+        let _trace = memex_obs::trace::span("store.lsm.compact");
+        let _latency = self.metrics.compact_latency.start_span();
+        let id = self.allocate_run_id();
         let Some(victims) = self.state.runs.get(start..end) else {
             return Ok(false);
         };
-        let _trace = memex_obs::trace::span("store.lsm.compact");
-        let started = Instant::now();
-        // Oldest victim first so newer entries overwrite.
-        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        for victim in victims.iter().rev() {
-            for (k, v) in victim.run.iter() {
-                merged.insert(k.to_vec(), v.map(|x| x.to_vec()));
-            }
-        }
-        // Tombstones shadow matching keys in runs *below* the merged span;
-        // only a merge that reaches the bottom of the stack may drop them.
-        let entries: Vec<(Vec<u8>, Option<Vec<u8>>)> = if end == self.state.runs.len() {
-            merged.into_iter().filter(|(_, v)| v.is_some()).collect()
-        } else {
-            merged.into_iter().collect()
-        };
+        let bottom = end == self.state.runs.len();
         let input_bytes: u64 = victims.iter().map(|r| r.run.bytes).sum();
-        let id = self.allocate_run_id();
-        let run = self.write_run(id, entries)?;
+        // Victims newest first, so the youngest entry of a key wins.
+        let sources = victims
+            .iter()
+            .map(|victim| MergeIter::Run(victim.run.iter(), Bound::Unbounded).peekable())
+            .collect();
+        // A merge never grows its inputs, so their file sizes bound it.
+        let mut encoder = RunEncoder::with_capacity(usize::try_from(input_bytes).unwrap_or(0));
+        merged_for_each(sources, |key, value| {
+            if value.is_some() || !bottom {
+                encoder.push(key, value);
+            }
+            true
+        });
+        let run = self.write_run(id, encoder)?;
         let runs = &self.state.runs;
         let list: Vec<(u64, u32)> = runs
             .iter()
@@ -587,10 +616,10 @@ impl LsmStore {
             .chain(runs.iter().skip(end).map(LeveledRun::id_level))
             .collect();
         // On failure, keep the merged run file — same reasoning as in
-        // `seal`: the staged manifest record may still land at a crash.
-        // Either the record lands (run live, victims become orphans) or it
-        // does not (this file becomes the orphan) — recovery reconciles
-        // both.
+        // `seal_memtable`: the staged manifest record may still land at a
+        // crash. Either the record lands (run live, victims become
+        // orphans) or it does not (this file becomes the orphan) —
+        // recovery reconciles both.
         self.commit_runs(&list)?;
         let merged_away: Vec<LeveledRun> = self
             .state
@@ -611,7 +640,6 @@ impl LsmStore {
         m.levels.set_max(level_count(&self.state.runs) as i64);
         m.compactions.inc();
         m.compact_bytes.add(input_bytes);
-        m.compact_latency.record(elapsed_ns(started));
         Ok(true)
     }
 
@@ -667,10 +695,6 @@ impl Drop for LsmStore {
         // A closed store no longer counts toward the shared gauges.
         publish_gauges(&self.metrics, &self.state, -1);
     }
-}
-
-fn elapsed_ns(started: Instant) -> u64 {
-    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Pick the first (youngest) tier — maximal contiguous same-level span —
@@ -798,34 +822,15 @@ impl<'a> Iterator for MergeIter<'a> {
 
 type MergeSource<'a> = Peekable<MergeIter<'a>>;
 
-/// K-way merge over the memtable and runs, youngest source wins per key,
-/// tombstones suppressed. `f` returning `false` stops the iteration.
-/// Run entries stream straight out of their resident encoded blocks; the
-/// only allocation is the list of sources.
-fn merged_for_each<'a>(
-    memtable: &'a BTreeMap<Vec<u8>, Option<Vec<u8>>>,
-    runs: &'a [LeveledRun],
-    start: Bound<&'a [u8]>,
-    end: Bound<&'a [u8]>,
-    f: &mut dyn FnMut(&[u8], &[u8]) -> bool,
+/// K-way merge of sorted sources, youngest first: each key goes to `f`
+/// once, with its youngest source's value (`None` = tombstone). `f`
+/// returning `false` stops the iteration. Run entries stream straight out
+/// of their resident encoded blocks, and nothing is allocated. Reads and
+/// tier merges both walk their sources through here.
+fn merged_for_each(
+    mut sources: Vec<MergeSource<'_>>,
+    mut f: impl FnMut(&[u8], Option<&[u8]>) -> bool,
 ) {
-    if empty_range(&start, &end) {
-        return;
-    }
-    // Sources ordered youngest-first: memtable, then runs newest-first.
-    let mut sources: Vec<MergeSource<'a>> = Vec::with_capacity(runs.len() + 1);
-    sources.push(MergeIter::Mem(memtable.range::<[u8], _>((start, end))).peekable());
-    for entry in runs {
-        let it = match start {
-            Bound::Included(k) | Bound::Excluded(k) => entry.run.iter_from(k),
-            Bound::Unbounded => entry.run.iter(),
-        };
-        let mut source = MergeIter::Run(it, end).peekable();
-        if let Bound::Excluded(k) = start {
-            source.next_if(|&(key, _)| key == k);
-        }
-        sources.push(source);
-    }
     loop {
         // Find the smallest key any source is looking at. Every source
         // borrows from the memtable or a run, so keys and values are
@@ -848,7 +853,7 @@ fn merged_for_each<'a>(
                 chosen.get_or_insert(v);
             }
         }
-        if let Some(Some(value)) = chosen {
+        if let Some(value) = chosen {
             if !f(key, value) {
                 return;
             }

@@ -1,18 +1,27 @@
 //! Immutable sorted runs: the on-disk unit of the LSM engine.
 //!
-//! A run is a sealed memtable (or a compaction merge): a sorted list of
-//! `(key, value-or-tombstone)` entries written as one buffer, synced, and
-//! never modified again: a merge writes a new run and drops its inputs
-//! whole, so recovery only ever has to choose between complete files.
+//! A run is a sealed memtable (or a tier merge): a sorted list of
+//! `(key, value-or-tombstone)` entries, synced and never modified again.
+//! A merge writes a new run and drops its inputs whole, so recovery only
+//! ever has to choose between complete files.
+//!
+//! One [`RunEncoder`] builds every run: a seal feeds it the memtable, a
+//! merge the k-way merge of its inputs, and it appends each entry to the
+//! data region as it arrives. At the end one walk over the data derives
+//! the sparse index, the bloom filter and the largest key, and the file
+//! is written as header, data, index-and-bloom tail and checksum, with no
+//! second copy of the data. [`Run::load`] runs the same walk over the
+//! data it reads and requires the stored tail to equal the derived one
+//! byte for byte.
 //!
 //! Each run carries the two read-amplification guards tiered compaction
 //! needs: a **bloom filter** over the keys (seeded FNV-1a base hash with
 //! a SplitMix64-derived second hash, double hashing) so a point lookup
 //! skips runs that cannot contain the key, and a **sparse index** of
-//! every block's first key, so a lookup that does consult the run decodes
-//! one small block instead of binary-searching materialized entries. The
-//! entries themselves stay encoded in one contiguous buffer — no `Vec` of
-//! per-entry allocations is resident.
+//! every block's offset, so a lookup that does consult the run decodes
+//! one small block instead of binary-searching materialized entries. A
+//! block's first key is read where it lies in the data region, which stays
+//! encoded in one contiguous buffer: no per-entry allocation is resident.
 //!
 //! File format (all little-endian via [`codec`](crate::codec)):
 //!
@@ -36,13 +45,16 @@
 //! are *not* referenced and are deleted by recovery (the orphan scan).
 
 use crate::codec::{
-    crc32, get_bytes, get_u32, get_u64, get_uvarint, put_bytes, put_u32, put_u64, put_uvarint,
+    crc32, crc32_extend, get_bytes, get_u32, get_uvarint, put_bytes, put_u32, put_u64, put_uvarint,
 };
 use crate::error::{StoreError, StoreResult};
 use crate::vfs::Storage;
 
 const MAGIC: u32 = 0x4D58_524E; // "MXRN"
 const VERSION: u32 = 2;
+
+/// Header bytes before the data region: magic, version, count, data_len.
+const HEADER_LEN: usize = 16;
 
 /// Entries per sparse-index block: small enough that the linear decode
 /// inside one block is a handful of key compares, large enough that the
@@ -70,7 +82,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// FNV-1a over `key`. Computed once per lookup (not once per run): each
 /// run's bloom mixes its own seed into this base hash afterwards, so a
 /// 16-run stack pays one byte walk, not sixteen.
-pub fn key_hash(key: &[u8]) -> u64 {
+pub(crate) fn key_hash(key: &[u8]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in key {
         h ^= u64::from(b);
@@ -83,7 +95,7 @@ pub fn key_hash(key: &[u8]) -> u64 {
 /// multiply-shift-reduced from `h1 + i*h2`, with `h1` the seed-mixed key
 /// hash and `h2` SplitMix64-derived (forced odd so the probe sequence
 /// covers the table).
-pub struct Bloom {
+struct Bloom {
     seed: u64,
     k: u32,
     nbits: u64,
@@ -91,19 +103,15 @@ pub struct Bloom {
 }
 
 impl Bloom {
-    /// The deterministic seed for run `id` — recomputable at load, so a
-    /// stored bloom whose seed disagrees is corruption, not a mystery.
-    fn seed_for(id: u64) -> u64 {
-        splitmix64(id ^ 0xA076_1D64_78BD_642F)
-    }
-
+    /// Sized for `count` keys of run `id`. The seed derives from the id,
+    /// so the loader rebuilds the very same filter from the data region.
     fn with_capacity(id: u64, count: usize) -> Bloom {
         let nbits = (count as u64)
             .saturating_mul(BLOOM_BITS_PER_KEY)
             .max(64)
             .next_multiple_of(64);
         Bloom {
-            seed: Bloom::seed_for(id),
+            seed: splitmix64(id ^ 0xA076_1D64_78BD_642F),
             k: BLOOM_K,
             nbits,
             words: vec![0u64; (nbits / 64) as usize],
@@ -156,45 +164,15 @@ impl Bloom {
             put_u64(out, *w);
         }
     }
-
-    fn decode(id: u64, buf: &[u8], pos: &mut usize) -> StoreResult<Bloom> {
-        let seed = get_u64(buf, pos)?;
-        let k = get_u32(buf, pos)?;
-        let nbits = get_u64(buf, pos)?;
-        let n_words = get_u32(buf, pos)? as usize;
-        if seed != Bloom::seed_for(id) || k == 0 || nbits == 0 || nbits != n_words as u64 * 64 {
-            return Err(StoreError::Corrupt(format!(
-                "run {id}: bloom parameters inconsistent"
-            )));
-        }
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(get_u64(buf, pos)?);
-        }
-        Ok(Bloom {
-            seed,
-            k,
-            nbits,
-            words,
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Run
 // ---------------------------------------------------------------------------
 
-/// One sparse-index entry: where block `i` starts in the data region and
-/// the first key it holds.
-struct BlockMeta {
-    offset: u32,
-    count: u32,
-    first_key: Vec<u8>,
-}
-
 /// The outcome of probing one run for a key — the three cases the
 /// `store.lsm.bloom.{skip,hit,fp}` counters classify.
-pub enum Probe<'a> {
+pub(crate) enum Probe<'a> {
     /// The run's key-range bounds or bloom filter excluded the key: the
     /// run's index was not consulted.
     Skip,
@@ -209,41 +187,182 @@ pub enum Probe<'a> {
 /// One sealed run: `id` names the file; entries live encoded in `data`
 /// (sorted by key, `None` = tombstone) behind a bloom filter and a sparse
 /// block index; `bytes` is the on-disk size.
-pub struct Run {
-    pub id: u64,
+pub(crate) struct Run {
+    pub(crate) id: u64,
     /// Encoded entries, contiguous, grouped into `BLOCK_ENTRIES` blocks.
     data: Vec<u8>,
-    index: Vec<BlockMeta>,
+    /// Where each block starts in `data`: the sparse index.
+    blocks: Vec<u32>,
     bloom: Bloom,
-    /// Largest key in the run (derived at build/load, not stored): with
-    /// the first index block's key it bounds the run's key range, so
+    /// Where the last entry starts in `data`. Its key, the run's largest,
+    /// and the first block's first key bound the run's key range, so
     /// point lookups prune disjoint runs before touching the bloom.
-    max_key: Vec<u8>,
-    count: u32,
-    pub bytes: u64,
+    last: usize,
+    pub(crate) bytes: u64,
+}
+
+/// What one walk over a data region derives: the sparse index, the bloom
+/// filter (sized by the entry count) and the last entry's offset, plus
+/// the file's index-and-bloom tail as the encoder writes it.
+struct Layout {
+    blocks: Vec<u32>,
+    bloom: Bloom,
+    last: usize,
+    tail: Vec<u8>,
+    /// Whether the keys strictly ascend. The encoder's callers guarantee
+    /// it; the loader checks it.
+    ordered: bool,
+}
+
+/// Walk `count` entries of `data`, checking their framing, and derive the
+/// run's [`Layout`]. The encoder calls this on the data it just appended,
+/// the loader on the data it just read: one derivation for both.
+fn walk(id: u64, data: &[u8], count: u32) -> StoreResult<Layout> {
+    // Every entry takes at least two bytes: checking the count against
+    // the data first bounds the allocations below.
+    if count as usize > data.len() {
+        return Err(StoreError::Corrupt(format!(
+            "run {id}: {count} entries in {} data bytes",
+            data.len()
+        )));
+    }
+    let n_blocks = count.div_ceil(BLOCK_ENTRIES);
+    let mut layout = Layout {
+        blocks: Vec::with_capacity(n_blocks as usize),
+        bloom: Bloom::with_capacity(id, count as usize),
+        last: 0,
+        tail: Vec::new(),
+        ordered: true,
+    };
+    put_u32(&mut layout.tail, n_blocks);
+    let mut pos = 0usize;
+    let mut prev: Option<&[u8]> = None;
+    for i in 0..count {
+        let entry = pos;
+        let flag = get_uvarint(data, &mut pos)?;
+        let key = get_bytes(data, &mut pos)?;
+        match flag {
+            0 => {}
+            1 => {
+                get_bytes(data, &mut pos)?;
+            }
+            other => {
+                return Err(StoreError::Corrupt(format!(
+                    "run {id}: bad entry flag {other}"
+                )))
+            }
+        }
+        layout.ordered &= prev.is_none_or(|prev| prev < key);
+        if i % BLOCK_ENTRIES == 0 {
+            layout.blocks.push(entry as u32);
+            put_u32(&mut layout.tail, entry as u32);
+            put_u32(&mut layout.tail, (count - i).min(BLOCK_ENTRIES));
+            put_bytes(&mut layout.tail, key);
+        }
+        layout.bloom.insert(key_hash(key));
+        layout.last = entry;
+        prev = Some(key);
+    }
+    if pos != data.len() {
+        return Err(StoreError::Corrupt(format!(
+            "run {id}: {} trailing bytes",
+            data.len() - pos
+        )));
+    }
+    // Room for the bloom and the checksum the encoder appends.
+    let bloom_len = 24 + 8 * layout.bloom.words.len();
+    layout.tail.reserve_exact(bloom_len + 4);
+    layout.bloom.encode(&mut layout.tail);
+    Ok(layout)
+}
+
+/// Builds one run from entries pushed in strictly ascending key order (a
+/// memtable walk or a merge), then writes and syncs it in
+/// [`finish`](RunEncoder::finish).
+pub(crate) struct RunEncoder {
+    data: Vec<u8>,
+    count: usize,
+}
+
+impl RunEncoder {
+    /// An encoder whose data region fits in `capacity` bytes without
+    /// growing; [`finish`](RunEncoder::finish) returns what is unused.
+    pub(crate) fn with_capacity(capacity: usize) -> RunEncoder {
+        RunEncoder {
+            data: Vec::with_capacity(capacity),
+            count: 0,
+        }
+    }
+
+    /// Append one entry (`None` = tombstone) to the data region.
+    pub(crate) fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
+        put_uvarint(&mut self.data, u64::from(value.is_some()));
+        put_bytes(&mut self.data, key);
+        if let Some(value) = value {
+            put_bytes(&mut self.data, value);
+        }
+        self.count += 1;
+    }
+
+    /// Derive the index and bloom, then write header, data, tail and
+    /// checksum at offset 0 of `storage` and sync it.
+    pub(crate) fn finish(self, id: u64, storage: &mut dyn Storage) -> StoreResult<Run> {
+        let RunEncoder { mut data, count } = self;
+        data.shrink_to_fit();
+        let too_large = |what, len| StoreError::TooLarge {
+            what,
+            len,
+            max: u32::MAX as usize,
+        };
+        let count = u32::try_from(count).map_err(|_| too_large("run entry count", count))?;
+        let data_len =
+            u32::try_from(data.len()).map_err(|_| too_large("run data region", data.len()))?;
+        let Layout {
+            blocks,
+            bloom,
+            last,
+            mut tail,
+            ..
+        } = walk(id, &data, count)?;
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        for field in [MAGIC, VERSION, count, data_len] {
+            put_u32(&mut header, field);
+        }
+        let crc = crc32_extend(crc32_extend(crc32(&header), &data), &tail);
+        put_u32(&mut tail, crc);
+        let tail_at = (HEADER_LEN + data.len()) as u64;
+        storage.set_len(0)?;
+        storage.write_all_at(0, &header)?;
+        storage.write_all_at(HEADER_LEN as u64, &data)?;
+        storage.write_all_at(tail_at, &tail)?;
+        storage.sync()?;
+        Ok(Run {
+            id,
+            data,
+            blocks,
+            bloom,
+            last,
+            bytes: tail_at + tail.len() as u64,
+        })
+    }
 }
 
 impl Run {
     /// File name for run `id` (zero-padded so directory listings sort in
     /// id order).
-    pub fn file_name(id: u64) -> String {
+    pub(crate) fn file_name(id: u64) -> String {
         format!("run-{id:08}")
     }
 
     /// Parse a run file name back to its id; `None` for non-run files.
-    pub fn parse_file_name(name: &str) -> Option<u64> {
+    pub(crate) fn parse_file_name(name: &str) -> Option<u64> {
         name.strip_prefix("run-")?.parse().ok()
     }
 
-    /// Number of entries (tombstones included).
-    pub fn entry_count(&self) -> usize {
-        self.count as usize
-    }
-
     /// Decode the entry at `pos` (which must sit on an entry boundary
-    /// inside `data`). The buffer was validated at construction, so a
-    /// decode failure here means memory corruption; it ends iteration
-    /// rather than panicking.
+    /// inside `data`); `None` at the end of `data`. The buffer was
+    /// validated at construction, so any other decode failure means
+    /// memory corruption; it ends iteration rather than panicking.
     fn decode_entry_at(&self, pos: &mut usize) -> Option<(&[u8], Option<&[u8]>)> {
         let flag = get_uvarint(&self.data, pos).ok()?;
         let key = get_bytes(&self.data, pos).ok()?;
@@ -257,39 +376,32 @@ impl Run {
         }
     }
 
-    /// Point lookup: key-range bounds, then bloom, then a binary search
-    /// over the sparse index, then a linear decode of one block.
-    pub fn probe(&self, key: &[u8]) -> Probe<'_> {
-        self.probe_hashed(key, key_hash(key))
+    /// The key of the entry at `pos`, borrowed from `data`.
+    fn key_at(&self, mut pos: usize) -> Option<&[u8]> {
+        self.decode_entry_at(&mut pos).map(|(key, _)| key)
     }
 
-    /// [`probe`](Run::probe) with the key's `key_hash` precomputed —
-    /// multi-run lookups hash once and reuse it across the whole stack.
-    pub fn probe_hashed(&self, key: &[u8], hash: u64) -> Probe<'_> {
-        match self.index.first() {
-            None => return Probe::Skip,
-            Some(first) if key < first.first_key.as_slice() => return Probe::Skip,
-            _ => {}
-        }
-        if key > self.max_key.as_slice() {
+    /// Point lookup with the key's [`key_hash`] precomputed (multi-run
+    /// lookups hash once for the whole stack): key-range bounds, then
+    /// bloom, then a binary search over the sparse index, then a linear
+    /// decode of one block.
+    pub(crate) fn probe_hashed(&self, key: &[u8], hash: u64) -> Probe<'_> {
+        let (Some(first), Some(last)) = (self.key_at(0), self.key_at(self.last)) else {
             return Probe::Skip;
-        }
-        if !self.bloom.might_contain(hash) {
+        };
+        if key < first || key > last || !self.bloom.might_contain(hash) {
             return Probe::Skip;
         }
         // Last block whose first key is <= key is the only one that can
         // hold it.
         let idx = self
-            .index
-            .partition_point(|b| b.first_key.as_slice() <= key);
-        if idx == 0 {
-            return Probe::Miss;
-        }
-        let Some(block) = self.index.get(idx - 1) else {
+            .blocks
+            .partition_point(|&at| self.key_at(at as usize).is_some_and(|k| k <= key));
+        let Some(&start) = idx.checked_sub(1).and_then(|i| self.blocks.get(i)) else {
             return Probe::Miss;
         };
-        let mut pos = block.offset as usize;
-        for _ in 0..block.count {
+        let mut pos = start as usize;
+        for _ in 0..BLOCK_ENTRIES {
             let Some((k, v)) = self.decode_entry_at(&mut pos) else {
                 return Probe::Miss;
             };
@@ -303,20 +415,21 @@ impl Run {
     }
 
     /// Iterate every entry in key order, zero-copy out of the data region.
-    pub fn iter(&self) -> RunIter<'_> {
+    pub(crate) fn iter(&self) -> RunIter<'_> {
         RunIter { run: self, pos: 0 }
     }
 
     /// Iterate entries with key >= `key`: skip whole blocks via the
     /// sparse index, then decode-skip within the landing block.
-    pub fn iter_from(&self, key: &[u8]) -> RunIter<'_> {
-        let idx = self.index.partition_point(|b| b.first_key.as_slice() < key);
-        let start = if idx == 0 {
-            0
-        } else {
-            // The previous block may still contain entries >= key.
-            self.index.get(idx - 1).map_or(0, |b| b.offset as usize)
-        };
+    pub(crate) fn iter_from(&self, key: &[u8]) -> RunIter<'_> {
+        let idx = self
+            .blocks
+            .partition_point(|&at| self.key_at(at as usize).is_some_and(|k| k < key));
+        // The previous block may still contain entries >= key.
+        let start = idx
+            .checked_sub(1)
+            .and_then(|i| self.blocks.get(i))
+            .map_or(0, |&at| at as usize);
         let mut it = RunIter {
             run: self,
             pos: start,
@@ -331,97 +444,16 @@ impl Run {
         it
     }
 
-    /// Encode `entries` into the blocked data region plus its sparse
-    /// index and bloom filter.
-    fn build(id: u64, entries: &[(Vec<u8>, Option<Vec<u8>>)]) -> (Vec<u8>, Vec<BlockMeta>, Bloom) {
-        let mut data = Vec::new();
-        let mut index: Vec<BlockMeta> = Vec::new();
-        let mut bloom = Bloom::with_capacity(id, entries.len());
-        for (i, (key, value)) in entries.iter().enumerate() {
-            if (i as u32).is_multiple_of(BLOCK_ENTRIES) {
-                index.push(BlockMeta {
-                    offset: data.len() as u32,
-                    count: 0,
-                    first_key: key.clone(),
-                });
-            }
-            if let Some(last) = index.last_mut() {
-                last.count += 1;
-            }
-            bloom.insert(key_hash(key));
-            match value {
-                Some(v) => {
-                    put_uvarint(&mut data, 1);
-                    put_bytes(&mut data, key);
-                    put_bytes(&mut data, v);
-                }
-                None => {
-                    put_uvarint(&mut data, 0);
-                    put_bytes(&mut data, key);
-                }
-            }
-        }
-        (data, index, bloom)
-    }
-
-    /// Encode, write at offset 0, and sync `storage`.
-    /// Entries must be sorted by strictly ascending key. The entry vector
-    /// is transient: the returned run keeps only the encoded region.
-    pub fn write(
-        id: u64,
-        entries: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-        storage: &mut dyn Storage,
-    ) -> StoreResult<Run> {
-        let count = u32::try_from(entries.len()).map_err(|_| StoreError::TooLarge {
-            what: "run entry count",
-            len: entries.len(),
-            max: u32::MAX as usize,
-        })?;
-        let max_key = entries.last().map(|(k, _)| k.clone()).unwrap_or_default();
-        let (data, index, bloom) = Run::build(id, &entries);
-        drop(entries);
-        let data_len = u32::try_from(data.len()).map_err(|_| StoreError::TooLarge {
-            what: "run data region",
-            len: data.len(),
-            max: u32::MAX as usize,
-        })?;
-        let mut out = Vec::with_capacity(data.len() + 64);
-        put_u32(&mut out, MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, count);
-        put_u32(&mut out, data_len);
-        out.extend_from_slice(&data);
-        put_u32(&mut out, index.len() as u32);
-        for b in &index {
-            put_u32(&mut out, b.offset);
-            put_u32(&mut out, b.count);
-            put_bytes(&mut out, &b.first_key);
-        }
-        bloom.encode(&mut out);
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        storage.set_len(0)?;
-        storage.write_all_at(0, &out)?;
-        storage.sync()?;
-        Ok(Run {
-            id,
-            data,
-            index,
-            bloom,
-            max_key,
-            count,
-            bytes: out.len() as u64,
-        })
-    }
-
     /// Load and verify a run from `storage`. Any framing, checksum,
-    /// version or ordering problem is `Corrupt` — callers decide whether
-    /// that means a fatal manifest inconsistency or a deletable orphan.
-    pub fn load(id: u64, storage: &mut dyn Storage) -> StoreResult<Run> {
+    /// version or ordering problem, or a stored index or bloom that
+    /// differs by one byte from what the data region derives, is
+    /// `Corrupt` — callers decide whether that means a fatal manifest
+    /// inconsistency or a deletable orphan.
+    pub(crate) fn load(id: u64, storage: &mut dyn Storage) -> StoreResult<Run> {
         let len = storage.len()?;
         let len_usize = usize::try_from(len)
             .map_err(|_| StoreError::Corrupt(format!("oversized frame: {len} bytes")))?;
-        if len_usize < 16 {
+        if len_usize < HEADER_LEN {
             return Err(StoreError::Corrupt(format!(
                 "run {id}: file too short ({len_usize} bytes)"
             )));
@@ -449,118 +481,47 @@ impl Run {
             )));
         }
         let count = get_u32(body, &mut pos)?;
-        let data_len = get_u32(body, &mut pos)? as usize;
-        let data = body
-            .get(pos..pos + data_len)
-            .ok_or_else(|| StoreError::Corrupt(format!("run {id}: truncated data region")))?
-            .to_vec();
-        pos += data_len;
-        let n_blocks = get_u32(body, &mut pos)? as usize;
-        let mut index = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let offset = get_u32(body, &mut pos)?;
-            let bcount = get_u32(body, &mut pos)?;
-            let first_key = get_bytes(body, &mut pos)?.to_vec();
-            index.push(BlockMeta {
-                offset,
-                count: bcount,
-                first_key,
-            });
-        }
-        let bloom = Bloom::decode(id, body, &mut pos)?;
-        if pos != body_len {
+        let data_end = HEADER_LEN + get_u32(body, &mut pos)? as usize;
+        let (Some(data), Some(stored_tail)) =
+            (body.get(HEADER_LEN..data_end), body.get(data_end..))
+        else {
             return Err(StoreError::Corrupt(format!(
-                "run {id}: {} trailing bytes",
-                body_len - pos
+                "run {id}: truncated data region"
+            )));
+        };
+        let layout = walk(id, data, count)?;
+        if !layout.ordered {
+            return Err(StoreError::Corrupt(format!("run {id}: keys out of order")));
+        }
+        if layout.tail != stored_tail {
+            return Err(StoreError::Corrupt(format!(
+                "run {id}: index or bloom disagrees with data region"
             )));
         }
-        let max_key = Run::validate_data(id, &data, count, &index)?;
+        // Keep the data region alone, in the buffer it was read into.
+        buf.truncate(data_end);
+        buf.drain(..HEADER_LEN);
+        buf.shrink_to_fit();
         Ok(Run {
             id,
-            data,
-            index,
-            bloom,
-            max_key,
-            count,
+            data: buf,
+            blocks: layout.blocks,
+            bloom: layout.bloom,
+            last: layout.last,
             bytes: len,
         })
-    }
-
-    /// Walk the data region: verify entry framing, strict key ordering
-    /// and the entry count, and recompute the sparse index, which must
-    /// match the stored one. Returns the largest key.
-    fn validate_data(
-        id: u64,
-        data: &[u8],
-        count: u32,
-        stored_index: &[BlockMeta],
-    ) -> StoreResult<Vec<u8>> {
-        let mut pos = 0usize;
-        let mut index: Vec<BlockMeta> = Vec::new();
-        let mut prev_key: Option<Vec<u8>> = None;
-        for i in 0..count {
-            let entry_off = pos;
-            let flag = get_uvarint(data, &mut pos)?;
-            let key = get_bytes(data, &mut pos)?;
-            match flag {
-                0 => {}
-                1 => {
-                    let _ = get_bytes(data, &mut pos)?;
-                }
-                other => {
-                    return Err(StoreError::Corrupt(format!(
-                        "run {id}: bad entry flag {other}"
-                    )))
-                }
-            }
-            if let Some(prev) = &prev_key {
-                if prev.as_slice() >= key {
-                    return Err(StoreError::Corrupt(format!("run {id}: keys out of order")));
-                }
-            }
-            if i % BLOCK_ENTRIES == 0 {
-                index.push(BlockMeta {
-                    offset: entry_off as u32,
-                    count: 0,
-                    first_key: key.to_vec(),
-                });
-            }
-            if let Some(last) = index.last_mut() {
-                last.count += 1;
-            }
-            prev_key = Some(key.to_vec());
-        }
-        if pos != data.len() {
-            return Err(StoreError::Corrupt(format!(
-                "run {id}: {} trailing bytes",
-                data.len() - pos
-            )));
-        }
-        let matches = stored_index.len() == index.len()
-            && stored_index.iter().zip(index.iter()).all(|(a, b)| {
-                a.offset == b.offset && a.count == b.count && a.first_key == b.first_key
-            });
-        if !matches {
-            return Err(StoreError::Corrupt(format!(
-                "run {id}: sparse index disagrees with data region"
-            )));
-        }
-        Ok(prev_key.unwrap_or_default())
     }
 }
 
 /// Streaming decoder over a run's data region. Yields entries in key
 /// order, borrowing keys and values straight from the resident buffer.
-pub struct RunIter<'a> {
+pub(crate) struct RunIter<'a> {
     run: &'a Run,
     pos: usize,
 }
 
 impl<'a> RunIter<'a> {
     fn peek(&self) -> Option<(&'a [u8], Option<&'a [u8]>)> {
-        if self.pos >= self.run.data.len() {
-            return None;
-        }
         let mut pos = self.pos;
         self.run.decode_entry_at(&mut pos)
     }
@@ -570,9 +531,6 @@ impl<'a> Iterator for RunIter<'a> {
     type Item = (&'a [u8], Option<&'a [u8]>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos >= self.run.data.len() {
-            return None;
-        }
         self.run.decode_entry_at(&mut self.pos)
     }
 }
@@ -581,6 +539,32 @@ impl<'a> Iterator for RunIter<'a> {
 mod tests {
     use super::*;
     use crate::vfs::test_files::{flip, mem_file};
+
+    /// Test-only entry points: the old call shape over [`RunEncoder`],
+    /// and readouts the store itself never needs.
+    impl Run {
+        /// Encode `entries` (ascending keys) as run `id` into `storage`.
+        pub(crate) fn write(
+            id: u64,
+            entries: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+            storage: &mut dyn Storage,
+        ) -> StoreResult<Run> {
+            let mut encoder = RunEncoder::with_capacity(0);
+            for (key, value) in &entries {
+                encoder.push(key, value.as_deref());
+            }
+            encoder.finish(id, storage)
+        }
+
+        /// Number of entries (tombstones included).
+        pub(crate) fn entry_count(&self) -> usize {
+            self.iter().count()
+        }
+
+        pub(crate) fn probe(&self, key: &[u8]) -> Probe<'_> {
+            self.probe_hashed(key, key_hash(key))
+        }
+    }
 
     fn sample() -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
         vec![
@@ -693,6 +677,26 @@ mod tests {
             Run::load(1, s.as_mut()),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_flipped_bloom_bit_under_a_valid_checksum_is_corrupt() {
+        // The loader rebuilds the bloom from the data region and compares
+        // every byte of it, not just its parameters.
+        let mut s = mem_file(b"");
+        let run = Run::write(1, sample(), s.as_mut()).unwrap();
+        let len = run.bytes as usize;
+        let mut bytes = vec![0u8; len];
+        s.read_exact_at(0, &mut bytes).unwrap();
+        bytes[len - 5] ^= 0x01; // the last bloom word's top byte
+        let crc = crc32(&bytes[..len - 4]);
+        bytes[len - 4..].copy_from_slice(&crc.to_le_bytes());
+        s.write_all_at(0, &bytes).unwrap();
+        match Run::load(1, s.as_mut()) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.contains("bloom"), "{msg}"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a run whose bloom disagrees with its data must not load"),
+        }
     }
 
     #[test]

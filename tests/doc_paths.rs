@@ -8,7 +8,13 @@
 //! A span naming a function in a file, `file.rs::name` (how the docs cite
 //! a test), must also find `fn name` in the file it resolves to, so a
 //! renamed or deleted test that a doc still cites fails here too.
+//!
+//! Every "ROADMAP item N" (or "ROADMAP items N, M and K") in README.md,
+//! DESIGN.md, EXPERIMENTS.md and `benchmark/README.md` must name an item
+//! that ROADMAP.md lists as open, so a doc that still points at a retired
+//! or renumbered item fails here.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The docs whose `.rs` references are checked.
@@ -142,4 +148,85 @@ fn a_named_function_must_be_declared_whole() {
     assert!(declares_fn(source, "sealed"));
     assert!(declares_fn(source, "seal_deferred"));
     assert!(!declares_fn(source, "seal"));
+}
+
+/// The numbers of the items ROADMAP.md lists as open: its `N. **…`
+/// headings under "## Open items", up to the next `## ` heading.
+fn open_items(roadmap: &str) -> BTreeSet<u32> {
+    roadmap
+        .lines()
+        .skip_while(|line| *line != "## Open items")
+        .skip(1)
+        .take_while(|line| !line.starts_with("## "))
+        .filter_map(|line| line.split_once(". **")?.0.parse().ok())
+        .collect()
+}
+
+/// The item numbers every "ROADMAP item N" or "ROADMAP items N, M and K"
+/// in `text` names, read across line breaks.
+fn roadmap_refs(text: &str) -> Vec<u32> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    let mut out = Vec::new();
+    for (at, pair) in words.windows(2).enumerate() {
+        let lead = pair[0].trim_start_matches(|c: char| !c.is_ascii_alphanumeric());
+        if lead != "ROADMAP" || !matches!(pair[1], "item" | "items") {
+            continue;
+        }
+        for word in &words[at + 2..] {
+            if *word == "and" {
+                continue;
+            }
+            let digits = word.len() - word.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            let Ok(item) = word[..digits].parse() else {
+                break;
+            };
+            out.push(item);
+            // A list goes on past a comma or a bare number, and ends at
+            // anything else (`4.`, `11(c)`, `20:`).
+            if !matches!(&word[digits..], "" | ",") {
+                break;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn every_roadmap_item_the_docs_name_is_open() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let roadmap = std::fs::read_to_string(root.join("ROADMAP.md")).expect("ROADMAP.md");
+    let open = open_items(&roadmap);
+    assert!(open.len() >= 10, "found only {} open items", open.len());
+    let mut checked = 0usize;
+    let mut retired = Vec::new();
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "benchmark/README.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("readable doc");
+        for item in roadmap_refs(&text) {
+            checked += 1;
+            if !open.contains(&item) {
+                retired.push(format!("{doc}: ROADMAP item {item}"));
+            }
+        }
+    }
+    assert!(checked >= 5, "found only {checked} ROADMAP item references");
+    assert!(
+        retired.is_empty(),
+        "doc references to no open ROADMAP item:\n{}",
+        retired.join("\n")
+    );
+}
+
+#[test]
+fn roadmap_references_are_read_as_lists_across_lines() {
+    let text = "see ROADMAP items 3, 4 and 5; (ROADMAP\nitem 11(c)), **ROADMAP item 9**,\n\
+                ROADMAP item 20: step 2, not ROADMAP.md item 7 or ROADMAP item x";
+    assert_eq!(roadmap_refs(text), [3, 4, 5, 11, 9, 20]);
+    let roadmap = "# R\n1. **Not open**\n## Open items\n1. Item 2 first.\n\
+                   2. **Two**\n   3. **nested**\n14. **Fourteen**\n## Recent\n5. **Done**\n";
+    assert_eq!(open_items(roadmap), BTreeSet::from([2, 14]));
 }
