@@ -39,7 +39,7 @@ pub fn feedback_curve(quick: bool, seed: u64, rounds: usize, fixes_per_round: us
     for &p in &history {
         let t = corpus.topic_of(p);
         if seeded[t] < 2 && !corpus.pages[p as usize].is_front {
-            fs.bookmark(p, folders[t], &analyzed.tf[p as usize]);
+            fs.bookmark(p, folders[t], analyzed.tf[p as usize].as_slice());
             seeded[t] += 1;
         } else {
             rest.push(p);
@@ -74,11 +74,11 @@ pub fn feedback_curve(quick: bool, seed: u64, rounds: usize, fixes_per_round: us
         // (confirm()).
         wrong.shuffle(&mut rng);
         for &(p, truth) in wrong.iter().take(fixes_per_round) {
-            fs.bookmark(p, folders[truth], &analyzed.tf[p as usize]);
+            fs.bookmark(p, folders[truth], analyzed.tf[p as usize].as_slice());
         }
         right.shuffle(&mut rng);
         for &p in right.iter().take(fixes_per_round) {
-            fs.confirm(p, &analyzed.tf[p as usize]);
+            fs.confirm(p, analyzed.tf[p as usize].as_slice());
         }
     }
     curve

@@ -10,10 +10,11 @@
 //! confirmed guess) and from nothing else, so the space keeps a term vector
 //! only for its confirmed pages; confirming a guess brings its vector along.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use memex_learn::nb::{NaiveBayes, NbOptions};
 use memex_learn::taxonomy::{Taxonomy, TopicId};
+use memex_server::pipeline::SharedTf;
 use memex_text::features::FeatureScore;
 use memex_text::vocab::TermId;
 
@@ -29,13 +30,15 @@ pub struct PageAssignment {
 #[derive(Default)]
 pub struct FolderSpace {
     pub taxonomy: Taxonomy,
-    /// page -> assignment.
-    assignments: HashMap<u32, PageAssignment>,
-    /// The training set: confirmed page -> tf (a rebuild retrains on it,
-    /// an unfiling unlearns from it). Exactly the confirmed pages.
-    tf_of: HashMap<u32, Vec<(TermId, u32)>>,
-    /// folder -> its confirmed pages, for every folder that has one.
-    confirmed_in: HashMap<TopicId, usize>,
+    /// (page, assignment), ascending by page.
+    assignments: Vec<(u32, PageAssignment)>,
+    /// The training set: (confirmed page, its tf), ascending by page (a
+    /// rebuild retrains on it, an unfiling unlearns from it). Exactly the
+    /// confirmed pages.
+    tf_of: Vec<(u32, SharedTf)>,
+    /// (folder, its confirmed pages), ascending by folder, for every folder
+    /// that has one.
+    confirmed_in: Vec<(TopicId, usize)>,
     classifier: Option<NaiveBayes>,
     /// class index -> folder id (leaves of the taxonomy at train time).
     classes: Vec<TopicId>,
@@ -70,35 +73,57 @@ impl FolderSpace {
     /// two archives fed the same writes (a benchmark's oracle and the
     /// served process it checks) must answer bit-identically.
     pub fn assignments(&self) -> impl Iterator<Item = (u32, PageAssignment)> + '_ {
-        let mut all: Vec<(u32, PageAssignment)> =
-            self.assignments.iter().map(|(&p, &a)| (p, a)).collect();
-        all.sort_unstable_by_key(|&(p, _)| p);
-        all.into_iter()
+        self.assignments.iter().copied()
     }
 
     /// Assignment of one page.
     pub fn assignment(&self, page: u32) -> Option<PageAssignment> {
-        self.assignments.get(&page).copied()
+        let at = self.assignments.binary_search_by_key(&page, |&(p, _)| p);
+        Some(self.assignments.get(at.ok()?)?.1)
+    }
+
+    /// Record `page`'s assignment, replacing any it had.
+    fn assign(&mut self, page: u32, a: PageAssignment) {
+        match self.assignments.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(at) => self.assignments[at].1 = a,
+            Err(at) => self.assignments.insert(at, (page, a)),
+        }
+    }
+
+    /// A confirmed page and its vector join the training set of `folder`.
+    fn keep_confirmed(&mut self, page: u32, folder: TopicId, tf: SharedTf) {
+        match self.tf_of.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(at) => self.tf_of[at].1 = tf,
+            Err(at) => self.tf_of.insert(at, (page, tf)),
+        }
+        match self.confirmed_in.binary_search_by_key(&folder, |&(f, _)| f) {
+            Ok(at) => self.confirmed_in[at].1 += 1,
+            Err(at) => self.confirmed_in.insert(at, (folder, 1)),
+        }
     }
 
     /// User deliberately bookmarks `page` into `folder` (confirmed), or
-    /// cuts and pastes it there. Feeds the classifier immediately.
-    pub fn bookmark(&mut self, page: u32, folder: TopicId, tf: &[(TermId, u32)]) {
+    /// cuts and pastes it there. Feeds the classifier immediately. The
+    /// space keeps `tf` as the training vector: pass the archive's shared
+    /// vector to keep no copy.
+    pub fn bookmark(&mut self, page: u32, folder: TopicId, tf: impl Into<SharedTf>) {
         assert!(self.taxonomy.is_live(folder), "folder must exist");
+        let tf = tf.into();
         // If the page was filed elsewhere, unlearn that first.
         self.unassign(page);
-        let folder_was_empty = !self.confirmed_in.contains_key(&folder);
-        self.assignments.insert(
+        let folder_was_empty = (self.confirmed_in)
+            .binary_search_by_key(&folder, |&(f, _)| f)
+            .is_err();
+        self.assign(
             page,
             PageAssignment {
                 folder,
                 confirmed: true,
             },
         );
-        self.tf_of.insert(page, tf.to_vec());
-        *self.confirmed_in.entry(folder).or_default() += 1;
+        self.keep_confirmed(page, folder, Arc::clone(&tf));
         if let (Some(class), Some(nb)) = (self.class_of(folder), &mut self.classifier) {
-            nb.add_document(class, tf);
+            nb.add_document(class, &tf);
             if !folder_was_empty {
                 return;
             }
@@ -121,7 +146,7 @@ impl FolderSpace {
             return None;
         }
         let folder = self.classes[nb.predict(tf)];
-        self.assignments.insert(
+        self.assign(
             page,
             PageAssignment {
                 folder,
@@ -133,41 +158,45 @@ impl FolderSpace {
 
     /// User reinforces a guess (keeps it where the demon put it). The page,
     /// with its term vector `tf`, becomes a confirmed training example.
-    pub fn confirm(&mut self, page: u32, tf: &[(TermId, u32)]) {
-        let Some(a) = self.assignments.get_mut(&page) else {
+    pub fn confirm(&mut self, page: u32, tf: impl Into<SharedTf>) {
+        let Ok(at) = self.assignments.binary_search_by_key(&page, |&(p, _)| p) else {
             return;
         };
+        let a = &mut self.assignments[at].1;
         if a.confirmed {
             return;
         }
         a.confirmed = true;
         let folder = a.folder;
-        self.tf_of.insert(page, tf.to_vec());
-        *self.confirmed_in.entry(folder).or_default() += 1;
+        let tf = tf.into();
+        self.keep_confirmed(page, folder, Arc::clone(&tf));
         if let (Some(class), Some(nb)) = (self.class_of(folder), &mut self.classifier) {
-            nb.add_document(class, tf);
+            nb.add_document(class, &tf);
         }
     }
 
     /// Remove a page from the space entirely (unlearns if confirmed).
     pub fn unassign(&mut self, page: u32) {
-        let Some(a) = self.assignments.remove(&page) else {
+        let Ok(at) = self.assignments.binary_search_by_key(&page, |&(p, _)| p) else {
             return;
         };
+        let (_, a) = self.assignments.remove(at);
         if !a.confirmed {
             return;
         }
-        if let Some(count) = self.confirmed_in.get_mut(&a.folder) {
-            *count -= 1;
-            if *count == 0 {
-                self.confirmed_in.remove(&a.folder);
+        if let Ok(at) = (self.confirmed_in).binary_search_by_key(&a.folder, |&(f, _)| f) {
+            self.confirmed_in[at].1 -= 1;
+            if self.confirmed_in[at].1 == 0 {
+                self.confirmed_in.remove(at);
             }
         }
         // Only a confirmed page has a vector, and only it trained the model.
-        if let (Some(tf), Some(class)) = (self.tf_of.remove(&page), self.class_of(a.folder)) {
-            if let Some(nb) = &mut self.classifier {
-                nb.remove_document(class, &tf);
-            }
+        let Ok(at) = self.tf_of.binary_search_by_key(&page, |&(p, _)| p) else {
+            return;
+        };
+        let (_, tf) = self.tf_of.remove(at);
+        if let (Some(class), Some(nb)) = (self.class_of(a.folder), &mut self.classifier) {
+            nb.remove_document(class, &tf);
         }
     }
 
@@ -179,6 +208,19 @@ impl FolderSpace {
     /// Number of confirmed examples.
     pub fn confirmed_count(&self) -> usize {
         self.tf_of.len()
+    }
+
+    /// Bytes the space holds on the heap: its folder tree, its tables and
+    /// its model. A confirmed page's vector is the archive's, shared, so
+    /// only its handle counts.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.taxonomy.heap_bytes()
+            + self.assignments.capacity() * size_of::<(u32, PageAssignment)>()
+            + self.tf_of.capacity() * size_of::<(u32, SharedTf)>()
+            + self.confirmed_in.capacity() * size_of::<(TopicId, usize)>()
+            + self.classifier.as_ref().map_or(0, NaiveBayes::heap_bytes)
+            + self.classes.capacity() * size_of::<TopicId>()
     }
 
     /// Classifier builds from scratch since the last call: the
@@ -230,7 +272,7 @@ impl FolderSpace {
         let mut trained = 0usize;
         // Only filings into a leaf train: internal folders are structural.
         for (page, tf) in &self.tf_of {
-            let folder = self.assignments.get(page).map(|a| a.folder);
+            let folder = self.assignment(*page).map(|a| a.folder);
             if let Some(class) = leaves.iter().position(|&l| Some(l) == folder) {
                 nb.add_document(class, tf);
                 trained += 1;
@@ -248,20 +290,18 @@ impl FolderSpace {
 mod tests {
     use super::*;
 
-    fn tf(pairs: &[(u32, u32)]) -> Vec<(TermId, u32)> {
-        pairs.to_vec()
-    }
-
     /// The space keeps a vector for exactly its confirmed pages, and a
     /// count of them for exactly the folders that have one.
     fn vectors_are_the_confirmed_pages(fs: &FolderSpace) -> bool {
-        let mut kept: Vec<u32> = fs.tf_of.keys().copied().collect();
-        kept.sort_unstable();
+        let kept = fs.tf_of.iter().map(|&(page, _)| page);
         let confirmed: Vec<(u32, PageAssignment)> =
             fs.assignments().filter(|(_, a)| a.confirmed).collect();
-        let mut counts: HashMap<TopicId, usize> = HashMap::new();
+        let mut counts: Vec<(TopicId, usize)> = Vec::new();
         for (_, a) in &confirmed {
-            *counts.entry(a.folder).or_default() += 1;
+            match counts.binary_search_by_key(&a.folder, |&(f, _)| f) {
+                Ok(at) => counts[at].1 += 1,
+                Err(at) => counts.insert(at, (a.folder, 1)),
+            }
         }
         confirmed.iter().map(|&(page, _)| page).eq(kept) && counts == fs.confirmed_in
     }
@@ -272,8 +312,8 @@ mod tests {
         let cycling = fs.add_folder("/Cycling");
         // Train both folders.
         for i in 0..5u32 {
-            fs.bookmark(i, music, &tf(&[(1, 3), (2, 1)]));
-            fs.bookmark(100 + i, cycling, &tf(&[(10, 3), (11, 1)]));
+            fs.bookmark(i, music, [(1, 3), (2, 1)]);
+            fs.bookmark(100 + i, cycling, [(10, 3), (11, 1)]);
         }
         (fs, music, cycling)
     }
@@ -290,7 +330,7 @@ mod tests {
     #[test]
     fn demon_guesses_are_marked_unconfirmed() {
         let (mut fs, music, _) = space_with_two_folders();
-        let guess = fs.classify(500, &tf(&[(1, 2)]));
+        let guess = fs.classify(500, &[(1, 2)]);
         assert_eq!(guess, Some(music));
         let a = fs.assignment(500).unwrap();
         assert!(!a.confirmed, "demon guesses carry the '?'");
@@ -301,8 +341,8 @@ mod tests {
     #[test]
     fn confirm_reinforces_the_model() {
         let (mut fs, music, _) = space_with_two_folders();
-        fs.classify(500, &tf(&[(1, 2)]));
-        fs.confirm(500, &tf(&[(1, 2)]));
+        fs.classify(500, &[(1, 2)]);
+        fs.confirm(500, [(1, 2)]);
         assert!(fs.assignment(500).unwrap().confirmed);
         assert_eq!(fs.confirmed_count(), 11);
         assert_eq!(fs.assignment(500).unwrap().folder, music);
@@ -315,10 +355,10 @@ mod tests {
     fn correction_moves_and_unlearns() {
         let (mut fs, music, cycling) = space_with_two_folders();
         // A cycling page the model initially mislearns as music.
-        let ambiguous = tf(&[(1, 1), (10, 1)]);
-        fs.bookmark(600, music, &ambiguous);
+        let ambiguous: &[(TermId, u32)] = &[(1, 1), (10, 1)];
+        fs.bookmark(600, music, ambiguous);
         assert_eq!(fs.assignment(600).unwrap().folder, music);
-        fs.bookmark(600, cycling, &ambiguous);
+        fs.bookmark(600, cycling, ambiguous);
         let a = fs.assignment(600).unwrap();
         assert_eq!(a.folder, cycling);
         assert!(a.confirmed);
@@ -330,8 +370,8 @@ mod tests {
     fn classifier_needs_two_folders() {
         let mut fs = FolderSpace::new();
         let only = fs.add_folder("/Everything");
-        fs.bookmark(1, only, &tf(&[(1, 1)]));
-        assert_eq!(fs.classify(2, &tf(&[(1, 1)])), None);
+        fs.bookmark(1, only, [(1, 1)]);
+        assert_eq!(fs.classify(2, &[(1, 1)]), None);
     }
 
     #[test]
@@ -339,9 +379,9 @@ mod tests {
         let (mut fs, _, _) = space_with_two_folders();
         // Adding a third folder changes the class set.
         let travel = fs.add_folder("/Travel");
-        fs.bookmark(300, travel, &tf(&[(20, 3)]));
+        fs.bookmark(300, travel, [(20, 3)]);
         assert_eq!(fs.classes().len(), 3);
-        assert_eq!(fs.classify(700, &tf(&[(20, 2)])), Some(travel));
+        assert_eq!(fs.classify(700, &[(20, 2)]), Some(travel));
     }
 
     #[test]
@@ -351,25 +391,25 @@ mod tests {
         // Filing into existing folders, as `Memex` does, re-selects in place.
         for page in 200..205u32 {
             let folder = fs.add_folder("/Cycling");
-            fs.bookmark(page, folder, &tf(&[(10, 1), (page, 2)]));
+            fs.bookmark(page, folder, [(10, 1), (page, 2)]);
         }
         assert_eq!(fs.take_full_rebuilds(), 0);
         // A move unlearns: the next re-selection retrains.
-        fs.bookmark(200, music, &tf(&[(10, 1), (200, 2)]));
+        fs.bookmark(200, music, [(10, 1), (200, 2)]);
         fs.add_folder("/Cycling");
         assert_eq!(fs.take_full_rebuilds(), 1);
         // So does a new leaf.
         fs.add_folder("/Travel");
         assert_eq!(fs.take_full_rebuilds(), 1);
-        assert_eq!(fs.classify(900, &tf(&[(10, 2)])), Some(cycling));
+        assert_eq!(fs.classify(900, &[(10, 2)]), Some(cycling));
         assert!(vectors_are_the_confirmed_pages(&fs));
     }
 
     #[test]
     fn confirmed_assignment_wins_over_reclassification() {
         let (mut fs, music, cycling) = space_with_two_folders();
-        fs.bookmark(800, cycling, &tf(&[(1, 5)])); // user insists despite text
-        assert_eq!(fs.classify(800, &tf(&[(1, 5)])), Some(cycling));
+        fs.bookmark(800, cycling, [(1, 5)]); // user insists despite text
+        assert_eq!(fs.classify(800, &[(1, 5)]), Some(cycling));
         let _ = music;
     }
 }

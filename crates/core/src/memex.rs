@@ -139,6 +139,8 @@ struct UserSpace {
     /// reader that needs it (see [`Memex::routing`]) and taken back whenever
     /// an input moved.
     routing: OnceLock<HashMap<u32, TopicId>>,
+    /// `folders.heap_bytes()` as last added to `mem.folders.bytes`.
+    published_bytes: usize,
 }
 
 impl UserSpace {
@@ -153,6 +155,14 @@ impl UserSpace {
         if self.routing.take().is_some() {
             live.add(-1);
         }
+    }
+
+    /// Move `bytes`, the sum over users, by what the folder space's heap
+    /// bytes moved since it was last published.
+    fn publish_bytes(&mut self, bytes: &memex_obs::Gauge) {
+        let now = self.folders.heap_bytes();
+        bytes.add(now as i64 - self.published_bytes as i64);
+        self.published_bytes = now;
     }
 }
 
@@ -175,6 +185,8 @@ struct DemonMetrics {
     classify_rewalks: memex_obs::Counter,
     /// Folder classifiers retrained from scratch.
     folder_rebuilds: memex_obs::Counter,
+    /// Heap bytes of every user's folder space.
+    folders_bytes: memex_obs::Gauge,
     /// Recall hits whose snippet read the page's text, not its word memo.
     page_words_fallbacks: memex_obs::Counter,
     /// Visit-list entries recall's time filter read.
@@ -198,6 +210,7 @@ impl DemonMetrics {
             classify_visits: registry.counter("demon.classify.visits"),
             classify_rewalks: registry.counter("demon.classify.rewalks"),
             folder_rebuilds: registry.counter("demon.folders.rebuilds"),
+            folders_bytes: registry.gauge("mem.folders.bytes"),
             page_words_fallbacks: registry.counter("demon.page_words.fallbacks"),
             recall_visits: registry.counter("servlet.recall.visits"),
         }
@@ -285,6 +298,7 @@ impl Memex {
             empty_space: UserSpace {
                 folders: FolderSpace::default(),
                 routing: OnceLock::from(HashMap::new()),
+                published_bytes: 0,
             },
             url_to_page,
             theme_opts: opts.themes,
@@ -368,7 +382,7 @@ impl Memex {
         self.server.drain_demons()?;
         // File newly recorded bookmarks into folder spaces.
         for b in &self.server.bookmarks[self.filed_bookmarks..] {
-            let tf = self.server.tf(b.page).unwrap_or_default();
+            let tf = self.server.tf_shared(b.page).cloned().unwrap_or_default();
             let fs = self
                 .folder_spaces
                 .entry(b.user)
@@ -399,6 +413,7 @@ impl Memex {
                 for page in server.trails.user_pages(user, 0) {
                     guess(&mut space.folders, page);
                 }
+                space.publish_bytes(&self.metrics.folders_bytes);
             }
         }
         let visits = server.trails.visits();
@@ -406,6 +421,7 @@ impl Memex {
         for v in new_visits {
             if let Some(space) = self.folder_spaces.get_mut(&v.user) {
                 guess(&mut space.folders, v.page);
+                space.publish_bytes(&self.metrics.folders_bytes);
             }
         }
         self.metrics.classify_visits.add(new_visits.len() as u64);

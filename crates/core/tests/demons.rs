@@ -253,7 +253,7 @@ fn apply_op(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex) {
             let tf = memex.server.tf(page).unwrap_or_default().to_vec();
             let fs = memex.folder_space(user);
             let id = fs.add_folder(FOLDERS[folder]);
-            fs.bookmark(page, id, &tf);
+            fs.bookmark(page, id, tf);
             memex.run_demons().expect("demons");
         }
         Op::Unassign { user, page } => {

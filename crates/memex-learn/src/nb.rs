@@ -6,19 +6,20 @@
 //! Two ways to score a document, one formula (`ln_prior`,
 //! `ln_likelihood`). [`NaiveBayes`] is the trainable model: it can be
 //! asked between any two updates, so it derives every `ln p(t|c)` per call
-//! from its hash tables — what a folder space needs on the ack path, where
-//! a bookmark must not pay for a table. [`NbScorer`] is the same model
-//! frozen: the logarithms are taken once into one row per term, and a
-//! document costs a lookup and a multiply-add per class per term. It is for
-//! a model that is asked many times and dropped (a user's topic filter
-//! classifying every page the community surfed). Such a model need not be
-//! trained at all: [`NbScorer::from_counts`] fills the table straight from
-//! per-class [`ClassCounts`], and a class every such model shares — the
+//! from its term table — what a folder space needs on the ack path, where
+//! a bookmark must not pay for a table of logarithms. [`NbScorer`] is the
+//! same model frozen: the logarithms are taken once into one row per term,
+//! and a document costs a lookup and a multiply-add per class per term. It
+//! is for a model that is asked many times and dropped (a user's topic
+//! filter classifying every page the community surfed). Such a model need
+//! not be trained at all: [`NbScorer::from_counts`] fills the table straight
+//! from per-class [`ClassCounts`], and a class every such model shares — the
 //! community background — is aggregated once and passed to each.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
-use memex_text::features::{ClassTermStats, FeatureScore};
+use memex_text::features::{ClassTermStats, FeatureScore, TermCell};
 use memex_text::vocab::TermId;
 
 use crate::taxonomy::{Taxonomy, TopicId};
@@ -36,28 +37,109 @@ impl Default for NbOptions {
     }
 }
 
+/// Which terms a [`NaiveBayes`] scores with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Selection {
+    /// No selection: every term seen.
+    All,
+    /// The last selection kept every term seen then: the terms outside it
+    /// are exactly those first seen since.
+    KeptAll,
+    /// The last selection dropped terms.
+    Dropped,
+}
+
 /// A flat multinomial naive Bayes classifier over `num_classes` classes.
+///
+/// Its state is one table, term-major: every term seen, ascending, and per
+/// term a row of one [`TermCell`] per class (token count and document
+/// frequency, the counts the likelihoods and the feature scores read).
 #[derive(Debug, Clone)]
 pub struct NaiveBayes {
     opts: NbOptions,
+    /// Per class: training documents kept (a removal takes one back).
     class_docs: Vec<f64>,
-    /// Per class: term -> token count.
-    term_counts: Vec<HashMap<TermId, f64>>,
-    /// Per class: total token count (over selected terms when selection is
-    /// active — recomputed on selection).
+    /// Per class: training documents ever added — the denominators of the
+    /// presence statistics, which a removal leaves as they are.
+    seen_docs: Vec<u32>,
+    /// Per class: total token count over the active terms.
     token_totals: Vec<f64>,
-    /// All terms ever seen (smoothing denominator).
-    all_terms: HashSet<TermId>,
-    /// Binary-presence stats for feature selection.
-    presence: ClassTermStats,
-    /// Active feature set (None = all terms).
-    selected: Option<HashSet<TermId>>,
-    /// Terms first seen while a selection was active, since it was made:
-    /// counted, but outside the selection and its token totals.
-    unselected: Vec<TermId>,
-    /// A document was removed: `all_terms` and `presence` still hold what
-    /// it added, so they are no longer those of the documents kept.
+    /// Every term ever seen, ascending: the rows of the table (the
+    /// smoothing vocabulary without a selection).
+    terms: Vec<TermId>,
+    /// `cells[row * k + class]`, `k` = the number of classes.
+    cells: Vec<TermCell>,
+    /// Per row: the term is scored (every row without a selection).
+    active: Vec<bool>,
+    /// Rows active.
+    num_active: usize,
+    selection: Selection,
+    /// A document was removed: the rows and the document frequencies still
+    /// hold what it added, so they are no longer those of the documents
+    /// kept.
     unlearned: bool,
+}
+
+/// `tf` with its terms ascending and each repeat of a term summed into one
+/// entry; borrowed when it already is.
+fn distinct(tf: &[(TermId, u32)]) -> Cow<'_, [(TermId, u32)]> {
+    if tf.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Cow::Borrowed(tf);
+    }
+    let mut doc = tf.to_vec();
+    doc.sort_unstable_by_key(|&(t, _)| t);
+    doc.dedup_by(|next, kept| {
+        let repeat = next.0 == kept.0;
+        if repeat {
+            kept.1 = kept.1.saturating_add(next.1);
+        }
+        repeat
+    });
+    Cow::Owned(doc)
+}
+
+/// Where `t` is in the ascending `terms`, searched from `from` on — every
+/// term before `from` must be smaller: `Ok(row)`, or `Err` with the row it
+/// would be inserted at. Gallops, so a walk of ascending terms costs
+/// O(log gap) per term.
+fn gallop(terms: &[TermId], from: usize, t: TermId) -> Result<usize, usize> {
+    let rest = terms.get(from..).unwrap_or_default();
+    let mut bound = 1;
+    while bound <= rest.len() && rest[bound - 1] < t {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    let window = &rest[lo..bound.min(rest.len())];
+    match window.binary_search(&t) {
+        Ok(at) => Ok(from + lo + at),
+        Err(at) => Err(from + lo + at),
+    }
+}
+
+/// A walk of terms against the ascending `terms`, in any order: each
+/// lookup gallops on from the last one when its term is larger, and
+/// starts over otherwise.
+struct RowCursor {
+    next: usize,
+}
+
+impl RowCursor {
+    fn find(&mut self, terms: &[TermId], t: TermId) -> Option<usize> {
+        let from = match self.next.checked_sub(1).and_then(|at| terms.get(at)) {
+            Some(&before) if before < t => self.next,
+            _ => 0,
+        };
+        match gallop(terms, from, t) {
+            Ok(row) => {
+                self.next = row + 1;
+                Some(row)
+            }
+            Err(at) => {
+                self.next = at;
+                None
+            }
+        }
+    }
 }
 
 impl NaiveBayes {
@@ -66,12 +148,13 @@ impl NaiveBayes {
         NaiveBayes {
             opts,
             class_docs: vec![0.0; num_classes],
-            term_counts: vec![HashMap::new(); num_classes],
+            seen_docs: vec![0; num_classes],
             token_totals: vec![0.0; num_classes],
-            all_terms: HashSet::new(),
-            presence: ClassTermStats::new(num_classes),
-            selected: None,
-            unselected: Vec::new(),
+            terms: Vec::new(),
+            cells: Vec::new(),
+            active: Vec::new(),
+            num_active: 0,
+            selection: Selection::All,
             unlearned: false,
         }
     }
@@ -85,63 +168,133 @@ impl NaiveBayes {
         self.class_docs.iter().sum()
     }
 
-    /// Add one training document (term-frequency pairs). Incremental: the
-    /// classifier is usable immediately after, which is exactly how the
-    /// folder-tab feedback loop retrains.
+    /// The binary-presence statistics feature selection scores: every term
+    /// seen and its document frequency per class.
+    pub fn term_stats(&self) -> ClassTermStats<'_> {
+        ClassTermStats::new(&self.seen_docs, &self.terms, &self.cells)
+    }
+
+    /// Bytes the model holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.class_docs.capacity() * size_of::<f64>()
+            + self.seen_docs.capacity() * size_of::<u32>()
+            + self.token_totals.capacity() * size_of::<f64>()
+            + self.terms.capacity() * size_of::<TermId>()
+            + self.cells.capacity() * size_of::<TermCell>()
+            + self.active.capacity() * size_of::<bool>()
+    }
+
+    /// Add one training document (term-frequency pairs, in any order; a
+    /// repeated term counts its tokens and the document once). Incremental:
+    /// the classifier is usable immediately after, which is exactly how the
+    /// folder-tab feedback loop retrains. One pass merges the document's
+    /// terms into the table.
     pub fn add_document(&mut self, class: usize, tf: &[(TermId, u32)]) {
         assert!(class < self.num_classes());
         self.class_docs[class] += 1.0;
-        for &(t, c) in tf {
-            let c = f64::from(c);
-            *self.term_counts[class].entry(t).or_insert(0.0) += c;
-            if self.selected.as_ref().is_none_or(|s| s.contains(&t)) {
-                self.token_totals[class] += c;
+        self.seen_docs[class] += 1;
+        let doc = distinct(tf);
+        let k = self.num_classes();
+        let old = self.terms.len();
+        let mut cursor = RowCursor { next: 0 };
+        let new = doc
+            .iter()
+            .filter(|&&(t, _)| cursor.find(&self.terms, t).is_none())
+            .count();
+        self.terms.resize(old + new, 0);
+        self.active.resize(old + new, false);
+        self.cells.resize((old + new) * k, TermCell::default());
+        // Merge from the back: `read` rows of the old table are left to
+        // place, and the row written next is `write - 1`.
+        let fresh_active = self.selection == Selection::All;
+        let (mut read, mut write) = (old, old + new);
+        for &(t, c) in doc.iter().rev() {
+            while read > 0 && self.terms[read - 1] > t {
+                read -= 1;
+                write -= 1;
+                self.move_row(read, write);
             }
-            if self.all_terms.insert(t) && self.selected.is_some() {
-                self.unselected.push(t);
+            write -= 1;
+            if read > 0 && self.terms[read - 1] == t {
+                read -= 1;
+                self.move_row(read, write);
+            } else {
+                self.terms[write] = t;
+                self.active[write] = fresh_active;
+                self.cells[write * k..(write + 1) * k].fill(TermCell::default());
+            }
+            let cell = &mut self.cells[write * k + class];
+            cell.tokens = cell.tokens.saturating_add(c);
+            cell.docs += 1;
+            if self.active[write] {
+                self.token_totals[class] += f64::from(c);
             }
         }
-        self.presence.add_doc(class, tf.iter().map(|&(t, _)| t));
+        if fresh_active {
+            self.num_active += new;
+        }
+    }
+
+    /// Row `from` of the table moves to row `to`.
+    fn move_row(&mut self, from: usize, to: usize) {
+        if from != to {
+            let k = self.num_classes();
+            self.terms[to] = self.terms[from];
+            self.active[to] = self.active[from];
+            self.cells.copy_within(from * k..(from + 1) * k, to * k);
+        }
     }
 
     /// Remove a previously added document (folder-tab *correction*: the
-    /// user cut a page out of a folder). Counts clamp at zero.
+    /// user cut a page out of a folder). Counts clamp at zero; the terms
+    /// and their document frequencies stay.
     pub fn remove_document(&mut self, class: usize, tf: &[(TermId, u32)]) {
         assert!(class < self.num_classes());
         self.unlearned = true;
         self.class_docs[class] = (self.class_docs[class] - 1.0).max(0.0);
-        for &(t, c) in tf {
-            let c = f64::from(c);
-            if let Some(slot) = self.term_counts[class].get_mut(&t) {
-                let dec = slot.min(c);
-                *slot -= dec;
-                if self.selected.as_ref().is_none_or(|s| s.contains(&t)) {
-                    self.token_totals[class] = (self.token_totals[class] - dec).max(0.0);
-                }
+        let k = self.num_classes();
+        let mut cursor = RowCursor { next: 0 };
+        for &(t, c) in distinct(tf).iter() {
+            let Some(row) = cursor.find(&self.terms, t) else {
+                continue;
+            };
+            let cell = &mut self.cells[row * k + class];
+            let dec = cell.tokens.min(c);
+            cell.tokens -= dec;
+            if self.active[row] {
+                self.token_totals[class] = (self.token_totals[class] - f64::from(dec)).max(0.0);
             }
         }
-        // Presence stats are append-only; fine for selection purposes.
     }
 
     /// Restrict the model to the `k` most discriminative terms (Fisher by
     /// default in TAPER). With `k` at or above the number of terms seen,
     /// every score keeps every term, so none is scored.
     pub fn select_features(&mut self, score: FeatureScore, k: usize) {
-        let chosen: HashSet<TermId> = if k >= self.presence.num_terms() {
-            self.presence.terms().collect()
+        if k >= self.terms.len() {
+            self.active.fill(true);
+            self.selection = Selection::KeptAll;
         } else {
-            self.presence.select_top_k(score, k).into_iter().collect()
-        };
+            let chosen = self.term_stats().select_top_k(score, k);
+            self.active.fill(false);
+            for t in chosen {
+                if let Ok(row) = self.terms.binary_search(&t) {
+                    self.active[row] = true;
+                }
+            }
+            self.selection = Selection::Dropped;
+        }
+        self.num_active = self.active.iter().filter(|&&on| on).count();
         // Recompute token totals over the selected set.
-        for (class, counts) in self.term_counts.iter().enumerate() {
-            self.token_totals[class] = counts
-                .iter()
-                .filter(|(t, _)| chosen.contains(*t))
-                .map(|(_, &c)| c)
+        let classes = self.num_classes();
+        for (class, total) in self.token_totals.iter_mut().enumerate() {
+            *total = (self.cells.iter().skip(class).step_by(classes))
+                .zip(&self.active)
+                .filter(|&(_, &on)| on)
+                .map(|(cell, _)| f64::from(cell.tokens))
                 .sum();
         }
-        self.selected = Some(chosen);
-        self.unselected.clear();
     }
 
     /// Bring the model, in place, to the one a fresh model fed the same
@@ -157,55 +310,59 @@ impl NaiveBayes {
             return false;
         }
         let Some(k) = k else {
-            return self.selected.is_none();
+            return self.selection == Selection::All;
         };
-        if self.all_terms.len() > k {
+        if self.terms.len() > k {
             return false;
         }
-        match &mut self.selected {
-            // The token totals already count every term.
-            None => self.selected = Some(self.all_terms.clone()),
-            Some(selected) => {
-                if selected.len() + self.unselected.len() != self.all_terms.len() {
-                    return false;
-                }
-                for t in self.unselected.drain(..) {
-                    for (total, counts) in self.token_totals.iter_mut().zip(&self.term_counts) {
-                        *total += counts.get(&t).copied().unwrap_or(0.0);
+        match self.selection {
+            Selection::Dropped => return false,
+            // Every row is active, and the token totals count it.
+            Selection::All => {}
+            Selection::KeptAll => {
+                let classes = self.num_classes();
+                let rows = self.cells.chunks_exact(classes).zip(&mut self.active);
+                for (row, on) in rows.filter(|(_, on)| !**on) {
+                    for (total, cell) in self.token_totals.iter_mut().zip(row) {
+                        *total += f64::from(cell.tokens);
                     }
-                    selected.insert(t);
+                    *on = true;
                 }
+                self.num_active = self.terms.len();
             }
         }
+        self.selection = Selection::KeptAll;
         true
     }
 
     /// Effective vocabulary size for smoothing.
     fn vocab_size(&self) -> f64 {
-        match &self.selected {
-            Some(s) => s.len().max(1) as f64,
-            None => self.all_terms.len().max(1) as f64,
-        }
-    }
-
-    fn term_active(&self, t: TermId) -> bool {
-        self.selected.as_ref().is_none_or(|s| s.contains(&t))
+        self.num_active.max(1) as f64
     }
 
     /// Log-posterior (natural log, normalised) over classes for a document.
     pub fn log_posteriors(&self, tf: &[(TermId, u32)]) -> Vec<f64> {
         let n = self.num_docs().max(1.0);
-        let k = self.num_classes() as f64;
+        let k = self.num_classes();
         let v = self.vocab_size();
         let alpha = self.opts.smoothing;
-        let mut scores: Vec<f64> = self.class_docs.iter().map(|&d| ln_prior(d, n, k)).collect();
+        let mut scores: Vec<f64> = (self.class_docs.iter())
+            .map(|&d| ln_prior(d, n, k as f64))
+            .collect();
+        let mut cursor = RowCursor { next: 0 };
+        let unseen = [TermCell::default(); 1];
         for &(t, count) in tf {
-            if !self.term_active(t) {
-                continue;
-            }
+            // A term never seen is scored (with no counts) unless a
+            // selection is active; a seen one if it is active.
+            let cells = match cursor.find(&self.terms, t) {
+                Some(row) if self.active[row] => &self.cells[row * k..(row + 1) * k],
+                None if self.selection == Selection::All => &unseen[..],
+                _ => continue,
+            };
             for (c, score) in scores.iter_mut().enumerate() {
-                let tc = self.term_counts[c].get(&t).copied().unwrap_or(0.0);
-                *score += f64::from(count) * ln_likelihood(tc, self.token_totals[c], alpha, v);
+                let tc = cells.get(c).map_or(0, |cell| cell.tokens);
+                *score +=
+                    f64::from(count) * ln_likelihood(f64::from(tc), self.token_totals[c], alpha, v);
             }
         }
         log_normalize(&mut scores);
@@ -220,6 +377,13 @@ impl NaiveBayes {
     /// Most probable class.
     pub fn predict(&self, tf: &[(TermId, u32)]) -> usize {
         argmax(&self.log_posteriors(tf))
+    }
+
+    /// The active rows: `(term, its row)`.
+    fn active_rows(&self) -> impl Iterator<Item = (TermId, usize)> + Clone + '_ {
+        (self.terms.iter().enumerate())
+            .filter(|&(row, _)| self.active[row])
+            .map(|(row, &t)| (t, row))
     }
 }
 
@@ -298,14 +462,17 @@ impl NbScorer {
     /// Freeze `nb` as it stands.
     pub fn new(nb: &NaiveBayes) -> NbScorer {
         // One row per model term: the selected features, or every term seen.
-        let model_terms = nb.selected.as_ref().unwrap_or(&nb.all_terms);
+        let k = nb.num_classes();
         NbScorer::build(
             nb.opts,
             &nb.class_docs,
             &nb.token_totals,
-            model_terms.iter().copied(),
-            nb.selected.is_some(),
-            |c| nb.term_counts[c].iter().map(|(&t, &tc)| (t, tc)),
+            nb.active_rows().map(|(t, _)| t),
+            nb.selection != Selection::All,
+            |c| {
+                nb.active_rows()
+                    .map(move |(t, row)| (t, f64::from(nb.cells[row * k + c].tokens)))
+            },
         )
     }
 
@@ -552,6 +719,48 @@ mod tests {
         let post = nb.posteriors(&[(1, 1), (2, 1)]);
         assert!((post.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(post[0] > 0.9);
+    }
+
+    #[test]
+    fn a_repeated_term_counts_its_document_once() {
+        let unsorted = [(7u32, 1u32), (3, 2), (7, 2), (9, 1)];
+        let merged = [(3u32, 2u32), (7, 3), (9, 1)];
+        let (mut nb, mut once) = (
+            NaiveBayes::new(2, NbOptions::default()),
+            NaiveBayes::new(2, NbOptions::default()),
+        );
+        for model in [&mut nb, &mut once] {
+            model.add_document(1, &[(7, 1), (8, 1)]);
+        }
+        nb.add_document(0, &unsorted);
+        once.add_document(0, &merged);
+        let bits = |post: Vec<f64>| post.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let query = [(7u32, 2u32), (3, 1), (7, 1), (11, 1)];
+        for how in [
+            FeatureScore::Fisher,
+            FeatureScore::ChiSquare,
+            FeatureScore::MutualInfo,
+        ] {
+            let score = |m: &NaiveBayes| m.term_stats().score(7, how).to_bits();
+            assert_eq!(score(&nb), score(&once), "{how:?}");
+        }
+        assert_eq!(nb.term_stats().terms().collect::<Vec<_>>(), [3, 7, 8, 9]);
+        assert_eq!(
+            bits(nb.log_posteriors(&query)),
+            bits(once.log_posteriors(&query))
+        );
+        nb.remove_document(0, &[(9, 1), (7, 2), (3, 2), (7, 1)]);
+        once.remove_document(0, &merged);
+        assert_eq!(
+            bits(nb.log_posteriors(&query)),
+            bits(once.log_posteriors(&query))
+        );
+        nb.select_features(FeatureScore::Fisher, 2);
+        once.select_features(FeatureScore::Fisher, 2);
+        assert_eq!(
+            bits(nb.log_posteriors(&query)),
+            bits(once.log_posteriors(&query))
+        );
     }
 
     #[test]

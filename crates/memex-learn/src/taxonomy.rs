@@ -5,6 +5,7 @@
 //! the community theme hierarchy synthesised by `memex-cluster` (Fig. 4).
 
 use std::collections::HashMap;
+use std::mem::size_of;
 
 /// Dense topic/node identifier within one taxonomy. The root is always 0.
 pub type TopicId = u32;
@@ -214,6 +215,13 @@ impl Taxonomy {
 
     pub fn is_empty(&self) -> bool {
         false // the root always exists
+    }
+
+    /// Bytes the tree holds on the heap: its nodes, their names and their
+    /// child lists.
+    pub fn heap_bytes(&self) -> usize {
+        let own = |n: &Node| n.name.capacity() + n.children.capacity() * size_of::<TopicId>();
+        self.nodes.capacity() * size_of::<Node>() + self.nodes.iter().map(own).sum::<usize>()
     }
 
     /// Lowest common ancestor of two live nodes.

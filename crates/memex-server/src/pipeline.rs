@@ -23,6 +23,7 @@
 //! is the serving layer's (`memex-net`'s in-flight limit), not the log's.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use memex_graph::graph::WebGraph;
 use memex_graph::trail::{TrailGraph, Visit};
@@ -116,13 +117,17 @@ pub struct BookmarkRecord {
     pub time: u64,
 }
 
+/// A page's term vector as its record holds it: shared, so a holder of a
+/// clone (a folder space's training set) keeps no copy.
+pub type SharedTf = Arc<[(TermId, u32)]>;
+
 /// What the fetch demon concluded for a page it tried.
 enum FetchOutcome {
     /// Fetched and analysed: its term vector and transfer size, and the
     /// word memo of its text ([`MemexServer::page_memo`]), written by the
     /// same walk as `tf`.
     Archived {
-        tf: Vec<(TermId, u32)>,
+        tf: SharedTf,
         bytes: u32,
         memo: Option<PageMemo>,
     },
@@ -133,7 +138,7 @@ enum FetchOutcome {
 }
 
 impl FetchOutcome {
-    fn archived(&self) -> Option<(&[(TermId, u32)], u32)> {
+    fn archived(&self) -> Option<(&SharedTf, u32)> {
         match self {
             FetchOutcome::Archived { tf, bytes, .. } => Some((tf, *bytes)),
             FetchOutcome::Abandoned => None,
@@ -355,7 +360,7 @@ impl<F: PageFetcher> MemexServer<F> {
         let indexed = self.index.add_document(page, &tf);
         let outcome = if indexed.is_ok() {
             FetchOutcome::Archived {
-                tf,
+                tf: tf.into(),
                 bytes: content.bytes,
                 memo,
             }
@@ -388,6 +393,11 @@ impl<F: PageFetcher> MemexServer<F> {
 
     /// Analyzed term vector of a fetched page.
     pub fn tf(&self, page: u32) -> Option<&[(TermId, u32)]> {
+        Some(self.pages.get(&page)?.archived()?.0)
+    }
+
+    /// [`MemexServer::tf`] as the handle the page record holds.
+    pub fn tf_shared(&self, page: u32) -> Option<&SharedTf> {
         Some(self.pages.get(&page)?.archived()?.0)
     }
 

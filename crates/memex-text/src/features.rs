@@ -4,18 +4,32 @@
 //! fraction is retained. Three classic scores are provided — the Fisher
 //! discriminant used by TAPER, χ², and mutual information — all on binary
 //! term presence.
-
-use std::collections::HashMap;
+//!
+//! The statistics are a view ([`ClassTermStats`]) of a term-major table a
+//! classifier keeps anyway: its terms in ascending order and, per term, one
+//! [`TermCell`] per class. A naive Bayes model reads the token counts of the
+//! same cells, so the two need no second table.
 
 use crate::vocab::TermId;
 
-/// Per-class binary term-presence statistics.
-#[derive(Debug, Default, Clone)]
-pub struct ClassTermStats {
+/// One class's cell of a term's row: the tokens of the term that class's
+/// training documents hold, and how many of those documents hold it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TermCell {
+    pub tokens: u32,
+    pub docs: u32,
+}
+
+/// Per-class binary term-presence statistics: a view of a term-major
+/// table.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassTermStats<'a> {
     /// Documents per class.
-    class_docs: Vec<u32>,
-    /// term -> per-class document frequency.
-    term_class_df: HashMap<TermId, Vec<u32>>,
+    class_docs: &'a [u32],
+    /// Every term recorded, ascending.
+    terms: &'a [TermId],
+    /// `cells[row * k + class]`: `k` cells per term, in `terms`' order.
+    cells: &'a [TermCell],
 }
 
 /// Which discriminative score to use.
@@ -29,11 +43,21 @@ pub enum FeatureScore {
     MutualInfo,
 }
 
-impl ClassTermStats {
-    pub fn new(num_classes: usize) -> ClassTermStats {
+impl<'a> ClassTermStats<'a> {
+    /// The statistics of a table with `class_docs[c]` documents in class
+    /// `c`, the terms `terms` (ascending) and `cells[row * k + c]` the cell
+    /// of term `terms[row]` in class `c`, `k` being `class_docs.len()`.
+    pub fn new(
+        class_docs: &'a [u32],
+        terms: &'a [TermId],
+        cells: &'a [TermCell],
+    ) -> ClassTermStats<'a> {
+        debug_assert_eq!(cells.len(), terms.len() * class_docs.len());
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
         ClassTermStats {
-            class_docs: vec![0; num_classes],
-            term_class_df: HashMap::new(),
+            class_docs,
+            terms,
+            cells,
         }
     }
 
@@ -41,24 +65,14 @@ impl ClassTermStats {
         self.class_docs.len()
     }
 
-    /// Record one document of class `class` with the given distinct terms.
-    pub fn add_doc(&mut self, class: usize, distinct_terms: impl IntoIterator<Item = TermId>) {
-        assert!(class < self.class_docs.len(), "class out of range");
-        self.class_docs[class] += 1;
-        let k = self.class_docs.len();
-        for t in distinct_terms {
-            self.term_class_df.entry(t).or_insert_with(|| vec![0; k])[class] += 1;
-        }
-    }
-
     /// Distinct terms recorded.
     pub fn num_terms(&self) -> usize {
-        self.term_class_df.len()
+        self.terms.len()
     }
 
-    /// Every term recorded, in no particular order.
-    pub fn terms(&self) -> impl Iterator<Item = TermId> + '_ {
-        self.term_class_df.keys().copied()
+    /// Every term recorded, in ascending order.
+    pub fn terms(&self) -> impl Iterator<Item = TermId> + 'a {
+        self.terms.iter().copied()
     }
 
     /// Total documents.
@@ -68,23 +82,17 @@ impl ClassTermStats {
 
     /// Score a single term.
     pub fn score(&self, term: TermId, how: FeatureScore) -> f64 {
-        let Some(dfs) = self.term_class_df.get(&term) else {
-            return 0.0;
-        };
-        match how {
-            FeatureScore::Fisher => self.fisher(dfs),
-            FeatureScore::ChiSquare => self.chi_square(dfs),
-            FeatureScore::MutualInfo => self.mutual_info(dfs),
+        match self.terms.binary_search(&term) {
+            Ok(row) => self.score_row(row, how),
+            Err(_) => 0.0,
         }
     }
 
     /// The `k` best-scoring terms, descending (ties broken by term id for
     /// determinism).
     pub fn select_top_k(&self, how: FeatureScore, k: usize) -> Vec<TermId> {
-        let mut scored: Vec<(TermId, f64)> = self
-            .term_class_df
-            .keys()
-            .map(|&t| (t, self.score(t, how)))
+        let mut scored: Vec<(TermId, f64)> = (self.terms.iter().enumerate())
+            .map(|(row, &t)| (t, self.score_row(row, how)))
             .collect();
         scored.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
@@ -95,11 +103,27 @@ impl ClassTermStats {
         scored.into_iter().map(|(t, _)| t).collect()
     }
 
-    fn fisher(&self, dfs: &[u32]) -> f64 {
+    /// The per-class document frequencies of the term in row `row`.
+    fn dfs(&self, row: usize) -> impl Iterator<Item = u32> + Clone + 'a {
+        let k = self.class_docs.len();
+        let cells = self.cells.get(row * k..(row + 1) * k).unwrap_or_default();
+        cells.iter().map(|cell| cell.docs)
+    }
+
+    fn score_row(&self, row: usize, how: FeatureScore) -> f64 {
+        let dfs = self.dfs(row);
+        match how {
+            FeatureScore::Fisher => self.fisher(dfs),
+            FeatureScore::ChiSquare => self.chi_square(dfs),
+            FeatureScore::MutualInfo => self.mutual_info(dfs),
+        }
+    }
+
+    fn fisher(&self, dfs: impl Iterator<Item = u32> + Clone) -> f64 {
         // Presence rate per class, recomputed by each pass below rather
         // than collected: the same values summed in the same order.
         let rates = || {
-            dfs.iter().zip(&self.class_docs).map(|(&df, &n)| {
+            dfs.clone().zip(self.class_docs).map(|(df, &n)| {
                 if n == 0 {
                     0.0
                 } else {
@@ -107,7 +131,7 @@ impl ClassTermStats {
                 }
             })
         };
-        let k = dfs.len().min(self.class_docs.len()) as f64;
+        let k = self.class_docs.len() as f64;
         if k < 2.0 {
             return 0.0;
         }
@@ -118,15 +142,14 @@ impl ClassTermStats {
         between / (within + 1e-9)
     }
 
-    fn chi_square(&self, dfs: &[u32]) -> f64 {
+    fn chi_square(&self, dfs: impl Iterator<Item = u32> + Clone) -> f64 {
         let n = f64::from(self.total_docs());
         if n == 0.0 {
             return 0.0;
         }
-        let term_total: f64 = dfs.iter().map(|&d| f64::from(d)).sum();
+        let term_total: f64 = dfs.clone().map(f64::from).sum();
         let mut chi = 0.0;
-        for (c, (&df, &nc)) in dfs.iter().zip(&self.class_docs).enumerate() {
-            let _ = c;
+        for (df, &nc) in dfs.zip(self.class_docs) {
             let nc = f64::from(nc);
             // Cells: (present, class c) and (absent, class c).
             for (observed, term_mass) in [
@@ -142,14 +165,14 @@ impl ClassTermStats {
         chi
     }
 
-    fn mutual_info(&self, dfs: &[u32]) -> f64 {
+    fn mutual_info(&self, dfs: impl Iterator<Item = u32> + Clone) -> f64 {
         let n = f64::from(self.total_docs());
         if n == 0.0 {
             return 0.0;
         }
-        let p_term = dfs.iter().map(|&d| f64::from(d)).sum::<f64>() / n;
+        let p_term = dfs.clone().map(f64::from).sum::<f64>() / n;
         let mut mi = 0.0;
-        for (&df, &nc) in dfs.iter().zip(&self.class_docs) {
+        for (df, &nc) in dfs.zip(self.class_docs) {
             let p_c = f64::from(nc) / n;
             for (joint, p_t) in [
                 (f64::from(df) / n, p_term),
@@ -166,12 +189,50 @@ impl ClassTermStats {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+
+    /// An owned table for [`ClassTermStats`] to view, filled a document
+    /// (class, distinct terms) at a time.
+    struct Table {
+        class_docs: Vec<u32>,
+        df: BTreeMap<TermId, Vec<u32>>,
+        terms: Vec<TermId>,
+        cells: Vec<TermCell>,
+    }
+
+    impl Table {
+        fn new(num_classes: usize) -> Table {
+            Table {
+                class_docs: vec![0; num_classes],
+                df: BTreeMap::new(),
+                terms: Vec::new(),
+                cells: Vec::new(),
+            }
+        }
+
+        fn add_doc(&mut self, class: usize, distinct_terms: impl IntoIterator<Item = TermId>) {
+            let k = self.class_docs.len();
+            self.class_docs[class] += 1;
+            for t in distinct_terms {
+                self.df.entry(t).or_insert_with(|| vec![0; k])[class] += 1;
+            }
+            self.terms = self.df.keys().copied().collect();
+            self.cells = (self.df.values().flatten())
+                .map(|&docs| TermCell { tokens: 0, docs })
+                .collect();
+        }
+
+        fn stats(&self) -> ClassTermStats<'_> {
+            ClassTermStats::new(&self.class_docs, &self.terms, &self.cells)
+        }
+    }
 
     /// Two classes; term 1 is a perfect discriminator, term 2 is uniform
     /// noise, term 3 is a partial signal.
-    fn fixture() -> ClassTermStats {
-        let mut s = ClassTermStats::new(2);
+    fn fixture() -> Table {
+        let mut s = Table::new(2);
         for i in 0..20 {
             if i < 10 {
                 // Class 0 docs: always term 1 and 2, never 3.
@@ -187,7 +248,8 @@ mod tests {
 
     #[test]
     fn all_scores_rank_discriminator_above_noise() {
-        let s = fixture();
+        let table = fixture();
+        let s = table.stats();
         for how in [
             FeatureScore::Fisher,
             FeatureScore::ChiSquare,
@@ -209,7 +271,8 @@ mod tests {
 
     #[test]
     fn top_k_selection_is_ordered_and_bounded() {
-        let s = fixture();
+        let table = fixture();
+        let s = table.stats();
         let top = s.select_top_k(FeatureScore::Fisher, 2);
         assert_eq!(top[0], 1);
         assert_eq!(top.len(), 2);
@@ -218,10 +281,10 @@ mod tests {
     }
 
     /// The Fisher score as first written, over a collected rate per class.
-    fn fisher_collected(s: &ClassTermStats, dfs: &[u32]) -> f64 {
+    fn fisher_collected(class_docs: &[u32], dfs: &[u32]) -> f64 {
         let rates: Vec<f64> = dfs
             .iter()
-            .zip(&s.class_docs)
+            .zip(class_docs)
             .map(|(&df, &n)| {
                 if n == 0 {
                     0.0
@@ -243,42 +306,47 @@ mod tests {
     #[test]
     fn fisher_is_the_collected_rates_formula_bit_for_bit() {
         // Five classes, the last never trained; terms spread unevenly.
-        let mut s = ClassTermStats::new(5);
+        let mut table = Table::new(5);
         for doc in 0u32..60 {
             let class = (doc * 7 % 4) as usize;
-            s.add_doc(
+            table.add_doc(
                 class,
                 (0u32..40).filter(|t| (doc + t * 3) % (t % 5 + 2) == 0),
             );
         }
+        let s = table.stats();
         assert!(s.num_terms() > 30);
         for t in s.terms() {
-            let dfs = &s.term_class_df[&t];
+            let dfs = &table.df[&t];
             let fisher = s.score(t, FeatureScore::Fisher);
             assert_eq!(
                 fisher.to_bits(),
-                fisher_collected(&s, dfs).to_bits(),
+                fisher_collected(&table.class_docs, dfs).to_bits(),
                 "term {t}"
             );
         }
     }
 
     #[test]
+    fn terms_come_in_ascending_order() {
+        let mut table = Table::new(2);
+        table.add_doc(0, [9u32, 4, 7]);
+        table.add_doc(1, [1u32, 9]);
+        let s = table.stats();
+        assert_eq!(s.terms().collect::<Vec<_>>(), [1, 4, 7, 9]);
+        assert_eq!(s.num_terms(), 4);
+        assert_eq!(s.total_docs(), 2);
+    }
+
+    #[test]
     fn unknown_term_scores_zero() {
-        let s = fixture();
-        assert_eq!(s.score(999, FeatureScore::Fisher), 0.0);
+        let table = fixture();
+        assert_eq!(table.stats().score(999, FeatureScore::Fisher), 0.0);
     }
 
     #[test]
     fn uniform_term_has_near_zero_mi() {
-        let s = fixture();
-        assert!(s.score(2, FeatureScore::MutualInfo) < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "class out of range")]
-    fn class_bounds_checked() {
-        let mut s = ClassTermStats::new(1);
-        s.add_doc(1, [0u32]);
+        let table = fixture();
+        assert!(table.stats().score(2, FeatureScore::MutualInfo) < 1e-9);
     }
 }
