@@ -46,6 +46,14 @@ pub struct FolderSpace {
     full_rebuilds: u64,
 }
 
+/// Insert `item` at `at`, growing `table` by exactly that one entry: a
+/// space lives as long as its user, so doubling slack would be held as
+/// long.
+fn insert_exact<T>(table: &mut Vec<T>, at: usize, item: T) {
+    table.reserve_exact(1);
+    table.insert(at, item);
+}
+
 /// Fisher-selected vocabulary size of a trained model.
 const FEATURE_K: usize = 2_000;
 
@@ -86,7 +94,7 @@ impl FolderSpace {
     fn assign(&mut self, page: u32, a: PageAssignment) {
         match self.assignments.binary_search_by_key(&page, |&(p, _)| p) {
             Ok(at) => self.assignments[at].1 = a,
-            Err(at) => self.assignments.insert(at, (page, a)),
+            Err(at) => insert_exact(&mut self.assignments, at, (page, a)),
         }
     }
 
@@ -94,11 +102,11 @@ impl FolderSpace {
     fn keep_confirmed(&mut self, page: u32, folder: TopicId, tf: SharedTf) {
         match self.tf_of.binary_search_by_key(&page, |&(p, _)| p) {
             Ok(at) => self.tf_of[at].1 = tf,
-            Err(at) => self.tf_of.insert(at, (page, tf)),
+            Err(at) => insert_exact(&mut self.tf_of, at, (page, tf)),
         }
         match self.confirmed_in.binary_search_by_key(&folder, |&(f, _)| f) {
             Ok(at) => self.confirmed_in[at].1 += 1,
-            Err(at) => self.confirmed_in.insert(at, (folder, 1)),
+            Err(at) => insert_exact(&mut self.confirmed_in, at, (folder, 1)),
         }
     }
 

@@ -33,6 +33,7 @@ use memex_text::vocab::{IdfTable, TermId};
 use memex_web::corpus::Corpus;
 
 use crate::folders::FolderSpace;
+use crate::servlet::ServletLatency;
 
 /// Facade configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -278,6 +279,8 @@ pub struct Memex {
     /// an old unassigned page classifiable, so only they are re-walked.
     reclassify: HashSet<u32>,
     metrics: DemonMetrics,
+    /// Every servlet's latency histogram.
+    pub(crate) servlet_latency: ServletLatency,
     /// Request tracer (flight recorder + slow log). Built disabled; the
     /// serving layer configures it ([`memex_obs::Tracer::configure`]).
     tracer: memex_obs::Tracer,
@@ -291,6 +294,7 @@ impl Memex {
         let tracer = memex_obs::Tracer::default();
         tracer.attach_registry(server.registry());
         let metrics = DemonMetrics::new(server.registry());
+        let servlet_latency = ServletLatency::new(server.registry());
         Ok(Memex {
             corpus,
             server,
@@ -313,6 +317,7 @@ impl Memex {
             classified_visits: 0,
             reclassify: HashSet::new(),
             metrics,
+            servlet_latency,
             tracer,
         })
     }

@@ -11,6 +11,7 @@
 //! shim for single-threaded callers.
 
 use memex_learn::taxonomy::TopicId;
+use memex_obs::{Histogram, MetricsRegistry};
 use memex_server::events::ClientEvent;
 
 use crate::bookmarks_io::{export_netscape, import_netscape, BookmarkEntry};
@@ -64,43 +65,60 @@ pub enum Request {
     Traces { slow_only: bool, limit: usize },
 }
 
-/// One list of variant names, and both name methods generated from it.
-macro_rules! request_names {
-    ($($variant:pat => $name:literal,)*) => {
-        impl Request {
-            /// Stable name of this request variant, used as the metric
-            /// suffix in `servlet.<name>.latency`.
-            pub fn name(&self) -> &'static str {
-                match self {
-                    $($variant => $name,)*
+/// One list of servlets, and the variant names and handle table generated
+/// from it.
+macro_rules! servlets {
+    ($($variant:pat => $name:ident,)*) => {
+        /// Every servlet's `servlet.<name>.latency` histogram, registered
+        /// once (like the serving layer's own handles): a dispatch or a
+        /// read-cache hit picks its handle by variant, with no name lookup.
+        #[derive(Clone)]
+        pub struct ServletLatency {
+            $($name: Histogram,)*
+        }
+
+        impl ServletLatency {
+            pub fn new(registry: &MetricsRegistry) -> ServletLatency {
+                ServletLatency {
+                    $($name: registry.histogram(
+                        concat!("servlet.", stringify!($name), ".latency"),
+                    ),)*
                 }
             }
 
-            /// Precomputed `servlet.<name>.latency` metric name for this
-            /// variant, so the hot dispatch path never allocates a
-            /// `format!` string.
-            pub fn latency_metric(&self) -> &'static str {
+            /// The histogram that times `request`'s servlet.
+            pub fn of(&self, request: &Request) -> &Histogram {
+                match request {
+                    $($variant => &self.$name,)*
+                }
+            }
+        }
+
+        impl Request {
+            /// Stable name of this request variant: its servlet's, the
+            /// `<name>` of `servlet.<name>.latency`.
+            pub fn name(&self) -> &'static str {
                 match self {
-                    $($variant => concat!("servlet.", $name, ".latency"),)*
+                    $($variant => stringify!($name),)*
                 }
             }
         }
     };
 }
 
-request_names! {
-    Request::Event(_) => "event",
-    Request::Recall { .. } => "recall",
-    Request::TrailReplay { .. } => "trail_replay",
-    Request::WhatsNew { .. } => "whats_new",
-    Request::Bill { .. } => "bill",
-    Request::SimilarSurfers { .. } => "similar_surfers",
-    Request::Recommend { .. } => "recommend",
-    Request::ImportBookmarks { .. } => "import_bookmarks",
-    Request::ExportBookmarks { .. } => "export_bookmarks",
-    Request::ProposeFolders { .. } => "propose_folders",
-    Request::Stats => "stats",
-    Request::Traces { .. } => "traces",
+servlets! {
+    Request::Event(_) => event,
+    Request::Recall { .. } => recall,
+    Request::TrailReplay { .. } => trail_replay,
+    Request::WhatsNew { .. } => whats_new,
+    Request::Bill { .. } => bill,
+    Request::SimilarSurfers { .. } => similar_surfers,
+    Request::Recommend { .. } => recommend,
+    Request::ImportBookmarks { .. } => import_bookmarks,
+    Request::ExportBookmarks { .. } => export_bookmarks,
+    Request::ProposeFolders { .. } => propose_folders,
+    Request::Stats => stats,
+    Request::Traces { .. } => traces,
 }
 
 impl Request {
@@ -225,16 +243,12 @@ pub fn dispatch(memex: &mut Memex, request: Request) -> Response {
 }
 
 /// Answer a pure query. Takes `&Memex`, so any number of these can run
-/// concurrently under a read lock. Records `servlet.<variant>.latency`.
+/// concurrently under a read lock. Records `servlet.<variant>.latency`,
+/// which in a trace is the `servlet.<variant>` span; deeper layers (index,
+/// store) attach their own children to it.
 pub fn dispatch_read(memex: &Memex, request: ReadRequest) -> Response {
     let request = request.into_request();
-    let _span = memex
-        .registry()
-        .histogram(request.latency_metric())
-        .start_span();
-    // Child span named after the variant; deeper layers (index, store)
-    // attach their own children to it through the thread-local trace.
-    let _trace = memex_obs::trace::span(request.name());
+    let _span = memex.servlet_latency.of(&request).start_span();
     match request {
         Request::Recall {
             user,
@@ -303,13 +317,9 @@ pub fn dispatch_read(memex: &Memex, request: ReadRequest) -> Response {
 /// Apply a mutation and bring every query-visible cache up to date (demons
 /// plus [`Memex::refresh`]) before the write lock is released, so readers
 /// admitted afterwards see a fully consistent archive. Records
-/// `servlet.<variant>.latency`.
+/// `servlet.<variant>.latency` (the `servlet.<variant>` span).
 pub fn dispatch_write(memex: &mut Memex, request: WriteRequest) -> Response {
-    let _span = memex
-        .registry()
-        .histogram(request.as_request().latency_metric())
-        .start_span();
-    let _trace = memex_obs::trace::span(request.as_request().name());
+    let _span = memex.servlet_latency.of(request.as_request()).start_span();
     let verdict = apply_write(memex, &request);
     if let Err(e) = memex.run_demons() {
         return Response::Error(e.to_string());

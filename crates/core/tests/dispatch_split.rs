@@ -12,7 +12,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use memex_core::memex::{Memex, MemexOptions};
-use memex_core::servlet::{dispatch, dispatch_read, dispatch_write, Classified, Request, Response};
+use memex_core::servlet::{
+    dispatch, dispatch_read, dispatch_write, Classified, Request, Response, ServletLatency,
+};
+use memex_obs::MetricsRegistry;
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
 
@@ -337,10 +340,11 @@ fn classification_matches_the_mutation_surface() {
     }
 }
 
-/// Per-variant latency metric names are static (no per-request `format!`)
-/// and still follow the catalogued `servlet.<name>.latency` wildcard.
+/// Every variant has its own latency histogram, registered once by
+/// `ServletLatency::new` as `servlet.<name>.latency`, the catalogued
+/// wildcard.
 #[test]
-fn latency_metric_names_are_static_and_catalogue_shaped() {
+fn every_variant_has_its_own_registered_latency_histogram() {
     let corpus = corpus();
     let all = [
         visit(&corpus, 0, 0, 1),
@@ -383,12 +387,14 @@ fn latency_metric_names_are_static_and_catalogue_shaped() {
             limit: 8,
         },
     ];
+    let registry = MetricsRegistry::new();
+    let latency = ServletLatency::new(&registry);
+    assert_eq!(registry.snapshot().histograms.len(), all.len());
     for r in &all {
-        assert_eq!(
-            r.latency_metric(),
-            format!("servlet.{}.latency", r.name()),
-            "static metric name drifted from the variant name"
-        );
+        latency.of(r).record(1);
+        let name = format!("servlet.{}.latency", r.name());
+        let timed = registry.snapshot().histogram(&name).map(|h| h.count);
+        assert_eq!(timed, Some(1), "{name} is not the histogram of {r:?}");
     }
 }
 

@@ -148,7 +148,6 @@ fn search(
     among: Option<&[u32]>,
 ) -> StoreResult<Vec<SearchHit>> {
     let _span = index.metrics.query_latency.start_span();
-    let _trace = memex_obs::trace::span("index.bm25");
     let max_doc = match index.max_doc() {
         Some(max_doc) if !query_terms.is_empty() && k > 0 => max_doc,
         _ => return Ok(Vec::new()),

@@ -189,7 +189,9 @@ impl NaiveBayes {
     /// repeated term counts its tokens and the document once). Incremental:
     /// the classifier is usable immediately after, which is exactly how the
     /// folder-tab feedback loop retrains. One pass merges the document's
-    /// terms into the table.
+    /// terms into the table, which grows by exactly the rows it adds (a
+    /// model is kept for the life of its folder space, so doubling slack
+    /// would be held too).
     pub fn add_document(&mut self, class: usize, tf: &[(TermId, u32)]) {
         assert!(class < self.num_classes());
         self.class_docs[class] += 1.0;
@@ -202,6 +204,9 @@ impl NaiveBayes {
             .iter()
             .filter(|&&(t, _)| cursor.find(&self.terms, t).is_none())
             .count();
+        self.terms.reserve_exact(new);
+        self.active.reserve_exact(new);
+        self.cells.reserve_exact(new * k);
         self.terms.resize(old + new, 0);
         self.active.resize(old + new, false);
         self.cells.resize((old + new) * k, TermCell::default());

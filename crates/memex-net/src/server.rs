@@ -39,13 +39,13 @@
 //! **Admission control:** a semaphore-style in-flight counter caps how many
 //! requests may be dispatching at once. A request arriving above the cap is
 //! answered immediately with [`Response::Overloaded`] (counted in
-//! `net.shed` *and* `net.req.shed`, with its latency recorded in
-//! `net.req.latency` and its — short — trace completing normally) instead
-//! of queueing without bound; a connection arriving while the accept queue
-//! is full gets the same verdict and is closed (counted in `net.shed` and
-//! `net.conn.rejected`; no request was read, so there is no `net.req.*`
-//! accounting for it). The server never makes a client wait silently for
-//! capacity.
+//! `net.shed` *and* `net.req.shed`, timed in `net.req.latency` over the
+//! same window as a served request, and its — short — trace completing
+//! normally) instead of queueing without bound; a connection arriving
+//! while the accept queue is full gets the same verdict and is closed
+//! (counted in `net.shed` and `net.conn.rejected`; no request was read,
+//! so there is no `net.req.*` accounting for it). The server never makes a
+//! client wait silently for capacity.
 //!
 //! **Shutdown:** [`NetServer::shutdown`] flips the shutdown flag, wakes
 //! the accept thread with a self-connection, closes the read side of every
@@ -59,13 +59,14 @@
 //! **Tracing:** when the served Memex's [`memex_obs::Tracer`] is enabled
 //! (configure it before building the `Service`; it is off by default),
 //! every handled request gets a root span (`net.req`) covering
-//! decode → lock-acquire → dispatch → write, annotated with
-//! `lock_wait_ns`/`lock_kind` at RwLock acquisition (and `cache_hit=true`
-//! on cache-served reads, `shed=true` on overload verdicts,
-//! `retry_of=<id>` when the client marked the request as a retry of an
-//! earlier attempt). The trace id comes from the frame envelope when the
-//! client stamped one, else from the tracer's seeded generator; responses
-//! echo it. Completed span trees land in the tracer's flight recorder (and
+//! decode → lock-acquire → dispatch → write: the window `net.req.latency`
+//! times, with one clock. The RwLock acquisition is its `net.lock.wait`
+//! child (the window of the histogram of that name), and the root is
+//! annotated with `lock_kind` (and `cache_hit=true` on cache-served reads,
+//! `shed=true` on overload verdicts, `retry_of=<id>` when the client marked
+//! the request as a retry of an earlier attempt). The trace id comes from
+//! the frame envelope when the client stamped one, else from the tracer's
+//! seeded generator; responses echo it. Completed span trees land in the tracer's flight recorder (and
 //! slow log) and are served over the wire by `Request::Traces`.
 //!
 //! All serving stats flow through the served Memex's metrics registry
@@ -84,7 +85,8 @@ use std::time::{Duration, Instant};
 
 use memex_core::memex::Memex;
 use memex_core::servlet::{
-    dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, WriteRequest,
+    dispatch_read, dispatch_write, Classified, ReadRequest, Request, Response, ServletLatency,
+    WriteRequest,
 };
 use memex_obs::{trace, Counter, Gauge, Histogram, MetricsRegistry, Tracer};
 
@@ -188,11 +190,11 @@ impl ReadCache {
     }
 }
 
-/// The serving layer's registry handles, every `net.*` name, registered
-/// once when the [`Service`] is built (like `memex-server`'s
-/// `ServerMetrics`): the rare paths' names — the transport's included — are
-/// in the first snapshot too, and a request bumps atomics without looking a
-/// name up.
+/// The serving layer's registry handles, every `net.*` name and the
+/// servlet latencies a cache hit records, registered once when the
+/// [`Service`] is built (like `memex-server`'s `ServerMetrics`): the rare
+/// paths' names — the transport's included — are in the first snapshot
+/// too, and a request bumps atomics without looking a name up.
 struct NetMetrics {
     conn_accepted: Counter,
     conn_rejected: Counter,
@@ -215,6 +217,7 @@ struct NetMetrics {
     cache_evict: Counter,
     cache_stale_purged: Counter,
     lock_wait: Histogram,
+    servlets: ServletLatency,
 }
 
 impl NetMetrics {
@@ -241,6 +244,7 @@ impl NetMetrics {
             cache_evict: registry.counter("net.read.cache.evict"),
             cache_stale_purged: registry.counter("net.read.cache.stale_purged"),
             lock_wait: registry.histogram("net.lock.wait"),
+            servlets: ServletLatency::new(registry),
         }
     }
 }
@@ -256,9 +260,6 @@ pub struct Service {
     /// versions the read cache.
     epoch: AtomicU64,
     cache: Mutex<ReadCache>,
-    /// The served Memex's registry: a cache hit records its servlet's
-    /// latency here.
-    registry: MetricsRegistry,
     metrics: NetMetrics,
     in_flight: AtomicUsize,
     max_in_flight: usize,
@@ -271,14 +272,13 @@ impl Service {
     /// `max_in_flight` others are dispatching. Tracing follows
     /// `memex.tracer()` as configured.
     pub fn new(memex: Memex, max_in_flight: usize) -> Service {
-        let registry = memex.registry().clone();
+        let metrics = NetMetrics::new(memex.registry());
         let tracer = memex.tracer().clone();
         Service {
             memex: RwLock::new(memex),
             epoch: AtomicU64::new(0),
             cache: Mutex::new(ReadCache::default()),
-            metrics: NetMetrics::new(&registry),
-            registry,
+            metrics,
             in_flight: AtomicUsize::new(0),
             max_in_flight,
             tracer,
@@ -304,7 +304,6 @@ impl Service {
     /// in one `write_all`; a failed write closes the connection.
     pub fn handle(&self, frame: Result<FrameMeta, WireError>, out: &mut impl Write) -> bool {
         let m = &self.metrics;
-        let req_started = Instant::now();
         let frame = match frame {
             Ok(frame) if frame.kind == FrameKind::Request => frame,
             // A client must never send response frames.
@@ -313,14 +312,14 @@ impl Service {
             }
             Err(e) => return self.reject(format!("decode: {e}"), None, out),
         };
-        // Root span for the whole exchange, opened before payload decode so
-        // the tree covers decode → lock-acquire → dispatch → write. The id
-        // is the client's (frame trace context) or minted from the tracer's
-        // seeded generator; the guard publishes the completed tree to the
-        // flight recorder when it is dropped after the write.
-        let trace_guard = self
+        // One window, decode → write, timed into `net.req.latency` and, when
+        // tracing is on, the root span `net.req` of the request's trace. The
+        // id is the client's (frame trace context) or minted from the
+        // tracer's seeded generator; the guard publishes the completed tree
+        // to the flight recorder when it is dropped after the write.
+        let root = self
             .tracer
-            .start_trace("net.req", frame.trace.map(|t| t.trace_id));
+            .start_trace(&m.req_latency, frame.trace.map(|t| t.trace_id));
         if let Some(prev) = frame.trace.and_then(|t| t.retry_of) {
             // The client marked this as the retry of a dead attempt: link
             // the trees so operators can stitch the logical request together.
@@ -344,29 +343,24 @@ impl Service {
             // `net.shed` — overload is exactly when operators look there.
             m.shed.inc();
             m.req_shed.inc();
-            m.req_latency
-                .record(req_started.elapsed().as_nanos() as u64);
             trace::annotate("shed", "true");
             encoded(&Response::Overloaded {
                 in_flight: prev.min(u32::MAX as usize) as u32,
                 limit: self.max_in_flight.min(u32::MAX as usize) as u32,
             })
         } else {
-            let answer = {
-                let _span = m.req_latency.start_span();
-                match request.classify() {
-                    Classified::Read(r) => self.answer_read(r),
-                    Classified::Write(w) => self.answer_write(w),
-                }
+            let answer = match request.classify() {
+                Classified::Read(r) => self.answer_read(r),
+                Classified::Write(w) => self.answer_write(w),
             };
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             answer
         };
-        let write_started = Instant::now();
+        let write_span = trace::span("net.write");
         let wrote = respond(m, out, frame.trace, &answer);
-        trace::record_span("net.write", write_started, Instant::now());
-        // Completes the trace: everything after this is outside the request.
-        drop(trace_guard);
+        drop(write_span);
+        // Completes the request's window: everything after this is outside.
+        drop(root);
         wrote.map_err(|_| m.conn_write_errors.inc()).is_ok()
     }
 
@@ -430,9 +424,10 @@ impl Service {
                 m.cache_hit.inc();
                 // A cache hit is a served request: record it in the same
                 // per-servlet histogram as a dispatched one, otherwise the
-                // histogram silently excludes the fastest responses.
-                self.registry
-                    .histogram(key.latency_metric())
+                // histogram silently excludes the fastest responses. It
+                // opens no servlet span: nothing was dispatched.
+                m.servlets
+                    .of(key)
                     .record(started.elapsed().as_nanos() as u64);
                 trace::annotate("cache_hit", "true");
                 return answer;
@@ -441,10 +436,12 @@ impl Service {
         }
         // Only a miss pays for an owned key: the dispatch consumes the request.
         let cache_key = cacheable.then(|| request.as_request().clone());
-        let lock_started = Instant::now();
         let dispatched = self.guarded(|| {
-            let memex = self.memex.read().ok()?;
-            note_lock_acquired(&m.lock_wait, "read", lock_started);
+            let memex = {
+                let _wait = m.lock_wait.start_span();
+                self.memex.read().ok()?
+            };
+            trace::annotate("lock_kind", "read");
             Some(dispatch_read(&memex, request))
         });
         dispatched.map_or_else(
@@ -464,10 +461,12 @@ impl Service {
     /// epoch (which invalidates the cached reads), then apply it, demons
     /// included.
     fn answer_write(&self, request: WriteRequest) -> Encoded {
-        let lock_started = Instant::now();
         let dispatched = self.guarded(|| {
-            let mut memex = self.memex.write().ok()?;
-            note_lock_acquired(&self.metrics.lock_wait, "write", lock_started);
+            let mut memex = {
+                let _wait = self.metrics.lock_wait.start_span();
+                self.memex.write().ok()?
+            };
+            trace::annotate("lock_kind", "write");
             // Bump before mutating: a reader that loaded the old epoch
             // concurrently offers its answer under it, and the cache refuses
             // it once this epoch has been seen.
@@ -502,16 +501,6 @@ impl Service {
         };
         Err(encoded(&Response::Error(error.into())))
     }
-}
-
-/// Record how long an RwLock acquisition stalled this request: into the
-/// `net.lock.wait` histogram always, and onto the active trace's root span
-/// (`lock_wait_ns`, `lock_kind`) when tracing is on.
-fn note_lock_acquired(lock_wait: &Histogram, kind: &str, waited_since: Instant) {
-    let wait_ns = waited_since.elapsed().as_nanos() as u64;
-    lock_wait.record(wait_ns);
-    trace::annotate("lock_wait_ns", wait_ns);
-    trace::annotate("lock_kind", kind);
 }
 
 /// Frame one encoded response with the request's trace context and write
@@ -860,9 +849,8 @@ mod tests {
                 wire::frame_bytes(FrameKind::Response, &expected_payload, trace).expect("frame");
             assert_eq!(written, expected, "frame for {trace:?}");
         }
-        let snap = service.registry.snapshot();
-        assert_eq!(snap.counter("net.read.cache.miss"), 1);
-        assert_eq!(snap.counter("net.read.cache.hit"), 2);
+        assert_eq!(service.metrics.cache_miss.get(), 1);
+        assert_eq!(service.metrics.cache_hit.get(), 2);
     }
 
     /// A poisoned `Memex` lock degrades to a typed error on every later

@@ -1,7 +1,9 @@
 //! End-to-end tracing. Through the [`Service`]: every request — cache hits
 //! included — must leave exactly one complete span tree in the flight
-//! recorder, slow requests must land in the slow log with their lock-wait
-//! accounting and per-layer children, frames in a retired wire version
+//! recorder, the spans of a histogram's name must be exactly the windows
+//! that histogram timed, slow requests must land in the slow log with
+//! their lock-wait span and per-layer children, frames in a retired wire
+//! version
 //! (v2–v4) must be refused with a typed error, and a disabled tracer must
 //! start no trace and cost little. Over a live loopback server: a retried
 //! read is a new trace linked to its dead attempt.
@@ -16,7 +18,7 @@ use memex_core::memex::{Memex, MemexOptions};
 use memex_core::servlet::{Request, Response};
 use memex_net::wire::{self, FrameKind, TraceContext};
 use memex_net::{ClientConfig, MemexClient, NetServer, NetServerConfig, Service};
-use memex_obs::{TraceConfig, TraceData};
+use memex_obs::{SpanData, TraceConfig, TraceData};
 use memex_server::events::{ClientEvent, VisitEvent};
 use memex_web::corpus::{Corpus, CorpusConfig};
 
@@ -151,9 +153,12 @@ fn every_request_records_exactly_one_complete_trace() {
     // The cache miss dispatched for real: servlet child plus the index
     // descendant under it.
     let miss = find_trace(&traces, ids[0]);
-    assert!(has_span(miss, "recall"), "servlet child missing: {miss:?}");
     assert!(
-        has_span(miss, "index.bm25"),
+        has_span(miss, "servlet.recall"),
+        "servlet child missing: {miss:?}"
+    );
+    assert!(
+        has_span(miss, "index.query"),
         "index child missing: {miss:?}"
     );
     assert!(miss.root().unwrap().annotation("cache_hit").is_none());
@@ -162,7 +167,10 @@ fn every_request_records_exactly_one_complete_trace() {
         Some("read"),
         "read lock annotation missing: {miss:?}"
     );
-    assert!(miss.root().unwrap().annotation("lock_wait_ns").is_some());
+    assert!(
+        has_span(miss, "net.lock.wait"),
+        "lock wait missing: {miss:?}"
+    );
 
     // The identical repeat was served from the read cache — no dispatch,
     // no servlet child, but still a complete trace flagged as a hit.
@@ -172,7 +180,11 @@ fn every_request_records_exactly_one_complete_trace() {
         Some("true"),
         "cache hit not annotated: {hit:?}"
     );
-    assert!(!has_span(hit, "recall"), "cache hit must not dispatch");
+    assert!(
+        !has_span(hit, "servlet.recall"),
+        "cache hit must not dispatch"
+    );
+    assert!(!has_span(hit, "net.lock.wait"), "cache hit took the lock");
 
     // The write carried its servlet child and reached the store layer.
     let write_trace = find_trace(&traces, ids[4]);
@@ -181,7 +193,7 @@ fn every_request_records_exactly_one_complete_trace() {
         Some("write")
     );
     assert!(
-        has_span(write_trace, "event"),
+        has_span(write_trace, "servlet.event"),
         "write servlet child: {write_trace:?}"
     );
     assert!(
@@ -203,6 +215,74 @@ fn every_request_records_exactly_one_complete_trace() {
         .expect("recall latency histogram");
     assert_eq!(lat.count, 2, "cache hit skipped the latency histogram");
     assert!(snap.histogram("net.lock.wait").is_some());
+}
+
+/// `Stats` and `Traces` time each window once: for every histogram a
+/// traced recall miss and a traced first visit feed, the traces' spans of
+/// its name (less `.latency`) number exactly its new samples, and their
+/// durations sum exactly to the nanoseconds it gained.
+#[test]
+fn stats_and_traces_count_the_same_windows_to_the_nanosecond() {
+    let (corpus, memex) = small_world();
+    let registry = memex.registry().clone();
+    let service = service(memex, traced());
+    let page = corpus.pages_of_topic(1)[0];
+    let requests = [
+        Request::Recall {
+            user: 1,
+            query: "page".into(),
+            since: 0,
+            until: u64::MAX,
+            k: 5,
+        },
+        Request::Event(ClientEvent::Visit(VisitEvent {
+            user: 1,
+            session: 3,
+            page,
+            url: corpus.pages[page as usize].url.clone(),
+            time: 80,
+            referrer: None,
+        })),
+    ];
+    let before = registry.snapshot();
+    let ids = [1, 2];
+    for (request, id) in requests.iter().zip(ids) {
+        ask(&service, request, stamped(id));
+    }
+    let after = registry.snapshot();
+
+    let Response::Traces(traces) = ask(
+        &service,
+        &Request::Traces {
+            slow_only: false,
+            limit: 10,
+        },
+        None,
+    ) else {
+        panic!("Traces request answered with a non-Traces response");
+    };
+    let spans: Vec<&SpanData> = ids
+        .iter()
+        .flat_map(|&id| &find_trace(&traces, id).spans)
+        .collect();
+    for histogram in [
+        "net.req.latency",
+        "servlet.recall.latency",
+        "servlet.event.latency",
+        "index.query.latency",
+        "server.fetch.latency",
+        "net.lock.wait",
+    ] {
+        let (b, a) = (before.histogram(histogram), after.histogram(histogram));
+        let a = a.unwrap_or_else(|| panic!("{histogram} is not registered"));
+        let (count, sum) = b.map_or((a.count, a.sum), |b| (a.count - b.count, a.sum - b.sum));
+        assert!(count > 0, "{histogram} timed nothing");
+        let name = histogram.strip_suffix(".latency").unwrap_or(histogram);
+        let named: Vec<&&SpanData> = spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(named.len() as u64, count, "{histogram}: spans vs samples");
+        let durations: u64 = named.iter().map(|s| s.duration_ns()).sum();
+        assert_eq!(durations, sum, "{histogram}: span ns vs histogram ns");
+    }
 }
 
 #[test]
@@ -246,15 +326,21 @@ fn slow_requests_land_in_the_slow_log_with_lock_wait_and_layer_children() {
     assert!(t.is_complete());
     let root = t.root().expect("root");
     assert_eq!(root.name, "net.req");
-    let wait: u64 = root
-        .annotation("lock_wait_ns")
-        .expect("slow trace must account its lock wait")
-        .parse()
-        .expect("lock_wait_ns is a number");
-    assert!(wait < 60_000_000_000, "implausible lock wait: {wait}ns");
+    let wait = t
+        .span("net.lock.wait")
+        .expect("slow trace must account its lock wait");
+    assert_eq!(
+        wait.parent,
+        Some(root.id),
+        "the lock wait is the root's child"
+    );
+    assert!(
+        wait.duration_ns() < 60_000_000_000,
+        "implausible lock wait: {wait:?}"
+    );
     assert_eq!(root.annotation("lock_kind"), Some("write"));
     // Per-layer children: framing, servlet, storage.
-    for name in ["net.decode", "net.write", "event", "store.kv.put"] {
+    for name in ["net.decode", "net.write", "servlet.event", "store.kv.put"] {
         assert!(has_span(t, name), "slow trace lacks `{name}` child: {t:?}");
     }
 
@@ -295,13 +381,16 @@ fn a_first_visit_traces_its_page_analysis_and_a_repeat_visit_does_not() {
     };
     let first = find_trace(&traces, ids[0]);
     assert!(first.is_complete());
-    assert!(has_span(first, "event"), "servlet child: {first:?}");
+    assert!(has_span(first, "servlet.event"), "servlet child: {first:?}");
     assert!(
         has_span(first, "text.analyze"),
         "first visit lacks its analysis: {first:?}"
     );
     let repeat = find_trace(&traces, ids[1]);
-    assert!(has_span(repeat, "event"), "servlet child: {repeat:?}");
+    assert!(
+        has_span(repeat, "servlet.event"),
+        "servlet child: {repeat:?}"
+    );
     assert!(
         !has_span(repeat, "text.analyze"),
         "a repeat visit analysed its page again: {repeat:?}"

@@ -9,7 +9,9 @@
 //! - log₂ [`HistogramSnapshot`]s with percentile readout — 64 fixed
 //!   buckets cover the full `u64` range.
 //! - Scoped timers: `let _g = histogram.start_span();` records elapsed
-//!   nanoseconds into the histogram when the guard drops.
+//!   nanoseconds into the histogram when the guard drops, and, inside a
+//!   trace, is the trace span named after the histogram (less `.latency`):
+//!   one clock feeds both `Request::Stats` and `Request::Traces`.
 //! - A bounded ring of recent annotated [`Event`]s per subsystem.
 //! - [`Snapshot`], what `Request::Stats` ships, with one exporter: a
 //!   human text table ([`Snapshot::render_text`]).
@@ -18,9 +20,8 @@
 //! Metric names follow the `subsystem.verb` convention
 //! (`store.wal.appends`, `index.query.latency`).
 //!
-//! The whole layer can be disabled at construction
-//! ([`MetricsRegistry::disabled`]): every handle becomes inert and the
-//! remaining cost is one well-predicted branch.
+//! A handle's `Default` is inert: a component never given a registry
+//! holds those, and each operation is one well-predicted branch.
 //!
 //! There is no process-wide registry: every component that reports takes
 //! the registry of the server instance it belongs to through an
@@ -45,6 +46,6 @@ mod snapshot;
 pub mod trace;
 
 pub use histogram::{bucket_of, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, SpanGuard};
+pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use snapshot::{Event, Snapshot};
-pub use trace::{SpanData, TraceConfig, TraceData, TraceId, Tracer};
+pub use trace::{SpanData, SpanGuard, TraceConfig, TraceData, TraceId, Tracer};

@@ -2,17 +2,16 @@
 //!
 //! Registration (name → slot) takes a lock once; after that every handle is
 //! an `Arc` to an atomic slot, so the hot path is a single relaxed atomic
-//! op. A registry built with [`MetricsRegistry::disabled`] hands out inert
-//! handles whose operations compile to a predictable branch — cheap enough
-//! to leave instrumentation in benchmark builds.
+//! op. A handle's `Default` is inert: its operations are one predictable
+//! branch, and a component that was never given a registry holds those.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 use crate::histogram::HistogramCore;
 use crate::snapshot::{Event, Snapshot};
+use crate::trace::SpanGuard;
 
 const EVENT_RING_CAPACITY: usize = 64;
 
@@ -26,14 +25,21 @@ struct GaugeCore {
     value: AtomicI64,
 }
 
+/// A histogram's buckets and the trace span its timed scopes open: its
+/// name less a trailing `.latency`, computed once at registration.
+#[derive(Debug)]
+pub(crate) struct HistogramSlot {
+    pub(crate) core: HistogramCore,
+    pub(crate) span: Box<str>,
+}
+
 enum Slot {
     Counter(Arc<CounterCore>),
     Gauge(Arc<GaugeCore>),
-    Histogram(Arc<HistogramCore>),
+    Histogram(Arc<HistogramSlot>),
 }
 
 struct Inner {
-    enabled: bool,
     slots: RwLock<BTreeMap<String, Slot>>,
     /// subsystem → bounded ring of recent annotated events.
     events: Mutex<BTreeMap<String, Vec<Event>>>,
@@ -54,36 +60,19 @@ impl Default for MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field("enabled", &self.inner.enabled)
-            .finish()
+        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
     }
 }
 
 impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
-        Self::with_enabled(true)
-    }
-
-    /// A registry whose handles are all no-ops (for benchmarks that need
-    /// the instrumentation overhead gone).
-    pub fn disabled() -> MetricsRegistry {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> MetricsRegistry {
         MetricsRegistry {
             inner: Arc::new(Inner {
-                enabled,
                 slots: RwLock::new(BTreeMap::new()),
                 events: Mutex::new(BTreeMap::new()),
                 event_seq: AtomicU64::new(0),
             }),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// Get or register the counter `name` (convention: `subsystem.verb`).
@@ -92,9 +81,6 @@ impl MetricsRegistry {
     /// handle (observability must never take down serving) and notes the
     /// mismatch in the `metrics` event ring.
     pub fn counter(&self, name: &str) -> Counter {
-        if !self.inner.enabled {
-            return Counter { core: None };
-        }
         if let Slot::Counter(c) = self.slot(name, || Slot::Counter(Arc::default())) {
             Counter { core: Some(c) }
         } else {
@@ -104,9 +90,6 @@ impl MetricsRegistry {
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
-        if !self.inner.enabled {
-            return Gauge { core: None };
-        }
         if let Slot::Gauge(g) = self.slot(name, || Slot::Gauge(Arc::default())) {
             Gauge { core: Some(g) }
         } else {
@@ -116,10 +99,13 @@ impl MetricsRegistry {
     }
 
     pub fn histogram(&self, name: &str) -> Histogram {
-        if !self.inner.enabled {
-            return Histogram { core: None };
-        }
-        if let Slot::Histogram(h) = self.slot(name, || Slot::Histogram(Arc::default())) {
+        let make = || {
+            Slot::Histogram(Arc::new(HistogramSlot {
+                core: HistogramCore::default(),
+                span: name.strip_suffix(".latency").unwrap_or(name).into(),
+            }))
+        };
+        if let Slot::Histogram(h) = self.slot(name, make) {
             Histogram { core: Some(h) }
         } else {
             self.note_kind_mismatch(name, "histogram");
@@ -153,9 +139,6 @@ impl MetricsRegistry {
 
     /// Append an annotated event to `subsystem`'s bounded ring.
     pub fn event(&self, subsystem: &str, message: impl Into<String>) {
-        if !self.inner.enabled {
-            return;
-        }
         let seq = self.inner.event_seq.fetch_add(1, Ordering::Relaxed);
         let mut events = self.inner.events.lock().unwrap_or_else(|e| e.into_inner());
         let ring = events.entry(subsystem.to_string()).or_default();
@@ -184,7 +167,7 @@ impl MetricsRegistry {
                             .push((name.clone(), g.value.load(Ordering::Relaxed)));
                     }
                     Slot::Histogram(h) => {
-                        snap.histograms.push((name.clone(), h.snapshot()));
+                        snap.histograms.push((name.clone(), h.core.snapshot()));
                     }
                 }
             }
@@ -209,7 +192,7 @@ impl Slot {
     }
 }
 
-/// Monotone counter handle. `None` core = inert (disabled registry).
+/// Monotone counter handle. `None` core = inert (`Default`).
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
     core: Option<Arc<CounterCore>>,
@@ -274,43 +257,34 @@ impl Gauge {
 /// Histogram handle (record arbitrary u64 values; spans record nanoseconds).
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    core: Option<Arc<HistogramCore>>,
+    core: Option<Arc<HistogramSlot>>,
 }
 
 impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         if let Some(h) = &self.core {
-            h.record(value);
+            h.core.record(value);
         }
     }
 
     pub fn snapshot(&self) -> crate::histogram::HistogramSnapshot {
-        self.core.as_ref().map(|h| h.snapshot()).unwrap_or_default()
+        self.core
+            .as_ref()
+            .map(|h| h.core.snapshot())
+            .unwrap_or_default()
     }
 
     /// Time a scope into this histogram (nanoseconds, recorded on drop).
-    /// Inert handles return a guard that records nothing.
+    /// When a trace is active on this thread, the same two instants also
+    /// bound the trace span named after the histogram, less a trailing
+    /// `.latency`. An inert handle reads no clock and opens no span.
     pub fn start_span(&self) -> SpanGuard {
-        SpanGuard {
-            start: self.core.is_some().then(Instant::now),
-            hist: self.clone(),
-        }
+        SpanGuard::start(self.core.as_ref(), None)
     }
-}
 
-/// Scope timer: records elapsed nanoseconds into its histogram on drop.
-#[must_use = "a span records on drop; binding it to _ drops immediately"]
-pub struct SpanGuard {
-    hist: Histogram,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist.record(start.elapsed().as_nanos() as u64);
-        }
+    pub(crate) fn slot(&self) -> Option<&Arc<HistogramSlot>> {
+        self.core.as_ref()
     }
 }
 
@@ -334,21 +308,6 @@ mod tests {
         assert_eq!(g.get(), 5);
         g.set_max(9);
         assert_eq!(g.get(), 9);
-    }
-
-    #[test]
-    fn disabled_registry_is_inert() {
-        let reg = MetricsRegistry::disabled();
-        let c = reg.counter("t.hits");
-        c.inc();
-        assert_eq!(c.get(), 0);
-        reg.event("t", "ignored");
-        let _g = reg.histogram("t.latency").start_span();
-        drop(_g);
-        let snap = reg.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.events.is_empty());
-        assert!(snap.histograms.is_empty());
     }
 
     #[test]

@@ -13,13 +13,20 @@
 //!   (index, store) call the free functions [`span`] / [`annotate`]
 //!   with zero plumbing; when no trace is active they cost one
 //!   thread-local read and a branch.
+//! - A window a histogram times is not timed again: a scope timed with
+//!   [`Histogram::start_span`] is also the span named after the histogram
+//!   (less `.latency`), bounded by the same two instants, and the root is
+//!   the one [`Tracer::start_trace`] times. So a trace's spans of a name
+//!   and the histogram of that name count the same windows, to the
+//!   nanosecond. [`span`] is for windows no histogram times.
 //! - On completion the span tree is published to a bounded **flight
 //!   recorder** ring (atomic cursor, per-slot mutex — contention is one
 //!   pointer swap per trace) and, when the root span exceeds the
 //!   configured threshold, to the bounded **slow-request log**.
 //!
-//! A [`Tracer`] built disabled hands out inert guards; the entire layer
-//! can be toggled at runtime ([`Tracer::configure`]).
+//! A disabled [`Tracer`] roots no trace (its root guard still times the
+//! root's histogram); the entire layer can be toggled at runtime
+//! ([`Tracer::configure`]).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -27,7 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use crate::registry::{Counter, MetricsRegistry};
+use crate::registry::{Counter, Histogram, HistogramSlot, MetricsRegistry};
 
 /// SplitMix64 finalizer: a full-avalanche mix of a 64-bit state.
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -313,44 +320,15 @@ impl Tracer {
             .clone()
     }
 
-    /// Begin a trace rooted at `name`, adopting the propagated `id` when
-    /// present (wire trace context) or minting one otherwise. Returns an
-    /// inert guard when tracing is off or this thread already has an
-    /// active trace (nested roots fold into the outer trace's tree).
-    pub fn start_trace(&self, name: &str, id: Option<TraceId>) -> TraceGuard {
-        self.start_trace_at(name, id, Instant::now())
-    }
-
-    /// [`Tracer::start_trace`] with an explicit start instant, for roots
-    /// that must cover work already performed (e.g. frame decode that
-    /// revealed the trace id).
-    pub fn start_trace_at(&self, name: &str, id: Option<TraceId>, started: Instant) -> TraceGuard {
-        if !self.enabled() {
-            return TraceGuard { active: false };
-        }
-        let already_active = CURRENT.with(|c| c.borrow().is_some());
-        if already_active {
-            return TraceGuard { active: false };
-        }
-        let trace_id = id.unwrap_or_else(|| self.next_id());
-        self.metrics().started.inc();
-        CURRENT.with(|c| {
-            *c.borrow_mut() = Some(ActiveTrace {
-                tracer: self.clone(),
-                trace_id,
-                origin: started,
-                finished: Vec::new(),
-                stack: vec![OpenSpan {
-                    id: 0,
-                    parent: None,
-                    name: name.to_string(),
-                    start_ns: 0,
-                    annotations: Vec::new(),
-                }],
-                next_id: 1,
-            });
-        });
-        TraceGuard { active: true }
+    /// Time a scope into `root` (the request's latency histogram) and,
+    /// when tracing is on, root a trace at the span named after it,
+    /// adopting the propagated `id` when present (wire trace context) or
+    /// minting one otherwise. Under a trace already active on this thread
+    /// the scope is a child span of it instead (nested roots fold into the
+    /// outer trace's tree). Dropping the guard records the histogram and
+    /// publishes the trace.
+    pub fn start_trace(&self, root: &Histogram, id: Option<TraceId>) -> SpanGuard {
+        SpanGuard::start(root.slot(), self.enabled().then_some((self, id)))
     }
 
     /// Completed traces, newest first: the slow log when `slow_only`,
@@ -451,8 +429,27 @@ impl ActiveTrace {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    fn close_top(&mut self, end_ns: u64) {
-        if let Some(open) = self.stack.pop() {
+    /// Open a span named `name` at `start_ns` under the innermost open one
+    /// (none for the root); returns its id.
+    fn open(&mut self, name: &str, start_ns: u64) -> u32 {
+        let id = self.next_id;
+        self.next_id += 1;
+        let parent = self.stack.last().map(|s| s.id);
+        self.stack.push(OpenSpan {
+            id,
+            parent,
+            name: name.to_string(),
+            start_ns,
+            annotations: Vec::new(),
+        });
+        id
+    }
+
+    /// Close span `id` at `end_ns`, with every leaked child above it: span
+    /// ids increase with depth, so everything at or above `id` on the stack
+    /// belongs to it.
+    fn close(&mut self, id: u32, end_ns: u64) {
+        while let Some(open) = self.stack.pop_if(|top| top.id >= id) {
             self.finished.push(SpanData {
                 id: open.id,
                 parent: open.parent,
@@ -469,88 +466,111 @@ thread_local! {
     static CURRENT: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
 }
 
-/// Closes the root span and publishes the trace when dropped. Returned
-/// by [`Tracer::start_trace`]; inert when tracing was off.
-#[must_use = "dropping the guard completes the trace; binding to _ completes it immediately"]
-pub struct TraceGuard {
-    active: bool,
+/// Scope timer from [`Histogram::start_span`] or [`Tracer::start_trace`].
+/// On drop, the one elapsed time is recorded into the histogram and ends
+/// the trace span this scope opened, so the two agree exactly.
+#[must_use = "a span records on drop; binding it to _ drops immediately"]
+pub struct SpanGuard(Option<Timed>);
+
+struct Timed {
+    slot: Arc<HistogramSlot>,
+    start: Instant,
+    /// The trace span opened, as (id, start_ns); id 0 is the root. `None`
+    /// when no trace was active: the histogram alone.
+    span: Option<(u32, u64)>,
 }
 
-impl TraceGuard {
-    /// Whether this guard owns a live trace.
-    pub fn is_active(&self) -> bool {
-        self.active
+impl SpanGuard {
+    /// Time a scope into `slot`: as a child span of the trace active on
+    /// this thread, else as the root of a new trace when `root` names a
+    /// tracer (and the id to adopt), else into the histogram alone. An
+    /// inert handle (`None`) reads no clock.
+    pub(crate) fn start(
+        slot: Option<&Arc<HistogramSlot>>,
+        root: Option<(&Tracer, Option<TraceId>)>,
+    ) -> SpanGuard {
+        let Some(slot) = slot.map(Arc::clone) else {
+            return SpanGuard(None);
+        };
+        CURRENT.with(|c| {
+            let mut cur = c.borrow_mut();
+            // The clock is read once the handle and the thread-local are in
+            // hand, so an untraced window holds no bookkeeping of its own.
+            let start = Instant::now();
+            if cur.is_none() {
+                if let Some((tracer, id)) = root {
+                    tracer.metrics().started.inc();
+                    *cur = Some(ActiveTrace {
+                        tracer: tracer.clone(),
+                        trace_id: id.unwrap_or_else(|| tracer.next_id()),
+                        origin: start,
+                        finished: Vec::new(),
+                        stack: Vec::new(),
+                        next_id: 0,
+                    });
+                }
+            }
+            let span = cur.as_mut().map(|at| {
+                let start_ns = start.saturating_duration_since(at.origin).as_nanos() as u64;
+                (at.open(&slot.span, start_ns), start_ns)
+            });
+            SpanGuard(Some(Timed { slot, start, span }))
+        })
     }
 
-    /// Complete the trace now (equivalent to dropping the guard).
-    pub fn finish(self) {}
+    /// Whether this guard roots a live trace.
+    pub fn roots_trace(&self) -> bool {
+        matches!(
+            &self.0,
+            Some(Timed {
+                span: Some((0, _)),
+                ..
+            })
+        )
+    }
 }
 
-impl Drop for TraceGuard {
+impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        let Some(mut at) = CURRENT.with(|c| c.borrow_mut().take()) else {
+        let Some(Timed { slot, start, span }) = self.0.take() else {
             return;
         };
-        // Close every span still open (leaked child guards unwound by a
-        // panic close here), root last.
-        let end = at.now_ns();
-        while !at.stack.is_empty() {
-            at.close_top(end);
-        }
-        let trace = TraceData {
-            trace_id: at.trace_id,
-            spans: std::mem::take(&mut at.finished),
+        let elapsed = start.elapsed().as_nanos() as u64;
+        slot.core.record(elapsed);
+        let Some((id, start_ns)) = span else {
+            return;
         };
-        at.tracer.finish(trace);
+        // Closing the root closes every span still open (leaked child
+        // guards unwound by a panic), root last, and completes the trace.
+        let completed = CURRENT.with(|c| {
+            let mut cur = c.borrow_mut();
+            cur.as_mut()?.close(id, start_ns + elapsed);
+            cur.take_if(|_| id == 0)
+        });
+        if let Some(at) = completed {
+            let trace = TraceData {
+                trace_id: at.trace_id,
+                spans: at.finished,
+            };
+            at.tracer.finish(trace);
+        }
     }
 }
 
-/// Open a child span of the current trace. No-op (one thread-local read)
-/// when no trace is active on this thread.
+/// Open a child span of the current trace, for a window no histogram
+/// times. No-op (one thread-local read) when no trace is active on this
+/// thread.
 pub fn span(name: &str) -> SpanScope {
     CURRENT.with(|c| {
         let mut cur = c.borrow_mut();
         let Some(at) = cur.as_mut() else {
             return SpanScope { id: None };
         };
-        let id = at.next_id;
-        at.next_id += 1;
-        let parent = at.stack.last().map(|s| s.id);
         let start_ns = at.now_ns();
-        at.stack.push(OpenSpan {
-            id,
-            parent,
-            name: name.to_string(),
-            start_ns,
-            annotations: Vec::new(),
-        });
-        SpanScope { id: Some(id) }
+        SpanScope {
+            id: Some(at.open(name, start_ns)),
+        }
     })
-}
-
-/// Append an already-timed child span (e.g. work measured before the
-/// trace could start) under the currently open span.
-pub fn record_span(name: &str, start: Instant, end: Instant) {
-    CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        let Some(at) = cur.as_mut() else { return };
-        let id = at.next_id;
-        at.next_id += 1;
-        let parent = at.stack.last().map(|s| s.id);
-        let start_ns = start.saturating_duration_since(at.origin).as_nanos() as u64;
-        let end_ns = end.saturating_duration_since(at.origin).as_nanos() as u64;
-        at.finished.push(SpanData {
-            id,
-            parent,
-            name: name.to_string(),
-            start_ns,
-            end_ns: end_ns.max(start_ns),
-            annotations: Vec::new(),
-        });
-    });
 }
 
 /// Attach `key=value` to the innermost open span (the root, between
@@ -579,11 +599,7 @@ impl Drop for SpanScope {
             let mut cur = c.borrow_mut();
             let Some(at) = cur.as_mut() else { return };
             let end = at.now_ns();
-            // Span ids increase with depth: everything at or above `id`
-            // on the stack belongs to this scope or a leaked child.
-            while at.stack.last().is_some_and(|top| top.id >= id) {
-                at.close_top(end);
-            }
+            at.close(id, end);
         });
     }
 }
@@ -591,6 +607,11 @@ impl Drop for SpanScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A registered histogram whose span is `name`.
+    fn root(name: &str) -> Histogram {
+        MetricsRegistry::new().histogram(&format!("{name}.latency"))
+    }
 
     fn enabled_tracer() -> Tracer {
         Tracer::new(TraceConfig {
@@ -618,7 +639,7 @@ mod tests {
     #[test]
     fn span_tree_shape_and_annotations() {
         let tracer = enabled_tracer();
-        let guard = tracer.start_trace("root", Some(99));
+        let guard = tracer.start_trace(&root("root"), Some(99));
         annotate("who", "root");
         {
             let _a = span("child_a");
@@ -630,7 +651,7 @@ mod tests {
         {
             let _c = span("child_b");
         }
-        guard.finish();
+        drop(guard);
         let traces = tracer.collect(false, 10);
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
@@ -653,19 +674,25 @@ mod tests {
     #[test]
     fn disabled_tracer_is_inert() {
         let tracer = Tracer::new(TraceConfig::default());
-        let guard = tracer.start_trace("root", None);
-        assert!(!guard.is_active());
+        let root = root("root");
+        let guard = tracer.start_trace(&root, None);
+        assert!(!guard.roots_trace());
         let _s = span("ignored");
         annotate("k", "v");
         drop(guard);
         assert!(tracer.collect(false, 10).is_empty());
+        assert_eq!(
+            root.snapshot().count,
+            1,
+            "the root's histogram is still timed"
+        );
     }
 
     #[test]
     fn ring_keeps_last_n() {
         let tracer = enabled_tracer(); // capacity 8
         for i in 0..20u64 {
-            tracer.start_trace("t", Some(1000 + i)).finish();
+            drop(tracer.start_trace(&root("t"), Some(1000 + i)));
         }
         let traces = tracer.collect(false, usize::MAX);
         assert_eq!(traces.len(), 8);
@@ -685,14 +712,14 @@ mod tests {
             seed: 1,
         });
         for i in 0..5u64 {
-            tracer.start_trace("slowpoke", Some(i + 1)).finish();
+            drop(tracer.start_trace(&root("slowpoke"), Some(i + 1)));
         }
         let slow = tracer.collect(true, usize::MAX);
         assert_eq!(slow.len(), 3);
         assert_eq!(slow[0].trace_id, 5); // newest first
                                          // High threshold: nothing lands in the slow log.
         let picky = enabled_tracer();
-        picky.start_trace("fast", None).finish();
+        drop(picky.start_trace(&root("fast"), None));
         assert!(picky.collect(true, usize::MAX).is_empty());
         assert_eq!(picky.collect(false, usize::MAX).len(), 1);
     }
@@ -700,15 +727,17 @@ mod tests {
     #[test]
     fn nested_root_folds_into_outer_trace() {
         let tracer = enabled_tracer();
-        let outer = tracer.start_trace("outer", Some(5));
-        let inner = tracer.start_trace("inner", Some(6));
-        assert!(!inner.is_active());
+        let outer = tracer.start_trace(&root("outer"), Some(5));
+        let inner = tracer.start_trace(&root("inner"), Some(6));
+        assert!(!inner.roots_trace());
         drop(inner); // must not complete the outer trace
-        assert!(outer.is_active());
+        assert!(outer.roots_trace());
         drop(outer);
         let traces = tracer.collect(false, 10);
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].trace_id, 5);
+        let inner = traces[0].span("inner").expect("folded in as a child");
+        assert_eq!(inner.parent, traces[0].root().map(|r| r.id));
     }
 
     #[test]
@@ -723,7 +752,7 @@ mod tests {
         });
         tracer.attach_registry(&reg);
         for _ in 0..3 {
-            tracer.start_trace("t", None).finish();
+            drop(tracer.start_trace(&reg.histogram("t.latency"), None));
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("trace.started"), 3);
@@ -733,17 +762,39 @@ mod tests {
     }
 
     #[test]
-    fn record_span_backfills_timed_work() {
+    fn a_timed_scope_is_the_span_of_its_histograms_name() {
+        let reg = MetricsRegistry::new();
         let tracer = enabled_tracer();
-        let t0 = Instant::now();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let guard = tracer.start_trace_at("root", Some(11), t0);
-        record_span("pre_work", t0, Instant::now());
+        let req = reg.histogram("net.req.latency");
+        let wait = reg.histogram("net.lock.wait");
+        let guard = tracer.start_trace(&req, Some(3));
+        for _ in 0..2 {
+            let _w = wait.start_span();
+            let _inner = span("inner");
+        }
         drop(guard);
+        let outside = wait.start_span();
+        drop(outside);
         let t = &tracer.collect(false, 1)[0];
-        assert!(t.is_complete());
-        let pre = t.span("pre_work").unwrap();
-        assert_eq!(pre.start_ns, 0);
-        assert!(pre.duration_ns() >= 1_000_000);
+        assert!(t.is_complete(), "{t:?}");
+        let root = t.root().unwrap();
+        assert_eq!(root.name, "net.req");
+        assert_eq!(req.snapshot().sum, root.duration_ns());
+        let waits: Vec<&SpanData> = t
+            .spans
+            .iter()
+            .filter(|s| s.name == "net.lock.wait")
+            .collect();
+        assert_eq!(waits.len(), 2);
+        assert!(waits.iter().all(|s| s.parent == Some(root.id)));
+        let in_trace: u64 = waits.iter().map(|s| s.duration_ns()).sum();
+        let all = wait.snapshot();
+        assert_eq!(all.count, 3, "outside a trace the histogram alone");
+        assert!(in_trace <= all.sum);
+        // An inert handle neither records nor opens a span.
+        let guard = tracer.start_trace(&req, Some(4));
+        drop(Histogram::default().start_span());
+        drop(guard);
+        assert_eq!(tracer.collect(false, 1)[0].spans.len(), 1);
     }
 }

@@ -56,16 +56,17 @@ fn concurrent_completion_and_collection_yield_only_complete_trees() {
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let t = t.clone();
+            let root = registry.histogram("net.req.latency");
             std::thread::spawn(move || {
                 for i in 0..TRACES_PER_WRITER {
-                    let guard = t.start_trace("net.req", None);
+                    let guard = t.start_trace(&root, None);
                     annotate("writer", w);
                     {
                         let _child = span("servlet");
                         annotate("i", i);
                         let _grandchild = span("store.kv.get");
                     }
-                    guard.finish();
+                    drop(guard);
                 }
             })
         })
@@ -116,12 +117,13 @@ fn reconfiguration_races_with_writers_without_losing_structure() {
             let stop = stop.clone();
             let progress = progress.clone();
             std::thread::spawn(move || {
+                let root = MetricsRegistry::new().histogram("net.req.latency");
                 while !stop.load(Ordering::Relaxed) {
-                    let guard = t.start_trace("net.req", None);
-                    let traced = guard.is_active();
+                    let guard = t.start_trace(&root, None);
+                    let traced = guard.roots_trace();
                     let _child = span("servlet");
                     drop(_child);
-                    guard.finish();
+                    drop(guard);
                     let done = if traced {
                         &progress.traced
                     } else {

@@ -112,6 +112,7 @@ pub struct LsmStats {
 }
 
 /// Obs handles (inert until [`LsmStore::attach_registry`]).
+#[derive(Default)]
 struct LsmMetrics {
     puts: Counter,
     gets: Counter,
@@ -153,12 +154,6 @@ impl LsmMetrics {
             bloom_skip: registry.counter("store.lsm.bloom.skip"),
             bloom_fp: registry.counter("store.lsm.bloom.fp"),
         }
-    }
-}
-
-impl Default for LsmMetrics {
-    fn default() -> Self {
-        LsmMetrics::new(&MetricsRegistry::disabled())
     }
 }
 
@@ -477,7 +472,6 @@ impl LsmStore {
     /// its inputs are durable, so it is counted in
     /// `store.lsm.compact.errors` and its tier waits for the next seal.
     pub fn seal(&mut self) -> StoreResult<()> {
-        let _trace = memex_obs::trace::span("store.lsm.seal");
         if self.state.memtable.is_empty() {
             self.wal.sync()?;
         } else {
@@ -585,7 +579,6 @@ impl LsmStore {
         else {
             return Ok(false);
         };
-        let _trace = memex_obs::trace::span("store.lsm.compact");
         let _latency = self.metrics.compact_latency.start_span();
         let id = self.allocate_run_id();
         let Some(victims) = self.state.runs.get(start..end) else {
