@@ -9,6 +9,9 @@
 //! metrics ([`quality`], T3/F4) and the relational engine A6 measures
 //! the keyed store against ([`rel`]).
 //!
+//! So does the whole-system tests' harness ([`script`]): one seeded request
+//! model and the twin every answer is held to.
+//!
 //! `quick = true` shrinks workloads for CI; the committed EXPERIMENTS.md
 //! numbers come from `quick = false`. Speed claims are not made here:
 //! `BENCHMARK.json` + `benchmark/` judge those.
@@ -23,6 +26,7 @@ mod f3_pipeline;
 mod f4_themes;
 pub mod quality;
 pub mod rel;
+pub mod script;
 mod t1_classify;
 mod t2_search;
 mod t3_cluster;

@@ -28,9 +28,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use memex_bench::script::{self, bookmark, visit, Script, FOLDERS, SURFERS, USERS};
 use memex_cluster::themes::profile_similarity;
 use memex_core::folders::{FolderSpace, PageAssignment};
-use memex_core::memex::{BillLine, Memex, MemexOptions, RecallHit};
+use memex_core::memex::{BillLine, Memex, RecallHit};
 use memex_core::servlet::{dispatch_read, dispatch_write, Classified, Request, Response};
 use memex_graph::hits::top_authorities;
 use memex_graph::neighborhood::{expand, Direction};
@@ -39,63 +40,11 @@ use memex_index::search::{bm25_search, Bm25Params};
 use memex_learn::nb::{NaiveBayes, NbOptions};
 use memex_learn::taxonomy::{Taxonomy, TopicId};
 use memex_net::wire::encode_response;
-use memex_server::events::{ArchiveMode, ClientEvent, VisitEvent};
+use memex_store::vfs::SplitMix64;
 use memex_text::vocab::TermId;
-use memex_web::corpus::{Corpus, CorpusConfig};
+use memex_web::corpus::Corpus;
 
 const PAGES: u32 = 40;
-/// Users 0..4 are registered; 4 and 5 only ever show up in events.
-const USERS: u32 = 6;
-const FOLDERS: [&str; 4] = ["/music", "/cycling", "/music/baroque", "/news"];
-
-fn corpus() -> Arc<Corpus> {
-    Arc::new(Corpus::generate(CorpusConfig {
-        num_topics: 2,
-        pages_per_topic: (PAGES / 2) as usize,
-        ..CorpusConfig::default()
-    }))
-}
-
-fn fresh_memex(corpus: &Arc<Corpus>) -> Memex {
-    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
-    for user in 0..4u32 {
-        memex
-            .register_user(user, &format!("user{user}"))
-            .expect("register");
-    }
-    memex
-}
-
-fn url(corpus: &Corpus, page: u32) -> String {
-    match corpus.pages.get(page as usize) {
-        Some(p) => p.url.clone(),
-        None => format!("http://nowhere.invalid/{page}"),
-    }
-}
-
-/// Two visits in three followed a link — from whichever page `time` makes
-/// it: usually another one, now and then the page itself, a page nobody
-/// surfed or a dead link. (Only the trail replay's edges read referrers.)
-fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
-    Request::Event(ClientEvent::Visit(VisitEvent {
-        user,
-        session: user,
-        page,
-        url: url(corpus, page),
-        time,
-        referrer: (!time.is_multiple_of(3)).then_some((page + time as u32 * 7) % (PAGES + 4)),
-    }))
-}
-
-fn bookmark(corpus: &Corpus, user: u32, page: u32, folder: &str, time: u64) -> Request {
-    Request::Event(ClientEvent::Bookmark {
-        user,
-        page,
-        url: url(corpus, page),
-        folder: folder.to_string(),
-        time,
-    })
-}
 
 fn write(memex: &mut Memex, request: Request) -> Response {
     match request.classify() {
@@ -111,60 +60,79 @@ fn read(memex: &Memex, request: Request) -> Response {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// `page` may lie past the corpus: a dead link, never fetched.
-    Visit {
-        user: u32,
-        page: u32,
-    },
-    Bookmark {
-        user: u32,
-        page: u32,
-        folder: usize,
-    },
-    Import {
-        user: u32,
-        page: u32,
-    },
-    SetMode {
-        user: u32,
-        mode: ArchiveMode,
-    },
-    /// The three below edit `Memex::folder_space(&mut)` directly, as a
-    /// folder-tab UI would, then let the demons run.
-    AddFolder {
-        user: u32,
-        folder: usize,
-    },
-    FileDirectly {
-        user: u32,
-        page: u32,
-        folder: usize,
-    },
-    Unassign {
-        user: u32,
-        page: u32,
-    },
+/// A folder-tab edit: `Memex::folder_space(&mut)` changed directly, then
+/// the demons run. Not a wire request, so no script has one.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    AddFolder { user: u32, folder: usize },
+    File { user: u32, page: u32, folder: usize },
+    Unassign { user: u32, page: u32 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let user = 0..USERS;
-    let folder = 0..FOLDERS.len();
-    prop_oneof![
-        8 => (user.clone(), 0..PAGES + 4).prop_map(|(user, page)| Op::Visit { user, page }),
-        4 => (user.clone(), 0..PAGES, folder.clone())
-            .prop_map(|(user, page, folder)| Op::Bookmark { user, page, folder }),
-        1 => (user.clone(), 0..PAGES).prop_map(|(user, page)| Op::Import { user, page }),
-        1 => (user.clone(), 0u8..3).prop_map(|(user, mode)| Op::SetMode {
-            user,
-            mode: [ArchiveMode::Off, ArchiveMode::Private, ArchiveMode::Community][mode as usize],
-        }),
-        1 => (user.clone(), folder.clone()).prop_map(|(user, folder)| Op::AddFolder { user, folder }),
-        1 => (user.clone(), 0..PAGES, folder)
-            .prop_map(|(user, page, folder)| Op::FileDirectly { user, page, folder }),
-        2 => (user, 0..PAGES).prop_map(|(user, page)| Op::Unassign { user, page }),
-    ]
+impl Edit {
+    /// Make the edit in `memex`, and in `reference`'s space too if given.
+    fn apply(self, memex: &mut Memex, reference: Option<&mut FullSweep>) {
+        let (user, tf) = match self {
+            Edit::AddFolder { user, .. } | Edit::Unassign { user, .. } => (user, Vec::new()),
+            Edit::File { user, page, .. } => {
+                (user, memex.server.tf(page).unwrap_or_default().to_vec())
+            }
+        };
+        if let Some(reference) = reference {
+            self.make(reference.space(user), tf.clone());
+        }
+        self.make(memex.folder_space(user), tf);
+        memex.run_demons().expect("demons");
+    }
+
+    fn make(self, fs: &mut FolderSpace, tf: Vec<(TermId, u32)>) {
+        match self {
+            Edit::AddFolder { folder, .. } => {
+                fs.add_folder(FOLDERS[folder]);
+            }
+            Edit::File { page, folder, .. } => {
+                let id = fs.add_folder(FOLDERS[folder]);
+                fs.bookmark(page, id, tf);
+            }
+            Edit::Unassign { page, .. } => fs.unassign(page),
+        }
+    }
+}
+
+/// The writes of the prologue every case opens with.
+const PROLOGUE: usize = 4;
+
+/// What a property feeds an archive, each write with its time: the
+/// prologue, then `seed`'s script writes, two in seven followed by a
+/// folder-space edit drawn from the same seed.
+fn ops(corpus: &Corpus, seed: u64, writes: usize) -> Vec<(u64, Request, Option<Edit>)> {
+    // A user visits, then files two pages into two folders: the second
+    // bookmark trains a classifier that can place the earlier visits (and
+    // a topic filter that routes), so no case passes for want of a guess.
+    let prologue: [Request; PROLOGUE] = [
+        visit(corpus, 0, 2, 1),
+        visit(corpus, 0, PAGES / 2 + 2, 2),
+        bookmark(corpus, 0, 0, FOLDERS[1], 3),
+        bookmark(corpus, 0, PAGES / 2, FOLDERS[3], 4),
+    ];
+    let mut rng = SplitMix64::new(!seed);
+    let mut below = move |n: u32| (rng.next() % u64::from(n)) as u32;
+    let script = Script::new(corpus, seed, writes);
+    let edited = script.writes().map(|(time, write)| {
+        let (user, page, folder) = (below(SURFERS), below(PAGES), below(4) as usize);
+        let edit = match below(14) {
+            0 => Some(Edit::AddFolder { user, folder }),
+            1 => Some(Edit::File { user, page, folder }),
+            2 | 3 => Some(Edit::Unassign { user, page }),
+            _ => None,
+        };
+        (time, write.clone(), edit)
+    });
+    (1..)
+        .zip(prologue)
+        .map(|(time, write)| (time, write, None))
+        .chain(edited)
+        .collect()
 }
 
 /// Bookmark filing and the classification demon as `Memex::run_demons` ran
@@ -219,67 +187,6 @@ fn assignments(memex: &Memex) -> Vec<(u32, Vec<(u32, PageAssignment)>)> {
         .into_iter()
         .map(|user| (user, memex.folder_space_ref(user).assignments().collect()))
         .collect()
-}
-
-/// Apply one op to an archive.
-fn apply_op(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex) {
-    match *op {
-        Op::Visit { user, page } => {
-            write(memex, visit(corpus, user, page, time));
-        }
-        Op::Bookmark { user, page, folder } => {
-            write(memex, bookmark(corpus, user, page, FOLDERS[folder], time));
-        }
-        Op::Import { user, page } => {
-            let html = format!(
-                "<!DOCTYPE NETSCAPE-Bookmark-file-1>\n<DL><p>\n\
-                 <DT><A HREF=\"{}\">imported</A>\n\
-                 <DT><A HREF=\"http://nowhere.invalid/x\">gone</A>\n</DL><p>\n",
-                url(corpus, page)
-            );
-            write(memex, Request::ImportBookmarks { user, html, time });
-        }
-        Op::SetMode { user, mode } => {
-            write(
-                memex,
-                Request::Event(ClientEvent::SetMode { user, mode, time }),
-            );
-        }
-        Op::AddFolder { user, folder } => {
-            memex.folder_space(user).add_folder(FOLDERS[folder]);
-            memex.run_demons().expect("demons");
-        }
-        Op::FileDirectly { user, page, folder } => {
-            let tf = memex.server.tf(page).unwrap_or_default().to_vec();
-            let fs = memex.folder_space(user);
-            let id = fs.add_folder(FOLDERS[folder]);
-            fs.bookmark(page, id, tf);
-            memex.run_demons().expect("demons");
-        }
-        Op::Unassign { user, page } => {
-            memex.folder_space(user).unassign(page);
-            memex.run_demons().expect("demons");
-        }
-    }
-}
-
-/// Apply one op to the archive under test and mirror its folder-space half
-/// onto the reference.
-fn apply(op: &Op, corpus: &Corpus, time: u64, memex: &mut Memex, reference: &mut FullSweep) {
-    apply_op(op, corpus, time, memex);
-    match *op {
-        Op::AddFolder { user, folder } => {
-            reference.space(user).add_folder(FOLDERS[folder]);
-        }
-        Op::FileDirectly { user, page, folder } => {
-            let fs = reference.space(user);
-            let id = fs.add_folder(FOLDERS[folder]);
-            fs.bookmark(page, id, memex.server.tf(page).unwrap_or_default());
-        }
-        Op::Unassign { user, page } => reference.space(user).unassign(page),
-        _ => {}
-    }
-    reference.run(memex);
 }
 
 /// `TrailGraph::user_pages` as it was: a filter over the whole visit log.
@@ -730,57 +637,29 @@ fn place_bits(place: Vec<(String, f64)>) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// The float scores of an answer as raw bits.
-fn score_bits(resp: &Response) -> Vec<(u32, u64)> {
-    match resp {
-        Response::SimilarSurfers(scored) | Response::Recommend(scored) => {
-            scored.iter().map(|&(id, s)| (id, s.to_bits())).collect()
-        }
-        other => panic!("expected scored ids, got {other:?}"),
-    }
-}
-
-/// Every case opens with a user who visits, then files two pages into two
-/// folders: the second bookmark trains a classifier that can place the
-/// earlier visits (and a topic filter that routes), so no case passes for
-/// want of a guess.
-const PROLOGUE: [Op; 4] = [
-    Op::Visit { user: 0, page: 2 },
-    Op::Visit {
-        user: 0,
-        page: PAGES / 2 + 2,
-    },
-    Op::Bookmark {
-        user: 0,
-        page: 0,
-        folder: 1,
-    },
-    Op::Bookmark {
-        user: 0,
-        page: PAGES / 2,
-        folder: 3,
-    },
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// After every write, each user's assignments (guesses included) are
-    /// what the full sweep would have made them.
+    /// After every write and every edit, each user's assignments (guesses
+    /// included) are what the full sweep would have made them.
     #[test]
-    fn incremental_classification_equals_the_full_sweep(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-    ) {
-        let corpus = corpus();
-        let mut memex = fresh_memex(&corpus);
+    fn incremental_classification_equals_the_full_sweep(seed in any::<u64>()) {
+        let corpus = script::corpus(PAGES);
+        let mut memex = script::archive(&corpus);
         let mut reference = FullSweep::default();
-        for user in 0..4u32 {
+        for user in 0..USERS {
             reference.space(user);
         }
-        for (i, op) in PROLOGUE.iter().chain(&ops).enumerate() {
-            apply(op, &corpus, 1 + i as u64, &mut memex, &mut reference);
-            prop_assert_eq!(assignments(&memex), reference.assignments(), "diverged after op #{} {:?}", i, op);
-            if i + 1 == PROLOGUE.len() {
+        for (i, (_, request, edit)) in ops(&corpus, seed, 30).into_iter().enumerate() {
+            write(&mut memex, request.clone());
+            reference.run(&memex);
+            prop_assert_eq!(assignments(&memex), reference.assignments(), "seed {}: diverged after write #{} {:?}", seed, i, request);
+            if let Some(edit) = edit {
+                edit.apply(&mut memex, Some(&mut reference));
+                reference.run(&memex);
+                prop_assert_eq!(assignments(&memex), reference.assignments(), "seed {}: diverged after {:?}", seed, edit);
+            }
+            if i + 1 == PROLOGUE {
                 let guessed = memex.folder_space_ref(0).assignments().filter(|(_, a)| !a.confirmed).count();
                 prop_assert_eq!(guessed, 2, "the prologue's visits were not guessed");
             }
@@ -792,117 +671,117 @@ proptest! {
     /// the end say the same, bit for bit — even though pages first visited
     /// after the last bookmark have moved the live idf by then.
     #[test]
-    fn when_themes_are_read_does_not_show_in_what_they_say(
-        ops in proptest::collection::vec(op_strategy(), 20..60),
-    ) {
-        let corpus = corpus();
-        let mut eager = fresh_memex(&corpus);
-        let mut lazy = fresh_memex(&corpus);
-        let mut time = 0u64;
+    fn when_themes_are_read_does_not_show_in_what_they_say(seed in any::<u64>()) {
+        let corpus = script::corpus(PAGES);
+        let mut eager = script::archive(&corpus);
+        let mut lazy = script::archive(&corpus);
+        let script = Script::new(&corpus, seed, 30);
         // First visits to every page left unfetched come last, so the
         // vocabulary keeps observing documents after the last bookmark.
-        let first_visits = (0..PAGES).map(|page| Op::Visit { user: page % 4, page });
+        let first_visits = (0..PAGES).map(|page| visit(&corpus, page % USERS, page, 10_000 + u64::from(page)));
         let mut docs_at_last_bookmark = 0u64;
-        for op in ops.iter().cloned().chain(first_visits) {
-            time += 1;
-            let request = match op {
-                Op::Visit { user, page } => visit(&corpus, user, page, time),
-                Op::Bookmark { user, page, folder } => {
-                    bookmark(&corpus, user, page, FOLDERS[folder], time)
-                }
-                _ => continue,
-            };
+        for request in script.writes().map(|(_, w)| w.clone()).chain(first_visits) {
+            let bookmarks = lazy.server.bookmarks.len();
             let a = write(&mut eager, request.clone());
-            let b = write(&mut lazy, request.clone());
+            let b = write(&mut lazy, request);
             prop_assert_eq!(a, b);
             eager.community_themes();
-            if matches!(request, Request::Event(ClientEvent::Bookmark { .. })) {
+            if lazy.server.bookmarks.len() > bookmarks {
                 docs_at_last_bookmark = lazy.server.vocab.num_docs();
             }
         }
         prop_assert!(lazy.server.vocab.num_docs() > docs_at_last_bookmark || lazy.server.bookmarks.is_empty(),
-            "idf did not move after the last bookmark");
+            "seed {}: idf did not move after the last bookmark", seed);
         // `Debug` prints a float's shortest round-trip form: equal strings,
         // equal bits. (Not `assert_eq`: a failure would print both trees.)
         prop_assert!(
             format!("{:?}", eager.community_themes()) == format!("{:?}", lazy.community_themes()),
-            "themes differ between the archive read after every write and the one read at the end"
+            "seed {}: themes differ between the archive read after every write and the one read at the end", seed
         );
-        for user in 0..USERS {
+        for user in 0..SURFERS {
             for request in [
                 Request::SimilarSurfers { user, k: 8 },
                 Request::Recommend { user, k: 8 },
             ] {
-                prop_assert_eq!(
-                    score_bits(&read(&eager, request.clone())),
-                    score_bits(&read(&lazy, request.clone())),
-                    "{:?}", request
+                prop_assert!(
+                    encode_response(&read(&eager, request.clone())) == encode_response(&read(&lazy, request.clone())),
+                    "seed {}: {:?}", seed, request
                 );
             }
         }
     }
 
     /// Every mining answer, for every user (registered or not), after every
-    /// write, is the one recomputing from scratch gives — as the bytes a
-    /// client would receive, and `my_place` weight for weight, bit for bit.
-    /// A memo that outlived one of its inputs (a first-seen page, dead link
-    /// or not; a bookmark; a `folder_space(&mut)` edit; a page new to its
-    /// visitor) answers from the past and fails here.
+    /// write and every edit, is the one recomputing from scratch gives — as
+    /// the bytes a client would receive, and `my_place` weight for weight,
+    /// bit for bit. A memo that outlived one of its inputs (a first-seen
+    /// page, dead link or not; a bookmark; a `folder_space(&mut)` edit; a
+    /// page new to its visitor) answers from the past and fails here.
     #[test]
-    fn memoised_answers_equal_recomputing_from_scratch(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
-    ) {
-        let corpus = corpus();
-        let mut memex = fresh_memex(&corpus);
-        for (i, op) in PROLOGUE.iter().chain(&ops).enumerate() {
-            let time = 1 + i as u64;
-            apply_op(op, &corpus, time, &mut memex);
-            for user in 0..USERS {
-                for question in mining_questions(&memex, user, time) {
-                    let memoised = read(&memex, question.clone());
-                    let from_scratch = FromScratch(&memex).answer(&question);
-                    prop_assert!(
-                        encode_response(&memoised) == encode_response(&from_scratch),
-                        "after op #{} {:?}, {:?}:\n memoised     {:?}\n from scratch {:?}",
-                        i, op, question, memoised, from_scratch
-                    );
+    fn memoised_answers_equal_recomputing_from_scratch(seed in any::<u64>()) {
+        let corpus = script::corpus(PAGES);
+        let mut memex = script::archive(&corpus);
+        let agrees = |memex: &Memex, time: u64| -> Result<(), String> {
+            for user in 0..SURFERS {
+                for question in mining_questions(memex, user, time) {
+                    let memoised = read(memex, question.clone());
+                    let from_scratch = FromScratch(memex).answer(&question);
+                    if encode_response(&memoised) != encode_response(&from_scratch) {
+                        return Err(format!("{question:?}:\n memoised     {memoised:?}\n from scratch {from_scratch:?}"));
+                    }
                 }
-                prop_assert_eq!(
-                    place_bits(memex.my_place(user)),
-                    place_bits(FromScratch(&memex).my_place(user)),
-                    "after op #{} {:?}, my_place({})", i, op, user
-                );
+                let place = place_bits(memex.my_place(user));
+                if place != place_bits(FromScratch(memex).my_place(user)) {
+                    return Err(format!("my_place({user}) {place:?}"));
+                }
+            }
+            Ok(())
+        };
+        for (time, request, edit) in ops(&corpus, seed, 16) {
+            write(&mut memex, request.clone());
+            let after_write = agrees(&memex, time);
+            prop_assert!(after_write.is_ok(), "seed {}, after {:?}, {}", seed, request, after_write.unwrap_err());
+            if let Some(edit) = edit {
+                edit.apply(&mut memex, None);
+                let after_edit = agrees(&memex, time);
+                prop_assert!(after_edit.is_ok(), "seed {}, after {:?}, {}", seed, edit, after_edit.unwrap_err());
             }
         }
     }
 
     /// The memos are pure functions of the acknowledged writes: an archive
-    /// whose every user asks everything after every write and one nobody
-    /// asks until the end answer the same, byte for byte.
+    /// whose every user asks everything after every write and edit and one
+    /// nobody asks until the end answer the same, byte for byte.
     #[test]
-    fn when_mining_answers_are_read_does_not_show_in_what_they_say(
-        ops in proptest::collection::vec(op_strategy(), 20..60),
-    ) {
-        let corpus = corpus();
-        let mut eager = fresh_memex(&corpus);
-        let mut lazy = fresh_memex(&corpus);
-        let mut time = 0u64;
-        for op in PROLOGUE.iter().chain(&ops) {
-            time += 1;
-            apply_op(op, &corpus, time, &mut eager);
-            apply_op(op, &corpus, time, &mut lazy);
-            for user in 0..USERS {
-                for question in mining_questions(&eager, user, time) {
-                    read(&eager, question);
+    fn when_mining_answers_are_read_does_not_show_in_what_they_say(seed in any::<u64>()) {
+        let corpus = script::corpus(PAGES);
+        let mut eager = script::archive(&corpus);
+        let mut lazy = script::archive(&corpus);
+        let ask_all = |memex: &Memex, time: u64| {
+            for user in 0..SURFERS {
+                for question in mining_questions(memex, user, time) {
+                    read(memex, question);
                 }
             }
+        };
+        let mut now = 0;
+        for (time, request, edit) in ops(&corpus, seed, 32) {
+            write(&mut eager, request.clone());
+            write(&mut lazy, request);
+            ask_all(&eager, time);
+            if let Some(edit) = edit {
+                edit.apply(&mut eager, None);
+                edit.apply(&mut lazy, None);
+                ask_all(&eager, time);
+            }
+            now = time;
         }
-        for user in 0..USERS {
-            for question in mining_questions(&lazy, user, time) {
+        for user in 0..SURFERS {
+            for question in mining_questions(&lazy, user, now) {
                 prop_assert!(
                     encode_response(&read(&eager, question.clone()))
                         == encode_response(&read(&lazy, question.clone())),
-                    "{:?}", question
+                    "seed {}: {:?}", seed, question
                 );
             }
         }
@@ -913,8 +792,8 @@ proptest! {
 /// once, the second not at all.
 #[test]
 fn themes_build_once_per_bookmark_then_read() {
-    let corpus = corpus();
-    let mut memex = fresh_memex(&corpus);
+    let corpus = script::corpus(PAGES);
+    let mut memex = script::archive(&corpus);
     let builds = |memex: &Memex| memex.registry().snapshot().counter("demon.themes.builds");
     let behind = |memex: &Memex| memex.registry().snapshot().gauge("demon.themes.behind");
     let bookmarks = 6u32;
@@ -992,28 +871,11 @@ fn bill(user: u32) -> Request {
     }
 }
 
-/// Four users with a trail of five pages each and a bookmark in each of two
-/// folders; pages 20.. of the corpus stay unseen. Every memo is warm.
+/// The script's world with every memo warm: users 0..4 surfed trails of
+/// eight pages (pages 0..8 and 20..29 of the corpus) and filed two of them
+/// into two folders; the rest of the corpus stays unseen.
 fn warm_world(corpus: &Arc<Corpus>) -> Memex {
-    let mut memex = fresh_memex(corpus);
-    let mut time = 0u64;
-    for user in 0..4u32 {
-        for i in 0..5u32 {
-            time += 1;
-            // Pages 0..10 are one corpus topic, 20..30 the other.
-            let page = if i < 3 {
-                user + i
-            } else {
-                PAGES / 2 + user + i
-            };
-            write(&mut memex, visit(corpus, user, page, time));
-        }
-        write(&mut memex, bookmark(corpus, user, user, FOLDERS[0], time));
-        write(
-            &mut memex,
-            bookmark(corpus, user, PAGES / 2 + user + 3, FOLDERS[1], time),
-        );
-    }
+    let memex = script::world(corpus);
     assert_eq!(memo_builds(&memex), (0, 0, 0), "a write built a memo");
     ask_everything(&memex);
     assert_eq!(memo_builds(&memex), (1, 4, 1));
@@ -1028,7 +890,7 @@ fn warm_world(corpus: &Arc<Corpus>) -> Memex {
 
 /// Every registered user's trail tab and bill, then one profile question.
 fn ask_everything(memex: &Memex) {
-    for user in 0..4u32 {
+    for user in 0..USERS {
         read(memex, trail_replay(user));
         read(memex, bill(user));
     }
@@ -1039,13 +901,13 @@ fn ask_everything(memex: &Memex) {
 /// first reader that needs it — and a repeat visit moves none.
 #[test]
 fn memos_build_once_per_input_that_moved() {
-    let corpus = corpus();
+    let corpus = script::corpus(PAGES);
     let mut memex = warm_world(&corpus);
     let warm = memo_builds(&memex);
 
     // Repeat visits of one's own page (page 1 was surfed by users 0 and 1
     // both): nothing.
-    for (i, (user, page)) in [(0u32, 1u32), (1, 1), (2, PAGES / 2 + 5), (3, 3)]
+    for (i, (user, page)) in [(0u32, 1u32), (1, 1), (2, PAGES / 2 + 2), (3, 3)]
         .into_iter()
         .enumerate()
     {
@@ -1142,7 +1004,7 @@ fn memos_build_once_per_input_that_moved() {
 /// no page is seen for the first time by then.
 #[test]
 fn a_page_fetched_after_it_was_trailed_moves_the_background() {
-    let corpus = corpus();
+    let corpus = script::corpus(PAGES);
     let mut memex = warm_world(&corpus);
     let page = 15u32;
     let Request::Event(event) = visit(&corpus, 1, page, 500) else {
@@ -1159,7 +1021,7 @@ fn a_page_fetched_after_it_was_trailed_moves_the_background() {
     memex.run_demons().expect("demons");
     assert!(memex.server.tf(page).is_some(), "the fetcher caught up");
     assert_eq!(background_builds(&memex), built, "a write built it");
-    for user in 0..USERS {
+    for user in 0..SURFERS {
         for question in mining_questions(&memex, user, 500) {
             assert!(
                 encode_response(&read(&memex, question.clone()))
@@ -1181,9 +1043,9 @@ fn a_page_fetched_after_it_was_trailed_moves_the_background() {
 /// when all three are due.
 #[test]
 fn a_stranger_asking_for_soulmates_builds_nothing() {
-    let corpus = corpus();
-    let mut memex = fresh_memex(&corpus);
-    for user in 0..4u32 {
+    let corpus = script::corpus(PAGES);
+    let mut memex = script::archive(&corpus);
+    for user in 0..USERS {
         write(&mut memex, visit(&corpus, user, user + 10, 1));
         write(&mut memex, bookmark(&corpus, user, user, FOLDERS[0], 2));
     }
@@ -1195,7 +1057,7 @@ fn a_stranger_asking_for_soulmates_builds_nothing() {
             snap.counter("demon.profiles.builds"),
         )
     };
-    let stranger = USERS + 1;
+    let stranger = SURFERS + 1;
     assert_eq!(
         read(
             &memex,
@@ -1244,7 +1106,7 @@ fn a_stranger_asking_for_soulmates_builds_nothing() {
 /// profile table across a visit of a page new to its visitor alone.
 #[test]
 fn rebuilds_are_bounded_by_the_writes_that_moved_an_input() {
-    let corpus = corpus();
+    let corpus = script::corpus(PAGES);
     let mut memex = warm_world(&corpus);
     let start = memo_builds(&memex);
     let askers = 4u64;

@@ -403,7 +403,6 @@ impl Service {
     /// the encoded answer.
     fn answer_read(&self, request: ReadRequest) -> Encoded {
         let m = &self.metrics;
-        let started = Instant::now();
         // The epoch MUST be loaded before the read lock is acquired: a write
         // that slips in between can only make this dispatch's epoch *older*
         // than the state it actually saw, so the cache drops its answer
@@ -418,6 +417,9 @@ impl Service {
         );
         if cacheable {
             let key = request.as_request();
+            // A hit is timed from before the probe, so a miss reads the
+            // clock too; `Stats` and `Traces` read none.
+            let started = Instant::now();
             if let Some(answer) = self.cache_get(key, epoch) {
                 m.req_ok.inc();
                 m.read_ok.inc();

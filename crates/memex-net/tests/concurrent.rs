@@ -12,11 +12,11 @@ mod serve;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use memex_core::memex::{Memex, MemexOptions};
+use memex_bench::script::{self, visit};
+use memex_core::memex::Memex;
 use memex_core::servlet::{Request, Response};
 use memex_net::Service;
-use memex_server::events::{ClientEvent, VisitEvent};
-use memex_web::corpus::{Corpus, CorpusConfig};
+use memex_web::corpus::Corpus;
 
 use serve::ask;
 
@@ -25,44 +25,14 @@ const WATCHED_USER: u32 = 9;
 const READERS: usize = 4;
 const WRITES: usize = 20;
 
+/// The script's world, and the watched user registered with an empty
+/// trail for the writer to add to.
 fn world() -> (Arc<Corpus>, Memex) {
-    let corpus = Arc::new(Corpus::generate(CorpusConfig {
-        num_topics: 2,
-        pages_per_topic: 30,
-        ..CorpusConfig::default()
-    }));
-    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
-    // A background user gives the world some bookmarks/folders.
-    memex.register_user(1, "background").expect("register");
-    let mut time = 1u64;
-    for &page in corpus.pages_of_topic(0).iter().take(6) {
-        memex.submit(ClientEvent::Visit(VisitEvent {
-            user: 1,
-            session: 1,
-            page,
-            url: corpus.pages[page as usize].url.clone(),
-            time,
-            referrer: None,
-        }));
-        time += 1;
-    }
-    memex
-        .submit(ClientEvent::Bookmark {
-            user: 1,
-            page: corpus.pages_of_topic(0)[0],
-            url: corpus.pages[corpus.pages_of_topic(0)[0] as usize]
-                .url
-                .clone(),
-            folder: "/topic0".into(),
-            time,
-        })
-        .then_some(())
-        .expect("bookmark archived");
-    // The watched user starts with an empty trail; the writer adds to it.
+    let corpus = script::corpus(60);
+    let mut memex = script::world(&corpus);
     memex
         .register_user(WATCHED_USER, "watched")
         .expect("register");
-    memex.run_demons().expect("demons");
     (corpus, memex)
 }
 
@@ -125,16 +95,12 @@ fn concurrent_readers_see_monotonic_epochs_while_writer_streams() {
     let pages = corpus.pages_of_topic(1);
     for i in 0..WRITES {
         let page = pages[i % pages.len()];
-        let visit = Request::Event(ClientEvent::Visit(VisitEvent {
-            user: WATCHED_USER,
-            session: 1,
-            page,
-            url: corpus.pages[page as usize].url.clone(),
-            time: 1_000 + i as u64,
-            referrer: None,
-        }));
         assert_eq!(
-            ask(&service, &visit, None),
+            ask(
+                &service,
+                &visit(&corpus, WATCHED_USER, page, 1_000 + i as u64),
+                None
+            ),
             Response::Ack { archived: true }
         );
     }
@@ -185,16 +151,8 @@ fn write_invalidates_cached_read_results() {
     assert_eq!(again, before);
 
     let page = corpus.pages_of_topic(1)[0];
-    let visit = Request::Event(ClientEvent::Visit(VisitEvent {
-        user: WATCHED_USER,
-        session: 1,
-        page,
-        url: corpus.pages[page as usize].url.clone(),
-        time: 5_000,
-        referrer: None,
-    }));
     assert_eq!(
-        ask(&service, &visit, None),
+        ask(&service, &visit(&corpus, WATCHED_USER, page, 5_000), None),
         Response::Ack { archived: true }
     );
 

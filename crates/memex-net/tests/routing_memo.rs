@@ -27,75 +27,19 @@ mod serve;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use memex_core::memex::{Memex, MemexOptions};
+use memex_bench::script::{self, bookmark, trail, visit, FOLDERS, USERS};
+use memex_core::memex::Memex;
 use memex_core::servlet::{dispatch, Request, Response};
 use memex_net::Service;
-use memex_server::events::{ClientEvent, VisitEvent};
-use memex_web::corpus::{Corpus, CorpusConfig};
+use memex_web::corpus::Corpus;
 
 use serve::ask;
 
-const READERS: usize = 4;
+/// One reader per registered user.
+const READERS: usize = USERS as usize;
 const ROUNDS: usize = 3;
 const REPEATS_PER_PHASE: usize = 5;
 const READS_PER_PHASE: usize = 2;
-
-fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
-    Request::Event(ClientEvent::Visit(VisitEvent {
-        user,
-        session: 1,
-        page,
-        url: corpus.pages[page as usize].url.clone(),
-        time,
-        referrer: None,
-    }))
-}
-
-fn bookmark(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
-    Request::Event(ClientEvent::Bookmark {
-        user,
-        page,
-        url: corpus.pages[page as usize].url.clone(),
-        folder: format!("/topic{}", corpus.topic_of(page)),
-        time,
-    })
-}
-
-/// The pages user `user` surfs before the race: six of their own topic and
-/// two of the other.
-fn trail(corpus: &Corpus, user: u32) -> Vec<u32> {
-    let topic = user as usize % 2;
-    let own = corpus.pages_of_topic(topic);
-    let other = corpus.pages_of_topic(1 - topic);
-    let mut pages: Vec<u32> = own.iter().skip(user as usize).take(6).copied().collect();
-    pages.extend(other.iter().skip(user as usize).take(2));
-    pages
-}
-
-/// Four users, two per topic, each with a short trail and one bookmark in
-/// each of two folders, so every topic filter has something to route
-/// between. Deterministic: the served archive and its in-process twin are
-/// both built by this.
-fn world(corpus: &Arc<Corpus>) -> Memex {
-    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
-    let mut time = 0u64;
-    for user in 0..READERS as u32 {
-        memex
-            .register_user(user, &format!("user{user}"))
-            .expect("register");
-        for (i, page) in trail(corpus, user).into_iter().enumerate() {
-            time += 1;
-            let mut writes = vec![visit(corpus, user, page, time)];
-            if i == 0 || i == 6 {
-                writes.push(bookmark(corpus, user, page, time));
-            }
-            for w in writes {
-                assert!(!matches!(dispatch(&mut memex, w), Response::Error(_)));
-            }
-        }
-    }
-    memex
-}
 
 /// One write that drops memos, then the repeat visits streamed while the
 /// readers read.
@@ -141,7 +85,7 @@ fn routing_phases(corpus: &Corpus) -> Vec<Phase> {
             let mut writes = vec![if first_visit {
                 visit(corpus, user, fresh, time)
             } else {
-                bookmark(corpus, user, fresh, time)
+                bookmark(corpus, user, fresh, FOLDERS[round % 2], time)
             }];
             writes.extend(repeat_visits(corpus, round, &mut time));
             let builds = if first_visit {
@@ -201,7 +145,13 @@ fn profile_phases(corpus: &Corpus) -> Vec<Phase> {
             let mut writes = vec![if new_to_user {
                 visit(corpus, user, borrowed, time)
             } else {
-                bookmark(corpus, user, borrowed, time)
+                bookmark(
+                    corpus,
+                    user,
+                    borrowed,
+                    FOLDERS[corpus.topic_of(borrowed)],
+                    time,
+                )
             }];
             writes.extend(repeat_visits(corpus, round, &mut time));
             let builds = if new_to_user {
@@ -264,16 +214,12 @@ fn race(
     counters: &'static [&'static str],
     live: i64,
 ) {
-    let corpus = Arc::new(Corpus::generate(CorpusConfig {
-        num_topics: 2,
-        pages_per_topic: 40,
-        ..CorpusConfig::default()
-    }));
+    let corpus = script::corpus(80);
     let phases = phases(&corpus);
 
     // truth[e][r][q]: the answer to reader r's question q once e writes of
     // the stream are in.
-    let mut twin = world(&corpus);
+    let mut twin = script::world(&corpus);
     let answers = |twin: &mut Memex| -> Vec<Vec<Response>> {
         (0..READERS)
             .map(|r| {
@@ -300,7 +246,7 @@ fn race(
         );
     }
 
-    let service = Arc::new(Service::new(world(&corpus), 64));
+    let service = Arc::new(Service::new(script::world(&corpus), 64));
     // Writes sent so far (bumped before the request goes in) and writes
     // acknowledged so far: together they bound the epochs a read can see.
     let sent = Arc::new(AtomicUsize::new(0));

@@ -17,64 +17,19 @@ mod serve;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use memex_core::memex::{Memex, MemexOptions};
+use memex_bench::script::{self, bookmark, visit, FOLDERS, USERS};
+use memex_core::memex::Memex;
 use memex_core::servlet::{dispatch, Request, Response};
 use memex_net::Service;
-use memex_server::events::{ClientEvent, VisitEvent};
-use memex_web::corpus::{Corpus, CorpusConfig};
+use memex_web::corpus::Corpus;
 
 use serve::ask;
 
-const READERS: usize = 4;
+/// One reader per registered user.
+const READERS: usize = USERS as usize;
 const ROUNDS: usize = 5;
 const VISITS_PER_ROUND: usize = 6;
 const READS_PER_ROUND: usize = 3;
-
-fn visit(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
-    Request::Event(ClientEvent::Visit(VisitEvent {
-        user,
-        session: 1,
-        page,
-        url: corpus.pages[page as usize].url.clone(),
-        time,
-        referrer: None,
-    }))
-}
-
-fn bookmark(corpus: &Corpus, user: u32, page: u32, time: u64) -> Request {
-    Request::Event(ClientEvent::Bookmark {
-        user,
-        page,
-        url: corpus.pages[page as usize].url.clone(),
-        folder: format!("/topic{}", corpus.topic_of(page)),
-        time,
-    })
-}
-
-/// Four users, two per topic, each with a short trail and two bookmarks.
-/// Deterministic: the served archive and its in-process twin are both built
-/// by this.
-fn world(corpus: &Arc<Corpus>) -> Memex {
-    let mut memex = Memex::new(corpus.clone(), MemexOptions::default()).expect("build memex");
-    let mut time = 0u64;
-    for user in 0..READERS as u32 {
-        memex
-            .register_user(user, &format!("user{user}"))
-            .expect("register");
-        let pages = corpus.pages_of_topic(user as usize % 2);
-        for (i, &page) in pages.iter().skip(user as usize).take(8).enumerate() {
-            time += 1;
-            let mut writes = vec![visit(corpus, user, page, time)];
-            if i < 2 {
-                writes.push(bookmark(corpus, user, page, time));
-            }
-            for w in writes {
-                assert!(!matches!(dispatch(&mut memex, w), Response::Error(_)));
-            }
-        }
-    }
-    memex
-}
 
 /// The write stream: per round one bookmark, then the visits the writer
 /// streams while the readers read.
@@ -85,7 +40,14 @@ fn rounds(corpus: &Corpus) -> Vec<Vec<Request>> {
             let user = (round % READERS) as u32;
             let pages = corpus.pages_of_topic((round + 1) % 2);
             time += 1;
-            let mut writes = vec![bookmark(corpus, user, pages[20 + round], time)];
+            let page = pages[20 + round];
+            let mut writes = vec![bookmark(
+                corpus,
+                user,
+                page,
+                FOLDERS[corpus.topic_of(page)],
+                time,
+            )];
             for i in 0..VISITS_PER_ROUND {
                 time += 1;
                 let visitor = ((round + i) % READERS) as u32;
@@ -112,15 +74,11 @@ fn themes_built(service: &Service) -> u64 {
 
 #[test]
 fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
-    let corpus = Arc::new(Corpus::generate(CorpusConfig {
-        num_topics: 2,
-        pages_per_topic: 40,
-        ..CorpusConfig::default()
-    }));
+    let corpus = script::corpus(80);
     let rounds = rounds(&corpus);
 
     // truth[e][r]: reader r's answer once e writes of the stream are in.
-    let mut twin = world(&corpus);
+    let mut twin = script::world(&corpus);
     let answers = |twin: &mut Memex| -> Vec<Response> {
         (0..READERS).map(|r| dispatch(twin, question(r))).collect()
     };
@@ -139,7 +97,7 @@ fn readers_racing_the_first_theme_read_agree_with_the_in_process_truth() {
 
     let truth = Arc::new(truth);
 
-    let service = Arc::new(Service::new(world(&corpus), 64));
+    let service = Arc::new(Service::new(script::world(&corpus), 64));
     // Writes sent so far (bumped before the request goes in) and writes
     // acknowledged so far: together they bound the epochs a read can see.
     let sent = Arc::new(AtomicUsize::new(0));
