@@ -11,10 +11,11 @@
 //!   referrers among them, bookmarks, `ImportBookmarks`, `SetMode`) and
 //!   reads over every read servlet, recall queries cut from page text. The
 //!   vendored proptest does not shrink, so a seed is the whole case;
-//! * a [`Twin`]: a fresh archive fed a write prefix through `dispatch`,
-//!   answering as `wire::encode_response` bytes;
+//! * the twin: an archive held up as the truth, fed a write prefix through
+//!   `dispatch` and asked through [`answer`], which returns the
+//!   `wire::encode_response` bytes a client receives;
 //! * the drivers: [`Script::serve`], one thread through a [`Service`], and
-//!   [`Twin::feed`], writes in batches of any size.
+//!   [`feed`], writes in batches of any size.
 //!
 //! Dev-only: the experiments do not use it.
 
@@ -183,21 +184,21 @@ impl Script {
     /// thread each, traced with its step number, and hold each answer frame
     /// to `twin`'s answer framed the same way. The first frame that differs,
     /// if any.
-    pub fn serve(&self, service: &Service, twin: &mut Twin) -> Result<(), String> {
+    pub fn serve(&self, service: &Service, twin: &mut Memex) -> Result<(), String> {
         for (step, request) in self.steps.iter().enumerate() {
             let mut served = Vec::new();
             let frame = request_frame(step, request);
             if !service.handle(wire::read_frame_meta(&mut &frame[..]), &mut served) {
                 return Err(format!("step {step}: {request:?} closed the connection"));
             }
-            let answer = twin.answer(request);
-            let want = wire::frame_bytes(FrameKind::Response, &answer, trace(step)).expect("frame");
+            let truth = answer(twin, request);
+            let want = wire::frame_bytes(FrameKind::Response, &truth, trace(step)).expect("frame");
             if served != want {
                 let decoded = wire::read_frame_meta(&mut &served[..])
                     .and_then(|meta| wire::decode_response(&meta.payload));
                 return Err(format!(
                     "step {step}: {request:?} was answered {decoded:?}, the twin answers {:?}",
-                    wire::decode_response(&answer)
+                    wire::decode_response(&truth)
                 ));
             }
         }
@@ -364,41 +365,30 @@ fn distinct_words(text: &str, n: usize) -> String {
     words.join(" ")
 }
 
-/// An in-process archive held up as the truth: fed writes through
-/// `dispatch`, it answers every request as the bytes a client receives.
-/// `Twin::new` starts from a fresh [`archive`]; wrap a [`world`] to start
-/// from that.
-pub struct Twin(pub Memex);
+/// `request` dispatched to `twin`, its answer encoded as on the wire: the
+/// bytes a client of an archive fed the same writes receives.
+pub fn answer(twin: &mut Memex, request: &Request) -> Vec<u8> {
+    wire::encode_response(&dispatch(twin, request.clone()))
+}
 
-impl Twin {
-    pub fn new(corpus: &Arc<Corpus>) -> Twin {
-        Twin(archive(corpus))
-    }
-
-    /// `request` dispatched, its answer encoded as on the wire.
-    pub fn answer(&mut self, request: &Request) -> Vec<u8> {
-        wire::encode_response(&dispatch(&mut self.0, request.clone()))
-    }
-
-    /// Apply `writes` in batches of `sizes` (cycled), one demon sweep per
-    /// batch. A batch of one is a served write: `dispatch_write` is the
-    /// apply and then the sweep.
-    pub fn feed(&mut self, writes: &[Request], sizes: &[usize]) {
-        let mut rest = writes;
-        for &size in sizes.iter().cycle() {
-            if rest.is_empty() {
-                break;
-            }
-            let (batch, tail) = rest.split_at(size.min(rest.len()));
-            rest = tail;
-            for write in batch {
-                let Classified::Write(write) = write.clone().classify() else {
-                    panic!("{write:?} is not a write");
-                };
-                apply_write(&mut self.0, &write);
-            }
-            self.0.run_demons().expect("demons");
+/// Apply `writes` to `twin` in batches of `sizes` (cycled), one demon sweep
+/// per batch. A batch of one is a served write: `dispatch_write` is the
+/// apply and then the sweep.
+pub fn feed(twin: &mut Memex, writes: &[Request], sizes: &[usize]) {
+    let mut rest = writes;
+    for &size in sizes.iter().cycle() {
+        if rest.is_empty() {
+            break;
         }
+        let (batch, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        for write in batch {
+            let Classified::Write(write) = write.clone().classify() else {
+                panic!("{write:?} is not a write");
+            };
+            apply_write(twin, &write);
+        }
+        twin.run_demons().expect("demons");
     }
 }
 

@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 
-use memex_bench::script::{self, Script, Twin, USERS};
+use memex_bench::script::{self, Script, USERS};
+use memex_core::memex::Memex;
 use memex_core::servlet::Request;
 use memex_index::index::{InvertedIndex, BUFFER_DOCS};
 use memex_store::vfs::SplitMix64;
@@ -32,32 +33,48 @@ proptest! {
         let script = Script::new(&corpus, seed, 1_400);
         let writes: Vec<Request> = script.writes().map(|(_, w)| w.clone()).collect();
         let mut rng = SplitMix64::new(!seed);
-        let batches: Vec<usize> = (0..1 + rng.next() % 31).map(|_| 1 + (rng.next() % 47) as usize).collect();
+        let batches: Vec<usize> = (0..1 + rng.next() % 31)
+            .map(|_| 1 + (rng.next() % 47) as usize)
+            .collect();
         let [sweep, served, batched] = [vec![usize::MAX], vec![1], batches.clone()].map(|sizes| {
-            let mut twin = Twin::new(&corpus);
-            twin.feed(&writes, &sizes);
-            twin
+            let mut memex = script::archive(&corpus);
+            script::feed(&mut memex, &writes, &sizes);
+            memex
         });
 
-        let cost = |twin: &Twin| {
-            let snap = twin.0.registry().snapshot();
+        let cost = |m: &Memex| {
+            let snap = m.registry().snapshot();
             (
                 snap.counter("index.commits"),
                 snap.counter("index.postings_flushed"),
                 snap.counter("store.kv.puts"),
             )
         };
-        let docs = sweep.0.server.index.num_docs();
-        prop_assert!(docs >= BUFFER_DOCS as u64, "seed {}: {} documents do not cross the buffer bound", seed, docs);
-        prop_assert_eq!(cost(&sweep), cost(&served), "seed {}: one sweep vs one dispatch per event", seed);
-        prop_assert_eq!(cost(&sweep), cost(&batched), "seed {}: one sweep vs batches {:?}", seed, &batches);
+        let docs = sweep.server.index.num_docs();
+        prop_assert!(
+            docs >= BUFFER_DOCS as u64,
+            "seed {}: {} documents do not cross the buffer bound", seed, docs
+        );
+        prop_assert_eq!(
+            cost(&sweep),
+            cost(&served),
+            "seed {}: one sweep vs one dispatch per event", seed
+        );
+        prop_assert_eq!(
+            cost(&sweep),
+            cost(&batched),
+            "seed {}: one sweep vs batches {:?}", seed, &batches
+        );
         prop_assert_eq!(cost(&sweep).0, docs / BUFFER_DOCS as u64, "only the buffer bound seals");
 
         for other in [&served, &batched] {
-            let (a, b) = (&sweep.0.server, &other.0.server);
-            prop_assert_eq!(a.vocab.len(), b.vocab.len());
-            for term in 0..a.vocab.len() as u32 {
-                prop_assert_eq!(postings(&a.index, term), postings(&b.index, term), "postings of term {}", term);
+            prop_assert_eq!(sweep.server.vocab.len(), other.server.vocab.len());
+            for term in 0..sweep.server.vocab.len() as u32 {
+                prop_assert_eq!(
+                    postings(&sweep.server.index, term),
+                    postings(&other.server.index, term),
+                    "postings of term {}", term
+                );
             }
         }
 
@@ -68,11 +85,25 @@ proptest! {
         queries.push(corpus.topic_names.join(" "));
         for user in 0..USERS {
             for query in &queries {
-                let recall = Request::Recall { user, query: query.clone(), since: 0, until: u64::MAX, k: 10 };
-                let [a, b, c] = archives.each_mut().map(|twin| twin.answer(&recall));
+                let recall = Request::Recall {
+                    user,
+                    query: query.clone(),
+                    since: 0,
+                    until: u64::MAX,
+                    k: 10,
+                };
+                let [a, b, c] = archives.each_mut().map(|m| script::answer(m, &recall));
                 prop_assert!(a.len() > 8, "recall {:?} for user {} found nothing", query, user);
-                prop_assert_eq!(&a, &b, "seed {}: recall {:?} for user {}: sweep vs served", seed, query, user);
-                prop_assert_eq!(&a, &c, "seed {}: recall {:?} for user {}: sweep vs batched", seed, query, user);
+                prop_assert_eq!(
+                    &a,
+                    &b,
+                    "seed {}: recall {:?} for user {}: sweep vs served", seed, query, user
+                );
+                prop_assert_eq!(
+                    &a,
+                    &c,
+                    "seed {}: recall {:?} for user {}: sweep vs batched", seed, query, user
+                );
             }
         }
     }

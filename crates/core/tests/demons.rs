@@ -104,7 +104,10 @@ const PROLOGUE: usize = 4;
 
 /// What a property feeds an archive, each write with its time: the
 /// prologue, then `seed`'s script writes, two in seven followed by a
-/// folder-space edit drawn from the same seed.
+/// folder-space edit drawn from the same seed. Times rise but leave gaps
+/// (the script's reads take steps too), so a cut through the middle of
+/// the history is the time of its middle write ([`middle`]), not half the
+/// last time.
 fn ops(corpus: &Corpus, seed: u64, writes: usize) -> Vec<(u64, Request, Option<Edit>)> {
     // A user visits, then files two pages into two folders: the second
     // bookmark trains a classifier that can place the earlier visits (and
@@ -133,6 +136,12 @@ fn ops(corpus: &Corpus, seed: u64, writes: usize) -> Vec<(u64, Request, Option<E
         .map(|(time, write)| (time, write, None))
         .chain(edited)
         .collect()
+}
+
+/// The time of the middle write of `ops[..=i]`: asking `since` it, a
+/// window cuts the history so far in two.
+fn middle(ops: &[(u64, Request, Option<Edit>)], i: usize) -> u64 {
+    ops[i / 2].0
 }
 
 /// Bookmark filing and the classification demon as `Memex::run_demons` ran
@@ -576,12 +585,13 @@ fn top_scored(mut scored: Vec<(u32, f64)>, k: usize) -> Vec<(u32, f64)> {
     scored
 }
 
-/// What the tabs of `user` would ask at `time`: every folder of theirs
-/// replayed and mined for news, the bill, the soulmates, the
-/// recommendations — and two recalls, in the words some page opens with:
-/// the single best hit of all time (where a cut of the community's ranking
-/// would bite first) and a few from the recent half.
-fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
+/// What the tabs of `user` would ask at `time`, with `since` a cut inside
+/// the history: every folder of theirs replayed and mined for what is new
+/// since the cut, the bill, the soulmates, the recommendations — and two
+/// recalls, in the words some page opens with: the single best hit of all
+/// time (where a cut of the community's ranking would bite first) and a
+/// few from after the cut.
+fn mining_questions(memex: &Memex, user: u32, since: u64, time: u64) -> Vec<Request> {
     let opening_words = |page: u64| {
         let text = &memex.corpus.pages[(page % u64::from(PAGES)) as usize].text;
         text.split_whitespace()
@@ -607,7 +617,7 @@ fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
         Request::Recall {
             user,
             query: opening_words(time * 3 + u64::from(user)),
-            since: time / 2,
+            since,
             until: time,
             k: 3,
         },
@@ -622,7 +632,7 @@ fn mining_questions(memex: &Memex, user: u32, time: u64) -> Vec<Request> {
         questions.push(Request::WhatsNew {
             user,
             folder,
-            since: time / 2,
+            since,
             k: 5,
         });
     }
@@ -653,14 +663,26 @@ proptest! {
         for (i, (_, request, edit)) in ops(&corpus, seed, 30).into_iter().enumerate() {
             write(&mut memex, request.clone());
             reference.run(&memex);
-            prop_assert_eq!(assignments(&memex), reference.assignments(), "seed {}: diverged after write #{} {:?}", seed, i, request);
+            prop_assert_eq!(
+                assignments(&memex),
+                reference.assignments(),
+                "seed {}: diverged after write #{} {:?}", seed, i, request
+            );
             if let Some(edit) = edit {
                 edit.apply(&mut memex, Some(&mut reference));
                 reference.run(&memex);
-                prop_assert_eq!(assignments(&memex), reference.assignments(), "seed {}: diverged after {:?}", seed, edit);
+                prop_assert_eq!(
+                    assignments(&memex),
+                    reference.assignments(),
+                    "seed {}: diverged after {:?}", seed, edit
+                );
             }
             if i + 1 == PROLOGUE {
-                let guessed = memex.folder_space_ref(0).assignments().filter(|(_, a)| !a.confirmed).count();
+                let guessed = memex
+                    .folder_space_ref(0)
+                    .assignments()
+                    .filter(|(_, a)| !a.confirmed)
+                    .count();
                 prop_assert_eq!(guessed, 2, "the prologue's visits were not guessed");
             }
         }
@@ -678,7 +700,8 @@ proptest! {
         let script = Script::new(&corpus, seed, 30);
         // First visits to every page left unfetched come last, so the
         // vocabulary keeps observing documents after the last bookmark.
-        let first_visits = (0..PAGES).map(|page| visit(&corpus, page % USERS, page, 10_000 + u64::from(page)));
+        let first_visits = (0..PAGES)
+            .map(|page| visit(&corpus, page % USERS, page, 10_000 + u64::from(page)));
         let mut docs_at_last_bookmark = 0u64;
         for request in script.writes().map(|(_, w)| w.clone()).chain(first_visits) {
             let bookmarks = lazy.server.bookmarks.len();
@@ -704,7 +727,8 @@ proptest! {
                 Request::Recommend { user, k: 8 },
             ] {
                 prop_assert!(
-                    encode_response(&read(&eager, request.clone())) == encode_response(&read(&lazy, request.clone())),
+                    encode_response(&read(&eager, request.clone()))
+                        == encode_response(&read(&lazy, request.clone())),
                     "seed {}: {:?}", seed, request
                 );
             }
@@ -721,13 +745,15 @@ proptest! {
     fn memoised_answers_equal_recomputing_from_scratch(seed in any::<u64>()) {
         let corpus = script::corpus(PAGES);
         let mut memex = script::archive(&corpus);
-        let agrees = |memex: &Memex, time: u64| -> Result<(), String> {
+        let agrees = |memex: &Memex, since: u64, time: u64| -> Result<(), String> {
             for user in 0..SURFERS {
-                for question in mining_questions(memex, user, time) {
+                for question in mining_questions(memex, user, since, time) {
                     let memoised = read(memex, question.clone());
                     let from_scratch = FromScratch(memex).answer(&question);
                     if encode_response(&memoised) != encode_response(&from_scratch) {
-                        return Err(format!("{question:?}:\n memoised     {memoised:?}\n from scratch {from_scratch:?}"));
+                        return Err(format!(
+                            "{question:?}:\n memoised     {memoised:?}\n from scratch {from_scratch:?}"
+                        ));
                     }
                 }
                 let place = place_bits(memex.my_place(user));
@@ -737,14 +763,22 @@ proptest! {
             }
             Ok(())
         };
-        for (time, request, edit) in ops(&corpus, seed, 16) {
+        let ops = ops(&corpus, seed, 16);
+        for (i, (time, request, edit)) in ops.iter().enumerate() {
             write(&mut memex, request.clone());
-            let after_write = agrees(&memex, time);
-            prop_assert!(after_write.is_ok(), "seed {}, after {:?}, {}", seed, request, after_write.unwrap_err());
-            if let Some(edit) = edit {
+            let since = middle(&ops, i);
+            let after_write = agrees(&memex, since, *time);
+            prop_assert!(
+                after_write.is_ok(),
+                "seed {}, after {:?}, {}", seed, request, after_write.unwrap_err()
+            );
+            if let Some(edit) = *edit {
                 edit.apply(&mut memex, None);
-                let after_edit = agrees(&memex, time);
-                prop_assert!(after_edit.is_ok(), "seed {}, after {:?}, {}", seed, edit, after_edit.unwrap_err());
+                let after_edit = agrees(&memex, since, *time);
+                prop_assert!(
+                    after_edit.is_ok(),
+                    "seed {}, after {:?}, {}", seed, edit, after_edit.unwrap_err()
+                );
             }
         }
     }
@@ -757,27 +791,28 @@ proptest! {
         let corpus = script::corpus(PAGES);
         let mut eager = script::archive(&corpus);
         let mut lazy = script::archive(&corpus);
-        let ask_all = |memex: &Memex, time: u64| {
+        let ask_all = |memex: &Memex, since: u64, time: u64| {
             for user in 0..SURFERS {
-                for question in mining_questions(memex, user, time) {
+                for question in mining_questions(memex, user, since, time) {
                     read(memex, question);
                 }
             }
         };
-        let mut now = 0;
-        for (time, request, edit) in ops(&corpus, seed, 32) {
+        let ops = ops(&corpus, seed, 32);
+        for (i, (time, request, edit)) in ops.iter().enumerate() {
             write(&mut eager, request.clone());
-            write(&mut lazy, request);
-            ask_all(&eager, time);
-            if let Some(edit) = edit {
+            write(&mut lazy, request.clone());
+            let since = middle(&ops, i);
+            ask_all(&eager, since, *time);
+            if let Some(edit) = *edit {
                 edit.apply(&mut eager, None);
                 edit.apply(&mut lazy, None);
-                ask_all(&eager, time);
+                ask_all(&eager, since, *time);
             }
-            now = time;
         }
+        let (last, now) = (ops.len() - 1, ops[ops.len() - 1].0);
         for user in 0..SURFERS {
-            for question in mining_questions(&lazy, user, now) {
+            for question in mining_questions(&lazy, user, middle(&ops, last), now) {
                 prop_assert!(
                     encode_response(&read(&eager, question.clone()))
                         == encode_response(&read(&lazy, question.clone())),
@@ -1022,7 +1057,7 @@ fn a_page_fetched_after_it_was_trailed_moves_the_background() {
     assert!(memex.server.tf(page).is_some(), "the fetcher caught up");
     assert_eq!(background_builds(&memex), built, "a write built it");
     for user in 0..SURFERS {
-        for question in mining_questions(&memex, user, 500) {
+        for question in mining_questions(&memex, user, 250, 500) {
             assert!(
                 encode_response(&read(&memex, question.clone()))
                     == encode_response(&FromScratch(&memex).answer(&question)),

@@ -7,7 +7,7 @@
 //! report on the service itself, so their answers differ from the twin's by
 //! design.
 
-use memex_bench::script::{self, Script, Twin};
+use memex_bench::script::{self, Script};
 use memex_net::Service;
 
 #[test]
@@ -15,7 +15,7 @@ fn seeded_schedules_answer_every_step_as_the_twin_at_its_write_prefix() {
     let corpus = script::corpus(40);
     for seed in 0..8 {
         let service = Service::new(script::world(&corpus), 8);
-        let mut twin = Twin(script::world(&corpus));
+        let mut twin = script::world(&corpus);
         Script::new(&corpus, seed, 24)
             .serve(&service, &mut twin)
             .unwrap_or_else(|e| panic!("seed {seed}, {e}"));
