@@ -163,7 +163,7 @@ proptest! {
 
     /// Documents arrive in any order, the buffer sealed at random points,
     /// and an id already held is added again: after every step, a term's
-    /// postings are the model's — per document, the larger tf of a term
+    /// postings are the model's — per document, the summed tf of a term
     /// it lists twice — and filtered BM25 scores, bit for bit, what the
     /// table scores over the model's lists. A re-add is `Invalid` and
     /// changes neither postings nor scores.
@@ -189,7 +189,7 @@ proptest! {
                     index.add_document(*doc, pairs).unwrap();
                     for &(t, c) in pairs.iter().filter(|&&(_, c)| c > 0) {
                         let tf = model.entry(t).or_default().entry(*doc).or_insert(0);
-                        *tf = (*tf).max(c);
+                        *tf += c;
                     }
                     lengths.insert(*doc, pairs.iter().map(|&(_, c)| c).sum());
                 }

@@ -81,6 +81,10 @@ struct ServerMetrics {
     /// Events the log retains.
     bus_depth: Gauge,
     fetch_latency: Histogram,
+    /// Heap bytes of the vocabulary and of the index's own tables,
+    /// published at the end of every sweep.
+    vocab_bytes: Gauge,
+    index_bytes: Gauge,
 }
 
 impl ServerMetrics {
@@ -96,6 +100,8 @@ impl ServerMetrics {
             pages_abandoned: registry.counter("server.fetch.abandoned"),
             bus_depth: registry.gauge("server.bus.depth"),
             fetch_latency: registry.histogram("server.fetch.latency"),
+            vocab_bytes: registry.gauge("mem.vocab.bytes"),
+            index_bytes: registry.gauge("mem.index.bytes"),
         }
     }
 }
@@ -161,9 +167,11 @@ pub struct MemexServer<F: PageFetcher> {
     pub web: WebGraph,
     /// Modes users chose with `SetMode`; everybody else is in the default.
     modes: HashMap<u32, ArchiveMode>,
-    /// Every page the fetch demon settled. A dead link settles nothing: the
-    /// next event naming it tries again.
-    pages: HashMap<u32, FetchOutcome>,
+    /// Indexed by page id: what the fetch demon settled for the page. A
+    /// dead link settles nothing: the next event naming it tries again. An
+    /// id at or past the fetcher's page count is a dead link, so the table
+    /// is never longer than the fetcher's page count.
+    pages: Vec<Option<FetchOutcome>>,
     pub bookmarks: Vec<BookmarkRecord>,
     registry: MetricsRegistry,
     metrics: ServerMetrics,
@@ -189,7 +197,7 @@ impl<F: PageFetcher> MemexServer<F> {
             trails: TrailGraph::new(),
             web: WebGraph::new(),
             modes: HashMap::new(),
-            pages: HashMap::new(),
+            pages: Vec::new(),
             bookmarks: Vec::new(),
             registry,
             metrics,
@@ -298,13 +306,17 @@ impl<F: PageFetcher> MemexServer<F> {
     }
 
     /// One pass of each demon over everything pending, then trim the log to
-    /// what neither has applied — empty, unless the index demon failed.
-    /// Every write ack runs it (through `Memex::run_demons`).
+    /// what neither has applied — empty, unless the index demon failed —
+    /// and publish the sizes of the structures the sweep grows. Every write
+    /// ack runs it (through `Memex::run_demons`).
     pub fn drain_demons(&mut self) -> StoreResult<()> {
         self.run_trail_demon(usize::MAX);
         let indexed = self.run_index_demon(usize::MAX);
         self.log.trim();
         self.metrics.bus_depth.set(self.log.retained() as i64);
+        let bytes = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
+        self.metrics.vocab_bytes.set(bytes(self.vocab.heap_bytes()));
+        self.metrics.index_bytes.set(bytes(self.index.heap_bytes()));
         indexed.map(drop)
     }
 
@@ -314,7 +326,7 @@ impl<F: PageFetcher> MemexServer<F> {
     /// the demon moves on. The demon therefore *never stalls* on a flaky
     /// page — the fetch loop is bounded no matter what the fetcher does.
     fn ensure_fetched(&mut self, page: u32) -> StoreResult<()> {
-        if self.pages.contains_key(&page) {
+        if self.outcome(page).is_some() || page as usize >= self.fetcher.num_pages() {
             return Ok(());
         }
         let policy = self.opts.retry;
@@ -331,7 +343,7 @@ impl<F: PageFetcher> MemexServer<F> {
                 Err(FetchError::NotFound) => return Ok(()), // dead link; the demon shrugs
                 Err(FetchError::Transient { reason }) => {
                     if attempt >= policy.max_attempts.max(1) || waited_ms >= policy.deadline_ms {
-                        self.pages.insert(page, FetchOutcome::Abandoned);
+                        self.settle(page, FetchOutcome::Abandoned);
                         self.metrics.pages_abandoned.inc();
                         self.registry.event(
                             "server",
@@ -367,7 +379,7 @@ impl<F: PageFetcher> MemexServer<F> {
         } else {
             FetchOutcome::Abandoned
         };
-        self.pages.insert(page, outcome);
+        self.settle(page, outcome);
         indexed?;
         self.metrics.docs_indexed.inc();
         // Web graph edges.
@@ -376,6 +388,29 @@ impl<F: PageFetcher> MemexServer<F> {
             self.web.add_edge(page, l);
         }
         Ok(())
+    }
+
+    /// Record what the fetch demon concluded for `page`, an id below the
+    /// fetcher's page count.
+    fn settle(&mut self, page: u32, outcome: FetchOutcome) {
+        let slot = page as usize;
+        if slot >= self.pages.len() {
+            self.pages.resize_with(slot + 1, || None);
+        }
+        if let Some(settled) = self.pages.get_mut(slot) {
+            *settled = Some(outcome);
+        }
+    }
+
+    /// What the fetch demon settled for `page`, if anything.
+    fn outcome(&self, page: u32) -> Option<&FetchOutcome> {
+        self.pages.get(page as usize)?.as_ref()
+    }
+
+    /// Slots in the page table: one past the largest page id the fetch
+    /// demon settled, never more than the fetcher's page count.
+    pub fn page_slots(&self) -> usize {
+        self.pages.len()
     }
 
     /// Each demon's name and staleness (events appended that it has not
@@ -393,17 +428,17 @@ impl<F: PageFetcher> MemexServer<F> {
 
     /// Analyzed term vector of a fetched page.
     pub fn tf(&self, page: u32) -> Option<&[(TermId, u32)]> {
-        Some(self.pages.get(&page)?.archived()?.0)
+        Some(self.outcome(page)?.archived()?.0)
     }
 
     /// [`MemexServer::tf`] as the handle the page record holds.
     pub fn tf_shared(&self, page: u32) -> Option<&SharedTf> {
-        Some(self.pages.get(&page)?.archived()?.0)
+        Some(self.outcome(page)?.archived()?.0)
     }
 
     /// Transfer size of a fetched page.
     pub fn page_bytes(&self, page: u32) -> Option<u32> {
-        Some(self.pages.get(&page)?.archived()?.1)
+        Some(self.outcome(page)?.archived()?.1)
     }
 
     /// The word memo of a fetched page, written when it was analysed: a
@@ -412,7 +447,7 @@ impl<F: PageFetcher> MemexServer<F> {
     /// for a page not archived, or with a text longer than 64 KiB
     /// ([`memex_text::snippet::MAX_TEXT_LEN`]).
     pub fn page_memo(&self, page: u32) -> Option<&PageMemo> {
-        match self.pages.get(&page)? {
+        match self.outcome(page)? {
             FetchOutcome::Archived { memo, .. } => memo.as_ref(),
             FetchOutcome::Abandoned => None,
         }
@@ -637,7 +672,11 @@ mod tests {
         );
         // The abandoned counter counts exactly the pages settled as abandoned.
         assert_eq!(
-            s.pages.values().filter(|o| o.archived().is_none()).count() as u64,
+            s.pages
+                .iter()
+                .flatten()
+                .filter(|o| o.archived().is_none())
+                .count() as u64,
             stats.pages_abandoned
         );
         // Fetched pages were fully indexed despite the noise.
@@ -656,7 +695,7 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.pages_fetched, 0);
         assert_eq!(stats.pages_abandoned, 10);
-        assert!((0..10u32).all(|page| s.pages.contains_key(&page) && s.tf(page).is_none()));
+        assert!((0..10u32).all(|page| s.outcome(page).is_some() && s.tf(page).is_none()));
         // Budget: max_attempts per page, retries = attempts - 1.
         let per_page = u64::from(ServerOptions::default().retry.max_attempts) - 1;
         assert_eq!(stats.fetch_retries, 10 * per_page);

@@ -2,11 +2,13 @@
 //! TF-IDF vectors.
 //!
 //! A *term* is a kept token ([`Tokens`]) that is not a stopword, Porter
-//! stemmed. One private walk is the one place that says so:
-//! [`Analyzer::counts`] (which [`SnippetQuery`](crate::snippet::SnippetQuery)
-//! takes a query's terms from) reads terms through it. It streams — one
-//! token buffer, stemmed in place. The archive path has one more:
-//! [`Analyzer::index_page`] (the fetch demon's) and
+//! stemmed. Two private readers say so. Without a vocabulary, one walk
+//! stops and stems every token: [`Analyzer::counts`] (which
+//! [`SnippetQuery`](crate::snippet::SnippetQuery) takes a query's terms
+//! from) reads terms through it. It streams — one token buffer, stemmed in
+//! place. With one, the archive path reads each token through the
+//! vocabulary's lexicon, which remembers what every token it has met is
+//! (`Tally::read`): [`Analyzer::index_page`] (the fetch demon's) and
 //! [`Analyzer::index_document`] share one walk that counts the terms as it
 //! reads them word by word, and that writes the page's word memo
 //! ([`snippet::PageMemo`]) as it goes when asked to.
@@ -18,7 +20,7 @@ use crate::stem::stem_in_place;
 use crate::stopwords::{is_stopword, stopword, stopword_stem};
 use crate::tokenize::{Tokens, Words, MAX_TOKEN_LEN, MIN_TOKEN_LEN};
 use crate::vector::SparseVec;
-use crate::vocab::{IdfTable, TermId, Vocabulary};
+use crate::vocab::{Form, IdfTable, TermId, Vocabulary};
 
 /// Bag-of-words counts for one document, pre-interning.
 pub type TermCounts = HashMap<String, u32>;
@@ -64,7 +66,7 @@ enum Draft {
     /// A stem the vocabulary knows.
     Known(TermId),
     /// A term the vocabulary had not seen: the page's `k`-th occurrence of
-    /// such a term ([`Tally::add`]), whose id interning gives it.
+    /// such a term ([`Tally::read`]), whose id interning gives it.
     Fresh(u32),
     /// A stopword, by its index in
     /// [`STOPWORDS`](crate::stopwords::STOPWORDS): not a term, but a term
@@ -74,12 +76,16 @@ enum Draft {
 
 /// One page's terms as the walk reads them: an `(id, 1)` per occurrence of
 /// a term `vocab` knows, and every occurrence of one it has never seen in
-/// `fresh`, each followed by a space (no term contains one).
+/// `fresh` — its stem, then the token it was read as, each followed by a
+/// space (no token contains one).
 struct Tally {
     pairs: Vec<(TermId, u32)>,
     fresh: String,
     /// Occurrences in `fresh`.
     fresh_count: u32,
+    /// The token being stemmed, as read: only a token the lexicon does not
+    /// know is copied here, so a page of known tokens never fills it.
+    raw: String,
 }
 
 impl Tally {
@@ -91,23 +97,53 @@ impl Tally {
             pairs: Vec::with_capacity(bytes / (MIN_TOKEN_LEN + 1) + 1),
             fresh: String::new(),
             fresh_count: 0,
+            raw: String::new(),
         }
     }
 
-    /// Count one occurrence of `term`, and draft it: by its id if `vocab`
-    /// has one, else by which occurrence of a new term it is.
-    fn add(&mut self, vocab: &Vocabulary, term: &str) -> Draft {
-        match vocab.id(term) {
+    /// Read one kept token, lower-cased in `token`, and draft it. One
+    /// lexicon probe says what a token met before is; only a new one is
+    /// stopped, stemmed in place and probed as a stem, and what it turned
+    /// out to be is learnt — a new term's token once the term is interned
+    /// ([`Tally::finish`]).
+    fn read(&mut self, vocab: &mut Vocabulary, token: &mut String) -> Draft {
+        match vocab.form(token) {
+            Some(Form::Stop(stop)) => return Draft::Stopword(stop),
+            Some(Form::Term(id)) => {
+                self.pairs.push((id, 1));
+                return Draft::Known(id);
+            }
+            None => {}
+        }
+        if let Some(stop) = stopword(token) {
+            vocab.learn(token, Form::Stop(stop));
+            return Draft::Stopword(stop);
+        }
+        self.raw.clear();
+        self.raw.push_str(token);
+        stem_in_place(token);
+        match vocab.id(token) {
             Some(id) => {
+                vocab.learn(&self.raw, Form::Term(id));
                 self.pairs.push((id, 1));
                 Draft::Known(id)
             }
             None => {
-                self.fresh.push_str(term);
-                self.fresh.push(' ');
+                for part in [token.as_str(), &self.raw] {
+                    self.fresh.push_str(part);
+                    self.fresh.push(' ');
+                }
                 self.fresh_count = self.fresh_count.saturating_add(1);
                 Draft::Fresh(self.fresh_count - 1)
             }
+        }
+    }
+
+    /// Read every kept token of `text` in order, through `token`.
+    fn read_text(&mut self, vocab: &mut Vocabulary, text: &str, token: &mut String) {
+        let mut tokens = Tokens::new(text);
+        while tokens.next_into(token) {
+            self.read(vocab, token);
         }
     }
 
@@ -119,14 +155,21 @@ impl Tally {
     }
 
     /// The page's pairs, sorted by id and exactly sized, once its new
-    /// terms are interned, and the id each occurrence of a new term was
-    /// given, in [`Tally::add`]'s order; the document is recorded for df
-    /// statistics.
+    /// terms are interned and the tokens they were read as learnt, and the
+    /// id each occurrence of a new term was given, in [`Tally::read`]'s
+    /// order; the document is recorded for df statistics.
     fn finish(self, vocab: &mut Vocabulary) -> (Vec<(TermId, u32)>, Vec<TermId>) {
         let Tally {
-            mut pairs, fresh, ..
+            mut pairs,
+            fresh,
+            fresh_count,
+            ..
         } = self;
-        let mut terms: Vec<(&str, usize)> = fresh.split_terminator(' ').zip(0..).collect();
+        let mut parts = fresh.split_terminator(' ');
+        let mut terms: Vec<(&str, &str, usize)> = Vec::with_capacity(fresh_count as usize);
+        while let (Some(term), Some(raw)) = (parts.next(), parts.next()) {
+            terms.push((term, raw, terms.len()));
+        }
         let mut fresh_ids = vec![0; terms.len()];
         // Intern new terms in lexicographic order, not the order the
         // page says them: id assignment must be a pure function of the
@@ -136,13 +179,18 @@ impl Tally {
         // float-for-float comparable.
         terms.sort_unstable();
         for run in terms.chunk_by(|a, b| a.0 == b.0) {
-            if let [(term, _), ..] = run {
+            if let [(term, _, _), ..] = run {
                 let id = vocab.intern(term);
                 let count = u32::try_from(run.len()).unwrap_or(u32::MAX);
                 pairs.push((id, count));
-                for &(_, k) in run {
+                for &(_, _, k) in run {
                     if let Some(slot) = fresh_ids.get_mut(k) {
                         *slot = id;
+                    }
+                }
+                for same in run.chunk_by(|a, b| a.1 == b.1) {
+                    if let [(_, raw, _), ..] = same {
+                        vocab.learn(raw, Form::Term(id));
                     }
                 }
             }
@@ -178,9 +226,9 @@ impl Analyzer {
     }
 
     /// Text → interned term-frequency pairs, sorted by id, exactly sized;
-    /// the document is recorded for df statistics. One vocabulary probe
-    /// per term: a term `vocab` knows costs an `(id, 1)` push, and only a
-    /// term it has never seen is copied.
+    /// the document is recorded for df statistics. One lexicon probe per
+    /// token: a token `vocab` has met costs an `(id, 1)` push, or nothing
+    /// for a stopword, and only a term it has never seen is copied.
     pub fn index_document(&self, vocab: &mut Vocabulary, text: &str) -> Vec<(TermId, u32)> {
         self.walk(vocab, "", text, false).tf
     }
@@ -193,16 +241,17 @@ impl Analyzer {
         self.walk(vocab, title, text, true)
     }
 
-    /// The one walk behind both: `title`'s terms, then `text`'s read word by
-    /// word ([`Words::next_tokens`]) — each kept token stopped, stemmed in
-    /// place and probed once — and, when `memo` is asked for, each word's
-    /// start recorded and its first token drafted ([`Draft`]). Drafts are
-    /// resolved to positions in the pairs once the page's new terms are
-    /// interned, and the memo is built from them, with no second pass over
-    /// the text. A page whose markup runs across a word boundary, or whose title holds any markup or
-    /// entity, has whole-text tokens its words do not: it is read again
-    /// whole, as `"{title} {text}"`, and its memo built by
-    /// [`snippet::page_words`].
+    /// The one walk behind both: `title`'s tokens, then `text`'s read word
+    /// by word ([`Words::next_tokens`]) — each kept token read once
+    /// ([`Tally::read`]: one lexicon probe, and a stopword test, a stem and
+    /// a stem probe only for a token never met) — and, when `memo` is asked
+    /// for, each word's start recorded and its first token drafted
+    /// ([`Draft`]). Drafts are resolved to positions in the pairs once the
+    /// page's new terms are interned, and the memo is built from them, with
+    /// no second pass over the text. A page whose markup runs across a word
+    /// boundary, or whose title holds any markup or entity, has whole-text
+    /// tokens its words do not: it is read again whole, as
+    /// `"{title} {text}"`, and its memo built by [`snippet::page_words`].
     fn walk(&self, vocab: &mut Vocabulary, title: &str, text: &str, memo: bool) -> IndexedPage {
         let mut tally = Tally::new(title.len() + 1 + text.len());
         // Only a text of at most 64 KiB has a memo; its page's occurrences
@@ -214,26 +263,16 @@ impl Analyzer {
         if memo {
             words.reserve(text.len() / 2 + 1);
         }
+        let mut token = String::with_capacity(MAX_TOKEN_LEN);
         let mut whole = !title.contains(['<', '&']);
         if whole {
-            for_each_term(title, |term| {
-                tally.add(vocab, term);
-            });
+            tally.read_text(vocab, title, &mut token);
             let mut read = Words::new(text);
-            let mut token = String::with_capacity(MAX_TOKEN_LEN);
             while whole {
                 let mut first = Draft::NoToken;
                 let Some((start, within)) = read.next_tokens(&mut token, |token, n| {
-                    let read_first = memo && n == 0;
-                    if let Some(stop) = stopword(token) {
-                        if read_first {
-                            first = Draft::Stopword(stop);
-                        }
-                        return;
-                    }
-                    stem_in_place(token);
-                    let draft = tally.add(vocab, token);
-                    if read_first {
+                    let draft = tally.read(vocab, token);
+                    if memo && n == 0 {
                         first = draft;
                     }
                 }) else {
@@ -254,9 +293,7 @@ impl Analyzer {
                 joined = format!("{title} {text}");
                 &joined
             };
-            for_each_term(page, |term| {
-                tally.add(vocab, term);
-            });
+            tally.read_text(vocab, page, &mut token);
         }
         let (tf, fresh_ids) = tally.finish(vocab);
         let memo = memo.then(|| {

@@ -2,11 +2,58 @@
 //! the order they are first interned, and the vocabulary tracks document
 //! frequencies so TF-IDF weights and feature selection can be computed
 //! without re-touching text.
+//!
+//! Its one string-keyed map, the lexicon, also remembers what each raw
+//! token the analysis has read turned out to be — a stopword or a term —
+//! so a page's walk makes one probe per token and stops and stems a token
+//! only the first time it meets it. A token that is its own stem (most of
+//! them) shares its entry with the term.
 
 use std::collections::HashMap;
+use std::mem::size_of;
 
 /// Dense term identifier.
 pub type TermId = u32;
+
+/// What a raw lower-cased token is to the analysis: a stopword, by its
+/// index in [`STOPWORDS`](crate::stopwords::STOPWORDS), or — stemmed — a
+/// term.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    Stop(u32),
+    Term(TermId),
+}
+
+/// A lexicon entry: its string as a raw token and as a stem, each packed
+/// in a `u32`, so a map slot is the size it was when it held an id alone.
+#[derive(Debug, Clone, Copy)]
+struct Lexeme {
+    /// [`NONE`], `STOP | index` for a stopword, or a term id below
+    /// [`STOP`].
+    form: u32,
+    /// The term id of the string as a stem, or [`NONE`].
+    stem: u32,
+}
+
+const NONE: u32 = u32::MAX;
+/// The bit that marks a stopword's form; a term id at or past it (two
+/// billion terms) is never remembered as a form, only re-derived.
+const STOP: u32 = 1 << 31;
+
+/// Heap bytes of a `HashMap` table that holds `capacity` entries of `slot`
+/// bytes: a power of two of buckets, seven in eight of them usable from
+/// eight up, and a control byte per bucket plus one group's worth.
+fn table_bytes(capacity: usize, slot: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        (capacity + 1).next_power_of_two()
+    } else {
+        (capacity * 8 / 7).next_power_of_two()
+    };
+    buckets * (slot + 1) + 16
+}
 
 /// Everything [`Vocabulary::idf`] reads, and nothing else: a clone is the
 /// vocabulary's idf weighting frozen at that instant (one `Vec<u32>` copy),
@@ -44,8 +91,12 @@ impl IdfTable {
 /// Interning vocabulary with document-frequency accounting.
 #[derive(Debug, Default, Clone)]
 pub struct Vocabulary {
-    term_to_id: HashMap<String, TermId>,
+    /// Every string met as a raw token or interned as a term. Keyed by
+    /// std's keyed hasher: the keys come from fetched pages.
+    lexicon: HashMap<String, Lexeme>,
     id_to_term: Vec<String>,
+    /// Bytes of the lexicon's keys and of `id_to_term`'s strings.
+    text_bytes: usize,
     idf: IdfTable,
 }
 
@@ -56,21 +107,62 @@ impl Vocabulary {
 
     /// Intern `term`, returning its id (existing or fresh).
     pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.term_to_id.get(term) {
-            return id;
-        }
         let id = self.id_to_term.len() as TermId;
-        self.term_to_id.insert(term.to_string(), id);
-        self.id_to_term.push(term.to_string());
+        match self.lexicon.get_mut(term) {
+            Some(lexeme) if lexeme.stem != NONE => return lexeme.stem,
+            Some(lexeme) => lexeme.stem = id,
+            None => {
+                self.lexicon.insert(
+                    term.to_owned(),
+                    Lexeme {
+                        form: NONE,
+                        stem: id,
+                    },
+                );
+                self.text_bytes += term.len();
+            }
+        }
+        self.id_to_term.push(term.to_owned());
+        self.text_bytes += term.len();
         self.idf.doc_freq.push(0);
         id
     }
 
-    /// Id of `term` if already interned: the one probe
-    /// [`Analyzer::index_document`](crate::analyze::Analyzer::index_document)
-    /// makes per term of a page, which interns only the page's new terms.
+    /// Id of `term` if already interned.
     pub fn id(&self, term: &str) -> Option<TermId> {
-        self.term_to_id.get(term).copied()
+        let stem = self.lexicon.get(term)?.stem;
+        (stem != NONE).then_some(stem)
+    }
+
+    /// What the raw lower-cased `token` was found to be, if the analysis
+    /// has met it: the one probe a page's walk makes per token.
+    pub(crate) fn form(&self, token: &str) -> Option<Form> {
+        match self.lexicon.get(token)?.form {
+            NONE => None,
+            form if form & STOP != 0 => Some(Form::Stop(form & !STOP)),
+            id => Some(Form::Term(id)),
+        }
+    }
+
+    /// Remember what `token` is, so the next walk to meet it neither stops
+    /// nor stems it.
+    pub(crate) fn learn(&mut self, token: &str, form: Form) {
+        let packed = match form {
+            Form::Stop(index) if index < STOP => STOP | index,
+            Form::Term(id) if id < STOP => id,
+            _ => return,
+        };
+        match self.lexicon.get_mut(token) {
+            Some(lexeme) => lexeme.form = packed,
+            None => {
+                let lexeme = Lexeme {
+                    form: packed,
+                    stem: NONE,
+                };
+                self.lexicon.insert(token.to_owned(), lexeme);
+                self.text_bytes += token.len();
+            }
+        }
     }
 
     /// Term string for `id`.
@@ -116,6 +208,16 @@ impl Vocabulary {
     pub fn idf_table(&self) -> &IdfTable {
         &self.idf
     }
+
+    /// Heap bytes the vocabulary holds: the lexicon's table and keys, the
+    /// id → term strings and the document frequencies. Kept as it grows,
+    /// so reading it costs nothing.
+    pub fn heap_bytes(&self) -> usize {
+        table_bytes(self.lexicon.capacity(), size_of::<(String, Lexeme)>())
+            + self.id_to_term.capacity() * size_of::<String>()
+            + self.text_bytes
+            + self.idf.doc_freq.capacity() * size_of::<u32>()
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +236,36 @@ mod tests {
         assert_eq!(v.term(a), Some("music"));
         assert_eq!(v.id("cycling"), Some(c));
         assert_eq!(v.id("absent"), None);
+    }
+
+    /// A form and a stem are two readings of one entry: learning a form
+    /// interns nothing, and a form that is its own stem adds no entry.
+    #[test]
+    fn forms_and_stems_share_the_lexicon() {
+        let mut v = Vocabulary::new();
+        let page = v.intern("page");
+        let before = v.lexicon.len();
+        v.learn("page", Form::Stop(7));
+        v.learn("pages", Form::Term(page));
+        v.learn("the", Form::Stop(3));
+        assert_eq!(v.lexicon.len(), before + 2, "\"page\" shares its entry");
+        assert_eq!(
+            (v.len(), v.id("page"), v.id("pages")),
+            (1, Some(page), None)
+        );
+        assert_eq!(v.form("page"), Some(Form::Stop(7)));
+        assert_eq!(v.form("pages"), Some(Form::Term(page)));
+        assert_eq!(v.form("the"), Some(Form::Stop(3)));
+        assert_eq!(v.form("music"), None);
+        // Interning a string first met as a form gives it an id.
+        let the = v.intern("the");
+        assert_eq!(
+            (v.id("the"), v.form("the")),
+            (Some(the), Some(Form::Stop(3)))
+        );
+        // An id the packing cannot hold is not remembered.
+        v.learn("huge", Form::Term(STOP));
+        assert_eq!(v.form("huge"), None);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! stemming must be idempotent-ish and shortening and the same in place as
 //! owned, the one-probe archive analysis must number and count terms as
 //! counting then interning did — and, reading a title and a text in place,
-//! write the word memo the text walk would — and the sparse-vector algebra
-//! must obey the usual laws.
+//! write the word memo the text walk would, whether it reads a token
+//! through the vocabulary's lexicon or stops and stems it afresh — and the
+//! sparse-vector algebra must obey the usual laws.
 
 use proptest::prelude::*;
 
-use memex_text::snippet::{page_words, snippet, SnippetQuery};
+use memex_text::snippet::{page_words, snippet, PageMemo, SnippetQuery};
 use memex_text::stem::{stem, stem_in_place};
 use memex_text::stopwords::is_stopword;
 use memex_text::tokenize::{
@@ -773,6 +774,102 @@ proptest! {
             });
             prop_assert!(reference.is_some());
             prop_assert_eq!(memo, reference, "title {:?} text {:?}", title, text);
+        }
+    }
+}
+
+/// The archive walk as it was before the vocabulary remembered tokens:
+/// every kept token of `"{title} {text}"` stopped, stemmed and probed as a
+/// stem; the page's new terms interned in string order; the pairs sorted
+/// by id and the document recorded; and the text's word memo built by
+/// `page_words` against them. Kept as the reference the one-probe lexicon
+/// walk is held to.
+fn index_page_by_stemming(
+    vocab: &mut Vocabulary,
+    title: &str,
+    text: &str,
+) -> (Vec<(TermId, u32)>, Option<PageMemo>) {
+    let page = format!("{title} {text}");
+    let mut tokens = Tokens::new(&page);
+    let (mut token, mut known, mut fresh) = (String::new(), Vec::new(), Vec::new());
+    while tokens.next_into(&mut token) {
+        if is_stopword(&token) {
+            continue;
+        }
+        stem_in_place(&mut token);
+        match vocab.id(&token) {
+            Some(id) => known.push((id, 1)),
+            None => fresh.push(token.clone()),
+        }
+    }
+    fresh.sort_unstable();
+    for run in fresh.chunk_by(|a, b| a == b) {
+        known.push((vocab.intern(&run[0]), run.len() as u32));
+    }
+    known.sort_unstable_by_key(|&(id, _)| id);
+    let mut pairs: Vec<(TermId, u32)> = Vec::new();
+    for (id, count) in known {
+        match pairs.last_mut() {
+            Some(last) if last.0 == id => last.1 += count,
+            _ => pairs.push((id, count)),
+        }
+    }
+    vocab.observe_doc(pairs.iter().map(|&(id, _)| id));
+    let memo = page_words(text, pairs.len(), |stem| {
+        let id = vocab.id(stem)?;
+        pairs.binary_search_by_key(&id, |&(t, _)| t).ok()
+    });
+    (pairs, memo)
+}
+
+/// A page's title or text for the lexicon property: words from a pool of
+/// case and stem variants of the same terms, stopwords (among them "page",
+/// which "pages" stems to), digits, non-ASCII words and markup, or HTML
+/// soup.
+fn lexicon_text() -> impl Strategy<Value = String> {
+    #[rustfmt::skip]
+    const POOL: &[&str] = &[
+        "the", "The", "THE", "page", "Page", "pages", "PAGES", "being", "does", "doing",
+        "music", "Musical", "musicians", "compilers", "Compiler", "compiling", "compiled",
+        "organ", "organs", "gardens", "garden", "relational", "relations", "1999", "123456",
+        "x86", "Über", "über", "straße", "世界", "λόγος", "<b>Bach</b>", "<i>page</i>",
+        "&amp;", "<a href=\"x y\">loops</a>", "inner-loop,", "fugue.",
+    ];
+    prop_oneof![
+        4 => proptest::collection::vec(0..POOL.len(), 0..30)
+            .prop_map(|picks| picks.iter().map(|&i| POOL[i]).collect::<Vec<_>>().join(" ")),
+        1 => soup(),
+        1 => Just(String::new()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Fed the same random pages in a random order, repeats included, a
+    /// vocabulary read through its lexicon and one read by stopping,
+    /// stemming and probing every token give every page the same pairs and
+    /// the same word memo, and stay the same vocabulary: the same terms
+    /// under the same ids, the same document frequencies and counts.
+    #[test]
+    fn the_lexicon_walk_equals_stopping_stemming_and_probing_every_token(
+        pages in proptest::collection::vec((lexicon_text(), lexicon_text()), 1..8),
+        order in proptest::collection::vec(0usize..8, 1..16),
+    ) {
+        let (mut lexicon, mut plain) = (Vocabulary::new(), Vocabulary::new());
+        for (title, text) in order.iter().map(|&i| &pages[i % pages.len()]) {
+            let IndexedPage { tf, memo } = Analyzer.index_page(&mut lexicon, title, text);
+            let (expected, reference) = index_page_by_stemming(&mut plain, title, text);
+            prop_assert_eq!(&tf, &expected, "title {:?} text {:?}", title, text);
+            prop_assert_eq!(memo, reference, "title {:?} text {:?}", title, text);
+            prop_assert_eq!(lexicon.len(), plain.len());
+            for id in 0..lexicon.len() as TermId {
+                let term = plain.term(id).unwrap_or_default();
+                prop_assert_eq!(lexicon.term(id), Some(term), "term {}", id);
+                prop_assert_eq!(lexicon.id(term), Some(id), "id of {:?}", term);
+                prop_assert_eq!(lexicon.df(id), plain.df(id), "df of term {}", id);
+            }
+            prop_assert_eq!(lexicon.num_docs(), plain.num_docs());
         }
     }
 }

@@ -5,6 +5,8 @@ use std::sync::Arc;
 
 use memex::core::memex::{Memex, MemexOptions};
 use memex::core::servlet::{dispatch, Request, Response};
+use memex::net::wire::{self, FrameKind};
+use memex::net::Service;
 use memex::server::events::{ArchiveMode, ClientEvent, VisitEvent};
 use memex::web::corpus::{Corpus, CorpusConfig};
 
@@ -279,6 +281,60 @@ fn recall_reads_quotes_and_operators_as_plain_words() {
         .recall(1, "zzzunseen wordzzz", 0, u64::MAX, 5)
         .unwrap()
         .is_empty());
+}
+
+/// `request` framed as a client frames it, answered by `service`, and the
+/// one response frame it wrote decoded.
+fn ask(service: &Service, request: &Request) -> Response {
+    let frame = wire::frame_bytes(FrameKind::Request, &wire::encode_request(request), None)
+        .expect("the request fits a frame");
+    let mut written = Vec::new();
+    assert!(service.handle(wire::read_frame_meta(&mut &frame[..]), &mut written));
+    let meta = wire::read_frame_meta(&mut &written[..]).expect("a response frame");
+    wire::decode_response(&meta.payload).expect("a response")
+}
+
+/// A visit and a bookmark naming a page id far past the web's — the top
+/// bit set, and `u32::MAX` — are acknowledged as any write is, and the
+/// bookmark is filed; but the fetch demon settles nothing for them, so the
+/// page table, the index's document table and the sizes of the index and
+/// the vocabulary stay where the archive's own pages left them.
+#[test]
+fn hostile_page_ids_are_acknowledged_and_size_no_table() {
+    let (corpus, mut memex) = small_world();
+    memex.register_user(1, "u").unwrap();
+    for page in [0, 7, corpus.num_pages() as u32 - 1] {
+        memex.submit(visit(1, page, u64::from(page), None));
+    }
+    memex.run_demons().unwrap();
+    let gauges = |memex: &Memex| {
+        let snap = memex.registry().snapshot();
+        (snap.gauge("mem.index.bytes"), snap.gauge("mem.vocab.bytes"))
+    };
+    let before = gauges(&memex);
+    assert!(before.0 > 0 && before.1 > 0, "{before:?}");
+    let service = Service::new(memex, 4);
+    for (time, page) in [(100, 1u32 << 31), (101, u32::MAX)] {
+        let bookmark = ClientEvent::Bookmark {
+            user: 1,
+            page,
+            url: format!("http://nowhere.invalid/{page}"),
+            folder: "/Hostile".into(),
+            time,
+        };
+        for event in [visit(1, page, time, Some(page)), bookmark] {
+            let answer = ask(&service, &Request::Event(event.clone()));
+            assert_eq!(answer, Response::Ack { archived: true }, "{event:?}");
+        }
+    }
+    let memex = service.into_memex();
+    let server = &memex.server;
+    assert_eq!(server.bookmarks.len(), 2, "both bookmarks are filed");
+    assert!(server.tf(1 << 31).is_none() && server.tf(u32::MAX).is_none());
+    assert_eq!(server.stats().pages_fetched, 3);
+    assert_eq!(server.page_slots(), corpus.num_pages());
+    assert_eq!(server.index.max_doc(), Some(corpus.num_pages() as u32 - 1));
+    assert_eq!(gauges(&memex), before, "the index and the vocabulary");
 }
 
 #[test]

@@ -77,7 +77,13 @@ fn served_names() -> BTreeSet<String> {
     assert!(matches!(answer, Response::Ack { .. }), "{answer:?}");
     drop(client);
     let memex = server.shutdown();
-    names(&memex.registry().snapshot()).collect()
+    let snap = memex.registry().snapshot();
+    // The sweep that acknowledged the first visit published the sizes of
+    // what it grew.
+    for gauge in ["mem.vocab.bytes", "mem.index.bytes"] {
+        assert!(snap.gauge(gauge) > 0, "{gauge} unpublished");
+    }
+    names(&snap).collect()
 }
 
 #[test]
